@@ -218,8 +218,7 @@ def encode_selector(
     """Frame a Selector message: 2-bit ids + quantized subset + stats."""
     from repro.compression.quantization import pack_bits
 
-    flat = np.ascontiguousarray(selection, dtype=np.uint32).ravel()
-    packed_sel = pack_bits(flat, 2)
+    packed_sel = pack_bits(selection, 2)
     quant_frame = encode_quantized(quantized)
     payload = (
         _pack_shape(selection.shape)
@@ -262,8 +261,6 @@ def decode_selector(frame: bytes) -> tuple[np.ndarray, QuantizedMatrix, float]:
         payload, dtype=np.uint8, count=sel_bytes, offset=offset
     )
     offset += sel_bytes
-    selection = unpack_bits(packed_sel, 2, count).reshape(shape).astype(
-        np.uint8
-    )
+    selection = unpack_bits(packed_sel, 2, count).reshape(shape)
     quantized = decode_quantized(payload[offset:])
     return selection, quantized, float(proportion)

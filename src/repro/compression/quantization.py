@@ -16,19 +16,24 @@ Two table modes are provided:
   the midpoints — an obvious engineering refinement used by the
   ablation benchmarks.
 
-The bit-packing kernels are pure arithmetic: widths that divide a byte
-pack by shifting groups of values into byte lanes, 8/16-bit widths
-reinterpret the integer buffer directly, and irregular widths tree-merge
-adjacent fields (b -> 2b -> 4b -> 8b bits) into byte-aligned 8-value
-blocks. No ``(n, bits)`` bit matrix is ever materialized — that intermediate costs 8-16x the payload in
-memory traffic and dominated the original implementation (kept as
-:mod:`repro.bench.reference` for before/after benchmarking). The wire
-layout is unchanged: little-endian-bit-first, byte-identical to
-``np.packbits(..., bitorder="little")`` on the expanded bits.
+The codec touches every element the minimum number of times at the
+minimum width. Bucket ids are born narrow (``uint8`` up to 8 bits,
+``uint16`` for 16) from one in-place float chain, so 8/16-bit packing
+is a reinterpretation of the id buffer, 2/4-bit packing is a pairwise
+shift-or over the ids viewed as 16-bit words, and decoding widths that divide
+a byte is a single gather per *byte* of packed ids from a 256-row table
+of pre-gathered representatives. Irregular widths tree-merge adjacent
+fields (b -> 2b -> 4b -> 8b bits) into byte-aligned 8-value blocks. No
+``(n, bits)`` bit matrix is ever materialized (that original
+implementation is kept as :mod:`repro.bench.reference` for before/after
+benchmarking). The wire layout is little-endian-bit-first,
+byte-identical to ``np.packbits(..., bitorder="little")`` on the
+expanded bits.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,41 +63,67 @@ def packed_size(count: int, bits: int) -> int:
     return (count * bits + 7) // 8
 
 
+# Bucket ids are born at this width. Little-endian on purpose: a 16-bit
+# id buffer viewed as bytes *is* its wire form.
+_ID_DTYPE = {
+    bits: np.dtype(np.uint8 if bits <= 8 else "<u2") for bits in SUPPORTED_BITS
+}
+
+
+def _pack_ids(ids: np.ndarray, bits: int) -> np.ndarray:
+    """Pack bucket ids the quantizer produced itself.
+
+    ``bits`` is a ``SUPPORTED_BITS`` width and ``ids`` are in range by
+    construction (they come out of a clip), so this skips the ``max()``
+    scan :func:`pack_bits` owes to outside input. 8/16-bit results are
+    views of ``ids``.
+    """
+    ids = np.ascontiguousarray(ids, dtype=_ID_DTYPE[bits]).ravel()
+    if bits == 8:
+        return ids
+    if bits == 16:
+        return ids.view(np.uint8)
+    if bits == 1:
+        # The values are the bits; packbits needs no expansion here.
+        return np.packbits(ids, bitorder="little")
+    per_byte = 8 // bits
+    if ids.size % per_byte:
+        ids = np.pad(ids, (0, -ids.size % per_byte))  # zero-fill the last byte
+    # Pairwise tree merge on the ids viewed as 16-bit words: each level
+    # fuses the two ``width``-bit fields of adjacent bytes (the high
+    # byte's field shifted down next to the low byte's) and narrows back
+    # to one byte per pair, until a byte is full.
+    width = bits
+    while width < 8:
+        words = ids.view("<u2")
+        fused = words >> (8 - width)
+        fused |= words
+        ids = fused.astype(np.uint8)
+        width *= 2
+    return ids
+
+
 def pack_bits(values: np.ndarray, bits: int) -> np.ndarray:
     """Pack unsigned ``bits``-wide integers into a dense uint8 buffer.
 
     Values are laid out little-endian-bit-first; :func:`unpack_bits`
-    inverts the layout exactly. Values must fit in ``bits`` bits.
+    inverts the layout exactly. Values must fit in ``bits`` bits; any
+    integer dtype is accepted and narrowed once, after the range check.
     """
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in [1, 16], got {bits}")
-    flat = np.ascontiguousarray(values, dtype=np.uint32).ravel()
+    flat = np.ascontiguousarray(values).ravel()
+    if flat.dtype.kind != "u":
+        # Signed input goes through uint32 so a negative value wraps
+        # high and fails the range check instead of narrowing silently.
+        flat = flat.astype(np.uint32)
     if flat.size == 0:
         return np.zeros(0, dtype=np.uint8)
     if int(flat.max()) >= (1 << bits):
         raise ValueError(f"value {int(flat.max())} does not fit in {bits} bits")
-    if bits == 8:
-        return flat.astype(np.uint8)
-    if bits == 16:
-        return flat.astype("<u2").view(np.uint8)
-    if bits == 1:
-        # The values are the bits; packbits needs no expansion here.
-        return np.packbits(flat.astype(np.uint8), bitorder="little")
-    if bits in (2, 4):
-        per_byte = 8 // bits
-        if flat.size % per_byte:
-            padded = np.zeros(
-                (flat.size + per_byte - 1) // per_byte * per_byte,
-                dtype=np.uint32,
-            )
-            padded[: flat.size] = flat
-            flat = padded
-        acc = flat[0::per_byte].astype(np.uint8)
-        for lane in range(1, per_byte):
-            acc |= (flat[lane::per_byte] << np.uint32(lane * bits)).astype(
-                np.uint8
-            )
-        return acc
+    if bits in SUPPORTED_BITS:
+        # astype copies, so the 8/16-bit views never alias the input.
+        return _pack_ids(flat.astype(_ID_DTYPE[bits]), bits)
     # Irregular widths (3, 5, 6, 7, 9-15): 8 values always span exactly
     # ``bits`` bytes, so each 8-value block ORs into a 64-bit (or, for
     # widths above 8, 128-bit) little-endian accumulator whose first
@@ -141,14 +172,9 @@ def pack_bits(values: np.ndarray, bits: int) -> np.ndarray:
     return block_bytes[:, :bits].ravel()[:total]
 
 
-def unpack_bits(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
-    """Invert :func:`pack_bits`, recovering ``count`` integers.
-
-    The buffer length must match ``count`` exactly: a short buffer cannot
-    hold the promised values and a long one means the caller mis-sliced
-    the wire payload — both raise ``ValueError`` instead of silently
-    reading (or ignoring) stray bytes.
-    """
+def _check_packed(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
+    """``buffer`` as flat bytes, refused unless it holds exactly ``count``
+    values of ``bits`` bits."""
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in [1, 16], got {bits}")
     buf = np.ascontiguousarray(buffer, dtype=np.uint8).ravel()
@@ -158,24 +184,42 @@ def unpack_bits(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
             f"packed buffer holds {buf.size} bytes but {count} values of "
             f"{bits} bits need exactly {needed}"
         )
+    return buf
+
+
+def unpack_bits(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
+    """Invert :func:`pack_bits`, recovering ``count`` integers.
+
+    The buffer length must match ``count`` exactly: a short buffer cannot
+    hold the promised values and a long one means the caller mis-sliced
+    the wire payload — both raise ``ValueError`` instead of silently
+    reading (or ignoring) stray bytes.
+
+    ``SUPPORTED_BITS`` widths come back at id width (``uint8``, or
+    ``uint16`` for 16 bits) and the 8/16-bit results are views of
+    ``buffer``; irregular widths come back as ``uint32``.
+    """
+    buf = _check_packed(buffer, bits, count)
+    if bits == 8:
+        return buf
+    if bits == 16:
+        return buf.view(_ID_DTYPE[16])
+    if bits == 1:
+        return np.unpackbits(buf, count=count, bitorder="little")
+    if bits in (2, 4):
+        # The inverse tree: each level widens bytes to 16-bit words and
+        # splits every byte into its low and high ``width``-bit halves.
+        fields, width = buf, 4
+        while width >= bits:
+            words = fields.astype("<u2")
+            split = words << (8 - width)
+            split |= words
+            split &= ((1 << width) - 1) * 0x0101
+            fields = split.view(np.uint8)
+            width //= 2
+        return fields[:count]
     if count == 0:
         return np.zeros(0, dtype=np.uint32)
-    if bits == 8:
-        return buf.astype(np.uint32)
-    if bits == 16:
-        return buf.view("<u2").astype(np.uint32)
-    if bits == 1:
-        return np.unpackbits(buf, count=count, bitorder="little").astype(
-            np.uint32
-        )
-    if bits in (2, 4):
-        per_byte = 8 // bits
-        mask = np.uint32((1 << bits) - 1)
-        wide = buf.astype(np.uint32)
-        out = np.empty(buf.size * per_byte, dtype=np.uint32)
-        for lane in range(per_byte):
-            out[lane::per_byte] = (wide >> np.uint32(lane * bits)) & mask
-        return out[:count]
     # Irregular widths: the inverse of the 8-value block packing — load
     # each block's ``bits`` bytes into integer lanes and tree-split the
     # eight fields back out, 8b -> 4b -> 2b -> b (see pack_bits).
@@ -222,6 +266,16 @@ def unpack_bits(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
     return out[:count]
 
 
+@functools.cache
+def _byte_ids(bits: int) -> np.ndarray:
+    """Read-only ``(256, 8 // bits)`` table: row ``b`` is the ids packed
+    in byte value ``b`` (see :meth:`QuantizedMatrix.decode`)."""
+    per_byte = 8 // bits
+    ids = unpack_bits(np.arange(256, dtype=np.uint8), bits, 256 * per_byte)
+    ids.setflags(write=False)
+    return ids.reshape(256, per_byte)
+
+
 @dataclass
 class QuantizedMatrix:
     """A bucket-quantized matrix ready for the wire.
@@ -252,8 +306,19 @@ class QuantizedMatrix:
 
     def decode(self) -> np.ndarray:
         """Reconstruct the approximate matrix."""
-        ids = unpack_bits(self.packed, self.bits, self.num_elements)
-        return self.bucket_values[ids].reshape(self.shape).astype(np.float32)
+        count = self.num_elements
+        table = np.asarray(self.bucket_values, dtype=np.float32)
+        if 8 % self.bits:
+            ids = unpack_bits(self.packed, self.bits, count)
+            return np.take(table, ids).reshape(self.shape)
+        packed = _check_packed(self.packed, self.bits, count)
+        # Widths that divide a byte never unpack: row ``b`` of the
+        # gathered table holds the representatives of the ids packed in
+        # byte value ``b``, so one gather per packed *byte* writes its
+        # 8 // bits floats straight into the result.
+        by_byte = table[_byte_ids(self.bits)]
+        flat = np.take(by_byte, packed, axis=0).ravel()
+        return flat[:count].reshape(self.shape)
 
     def payload_bytes(self) -> int:
         """Bytes this message occupies on the wire.
@@ -300,7 +365,12 @@ class BucketQuantizer:
         if span <= 0.0:
             return np.full(buckets, lo, dtype=np.float32)
         width = span / buckets
-        return (lo + _midpoint_offsets(buckets) * width).astype(np.float32)
+        # A non-finite domain (NaN/Inf in the data) yields NaN
+        # representatives; that is the answer, not worth a warning.
+        with np.errstate(invalid="ignore"):
+            return (lo + _midpoint_offsets(buckets) * width).astype(
+                np.float32
+            )
 
     def encode_ids(
         self,
@@ -315,6 +385,7 @@ class BucketQuantizer:
         quantize exactly once instead of encode-decode-re-encode.
         """
         data = np.asarray(matrix, dtype=np.float32)
+        id_dtype = _ID_DTYPE[self.bits]
         if data.size == 0:
             # An empty matrix still carries its domain on the wire: the
             # all-predicted ReqEC selector message ships zero rows but
@@ -326,9 +397,7 @@ class BucketQuantizer:
                     f"invalid domain: [{domain_lo}, {domain_hi}]"
                 )
             reps = self.representatives(domain_lo, domain_hi)
-            return (
-                np.zeros(0, dtype=np.uint32), reps, domain_lo, domain_hi
-            )
+            return np.zeros(0, dtype=id_dtype), reps, domain_lo, domain_hi
         domain_lo = float(data.min()) if lo is None else float(lo)
         domain_hi = float(data.max()) if hi is None else float(hi)
         if domain_hi < domain_lo:
@@ -336,14 +405,25 @@ class BucketQuantizer:
 
         buckets = self.num_buckets
         span = domain_hi - domain_lo
-        if span <= 0.0:
-            ids = np.zeros(data.size, dtype=np.uint32)
+        if not 0.0 < span < np.inf:
+            # Degenerate (lo == hi) or non-finite domain — a NaN or Inf
+            # element makes the data-derived span NaN or Inf — puts
+            # every element in bucket 0.
+            ids = np.zeros(data.size, dtype=id_dtype)
         else:
+            # One float32 scratch, three in-place passes, one narrowing
+            # cast. Clipping in the float domain and then truncating
+            # gives the id that truncating and then clipping would.
             width = span / buckets
-            scaled = (data.ravel() - domain_lo) / width
-            ids = np.clip(scaled.astype(np.int64), 0, buckets - 1).astype(
-                np.uint32
-            )
+            scaled = np.subtract(data.ravel(), domain_lo)
+            np.divide(scaled, width, out=scaled)
+            if lo is not None or hi is not None:
+                # Only explicit bounds can leave NaN/Inf elements in a
+                # finite domain; they land in bucket 0 like the rest of
+                # the non-finite cases.
+                scaled[~np.isfinite(scaled)] = 0.0
+            np.clip(scaled, 0, buckets - 1, out=scaled)
+            ids = scaled.astype(id_dtype)
         reps = self.representatives(domain_lo, domain_hi)
         return ids, reps, domain_lo, domain_hi
 
@@ -367,7 +447,7 @@ class BucketQuantizer:
         return QuantizedMatrix(
             shape=data.shape,
             bits=self.bits,
-            packed=pack_bits(ids, self.bits),
+            packed=_pack_ids(ids, self.bits),
             lo=domain_lo,
             hi=domain_hi,
             bucket_values=reps,
@@ -391,7 +471,7 @@ class BucketQuantizer:
         return QuantizedMatrix(
             shape=shape,
             bits=self.bits,
-            packed=pack_bits(ids, self.bits),
+            packed=_pack_ids(ids, self.bits),
             lo=lo,
             hi=hi,
             bucket_values=reps,

@@ -107,15 +107,22 @@ class ReqECPolicy:
         state = self._responder_trend.get(key)
 
         if self._is_boundary(t):
+            # One snapshot serves the trend state of both ends and the
+            # payload; read-only, so an in-place write raises instead of
+            # corrupting the other end.
+            h_last = rows.copy()
             if state is not None and state.h_last.shape == rows.shape:
-                m_cr = (rows - state.h_last) / self.trend_period
+                m_cr = np.subtract(rows, state.h_last)
+                m_cr /= self.trend_period
             else:
                 m_cr = np.zeros_like(rows)
+            h_last.setflags(write=False)
+            m_cr.setflags(write=False)
             self._responder_trend[key] = TrendState(
-                h_last=rows.copy(), m_cr=m_cr, boundary_t=t
+                h_last=h_last, m_cr=m_cr, boundary_t=t
             )
             return ChannelMessage(
-                payload=("exact", rows.copy(), m_cr.copy()),
+                payload=("exact", h_last, m_cr),
                 nbytes=_HEADER_BYTES + 2 * rows.nbytes,
             )
 
@@ -138,16 +145,14 @@ class ReqECPolicy:
                 meta={"proportion": 0.0, "bits": bits},
             )
 
-        steps = t % self.trend_period + 1
-        h_pdt = state.h_last + state.m_cr * steps
+        h_pdt = self._predict(state, t % self.trend_period + 1)
         # Quantize exactly once: the bucket ids score the compressed
         # candidate AND — sliced at the non-predicted rows — form the
         # subset payload, since ids depend only on (value, lo, hi, bits).
         ids, reps, lo, hi = quantizer.encode_ids(rows)
-        h_cps = reps[ids].reshape(rows.shape).astype(np.float32)
-        h_avg = 0.5 * (h_pdt + h_cps)
+        h_cps = np.take(reps, ids).reshape(rows.shape)
 
-        selection, proportion = self._select(rows, h_cps, h_pdt, h_avg)
+        selection, proportion = self._select(rows, h_cps, h_pdt)
         payload, nbytes = self._build_compressed_payload(
             rows, selection, quantizer, ids, reps, lo, hi
         )
@@ -162,35 +167,48 @@ class ReqECPolicy:
             meta={"proportion": proportion, "bits": bits},
         )
 
+    @staticmethod
+    def _predict(state: TrendState, steps: int) -> np.ndarray:
+        """The predicted candidate ``H_last + M_cr * steps``, as a fresh
+        array the caller may overwrite."""
+        h_pdt = state.m_cr * steps
+        h_pdt += state.h_last
+        return h_pdt
+
     def _select(
-        self,
-        truth: np.ndarray,
-        h_cps: np.ndarray,
-        h_pdt: np.ndarray,
-        h_avg: np.ndarray,
+        self, truth: np.ndarray, h_cps: np.ndarray, h_pdt: np.ndarray
     ) -> tuple[np.ndarray, float]:
         """Pick the best candidate at the configured granularity.
 
-        Returns the selection array (shape depends on granularity) and
-        the proportion of predicted selections.
+        Scores the compressed, predicted and average candidates by L1
+        error against ``truth`` through one scratch matrix; the average
+        is formed in ``h_cps`` once the compressed score is taken, so
+        ``h_cps`` is consumed. Returns the selection array (shape
+        depends on granularity) and the proportion of predicted
+        selections.
         """
-        err_cps = np.abs(h_cps - truth)
-        err_pdt = np.abs(h_pdt - truth)
-        err_avg = np.abs(h_avg - truth)
-        if self.granularity == "vertex":
-            s = np.stack(
-                [err_cps.sum(axis=1), err_pdt.sum(axis=1), err_avg.sum(axis=1)],
-                axis=1,
-            )
-            selection = s.argmin(axis=1).astype(np.uint8)
-        elif self.granularity == "matrix":
-            s = np.array([err_cps.sum(), err_pdt.sum(), err_avg.sum()])
+        scratch = np.empty_like(truth)
+
+        def score(candidate: np.ndarray) -> np.ndarray:
+            np.subtract(candidate, truth, out=scratch)
+            np.abs(scratch, out=scratch)
+            if self.granularity == "vertex":
+                return scratch.sum(axis=1)
+            if self.granularity == "matrix":
+                return scratch.sum()
+            return scratch.copy()
+
+        s_cps = score(h_cps)
+        s_pdt = score(h_pdt)
+        h_avg = np.add(h_pdt, h_cps, out=h_cps)
+        h_avg *= 0.5
+        scores = np.stack([s_cps, s_pdt, score(h_avg)], axis=-1)
+        if self.granularity == "matrix":
             selection = np.full(
-                truth.shape[0], int(s.argmin()), dtype=np.uint8
+                truth.shape[0], int(scores.argmin()), dtype=np.uint8
             )
-        else:  # element
-            s = np.stack([err_cps, err_pdt, err_avg], axis=2)
-            selection = s.argmin(axis=2).astype(np.uint8)
+        else:
+            selection = scores.argmin(axis=-1).astype(np.uint8)
         proportion = float((selection == SELECT_PREDICTED).mean())
         return selection, proportion
 
@@ -212,19 +230,9 @@ class ReqECPolicy:
         a value subset with the full-matrix (lo, hi) yields exactly these
         ids, so no second quantization pass is needed.
         """
-        mask = selection != SELECT_PREDICTED
-        id_matrix = ids.reshape(rows.shape)
-        if self.granularity == "element":
-            sub_ids = id_matrix[mask]
-            sub_shape = sub_ids.shape
-            selector_bits = 2 * selection.size
-        else:
-            sub = id_matrix[mask]
-            sub_ids = sub.ravel()
-            sub_shape = sub.shape
-            selector_bits = 2 * selection.shape[0]
-        quantized = quantizer.from_ids(sub_ids, sub_shape, reps, lo, hi)
-        selector_bytes = -(-selector_bits // 8)
+        sub_ids = ids.reshape(rows.shape)[selection != SELECT_PREDICTED]
+        quantized = quantizer.from_ids(sub_ids, sub_ids.shape, reps, lo, hi)
+        selector_bytes = -(-2 * selection.size // 8)
         # Frame + shape + (proportion, selector length) + selector bits
         # + the nested quantized frame — see cluster.serialize.
         nbytes = 16 + 8 + 8 + selector_bytes + quantized.payload_bytes()
@@ -242,11 +250,13 @@ class ReqECPolicy:
     ) -> ReceiveResult:
         kind = message.payload[0]
         if kind == "exact":
+            # The responder's read-only snapshot (see respond): shared,
+            # not copied — the halo scatter copies out of it.
             _, rows, m_cr = message.payload
             self._requester_trend[key] = TrendState(
-                h_last=rows.copy(), m_cr=m_cr.copy(), boundary_t=t
+                h_last=rows, m_cr=m_cr, boundary_t=t
             )
-            return ReceiveResult(rows=rows.copy())
+            return ReceiveResult(rows=rows)
 
         if kind == "cps_only":
             start = monotonic_now()
@@ -265,8 +275,7 @@ class ReqECPolicy:
                 "exact trend snapshot"
             )
         start = monotonic_now()
-        steps = t % self.trend_period + 1
-        h_pdt = state.h_last + state.m_cr * steps
+        h_pdt = self._predict(state, t % self.trend_period + 1)
         rows = self._reconstruct(selection, quantized, h_pdt)
         return ReceiveResult(
             rows=rows,
@@ -277,29 +286,24 @@ class ReqECPolicy:
     def _reconstruct(
         self, selection: np.ndarray, quantized, h_pdt: np.ndarray
     ) -> np.ndarray:
-        """Merge predicted rows with the shipped quantized payload."""
-        out = h_pdt.astype(np.float32).copy()
+        """Merge the shipped quantized payload into ``h_pdt``, in place.
+
+        ``quantized`` holds the non-predicted rows (elements, at element
+        granularity) in selection order, so boolean masks of
+        ``selection`` address both sides without index arrays.
+        """
         mask = selection != SELECT_PREDICTED
         if not mask.any():
-            return out
-        decoded = quantized.decode()
-        if self.granularity == "element":
-            cps_values = decoded
-            avg_mask_flat = selection[mask] == SELECT_AVERAGE
-            merged = cps_values.copy()
-            merged[avg_mask_flat] = 0.5 * (
-                cps_values[avg_mask_flat] + h_pdt[mask][avg_mask_flat]
+            return h_pdt
+        merged = quantized.decode()
+        average = selection == SELECT_AVERAGE
+        if average.any():
+            shipped_average = average[mask]
+            merged[shipped_average] = 0.5 * (
+                merged[shipped_average] + h_pdt[average]
             )
-            out[mask] = merged
-            return out
-        cps_rows = decoded
-        sub_selection = selection[mask]
-        merged = cps_rows.copy()
-        avg_rows = sub_selection == SELECT_AVERAGE
-        if avg_rows.any():
-            merged[avg_rows] = 0.5 * (cps_rows[avg_rows] + h_pdt[mask][avg_rows])
-        out[mask] = merged
-        return out
+        h_pdt[mask] = merged
+        return h_pdt
 
     # ------------------------------------------------------------------
     # Fault tolerance (driven by the NAC)

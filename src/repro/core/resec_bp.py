@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.quantization import BucketQuantizer
+from repro.compression.quantization import BucketQuantizer, QuantizedMatrix
 from repro.core.messages import ChannelKey, ChannelMessage, ReceiveResult
 from repro.obs.tracing import monotonic_now
 
@@ -64,16 +64,8 @@ class ResECPolicy:
             if residual is None or residual.shape != rows.shape:
                 residual = np.zeros_like(rows)
             compensated = rows + residual
-            quantized = self._quantizer.encode(compensated)
-            new_residual = compensated - quantized.decode()
-            self._residual[key] = new_residual
-            if self.health is not None:
-                self.health.record_residual(
-                    key.layer,
-                    float(np.linalg.norm(new_residual)),
-                    float(np.linalg.norm(rows)),
-                    self._quantizer.bits,
-                )
+            quantized, residual = self._quantize(compensated)
+            self._residual[key] = residual
         else:
             # Sampled training: residual state spans the channel's full
             # vertex list; only the requested rows participate this round.
@@ -83,22 +75,38 @@ class ResECPolicy:
                     "before sampled responds"
                 )
             compensated = rows + residual[rows_idx]
-            quantized = self._quantizer.encode(compensated)
-            residual[rows_idx] = compensated - quantized.decode()
-            if self.health is not None:
-                # The full-channel residual is what Theorem 1 bounds.
-                self.health.record_residual(
-                    key.layer,
-                    float(np.linalg.norm(residual)),
-                    float(np.linalg.norm(rows)),
-                    self._quantizer.bits,
-                )
+            quantized, residual[rows_idx] = self._quantize(compensated)
+        if self.health is not None:
+            # The full-channel residual is what Theorem 1 bounds.
+            self.health.record_residual(
+                key.layer,
+                float(np.linalg.norm(residual)),
+                float(np.linalg.norm(rows)),
+                self._quantizer.bits,
+            )
         elapsed = monotonic_now() - start
         return ChannelMessage(
             payload=quantized,
             nbytes=quantized.payload_bytes(),
             codec_seconds=elapsed,
         )
+
+    def _quantize(
+        self, compensated: np.ndarray
+    ) -> tuple[QuantizedMatrix, np.ndarray]:
+        """Quantize the compensated rows; returns the wire matrix and the
+        new residual ``compensated - C_bit[compensated]`` (Eq. 11).
+
+        The residual comes from the bucket ids directly — no
+        pack-then-unpack round trip — and overwrites the dequantized
+        rows it is formed from.
+        """
+        quantizer = self._quantizer
+        ids, reps, lo, hi = quantizer.encode_ids(compensated)
+        quantized = quantizer.from_ids(ids, compensated.shape, reps, lo, hi)
+        residual = np.take(reps, ids).reshape(compensated.shape)
+        np.subtract(compensated, residual, out=residual)
+        return quantized, residual
 
     def prime_residual(self, key: ChannelKey, num_rows: int, dim: int) -> None:
         """Allocate full-channel residual state (sampled training only)."""

@@ -84,3 +84,48 @@ def cluster3() -> ClusterSpec:
 @pytest.fixture
 def cluster2() -> ClusterSpec:
     return ClusterSpec(num_workers=2, num_servers=2)
+
+
+# ----------------------------------------------------------------------
+# Pre-rewrite codec arithmetic, kept verbatim as differential references
+# for the narrow-id quantizer (packing references live in
+# ``repro.bench.reference``).
+# ----------------------------------------------------------------------
+def _reference_encode_ids(bits, matrix, lo=None, hi=None):
+    """Verbatim copy of ``BucketQuantizer.encode_ids`` before the
+    narrow-dtype rewrite: float32 -> int64 -> integer clip -> uint32."""
+    data = np.asarray(matrix, dtype=np.float32)
+    buckets = 1 << bits
+    if data.size == 0:
+        return np.zeros(0, dtype=np.uint32)
+    domain_lo = float(data.min()) if lo is None else float(lo)
+    domain_hi = float(data.max()) if hi is None else float(hi)
+    span = domain_hi - domain_lo
+    if span <= 0.0:
+        return np.zeros(data.size, dtype=np.uint32)
+    width = span / buckets
+    scaled = (data.ravel() - domain_lo) / width
+    return np.clip(scaled.astype(np.int64), 0, buckets - 1).astype(np.uint32)
+
+
+def _reference_decode(quantized):
+    """Verbatim copy of ``QuantizedMatrix.decode`` before the rewrite,
+    over the original bit-matrix unpack."""
+    from repro.bench.reference import unpack_bits_reference
+
+    ids = unpack_bits_reference(
+        quantized.packed, quantized.bits, quantized.num_elements
+    )
+    return quantized.bucket_values[ids].reshape(quantized.shape).astype(
+        np.float32
+    )
+
+
+@pytest.fixture
+def reference_encode_ids():
+    return _reference_encode_ids
+
+
+@pytest.fixture
+def reference_decode():
+    return _reference_decode

@@ -130,6 +130,23 @@ class TestSelectorFrames:
         )
         assert proportion == pytest.approx(0.42)
 
+    @pytest.mark.parametrize("shape", [(0,), (1,), (5,), (17,), (6, 7)])
+    def test_selector_lanes_roundtrip_as_uint8(self, shape):
+        """The selector rides the 2-bit lanes at id width: whatever the
+        integer dtype going in, uint8 of the same shape comes out, for
+        counts that do and do not fill the last byte."""
+        rng = np.random.default_rng(5)
+        selection = rng.integers(0, 3, size=shape)
+        quantized = BucketQuantizer(4).encode(np.zeros(3, dtype=np.float32))
+        frames = {
+            encode_selector(selection.astype(dtype), quantized, 0.5)
+            for dtype in (np.uint8, np.uint32, np.int64)
+        }
+        assert len(frames) == 1
+        sel_out, _, _ = decode_selector(frames.pop())
+        assert sel_out.dtype == np.uint8 and sel_out.shape == shape
+        np.testing.assert_array_equal(sel_out, selection)
+
     def test_size_matches_reqec_accounting(self, matrix):
         """The selector-message size charged by ReqEC-FP tracks the real
         frame length."""
@@ -225,6 +242,32 @@ class TestCorruptFrames:
         frame[28] = frame[28] + 1 & 0xFF
         with pytest.raises(ValueError, match="selector bytes"):
             decode_selector(bytes(frame))
+
+    def test_hostile_selector_shape_hits_the_length_check(self, matrix):
+        """A shape word that promises more selector ids than the lanes
+        hold is refused by the wire-format check, before the 2-bit word
+        view could read past (or numpy complain about) the buffer."""
+        import struct
+
+        selection = np.zeros(matrix.shape[0], dtype=np.uint8)
+        quantized = BucketQuantizer(4).encode(matrix)
+        frame = bytearray(encode_selector(selection, quantized, 0.5))
+        for rows in (matrix.shape[0] + 4, 2**31):
+            struct.pack_into("<II", frame, 16, rows, 0)
+            with pytest.raises(ValueError, match="selector bytes"):
+                decode_selector(bytes(frame))
+
+    def test_hostile_lane_lengths_raise_value_error(self):
+        """The 2/4-bit lanes view packed bytes as 16/32-bit words; a
+        count the buffer cannot hold must fail the exact-length check,
+        never surface as a numpy view or reshape error."""
+        from repro.compression.quantization import unpack_bits
+
+        for bits, nbytes, count in (
+            (2, 3, 16), (2, 3, 8), (4, 5, 11), (4, 5, 8), (16, 3, 2),
+        ):
+            with pytest.raises(ValueError, match="need exactly"):
+                unpack_bits(np.zeros(nbytes, dtype=np.uint8), bits, count)
 
     def test_corrupt_nested_quant_in_selector(self, matrix):
         rng = np.random.default_rng(3)

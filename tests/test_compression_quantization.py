@@ -262,3 +262,146 @@ class TestEncodeIds:
         np.testing.assert_array_equal(
             sliced.bucket_values, direct.bucket_values
         )
+
+
+# ----------------------------------------------------------------------
+# The narrow-id pipeline against the pre-rewrite arithmetic (the
+# ``reference_encode_ids`` / ``reference_decode`` fixtures in conftest.py
+# are verbatim copies of the replaced code)
+# ----------------------------------------------------------------------
+# 13 and 2**16 + 3 are odd and no multiple of any lane count (2, 4, 8).
+_DIFF_SIZES = (0, 1, 7, 13, 2**16 + 3)
+_DIFF_DOMAINS = {
+    "data-derived": {},
+    "out-of-domain": {"lo": -0.75, "hi": 1.25},
+    "degenerate": {"lo": 0.5, "hi": 0.5},
+}
+
+
+class TestNarrowPathMatchesReference:
+    @pytest.mark.parametrize("domain", sorted(_DIFF_DOMAINS))
+    @pytest.mark.parametrize("size", _DIFF_SIZES)
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_ids_bytes_and_decode(
+        self, bits, size, domain, reference_encode_ids, reference_decode
+    ):
+        from repro.bench.reference import pack_bits_reference
+
+        bounds = _DIFF_DOMAINS[domain]
+        rng = np.random.default_rng(bits * 1000 + size % 997)
+        x = (rng.standard_normal(size) * 2.0).astype(np.float32)
+        q = BucketQuantizer(bits)
+        want_ids = reference_encode_ids(bits, x, **bounds)
+
+        ids, _, _, _ = q.encode_ids(x, **bounds)
+        assert ids.dtype.itemsize == (1 if bits <= 8 else 2)
+        np.testing.assert_array_equal(
+            ids.astype(np.int64), want_ids.astype(np.int64)
+        )
+
+        encoded = q.encode(x, **bounds)
+        assert encoded.packed.dtype == np.uint8
+        assert encoded.packed.tobytes() == (
+            pack_bits_reference(want_ids, bits).tobytes()
+        )
+        got = encoded.decode()
+        want = reference_decode(encoded)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_matrix_shape_survives(self, bits, reference_decode):
+        x = np.random.default_rng(bits).random((37, 5)).astype(np.float32)
+        encoded = BucketQuantizer(bits).encode(x)
+        np.testing.assert_array_equal(
+            encoded.decode(), reference_decode(encoded)
+        )
+        assert encoded.decode().shape == (37, 5)
+
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_decode_rejects_wrong_buffer_length(self, bits):
+        encoded = BucketQuantizer(bits).encode(
+            np.linspace(0, 1, 24, dtype=np.float32)
+        )
+        encoded.packed = np.concatenate(
+            [encoded.packed, np.zeros(2, dtype=np.uint8)]
+        )
+        with pytest.raises(ValueError, match="exactly"):
+            encoded.decode()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_pack_bits_accepts_any_integer_dtype(self, bits, dtype):
+        from repro.bench.reference import pack_bits_reference
+
+        top = min(1 << bits, np.iinfo(dtype).max + 1)
+        values = np.random.default_rng(bits).integers(0, top, size=101)
+        assert pack_bits(values.astype(dtype), bits).tobytes() == (
+            pack_bits_reference(values, bits).tobytes()
+        )
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
+    def test_pack_bits_still_rejects_out_of_range(self, bits):
+        for dtype in (np.uint16, np.uint32, np.int64):
+            with pytest.raises(ValueError, match="fit"):
+                pack_bits(np.array([0, 1 << bits], dtype=dtype), bits)
+        with pytest.raises(ValueError, match="fit"):
+            pack_bits(np.array([0, -1], dtype=np.int64), bits)
+
+    def test_public_pack_never_aliases_its_input(self):
+        values = np.arange(8, dtype=np.uint8)
+        packed = pack_bits(values, 8)
+        packed[:] = 0
+        np.testing.assert_array_equal(values, np.arange(8, dtype=np.uint8))
+
+
+class TestNonFiniteInput:
+    """Where NaN/Inf are resolved moved from the int64 cast to the float
+    domain; the ids must not have. Non-finite elements (and every
+    element of a non-finite data-derived domain) land in bucket 0, as
+    the old ``NaN -> int64 -> clip`` chain put them on x86-64, and no
+    cast warning escapes any more."""
+
+    CASES = {
+        "nan": [0.1, np.nan, 0.7, -0.3],
+        "+inf": [0.1, np.inf, 0.7, -0.3],
+        "-inf": [0.1, -np.inf, 0.7, -0.3],
+        "mixed": [np.inf, -np.inf, 0.7, np.nan],
+        "all-nan": [np.nan] * 5,
+    }
+    DOMAINS = {
+        "data-derived": {},
+        "explicit": {"lo": -1.0, "hi": 1.0},
+        "degenerate": {"lo": 0.5, "hi": 0.5},
+    }
+
+    @pytest.mark.parametrize("domain", sorted(DOMAINS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_same_ids_as_before_and_no_warning(
+        self, bits, case, domain, reference_encode_ids
+    ):
+        import warnings
+
+        x = np.array(self.CASES[case], dtype=np.float32)
+        bounds = self.DOMAINS[domain]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the old chain warned
+            want = reference_encode_ids(bits, x, **bounds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ids, reps, _, _ = BucketQuantizer(bits).encode_ids(x, **bounds)
+            decoded = BucketQuantizer(bits).encode(x, **bounds).decode()
+        np.testing.assert_array_equal(
+            ids.astype(np.int64), want.astype(np.int64)
+        )
+        assert decoded.shape == x.shape
+        # Every non-finite element sits in bucket 0 ...
+        assert not ids[~np.isfinite(x)].any()
+        if domain == "explicit":
+            # ... and the finite ones still quantize normally.
+            finite = np.isfinite(x)
+            clean = reference_encode_ids(bits, x[finite], **bounds)
+            np.testing.assert_array_equal(ids[finite], clean)
+        elif domain == "data-derived":
+            assert not ids.any() and not np.isfinite(reps).any()

@@ -202,3 +202,94 @@ class TestErrors:
         policy.reset()
         message = policy.respond(KEY, rows, t=2)
         assert message.payload[0] == "cps_only"
+
+
+def _trend_snapshot(policy):
+    """Deep copy of both ends' trend state, for before/after equality."""
+    return {
+        end: (state.h_last.copy(), state.m_cr.copy(), state.boundary_t)
+        for end, state in (
+            ("responder", policy._responder_trend[KEY]),
+            ("requester", policy._requester_trend[KEY]),
+        )
+    }
+
+
+def _assert_trend_unchanged(policy, before):
+    after = _trend_snapshot(policy)
+    for end in before:
+        np.testing.assert_array_equal(after[end][0], before[end][0])
+        np.testing.assert_array_equal(after[end][1], before[end][1])
+        assert after[end][2] == before[end][2]
+
+
+@pytest.mark.parametrize("granularity", ["vertex", "matrix", "element"])
+class TestNoAliasingBetweenEnds:
+    """In-place candidate math and the shared boundary snapshot must not
+    couple the caller, the message on the wire and the two trend states:
+    whatever either side does to an array it was handed, the other
+    side's state stays what the protocol put there."""
+
+    def _primed(self, granularity):
+        policy = _policy(period=4, granularity=granularity, bits=4)
+        rng = np.random.default_rng(11)
+        rows = rng.random((12, 5)).astype(np.float32)
+        _roundtrip(policy, rows, t=3)
+        drifted = rows + rng.normal(0, 0.05, rows.shape).astype(np.float32)
+        return policy, rows, drifted
+
+    def test_boundary_snapshot_is_shared_read_only(self, granularity):
+        policy, _, drifted = self._primed(granularity)
+        original = drifted.copy()
+        message = policy.respond(KEY, drifted, t=7)
+        result = policy.receive(KEY, message, t=7)
+        before = _trend_snapshot(policy)
+
+        drifted += 100.0  # the caller reuses its buffer
+        _assert_trend_unchanged(policy, before)
+        np.testing.assert_array_equal(
+            policy._responder_trend[KEY].h_last, original
+        )
+        _, sent_rows, sent_rate = message.payload
+        for shared in (sent_rows, sent_rate, result.rows):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = -1.0
+        _assert_trend_unchanged(policy, before)
+
+    def test_in_group_roundtrip_leaves_trend_alone(self, granularity):
+        policy, _, drifted = self._primed(granularity)
+        before = _trend_snapshot(policy)
+        original = drifted.copy()
+
+        message = policy.respond(KEY, drifted, t=4)
+        np.testing.assert_array_equal(drifted, original)  # input untouched
+        result = policy.receive(KEY, message, t=4)
+        _assert_trend_unchanged(policy, before)
+
+        # The halo matrix the kernels read is the requester's to keep.
+        expected = result.rows.copy()
+        result.rows[:] = np.nan
+        drifted[:] = np.nan
+        _assert_trend_unchanged(policy, before)
+
+        # Decoding the same message again rebuilds the same rows ...
+        again = policy.receive(KEY, message, t=4)
+        np.testing.assert_array_equal(again.rows, expected)
+
+        # ... and scribbling over the payload cannot reach either end.
+        _, selection, quantized, _, _, _ = message.payload
+        selection[:] = 0
+        quantized.packed[:] = 0
+        quantized.bucket_values[:] = 0.0
+        _assert_trend_unchanged(policy, before)
+
+    def test_compressed_only_roundtrip_holds_no_state(self, granularity):
+        policy = _policy(period=4, granularity=granularity, bits=8)
+        rows = np.random.default_rng(12).random((6, 3)).astype(np.float32)
+        original = rows.copy()
+        result, message = _roundtrip(policy, rows, t=0)
+        np.testing.assert_array_equal(rows, original)
+        result.rows[:] = 0.0
+        message.payload[1].packed[:] = 0
+        assert not policy._responder_trend and not policy._requester_trend

@@ -137,3 +137,61 @@ def test_property_telescoping_gap_equals_residual(bits, steps, seed):
     assert np.linalg.norm(gap) == pytest.approx(
         policy.residual_norm(key), rel=1e-2, abs=1e-3
     )
+
+
+class TestNoAliasing:
+    """The residual is formed in place from the bucket ids; neither the
+    caller's gradient rows, nor the message, nor the decoded rows may
+    share memory with it."""
+
+    def test_full_channel_residual_is_private(self):
+        policy = ResECPolicy(bits=8)  # 8-bit packing is a view of the ids
+        rng = np.random.default_rng(20)
+        rows = rng.standard_normal((9, 4)).astype(np.float32)
+        original = rows.copy()
+        policy.respond(KEY, rows, t=0)
+        carried = policy._residual[KEY].copy()
+        message = policy.respond(KEY, rows, t=1)
+        np.testing.assert_array_equal(rows, original)  # input untouched
+        residual = policy._residual[KEY].copy()
+
+        result = policy.receive(KEY, message, t=1)
+        expected = result.rows.copy()
+        rows[:] = np.nan
+        result.rows[:] = np.nan
+        np.testing.assert_array_equal(policy._residual[KEY], residual)
+        np.testing.assert_array_equal(
+            policy.receive(KEY, message, t=1).rows, expected
+        )
+
+        message.payload.packed[:] = 0
+        message.payload.bucket_values[:] = 0.0
+        np.testing.assert_array_equal(policy._residual[KEY], residual)
+        # Eq. 11 on the untouched inputs: residual + delivered == truth.
+        np.testing.assert_allclose(
+            residual + expected, original + carried, atol=1e-6
+        )
+
+    def test_sampled_rows_idx_branch(self):
+        policy = ResECPolicy(bits=4)
+        policy.prime_residual(KEY, num_rows=10, dim=3)
+        rng = np.random.default_rng(21)
+        idx = np.array([1, 4, 7])
+        rows = rng.standard_normal((3, 3)).astype(np.float32)
+        original = rows.copy()
+        message = policy.respond(KEY, rows, t=0, rows_idx=idx)
+        np.testing.assert_array_equal(rows, original)
+        residual = policy._residual[KEY].copy()
+        untouched = np.setdiff1d(np.arange(10), idx)
+        assert not residual[untouched].any()
+        np.testing.assert_allclose(
+            residual[idx] + message.payload.decode(), original, atol=1e-6
+        )
+
+        result = policy.receive(KEY, message, t=0, rows_idx=idx)
+        rows[:] = np.nan
+        result.rows[:] = np.nan
+        message.payload.packed[:] = 0
+        message.payload.bucket_values[:] = 0.0
+        np.testing.assert_array_equal(policy._residual[KEY], residual)
+

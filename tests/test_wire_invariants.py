@@ -107,3 +107,62 @@ class TestReqECAccounting:
         assert quantized.lo == lo and quantized.hi == hi
         frame = encode_selector(selection, quantized, 1.0)
         assert nbytes == len(frame)
+
+
+class TestFramesMatchPreRewriteCodec:
+    """The narrow-id quantizer must put the same bytes on the wire as the
+    ``uint32`` pipeline it replaced: the frame of ``encode(x)`` equals
+    the frame built from the reference ids packed by the original
+    bit-matrix kernel (``repro.bench.reference``)."""
+
+    @pytest.mark.parametrize("mode", ["table", "bounds"])
+    @pytest.mark.parametrize("size", [0, 1, 13, 2**16 + 3])
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_quant_frame_bytes(self, bits, size, mode, reference_encode_ids):
+        from repro.bench.reference import pack_bits_reference
+        from repro.compression.quantization import QuantizedMatrix
+
+        x = np.random.default_rng(size % 991 + bits).uniform(
+            -2.0, 3.0, size=size
+        ).astype(np.float32)
+        quantizer = BucketQuantizer(bits, mode)
+        for bounds in ({}, {"lo": -0.5, "hi": 1.5}, {"lo": 1.0, "hi": 1.0}):
+            got = quantizer.encode(x, **bounds)
+            want = QuantizedMatrix(
+                shape=x.shape,
+                bits=bits,
+                packed=pack_bits_reference(
+                    reference_encode_ids(bits, x, **bounds), bits
+                ),
+                lo=got.lo,
+                hi=got.hi,
+                bucket_values=quantizer.representatives(got.lo, got.hi),
+                table_mode=mode,
+            )
+            assert encode_quantized(got) == encode_quantized(want)
+
+    @pytest.mark.parametrize("granularity", ["vertex", "element", "matrix"])
+    def test_selector_frame_bytes(self, rows, granularity):
+        """The 2-bit selector lanes now take the uint8 selection as is;
+        the frame must equal the one the uint32 round trip produced."""
+        import struct
+
+        from repro.bench.reference import pack_bits_reference
+
+        policy = _policy(granularity)
+        key = ChannelKey(0, 0, 1)
+        policy.respond(key, rows, t=3)
+        message = policy.respond(key, rows + 0.05, t=4)
+        _, selection, quantized, _, _, _ = message.payload
+        frame = encode_selector(selection, quantized, 0.25)
+        want_selector = pack_bits_reference(
+            selection.astype(np.uint32).ravel(), 2
+        ).tobytes()
+        at = 16 + 8  # frame header + shape word
+        assert struct.unpack_from("<fI", frame, at) == (
+            0.25, len(want_selector)
+        )
+        assert frame[at + 8:at + 8 + len(want_selector)] == want_selector
+        assert frame[at + 8 + len(want_selector):] == (
+            encode_quantized(quantized)
+        )
