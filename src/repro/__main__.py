@@ -412,16 +412,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if "exchange" in report:
         exchange = report["exchange"]
         print(format_table(
-            ["suite", "sequential", "pooled", "threaded"],
+            ["suite", "sequential", "threaded"],
             [["halo exchange",
               f"{exchange['sequential_seconds'] * 1e3:.2f}ms",
-              f"{exchange['pooled_seconds'] * 1e3:.2f}ms",
               f"{exchange['threaded_seconds'] * 1e3:.2f}ms"]],
         ))
     if "epoch" in report:
         epoch = report["epoch"]
         print(format_table(
-            ["suite", "old codec", "default", "pool+threads",
+            ["suite", "old codec", "default", "threads",
              "codec speedup"],
             [["epoch wall time",
               f"{epoch['reference_codec_seconds'] * 1e3:.1f}ms",

@@ -8,9 +8,9 @@ Three levels of the same hot path, so a regression can be localized:
 * ``exchange`` — one full halo exchange through the unified transport
   layer (:class:`~repro.engine.transport.HaloTransport`, via its
   :class:`~repro.core.nac.NeighborAccessController` facade) under
-  ``CompressPolicy``, sequential vs buffer-pooled vs thread-pooled;
+  ``CompressPolicy``, sequential vs thread-pooled;
 * ``epoch`` — wall seconds of ``ECGraphTrainer.run_epoch`` with the
-  default config vs the pooled+threaded config;
+  default config vs the threaded config;
 * ``epoch_multiprocess`` — the same epoch under
   ``execution="multiprocess"`` (real worker processes + shared memory)
   vs the sequential and GIL-bound threaded paths.
@@ -116,28 +116,22 @@ def bench_codec(params: dict, metrics: MetricsRegistry) -> dict:
     return kernels
 
 
-def _make_nac(buffer_pool: bool, threads: int):
+def _make_nac(threads: int):
     graph = load_dataset("cora", profile="tiny", seed=3)
     normalized = gcn_normalize(graph.adjacency)
     partition = HashPartitioner().partition(graph.adjacency, 3)
     workers = build_worker_states(graph, normalized, partition)
     runtime = ClusterRuntime(ClusterSpec(num_workers=3))
-    nac = NeighborAccessController(
-        runtime, workers, buffer_pool=buffer_pool, threads=threads
-    )
+    nac = NeighborAccessController(runtime, workers, threads=threads)
     return workers, nac
 
 
 def bench_exchange(params: dict, metrics: MetricsRegistry) -> dict:
-    """One full halo exchange: plain vs pooled vs pooled+threaded."""
+    """One full halo exchange: sequential vs 4-thread fan-out."""
     dim = 32
     results = {}
-    for name, (pool, threads) in {
-        "sequential": (False, 0),
-        "pooled": (True, 0),
-        "threaded": (True, 4),
-    }.items():
-        workers, nac = _make_nac(pool, threads)
+    for name, threads in {"sequential": 0, "threaded": 4}.items():
+        workers, nac = _make_nac(threads)
         rng = np.random.default_rng(11)
         values = [rng.random((s.num_local, dim)).astype(np.float32)
                   for s in workers]
@@ -228,7 +222,7 @@ def bench_epoch(params: dict, metrics: MetricsRegistry) -> dict:
     pack/unpack kernels swapped back in — the "before" of the packing
     rewrite, on identical everything else (byte-dividing widths decode
     by one gather per packed byte and have no unpack step to swap).
-    ``default`` is the shipped configuration; ``optimized`` adds the buffer pool and the
+    ``default`` is the shipped configuration; ``optimized`` adds the
     thread fan-out (which only pays off with spare cores). ``stages``
     attributes the default configuration's epoch to the five engine
     stages (per-epoch wall seconds, profiler-measured), so a
@@ -250,7 +244,7 @@ def bench_epoch(params: dict, metrics: MetricsRegistry) -> dict:
 
     results["default_seconds"] = _epoch_seconds(graph, {}, epochs)
     results["optimized_seconds"] = _epoch_seconds(
-        graph, {"halo_buffer_pool": True, "exchange_threads": 4}, epochs
+        graph, {"exchange_threads": 4}, epochs
     )
     for variant in ("reference_codec", "default", "optimized"):
         metrics.observe("bench_epoch_seconds",
@@ -274,7 +268,7 @@ def bench_epoch_multiprocess(params: dict, metrics: MetricsRegistry) -> dict:
     alternatives, on this host.
 
     Three configurations of the identical training run: ``sequential``
-    (the default inline engine), ``threaded`` (the pooled + 4-thread
+    (the default inline engine), ``threaded`` (the 4-thread
     halo fan-out, which the GIL makes *slower* than sequential), and
     ``multiprocess`` (``execution="multiprocess"``: one OS process per
     worker over shared memory). ``host_cpus`` is recorded because the
@@ -290,7 +284,7 @@ def bench_epoch_multiprocess(params: dict, metrics: MetricsRegistry) -> dict:
     results = {"host_cpus": os.cpu_count() or 1}
     results["sequential_seconds"] = _epoch_seconds(graph, {}, epochs)
     results["threaded_seconds"] = _epoch_seconds(
-        graph, {"halo_buffer_pool": True, "exchange_threads": 4}, epochs
+        graph, {"exchange_threads": 4}, epochs
     )
     results["multiprocess_seconds"] = _epoch_seconds(
         graph, {"execution": "multiprocess"}, epochs

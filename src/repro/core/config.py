@@ -97,9 +97,6 @@ class ECGraphConfig:
         weight_decay: L2 regularization applied by the servers.
         codec_speedup: Divide measured Python codec time by this factor to
             emulate the paper's C++ compression kernels (see DESIGN.md).
-        halo_buffer_pool: Reuse halo buffers across exchanges (zeroed in
-            place) instead of allocating fresh ones; see
-            ``docs/performance.md``. Off by default.
         exchange_threads: Fan independent halo-exchange channels out over
             this many threads (0/1 = sequential). Bit-identical results
             and traffic accounting; engages only on the fault-free,
@@ -140,7 +137,6 @@ class ECGraphConfig:
     optimizer: str = "adam"
     weight_decay: float = 0.0
     codec_speedup: float = 20.0
-    halo_buffer_pool: bool = False
     exchange_threads: int = 0
     execution: str = "sync"
     seed: int = 0

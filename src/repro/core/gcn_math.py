@@ -20,6 +20,10 @@ Backward (Eq. 4-6), using that the graphs here are symmetric so
     dH^{l-1}_local = A_local @ G_cat^l  ... then  @ W^T, Hadamard sigma'
     Y^{l-1} = (M^l)^T G^l   where  M^l = A H^{l-1}    (weight gradient)
     grad_b  = sum_rows(G^l)
+
+Kernels take optional destination buffers (the engine's persistent
+layer workspaces); without them results are allocated. Either way the
+arithmetic is the same IEEE operations in the same order.
 """
 
 from __future__ import annotations
@@ -28,21 +32,46 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
+# scipy's spmm kernel: ``a @ x`` is this call on a fresh np.zeros result.
+from scipy.sparse._sparsetools import csr_matvecs
 
 from repro.nn.activations import Activation
 
 __all__ = ["LayerForwardCache", "layer_forward", "layer_backward_inputs",
-           "weight_gradient", "bias_gradient"]
+           "weight_gradient", "bias_gradient", "spmm"]
+
+
+def spmm(
+    a: csr_matrix, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``a @ x``, into ``out`` if scipy would have made that very array
+    (dtypes, shape, C order); use the return value, not ``out``."""
+    if (
+        out is None
+        or not out.flags.c_contiguous
+        or out.shape != (a.shape[0], x.shape[1])
+        or not a.dtype == x.dtype == out.dtype
+    ):
+        return a @ x
+    out.fill(0.0)
+    csr_matvecs(
+        a.shape[0], a.shape[1], x.shape[1], a.indptr, a.indices, a.data,
+        x.ravel(), out.ravel(),
+    )
+    return out
 
 
 @dataclass
 class LayerForwardCache:
     """Per-layer forward state a worker keeps for the backward pass.
 
+    Arrays may be workspace views the next iteration overwrites.
+
     Attributes:
-        aggregated: ``M^l = A_local @ H_cat`` — only stored when the
-            aggregate-first ordering ran; ``None`` under transform-first
-            (the weight gradient then uses ``h_cat`` instead).
+        aggregated: ``M^l = A_local @ H_cat`` — stored when the
+            aggregate-first ordering ran or the caller supplied it;
+            otherwise ``None`` under transform-first (the weight
+            gradient then recomputes it from ``h_cat``).
         h_cat: The concatenated input ``H_cat^{l-1}`` (local + halo rows).
         pre_activation: ``Z^l`` for the local vertices.
         output: ``H^l`` for the local vertices.
@@ -64,6 +93,11 @@ def layer_forward(
     activation: Activation,
     is_last: bool,
     transform_first: bool | None = None,
+    *,
+    aggregated: np.ndarray | None = None,
+    aggregate_out: np.ndarray | None = None,
+    z_out: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> LayerForwardCache:
     """Run one GCN layer on a worker's local vertices.
 
@@ -76,6 +110,13 @@ def layer_forward(
             logits go straight into softmax cross-entropy.
         transform_first: Force an ordering; ``None`` picks the cheaper one
             (``d_in > d_out`` => transform first), mirroring DGL.
+        aggregated: A precomputed ``A_local @ h_cat`` (the first layer's
+            is constant while its inputs are); saves the aggregate-first
+            spmm and the transform-first weight-gradient recompute.
+        aggregate_out / z_out / out: Correctly shaped float32
+            destinations for ``M^l``, ``Z^l`` and ``H^l`` (float32
+            operands only); ``out`` is ignored on the last layer, whose
+            output *is* ``Z^l``.
     """
     d_in, d_out = weight.shape
     if h_cat.shape[1] != d_in:
@@ -86,15 +127,15 @@ def layer_forward(
         transform_first = d_in > d_out
 
     if transform_first:
-        z = a_local @ (h_cat @ weight)
-        aggregated = None
+        z = spmm(a_local, h_cat @ weight, z_out)
     else:
-        aggregated = a_local @ h_cat
-        z = aggregated @ weight
+        if aggregated is None:
+            aggregated = spmm(a_local, h_cat, aggregate_out)
+        z = np.matmul(aggregated, weight, out=z_out)
     if bias is not None:
-        z = z + bias
-    z = z.astype(np.float32)
-    h = z if is_last else activation(z).astype(np.float32)
+        z += bias
+    z = z.astype(np.float32, copy=False)
+    h = z if is_last else activation(z, out=out).astype(np.float32, copy=False)
     return LayerForwardCache(
         aggregated=aggregated,
         h_cat=h_cat,
@@ -110,6 +151,7 @@ def layer_backward_inputs(
     weight: np.ndarray,
     pre_activation_prev: np.ndarray,
     activation: Activation,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Propagate ``G^l`` one layer down: Eq. 5 for the local vertices.
 
@@ -121,12 +163,17 @@ def layer_backward_inputs(
         weight: ``W^{l-1}`` mapping ``d_in -> d_out``.
         pre_activation_prev: ``Z^{l-1}`` for the local vertices.
         activation: The activation whose derivative gates the gradient.
+        out: Float32 destination for ``G^{l-1}``. It may be the local
+            rows of ``g_cat`` itself: ``g_cat`` is fully consumed by the
+            spmm before anything is written.
 
     Returns:
         ``G^{l-1}`` rows for the local vertices.
     """
-    dh = (a_local @ g_cat) @ weight.T
-    return (dh * activation.derivative(pre_activation_prev)).astype(np.float32)
+    aggregated = a_local @ g_cat
+    dh = np.matmul(aggregated, weight.T, out=out)
+    dh *= activation.derivative(pre_activation_prev)
+    return dh.astype(np.float32, copy=False)
 
 
 def weight_gradient(

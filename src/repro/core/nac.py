@@ -6,7 +6,7 @@ traffic meter and the compute clocks.
 
 Since the staged-engine refactor the exchange machinery itself lives in
 :class:`repro.engine.transport.HaloTransport` — one transport layer
-serving the sequential, pooled and threaded paths in both directions
+serving the sequential and threaded paths in both directions
 through per-channel :class:`~repro.engine.transport.ChannelSession`
 plans. ``NeighborAccessController`` is the compatibility name for that
 transport: constructing one is exactly constructing a
@@ -14,7 +14,7 @@ transport: constructing one is exactly constructing a
 fault-tolerance behaviour), and existing callers — the benches, the
 robustness suite, direct users of ``exchange``/``reverse_exchange`` —
 keep working unchanged. See ``docs/engine.md`` for the transport's
-design notes (buffer pooling, thread fan-out, degradation ladder).
+design notes (thread fan-out, degradation ladder).
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ class NeighborAccessController(HaloTransport):
     for the channel, or zeros (partial aggregation), in that order.
 
     Args:
-        buffer_pool: Reuse halo buffers across exchanges (zeroed in
-            place) instead of allocating fresh ones every call.
         threads: Fan the independent channels of one exchange out over
             this many threads; ``0``/``1`` keeps the sequential loop.
     """

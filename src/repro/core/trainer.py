@@ -41,7 +41,11 @@ from repro.core.models import GNNParameters, build_parameters
 from repro.core.nac import NeighborAccessController
 from repro.core.policies import make_exchange_policy
 from repro.core.results import ConvergenceRun, EpochResult
-from repro.core.worker import WorkerState, build_worker_states
+from repro.core.worker import (
+    WorkerState,
+    build_worker_states,
+    fetch_halo_features,
+)
 from repro.engine import (
     ExchangeContext,
     GCNBackend,
@@ -224,7 +228,6 @@ class ECGraphTrainer:
                 )
         self.nac = NeighborAccessController(
             self.runtime, self.workers, self.config.codec_speedup,
-            buffer_pool=self.config.halo_buffer_pool,
             threads=exchange_threads,
         )
         if self.config.faults.enabled:
@@ -332,17 +335,9 @@ class ECGraphTrainer:
         """The paper's first basic optimization: cache remote 1-hop
         neighbour features on each worker once, before training."""
         for state in self.workers:
-            halo = np.zeros(
-                (state.num_halo, self.graph.feature_dim), dtype=np.float32
+            state.halo_features = fetch_halo_features(
+                state, self.workers, self.runtime, "feature_cache"
             )
-            for owner, slots in state.halo_slots.items():
-                responder = self.workers[owner]
-                rows = responder.features[responder.serves[state.worker_id]]
-                halo[slots] = rows
-                self.runtime.send_worker_to_worker(
-                    owner, state.worker_id, rows.nbytes + 16, "feature_cache"
-                )
-            state.halo_features = halo
 
     # ------------------------------------------------------------------
     # Compatibility hooks: the historical private surface, delegated to

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from repro.cluster.engine import ClusterRuntime
 from repro.core.gcn_math import LayerForwardCache
 from repro.graph.attributed import AttributedGraph
 from repro.graph.csr import CSRGraph
@@ -26,7 +27,7 @@ from repro.graph.store.base import GraphStore, GraphStoreBundle, as_bundle
 from repro.graph.subgraph import LocalSubgraph, induced_subgraph
 from repro.partition.base import Partition
 
-__all__ = ["WorkerState", "build_worker_states"]
+__all__ = ["WorkerState", "build_worker_states", "fetch_halo_features"]
 
 
 @dataclass
@@ -102,6 +103,29 @@ class WorkerState:
         """
         self.reset_iteration(num_layers)
         self.halo_features = None
+
+
+def fetch_halo_features(
+    state: WorkerState,
+    workers: list[WorkerState],
+    runtime: ClusterRuntime,
+    category: str,
+) -> np.ndarray:
+    """Gather ``state``'s first-hop halo features from their owners,
+    charged as ``category`` traffic (the paper's first basic
+    optimization at setup; a refetch after a crash or reassignment)."""
+    halo = np.zeros(
+        (state.num_halo, state.features.shape[1]), dtype=np.float32
+    )
+    # halo_slots insertion order is the bit-pinned channel plan order.
+    for owner, slots in state.halo_slots.items():
+        responder = workers[owner]
+        rows = responder.features[responder.serves[state.worker_id]]
+        halo[slots] = rows
+        runtime.send_worker_to_worker(
+            owner, state.worker_id, rows.nbytes + 16, category
+        )
+    return halo
 
 
 def build_worker_states(

@@ -30,6 +30,7 @@ from repro.engine.stages import (
     Stage,
 )
 from repro.engine.transport import ChannelSession, HaloTransport
+from repro.engine.workspace import LayerWorkspaces
 
 __all__ = [
     "TrainerCore",
@@ -49,4 +50,5 @@ __all__ = [
     "HaloTransport",
     "ChannelSession",
     "SyncExecutor",
+    "LayerWorkspaces",
 ]

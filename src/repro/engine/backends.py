@@ -13,10 +13,10 @@ for its lifetime (``bind`` registers any extra parameters and builds
 auxiliary structures) and then answers the stage's questions:
 
 * ``layer_param_names`` — which server parameters a layer pulls;
-* ``layer_input`` / ``layer_output`` — local embedding rows feeding and
-  produced by a layer (the exchange serves ``layer_output`` rows);
 * ``forward_layer`` — one local layer kernel (runs inside the worker's
-  compute clock; stores whatever cache the backward pass needs);
+  compute clock; reads the layer's ``h_cat`` workspace, writes its
+  output into the head of the next layer's, and stores whatever cache
+  the backward pass needs — see :mod:`repro.engine.workspace`);
 * ``final_logits`` — the classification outputs after the last layer;
 * ``backward_layer`` — one layer of the backward pass, including any
   gradient halo exchange it needs (GCN/SAGE fetch gradient halos
@@ -91,11 +91,11 @@ class ModelBackend(Protocol):
     def layer_param_names(self, layer: int) -> list[str]:
         """Server parameter names pulled for ``layer`` (1-based)."""
 
-    def layer_input(self, state: WorkerState, layer: int) -> np.ndarray:
-        """Local rows feeding ``layer`` (features or H^{layer-1})."""
+    def allocate_workspaces(self) -> None:
+        """Touch every workspace an exchange and a kernel share."""
 
-    def layer_output(self, state: WorkerState, layer: int) -> np.ndarray:
-        """Local output rows of ``layer`` (what halo exchanges serve)."""
+    def grad_out(self, state: WorkerState, layer: int) -> np.ndarray:
+        """The persistent buffer ``G^layer``'s local rows are written to."""
 
     def forward_layer(
         self,
@@ -122,16 +122,9 @@ class ModelBackend(Protocol):
         """One worker's parameter-gradient shares (pure kernel)."""
 
     def backward_reduce(
-        self,
-        state: WorkerState,
-        layer: int,
-        halo: np.ndarray,
-        weights: dict[str, np.ndarray],
+        self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
     ) -> None:
         """Fold the layer's gradient halo into ``grad_rows[layer-1]``."""
-
-    def bp_halo_rows(self, state: WorkerState, layer: int) -> np.ndarray:
-        """Rows the worker contributes to the layer's gradient exchange."""
 
     def kernel_refresh(self, worker_id: int) -> Any:
         """Payload syncing a worker replica's kernel state (None = none)."""
@@ -161,7 +154,8 @@ class _BackendBase:
     * :meth:`backward_local` — one worker's parameter-gradient shares
       for a layer (pure kernel, no clocks, no exchanges);
     * :meth:`backward_reduce` — one worker folds the layer's gradient
-      halo into ``grad_rows[layer - 1]`` (pure kernel);
+      halo (already scattered into its workspace by the exchange) into
+      ``grad_rows[layer - 1]`` (pure kernel);
     * :meth:`_backward_halos` — the layer's gradient halo exchange
       (forward-style fetch by default; GAT overrides with the reverse
       push);
@@ -227,34 +221,55 @@ class _BackendBase:
         raise NotImplementedError
 
     def backward_reduce(
-        self,
-        state: WorkerState,
-        layer: int,
-        halo: np.ndarray,
-        weights: dict[str, np.ndarray],
+        self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
     ) -> None:
         """Fold the layer's gradient halo into ``grad_rows[layer-1]``."""
         raise NotImplementedError
 
-    def bp_halo_rows(self, state: WorkerState, layer: int) -> np.ndarray:
-        """Rows this worker contributes to the layer's gradient exchange."""
-        return state.grad_rows[layer]
+    # -- persistent buffers (repro.engine.workspace) ---------------------
+    def grad_out(self, state: WorkerState, layer: int) -> np.ndarray:
+        """Where ``G^layer``'s local rows live: the head of the width's
+        ``g_cat`` workspace, whose tail the layer's gradient fetch fills
+        (layer 1 fetches nothing and gets a local buffer)."""
+        ws, dim = self.ctx.workspaces, self.ctx.params.dims[layer]
+        if layer == 1:
+            return ws.local(f"g{dim}l", state, dim)
+        return ws.g_cat(state, dim)[:state.num_local]
 
-    def bp_halo_export_dim(self, layer: int) -> int | None:
-        """Row width of extra halo rows :meth:`backward_local` produces
-        for the layer's exchange (GAT's dH partials); None = the
-        exchange reads ``grad_rows`` written by earlier steps."""
-        del layer
-        return None
+    def _out_buffer(self, state: WorkerState, layer: int) -> np.ndarray | None:
+        """Where ``H^layer`` goes: the head of the next layer's ``h_cat``
+        (None on the last layer, whose logits nothing aggregates)."""
+        params = self.ctx.params
+        if layer == params.num_layers:
+            return None
+        h_next = self.ctx.workspaces.h_cat(state, layer, params.dims[layer])
+        return h_next[:state.num_local]
 
-    def _backward_halos(self, t: int, layer: int) -> list[np.ndarray]:
-        """The layer's gradient halo exchange (forward-style fetch)."""
+    def allocate_workspaces(self) -> None:
+        """Touch every workspace an exchange and a kernel share, so the
+        process executor's blocks exist before its workers attach them.
+        (Kernel-private buffers appear where the kernels first run.)"""
         ctx = self.ctx
-        return ctx.exchange(
+        dims = ctx.params.dims
+        for state in ctx.workers:
+            for layer in range(1, ctx.params.num_layers + 1):
+                ctx.workspaces.h_cat(state, layer - 1, dims[layer - 1])
+                if layer > 1:
+                    self._bp_workspaces(state, layer)
+
+    def _bp_workspaces(self, state: WorkerState, layer: int) -> None:
+        """The shared buffers of ``layer``'s gradient exchange."""
+        self.ctx.workspaces.g_cat(state, self.ctx.params.dims[layer])
+
+    def _backward_halos(self, t: int, layer: int) -> None:
+        """The layer's gradient halo exchange (forward-style fetch into
+        the tail of the width's ``g_cat`` workspace)."""
+        ctx = self.ctx
+        ctx.exchange(
             "bp",
             layer,
             t,
-            rows_of=lambda s, _l=layer: ctx.executor.grad_rows(s, _l),
+            rows_of=lambda s: self.grad_out(s, layer),
             dim=ctx.params.dims[layer],
             subset=self.exchange_subset(layer, "bp"),
         )
@@ -269,8 +284,8 @@ class _BackendBase:
         }
         ctx.executor.backward_local(t, layer, weights, grads)
         if layer > 1:
-            halos = self._backward_halos(t, layer)
-            ctx.executor.backward_reduce(t, layer, weights, halos)
+            self._backward_halos(t, layer)
+            ctx.executor.backward_reduce(t, layer, weights)
 
 
 # ----------------------------------------------------------------------
@@ -290,12 +305,6 @@ class GCNBackend(_BackendBase):
     def layer_param_names(self, layer: int) -> list[str]:
         return self.ctx.params.layer_param_names(layer - 1)
 
-    def layer_input(self, state: WorkerState, layer: int) -> np.ndarray:
-        return state.features if layer == 1 else state.local_output(layer - 1)
-
-    def layer_output(self, state: WorkerState, layer: int) -> np.ndarray:
-        return state.local_output(layer)
-
     def forward_layer(
         self,
         state: WorkerState,
@@ -305,14 +314,31 @@ class GCNBackend(_BackendBase):
         is_last: bool,
     ) -> None:
         ctx = self.ctx
+        ws, dims = ctx.workspaces, ctx.params.dims
+        adjacency = self.adjacency(state, layer)
+        transform_first = (
+            ctx.config.transform_first and dims[layer - 1] > dims[layer]
+        )
+        # Kernel-private Z^l and A·H_cat. A transform-first layer only
+        # recomputes the aggregate transiently — except the first, whose
+        # constant M^1 then serves the weight gradient.
+        aggregated = aggregate_out = None
+        if layer == 1 and ctx.config.cache_first_hop:
+            aggregated = ws.first_aggregate(state, adjacency, h_cat)
+        elif not transform_first:
+            aggregate_out = ws.local(f"m{layer}", state, dims[layer - 1])
         state.caches[layer] = layer_forward(
-            self.adjacency(state, layer),
+            adjacency,
             h_cat,
             pulled[weight_name(layer - 1)],
             pulled.get(bias_name(layer - 1)),
             ctx.params.activation,
             is_last=is_last,
-            transform_first=(None if ctx.config.transform_first else False),
+            transform_first=transform_first,
+            aggregated=aggregated,
+            aggregate_out=aggregate_out,
+            z_out=ws.local(f"z{layer}", state, dims[layer]),
+            out=self._out_buffer(state, layer),
         )
 
     def final_logits(self, state: WorkerState) -> np.ndarray:
@@ -342,19 +368,15 @@ class GCNBackend(_BackendBase):
         return shares
 
     def backward_reduce(
-        self,
-        state: WorkerState,
-        layer: int,
-        halo: np.ndarray,
-        weights: dict[str, np.ndarray],
+        self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
     ) -> None:
-        g_cat = np.concatenate([state.grad_rows[layer], halo], axis=0)
         state.grad_rows[layer - 1] = layer_backward_inputs(
             self.adjacency(state, layer),
-            g_cat,
+            self.ctx.workspaces.g_cat(state, self.ctx.params.dims[layer]),
             weights[weight_name(layer - 1)],
             state.caches[layer - 1].pre_activation,
             self.ctx.params.activation,
+            out=self.grad_out(state, layer - 1),
         )
 
     def eval_layer(
@@ -620,14 +642,6 @@ class SAGEBackend(_BackendBase):
             names.append(bias_name(layer - 1))
         return names
 
-    def layer_input(self, state: WorkerState, layer: int) -> np.ndarray:
-        if layer == 1:
-            return state.features
-        return self.caches[state.worker_id][layer - 1].output
-
-    def layer_output(self, state: WorkerState, layer: int) -> np.ndarray:
-        return self.caches[state.worker_id][layer].output
-
     def sage_layer_forward(
         self,
         state: WorkerState,
@@ -636,17 +650,19 @@ class SAGEBackend(_BackendBase):
         w_neigh: np.ndarray,
         bias: np.ndarray | None,
         is_last: bool,
+        out: np.ndarray | None = None,
     ) -> _SAGECache:
         h_local = h_cat[:state.num_local]
         aggregated = state.a_local @ h_cat
-        z = (h_local @ w_self + aggregated @ w_neigh).astype(np.float32)
-        if bias is not None:
-            z = z + bias
-        output = (
-            z if is_last
-            else self.ctx.params.activation(z).astype(np.float32)
+        z = (h_local @ w_self + aggregated @ w_neigh).astype(
+            np.float32, copy=False
         )
-        return _SAGECache(h_local, aggregated, z, output)
+        if bias is not None:
+            z += bias
+        output = z if is_last else self.ctx.params.activation(z, out=out)
+        return _SAGECache(
+            h_local, aggregated, z, output.astype(np.float32, copy=False)
+        )
 
     def forward_layer(
         self,
@@ -663,6 +679,7 @@ class SAGEBackend(_BackendBase):
             pulled[weight_name(layer - 1)],
             pulled.get(bias_name(layer - 1)),
             is_last=is_last,
+            out=self._out_buffer(state, layer),
         )
 
     def final_logits(self, state: WorkerState) -> np.ndarray:
@@ -694,23 +711,22 @@ class SAGEBackend(_BackendBase):
         return shares
 
     def backward_reduce(
-        self,
-        state: WorkerState,
-        layer: int,
-        halo: np.ndarray,
-        weights: dict[str, np.ndarray],
+        self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
     ) -> None:
         i = state.worker_id
         cache_prev = self.caches[i][layer - 1]
         g = state.grad_rows[layer]
-        g_cat = np.concatenate([g, halo], axis=0)
+        g_cat = self.ctx.workspaces.g_cat(state, self.ctx.params.dims[layer])
         # Self path + transposed mean aggregation path.
         dh = g @ weights[self_weight_name(layer - 1)].T + (
             self.a_transposed[i] @ g_cat
         ) @ weights[weight_name(layer - 1)].T
-        state.grad_rows[layer - 1] = (
-            dh * self.ctx.params.activation.derivative(cache_prev.z)
-        ).astype(np.float32)
+        # ``g`` (which the destination may alias) is consumed by now.
+        state.grad_rows[layer - 1] = np.multiply(
+            dh,
+            self.ctx.params.activation.derivative(cache_prev.z),
+            out=self.grad_out(state, layer - 1),
+        )
 
     def eval_layer(
         self,
@@ -863,9 +879,6 @@ class GATBackend(_BackendBase):
     def begin_iteration(self) -> None:
         num_layers = self.ctx.params.num_layers
         self.caches = [[None] * (num_layers + 1) for _ in self.ctx.workers]
-        # Per-worker dH over the cat space, filled layer by layer during
-        # the backward pass (the reverse exchange ships the halo slice).
-        self._dh_partials: dict[int, np.ndarray] = {}
         for state in self.ctx.workers:
             state.reset_iteration(num_layers)
 
@@ -890,13 +903,31 @@ class GATBackend(_BackendBase):
             params[attn_dst_name(layer - 1, head)],
         )
 
-    def layer_input(self, state: WorkerState, layer: int) -> np.ndarray:
-        if layer == 1:
-            return state.features
-        return self.caches[state.worker_id][layer - 1].output
+    def grad_out(self, state: WorkerState, layer: int) -> np.ndarray:
+        # GAT pushes dH partials instead of fetching gradient halos, so
+        # every layer's G rows are purely local.
+        dim = self.ctx.params.dims[layer]
+        return self.ctx.workspaces.local(f"g{dim}l", state, dim)
 
-    def layer_output(self, state: WorkerState, layer: int) -> np.ndarray:
-        return self.caches[state.worker_id][layer].output
+    def _dh_buffer(self, state: WorkerState, layer: int) -> np.ndarray:
+        """The worker's dH over ``layer``'s cat space; the reverse
+        exchange (layers above the first) serves its halo tail."""
+        dim = self.ctx.params.dims[layer - 1]
+        return self.ctx.workspaces.array(
+            f"dh{dim}", state, state.num_local + state.num_halo, dim,
+            shared=layer > 1,
+        )
+
+    def _pushed_buffer(self, state: WorkerState, layer: int) -> np.ndarray:
+        """Where the reverse exchange sums the partials pushed to us."""
+        dim = self.ctx.params.dims[layer - 1]
+        return self.ctx.workspaces.array(
+            f"acc{dim}", state, state.num_local, dim
+        )
+
+    def _bp_workspaces(self, state: WorkerState, layer: int) -> None:
+        self._dh_buffer(state, layer)
+        self._pushed_buffer(state, layer)
 
     def gat_layer_forward(
         self,
@@ -905,6 +936,7 @@ class GATBackend(_BackendBase):
         params: dict[str, np.ndarray],
         layer: int,
         is_last: bool,
+        out: np.ndarray | None = None,
     ) -> _GATCache:
         """One multi-head GAT layer on a worker's local vertices."""
         edges = self.edges[worker]
@@ -925,15 +957,15 @@ class GATBackend(_BackendBase):
             u_heads.append(u_cat)
             logit_heads.append(logits)
             alpha_heads.append(alpha)
-        z = (z / self.num_heads).astype(np.float32)
+        z = (z / self.num_heads).astype(np.float32, copy=False)
         bias = params.get(bias_name(layer - 1))
         if bias is not None:
-            z = z + bias
-        output = (
-            z if is_last
-            else self.ctx.params.activation(z).astype(np.float32)
+            z += bias
+        output = z if is_last else self.ctx.params.activation(z, out=out)
+        return _GATCache(
+            h_cat, u_heads, logit_heads, alpha_heads, z,
+            output.astype(np.float32, copy=False),
         )
-        return _GATCache(h_cat, u_heads, logit_heads, alpha_heads, z, output)
 
     def forward_layer(
         self,
@@ -944,7 +976,8 @@ class GATBackend(_BackendBase):
         is_last: bool,
     ) -> None:
         self.caches[state.worker_id][layer] = self.gat_layer_forward(
-            state.worker_id, h_cat, pulled, layer, is_last=is_last
+            state.worker_id, h_cat, pulled, layer, is_last=is_last,
+            out=self._out_buffer(state, layer),
         )
 
     def final_logits(self, state: WorkerState) -> np.ndarray:
@@ -972,7 +1005,8 @@ class GATBackend(_BackendBase):
         # Head averaging: each head sees G / num_heads.
         g = state.grad_rows[layer] / self.num_heads
         shares: dict[str, np.ndarray] = {}
-        dh = np.zeros_like(cache.h_cat)
+        dh = self._dh_buffer(state, layer)
+        dh.fill(0.0)
         g_src = g[edges.src]
         for head in range(self.num_heads):
             weight = weights[head_weight_name(layer - 1, head)]
@@ -1012,43 +1046,34 @@ class GATBackend(_BackendBase):
             shares[bias_name(layer - 1)] = (
                 state.grad_rows[layer].sum(axis=0)
             ).astype(np.float32)
-        self._dh_partials[i] = dh
         return shares
 
-    def bp_halo_rows(self, state: WorkerState, layer: int) -> np.ndarray:
-        del layer
-        return self._dh_partials[state.worker_id][state.num_local:]
-
-    def bp_halo_export_dim(self, layer: int) -> int | None:
-        # The reverse exchange ships dH halo partials (width of the
-        # layer's *input*) produced by backward_local, not grad_rows.
-        return self.ctx.params.dims[layer - 1] if layer > 1 else None
-
-    def _backward_halos(self, t: int, layer: int) -> list[np.ndarray]:
+    def _backward_halos(self, t: int, layer: int) -> None:
         # Owners collect the halo partials of dH (the paper's
         # "embedding gradients from out-neighbors").
         ctx = self.ctx
-        return ctx.reverse_exchange(
+        ctx.reverse_exchange(
             layer,
             t,
-            halo_rows_of=lambda s: ctx.executor.bp_halo_rows(s, layer),
+            halo_rows_of=lambda s: self._dh_buffer(s, layer)[s.num_local:],
             dim=ctx.params.dims[layer - 1],
         )
 
     def backward_reduce(
-        self,
-        state: WorkerState,
-        layer: int,
-        halo: np.ndarray,
-        weights: dict[str, np.ndarray],
+        self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
     ) -> None:
         del weights
         i = state.worker_id
         cache_prev = self.caches[i][layer - 1]
-        dh_total = self._dh_partials[i][:state.num_local] + halo
-        state.grad_rows[layer - 1] = (
-            dh_total * self.ctx.params.activation.derivative(cache_prev.z)
-        ).astype(np.float32)
+        dh_total = (
+            self._dh_buffer(state, layer)[:state.num_local]
+            + self._pushed_buffer(state, layer)
+        )
+        state.grad_rows[layer - 1] = np.multiply(
+            dh_total,
+            self.ctx.params.activation.derivative(cache_prev.z),
+            out=self.grad_out(state, layer - 1),
+        )
 
     def eval_layer(
         self,

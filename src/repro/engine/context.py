@@ -25,6 +25,7 @@ from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.models import GNNParameters
 from repro.core.worker import WorkerState
 from repro.engine.transport import HaloTransport
+from repro.engine.workspace import LayerWorkspaces
 from repro.graph.attributed import AttributedGraph
 from repro.graph.store.base import GraphStoreBundle
 from repro.obs.telemetry import Telemetry
@@ -74,6 +75,9 @@ class ExchangeContext:
     # default (inline), or a ProcessExecutor for real worker processes.
     # Bound to the backend by the TrainerCore (see repro.engine.executor).
     executor: object = field(default=None, repr=False)
+    # Persistent kernel buffers: exchanges scatter into them, kernels
+    # read and write them in place (see repro.engine.workspace).
+    workspaces: LayerWorkspaces = field(default_factory=LayerWorkspaces, repr=False)
 
     def active_workers(self) -> list[WorkerState]:
         """Worker states participating in this iteration.
@@ -103,7 +107,10 @@ class ExchangeContext:
         dim: int,
         subset: dict[tuple[int, int], np.ndarray] | None = None,
     ) -> list[np.ndarray]:
-        """Forward-style halo fetch for ``direction`` ("fp" or "bp")."""
+        """Forward-style halo fetch for ``direction`` ("fp" or "bp"), into
+        (and returning) the halo tails of the workers' workspaces:
+        ``h_cat`` of ``layer`` for embeddings, the width's ``g_cat`` else."""
+        ws = self.workspaces
         return self.transport.exchange(
             layer=layer,
             t=t,
@@ -112,6 +119,11 @@ class ExchangeContext:
             category=_DIRECTION_CATEGORIES[direction],
             dim=dim,
             subset=subset,
+            out=[
+                (ws.h_cat(s, layer, dim) if direction == "fp"
+                 else ws.g_cat(s, dim))[s.num_local:]
+                for s in self.workers
+            ],
         )
 
     def reverse_exchange(
@@ -129,6 +141,10 @@ class ExchangeContext:
             policy=self.bp_policy,
             category=_DIRECTION_CATEGORIES["bp"],
             dim=dim,
+            out=[
+                self.workspaces.array(f"acc{dim}", s, s.num_local, dim)
+                for s in self.workers
+            ],
         )
 
     def policy_for(self, direction: str) -> object:

@@ -17,11 +17,14 @@ policies and their compensation state, fault injection, traffic
 metering, the Bit-Tuner — always stays on the supervisor, which is why
 the two executors produce bit-identical loss curves and traffic totals.
 
-The seam's row accessors (:meth:`SyncExecutor.layer_rows`,
-``grad_rows``, ``bp_halo_rows``) are how exchanges source the rows a
-worker serves: inline execution reads the backend's caches directly;
-the process executor reads the shared-memory blocks its workers
-populate.
+Exchanges source the rows a worker serves from the layer workspaces the
+kernels wrote (:mod:`repro.engine.workspace`) — private arrays here,
+shared-memory blocks under the process executor — so neither executor
+has row accessors of its own.
+
+What a worker does in a round is spelled once — :func:`forward_kernel`,
+:func:`loss_kernel` — and both executors call it, so sync ≡ multiprocess
+holds by construction.
 """
 
 from __future__ import annotations
@@ -38,7 +41,64 @@ if TYPE_CHECKING:
     from repro.engine.backends import ModelBackend
     from repro.engine.context import ExchangeContext
 
-__all__ = ["SyncExecutor"]
+__all__ = [
+    "SyncExecutor", "forward_kernel", "loss_kernel", "publish_workspace_bytes",
+]
+
+
+def publish_workspace_bytes(
+    ctx: ExchangeContext, worker: int, held: tuple[int, int]
+) -> None:
+    """Resident kernel buffers (``LayerWorkspaces.held``) as gauges —
+    ``ecgraph_workspace_bytes{worker=...}`` once exported — rather than
+    something inferred from RSS."""
+    metrics = ctx.telemetry.metrics
+    metrics.set_gauge("workspace_bytes", held[0], worker=worker)
+    metrics.set_gauge("first_aggregate_bytes", held[1], worker=worker)
+
+
+def forward_kernel(
+    ctx: ExchangeContext,
+    backend: ModelBackend,
+    state: WorkerState,
+    layer: int,
+    pulled: dict[str, np.ndarray],
+    is_last: bool,
+) -> None:
+    """One worker's forward round on the layer's input workspace: the
+    previous kernel (or the feature shard) already wrote its head, the
+    halo exchange its tail."""
+    ws, dims = ctx.workspaces, ctx.params.dims
+    if layer == 1:
+        h_cat = ws.first_input(state, ctx.config.cache_first_hop)
+    else:
+        h_cat = ws.h_cat(state, layer - 1, dims[layer - 1])
+    backend.forward_layer(state, h_cat, pulled, layer, is_last=is_last)
+
+
+def loss_kernel(
+    ctx: ExchangeContext, backend: ModelBackend, state: WorkerState
+) -> tuple[float, dict[str, list[int]]]:
+    """One worker's loss term and accuracy counters from its final
+    logits; seeds ``grad_rows`` (scaled by the global train count)."""
+    num_layers = ctx.params.num_layers
+    logits = backend.final_logits(state)
+    result = softmax_cross_entropy(logits, state.labels, state.train_mask)
+    local = int(state.train_mask.sum())
+    scale = local / ctx.global_train_count if local else 0.0
+    # result.grad is a mean over local train vertices; rescale to a
+    # global mean so summing worker pushes is exact.
+    state.grad_rows[num_layers] = np.multiply(
+        result.grad, scale, out=backend.grad_out(state, num_layers)
+    )
+    counters = {"train": [result.correct, result.count]}
+    predictions = logits.argmax(axis=1)
+    for split, mask in (("val", state.val_mask), ("test", state.test_mask)):
+        counters[split] = [
+            int((predictions[mask] == state.labels[mask]).sum()),
+            int(mask.sum()),
+        ]
+    return result.loss * scale, counters
 
 
 class SyncExecutor:
@@ -65,7 +125,12 @@ class SyncExecutor:
         self._bound()[1].on_epoch_start(t)
 
     def begin_iteration(self) -> None:
-        self._bound()[1].begin_iteration()
+        ctx, backend = self._bound()
+        backend.begin_iteration()
+        if ctx.telemetry.enabled:
+            for state in ctx.active_workers():
+                w = state.worker_id
+                publish_workspace_bytes(ctx, w, ctx.workspaces.held(w))
 
     # ------------------------------------------------------------------
     # Forward
@@ -74,57 +139,31 @@ class SyncExecutor:
         self,
         t: int,
         layer: int,
-        pulled: list[dict[str, np.ndarray]],
-        halos: list[np.ndarray],
+        pulled: dict[int, dict[str, np.ndarray]],
         is_last: bool,
     ) -> None:
         del t
         ctx, backend = self._bound()
         for state in ctx.active_workers():
             i = state.worker_id
-            prev = backend.layer_input(state, layer)
             with ctx.runtime.worker_compute(i):
-                h_cat = np.concatenate([prev, halos[i]], axis=0)
-                backend.forward_layer(
-                    state, h_cat, pulled[i], layer, is_last=is_last
+                forward_kernel(
+                    ctx, backend, state, layer, pulled[i], is_last
                 )
 
     def loss_scan(self, t: int) -> tuple[float, dict[str, list[int]]]:
-        """Loss + accuracy counters from the final logits; seeds the
-        gradient rows (scaled by the global train count)."""
+        """Loss + accuracy counters summed over the workers."""
         del t
         ctx, backend = self._bound()
-        num_layers = ctx.params.num_layers
         counters = {"train": [0, 0], "val": [0, 0], "test": [0, 0]}
         total_loss = 0.0
         for state in ctx.active_workers():
-            logits = backend.final_logits(state)
             with ctx.runtime.worker_compute(state.worker_id):
-                result = softmax_cross_entropy(
-                    logits, state.labels, state.train_mask
-                )
-                local = int(state.train_mask.sum())
-                scale = (
-                    local / ctx.global_train_count if local else 0.0
-                )
-                # result.grad is a mean over local train vertices;
-                # rescale to a global mean so summing worker pushes is
-                # exact.
-                state.grad_rows[num_layers] = (
-                    result.grad * scale
-                ).astype(np.float32)
-                total_loss += result.loss * scale
-                counters["train"][0] += result.correct
-                counters["train"][1] += result.count
-                predictions = logits.argmax(axis=1)
-                for split, mask in (
-                    ("val", state.val_mask),
-                    ("test", state.test_mask),
-                ):
-                    counters[split][0] += int(
-                        (predictions[mask] == state.labels[mask]).sum()
-                    )
-                    counters[split][1] += int(mask.sum())
+                loss_term, worker_counters = loss_kernel(ctx, backend, state)
+            total_loss += loss_term
+            for split in counters:
+                counters[split][0] += worker_counters[split][0]
+                counters[split][1] += worker_counters[split][1]
         return total_loss, counters
 
     # ------------------------------------------------------------------
@@ -160,31 +199,13 @@ class SyncExecutor:
         t: int,
         layer: int,
         weights: dict[str, np.ndarray],
-        halos: list[np.ndarray],
     ) -> None:
         del t
         ctx, backend = self._bound()
         with self._bp_span(layer, "input_grad"):
             for state in ctx.active_workers():
                 with ctx.runtime.worker_compute(state.worker_id):
-                    backend.backward_reduce(
-                        state, layer, halos[state.worker_id], weights
-                    )
-
-    # ------------------------------------------------------------------
-    # Exchange row sources
-    # ------------------------------------------------------------------
-    def layer_rows(self, state: WorkerState, layer: int) -> np.ndarray:
-        """Rows a forward exchange serves: the layer's local outputs."""
-        return self._bound()[1].layer_output(state, layer)
-
-    def grad_rows(self, state: WorkerState, layer: int) -> np.ndarray:
-        """Rows a backward fetch serves: the layer's gradient rows."""
-        return state.grad_rows[layer]
-
-    def bp_halo_rows(self, state: WorkerState, layer: int) -> np.ndarray:
-        """Halo rows a reverse exchange pushes (GAT dH partials)."""
-        return self._bound()[1].bp_halo_rows(state, layer)
+                    backend.backward_reduce(state, layer, weights)
 
     # ------------------------------------------------------------------
     # Lifecycle

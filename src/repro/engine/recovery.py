@@ -34,6 +34,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING, Any
 
+from repro.core.worker import fetch_halo_features
 from repro.engine.context import ExchangeContext
 
 if TYPE_CHECKING:
@@ -218,19 +219,11 @@ class RecoveryManager:
             )
             state.crash_reset(ctx.params.num_layers)
             if rebuild_halo:
-                halo = np.zeros(
-                    (state.num_halo, ctx.graph.feature_dim),
-                    dtype=np.float32,
+                # A new array: the first-layer workspace and its constant
+                # aggregate are rebuilt from it on the next forward.
+                state.halo_features = fetch_halo_features(
+                    state, ctx.workers, ctx.runtime, "recovery"
                 )
-                # ecg: ignore[ECG003] halo_slots insertion order IS the bit-pinned channel plan order; refetch must scatter rows in plan order
-                for owner, slots in state.halo_slots.items():
-                    responder = ctx.workers[owner]
-                    rows = responder.features[responder.serves[worker]]
-                    halo[slots] = rows
-                    ctx.runtime.send_worker_to_worker(
-                        owner, worker, rows.nbytes + 16, "recovery"
-                    )
-                state.halo_features = halo
             if faults.reset_residuals:
                 for policy in (ctx.fp_policy, ctx.bp_policy):
                     invalidate = getattr(policy, "invalidate_worker", None)

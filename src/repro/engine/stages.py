@@ -57,8 +57,9 @@ class ForwardStage(Stage):
     """Layer-by-layer forward pass plus the loss/metric scan.
 
     Per layer: pull the layer's parameters, fetch the halo embeddings
-    through the forward policy, then run the backend's local kernel on
-    every worker under its compute clock. After the last layer, the
+    through the forward policy into the tail of each worker's layer
+    workspace, then run the backend's local kernel on every worker
+    under its compute clock. After the last layer, the
     softmax cross-entropy scan seeds ``grad_rows`` (scaled by the
     *global* train count so server-side summation is exact) and the
     Bit-Tuner consumes the exchange's predicted-win proportions.
@@ -79,12 +80,11 @@ class ForwardStage(Stage):
                         state.worker_id, names
                     )
 
-                halos = self._halos(layer, t)
+                self._fetch_halos(layer, t)
 
                 with obs.span("kernel", layer=layer, direction="fp"):
                     ctx.executor.forward_kernels(
-                        t, layer, pulled, halos,
-                        is_last=(layer == num_layers),
+                        t, layer, pulled, is_last=(layer == num_layers)
                     )
 
         # Loss and metrics from the final logits; gradients are scaled by
@@ -100,26 +100,30 @@ class ForwardStage(Stage):
         }
         return total_loss, summary
 
-    def _halos(self, layer: int, t: int) -> list[np.ndarray]:
-        """Halo embeddings feeding ``layer`` (H^{layer-1} remote rows)."""
+    def _fetch_halos(self, layer: int, t: int) -> None:
+        """Halo embeddings feeding ``layer`` (H^{layer-1} remote rows);
+        the cached first hop already sits in the layer-1 workspace."""
         ctx, backend = self.ctx, self.backend
         if layer == 1:
-            if ctx.config.cache_first_hop:
-                return [state.halo_features for state in ctx.workers]
-            return ctx.exchange(
-                "fp",
-                0,
-                t,
-                rows_of=lambda s: s.features,
-                dim=ctx.graph.feature_dim,
-                subset=backend.exchange_subset(1, "fp"),
-            )
-        return ctx.exchange(
+            if not ctx.config.cache_first_hop:
+                ctx.exchange(
+                    "fp",
+                    0,
+                    t,
+                    rows_of=lambda s: s.features,
+                    dim=ctx.graph.feature_dim,
+                    subset=backend.exchange_subset(1, "fp"),
+                )
+            return
+        dim = ctx.params.dims[layer - 1]
+        ctx.exchange(
             "fp",
             layer - 1,
             t,
-            rows_of=lambda s, _l=layer: ctx.executor.layer_rows(s, _l - 1),
-            dim=ctx.params.dims[layer - 1],
+            rows_of=lambda s: ctx.workspaces.h_cat(
+                s, layer - 1, dim
+            )[:s.num_local],
+            dim=dim,
             subset=backend.exchange_subset(layer, "fp"),
         )
 
@@ -210,28 +214,38 @@ class EvalStage(Stage):
                 name: ctx.servers.get(name)
                 for name in backend.layer_param_names(layer)
             }
-            if layer == 1 and ctx.config.cache_first_hop:
-                halos = [state.halo_features for state in ctx.workers]
-            else:
-                halos = scratch_transport.exchange(
+            h_cats = None
+            if layer > 1 or not ctx.config.cache_first_hop:
+                # Borrow the layer's training workspaces (an iteration
+                # rewrites them before reading them): no halo or
+                # concatenated copies of the pass's own.
+                dim = outputs[0].shape[1]
+                h_cats = [
+                    ctx.workspaces.h_cat(s, layer - 1, dim) for s in ctx.workers
+                ]
+                for state, h_cat in zip(ctx.workers, h_cats):
+                    h_cat[:state.num_local] = outputs[state.worker_id]
+                scratch_transport.exchange(
                     layer=layer - 1,
                     t=0,
-                    rows_of=lambda s: outputs[s.worker_id],
+                    rows_of=lambda s, _h=h_cats: _h[s.worker_id][:s.num_local],
                     policy=raw,
                     category="eval",
-                    dim=outputs[0].shape[1],
+                    dim=dim,
+                    out=[
+                        h_cat[state.num_local:]
+                        for state, h_cat in zip(ctx.workers, h_cats)
+                    ],
                 )
-            new_outputs = []
-            for state in ctx.workers:
-                h_cat = np.concatenate(
-                    [outputs[state.worker_id], halos[state.worker_id]],
-                    axis=0,
+            outputs = [
+                backend.eval_layer(
+                    state,
+                    np.concatenate([state.features, state.halo_features])
+                    if h_cats is None else h_cats[state.worker_id],
+                    params, layer, is_last=(layer == num_layers),
                 )
-                new_outputs.append(backend.eval_layer(
-                    state, h_cat, params, layer,
-                    is_last=(layer == num_layers),
-                ))
-            outputs = new_outputs
+                for state in ctx.workers
+            ]
 
         metrics = {}
         for split, mask_of in (

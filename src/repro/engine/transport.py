@@ -23,26 +23,25 @@ contents are bit-identical to the historical loops: channel order,
 float scatter/accumulation order and the fault RNG's (epoch, layer,
 responder, requester, attempt) fate keys are all preserved.
 
-Two optional hot-path optimizations (both off by default, see
-``docs/performance.md``):
+The transport owns no buffers: the engine passes the halo tails of its
+layer workspaces as ``out=`` (:mod:`repro.engine.workspace`); without it
+a call gets fresh zeroed arrays. A tail still holds last iteration's
+rows, so it is zero-filled exactly when this exchange can leave a slot
+unwritten — a sampled subset, or an attached fault injector (which
+elastic membership requires) — and degradation sees zeros as before.
 
-* **buffer pooling** — halo (and reverse-accumulator) matrices are
-  reused across exchanges, keyed by ``(kind, worker, dim)`` and zeroed
-  in place, instead of being reallocated per layer per iteration.
-  Pooled buffers are only valid until the next exchange call.
-* **thread-pool fan-out** — the independent channels encode and decode
-  concurrently (numpy releases the GIL in its kernels); results are
-  merged and charged in the canonical channel order from per-channel
-  measured times. The fan-out engages only on the fault-free,
-  telemetry-off path; otherwise the transport silently falls back to
-  the sequential runner.
+Optional (off by default, see ``docs/performance.md``): **thread-pool
+fan-out** — the independent channels encode and decode concurrently;
+results are merged and charged in the canonical channel order from
+per-channel measured times. It engages only on the fault-free,
+telemetry-off path; otherwise the sequential runner is used.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -118,8 +117,6 @@ class HaloTransport:
     their residuals.
 
     Args:
-        buffer_pool: Reuse halo buffers across exchanges (zeroed in
-            place) instead of allocating fresh ones every call.
         threads: Fan the independent channels of one exchange out over
             this many threads; ``0``/``1`` keeps the sequential loop.
     """
@@ -129,7 +126,6 @@ class HaloTransport:
         runtime: ClusterRuntime,
         workers: list[WorkerState],
         codec_speedup: float = 20.0,
-        buffer_pool: bool = False,
         threads: int = 0,
     ) -> None:
         if codec_speedup <= 0:
@@ -139,7 +135,6 @@ class HaloTransport:
         self.runtime = runtime
         self.workers = workers
         self.codec_speedup = codec_speedup
-        self.buffer_pool = buffer_pool
         self.threads = threads
         self.telemetry = runtime.telemetry
         # FaultInjector, attached by the trainer when faults are
@@ -149,38 +144,7 @@ class HaloTransport:
         # Last successfully received rows per channel, the stale-halo
         # fallback of last resort. Populated only under fault injection.
         self._halo_cache: dict[ChannelKey, np.ndarray] = {}
-        # (kind, worker, dim) -> pooled float32 buffer.
-        self._buffers: dict[tuple[str, int, int], np.ndarray] = {}
         self._executor: ThreadPoolExecutor | None = None
-        # Optional session-output provider: (kind, worker, rows, dim) ->
-        # zeroed float32 buffer, or None to fall back to the local pool.
-        # The multiprocess executor plugs its shared-memory blocks in
-        # here (ProcessChannelBuffers) so scatters land zero-copy where
-        # the worker processes read them. Semantics match the pooled
-        # path: a zeroed buffer reused across exchanges.
-        self.buffer_provider: (
-            Callable[[str, int, int, int], np.ndarray | None] | None
-        ) = None
-
-    # ------------------------------------------------------------------
-    # Buffer pool
-    # ------------------------------------------------------------------
-    def _buffer(self, kind: str, worker: int, rows: int, dim: int) -> np.ndarray:
-        """A zeroed ``(rows, dim)`` float32 buffer, pooled when enabled."""
-        if self.buffer_provider is not None:
-            buf = self.buffer_provider(kind, worker, rows, dim)
-            if buf is not None:
-                return buf
-        if not self.buffer_pool:
-            return np.zeros((rows, dim), dtype=np.float32)
-        key = (kind, worker, dim)
-        buf = self._buffers.get(key)
-        if buf is None or buf.shape[0] != rows:
-            buf = np.zeros((rows, dim), dtype=np.float32)
-            self._buffers[key] = buf
-        else:
-            buf.fill(0.0)
-        return buf
 
     # ------------------------------------------------------------------
     # Thread pool
@@ -198,13 +162,12 @@ class HaloTransport:
             self._executor.shutdown(wait=True)
             self._executor = None
 
-    def _fan_out_ok(self, sessions: list[ChannelSession]) -> bool:
+    def _fan_out_ok(self) -> bool:
         """Threaded fan-out needs the fault-free, uninstrumented path:
         fault fates consume a shared RNG stream in channel order and
         span tracing timestamps interleave across threads."""
         return (
             self.threads > 1
-            and len(sessions) > 1
             and self.injector is None
             and not self.telemetry.enabled
         )
@@ -221,6 +184,7 @@ class HaloTransport:
         category: str,
         dim: int,
         subset: dict[tuple[int, int], np.ndarray] | None = None,
+        out: list[np.ndarray] | None = None,
     ) -> list[np.ndarray]:
         """Fetch remote rows for every worker; returns halo matrices.
 
@@ -235,17 +199,25 @@ class HaloTransport:
             subset: Optional per-(responder, requester) indices into the
                 channel's full vertex list (sampling mode); channels not
                 present exchange all rows.
+            out: One persistent ``(num_halo, dim)`` float32 target per
+                worker (workspace halo tails); ``None`` allocates.
 
         Returns:
             One ``(num_halo, dim)`` array per worker, rows scattered into
             the worker's halo ordering. Vertices outside a subset keep 0.
-            With the buffer pool enabled the arrays are only valid until
-            the next exchange.
+            Arrays passed as ``out`` are valid until the next exchange
+            into them.
         """
-        halos = [
-            self._buffer("halo", state.worker_id, state.num_halo, dim)
-            for state in self.workers
-        ]
+        if out is None:
+            halos = [
+                np.zeros((state.num_halo, dim), dtype=np.float32)
+                for state in self.workers
+            ]
+        else:
+            halos = out
+            if subset is not None or self.injector is not None:
+                for halo in halos:
+                    halo.fill(0.0)
         self._last_proportions.clear()
         obs = self.telemetry
         with obs.span("halo_exchange", layer=layer, category=category):
@@ -261,6 +233,7 @@ class HaloTransport:
         policy: ExchangePolicy,
         category: str,
         dim: int,
+        out: list[np.ndarray] | None = None,
     ) -> list[np.ndarray]:
         """Push halo-partial gradients back to their owners and sum them.
 
@@ -273,17 +246,22 @@ class HaloTransport:
         Args:
             halo_rows_of: Maps a worker's state to its ``(num_halo, dim)``
                 partial-gradient matrix (halo ordering).
+            out: One persistent ``(num_local, dim)`` float32 accumulator
+                per worker (always zero-filled); ``None`` allocates.
 
         Returns:
             One ``(num_local, dim)`` array per worker: the sum of the
             partials every consumer computed for that worker's vertices.
-            With the buffer pool enabled the arrays are only valid until
-            the next exchange.
         """
-        accumulated = [
-            self._buffer("local", state.worker_id, state.num_local, dim)
-            for state in self.workers
-        ]
+        if out is None:
+            accumulated = [
+                np.zeros((state.num_local, dim), dtype=np.float32)
+                for state in self.workers
+            ]
+        else:
+            accumulated = out
+            for rows in accumulated:
+                rows.fill(0.0)
         obs = self.telemetry
         with obs.span("halo_exchange", layer=layer, category=category,
                       direction="reverse"):
@@ -307,15 +285,16 @@ class HaloTransport:
         layer: int,
         rows_of: Callable[[WorkerState], np.ndarray],
         subset: dict[tuple[int, int], np.ndarray] | None,
-    ) -> list[ChannelSession]:
-        """Materialize this round's sessions in the canonical order.
+    ) -> Iterator[ChannelSession]:
+        """Yield this round's sessions in the canonical order.
 
         The order — requesters ascending, then each requester's owners in
         halo-slot insertion order — is what the sequential loop always
         used; the threaded runner merges its charges in exactly this
-        order so accounting is execution-schedule independent.
+        order so accounting is execution-schedule independent. Served
+        rows are gathered as each session is reached, so the sequential
+        runner holds one channel's copy at a time, not the exchange's.
         """
-        sessions: list[ChannelSession] = []
         for requester in self.workers:
             i = requester.worker_id
             # ecg: ignore[ECG003] halo_slots insertion order IS the bit-pinned channel plan; sorting would reorder float scatters and break the goldens
@@ -332,19 +311,18 @@ class HaloTransport:
                     served = source[serve_rows]
                 else:
                     served = source[serve_rows[rows_idx]]
-                sessions.append(ChannelSession(
+                yield ChannelSession(
                     key=ChannelKey(layer=layer, responder=owner, requester=i),
                     served=served,
                     slots=slots,
                     rows_idx=rows_idx,
-                ))
-        return sessions
+                )
 
     def _plan_reverse(
         self,
         layer: int,
         halo_rows_of: Callable[[WorkerState], np.ndarray],
-    ) -> list[ChannelSession]:
+    ) -> Iterator[ChannelSession]:
         """Reverse sessions: consumers ascending, owners in slot order.
 
         Channel direction flips — the consumer responds with its halo
@@ -352,7 +330,6 @@ class HaloTransport:
         ``ChannelKey(layer, responder=consumer, requester=owner)`` and
         the scatter accumulates into the owner's served local rows.
         """
-        sessions: list[ChannelSession] = []
         for consumer in self.workers:
             i = consumer.worker_id
             if not consumer.halo_slots:
@@ -364,33 +341,32 @@ class HaloTransport:
             # ecg: ignore[ECG003] halo_slots insertion order IS the bit-pinned channel plan; sorting would reorder reverse accumulation and break the goldens
             for owner, slots in consumer.halo_slots.items():
                 owner_state = self.workers[owner]
-                sessions.append(ChannelSession(
+                yield ChannelSession(
                     key=ChannelKey(layer=layer, responder=i, requester=owner),
                     served=partials[slots],
                     accumulate_rows=owner_state.serves[i],
-                ))
-        return sessions
+                )
 
     # ------------------------------------------------------------------
     # Runners
     # ------------------------------------------------------------------
     def _run(
         self,
-        sessions: list[ChannelSession],
+        sessions: Iterator[ChannelSession],
         outputs: list[np.ndarray],
         t: int,
         policy: ExchangePolicy,
         category: str,
         dim: int,
     ) -> None:
-        if self._fan_out_ok(sessions):
-            self._run_threaded(sessions, outputs, t, policy, category)
+        if self._fan_out_ok():
+            self._run_threaded(list(sessions), outputs, t, policy, category)
         else:
             self._run_sequential(sessions, outputs, t, policy, category, dim)
 
     def _run_sequential(
         self,
-        sessions: list[ChannelSession],
+        sessions: Iterator[ChannelSession],
         outputs: list[np.ndarray],
         t: int,
         policy: ExchangePolicy,
@@ -680,14 +656,12 @@ class HaloTransport:
 
         Sessions are planned fresh from the worker states on every
         exchange, so the plans need no rebuilding — but the stale-halo
-        cache, the pooled buffers (halo sizes changed) and the last
-        proportions all describe channels that may no longer exist.
-        ``changed`` is accepted for symmetry with the policy hooks; the
-        caches are cheap enough to drop wholesale.
+        cache and the last proportions describe channels that may no
+        longer exist. ``changed`` is accepted for symmetry with the
+        policy hooks; the caches are cheap enough to drop wholesale.
         """
         del changed
         self._halo_cache.clear()
-        self._buffers.clear()
         self._last_proportions.clear()
 
     # ------------------------------------------------------------------

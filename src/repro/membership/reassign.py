@@ -24,7 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.messages import ChannelKey
-from repro.core.worker import WorkerState, build_worker_states
+from repro.core.worker import (
+    WorkerState,
+    build_worker_states,
+    fetch_halo_features,
+)
 from repro.engine.context import ExchangeContext
 from repro.graph.csr import CSRGraph
 from repro.membership.view import MembershipView
@@ -152,7 +156,9 @@ class PartitionReassigner:
             for worker in sorted(changed):
                 state = ctx.workers[worker]
                 if self.membership.is_alive(worker):
-                    self._refetch_halo(state)
+                    state.halo_features = fetch_halo_features(
+                        state, ctx.workers, ctx.runtime, "recovery"
+                    )
                 else:
                     # Dead slot: an empty cache keeps the positional
                     # eval/exchange paths shape-consistent.
@@ -181,32 +187,20 @@ class PartitionReassigner:
                 invalidate_fp(worker)
 
         ctx.transport.rebuild(changed)
+        # Worker shapes and feature shards changed: every persistent
+        # kernel buffer (and the first-layer aggregate) is rebuilt.
+        ctx.workspaces.clear()
         self.prime_sampled_channels()
         hook = getattr(self.backend, "on_membership_change", None)
         if hook is not None:
             hook()
+        self.backend.allocate_workspaces()
         self.membership.record(
             epoch, "exchange_rebuilt",
             changed=sorted(changed),
             residual_rows_carried=carried,
             residual_rows_dropped=dropped,
         )
-
-    def _refetch_halo(self, state: WorkerState) -> None:
-        """Refetch one survivor's halo feature cache (charged traffic)."""
-        ctx = self.ctx
-        halo = np.zeros(
-            (state.num_halo, ctx.graph.feature_dim), dtype=np.float32
-        )
-        # ecg: ignore[ECG003] halo_slots insertion order IS the bit-pinned channel plan order; refetch must scatter rows in plan order
-        for owner, slots in state.halo_slots.items():
-            responder = ctx.workers[owner]
-            rows = responder.features[responder.serves[state.worker_id]]
-            halo[slots] = rows
-            ctx.runtime.send_worker_to_worker(
-                owner, state.worker_id, rows.nbytes + 16, "recovery"
-            )
-        state.halo_features = halo
 
     # ------------------------------------------------------------------
     # Gradient-gap carry

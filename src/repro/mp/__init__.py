@@ -13,16 +13,16 @@ process; this package runs the worker *kernels* in real OS processes:
 * :mod:`repro.mp.supervisor` — the
   :class:`~repro.mp.supervisor.ProcessExecutor` that the engine's
   executor seam plugs in: it spawns/reaps the worker processes, runs
-  the BSP epoch protocol over the pipes, backs the halo transport's
-  session outputs with shared-memory blocks
-  (:class:`~repro.mp.supervisor.ProcessChannelBuffers`), and turns
-  injected worker crashes into real ``SIGKILL`` + respawn.
+  the BSP epoch protocol over the pipes, backs the engine's persistent
+  layer workspaces (:mod:`repro.engine.workspace`) with shared-memory
+  blocks, and turns injected worker crashes into real ``SIGKILL`` +
+  respawn.
 
 See ``docs/execution.md`` for the process model and the shared-memory
 layout.
 """
 
 from repro.mp.store import SharedStore
-from repro.mp.supervisor import ProcessChannelBuffers, ProcessExecutor
+from repro.mp.supervisor import ProcessExecutor
 
-__all__ = ["SharedStore", "ProcessChannelBuffers", "ProcessExecutor"]
+__all__ = ["SharedStore", "ProcessExecutor"]

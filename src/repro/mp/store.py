@@ -156,9 +156,10 @@ class SharedStore:
         )
         shm.buf[:HEADER_BYTES] = _encode_header(dtype, tuple(shape), 0)
         self._segments[name] = shm
+        # A new segment reads as zeros; not writing them keeps its pages
+        # out of this process until something here touches them.
         view = np.ndarray(shape, dtype=dtype, buffer=shm.buf,
                           offset=HEADER_BYTES)
-        view.fill(0)
         self._views[name] = view
         if not self._atexit_registered:
             atexit.register(self.close)

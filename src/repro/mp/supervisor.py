@@ -9,11 +9,13 @@ traffic metering, parameter servers, degradation — so the numbers a
 multiprocess run produces are bit-identical to ``execution="sync"``;
 only the kernel math leaves the process.
 
-:class:`ProcessChannelBuffers` is the transport's ``buffer_provider``:
-halo-exchange session outputs land directly in shared memory, so the
-scatter the supervisor performs is the last copy before the worker
-kernels read the rows (same zero-then-fill semantics as the pooled
-buffers, hence identical values).
+Bulk tensors never cross the pipe: :meth:`ProcessExecutor.bind` points
+:attr:`~repro.engine.workspace.LayerWorkspaces.buffer_provider` at the
+store, so every layer workspace is a shared block ``<kind>w<worker>``
+(``h1w0``, ``g64w2``, ...). The supervisor's scatter is the last copy
+before the worker's kernel reads the rows, the kernel writes its output
+into the block the next exchange serves from, and a round's message
+carries only the layer number and the pulled parameters.
 
 Deadlock-freedom of the round protocol: the supervisor sends to every
 worker, then receives in worker order. At a round boundary every worker
@@ -33,78 +35,18 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.engine.executor import publish_workspace_bytes
+from repro.engine.workspace import LayerWorkspaces
 from repro.mp.store import SharedStore
 from repro.mp.worker import worker_main
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
-    from repro.core.worker import WorkerState
     from repro.engine.backends import ModelBackend
     from repro.engine.context import ExchangeContext
 
-__all__ = ["ProcessChannelBuffers", "ProcessExecutor"]
-
-
-class ProcessChannelBuffers:
-    """Shared-memory blocks for exchange outputs and worker exports.
-
-    Blocks are keyed ``(kind, worker, dim)`` and named
-    ``f"{kind}{worker}d{dim}"``; rounds are strictly sequential, so a
-    block is always fully consumed before the next round with the same
-    key overwrites it, which lets e.g. all equal-width hidden layers
-    share one ``h`` block per worker.
-    """
-
-    def __init__(self, store: SharedStore) -> None:
-        self.store = store
-        # id(view) -> block name, so the executor can recognize arrays it
-        # handed to the transport and ship them to workers by name.
-        self._names: dict[int, str] = {}
-
-    @staticmethod
-    def _name(kind: str, worker: int, dim: int) -> str:
-        return f"{kind}{worker}d{dim}"
-
-    def _block(
-        self, kind: str, worker: int, rows: int, dim: int
-    ) -> tuple[str | None, np.ndarray | None]:
-        name = self._name(kind, worker, dim)
-        if name in self.store:
-            view = self.store.view(name)
-            if view.shape != (rows, dim):
-                return None, None
-        else:
-            view = self.store.allocate(name, (rows, dim))
-        self._names[id(view)] = name
-        return name, view
-
-    def provide(
-        self, kind: str, worker: int, rows: int, dim: int
-    ) -> np.ndarray | None:
-        """``HaloTransport.buffer_provider`` hook: a zeroed shared block,
-        or ``None`` to fall back to a private buffer."""
-        _, view = self._block(kind, worker, rows, dim)
-        if view is None:
-            return None
-        view.fill(0.0)
-        return view
-
-    def ensure(self, kind: str, worker: int, rows: int, dim: int) -> str:
-        """Block for worker-written rows; returns its name (not zeroed —
-        the worker overwrites every row)."""
-        name, _ = self._block(kind, worker, rows, dim)
-        if name is None:
-            raise RuntimeError(
-                f"shared block {self._name(kind, worker, dim)} changed shape"
-            )
-        return name
-
-    def view_of(self, kind: str, worker: int, dim: int) -> np.ndarray:
-        return self.store.view(self._name(kind, worker, dim))
-
-    def name_of(self, array: np.ndarray) -> str | None:
-        return self._names.get(id(array))
+__all__ = ["ProcessExecutor"]
 
 
 class ProcessExecutor:
@@ -116,7 +58,6 @@ class ProcessExecutor:
         self.ctx: ExchangeContext | None = None
         self.backend: ModelBackend | None = None
         self.store: SharedStore | None = None
-        self.buffers: ProcessChannelBuffers | None = None
         self._procs: dict[int, multiprocessing.Process] = {}
         self._conns: dict[int, Connection] = {}
         self._shipped_version: dict[int, int] = {}
@@ -130,8 +71,7 @@ class ProcessExecutor:
         self.ctx = ctx
         self.backend = backend
         self.store = SharedStore()
-        self.buffers = ProcessChannelBuffers(self.store)
-        ctx.transport.buffer_provider = self.buffers.provide
+        ctx.workspaces.buffer_provider = self.store.allocate
         # When the graph's features live in an mmap store, alias the
         # on-disk chunk files into the SharedStore instead of copying
         # them into /dev/shm: forked workers inherit the file-backed
@@ -212,7 +152,8 @@ class ProcessExecutor:
         self._conns.clear()
         self._procs.clear()
         if self.ctx is not None:
-            self.ctx.transport.buffer_provider = None
+            # The views die with the store; nothing may scatter into them.
+            self.ctx.workspaces = LayerWorkspaces()
         if self.store is not None:
             self.store.close()
 
@@ -264,16 +205,6 @@ class ProcessExecutor:
             )
         return payload, wall
 
-    def _halo_ref(
-        self, state: WorkerState, halo: np.ndarray
-    ) -> tuple[Any, ...]:
-        name = self.buffers.name_of(halo)
-        if name is not None:
-            return ("shm", name)
-        if halo is state.halo_features:
-            return ("own",)
-        return ("data", halo)
-
     # ------------------------------------------------------------------
     # executor protocol
 
@@ -300,14 +231,16 @@ class ProcessExecutor:
         for state in self.ctx.active_workers():
             self._send(state.worker_id, ("begin",))
         for state in self.ctx.active_workers():
-            self._recv(state.worker_id)
+            # What the worker process holds: shared blocks it mapped
+            # plus its kernel-private buffers.
+            held, _ = self._recv(state.worker_id)
+            publish_workspace_bytes(self.ctx, state.worker_id, held)
 
     def forward_kernels(
         self,
         t: int,
         layer: int,
-        pulled: list[dict[str, np.ndarray]],
-        halos: list[np.ndarray],
+        pulled: dict[int, dict[str, np.ndarray]],
         *,
         is_last: bool,
     ) -> None:
@@ -315,18 +248,7 @@ class ProcessExecutor:
         ctx = self.ctx
         for state in ctx.active_workers():
             w = state.worker_id
-            h_block = None
-            if layer < ctx.params.num_layers:
-                # Export the layer output: the next layer's halo exchange
-                # serves rows straight out of this block.
-                h_block = self.buffers.ensure(
-                    "h", w, state.num_local, ctx.params.dims[layer]
-                )
-            self._send(
-                w,
-                ("fwd", layer, is_last, pulled[w],
-                 self._halo_ref(state, halos[w]), h_block),
-            )
+            self._send(w, ("fwd", layer, is_last, pulled[w]))
         for state in ctx.active_workers():
             _, wall = self._recv(state.worker_id)
             ctx.runtime.add_compute(state.worker_id, wall)
@@ -334,15 +256,8 @@ class ProcessExecutor:
     def loss_scan(self, t: int) -> tuple[float, dict[str, list[int]]]:
         del t
         ctx = self.ctx
-        num_layers = ctx.params.num_layers
         for state in ctx.active_workers():
-            g_block = None
-            if num_layers > 1:
-                g_block = self.buffers.ensure(
-                    "g", state.worker_id, state.num_local,
-                    ctx.params.dims[num_layers],
-                )
-            self._send(state.worker_id, ("loss", g_block))
+            self._send(state.worker_id, ("loss",))
         counters = {"train": [0, 0], "val": [0, 0], "test": [0, 0]}
         total_loss = 0.0
         for state in ctx.active_workers():
@@ -364,15 +279,8 @@ class ProcessExecutor:
     ) -> None:
         del t
         ctx = self.ctx
-        export_dim = self.backend.bp_halo_export_dim(layer)
         for state in ctx.active_workers():
-            w = state.worker_id
-            export_block = None
-            if export_dim is not None:
-                export_block = self.buffers.ensure(
-                    "dhh", w, state.num_halo, export_dim
-                )
-            self._send(w, ("bpl", layer, weights, export_block))
+            self._send(state.worker_id, ("bpl", layer, weights))
         for state in ctx.active_workers():
             shares, wall = self._recv(state.worker_id)
             ctx.runtime.add_compute(state.worker_id, wall)
@@ -383,41 +291,11 @@ class ProcessExecutor:
         t: int,
         layer: int,
         weights: dict[str, np.ndarray],
-        halos: list[np.ndarray],
     ) -> None:
         del t
         ctx = self.ctx
         for state in ctx.active_workers():
-            w = state.worker_id
-            g_block = None
-            if layer - 1 > 1:
-                # The bp exchange at layer-1 serves these gradient rows.
-                g_block = self.buffers.ensure(
-                    "g", w, state.num_local, ctx.params.dims[layer - 1]
-                )
-            self._send(
-                w,
-                ("bpr", layer, weights,
-                 self._halo_ref(state, halos[w]), g_block),
-            )
+            self._send(state.worker_id, ("bpr", layer, weights))
         for state in ctx.active_workers():
             _, wall = self._recv(state.worker_id)
             ctx.runtime.add_compute(state.worker_id, wall)
-
-    # ------------------------------------------------------------------
-    # row sources for the supervisor-side exchanges
-
-    def layer_rows(self, state: WorkerState, layer: int) -> np.ndarray:
-        return self.buffers.view_of(
-            "h", state.worker_id, self.ctx.params.dims[layer]
-        )
-
-    def grad_rows(self, state: WorkerState, layer: int) -> np.ndarray:
-        return self.buffers.view_of(
-            "g", state.worker_id, self.ctx.params.dims[layer]
-        )
-
-    def bp_halo_rows(self, state: WorkerState, layer: int) -> np.ndarray:
-        return self.buffers.view_of(
-            "dhh", state.worker_id, self.ctx.params.dims[layer - 1]
-        )

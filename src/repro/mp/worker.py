@@ -8,17 +8,20 @@ by address-space snapshot. From then on the only things that flow in are:
 * pipe commands (one strict request→reply round per engine step, with
   pulled parameters / backward weights / kernel-state refreshes as
   payloads), and
-* shared-memory blocks (halo inputs written by the supervisor's
-  exchange scatter; layer outputs / gradient rows / dH partials written
-  back by the worker for the supervisor's exchanges to serve).
+* the shared-memory layer workspaces (:mod:`repro.engine.workspace`):
+  the supervisor's exchange scatters halo rows into their tails, the
+  kernels here read them in place and write layer outputs / gradient
+  rows / dH partials into their heads, which the next exchange serves —
+  no message names a block and nothing is copied around a kernel.
 
 The worker runs only the pure per-layer kernels (the exact same
+:func:`~repro.engine.executor.forward_kernel` /
+:func:`~repro.engine.executor.loss_kernel` and
 :class:`~repro.engine.backends.ModelBackend` methods the inline
 executor calls); every policy, fault, metering and tuner decision stays
 on the supervisor, which is what keeps multiprocess runs bit-identical
-to sync. Kernel wall time is measured here — kernel only, shared-memory
-copies excluded — and shipped back for the supervisor to charge to the
-simulated cluster clock.
+to sync. Kernel wall time is measured here and shipped back for the
+supervisor to charge to the simulated cluster clock.
 
 A worker that hits an exception replies ``("err", traceback, 0.0)`` and
 keeps serving rounds (the supervisor raises); EOF on the pipe or a
@@ -34,8 +37,9 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.engine.executor import forward_kernel, loss_kernel
+from repro.engine.workspace import LayerWorkspaces
 from repro.mp.store import SharedStore, disarm_inherited_stores
-from repro.nn.losses import softmax_cross_entropy
 from repro.obs.tracing import monotonic_now
 
 if TYPE_CHECKING:
@@ -48,99 +52,36 @@ if TYPE_CHECKING:
 __all__ = ["worker_main"]
 
 
-def _resolve_halo(
-    ref: tuple[Any, ...], state: WorkerState, store: SharedStore
-) -> np.ndarray:
-    """Materialize a halo reference from a round's dispatch message."""
-    kind = ref[0]
-    if kind == "shm":
-        return store.attach(ref[1])
-    if kind == "own":
-        # The cached first-hop features, inherited at fork (and current:
-        # crash recovery respawns the process after rebuilding them).
-        return state.halo_features
-    # "data": small/irregular rows shipped inline over the pipe.
-    return ref[1]
-
-
 def _dispatch(
     msg: tuple[Any, ...],
     state: WorkerState,
     backend: ModelBackend,
     ctx: ExchangeContext,
-    store: SharedStore,
 ) -> tuple[Any, float]:
-    num_layers = ctx.params.num_layers
     op = msg[0]
+    start = monotonic_now()
 
     if op == "fwd":
-        _, layer, is_last, pulled, halo_ref, h_block = msg
-        halo = _resolve_halo(halo_ref, state, store)
-        prev = backend.layer_input(state, layer)
-        start = monotonic_now()
-        h_cat = np.concatenate([prev, halo], axis=0)
-        backend.forward_layer(state, h_cat, pulled, layer, is_last=is_last)
-        wall = monotonic_now() - start
-        if h_block is not None:
-            np.copyto(store.attach(h_block),
-                      backend.layer_output(state, layer))
-        return None, wall
+        _, layer, is_last, pulled = msg
+        forward_kernel(ctx, backend, state, layer, pulled, is_last)
+        return None, monotonic_now() - start
 
     if op == "loss":
-        _, g_block = msg
-        logits = backend.final_logits(state)
-        start = monotonic_now()
-        result = softmax_cross_entropy(
-            logits, state.labels, state.train_mask
-        )
-        local = int(state.train_mask.sum())
-        scale = local / ctx.global_train_count if local else 0.0
-        state.grad_rows[num_layers] = (
-            result.grad * scale
-        ).astype(np.float32)
-        loss_term = result.loss * scale
-        counters = {
-            "train": [result.correct, result.count],
-            "val": [0, 0],
-            "test": [0, 0],
-        }
-        predictions = logits.argmax(axis=1)
-        for split, mask in (
-            ("val", state.val_mask),
-            ("test", state.test_mask),
-        ):
-            counters[split][0] = int(
-                (predictions[mask] == state.labels[mask]).sum()
-            )
-            counters[split][1] = int(mask.sum())
-        wall = monotonic_now() - start
-        if g_block is not None:
-            np.copyto(store.attach(g_block), state.grad_rows[num_layers])
-        return (loss_term, counters), wall
+        return loss_kernel(ctx, backend, state), monotonic_now() - start
 
     if op == "bpl":
-        _, layer, weights, export_block = msg
-        start = monotonic_now()
+        _, layer, weights = msg
         shares = backend.backward_local(state, layer, weights)
-        wall = monotonic_now() - start
-        if export_block is not None:
-            np.copyto(store.attach(export_block),
-                      backend.bp_halo_rows(state, layer))
-        return shares, wall
+        return shares, monotonic_now() - start
 
     if op == "bpr":
-        _, layer, weights, halo_ref, g_block = msg
-        halo = _resolve_halo(halo_ref, state, store)
-        start = monotonic_now()
-        backend.backward_reduce(state, layer, halo, weights)
-        wall = monotonic_now() - start
-        if g_block is not None:
-            np.copyto(store.attach(g_block), state.grad_rows[layer - 1])
-        return None, wall
+        _, layer, weights = msg
+        backend.backward_reduce(state, layer, weights)
+        return None, monotonic_now() - start
 
     if op == "begin":
         backend.begin_iteration()
-        return None, 0.0
+        return ctx.workspaces.held(state.worker_id), 0.0
 
     if op == "kstate":
         backend.apply_kernel_refresh(state.worker_id, msg[1])
@@ -157,9 +98,20 @@ def worker_main(
     backend: ModelBackend,
 ) -> None:
     """Serve kernel rounds for one worker until ``stop`` or EOF."""
+    # Drop the workspace views the fork copied before their segments are
+    # disarmed; this process maps the same blocks itself, by name.
+    ctx.workspaces = LayerWorkspaces()
     disarm_inherited_stores()
     store = SharedStore(token, create=False)
     state = ctx.workers[worker_id]
+
+    def attach(name: str, shape: tuple[int, int]) -> np.ndarray:
+        block = store.attach(name)
+        if block.shape != shape or block.dtype != np.float32:
+            raise ValueError(f"shared block {name!r} is not float32{shape}")
+        return block
+
+    ctx.workspaces.buffer_provider = attach
     try:
         while True:
             try:
@@ -169,7 +121,7 @@ def worker_main(
             if msg[0] == "stop":
                 break
             try:
-                payload, wall = _dispatch(msg, state, backend, ctx, store)
+                payload, wall = _dispatch(msg, state, backend, ctx)
             except Exception:
                 conn.send(("err", traceback.format_exc(), 0.0))
                 continue

@@ -34,18 +34,34 @@ class Activation:
         forward: Maps pre-activations ``Z`` to activations ``H``.
         derivative: Maps pre-activations ``Z`` to ``dH/dZ`` evaluated
             element-wise (the Hadamard factor in the backward pass).
+        forward_into: ``forward`` computed straight into a destination
+            ``(z, out)``, for the activations one ufunc expresses; the
+            others copy their result in.
     """
 
     name: str
     forward: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
+    forward_into: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        return self.forward(z)
+    def __call__(
+        self, z: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``forward(z)``, written into ``out`` (same shape) when given."""
+        if out is None:
+            return self.forward(z)
+        if self.forward_into is not None:
+            return self.forward_into(z, out)
+        out[...] = self.forward(z)
+        return out
 
 
 def _relu_fwd(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
+
+
+def _relu_into(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out)
 
 
 def _relu_bwd(z: np.ndarray) -> np.ndarray:
@@ -100,9 +116,9 @@ def _elu_bwd(z: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     return np.where(z > 0.0, 1.0, alpha * np.exp(np.minimum(z, 0.0)))
 
 
-relu = Activation("relu", _relu_fwd, _relu_bwd)
+relu = Activation("relu", _relu_fwd, _relu_bwd, _relu_into)
 leaky_relu = Activation("leaky_relu", _leaky_relu_fwd, _leaky_relu_bwd)
-tanh = Activation("tanh", _tanh_fwd, _tanh_bwd)
+tanh = Activation("tanh", _tanh_fwd, _tanh_bwd, np.tanh)
 sigmoid = Activation("sigmoid", _sigmoid_fwd, _sigmoid_bwd)
 identity = Activation("identity", _identity_fwd, _identity_bwd)
 elu = Activation("elu", _elu_fwd, _elu_bwd)

@@ -10,7 +10,8 @@ collected into a single self-contained artifact:
   effective bit-widths (:mod:`repro.obs.ledger`);
 * the **compression frontier** — ReqEC candidate-win fractions and the
   Bit-Tuner width trajectory (:mod:`repro.obs.health`);
-* **fault and recovery counters** mirrored from the metrics registry.
+* **fault and recovery counters** and the per-worker **resident
+  buffers** (layer-workspace bytes) mirrored from the metrics registry.
 
 Two formats: GitHub-flavoured markdown, and a single HTML file with
 inline CSS (no external assets, so it uploads as one CI artifact and
@@ -92,6 +93,7 @@ def build_report(run) -> dict:
         "directions": {},
         "health": None,
         "faults": {},
+        "resources": {},
         "membership_events": [],
         "dropped_spans": 0,
     }
@@ -146,6 +148,10 @@ def build_report(run) -> dict:
             kind: degraded[kind] for kind in sorted(degraded)
         }
     data["faults"] = faults
+    for (name, labels), value in sorted(metrics.gauges.items()):
+        if name in ("workspace_bytes", "first_aggregate_bytes"):
+            worker = dict(labels)["worker"]
+            data["resources"].setdefault(worker, {})[name] = value
     return data
 
 
@@ -178,6 +184,15 @@ def _fmt_bytes(value: float) -> str:
             )
         value /= 1024
     return f"{value:.2f}GiB"
+
+
+def _resource_rows(data: dict) -> list[tuple[str, str, str]]:
+    """(worker, layer workspaces, of which the first-layer aggregate)."""
+    return [
+        (worker, _fmt_bytes(held.get("workspace_bytes", 0)),
+         _fmt_bytes(held.get("first_aggregate_bytes", 0)))
+        for worker, held in sorted(data.get("resources", {}).items())
+    ]
 
 
 def _stage_rows(data: dict) -> list[tuple]:
@@ -320,6 +335,13 @@ def render_markdown(data: dict) -> str:
                 lines.append(f"- {name}: {inner}")
             else:
                 lines.append(f"- {name}: {value:.0f}")
+        lines.append("")
+
+    if data.get("resources"):
+        lines += ["## Resident buffers", "",
+                  "| worker | layer workspaces | first-layer aggregate |",
+                  "|---:|---:|---:|"]
+        lines += [f"| {' | '.join(row)} |" for row in _resource_rows(data)]
         lines.append("")
 
     if data.get("membership_events"):
@@ -501,6 +523,17 @@ def render_html(data: dict) -> str:
             else:
                 parts.append(f"<li>{esc(name)}: {value:.0f}</li>")
         parts.append("</ul>")
+
+    if data.get("resources"):
+        parts.append(
+            "<h2>Resident buffers</h2><table><tr><th>worker</th>"
+            "<th>layer workspaces</th><th>first-layer aggregate</th></tr>"
+        )
+        parts += [
+            "<tr>" + "".join(f"<td>{esc(cell)}</td>" for cell in row) + "</tr>"
+            for row in _resource_rows(data)
+        ]
+        parts.append("</table>")
 
     if data.get("membership_events"):
         parts.append("<h2>Membership timeline</h2>")

@@ -188,8 +188,7 @@ class TestRunBenchSmoke:
                 assert entry["speedup_vs_reference"] > 0
 
     def test_exchange_and_epoch_sections(self, report):
-        for key in ("sequential_seconds", "pooled_seconds",
-                    "threaded_seconds"):
+        for key in ("sequential_seconds", "threaded_seconds"):
             assert report["exchange"][key] > 0
         for key in ("reference_codec_seconds", "default_seconds",
                     "optimized_seconds", "speedup_vs_reference_codec"):

@@ -87,6 +87,50 @@ class TestSharedMemoryHygiene:
         assert _shm_entries(store.token) == []
 
 
+class TestSharedWorkspaces:
+    def test_blocks_are_the_layer_workspaces(self, graph):
+        """Every buffer an exchange and a kernel share is one block named
+        ``<kind>w<worker>``; kernel-private buffers stay out of /dev/shm."""
+        trainer = _mp_trainer(graph)
+        try:
+            trainer.run_epoch(0)
+            ctx = trainer.engine.ctx
+            names = set(ctx.executor.store.names())
+            assert names == {
+                f"{kind}w{w}" for w in range(3)
+                for kind in ("h0", "h1", "g3")
+            }
+            state = trainer.workers[1]
+            h1 = ctx.workspaces.h_cat(state, 1, 16)
+            assert h1 is ctx.executor.store.view("h1w1")
+            # The worker process wrote H^1 straight into the block the
+            # supervisor serves from: no export copy, and it is not zero.
+            assert h1[:state.num_local].any()
+        finally:
+            trainer.close()
+
+    def test_worker_processes_report_what_they_hold(self, graph):
+        from repro.obs import ObsConfig
+
+        trainer = _mp_trainer(graph, obs=ObsConfig(enabled=True))
+        try:
+            for t in range(2):
+                trainer.run_epoch(t)
+            snapshot = trainer.obs.metrics.snapshot()
+            ctx = trainer.engine.ctx
+            for state in trainer.workers:
+                w = state.worker_id
+                shared, _ = ctx.workspaces.held(w)
+                total = snapshot.gauge("workspace_bytes", worker=w)
+                # Shared blocks plus the process-private Z / M / G buffers.
+                assert total > shared > 0
+                assert snapshot.gauge("first_aggregate_bytes", worker=w) == (
+                    state.num_local * 8 * 4
+                )
+        finally:
+            trainer.close()
+
+
 class TestCrashRecovery:
     def test_crash_respawns_a_fresh_process(self, graph):
         trainer = _mp_trainer(graph)

@@ -49,6 +49,40 @@ def small_graph_module():
     ))
 
 
+class TestResidentBuffers:
+    def test_workspace_gauges_reach_the_report(self, instrumented):
+        metrics = instrumented.telemetry.metrics
+        data = build_report(instrumented)
+        assert sorted(data["resources"]) == ["0", "1", "2", "3"]
+        for worker, held in data["resources"].items():
+            total = metrics.gauge("workspace_bytes", worker=worker)
+            first = metrics.gauge("first_aggregate_bytes", worker=worker)
+            assert held == {
+                "workspace_bytes": total, "first_aggregate_bytes": first,
+            }
+            assert 0 < first < total
+        assert "## Resident buffers" in render_markdown(data)
+        assert "<h2>Resident buffers</h2>" in render_html(data)
+
+    def test_gauges_are_what_the_workspaces_hold(self, small_graph_module):
+        trainer = _trainer(small_graph_module, ObsConfig(enabled=True))
+        trainer.train(2)
+        snapshot = trainer.obs.metrics.snapshot()
+        for state in trainer.workers:
+            w = state.worker_id
+            held = trainer._ctx.workspaces.held(w)
+            assert snapshot.gauge("workspace_bytes", worker=w) == held[0]
+            assert snapshot.gauge("first_aggregate_bytes", worker=w) == (
+                state.num_local * 12 * 4
+            )
+
+    def test_uninstrumented_run_has_no_table(self, small_graph_module):
+        run = _trainer(small_graph_module, ObsConfig()).train(1)
+        data = build_report(run)
+        assert data["resources"] == {}
+        assert "Resident buffers" not in render_markdown(data)
+
+
 class TestBuildReport:
     def test_sections_populated(self, instrumented):
         data = build_report(instrumented)

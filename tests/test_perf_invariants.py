@@ -1,11 +1,19 @@
-"""The hot-path optimizations must be invisible in every result.
+"""Perf invariants of the hot path.
 
-Buffer pooling and thread fan-out change *when and where* work happens,
-never *what* is computed or charged: with the knobs on, loss curves,
-total traffic and per-category traffic must be bit-identical to the
-sequential, allocate-per-call configuration — and both knobs must
-default to off.
+Two things must stay true however the kernels are arranged:
+
+* the thread fan-out changes *when and where* exchange work happens,
+  never *what* is computed or charged — loss curves, total traffic and
+  per-category traffic are bit-identical to the sequential runner;
+* a steady-state iteration allocates nothing of ``h_cat`` size in the
+  kernel path: the layer workspaces are persistent, so after warm-up no
+  kernel round (inline, or the multiprocess worker's dispatch of the
+  same round) may allocate as much as one ``h_cat``. This replaces the
+  old knob matrix (`halo_buffer_pool` on/off): there is one path, and
+  the budget is what keeps it allocation-free.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +22,7 @@ from repro.cluster import ClusterSpec
 from repro.core import ECGraphTrainer, ModelConfig
 from repro.core.config import ECGraphConfig
 from repro.graph import load_dataset
+from repro.graph.generators import GraphSpec, generate_graph
 
 
 def _train(graph, granularity, **overrides):
@@ -27,79 +36,165 @@ def _train(graph, granularity, **overrides):
     result = trainer.train(5)
     losses = [epoch.loss for epoch in result.epochs]
     meter = trainer.runtime.meter
-    if trainer.nac is not None:
-        trainer.nac.close()
+    trainer.close()
     return losses, meter.total_bytes, meter.category_totals()
 
 
-class TestOptimizationsAreBitInvisible:
+class TestThreadFanOutIsBitInvisible:
     @pytest.fixture(scope="class")
     def graph(self):
         return load_dataset("cora", profile="tiny", seed=1)
 
     @pytest.mark.parametrize("granularity", ["vertex", "element", "matrix"])
-    def test_pool_and_threads_bit_identical(self, graph, granularity):
+    def test_threads_bit_identical(self, graph, granularity):
         base = _train(graph, granularity)
-        optimized = _train(
-            graph, granularity, halo_buffer_pool=True, exchange_threads=4
-        )
-        assert base[0] == optimized[0]  # identical loss sequence
-        assert base[1] == optimized[1]  # identical total traffic
-        assert base[2] == optimized[2]  # identical per-category traffic
-
-    def test_buffer_pool_alone_bit_identical(self, graph):
-        base = _train(graph, "vertex")
-        pooled = _train(graph, "vertex", halo_buffer_pool=True)
-        assert base == pooled
+        threaded = _train(graph, granularity, exchange_threads=4)
+        assert base[0] == threaded[0]  # identical loss sequence
+        assert base[1] == threaded[1]  # identical total traffic
+        assert base[2] == threaded[2]  # identical per-category traffic
 
 
 class TestKnobDefaults:
-    def test_defaults_off(self):
-        config = ECGraphConfig()
-        assert config.halo_buffer_pool is False
-        assert config.exchange_threads == 0
+    def test_threads_default_off(self):
+        assert ECGraphConfig().exchange_threads == 0
+
+    def test_buffer_pool_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            ECGraphConfig(halo_buffer_pool=True)
 
     def test_negative_threads_rejected(self):
         with pytest.raises(ValueError, match="exchange_threads"):
             ECGraphConfig(exchange_threads=-1)
 
 
-class TestPooledBufferSemantics:
-    def test_pooled_halos_zeroed_between_exchanges(self):
-        from repro.cluster.engine import ClusterRuntime
-        from repro.cluster.topology import ClusterSpec as EngineSpec
-        from repro.core.messages import RawPolicy
-        from repro.core.nac import NeighborAccessController
-        from repro.core.worker import build_worker_states
-        from repro.graph.normalize import gcn_normalize
-        from repro.partition.hashing import HashPartitioner
+# ----------------------------------------------------------------------
+# Steady-state allocation budget
+# ----------------------------------------------------------------------
+ROUNDS = ("forward_kernels", "loss_scan", "backward_local", "backward_reduce")
 
-        graph = load_dataset("cora", profile="tiny", seed=2)
-        normalized = gcn_normalize(graph.adjacency)
-        partition = HashPartitioner().partition(graph.adjacency, 3)
-        workers = build_worker_states(graph, normalized, partition)
-        runtime = ClusterRuntime(EngineSpec(num_workers=3))
-        nac = NeighborAccessController(runtime, workers, buffer_pool=True)
 
-        values = [np.ones((s.num_local, 4), dtype=np.float32)
-                  for s in workers]
-        first = nac.exchange(
-            layer=0, t=0, rows_of=lambda s: values[s.worker_id],
-            policy=RawPolicy(), category="fp_embeddings", dim=4,
-        )
-        # Poison the pooled buffers, then exchange a subset that serves
-        # no rows: untouched halo slots must read zero, not stale data.
-        for halo in first:
-            halo.fill(99.0)
-        empty_subset = {
-            (owner, state.worker_id): np.zeros(0, dtype=np.int64)
-            for state in workers for owner in state.halo_slots
+def _budget_trainer(**config):
+    graph = generate_graph(GraphSpec(
+        name="budget", num_vertices=1200, avg_degree=10.0, feature_dim=48,
+        num_classes=6, power_law=2.2, train=400, val=200, test=400, seed=9,
+    ))
+    trainer = ECGraphTrainer(
+        graph, ModelConfig(num_layers=3, hidden_dim=48),
+        ClusterSpec(num_workers=4), ECGraphConfig(seed=1, **config),
+    )
+    trainer.setup()
+    return trainer
+
+
+def _smallest_h_cat_bytes(trainer) -> int:
+    ctx = trainer._ctx
+    return min(
+        ctx.workspaces.h_cat(state, k, ctx.params.dims[k]).nbytes
+        for state in ctx.workers
+        for k in range(ctx.params.num_layers)
+    )
+
+
+class _RoundPeaks:
+    """Peak bytes allocated inside each wrapped call (tracemalloc)."""
+
+    def __init__(self):
+        self.peaks: dict[str, int] = {}
+
+    def wrap(self, owner, name):
+        target = getattr(owner, name)
+
+        def measured(*args, **kwargs):
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            try:
+                return target(*args, **kwargs)
+            finally:
+                _, peak = tracemalloc.get_traced_memory()
+                self.peaks[name] = max(
+                    self.peaks.get(name, 0), peak - before
+                )
+
+        setattr(owner, name, measured)
+
+
+class TestSteadyStateAllocationBudget:
+    @pytest.mark.parametrize("config", [
+        dict(fp_mode="raw", bp_mode="raw"),
+        dict(),
+        dict(transform_first=False),
+        dict(cache_first_hop=False, fp_mode="compress"),
+    ], ids=["raw", "ec", "aggregate-first", "uncached-first-hop"])
+    def test_no_kernel_round_allocates_an_h_cat(self, config):
+        trainer = _budget_trainer(**config)
+        for t in range(2):  # warm-up: buffers appear, M^1 is computed
+            trainer.run_epoch(t)
+        budget = _smallest_h_cat_bytes(trainer)
+        rounds = _RoundPeaks()
+        for name in ROUNDS:
+            rounds.wrap(trainer._ctx.executor, name)
+        tracemalloc.start()
+        try:
+            trainer.run_epoch(2)
+        finally:
+            tracemalloc.stop()
+        assert set(rounds.peaks) == set(ROUNDS)
+        for name, peak in rounds.peaks.items():
+            assert peak < budget, (
+                f"{name} allocated {peak} B in one round; "
+                f"an h_cat is {budget} B"
+            )
+
+    def test_worker_process_dispatch_meets_the_same_budget(self):
+        """The multiprocess worker runs its rounds through
+        ``mp.worker._dispatch``; driven in-process over the same context
+        it must stay inside the budget too."""
+        from repro.mp import worker as mp_worker
+
+        trainer = _budget_trainer(fp_mode="raw", bp_mode="raw")
+        for t in range(2):
+            trainer.run_epoch(t)
+        ctx, backend = trainer._ctx, trainer._backend
+        budget = _smallest_h_cat_bytes(trainer)
+        num_layers = ctx.params.num_layers
+        pulled = {
+            layer: {
+                name: ctx.servers.get(name)
+                for name in backend.layer_param_names(layer)
+            }
+            for layer in range(1, num_layers + 1)
         }
-        second = nac.exchange(
-            layer=0, t=1, rows_of=lambda s: values[s.worker_id],
-            policy=RawPolicy(), category="fp_embeddings", dim=4,
-            subset=empty_subset,
-        )
-        for prev, halo in zip(first, second):
-            assert halo is prev  # the pool reused the buffer ...
-            assert not halo.any()  # ... and zeroed it in place
+        rounds = _RoundPeaks()
+        rounds.wrap(mp_worker, "_dispatch")
+        tracemalloc.start()
+        try:
+            for state in ctx.workers:
+                args = (state, backend, ctx)
+                mp_worker._dispatch(("begin",), *args)
+                for layer in range(1, num_layers + 1):
+                    mp_worker._dispatch(
+                        ("fwd", layer, layer == num_layers, pulled[layer]),
+                        *args,
+                    )
+                mp_worker._dispatch(("loss",), *args)
+                mp_worker._dispatch(("bpl", num_layers, pulled[num_layers]),
+                                    *args)
+                mp_worker._dispatch(("bpr", num_layers, pulled[num_layers]),
+                                    *args)
+        finally:
+            tracemalloc.stop()
+        assert 0 < rounds.peaks["_dispatch"] < budget
+
+    def test_workspaces_are_the_same_arrays_every_epoch(self):
+        trainer = _budget_trainer()
+        trainer.run_epoch(0)
+        trainer.run_epoch(1)
+        ws = trainer._ctx.workspaces
+        before = dict(ws._arrays)
+        total = sum(buf.nbytes for buf in before.values())
+        trainer.run_epoch(2)
+        assert ws._arrays.keys() == before.keys()
+        assert all(ws._arrays[k] is buf for k, buf in before.items())
+        assert sum(ws.held(w)[0] for w in range(4)) == total > 0
+        logits = trainer.workers[0].caches[3].output
+        assert np.isfinite(logits).all()

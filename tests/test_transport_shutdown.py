@@ -43,9 +43,7 @@ def _threaded_trainer(graph):
     trainer = ECGraphTrainer(
         graph, ModelConfig(num_layers=2, hidden_dim=16),
         ClusterSpec(num_workers=3, num_servers=1),
-        ECGraphConfig(
-            seed=0, halo_buffer_pool=True, exchange_threads=4,
-        ),
+        ECGraphConfig(seed=0, exchange_threads=4),
     )
     with pytest.warns(RuntimeWarning, match="GIL"):
         trainer.setup()
