@@ -17,8 +17,8 @@ from _helpers import HIDDEN, bench_graph, dataset_header, run_once
 from repro.analysis.reporting import format_table
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.sampling_trainer import SampledECGraphTrainer
 from repro.core.trainer import ECGraphTrainer
+from repro.engine import SampledGCNBackend
 from repro.partition import make_partitioner, partition_stats
 
 DATASET = "reddit"
@@ -60,12 +60,12 @@ def _experiment():
                 / run.num_epochs
             )
 
-            sampled = SampledECGraphTrainer(
+            sampled = ECGraphTrainer(
                 graph, ModelConfig(num_layers=2, hidden_dim=HIDDEN[DATASET]),
                 ClusterSpec(num_workers=machines, compute_speed=COMPUTE_SPEED),
-                fanouts=[10, 5],
-                config=ECGraphConfig(fp_mode="compress", bp_mode="resec"),
+                ECGraphConfig(fp_mode="compress", bp_mode="resec"),
                 partition=partition,
+                backend=SampledGCNBackend([10, 5]),
             )
             run_s = sampled.train(EPOCHS, name=f"ecgraph_s/{method}/{machines}")
             results[("ecgraph_s", method, machines)] = run_s.avg_epoch_seconds()

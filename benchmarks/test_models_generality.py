@@ -15,9 +15,8 @@ from _helpers import HIDDEN, bench_graph, dataset_header, fmt_bytes, run_once
 from repro.analysis.reporting import format_table
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.gat import GATTrainer
-from repro.core.sage import SAGETrainer
 from repro.core.trainer import ECGraphTrainer
+from repro.engine import GATBackend
 
 DATASET = "cora"
 EPOCHS = 60
@@ -31,15 +30,12 @@ EC = ECGraphConfig(fp_mode="reqec", bp_mode="resec", fp_bits=2, bp_bits=2,
 def _build(model_name, config):
     graph = bench_graph(DATASET)
     spec = ClusterSpec(num_workers=WORKERS)
-    if model_name == "gcn":
-        model = ModelConfig(num_layers=2, hidden_dim=HIDDEN[DATASET])
-        return ECGraphTrainer(graph, model, spec, config)
-    if model_name == "sage":
-        model = ModelConfig(num_layers=2, hidden_dim=HIDDEN[DATASET],
-                            model="sage")
-        return SAGETrainer(graph, model, spec, config)
-    model = ModelConfig(num_layers=2, hidden_dim=HIDDEN[DATASET])
-    return GATTrainer(graph, model, spec, config)
+    model = ModelConfig(
+        num_layers=2, hidden_dim=HIDDEN[DATASET],
+        model="sage" if model_name == "sage" else "gcn",
+    )
+    backend = GATBackend() if model_name == "gat" else None
+    return ECGraphTrainer(graph, model, spec, config, backend=backend)
 
 
 def _experiment():

@@ -3,8 +3,9 @@
 The paper argues EC-Graph generalizes beyond GCN to any GNN exchanging
 embeddings forward and embedding gradients backward, naming GAT
 explicitly (section III-B). This example trains a distributed GAT
-(single attention head; pass ``num_heads`` for more) under three exchange configurations and shows that the
-compression + compensation machinery transfers unchanged:
+(single attention head; ``GATBackend(num_heads=...)`` for more) under
+three exchange configurations and shows that the compression +
+compensation machinery transfers unchanged:
 
     python examples/gat_attention.py
 """
@@ -14,7 +15,8 @@ from __future__ import annotations
 from repro import ECGraphConfig
 from repro.analysis.reporting import format_table
 from repro.cluster import ClusterSpec
-from repro.core import GATTrainer, ModelConfig
+from repro.core import ECGraphTrainer, ModelConfig
+from repro.engine import GATBackend
 from repro.graph import load_dataset
 
 EPOCHS = 60
@@ -37,9 +39,10 @@ def main() -> None:
     ]
     rows = []
     for name, config in configs:
-        trainer = GATTrainer(
+        trainer = ECGraphTrainer(
             graph, ModelConfig(num_layers=2, hidden_dim=16),
             ClusterSpec(num_workers=WORKERS), config,
+            backend=GATBackend(),
         )
         run = trainer.train(EPOCHS, name=name)
         rows.append([
@@ -56,7 +59,7 @@ def main() -> None:
     print(
         "\nForward attention inputs ride the same halo exchange as GCN"
         "\nembeddings (ReqEC-FP applies); backward partial gradients use"
-        "\nthe NAC's reverse exchange (ResEC-BP applies)."
+        "\nthe transport's reverse exchange (ResEC-BP applies)."
     )
 
 

@@ -3,8 +3,10 @@
 Demonstrates the paper's generality claim (section III-B): the EC-Graph
 pipeline is model-agnostic as long as the model exchanges embeddings in
 the forward pass and embedding gradients in the backward pass. Each
-model here runs with the full error-compensated pipeline, then results
-are exported to ``runs_model_zoo.json`` for downstream analysis.
+model here runs with the full error-compensated pipeline through the
+one ``ECGraphTrainer`` — ``ModelConfig.model`` picks GCN or GraphSAGE,
+``backend=GATBackend()`` plugs in attention — then results are exported
+to ``runs_model_zoo.json`` for downstream analysis.
 
     python examples/model_zoo.py
 """
@@ -15,7 +17,8 @@ from repro import ECGraphConfig
 from repro.analysis.export import export_json
 from repro.analysis.reporting import format_table
 from repro.cluster import ClusterSpec
-from repro.core import ECGraphTrainer, GATTrainer, ModelConfig, SAGETrainer
+from repro.core import ECGraphTrainer, ModelConfig
+from repro.engine import GATBackend
 from repro.graph import load_dataset
 
 EPOCHS = 80
@@ -34,12 +37,13 @@ def main() -> None:
         "GCN": ECGraphTrainer(
             graph, ModelConfig(num_layers=2, hidden_dim=16), spec, config,
         ),
-        "GraphSAGE": SAGETrainer(
+        "GraphSAGE": ECGraphTrainer(
             graph, ModelConfig(num_layers=2, hidden_dim=16, model="sage"),
             spec, config,
         ),
-        "GAT": GATTrainer(
+        "GAT": ECGraphTrainer(
             graph, ModelConfig(num_layers=2, hidden_dim=16), spec, config,
+            backend=GATBackend(),
         ),
     }
 

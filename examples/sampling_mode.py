@@ -18,7 +18,7 @@ from repro import ECGraphConfig
 from repro.analysis.reporting import format_table
 from repro.cluster import ClusterSpec
 from repro.core import ECGraphTrainer, ModelConfig
-from repro.core.sampling_trainer import SampledECGraphTrainer
+from repro.engine import SampledGCNBackend
 from repro.graph import load_dataset
 
 EPOCHS = 60
@@ -39,17 +39,17 @@ def main() -> None:
     full = ECGraphTrainer(graph, model, spec, ECGraphConfig())
     full_run = full.train(EPOCHS, name="EC-Graph (full batch)")
 
-    offline = SampledECGraphTrainer(
-        graph, model, spec, fanouts=FANOUTS,
-        config=ECGraphConfig(fp_mode="compress", bp_mode="resec"),
-        online=False,
+    offline = ECGraphTrainer(
+        graph, model, spec,
+        ECGraphConfig(fp_mode="compress", bp_mode="resec"),
+        backend=SampledGCNBackend(FANOUTS, online=False),
     )
     offline_run = offline.train(EPOCHS, name="EC-Graph-S (offline)")
 
-    online = SampledECGraphTrainer(
-        graph, model, spec, fanouts=FANOUTS,
-        config=ECGraphConfig(fp_mode="raw", bp_mode="raw"),
-        online=True,
+    online = ECGraphTrainer(
+        graph, model, spec,
+        ECGraphConfig(fp_mode="raw", bp_mode="raw"),
+        backend=SampledGCNBackend(FANOUTS, online=True),
     )
     online_run = online.train(EPOCHS, name="DistDGL-style (online)")
 

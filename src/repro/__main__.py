@@ -412,20 +412,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if "exchange" in report:
         exchange = report["exchange"]
         print(format_table(
-            ["suite", "sequential", "threaded"],
+            ["suite", "sequential"],
             [["halo exchange",
-              f"{exchange['sequential_seconds'] * 1e3:.2f}ms",
-              f"{exchange['threaded_seconds'] * 1e3:.2f}ms"]],
+              f"{exchange['sequential_seconds'] * 1e3:.2f}ms"]],
         ))
     if "epoch" in report:
         epoch = report["epoch"]
         print(format_table(
-            ["suite", "old codec", "default", "threads",
-             "codec speedup"],
+            ["suite", "old codec", "default", "codec speedup"],
             [["epoch wall time",
               f"{epoch['reference_codec_seconds'] * 1e3:.1f}ms",
               f"{epoch['default_seconds'] * 1e3:.1f}ms",
-              f"{epoch['optimized_seconds'] * 1e3:.1f}ms",
               f"{epoch.get('speedup_vs_reference_codec', 0):.2f}x"]],
         ))
         stages = epoch.get("stages")
@@ -442,14 +439,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if "epoch_multiprocess" in report:
         mp = report["epoch_multiprocess"]
         print(format_table(
-            ["suite", "sequential", "threaded", "multiprocess",
-             "vs sequential", "vs threads"],
+            ["suite", "sequential", "multiprocess", "vs sequential"],
             [["epoch wall time",
               f"{mp['sequential_seconds'] * 1e3:.1f}ms",
-              f"{mp['threaded_seconds'] * 1e3:.1f}ms",
               f"{mp['multiprocess_seconds'] * 1e3:.1f}ms",
-              f"{mp.get('speedup_multiprocess', 0):.2f}x",
-              f"{mp.get('speedup_multiprocess_vs_threads', 0):.2f}x"]],
+              f"{mp.get('speedup_multiprocess', 0):.2f}x"]],
             title=f"Multiprocess execution "
                   f"({mp['host_cpus']} host CPU(s))",
         ))

@@ -32,8 +32,8 @@ from repro.baselines.ml_centered import MLCenteredTrainer
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.results import ConvergenceRun
-from repro.core.sampling_trainer import SampledECGraphTrainer
 from repro.core.trainer import ECGraphTrainer
+from repro.engine import SampledGCNBackend
 from repro.graph.attributed import AttributedGraph
 
 __all__ = ["SYSTEMS", "system_names", "run_system", "default_fanouts"]
@@ -91,24 +91,21 @@ def _make_cponly(graph, model, cluster, config, fanouts):
     return ECGraphTrainer(graph, model, cluster, config.as_cp_only())
 
 
+def _sampled(graph, model, cluster, config, fanouts, online):
+    backend = SampledGCNBackend(
+        fanouts or default_fanouts(model.num_layers), online=online
+    )
+    return ECGraphTrainer(graph, model, cluster, config, backend=backend)
+
+
 def _make_distdgl(graph, model, cluster, config, fanouts):
     config = replace(config, fp_mode="raw", bp_mode="raw")
-    return SampledECGraphTrainer(
-        graph, model, cluster,
-        fanouts or default_fanouts(model.num_layers),
-        config=config,
-        online=True,
-    )
+    return _sampled(graph, model, cluster, config, fanouts, online=True)
 
 
 def _make_ecgraph_s(graph, model, cluster, config, fanouts):
     config = replace(config, fp_mode="compress", bp_mode="resec")
-    return SampledECGraphTrainer(
-        graph, model, cluster,
-        fanouts or default_fanouts(model.num_layers),
-        config=config,
-        online=False,
-    )
+    return _sampled(graph, model, cluster, config, fanouts, online=False)
 
 
 def _make_agl(graph, model, cluster, config, fanouts):

@@ -125,8 +125,9 @@ def speedup_flag_lines(report: dict) -> list[str]:
     A ``speedup_*`` entry is a suite's claim that its "optimized"
     configuration beats its own baseline; below 1.0 the claim is false
     on the machine that produced the report, and silently rendering it
-    as a speedup row is how the GIL-bound ``exchange_threads`` path
-    masqueraded as a fast path. Informational (no exit-code change):
+    as a speedup row is how the GIL-bound thread fan-out (0.88x,
+    since removed) masqueraded as a fast path. Informational (no
+    exit-code change):
     e.g. a single-CPU host legitimately measures
     ``speedup_multiprocess`` < 1.0.
     """

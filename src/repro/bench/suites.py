@@ -5,15 +5,14 @@ Three levels of the same hot path, so a regression can be localized:
 * ``kernels`` — ``pack_bits`` / ``unpack_bits`` per bit width, new
   kernels against the bit-matrix references
   (:mod:`repro.bench.reference`), in ns/element;
-* ``exchange`` — one full halo exchange through the unified transport
-  layer (:class:`~repro.engine.transport.HaloTransport`, via its
-  :class:`~repro.core.nac.NeighborAccessController` facade) under
-  ``CompressPolicy``, sequential vs thread-pooled;
+* ``exchange`` — one full halo exchange through
+  :class:`~repro.engine.transport.HaloTransport` under
+  ``CompressPolicy``;
 * ``epoch`` — wall seconds of ``ECGraphTrainer.run_epoch`` with the
-  default config vs the threaded config;
+  default config, against the same epoch on the reference codec;
 * ``epoch_multiprocess`` — the same epoch under
   ``execution="multiprocess"`` (real worker processes + shared memory)
-  vs the sequential and GIL-bound threaded paths.
+  vs the inline engine.
 
 Timing samples are funnelled through a
 :class:`~repro.obs.registry.MetricsRegistry` so the report carries the
@@ -36,9 +35,9 @@ from repro.bench.reference import pack_bits_reference, unpack_bits_reference
 from repro.cluster.engine import ClusterRuntime
 from repro.cluster.topology import ClusterSpec
 from repro.compression.quantization import pack_bits, unpack_bits
-from repro.core.nac import NeighborAccessController
 from repro.core.policies import CompressPolicy
 from repro.core.worker import build_worker_states
+from repro.engine.transport import HaloTransport
 from repro.graph.datasets import load_dataset
 from repro.graph.normalize import gcn_normalize
 from repro.obs.registry import MetricsRegistry
@@ -116,40 +115,30 @@ def bench_codec(params: dict, metrics: MetricsRegistry) -> dict:
     return kernels
 
 
-def _make_nac(threads: int):
+def bench_exchange(params: dict, metrics: MetricsRegistry) -> dict:
+    """One full halo exchange through the transport."""
+    dim = 32
     graph = load_dataset("cora", profile="tiny", seed=3)
     normalized = gcn_normalize(graph.adjacency)
     partition = HashPartitioner().partition(graph.adjacency, 3)
     workers = build_worker_states(graph, normalized, partition)
-    runtime = ClusterRuntime(ClusterSpec(num_workers=3))
-    nac = NeighborAccessController(runtime, workers, threads=threads)
-    return workers, nac
+    transport = HaloTransport(
+        ClusterRuntime(ClusterSpec(num_workers=3)), workers
+    )
+    rng = np.random.default_rng(11)
+    values = [rng.random((s.num_local, dim)).astype(np.float32)
+              for s in workers]
+    policy = CompressPolicy(bits=4)
 
-
-def bench_exchange(params: dict, metrics: MetricsRegistry) -> dict:
-    """One full halo exchange: sequential vs 4-thread fan-out."""
-    dim = 32
-    results = {}
-    for name, threads in {"sequential": 0, "threaded": 4}.items():
-        workers, nac = _make_nac(threads)
-        rng = np.random.default_rng(11)
-        values = [rng.random((s.num_local, dim)).astype(np.float32)
-                  for s in workers]
-        policy = CompressPolicy(bits=4)
-
-        def one_exchange():
-            nac.exchange(
-                layer=1, t=0, rows_of=lambda s: values[s.worker_id],
-                policy=policy, category="fp_embeddings", dim=dim,
-            )
-
-        seconds = best_seconds(
-            one_exchange, repeats=params["exchange_repeats"]
+    def one_exchange():
+        transport.exchange(
+            layer=1, t=0, rows_of=lambda s: values[s.worker_id],
+            policy=policy, category="fp_embeddings", dim=dim,
         )
-        nac.close()
-        results[f"{name}_seconds"] = seconds
-        metrics.observe("bench_exchange_seconds", seconds, variant=name)
-    return results
+
+    seconds = best_seconds(one_exchange, repeats=params["exchange_repeats"])
+    metrics.observe("bench_exchange_seconds", seconds, variant="sequential")
+    return {"sequential_seconds": seconds}
 
 
 def _epoch_seconds(graph, overrides: dict, epochs: int) -> float:
@@ -199,8 +188,6 @@ def _stage_profile(graph, epochs: int) -> dict:
     for t in range(1, rounds + 1):
         trainer.run_epoch(t)
     profile = trainer.obs.profiler.profile()
-    if trainer.nac is not None:
-        trainer.nac.close()
     # Same noise-rejection idiom as the kernels' best-of-repeats: a
     # scheduler hiccup landing between stages of a sub-millisecond
     # epoch envelope can only ever *lower* coverage, so the
@@ -222,8 +209,7 @@ def bench_epoch(params: dict, metrics: MetricsRegistry) -> dict:
     pack/unpack kernels swapped back in — the "before" of the packing
     rewrite, on identical everything else (byte-dividing widths decode
     by one gather per packed byte and have no unpack step to swap).
-    ``default`` is the shipped configuration; ``optimized`` adds the
-    thread fan-out (which only pays off with spare cores). ``stages``
+    ``default`` is the shipped configuration. ``stages``
     attributes the default configuration's epoch to the five engine
     stages (per-epoch wall seconds, profiler-measured), so a
     ``--compare`` regression can be localized to the stage that moved.
@@ -243,19 +229,12 @@ def bench_epoch(params: dict, metrics: MetricsRegistry) -> dict:
         results["reference_codec_seconds"] = _epoch_seconds(graph, {}, epochs)
 
     results["default_seconds"] = _epoch_seconds(graph, {}, epochs)
-    results["optimized_seconds"] = _epoch_seconds(
-        graph, {"exchange_threads": 4}, epochs
-    )
-    for variant in ("reference_codec", "default", "optimized"):
+    for variant in ("reference_codec", "default"):
         metrics.observe("bench_epoch_seconds",
                         results[f"{variant}_seconds"], variant=variant)
     if results["default_seconds"] > 0:
         results["speedup_vs_reference_codec"] = (
             results["reference_codec_seconds"] / results["default_seconds"]
-        )
-    if results["optimized_seconds"] > 0:
-        results["speedup_optimized"] = (
-            results["default_seconds"] / results["optimized_seconds"]
         )
     results.update(_stage_profile(graph, epochs))
     for stage, seconds in results["stages"].items():
@@ -264,14 +243,13 @@ def bench_epoch(params: dict, metrics: MetricsRegistry) -> dict:
 
 
 def bench_epoch_multiprocess(params: dict, metrics: MetricsRegistry) -> dict:
-    """Epoch wall seconds with real worker processes vs the GIL-bound
-    alternatives, on this host.
+    """Epoch wall seconds with real worker processes vs the inline
+    engine, on this host.
 
-    Three configurations of the identical training run: ``sequential``
-    (the default inline engine), ``threaded`` (the 4-thread
-    halo fan-out, which the GIL makes *slower* than sequential), and
-    ``multiprocess`` (``execution="multiprocess"``: one OS process per
-    worker over shared memory). ``host_cpus`` is recorded because the
+    Two configurations of the identical training run: ``sequential``
+    (the default inline engine) and ``multiprocess``
+    (``execution="multiprocess"``: one OS process per worker over
+    shared memory). ``host_cpus`` is recorded because the
     multiprocess numbers are only meaningful relative to it — on a
     single-CPU host the processes time-slice one core and pay IPC on
     top, so ``speedup_multiprocess`` < 1 there is the host's ceiling,
@@ -283,21 +261,15 @@ def bench_epoch_multiprocess(params: dict, metrics: MetricsRegistry) -> dict:
     epochs = params["epochs"]
     results = {"host_cpus": os.cpu_count() or 1}
     results["sequential_seconds"] = _epoch_seconds(graph, {}, epochs)
-    results["threaded_seconds"] = _epoch_seconds(
-        graph, {"exchange_threads": 4}, epochs
-    )
     results["multiprocess_seconds"] = _epoch_seconds(
         graph, {"execution": "multiprocess"}, epochs
     )
-    for variant in ("sequential", "threaded", "multiprocess"):
+    for variant in ("sequential", "multiprocess"):
         metrics.observe("bench_epoch_mp_seconds",
                         results[f"{variant}_seconds"], variant=variant)
     if results["multiprocess_seconds"] > 0:
         results["speedup_multiprocess"] = (
             results["sequential_seconds"] / results["multiprocess_seconds"]
-        )
-        results["speedup_multiprocess_vs_threads"] = (
-            results["threaded_seconds"] / results["multiprocess_seconds"]
         )
     return results
 

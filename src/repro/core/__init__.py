@@ -1,8 +1,9 @@
 """EC-Graph core: the paper's contribution.
 
 Configuration, GCN math, halo-exchange policies (including ReqEC-FP with
-the adaptive Bit-Tuner and ResEC-BP), worker state, the NAC and the
-distributed trainers.
+the adaptive Bit-Tuner and ResEC-BP), worker state and the distributed
+trainer (the NAC is :class:`repro.engine.transport.HaloTransport`; the
+architectures are :mod:`repro.engine.backends` objects).
 """
 
 from repro.core.bit_tuner import BIT_LADDER, BitTuner
@@ -24,10 +25,7 @@ from repro.core.reqec_fp import (
     TrendState,
 )
 from repro.core.resec_bp import ResECPolicy
-from repro.core.gat import GATTrainer
-from repro.core.sage import SAGETrainer
 from repro.core.results import ConvergenceRun, EpochResult
-from repro.core.sampling_trainer import SampledECGraphTrainer
 from repro.core.trainer import ECGraphTrainer
 from repro.core.worker import WorkerState, build_worker_states
 
@@ -55,9 +53,6 @@ __all__ = [
     "ConvergenceRun",
     "EpochResult",
     "ECGraphTrainer",
-    "GATTrainer",
-    "SAGETrainer",
-    "SampledECGraphTrainer",
     "load_checkpoint",
     "restore_trainer",
     "save_checkpoint",

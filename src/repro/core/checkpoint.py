@@ -32,6 +32,10 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 
+# ``ECGraphConfig`` fields that no longer exist; checkpoints written
+# while they did still load (any *other* unknown key is corruption).
+_RETIRED_CONFIG_FIELDS = ("halo_buffer_pool", "exchange_threads")
+
 
 class CheckpointError(ValueError):
     """A checkpoint file is truncated, corrupt or otherwise unusable.
@@ -45,12 +49,16 @@ class CheckpointError(ValueError):
 
 def _load_ec_config(fields: dict) -> ECGraphConfig:
     """Rebuild the config; ``asdict`` flattened the nested sub-configs."""
+    fields = {
+        name: value for name, value in fields.items()
+        if name not in _RETIRED_CONFIG_FIELDS
+    }
     obs = fields.get("obs")
     if isinstance(obs, dict):
-        fields = dict(fields, obs=ObsConfig(**obs))
+        fields["obs"] = ObsConfig(**obs)
     faults = fields.get("faults")
     if isinstance(faults, dict):
-        fields = dict(fields, faults=FaultConfig.from_dict(faults))
+        fields["faults"] = FaultConfig.from_dict(faults)
     return ECGraphConfig(**fields)
 
 

@@ -97,15 +97,6 @@ class ECGraphConfig:
         weight_decay: L2 regularization applied by the servers.
         codec_speedup: Divide measured Python codec time by this factor to
             emulate the paper's C++ compression kernels (see DESIGN.md).
-        exchange_threads: Fan independent halo-exchange channels out over
-            this many threads (0/1 = sequential). Bit-identical results
-            and traffic accounting; engages only on the fault-free,
-            telemetry-off path. Deprecated in practice: the committed
-            bench shows the GIL makes this *slower* than sequential
-            (``BENCH_core.json`` speedup_optimized 0.70x); prefer
-            ``execution="multiprocess"`` — the trainer emits a one-time
-            ``RuntimeWarning`` when threads are requested under sync
-            execution.
         execution: ``"sync"`` runs every worker inline in this process
             (the historical simulation); ``"multiprocess"`` runs worker
             kernels in real OS processes over shared-memory embedding /
@@ -137,7 +128,6 @@ class ECGraphConfig:
     optimizer: str = "adam"
     weight_decay: float = 0.0
     codec_speedup: float = 20.0
-    exchange_threads: int = 0
     execution: str = "sync"
     seed: int = 0
     obs: ObsConfig = OBS_DISABLED
@@ -175,8 +165,6 @@ class ECGraphConfig:
             raise ValueError("weight_decay must be non-negative")
         if self.codec_speedup <= 0:
             raise ValueError("codec_speedup must be positive")
-        if self.exchange_threads < 0:
-            raise ValueError("exchange_threads must be non-negative")
         if self.execution not in _EXECUTION_MODES:
             raise ValueError(f"execution must be one of {_EXECUTION_MODES}")
         if self.seed < 0:

@@ -12,25 +12,24 @@ servers, and then drives synchronous training iterations:
   weight/bias gradient shares and push them; servers apply Adam.
 
 The same class also covers the baselines that differ only in exchange
-policy (Non-cp, Cp-fp/Cp-bp, DistGNN's delayed aggregation) and the
-single-machine standalone configuration (one worker = no halo at all).
+policy (Non-cp, Cp-fp/Cp-bp, DistGNN's delayed aggregation), the
+single-machine standalone configuration (one worker = no halo at all)
+and every architecture: the paper's claim (section III-B) that GCN,
+GraphSAGE and GAT are served by the same message types is a
+:class:`~repro.engine.backends.ModelBackend` object plugged into the
+one trainer.
 
-Since the staged-engine refactor the iteration itself runs in
-:mod:`repro.engine`: ``setup()`` assembles a single
-:class:`~repro.engine.context.ExchangeContext` (policies, Bit-Tuner,
-transport, fault injector, telemetry, recovery hooks) and a
-:class:`~repro.engine.core.TrainerCore` driving the
-``HaloPlanStage -> ForwardStage -> BackwardStage -> OptimizeStage ->
-EvalStage`` pipeline over a :class:`~repro.engine.backends.ModelBackend`.
-``ECGraphTrainer`` remains the stable public facade — construction
-arguments, ``run_epoch``/``train``/``evaluate_exact``, the policy and
-counter attributes, and the private hooks the test suite exercises all
-behave exactly as before, bit-identically.
+The iteration itself runs in :mod:`repro.engine`: ``setup()`` assembles
+a single :class:`~repro.engine.context.ExchangeContext` (policies,
+Bit-Tuner, transport, fault injector, telemetry, recovery hooks) and a
+:class:`~repro.engine.core.TrainerCore` driving the ``HaloPlanStage ->
+ForwardStage -> BackwardStage -> OptimizeStage -> EvalStage`` pipeline
+over the backend; stages, backend and recovery manager are reachable as
+``trainer.engine.<stage>.run``, ``trainer.engine.backend`` and
+``trainer.engine.recovery``.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.cluster.engine import ClusterRuntime
 from repro.cluster.param_server import ParameterServerGroup
@@ -38,7 +37,6 @@ from repro.cluster.topology import ClusterSpec
 from repro.core.bit_tuner import BitTuner
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.models import GNNParameters, build_parameters
-from repro.core.nac import NeighborAccessController
 from repro.core.policies import make_exchange_policy
 from repro.core.results import ConvergenceRun, EpochResult
 from repro.core.worker import (
@@ -49,8 +47,10 @@ from repro.core.worker import (
 from repro.engine import (
     ExchangeContext,
     GCNBackend,
+    HaloTransport,
     ModelBackend,
     RecoveryManager,
+    SAGEBackend,
     TrainerCore,
 )
 from repro.faults.injector import FaultCounters, FaultInjector
@@ -65,19 +65,9 @@ from repro.partition.base import Partition
 
 __all__ = ["ECGraphTrainer"]
 
-# One-time flag for the GIL-contention warning below (module-level so a
-# whole benchmark sweep warns once, not once per trainer).
-_GIL_THREADS_WARNED = False
-
-
-def _reset_thread_warning() -> None:
-    """Re-arm the one-time exchange-threads warning (test hook)."""
-    global _GIL_THREADS_WARNED
-    _GIL_THREADS_WARNED = False
-
 
 class ECGraphTrainer:
-    """Distributed full-batch GCN/GraphSAGE training on a simulated cluster."""
+    """Distributed GNN training on a simulated cluster."""
 
     def __init__(
         self,
@@ -89,6 +79,7 @@ class ECGraphTrainer:
         partition: Partition | None = None,
         fp_policy=None,
         bp_policy=None,
+        backend: ModelBackend | None = None,
     ):
         """Args:
         graph: Attributed input graph — a resident
@@ -98,7 +89,10 @@ class ECGraphTrainer:
             and adjacency may live out-of-core; worker shards are then
             gathered through the store row/block APIs and the normalized
             adjacency stays a lazy view.
-        model_config: GNN architecture.
+        model_config: GNN architecture; ``model`` selects
+            :class:`~repro.engine.backends.GCNBackend` or
+            :class:`~repro.engine.backends.SAGEBackend` unless
+            ``backend`` is given.
         cluster_spec: Simulated cluster shape.
         config: EC-Graph pipeline settings (defaults reproduce the
             paper's full configuration).
@@ -107,7 +101,20 @@ class ECGraphTrainer:
         fp_policy / bp_policy: Explicit exchange-policy objects that
             override the config's ``fp_mode``/``bp_mode`` (used to plug
             in baseline codecs via :class:`~repro.core.policies.CodecPolicy`).
+        backend: Explicit architecture object for the models whose
+            constructors carry values — ``GATBackend(num_heads=...)``,
+            ``SampledGCNBackend(fanouts, online, sampling_speedup)``;
+            both run on ``model="gcn"``.
         """
+        sage = model_config.model == "sage"
+        if backend is None:
+            backend = SAGEBackend() if sage else GCNBackend()
+        elif sage != isinstance(backend, SAGEBackend):
+            raise ValueError(
+                f"ModelConfig(model={model_config.model!r}) contradicts "
+                f"backend {backend.name!r}: row normalisation "
+                "(model='sage') and SAGEBackend go together"
+            )
         self.graph = graph
         self.model_config = model_config
         self.spec = cluster_spec
@@ -121,7 +128,7 @@ class ECGraphTrainer:
         self.workers: list[WorkerState] = []
         self.params: GNNParameters | None = None
         self.tuner: BitTuner | None = None
-        self.nac: NeighborAccessController | None = None
+        self.transport: HaloTransport | None = None
         self.partition: Partition | None = None
         self.engine: TrainerCore | None = None
         self._fp_policy = fp_policy
@@ -134,9 +141,7 @@ class ECGraphTrainer:
         self._lr_schedule = None
         self._injector: FaultInjector | None = None
         self._normalized = None
-        self._ctx: ExchangeContext | None = None
-        self._backend: ModelBackend | None = None
-        self._recovery: RecoveryManager | None = None
+        self._backend = backend
 
     # ------------------------------------------------------------------
     # Setup
@@ -196,44 +201,23 @@ class ECGraphTrainer:
             self._fp_policy = make_exchange_policy("fp", self.config, self.tuner)
         if not self._bp_policy_override:
             self._bp_policy = make_exchange_policy("bp", self.config)
-        multiprocess = self.config.execution == "multiprocess"
-        if multiprocess and self.config.faults.elastic:
+        if (
+            self.config.execution == "multiprocess"
+            and self.config.faults.elastic
+        ):
             raise ValueError(
                 "execution='multiprocess' does not support elastic "
                 "membership yet: partition adoption rebinds worker state "
                 "that forked processes have already snapshotted. Use "
                 "execution='sync' for elastic runs."
             )
-        exchange_threads = self.config.exchange_threads
-        if multiprocess:
-            # Thread fan-out is pointless under real processes (and
-            # threads must not leak across fork): force the serial path.
-            exchange_threads = 0
-        elif exchange_threads > 0:
-            global _GIL_THREADS_WARNED
-            if not _GIL_THREADS_WARNED:
-                _GIL_THREADS_WARNED = True
-                import warnings
-
-                warnings.warn(
-                    "exchange_threads > 0 runs the halo fan-out in "
-                    "Python threads, which contend on the GIL: the "
-                    "committed benchmark (BENCH_core.json, "
-                    "epoch.speedup_optimized) measured this 'optimized' "
-                    "config at 0.70x the sequential path. Use "
-                    "execution='multiprocess' for real parallelism; see "
-                    "docs/execution.md.",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        self.nac = NeighborAccessController(
-            self.runtime, self.workers, self.config.codec_speedup,
-            threads=exchange_threads,
+        self.transport = HaloTransport(
+            self.runtime, self.workers, self.config.codec_speedup
         )
         if self.config.faults.enabled:
             self._injector = FaultInjector(self.config.faults)
             self.runtime.fault_injector = self._injector
-            self.nac.injector = self._injector
+            self.transport.injector = self._injector
         self._wire_telemetry()
 
         self._global_train_count = int(self.graph.train_mask.sum())
@@ -247,6 +231,7 @@ class ECGraphTrainer:
 
         self._preprocessing_seconds = (
             monotonic_now() - start + self.partition.seconds
+            - self._backend.bind_discount_seconds
         )
         # Feature-cache traffic happens once, in preprocessing: convert
         # the charged bytes into time and fold them in.
@@ -263,19 +248,15 @@ class ECGraphTrainer:
             self.obs.metrics.reset_epoch()
         self._setup_done = True
 
-    def _make_backend(self) -> ModelBackend:
-        """Architecture hook: subclasses supply their own backend."""
-        return GCNBackend()
-
     def _build_engine(self) -> None:
         """Assemble the ExchangeContext and the staged TrainerCore."""
-        self._backend = self._make_backend()
+        backend = self._backend
         executor = None
         if self.config.execution == "multiprocess":
             from repro.mp import ProcessExecutor
 
             executor = ProcessExecutor()
-        self._ctx = ExchangeContext(
+        ctx = ExchangeContext(
             config=self.config,
             model_config=self.model_config,
             graph=self.graph,
@@ -287,13 +268,13 @@ class ECGraphTrainer:
             tuner=self.tuner,
             fp_policy=self._fp_policy,
             bp_policy=self._bp_policy,
-            transport=self.nac,
+            transport=self.transport,
             telemetry=self.obs,
             injector=self._injector,
             global_train_count=self._global_train_count,
             executor=executor,
         )
-        self._recovery = RecoveryManager(self._ctx, self)
+        recovery = RecoveryManager(ctx, self)
         if self.config.faults.elastic and self._injector is not None:
             from repro.membership import (
                 ConvergenceWatchdog,
@@ -305,15 +286,12 @@ class ECGraphTrainer:
                 self.spec.num_workers, self.config.faults
             )
             reassigner = PartitionReassigner(
-                self._ctx, self._backend, self._normalized,
-                self.partition, membership,
+                ctx, backend, self._normalized, self.partition, membership,
             )
             watchdog = ConvergenceWatchdog(self.config.faults)
-            self._recovery.attach_elasticity(membership, reassigner, watchdog)
-            self._ctx.membership = membership
-        self.engine = TrainerCore(
-            self._ctx, self._backend, recovery=self._recovery
-        )
+            recovery.attach_elasticity(membership, reassigner, watchdog)
+            ctx.membership = membership
+        self.engine = TrainerCore(ctx, backend, recovery=recovery)
 
     def _wire_telemetry(self) -> None:
         """Attach the health monitor and topology gauges (enabled only)."""
@@ -340,32 +318,6 @@ class ECGraphTrainer:
             )
 
     # ------------------------------------------------------------------
-    # Compatibility hooks: the historical private surface, delegated to
-    # the staged engine (the test suite and subclasses exercise these).
-    # ------------------------------------------------------------------
-    def _adjacency(self, state: WorkerState, layer: int):
-        """Adjacency rows used by ``state`` at ``layer`` (1-based)."""
-        return self._backend.adjacency(state, layer)
-
-    def _exchange_subset(
-        self, layer: int, direction: str
-    ) -> dict[tuple[int, int], np.ndarray] | None:
-        """Per-channel row subsets for a sampled exchange (None = all)."""
-        return self._backend.exchange_subset(layer, direction)
-
-    def _on_epoch_start(self, t: int) -> None:
-        """Called before each iteration (sampling hooks)."""
-        self.engine.halo_plan.run(t)
-
-    def _forward(self, t: int) -> tuple[float, dict[str, tuple[int, int]]]:
-        """Run the forward pass; returns (loss, per-mask correct/count)."""
-        return self.engine.forward.run(t)
-
-    def _backward(self, t: int) -> None:
-        grads = self.engine.backward.run(t)
-        self.engine.optimize.run(grads)
-
-    # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def run_epoch(self, t: int) -> EpochResult:
@@ -374,14 +326,12 @@ class ECGraphTrainer:
         return self.engine.run_epoch(t, lr_schedule=self._lr_schedule)
 
     def close(self) -> None:
-        """Release execution resources: worker processes and shared
-        memory under ``execution="multiprocess"``, the halo fan-out
-        thread pool under ``execution="sync"``. Idempotent; the trainer
-        remains usable for supervisor-side reads (counters, params)."""
+        """Release execution resources (worker processes and shared
+        memory under ``execution="multiprocess"``). Idempotent; the
+        trainer remains usable for supervisor-side reads (counters,
+        params)."""
         if self.engine is not None:
             self.engine.shutdown()
-        elif self.nac is not None:
-            self.nac.close()
 
     def __enter__(self) -> "ECGraphTrainer":
         return self
@@ -400,26 +350,9 @@ class ECGraphTrainer:
     @property
     def membership_events(self) -> list[dict]:
         """Elastic-membership timeline (empty when elasticity is off)."""
-        if self._recovery is None or self._recovery.membership is None:
+        if self.engine is None or self.engine.recovery.membership is None:
             return []
-        return [e.as_dict() for e in self._recovery.membership.events]
-
-    @property
-    def _param_snapshot(self) -> tuple[int, dict[str, np.ndarray]] | None:
-        """In-memory parameter snapshot (held by the recovery manager)."""
-        return self._recovery.param_snapshot if self._recovery else None
-
-    def _maybe_checkpoint(self, t: int) -> None:
-        """Auto-checkpoint the server parameters after epoch ``t``."""
-        self._recovery.maybe_checkpoint(t)
-
-    def _recover_workers(self, crashed: list[int]) -> None:
-        """Rebuild crashed workers and resynchronize the exchange state."""
-        self._recovery.recover_workers(crashed)
-
-    def _restore_latest_checkpoint(self) -> bool:
-        """Load the newest readable parameter checkpoint into the servers."""
-        return self._recovery.restore_latest_checkpoint()
+        return [e.as_dict() for e in self.engine.recovery.membership.events]
 
     def train(
         self,

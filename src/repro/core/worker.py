@@ -99,7 +99,7 @@ class WorkerState:
         request/serve plans) rebuilds from local storage, but the forward
         caches, gradient rows and the first-hop halo-feature cache lived
         in memory only — recovery must refetch the halo features from
-        the owning workers (see ``ECGraphTrainer._recover_workers``).
+        the owning workers (see ``RecoveryManager.recover_workers``).
         """
         self.reset_iteration(num_layers)
         self.halo_features = None

@@ -43,6 +43,7 @@ from repro.core.gcn_math import (
     layer_forward,
     weight_gradient,
 )
+from repro.core.messages import ChannelKey
 from repro.core.models import bias_name, weight_name
 from repro.core.worker import WorkerState
 from repro.engine.context import ExchangeContext
@@ -67,6 +68,10 @@ class ModelBackend(Protocol):
     """What the staged engine needs from a model architecture."""
 
     name: str
+    # Wall seconds of bind-time work that native kernels would not have
+    # spent (offline sampling at ``sampling_speedup``); the trainer takes
+    # them out of the ``preprocessing_seconds`` it measured around bind.
+    bind_discount_seconds: float
 
     def bind(self, ctx: ExchangeContext) -> None:
         """Attach the context; register extra parameters, build caches."""
@@ -173,6 +178,7 @@ class _BackendBase:
     # (sampled adjacencies); the process executor ships a refresh to
     # worker replicas when the shipped version falls behind.
     kernel_version: int = 0
+    bind_discount_seconds: float = 0.0
 
     def bind(self, ctx: ExchangeContext) -> None:
         self.ctx = ctx
@@ -403,11 +409,22 @@ class GCNBackend(_BackendBase):
 # Sampled GCN (EC-Graph-S / DistDGL baseline)
 # ----------------------------------------------------------------------
 class SampledGCNBackend(GCNBackend):
-    """GCN over per-layer fanout-sampled adjacencies.
+    """GCN over per-layer fanout-sampled adjacencies (EC-Graph-S).
 
-    Offline mode samples once (the trainer folds the cost into
-    preprocessing); online mode resamples at every ``on_epoch_start``,
-    charging per-worker sampling compute and coordination messages.
+    Kept edges are rescaled by ``degree / fanout`` so the sampled
+    aggregation is an unbiased estimator of the full sum. Offline mode
+    (EC-Graph-S, AGL) samples once at bind time — the cost lands in the
+    Fig. 9 preprocessing bar; online mode (DistDGL) resamples at every
+    ``on_epoch_start``, charging per-worker sampling compute and
+    coordination messages.
+
+    Args:
+        fanouts: Per-layer neighbour caps, ``fanouts[l-1]`` for layer
+            ``l``; length must equal the model's layer count.
+        online: Resample every iteration instead of once.
+        sampling_speedup: Divide measured Python sampling time by this to
+            emulate native sampling kernels (same rationale as the codec
+            speedup, see DESIGN.md).
     """
 
     name = "sampled-gcn"
@@ -415,17 +432,76 @@ class SampledGCNBackend(GCNBackend):
     def __init__(
         self,
         fanouts: list[int],
-        online: bool,
-        sampling_speedup: float,
-        rng: np.random.Generator,
+        online: bool = False,
+        sampling_speedup: float = 20.0,
     ) -> None:
+        if any(f < 1 for f in fanouts):
+            raise ValueError("fanouts must be >= 1")
+        if sampling_speedup <= 0:
+            raise ValueError("sampling_speedup must be positive")
         self.fanouts = list(fanouts)
         self.online = online
         self.sampling_speedup = sampling_speedup
-        self.rng = rng
         self.sampled_adj: list[dict[int, csr_matrix]] = []
         self.subsets: dict[int, dict[tuple[int, int], np.ndarray]] = {}
         self.sampled_once = False
+
+    def bind(self, ctx: ExchangeContext) -> None:
+        config = ctx.config
+        if config.fp_mode == "reqec":
+            raise ValueError(
+                "ReqEC-FP is a full-batch mechanism (it keeps dense "
+                "per-channel trend state); use fp_mode='compress' or "
+                "'raw' in sampling mode"
+            )
+        if "delayed" in (config.fp_mode, config.bp_mode):
+            raise ValueError(
+                "delayed aggregation keeps dense per-channel caches and "
+                "cannot track per-iteration sampled subsets; use raw or "
+                "compress/resec in sampling mode"
+            )
+        if len(self.fanouts) != ctx.params.num_layers:
+            raise ValueError(
+                f"{len(self.fanouts)} fanouts for "
+                f"{ctx.params.num_layers} layers"
+            )
+        super().bind(ctx)
+        self.rng = np.random.default_rng(config.seed + 1)
+        self.prime_residuals()
+        if not self.online:
+            start = monotonic_now()
+            with ctx.telemetry.span("sampling", mode="offline"):
+                self.resample()
+            elapsed = monotonic_now() - start
+            self.bind_discount_seconds = (
+                elapsed - elapsed / self.sampling_speedup
+            )
+            self.sampled_once = True
+
+    def prime_residuals(self) -> None:
+        """Create the residual of every backward channel that lacks one.
+
+        Residual state spans each channel's full vertex list so sampled
+        subsets stay aligned across iterations (see
+        :meth:`~repro.core.resec_bp.ResECPolicy.prime_residual`); it must
+        exist before the first subset respond. Channels that already
+        carry a residual (seeded by elastic adoption) keep it.
+        """
+        ctx = self.ctx
+        prime = getattr(ctx.bp_policy, "prime_residual", None)
+        has = getattr(ctx.bp_policy, "has_residual", None)
+        if prime is None or has is None:
+            return
+        for layer in range(2, ctx.params.num_layers + 1):
+            for state in ctx.workers:
+                for owner, wanted in sorted(state.requests.items()):
+                    key = ChannelKey(
+                        layer=layer,
+                        responder=owner,
+                        requester=state.worker_id,
+                    )
+                    if not has(key):
+                        prime(key, wanted.shape[0], ctx.params.dims[layer])
 
     def on_membership_change(self) -> None:
         # The sampled adjacencies index the old compact halo spaces;
@@ -434,6 +510,7 @@ class SampledGCNBackend(GCNBackend):
         self.sampled_adj = []
         self.subsets = {}
         self.kernel_version += 1
+        self.prime_residuals()
 
     def kernel_refresh(self, worker_id: int) -> dict[int, csr_matrix]:
         # Worker replicas only aggregate: they need their own sampled

@@ -45,7 +45,7 @@ _DIRECTION_CATEGORIES = {"fp": "fp_embeddings", "bp": "bp_gradients"}
 class ExchangeContext:
     """Everything one training iteration needs, bundled once.
 
-    Built by the trainer facade at the end of ``setup()`` and handed to
+    Built by the trainer at the end of ``setup()`` and handed to
     the :class:`~repro.engine.core.TrainerCore`; stages and backends
     treat it as read-only shared state. The ``recovery`` hook is
     attached after construction (it needs the context itself).

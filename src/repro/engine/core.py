@@ -7,10 +7,10 @@ runs them in the paper's synchronous-iteration order::
     HaloPlanStage -> ForwardStage -> BackwardStage -> OptimizeStage
         -> EvalStage
 
-The trainer classes in :mod:`repro.core` are thin facades over a core:
-they build the context during ``setup()`` and delegate
-``run_epoch``/``evaluate_exact`` (and the private hooks the test suite
-exercises) here.
+:class:`~repro.core.trainer.ECGraphTrainer` builds the context during
+``setup()`` and delegates ``run_epoch``/``evaluate_exact`` here; the
+stages, the backend and the recovery manager are reachable as
+``trainer.engine.<stage>``, ``.backend`` and ``.recovery``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class TrainerCore:
         Any exception — a fault-tolerance abort, a diverged watchdog, a
         dead worker process — tears the execution resources down
         (:meth:`shutdown`) before propagating, so a failing epoch never
-        strands transport threads, worker processes or shared memory.
+        strands worker processes or shared memory.
         """
         try:
             return self._run_epoch(t, lr_schedule)
@@ -119,16 +119,11 @@ class TrainerCore:
         return result
 
     def shutdown(self) -> None:
-        """Release execution resources: the transport's fan-out thread
-        pool and the executor's worker processes / shared memory.
+        """Release the executor's worker processes and shared memory.
 
-        Idempotent, and safe to call mid-training on the sync path —
-        the thread pool re-creates lazily if another epoch runs.
+        Idempotent; a no-op on the sync path, which holds no resources.
         """
-        executor = getattr(self.ctx, "executor", None)
-        if executor is not None:
-            executor.close()
-        self.ctx.transport.close()
+        self.ctx.executor.close()
 
     def evaluate_exact(self) -> dict[str, float]:
         """Exact-communication accuracy (Table V measurement)."""

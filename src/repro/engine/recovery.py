@@ -54,7 +54,7 @@ class RecoveryManager:
     Args:
         ctx: The shared exchange context (injector, runtime, workers,
             servers, policies, telemetry).
-        trainer: The owning trainer facade — checkpoint serialization
+        trainer: The owning trainer — checkpoint serialization
             (:func:`~repro.core.checkpoint.save_checkpoint`) captures
             the trainer's model/config metadata.
     """
@@ -79,7 +79,7 @@ class RecoveryManager:
     ) -> None:
         """Wire the elastic-membership collaborators (``faults.elastic``).
 
-        Called by the trainer facade after the engine is built; the
+        Called by the trainer while it builds the engine; the
         three objects always travel together — the view decides *who*
         is alive, the reassigner decides *where* orphaned partitions
         go, and the watchdog decides whether training survived it.
@@ -388,7 +388,11 @@ class RecoveryManager:
             if self.reassigner is not None:
                 # Sampled-mode backward channels must be primed before
                 # the next respond() call.
-                self.reassigner.prime_sampled_channels()
+                prime = getattr(
+                    self.reassigner.backend, "prime_residuals", None
+                )
+                if prime is not None:
+                    prime()
         self.watchdog.arm(t, "watchdog_trip")
         if self.watchdog.exhausted:
             from repro.membership.watchdog import DivergenceError

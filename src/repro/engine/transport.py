@@ -1,10 +1,9 @@
 """The unified halo transport: one code path for every exchange.
 
-Historically the Neighbor Access Controller carried three hand-written
-exchange loops — sequential forward, thread-pooled forward, and
-sequential reverse — each re-implementing encode/deliver/decode, fault
-retry, degradation and metering with small copy-paste drift. This module
-folds them into one transport layer:
+This is the paper's 1-hop Neighbor Access Controller (Fig. 2a): local
+neighbours come out of shared memory for free, remote neighbours go
+through an exchange policy, the traffic meter and the compute clocks.
+Forward and reverse exchanges share one transport layer:
 
 * :class:`ChannelSession` materializes one planned (responder,
   requester) channel — the rows it serves, where the decoded rows land
@@ -12,16 +11,14 @@ folds them into one transport layer:
   owner's local rows) — so the runner loops are direction-agnostic;
 * :class:`HaloTransport` plans the sessions in the canonical order
   (requesters ascending, then halo-slot insertion order; reverse:
-  consumers ascending, then their owners), then drives them through a
-  single sequential runner or a thread-pooled runner that merges its
-  charges in the same canonical order.
+  consumers ascending, then their owners) and drives them through the
+  one runner.
 
 Fault retry (:meth:`HaloTransport._deliver`), policy failure
 notification, stale-halo degradation and codec-time charging therefore
-exist exactly once, shared by both directions. Accounting and halo
-contents are bit-identical to the historical loops: channel order,
-float scatter/accumulation order and the fault RNG's (epoch, layer,
-responder, requester, attempt) fate keys are all preserved.
+exist exactly once, shared by both directions. Channel order, float
+scatter/accumulation order and the fault RNG's (epoch, layer, responder,
+requester, attempt) fate keys are pinned by the golden runs.
 
 The transport owns no buffers: the engine passes the halo tails of its
 layer workspaces as ``out=`` (:mod:`repro.engine.workspace`); without it
@@ -29,17 +26,10 @@ a call gets fresh zeroed arrays. A tail still holds last iteration's
 rows, so it is zero-filled exactly when this exchange can leave a slot
 unwritten — a sampled subset, or an attached fault injector (which
 elastic membership requires) — and degradation sees zeros as before.
-
-Optional (off by default, see ``docs/performance.md``): **thread-pool
-fan-out** — the independent channels encode and decode concurrently;
-results are merged and charged in the canonical channel order from
-per-channel measured times. It engages only on the fault-free,
-telemetry-off path; otherwise the sequential runner is used.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -115,10 +105,6 @@ class HaloTransport:
     or zeros (partial aggregation), in that order; reverse channels
     contribute zero and let error-feedback policies fold the loss into
     their residuals.
-
-    Args:
-        threads: Fan the independent channels of one exchange out over
-            this many threads; ``0``/``1`` keeps the sequential loop.
     """
 
     def __init__(
@@ -126,16 +112,12 @@ class HaloTransport:
         runtime: ClusterRuntime,
         workers: list[WorkerState],
         codec_speedup: float = 20.0,
-        threads: int = 0,
     ) -> None:
         if codec_speedup <= 0:
             raise ValueError("codec_speedup must be positive")
-        if threads < 0:
-            raise ValueError("threads must be non-negative")
         self.runtime = runtime
         self.workers = workers
         self.codec_speedup = codec_speedup
-        self.threads = threads
         self.telemetry = runtime.telemetry
         # FaultInjector, attached by the trainer when faults are
         # enabled; None keeps the exchange loop on the fault-free path.
@@ -144,33 +126,6 @@ class HaloTransport:
         # Last successfully received rows per channel, the stale-halo
         # fallback of last resort. Populated only under fault injection.
         self._halo_cache: dict[ChannelKey, np.ndarray] = {}
-        self._executor: ThreadPoolExecutor | None = None
-
-    # ------------------------------------------------------------------
-    # Thread pool
-    # ------------------------------------------------------------------
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.threads, thread_name_prefix="nac"
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut the fan-out thread pool down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def _fan_out_ok(self) -> bool:
-        """Threaded fan-out needs the fault-free, uninstrumented path:
-        fault fates consume a shared RNG stream in channel order and
-        span tracing timestamps interleave across threads."""
-        return (
-            self.threads > 1
-            and self.injector is None
-            and not self.telemetry.enabled
-        )
 
     # ------------------------------------------------------------------
     # Public API
@@ -289,11 +244,9 @@ class HaloTransport:
         """Yield this round's sessions in the canonical order.
 
         The order — requesters ascending, then each requester's owners in
-        halo-slot insertion order — is what the sequential loop always
-        used; the threaded runner merges its charges in exactly this
-        order so accounting is execution-schedule independent. Served
-        rows are gathered as each session is reached, so the sequential
-        runner holds one channel's copy at a time, not the exchange's.
+        halo-slot insertion order — is pinned by the golden runs. Served
+        rows are gathered as each session is reached, so the runner
+        holds one channel's copy at a time, not the exchange's.
         """
         for requester in self.workers:
             i = requester.worker_id
@@ -348,23 +301,9 @@ class HaloTransport:
                 )
 
     # ------------------------------------------------------------------
-    # Runners
+    # Runner
     # ------------------------------------------------------------------
     def _run(
-        self,
-        sessions: Iterator[ChannelSession],
-        outputs: list[np.ndarray],
-        t: int,
-        policy: ExchangePolicy,
-        category: str,
-        dim: int,
-    ) -> None:
-        if self._fan_out_ok():
-            self._run_threaded(list(sessions), outputs, t, policy, category)
-        else:
-            self._run_sequential(sessions, outputs, t, policy, category, dim)
-
-    def _run_sequential(
         self,
         sessions: Iterator[ChannelSession],
         outputs: list[np.ndarray],
@@ -417,56 +356,6 @@ class HaloTransport:
                 and self.injector is not None
             ):
                 self._halo_cache[ch.key] = np.array(result.rows, copy=True)
-            self._record_proportion(ch, message, result)
-
-    def _run_threaded(
-        self,
-        sessions: list[ChannelSession],
-        outputs: list[np.ndarray],
-        t: int,
-        policy: ExchangePolicy,
-        category: str,
-    ) -> None:
-        """Encode/decode all channels concurrently, charge in order.
-
-        Channel computations are independent and deterministic given
-        (key, rows, t) and the policy's per-channel state, so the
-        scattered contents are bit-identical to the sequential runner no
-        matter how the scheduler interleaves them — scatters (including
-        reverse accumulation, whose float addition order matters) happen
-        after the barrier in the canonical session order. Only the
-        *charging* order could differ — so all meter/compute charges
-        happen after each barrier, in the canonical order, from
-        per-channel measured times.
-        """
-        pool = self._pool()
-
-        def _respond(ch: ChannelSession) -> tuple[ChannelMessage, float]:
-            start = monotonic_now()
-            message = policy.respond(ch.key, ch.served, t, rows_idx=ch.rows_idx)
-            return message, monotonic_now() - start
-
-        responded = list(pool.map(_respond, sessions))
-        for ch, (message, wall) in zip(sessions, responded):
-            self._charge_compute(ch.responder, wall, message.codec_seconds)
-            self.runtime.send_worker_to_worker(
-                ch.responder, ch.consumer, message.nbytes, category
-            )
-
-        def _receive(
-            item: tuple[ChannelSession, tuple[ChannelMessage, float]]
-        ) -> tuple[ReceiveResult, float]:
-            ch, (message, _) = item
-            start = monotonic_now()
-            result = policy.receive(ch.key, message, t, rows_idx=ch.rows_idx)
-            return result, monotonic_now() - start
-
-        received = list(pool.map(_receive, zip(sessions, responded)))
-        for ch, (message, _), (result, wall) in zip(
-            sessions, responded, received
-        ):
-            self._charge_compute(ch.consumer, wall, result.codec_seconds)
-            ch.scatter(outputs, result.rows)
             self._record_proportion(ch, message, result)
 
     def _record_proportion(

@@ -45,7 +45,9 @@ class PartitionReassigner:
         ctx: The shared exchange context (workers list is swapped in
             place so every holder of the reference sees the new states).
         backend: The model backend; its ``on_membership_change`` hook
-            rebuilds architecture-specific derived structures.
+            rebuilds architecture-specific derived structures (and, in
+            sampling mode, primes the new channels' residuals — carried
+            residuals keep their seeded values).
         normalized: The globally normalized adjacency the worker states
             were originally built from.
         partition: The original partition; rejoins reclaim against it.
@@ -190,10 +192,7 @@ class PartitionReassigner:
         # Worker shapes and feature shards changed: every persistent
         # kernel buffer (and the first-layer aggregate) is rebuilt.
         ctx.workspaces.clear()
-        self.prime_sampled_channels()
-        hook = getattr(self.backend, "on_membership_change", None)
-        if hook is not None:
-            hook()
+        self.backend.on_membership_change()
         self.backend.allocate_workspaces()
         self.membership.record(
             epoch, "exchange_rebuilt",
@@ -304,31 +303,3 @@ class PartitionReassigner:
             return None
         successor = int(owners[0])
         return successor if self.membership.is_alive(successor) else None
-
-    # ------------------------------------------------------------------
-    def prime_sampled_channels(self) -> None:
-        """Re-prime full-channel residual state after a rebuild.
-
-        Sampled training requires every backward channel's residual to
-        exist before the first subset respond (see
-        :meth:`~repro.core.resec_bp.ResECPolicy.prime_residual`); new
-        channels created by adoption start at zero, while carried
-        residuals keep their seeded values.
-        """
-        ctx = self.ctx
-        prime = getattr(ctx.bp_policy, "prime_residual", None)
-        has = getattr(ctx.bp_policy, "has_residual", None)
-        if prime is None or has is None:
-            return
-        if getattr(self.backend, "subsets", None) is None:
-            return  # full-batch backends never respond with a subset
-        for layer in range(2, ctx.params.num_layers + 1):
-            for state in ctx.workers:
-                for owner, wanted in sorted(state.requests.items()):
-                    key = ChannelKey(
-                        layer=layer,
-                        responder=owner,
-                        requester=state.worker_id,
-                    )
-                    if not has(key):
-                        prime(key, wanted.shape[0], ctx.params.dims[layer])

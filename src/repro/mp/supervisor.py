@@ -111,9 +111,9 @@ class ProcessExecutor:
             return
         if self._closed:
             raise RuntimeError("ProcessExecutor is closed")
-        # Spawn lazily at the first epoch round: trainer subclasses may
-        # mutate backend state (e.g. offline resampling) after the
-        # engine is built, and the fork must snapshot the final state.
+        # Spawn lazily at the first epoch round: the shared workspace
+        # blocks are allocated after bind, and the fork must snapshot
+        # the fully-built engine.
         self._spawned = True
         for state in self.ctx.workers:
             self._spawn(state.worker_id)

@@ -6,8 +6,9 @@ from repro import ECGraphConfig, train_ecgraph
 from repro.baselines import run_system
 from repro.cluster import ClusterSpec, NetworkModel
 from repro.core.config import ECGraphConfig as CoreConfig
-from repro.core.sampling_trainer import SampledECGraphTrainer
 from repro.core.config import ModelConfig
+from repro.core.trainer import ECGraphTrainer
+from repro.engine import SampledGCNBackend
 
 
 class TestTrainECGraph:
@@ -65,8 +66,9 @@ class TestRunSystemPlumbing:
 class TestSamplingGuards:
     def test_delayed_rejected_in_sampling_mode(self, small_graph):
         with pytest.raises(ValueError, match="delayed"):
-            SampledECGraphTrainer(
+            ECGraphTrainer(
                 small_graph, ModelConfig(num_layers=2),
-                ClusterSpec(num_workers=2), fanouts=[3, 3],
-                config=CoreConfig(fp_mode="delayed", bp_mode="raw"),
-            )
+                ClusterSpec(num_workers=2),
+                CoreConfig(fp_mode="delayed", bp_mode="raw"),
+                backend=SampledGCNBackend([3, 3]),
+            ).setup()

@@ -1,5 +1,7 @@
 """Unit tests for checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,64 @@ class TestErrors:
 
     def test_checkpoint_error_is_a_value_error(self):
         assert issubclass(CheckpointError, ValueError)
+
+
+def _rewrite_ec_config(path, **extra_fields):
+    """Re-save ``path`` with extra keys in its ``ec_config_json``."""
+    with np.load(path) as archive:
+        payload = {k: archive[k] for k in archive.files}
+    fields = json.loads(str(payload["ec_config_json"]))
+    fields.update(extra_fields)
+    payload["ec_config_json"] = np.str_(json.dumps(fields))
+    np.savez_compressed(path, **payload)
+
+
+class TestRetiredConfigFields:
+    """Checkpoints outlive config fields: a retired field is dropped on
+    load, any other unknown field is still corruption."""
+
+    def test_retired_fields_still_load(self, small_graph, tmp_path):
+        trainer = _trainer(small_graph)
+        trainer.run_epoch(0)
+        path = tmp_path / "old.npz"
+        save_checkpoint(trainer, path, epoch=1)
+        _rewrite_ec_config(path, halo_buffer_pool=True, exchange_threads=4)
+        state = load_checkpoint(path)
+        assert state["ec_config"] == trainer.config
+        assert state["epoch"] == 1
+
+    def test_old_checkpoint_is_not_counted_corrupt(
+        self, small_graph, tmp_path
+    ):
+        from repro.faults.config import FaultConfig
+
+        trainer = ECGraphTrainer(
+            small_graph, ModelConfig(num_layers=2, hidden_dim=8),
+            ClusterSpec(num_workers=2),
+            ECGraphConfig(seed=3, faults=FaultConfig(
+                enabled=True, checkpoint_every=1,
+                checkpoint_dir=str(tmp_path),
+            )),
+        )
+        trainer.run_epoch(0)
+        trainer.run_epoch(1)
+        _rewrite_ec_config(tmp_path / "latest.npz", halo_buffer_pool=False)
+        latest = load_checkpoint(tmp_path / "latest.npz")
+        assert trainer.engine.recovery.restore_latest_checkpoint()
+        assert trainer.fault_counters.corrupt_checkpoints == 0
+        for name, value in latest["params"].items():
+            np.testing.assert_array_equal(trainer.servers.get(name), value)
+
+    def test_other_unknown_field_is_still_corrupt(
+        self, small_graph, tmp_path
+    ):
+        trainer = _trainer(small_graph)
+        trainer.run_epoch(0)
+        path = tmp_path / "bad.npz"
+        save_checkpoint(trainer, path, epoch=1)
+        _rewrite_ec_config(path, not_a_field=1)
+        with pytest.raises(CheckpointError, match="not_a_field"):
+            load_checkpoint(path)
 
 
 class TestAtomicSave:

@@ -1,4 +1,4 @@
-"""Tests for the distributed GAT trainer.
+"""Tests for distributed GAT (``backend=GATBackend(...)``).
 
 Gradient correctness is established two ways: (1) the distributed
 backward pass against finite differences of a dense single-worker
@@ -11,14 +11,21 @@ import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.gat import GATTrainer, attn_dst_name, attn_src_name
+from repro.core.trainer import ECGraphTrainer
+from repro.engine import GATBackend
+from repro.engine.backends import (
+    attn_dst_name,
+    attn_src_name,
+    head_weight_name,
+)
 
 
 def _trainer(graph, workers, config=None, layers=2, hidden=6):
-    return GATTrainer(
+    return ECGraphTrainer(
         graph, ModelConfig(num_layers=layers, hidden_dim=hidden),
         ClusterSpec(num_workers=workers),
         config or ECGraphConfig(fp_mode="raw", bp_mode="raw", seed=5),
+        backend=GATBackend(),
     )
 
 
@@ -33,7 +40,7 @@ class TestGradientsAgainstFiniteDifferences:
         for layer in range(1, num_layers + 1):
             params = {
                 name: trainer.servers.get(name)
-                for name in trainer._layer_params(layer)
+                for name in trainer.engine.backend.layer_param_names(layer)
             }
             halos = [
                 graph.features[s.sub.remote_vertices]
@@ -48,7 +55,7 @@ class TestGradientsAgainstFiniteDifferences:
                     [outputs[state.worker_id], halos[state.worker_id]],
                     axis=0,
                 )
-                cache = trainer._gat_layer_forward(
+                cache = trainer.engine.backend.gat_layer_forward(
                     state.worker_id, h_cat, params, layer,
                     is_last=(layer == num_layers),
                 )
@@ -92,13 +99,13 @@ class TestGradientsAgainstFiniteDifferences:
             original_push(worker, grads)
 
         trainer.servers.push = spy_push
-        trainer._on_epoch_start(0)
-        trainer._forward(0)
+        trainer.engine.halo_plan.run(0)
+        trainer.engine.forward.run(0)
         # Run backward but skip the optimizer update so parameters stay
         # at their initial values for the finite-difference probe.
         original_apply = trainer.servers.apply_updates
         trainer.servers.apply_updates = lambda: None
-        trainer._backward(0)
+        trainer.engine.optimize.run(trainer.engine.backward.run(0))
         trainer.servers.apply_updates = original_apply
 
         name = param_kind
@@ -193,11 +200,11 @@ class TestGATTraining:
 
 class TestMultiHead:
     def _mh_trainer(self, graph, workers, heads, config=None):
-        return GATTrainer(
+        return ECGraphTrainer(
             graph, ModelConfig(num_layers=2, hidden_dim=6),
             ClusterSpec(num_workers=workers),
             config or ECGraphConfig(fp_mode="raw", bp_mode="raw", seed=5),
-            num_heads=heads,
+            backend=GATBackend(num_heads=heads),
         )
 
     def test_invalid_heads_rejected(self, small_graph):
@@ -205,8 +212,6 @@ class TestMultiHead:
             self._mh_trainer(small_graph, 2, heads=0)
 
     def test_per_head_params_registered(self, small_graph):
-        from repro.core.gat import head_weight_name
-
         trainer = self._mh_trainer(small_graph, 2, heads=3)
         trainer.setup()
         names = trainer.servers.parameter_names()
@@ -226,8 +231,6 @@ class TestMultiHead:
             assert a.loss == pytest.approx(b.loss, rel=1e-3, abs=1e-5)
 
     def test_multihead_gradients_match_finite_differences(self, small_graph):
-        from repro.core.gat import head_weight_name
-
         trainer = self._mh_trainer(small_graph, 1, heads=2)
         trainer.setup()
         captured = {}
@@ -241,9 +244,9 @@ class TestMultiHead:
             original_push(worker, grads)
 
         trainer.servers.push = spy_push
-        trainer._forward(0)
+        trainer.engine.forward.run(0)
         trainer.servers.apply_updates = lambda: None
-        trainer._backward(0)
+        trainer.engine.optimize.run(trainer.engine.backward.run(0))
 
         fd = TestGradientsAgainstFiniteDifferences()
         rng = np.random.default_rng(0)

@@ -1,4 +1,4 @@
-"""Tests for the distributed GraphSAGE trainer."""
+"""Tests for distributed GraphSAGE (``ModelConfig(model="sage")``)."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,13 @@ import pytest
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.models import bias_name, weight_name
-from repro.core.sage import SAGETrainer, self_weight_name
+from repro.core.trainer import ECGraphTrainer
+from repro.engine import GATBackend, GCNBackend, SAGEBackend
+from repro.engine.backends import self_weight_name
 
 
 def _trainer(graph, workers, config=None, layers=2, hidden=6):
-    return SAGETrainer(
+    return ECGraphTrainer(
         graph,
         ModelConfig(num_layers=layers, hidden_dim=hidden, model="sage"),
         ClusterSpec(num_workers=workers),
@@ -19,13 +21,29 @@ def _trainer(graph, workers, config=None, layers=2, hidden=6):
 
 
 class TestValidation:
-    def test_requires_sage_model(self, small_graph):
-        trainer = SAGETrainer(
-            small_graph, ModelConfig(num_layers=2, model="gcn"),
-            ClusterSpec(num_workers=2), ECGraphConfig(),
-        )
+    def test_sage_backend_requires_sage_model(self, small_graph):
         with pytest.raises(ValueError, match="sage"):
-            trainer.setup()
+            ECGraphTrainer(
+                small_graph, ModelConfig(num_layers=2, model="gcn"),
+                ClusterSpec(num_workers=2), ECGraphConfig(),
+                backend=SAGEBackend(),
+            )
+
+    @pytest.mark.parametrize("backend", [GCNBackend(), GATBackend()])
+    def test_sage_model_rejects_other_backends(self, small_graph, backend):
+        with pytest.raises(ValueError, match="sage"):
+            ECGraphTrainer(
+                small_graph, ModelConfig(num_layers=2, model="sage"),
+                ClusterSpec(num_workers=2), ECGraphConfig(),
+                backend=backend,
+            )
+
+    def test_model_sage_selects_the_sage_backend(self, small_graph):
+        # Used to train a row-normalised GCN (no W_self) unless the
+        # caller also picked the SAGE trainer subclass.
+        trainer = _trainer(small_graph, 2)
+        trainer.setup()
+        assert type(trainer.engine.backend) is SAGEBackend
 
     def test_self_weights_registered(self, small_graph):
         trainer = _trainer(small_graph, 2, layers=3)
@@ -49,14 +67,9 @@ class TestGradients:
             original_push(worker, grads)
 
         trainer.servers.push = spy_push
-        trainer._forward(0)
+        trainer.engine.forward.run(0)
         trainer.servers.apply_updates = lambda: None
-        trainer._backward(0)
-
-        def loss_now():
-            trainer._forward(0)
-            # _forward returns (loss, counters)
-            return trainer._forward(0)[0]
+        trainer.engine.optimize.run(trainer.engine.backward.run(0))
 
         rng = np.random.default_rng(0)
         eps = 1e-3
@@ -70,9 +83,9 @@ class TestGradients:
                 idx = np.unravel_index(flat, theta.shape)
                 original = theta[idx]
                 theta[idx] = original + eps
-                up = trainer._forward(0)[0]
+                up = trainer.engine.forward.run(0)[0]
                 theta[idx] = original - eps
-                down = trainer._forward(0)[0]
+                down = trainer.engine.forward.run(0)[0]
                 theta[idx] = original
                 numeric = (up - down) / (2 * eps)
                 tolerance = 5e-3 + 0.05 * abs(numeric)

@@ -1,23 +1,23 @@
-"""Integration tests for the sampling-mode trainer (EC-Graph-S / DistDGL)."""
+"""Integration tests for sampling mode (EC-Graph-S / DistDGL):
+``backend=SampledGCNBackend(...)``."""
 
 import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.sampling_trainer import SampledECGraphTrainer
 from repro.core.trainer import ECGraphTrainer
+from repro.engine import SampledGCNBackend
 
 
 def _sampled(graph, fanouts, workers=3, online=False, config=None,
              epochs=10, layers=2):
-    trainer = SampledECGraphTrainer(
+    trainer = ECGraphTrainer(
         graph,
         ModelConfig(num_layers=layers, hidden_dim=8),
         ClusterSpec(num_workers=workers),
-        fanouts=fanouts,
-        config=config or ECGraphConfig(fp_mode="compress", bp_mode="resec"),
-        online=online,
+        config or ECGraphConfig(fp_mode="compress", bp_mode="resec"),
+        backend=SampledGCNBackend(fanouts, online=online),
     )
     return trainer, trainer.train(epochs)
 
@@ -29,15 +29,35 @@ class TestValidation:
 
     def test_reqec_rejected(self, small_graph):
         with pytest.raises(ValueError, match="full-batch"):
-            SampledECGraphTrainer(
-                small_graph, ModelConfig(num_layers=2),
-                ClusterSpec(num_workers=2), fanouts=[5, 5],
-                config=ECGraphConfig(fp_mode="reqec"),
-            )
+            _sampled(small_graph, [5, 5],
+                     config=ECGraphConfig(fp_mode="reqec"))
 
-    def test_zero_fanout_rejected(self, small_graph):
-        with pytest.raises(ValueError):
-            _sampled(small_graph, fanouts=[5, 0])
+    def test_delayed_backward_rejected(self, small_graph):
+        # (delayed forward: tests/test_api.py::TestSamplingGuards)
+        with pytest.raises(ValueError, match="delayed"):
+            _sampled(small_graph, [5, 5],
+                     config=ECGraphConfig(fp_mode="raw", bp_mode="delayed"))
+
+    def test_rejections_leave_no_engine_behind(self, small_graph):
+        trainer = ECGraphTrainer(
+            small_graph, ModelConfig(num_layers=2),
+            ClusterSpec(num_workers=2),
+            ECGraphConfig(fp_mode="reqec", execution="multiprocess"),
+            backend=SampledGCNBackend([5, 5]),
+        )
+        with pytest.raises(ValueError, match="full-batch"):
+            trainer.setup()
+        assert trainer.engine is None
+        trainer.close()
+
+    def test_zero_fanout_rejected(self):
+        with pytest.raises(ValueError, match="fanouts"):
+            SampledGCNBackend([5, 0])
+
+    @pytest.mark.parametrize("speedup", [0.0, -1.0])
+    def test_non_positive_sampling_speedup_rejected(self, speedup):
+        with pytest.raises(ValueError, match="sampling_speedup"):
+            SampledGCNBackend([5, 5], sampling_speedup=speedup)
 
 
 class TestSampling:
@@ -79,9 +99,9 @@ class TestSampling:
             config=ECGraphConfig(fp_mode="raw", bp_mode="raw"),
         )
         first = [m.copy() for m in
-                 [trainer._sampled_adj[0][1].indices]]
+                 [trainer.engine.backend.sampled_adj[0][1].indices]]
         trainer.run_epoch(2)
-        second = trainer._sampled_adj[0][1].indices
+        second = trainer.engine.backend.sampled_adj[0][1].indices
         assert not np.array_equal(first[0], second)
 
     def test_offline_keeps_sample_fixed(self, medium_graph):
@@ -89,9 +109,11 @@ class TestSampling:
             medium_graph, fanouts=[4, 4], online=False, epochs=2,
             config=ECGraphConfig(fp_mode="raw", bp_mode="raw"),
         )
-        first = trainer._sampled_adj[0][1].indices.copy()
+        first = trainer.engine.backend.sampled_adj[0][1].indices.copy()
         trainer.run_epoch(2)
-        np.testing.assert_array_equal(first, trainer._sampled_adj[0][1].indices)
+        np.testing.assert_array_equal(
+            first, trainer.engine.backend.sampled_adj[0][1].indices
+        )
 
     def test_online_charges_sampling_traffic(self, medium_graph):
         _, online_run = _sampled(
@@ -111,8 +133,8 @@ class TestSampling:
         full_sums = np.asarray(state.a_local.sum(axis=1)).ravel()
         trials = []
         for _ in range(30):
-            trainer._resample()
-            sampled = trainer._sampled_adj[0][1]
+            trainer.engine.backend.resample()
+            sampled = trainer.engine.backend.sampled_adj[0][1]
             trials.append(np.asarray(sampled.sum(axis=1)).ravel())
         mean_sums = np.mean(trials, axis=0)
         # Unbiased estimator: mean over resamples tracks the full sums.

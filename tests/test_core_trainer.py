@@ -211,3 +211,34 @@ class TestDelayedMode:
         _, raw_run = _train(small_graph, 3, raw, epochs=10)
         _, delayed_run = _train(small_graph, 3, delayed, epochs=10)
         assert delayed_run.total_bytes() < raw_run.total_bytes()
+
+
+class TestTeardown:
+    def test_failing_epoch_runs_shutdown_and_close_is_idempotent(
+        self, small_graph, monkeypatch
+    ):
+        trainer = ECGraphTrainer(
+            small_graph, ModelConfig(num_layers=2, hidden_dim=8),
+            ClusterSpec(num_workers=3), ECGraphConfig(seed=0),
+        )
+        trainer.close()  # before setup: nothing to release
+        trainer.run_epoch(0)
+        shutdowns = []
+        real_shutdown = trainer.engine.shutdown
+
+        def counted_shutdown():
+            shutdowns.append(1)
+            real_shutdown()
+
+        monkeypatch.setattr(trainer.engine, "shutdown", counted_shutdown)
+
+        def explode(t):
+            raise RuntimeError("injected mid-epoch failure")
+
+        monkeypatch.setattr(trainer.engine.backward, "run", explode)
+        with pytest.raises(RuntimeError, match="injected"):
+            trainer.run_epoch(1)
+        assert shutdowns == [1]
+        trainer.close()
+        trainer.close()
+        assert len(shutdowns) == 3

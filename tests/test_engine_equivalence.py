@@ -16,10 +16,8 @@ import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.gat import GATTrainer
-from repro.core.sage import SAGETrainer
-from repro.core.sampling_trainer import SampledECGraphTrainer
 from repro.core.trainer import ECGraphTrainer
+from repro.engine import GATBackend, SampledGCNBackend
 from repro.graph.generators import GraphSpec, generate_graph
 
 EPOCHS = 6
@@ -168,25 +166,27 @@ def _build(name: str, graph):
             ECGraphConfig(seed=0, fp_mode="delayed", bp_mode="delayed"),
         )
     if name == "sage":
-        return SAGETrainer(
+        return ECGraphTrainer(
             graph, ModelConfig(model="sage", **MODEL), SPEC,
             ECGraphConfig(seed=0),
         )
     if name == "gat":
-        return GATTrainer(
+        return ECGraphTrainer(
             graph, ModelConfig(**MODEL), SPEC,
-            ECGraphConfig(seed=0, fp_mode="compress"), num_heads=2,
+            ECGraphConfig(seed=0, fp_mode="compress"),
+            backend=GATBackend(num_heads=2),
         )
     if name == "sampled_offline":
-        return SampledECGraphTrainer(
-            graph, ModelConfig(**MODEL), SPEC, fanouts=[4, 4],
-            config=ECGraphConfig(seed=0, fp_mode="compress", bp_mode="resec"),
+        return ECGraphTrainer(
+            graph, ModelConfig(**MODEL), SPEC,
+            ECGraphConfig(seed=0, fp_mode="compress", bp_mode="resec"),
+            backend=SampledGCNBackend([4, 4]),
         )
     if name == "sampled_online":
-        return SampledECGraphTrainer(
-            graph, ModelConfig(**MODEL), SPEC, fanouts=[4, 4],
-            config=ECGraphConfig(seed=0, fp_mode="compress", bp_mode="resec"),
-            online=True,
+        return ECGraphTrainer(
+            graph, ModelConfig(**MODEL), SPEC,
+            ECGraphConfig(seed=0, fp_mode="compress", bp_mode="resec"),
+            backend=SampledGCNBackend([4, 4], online=True),
         )
     raise AssertionError(name)
 
@@ -257,8 +257,8 @@ class TestMultiprocessBitIdentity:
             trainer.close()
 
 
-class TestFacadeSurface:
-    """The staged engine is reachable through the stable facade."""
+class TestTrainerSurface:
+    """The staged engine is reachable through the one trainer class."""
 
     def test_trainer_exposes_engine(self, graph):
         trainer = _build("ecgraph_default", graph)
@@ -267,14 +267,11 @@ class TestFacadeSurface:
 
         assert isinstance(trainer.engine, TrainerCore)
         assert isinstance(trainer.engine.ctx, ExchangeContext)
-        # One shared transport: the facade's NAC is the engine's transport.
-        assert trainer.engine.ctx.transport is trainer.nac
+        from repro.engine.transport import HaloTransport
+
+        # One shared transport, and it is the plain HaloTransport.
+        assert trainer.engine.ctx.transport is trainer.transport
+        assert type(trainer.transport) is HaloTransport
         assert trainer.engine.ctx.fp_policy is trainer._fp_policy
         assert trainer.engine.ctx.bp_policy is trainer._bp_policy
         assert trainer.engine.ctx.tuner is trainer.tuner
-
-    def test_nac_is_the_unified_transport(self, graph):
-        from repro.core.nac import NeighborAccessController
-        from repro.engine.transport import HaloTransport
-
-        assert issubclass(NeighborAccessController, HaloTransport)

@@ -1,4 +1,5 @@
-"""Unit tests for the Neighbor Access Controller exchanges."""
+"""Unit tests for the halo transport (the paper's Neighbor Access
+Controller): forward and reverse exchanges on bare worker states."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from repro.cluster.engine import ClusterRuntime
 from repro.cluster.topology import ClusterSpec
 from repro.core.messages import RawPolicy
-from repro.core.nac import NeighborAccessController
 from repro.core.policies import CompressPolicy
 from repro.core.worker import build_worker_states
+from repro.engine.transport import HaloTransport
 from repro.graph.normalize import gcn_normalize
 from repro.partition.hashing import HashPartitioner
 
@@ -19,17 +20,17 @@ def setup(small_graph):
     partition = HashPartitioner().partition(small_graph.adjacency, 3)
     workers = build_worker_states(small_graph, normalized, partition)
     runtime = ClusterRuntime(ClusterSpec(num_workers=3))
-    nac = NeighborAccessController(runtime, workers, codec_speedup=20.0)
-    return small_graph, workers, runtime, nac
+    transport = HaloTransport(runtime, workers, codec_speedup=20.0)
+    return small_graph, workers, runtime, transport
 
 
 class TestForwardExchange:
     def test_raw_exchange_delivers_owner_rows(self, setup):
-        graph, workers, runtime, nac = setup
+        graph, workers, runtime, transport = setup
         rng = np.random.default_rng(0)
         values = [rng.random((s.num_local, 5)).astype(np.float32)
                   for s in workers]
-        halos = nac.exchange(
+        halos = transport.exchange(
             layer=1, t=0,
             rows_of=lambda s: values[s.worker_id],
             policy=RawPolicy(), category="fp_embeddings", dim=5,
@@ -43,10 +44,10 @@ class TestForwardExchange:
                 )
 
     def test_traffic_charged_per_channel(self, setup):
-        graph, workers, runtime, nac = setup
+        graph, workers, runtime, transport = setup
         values = [np.zeros((s.num_local, 4), dtype=np.float32)
                   for s in workers]
-        nac.exchange(
+        transport.exchange(
             layer=1, t=0, rows_of=lambda s: values[s.worker_id],
             policy=RawPolicy(), category="fp_embeddings", dim=4,
         )
@@ -54,11 +55,11 @@ class TestForwardExchange:
         assert "fp_embeddings" in runtime.meter.epoch_category_bytes()
 
     def test_compressed_exchange_close(self, setup):
-        graph, workers, runtime, nac = setup
+        graph, workers, runtime, transport = setup
         rng = np.random.default_rng(1)
         values = [rng.random((s.num_local, 6)).astype(np.float32)
                   for s in workers]
-        halos = nac.exchange(
+        halos = transport.exchange(
             layer=1, t=0, rows_of=lambda s: values[s.worker_id],
             policy=CompressPolicy(bits=8), category="fp_embeddings", dim=6,
         )
@@ -72,10 +73,10 @@ class TestForwardExchange:
                 )
 
     def test_codec_time_discounted(self, setup):
-        graph, workers, runtime, nac = setup
+        graph, workers, runtime, transport = setup
         values = [np.random.default_rng(2).random(
             (s.num_local, 64)).astype(np.float32) for s in workers]
-        nac.exchange(
+        transport.exchange(
             layer=1, t=0, rows_of=lambda s: values[s.worker_id],
             policy=CompressPolicy(bits=8), category="x", dim=64,
         )
@@ -88,11 +89,11 @@ class TestForwardExchange:
 class TestReverseExchange:
     def test_partials_summed_at_owner(self, setup):
         """Owners receive the exact sum of the per-consumer partials."""
-        graph, workers, runtime, nac = setup
+        graph, workers, runtime, transport = setup
         rng = np.random.default_rng(3)
         partials = [rng.random((s.num_halo, 4)).astype(np.float32)
                     for s in workers]
-        sums = nac.reverse_exchange(
+        sums = transport.reverse_exchange(
             layer=2, t=0,
             halo_rows_of=lambda s: partials[s.worker_id],
             policy=RawPolicy(), category="bp_gradients", dim=4,
@@ -109,11 +110,11 @@ class TestReverseExchange:
             np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_reverse_traffic_charged(self, setup):
-        graph, workers, runtime, nac = setup
+        graph, workers, runtime, transport = setup
         partials = [np.ones((s.num_halo, 4), dtype=np.float32)
                     for s in workers]
         runtime.meter.reset_epoch()
-        nac.reverse_exchange(
+        transport.reverse_exchange(
             layer=2, t=0, halo_rows_of=lambda s: partials[s.worker_id],
             policy=RawPolicy(), category="bp_gradients", dim=4,
         )
@@ -121,15 +122,15 @@ class TestReverseExchange:
 
     def test_forward_and_reverse_same_bytes_for_raw(self, setup):
         """Symmetric plans: the reverse path moves the same row counts."""
-        graph, workers, runtime, nac = setup
+        graph, workers, runtime, transport = setup
         values = [np.zeros((s.num_local, 4), dtype=np.float32)
                   for s in workers]
-        nac.exchange(layer=1, t=0, rows_of=lambda s: values[s.worker_id],
+        transport.exchange(layer=1, t=0, rows_of=lambda s: values[s.worker_id],
                      policy=RawPolicy(), category="fwd", dim=4)
         fwd = runtime.meter.epoch_category_bytes()["fwd"]
         partials = [np.zeros((s.num_halo, 4), dtype=np.float32)
                     for s in workers]
-        nac.reverse_exchange(layer=1, t=0,
+        transport.reverse_exchange(layer=1, t=0,
                              halo_rows_of=lambda s: partials[s.worker_id],
                              policy=RawPolicy(), category="rev", dim=4)
         rev = runtime.meter.epoch_category_bytes()["rev"]
@@ -140,4 +141,4 @@ class TestValidation:
     def test_invalid_speedup(self, setup):
         graph, workers, runtime, _ = setup
         with pytest.raises(ValueError):
-            NeighborAccessController(runtime, workers, codec_speedup=0)
+            HaloTransport(runtime, workers, codec_speedup=0)

@@ -22,18 +22,19 @@ import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.gat import GATTrainer
 from repro.core.gcn_math import (
     layer_backward_inputs,
     layer_forward,
     weight_gradient,
 )
 from repro.core.models import bias_name, weight_name
-from repro.core.sage import SAGETrainer
-from repro.core.sampling_trainer import SampledECGraphTrainer
 from repro.core.trainer import ECGraphTrainer
 from repro.core.worker import build_worker_states
-from repro.engine.backends import SampledGCNBackend, self_weight_name
+from repro.engine.backends import (
+    GATBackend,
+    SampledGCNBackend,
+    self_weight_name,
+)
 from repro.faults.config import FaultConfig
 from repro.graph.normalize import gcn_normalize
 from repro.nn.activations import ACTIVATION_NAMES, get_activation
@@ -72,7 +73,8 @@ def worker_state():
 
 @pytest.fixture(scope="module")
 def adjacencies(worker_state):
-    sampler = SampledGCNBackend([3], False, 1.0, np.random.default_rng(2))
+    sampler = SampledGCNBackend([3], sampling_speedup=1.0)
+    sampler.rng = np.random.default_rng(2)
     sampled, _ = sampler._sample_rows(worker_state, 3)
     return {"full": worker_state.a_local, "sampled": sampled}
 
@@ -222,13 +224,18 @@ def _trainer(kind: str, graph, activation="relu", use_bias=True,
     model = dict(num_layers=layers, hidden_dim=hidden,
                  activation=activation, use_bias=use_bias)
     if kind == "sage":
-        return SAGETrainer(graph, ModelConfig(model="sage", **model), SPEC, cfg)
+        return ECGraphTrainer(
+            graph, ModelConfig(model="sage", **model), SPEC, cfg
+        )
     if kind == "gat":
-        return GATTrainer(graph, ModelConfig(**model), SPEC, cfg, num_heads=2)
+        return ECGraphTrainer(
+            graph, ModelConfig(**model), SPEC, cfg,
+            backend=GATBackend(num_heads=2),
+        )
     if kind == "sampled":
-        return SampledECGraphTrainer(
-            graph, ModelConfig(**model), SPEC, fanouts=[4] * layers,
-            config=cfg, online=online,
+        return ECGraphTrainer(
+            graph, ModelConfig(**model), SPEC, cfg,
+            backend=SampledGCNBackend([4] * layers, online=online),
         )
     return ECGraphTrainer(graph, ModelConfig(**model), SPEC, cfg)
 
@@ -243,7 +250,7 @@ class TestDifferentialBackendsInSitu:
         trainer = _trainer("sage", small_graph, activation, use_bias,
                            fp_mode="raw", bp_mode="raw")
         trainer.setup()
-        backend, ctx = trainer._backend, trainer._ctx
+        backend, ctx = trainer.engine.backend, trainer.engine.ctx
         act = ctx.params.activation
         checked = {"fwd": 0, "bwd": 0}
 
@@ -290,7 +297,7 @@ class TestDifferentialBackendsInSitu:
         trainer = _trainer("gat", small_graph, activation, use_bias,
                            fp_mode="raw", bp_mode="raw")
         trainer.setup()
-        backend, ctx = trainer._backend, trainer._ctx
+        backend, ctx = trainer.engine.backend, trainer.engine.ctx
         act = ctx.params.activation
         checked = {"fwd": 0, "bwd": 0}
         forward, reduce_ = backend.forward_layer, backend.backward_reduce
@@ -332,7 +339,7 @@ class TestDifferentialBackendsInSitu:
         trainer = _trainer(kind, small_graph, transform_first=transform_first,
                            fp_mode="compress", bp_mode="resec")
         trainer.setup()
-        backend = trainer._backend
+        backend = trainer.engine.backend
         forward = backend.forward_layer
         seen = []
 
@@ -392,7 +399,7 @@ class TestAliasing:
     def test_exchange_halos_are_the_workspace_tails(self, small_graph):
         trainer = _trainer("gcn", small_graph, fp_mode="raw", bp_mode="raw")
         trainer.setup()
-        ctx = trainer._ctx
+        ctx = trainer.engine.ctx
         rows = [np.full((s.num_local, 8), s.worker_id + 1.0, np.float32)
                 for s in ctx.workers]
         halos = ctx.exchange("fp", 1, 0, lambda s: rows[s.worker_id], dim=8)
@@ -413,7 +420,7 @@ class TestAliasing:
             bp_mode="raw" if mode == "raw" else "resec", trend_period=2,
         )
         trainer.setup()
-        ctx = trainer._ctx
+        ctx = trainer.engine.ctx
         seen = {"respond": 0, "receive": 0}
 
         def workspace_arrays():
@@ -464,7 +471,7 @@ def _poison_every_epoch(trainer) -> None:
     becomes NaN and the first-layer input / aggregate are rebuilt, so a
     slot read before it is written turns the loss into NaN."""
     trainer.setup()
-    ws = trainer._ctx.workspaces
+    ws = trainer.engine.ctx.workspaces
     plan = trainer.engine.halo_plan.run
 
     def run(t):
@@ -579,7 +586,7 @@ class TestInvalidation:
                                max_retries=0),
         )
         trainer.setup()
-        ctx = trainer._ctx
+        ctx = trainer.engine.ctx
         ctx.injector.start_epoch(0)
         for state in ctx.workers:
             ctx.workspaces.h_cat(state, 1, 8).fill(7.0)
@@ -594,7 +601,7 @@ class TestInvalidation:
         nothing is cleared first (a property of the input, not a knob)."""
         trainer = _trainer("gcn", small_graph, fp_mode="raw", bp_mode="raw")
         trainer.setup()
-        ctx = trainer._ctx
+        ctx = trainer.engine.ctx
         rows = [np.ones((s.num_local, 8), np.float32) for s in ctx.workers]
         for state in ctx.workers:
             ctx.workspaces.h_cat(state, 1, 8).fill(np.nan)
@@ -617,7 +624,7 @@ class TestInvalidation:
             faults=SCENARIOS["elastic_adopt_and_rejoin"]["faults"],
         )
         trainer.setup()
-        ws = trainer._ctx.workspaces
+        ws = trainer.engine.ctx.workspaces
         trainer.run_epoch(0)
         trainer.run_epoch(1)
         before = dict(ws._arrays)
@@ -635,7 +642,7 @@ class TestInvalidation:
         trainer = _trainer("gcn", small_graph, fp_mode="raw", bp_mode="raw")
         trainer.setup()
         trainer.run_epoch(0)
-        ws, state = trainer._ctx.workspaces, trainer.workers[0]
+        ws, state = trainer.engine.ctx.workspaces, trainer.workers[0]
         h_cat = ws.first_input(state, True)
         aggregate = ws.first_aggregate(state, state.a_local, h_cat)
         assert ws.first_input(state, True) is h_cat
@@ -690,7 +697,7 @@ class TestExactEvaluationBorrowsWorkspaces:
         trainer = _trainer("gcn", small_graph)
         trainer.setup()
         trainer.run_epoch(0)
-        ws, state = trainer._ctx.workspaces, trainer.workers[0]
+        ws, state = trainer.engine.ctx.workspaces, trainer.workers[0]
         h0 = ws.first_input(state, True)
         m1 = ws.first_aggregate(state, state.a_local, h0)
         before = h0.copy(), m1.copy()

@@ -211,8 +211,8 @@ class TestPermanentLossAdoption:
 
     def test_partition_moves_to_a_survivor(self, small_graph):
         trainer, _ = self._lose(small_graph, victim=1)
-        reassigner = trainer._recovery.reassigner
-        membership = trainer._recovery.membership
+        reassigner = trainer.engine.recovery.reassigner
+        membership = trainer.engine.recovery.membership
         assert not membership.is_alive(1)
         # Nothing is assigned to the dead worker any more...
         assert not (reassigner.assignment == 1).any()
@@ -227,7 +227,7 @@ class TestPermanentLossAdoption:
     def test_detection_stall_charged_to_survivors(self, small_graph):
         trainer, _ = self._lose(small_graph, lease_grace_s=2.0,
                                 heartbeat_interval_s=0.5)
-        membership = trainer._recovery.membership
+        membership = trainer.engine.recovery.membership
         stall = membership.detection_seconds()
         assert stall == pytest.approx(2.0)
         extra = trainer.fault_counters.extra_seconds
@@ -274,7 +274,7 @@ class TestPermanentLossAdoption:
         trainer, run = _train(small_graph, faults, epochs=12)
         assert len(run.epochs) == 12
         assert trainer.fault_counters.adoptions == 2
-        assert trainer._recovery.membership.alive_workers() == [0]
+        assert trainer.engine.recovery.membership.alive_workers() == [0]
 
 
 # ----------------------------------------------------------------------
@@ -292,8 +292,8 @@ class TestRejoin:
     def test_rejoin_reclaims_original_partition(self, small_graph):
         trainer, run = self._cycle(small_graph)
         assert len(run.epochs) == 12
-        reassigner = trainer._recovery.reassigner
-        membership = trainer._recovery.membership
+        reassigner = trainer.engine.recovery.reassigner
+        membership = trainer.engine.recovery.membership
         assert membership.is_alive(1)
         assert membership.custodian[1] == 1
         np.testing.assert_array_equal(
@@ -348,7 +348,7 @@ class TestCrashLossInterleavings:
         assert counters.crashes == 1
         assert counters.permanent_failures == 1
         assert counters.adoptions == 1
-        assert not trainer._recovery.membership.is_alive(1)
+        assert not trainer.engine.recovery.membership.is_alive(1)
 
     def test_crash_of_the_already_dead_worker_epoch(self, small_graph):
         # The same worker crashes (transient) and is then lost for good.
@@ -384,7 +384,7 @@ class TestWatchdogResponse:
 
     def test_nan_loss_triggers_rollback_and_escalation(self, small_graph):
         trainer, _ = self._elastic_trainer(small_graph)
-        recovery = trainer._recovery
+        recovery = trainer.engine.recovery
         before = {
             name: trainer.servers.get(name).copy()
             for name in trainer.servers.parameter_names()
@@ -412,7 +412,7 @@ class TestWatchdogResponse:
         trainer, _ = self._elastic_trainer(
             small_graph, max_consecutive_rollbacks=2,
         )
-        recovery = trainer._recovery
+        recovery = trainer.engine.recovery
         recovery.observe_convergence(4, float("nan"))
         with pytest.raises(DivergenceError, match="watchdog exhausted"):
             recovery.observe_convergence(5, float("nan"))
@@ -433,7 +433,7 @@ class TestWatchdogResponse:
 
     def test_metrics_mirror_watchdog_counters(self, small_graph):
         trainer, _ = self._elastic_trainer(small_graph)
-        trainer._recovery.observe_convergence(4, float("nan"))
+        trainer.engine.recovery.observe_convergence(4, float("nan"))
         counters = trainer.fault_counters
         snap = trainer.obs.metrics.snapshot()
         assert snap.counter_total("watchdog_trips") == counters.watchdog_trips
@@ -558,7 +558,7 @@ class TestBothGenerationsCorrupt:
         assert (tmp_path / "previous.npz").exists()
         (tmp_path / "latest.npz").write_bytes(b"garbage")
         (tmp_path / "previous.npz").write_bytes(b"garbage")
-        recovery = trainer._recovery
+        recovery = trainer.engine.recovery
         recovery.param_snapshot = None  # no in-memory fallback either
         with pytest.raises(CheckpointError, match="every checkpoint"):
             recovery.restore_latest_checkpoint()
@@ -567,8 +567,8 @@ class TestBothGenerationsCorrupt:
     def test_single_corrupt_still_recovers(self, small_graph, tmp_path):
         trainer, _ = self._trained(small_graph, tmp_path)
         (tmp_path / "latest.npz").write_bytes(b"garbage")
-        trainer._recovery.param_snapshot = None
-        assert trainer._recovery.restore_latest_checkpoint()
+        trainer.engine.recovery.param_snapshot = None
+        assert trainer.engine.recovery.restore_latest_checkpoint()
         assert trainer.fault_counters.corrupt_checkpoints == 1
 
     def test_snapshot_rescues_corrupt_disk(self, small_graph, tmp_path):
@@ -576,7 +576,7 @@ class TestBothGenerationsCorrupt:
         (tmp_path / "latest.npz").write_bytes(b"garbage")
         (tmp_path / "previous.npz").write_bytes(b"garbage")
         # The in-memory snapshot still exists: restore must succeed.
-        assert trainer._recovery.restore_latest_checkpoint()
+        assert trainer.engine.recovery.restore_latest_checkpoint()
 
     def test_cli_maps_checkpoint_error_to_exit_2(self, capsys, monkeypatch):
         import repro.__main__ as cli

@@ -14,8 +14,6 @@ from repro.core.bit_tuner import (
     BitTuner,
 )
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.gat import GATTrainer
-from repro.core.sage import SAGETrainer
 from repro.core.trainer import ECGraphTrainer
 from repro.engine import (
     GATBackend,
@@ -46,29 +44,27 @@ def _make_trainer(arch: str, graph, **config_kwargs):
             graph, ModelConfig(num_layers=2, hidden_dim=12), SPEC, config
         )
     if arch == "sage":
-        return SAGETrainer(
+        return ECGraphTrainer(
             graph,
             ModelConfig(num_layers=2, hidden_dim=12, model="sage"),
             SPEC,
             config,
         )
     if arch == "gat":
-        return GATTrainer(
+        return ECGraphTrainer(
             graph, ModelConfig(num_layers=2, hidden_dim=12), SPEC,
-            config, num_heads=2,
+            config, backend=GATBackend(num_heads=2),
         )
     raise AssertionError(arch)
 
 
 class TestModelBackendProtocol:
     def test_backends_satisfy_the_protocol(self):
-        rng = np.random.default_rng(0)
         for backend in (
             GCNBackend(),
             SAGEBackend(),
             GATBackend(num_heads=2),
-            SampledGCNBackend([4, 4], online=False,
-                              sampling_speedup=20.0, rng=rng),
+            SampledGCNBackend([4, 4], online=False, sampling_speedup=20.0),
         ):
             assert isinstance(backend, ModelBackend)
 
@@ -85,8 +81,8 @@ class TestModelBackendProtocol:
         assert type(trainer.engine.backend) is backend_cls
 
 
-class TestStagedEngineMatchesFacade:
-    """Driving the stages directly produces the facade's exact losses."""
+class TestStagedEngineMatchesRunEpoch:
+    """Driving the stages directly produces ``run_epoch``'s exact losses."""
 
     @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
     def test_forward_backward_equivalence(self, arch, graph):
@@ -112,18 +108,6 @@ class TestStagedEngineMatchesFacade:
         assert (
             staged.evaluate_exact()["test"] == facade.evaluate_exact()["test"]
         )
-
-    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
-    def test_private_hooks_delegate_to_stages(self, arch, graph):
-        trainer = _make_trainer(arch, graph)
-        trainer.setup()
-        trainer._on_epoch_start(0)
-        loss, counters = trainer._forward(0)
-        assert np.isfinite(loss)
-        assert counters["train"][1] > 0
-        trainer._backward(0)
-        loss2, _ = trainer._forward(1)
-        assert np.isfinite(loss2) and loss2 != loss
 
 
 class TestTunerThresholdConfig:
@@ -182,7 +166,7 @@ class TestCorruptCheckpointFallback:
         # Torn write: the newest checkpoint lands unreadable on disk.
         (tmp_path / "latest.npz").write_bytes(b"not a checkpoint")
 
-        assert trainer._restore_latest_checkpoint() is True
+        assert trainer.engine.recovery.restore_latest_checkpoint() is True
         assert trainer.fault_counters.corrupt_checkpoints == 1
 
         previous = load_checkpoint(tmp_path / "previous.npz")
@@ -193,12 +177,12 @@ class TestCorruptCheckpointFallback:
         trainer = self._crashy_trainer(graph, tmp_path)
         trainer.run_epoch(0)
         trainer.run_epoch(1)
-        snapshot_epoch, snapshot = trainer._param_snapshot
+        snapshot_epoch, snapshot = trainer.engine.recovery.param_snapshot
         assert snapshot_epoch == 2
         (tmp_path / "latest.npz").write_bytes(b"garbage")
         (tmp_path / "previous.npz").write_bytes(b"garbage")
 
-        assert trainer._restore_latest_checkpoint() is True
+        assert trainer.engine.recovery.restore_latest_checkpoint() is True
         assert trainer.fault_counters.corrupt_checkpoints == 2
         for name, value in snapshot.items():
             np.testing.assert_array_equal(trainer.servers.get(name), value)
@@ -218,7 +202,7 @@ class TestCorruptCheckpointFallback:
         )
         trainer.run_epoch(0)
         (tmp_path / "latest.npz").write_bytes(b"garbage")
-        assert trainer._restore_latest_checkpoint() is True
+        assert trainer.engine.recovery.restore_latest_checkpoint() is True
         snapshot = trainer.obs.metrics.snapshot()
         assert snapshot.counter_total("fault_checkpoint_corrupt") == 1
 

@@ -5,21 +5,20 @@ Bit-identity against the sync goldens lives in
 module covers everything else the process backend must get right:
 shared-memory hygiene (no ``/dev/shm`` residue, even after a worker is
 SIGKILLed mid-run), idempotent teardown, real-process crash recovery,
-backpressure with payloads larger than a pipe buffer, the one-time GIL
-warning for the thread fan-out, and the elastic-membership gate.
+backpressure with payloads larger than a pipe buffer, and the
+elastic-membership gate.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import warnings
 
 import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.trainer import ECGraphTrainer, _reset_thread_warning
+from repro.core.trainer import ECGraphTrainer
 from repro.faults.config import FaultConfig
 from repro.graph.generators import GraphSpec, generate_graph
 
@@ -185,40 +184,7 @@ class TestBackpressure:
             trainer.close()
 
 
-class TestThreadWarningAndGates:
-    def test_gil_thread_warning_emitted_once(self, graph):
-        _reset_thread_warning()
-        first = ECGraphTrainer(
-            graph, ModelConfig(num_layers=2, hidden_dim=16),
-            ClusterSpec(num_workers=3, num_servers=1),
-            ECGraphConfig(seed=0, exchange_threads=4),
-        )
-        with pytest.warns(RuntimeWarning, match="GIL"):
-            first.setup()
-        first.close()
-
-        second = ECGraphTrainer(
-            graph, ModelConfig(num_layers=2, hidden_dim=16),
-            ClusterSpec(num_workers=3, num_servers=1),
-            ECGraphConfig(seed=0, exchange_threads=4),
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            second.setup()
-        second.close()
-        assert [w for w in caught if w.category is RuntimeWarning] == []
-
-    def test_multiprocess_forces_serial_exchange(self, graph):
-        _reset_thread_warning()
-        trainer = _mp_trainer(graph, exchange_threads=4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            trainer.setup()
-        try:
-            assert [w for w in caught if w.category is RuntimeWarning] == []
-        finally:
-            trainer.close()
-
+class TestGates:
     def test_elastic_membership_is_rejected(self, graph):
         trainer = _mp_trainer(
             graph, faults=FaultConfig(elastic=True)

@@ -11,8 +11,8 @@ import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.sampling_trainer import SampledECGraphTrainer
 from repro.core.trainer import ECGraphTrainer
+from repro.engine import SampledGCNBackend
 from repro.obs import ObsConfig
 
 
@@ -135,15 +135,16 @@ class TestTraceExport:
         assert health.residual_checks
 
 
-class TestSamplingTrainer:
+class TestSamplingMode:
     def test_sampling_span_recorded(self, small_graph):
-        trainer = SampledECGraphTrainer(
+        trainer = ECGraphTrainer(
             small_graph, ModelConfig(num_layers=2, hidden_dim=8),
-            ClusterSpec(num_workers=2), fanouts=[4, 4], online=True,
-            config=ECGraphConfig(
+            ClusterSpec(num_workers=2),
+            ECGraphConfig(
                 fp_mode="compress", bp_mode="resec", seed=1,
                 obs=ObsConfig(enabled=True),
             ),
+            backend=SampledGCNBackend([4, 4], online=True),
         )
         run = trainer.train(2)
         assert "sampling" in run.telemetry.phase_totals

@@ -15,11 +15,9 @@ import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.gat import GATTrainer
 from repro.core.messages import ChannelKey
-from repro.core.sage import SAGETrainer
-from repro.core.sampling_trainer import SampledECGraphTrainer
 from repro.core.trainer import ECGraphTrainer
+from repro.engine import GATBackend, SampledGCNBackend
 from repro.faults import FaultConfig
 from repro.graph.generators import GraphSpec, generate_graph
 from repro.obs import (
@@ -205,26 +203,28 @@ def _build_instrumented(name: str, graph):
                           bp_mode="delayed"),
         )
     if name == "sage":
-        return SAGETrainer(
+        return ECGraphTrainer(
             graph, ModelConfig(model="sage", **MODEL), SPEC, base
         )
     if name == "gat":
-        return GATTrainer(
+        return ECGraphTrainer(
             graph, ModelConfig(**MODEL), SPEC,
-            ECGraphConfig(seed=0, obs=OBS, fp_mode="compress"), num_heads=2,
+            ECGraphConfig(seed=0, obs=OBS, fp_mode="compress"),
+            backend=GATBackend(num_heads=2),
         )
     if name == "sampled_offline":
-        return SampledECGraphTrainer(
-            graph, ModelConfig(**MODEL), SPEC, fanouts=[4, 4],
-            config=ECGraphConfig(seed=0, obs=OBS, fp_mode="compress",
-                                 bp_mode="resec"),
+        return ECGraphTrainer(
+            graph, ModelConfig(**MODEL), SPEC,
+            ECGraphConfig(seed=0, obs=OBS, fp_mode="compress",
+                          bp_mode="resec"),
+            backend=SampledGCNBackend([4, 4]),
         )
     if name == "sampled_online":
-        return SampledECGraphTrainer(
-            graph, ModelConfig(**MODEL), SPEC, fanouts=[4, 4],
-            config=ECGraphConfig(seed=0, obs=OBS, fp_mode="compress",
-                                 bp_mode="resec"),
-            online=True,
+        return ECGraphTrainer(
+            graph, ModelConfig(**MODEL), SPEC,
+            ECGraphConfig(seed=0, obs=OBS, fp_mode="compress",
+                          bp_mode="resec"),
+            backend=SampledGCNBackend([4, 4], online=True),
         )
     raise AssertionError(name)
 

@@ -70,7 +70,7 @@ class TestResidentBuffers:
         snapshot = trainer.obs.metrics.snapshot()
         for state in trainer.workers:
             w = state.worker_id
-            held = trainer._ctx.workspaces.held(w)
+            held = trainer.engine.ctx.workspaces.held(w)
             assert snapshot.gauge("workspace_bytes", worker=w) == held[0]
             assert snapshot.gauge("first_aggregate_bytes", worker=w) == (
                 state.num_local * 12 * 4

@@ -1,16 +1,11 @@
 """Perf invariants of the hot path.
 
-Two things must stay true however the kernels are arranged:
-
-* the thread fan-out changes *when and where* exchange work happens,
-  never *what* is computed or charged — loss curves, total traffic and
-  per-category traffic are bit-identical to the sequential runner;
-* a steady-state iteration allocates nothing of ``h_cat`` size in the
-  kernel path: the layer workspaces are persistent, so after warm-up no
-  kernel round (inline, or the multiprocess worker's dispatch of the
-  same round) may allocate as much as one ``h_cat``. This replaces the
-  old knob matrix (`halo_buffer_pool` on/off): there is one path, and
-  the budget is what keeps it allocation-free.
+A steady-state iteration allocates nothing of ``h_cat`` size in the
+kernel path: the layer workspaces are persistent, so after warm-up no
+kernel round (inline, or the multiprocess worker's dispatch of the same
+round) may allocate as much as one ``h_cat``. There is one exchange
+path and no knob matrix (`halo_buffer_pool` and the thread fan-out are
+gone); the budget is what keeps that path allocation-free.
 """
 
 import tracemalloc
@@ -21,50 +16,13 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.core import ECGraphTrainer, ModelConfig
 from repro.core.config import ECGraphConfig
-from repro.graph import load_dataset
 from repro.graph.generators import GraphSpec, generate_graph
 
 
-def _train(graph, granularity, **overrides):
-    config = ECGraphConfig(
-        trend_period=3, selector_granularity=granularity, **overrides
-    )
-    trainer = ECGraphTrainer(
-        graph, ModelConfig(num_layers=2, hidden_dim=16),
-        ClusterSpec(num_workers=3), config,
-    )
-    result = trainer.train(5)
-    losses = [epoch.loss for epoch in result.epochs]
-    meter = trainer.runtime.meter
-    trainer.close()
-    return losses, meter.total_bytes, meter.category_totals()
-
-
-class TestThreadFanOutIsBitInvisible:
-    @pytest.fixture(scope="class")
-    def graph(self):
-        return load_dataset("cora", profile="tiny", seed=1)
-
-    @pytest.mark.parametrize("granularity", ["vertex", "element", "matrix"])
-    def test_threads_bit_identical(self, graph, granularity):
-        base = _train(graph, granularity)
-        threaded = _train(graph, granularity, exchange_threads=4)
-        assert base[0] == threaded[0]  # identical loss sequence
-        assert base[1] == threaded[1]  # identical total traffic
-        assert base[2] == threaded[2]  # identical per-category traffic
-
-
 class TestKnobDefaults:
-    def test_threads_default_off(self):
-        assert ECGraphConfig().exchange_threads == 0
-
     def test_buffer_pool_knob_is_gone(self):
         with pytest.raises(TypeError):
             ECGraphConfig(halo_buffer_pool=True)
-
-    def test_negative_threads_rejected(self):
-        with pytest.raises(ValueError, match="exchange_threads"):
-            ECGraphConfig(exchange_threads=-1)
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +45,7 @@ def _budget_trainer(**config):
 
 
 def _smallest_h_cat_bytes(trainer) -> int:
-    ctx = trainer._ctx
+    ctx = trainer.engine.ctx
     return min(
         ctx.workspaces.h_cat(state, k, ctx.params.dims[k]).nbytes
         for state in ctx.workers
@@ -132,7 +90,7 @@ class TestSteadyStateAllocationBudget:
         budget = _smallest_h_cat_bytes(trainer)
         rounds = _RoundPeaks()
         for name in ROUNDS:
-            rounds.wrap(trainer._ctx.executor, name)
+            rounds.wrap(trainer.engine.ctx.executor, name)
         tracemalloc.start()
         try:
             trainer.run_epoch(2)
@@ -154,7 +112,7 @@ class TestSteadyStateAllocationBudget:
         trainer = _budget_trainer(fp_mode="raw", bp_mode="raw")
         for t in range(2):
             trainer.run_epoch(t)
-        ctx, backend = trainer._ctx, trainer._backend
+        ctx, backend = trainer.engine.ctx, trainer.engine.backend
         budget = _smallest_h_cat_bytes(trainer)
         num_layers = ctx.params.num_layers
         pulled = {
@@ -189,7 +147,7 @@ class TestSteadyStateAllocationBudget:
         trainer = _budget_trainer()
         trainer.run_epoch(0)
         trainer.run_epoch(1)
-        ws = trainer._ctx.workspaces
+        ws = trainer.engine.ctx.workspaces
         before = dict(ws._arrays)
         total = sum(buf.nbytes for buf in before.values())
         trainer.run_epoch(2)

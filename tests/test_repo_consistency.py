@@ -5,7 +5,9 @@ every benchmark is listed in the README's reproduction table, every
 example compiles, and every public subpackage is mentioned in DESIGN.md.
 """
 
+import importlib
 import py_compile
+import re
 from pathlib import Path
 
 import pytest
@@ -55,6 +57,58 @@ class TestDesignDoc:
             assert artifact in experiments, (
                 f"EXPERIMENTS.md misses {artifact}"
             )
+
+
+# Names this repo retired; the only allowed mention is the tuple in
+# ``core/checkpoint.py`` that lets old checkpoints load.
+RETIRED_NAMES = (
+    "exchange_threads", "halo_buffer_pool", "NeighborAccessController",
+    "SAGETrainer", "GATTrainer", "SampledECGraphTrainer",
+)
+
+
+class TestRetiredNamesStayGone:
+    def test_no_retired_name_in_shipped_code(self):
+        allowed = REPO / "src" / "repro" / "core" / "checkpoint.py"
+        offenders = []
+        for root in ("src", "examples", "benchmarks"):
+            for path in sorted((REPO / root).rglob("*.py")):
+                for line in path.read_text().splitlines():
+                    if path == allowed and line.startswith(
+                        "_RETIRED_CONFIG_FIELDS"
+                    ):
+                        continue
+                    offenders += [
+                        f"{path.relative_to(REPO)}: {name}"
+                        for name in RETIRED_NAMES if name in line
+                    ]
+        assert offenders == []
+
+
+def _documented_names():
+    """Backticked ``repro.<pkg>...<Name>`` references in the API docs."""
+    found = []
+    for doc in ("docs/api.md", "README.md"):
+        text = (REPO / doc).read_text()
+        for dotted in re.findall(r"`(repro(?:\.\w+)+)", text):
+            found.append(pytest.param(dotted, id=f"{doc}:{dotted}"))
+    return found
+
+
+class TestDocumentedNamesResolve:
+    @pytest.mark.parametrize("dotted", _documented_names())
+    def test_name_imports(self, dotted):
+        parts = dotted.split(".")
+        for split in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:split]))
+            except ModuleNotFoundError:
+                continue
+            for attr in parts[split:]:
+                assert hasattr(obj, attr), f"{dotted}: no {attr}"
+                obj = getattr(obj, attr)
+            return
+        raise AssertionError(f"{dotted} does not import")
 
 
 class TestExamplesCompile:

@@ -233,7 +233,7 @@ class TestChaosFaultsDisabled:
     def test_disabled_trainer_has_no_injector(self, small_graph):
         trainer, _ = _fault_train(small_graph, FaultConfig(), epochs=1)
         assert trainer.fault_counters is None
-        assert trainer.nac.injector is None
+        assert trainer.transport.injector is None
 
 
 class TestChaosMessageFaults:
@@ -412,7 +412,7 @@ class TestChaosCrashRecovery:
         state = trainer.workers[1]
         before = np.array(state.halo_features, copy=True)
         bytes_before = trainer.runtime.meter.total_bytes
-        trainer._recover_workers([1])
+        trainer.engine.recovery.recover_workers([1])
         # The cache was wiped and refetched: same values, new traffic.
         np.testing.assert_array_equal(state.halo_features, before)
         assert state.halo_features is not before
@@ -507,7 +507,7 @@ class TestFaultMetricsMirror:
         # Tear the newest checkpoint; restore must skip it (counting
         # the corruption once) and fall back to the rotated previous.
         (tmp_path / "latest.npz").write_bytes(b"not a checkpoint")
-        assert trainer._recovery.restore_latest_checkpoint()
+        assert trainer.engine.recovery.restore_latest_checkpoint()
         counters = trainer.fault_counters
         snap = trainer.obs.metrics.snapshot()
         assert counters.corrupt_checkpoints == 1
