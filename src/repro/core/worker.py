@@ -24,7 +24,7 @@ from repro.core.gcn_math import LayerForwardCache
 from repro.graph.attributed import AttributedGraph
 from repro.graph.csr import CSRGraph
 from repro.graph.store.base import GraphStore, GraphStoreBundle, as_bundle
-from repro.graph.subgraph import LocalSubgraph, induced_subgraph
+from repro.graph.subgraph import LocalSubgraph, induced_subgraphs
 from repro.partition.base import Partition
 
 __all__ = ["WorkerState", "build_worker_states", "fetch_halo_features"]
@@ -150,10 +150,10 @@ def build_worker_states(
     if partition.num_vertices != bundle.num_vertices:
         raise ValueError("partition does not match the graph")
     states: list[WorkerState] = []
-    subs: list[LocalSubgraph] = []
-    for worker in range(partition.num_parts):
-        local = partition.part_vertices(worker)
-        subs.append(induced_subgraph(normalized, local))
+    subs = induced_subgraphs(
+        normalized,
+        [partition.part_vertices(w) for w in range(partition.num_parts)],
+    )
 
     assignment = partition.assignment
     # Local row index of every vertex on its owner (owners list vertices

@@ -20,6 +20,7 @@ from repro.graph.rmat import RMATSpec, generate_rmat_graph
 from repro.graph.subgraph import (
     LocalSubgraph,
     induced_subgraph,
+    induced_subgraphs,
     khop_neighborhood,
     khop_sampled_neighborhood,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "row_normalize",
     "LocalSubgraph",
     "induced_subgraph",
+    "induced_subgraphs",
     "khop_neighborhood",
     "khop_sampled_neighborhood",
 ]

@@ -93,6 +93,12 @@ class CSRGraph:
             return np.ones(hi - lo, dtype=np.float32)
         return self.weights[lo:hi]
 
+    def sources(self) -> np.ndarray:
+        """``(m,)`` source vertex of every stored arc, aligned with ``indices``."""
+        return np.repeat(
+            np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr)
+        )
+
     def iter_edges(self) -> Iterator[tuple[int, int]]:
         """Yield ``(src, dst)`` pairs in row order."""
         for v in range(self.num_vertices):
@@ -103,19 +109,18 @@ class CSRGraph:
     # Transformations
     # ------------------------------------------------------------------
     def transpose(self) -> "CSRGraph":
-        """Return the reverse graph (in-neighbour lists), weights carried."""
-        n, m = self.num_vertices, self.num_edges
-        counts = np.bincount(self.indices, minlength=n)
-        indptr_t = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr_t[1:])
-        indices_t = np.empty(m, dtype=np.int64)
-        weights_t = None if self.weights is None else np.empty(m, dtype=np.float32)
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        order = np.argsort(self.indices, kind="stable")
-        indices_t[:] = src[order]
-        if weights_t is not None:
-            weights_t[:] = self.weights[order]
-        return CSRGraph(indptr_t, indices_t, weights_t)
+        """Return the reverse graph (in-neighbour lists), weights carried.
+
+        Row ``v`` of the result lists the sources of the arcs into ``v``
+        in ascending order, once per stored arc (parallel arcs keep their
+        relative order, self-loops stay).
+        """
+        incoming = self.to_scipy().tocsc()  # linear-time, stable per column
+        return CSRGraph(
+            incoming.indptr,
+            incoming.indices,
+            None if self.weights is None else incoming.data,
+        )
 
     def with_self_loops(self) -> "CSRGraph":
         """Return a copy with a self-loop added to every vertex.
@@ -124,39 +129,20 @@ class CSRGraph:
         application is idempotent. Existing weights are kept; new loops get
         weight 1.
         """
-        n = self.num_vertices
-        has_loop = np.zeros(n, dtype=bool)
-        for v in range(n):
-            if np.any(self.neighbors(v) == v):
-                has_loop[v] = True
-        extra = np.count_nonzero(~has_loop)
-        if extra == 0:
-            return CSRGraph(
-                self.indptr.copy(),
-                self.indices.copy(),
-                None if self.weights is None else self.weights.copy(),
-            )
-        new_counts = np.diff(self.indptr) + (~has_loop)
-        indptr_new = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(new_counts, out=indptr_new[1:])
-        indices_new = np.empty(self.num_edges + extra, dtype=np.int64)
-        weights_new = (
-            None
-            if self.weights is None
-            else np.empty(self.num_edges + extra, dtype=np.float32)
+        src = self.sources()
+        needs_loop = np.ones(self.num_vertices, dtype=bool)
+        needs_loop[src[src == self.indices]] = False
+        missing = np.flatnonzero(needs_loop)
+        # An appended loop takes the last slot of its row, i.e. it goes
+        # in front of the next row's first entry.
+        at = self.indptr[missing + 1]
+        indptr = self.indptr.copy()
+        indptr[1:] += np.cumsum(needs_loop)
+        return CSRGraph(
+            indptr,
+            np.insert(self.indices, at, missing),
+            None if self.weights is None else np.insert(self.weights, at, 1.0),
         )
-        for v in range(n):
-            lo_old, hi_old = self.indptr[v], self.indptr[v + 1]
-            lo_new = indptr_new[v]
-            span = hi_old - lo_old
-            indices_new[lo_new:lo_new + span] = self.indices[lo_old:hi_old]
-            if weights_new is not None:
-                weights_new[lo_new:lo_new + span] = self.weights[lo_old:hi_old]
-            if not has_loop[v]:
-                indices_new[lo_new + span] = v
-                if weights_new is not None:
-                    weights_new[lo_new + span] = 1.0
-        return CSRGraph(indptr_new, indices_new, weights_new)
 
     def to_scipy(self):
         """Export as a :class:`scipy.sparse.csr_matrix`."""
@@ -172,14 +158,12 @@ class CSRGraph:
 
     def sorted_rows(self) -> "CSRGraph":
         """Return a copy whose neighbour lists are sorted ascending."""
-        indices = self.indices.copy()
-        weights = None if self.weights is None else self.weights.copy()
-        for v in range(self.num_vertices):
-            lo, hi = self.indptr[v], self.indptr[v + 1]
-            order = np.argsort(indices[lo:hi], kind="stable")
-            indices[lo:hi] = indices[lo:hi][order]
-            if weights is not None:
-                weights[lo:hi] = weights[lo:hi][order]
+        # One stable sort on (row, column): equal columns keep their order.
+        order = np.argsort(
+            self.sources() * self.num_vertices + self.indices, kind="stable"
+        )
+        indices = self.indices[order]
+        weights = None if self.weights is None else self.weights[order]
         out = CSRGraph(self.indptr.copy(), indices, weights)
         out._sorted_rows = True
         return out

@@ -19,14 +19,16 @@ that actually hold local rows become resident (see ``docs/storage.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.store.base import GraphStore, as_topology
 
-__all__ = ["LocalSubgraph", "induced_subgraph", "khop_neighborhood",
-           "khop_sampled_neighborhood"]
+__all__ = ["LocalSubgraph", "induced_subgraph", "induced_subgraphs",
+           "khop_neighborhood", "khop_sampled_neighborhood",
+           "ragged_positions"]
 
 
 @dataclass
@@ -88,7 +90,7 @@ class LocalSubgraph:
         )
 
 
-def _ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Flat positions covering ``[starts[i], starts[i] + lengths[i])``."""
     total = int(lengths.sum())
     if total == 0:
@@ -108,74 +110,87 @@ def induced_subgraph(
     extraction streams adjacency blocks, so handing it an out-of-core
     :class:`GraphStore` touches only the chunks holding local rows.
     """
-    local_vertices = np.asarray(local_vertices, dtype=np.int64)
-    if local_vertices.size != np.unique(local_vertices).size:
-        raise ValueError("local vertex set contains duplicates")
+    return induced_subgraphs(graph, [local_vertices])[0]
+
+
+def induced_subgraphs(
+    graph: CSRGraph | GraphStore, vertex_sets: Sequence[np.ndarray]
+) -> list[LocalSubgraph]:
+    """One :func:`induced_subgraph` per vertex set from a single sweep.
+
+    Every adjacency block is read (and, for a lazily normalized store,
+    assembled) once however many sets there are — the way
+    ``build_worker_states`` cuts a partitioned graph into its workers.
+    """
     store = as_topology(graph)
     full_indptr = store.indptr
-    if local_vertices.size and (
-        local_vertices.min() < 0
-        or local_vertices.max() >= store.num_vertices
-    ):
-        raise IndexError("local vertex id out of range")
-
-    counts = (
-        full_indptr[local_vertices + 1] - full_indptr[local_vertices]
-    ).astype(np.int64)
-    indptr = np.zeros(local_vertices.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    total = int(indptr[-1])
-    global_cols = np.empty(total, dtype=np.int64)
-    weights = (
-        np.empty(total, dtype=np.float32) if store.has_weights else None
-    )
-
+    n = store.num_vertices
+    sets = [np.asarray(s, dtype=np.int64) for s in vertex_sets]
     # Rows are gathered in ascending global order (one pass over the
     # storage chunks) and scattered into their position in the caller's
-    # ordering of ``local_vertices``.
-    order = np.argsort(local_vertices, kind="stable")
-    sorted_locals = local_vertices[order]
-    cursor = 0
-    for start, stop, block_idx, block_w in store.iter_adjacency():
-        if cursor >= sorted_locals.size:
-            break
-        if sorted_locals[cursor] >= stop:
-            continue
-        end = int(np.searchsorted(sorted_locals, stop, side="left"))
-        sel = sorted_locals[cursor:end]
-        rows_out = order[cursor:end]
-        lens = counts[rows_out]
-        src = _ragged_positions(
-            full_indptr[sel] - full_indptr[start], lens
+    # ordering of each set.
+    orders = [np.argsort(s, kind="stable") for s in sets]
+    sorted_sets = [s[order] for s, order in zip(sets, orders)]
+    for sorted_locals in sorted_sets:
+        if np.any(sorted_locals[1:] == sorted_locals[:-1]):
+            raise ValueError("local vertex set contains duplicates")
+        if sorted_locals.size and (
+            sorted_locals[0] < 0 or sorted_locals[-1] >= n
+        ):
+            raise IndexError("local vertex id out of range")
+    indptrs = []
+    for local_vertices in sets:
+        indptr = np.zeros(local_vertices.size + 1, dtype=np.int64)
+        np.cumsum(
+            full_indptr[local_vertices + 1] - full_indptr[local_vertices],
+            out=indptr[1:],
         )
-        dst = _ragged_positions(indptr[rows_out], lens)
-        global_cols[dst] = block_idx[src]
-        if weights is not None:
-            weights[dst] = block_w[src]
-        cursor = end
-
-    unique_cols = np.unique(global_cols)
-    is_local = np.isin(unique_cols, sorted_locals, assume_unique=True)
-    remote_vertices = unique_cols[~is_local]
-
-    # Compact relabel: local columns map to their position in the given
-    # ordering, remote columns to num_local + rank in sorted halo order.
-    compact_of_unique = np.empty(unique_cols.size, dtype=np.int64)
-    compact_of_unique[is_local] = order[
-        np.searchsorted(sorted_locals, unique_cols[is_local])
+        indptrs.append(indptr)
+    columns = [np.empty(int(p[-1]), dtype=np.int64) for p in indptrs]
+    weights = [
+        np.empty(int(p[-1]), dtype=np.float32) if store.has_weights else None
+        for p in indptrs
     ]
-    compact_of_unique[~is_local] = local_vertices.shape[0] + np.arange(
-        remote_vertices.size, dtype=np.int64
-    )
-    indices = compact_of_unique[np.searchsorted(unique_cols, global_cols)]
+    last_row = max((int(s[-1]) for s in sorted_sets if s.size), default=-1)
+    for start, stop, block_idx, block_w in store.iter_adjacency():
+        if start > last_row:
+            break
+        for which, sorted_locals in enumerate(sorted_sets):
+            lo, hi = np.searchsorted(sorted_locals, (start, stop))
+            if lo == hi:
+                continue
+            sel = sorted_locals[lo:hi]
+            lens = full_indptr[sel + 1] - full_indptr[sel]
+            src = ragged_positions(full_indptr[sel] - full_indptr[start], lens)
+            dst = ragged_positions(indptrs[which][orders[which][lo:hi]], lens)
+            columns[which][dst] = block_idx[src]
+            if weights[which] is not None:
+                weights[which][dst] = block_w[src]
 
-    return LocalSubgraph(
-        local_vertices=local_vertices,
-        remote_vertices=remote_vertices,
-        indptr=indptr,
-        indices=indices,
-        weights=weights,
-    )
+    # Compact relabel through one n-sized lookup, reset after each set:
+    # local columns map to their position in the given ordering, remote
+    # columns to num_local + rank in sorted halo order.
+    compact = np.full(n, -1, dtype=np.int64)
+    subgraphs = []
+    for local_vertices, indptr, global_cols, w in zip(
+        sets, indptrs, columns, weights
+    ):
+        compact[local_vertices] = np.arange(local_vertices.size, dtype=np.int64)
+        compact[global_cols[compact[global_cols] < 0]] = -2
+        remote_vertices = np.flatnonzero(compact == -2)
+        compact[remote_vertices] = local_vertices.size + np.arange(
+            remote_vertices.size, dtype=np.int64
+        )
+        subgraphs.append(LocalSubgraph(
+            local_vertices=local_vertices,
+            remote_vertices=remote_vertices,
+            indptr=indptr,
+            indices=compact[global_cols],
+            weights=w,
+        ))
+        compact[local_vertices] = -1
+        compact[remote_vertices] = -1
+    return subgraphs
 
 
 def khop_neighborhood(

@@ -73,10 +73,12 @@ class Partitioner(Protocol):
 
     Partitioners accept either a resident :class:`CSRGraph` or a
     :class:`~repro.graph.store.GraphStore` (possibly out-of-core).
-    Adjacency-free methods (hash) never touch the columns; streaming
-    methods (bfs) go through the store's block API; the quality methods
+    Adjacency-free methods (hash) never touch the columns; bfs reads
+    them once through the store's block API; the quality methods
     (metis, spectral) materialize the topology and are documented as
-    in-memory algorithms.
+    in-memory algorithms. Every method raises
+    ``ValueError("num_parts must be positive")`` for ``num_parts <= 0``
+    before touching the graph.
     """
 
     name: str

@@ -41,6 +41,8 @@ class HashPartitioner:
     def partition(
         self, graph: CSRGraph | GraphStore, num_parts: int
     ) -> Partition:
+        if num_parts <= 0:
+            raise ValueError("num_parts must be positive")
         start = time.perf_counter()
         n = graph.num_vertices
         ids = np.arange(n, dtype=np.uint64)

@@ -45,6 +45,8 @@ class SpectralPartitioner:
     def partition(
         self, graph: CSRGraph | GraphStore, num_parts: int
     ) -> Partition:
+        if num_parts <= 0:
+            raise ValueError("num_parts must be positive")
         start = time.perf_counter()
         if isinstance(graph, GraphStore):
             # Eigensolves need the whole operator; materialize up front

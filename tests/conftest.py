@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import time
+from collections import deque
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from repro.cluster.topology import ClusterSpec
+from repro.core.worker import WorkerState
 from repro.graph.attributed import AttributedGraph
 from repro.graph.csr import CSRGraph, from_edge_list
 from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.store.base import (
+    GraphStore,
+    GraphStoreBundle,
+    as_bundle,
+    as_topology,
+)
+from repro.graph.subgraph import LocalSubgraph
+from repro.partition.base import Partition
 
 
 @pytest.fixture
@@ -231,3 +244,576 @@ class _ReferenceKernels:
 @pytest.fixture
 def reference_kernels():
     return _ReferenceKernels
+
+
+# ----------------------------------------------------------------------
+# Pre-rewrite set-up path, kept verbatim as differential references for
+# the event-driven multilevel partitioner, the list-walking BFS/LDG
+# partitioner, the one-sweep worker-subgraph extraction and the
+# vectorised CSR helpers: per-vertex Python loops over
+# ``graph.neighbors(v)`` / ``graph.edge_weights(v)`` and one full
+# adjacency stream per worker.
+# ----------------------------------------------------------------------
+class _ReferenceMetisLikePartitioner:
+    """Multilevel heavy-edge-matching partitioner with KL refinement."""
+
+    name = "metis"
+
+    def __init__(
+        self,
+        seed: int = 0,
+        coarsen_until: int = 256,
+        refine_passes: int = 4,
+        imbalance: float = 1.1,
+    ):
+        """Args:
+        seed: Seed for matching and growth tie-breaking.
+        coarsen_until: Stop coarsening when at most this many vertices
+            remain (or no matching progress is made).
+        refine_passes: Refinement sweeps per level.
+        imbalance: Allowed max part size as a multiple of the ideal.
+        """
+        if imbalance < 1.0:
+            raise ValueError("imbalance must be >= 1")
+        self.seed = seed
+        self.coarsen_until = max(coarsen_until, 8)
+        self.refine_passes = refine_passes
+        self.imbalance = imbalance
+
+    # ------------------------------------------------------------------
+    def partition(
+        self, graph: CSRGraph | GraphStore, num_parts: int
+    ) -> Partition:
+        start = time.perf_counter()
+        if isinstance(graph, GraphStore):
+            # Multilevel coarsening is a whole-graph in-memory algorithm;
+            # out-of-core inputs are materialized up front. Scale-bound
+            # deployments should partition with hash or bfs instead.
+            graph = graph.to_csr()
+        rng = np.random.default_rng(self.seed)
+        if num_parts == 1:
+            assignment = np.zeros(graph.num_vertices, dtype=np.int64)
+            return Partition(assignment, 1, self.name,
+                             time.perf_counter() - start)
+
+        levels: list[tuple[CSRGraph, np.ndarray, np.ndarray]] = []
+        current = graph
+        vertex_weight = np.ones(graph.num_vertices, dtype=np.int64)
+        while current.num_vertices > self.coarsen_until:
+            coarse, mapping, coarse_weight = self._coarsen(
+                current, vertex_weight, rng
+            )
+            if coarse.num_vertices >= current.num_vertices:
+                break  # matching made no progress (e.g. all isolated)
+            levels.append((current, mapping, vertex_weight))
+            current, vertex_weight = coarse, coarse_weight
+
+        assignment = self._initial_partition(
+            current, vertex_weight, num_parts, rng
+        )
+        assignment = self._refine(
+            current, vertex_weight, assignment, num_parts, rng
+        )
+
+        for fine_graph, mapping, fine_weight in reversed(levels):
+            assignment = assignment[mapping]
+            assignment = self._refine(
+                fine_graph, fine_weight, assignment, num_parts, rng
+            )
+
+        return Partition(
+            assignment=assignment,
+            num_parts=num_parts,
+            method=self.name,
+            seconds=time.perf_counter() - start,
+        )
+
+    # ------------------------------------------------------------------
+    def _coarsen(
+        self,
+        graph: CSRGraph,
+        vertex_weight: np.ndarray,
+        rng: np.random.Generator,
+    ) -> tuple[CSRGraph, np.ndarray, np.ndarray]:
+        """Contract a heavy-edge matching; returns (coarse, mapping, weight).
+
+        ``mapping[v]`` is the coarse vertex containing fine vertex ``v``.
+        """
+        n = graph.num_vertices
+        match = np.full(n, -1, dtype=np.int64)
+        visit_order = rng.permutation(n)
+        for v in visit_order:
+            if match[v] != -1:
+                continue
+            best_u = -1
+            best_w = -1.0
+            nbrs = graph.neighbors(int(v))
+            weights = graph.edge_weights(int(v))
+            for u, w in zip(nbrs, weights):
+                u = int(u)
+                if u != v and match[u] == -1 and w > best_w:
+                    best_w = float(w)
+                    best_u = u
+            if best_u >= 0:
+                match[v] = best_u
+                match[best_u] = v
+            else:
+                match[v] = v
+
+        mapping = np.full(n, -1, dtype=np.int64)
+        next_id = 0
+        for v in range(n):
+            if mapping[v] != -1:
+                continue
+            mapping[v] = next_id
+            partner = match[v]
+            if partner != v and mapping[partner] == -1:
+                mapping[partner] = next_id
+            next_id += 1
+
+        coarse_weight = np.zeros(next_id, dtype=np.int64)
+        np.add.at(coarse_weight, mapping, vertex_weight)
+
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+        csrc = mapping[src]
+        cdst = mapping[graph.indices]
+        ew = (
+            np.ones(graph.num_edges, dtype=np.float64)
+            if graph.weights is None
+            else graph.weights.astype(np.float64)
+        )
+        keep = csrc != cdst  # drop collapsed self-edges
+        csrc, cdst, ew = csrc[keep], cdst[keep], ew[keep]
+        # Merge parallel edges by accumulating weights.
+        keys = csrc * next_id + cdst
+        order = np.argsort(keys, kind="stable")
+        keys, csrc, cdst, ew = keys[order], csrc[order], cdst[order], ew[order]
+        unique_keys, starts = np.unique(keys, return_index=True)
+        merged_w = np.add.reduceat(ew, starts) if keys.size else ew
+        merged_src = csrc[starts] if keys.size else csrc
+        merged_dst = cdst[starts] if keys.size else cdst
+        edges = np.stack([merged_src, merged_dst], axis=1)
+        coarse = from_edge_list(edges, next_id, weights=merged_w)
+        return coarse, mapping, coarse_weight
+
+    # ------------------------------------------------------------------
+    def _initial_partition(
+        self,
+        graph: CSRGraph,
+        vertex_weight: np.ndarray,
+        num_parts: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Greedy region growth on the coarsest graph."""
+        n = graph.num_vertices
+        total = int(vertex_weight.sum())
+        target = total / num_parts
+        assignment = np.full(n, -1, dtype=np.int64)
+        load = np.zeros(num_parts, dtype=np.int64)
+        order = rng.permutation(n)
+        cursor = 0
+        for part in range(num_parts):
+            # Find an unassigned seed.
+            while cursor < n and assignment[order[cursor]] != -1:
+                cursor += 1
+            if cursor >= n:
+                break
+            frontier = [int(order[cursor])]
+            while frontier and load[part] < target:
+                v = frontier.pop()
+                if assignment[v] != -1:
+                    continue
+                assignment[v] = part
+                load[part] += int(vertex_weight[v])
+                for u in graph.neighbors(v):
+                    if assignment[u] == -1:
+                        frontier.append(int(u))
+        # Scatter leftovers to the lightest parts.
+        for v in np.flatnonzero(assignment == -1):
+            part = int(np.argmin(load))
+            assignment[v] = part
+            load[part] += int(vertex_weight[v])
+        return assignment
+
+    # ------------------------------------------------------------------
+    def _refine(
+        self,
+        graph: CSRGraph,
+        vertex_weight: np.ndarray,
+        assignment: np.ndarray,
+        num_parts: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Boundary-vertex greedy refinement with a balance constraint."""
+        assignment = assignment.copy()
+        total = int(vertex_weight.sum())
+        max_load = int(np.ceil(self.imbalance * total / num_parts))
+        load = np.zeros(num_parts, dtype=np.int64)
+        np.add.at(load, assignment, vertex_weight)
+
+        n = graph.num_vertices
+        for _ in range(self.refine_passes):
+            moved = 0
+            for v in rng.permutation(n):
+                v = int(v)
+                here = int(assignment[v])
+                gain = np.zeros(num_parts, dtype=np.float64)
+                nbrs = graph.neighbors(v)
+                weights = graph.edge_weights(v)
+                if nbrs.size == 0:
+                    continue
+                for u, w in zip(nbrs, weights):
+                    gain[assignment[u]] += float(w)
+                gain_move = gain - gain[here]
+                gain_move[here] = 0.0
+                w_v = int(vertex_weight[v])
+                feasible = load + w_v <= max_load
+                feasible[here] = False
+                gain_move[~feasible] = -np.inf
+                best = int(np.argmax(gain_move))
+                if gain_move[best] > 0:
+                    assignment[v] = best
+                    load[here] -= w_v
+                    load[best] += w_v
+                    moved += 1
+            if moved == 0:
+                break
+        return assignment
+
+
+class _ReferenceBFSPartitioner:
+    """Linear Deterministic Greedy placement over a BFS vertex stream."""
+
+    name = "bfs"
+
+    def __init__(self, seed: int = 0, slack: float = 1.05):
+        """Args:
+        seed: Seed for BFS root selection.
+        slack: Maximum allowed part size as a multiple of the ideal
+            ``n / num_parts``; parts at capacity are skipped.
+        """
+        if slack < 1.0:
+            raise ValueError("slack must be >= 1")
+        self.seed = seed
+        self.slack = slack
+
+    def partition(
+        self, graph: CSRGraph | GraphStore, num_parts: int
+    ) -> Partition:
+        start = time.perf_counter()
+        # The traversal is random-access by nature; going through the
+        # store keeps out-of-core inputs workable (the LRU residency
+        # bounds memory), at the cost of chunk faults when the BFS
+        # frontier hops across chunk boundaries.
+        graph = as_topology(graph)
+        n = graph.num_vertices
+        capacity = int(np.ceil(self.slack * n / num_parts))
+        assignment = np.full(n, -1, dtype=np.int64)
+        sizes = np.zeros(num_parts, dtype=np.int64)
+        rng = np.random.default_rng(self.seed)
+
+        order = self._bfs_order(graph, rng)
+        for v in order:
+            neighbour_counts = np.zeros(num_parts, dtype=np.float64)
+            for u in graph.neighbors(int(v)):
+                part = assignment[u]
+                if part >= 0:
+                    neighbour_counts[part] += 1.0
+            # LDG score: neighbours already in the part, scaled by the
+            # remaining capacity fraction, so full parts become unattractive.
+            score = neighbour_counts * (1.0 - sizes / capacity)
+            score[sizes >= capacity] = -np.inf
+            best = int(np.argmax(score))
+            if score[best] == -np.inf:
+                best = int(np.argmin(sizes))
+            assignment[v] = best
+            sizes[best] += 1
+
+        return Partition(
+            assignment=assignment,
+            num_parts=num_parts,
+            method=self.name,
+            seconds=time.perf_counter() - start,
+        )
+
+    @staticmethod
+    def _bfs_order(graph: GraphStore, rng: np.random.Generator) -> np.ndarray:
+        """Full BFS traversal order, restarting at random unvisited roots."""
+        n = graph.num_vertices
+        visited = np.zeros(n, dtype=bool)
+        order = np.empty(n, dtype=np.int64)
+        cursor = 0
+        for root in rng.permutation(n):
+            if visited[root]:
+                continue
+            queue = deque([int(root)])
+            visited[root] = True
+            while queue:
+                v = queue.popleft()
+                order[cursor] = v
+                cursor += 1
+                for u in graph.neighbors(v):
+                    if not visited[u]:
+                        visited[u] = True
+                        queue.append(int(u))
+        return order
+
+
+def _reference_ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat positions covering ``[starts[i], starts[i] + lengths[i])``."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    flat_starts = np.cumsum(lengths) - lengths
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(flat_starts, lengths)
+    return np.repeat(starts, lengths) + offsets
+
+
+def _reference_induced_subgraph(
+    graph: CSRGraph | GraphStore, local_vertices: np.ndarray
+) -> LocalSubgraph:
+    """Extract the worker-local subgraph for a set of owned vertices.
+
+    All edges leaving the owned vertices are kept; edges pointing at
+    non-owned vertices make those targets part of the remote halo. The
+    extraction streams adjacency blocks, so handing it an out-of-core
+    :class:`GraphStore` touches only the chunks holding local rows.
+    """
+    local_vertices = np.asarray(local_vertices, dtype=np.int64)
+    if local_vertices.size != np.unique(local_vertices).size:
+        raise ValueError("local vertex set contains duplicates")
+    store = as_topology(graph)
+    full_indptr = store.indptr
+    if local_vertices.size and (
+        local_vertices.min() < 0
+        or local_vertices.max() >= store.num_vertices
+    ):
+        raise IndexError("local vertex id out of range")
+
+    counts = (
+        full_indptr[local_vertices + 1] - full_indptr[local_vertices]
+    ).astype(np.int64)
+    indptr = np.zeros(local_vertices.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    total = int(indptr[-1])
+    global_cols = np.empty(total, dtype=np.int64)
+    weights = (
+        np.empty(total, dtype=np.float32) if store.has_weights else None
+    )
+
+    # Rows are gathered in ascending global order (one pass over the
+    # storage chunks) and scattered into their position in the caller's
+    # ordering of ``local_vertices``.
+    order = np.argsort(local_vertices, kind="stable")
+    sorted_locals = local_vertices[order]
+    cursor = 0
+    for start, stop, block_idx, block_w in store.iter_adjacency():
+        if cursor >= sorted_locals.size:
+            break
+        if sorted_locals[cursor] >= stop:
+            continue
+        end = int(np.searchsorted(sorted_locals, stop, side="left"))
+        sel = sorted_locals[cursor:end]
+        rows_out = order[cursor:end]
+        lens = counts[rows_out]
+        src = _reference_ragged_positions(
+            full_indptr[sel] - full_indptr[start], lens
+        )
+        dst = _reference_ragged_positions(indptr[rows_out], lens)
+        global_cols[dst] = block_idx[src]
+        if weights is not None:
+            weights[dst] = block_w[src]
+        cursor = end
+
+    unique_cols = np.unique(global_cols)
+    is_local = np.isin(unique_cols, sorted_locals, assume_unique=True)
+    remote_vertices = unique_cols[~is_local]
+
+    # Compact relabel: local columns map to their position in the given
+    # ordering, remote columns to num_local + rank in sorted halo order.
+    compact_of_unique = np.empty(unique_cols.size, dtype=np.int64)
+    compact_of_unique[is_local] = order[
+        np.searchsorted(sorted_locals, unique_cols[is_local])
+    ]
+    compact_of_unique[~is_local] = local_vertices.shape[0] + np.arange(
+        remote_vertices.size, dtype=np.int64
+    )
+    indices = compact_of_unique[np.searchsorted(unique_cols, global_cols)]
+
+    return LocalSubgraph(
+        local_vertices=local_vertices,
+        remote_vertices=remote_vertices,
+        indptr=indptr,
+        indices=indices,
+        weights=weights,
+    )
+
+
+def _reference_build_worker_states(
+    graph: AttributedGraph | GraphStoreBundle,
+    normalized: CSRGraph | GraphStore,
+    partition: Partition,
+) -> list[WorkerState]:
+    """Construct all worker states for a partitioned training run.
+
+    Args:
+        graph: The attributed input graph (features/labels/masks), either
+            resident or behind a :class:`GraphStoreBundle` — worker
+            feature/label shards are gathered through the store row API,
+            so an mmap-backed bundle never materializes the full matrix.
+        normalized: The *globally* normalized adjacency (GCN or row
+            normalization must happen before partitioning so degrees are
+            global); a :class:`CSRGraph` or a (possibly lazy)
+            :class:`GraphStore` view.
+        partition: Vertex-to-worker assignment.
+    """
+    bundle = as_bundle(graph)
+    if partition.num_vertices != bundle.num_vertices:
+        raise ValueError("partition does not match the graph")
+    states: list[WorkerState] = []
+    subs: list[LocalSubgraph] = []
+    for worker in range(partition.num_parts):
+        local = partition.part_vertices(worker)
+        subs.append(_reference_induced_subgraph(normalized, local))
+
+    assignment = partition.assignment
+    # Local row index of every vertex on its owner (owners list vertices
+    # in ascending global order, so searchsorted gives the row).
+    owner_vertex_lists = [subs[w].local_vertices for w in range(partition.num_parts)]
+
+    for worker in range(partition.num_parts):
+        sub = subs[worker]
+        n_cols = sub.num_local + sub.num_remote
+        a_local = csr_matrix(
+            (
+                sub.weights
+                if sub.weights is not None
+                else np.ones(sub.num_edges, dtype=np.float32),
+                sub.indices,
+                sub.indptr,
+            ),
+            shape=(sub.num_local, n_cols),
+        )
+
+        requests: dict[int, np.ndarray] = {}
+        halo_slots: dict[int, np.ndarray] = {}
+        if sub.num_remote:
+            owners = assignment[sub.remote_vertices]
+            for owner in np.unique(owners):
+                mask = owners == owner
+                requests[int(owner)] = sub.remote_vertices[mask]
+                halo_slots[int(owner)] = np.flatnonzero(mask).astype(np.int64)
+
+        states.append(
+            WorkerState(
+                worker_id=worker,
+                sub=sub,
+                a_local=a_local,
+                features=bundle.feature_store.rows(sub.local_vertices),
+                labels=bundle.labels[sub.local_vertices],
+                train_mask=bundle.train_mask[sub.local_vertices],
+                val_mask=bundle.val_mask[sub.local_vertices],
+                test_mask=bundle.test_mask[sub.local_vertices],
+                requests=requests,
+                halo_slots=halo_slots,
+                serves={},
+            )
+        )
+
+    # Serve plans are the mirror of the request plans.
+    for state in states:
+        for owner, wanted in state.requests.items():
+            rows = np.searchsorted(owner_vertex_lists[owner], wanted)
+            states[owner].serves[state.worker_id] = rows.astype(np.int64)
+
+    return states
+
+
+def _reference_with_self_loops(self):
+    """Return a copy with a self-loop added to every vertex.
+
+    Vertices that already have a self-loop are left as-is so repeated
+    application is idempotent. Existing weights are kept; new loops get
+    weight 1.
+    """
+    n = self.num_vertices
+    has_loop = np.zeros(n, dtype=bool)
+    for v in range(n):
+        if np.any(self.neighbors(v) == v):
+            has_loop[v] = True
+    extra = np.count_nonzero(~has_loop)
+    if extra == 0:
+        return CSRGraph(
+            self.indptr.copy(),
+            self.indices.copy(),
+            None if self.weights is None else self.weights.copy(),
+        )
+    new_counts = np.diff(self.indptr) + (~has_loop)
+    indptr_new = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(new_counts, out=indptr_new[1:])
+    indices_new = np.empty(self.num_edges + extra, dtype=np.int64)
+    weights_new = (
+        None
+        if self.weights is None
+        else np.empty(self.num_edges + extra, dtype=np.float32)
+    )
+    for v in range(n):
+        lo_old, hi_old = self.indptr[v], self.indptr[v + 1]
+        lo_new = indptr_new[v]
+        span = hi_old - lo_old
+        indices_new[lo_new:lo_new + span] = self.indices[lo_old:hi_old]
+        if weights_new is not None:
+            weights_new[lo_new:lo_new + span] = self.weights[lo_old:hi_old]
+        if not has_loop[v]:
+            indices_new[lo_new + span] = v
+            if weights_new is not None:
+                weights_new[lo_new + span] = 1.0
+    return CSRGraph(indptr_new, indices_new, weights_new)
+
+
+def _reference_sorted_rows(self):
+    """Return a copy whose neighbour lists are sorted ascending."""
+    indices = self.indices.copy()
+    weights = None if self.weights is None else self.weights.copy()
+    for v in range(self.num_vertices):
+        lo, hi = self.indptr[v], self.indptr[v + 1]
+        order = np.argsort(indices[lo:hi], kind="stable")
+        indices[lo:hi] = indices[lo:hi][order]
+        if weights is not None:
+            weights[lo:hi] = weights[lo:hi][order]
+    out = CSRGraph(self.indptr.copy(), indices, weights)
+    out._sorted_rows = True
+    return out
+
+
+def _reference_transpose(self):
+    """Return the reverse graph (in-neighbour lists), weights carried."""
+    n, m = self.num_vertices, self.num_edges
+    counts = np.bincount(self.indices, minlength=n)
+    indptr_t = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr_t[1:])
+    indices_t = np.empty(m, dtype=np.int64)
+    weights_t = None if self.weights is None else np.empty(m, dtype=np.float32)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+    order = np.argsort(self.indices, kind="stable")
+    indices_t[:] = src[order]
+    if weights_t is not None:
+        weights_t[:] = self.weights[order]
+    return CSRGraph(indptr_t, indices_t, weights_t)
+
+
+class _ReferenceSetup:
+    """The parent commit's set-up path (see the banner above)."""
+
+    MetisLikePartitioner = _ReferenceMetisLikePartitioner
+    BFSPartitioner = _ReferenceBFSPartitioner
+    induced_subgraph = staticmethod(_reference_induced_subgraph)
+    build_worker_states = staticmethod(_reference_build_worker_states)
+    transpose = staticmethod(_reference_transpose)
+    with_self_loops = staticmethod(_reference_with_self_loops)
+    sorted_rows = staticmethod(_reference_sorted_rows)
+
+
+@pytest.fixture(scope="session")
+def reference_setup():
+    return _ReferenceSetup

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph.csr import from_edge_list
 from repro.graph.generators import GraphSpec, generate_graph
 from repro.partition import (
     BFSPartitioner,
@@ -68,6 +69,40 @@ class TestInvariants:
     def test_records_time(self, partitioner, community_graph):
         partition = partitioner.partition(community_graph, 2)
         assert partition.seconds >= 0.0
+
+
+@pytest.mark.parametrize("name", ["hash", "bfs", "metis", "spectral"])
+class TestDegenerateInputs:
+    """Every partitioner rejects a non-positive part count the same way,
+    before touching the graph, and accepts the degenerate graphs."""
+
+    @pytest.mark.parametrize("num_parts", [0, -1])
+    def test_non_positive_part_count_rejected(self, name, num_parts):
+        class Untouchable:
+            def __getattr__(self, attribute):
+                raise AssertionError(f"graph.{attribute} read before the check")
+
+        with pytest.raises(ValueError, match="num_parts must be positive"):
+            make_partitioner(name).partition(Untouchable(), num_parts)
+
+    def test_empty_graph(self, name):
+        partition = make_partitioner(name).partition(from_edge_list([], 0), 3)
+        assert partition.num_vertices == 0
+        assert partition.num_parts == 3
+        assert partition.part_sizes().tolist() == [0, 0, 0]
+
+    def test_all_isolated_vertices(self, name):
+        partition = make_partitioner(name).partition(from_edge_list([], 7), 3)
+        assert partition.num_vertices == 7
+        assert partition.part_sizes().sum() == 7
+
+    def test_more_parts_than_vertices(self, name):
+        path = from_edge_list([(0, 1), (1, 0), (1, 2), (2, 1)], 4)
+        partition = make_partitioner(name).partition(path, 9)
+        assert partition.num_parts == 9
+        assert partition.part_sizes().sum() == 4
+        # Nobody shares a part when there are parts to spare.
+        assert partition.part_sizes().max() == 1
 
 
 class TestHash:

@@ -156,3 +156,72 @@ class TestSteadyStateAllocationBudget:
         assert sum(ws.held(w)[0] for w in range(4)) == total > 0
         logits = trainer.workers[0].caches[3].output
         assert np.isfinite(logits).all()
+
+
+# ----------------------------------------------------------------------
+# Set-up path: no per-vertex adjacency calls, no per-worker re-streaming
+# ----------------------------------------------------------------------
+class TestSetupPathCallCounts:
+    """Counts, not clocks: the partitioners stay off the per-vertex
+    ``neighbors`` / ``edge_weights`` accessors and ``build_worker_states``
+    reads the adjacency once however many workers there are."""
+
+    N = 4096
+
+    @pytest.fixture(scope="class")
+    def sbm(self):
+        return generate_graph(GraphSpec(
+            name="setup-counts", num_vertices=self.N, avg_degree=12.0,
+            feature_dim=8, num_classes=4, homophily=0.8, power_law=2.5,
+            seed=4,
+        ))
+
+    @pytest.mark.parametrize("method", ["metis", "bfs"])
+    def test_partitioning_makes_fewer_than_n_row_calls(
+        self, sbm, method, monkeypatch
+    ):
+        from repro.graph.csr import CSRGraph
+        from repro.partition import make_partitioner
+
+        from repro.graph.store import GraphStore
+
+        calls = 0
+        for owner, name in (
+            (CSRGraph, "neighbors"),
+            (CSRGraph, "edge_weights"),
+            (GraphStore, "neighbors"),
+        ):
+            def counted(self, vertex, _original=getattr(owner, name)):
+                nonlocal calls
+                calls += 1
+                return _original(self, vertex)
+
+            monkeypatch.setattr(owner, name, counted)
+        make_partitioner(method, seed=2).partition(sbm.adjacency, 4)
+        # The pre-rewrite loops made more than 8 n of these; what is left
+        # is the greedy growth on the <= 256-vertex coarsest graph.
+        assert calls < self.N
+
+    @pytest.mark.parametrize("num_workers", [2, 8])
+    def test_build_worker_states_reads_each_block_at_most_twice(
+        self, sbm, num_workers
+    ):
+        from repro.core.worker import build_worker_states
+        from repro.graph.normalize import normalized_adjacency
+        from repro.graph.store import MemoryGraphStore
+        from repro.partition import HashPartitioner
+
+        pulls: dict[int, int] = {}
+
+        class CountingStore(MemoryGraphStore):
+            def adjacency_block(self, start, stop):
+                pulls[start] = pulls.get(start, 0) + 1
+                return super().adjacency_block(start, stop)
+
+        base = CountingStore(sbm.adjacency, block_vertices=512)
+        partition = HashPartitioner().partition(base, num_workers)
+        normalized = normalized_adjacency(base, "gcn")  # self-loop scan: 1
+        states = build_worker_states(sbm, normalized, partition)  # sweep: 1
+        assert len(states) == num_workers
+        assert len(pulls) == self.N // 512
+        assert max(pulls.values()) <= 2

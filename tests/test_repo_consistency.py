@@ -5,6 +5,7 @@ every benchmark is listed in the README's reproduction table, every
 example compiles, and every public subpackage is mentioned in DESIGN.md.
 """
 
+import ast
 import importlib
 import py_compile
 import re
@@ -83,6 +84,69 @@ class TestRetiredNamesStayGone:
                         for name in RETIRED_NAMES if name in line
                     ]
         assert offenders == []
+
+
+# ----------------------------------------------------------------------
+# The set-up path stays off the per-vertex row accessors: a ``for`` loop
+# that calls ``.neighbors(`` / ``.edge_weights(`` is one numpy call (and a
+# fresh view, and numpy scalars) per vertex — 88 % of a 22 s partition
+# before the rewrite. Row-at-a-time helpers and the greedy growth on the
+# coarsest (<= ``coarsen_until`` vertices) graph are the only exceptions.
+# ----------------------------------------------------------------------
+ROW_ACCESSORS = {"neighbors", "edge_weights"}
+LOOP_FREE_MODULES = (
+    "src/repro/partition/metis_like.py",
+    "src/repro/partition/bfs.py",
+    "src/repro/graph/csr.py",
+)
+ROW_LOOP_ALLOWED = {"iter_edges", "has_edge", "_initial_partition"}
+
+
+def _row_accessor_loops(path: Path) -> list[str]:
+    """``function:line`` of every ``for`` loop (or comprehension) whose
+    body calls a row accessor, outside the allow-listed functions."""
+    offenders = []
+    tree = ast.parse(path.read_text())
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if function.name in ROW_LOOP_ALLOWED:
+            continue
+        for loop in ast.walk(function):
+            if not isinstance(loop, (ast.For, ast.While, ast.comprehension,
+                                     ast.ListComp, ast.GeneratorExp)):
+                continue
+            offenders += [
+                f"{function.name}:{call.lineno}"
+                for call in ast.walk(loop)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ROW_ACCESSORS
+            ]
+    return sorted(set(offenders))
+
+
+class TestSetupPathStaysLoopFree:
+    @pytest.mark.parametrize("module", LOOP_FREE_MODULES)
+    def test_no_row_accessor_inside_a_loop(self, module):
+        assert _row_accessor_loops(REPO / module) == []
+
+    def test_the_guard_sees_what_it_guards_against(self, tmp_path):
+        sample = tmp_path / "sample.py"
+        sample.write_text(
+            "def slow(graph):\n"
+            "    for v in range(graph.num_vertices):\n"
+            "        for u in graph.neighbors(v):\n"
+            "            pass\n"
+            "def also_slow(graph):\n"
+            "    return [graph.edge_weights(v).sum() for v in range(3)]\n"
+            "def has_edge(graph, v):\n"
+            "    for u in graph.neighbors(v):\n"
+            "        pass\n"
+            "def fine(graph):\n"
+            "    return graph.neighbors(0)\n"
+        )
+        assert _row_accessor_loops(sample) == ["also_slow:6", "slow:3"]
 
 
 def _documented_names():
