@@ -260,6 +260,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
             title=f"Stage timeline ({run.num_epochs} epochs, coverage "
                   f"{(data['coverage'] or 0) * 100:.1f}%)",
         ))
+    kind_rows = [
+        [direction, kind, agg["count"],
+         f"{agg['bytes_sent'] / agg['count'] / 1e3:.1f}KB",
+         f"{agg['comm_seconds'] / agg['count'] * 1e3:.2f}ms"]
+        for direction, stage in (("fp", "forward"), ("bp", "backward"))
+        for kind, totals in data["epoch_kinds"].items()
+        if (agg := totals.get(stage))
+    ]
+    if kind_rows:
+        print(format_table(
+            ["direction", "epoch kind", "epochs", "bytes/epoch", "comm/epoch"],
+            kind_rows, title="Regular vs trend-boundary epochs (modelled)",
+        ))
     print(f"\nwrote {out}")
     if absent:
         print("FAIL: engine stages missing from the profile: "

@@ -11,7 +11,8 @@ Supported payload kinds:
 
 * ``RAW``      — float32 matrix,
 * ``QUANT``    — bucket-quantized matrix (packed ids + table or bounds),
-* ``EXACT``    — ReqEC-FP trend message (rows + changing-rate matrix),
+* ``EXACT``    — ReqEC-FP trend message (exact rows; flag bit 0 says the
+  changing rate derives from the previously delivered snapshot),
 * ``SELECTOR`` — ReqEC-FP selector message (2-bit selector + quantized
   subset + proportion).
 """
@@ -181,30 +182,33 @@ def decode_quantized(frame: bytes) -> QuantizedMatrix:
 # ----------------------------------------------------------------------
 # EXACT (ReqEC-FP trend boundary)
 # ----------------------------------------------------------------------
-def encode_exact(rows: np.ndarray, changing_rate: np.ndarray) -> bytes:
-    """Frame the exact embeddings + M_cr of a trend boundary."""
-    if rows.shape != changing_rate.shape:
-        raise ValueError("rows and changing rate must share a shape")
-    data_rows = np.ascontiguousarray(rows, dtype=np.float32)
-    data_rate = np.ascontiguousarray(changing_rate, dtype=np.float32)
-    payload = _pack_shape(data_rows.shape) + data_rows.tobytes() + (
-        data_rate.tobytes()
+def encode_exact(rows: np.ndarray, has_base: bool) -> bytes:
+    """Frame the exact embeddings of a trend boundary. ``M_cr`` is not
+    shipped: flag bit 0 (``has_base``) tells the requester to derive it
+    from the snapshot it already holds; clear, it starts from zeros."""
+    data = np.ascontiguousarray(rows, dtype=np.float32)
+    return _frame(
+        _KIND_EXACT, _pack_shape(data.shape) + data.tobytes(),
+        flags=int(bool(has_base)),
     )
-    return _frame(_KIND_EXACT, payload)
 
 
-def decode_exact(frame: bytes) -> tuple[np.ndarray, np.ndarray]:
-    payload, _ = _unframe(frame, _KIND_EXACT)
+def decode_exact(frame: bytes) -> tuple[np.ndarray, bool]:
+    """Decode an EXACT frame into ``(rows, has_base)``; an unknown flag
+    bit or a payload that is not exactly shape word + ``rows * cols``
+    float32 values is a wire-format ``ValueError``."""
+    payload, flags = _unframe(frame, _KIND_EXACT)
+    if flags & ~1:
+        raise ValueError(f"EXACT frame carries unknown flag bits 0x{flags:X}")
     shape, offset = _unpack_shape(payload, 0)
-    count = int(np.prod(shape))
-    rows = np.frombuffer(
-        payload, dtype=np.float32, count=count, offset=offset
-    ).reshape(shape).copy()
-    offset += count * 4
-    rate = np.frombuffer(
-        payload, dtype=np.float32, count=count, offset=offset
-    ).reshape(shape).copy()
-    return rows, rate
+    expected = offset + _shape_elements(shape) * 4
+    if len(payload) != expected:
+        raise ValueError(
+            f"EXACT frame payload holds {len(payload)} bytes but shape "
+            f"{shape} needs exactly {expected}"
+        )
+    rows = np.frombuffer(payload, dtype=np.float32, offset=offset)
+    return rows.reshape(shape).copy(), bool(flags)
 
 
 # ----------------------------------------------------------------------

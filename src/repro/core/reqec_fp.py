@@ -2,9 +2,11 @@
 (paper section IV-B, Algorithms 3 and 4).
 
 Every ``T_tr`` iterations (a *trend group*) the responding worker ships
-the exact embedding rows together with the per-coordinate changing-rate
-matrix ``M_cr = (H_now - H_last) / T_tr``. In between, both ends can form
-three approximations of the current rows:
+the exact embedding rows and both ends form the changing-rate matrix
+``M_cr = (H_now - H_last) / T_tr`` from them: the requesting end already
+holds ``H_last``, so ``M_cr`` never travels (a deliberate deviation from
+Algorithm 4's wire format, DESIGN.md section 2). In between, both ends
+can form three approximations of the current rows:
 
 * ``compressed`` — bucket-quantized rows (id 0),
 * ``predicted`` — ``H_last + M_cr * (t mod T_tr + 1)`` (id 1), computable
@@ -88,6 +90,20 @@ class ReqECPolicy:
     def _is_boundary(self, t: int) -> bool:
         return (t + 1) % self.trend_period == 0
 
+    def _changing_rate(
+        self, rows: np.ndarray, base: TrendState | None
+    ) -> np.ndarray:
+        """``M_cr`` of a boundary, read-only: ``(rows - base.h_last) /
+        T_tr``, or zeros without a base. Both ends run these same two
+        float32 ops on the same inputs, so their results are bit-equal."""
+        if base is None:
+            m_cr = np.zeros_like(rows)
+        else:
+            m_cr = np.subtract(rows, base.h_last)
+            m_cr /= self.trend_period
+        m_cr.setflags(write=False)
+        return m_cr
+
     # ------------------------------------------------------------------
     # Responding end (Algorithm 4)
     # ------------------------------------------------------------------
@@ -109,21 +125,18 @@ class ReqECPolicy:
         if self._is_boundary(t):
             # One snapshot serves the trend state of both ends and the
             # payload; read-only, so an in-place write raises instead of
-            # corrupting the other end.
+            # corrupting the other end. ``has_base`` (frame flag bit 0):
+            # M_cr derives from the previously delivered snapshot.
             h_last = rows.copy()
-            if state is not None and state.h_last.shape == rows.shape:
-                m_cr = np.subtract(rows, state.h_last)
-                m_cr /= self.trend_period
-            else:
-                m_cr = np.zeros_like(rows)
             h_last.setflags(write=False)
-            m_cr.setflags(write=False)
+            has_base = state is not None and state.h_last.shape == rows.shape
+            m_cr = self._changing_rate(rows, state if has_base else None)
             self._responder_trend[key] = TrendState(
                 h_last=h_last, m_cr=m_cr, boundary_t=t
             )
             return ChannelMessage(
-                payload=("exact", h_last, m_cr),
-                nbytes=_HEADER_BYTES + 2 * rows.nbytes,
+                payload=("exact", h_last, has_base),
+                nbytes=_HEADER_BYTES + rows.nbytes,
             )
 
         bits = self.tuner.bits(key.pair)
@@ -252,7 +265,26 @@ class ReqECPolicy:
         if kind == "exact":
             # The responder's read-only snapshot (see respond): shared,
             # not copied — the halo scatter copies out of it.
-            _, rows, m_cr = message.payload
+            _, rows, has_base = message.payload
+            base = self._requester_trend.get(key) if has_base else None
+            if has_base and (base is None or base.h_last.shape != rows.shape):
+                raise RuntimeError(
+                    f"channel {key} received a boundary derived from an "
+                    "exact trend snapshot this end does not hold"
+                )
+            m_cr = self._changing_rate(rows, base)
+            # Both ends live in this process: check they agree bit for
+            # bit (NaNs included), then keep the one array (RSS invariant).
+            peer = self._responder_trend.get(key)
+            if peer is not None and peer.h_last is rows:
+                if not np.array_equal(
+                    m_cr.view(np.uint32), peer.m_cr.view(np.uint32)
+                ):
+                    raise RuntimeError(
+                        f"channel {key}: the two ends derived different "
+                        f"changing rates at boundary t={t}"
+                    )
+                m_cr = peer.m_cr
             self._requester_trend[key] = TrendState(
                 h_last=rows, m_cr=m_cr, boundary_t=t
             )
@@ -334,7 +366,8 @@ class ReqECPolicy:
         would start shipping selector messages the requester cannot
         reconstruct. Rolling the responder's trend state back makes the
         channel fall back to compressed-only messages until the next
-        boundary resynchronizes both ends.
+        boundary, whose clear ``has_base`` flag makes the requester start
+        from a zero rate too instead of its older, stale snapshot.
         """
         del rows_idx
         if message.payload[0] == "exact":

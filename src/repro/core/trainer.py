@@ -384,6 +384,7 @@ class ECGraphTrainer:
                 "bp_mode": self.config.bp_mode,
                 "fp_bits": self.config.fp_bits,
                 "bp_bits": self.config.bp_bits,
+                "trend_period": self.config.trend_period,
                 "num_workers": self.spec.num_workers,
                 "dataset": self.graph.name,
                 "num_layers": self.model_config.num_layers,

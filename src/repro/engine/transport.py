@@ -51,6 +51,15 @@ if TYPE_CHECKING:
 
 __all__ = ["ChannelSession", "HaloTransport"]
 
+_TAGGED_KINDS = {"exact": "exact", "cps": "selector", "cps_only": "quant"}
+
+
+def _wire_kind(payload: object) -> str:
+    """Ledger frame kind, from the payload tag the policy set."""
+    if isinstance(payload, tuple):
+        return _TAGGED_KINDS.get(payload[0], "raw")
+    return "raw" if isinstance(payload, np.ndarray) else "quant"
+
 
 @dataclass
 class ChannelSession:
@@ -395,12 +404,15 @@ class HaloTransport:
         """
         ledger = self.telemetry.ledger
         metered = False
+        kind = _wire_kind(message.payload)
         if ledger.enabled:
             spec = self.runtime.spec
             # Mirror the TrafficMeter's intra-machine exemption so the
             # ledger's metered bytes reconcile against it exactly.
             metered = spec.worker_machine(src) != spec.worker_machine(dst)
-            ledger.record_frame(key, category, message.nbytes, metered)
+            ledger.record_frame(
+                key, category, message.nbytes, metered, kind=kind
+            )
         self.runtime.send_worker_to_worker(src, dst, message.nbytes, category)
         injector = self.injector
         if injector is None:
@@ -424,7 +436,7 @@ class HaloTransport:
             injector.counters.retry_bytes += message.nbytes
             self.runtime.add_stall(dst, injector.backoff_seconds(attempt))
             ledger.record_frame(
-                key, category, message.nbytes, metered, retry=True
+                key, category, message.nbytes, metered, retry=True, kind=kind
             )
             self.runtime.send_worker_to_worker(
                 src, dst, message.nbytes, category

@@ -61,6 +61,11 @@ class ChannelRecord:
     degraded_predicted: int = 0
     degraded_cached: int = 0
     degraded_zero: int = 0
+    # Wire bytes by message kind (retries included); sums to wire_bytes.
+    exact_bytes: int = 0
+    selector_bytes: int = 0
+    quant_bytes: int = 0
+    raw_bytes: int = 0
 
     @property
     def wire_bytes(self) -> int:
@@ -82,17 +87,8 @@ class ChannelRecord:
 
     def as_dict(self) -> dict:
         return {
-            "metered_bytes": self.metered_bytes,
-            "local_bytes": self.local_bytes,
+            **vars(self),
             "wire_bytes": self.wire_bytes,
-            "frames": self.frames,
-            "retries": self.retries,
-            "retry_bytes": self.retry_bytes,
-            "rows": self.rows,
-            "elements": self.elements,
-            "degraded_predicted": self.degraded_predicted,
-            "degraded_cached": self.degraded_cached,
-            "degraded_zero": self.degraded_zero,
             "effective_bits": self.effective_bits,
         }
 
@@ -188,14 +184,18 @@ class ChannelLedger:
         nbytes: int,
         metered: bool,
         retry: bool = False,
+        kind: str = "raw",
     ) -> None:
         """One delivery attempt of one channel message.
 
         ``metered`` mirrors the TrafficMeter's intra-machine exemption:
-        only inter-machine frames count toward ``metered_bytes``.
+        only inter-machine frames count toward ``metered_bytes``;
+        ``kind`` names the per-kind byte field the frame also counts in.
         """
         record = self._record(key, direction_of_category(category))
         record.frames += 1
+        field = f"{kind}_bytes"
+        setattr(record, field, getattr(record, field) + nbytes)
         if metered:
             record.metered_bytes += nbytes
         else:
@@ -259,7 +259,9 @@ class NullChannelLedger:
 
     enabled = False
 
-    def record_frame(self, key, category, nbytes, metered, retry=False):
+    def record_frame(
+        self, key, category, nbytes, metered, retry=False, kind="raw"
+    ):
         pass
 
     def record_rows(self, key, category, rows, elements):

@@ -145,8 +145,9 @@ class StageProfile:
                     seen.append(sample.stage)
         return seen
 
-    def stage_totals(self) -> dict[str, dict]:
-        """Per-stage aggregate over all profiled epochs.
+    def stage_totals(self, keep=None) -> dict[str, dict]:
+        """Per-stage aggregate over all profiled epochs (or only those
+        whose epoch number ``keep`` accepts).
 
         ``stage -> {count, wall_seconds, comm_seconds, compute_seconds
         (barrier max per sample, summed), bytes_sent, messages}``, in
@@ -154,6 +155,8 @@ class StageProfile:
         """
         totals: dict[str, dict] = {}
         for timeline in self.epochs:
+            if keep is not None and not keep(timeline.epoch):
+                continue
             for s in timeline.samples:
                 agg = totals.get(s.stage)
                 if agg is None:

@@ -86,6 +86,7 @@ def build_report(run) -> dict:
             for e in run.epochs
         ],
         "stages": {},
+        "epoch_kinds": {},
         "epoch_timelines": [],
         "straggler_counts": {},
         "coverage": None,
@@ -105,6 +106,17 @@ def build_report(run) -> dict:
     profile = tel.profile
     if profile is not None and profile.epochs:
         data["stages"] = profile.stage_totals()
+        # Split by epoch kind: ReqEC-FP ships exact rows every T_tr epochs.
+        reqec = run.meta.get("fp_mode") == "reqec"
+        period = run.meta.get("trend_period") if reqec else None
+
+        def boundary(t: int) -> bool:
+            return bool(period) and (t + 1) % period == 0
+
+        data["epoch_kinds"] = {
+            "regular": profile.stage_totals(lambda t: not boundary(t)),
+            "boundary": profile.stage_totals(boundary),
+        }
         data["coverage"] = profile.coverage()
         data["straggler_counts"] = {
             str(w): c for w, c in sorted(profile.straggler_counts().items())

@@ -148,6 +148,34 @@ class TestCommands:
                       "eval"):
             assert f"<td>{stage}</td>" in text
 
+    def test_report_prints_regular_vs_boundary_rows(self, capsys, tmp_path):
+        """12 epochs at the default T_tr = 10 cross one trend boundary:
+        the burst is a printed row, per direction, with its modelled
+        comm — no outside knowledge of the schedule needed."""
+        out = tmp_path / "report.html"
+        code = main([
+            "--profile", "tiny", "report", "--epochs", "12", "--workers",
+            "3", "--out", str(out),
+        ])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "Regular vs trend-boundary epochs" in stdout
+        rows = {
+            (cells[0], cells[1]): cells[2:]
+            for cells in (
+                [c.strip() for c in line.split("|")]
+                for line in stdout.splitlines() if line.count("|") == 4
+            )
+        }
+        assert rows[("fp", "regular")][0] == "11"
+        assert rows[("fp", "boundary")][0] == "1"
+        assert rows[("bp", "boundary")][0] == "1"
+        kb = lambda cell: float(cell.removesuffix("KB"))  # noqa: E731
+        assert kb(rows[("fp", "boundary")][1]) > 2 * kb(
+            rows[("fp", "regular")][1]
+        )
+        assert rows[("bp", "boundary")][1] == rows[("bp", "regular")][1]
+
     def test_report_smoke_markdown(self, capsys, tmp_path):
         out = tmp_path / "report.md"
         code = main([

@@ -92,29 +92,62 @@ class TestQuantFrames:
 
 
 class TestExactFrames:
-    def test_roundtrip(self, matrix):
-        rate = matrix * 0.1
-        rows_out, rate_out = decode_exact(encode_exact(matrix, rate))
+    @pytest.mark.parametrize("has_base", [False, True])
+    def test_roundtrip(self, matrix, has_base):
+        rows_out, flag_out = decode_exact(encode_exact(matrix, has_base))
         np.testing.assert_array_equal(rows_out, matrix)
-        np.testing.assert_array_equal(rate_out, rate)
+        assert flag_out is has_base
 
     def test_size_matches_reqec_accounting(self, matrix):
-        frame = encode_exact(matrix, matrix * 0.1)
-        assert len(frame) == HEADER_BYTES + 8 + 2 * matrix.nbytes
-        # The ReqEC policy charges header + 2x raw (shape words inside
-        # its 16-byte header allowance).
+        """Header + shape word + the rows once — to the byte, with or
+        without a base (the flag rides in the header's flags word)."""
         from repro.core.bit_tuner import BitTuner
         from repro.core.messages import ChannelKey
         from repro.core.reqec_fp import ReqECPolicy
 
         policy = ReqECPolicy(BitTuner(initial_bits=2, enabled=False),
                              trend_period=2)
-        message = policy.respond(ChannelKey(1, 0, 1), matrix, t=1)
-        assert abs(message.nbytes - len(frame)) <= 16
+        for t in (1, 3):
+            message = policy.respond(ChannelKey(1, 0, 1), matrix, t=t)
+            _, sent, has_base = message.payload
+            frame = encode_exact(sent, has_base)
+            assert len(frame) == HEADER_BYTES + 8 + matrix.nbytes
+            assert message.nbytes == len(frame)
 
-    def test_shape_mismatch_rejected(self, matrix):
-        with pytest.raises(ValueError):
-            encode_exact(matrix, matrix[:-1])
+    def test_flag_is_header_bit_zero(self, matrix):
+        import struct
+
+        plain, flagged = (encode_exact(matrix, b) for b in (False, True))
+        assert len(plain) == len(flagged)
+        assert struct.unpack_from("<HHIQ", plain)[2] == 0
+        assert struct.unpack_from("<HHIQ", flagged)[2] == 1
+        assert plain[HEADER_BYTES:] == flagged[HEADER_BYTES:]
+
+    def test_unknown_flag_bits_rejected(self, matrix):
+        import struct
+
+        frame = bytearray(encode_exact(matrix, True))
+        for flags in (2, 3, 1 << 31):
+            struct.pack_into("<I", frame, 4, flags)
+            with pytest.raises(ValueError, match="unknown flag bits"):
+                decode_exact(bytes(frame))
+
+    def test_payload_length_must_match_shape(self, matrix):
+        import struct
+
+        frame = encode_exact(matrix, False)
+        for payload in (
+            frame[16:-4],              # one value short
+            frame[16:] + b"\0" * 4,    # one value long
+            frame[16:20],              # not even a shape word
+        ):
+            header = struct.pack("<HHIQ", 0xEC6A, 3, 0, len(payload))
+            with pytest.raises(ValueError, match="needs exactly|shape word"):
+                decode_exact(header + payload)
+        hostile = bytearray(frame)
+        struct.pack_into("<II", hostile, 16, 2**31, 2**31)
+        with pytest.raises(ValueError, match="needs exactly"):
+            decode_exact(bytes(hostile))
 
 
 class TestSelectorFrames:
@@ -183,6 +216,56 @@ class TestPropertyRoundTrips:
         np.testing.assert_allclose(
             decoded.decode(), quantized.decode(), atol=1e-6
         )
+
+
+class TestExactFrameProperties:
+    """EXACT frames round-trip, and any truncation or single bit flip is
+    either rejected as a wire-format ``ValueError`` or decodes to a
+    well-formed ``(rows, flag)`` of the framed size — never a numpy
+    buffer error. Derandomised: CI and the builder host see one case
+    list."""
+
+    _matrices = arrays(
+        np.float32,
+        st.tuples(st.integers(0, 9), st.integers(1, 5)),
+        elements=st.floats(-50, 50, width=32),
+    )
+
+    @given(data=_matrices, has_base=st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_roundtrip_property(self, data, has_base):
+        frame = encode_exact(data, has_base)
+        assert len(frame) == HEADER_BYTES + 8 + data.nbytes
+        rows, flag = decode_exact(frame)
+        assert rows.dtype == np.float32 and rows.shape == data.shape
+        assert rows.tobytes() == data.tobytes() and flag is has_base
+
+    @given(data=_matrices, has_base=st.booleans(), cut=st.integers(1, 64))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_truncation_is_a_value_error(self, data, has_base, cut):
+        frame = encode_exact(data, has_base)
+        with pytest.raises(ValueError):
+            decode_exact(frame[:max(0, len(frame) - cut)])
+
+    @given(data=_matrices, has_base=st.booleans(), where=st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_bit_flip_never_escapes_the_wire_format(
+        self, data, has_base, where
+    ):
+        frame = bytearray(encode_exact(data, has_base))
+        bit = where.draw(st.integers(0, len(frame) * 8 - 1))
+        frame[bit // 8] ^= 1 << (bit % 8)
+        try:
+            rows, flag = decode_exact(bytes(frame))
+        except ValueError:
+            assert bit < (HEADER_BYTES + 8) * 8  # header or shape word
+            return
+        # Accepted: the flip hit the has_base bit, a row value, or the
+        # shape word in a way that keeps the element count (0 rows, or
+        # cols 1 -> 0 which reads back as a vector).
+        assert rows.dtype == np.float32 and rows.size == data.size
+        assert bit == 32 or bit >= HEADER_BYTES * 8
+        assert (flag is not has_base) == (bit == 32)
 
 
 class TestCorruptFrames:

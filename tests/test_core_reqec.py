@@ -47,14 +47,40 @@ class TestSchedule:
         _, message = _roundtrip(policy, rows, t=4)
         assert message.payload[0] == "cps"
 
-    def test_exact_message_carries_changing_rate(self):
+    def test_requester_derives_changing_rate(self):
+        """The boundary message carries the rows and a flag, no matrix;
+        the *requester's* state ends up ``(rows1 - rows0) / T_tr``."""
         policy = _policy(period=2)
         rows0 = np.zeros((4, 2), dtype=np.float32)
         rows1 = np.ones((4, 2), dtype=np.float32) * 2.0
-        _roundtrip(policy, rows0, t=1)  # first boundary
+        _, first = _roundtrip(policy, rows0, t=1)  # first boundary
+        assert first.payload[2] is False  # no base: both ends use zeros
+        np.testing.assert_array_equal(
+            policy._requester_trend[KEY].m_cr, np.zeros_like(rows0)
+        )
         _, message = _roundtrip(policy, rows1, t=3)  # second boundary
-        m_cr = message.payload[2]
-        np.testing.assert_allclose(m_cr, 1.0)  # (2 - 0) / T_tr=2
+        tag, sent, has_base = message.payload
+        assert (tag, has_base) == ("exact", True)
+        np.testing.assert_array_equal(sent, rows1)
+        np.testing.assert_array_equal(
+            policy._requester_trend[KEY].m_cr, (rows1 - rows0) / 2
+        )
+
+    def test_separate_processes_derive_the_same_rate(self):
+        """With one policy object per end (the real system's layout) the
+        requester keeps its own derived array, bit-equal to the
+        responder's."""
+        responder, requester = _policy(period=2), _policy(period=2)
+        rng = np.random.default_rng(9)
+        for t in (1, 3, 5):
+            rows = rng.standard_normal((6, 3)).astype(np.float32)
+            requester.receive(KEY, responder.respond(KEY, rows, t), t)
+            mine = requester._requester_trend[KEY]
+            theirs = responder._responder_trend[KEY]
+            assert mine.m_cr is not theirs.m_cr
+            assert not mine.m_cr.flags.writeable
+            np.testing.assert_array_equal(mine.m_cr, theirs.m_cr)
+            assert mine.boundary_t == theirs.boundary_t == t
 
 
 class TestSelector:
@@ -172,11 +198,12 @@ class TestCosts:
         bad = noisy.respond(KEY, random_rows, 8)
         assert good.nbytes < bad.nbytes
 
-    def test_exact_message_double_raw_size(self):
+    def test_exact_message_is_header_plus_raw_size(self):
         policy = _policy(period=2)
         rows = np.zeros((10, 8), dtype=np.float32)
-        message = policy.respond(KEY, rows, t=1)
-        assert message.nbytes == 24 + 2 * rows.nbytes
+        for t in (1, 3):  # without and with a base: the same size
+            message = policy.respond(KEY, rows, t=t)
+            assert message.nbytes == 24 + rows.nbytes
 
 
 class TestErrors:
@@ -188,6 +215,37 @@ class TestErrors:
         fresh_requester = _policy(period=4)
         with pytest.raises(RuntimeError, match="exact trend snapshot"):
             fresh_requester.receive(KEY, message, t=4)
+
+    def test_flagged_boundary_without_requester_snapshot_raises(self):
+        """A set ``has_base`` flag the requester cannot honour is a
+        protocol error, never a silent zeros fallback."""
+        responder = _policy(period=2)
+        rows = np.random.default_rng(8).random((4, 2)).astype(np.float32)
+        responder.respond(KEY, rows, t=1)
+        message = responder.respond(KEY, rows + 1.0, t=3)
+        assert message.payload[2] is True
+        with pytest.raises(RuntimeError, match="does not hold"):
+            _policy(period=2).receive(KEY, message, t=3)
+        stale_shape = _policy(period=2)
+        stale_shape.receive(
+            KEY, _policy(period=2).respond(KEY, rows[:2], t=1), t=1
+        )
+        with pytest.raises(RuntimeError, match="does not hold"):
+            stale_shape.receive(KEY, message, t=3)
+
+    def test_disagreeing_ends_raise(self):
+        """Both ends in one process: a requester base that differs from
+        the responder's is caught at the boundary, not trained on."""
+        policy = _policy(period=2)
+        rows = np.random.default_rng(8).random((4, 2)).astype(np.float32)
+        _roundtrip(policy, rows, t=1)
+        stale = policy._requester_trend[KEY]
+        policy._requester_trend[KEY] = type(stale)(
+            h_last=stale.h_last + 1.0, m_cr=stale.m_cr, boundary_t=-1
+        )
+        message = policy.respond(KEY, rows * 2.0, t=3)
+        with pytest.raises(RuntimeError, match="different changing rates"):
+            policy.receive(KEY, message, t=3)
 
     def test_sampled_subset_unsupported(self):
         policy = _policy()
@@ -250,8 +308,15 @@ class TestNoAliasingBetweenEnds:
         np.testing.assert_array_equal(
             policy._responder_trend[KEY].h_last, original
         )
-        _, sent_rows, sent_rate = message.payload
-        for shared in (sent_rows, sent_rate, result.rows):
+        _, sent_rows, has_base = message.payload
+        assert has_base is True
+        responder = policy._responder_trend[KEY]
+        requester = policy._requester_trend[KEY]
+        # The RSS invariant: one read-only ``h_last`` and one read-only
+        # ``m_cr`` object per channel, shared by both tables.
+        assert requester.h_last is responder.h_last is sent_rows
+        assert requester.m_cr is responder.m_cr
+        for shared in (sent_rows, responder.m_cr, result.rows):
             assert not shared.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 shared[0, 0] = -1.0

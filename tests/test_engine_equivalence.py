@@ -257,6 +257,121 @@ class TestMultiprocessBitIdentity:
             trainer.close()
 
 
+# ----------------------------------------------------------------------
+# Boundary-crossing golden. The 8 goldens above run 6 epochs at the
+# default T_tr = 10 and never exercise an ``exact`` or selector message;
+# this one runs ``ecgraph_default`` at T_tr = 3 for 9 epochs: boundaries
+# at t = 2 (no base), 5 and 8 (derived rate), selector messages between.
+# Everything except ``fp_embeddings`` was captured at the parent of the
+# change that stopped shipping M_cr (commit 78d39f6) and must not move;
+# ``fp_embeddings`` is pinned after it and must equal the parent value
+# minus the rows.nbytes of every metered boundary message — the half of
+# the frame the requesting end now derives.
+# ----------------------------------------------------------------------
+BOUNDARY_EPOCHS = 9
+BOUNDARY_PERIOD = 3
+BOUNDARY_GOLDEN = {
+    "losses": [
+        "1.0977857947349547", "1.036339682340622", "0.9440108716487885",
+        "0.9052881598472595", "0.869250899553299", "0.7691392064094543",
+        "0.7191334068775177", "0.677770733833313", "0.6342050254344941",
+    ],
+    "total_messages": 258,
+    "category_totals": {
+        "bp_gradients": 7452, "feature_cache": 7920,
+        "param_pull": 19800, "param_push": 19800,
+    },
+    "final_test": "1.0",
+    "fp_embeddings_parent": 76872,
+    "fp_embeddings": 45576,
+}
+
+
+def _boundary_trainer(graph, execution):
+    return ECGraphTrainer(
+        graph, ModelConfig(**MODEL), SPEC,
+        ECGraphConfig(
+            seed=0, trend_period=BOUNDARY_PERIOD, execution=execution
+        ),
+    )
+
+
+def _boundary_run(trainer):
+    """Losses, message count, category totals and final exact accuracy."""
+    losses = [trainer.run_epoch(t).loss for t in range(BOUNDARY_EPOCHS)]
+    meter = trainer.runtime.meter
+    categories = {
+        k: int(v) for k, v in sorted(meter.category_totals().items())
+    }
+    return (
+        [repr(float(x)) for x in losses],
+        int(meter.total_messages),
+        categories,
+        repr(float(trainer.evaluate_exact()["test"])),
+    )
+
+
+@pytest.mark.parametrize("execution", ["sync", "multiprocess"])
+class TestBoundaryCrossingGolden:
+    def test_everything_but_the_boundary_bytes_is_unchanged(
+        self, graph, execution
+    ):
+        golden = BOUNDARY_GOLDEN
+        trainer = _boundary_trainer(graph, execution)
+        try:
+            losses, messages, categories, final = _boundary_run(trainer)
+        finally:
+            trainer.close()
+        assert losses == golden["losses"]
+        assert messages == golden["total_messages"]
+        assert final == golden["final_test"]
+        assert categories.pop("fp_embeddings") == golden["fp_embeddings"]
+        assert categories == golden["category_totals"]
+
+    def test_saving_is_exactly_the_shipped_changing_rates(
+        self, graph, execution, reference_reqec_policy
+    ):
+        """Re-run through the verbatim parent policy: it reproduces the
+        parent's ``fp_embeddings`` and every other golden field, and the
+        bytes it spends on M_cr are the whole difference."""
+        golden = BOUNDARY_GOLDEN
+        trainer = _boundary_trainer(graph, execution)
+        shipped_rate_bytes = 0
+        try:
+            trainer.setup()
+            oracle = reference_reqec_policy(
+                trainer.tuner, trend_period=BOUNDARY_PERIOD
+            )
+            machine = trainer.runtime.spec.worker_machine
+            respond = oracle.respond
+
+            def metering_respond(key, rows, t, rows_idx=None):
+                nonlocal shipped_rate_bytes
+                message = respond(key, rows, t, rows_idx=rows_idx)
+                if message.payload[0] == "exact" and (
+                    machine(key.responder) != machine(key.requester)
+                ):
+                    shipped_rate_bytes += message.payload[2].nbytes
+                return message
+
+            oracle.respond = metering_respond
+            trainer._fp_policy = trainer.engine.ctx.fp_policy = oracle
+            losses, messages, categories, final = _boundary_run(trainer)
+        finally:
+            trainer.close()
+        assert losses == golden["losses"]
+        assert messages == golden["total_messages"]
+        assert final == golden["final_test"]
+        assert categories.pop("fp_embeddings") == (
+            golden["fp_embeddings_parent"]
+        )
+        assert categories == golden["category_totals"]
+        assert shipped_rate_bytes > 0
+        assert golden["fp_embeddings"] == (
+            golden["fp_embeddings_parent"] - shipped_rate_bytes
+        )
+
+
 class TestTrainerSurface:
     """The staged engine is reachable through the one trainer class."""
 

@@ -83,6 +83,22 @@ class TestLedgerHooks:
         assert record.degraded_zero == 2
         assert record.degraded == 4
 
+    def test_bytes_by_frame_kind_sum_to_wire_bytes(self):
+        ledger = ChannelLedger()
+        ledger.record_frame(KEY, "fp_embeddings", 100, True, kind="exact")
+        ledger.record_frame(KEY, "fp_embeddings", 100, True, retry=True,
+                            kind="exact")
+        ledger.record_frame(KEY, "fp_embeddings", 30, False, kind="selector")
+        ledger.record_frame(KEY, "fp_embeddings", 20, True, kind="quant")
+        ledger.record_frame(KEY, "fp_embeddings", 7, True)  # default: raw
+        ((_, record),) = ledger.snapshot().channels
+        assert (record.exact_bytes, record.selector_bytes,
+                record.quant_bytes, record.raw_bytes) == (200, 30, 20, 7)
+        assert record.wire_bytes == 257
+        assert record.as_dict()["exact_bytes"] == 200
+        with pytest.raises(AttributeError):
+            ledger.record_frame(KEY, "fp_embeddings", 1, True, kind="bogus")
+
     def test_direction_of_category(self):
         assert direction_of_category("fp_embeddings") == "fp"
         assert direction_of_category("bp_gradients") == "bp"
@@ -235,6 +251,22 @@ GOLDEN_CONFIGS = (
 )
 
 
+KIND_FIELDS = ("exact_bytes", "selector_bytes", "quant_bytes", "raw_bytes")
+
+
+def _kind_totals(snapshot, direction):
+    """Per-kind wire bytes over one direction's channels; every record's
+    kinds must add up to its ``wire_bytes``."""
+    totals = dict.fromkeys(KIND_FIELDS, 0)
+    for (_, _, _, d), record in snapshot.channels:
+        kinds = [getattr(record, field) for field in KIND_FIELDS]
+        assert sum(kinds) == record.wire_bytes
+        if d == direction:
+            for field, value in zip(KIND_FIELDS, kinds):
+                totals[field] += value
+    return totals
+
+
 class TestMeterReconciliation:
     @pytest.mark.parametrize("name", GOLDEN_CONFIGS)
     def test_ledger_reconciles_byte_exact(self, name, golden_graph):
@@ -245,6 +277,55 @@ class TestMeterReconciliation:
         ledger = trainer.obs.ledger
         assert ledger.direction_bytes("fp") == categories["fp_embeddings"]
         assert ledger.direction_bytes("bp") == categories["bp_gradients"]
+        snap = ledger.snapshot()
+        for direction in ("fp", "bp"):
+            # One machine per worker here, so wire == metered.
+            assert sum(_kind_totals(snap, direction).values()) == (
+                ledger.direction_bytes(direction)
+            )
+        # The kind is the policy's payload tag, not a guess.
+        fp, bp = _kind_totals(snap, "fp"), _kind_totals(snap, "bp")
+        if name in ("raw", "delayed"):
+            assert fp["raw_bytes"] == categories["fp_embeddings"]
+            assert bp["raw_bytes"] == categories["bp_gradients"]
+        elif name in ("ecgraph_default", "sage"):
+            # 6 epochs at T_tr = 10: first trend group, no boundary.
+            assert fp["quant_bytes"] == categories["fp_embeddings"]
+            assert bp["quant_bytes"] == categories["bp_gradients"]
+        else:
+            assert fp["quant_bytes"] == categories["fp_embeddings"]
+
+    @pytest.mark.parametrize("execution", ["sync", "multiprocess"])
+    def test_boundary_bytes_are_visible_by_kind(
+        self, golden_graph, execution
+    ):
+        """Across trend boundaries (T_tr = 3, 9 epochs) the fp channels
+        split into exact / selector / quant frames that still add up to
+        the meter's category total; the exact share is rows-once."""
+        trainer = ECGraphTrainer(
+            golden_graph, ModelConfig(**MODEL), SPEC,
+            ECGraphConfig(seed=0, obs=OBS, trend_period=3,
+                          execution=execution),
+        )
+        try:
+            for t in range(9):
+                trainer.run_epoch(t)
+            categories = trainer.runtime.meter.category_totals()
+            snap = trainer.obs.ledger.snapshot()
+        finally:
+            trainer.close()
+        fp = _kind_totals(snap, "fp")
+        assert sum(fp.values()) == categories["fp_embeddings"] == 45576
+        assert fp["raw_bytes"] == 0
+        assert all(fp[f] > 0 for f in KIND_FIELDS[:3])
+        # 3 boundaries x (24-byte header + rows) per channel; the parent
+        # frame shipped 31296 more (test_engine_equivalence).
+        boundary_frames = 3 * sum(
+            1 for (_, _, _, d), _ in snap.channels if d == "fp"
+        )
+        assert fp["exact_bytes"] == 31296 + 24 * boundary_frames
+        bp = _kind_totals(snap, "bp")
+        assert bp["quant_bytes"] == categories["bp_gradients"]
 
     def test_compressed_channels_report_sub_float_bits(self, golden_graph):
         trainer = _build_instrumented("compress", golden_graph)
@@ -273,6 +354,7 @@ class TestMeterReconciliation:
         ledger = trainer.obs.ledger
         assert ledger.direction_bytes("fp") == categories["fp_embeddings"]
         assert ledger.direction_bytes("bp") == categories["bp_gradients"]
+        _kind_totals(ledger.snapshot(), "fp")  # retries keep kinds summing
         totals = ledger.snapshot().direction_totals()
         retries = sum(agg["retries"] for agg in totals.values())
         assert retries == trainer.fault_counters.retries

@@ -96,6 +96,36 @@ class TestBuildReport:
         assert data["health"] is not None
         assert data["dropped_spans"] == 0
 
+    def test_epoch_kinds_partition_the_stage_totals(
+        self, small_graph_module
+    ):
+        """Regular + boundary stage totals add up to the stage totals;
+        the split follows T_tr for ReqEC-FP and is all-regular without."""
+        run = _trainer(
+            small_graph_module, ObsConfig(enabled=True), trend_period=2
+        ).train(5)  # boundaries at t = 1, 3
+        data = build_report(run)
+        regular, boundary = (
+            data["epoch_kinds"][kind] for kind in ("regular", "boundary")
+        )
+        for stage, total in data["stages"].items():
+            assert regular[stage]["count"] == 3
+            assert boundary[stage]["count"] == 2
+            for field in ("bytes_sent", "messages"):
+                assert regular[stage][field] + boundary[stage][field] == (
+                    total[field]
+                )
+        per_epoch = lambda agg: agg["bytes_sent"] / agg["count"]  # noqa: E731
+        assert per_epoch(boundary["forward"]) > per_epoch(regular["forward"])
+
+        raw = _trainer(
+            small_graph_module, ObsConfig(enabled=True), trend_period=2,
+            fp_mode="raw",
+        ).train(4)
+        kinds = build_report(raw)["epoch_kinds"]
+        assert kinds["boundary"] == {}
+        assert kinds["regular"]["forward"]["count"] == 4
+
     def test_no_engine_stage_missing(self, instrumented):
         assert missing_stages(build_report(instrumented)) == []
 

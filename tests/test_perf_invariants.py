@@ -159,6 +159,51 @@ class TestSteadyStateAllocationBudget:
 
 
 # ----------------------------------------------------------------------
+# Trend state: one snapshot and one changing rate per channel
+# ----------------------------------------------------------------------
+class TestBoundaryRetention:
+    """The requesting end derives ``M_cr`` itself, but both ends of the
+    one-process simulator keep a single read-only array: a boundary
+    exchange retains ``h_last`` + one ``M_cr`` per channel — a private
+    requester copy would show here as a third matrix (and as +7..11 %
+    ``peak_rss_mb`` on the EC benchmark rows)."""
+
+    def test_boundary_exchange_retains_one_rate_per_channel(self):
+        from repro.core.bit_tuner import BitTuner
+        from repro.core.messages import ChannelKey
+        from repro.core.reqec_fp import ReqECPolicy
+
+        policy = ReqECPolicy(BitTuner(initial_bits=4, enabled=False),
+                             trend_period=2)
+        key = ChannelKey(layer=1, responder=0, requester=1)
+        rng = np.random.default_rng(0)
+        snapshots = [
+            rng.standard_normal((4096, 64)).astype(np.float32)
+            for _ in range(3)
+        ]
+        matrix = snapshots[0].nbytes
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for t, rows in zip((1, 3, 5), snapshots):
+                tracemalloc.reset_peak()
+                message = policy.respond(key, rows, t)
+                result = policy.receive(key, message, t)
+                del message, result
+                held, peak = tracemalloc.get_traced_memory()
+                # h_last + M_cr, shared by both tables; the previous
+                # pair is released, the requester's derived array too.
+                assert 2 * matrix <= held - start < 2.1 * matrix
+                # Transient: old pair + new pair + the derived array
+                # + the one-byte-per-element agreement mask.
+                assert peak - start < 5.5 * matrix
+        finally:
+            tracemalloc.stop()
+        assert (policy._requester_trend[key].m_cr
+                is policy._responder_trend[key].m_cr)
+
+
+# ----------------------------------------------------------------------
 # Set-up path: no per-vertex adjacency calls, no per-worker re-streaming
 # ----------------------------------------------------------------------
 class TestSetupPathCallCounts:

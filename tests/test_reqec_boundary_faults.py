@@ -1,0 +1,318 @@
+"""Both ends of a ReqEC-FP channel agree on the trend state — under faults.
+
+The boundary frame carries the exact rows once and a ``has_base`` flag;
+the requesting end derives ``M_cr`` from the snapshot it already holds.
+That is only lossless while both ends agree on *whether* a previous
+snapshot exists, so this suite drives whole training runs through
+scripted fault schedules that hit boundary frames (a lost boundary then a
+delivered one, two consecutive lost boundaries, retry exhaustion then
+``fallback_rows`` degradation, a corrupt first attempt that a retry
+repairs), crash recovery with ``reset_residuals`` on and off, and an
+elastic membership change — and audits every boundary message:
+
+* after every *delivered* boundary ``_responder_trend[key]`` and
+  ``_requester_trend[key]`` hold the same ``(h_last, m_cr, boundary_t)``
+  (the same read-only objects, in fact — the RSS invariant);
+* the flag is clear exactly when the responder had no state: before the
+  first boundary, or after ``on_delivery_failure`` / ``invalidate_worker``
+  rolled it back;
+* when the flag is set, the requester's base is the snapshot of the last
+  delivered boundary; when it is clear, an older requester snapshot may
+  still exist (it feeds ``fallback_rows``) but the derived rate is zero —
+  a stale snapshot is never used as a base.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.cluster.topology import ClusterSpec
+from repro.core.config import ECGraphConfig, ModelConfig
+from repro.core.trainer import ECGraphTrainer
+from repro.faults import FaultConfig
+from repro.faults.injector import FATE_CORRUPT, FATE_DROP, FATE_OK
+from repro.graph.generators import GraphSpec, generate_graph
+
+PERIOD = 3
+EPOCHS = 13  # boundaries at t = 2, 5, 8, 11
+WORKERS = 3
+MAX_RETRIES = 2
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return generate_graph(GraphSpec(
+        name="boundary-faults", num_vertices=96, avg_degree=6.0,
+        feature_dim=12, num_classes=3, homophily=0.9, feature_noise=0.8,
+        train=40, val=16, test=32, seed=7,
+    ))
+
+
+class BoundaryAuditor:
+    """Wraps one live ``ReqECPolicy`` and checks every boundary message
+    against a shadow model of what each end should believe."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        # key -> h_last object of the last delivered boundary the
+        # responder has not been rolled back from (absent: no base).
+        self.base: dict = {}
+        self.delivered = 0
+        self.lost = 0
+        self.flag_set = 0
+        self.stale_snapshots_ignored = 0
+        self.rollbacks = 0
+        self._pending: dict = {}
+        for name in ("respond", "receive", "on_delivery_failure",
+                     "invalidate_worker"):
+            setattr(self, f"_{name}", getattr(policy, name))
+            setattr(policy, name, getattr(self, name))
+
+    def respond(self, key, rows, t, rows_idx=None):
+        message = self._respond(key, rows, t, rows_idx=rows_idx)
+        if message.payload[0] == "exact":
+            _, sent, has_base = message.payload
+            assert has_base is (key in self.base), (key, t)
+            assert message.nbytes == 24 + sent.nbytes
+            self._pending[key] = t
+        else:
+            # In-group traffic follows the responder's state: selector
+            # messages only on a channel whose boundary was delivered.
+            assert (message.payload[0] == "cps") is (key in self.base)
+        return message
+
+    def receive(self, key, message, t, rows_idx=None):
+        policy = self.policy
+        if message.payload[0] != "exact":
+            return self._receive(key, message, t, rows_idx=rows_idx)
+        _, sent, has_base = message.payload
+        before = policy._requester_trend.get(key)
+        if has_base:
+            self.flag_set += 1
+            assert before is not None and before.h_last is self.base[key]
+        result = self._receive(key, message, t, rows_idx=rows_idx)
+        responder = policy._responder_trend[key]
+        requester = policy._requester_trend[key]
+        assert requester.h_last is responder.h_last is sent
+        assert requester.m_cr is responder.m_cr
+        assert requester.boundary_t == responder.boundary_t == t
+        assert not requester.m_cr.flags.writeable
+        if has_base:
+            expected = (sent - before.h_last) / np.float32(PERIOD)
+            np.testing.assert_array_equal(requester.m_cr, expected)
+        else:
+            assert not requester.m_cr.any()
+            if before is not None:
+                self.stale_snapshots_ignored += 1
+        self.base[key] = sent
+        self.delivered += 1
+        assert self._pending.pop(key) == t
+        return result
+
+    def on_delivery_failure(self, key, message, rows_idx=None):
+        handled = self._on_delivery_failure(key, message, rows_idx=rows_idx)
+        if message.payload[0] == "exact":
+            assert key not in self.policy._responder_trend
+            assert self._pending.pop(key) is not None
+            self.base.pop(key, None)
+            self.lost += 1
+            self.rollbacks += 1
+        return handled
+
+    def invalidate_worker(self, worker):
+        self._invalidate_worker(worker)
+        for key in [k for k in self.base
+                    if worker in (k.responder, k.requester)]:
+            del self.base[key]
+            self.rollbacks += 1
+        for table in (self.policy._responder_trend,
+                      self.policy._requester_trend):
+            assert not any(
+                worker in (k.responder, k.requester) for k in table
+            )
+
+    def finish(self):
+        assert not self._pending  # every boundary delivered or failed
+        for key, sent in self.base.items():
+            assert self.policy._responder_trend[key].h_last is sent
+            assert self.policy._requester_trend[key].h_last is sent
+
+
+def _script_fates(injector, script):
+    """Force the fate of fp messages named by ``script``: ``(epoch,
+    responder, requester) -> fates per attempt`` (past the list: OK);
+    everything else is delivered."""
+    def message_fate(layer, responder, requester, category, attempt):
+        fates = ()
+        if category == "fp_embeddings":
+            fates = script.get((injector.epoch, responder, requester), ())
+        fate = fates[attempt] if attempt < len(fates) else FATE_OK
+        if fate == FATE_DROP:
+            injector.counters.drops += 1
+        elif fate == FATE_CORRUPT:
+            injector.counters.corruptions += 1
+        return fate
+
+    injector.message_fate = message_fate
+
+
+def _pairs(seed, count):
+    """``count`` seeded (responder, requester) pairs."""
+    rng = np.random.default_rng(seed)
+    every = [(a, b) for a in range(WORKERS) for b in range(WORKERS) if a != b]
+    return [every[i] for i in rng.permutation(len(every))[:count]]
+
+
+LOST = (FATE_DROP,) * (MAX_RETRIES + 1)  # retries exhausted -> degrade
+
+
+def _schedule(name, seed):
+    pairs = _pairs(seed, 3)
+    if name == "lost_then_delivered":
+        return {(5, a, b): LOST for a, b in pairs}
+    if name == "two_consecutive_lost":
+        return {(t, a, b): LOST for a, b in pairs for t in (5, 8)}
+    if name == "corrupt_then_retry_delivers":
+        return {(t, a, b): (FATE_CORRUPT, FATE_DROP)
+                for a, b in pairs for t in (5, 8)}
+    if name == "first_boundary_lost":
+        return {(2, a, b): (FATE_CORRUPT,) * (MAX_RETRIES + 1)
+                for a, b in pairs}
+    raise AssertionError(name)
+
+
+def _run(graph, execution, faults, script=None):
+    trainer = ECGraphTrainer(
+        graph, ModelConfig(num_layers=2, hidden_dim=16),
+        ClusterSpec(num_workers=WORKERS, num_servers=1),
+        ECGraphConfig(
+            seed=0, trend_period=PERIOD, execution=execution, faults=faults
+        ),
+    )
+    try:
+        trainer.setup()
+        auditor = BoundaryAuditor(trainer.engine.ctx.fp_policy)
+        if script is not None:
+            _script_fates(trainer.transport.injector, script)
+        losses = [trainer.run_epoch(t).loss for t in range(EPOCHS)]
+        auditor.finish()
+        counters = trainer.transport.injector.counters
+        return auditor, losses, counters
+    finally:
+        trainer.close()
+
+
+@pytest.mark.parametrize("execution", ["sync", "multiprocess"])
+class TestBothEndsAgreeUnderFaults:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", [
+        "lost_then_delivered", "two_consecutive_lost", "first_boundary_lost",
+    ])
+    def test_lost_boundaries(self, graph, execution, name, seed):
+        script = _schedule(name, seed)
+        faults = FaultConfig(enabled=True, seed=seed, max_retries=MAX_RETRIES)
+        auditor, losses, counters = _run(graph, execution, faults, script)
+        assert np.isfinite(losses).all()
+        # 4 boundaries x 6 channels of the one exchanged layer (the
+        # first layer's halo features are cached, not exchanged).
+        assert auditor.lost == len(script) == auditor.rollbacks
+        assert auditor.delivered + auditor.lost == 4 * 6
+        # The flag is clear on each channel's first delivered boundary
+        # and on the delivered boundary after a lost one (for the three
+        # channels of first_boundary_lost those are the same message).
+        clear = 6 if name == "first_boundary_lost" else 6 + 3
+        assert auditor.flag_set == auditor.delivered - clear
+        if name != "first_boundary_lost":
+            # The requester still held the t=2 snapshot at that point:
+            # it fed fallback_rows while the boundary was lost.
+            assert auditor.stale_snapshots_ignored == 3
+            assert counters.degraded_predicted == auditor.lost
+        else:
+            # Nothing to predict from: cached rows or zeros.
+            assert auditor.stale_snapshots_ignored == 0
+            assert counters.degraded_predicted == 0
+            assert counters.degraded == auditor.lost
+
+    def test_retry_repairs_a_corrupt_boundary(self, graph, execution):
+        script = _schedule("corrupt_then_retry_delivers", 0)
+        faults = FaultConfig(enabled=True, max_retries=MAX_RETRIES)
+        auditor, losses, counters = _run(graph, execution, faults, script)
+        assert np.isfinite(losses).all()
+        # Delivered on the third attempt: no rollback, the flag stays
+        # set on every boundary after the first, nothing degrades.
+        assert auditor.lost == auditor.rollbacks == 0
+        assert counters.retries == 2 * len(script)
+        assert auditor.flag_set == auditor.delivered - 6
+        assert counters.degraded == 0
+
+    def test_faults_off_twin_is_bit_identical_when_nothing_is_lost(
+        self, graph, execution
+    ):
+        """Retries cost bytes and stall time, not numerics: a schedule
+        whose every boundary is eventually delivered trains to the same
+        losses as an empty schedule."""
+        faults = FaultConfig(enabled=True, max_retries=MAX_RETRIES)
+        _, clean, _ = _run(graph, execution, faults, {})
+        _, retried, _ = _run(
+            graph, execution, faults,
+            _schedule("corrupt_then_retry_delivers", 1),
+        )
+        assert [repr(x) for x in retried] == [repr(x) for x in clean]
+
+    @pytest.mark.parametrize("reset_residuals", [True, False])
+    def test_crash_recovery(self, graph, execution, reset_residuals):
+        # Worker 1 crashes before epoch 6 (mid trend group) and again
+        # right before the boundary epoch 11; a boundary towards it was
+        # lost at t=5 as well.
+        faults = FaultConfig(
+            enabled=True, max_retries=MAX_RETRIES,
+            crash_schedule=((6, 1), (11, 1)),
+            reset_residuals=reset_residuals,
+        )
+        script = {(5, 0, 1): LOST, (5, 1, 2): LOST}
+        auditor, losses, counters = _run(graph, execution, faults, script)
+        assert np.isfinite(losses).all()
+        assert counters.crashes == 2
+        assert auditor.lost == 2
+        if reset_residuals:
+            # Every channel touching worker 1 restarts from a clear flag
+            # after each crash: 4 channels x 2 crashes, minus the two
+            # already rolled back by the lost boundary at the first.
+            assert auditor.rollbacks == 2 + (4 - 2) + 4
+        else:
+            assert auditor.rollbacks == 2  # the lost boundaries only
+        assert auditor.delivered == 4 * 6 - auditor.lost
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_random_drop_and_corrupt_schedule(self, graph, execution, seed):
+        """The injector's own seeded fates, heavy enough that boundary
+        frames are retried, lost and degraded."""
+        faults = FaultConfig(
+            enabled=True, seed=seed, drop_prob=0.3, corrupt_prob=0.2,
+            max_retries=1,
+        )
+        auditor, losses, counters = _run(graph, execution, faults)
+        assert np.isfinite(losses).all()
+        assert auditor.lost > 0 and auditor.delivered > auditor.lost
+        assert auditor.stale_snapshots_ignored > 0
+        assert auditor.flag_set > 0
+
+
+class TestMembershipChange:
+    """Elastic membership runs under ``execution="sync"`` only (the
+    trainer refuses the combination with multiprocess)."""
+
+    def test_both_ends_restart_after_adoption_and_rejoin(self, graph):
+        faults = FaultConfig(
+            enabled=True, elastic=True, max_retries=MAX_RETRIES,
+            permanent_failures=((4, 2),), rejoin_schedule=((9, 2),),
+        )
+        script = {(5, 0, 1): LOST}
+        auditor, losses, counters = _run(graph, "sync", faults, script)
+        assert np.isfinite(losses).all()
+        assert counters.permanent_failures == 1
+        assert auditor.rollbacks > auditor.lost == 1
+        # Channels rebuilt by the membership change carry new shapes; a
+        # surviving snapshot of the old shape must never be a base.
+        assert auditor.delivered > 0 and auditor.flag_set > 0

@@ -56,10 +56,12 @@ class TestReqECAccounting:
     @pytest.mark.parametrize("granularity", ["vertex", "element", "matrix"])
     def test_boundary_message_is_exact_frame(self, rows, granularity):
         policy = _policy(granularity)
-        message = policy.respond(ChannelKey(0, 0, 1), rows, t=3)
-        assert message.payload[0] == "exact"
-        _, sent, m_cr = message.payload
-        assert message.nbytes == len(encode_exact(sent, m_cr))
+        for t, based in ((3, False), (7, True)):
+            message = policy.respond(ChannelKey(0, 0, 1), rows, t=t)
+            assert message.payload[0] == "exact"
+            _, sent, has_base = message.payload
+            assert has_base is based
+            assert message.nbytes == len(encode_exact(sent, has_base))
 
     @pytest.mark.parametrize("granularity", ["vertex", "element", "matrix"])
     @pytest.mark.parametrize("bits", [2, 4, 8])
