@@ -4,8 +4,10 @@ Partitioning controls ``g_rmt`` — the average number of remote 1-hop
 neighbours per vertex — which multiplies directly into EC-Graph's
 communication bill (Table II). This example partitions one graph with
 Hash, streaming BFS/LDG and the METIS-like multilevel partitioner,
-prints their edge-cut/balance statistics, and trains EC-Graph under each
-to show the traffic difference end to end (the paper's Fig. 11 axis).
+prints their edge-cut/balance/halo statistics (halo rows — the distinct
+remote vertices a part fetches each layer — are what the wire carries),
+and trains EC-Graph under each to show the traffic difference end to end
+(the paper's Fig. 11 axis).
 
     python examples/partitioning_study.py
 """
@@ -47,6 +49,8 @@ def main() -> None:
             f"{partition.seconds * 1e3:.1f}ms",
             f"{stats.edge_cut_ratio:.3f}",
             f"{stats.balance:.2f}",
+            f"{stats.total_halo:,}",
+            f"{stats.max_part_halo:,}",
             f"{stats.avg_remote_neighbors:.2f}",
             f"{run.total_bytes() / 1e6:.1f}MB",
             f"{run.avg_epoch_seconds() * 1e3:.2f}ms",
@@ -54,7 +58,7 @@ def main() -> None:
 
     print(format_table(
         ["partitioner", "partition time", "edge-cut ratio", "balance",
-         "g_rmt", "traffic", "epoch time"],
+         "halo", "max halo", "g_rmt", "traffic", "epoch time"],
         rows,
         title=f"Partitioning strategies on {graph.name}, {WORKERS} workers",
     ))

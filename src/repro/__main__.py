@@ -141,10 +141,12 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             f"{partition.seconds * 1e3:.1f}ms",
             f"{stats.edge_cut_ratio:.3f}",
             f"{stats.balance:.2f}",
+            f"{stats.total_halo:,}",
+            f"{stats.max_part_halo:,}",
             f"{stats.avg_remote_neighbors:.2f}",
         ])
     print(format_table(
-        ["method", "time", "edge-cut", "balance", "g_rmt"],
+        ["method", "time", "edge-cut", "balance", "halo", "max halo", "g_rmt"],
         rows,
         title=f"{args.workers}-way partitions of {graph.name}",
     ))

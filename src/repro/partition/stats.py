@@ -42,6 +42,8 @@ class PartitionStats:
             neighbours per vertex (the paper's ``g_rmt``).
         total_halo: Sum over parts of the distinct remote vertices each
             part must fetch per layer.
+        max_part_halo: The largest of those per-part counts — what the
+            busiest worker fetches per layer.
     """
 
     num_parts: int
@@ -52,6 +54,7 @@ class PartitionStats:
     balance: float
     avg_remote_neighbors: float
     total_halo: int
+    max_part_halo: int
 
 
 def _block_sources(
@@ -94,6 +97,7 @@ def partition_stats(
         halo_seen[assignment[uniq_src], uniq_dst] = True
 
     sizes = partition.part_sizes()
+    part_halo = halo_seen.sum(axis=1)
     ideal = n / partition.num_parts
     num_edges = store.num_edges
     return PartitionStats(
@@ -104,7 +108,8 @@ def partition_stats(
         min_part_size=int(sizes.min()) if sizes.size else 0,
         balance=float(sizes.max() / ideal) if ideal else 0.0,
         avg_remote_neighbors=float(remote_per_vertex.mean()),
-        total_halo=int(halo_seen.sum()),
+        total_halo=int(part_halo.sum()),
+        max_part_halo=int(part_halo.max()),
     )
 
 

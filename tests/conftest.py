@@ -248,87 +248,18 @@ def reference_kernels():
 
 # ----------------------------------------------------------------------
 # Pre-rewrite set-up path, kept verbatim as differential references for
-# the event-driven multilevel partitioner, the list-walking BFS/LDG
+# the multilevel partitioner's coarsening, the list-walking BFS/LDG
 # partitioner, the one-sweep worker-subgraph extraction and the
 # vectorised CSR helpers: per-vertex Python loops over
 # ``graph.neighbors(v)`` / ``graph.edge_weights(v)`` and one full
 # adjacency stream per worker.
 # ----------------------------------------------------------------------
 class _ReferenceMetisLikePartitioner:
-    """Multilevel heavy-edge-matching partitioner with KL refinement."""
+    """The coarsening of the pre-rewrite multilevel partitioner. Its
+    greedy growth and per-vertex refinement went when the partitioner's
+    objective did (``tests/test_partition_quality.py`` holds the new
+    contract); the heavy-edge matching and contraction stay pinned."""
 
-    name = "metis"
-
-    def __init__(
-        self,
-        seed: int = 0,
-        coarsen_until: int = 256,
-        refine_passes: int = 4,
-        imbalance: float = 1.1,
-    ):
-        """Args:
-        seed: Seed for matching and growth tie-breaking.
-        coarsen_until: Stop coarsening when at most this many vertices
-            remain (or no matching progress is made).
-        refine_passes: Refinement sweeps per level.
-        imbalance: Allowed max part size as a multiple of the ideal.
-        """
-        if imbalance < 1.0:
-            raise ValueError("imbalance must be >= 1")
-        self.seed = seed
-        self.coarsen_until = max(coarsen_until, 8)
-        self.refine_passes = refine_passes
-        self.imbalance = imbalance
-
-    # ------------------------------------------------------------------
-    def partition(
-        self, graph: CSRGraph | GraphStore, num_parts: int
-    ) -> Partition:
-        start = time.perf_counter()
-        if isinstance(graph, GraphStore):
-            # Multilevel coarsening is a whole-graph in-memory algorithm;
-            # out-of-core inputs are materialized up front. Scale-bound
-            # deployments should partition with hash or bfs instead.
-            graph = graph.to_csr()
-        rng = np.random.default_rng(self.seed)
-        if num_parts == 1:
-            assignment = np.zeros(graph.num_vertices, dtype=np.int64)
-            return Partition(assignment, 1, self.name,
-                             time.perf_counter() - start)
-
-        levels: list[tuple[CSRGraph, np.ndarray, np.ndarray]] = []
-        current = graph
-        vertex_weight = np.ones(graph.num_vertices, dtype=np.int64)
-        while current.num_vertices > self.coarsen_until:
-            coarse, mapping, coarse_weight = self._coarsen(
-                current, vertex_weight, rng
-            )
-            if coarse.num_vertices >= current.num_vertices:
-                break  # matching made no progress (e.g. all isolated)
-            levels.append((current, mapping, vertex_weight))
-            current, vertex_weight = coarse, coarse_weight
-
-        assignment = self._initial_partition(
-            current, vertex_weight, num_parts, rng
-        )
-        assignment = self._refine(
-            current, vertex_weight, assignment, num_parts, rng
-        )
-
-        for fine_graph, mapping, fine_weight in reversed(levels):
-            assignment = assignment[mapping]
-            assignment = self._refine(
-                fine_graph, fine_weight, assignment, num_parts, rng
-            )
-
-        return Partition(
-            assignment=assignment,
-            num_parts=num_parts,
-            method=self.name,
-            seconds=time.perf_counter() - start,
-        )
-
-    # ------------------------------------------------------------------
     def _coarsen(
         self,
         graph: CSRGraph,
@@ -395,90 +326,6 @@ class _ReferenceMetisLikePartitioner:
         edges = np.stack([merged_src, merged_dst], axis=1)
         coarse = from_edge_list(edges, next_id, weights=merged_w)
         return coarse, mapping, coarse_weight
-
-    # ------------------------------------------------------------------
-    def _initial_partition(
-        self,
-        graph: CSRGraph,
-        vertex_weight: np.ndarray,
-        num_parts: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Greedy region growth on the coarsest graph."""
-        n = graph.num_vertices
-        total = int(vertex_weight.sum())
-        target = total / num_parts
-        assignment = np.full(n, -1, dtype=np.int64)
-        load = np.zeros(num_parts, dtype=np.int64)
-        order = rng.permutation(n)
-        cursor = 0
-        for part in range(num_parts):
-            # Find an unassigned seed.
-            while cursor < n and assignment[order[cursor]] != -1:
-                cursor += 1
-            if cursor >= n:
-                break
-            frontier = [int(order[cursor])]
-            while frontier and load[part] < target:
-                v = frontier.pop()
-                if assignment[v] != -1:
-                    continue
-                assignment[v] = part
-                load[part] += int(vertex_weight[v])
-                for u in graph.neighbors(v):
-                    if assignment[u] == -1:
-                        frontier.append(int(u))
-        # Scatter leftovers to the lightest parts.
-        for v in np.flatnonzero(assignment == -1):
-            part = int(np.argmin(load))
-            assignment[v] = part
-            load[part] += int(vertex_weight[v])
-        return assignment
-
-    # ------------------------------------------------------------------
-    def _refine(
-        self,
-        graph: CSRGraph,
-        vertex_weight: np.ndarray,
-        assignment: np.ndarray,
-        num_parts: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Boundary-vertex greedy refinement with a balance constraint."""
-        assignment = assignment.copy()
-        total = int(vertex_weight.sum())
-        max_load = int(np.ceil(self.imbalance * total / num_parts))
-        load = np.zeros(num_parts, dtype=np.int64)
-        np.add.at(load, assignment, vertex_weight)
-
-        n = graph.num_vertices
-        for _ in range(self.refine_passes):
-            moved = 0
-            for v in rng.permutation(n):
-                v = int(v)
-                here = int(assignment[v])
-                gain = np.zeros(num_parts, dtype=np.float64)
-                nbrs = graph.neighbors(v)
-                weights = graph.edge_weights(v)
-                if nbrs.size == 0:
-                    continue
-                for u, w in zip(nbrs, weights):
-                    gain[assignment[u]] += float(w)
-                gain_move = gain - gain[here]
-                gain_move[here] = 0.0
-                w_v = int(vertex_weight[v])
-                feasible = load + w_v <= max_load
-                feasible[here] = False
-                gain_move[~feasible] = -np.inf
-                best = int(np.argmax(gain_move))
-                if gain_move[best] > 0:
-                    assignment[v] = best
-                    load[here] -= w_v
-                    load[best] += w_v
-                    moved += 1
-            if moved == 0:
-                break
-        return assignment
 
 
 class _ReferenceBFSPartitioner:

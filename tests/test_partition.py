@@ -160,6 +160,42 @@ class TestQuality:
         assert sizes.max() / sizes.min() < 3.0
 
 
+class TestSpectralSolverFailure:
+    """When Lanczos gives up, a small region is solved densely and a
+    large one is an error — never an ``n x n`` array."""
+
+    @pytest.fixture
+    def lanczos_gives_up(self, monkeypatch):
+        import repro.partition.spectral as spectral
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def give_up(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", None, None)
+
+        monkeypatch.setattr(spectral, "eigsh", give_up)
+
+    @staticmethod
+    def _ring(n):
+        arcs = [(v, (v + 1) % n) for v in range(n)]
+        return from_edge_list(arcs + [(u, v) for v, u in arcs], n)
+
+    def test_large_region_is_reported_not_densified(
+        self, lanczos_gives_up, monkeypatch
+    ):
+        def no_dense_solve(*args, **kwargs):
+            raise AssertionError("dense eigensolve on a large region")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_dense_solve)
+        with pytest.raises(ValueError, match="10000-vertex region"):
+            SpectralPartitioner(seed=0).partition(self._ring(10_000), 2)
+
+    def test_small_region_falls_back_to_the_dense_solve(self, lanczos_gives_up):
+        partition = SpectralPartitioner(seed=0).partition(self._ring(300), 2)
+        assert partition.part_sizes().tolist() == [150, 150]
+        cut = partition_stats(self._ring(300), partition).edge_cut
+        assert cut == 4  # two arcs each way: the ring is cut in two places
+
+
 class TestPartitionObject:
     def test_out_of_range_part_id_rejected(self):
         with pytest.raises(ValueError):

@@ -243,8 +243,7 @@ class TestSetupPathCallCounts:
 
             monkeypatch.setattr(owner, name, counted)
         make_partitioner(method, seed=2).partition(sbm.adjacency, 4)
-        # The pre-rewrite loops made more than 8 n of these; what is left
-        # is the greedy growth on the <= 256-vertex coarsest graph.
+        # The pre-rewrite loops made more than 8 n of these.
         assert calls < self.N
 
     @pytest.mark.parametrize("num_workers", [2, 8])

@@ -90,8 +90,10 @@ class TestRetiredNamesStayGone:
 # The set-up path stays off the per-vertex row accessors: a ``for`` loop
 # that calls ``.neighbors(`` / ``.edge_weights(`` is one numpy call (and a
 # fresh view, and numpy scalars) per vertex — 88 % of a 22 s partition
-# before the rewrite. Row-at-a-time helpers and the greedy growth on the
-# coarsest (<= ``coarsen_until`` vertices) graph are the only exceptions.
+# before the rewrite. Row-at-a-time helpers are the only exceptions. The
+# multilevel partitioner's refinement goes further: it runs at every
+# level, so it may loop over rounds and over the k parts, never over
+# vertices.
 # ----------------------------------------------------------------------
 ROW_ACCESSORS = {"neighbors", "edge_weights"}
 LOOP_FREE_MODULES = (
@@ -99,7 +101,13 @@ LOOP_FREE_MODULES = (
     "src/repro/partition/bfs.py",
     "src/repro/graph/csr.py",
 )
-ROW_LOOP_ALLOWED = {"iter_edges", "has_edge", "_initial_partition"}
+ROW_LOOP_ALLOWED = {"iter_edges", "has_edge"}
+# ``MetisLikePartitioner._refine``: the rounds loop, and what its ``for``
+# loops may iterate over (both have at most ``num_parts`` items).
+REFINE_ROUNDS_LOOP = "while True"
+REFINE_PART_LOOPS = {
+    "range(num_parts)", "np.flatnonzero(load > cap).tolist()",
+}
 
 
 def _row_accessor_loops(path: Path) -> list[str]:
@@ -126,10 +134,53 @@ def _row_accessor_loops(path: Path) -> list[str]:
     return sorted(set(offenders))
 
 
+def _vertex_loops(source: str, function_name: str) -> list[str]:
+    """Loops in ``function_name`` other than one rounds loop and ``for``
+    loops over the parts; comprehensions count as loops."""
+    function = next(
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == function_name
+    )
+    offenders, rounds_loops = [], 0
+    for loop in ast.walk(function):
+        if isinstance(loop, ast.While):
+            rounds_loops += 1
+            if f"while {ast.unparse(loop.test)}" != REFINE_ROUNDS_LOOP:
+                offenders.append(f"while:{loop.lineno}")
+        elif isinstance(loop, ast.For):
+            if ast.unparse(loop.iter) not in REFINE_PART_LOOPS:
+                offenders.append(f"for:{loop.lineno}")
+        elif isinstance(loop, ast.comprehension):
+            offenders.append(f"comprehension:{loop.iter.lineno}")
+    if rounds_loops > 1:
+        offenders.append("nested rounds loops")
+    return offenders
+
+
 class TestSetupPathStaysLoopFree:
     @pytest.mark.parametrize("module", LOOP_FREE_MODULES)
     def test_no_row_accessor_inside_a_loop(self, module):
         assert _row_accessor_loops(REPO / module) == []
+
+    def test_refinement_loops_over_rounds_and_parts_only(self):
+        source = (REPO / LOOP_FREE_MODULES[0]).read_text()
+        assert _vertex_loops(source, "_refine") == []
+
+    def test_the_refinement_guard_sees_a_vertex_loop(self):
+        sample = (
+            "def _refine(graph, num_parts, load, cap):\n"
+            "    while True:\n"
+            "        for part in range(num_parts):\n"
+            "            pass\n"
+            "        for v in range(graph.num_vertices):\n"
+            "            pass\n"
+            "        while load:\n"
+            "            pass\n"
+            "        return [v for v in order]\n"
+        )
+        assert _vertex_loops(sample, "_refine") == [
+            "for:5", "while:7", "comprehension:9", "nested rounds loops",
+        ]
 
     def test_the_guard_sees_what_it_guards_against(self, tmp_path):
         sample = tmp_path / "sample.py"
