@@ -13,9 +13,10 @@ Commands:
   fault counters) as HTML or markdown;
 * ``chaos``    — train under an injected fault scenario and report how
   the tolerance machinery held up against the fault-free twin;
-* ``bench``    — time the codec micro-kernels, a halo exchange and a
-  training epoch (with a per-stage profile); write ``BENCH_core.json``
-  and optionally gate on a committed baseline (``--compare``);
+* ``bench``    — the out-of-core tier: stream a million-vertex graph to
+  an mmap store, time partition / stats / subgraph / gather and record
+  peak RSS; write ``BENCH_core.json`` (epoch time and wire bytes are
+  measured by ``bench/run.py``);
 * ``lint``     — run the AST-based invariant checker (rules ECG001..007:
   simulated-clock discipline, seeded randomness, deterministic state
   iteration, shared-resource lifecycles, wire-decode validation, no
@@ -396,116 +397,34 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        compare_reports, load_report, parse_percent, run_bench,
-        speedup_flag_lines, stage_breakdown_lines, write_report,
-    )
+    from repro.bench import run_bench
 
-    max_regress = parse_percent(args.max_regress)
-    profile = "large" if args.profile == "large" else "core"
-    scope = f", execution={args.execution}" if args.execution else ""
-    if profile == "large":
-        scope += ", profile=large"
-    print(f"running bench suites "
-          f"({'smoke' if args.smoke else 'full'}{scope}) ...",
-          file=sys.stderr)
-    report = run_bench(smoke=args.smoke, execution=args.execution,
-                       profile=profile)
+    print(f"running the out-of-core bench tier "
+          f"({'smoke' if args.smoke else 'full'}) ...", file=sys.stderr)
+    report = run_bench(smoke=args.smoke)
+    large = report["large"]
+    print(format_table(
+        ["step", "seconds"],
+        [[step, f"{large[f'{step}_seconds']:.2f}s"]
+         for step in ("generate", "partition", "stats",
+                      "subgraph", "gather")],
+        title=f"Out-of-core tier ({large['num_vertices']:,} vertices, "
+              f"{large['num_edges']:,} edges, "
+              f"{large['num_workers']} workers)",
+    ))
+    verdict = "OK" if large["rss_below_features"] else "ABOVE"
+    print(f"peak RSS {large['peak_rss_bytes'] / 1e6:.0f} MB vs "
+          f"{large['feature_bytes_on_disk'] / 1e6:.0f} MB of on-disk "
+          f"features ({large['rss_to_feature_ratio']:.2f}x, {verdict})")
+    if not large["rss_below_features"]:
+        print("FLAG: peak RSS exceeded the on-disk feature matrix "
+              "(expected in smoke runs, where the interpreter "
+              "dominates; investigate on the full tier)")
 
-    if "kernels" in report:
-        rows = [
-            [name,
-             f"{stats['ns_per_element']:.2f}",
-             f"{stats['reference_ns_per_element']:.2f}",
-             f"{stats['speedup_vs_reference']:.1f}x"]
-            for name, stats in sorted(report["kernels"].items())
-        ]
-        print(format_table(
-            ["kernel", "ns/elem", "reference ns/elem", "speedup"],
-            rows, title="Codec micro-kernels",
-        ))
-    if "exchange" in report:
-        exchange = report["exchange"]
-        print(format_table(
-            ["suite", "sequential"],
-            [["halo exchange",
-              f"{exchange['sequential_seconds'] * 1e3:.2f}ms"]],
-        ))
-    if "epoch" in report:
-        epoch = report["epoch"]
-        print(format_table(
-            ["suite", "old codec", "default", "codec speedup"],
-            [["epoch wall time",
-              f"{epoch['reference_codec_seconds'] * 1e3:.1f}ms",
-              f"{epoch['default_seconds'] * 1e3:.1f}ms",
-              f"{epoch.get('speedup_vs_reference_codec', 0):.2f}x"]],
-        ))
-        stages = epoch.get("stages")
-        if stages:
-            print(format_table(
-                ["stage", "wall/epoch", "share"],
-                [[name,
-                  f"{seconds * 1e3:.2f}ms",
-                  f"{seconds / sum(stages.values()) * 100:.1f}%"]
-                 for name, seconds in stages.items()],
-                title=f"Per-stage epoch profile (coverage "
-                      f"{epoch.get('stage_coverage', 0) * 100:.1f}%)",
-            ))
-    if "epoch_multiprocess" in report:
-        mp = report["epoch_multiprocess"]
-        print(format_table(
-            ["suite", "sequential", "multiprocess", "vs sequential"],
-            [["epoch wall time",
-              f"{mp['sequential_seconds'] * 1e3:.1f}ms",
-              f"{mp['multiprocess_seconds'] * 1e3:.1f}ms",
-              f"{mp.get('speedup_multiprocess', 0):.2f}x"]],
-            title=f"Multiprocess execution "
-                  f"({mp['host_cpus']} host CPU(s))",
-        ))
-
-    if "large" in report:
-        large = report["large"]
-        print(format_table(
-            ["step", "seconds"],
-            [[step, f"{large[f'{step}_seconds']:.2f}s"]
-             for step in ("generate", "partition", "stats",
-                          "subgraph", "gather")],
-            title=f"Out-of-core tier ({large['num_vertices']:,} vertices, "
-                  f"{large['num_edges']:,} edges, "
-                  f"{large['num_workers']} workers)",
-        ))
-        verdict = "OK" if large["rss_below_features"] else "ABOVE"
-        print(f"peak RSS {large['peak_rss_bytes'] / 1e6:.0f} MB vs "
-              f"{large['feature_bytes_on_disk'] / 1e6:.0f} MB of on-disk "
-              f"features ({large['rss_to_feature_ratio']:.2f}x, {verdict})")
-        if not large["rss_below_features"]:
-            print("FLAG: peak RSS exceeded the on-disk feature matrix "
-                  "(expected in smoke runs, where the interpreter "
-                  "dominates; investigate on the full tier)")
-
-    for line in speedup_flag_lines(report):
-        print(f"FLAG: {line}")
-
-    path = write_report(report, args.out)
+    path = pathlib.Path(args.out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {path}")
-
-    if args.compare:
-        baseline = load_report(args.compare)
-        stage_lines = stage_breakdown_lines(report, baseline)
-        if stage_lines:
-            print(f"\nper-stage epoch deltas vs {args.compare} "
-                  "(informational):")
-            for line in stage_lines:
-                print(f"  {line}")
-        regressions = compare_reports(report, baseline, max_regress)
-        if regressions:
-            print(f"FAIL: {len(regressions)} kernel(s) regressed vs "
-                  f"{args.compare}:", file=sys.stderr)
-            for line in regressions:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        print(f"no kernel regressed more than {args.max_regress} vs "
-              f"{args.compare}")
     return 0
 
 
@@ -539,10 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "with error-compensated compression",
     )
     parser.add_argument("--profile", default="bench",
-                        choices=["tiny", "bench", "full", "large"],
-                        help="dataset size profile; 'large' selects the "
-                             "out-of-core million-vertex tier (bench "
-                             "command only)")
+                        choices=["tiny", "bench", "full"],
+                        help="dataset size profile")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -649,22 +566,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.set_defaults(func=_cmd_chaos)
 
     bench = sub.add_parser(
-        "bench", help="performance suites: codec kernels, exchange, epoch"
+        "bench", help="out-of-core tier: million-vertex mmap pipeline + "
+                      "peak RSS"
     )
     bench.add_argument("--out", default="BENCH_core.json",
                        help="report path (default: BENCH_core.json)")
-    bench.add_argument("--compare", default=None,
-                       help="baseline report to gate kernel timings against")
-    bench.add_argument("--max-regress", default="15%",
-                       help="fail --compare when a kernel's ns/element "
-                            "grows more than this (default: 15%%)")
     bench.add_argument("--smoke", action="store_true",
-                       help="small sizes, few repeats (CI smoke test)")
-    bench.add_argument("--execution", default=None,
-                       choices=["sync", "multiprocess"],
-                       help="narrow the run: 'multiprocess' runs only the "
-                            "multiprocess epoch suite, 'sync' only the "
-                            "single-process suites (default: everything)")
+                       help="scale-14 graph, seconds (CI smoke test)")
     bench.set_defaults(func=_cmd_bench)
 
     lint = sub.add_parser(

@@ -1,28 +1,11 @@
-"""Performance harness: codec micro-kernels, halo exchange, full epochs.
+"""The out-of-core bench tier behind ``python -m repro bench``.
 
-``python -m repro bench`` runs the suites and writes ``BENCH_core.json``
-(per-kernel ns/element plus measured epoch seconds); ``--compare``
-gates CI on a committed baseline. See ``docs/performance.md``.
+Streams a million-vertex R-MAT graph to an mmap store, times partition,
+stats, subgraph and gather over it and records peak RSS; writes
+``BENCH_core.json``. Epoch time and communication volume are measured by
+``bench/run.py``. See ``docs/storage.md``.
 """
 
-from repro.bench.harness import (
-    compare_reports,
-    load_report,
-    parse_percent,
-    speedup_flag_lines,
-    stage_breakdown_lines,
-    write_report,
-)
 from repro.bench.suites import bench_large, peak_rss_bytes, run_bench
 
-__all__ = [
-    "bench_large",
-    "compare_reports",
-    "load_report",
-    "parse_percent",
-    "peak_rss_bytes",
-    "run_bench",
-    "speedup_flag_lines",
-    "stage_breakdown_lines",
-    "write_report",
-]
+__all__ = ["bench_large", "peak_rss_bytes", "run_bench"]

@@ -25,8 +25,9 @@ a byte is a single gather per *byte* of packed ids from a 256-row table
 of pre-gathered representatives. Irregular widths tree-merge adjacent
 fields (b -> 2b -> 4b -> 8b bits) into byte-aligned 8-value blocks. No
 ``(n, bits)`` bit matrix is ever materialized (that original
-implementation is kept as :mod:`repro.bench.reference` for before/after
-benchmarking). The wire layout is little-endian-bit-first,
+implementation is kept as the ``reference_pack_bits`` /
+``reference_unpack_bits`` test fixtures in ``tests/conftest.py``, the
+byte-identity oracle). The wire layout is little-endian-bit-first,
 byte-identical to ``np.packbits(..., bitorder="little")`` on the
 expanded bits.
 """

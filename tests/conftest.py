@@ -101,9 +101,34 @@ def cluster2() -> ClusterSpec:
 
 # ----------------------------------------------------------------------
 # Pre-rewrite codec arithmetic, kept verbatim as differential references
-# for the narrow-id quantizer (packing references live in
-# ``repro.bench.reference``).
+# for the arithmetic bit packers and the narrow-id quantizer.
 # ----------------------------------------------------------------------
+def _reference_pack_bits(values, bits):
+    """Original bit-matrix ``pack_bits``; layout-identical, slower."""
+    if not 1 <= bits <= 16:
+        raise ValueError(f"bits must be in [1, 16], got {bits}")
+    flat = np.ascontiguousarray(values, dtype=np.uint32).ravel()
+    if flat.size and int(flat.max()) >= (1 << bits):
+        raise ValueError(f"value {int(flat.max())} does not fit in {bits} bits")
+    shifts = np.arange(bits, dtype=np.uint32)
+    bit_matrix = ((flat[:, None] >> shifts) & 1).astype(np.uint8)
+    return np.packbits(bit_matrix.ravel(), bitorder="little")
+
+
+def _reference_unpack_bits(buffer, bits, count):
+    """Original bit-matrix ``unpack_bits``; layout-identical, slower."""
+    if not 1 <= bits <= 16:
+        raise ValueError(f"bits must be in [1, 16], got {bits}")
+    raw = np.unpackbits(
+        np.ascontiguousarray(buffer, dtype=np.uint8),
+        count=count * bits,
+        bitorder="little",
+    )
+    bit_matrix = raw.reshape(count, bits).astype(np.uint32)
+    powers = (np.uint32(1) << np.arange(bits, dtype=np.uint32))
+    return bit_matrix @ powers
+
+
 def _reference_encode_ids(bits, matrix, lo=None, hi=None):
     """Verbatim copy of ``BucketQuantizer.encode_ids`` before the
     narrow-dtype rewrite: float32 -> int64 -> integer clip -> uint32."""
@@ -124,14 +149,22 @@ def _reference_encode_ids(bits, matrix, lo=None, hi=None):
 def _reference_decode(quantized):
     """Verbatim copy of ``QuantizedMatrix.decode`` before the rewrite,
     over the original bit-matrix unpack."""
-    from repro.bench.reference import unpack_bits_reference
-
-    ids = unpack_bits_reference(
+    ids = _reference_unpack_bits(
         quantized.packed, quantized.bits, quantized.num_elements
     )
     return quantized.bucket_values[ids].reshape(quantized.shape).astype(
         np.float32
     )
+
+
+@pytest.fixture
+def reference_pack_bits():
+    return _reference_pack_bits
+
+
+@pytest.fixture
+def reference_unpack_bits():
+    return _reference_unpack_bits
 
 
 @pytest.fixture

@@ -1,237 +1,142 @@
-"""Tests for the ``repro bench`` harness: report structure, baseline
-comparison, and the CLI exit codes CI relies on."""
+"""Tests for ``repro bench``: the out-of-core tier's report and the CLI
+surface that runs it."""
 
 import json
 
 import pytest
 
-from repro.bench import (
-    compare_reports,
-    load_report,
-    parse_percent,
-    run_bench,
-    write_report,
-)
-from repro.bench.harness import SCHEMA, best_seconds
-from repro.bench.reference import pack_bits_reference, unpack_bits_reference
+from repro.bench import run_bench
 
 
 class TestReferenceKernels:
     @pytest.mark.parametrize("bits", [1, 3, 4, 8, 11, 16])
-    def test_reference_matches_new_kernels(self, bits):
+    def test_reference_matches_new_kernels(
+        self, bits, reference_pack_bits, reference_unpack_bits
+    ):
         import numpy as np
 
         from repro.compression.quantization import pack_bits, unpack_bits
 
         rng = np.random.default_rng(bits)
         ids = rng.integers(0, 1 << bits, size=777, dtype=np.uint32)
-        packed = pack_bits_reference(ids, bits)
+        packed = reference_pack_bits(ids, bits)
         np.testing.assert_array_equal(packed, pack_bits(ids, bits))
         np.testing.assert_array_equal(
-            unpack_bits_reference(packed, bits, ids.size),
+            reference_unpack_bits(packed, bits, ids.size),
             unpack_bits(packed, bits, ids.size),
         )
 
+    @pytest.mark.parametrize("bits", [0, 17])
+    @pytest.mark.parametrize("op", ["pack", "unpack"])
+    def test_width_outside_range_rejected_by_both(
+        self, op, bits, reference_pack_bits, reference_unpack_bits
+    ):
+        import numpy as np
 
-class TestBestSeconds:
-    def test_returns_positive_float(self):
-        assert best_seconds(lambda: sum(range(100)), repeats=2) > 0
+        from repro.compression.quantization import pack_bits, unpack_bits
 
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            best_seconds(lambda: None, repeats=0)
-        with pytest.raises(ValueError):
-            best_seconds(lambda: None, repeats=1, inner=0)
+        if op == "pack":
+            calls = [lambda f=f: f(np.zeros(4, dtype=np.uint32), bits)
+                     for f in (reference_pack_bits, pack_bits)]
+        else:
+            calls = [lambda f=f: f(np.zeros(8, dtype=np.uint8), bits, 4)
+                     for f in (reference_unpack_bits, unpack_bits)]
+        for call in calls:
+            with pytest.raises(ValueError, match="bits must be in"):
+                call()
+
+    @pytest.mark.parametrize("bits", [1, 4, 8, 16])
+    def test_overflowing_value_rejected_by_both(
+        self, bits, reference_pack_bits
+    ):
+        import numpy as np
+
+        from repro.compression.quantization import pack_bits
+
+        values = np.array([0, 1 << bits, 1], dtype=np.uint32)
+        for pack in (reference_pack_bits, pack_bits):
+            with pytest.raises(ValueError, match=f"does not fit in {bits}"):
+                pack(values, bits)
 
 
-class TestParsePercent:
-    @pytest.mark.parametrize("text,expected", [
-        ("15%", 0.15), ("15", 0.15), (" 200% ", 2.0), ("0%", 0.0),
+# A scale-10 twin of the smoke tier, for tests that run bench_large more
+# than once or under patched conditions.
+_TINY = dict(scale=10, edge_factor=4, feature_dim=8, num_workers=4,
+             chunk_vertices=256, resident_blocks=2, gather_parts=2)
+
+
+class TestBenchLarge:
+    def test_store_removed_after_the_run(self, tmp_path, monkeypatch):
+        import tempfile
+
+        from repro.bench import bench_large
+
+        made = []
+        mkdtemp = tempfile.mkdtemp
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(tempfile, "mkdtemp",
+                            lambda *a, **kw: made.append(mkdtemp(*a, **kw))
+                            or made[-1])
+        bench_large(_TINY)
+        assert made and all(p.startswith(str(tmp_path)) for p in made)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_graph_and_partition_are_deterministic(self):
+        from repro.bench import bench_large
+
+        keys = ("num_edges", "edge_cut_ratio", "total_halo",
+                "part0_local", "part0_remote", "gather_rows",
+                "feature_bytes_on_disk", "store_bytes_on_disk")
+        first, second = bench_large(_TINY), bench_large(_TINY)
+        assert {k: first[k] for k in keys} == {k: second[k] for k in keys}
+
+    def test_gather_parts_clamped_to_num_workers(self):
+        from repro.bench import bench_large
+
+        large = bench_large(dict(_TINY, gather_parts=99))
+        assert large["gather_rows"] == large["num_vertices"]
+
+    @pytest.mark.parametrize("smoke,profile,scale", [
+        (True, "large-smoke", 14), (False, "large", 20),
+    ], ids=["smoke", "full"])
+    def test_run_bench_picks_the_tier(self, smoke, profile, scale,
+                                      monkeypatch):
+        from repro.bench import suites
+
+        seen = []
+        monkeypatch.setattr(suites, "bench_large",
+                            lambda params: seen.append(params) or {})
+        assert run_bench(smoke=smoke) == {"profile": profile, "large": {}}
+        assert [params["scale"] for params in seen] == [scale]
+
+
+class TestPeakRss:
+    @pytest.mark.parametrize("platform,expected", [
+        ("linux", 1000 * 1024), ("darwin", 1000),
     ])
-    def test_parses(self, text, expected):
-        assert parse_percent(text) == pytest.approx(expected)
+    def test_ru_maxrss_unit_per_platform(self, platform, expected,
+                                         monkeypatch):
+        import resource
+        import sys
+        from types import SimpleNamespace
 
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError, match="cannot parse"):
-            parse_percent("fast")
+        from repro.bench import peak_rss_bytes
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            parse_percent("-5%")
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(resource, "getrusage",
+                            lambda who: SimpleNamespace(ru_maxrss=1000))
+        assert peak_rss_bytes() == expected
 
+    def test_high_water_mark_never_drops(self):
+        import numpy as np
 
-class TestReportIO:
-    def test_write_then_load_roundtrip(self, tmp_path):
-        report = {"schema": SCHEMA, "kernels": {}}
-        path = write_report(report, tmp_path / "r.json")
-        assert load_report(path) == report
+        from repro.bench import peak_rss_bytes
 
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_report(tmp_path / "absent.json")
-
-    def test_load_wrong_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "other/9"}))
-        with pytest.raises(ValueError, match="schema"):
-            load_report(path)
-
-
-def _report(ns_by_kernel):
-    return {
-        "schema": SCHEMA,
-        "kernels": {
-            name: {"ns_per_element": ns}
-            for name, ns in ns_by_kernel.items()
-        },
-    }
-
-
-class TestCompareReports:
-    def test_no_regression_within_limit(self):
-        current = _report({"pack_bits[bits=4]": 1.10})
-        baseline = _report({"pack_bits[bits=4]": 1.00})
-        assert compare_reports(current, baseline, 0.15) == []
-
-    def test_regression_reported(self):
-        current = _report({"pack_bits[bits=4]": 2.0})
-        baseline = _report({"pack_bits[bits=4]": 1.0})
-        lines = compare_reports(current, baseline, 0.15)
-        assert len(lines) == 1
-        assert "pack_bits[bits=4]" in lines[0]
-        assert "+100%" in lines[0]
-
-    def test_kernels_missing_on_either_side_skipped(self):
-        current = _report({"only_current": 9.0, "shared": 1.0})
-        baseline = _report({"only_baseline": 0.1, "shared": 1.0})
-        assert compare_reports(current, baseline, 0.0) == []
-
-    def test_improvement_never_fails(self):
-        current = _report({"k": 0.5})
-        baseline = _report({"k": 5.0})
-        assert compare_reports(current, baseline, 0.0) == []
-
-
-class TestStageBreakdownLines:
-    def _epoch_report(self, stages):
-        return {"schema": SCHEMA, "epoch": {"stages": stages}}
-
-    def test_sorted_by_absolute_delta(self):
-        from repro.bench import stage_breakdown_lines
-
-        lines = stage_breakdown_lines(
-            self._epoch_report({"forward": 0.030, "backward": 0.010}),
-            self._epoch_report({"forward": 0.020, "backward": 0.015}),
-        )
-        assert len(lines) == 2
-        assert lines[0].startswith("forward:")  # |+10ms| > |-5ms|
-        assert "+50%" in lines[0]
-        assert lines[1].startswith("backward:")
-
-    def test_baseline_without_stages_is_silent(self):
-        from repro.bench import stage_breakdown_lines
-
-        current = self._epoch_report({"forward": 0.030})
-        assert stage_breakdown_lines(current, {"epoch": {}}) == []
-        assert stage_breakdown_lines(current, {}) == []
-
-
-class TestSpeedupFlagLines:
-    """Sub-1.0 ``speedup_*`` entries are surfaced, never hidden."""
-
-    def test_flags_only_sub_unity_speedups(self):
-        from repro.bench import speedup_flag_lines
-
-        report = {
-            "schema": SCHEMA,
-            "epoch": {
-                "speedup_vs_reference_codec": 0.70, "default_seconds": 0.1,
-            },
-            "epoch_multiprocess": {
-                "speedup_multiprocess": 0.24, "host_cpus": 1,
-            },
-            "future_suite": {"speedup_anything": 1.8},
-        }
-        lines = speedup_flag_lines(report)
-        assert len(lines) == 2
-        assert any(
-            "epoch.speedup_vs_reference_codec = 0.70x" in x for x in lines
-        )
-        assert any(
-            "epoch_multiprocess.speedup_multiprocess = 0.24x" in x
-            for x in lines
-        )
-        # The honest >1.0 claim is not flagged.
-        assert not any("= 1.80x" in x for x in lines)
-
-    def test_clean_report_produces_no_flags(self):
-        from repro.bench import speedup_flag_lines
-
-        report = {
-            "epoch": {"speedup_vs_reference_codec": 1.3}, "schema": SCHEMA,
-        }
-        assert speedup_flag_lines(report) == []
-
-
-class TestRunBenchSmoke:
-    """One real smoke run, shared by the structural assertions."""
-
-    @pytest.fixture(scope="class")
-    def report(self):
-        return run_bench(smoke=True)
-
-    def test_schema_and_profile(self, report):
-        assert report["schema"] == SCHEMA
-        assert report["profile"] == "smoke"
-
-    def test_kernel_entries(self, report):
-        for bits in (2, 4, 8):
-            for op in ("pack_bits", "unpack_bits"):
-                entry = report["kernels"][f"{op}[bits={bits}]"]
-                assert entry["ns_per_element"] > 0
-                assert entry["reference_ns_per_element"] > 0
-                assert entry["speedup_vs_reference"] > 0
-
-    def test_exchange_and_epoch_sections(self, report):
-        assert report["exchange"]["sequential_seconds"] > 0
-        for key in ("reference_codec_seconds", "default_seconds",
-                    "speedup_vs_reference_codec"):
-            assert report["epoch"][key] > 0
-
-    def test_metrics_snapshot_included(self, report):
-        assert "bench_kernel_ns" in json.dumps(report["metrics"])
-        assert "bench_stage_seconds" in json.dumps(report["metrics"])
-
-    def test_stage_profile_section(self, report):
-        from repro.obs import ENGINE_STAGES
-
-        stages = report["epoch"]["stages"]
-        assert set(stages) == set(ENGINE_STAGES)
-        for seconds in stages.values():
-            assert seconds > 0
-        assert report["epoch"]["stage_coverage"] >= 0.90
-
-    def test_stage_walls_sum_close_to_epoch_wall(self, report):
-        # ISSUE acceptance: per-stage times must account for the epoch
-        # to within a few percent. The profiled trainer is a separate
-        # instance from the wall-clock one, so compare stage sum against
-        # the profiler's own envelope via the coverage ratio.
-        coverage = report["epoch"]["stage_coverage"]
-        assert 0.90 <= coverage <= 1.0 + 1e-6
-
-    def test_multiprocess_section(self, report):
-        mp = report["epoch_multiprocess"]
-        assert mp["host_cpus"] >= 1
-        for key in ("sequential_seconds", "multiprocess_seconds"):
-            assert mp[key] > 0
-        assert mp["speedup_multiprocess"] > 0
-
-    def test_report_is_json_serializable(self, report, tmp_path):
-        path = write_report(report, tmp_path / "smoke.json")
-        assert load_report(path)["profile"] == "smoke"
-
-    def test_peak_rss_recorded(self, report):
-        assert report["peak_rss_bytes"] > 0
+        before = peak_rss_bytes()
+        block = np.ones(1 << 22, dtype=np.uint8)  # 4 MiB, touched
+        after = peak_rss_bytes()
+        del block
+        assert after >= before > 0
 
 
 class TestRunBenchLargeSmoke:
@@ -239,10 +144,9 @@ class TestRunBenchLargeSmoke:
 
     @pytest.fixture(scope="class")
     def report(self):
-        return run_bench(smoke=True, profile="large")
+        return run_bench(smoke=True)
 
-    def test_schema_and_profile(self, report):
-        assert report["schema"] == SCHEMA
+    def test_profile(self, report):
         assert report["profile"] == "large-smoke"
 
     def test_pipeline_steps_timed(self, report):
@@ -257,12 +161,76 @@ class TestRunBenchLargeSmoke:
         assert large["num_edges"] > large["num_vertices"]
         assert large["feature_bytes_on_disk"] > 0
         assert large["store_bytes_on_disk"] > large["feature_bytes_on_disk"]
-        assert report["peak_rss_bytes"] > 0
+        assert large["peak_rss_bytes"] > 0
         assert large["rss_to_feature_ratio"] > 0
 
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError, match="profile"):
-            run_bench(smoke=True, profile="galactic")
+    def test_feature_bytes_match_the_matrix_shape(self, report):
+        large = report["large"]
+        assert large["feature_bytes_on_disk"] == (
+            large["num_vertices"] * large["feature_dim"] * 4
+        )
+
+    def test_rss_verdict_follows_the_ratio(self, report):
+        large = report["large"]
+        assert large["rss_to_feature_ratio"] == pytest.approx(
+            large["peak_rss_bytes"] / large["feature_bytes_on_disk"]
+        )
+        assert large["rss_below_features"] == (
+            large["rss_to_feature_ratio"] < 1.0
+        )
+
+    def test_hash_parts_are_round_robin_shares(self, report):
+        large = report["large"]
+        share = large["num_vertices"] // large["num_workers"]
+        assert large["part0_local"] == share
+        assert large["gather_rows"] == 2 * share
+        assert large["part0_remote"] > 0
+        assert large["total_halo"] >= large["part0_remote"]
+        assert 0.0 < large["edge_cut_ratio"] < 1.0
+
+    def test_feature_cache_stays_within_budget(self, report):
+        cache = report["large"]["feature_cache"]
+        assert cache["budget_blocks"] == 4
+        assert cache["resident_blocks"] <= cache["budget_blocks"]
+        assert cache["misses"] > 0
+
+    def test_report_survives_a_json_round_trip(self, report):
+        assert json.loads(json.dumps(report)) == report
+
+
+class TestCommittedReport:
+    """``BENCH_core.json`` is what the full tier writes, nothing more."""
+
+    @pytest.fixture(scope="class")
+    def committed(self):
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "BENCH_core.json"
+        return json.loads(path.read_text())
+
+    def test_holds_only_the_large_record(self, committed):
+        assert set(committed) == {"profile", "large"}
+        assert committed["profile"] == "large"
+
+    def test_has_every_key_the_tier_writes(self, committed):
+        written = run_bench(smoke=True)["large"]
+        assert set(committed["large"]) == set(written)
+
+    def test_full_tier_stayed_out_of_core(self, committed):
+        large = committed["large"]
+        assert large["num_vertices"] == 1 << 20
+        assert large["feature_bytes_on_disk"] == 512 << 20
+        assert large["rss_below_features"] is True
+
+
+def _fake_report(below):
+    steps = ("generate", "partition", "stats", "subgraph", "gather")
+    large = {f"{step}_seconds": 0.5 for step in steps}
+    large.update(num_vertices=16, num_edges=64, num_workers=2,
+                 peak_rss_bytes=10**8, feature_bytes_on_disk=2 * 10**8,
+                 rss_to_feature_ratio=0.5 if below else 2.0,
+                 rss_below_features=below)
+    return {"profile": "large-smoke", "large": large}
 
 
 class TestBenchCLI:
@@ -271,50 +239,74 @@ class TestBenchCLI:
 
         out = tmp_path / "bench.json"
         assert main(["bench", "--smoke", "--out", str(out)]) == 0
-        assert load_report(out)["profile"] == "smoke"
-        assert "Codec micro-kernels" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert report["large"]["num_vertices"] == 1 << 14
+        assert "Out-of-core tier" in capsys.readouterr().out
 
-    def test_compare_fails_on_regression(self, tmp_path, capsys):
+    def test_report_written_sorted_into_a_new_directory(self, tmp_path):
         from repro.__main__ import main
 
-        # A baseline claiming every kernel once took ~0 ns forces every
-        # real measurement to read as a regression.
+        out = tmp_path / "nested" / "dir" / "bench.json"
+        assert main(["bench", "--smoke", "--out", str(out)]) == 0
+        text = out.read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("below,verdict", [
+        (True, "0.50x, OK"), (False, "2.00x, ABOVE"),
+    ], ids=["below", "above"])
+    def test_rss_verdict_printed(self, below, verdict, tmp_path,
+                                 monkeypatch, capsys):
+        import repro.bench
+        from repro.__main__ import main
+
+        monkeypatch.setattr(repro.bench, "run_bench",
+                            lambda smoke: _fake_report(below))
         out = tmp_path / "bench.json"
         assert main(["bench", "--smoke", "--out", str(out)]) == 0
-        report = load_report(out)
-        for stats in report["kernels"].values():
-            stats["ns_per_element"] = stats["ns_per_element"] / 1e6
-        baseline_path = write_report(report, tmp_path / "baseline.json")
-        code = main([
-            "bench", "--smoke", "--out", str(out),
-            "--compare", str(baseline_path), "--max-regress", "15%",
-        ])
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().err
+        printed = capsys.readouterr().out
+        assert f"({verdict})" in printed
+        assert ("FLAG: peak RSS exceeded" in printed) is not below
+        assert json.loads(out.read_text()) == _fake_report(below)
 
-    def test_execution_multiprocess_scopes_the_run(self, tmp_path, capsys):
+    def test_bench_takes_out_and_smoke_only(self):
+        from repro.__main__ import build_parser
+
+        parser = build_parser()
+        bench = parser._subparsers._group_actions[0].choices["bench"]
+        flags = {
+            flag for action in bench._actions
+            for flag in action.option_strings
+        }
+        assert flags == {"-h", "--help", "--out", "--smoke"}
+        args = parser.parse_args(["bench"])
+        assert (args.out, args.smoke) == ("BENCH_core.json", False)
+
+    def test_profile_choices(self):
+        from repro.__main__ import build_parser
+
+        profile = next(
+            action for action in build_parser()._actions
+            if "--profile" in action.option_strings
+        )
+        assert profile.choices == ["tiny", "bench", "full"]
+
+    @pytest.mark.parametrize("flag", [
+        ["--compare", "BENCH_core.json"], ["--execution", "multiprocess"],
+        ["--max-regress", "15%"],
+    ], ids=["compare", "execution", "max-regress"])
+    def test_retired_flags_rejected(self, flag, capsys):
         from repro.__main__ import main
 
-        out = tmp_path / "mp.json"
-        code = main([
-            "bench", "--smoke", "--execution", "multiprocess",
-            "--out", str(out),
-        ])
-        assert code == 0
-        report = load_report(out)
-        assert "epoch_multiprocess" in report
-        assert "kernels" not in report
-        assert "Multiprocess execution" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--smoke", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_compare_passes_against_self(self, tmp_path):
+    def test_large_profile_rejected(self, capsys):
         from repro.__main__ import main
 
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--smoke", "--out", str(out)]) == 0
-        # Re-compare against the report just produced with a huge
-        # allowance: machine noise alone cannot trip a 10000% limit.
-        code = main([
-            "bench", "--smoke", "--out", str(tmp_path / "second.json"),
-            "--compare", str(out), "--max-regress", "10000%",
-        ])
-        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--profile", "large", "bench", "--smoke"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'large'" in capsys.readouterr().err

@@ -165,28 +165,25 @@ class TestBucketQuantizer:
 
 class TestKernelEquivalence:
     """The arithmetic kernels must be byte-identical to the original
-    bit-matrix implementation (kept in repro.bench.reference) — the wire
-    layout is a compatibility contract, not an implementation detail."""
+    bit-matrix implementation (the ``reference_pack_bits`` fixture in
+    conftest.py) — the wire layout is a compatibility contract, not an
+    implementation detail."""
 
     @pytest.mark.parametrize("bits", list(range(1, 17)))
-    def test_pack_byte_identical_to_reference(self, bits):
-        from repro.bench.reference import pack_bits_reference
-
+    def test_pack_byte_identical_to_reference(self, bits, reference_pack_bits):
         rng = np.random.default_rng(bits)
         for size in (0, 1, 3, 7, 8, 9, 15, 16, 17, 100, 1001):
             values = rng.integers(0, 1 << bits, size=size, dtype=np.uint32)
             assert pack_bits(values, bits).tobytes() == (
-                pack_bits_reference(values, bits).tobytes()
+                reference_pack_bits(values, bits).tobytes()
             ), f"bits={bits} size={size}"
 
     @pytest.mark.parametrize("bits", list(range(1, 17)))
-    def test_unpack_inverts_reference_pack(self, bits):
-        from repro.bench.reference import pack_bits_reference
-
+    def test_unpack_inverts_reference_pack(self, bits, reference_pack_bits):
         rng = np.random.default_rng(100 + bits)
         for size in (1, 8, 9, 63, 100):
             values = rng.integers(0, 1 << bits, size=size, dtype=np.uint32)
-            packed = pack_bits_reference(values, bits)
+            packed = reference_pack_bits(values, bits)
             np.testing.assert_array_equal(
                 unpack_bits(packed, bits, size), values
             )
@@ -283,10 +280,9 @@ class TestNarrowPathMatchesReference:
     @pytest.mark.parametrize("size", _DIFF_SIZES)
     @pytest.mark.parametrize("bits", SUPPORTED_BITS)
     def test_ids_bytes_and_decode(
-        self, bits, size, domain, reference_encode_ids, reference_decode
+        self, bits, size, domain, reference_encode_ids, reference_decode,
+        reference_pack_bits,
     ):
-        from repro.bench.reference import pack_bits_reference
-
         bounds = _DIFF_DOMAINS[domain]
         rng = np.random.default_rng(bits * 1000 + size % 997)
         x = (rng.standard_normal(size) * 2.0).astype(np.float32)
@@ -302,7 +298,7 @@ class TestNarrowPathMatchesReference:
         encoded = q.encode(x, **bounds)
         assert encoded.packed.dtype == np.uint8
         assert encoded.packed.tobytes() == (
-            pack_bits_reference(want_ids, bits).tobytes()
+            reference_pack_bits(want_ids, bits).tobytes()
         )
         got = encoded.decode()
         want = reference_decode(encoded)
@@ -331,13 +327,13 @@ class TestNarrowPathMatchesReference:
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
     @pytest.mark.parametrize("bits", SUPPORTED_BITS)
-    def test_pack_bits_accepts_any_integer_dtype(self, bits, dtype):
-        from repro.bench.reference import pack_bits_reference
-
+    def test_pack_bits_accepts_any_integer_dtype(
+        self, bits, dtype, reference_pack_bits
+    ):
         top = min(1 << bits, np.iinfo(dtype).max + 1)
         values = np.random.default_rng(bits).integers(0, top, size=101)
         assert pack_bits(values.astype(dtype), bits).tobytes() == (
-            pack_bits_reference(values, bits).tobytes()
+            reference_pack_bits(values, bits).tobytes()
         )
 
     @pytest.mark.parametrize("bits", [1, 2, 4, 8])

@@ -65,25 +65,54 @@ class TestDesignDoc:
 RETIRED_NAMES = (
     "exchange_threads", "halo_buffer_pool", "NeighborAccessController",
     "SAGETrainer", "GATTrainer", "SampledECGraphTrainer",
+    "compare_reports", "speedup_flag_lines", "stage_breakdown_lines",
+    "bench_codec", "bench_exchange", "bench_epoch_multiprocess",
+    "repro.bench.reference", "max-regress",
 )
+
+
+def _shipped_files():
+    """Code, docs and CI config a user reads or runs."""
+    for root in ("src", "examples", "benchmarks"):
+        yield from sorted((REPO / root).rglob("*.py"))
+    yield from (REPO / "README.md", REPO / "DESIGN.md")
+    yield from sorted((REPO / "docs").glob("*.md"))
+    yield REPO / ".github" / "workflows" / "ci.yml"
 
 
 class TestRetiredNamesStayGone:
     def test_no_retired_name_in_shipped_code(self):
         allowed = REPO / "src" / "repro" / "core" / "checkpoint.py"
         offenders = []
-        for root in ("src", "examples", "benchmarks"):
-            for path in sorted((REPO / root).rglob("*.py")):
-                for line in path.read_text().splitlines():
-                    if path == allowed and line.startswith(
-                        "_RETIRED_CONFIG_FIELDS"
-                    ):
-                        continue
-                    offenders += [
-                        f"{path.relative_to(REPO)}: {name}"
-                        for name in RETIRED_NAMES if name in line
-                    ]
+        for path in _shipped_files():
+            for line in path.read_text().splitlines():
+                if path == allowed and line.startswith(
+                    "_RETIRED_CONFIG_FIELDS"
+                ):
+                    continue
+                offenders += [
+                    f"{path.relative_to(REPO)}: {name}"
+                    for name in RETIRED_NAMES if name in line
+                ]
         assert offenders == []
+
+    @pytest.mark.parametrize("name", [
+        "README.md", "DESIGN.md", "docs/storage.md", "docs/performance.md",
+        ".github/workflows/ci.yml",
+    ])
+    def test_scan_covers_docs_and_ci(self, name):
+        assert REPO / name in set(_shipped_files())
+
+
+class TestContinuousIntegration:
+    def test_runs_one_bench_smoke_step(self):
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        runs = re.findall(r"python -m repro bench[^\n]*", ci)
+        assert len(runs) == 1 and "--smoke" in runs[0]
+
+    def test_writes_nothing_under_the_benchmark_directory(self):
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert re.findall(r"(?:--out|--json-out|path:)\s+\.?/?bench/", ci) == []
 
 
 # ----------------------------------------------------------------------

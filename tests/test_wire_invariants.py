@@ -115,13 +115,14 @@ class TestFramesMatchPreRewriteCodec:
     """The narrow-id quantizer must put the same bytes on the wire as the
     ``uint32`` pipeline it replaced: the frame of ``encode(x)`` equals
     the frame built from the reference ids packed by the original
-    bit-matrix kernel (``repro.bench.reference``)."""
+    bit-matrix kernel (the ``reference_pack_bits`` fixture)."""
 
     @pytest.mark.parametrize("mode", ["table", "bounds"])
     @pytest.mark.parametrize("size", [0, 1, 13, 2**16 + 3])
     @pytest.mark.parametrize("bits", SUPPORTED_BITS)
-    def test_quant_frame_bytes(self, bits, size, mode, reference_encode_ids):
-        from repro.bench.reference import pack_bits_reference
+    def test_quant_frame_bytes(
+        self, bits, size, mode, reference_encode_ids, reference_pack_bits
+    ):
         from repro.compression.quantization import QuantizedMatrix
 
         x = np.random.default_rng(size % 991 + bits).uniform(
@@ -133,7 +134,7 @@ class TestFramesMatchPreRewriteCodec:
             want = QuantizedMatrix(
                 shape=x.shape,
                 bits=bits,
-                packed=pack_bits_reference(
+                packed=reference_pack_bits(
                     reference_encode_ids(bits, x, **bounds), bits
                 ),
                 lo=got.lo,
@@ -144,12 +145,11 @@ class TestFramesMatchPreRewriteCodec:
             assert encode_quantized(got) == encode_quantized(want)
 
     @pytest.mark.parametrize("granularity", ["vertex", "element", "matrix"])
-    def test_selector_frame_bytes(self, rows, granularity):
+    def test_selector_frame_bytes(self, rows, granularity,
+                                  reference_pack_bits):
         """The 2-bit selector lanes now take the uint8 selection as is;
         the frame must equal the one the uint32 round trip produced."""
         import struct
-
-        from repro.bench.reference import pack_bits_reference
 
         policy = _policy(granularity)
         key = ChannelKey(0, 0, 1)
@@ -157,7 +157,7 @@ class TestFramesMatchPreRewriteCodec:
         message = policy.respond(key, rows + 0.05, t=4)
         _, selection, quantized, _, _, _ = message.payload
         frame = encode_selector(selection, quantized, 0.25)
-        want_selector = pack_bits_reference(
+        want_selector = reference_pack_bits(
             selection.astype(np.uint32).ravel(), 2
         ).tobytes()
         at = 16 + 8  # frame header + shape word
