@@ -1,5 +1,5 @@
 """Simulated CPU-cluster runtime: topology, network/traffic model,
-compute accounting, parameter servers and a shared store.
+compute accounting and parameter servers.
 
 See DESIGN.md section 2 for how this substitutes the paper's physical
 clusters while preserving the quantities the evaluation depends on.
@@ -7,7 +7,6 @@ clusters while preserving the quantities the evaluation depends on.
 
 from repro.cluster.engine import ClusterRuntime, EpochBreakdown
 from repro.cluster.network import GIGABIT, NetworkModel, TrafficMeter
-from repro.cluster.nfs import SharedStore
 from repro.cluster.param_server import ParameterServerGroup, Shard, range_shards
 from repro.cluster.topology import ClusterSpec
 
@@ -17,7 +16,6 @@ __all__ = [
     "GIGABIT",
     "NetworkModel",
     "TrafficMeter",
-    "SharedStore",
     "ParameterServerGroup",
     "Shard",
     "range_shards",

@@ -32,9 +32,14 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 
-# ``ECGraphConfig`` fields that no longer exist; checkpoints written
-# while they did still load (any *other* unknown key is corruption).
+# ``ECGraphConfig`` / ``ObsConfig`` fields that no longer exist;
+# checkpoints written while they did still load (any *other* unknown key
+# is corruption).
 _RETIRED_CONFIG_FIELDS = ("halo_buffer_pool", "exchange_threads")
+_RETIRED_OBS_FIELDS = (
+    "trace", "metrics", "health", "profile", "ledger", "epoch_snapshots",
+    "health_rho",
+)
 
 
 class CheckpointError(ValueError):
@@ -55,7 +60,10 @@ def _load_ec_config(fields: dict) -> ECGraphConfig:
     }
     obs = fields.get("obs")
     if isinstance(obs, dict):
-        fields["obs"] = ObsConfig(**obs)
+        fields["obs"] = ObsConfig(**{
+            name: value for name, value in obs.items()
+            if name not in _RETIRED_OBS_FIELDS
+        })
     faults = fields.get("faults")
     if isinstance(faults, dict):
         fields["faults"] = FaultConfig.from_dict(faults)

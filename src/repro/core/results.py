@@ -20,7 +20,7 @@ class EpochResult:
     per-epoch curves show.
 
     ``telemetry`` is the epoch-scoped metrics snapshot when the run was
-    instrumented (``ObsConfig(enabled=True, epoch_snapshots=True)``);
+    instrumented (``ObsConfig(enabled=True)``);
     ``None`` otherwise.
     """
 

@@ -297,12 +297,11 @@ class ECGraphTrainer:
         """Attach the health monitor and topology gauges (enabled only)."""
         if not self.obs.enabled:
             return
-        if self.obs.health is not None:
-            self.obs.health.set_model(self.model_config.num_layers)
-            self.tuner.observer = self.obs.health.record_bits
-            for policy in (self._fp_policy, self._bp_policy):
-                if hasattr(policy, "health"):
-                    policy.health = self.obs.health
+        self.obs.health.set_model(self.model_config.num_layers)
+        self.tuner.observer = self.obs.health.record_bits
+        for policy in (self._fp_policy, self._bp_policy):
+            if hasattr(policy, "health"):
+                policy.health = self.obs.health
         for state in self.workers:
             for name, value in state.stats().items():
                 self.obs.metrics.set_gauge(
@@ -409,7 +408,7 @@ class ECGraphTrainer:
                         break
         run.final_test_accuracy = self.evaluate_exact()["test"]
         if self.obs.enabled:
-            run.telemetry = self.obs.report()
+            run.telemetry = self.obs.report(self.membership_events)
         return run
 
     def evaluate_exact(self) -> dict[str, float]:

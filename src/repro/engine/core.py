@@ -11,6 +11,11 @@ runs them in the paper's synchronous-iteration order::
 ``setup()`` and delegates ``run_epoch``/``evaluate_exact`` here; the
 stages, the backend and the recovery manager are reachable as
 ``trainer.engine.<stage>``, ``.backend`` and ``.recovery``.
+
+The whole iteration — recovery, the five stages, the checkpoint — runs
+inside one ``Telemetry.epoch`` span, and each stage inside one
+``Telemetry.stage`` context that is both its span and its profiled
+sample.
 """
 
 from __future__ import annotations
@@ -86,20 +91,18 @@ class TrainerCore:
     ) -> EpochResult:
         ctx = self.ctx
         obs = ctx.telemetry
-        profiler = obs.profiler
-        profiler.begin_epoch(t, ctx.runtime)
-        if self.recovery is not None:
-            self.recovery.begin_epoch(t)
-        if lr_schedule is not None:
-            ctx.servers.set_learning_rate(lr_schedule(t))
-        with obs.span("epoch", epoch=t):
-            with obs.span("halo_plan", epoch=t), profiler.stage("halo_plan"):
+        with obs.epoch(t, ctx.runtime):
+            if self.recovery is not None:
+                self.recovery.begin_epoch(t)
+            if lr_schedule is not None:
+                ctx.servers.set_learning_rate(lr_schedule(t))
+            with obs.stage("halo_plan", t):
                 self.halo_plan.run(t)
-            with obs.span("forward", epoch=t), profiler.stage("forward"):
+            with obs.stage("forward", t):
                 loss, counters = self.forward.run(t)
-            with obs.span("backward", epoch=t), profiler.stage("backward"):
+            with obs.stage("backward", t):
                 grads = self.backward.run(t)
-            with obs.span("optimize", epoch=t), profiler.stage("optimize"):
+            with obs.stage("optimize", t):
                 self.optimize.run(grads)
             if (
                 self.recovery is not None
@@ -110,12 +113,11 @@ class TrainerCore:
                 self.recovery.observe_convergence(
                     t, loss, self._grad_norm(grads)
                 )
-        breakdown = ctx.runtime.end_epoch()
-        if self.recovery is not None:
-            self.recovery.end_epoch(t)
-        with obs.span("eval", epoch=t), profiler.stage("eval"):
-            result = self.eval.run(t, loss, counters, breakdown)
-        profiler.end_epoch(breakdown)
+            breakdown = ctx.runtime.end_epoch()
+            if self.recovery is not None:
+                self.recovery.end_epoch(t)
+            with obs.stage("eval", t):
+                result = self.eval.run(t, loss, counters, breakdown)
         return result
 
     def shutdown(self) -> None:

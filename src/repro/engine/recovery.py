@@ -278,7 +278,6 @@ class RecoveryManager:
         counters.permanent_failures += 1
         if obs.enabled:
             obs.metrics.inc("membership_lost", worker=worker)
-        obs.ledger.record_event("worker_lost", t, worker=worker)
         for survivor in membership.alive_workers():
             ctx.runtime.add_stall(survivor, stall)
         membership.require_quorum(t)
@@ -286,9 +285,6 @@ class RecoveryManager:
         counters.adoptions += 1
         if obs.enabled:
             obs.metrics.inc("membership_adoptions", adopter=adopter)
-        obs.ledger.record_event(
-            "partition_adopted", t, worker=worker, adopter=adopter
-        )
         if ctx.config.faults.restore_params and self.restore_latest_checkpoint():
             counters.params_rolled_back += 1
             if obs.enabled:
@@ -306,7 +302,6 @@ class RecoveryManager:
         ctx.injector.counters.rejoins += 1
         if obs.enabled:
             obs.metrics.inc("membership_rejoins", worker=worker)
-        obs.ledger.record_event("worker_rejoined", t, worker=worker)
         self.reassigner.rejoin(t, worker)
         self.watchdog.arm(t, "membership_change")
 
@@ -348,7 +343,6 @@ class RecoveryManager:
             counters.watchdog_trips += 1
         if obs.enabled:
             obs.metrics.inc("watchdog_trips", reason=reason)
-        obs.ledger.record_event("watchdog_trip", t, reason=reason)
         if self.membership is not None:
             self.membership.record(
                 t, "watchdog_trip", reason=reason, loss=float(loss),
@@ -360,7 +354,6 @@ class RecoveryManager:
                     counters.watchdog_rollbacks += 1
                 if obs.enabled:
                     obs.metrics.inc("watchdog_rollbacks")
-                obs.ledger.record_event("watchdog_rollback", t)
                 if self.membership is not None:
                     self.membership.record(t, "watchdog_rollback")
             pairs = set()
@@ -375,9 +368,6 @@ class RecoveryManager:
                     obs.metrics.inc(
                         "watchdog_escalations", value=len(changed)
                     )
-                obs.ledger.record_event(
-                    "watchdog_escalation", t, channels=len(changed)
-                )
                 if self.membership is not None:
                     self.membership.record(
                         t, "watchdog_escalation", channels=len(changed)

@@ -1,8 +1,7 @@
 """Save/load attributed graphs as ``.npz`` archives.
 
-In the paper, workers load their subgraphs from NFS after partitioning.
-The simulated NFS (:mod:`repro.cluster.nfs`) stores graphs in this format,
-and examples use it to cache generated datasets between runs.
+In the paper, workers load their subgraphs from NFS after partitioning;
+here examples use this format to cache generated datasets between runs.
 
 Wire format: a zip archive of npy members carrying a magic marker
 (``ECGRAPH``) and a format version, so a foreign npz — or a truncated

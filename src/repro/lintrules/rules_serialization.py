@@ -16,10 +16,8 @@ Flagged anywhere under ``src/repro``:
 * the builtins ``eval(...)`` and ``exec(...)``;
 * ``np.load(..., allow_pickle=True)``.
 
-The one sanctioned exception — the simulated in-process NFS
-(``cluster/nfs.py``), whose blobs never cross a process or trust
-boundary — carries reasoned pragmas rather than a scope carve-out, so
-the exception stays visible in every lint summary.
+There is no scope carve-out: a sanctioned exception would carry a
+reasoned pragma, so it stays visible in every lint summary.
 """
 
 from __future__ import annotations

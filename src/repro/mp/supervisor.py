@@ -117,18 +117,10 @@ class ProcessExecutor:
         self._spawned = True
         for state in self.ctx.workers:
             self._spawn(state.worker_id)
-        self._publish_pids()
 
     @property
     def worker_pids(self) -> dict[int, int]:
         return {w: proc.pid for w, proc in sorted(self._procs.items())}
-
-    def _publish_pids(self) -> None:
-        set_pids = getattr(
-            self.ctx.telemetry.profiler, "set_worker_pids", None
-        )
-        if set_pids is not None:
-            set_pids(self.worker_pids)
 
     def close(self) -> None:
         if self._closed:
@@ -174,7 +166,6 @@ class ProcessExecutor:
             except OSError:
                 pass
         self._spawn(worker_id)
-        self._publish_pids()
 
     # ------------------------------------------------------------------
     # round protocol
@@ -230,11 +221,17 @@ class ProcessExecutor:
         self.backend.begin_iteration()
         for state in self.ctx.active_workers():
             self._send(state.worker_id, ("begin",))
+        metrics = self.ctx.telemetry.metrics
+        pids = self.worker_pids
         for state in self.ctx.active_workers():
+            w = state.worker_id
             # What the worker process holds: shared blocks it mapped
             # plus its kernel-private buffers.
-            held, _ = self._recv(state.worker_id)
-            publish_workspace_bytes(self.ctx, state.worker_id, held)
+            held, _ = self._recv(w)
+            publish_workspace_bytes(self.ctx, w, held)
+            # The OS process that ran this iteration (a respawn after a
+            # crash shows up as a new value).
+            metrics.set_gauge("worker_pid", pids[w], worker=w)
 
     def forward_kernels(
         self,

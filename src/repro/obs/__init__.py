@@ -1,7 +1,8 @@
 """Observability: tracing, metrics, health, stage profile, traffic ledger.
 
 The subsystem has five collectors behind one switch
-(:class:`~repro.obs.config.ObsConfig`, off by default):
+(:class:`~repro.obs.config.ObsConfig`, off by default; ``enabled=True``
+turns all of them on):
 
 * :class:`~repro.obs.registry.MetricsRegistry` — labelled counters /
   gauges / histograms with per-epoch snapshot/reset semantics;
@@ -13,13 +14,15 @@ The subsystem has five collectors behind one switch
   candidate-win fractions, Bit-Tuner width trajectory, and ResEC-BP
   residual norms checked against the Theorem 1 bound;
 * :class:`~repro.obs.profiler.StageProfiler` — per-epoch stage timeline
-  (wall + modelled time, straggler and bottleneck-link attribution);
+  (wall + modelled time, straggler and bottleneck-link attribution),
+  folded from the same stage spans the tracer records;
 * :class:`~repro.obs.ledger.ChannelLedger` — per-channel wire-byte /
   retry / degradation ledger reconciling byte-exact against the
   :class:`~repro.cluster.network.TrafficMeter`.
 
 :mod:`repro.obs.report` renders one self-contained epoch report
-(markdown or HTML) from a finished run (``repro report`` on the CLI).
+(markdown or HTML) from a finished run and writes it next to the trace
+and metrics exports (``repro report`` on the CLI).
 See ``docs/observability.md`` for usage.
 """
 
@@ -47,9 +50,7 @@ from repro.obs.ledger import (
 )
 from repro.obs.profiler import (
     ENGINE_STAGES,
-    NULL_PROFILER,
     EpochTimeline,
-    NullStageProfiler,
     StageProfile,
     StageProfiler,
     StageSample,
@@ -81,9 +82,7 @@ __all__ = [
     "NullChannelLedger",
     "direction_of_category",
     "ENGINE_STAGES",
-    "NULL_PROFILER",
     "EpochTimeline",
-    "NullStageProfiler",
     "StageProfile",
     "StageProfiler",
     "StageSample",

@@ -3,8 +3,9 @@
 Telemetry is **off by default**: a disabled :class:`ObsConfig` builds a
 null :class:`~repro.obs.telemetry.Telemetry` whose spans and metric
 updates are no-ops, so the tier-1 benchmarks measure exactly what they
-measured before the subsystem existed. Enabling it costs one branch plus
-a ``perf_counter`` pair per span and a dict update per metric.
+measured before the subsystem existed. Enabling it turns every collector
+on; it costs one branch plus a ``perf_counter`` pair per span and a dict
+update per metric.
 """
 
 from __future__ import annotations
@@ -16,42 +17,22 @@ __all__ = ["ObsConfig", "OBS_DISABLED"]
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """Every knob of the observability pipeline.
+    """The observability pipeline's one switch.
 
     Attributes:
-        enabled: Master switch; when False every collector is a no-op.
-        trace: Record nested spans (``epoch > iteration phases``).
-        metrics: Maintain the counter/gauge/histogram registry.
-        health: Run the compression-health monitors (candidate-win
-            fractions, Bit-Tuner trajectory, Theorem-1 residual checks).
-        profile: Run the stage timeline profiler (per-epoch wall /
-            modelled time per engine stage, straggler attribution).
-        ledger: Keep the per-channel traffic ledger in the halo
-            transport (bytes, frames, retries, degradations and
-            effective bit-width per (responder, consumer, layer,
-            direction) channel).
+        enabled: When True every collector runs (span tracer, metrics
+            registry, compression-health monitor, stage profiler,
+            channel ledger); when False every collector is a no-op.
         max_spans: Hard cap on recorded spans; once reached further
             spans are counted but dropped (guards long runs).
-        epoch_snapshots: Attach a per-epoch metrics snapshot to each
-            :class:`~repro.core.results.EpochResult`.
-        health_rho: ``rho`` handed to the Theorem 1 bound (must be > 1).
     """
 
     enabled: bool = False
-    trace: bool = True
-    metrics: bool = True
-    health: bool = True
-    profile: bool = True
-    ledger: bool = True
     max_spans: int = 500_000
-    epoch_snapshots: bool = True
-    health_rho: float = 1.5
 
     def __post_init__(self):
         if self.max_spans < 1:
             raise ValueError("max_spans must be >= 1")
-        if self.health_rho <= 1.0:
-            raise ValueError("health_rho must be > 1")
 
 
 # Shared immutable default used by ECGraphConfig; frozen, so one

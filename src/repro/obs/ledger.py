@@ -95,16 +95,9 @@ class ChannelRecord:
 
 @dataclass(frozen=True)
 class LedgerSnapshot:
-    """Immutable copy of the ledger, channels in sorted key order.
-
-    ``events`` is the elastic-membership/watchdog timeline — one dict
-    per transition (``worker_lost``, ``partition_adopted``,
-    ``worker_rejoined``, ``watchdog_trip``, ...) in the deterministic
-    order the engine recorded them.
-    """
+    """Immutable copy of the ledger, channels in sorted key order."""
 
     channels: tuple[tuple[LedgerKey, ChannelRecord], ...] = ()
-    events: tuple[dict, ...] = ()
 
     def direction_bytes(self, direction: str) -> int:
         """Metered bytes over all of one direction's channels — the
@@ -154,7 +147,6 @@ class LedgerSnapshot:
                 in self.channels
             },
             "directions": self.direction_totals(),
-            "events": [dict(event) for event in self.events],
         }
 
 
@@ -165,7 +157,6 @@ class ChannelLedger:
 
     def __init__(self):
         self._records: dict[LedgerKey, ChannelRecord] = {}
-        self._events: list[dict] = []
 
     def _record(self, key, direction: str) -> ChannelRecord:
         ledger_key = (key.responder, key.requester, key.layer, direction)
@@ -222,12 +213,6 @@ class ChannelLedger:
         else:
             record.degraded_zero += 1
 
-    def record_event(self, kind: str, epoch: int, **labels) -> None:
-        """One membership/watchdog transition (kept in arrival order —
-        the engine processes transitions deterministically, so the
-        timeline is reproducible run to run)."""
-        self._events.append({"kind": kind, "epoch": epoch, **labels})
-
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
@@ -245,13 +230,11 @@ class ChannelLedger:
                 (ledger_key, ChannelRecord(**vars(record)))
                 for ledger_key, record in sorted(self._records.items())
             ),
-            events=tuple(dict(event) for event in self._events),
         )
 
     def reset(self) -> None:
         """Drop every record (between independent runs)."""
         self._records.clear()
-        self._events.clear()
 
 
 class NullChannelLedger:
@@ -268,9 +251,6 @@ class NullChannelLedger:
         pass
 
     def record_degraded(self, key, category, kind):
-        pass
-
-    def record_event(self, kind, epoch, **labels):
         pass
 
     def direction_bytes(self, direction: str) -> int:

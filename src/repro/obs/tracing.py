@@ -43,9 +43,13 @@ class Span:
 
 
 class _ActiveSpan:
-    """Context manager recording one span on exit."""
+    """Context manager recording one span on exit; ``duration_s`` holds
+    the measured duration afterwards (even if the buffer dropped it)."""
 
-    __slots__ = ("_tracer", "_name", "_attrs", "_start", "_parent", "_index")
+    __slots__ = (
+        "_tracer", "_name", "_attrs", "_start", "_parent", "_index",
+        "duration_s",
+    )
 
     def __init__(self, tracer: "SpanTracer", name: str, attrs: dict):
         self._tracer = tracer
@@ -62,7 +66,7 @@ class _ActiveSpan:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        duration = time.perf_counter() - self._start
+        self.duration_s = duration = time.perf_counter() - self._start
         tracer = self._tracer
         tracer._stack.pop()
         if len(tracer._spans) >= tracer.max_spans:

@@ -14,6 +14,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
+from repro.obs import ObsConfig
 
 
 def _trainer(graph, layers=2, seed=3):
@@ -192,6 +193,34 @@ class TestRetiredConfigFields:
         save_checkpoint(trainer, path, epoch=1)
         _rewrite_ec_config(path, not_a_field=1)
         with pytest.raises(CheckpointError, match="not_a_field"):
+            load_checkpoint(path)
+
+    # The nine ObsConfig keys a checkpoint carried before ObsConfig became
+    # ``enabled`` + ``max_spans``.
+    OLD_OBS = {
+        "enabled": True, "trace": False, "metrics": True, "health": False,
+        "profile": True, "ledger": False, "max_spans": 1234,
+        "epoch_snapshots": False, "health_rho": 2.0,
+    }
+
+    def test_retired_obs_fields_still_load(self, small_graph, tmp_path):
+        trainer = _trainer(small_graph)
+        trainer.run_epoch(0)
+        path = tmp_path / "old-obs.npz"
+        save_checkpoint(trainer, path, epoch=1)
+        _rewrite_ec_config(path, obs=self.OLD_OBS)
+        obs = load_checkpoint(path)["ec_config"].obs
+        assert obs == ObsConfig(enabled=True, max_spans=1234)
+
+    def test_other_unknown_obs_field_is_still_corrupt(
+        self, small_graph, tmp_path
+    ):
+        trainer = _trainer(small_graph)
+        trainer.run_epoch(0)
+        path = tmp_path / "bad-obs.npz"
+        save_checkpoint(trainer, path, epoch=1)
+        _rewrite_ec_config(path, obs={**self.OLD_OBS, "sampling": True})
+        with pytest.raises(CheckpointError, match="sampling"):
             load_checkpoint(path)
 
 

@@ -407,7 +407,8 @@ class TestSelectIgnoreAndFormats:
         # A pragma for a rule excluded by --select is out of scope, not
         # stale: narrowing a run must never manufacture ECG000 findings
         # (regression: `repro lint src --select ECG003` flagged the
-        # sanctioned ECG006 pragmas in cluster/nfs.py as stale).
+        # sanctioned ECG006 pragmas of an in-process pickle store as
+        # stale).
         report = lint_one(
             tmp_path, "cluster/ok.py",
             "import pickle  # ecg: ignore[ECG006] in-process only\n",

@@ -28,8 +28,7 @@ from repro.membership import (
 )
 from repro.obs import ObsConfig
 
-OBS = ObsConfig(enabled=True, trace=False, health=False, profile=False,
-                epoch_snapshots=False)
+OBS = ObsConfig(enabled=True)
 
 
 def _train(graph, faults, epochs=12, workers=3, **config_overrides):
@@ -446,7 +445,7 @@ class TestWatchdogResponse:
 
 
 # ----------------------------------------------------------------------
-# Observability mirror: ledger events, metrics, Prometheus names
+# Observability mirror: the report's timeline, metrics, Prometheus names
 # ----------------------------------------------------------------------
 class TestMembershipObservability:
     def _run(self, graph):
@@ -470,14 +469,16 @@ class TestMembershipObservability:
         assert counters.permanent_failures == 1
         assert counters.rejoins == 1
 
-    def test_ledger_carries_the_event_timeline(self, small_graph):
+    def test_telemetry_carries_the_event_timeline(self, small_graph):
         trainer, run = self._run(small_graph)
-        events = run.telemetry.ledger.events
+        events = list(run.telemetry.membership_events)
+        assert events == trainer.membership_events
         kinds = [e["kind"] for e in events]
-        assert kinds == ["worker_lost", "partition_adopted",
-                         "worker_rejoined"]
+        assert kinds[:2] == ["worker_lost", "partition_adopted"]
+        assert "worker_rejoined" in kinds
+        assert "partition_reclaimed" in kinds
         assert events[0]["epoch"] == 3
-        assert events[2]["epoch"] == 7
+        assert run.telemetry.as_dict()["membership_events"] == events
 
     def test_prometheus_names_carry_the_ecgraph_prefix(self, small_graph):
         from repro.obs import metrics_to_prometheus
@@ -497,6 +498,21 @@ class TestMembershipObservability:
         assert "partition_adopted" in kinds
         assert "Membership timeline" in render_markdown(data)
         assert "Membership timeline" in render_html(data)
+
+    def test_report_timeline_is_the_membership_view(self, small_graph):
+        """On the lose-and-rejoin chaos scenario the report's timeline
+        is exactly the MembershipView's — the one timeline, including
+        the transitions only the view records."""
+        from repro.faults.scenarios import build_scenario
+        from repro.obs.report import build_report
+
+        faults = build_scenario("lose-and-rejoin", 24, 3, seed=0)
+        trainer, run = _train(small_graph, faults, epochs=24, obs=OBS)
+        timeline = build_report(run)["membership_events"]
+        assert timeline == trainer.membership_events
+        kinds = {e["kind"] for e in timeline}
+        assert {"worker_lost", "partition_adopted", "exchange_rebuilt",
+                "worker_rejoined", "partition_reclaimed"} <= kinds
 
 
 # ----------------------------------------------------------------------

@@ -129,6 +129,26 @@ class TestSharedWorkspaces:
         finally:
             trainer.close()
 
+    def test_worker_pids_are_a_gauge(self, graph):
+        """Each iteration publishes the OS pid of every worker process;
+        a crash respawn shows up as a new value."""
+        from repro.obs import ObsConfig
+
+        trainer = _mp_trainer(graph, obs=ObsConfig(enabled=True))
+        metrics = trainer.obs.metrics
+        try:
+            trainer.run_epoch(0)
+            executor = trainer.engine.ctx.executor
+            pids = executor.worker_pids
+            for w, pid in pids.items():
+                assert metrics.snapshot().gauge("worker_pid", worker=w) == pid
+            executor.on_worker_crash(1)
+            trainer.run_epoch(1)
+            respawned = metrics.snapshot().gauge("worker_pid", worker=1)
+            assert respawned == executor.worker_pids[1] != pids[1]
+        finally:
+            trainer.close()
+
 
 class TestCrashRecovery:
     def test_crash_respawns_a_fresh_process(self, graph):

@@ -185,9 +185,7 @@ class TestNullLedger:
 EPOCHS = 6
 SPEC = ClusterSpec(num_workers=3, num_servers=1)
 MODEL = dict(num_layers=2, hidden_dim=16)
-# Ledger only (no tracing/health/profile) keeps the sweep fast.
-OBS = ObsConfig(enabled=True, trace=False, health=False, profile=False,
-                epoch_snapshots=False)
+OBS = ObsConfig(enabled=True)
 
 
 @pytest.fixture(scope="module")

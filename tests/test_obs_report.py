@@ -199,13 +199,41 @@ class TestHtml:
 
 class TestWriteReport:
     def test_writes_both_formats(self, instrumented, tmp_path):
-        html_path = write_report(instrumented, tmp_path / "r" / "e.html")
-        md_path = write_report(
-            instrumented, tmp_path / "e.md", fmt="markdown"
+        html = write_report(instrumented, tmp_path / "html")
+        md = write_report(instrumented, tmp_path / "md", fmt="markdown")
+        assert html["epoch_report.html"].read_text().startswith(
+            "<!DOCTYPE html>"
         )
-        assert html_path.read_text().startswith("<!DOCTYPE html>")
-        assert md_path.read_text().startswith("# Epoch report:")
+        assert md["epoch_report.md"].read_text().startswith(
+            "# Epoch report:"
+        )
+
+    def test_writes_the_telemetry_exports_beside_it(
+        self, instrumented, tmp_path
+    ):
+        paths = write_report(instrumented, tmp_path)
+        assert sorted(paths) == sorted(p.name for p in tmp_path.iterdir())
+        assert sorted(paths) == [
+            "epoch_report.html", "metrics.jsonl", "metrics.prom",
+            "spans.jsonl", "telemetry.json", "trace.json",
+        ]
+        tel = instrumented.telemetry
+        assert json.loads(paths["telemetry.json"].read_text()) == json.loads(
+            json.dumps(tel.as_dict())
+        )
+        spans = paths["spans.jsonl"].read_text().splitlines()
+        assert len(spans) == tel.num_spans
+        # One snapshot per epoch, then the lifetime total.
+        records = paths["metrics.jsonl"].read_text().splitlines()
+        assert len(records) == instrumented.num_epochs + 1
+        assert json.loads(records[-1])["scope"] == "total"
+
+    def test_uninstrumented_run_gets_the_report_alone(
+        self, small_graph_module, tmp_path
+    ):
+        run = _trainer(small_graph_module, ObsConfig()).train(1)
+        assert list(write_report(run, tmp_path)) == ["epoch_report.html"]
 
     def test_rejects_unknown_format(self, instrumented, tmp_path):
         with pytest.raises(ValueError):
-            write_report(instrumented, tmp_path / "e.pdf", fmt="pdf")
+            write_report(instrumented, tmp_path, fmt="pdf")

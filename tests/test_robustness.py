@@ -441,8 +441,7 @@ class TestFaultMetricsMirror:
     bookkeeping systems must agree exactly, or one of them lied.
     """
 
-    OBS = ObsConfig(enabled=True, trace=False, health=False, profile=False,
-                    epoch_snapshots=False)
+    OBS = ObsConfig(enabled=True)
 
     def _run(self, graph, faults, epochs=12, **overrides):
         return _fault_train(graph, faults, epochs=epochs, obs=self.OBS,
