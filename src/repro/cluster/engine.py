@@ -231,6 +231,12 @@ class ClusterRuntime:
         """Breakdowns of all completed epochs, oldest first."""
         return list(self._epoch_history)
 
+    @property
+    def last_epoch(self) -> EpochBreakdown | None:
+        """Breakdown of the most recently completed epoch (None before
+        the first), without copying the history."""
+        return self._epoch_history[-1] if self._epoch_history else None
+
     def total_seconds(self) -> float:
         """Sum of modelled epoch times so far."""
         return sum(epoch.total_seconds for epoch in self._epoch_history)
