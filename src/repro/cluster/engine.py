@@ -16,12 +16,13 @@ recovers distributed timing by accounting:
 
 Charging clients: the staged training engine reaches the runtime through
 its :class:`~repro.engine.context.ExchangeContext` — the halo transport
-(:class:`~repro.engine.transport.HaloTransport`) charges per-channel
-codec time and wire bytes, the stages wrap worker kernels in
-:meth:`ClusterRuntime.worker_compute`, and the parameter servers charge
-pulls/pushes. The runtime's ``telemetry`` handle is the same object the
-context carries, so span attribution and traffic accounting stay
-aligned.
+(:class:`~repro.engine.transport.HaloTransport`) charges each policy
+call by frame kind and the wire bytes, the executor's kernel rounds
+charge worker kernels (:meth:`ClusterRuntime.worker_compute` inline,
+:meth:`ClusterRuntime.add_compute` for a worker process's reported
+wall), and the parameter servers charge pulls/pushes. The runtime's
+``telemetry`` handle is the same object the context carries, so span
+attribution and traffic accounting stay aligned.
 """
 
 from __future__ import annotations
@@ -190,16 +191,12 @@ class ClusterRuntime:
     # ------------------------------------------------------------------
     def end_epoch(self) -> EpochBreakdown:
         """Close the epoch: compute its breakdown and reset counters."""
-        if self.spec.worker_speeds is None:
-            compute = float(self._compute.max()) / self.spec.compute_speed
-        else:
-            # Heterogeneous cluster: the epoch waits for the slowest
-            # worker after applying its individual speed.
-            scaled = [
-                self._compute[worker] / self.spec.speed_of(worker)
-                for worker in range(self.spec.num_workers)
-            ]
-            compute = float(max(scaled))
+        # The epoch waits for the slowest worker after applying its
+        # speed (``compute_speed`` × its heterogeneous multiplier).
+        compute = float(max(
+            self._compute[worker] / self.spec.speed_of(worker)
+            for worker in range(self.spec.num_workers)
+        ))
         comm = self.meter.epoch_comm_seconds(
             self.spec.network, self.spec.num_machines
         )

@@ -95,8 +95,9 @@ class ECGraphConfig:
             ``bounds`` ships only (lo, hi).
         learning_rate / optimizer: Server-side optimizer settings.
         weight_decay: L2 regularization applied by the servers.
-        codec_speedup: Divide measured Python codec time by this factor to
-            emulate the paper's C++ compression kernels (see DESIGN.md).
+        codec_speedup: Divide the measured wall time of policy calls on
+            ``quant``/``selector`` frames by this factor to emulate the
+            paper's C++ compression kernels (see docs/simulation.md).
         execution: ``"sync"`` runs every worker inline in this process
             (the historical simulation); ``"multiprocess"`` runs worker
             kernels in real OS processes over shared-memory embedding /

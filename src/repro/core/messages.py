@@ -41,24 +41,24 @@ class ChannelMessage:
     Attributes:
         payload: Policy-specific content handed to ``receive``.
         nbytes: Exact wire size charged to the traffic meter.
-        codec_seconds: Responder-side encode time (before the configured
-            codec speedup is applied).
         meta: Free-form extras (e.g. the predicted-selection proportion
             that feeds the Bit-Tuner).
+
+    Policies do not time themselves: the transport times each
+    ``respond``/``receive`` call and decides from the payload's frame
+    kind how much of it to charge.
     """
 
     payload: object
     nbytes: int
-    codec_seconds: float = 0.0
     meta: dict = field(default_factory=dict)
 
 
 @dataclass
 class ReceiveResult:
-    """Decoded rows plus requester-side decode time."""
+    """Decoded rows plus free-form extras."""
 
     rows: np.ndarray
-    codec_seconds: float = 0.0
     meta: dict = field(default_factory=dict)
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.compression.quantization import BucketQuantizer
 from repro.core.messages import ChannelKey, ChannelMessage, ReceiveResult
-from repro.obs.tracing import monotonic_now
 
 if TYPE_CHECKING:
     from repro.core.bit_tuner import BitTuner
@@ -96,13 +95,9 @@ class CompressPolicy:
         t: int,
         rows_idx: np.ndarray | None = None,
     ) -> ChannelMessage:
-        start = monotonic_now()
         quantized = self._quantizer.encode(rows)
-        elapsed = monotonic_now() - start
         return ChannelMessage(
-            payload=quantized,
-            nbytes=quantized.payload_bytes(),
-            codec_seconds=elapsed,
+            payload=quantized, nbytes=quantized.payload_bytes()
         )
 
     def receive(
@@ -112,10 +107,7 @@ class CompressPolicy:
         t: int,
         rows_idx: np.ndarray | None = None,
     ) -> ReceiveResult:
-        start = monotonic_now()
-        rows = message.payload.decode()
-        elapsed = monotonic_now() - start
-        return ReceiveResult(rows=rows, codec_seconds=elapsed)
+        return ReceiveResult(rows=message.payload.decode())
 
     def reset(self) -> None:
         """Plain compression is stateless; nothing to clear."""
@@ -145,15 +137,9 @@ class CodecPolicy:
         t: int,
         rows_idx: np.ndarray | None = None,
     ) -> ChannelMessage:
-        start = monotonic_now()
         encoded = self._codec.encode(np.ascontiguousarray(rows,
                                                           dtype=np.float32))
-        elapsed = monotonic_now() - start
-        return ChannelMessage(
-            payload=encoded,
-            nbytes=encoded.payload_bytes,
-            codec_seconds=elapsed,
-        )
+        return ChannelMessage(payload=encoded, nbytes=encoded.payload_bytes)
 
     def receive(
         self,
@@ -162,11 +148,7 @@ class CodecPolicy:
         t: int,
         rows_idx: np.ndarray | None = None,
     ) -> ReceiveResult:
-        start = monotonic_now()
-        rows = self._codec.decode(message.payload)
-        return ReceiveResult(
-            rows=rows, codec_seconds=monotonic_now() - start
-        )
+        return ReceiveResult(rows=self._codec.decode(message.payload))
 
     def reset(self) -> None:
         """Codec adapters are stateless; nothing to clear."""

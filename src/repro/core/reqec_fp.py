@@ -29,7 +29,6 @@ import numpy as np
 from repro.compression.quantization import BucketQuantizer
 from repro.core.bit_tuner import BitTuner
 from repro.core.messages import ChannelKey, ChannelMessage, ReceiveResult
-from repro.obs.tracing import monotonic_now
 
 __all__ = ["TrendState", "ReqECPolicy", "SELECT_COMPRESSED",
            "SELECT_PREDICTED", "SELECT_AVERAGE"]
@@ -141,12 +140,10 @@ class ReqECPolicy:
 
         bits = self.tuner.bits(key.pair)
         quantizer = self._quantizer(bits)
-        start = monotonic_now()
 
         if state is None:
             # No trend snapshot yet (first trend group): compressed only.
             quantized = quantizer.encode(rows)
-            elapsed = monotonic_now() - start
             if self.health is not None:
                 self.health.record_selection(
                     key.pair, (rows.shape[0], 0, 0), bits, t
@@ -154,7 +151,6 @@ class ReqECPolicy:
             return ChannelMessage(
                 payload=("cps_only", quantized),
                 nbytes=quantized.payload_bytes(),
-                codec_seconds=elapsed,
                 meta={"proportion": 0.0, "bits": bits},
             )
 
@@ -169,14 +165,12 @@ class ReqECPolicy:
         payload, nbytes = self._build_compressed_payload(
             rows, selection, quantizer, ids, reps, lo, hi
         )
-        elapsed = monotonic_now() - start
         if self.health is not None:
             counts = np.bincount(selection.ravel(), minlength=3)
             self.health.record_selection(key.pair, counts, bits, t)
         return ChannelMessage(
             payload=("cps", selection, payload, lo, hi, bits),
             nbytes=nbytes,
-            codec_seconds=elapsed,
             meta={"proportion": proportion, "bits": bits},
         )
 
@@ -291,12 +285,8 @@ class ReqECPolicy:
             return ReceiveResult(rows=rows)
 
         if kind == "cps_only":
-            start = monotonic_now()
-            rows = message.payload[1].decode()
             return ReceiveResult(
-                rows=rows,
-                codec_seconds=monotonic_now() - start,
-                meta=dict(message.meta),
+                rows=message.payload[1].decode(), meta=dict(message.meta)
             )
 
         _, selection, quantized, lo, hi, bits = message.payload
@@ -306,14 +296,9 @@ class ReqECPolicy:
                 f"channel {key} received a selector message before any "
                 "exact trend snapshot"
             )
-        start = monotonic_now()
         h_pdt = self._predict(state, t % self.trend_period + 1)
         rows = self._reconstruct(selection, quantized, h_pdt)
-        return ReceiveResult(
-            rows=rows,
-            codec_seconds=monotonic_now() - start,
-            meta=dict(message.meta),
-        )
+        return ReceiveResult(rows=rows, meta=dict(message.meta))
 
     def _reconstruct(
         self, selection: np.ndarray, quantized, h_pdt: np.ndarray

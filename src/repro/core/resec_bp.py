@@ -17,12 +17,10 @@ which is what Theorem 1 bounds.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from repro.compression.quantization import BucketQuantizer, QuantizedMatrix
 from repro.core.messages import ChannelKey, ChannelMessage, ReceiveResult
-from repro.obs.tracing import monotonic_now
 
 __all__ = ["ResECPolicy"]
 
@@ -58,7 +56,6 @@ class ResECPolicy:
         rows_idx: np.ndarray | None = None,
     ) -> ChannelMessage:
         rows = np.ascontiguousarray(rows, dtype=np.float32)
-        start = monotonic_now()
         residual = self._residual.get(key)
         if rows_idx is None:
             if residual is None or residual.shape != rows.shape:
@@ -84,11 +81,8 @@ class ResECPolicy:
                 float(np.linalg.norm(rows)),
                 self._quantizer.bits,
             )
-        elapsed = monotonic_now() - start
         return ChannelMessage(
-            payload=quantized,
-            nbytes=quantized.payload_bytes(),
-            codec_seconds=elapsed,
+            payload=quantized, nbytes=quantized.payload_bytes()
         )
 
     def _quantize(
@@ -119,11 +113,7 @@ class ResECPolicy:
         t: int,
         rows_idx: np.ndarray | None = None,
     ) -> ReceiveResult:
-        start = monotonic_now()
-        rows = message.payload.decode()
-        return ReceiveResult(
-            rows=rows, codec_seconds=monotonic_now() - start
-        )
+        return ReceiveResult(rows=message.payload.decode())
 
     # ------------------------------------------------------------------
     # Fault tolerance (driven by the NAC)
@@ -187,16 +177,17 @@ class ResECPolicy:
         )
 
     def invalidate_worker(self, worker: int) -> None:
-        """Drop residuals on channels touching ``worker`` (crash
+        """Zero the residuals on channels touching ``worker`` (crash
         recovery with ``reset_residuals=True``): the rebuilt process
         starts with ``delta = 0``, exactly the Theorem-1 initial state.
+
+        Zeroed in place, not dropped, so a sampled channel stays primed
+        with its full-channel shape; a full-batch respond adds the same
+        zeros a missing residual would have been replaced by.
         """
-        stale = [
-            key for key in self._residual
-            if worker in (key.responder, key.requester)
-        ]
-        for key in stale:
-            del self._residual[key]
+        for key, residual in self._residual.items():
+            if worker in (key.responder, key.requester):
+                residual.fill(0.0)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:

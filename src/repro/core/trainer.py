@@ -151,9 +151,12 @@ class ECGraphTrainer:
         if self._setup_done:
             return
         start = monotonic_now()
-
+        # A partition passed in was computed outside the timed set-up;
+        # one computed here is already inside it.
+        partition_seconds = 0.0
         if self._given_partition is not None:
             self.partition = self._given_partition
+            partition_seconds = self.partition.seconds
         else:
             partitioner = make_partitioner(
                 self._partitioner_name, seed=self.config.seed
@@ -230,7 +233,7 @@ class ECGraphTrainer:
         self._build_engine()
 
         self._preprocessing_seconds = (
-            monotonic_now() - start + self.partition.seconds
+            monotonic_now() - start + partition_seconds
             - self._backend.bind_discount_seconds
         )
         # Feature-cache traffic happens once, in preprocessing: convert

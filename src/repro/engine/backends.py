@@ -165,15 +165,11 @@ class _BackendBase:
       (forward-style fetch by default; GAT overrides with the reverse
       push);
     * :meth:`backward_layer` — the generic driver tying them together
-      through the context's executor.
-
-    ``_bp_span_stages`` keeps the historical ``weight_grad`` /
-    ``input_grad`` kernel spans for the backends that emitted them
-    (GCN and its sampled variant).
+      through the context's executor, each kernel round inside its
+      ``kernel`` span (``stage=weight_grad`` / ``input_grad``).
     """
 
     ctx: ExchangeContext
-    _bp_span_stages: bool = False
     # Bumped whenever supervisor-side per-worker kernel state changes
     # (sampled adjacencies); the process executor ships a refresh to
     # worker replicas when the shipped version falls behind.
@@ -284,14 +280,19 @@ class _BackendBase:
         self, t: int, layer: int, grads: dict[int, dict[str, np.ndarray]]
     ) -> None:
         ctx = self.ctx
+        obs = ctx.telemetry
         weights = {
             name: ctx.servers.get(name)
             for name in self.backward_param_names(layer)
         }
-        ctx.executor.backward_local(t, layer, weights, grads)
+        with obs.span("kernel", layer=layer, direction="bp",
+                      stage="weight_grad"):
+            ctx.executor.backward_local(t, layer, weights, grads)
         if layer > 1:
             self._backward_halos(t, layer)
-            ctx.executor.backward_reduce(t, layer, weights)
+            with obs.span("kernel", layer=layer, direction="bp",
+                          stage="input_grad"):
+                ctx.executor.backward_reduce(t, layer, weights)
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +350,6 @@ class GCNBackend(_BackendBase):
 
     def final_logits(self, state: WorkerState) -> np.ndarray:
         return state.caches[self.ctx.params.num_layers].output
-
-    _bp_span_stages: bool = True
 
     def backward_param_names(self, layer: int) -> list[str]:
         names = [weight_name(layer - 1)]

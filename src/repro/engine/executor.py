@@ -22,15 +22,16 @@ kernels wrote (:mod:`repro.engine.workspace`) — private arrays here,
 shared-memory blocks under the process executor — so neither executor
 has row accessors of its own.
 
-What a worker does in a round is spelled once — :func:`forward_kernel`,
-:func:`loss_kernel` — and both executors call it, so sync ≡ multiprocess
-holds by construction.
+What a worker does in a round is spelled once — :func:`run_kernel`, the
+op table both executors dispatch through — and so is what the engine
+does with a round's results (:class:`KernelRounds`). An executor only
+says how one round reaches the workers (``_round``), so sync ≡
+multiprocess holds by construction.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import TYPE_CHECKING, ContextManager
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -42,7 +43,8 @@ if TYPE_CHECKING:
     from repro.engine.context import ExchangeContext
 
 __all__ = [
-    "SyncExecutor", "forward_kernel", "loss_kernel", "publish_workspace_bytes",
+    "KernelRounds", "SyncExecutor", "forward_kernel", "loss_kernel",
+    "publish_workspace_bytes", "run_kernel",
 ]
 
 
@@ -101,14 +103,101 @@ def loss_kernel(
     return result.loss * scale, counters
 
 
-class SyncExecutor:
+def run_kernel(
+    ctx: ExchangeContext,
+    backend: ModelBackend,
+    state: WorkerState,
+    op: str,
+    args: tuple[Any, ...],
+) -> Any:
+    """One worker's part of kernel round ``op`` — the op table both
+    executors run, inline or in the worker process.
+
+    ``fwd`` takes ``(layer, is_last, pulled)``, ``loss`` nothing,
+    ``bpl``/``bpr`` ``(layer, weights)``; the result is what the round
+    hands back to the engine (loss terms, gradient shares, or None).
+    """
+    if op == "fwd":
+        layer, is_last, pulled = args
+        return forward_kernel(ctx, backend, state, layer, pulled, is_last)
+    if op == "loss":
+        return loss_kernel(ctx, backend, state)
+    if op == "bpl":
+        layer, weights = args
+        return backend.backward_local(state, layer, weights)
+    if op == "bpr":
+        layer, weights = args
+        return backend.backward_reduce(state, layer, weights)
+    raise ValueError(f"unknown kernel op {op!r}")
+
+
+class KernelRounds:
+    """The engine's four kernel rounds, written once over ``_round``.
+
+    ``_round(op, args_of)`` runs :func:`run_kernel` for every active
+    worker — ``args_of(state)`` gives that worker's arguments — charges
+    each worker's kernel time to its compute clock, and returns the
+    results keyed by worker id in ``active_workers()`` order.
+    """
+
+    ctx: ExchangeContext | None = None
+    backend: ModelBackend | None = None
+
+    def _round(
+        self, op: str, args_of: Callable[[WorkerState], tuple[Any, ...]]
+    ) -> dict[int, Any]:
+        raise NotImplementedError
+
+    def forward_kernels(
+        self,
+        t: int,
+        layer: int,
+        pulled: dict[int, dict[str, np.ndarray]],
+        is_last: bool,
+    ) -> None:
+        del t
+        self._round("fwd", lambda s: (layer, is_last, pulled[s.worker_id]))
+
+    def loss_scan(self, t: int) -> tuple[float, dict[str, list[int]]]:
+        """Loss + accuracy counters summed over the workers."""
+        del t
+        counters = {"train": [0, 0], "val": [0, 0], "test": [0, 0]}
+        total_loss = 0.0
+        for loss_term, worker_counters in self._round(
+            "loss", lambda s: ()
+        ).values():
+            total_loss += loss_term
+            for split in counters:
+                counters[split][0] += worker_counters[split][0]
+                counters[split][1] += worker_counters[split][1]
+        return total_loss, counters
+
+    def backward_local(
+        self,
+        t: int,
+        layer: int,
+        weights: dict[str, np.ndarray],
+        grads: dict[int, dict[str, np.ndarray]],
+    ) -> None:
+        del t
+        shares = self._round("bpl", lambda s: (layer, weights))
+        for worker, worker_shares in shares.items():
+            grads[worker].update(worker_shares)
+
+    def backward_reduce(
+        self,
+        t: int,
+        layer: int,
+        weights: dict[str, np.ndarray],
+    ) -> None:
+        del t
+        self._round("bpr", lambda s: (layer, weights))
+
+
+class SyncExecutor(KernelRounds):
     """Inline execution: every worker kernel runs in this process."""
 
     name = "sync"
-
-    def __init__(self) -> None:
-        self.ctx: ExchangeContext | None = None
-        self.backend: ModelBackend | None = None
 
     def bind(self, ctx: ExchangeContext, backend: ModelBackend) -> None:
         self.ctx = ctx
@@ -117,6 +206,19 @@ class SyncExecutor:
     def _bound(self) -> tuple[ExchangeContext, ModelBackend]:
         assert self.ctx is not None and self.backend is not None
         return self.ctx, self.backend
+
+    def _round(
+        self, op: str, args_of: Callable[[WorkerState], tuple[Any, ...]]
+    ) -> dict[int, Any]:
+        ctx, backend = self._bound()
+        results: dict[int, Any] = {}
+        for state in ctx.active_workers():
+            args = args_of(state)
+            with ctx.runtime.worker_compute(state.worker_id):
+                results[state.worker_id] = run_kernel(
+                    ctx, backend, state, op, args
+                )
+        return results
 
     # ------------------------------------------------------------------
     # Iteration hooks
@@ -131,81 +233,6 @@ class SyncExecutor:
             for state in ctx.active_workers():
                 w = state.worker_id
                 publish_workspace_bytes(ctx, w, ctx.workspaces.held(w))
-
-    # ------------------------------------------------------------------
-    # Forward
-    # ------------------------------------------------------------------
-    def forward_kernels(
-        self,
-        t: int,
-        layer: int,
-        pulled: dict[int, dict[str, np.ndarray]],
-        is_last: bool,
-    ) -> None:
-        del t
-        ctx, backend = self._bound()
-        for state in ctx.active_workers():
-            i = state.worker_id
-            with ctx.runtime.worker_compute(i):
-                forward_kernel(
-                    ctx, backend, state, layer, pulled[i], is_last
-                )
-
-    def loss_scan(self, t: int) -> tuple[float, dict[str, list[int]]]:
-        """Loss + accuracy counters summed over the workers."""
-        del t
-        ctx, backend = self._bound()
-        counters = {"train": [0, 0], "val": [0, 0], "test": [0, 0]}
-        total_loss = 0.0
-        for state in ctx.active_workers():
-            with ctx.runtime.worker_compute(state.worker_id):
-                loss_term, worker_counters = loss_kernel(ctx, backend, state)
-            total_loss += loss_term
-            for split in counters:
-                counters[split][0] += worker_counters[split][0]
-                counters[split][1] += worker_counters[split][1]
-        return total_loss, counters
-
-    # ------------------------------------------------------------------
-    # Backward
-    # ------------------------------------------------------------------
-    def _bp_span(self, layer: int, stage: str) -> ContextManager[object]:
-        ctx, _ = self._bound()
-        if getattr(self.backend, "_bp_span_stages", False):
-            return ctx.telemetry.span(
-                "kernel", layer=layer, direction="bp", stage=stage
-            )
-        return contextlib.nullcontext()
-
-    def backward_local(
-        self,
-        t: int,
-        layer: int,
-        weights: dict[str, np.ndarray],
-        grads: dict[int, dict[str, np.ndarray]],
-    ) -> None:
-        del t
-        ctx, backend = self._bound()
-        with self._bp_span(layer, "weight_grad"):
-            for state in ctx.active_workers():
-                i = state.worker_id
-                with ctx.runtime.worker_compute(i):
-                    grads[i].update(
-                        backend.backward_local(state, layer, weights)
-                    )
-
-    def backward_reduce(
-        self,
-        t: int,
-        layer: int,
-        weights: dict[str, np.ndarray],
-    ) -> None:
-        del t
-        ctx, backend = self._bound()
-        with self._bp_span(layer, "input_grad"):
-            for state in ctx.active_workers():
-                with ctx.runtime.worker_compute(state.worker_id):
-                    backend.backward_reduce(state, layer, weights)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -15,7 +15,7 @@ Forward and reverse exchanges share one transport layer:
   one runner.
 
 Fault retry (:meth:`HaloTransport._deliver`), policy failure
-notification, stale-halo degradation and codec-time charging therefore
+notification, stale-halo degradation and policy-time charging therefore
 exist exactly once, shared by both directions. Channel order, float
 scatter/accumulation order and the fault RNG's (epoch, layer, responder,
 requester, attempt) fate keys are pinned by the golden runs.
@@ -52,6 +52,10 @@ if TYPE_CHECKING:
 __all__ = ["ChannelSession", "HaloTransport"]
 
 _TAGGED_KINDS = {"exact": "exact", "cps": "selector", "cps_only": "quant"}
+# Frame kinds whose policy calls are codec work (quantization, selector
+# scoring and reconstruction): charged at 1 / codec_speedup of their wall
+# time. ``exact`` and ``raw`` calls are copies, charged as measured.
+_CODEC_KINDS = frozenset({"quant", "selector"})
 
 
 def _wire_kind(payload: object) -> str:
@@ -330,10 +334,11 @@ class HaloTransport:
                     ch.key, ch.served, t, rows_idx=ch.rows_idx
                 )
                 respond_wall = monotonic_now() - start
-            self._charge_compute(responder, respond_wall, message.codec_seconds)
+            kind = _wire_kind(message.payload)
+            self._charge_call(responder, respond_wall, kind)
 
             delivered = self._deliver(
-                ch.key, message, responder, consumer, category
+                ch.key, message, kind, responder, consumer, category
             )
             if obs.enabled:
                 obs.metrics.inc(
@@ -353,7 +358,7 @@ class HaloTransport:
                     ch.key, message, t, rows_idx=ch.rows_idx
                 )
                 receive_wall = monotonic_now() - start
-            self._charge_compute(consumer, receive_wall, result.codec_seconds)
+            self._charge_call(consumer, receive_wall, kind)
 
             ch.scatter(outputs, result.rows)
             obs.ledger.record_rows(
@@ -388,6 +393,7 @@ class HaloTransport:
         self,
         key: ChannelKey,
         message: ChannelMessage,
+        kind: str,
         src: int,
         dst: int,
         category: str,
@@ -404,7 +410,6 @@ class HaloTransport:
         """
         ledger = self.telemetry.ledger
         metered = False
-        kind = _wire_kind(message.payload)
         if ledger.enabled:
             spec = self.runtime.spec
             # Mirror the TrafficMeter's intra-machine exemption so the
@@ -566,12 +571,10 @@ class HaloTransport:
         self._last_proportions.clear()
 
     # ------------------------------------------------------------------
-    def _charge_compute(
-        self, worker: int, wall_seconds: float, codec_seconds: float
-    ) -> None:
-        """Charge policy time, discounting codec work by the speedup."""
-        codec_seconds = min(codec_seconds, wall_seconds)
-        other = wall_seconds - codec_seconds
-        self.runtime.add_compute(
-            worker, other + codec_seconds / self.codec_speedup
-        )
+    def _charge_call(self, worker: int, wall_seconds: float, kind: str) -> None:
+        """Charge one ``respond``/``receive`` call to ``worker``'s compute
+        clock: codec frames (:data:`_CODEC_KINDS`) at ``1 / codec_speedup``
+        of the measured wall time, every other frame at face value."""
+        if kind in _CODEC_KINDS:
+            wall_seconds /= self.codec_speedup
+        self.runtime.add_compute(worker, wall_seconds)

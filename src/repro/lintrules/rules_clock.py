@@ -7,12 +7,13 @@ seconds bit-for-bit. A stray ``time.time()`` or ``perf_counter()`` read
 inside the engine, the multiprocess backend, or the policy core leaks
 host jitter into results (or, worse, into control flow).
 
-The one sanctioned seam is :func:`repro.obs.tracing.monotonic_now` —
-real wall time measured *around* codec work and then charged into the
-simulated clock after dividing by ``codec_speedup`` — plus the
-observability layer itself (``obs/``), which exists to measure the
-host. This rule therefore flags direct wall-clock reads in ``engine/``,
-``mp/`` and ``core/``:
+The one sanctioned seam is :func:`repro.obs.tracing.monotonic_now`,
+read where the wall time is charged into the simulated clock — the
+transport times each policy call and charges it by frame kind, a
+worker process times its kernel rounds — plus the observability layer
+itself (``obs/``), which exists to measure the host. This rule
+therefore flags direct wall-clock reads in ``engine/``, ``mp/`` and
+``core/``:
 
 * attribute calls: ``time.time``, ``time.perf_counter``,
   ``time.monotonic``, ``time.process_time`` (and their ``_ns`` twins),
@@ -62,8 +63,8 @@ class WallClockRule(Rule):
                     yield module.finding(
                         self.code,
                         f"wall-clock read {name}() in {module.package}/; "
-                        "use repro.obs.tracing.monotonic_now (charged via "
-                        "codec_speedup) or the NetworkModel clock",
+                        "use repro.obs.tracing.monotonic_now where the "
+                        "time is charged, or the NetworkModel clock",
                         node,
                     )
                 elif (

@@ -31,11 +31,9 @@ already-recovered supervisor state) is handled by
 from __future__ import annotations
 
 import multiprocessing
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
-from repro.engine.executor import publish_workspace_bytes
+from repro.engine.executor import KernelRounds, publish_workspace_bytes
 from repro.engine.workspace import LayerWorkspaces
 from repro.mp.store import SharedStore
 from repro.mp.worker import worker_main
@@ -43,13 +41,14 @@ from repro.mp.worker import worker_main
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
+    from repro.core.worker import WorkerState
     from repro.engine.backends import ModelBackend
     from repro.engine.context import ExchangeContext
 
 __all__ = ["ProcessExecutor"]
 
 
-class ProcessExecutor:
+class ProcessExecutor(KernelRounds):
     """Executor that runs worker kernels in real OS processes."""
 
     name = "multiprocess"
@@ -196,6 +195,22 @@ class ProcessExecutor:
             )
         return payload, wall
 
+    def _round(
+        self, op: str, args_of: Callable[[WorkerState], tuple[Any, ...]]
+    ) -> dict[int, Any]:
+        """Send ``(op, *args)`` to every active worker, then collect the
+        replies in worker order, charging each reported kernel wall."""
+        ctx = self.ctx
+        active = ctx.active_workers()
+        for state in active:
+            self._send(state.worker_id, (op, *args_of(state)))
+        results: dict[int, Any] = {}
+        for state in active:
+            payload, wall = self._recv(state.worker_id)
+            ctx.runtime.add_compute(state.worker_id, wall)
+            results[state.worker_id] = payload
+        return results
+
     # ------------------------------------------------------------------
     # executor protocol
 
@@ -232,67 +247,3 @@ class ProcessExecutor:
             # The OS process that ran this iteration (a respawn after a
             # crash shows up as a new value).
             metrics.set_gauge("worker_pid", pids[w], worker=w)
-
-    def forward_kernels(
-        self,
-        t: int,
-        layer: int,
-        pulled: dict[int, dict[str, np.ndarray]],
-        *,
-        is_last: bool,
-    ) -> None:
-        del t
-        ctx = self.ctx
-        for state in ctx.active_workers():
-            w = state.worker_id
-            self._send(w, ("fwd", layer, is_last, pulled[w]))
-        for state in ctx.active_workers():
-            _, wall = self._recv(state.worker_id)
-            ctx.runtime.add_compute(state.worker_id, wall)
-
-    def loss_scan(self, t: int) -> tuple[float, dict[str, list[int]]]:
-        del t
-        ctx = self.ctx
-        for state in ctx.active_workers():
-            self._send(state.worker_id, ("loss",))
-        counters = {"train": [0, 0], "val": [0, 0], "test": [0, 0]}
-        total_loss = 0.0
-        for state in ctx.active_workers():
-            payload, wall = self._recv(state.worker_id)
-            ctx.runtime.add_compute(state.worker_id, wall)
-            loss_term, worker_counters = payload
-            total_loss += loss_term
-            for split in counters:
-                counters[split][0] += worker_counters[split][0]
-                counters[split][1] += worker_counters[split][1]
-        return total_loss, counters
-
-    def backward_local(
-        self,
-        t: int,
-        layer: int,
-        weights: dict[str, np.ndarray],
-        grads: dict[int, dict[str, np.ndarray]],
-    ) -> None:
-        del t
-        ctx = self.ctx
-        for state in ctx.active_workers():
-            self._send(state.worker_id, ("bpl", layer, weights))
-        for state in ctx.active_workers():
-            shares, wall = self._recv(state.worker_id)
-            ctx.runtime.add_compute(state.worker_id, wall)
-            grads[state.worker_id].update(shares)
-
-    def backward_reduce(
-        self,
-        t: int,
-        layer: int,
-        weights: dict[str, np.ndarray],
-    ) -> None:
-        del t
-        ctx = self.ctx
-        for state in ctx.active_workers():
-            self._send(state.worker_id, ("bpr", layer, weights))
-        for state in ctx.active_workers():
-            _, wall = self._recv(state.worker_id)
-            ctx.runtime.add_compute(state.worker_id, wall)

@@ -14,13 +14,11 @@ by address-space snapshot. From then on the only things that flow in are:
   rows / dH partials into their heads, which the next exchange serves —
   no message names a block and nothing is copied around a kernel.
 
-The worker runs only the pure per-layer kernels (the exact same
-:func:`~repro.engine.executor.forward_kernel` /
-:func:`~repro.engine.executor.loss_kernel` and
-:class:`~repro.engine.backends.ModelBackend` methods the inline
-executor calls); every policy, fault, metering and tuner decision stays
-on the supervisor, which is what keeps multiprocess runs bit-identical
-to sync. Kernel wall time is measured here and shipped back for the
+The worker runs only the pure per-layer kernels, through the same op
+table the inline executor runs (:func:`~repro.engine.executor.run_kernel`);
+every policy, fault, metering and tuner decision stays on the
+supervisor, which is what keeps multiprocess runs bit-identical to
+sync. Kernel wall time is measured here and shipped back for the
 supervisor to charge to the simulated cluster clock.
 
 A worker that hits an exception replies ``("err", traceback, 0.0)`` and
@@ -37,7 +35,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.engine.executor import forward_kernel, loss_kernel
+from repro.engine.executor import run_kernel
 from repro.engine.workspace import LayerWorkspaces
 from repro.mp.store import SharedStore, disarm_inherited_stores
 from repro.obs.tracing import monotonic_now
@@ -59,35 +57,15 @@ def _dispatch(
     ctx: ExchangeContext,
 ) -> tuple[Any, float]:
     op = msg[0]
-    start = monotonic_now()
-
-    if op == "fwd":
-        _, layer, is_last, pulled = msg
-        forward_kernel(ctx, backend, state, layer, pulled, is_last)
-        return None, monotonic_now() - start
-
-    if op == "loss":
-        return loss_kernel(ctx, backend, state), monotonic_now() - start
-
-    if op == "bpl":
-        _, layer, weights = msg
-        shares = backend.backward_local(state, layer, weights)
-        return shares, monotonic_now() - start
-
-    if op == "bpr":
-        _, layer, weights = msg
-        backend.backward_reduce(state, layer, weights)
-        return None, monotonic_now() - start
-
     if op == "begin":
         backend.begin_iteration()
         return ctx.workspaces.held(state.worker_id), 0.0
-
     if op == "kstate":
         backend.apply_kernel_refresh(state.worker_id, msg[1])
         return None, 0.0
-
-    raise ValueError(f"unknown worker op {op!r}")
+    start = monotonic_now()
+    payload = run_kernel(ctx, backend, state, op, msg[1:])
+    return payload, monotonic_now() - start
 
 
 def worker_main(

@@ -709,7 +709,6 @@ def reference_setup():
 def _make_reference_reqec_policy():
     from repro.core.messages import ChannelKey, ChannelMessage, ReceiveResult
     from repro.core.reqec_fp import _HEADER_BYTES, ReqECPolicy, TrendState
-    from repro.obs.tracing import monotonic_now
 
     class _ReferenceReqECPolicy(ReqECPolicy):
         def respond(
@@ -749,12 +748,10 @@ def _make_reference_reqec_policy():
 
             bits = self.tuner.bits(key.pair)
             quantizer = self._quantizer(bits)
-            start = monotonic_now()
 
             if state is None:
                 # No trend snapshot yet (first trend group): compressed only.
                 quantized = quantizer.encode(rows)
-                elapsed = monotonic_now() - start
                 if self.health is not None:
                     self.health.record_selection(
                         key.pair, (rows.shape[0], 0, 0), bits, t
@@ -762,7 +759,6 @@ def _make_reference_reqec_policy():
                 return ChannelMessage(
                     payload=("cps_only", quantized),
                     nbytes=quantized.payload_bytes(),
-                    codec_seconds=elapsed,
                     meta={"proportion": 0.0, "bits": bits},
                 )
 
@@ -777,14 +773,12 @@ def _make_reference_reqec_policy():
             payload, nbytes = self._build_compressed_payload(
                 rows, selection, quantizer, ids, reps, lo, hi
             )
-            elapsed = monotonic_now() - start
             if self.health is not None:
                 counts = np.bincount(selection.ravel(), minlength=3)
                 self.health.record_selection(key.pair, counts, bits, t)
             return ChannelMessage(
                 payload=("cps", selection, payload, lo, hi, bits),
                 nbytes=nbytes,
-                codec_seconds=elapsed,
                 meta={"proportion": proportion, "bits": bits},
             )
 
@@ -806,11 +800,9 @@ def _make_reference_reqec_policy():
                 return ReceiveResult(rows=rows)
 
             if kind == "cps_only":
-                start = monotonic_now()
                 rows = message.payload[1].decode()
                 return ReceiveResult(
                     rows=rows,
-                    codec_seconds=monotonic_now() - start,
                     meta=dict(message.meta),
                 )
 
@@ -821,12 +813,10 @@ def _make_reference_reqec_policy():
                     f"channel {key} received a selector message before any "
                     "exact trend snapshot"
                 )
-            start = monotonic_now()
             h_pdt = self._predict(state, t % self.trend_period + 1)
             rows = self._reconstruct(selection, quantized, h_pdt)
             return ReceiveResult(
                 rows=rows,
-                codec_seconds=monotonic_now() - start,
                 meta=dict(message.meta),
             )
 

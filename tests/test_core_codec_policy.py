@@ -39,10 +39,6 @@ class TestCodecPolicy:
     def test_name_includes_codec(self):
         assert CodecPolicy(OneBitCodec()).name == "codec:onebit"
 
-    def test_codec_seconds_recorded(self, rows):
-        message = CodecPolicy(TopKCodec(k=4)).respond(KEY, rows, 0)
-        assert message.codec_seconds >= 0
-
 
 class TestTrainerInjection:
     def test_fp_override_wins_over_config(self, small_graph):

@@ -147,3 +147,55 @@ class TestSampling:
         _, run = _sampled(medium_graph, fanouts=[8, 4], config=config,
                           epochs=40)
         assert run.best_test_accuracy() > 0.6
+
+
+class TestCrashWithResidualReset:
+    """A crash with ``reset_residuals=True`` zeroes the ResEC residuals
+    touching the crashed worker in place: sampled channels stay primed
+    with their full-channel shape, so the next subset respond works."""
+
+    @pytest.mark.parametrize("execution", ["sync", "multiprocess"])
+    def test_sampled_run_survives_the_crash(self, medium_graph, execution):
+        from repro.faults.config import FaultConfig
+
+        config = ECGraphConfig(
+            fp_mode="compress", bp_mode="resec", seed=0, execution=execution,
+            faults=FaultConfig(enabled=True, crash_schedule=((2, 1),),
+                               reset_residuals=True),
+        )
+        with ECGraphTrainer(
+            medium_graph, ModelConfig(num_layers=2, hidden_dim=8),
+            ClusterSpec(num_workers=2), config,
+            backend=SampledGCNBackend([4, 4]),
+        ) as trainer:
+            run = trainer.train(4)
+            residuals = trainer.engine.ctx.bp_policy._residual
+        assert len(run.epochs) == 4
+        assert all(np.isfinite(epoch.loss) for epoch in run.epochs)
+        assert residuals and all(
+            r.shape[0] == len(trainer.workers[k.requester].requests[k.responder])
+            for k, r in residuals.items()
+        )
+
+    def test_zeroed_residual_responds_like_a_fresh_channel(self):
+        """Full batch: ``rows + 0`` is ``rows + zeros_like(rows)``, so a
+        zeroed channel ships the bytes a never-seen channel would."""
+        from repro.core.messages import ChannelKey
+        from repro.core.resec_bp import ResECPolicy
+
+        key = ChannelKey(layer=2, responder=0, requester=1)
+        rng = np.random.default_rng(3)
+        first, second = (
+            rng.standard_normal((12, 5)).astype(np.float32) for _ in range(2)
+        )
+        policy = ResECPolicy(bits=2)
+        policy.respond(key, first, 0)
+        policy.invalidate_worker(1)
+        assert policy.has_residual(key)
+        assert not policy._residual[key].any()
+        zeroed = policy.respond(key, second, 1).payload.decode()
+        fresh = ResECPolicy(bits=2).respond(key, second, 1).payload.decode()
+        assert zeroed.tobytes() == fresh.tobytes()
+        np.testing.assert_array_equal(
+            policy._residual[key], second - fresh
+        )

@@ -195,6 +195,50 @@ class TestECGraphPipeline:
             )
 
 
+class TestPreprocessingSeconds:
+    """Partitioning is counted once: a partition passed in adds its own
+    ``seconds``; one computed inside ``setup()`` is already inside the
+    set-up wall time and must not be added on top."""
+
+    CLAIMED = 1000.0  # far above any real set-up of the test graph
+
+    def _stamped(self, graph):
+        from repro.partition import HashPartitioner
+
+        partition = HashPartitioner().partition(graph.adjacency, 2)
+        partition.seconds = self.CLAIMED
+        return partition
+
+    def _setup(self, graph, **kwargs):
+        trainer = ECGraphTrainer(
+            graph, ModelConfig(num_layers=2, hidden_dim=8),
+            ClusterSpec(num_workers=2), ECGraphConfig(seed=0), **kwargs,
+        )
+        trainer.setup()
+        return trainer.preprocessing_seconds
+
+    def test_partition_passed_in_is_added(self, small_graph):
+        seconds = self._setup(small_graph, partition=self._stamped(small_graph))
+        assert seconds >= self.CLAIMED
+
+    def test_partition_computed_in_setup_is_not_added_twice(
+        self, small_graph, monkeypatch
+    ):
+        import repro.core.trainer as trainer_module
+
+        stamped = self._stamped(small_graph)
+
+        class _StampedPartitioner:
+            def partition(self, adjacency, num_parts):
+                return stamped
+
+        monkeypatch.setattr(
+            trainer_module, "make_partitioner",
+            lambda name, seed: _StampedPartitioner(),
+        )
+        assert 0 < self._setup(small_graph) < self.CLAIMED
+
+
 class TestDelayedMode:
     def test_distgnn_mode_trains(self, small_graph):
         config = ECGraphConfig(

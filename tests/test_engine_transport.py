@@ -1,12 +1,14 @@
 """Unit tests for the halo transport (the paper's Neighbor Access
 Controller): forward and reverse exchanges on bare worker states."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.cluster.engine import ClusterRuntime
 from repro.cluster.topology import ClusterSpec
-from repro.core.messages import RawPolicy
+from repro.core.messages import ChannelMessage, RawPolicy, ReceiveResult
 from repro.core.policies import CompressPolicy
 from repro.core.worker import build_worker_states
 from repro.engine.transport import HaloTransport
@@ -84,6 +86,74 @@ class TestForwardExchange:
         # Python quantization pass would cost.
         breakdown = runtime.end_epoch()
         assert breakdown.compute_seconds > 0
+
+
+class _Opaque:
+    """A payload that is neither a tuple nor an array: a codec's frame."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+
+# Frame kind -> how a policy of that kind wraps the rows it serves.
+_FRAMES = {
+    "raw": lambda rows: rows,
+    "exact": lambda rows: ("exact", rows, False),
+    "selector": lambda rows: ("cps", rows),
+    "quant": lambda rows: ("cps_only", rows),
+    "codec": _Opaque,
+    "delayed": lambda rows: ("full", rows),
+}
+# Wall seconds of every call under the stepped clock, and what the
+# transport charges for it per frame kind (codec_speedup = 20).
+_STEP = 20.0
+_CHARGE = {"raw": 20.0, "exact": 20.0, "selector": 1.0, "quant": 1.0,
+           "codec": 1.0, "delayed": 20.0}
+
+
+class _FramePolicy:
+    """Ships the served rows in a fixed frame kind and does no work."""
+
+    name = "frame"
+
+    def __init__(self, frame):
+        self.frame = frame
+
+    def respond(self, key, rows, t, rows_idx=None):
+        return ChannelMessage(payload=self.frame(rows), nbytes=rows.nbytes,
+                              meta={"rows": rows})
+
+    def receive(self, key, message, t, rows_idx=None):
+        return ReceiveResult(rows=message.meta["rows"])
+
+
+class TestPolicyCallCharge:
+    """Every ``respond``/``receive`` call is timed once by the transport
+    and charged by the frame kind of its message: ``quant``/``selector``
+    frames at ``1 / codec_speedup`` of the wall time, the rest at face
+    value. Policies report no time of their own."""
+
+    @pytest.mark.parametrize("kind", sorted(_FRAMES))
+    def test_charge_per_frame_kind(self, setup, kind, monkeypatch):
+        graph, workers, runtime, transport = setup
+        clock = itertools.count(0.0, _STEP)
+        monkeypatch.setattr(
+            "repro.engine.transport.monotonic_now", lambda: next(clock)
+        )
+        values = [np.ones((s.num_local, 4), dtype=np.float32)
+                  for s in workers]
+        transport.exchange(
+            layer=1, t=0, rows_of=lambda s: values[s.worker_id],
+            policy=_FramePolicy(_FRAMES[kind]), category="x", dim=4,
+        )
+        # One respond per channel a worker serves, one receive per
+        # channel it requests.
+        calls = [
+            len(s.serves) + len(s.halo_slots) for s in workers
+        ]
+        assert runtime.compute_snapshot().tolist() == [
+            n * _CHARGE[kind] for n in calls
+        ]
 
 
 class TestReverseExchange:

@@ -72,6 +72,7 @@ RETIRED_NAMES = (
     "NullStageProfiler", "NULL_PROFILER", "set_worker_pids",
     "write_trace", "record_event",
     "repro.cluster.nfs", "health_rho", "epoch_snapshots",
+    "codec_seconds", "_charge_compute", "_bp_span_stages",
 )
 CHECKPOINT = REPO / "src" / "repro" / "core" / "checkpoint.py"
 
@@ -249,6 +250,92 @@ class TestSetupPathStaysLoopFree:
             "    return graph.neighbors(0)\n"
         )
         assert _row_accessor_loops(sample) == ["also_slow:6", "slow:3"]
+
+
+# ----------------------------------------------------------------------
+# One compute-charging seam. Policies do not time themselves — the
+# transport times each ``respond``/``receive`` call and charges it by
+# frame kind — so no module under ``core/`` but the trainer (whose one
+# timer measures set-up) reads a clock. And the kernel op table exists
+# once, in ``engine/executor.py``: the multiprocess worker dispatches
+# through it instead of keeping a copy.
+# ----------------------------------------------------------------------
+CLOCK_CALLS = {
+    "monotonic_now", "perf_counter", "perf_counter_ns", "monotonic",
+    "monotonic_ns", "process_time", "process_time_ns", "time", "time_ns",
+}
+KERNEL_OPS = {"fwd", "loss", "bpl", "bpr"}
+KERNEL_CALLS = {
+    "forward_kernel", "loss_kernel", "forward_layer", "backward_local",
+    "backward_reduce",
+}
+CORE = REPO / "src" / "repro" / "core"
+EXECUTOR = REPO / "src" / "repro" / "engine" / "executor.py"
+
+
+def _clock_reads(source: str) -> list[str]:
+    """``name:line`` of every clock call or clock import."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                getattr(func, "id", "")
+            )
+            if name in CLOCK_CALLS:
+                offenders.append(f"{name}:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom):
+            offenders += [
+                f"import {alias.name}:{node.lineno}"
+                for alias in node.names if alias.name in CLOCK_CALLS
+            ]
+    return offenders
+
+
+def _kernel_op_table(source: str) -> set[str]:
+    """Kernel op names and kernel entry points a module spells out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and node.value in KERNEL_OPS:
+            found.add(node.value)
+        elif isinstance(node, ast.Attribute) and node.attr in KERNEL_CALLS:
+            found.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id in KERNEL_CALLS:
+            found.add(node.id)
+        elif isinstance(node, ast.alias) and node.name in KERNEL_CALLS:
+            found.add(node.name)
+    return found
+
+
+class TestOneComputeChargingSeam:
+    @pytest.mark.parametrize(
+        "module",
+        sorted(p.name for p in CORE.glob("*.py") if p.name != "trainer.py"),
+    )
+    def test_core_reads_no_clock(self, module):
+        assert _clock_reads((CORE / module).read_text()) == []
+
+    def test_the_clock_guard_sees_a_clock(self):
+        sample = (
+            "import time\n"
+            "from repro.obs.tracing import monotonic_now\n"
+            "def f():\n"
+            "    return time.perf_counter() - monotonic_now()\n"
+        )
+        assert _clock_reads(sample) == [
+            "import monotonic_now:2", "perf_counter:4", "monotonic_now:4",
+        ]
+        assert _clock_reads((CORE / "trainer.py").read_text()) != []
+
+    @pytest.mark.parametrize("module", ["worker.py", "supervisor.py"])
+    def test_mp_keeps_no_kernel_op_table(self, module):
+        source = (REPO / "src" / "repro" / "mp" / module).read_text()
+        assert _kernel_op_table(source) == set()
+
+    def test_the_executor_holds_the_op_table(self):
+        assert _kernel_op_table(EXECUTOR.read_text()) == (
+            KERNEL_OPS | KERNEL_CALLS
+        )
 
 
 def _documented_names():
