@@ -23,7 +23,11 @@ import struct
 
 import numpy as np
 
-from repro.compression.quantization import QuantizedMatrix
+from repro.compression.quantization import (
+    FRAME_HEADER_BYTES,
+    SHAPE_WORD_BYTES,
+    QuantizedMatrix,
+)
 
 __all__ = [
     "HEADER_BYTES",
@@ -37,7 +41,7 @@ __all__ = [
     "decode_selector",
 ]
 
-HEADER_BYTES = 16
+HEADER_BYTES = FRAME_HEADER_BYTES
 _MAGIC = 0xEC6A
 _KIND_RAW = 1
 _KIND_QUANT = 2
@@ -74,11 +78,11 @@ def _pack_shape(shape: tuple[int, ...]) -> bytes:
 
 
 def _unpack_shape(buffer: bytes, offset: int) -> tuple[tuple[int, ...], int]:
-    if len(buffer) < offset + 8:
+    if len(buffer) < offset + SHAPE_WORD_BYTES:
         raise ValueError("frame payload too short for its shape word")
     rows, cols = struct.unpack_from("<II", buffer, offset)
     shape = (rows,) if cols == 0 else (rows, cols)
-    return shape, offset + 8
+    return shape, offset + SHAPE_WORD_BYTES
 
 
 def _shape_elements(shape: tuple[int, ...]) -> int:

@@ -13,7 +13,11 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.compression.quantization import BucketQuantizer, QuantizedMatrix
+from repro.compression.quantization import (
+    MATRIX_PREFIX_BYTES,
+    BucketQuantizer,
+    QuantizedMatrix,
+)
 
 __all__ = ["EncodedMatrix", "Codec", "IdentityCodec", "Float16Codec",
            "QuantizingCodec"]
@@ -39,9 +43,6 @@ class Codec(Protocol):
     def decode(self, encoded: EncodedMatrix) -> np.ndarray: ...
 
 
-_HEADER_BYTES = 24  # frame header + shape word (see cluster.serialize)
-
-
 class IdentityCodec:
     """No compression: raw float32, the paper's ``Non-cp`` configuration."""
 
@@ -51,7 +52,7 @@ class IdentityCodec:
         data = np.ascontiguousarray(matrix, dtype=np.float32)
         return EncodedMatrix(
             payload=data,
-            payload_bytes=_HEADER_BYTES + data.nbytes,
+            payload_bytes=MATRIX_PREFIX_BYTES + data.nbytes,
             shape=data.shape,
             codec_name=self.name,
         )
@@ -71,7 +72,7 @@ class Float16Codec:
         data = np.ascontiguousarray(matrix, dtype=np.float16)
         return EncodedMatrix(
             payload=data,
-            payload_bytes=_HEADER_BYTES + data.nbytes,
+            payload_bytes=MATRIX_PREFIX_BYTES + data.nbytes,
             shape=data.shape,
             codec_name=self.name,
         )

@@ -12,7 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression.codec import EncodedMatrix
-from repro.compression.quantization import pack_bits, unpack_bits
+from repro.compression.quantization import (
+    FRAME_HEADER_BYTES,
+    pack_bits,
+    unpack_bits,
+)
 
 __all__ = ["OneBitPayload", "OneBitCodec"]
 
@@ -45,7 +49,8 @@ class OneBitCodec:
             positive_mean=pos_mean,
             negative_mean=neg_mean,
         )
-        size = 16 + packed.size + 8  # header + bits + two float32 means
+        # header + bits + two float32 means
+        size = FRAME_HEADER_BYTES + packed.size + 8
         return EncodedMatrix(
             payload=payload,
             payload_bytes=size,

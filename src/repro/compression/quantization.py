@@ -39,9 +39,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["pack_bits", "unpack_bits", "QuantizedMatrix", "BucketQuantizer"]
+__all__ = [
+    "pack_bits", "unpack_bits", "QuantizedMatrix", "BucketQuantizer",
+    "FRAME_HEADER_BYTES", "SHAPE_WORD_BYTES", "MATRIX_PREFIX_BYTES",
+]
 
 SUPPORTED_BITS = (1, 2, 4, 8, 16)
+
+# The wire framing every computed message size counts
+# (:mod:`repro.cluster.serialize` writes it): a 16-byte frame header
+# (magic, kind, flags, payload length), then for a matrix payload an
+# 8-byte shape word (rows, cols).
+FRAME_HEADER_BYTES = 16
+SHAPE_WORD_BYTES = 8
+MATRIX_PREFIX_BYTES = FRAME_HEADER_BYTES + SHAPE_WORD_BYTES
 
 # Cached float64 midpoint offsets ``arange(2^B) + 0.5`` per bucket count;
 # representative tables are ``lo + offsets * width``, so the arange is the
@@ -329,7 +340,7 @@ class QuantizedMatrix:
         packed ids, and — in ``table`` mode — the ``2^B`` float32 bucket
         representatives (``bounds`` mode derives them from lo/hi).
         """
-        header = 16 + 8 + 9  # frame + shape + (bits, lo, hi)
+        header = MATRIX_PREFIX_BYTES + 9  # frame + shape + (bits, lo, hi)
         ids = self.packed.size
         table = self.bucket_values.size * 4 if self.table_mode == "table" else 0
         return header + ids + table

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression.codec import EncodedMatrix
+from repro.compression.quantization import FRAME_HEADER_BYTES
 
 __all__ = ["TopKPayload", "TopKCodec"]
 
@@ -53,7 +54,7 @@ class TopKCodec:
             values = np.take_along_axis(data, indices, axis=1)
         payload = TopKPayload(shape=(rows, cols), indices=indices, values=values)
         # Each kept entry travels as (int32 index, float32 value).
-        size = 16 + indices.nbytes + values.nbytes
+        size = FRAME_HEADER_BYTES + indices.nbytes + values.nbytes
         return EncodedMatrix(
             payload=payload,
             payload_bytes=size,

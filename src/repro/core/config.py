@@ -168,6 +168,13 @@ class ECGraphConfig:
             raise ValueError("codec_speedup must be positive")
         if self.execution not in _EXECUTION_MODES:
             raise ValueError(f"execution must be one of {_EXECUTION_MODES}")
+        if self.execution == "multiprocess" and self.faults.elastic:
+            raise ValueError(
+                "execution='multiprocess' does not support elastic "
+                "membership yet: partition adoption rebinds worker state "
+                "that forked processes have already snapshotted. Use "
+                "execution='sync' for elastic runs."
+            )
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

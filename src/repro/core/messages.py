@@ -17,6 +17,8 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
+from repro.compression.quantization import MATRIX_PREFIX_BYTES
+
 __all__ = ["ChannelKey", "ChannelMessage", "ReceiveResult", "ExchangePolicy",
            "RawPolicy"]
 
@@ -89,11 +91,6 @@ class ExchangePolicy(Protocol):
     ) -> ReceiveResult: ...
 
 
-# Frame header (16) plus the 8-byte shape word, matching
-# repro.cluster.serialize exactly.
-_HEADER_BYTES = 24
-
-
 class RawPolicy:
     """Uncompressed float32 rows — the paper's ``Non-cp`` configuration."""
 
@@ -108,7 +105,7 @@ class RawPolicy:
     ) -> ChannelMessage:
         data = np.ascontiguousarray(rows, dtype=np.float32)
         return ChannelMessage(
-            payload=data, nbytes=_HEADER_BYTES + data.nbytes
+            payload=data, nbytes=MATRIX_PREFIX_BYTES + data.nbytes
         )
 
     def receive(

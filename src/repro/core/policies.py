@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.compression.quantization import BucketQuantizer
+from repro.compression.quantization import MATRIX_PREFIX_BYTES, BucketQuantizer
 from repro.core.messages import ChannelKey, ChannelMessage, ReceiveResult
 
 if TYPE_CHECKING:
@@ -28,9 +28,6 @@ __all__ = [
     "CodecPolicy",
     "make_exchange_policy",
 ]
-
-_HEADER_BYTES = 24  # frame header + shape word (see cluster.serialize)
-
 
 def make_exchange_policy(
     direction: str, config: "ECGraphConfig", tuner: "BitTuner | None" = None
@@ -187,11 +184,11 @@ class DelayedPolicy:
         data = np.ascontiguousarray(rows, dtype=np.float32)
         if t == 0 or key not in self._cache:
             payload = ("full", data.copy())
-            nbytes = _HEADER_BYTES + data.nbytes
+            nbytes = MATRIX_PREFIX_BYTES + data.nbytes
         else:
             block = self._block(data.shape[0], t)
             payload = ("block", block, data[block].copy())
-            nbytes = _HEADER_BYTES + data[block].nbytes + block.size * 4
+            nbytes = MATRIX_PREFIX_BYTES + data[block].nbytes + block.size * 4
         return ChannelMessage(payload=payload, nbytes=nbytes)
 
     def receive(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.quantization import BucketQuantizer
+from repro.compression.quantization import MATRIX_PREFIX_BYTES, BucketQuantizer
 from repro.core.bit_tuner import BitTuner
 from repro.core.messages import ChannelKey, ChannelMessage, ReceiveResult
 
@@ -36,9 +36,6 @@ __all__ = ["TrendState", "ReqECPolicy", "SELECT_COMPRESSED",
 SELECT_COMPRESSED = 0
 SELECT_PREDICTED = 1
 SELECT_AVERAGE = 2
-
-_HEADER_BYTES = 24  # frame header + shape word (see cluster.serialize)
-
 
 @dataclass
 class TrendState:
@@ -135,7 +132,7 @@ class ReqECPolicy:
             )
             return ChannelMessage(
                 payload=("exact", h_last, has_base),
-                nbytes=_HEADER_BYTES + rows.nbytes,
+                nbytes=MATRIX_PREFIX_BYTES + rows.nbytes,
             )
 
         bits = self.tuner.bits(key.pair)
@@ -242,7 +239,10 @@ class ReqECPolicy:
         selector_bytes = -(-2 * selection.size // 8)
         # Frame + shape + (proportion, selector length) + selector bits
         # + the nested quantized frame — see cluster.serialize.
-        nbytes = 16 + 8 + 8 + selector_bytes + quantized.payload_bytes()
+        nbytes = (
+            MATRIX_PREFIX_BYTES + 8 + selector_bytes
+            + quantized.payload_bytes()
+        )
         return quantized, nbytes
 
     # ------------------------------------------------------------------

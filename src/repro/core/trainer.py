@@ -204,16 +204,6 @@ class ECGraphTrainer:
             self._fp_policy = make_exchange_policy("fp", self.config, self.tuner)
         if not self._bp_policy_override:
             self._bp_policy = make_exchange_policy("bp", self.config)
-        if (
-            self.config.execution == "multiprocess"
-            and self.config.faults.elastic
-        ):
-            raise ValueError(
-                "execution='multiprocess' does not support elastic "
-                "membership yet: partition adoption rebinds worker state "
-                "that forked processes have already snapshotted. Use "
-                "execution='sync' for elastic runs."
-            )
         self.transport = HaloTransport(
             self.runtime, self.workers, self.config.codec_speedup
         )
@@ -278,7 +268,7 @@ class ECGraphTrainer:
             executor=executor,
         )
         recovery = RecoveryManager(ctx, self)
-        if self.config.faults.elastic and self._injector is not None:
+        if self.config.faults.elastic:
             from repro.membership import (
                 ConvergenceWatchdog,
                 MembershipView,

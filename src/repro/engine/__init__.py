@@ -4,8 +4,8 @@
 pipeline — :class:`~repro.engine.core.TrainerCore` driving
 ``HaloPlanStage -> ForwardStage -> BackwardStage -> OptimizeStage ->
 EvalStage`` — over a single :class:`~repro.engine.context.ExchangeContext`
-bundle, with per-architecture math behind the
-:class:`~repro.engine.backends.ModelBackend` protocol and every halo
+bundle, with per-architecture math in subclasses of
+:class:`~repro.engine.backends.ModelBackend` and every halo
 exchange flowing through one :class:`~repro.engine.transport.HaloTransport`.
 See ``docs/engine.md`` for the lifecycle and extension points.
 """

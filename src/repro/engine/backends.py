@@ -5,39 +5,43 @@ paper's Algorithms 1–2 share between architectures — parameter pulls,
 halo exchanges, the loss/metric scan, gradient pushes, Bit-Tuner
 feedback — and delegates the per-layer math to a
 :class:`ModelBackend`. GCN, GraphSAGE, GAT and the sampled GCN variant
-therefore differ only in the backend object they plug in, instead of
-each subclass re-implementing the forward/backward plumbing.
+therefore differ only in the backend object they plug in.
 
-A backend is bound to one :class:`~repro.engine.context.ExchangeContext`
-for its lifetime (``bind`` registers any extra parameters and builds
-auxiliary structures) and then answers the stage's questions:
+Every backend subclasses :class:`ModelBackend`, which also owns the
+plumbing around the math: layer caches live in the worker state's
+``caches[layer]``, the forward pass and exact evaluation run one layer
+kernel, the backward pass pulls the layer's parameter list and drives
+its kernels and gradient exchange through the context's executor. An
+architecture writes:
 
-* ``layer_param_names`` — which server parameters a layer pulls;
-* ``forward_layer`` — one local layer kernel (runs inside the worker's
-  compute clock; reads the layer's ``h_cat`` workspace, writes its
-  output into the head of the next layer's, and stores whatever cache
-  the backward pass needs — see :mod:`repro.engine.workspace`);
-* ``final_logits`` — the classification outputs after the last layer;
-* ``backward_layer`` — one layer of the backward pass, including any
-  gradient halo exchange it needs (GCN/SAGE fetch gradient halos
-  forward-style; GAT pushes partial gradients through the reverse
-  exchange);
-* ``eval_layer`` — the exact-communication inference kernel
-  (full adjacency, raw exchange) used by Table-V style evaluation.
+* ``layer_param_names`` — the server parameters a layer pulls (and its
+  backward kernels read);
+* ``layer_kernel`` — one local layer on a worker's ``h_cat``, returning
+  the :class:`~repro.core.gcn_math.LayerForwardCache` the backward pass
+  reads (``out`` is the head of the next layer's workspace, see
+  :mod:`repro.engine.workspace`);
+* ``backward_local`` / ``backward_reduce`` — one worker's
+  parameter-gradient shares, and the fold of the layer's gradient halo
+  into ``grad_rows[layer - 1]``;
+* optionally ``bind`` (register extra parameters, build per-worker
+  structures) and ``on_membership_change`` (rebuild them).
 
-Backends with sampling or per-iteration state additionally implement
-``on_epoch_start`` (resampling) and ``exchange_subset`` (per-channel
-sampled row subsets).
+GCN keeps its own ``forward_layer``/``eval_layer`` (workspace-backed
+aggregates and DGL's ordering rule); the sampled GCN adds the
+per-iteration hooks ``on_epoch_start`` (resampling), ``adjacency`` and
+``exchange_subset`` (per-channel sampled row subsets).
 """
 
 from __future__ import annotations
 
-from typing import Any, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from repro.core.gcn_math import (
+    LayerForwardCache,
     bias_gradient,
     layer_backward_inputs,
     layer_forward,
@@ -63,93 +67,9 @@ __all__ = [
 ]
 
 
-@runtime_checkable
-class ModelBackend(Protocol):
-    """What the staged engine needs from a model architecture."""
-
-    name: str
-    # Wall seconds of bind-time work that native kernels would not have
-    # spent (offline sampling at ``sampling_speedup``); the trainer takes
-    # them out of the ``preprocessing_seconds`` it measured around bind.
-    bind_discount_seconds: float
-
-    def bind(self, ctx: ExchangeContext) -> None:
-        """Attach the context; register extra parameters, build caches."""
-
-    def on_epoch_start(self, t: int) -> None:
-        """Per-iteration hook before the forward pass (sampling)."""
-
-    def on_membership_change(self) -> None:
-        """Rebuild per-worker structures after an elastic reassignment."""
-
-    def begin_iteration(self) -> None:
-        """Reset per-iteration caches before a forward pass."""
-
-    def adjacency(self, state: WorkerState, layer: int) -> csr_matrix:
-        """Aggregation rows used by ``state`` at ``layer`` (1-based)."""
-
-    def exchange_subset(
-        self, layer: int, direction: str
-    ) -> dict[tuple[int, int], np.ndarray] | None:
-        """Per-channel sampled row subsets (None = exchange all rows)."""
-
-    def layer_param_names(self, layer: int) -> list[str]:
-        """Server parameter names pulled for ``layer`` (1-based)."""
-
-    def allocate_workspaces(self) -> None:
-        """Touch every workspace an exchange and a kernel share."""
-
-    def grad_out(self, state: WorkerState, layer: int) -> np.ndarray:
-        """The persistent buffer ``G^layer``'s local rows are written to."""
-
-    def forward_layer(
-        self,
-        state: WorkerState,
-        h_cat: np.ndarray,
-        pulled: dict[str, np.ndarray],
-        layer: int,
-        is_last: bool,
-    ) -> None:
-        """One local layer kernel; caches whatever backward needs."""
-
-    def final_logits(self, state: WorkerState) -> np.ndarray:
-        """Classification logits for the worker's local vertices."""
-
-    def backward_layer(
-        self, t: int, layer: int, grads: dict[int, dict[str, np.ndarray]]
-    ) -> None:
-        """One backward layer: parameter-gradient shares into ``grads``
-        plus the input-gradient propagation (with its halo exchange)."""
-
-    def backward_local(
-        self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        """One worker's parameter-gradient shares (pure kernel)."""
-
-    def backward_reduce(
-        self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
-    ) -> None:
-        """Fold the layer's gradient halo into ``grad_rows[layer-1]``."""
-
-    def kernel_refresh(self, worker_id: int) -> Any:
-        """Payload syncing a worker replica's kernel state (None = none)."""
-
-    def apply_kernel_refresh(self, worker_id: int, payload: Any) -> None:
-        """Apply a :meth:`kernel_refresh` payload in a worker replica."""
-
-    def eval_layer(
-        self,
-        state: WorkerState,
-        h_cat: np.ndarray,
-        params: dict[str, np.ndarray],
-        layer: int,
-        is_last: bool,
-    ) -> np.ndarray:
-        """Exact-inference layer output (full adjacency, no caching)."""
-
-
-class _BackendBase:
-    """Default hooks shared by the concrete backends.
+class ModelBackend:
+    """What the staged engine needs from a model architecture, and the
+    plumbing every architecture shares.
 
     The backward pass is split so the execution backend (inline or
     multi-process, see :mod:`repro.engine.executor`) can run the pure
@@ -169,32 +89,100 @@ class _BackendBase:
       ``kernel`` span (``stage=weight_grad`` / ``input_grad``).
     """
 
+    name: str
     ctx: ExchangeContext
     # Bumped whenever supervisor-side per-worker kernel state changes
     # (sampled adjacencies); the process executor ships a refresh to
     # worker replicas when the shipped version falls behind.
     kernel_version: int = 0
+    # Wall seconds of bind-time work that native kernels would not have
+    # spent (offline sampling at ``sampling_speedup``); the trainer takes
+    # them out of the ``preprocessing_seconds`` it measured around bind.
     bind_discount_seconds: float = 0.0
 
     def bind(self, ctx: ExchangeContext) -> None:
+        """Attach the context; register extra parameters, build caches."""
         self.ctx = ctx
 
     def on_epoch_start(self, t: int) -> None:
+        """Per-iteration hook before the forward pass (sampling)."""
         del t
 
     def on_membership_change(self) -> None:
         """Rebuild architecture-specific per-worker structures after the
         reassigner swapped the worker states (default: nothing cached)."""
 
+    def prime_residuals(self) -> None:
+        """Create the backward residuals a sampled exchange needs before
+        its first respond (default: none)."""
+
+    def begin_iteration(self) -> None:
+        """Reset every worker's layer caches before a forward pass."""
+        num_layers = self.ctx.params.num_layers
+        for state in self.ctx.workers:
+            state.reset_iteration(num_layers)
+
     def adjacency(self, state: WorkerState, layer: int) -> csr_matrix:
+        """Aggregation rows used by ``state`` at ``layer`` (1-based)."""
         del layer
         return state.a_local
 
     def exchange_subset(
         self, layer: int, direction: str
     ) -> dict[tuple[int, int], np.ndarray] | None:
+        """Per-channel sampled row subsets (None = exchange all rows)."""
         del layer, direction
         return None
+
+    def layer_param_names(self, layer: int) -> list[str]:
+        """Server parameter names ``layer`` (1-based) pulls and its
+        backward kernels read (default: ``W``, plus ``b`` with bias)."""
+        return self.ctx.params.layer_param_names(layer - 1)
+
+    # ------------------------------------------------------------------
+    # Forward pass and exact inference: one layer kernel
+    # ------------------------------------------------------------------
+    def layer_kernel(
+        self,
+        state: WorkerState,
+        h_cat: np.ndarray,
+        params: dict[str, np.ndarray],
+        layer: int,
+        is_last: bool,
+        out: np.ndarray | None = None,
+    ) -> LayerForwardCache:
+        """One local layer on ``state``'s concatenated input; hidden
+        activations go into ``out`` when given."""
+        raise NotImplementedError
+
+    def forward_layer(
+        self,
+        state: WorkerState,
+        h_cat: np.ndarray,
+        pulled: dict[str, np.ndarray],
+        layer: int,
+        is_last: bool,
+    ) -> None:
+        """One forward kernel; caches what backward needs on the state."""
+        state.caches[layer] = self.layer_kernel(
+            state, h_cat, pulled, layer, is_last,
+            out=self._out_buffer(state, layer),
+        )
+
+    def final_logits(self, state: WorkerState) -> np.ndarray:
+        """Classification logits for the worker's local vertices."""
+        return state.local_output(self.ctx.params.num_layers)
+
+    def eval_layer(
+        self,
+        state: WorkerState,
+        h_cat: np.ndarray,
+        params: dict[str, np.ndarray],
+        layer: int,
+        is_last: bool,
+    ) -> np.ndarray:
+        """Exact-inference layer output (full adjacency, no caching)."""
+        return self.layer_kernel(state, h_cat, params, layer, is_last).output
 
     # ------------------------------------------------------------------
     # Kernel-state shipping (multi-process executor)
@@ -212,10 +200,6 @@ class _BackendBase:
     # ------------------------------------------------------------------
     # Backward pass: generic driver + per-backend kernels
     # ------------------------------------------------------------------
-    def backward_param_names(self, layer: int) -> list[str]:
-        """Server parameters the layer's backward kernels read."""
-        raise NotImplementedError
-
     def backward_local(
         self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
     ) -> dict[str, np.ndarray]:
@@ -279,11 +263,13 @@ class _BackendBase:
     def backward_layer(
         self, t: int, layer: int, grads: dict[int, dict[str, np.ndarray]]
     ) -> None:
+        """One backward layer: parameter-gradient shares into ``grads``
+        plus the input-gradient propagation (with its halo exchange)."""
         ctx = self.ctx
         obs = ctx.telemetry
         weights = {
             name: ctx.servers.get(name)
-            for name in self.backward_param_names(layer)
+            for name in self.layer_param_names(layer)
         }
         with obs.span("kernel", layer=layer, direction="bp",
                       stage="weight_grad"):
@@ -298,19 +284,16 @@ class _BackendBase:
 # ----------------------------------------------------------------------
 # GCN
 # ----------------------------------------------------------------------
-class GCNBackend(_BackendBase):
-    """Full-batch GCN (paper Algorithms 1–2); caches live in the
-    :class:`~repro.core.worker.WorkerState` layer caches."""
+class GCNBackend(ModelBackend):
+    """Full-batch GCN (paper Algorithms 1–2).
+
+    The one backend with its own forward and eval kernels: training
+    aggregates the (possibly sampled) adjacency into kernel-private
+    workspaces and reuses the constant first-layer aggregate, while
+    exact inference aggregates the full adjacency in DGL's ordering.
+    """
 
     name = "gcn"
-
-    def begin_iteration(self) -> None:
-        num_layers = self.ctx.params.num_layers
-        for state in self.ctx.workers:
-            state.reset_iteration(num_layers)
-
-    def layer_param_names(self, layer: int) -> list[str]:
-        return self.ctx.params.layer_param_names(layer - 1)
 
     def forward_layer(
         self,
@@ -347,15 +330,6 @@ class GCNBackend(_BackendBase):
             z_out=ws.local(f"z{layer}", state, dims[layer]),
             out=self._out_buffer(state, layer),
         )
-
-    def final_logits(self, state: WorkerState) -> np.ndarray:
-        return state.caches[self.ctx.params.num_layers].output
-
-    def backward_param_names(self, layer: int) -> list[str]:
-        names = [weight_name(layer - 1)]
-        if self.ctx.params.use_bias:
-            names.append(bias_name(layer - 1))
-        return names
 
     def backward_local(
         self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
@@ -640,23 +614,7 @@ def self_weight_name(layer: int) -> str:
     return f"Ws{layer}"
 
 
-class _SAGECache:
-    """Forward state per layer: inputs, neighbour means, pre-activations."""
-
-    def __init__(
-        self,
-        h_local: np.ndarray,
-        aggregated: np.ndarray,
-        z: np.ndarray,
-        output: np.ndarray,
-    ) -> None:
-        self.h_local = h_local
-        self.aggregated = aggregated
-        self.z = z
-        self.output = output
-
-
-class SAGEBackend(_BackendBase):
+class SAGEBackend(ModelBackend):
     """GraphSAGE-mean: ``Z = H W_self + (A_row H_cat) W_neigh + b``.
 
     ``weight_name(l)`` holds ``W_neigh`` and :func:`self_weight_name`
@@ -677,7 +635,6 @@ class SAGEBackend(_BackendBase):
                 self_weight_name(layer), glorot_uniform((d_in, d_out), rng)
             )
         self._build_transposed_rows()
-        self.caches: list[list[_SAGECache | None]] = []
 
     def on_membership_change(self) -> None:
         self._build_transposed_rows()
@@ -706,77 +663,47 @@ class SAGEBackend(_BackendBase):
                 )
             )
 
-    def begin_iteration(self) -> None:
-        num_layers = self.ctx.params.num_layers
-        self.caches = [[None] * (num_layers + 1) for _ in self.ctx.workers]
-        for state in self.ctx.workers:
-            state.reset_iteration(num_layers)
-
     def layer_param_names(self, layer: int) -> list[str]:
         names = [weight_name(layer - 1), self_weight_name(layer - 1)]
         if self.ctx.params.use_bias:
             names.append(bias_name(layer - 1))
         return names
 
-    def sage_layer_forward(
+    def layer_kernel(
         self,
         state: WorkerState,
         h_cat: np.ndarray,
-        w_self: np.ndarray,
-        w_neigh: np.ndarray,
-        bias: np.ndarray | None,
+        params: dict[str, np.ndarray],
+        layer: int,
         is_last: bool,
         out: np.ndarray | None = None,
-    ) -> _SAGECache:
-        h_local = h_cat[:state.num_local]
+    ) -> LayerForwardCache:
         aggregated = state.a_local @ h_cat
-        z = (h_local @ w_self + aggregated @ w_neigh).astype(
-            np.float32, copy=False
-        )
+        z = (
+            h_cat[:state.num_local] @ params[self_weight_name(layer - 1)]
+            + aggregated @ params[weight_name(layer - 1)]
+        ).astype(np.float32, copy=False)
+        bias = params.get(bias_name(layer - 1))
         if bias is not None:
             z += bias
         output = z if is_last else self.ctx.params.activation(z, out=out)
-        return _SAGECache(
-            h_local, aggregated, z, output.astype(np.float32, copy=False)
+        return LayerForwardCache(
+            aggregated=aggregated,
+            h_cat=h_cat,
+            pre_activation=z,
+            output=output.astype(np.float32, copy=False),
+            transform_first=False,
         )
-
-    def forward_layer(
-        self,
-        state: WorkerState,
-        h_cat: np.ndarray,
-        pulled: dict[str, np.ndarray],
-        layer: int,
-        is_last: bool,
-    ) -> None:
-        self.caches[state.worker_id][layer] = self.sage_layer_forward(
-            state,
-            h_cat,
-            pulled[self_weight_name(layer - 1)],
-            pulled[weight_name(layer - 1)],
-            pulled.get(bias_name(layer - 1)),
-            is_last=is_last,
-            out=self._out_buffer(state, layer),
-        )
-
-    def final_logits(self, state: WorkerState) -> np.ndarray:
-        return self.caches[state.worker_id][self.ctx.params.num_layers].output
-
-    def backward_param_names(self, layer: int) -> list[str]:
-        names = [self_weight_name(layer - 1), weight_name(layer - 1)]
-        if self.ctx.params.use_bias:
-            names.append(bias_name(layer - 1))
-        return names
 
     def backward_local(
         self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
     ) -> dict[str, np.ndarray]:
         del weights
-        i = state.worker_id
-        cache = self.caches[i][layer]
+        cache = state.caches[layer]
         g = state.grad_rows[layer]
         shares = {
             self_weight_name(layer - 1): (
-                cache.h_local.T @ g
+                cache.h_cat[:state.num_local].T @ g
             ).astype(np.float32),
             weight_name(layer - 1): (
                 cache.aggregated.T @ g
@@ -789,37 +716,20 @@ class SAGEBackend(_BackendBase):
     def backward_reduce(
         self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
     ) -> None:
-        i = state.worker_id
-        cache_prev = self.caches[i][layer - 1]
         g = state.grad_rows[layer]
         g_cat = self.ctx.workspaces.g_cat(state, self.ctx.params.dims[layer])
         # Self path + transposed mean aggregation path.
         dh = g @ weights[self_weight_name(layer - 1)].T + (
-            self.a_transposed[i] @ g_cat
+            self.a_transposed[state.worker_id] @ g_cat
         ) @ weights[weight_name(layer - 1)].T
         # ``g`` (which the destination may alias) is consumed by now.
         state.grad_rows[layer - 1] = np.multiply(
             dh,
-            self.ctx.params.activation.derivative(cache_prev.z),
+            self.ctx.params.activation.derivative(
+                state.caches[layer - 1].pre_activation
+            ),
             out=self.grad_out(state, layer - 1),
         )
-
-    def eval_layer(
-        self,
-        state: WorkerState,
-        h_cat: np.ndarray,
-        params: dict[str, np.ndarray],
-        layer: int,
-        is_last: bool,
-    ) -> np.ndarray:
-        return self.sage_layer_forward(
-            state,
-            h_cat,
-            params[self_weight_name(layer - 1)],
-            params[weight_name(layer - 1)],
-            params.get(bias_name(layer - 1)),
-            is_last=is_last,
-        ).output
 
 
 # ----------------------------------------------------------------------
@@ -879,31 +789,18 @@ class _EdgeSpace:
         return (shifted / seg_sum[self.src]).astype(np.float32)
 
 
-class _GATCache:
-    """Forward state one worker keeps per layer for the backward pass.
+@dataclass
+class _GATCache(LayerForwardCache):
+    """A layer cache plus the per-head arrays the backward pass reads:
+    one entry per attention head in ``u_cat``, ``logits`` (raw,
+    pre-LeakyReLU scores) and ``alpha``."""
 
-    ``u_cat`` / ``logits`` / ``alpha`` are lists with one entry per
-    attention head.
-    """
-
-    def __init__(
-        self,
-        h_cat: np.ndarray,
-        u_cat: list[np.ndarray],
-        logits: list[np.ndarray],
-        alpha: list[np.ndarray],
-        z: np.ndarray,
-        output: np.ndarray,
-    ) -> None:
-        self.h_cat = h_cat
-        self.u_cat = u_cat
-        self.logits = logits  # raw (pre-LeakyReLU) attention scores
-        self.alpha = alpha
-        self.z = z
-        self.output = output
+    u_cat: list[np.ndarray]
+    logits: list[np.ndarray]
+    alpha: list[np.ndarray]
 
 
-class GATBackend(_BackendBase):
+class GATBackend(ModelBackend):
     """Multi-head, head-averaging GAT (paper section III-B).
 
     The forward halo exchange is the ordinary embedding fetch (so
@@ -947,16 +844,9 @@ class GATBackend(_BackendBase):
                     glorot_uniform((d_out,), rng) * 0.5,
                 )
         self.edges = [_EdgeSpace(state) for state in ctx.workers]
-        self.caches: list[list[_GATCache | None]] = []
 
     def on_membership_change(self) -> None:
         self.edges = [_EdgeSpace(state) for state in self.ctx.workers]
-
-    def begin_iteration(self) -> None:
-        num_layers = self.ctx.params.num_layers
-        self.caches = [[None] * (num_layers + 1) for _ in self.ctx.workers]
-        for state in self.ctx.workers:
-            state.reset_iteration(num_layers)
 
     def layer_param_names(self, layer: int) -> list[str]:
         names = []
@@ -1005,17 +895,16 @@ class GATBackend(_BackendBase):
         self._dh_buffer(state, layer)
         self._pushed_buffer(state, layer)
 
-    def gat_layer_forward(
+    def layer_kernel(
         self,
-        worker: int,
+        state: WorkerState,
         h_cat: np.ndarray,
         params: dict[str, np.ndarray],
         layer: int,
         is_last: bool,
         out: np.ndarray | None = None,
     ) -> _GATCache:
-        """One multi-head GAT layer on a worker's local vertices."""
-        edges = self.edges[worker]
+        edges = self.edges[state.worker_id]
         u_heads, logit_heads, alpha_heads = [], [], []
         z = None
         for head in range(self.num_heads):
@@ -1039,35 +928,15 @@ class GATBackend(_BackendBase):
             z += bias
         output = z if is_last else self.ctx.params.activation(z, out=out)
         return _GATCache(
-            h_cat, u_heads, logit_heads, alpha_heads, z,
-            output.astype(np.float32, copy=False),
+            aggregated=None,
+            h_cat=h_cat,
+            pre_activation=z,
+            output=output.astype(np.float32, copy=False),
+            transform_first=False,
+            u_cat=u_heads,
+            logits=logit_heads,
+            alpha=alpha_heads,
         )
-
-    def forward_layer(
-        self,
-        state: WorkerState,
-        h_cat: np.ndarray,
-        pulled: dict[str, np.ndarray],
-        layer: int,
-        is_last: bool,
-    ) -> None:
-        self.caches[state.worker_id][layer] = self.gat_layer_forward(
-            state.worker_id, h_cat, pulled, layer, is_last=is_last,
-            out=self._out_buffer(state, layer),
-        )
-
-    def final_logits(self, state: WorkerState) -> np.ndarray:
-        return self.caches[state.worker_id][self.ctx.params.num_layers].output
-
-    def backward_param_names(self, layer: int) -> list[str]:
-        names = []
-        for head in range(self.num_heads):
-            names.extend([
-                head_weight_name(layer - 1, head),
-                attn_src_name(layer - 1, head),
-                attn_dst_name(layer - 1, head),
-            ])
-        return names
 
     def backward_local(
         self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
@@ -1075,9 +944,8 @@ class GATBackend(_BackendBase):
         # One worker's partial dH over the cat space (summed over
         # heads) plus its parameter-gradient shares.
         ctx = self.ctx
-        i = state.worker_id
-        edges = self.edges[i]
-        cache = self.caches[i][layer]
+        edges = self.edges[state.worker_id]
+        cache = state.caches[layer]
         # Head averaging: each head sees G / num_heads.
         g = state.grad_rows[layer] / self.num_heads
         shares: dict[str, np.ndarray] = {}
@@ -1139,26 +1007,14 @@ class GATBackend(_BackendBase):
         self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
     ) -> None:
         del weights
-        i = state.worker_id
-        cache_prev = self.caches[i][layer - 1]
         dh_total = (
             self._dh_buffer(state, layer)[:state.num_local]
             + self._pushed_buffer(state, layer)
         )
         state.grad_rows[layer - 1] = np.multiply(
             dh_total,
-            self.ctx.params.activation.derivative(cache_prev.z),
+            self.ctx.params.activation.derivative(
+                state.caches[layer - 1].pre_activation
+            ),
             out=self.grad_out(state, layer - 1),
         )
-
-    def eval_layer(
-        self,
-        state: WorkerState,
-        h_cat: np.ndarray,
-        params: dict[str, np.ndarray],
-        layer: int,
-        is_last: bool,
-    ) -> np.ndarray:
-        return self.gat_layer_forward(
-            state.worker_id, h_cat, params, layer, is_last=is_last
-        ).output

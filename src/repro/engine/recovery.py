@@ -378,11 +378,7 @@ class RecoveryManager:
             if self.reassigner is not None:
                 # Sampled-mode backward channels must be primed before
                 # the next respond() call.
-                prime = getattr(
-                    self.reassigner.backend, "prime_residuals", None
-                )
-                if prime is not None:
-                    prime()
+                self.reassigner.backend.prime_residuals()
         self.watchdog.arm(t, "watchdog_trip")
         if self.watchdog.exhausted:
             from repro.membership.watchdog import DivergenceError

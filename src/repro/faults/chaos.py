@@ -105,6 +105,9 @@ def run_chaos(
     if checkpoint_dir is not None:
         faults = replace(faults, checkpoint_dir=str(checkpoint_dir))
     base = ECGraphConfig(seed=seed, execution=execution)
+    # Built first: a scenario the execution mode refuses (elastic under
+    # multiprocess) fails before the baseline trains.
+    faulty = replace(base, faults=faults)
 
     baseline = run_system(
         system, graph, num_layers=num_layers, hidden_dim=hidden_dim,
@@ -116,7 +119,7 @@ def run_chaos(
     # through the same registry factory directly.
     model = ModelConfig(num_layers=num_layers, hidden_dim=hidden_dim)
     spec = ClusterSpec(num_workers=num_workers)
-    trainer = SYSTEMS[system](graph, model, spec, replace(base, faults=faults), None)
+    trainer = SYSTEMS[system](graph, model, spec, faulty, None)
     try:
         chaos_run = trainer.train(num_epochs, name=f"{system}+{scenario}")
     finally:

@@ -86,6 +86,8 @@ class FaultConfig:
         elastic: Enable elastic membership: a lease/heartbeat-based
             :class:`~repro.membership.MembershipView`, partition
             adoption on permanent loss, and the convergence watchdog.
+            Requires ``enabled=True``, and ``execution="sync"`` (see
+            :class:`~repro.core.config.ECGraphConfig`).
         permanent_failures: ``(epoch, worker)`` pairs; the worker dies
             just before that epoch and never restarts. Requires
             ``elastic=True`` — without adoption the run cannot survive.
@@ -203,6 +205,11 @@ class FaultConfig:
             )
         if self.rejoin_schedule and not self.elastic:
             raise ValueError("rejoin_schedule requires elastic=True")
+        if self.elastic and not self.enabled:
+            raise ValueError(
+                "elastic=True requires enabled=True: membership runs on "
+                "the fault injector, which enabled=False leaves out"
+            )
         if self.heartbeat_interval_s <= 0:
             raise ValueError("heartbeat_interval_s must be positive")
         if self.lease_grace_s < 0:

@@ -29,6 +29,7 @@ from repro.core.worker import (
     build_worker_states,
     fetch_halo_features,
 )
+from repro.engine.backends import ModelBackend
 from repro.engine.context import ExchangeContext
 from repro.graph.csr import CSRGraph
 from repro.membership.view import MembershipView
@@ -57,7 +58,7 @@ class PartitionReassigner:
     def __init__(
         self,
         ctx: ExchangeContext,
-        backend,
+        backend: ModelBackend,
         normalized: CSRGraph,
         partition: Partition,
         membership: MembershipView,

@@ -101,9 +101,7 @@ class ProcessExecutor(KernelRounds):
         child.close()
         self._procs[worker_id] = proc
         self._conns[worker_id] = parent
-        self._shipped_version[worker_id] = getattr(
-            self.backend, "kernel_version", 0
-        )
+        self._shipped_version[worker_id] = self.backend.kernel_version
 
     def _ensure_spawned(self) -> None:
         if self._spawned:
@@ -217,7 +215,7 @@ class ProcessExecutor(KernelRounds):
     def on_epoch_start(self, t: int) -> None:
         self._ensure_spawned()
         self.backend.on_epoch_start(t)
-        version = getattr(self.backend, "kernel_version", 0)
+        version = self.backend.kernel_version
         stale = [
             w
             for w, shipped in sorted(self._shipped_version.items())

@@ -11,8 +11,8 @@ every downstream consumer can rely on the invariants:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -68,17 +68,20 @@ class Partition:
         return int(self.assignment[vertex])
 
 
-class Partitioner(Protocol):
-    """Common interface for all partitioning algorithms.
+class Partitioner:
+    """Base class of every partitioning algorithm.
 
     Partitioners accept either a resident :class:`CSRGraph` or a
     :class:`~repro.graph.store.GraphStore` (possibly out-of-core).
     Adjacency-free methods (hash) never touch the columns; bfs reads
     them once through the store's block API; the quality methods
     (metis, spectral) materialize the topology and are documented as
-    in-memory algorithms. Every method raises
+    in-memory algorithms.
+
+    A subclass writes :meth:`_assign`; :meth:`partition` raises
     ``ValueError("num_parts must be positive")`` for ``num_parts <= 0``
-    before touching the graph.
+    before touching the graph, times the call once, and wraps the
+    assignment in a :class:`Partition`.
     """
 
     name: str
@@ -87,4 +90,19 @@ class Partitioner(Protocol):
         self, graph: CSRGraph | GraphStore, num_parts: int
     ) -> Partition:
         """Divide ``graph`` into ``num_parts`` parts."""
-        ...
+        if num_parts <= 0:
+            raise ValueError("num_parts must be positive")
+        start = time.perf_counter()
+        assignment = self._assign(graph, num_parts)
+        return Partition(
+            assignment=assignment,
+            num_parts=num_parts,
+            method=self.name,
+            seconds=time.perf_counter() - start,
+        )
+
+    def _assign(
+        self, graph: CSRGraph | GraphStore, num_parts: int
+    ) -> np.ndarray:
+        """The owning part of every vertex (``num_parts >= 1``)."""
+        raise NotImplementedError

@@ -13,18 +13,16 @@ whose attributes do not fit in memory.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.store.base import GraphStore, as_topology
-from repro.partition.base import Partition
+from repro.partition.base import Partitioner
 
 __all__ = ["BFSPartitioner"]
 
 
-class BFSPartitioner:
+class BFSPartitioner(Partitioner):
     """Linear Deterministic Greedy placement over a BFS vertex stream."""
 
     name = "bfs"
@@ -40,12 +38,9 @@ class BFSPartitioner:
         self.seed = seed
         self.slack = slack
 
-    def partition(
+    def _assign(
         self, graph: CSRGraph | GraphStore, num_parts: int
-    ) -> Partition:
-        if num_parts <= 0:
-            raise ValueError("num_parts must be positive")
-        start = time.perf_counter()
+    ) -> np.ndarray:
         # The traversal is random-access by nature, so the columns are
         # read once, block by block, into a resident array instead of
         # faulting a storage chunk per frontier hop.
@@ -76,13 +71,7 @@ class BFSPartitioner:
                 best = sizes.index(min(sizes))
             assignment[v] = best
             sizes[best] += 1
-
-        return Partition(
-            assignment=assignment,
-            num_parts=num_parts,
-            method=self.name,
-            seconds=time.perf_counter() - start,
-        )
+        return assignment
 
     @staticmethod
     def _bfs_order(graph: CSRGraph, rng: np.random.Generator) -> np.ndarray:

@@ -8,18 +8,16 @@ locality, so it produces the largest edge cut of the implemented methods.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.store.base import GraphStore
-from repro.partition.base import Partition
+from repro.partition.base import Partitioner
 
 __all__ = ["HashPartitioner"]
 
 
-class HashPartitioner:
+class HashPartitioner(Partitioner):
     """Assign vertex ``v`` to part ``hash(v) % num_parts``.
 
     With ``salt == 0`` this degenerates to ``v % num_parts`` (round-robin),
@@ -38,23 +36,11 @@ class HashPartitioner:
     def __init__(self, salt: int = 0):
         self.salt = salt
 
-    def partition(
+    def _assign(
         self, graph: CSRGraph | GraphStore, num_parts: int
-    ) -> Partition:
-        if num_parts <= 0:
-            raise ValueError("num_parts must be positive")
-        start = time.perf_counter()
-        n = graph.num_vertices
-        ids = np.arange(n, dtype=np.uint64)
+    ) -> np.ndarray:
+        ids = np.arange(graph.num_vertices, dtype=np.uint64)
         if self.salt:
             # Fibonacci hashing: multiply by 2^64 / phi and fold.
-            mixed = (ids + np.uint64(self.salt)) * np.uint64(0x9E3779B97F4A7C15)
-            assignment = (mixed % np.uint64(num_parts)).astype(np.int64)
-        else:
-            assignment = (ids % np.uint64(num_parts)).astype(np.int64)
-        return Partition(
-            assignment=assignment,
-            num_parts=num_parts,
-            method=self.name,
-            seconds=time.perf_counter() - start,
-        )
+            ids = (ids + np.uint64(self.salt)) * np.uint64(0x9E3779B97F4A7C15)
+        return (ids % np.uint64(num_parts)).astype(np.int64)

@@ -43,7 +43,6 @@ key sort so every float64 sum adds in the same order.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 
 import numpy as np
@@ -51,7 +50,7 @@ from scipy.sparse import csr_matrix
 
 from repro.graph.csr import CSRGraph
 from repro.graph.store.base import GraphStore
-from repro.partition.base import Partition
+from repro.partition.base import Partitioner
 
 __all__ = ["MetisLikePartitioner"]
 
@@ -75,7 +74,7 @@ def _part_loads(
     ).astype(np.int64)
 
 
-class MetisLikePartitioner:
+class MetisLikePartitioner(Partitioner):
     """Multilevel heavy-edge-matching partitioner with balanced k-way
     refinement."""
 
@@ -111,12 +110,9 @@ class MetisLikePartitioner:
         self.imbalance = imbalance
 
     # ------------------------------------------------------------------
-    def partition(
+    def _assign(
         self, graph: CSRGraph | GraphStore, num_parts: int
-    ) -> Partition:
-        if num_parts <= 0:
-            raise ValueError("num_parts must be positive")
-        start = time.perf_counter()
+    ) -> np.ndarray:
         if isinstance(graph, GraphStore):
             # Multilevel coarsening is a whole-graph in-memory algorithm;
             # out-of-core inputs are materialized up front. Scale-bound
@@ -124,9 +120,7 @@ class MetisLikePartitioner:
             graph = graph.to_csr()
         rng = np.random.default_rng(self.seed)
         if num_parts == 1:
-            assignment = np.zeros(graph.num_vertices, dtype=np.int64)
-            return Partition(assignment, 1, self.name,
-                             time.perf_counter() - start)
+            return np.zeros(graph.num_vertices, dtype=np.int64)
 
         levels: list[tuple[CSRGraph, np.ndarray, np.ndarray]] = []
         current = graph
@@ -149,13 +143,7 @@ class MetisLikePartitioner:
             assignment = self._refine(
                 fine_graph, fine_weight, assignment, num_parts, rng
             )
-
-        return Partition(
-            assignment=assignment,
-            num_parts=num_parts,
-            method=self.name,
-            seconds=time.perf_counter() - start,
-        )
+        return assignment
 
     # ------------------------------------------------------------------
     def _coarsen(

@@ -17,15 +17,13 @@ a region assigned ``k`` parts is bisected into ``ceil(k/2)`` and
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from repro.graph.csr import CSRGraph
 from repro.graph.store.base import GraphStore
-from repro.partition.base import Partition
+from repro.partition.base import Partitioner
 
 __all__ = ["SpectralPartitioner"]
 
@@ -34,7 +32,7 @@ __all__ = ["SpectralPartitioner"]
 _DENSE_FALLBACK_BELOW = 2048
 
 
-class SpectralPartitioner:
+class SpectralPartitioner(Partitioner):
     """Recursive spectral bisection."""
 
     name = "spectral"
@@ -48,12 +46,9 @@ class SpectralPartitioner:
         self.seed = seed
         self.dense_below = max(dense_below, 8)
 
-    def partition(
+    def _assign(
         self, graph: CSRGraph | GraphStore, num_parts: int
-    ) -> Partition:
-        if num_parts <= 0:
-            raise ValueError("num_parts must be positive")
-        start = time.perf_counter()
+    ) -> np.ndarray:
         if isinstance(graph, GraphStore):
             # Eigensolves need the whole operator; materialize up front
             # (spectral cuts are a small-graph quality option anyway).
@@ -71,12 +66,7 @@ class SpectralPartitioner:
                 first_part=0,
                 num_parts=num_parts,
             )
-        return Partition(
-            assignment=assignment,
-            num_parts=num_parts,
-            method=self.name,
-            seconds=time.perf_counter() - start,
-        )
+        return assignment
 
     # ------------------------------------------------------------------
     def _bisect(

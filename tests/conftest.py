@@ -240,7 +240,7 @@ class _ReferenceKernels:
 
     @staticmethod
     def gat_layer_forward(backend, worker, h_cat, params, layer, is_last):
-        """Returns ``(z, output)`` of ``GATBackend.gat_layer_forward``."""
+        """Returns ``(z, output)`` of ``GATBackend.layer_kernel``."""
         from repro.core.models import bias_name
         from repro.engine.backends import _leaky
 
@@ -708,7 +708,10 @@ def reference_setup():
 # ----------------------------------------------------------------------
 def _make_reference_reqec_policy():
     from repro.core.messages import ChannelKey, ChannelMessage, ReceiveResult
-    from repro.core.reqec_fp import _HEADER_BYTES, ReqECPolicy, TrendState
+    from repro.compression.quantization import (
+        MATRIX_PREFIX_BYTES as _HEADER_BYTES,
+    )
+    from repro.core.reqec_fp import ReqECPolicy, TrendState
 
     class _ReferenceReqECPolicy(ReqECPolicy):
         def respond(

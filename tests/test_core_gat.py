@@ -55,11 +55,10 @@ class TestGradientsAgainstFiniteDifferences:
                     [outputs[state.worker_id], halos[state.worker_id]],
                     axis=0,
                 )
-                cache = trainer.engine.backend.gat_layer_forward(
-                    state.worker_id, h_cat, params, layer,
+                new_outputs.append(trainer.engine.backend.eval_layer(
+                    state, h_cat, params, layer,
                     is_last=(layer == num_layers),
-                )
-                new_outputs.append(cache.output)
+                ))
             outputs = new_outputs
             # Prepare halos for the next layer from the owners' outputs.
             outputs_prev_halo = []

@@ -264,9 +264,9 @@ class TestDifferentialBackendsInSitu:
                 pulled.get(bias_name(layer - 1)), act, is_last,
             )
             forward(state, h_cat, pulled, layer, is_last=is_last)
-            cache = backend.caches[state.worker_id][layer]
+            cache = state.caches[layer]
             for got, ref in zip(
-                (cache.aggregated, cache.z, cache.output), want
+                (cache.aggregated, cache.pre_activation, cache.output), want
             ):
                 same_bits(got, ref)
             checked["fwd"] += 1
@@ -279,7 +279,7 @@ class TestDifferentialBackendsInSitu:
                 state.grad_rows[layer].copy(), g_cat[n:].copy(),
                 weights[self_weight_name(layer - 1)],
                 weights[weight_name(layer - 1)],
-                backend.caches[state.worker_id][layer - 1].z, act,
+                state.caches[layer - 1].pre_activation, act,
             )
             reduce_(state, layer, weights)
             same_bits(state.grad_rows[layer - 1], want)
@@ -307,8 +307,8 @@ class TestDifferentialBackendsInSitu:
                 backend, state.worker_id, h_cat.copy(), pulled, layer, is_last
             )
             forward(state, h_cat, pulled, layer, is_last=is_last)
-            cache = backend.caches[state.worker_id][layer]
-            same_bits(cache.z, z_ref)
+            cache = state.caches[layer]
+            same_bits(cache.pre_activation, z_ref)
             same_bits(cache.output, h_ref)
             checked["fwd"] += 1
 
@@ -317,7 +317,7 @@ class TestDifferentialBackendsInSitu:
             want = reference_kernels.gat_backward_reduce(
                 backend._dh_buffer(state, layer)[:n].copy(),
                 backend._pushed_buffer(state, layer).copy(),
-                backend.caches[state.worker_id][layer - 1].z, act,
+                state.caches[layer - 1].pre_activation, act,
             )
             reduce_(state, layer, weights)
             same_bits(state.grad_rows[layer - 1], want)

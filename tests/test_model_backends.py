@@ -1,4 +1,4 @@
-"""ModelBackend protocol, staged-engine equivalence, and the satellite
+"""The ModelBackend skeleton, staged-engine equivalence, and the satellite
 behaviours that landed with the engine refactor (configurable Bit-Tuner
 thresholds, corrupt-checkpoint fallback)."""
 
@@ -55,6 +55,11 @@ def _make_trainer(arch: str, graph, **config_kwargs):
             graph, ModelConfig(num_layers=2, hidden_dim=12), SPEC,
             config, backend=GATBackend(num_heads=2),
         )
+    if arch == "sampled":
+        return ECGraphTrainer(
+            graph, ModelConfig(num_layers=2, hidden_dim=12), SPEC,
+            config, backend=SampledGCNBackend([3, 3], online=True),
+        )
     raise AssertionError(arch)
 
 
@@ -84,10 +89,10 @@ class TestModelBackendProtocol:
 class TestStagedEngineMatchesRunEpoch:
     """Driving the stages directly produces ``run_epoch``'s exact losses."""
 
-    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
+    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat", "sampled"])
     def test_forward_backward_equivalence(self, arch, graph):
         epochs = 3
-        fp_mode = "compress" if arch == "gat" else "reqec"
+        fp_mode = "compress" if arch in ("gat", "sampled") else "reqec"
 
         facade = _make_trainer(arch, graph, fp_mode=fp_mode)
         facade_losses = [facade.run_epoch(t).loss for t in range(epochs)]

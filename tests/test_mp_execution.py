@@ -205,12 +205,31 @@ class TestBackpressure:
 
 
 class TestGates:
-    def test_elastic_membership_is_rejected(self, graph):
-        trainer = _mp_trainer(
-            graph, faults=FaultConfig(elastic=True)
-        )
-        with pytest.raises(ValueError, match="elastic"):
-            trainer.setup()
+    """Both elastic refusals come when the config is built — before any
+    partitioning, worker build or fork."""
+
+    def test_elastic_membership_is_rejected(self):
+        with pytest.raises(ValueError, match="does not support elastic"):
+            ECGraphConfig(
+                execution="multiprocess",
+                faults=FaultConfig(enabled=True, elastic=True),
+            )
+
+    def test_elastic_without_fault_injection_is_rejected(self):
+        # Under sync this used to train as if elastic were off.
+        with pytest.raises(ValueError, match="requires enabled=True"):
+            FaultConfig(elastic=True)
+
+    def test_chaos_refuses_before_the_baseline_trains(self, graph, monkeypatch):
+        from repro.faults import chaos
+
+        def never(*args, **kwargs):
+            raise AssertionError("the baseline trained")
+
+        monkeypatch.setattr(chaos, "run_system", never)
+        with pytest.raises(ValueError, match="does not support elastic"):
+            chaos.run_chaos(graph, "worker-loss", num_workers=3,
+                            num_epochs=4, execution="multiprocess")
 
 
 class TestConfigSurface:

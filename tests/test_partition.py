@@ -11,6 +11,7 @@ from repro.partition import (
     MetisLikePartitioner,
     SpectralPartitioner,
     Partition,
+    Partitioner,
     make_partitioner,
     partition_stats,
 )
@@ -103,6 +104,42 @@ class TestDegenerateInputs:
         assert partition.part_sizes().sum() == 4
         # Nobody shares a part when there are parts to spare.
         assert partition.part_sizes().max() == 1
+
+
+@pytest.mark.parametrize("partitioner", ALL_PARTITIONERS,
+                         ids=lambda p: p.name)
+class TestOnePartitionSkeleton:
+    """``Partitioner.partition`` validates, times and wraps; a method
+    writes only ``_assign``."""
+
+    def test_method_writes_only_the_assignment(self, partitioner):
+        assert isinstance(partitioner, Partitioner)
+        assert "partition" not in vars(type(partitioner))
+        assert "_assign" in vars(type(partitioner))
+
+    def test_result_names_its_method(self, partitioner, community_graph):
+        for num_parts in (1, 3):
+            partition = partitioner.partition(community_graph, num_parts)
+            assert partition.method == partitioner.name
+            assert partition.num_parts == num_parts
+
+
+def test_partitioning_reads_the_clock_in_one_place():
+    import ast
+    from pathlib import Path
+
+    import repro.partition
+
+    reads = {}
+    for path in sorted(Path(repro.partition.__file__).parent.glob("*.py")):
+        calls = [
+            node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "perf_counter"
+        ]
+        if calls:
+            reads[path.name] = len(calls)
+    assert reads == {"base.py": 2}
 
 
 class TestHash:

@@ -73,6 +73,8 @@ RETIRED_NAMES = (
     "write_trace", "record_event",
     "repro.cluster.nfs", "health_rho", "epoch_snapshots",
     "codec_seconds", "_charge_compute", "_bp_span_stages",
+    "_BackendBase", "backward_param_names", "sage_layer_forward",
+    "gat_layer_forward", "_SAGECache",
 )
 CHECKPOINT = REPO / "src" / "repro" / "core" / "checkpoint.py"
 
@@ -127,7 +129,62 @@ class TestRetiredNamesStayGone:
         assert not any("def " in line or "return" in line for line in exempt)
 
 
+MULTIPROCESS_STEP = "Multiprocess equivalence + behaviour tests"
+
+
+def _multiprocess_lane_modules(ci: str) -> set[str]:
+    """Test modules the CI multiprocess step runs."""
+    step = ci.split(f"- name: {MULTIPROCESS_STEP}\n", 1)[1]
+    return set(re.findall(r"tests/(test_\w+\.py)", step.split("- name:", 1)[0]))
+
+
+def _asks_for_multiprocess(source: str) -> bool:
+    """The module passes ``execution="multiprocess"`` as a keyword, or
+    lists it among the values of a parametrized ``execution``."""
+    def multiprocess(node: ast.AST) -> bool:
+        return any(
+            isinstance(n, ast.Constant) and n.value == "multiprocess"
+            for n in ast.walk(node)
+        )
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg == "execution":
+            if multiprocess(node.value):
+                return True
+        elif (
+            isinstance(node, ast.Call) and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == "execution"
+            and any(multiprocess(arg) for arg in node.args[1:])
+        ):
+            return True
+    return False
+
+
 class TestContinuousIntegration:
+    def test_multiprocess_lane_runs_every_multiprocess_module(self):
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        wanted = {
+            path.name for path in sorted((REPO / "tests").glob("test_*.py"))
+            if _asks_for_multiprocess(path.read_text())
+        }
+        assert "test_engine_equivalence.py" in wanted
+        assert wanted - _multiprocess_lane_modules(ci) == set()
+
+    def test_the_lane_guard_sees_a_multiprocess_module(self):
+        assert _asks_for_multiprocess(
+            "t = make(graph, execution='multiprocess')\n"
+        )
+        assert _asks_for_multiprocess(
+            "@pytest.mark.parametrize('execution', ['sync', 'multiprocess'])\n"
+            "def test_x(execution):\n"
+            "    pass\n"
+        )
+        assert not _asks_for_multiprocess(
+            "ARGS = ['--execution', 'multiprocess']\n"
+            "t = make(graph, execution='sync')\n"
+        )
+
     def test_runs_one_bench_smoke_step(self):
         ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
         runs = re.findall(r"python -m repro bench[^\n]*", ci)
@@ -336,6 +393,97 @@ class TestOneComputeChargingSeam:
         assert _kernel_op_table(EXECUTOR.read_text()) == (
             KERNEL_OPS | KERNEL_CALLS
         )
+
+
+# ----------------------------------------------------------------------
+# One backend skeleton: ``ModelBackend`` owns the plumbing, so a backend
+# in ``engine/backends.py`` writes math only. GCN alone keeps its own
+# forward and eval kernels; nobody resets or reads caches of its own.
+# ----------------------------------------------------------------------
+BACKENDS = REPO / "src" / "repro" / "engine" / "backends.py"
+OWN_KERNELS = {"forward_layer", "eval_layer"}
+BASE_ONLY = {"begin_iteration", "final_logits", "backward_param_names"}
+
+
+def _model_backend_subclasses(source: str) -> dict[str, ast.ClassDef]:
+    """Module-level classes deriving, directly or not, from ``ModelBackend``."""
+    classes = {
+        node.name: node for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+    }
+    found: dict[str, ast.ClassDef] = {}
+    grew = True
+    while grew:
+        grew = False
+        for name, node in classes.items():
+            bases = {getattr(base, "id", "") for base in node.bases}
+            if name not in found and bases & (set(found) | {"ModelBackend"}):
+                found[name] = node
+                grew = True
+    return found
+
+
+def _backend_skeleton_offenders(source: str) -> list[str]:
+    """``Class.name`` of every plumbing hook a ``ModelBackend`` subclass
+    redefines, and of every ``self.caches`` it assigns."""
+    offenders = []
+    for name, node in sorted(_model_backend_subclasses(source).items()):
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and (
+                item.name in BASE_ONLY
+                or (item.name in OWN_KERNELS and name != "GCNBackend")
+            ):
+                offenders.append(f"{name}.{item.name}")
+        for sub in ast.walk(node):
+            targets = (
+                sub.targets if isinstance(sub, ast.Assign)
+                else [sub.target] if isinstance(sub, (ast.AnnAssign, ast.AugAssign))
+                else []
+            )
+            offenders += [
+                f"{name}.self.caches" for target in targets
+                if isinstance(target, ast.Attribute)
+                and target.attr == "caches"
+                and getattr(target.value, "id", "") == "self"
+            ]
+    return offenders
+
+
+class TestOneBackendSkeleton:
+    def test_backends_write_math_only(self):
+        source = BACKENDS.read_text()
+        assert set(_model_backend_subclasses(source)) == {
+            "GCNBackend", "SampledGCNBackend", "SAGEBackend", "GATBackend",
+        }
+        assert _backend_skeleton_offenders(source) == []
+
+    def test_every_backend_subclasses_model_backend(self):
+        from repro.engine import backends
+
+        for name in ("GCNBackend", "SampledGCNBackend", "SAGEBackend",
+                     "GATBackend"):
+            assert issubclass(getattr(backends, name), backends.ModelBackend)
+        assert "Protocol" not in BACKENDS.read_text()
+
+    def test_the_skeleton_guard_sees_a_private_copy(self):
+        sample = (
+            "class ModelBackend:\n"
+            "    def forward_layer(self): pass\n"
+            "class GCNBackend(ModelBackend):\n"
+            "    def eval_layer(self): pass\n"
+            "class Sampled(GCNBackend):\n"
+            "    def forward_layer(self): pass\n"
+            "class Other(ModelBackend):\n"
+            "    def bind(self):\n"
+            "        self.caches: list = []\n"
+            "    def final_logits(self): pass\n"
+            "class Unrelated:\n"
+            "    def begin_iteration(self): pass\n"
+        )
+        assert _backend_skeleton_offenders(sample) == [
+            "Other.final_logits", "Other.self.caches",
+            "Sampled.forward_layer",
+        ]
 
 
 def _documented_names():

@@ -168,3 +168,51 @@ class TestFramesMatchPreRewriteCodec:
         assert frame[at + 8 + len(want_selector):] == (
             encode_quantized(quantized)
         )
+
+
+class TestFrameSizesHaveOneOwner:
+    """The frame-header and shape-word sizes are defined once, in
+    ``compression/quantization.py``; everything else imports them."""
+
+    def test_sizes_are_what_the_serializer_writes(self):
+        from repro.cluster.serialize import HEADER_BYTES, encode_raw
+        from repro.compression.quantization import (
+            FRAME_HEADER_BYTES,
+            MATRIX_PREFIX_BYTES,
+            SHAPE_WORD_BYTES,
+        )
+
+        empty = np.zeros((0, 3), dtype=np.float32)
+        assert HEADER_BYTES == FRAME_HEADER_BYTES == 16
+        assert len(encode_raw(empty)) == MATRIX_PREFIX_BYTES == (
+            FRAME_HEADER_BYTES + SHAPE_WORD_BYTES
+        )
+
+    def test_no_module_spells_them_again(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        owner = Path(repro.__file__).parent / "compression" / "quantization.py"
+        offenders = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                redefined = (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Constant)
+                    and any(getattr(t, "id", "").endswith("HEADER_BYTES")
+                            for t in node.targets)
+                )
+                # ``16 + 8 [+ ...]``: the prefix as literals.
+                literal_prefix = (
+                    isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Add)
+                    and isinstance(node.right, ast.Constant)
+                    and node.right.value == 8
+                    and isinstance(node.left, ast.Constant)
+                    and node.left.value == 16
+                )
+                if (redefined and path != owner) or literal_prefix:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
