@@ -104,13 +104,17 @@ class MLCenteredTrainer:
         name: str = "ml-centered",
     ):
         """Args:
-        cache_fanouts: Per-hop cap on cached in-neighbours. AliGraph-FG
+        cache_fanouts: Per-hop cap (>= 1) on cached in-neighbours. AliGraph-FG
             uses a uniform storage cap; AGL uses its sampling ratios.
         config: Reused for optimizer/learning-rate/seed settings; the
             exchange-policy fields are ignored (no halo exchange here).
         """
         if len(cache_fanouts) != model_config.num_layers:
             raise ValueError("need one cache fanout per layer")
+        if min(cache_fanouts) < 1:
+            raise ValueError(
+                f"cache fanouts must be >= 1, got {list(cache_fanouts)}"
+            )
         self.graph = graph
         self.model_config = model_config
         self.spec = cluster_spec

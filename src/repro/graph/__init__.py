@@ -1,6 +1,7 @@
 """Graph substrate: CSR storage, attributed graphs, normalization,
-synthetic generators matched to the paper's datasets, subgraph extraction
-and (de)serialization.
+the streaming generators behind the paper-matched datasets, subgraph
+extraction and the on-disk ECGSTORE directory (``to_mmap_bundle`` writes
+one, ``open_bundle`` validates and reopens it).
 """
 
 from repro.graph.attributed import AttributedGraph, make_split_masks
@@ -13,16 +14,15 @@ from repro.graph.datasets import (
     load_dataset,
     scale_factor,
 )
-from repro.graph.generators import GraphSpec, generate_graph
-from repro.graph.io import load_graph, save_graph
+from repro.graph.generators import GraphSpec
 from repro.graph.normalize import gcn_normalize, normalized_adjacency, row_normalize
-from repro.graph.rmat import RMATSpec, generate_rmat_graph
+from repro.graph.rmat import RMATSpec
+from repro.graph.store import open_bundle, to_mmap_bundle
+from repro.graph.streaming import stream_graph, stream_rmat_graph
 from repro.graph.subgraph import (
     LocalSubgraph,
     induced_subgraph,
     induced_subgraphs,
-    khop_neighborhood,
-    khop_sampled_neighborhood,
 )
 
 __all__ = [
@@ -38,17 +38,15 @@ __all__ = [
     "load_dataset",
     "scale_factor",
     "GraphSpec",
-    "generate_graph",
-    "load_graph",
-    "save_graph",
     "RMATSpec",
-    "generate_rmat_graph",
+    "stream_graph",
+    "stream_rmat_graph",
+    "open_bundle",
+    "to_mmap_bundle",
     "gcn_normalize",
     "normalized_adjacency",
     "row_normalize",
     "LocalSubgraph",
     "induced_subgraph",
     "induced_subgraphs",
-    "khop_neighborhood",
-    "khop_sampled_neighborhood",
 ]

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.graph.attributed import AttributedGraph
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.generators import GraphSpec
+from repro.graph.streaming import stream_graph
 
 __all__ = ["PAPER_STATS", "DatasetStats", "dataset_names", "dataset_spec",
            "load_dataset", "scale_factor"]
@@ -158,7 +159,7 @@ def load_dataset(name: str, profile: str = "full", seed: int = 0) -> AttributedG
     scale factor so experiment reports can surface the substitution.
     """
     spec = dataset_spec(name, profile, seed)
-    graph = generate_graph(spec)
+    graph = stream_graph(spec).materialize()
     stats = PAPER_STATS[name]
     graph.meta.update(
         paper_vertices=stats.num_vertices,

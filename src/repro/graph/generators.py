@@ -1,4 +1,4 @@
-"""Synthetic attributed-graph generators.
+"""Synthetic attributed-graph specifications.
 
 The paper's experiments run on public graphs (Cora, Pubmed, Reddit,
 OGBN-Products, OGBN-Papers) that cannot be downloaded in this offline
@@ -11,8 +11,10 @@ DESIGN.md section 2). GCN behaviour on these benchmarks is driven by
   far more sensitive to message quantization than sparse ones (Cora, 3.9),
 * **feature informativeness** — noisy class-conditional features.
 
-The generator therefore plants a community structure (a degree-corrected
-stochastic block model) and attaches Gaussian class-centroid features.
+A :class:`GraphSpec` describes one such graph: a planted community
+structure (a degree-corrected stochastic block model) with Gaussian
+class-centroid features. :func:`repro.graph.streaming.stream_graph`
+builds it, in RAM or straight into an on-disk store.
 """
 
 from __future__ import annotations
@@ -21,11 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.attributed import AttributedGraph, make_split_masks
-from repro.graph.csr import from_edge_list
-
-__all__ = ["GraphSpec", "generate_graph", "planted_partition_edges",
-           "class_features", "power_law_degrees"]
+__all__ = ["GraphSpec", "power_law_degrees"]
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,16 @@ class GraphSpec:
             raise ValueError("homophily must be in [0, 1]")
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
+        if self.num_classes > self.num_vertices:
+            raise ValueError("num_classes must not exceed num_vertices")
+        if self.feature_dim < 1:
+            raise ValueError("feature_dim must be >= 1")
         if self.avg_degree <= 0:
             raise ValueError("avg_degree must be positive")
+        if self.power_law < 0:
+            raise ValueError("power_law must be >= 0 (0 = uniform degrees)")
+        if self.feature_noise < 0:
+            raise ValueError("feature_noise must be >= 0")
         if not 0.0 <= self.label_noise < 1.0:
             raise ValueError("label_noise must be in [0, 1)")
 
@@ -98,137 +104,3 @@ def power_law_degrees(
     raw = rng.pareto(shape, size=num_vertices) + 1.0
     scaled = raw * (avg_degree / raw.mean())
     return np.clip(np.round(scaled), 1, num_vertices - 1).astype(np.int64)
-
-
-def planted_partition_edges(
-    labels: np.ndarray,
-    degrees: np.ndarray,
-    homophily: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample undirected edges from a degree-corrected planted partition.
-
-    Each vertex v draws ``degrees[v]`` neighbour stubs; each stub picks a
-    same-class partner with probability ``homophily`` and a uniformly random
-    other vertex otherwise. Self-loops and duplicate arcs are dropped. The
-    returned ``(m, 2)`` array contains each undirected edge once with
-    ``src < dst``.
-    """
-    n = labels.shape[0]
-    num_classes = int(labels.max()) + 1
-    members = [np.flatnonzero(labels == c) for c in range(num_classes)]
-    src_list = []
-    dst_list = []
-    # The expected undirected edge count is sum(degrees)/2: each stub
-    # creates one endpoint of an undirected edge.
-    stubs = np.maximum(degrees // 2, 1)
-    for v in range(n):
-        k = int(stubs[v])
-        same = rng.random(k) < homophily
-        partners = np.empty(k, dtype=np.int64)
-        n_same = int(same.sum())
-        if n_same:
-            pool = members[labels[v]]
-            partners[same] = pool[rng.integers(0, pool.size, size=n_same)]
-        n_diff = k - n_same
-        if n_diff:
-            partners[~same] = rng.integers(0, n, size=n_diff)
-        keep = partners != v
-        src_list.append(np.full(int(keep.sum()), v, dtype=np.int64))
-        dst_list.append(partners[keep])
-    src = np.concatenate(src_list) if src_list else np.empty(0, dtype=np.int64)
-    dst = np.concatenate(dst_list) if dst_list else np.empty(0, dtype=np.int64)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    keys = lo * n + hi
-    _, keep_idx = np.unique(keys, return_index=True)
-    return np.stack([lo[keep_idx], hi[keep_idx]], axis=1)
-
-
-def class_features(
-    labels: np.ndarray,
-    feature_dim: int,
-    noise: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Gaussian class-centroid features, scaled to roughly unit entries.
-
-    Centroids are drawn once per class with entries ``N(0, 1)/sqrt(d)``;
-    each vertex gets its class centroid plus ``N(0, noise^2/d)`` noise, so
-    feature magnitudes are comparable across dimensionalities and the
-    signal-to-noise ratio is governed only by ``noise``.
-    """
-    num_classes = int(labels.max()) + 1
-    scale = 1.0 / np.sqrt(feature_dim)
-    centroids = rng.standard_normal((num_classes, feature_dim)) * scale
-    features = centroids[labels] + rng.standard_normal(
-        (labels.shape[0], feature_dim)
-    ) * (noise * scale)
-    return features.astype(np.float32)
-
-
-def generate_graph(spec: GraphSpec) -> AttributedGraph:
-    """Generate the attributed graph described by ``spec``.
-
-    The output adjacency is symmetric (both arcs stored), which matches the
-    undirected citation/social graphs of the paper's evaluation.
-    """
-    rng = np.random.default_rng(spec.seed)
-    labels = rng.integers(0, spec.num_classes, size=spec.num_vertices)
-    # Guarantee every class is inhabited so the classifier head is well posed.
-    labels[:spec.num_classes] = np.arange(spec.num_classes)
-
-    if spec.power_law > 0:
-        degrees = power_law_degrees(
-            spec.num_vertices, spec.avg_degree, spec.power_law, rng
-        )
-    else:
-        jitter = rng.integers(-1, 2, size=spec.num_vertices)
-        degrees = np.clip(
-            np.round(spec.avg_degree + jitter), 1, spec.num_vertices - 1
-        ).astype(np.int64)
-
-    undirected = planted_partition_edges(labels, degrees, spec.homophily, rng)
-    both_arcs = np.concatenate([undirected, undirected[:, ::-1]], axis=0)
-    adjacency = from_edge_list(both_arcs, spec.num_vertices, deduplicate=True)
-
-    features = class_features(labels, spec.feature_dim, spec.feature_noise, rng)
-
-    observed_labels = labels
-    if spec.label_noise > 0.0:
-        observed_labels = labels.copy()
-        flip = rng.random(spec.num_vertices) < spec.label_noise
-        observed_labels[flip] = rng.integers(
-            0, spec.num_classes, size=int(flip.sum())
-        )
-
-    train = spec.train or max(spec.num_classes * 20, spec.num_vertices // 10)
-    val = spec.val or max(spec.num_vertices // 20, spec.num_classes)
-    test = spec.test or max(spec.num_vertices // 5, spec.num_classes)
-    total = train + val + test
-    if total > spec.num_vertices:
-        # Shrink proportionally; tiny graphs in unit tests hit this path.
-        ratio = spec.num_vertices / (total + 1)
-        train = max(int(train * ratio), 1)
-        val = max(int(val * ratio), 1)
-        test = max(int(test * ratio), 1)
-    masks = make_split_masks(spec.num_vertices, train, val, test, rng)
-
-    return AttributedGraph(
-        adjacency=adjacency,
-        features=features,
-        labels=observed_labels,
-        train_mask=masks[0],
-        val_mask=masks[1],
-        test_mask=masks[2],
-        num_classes=spec.num_classes,
-        name=spec.name,
-        meta={
-            "generator": "planted_partition",
-            "homophily": spec.homophily,
-            "power_law": spec.power_law,
-            "label_noise": spec.label_noise,
-            "seed": spec.seed,
-            "target_avg_degree": spec.avg_degree,
-        },
-    )

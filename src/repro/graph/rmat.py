@@ -1,24 +1,18 @@
-"""R-MAT (recursive matrix) graph generator.
+"""R-MAT (recursive matrix) graph specification.
 
-The planted-partition generator in :mod:`repro.graph.generators` produces
+The planted-partition graphs of :mod:`repro.graph.generators` carry
 learnable community structure; R-MAT produces the opposite stress case —
 heavily skewed, community-free graphs like web crawls — which is the
 worst case for edge-cut partitioners and a good adversarial input for
 the communication layer (huge hubs concentrate halo traffic on few
-workers).
+workers). :func:`repro.graph.streaming.stream_rmat_graph` builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.graph.attributed import AttributedGraph, make_split_masks
-from repro.graph.csr import from_edge_list
-from repro.graph.generators import class_features
-
-__all__ = ["RMATSpec", "rmat_edges", "generate_rmat_graph"]
+__all__ = ["RMATSpec"]
 
 
 @dataclass(frozen=True)
@@ -52,67 +46,13 @@ class RMATSpec:
         total = self.a + self.b + self.c
         if min(self.a, self.b, self.c) < 0 or total >= 1.0:
             raise ValueError("need a, b, c >= 0 and a + b + c < 1")
+        if self.feature_dim < 1:
+            raise ValueError("feature_dim must be >= 1")
+        if not 2 <= self.num_classes <= self.num_vertices:
+            raise ValueError(
+                f"num_classes must be in [2, {self.num_vertices}]"
+            )
 
     @property
     def num_vertices(self) -> int:
         return 1 << self.scale
-
-
-def rmat_edges(spec: RMATSpec, rng: np.random.Generator) -> np.ndarray:
-    """Sample the edge list of an R-MAT graph (vectorized recursion).
-
-    Each edge picks one quadrant per bit level; accumulating the chosen
-    bits yields the endpoints. Self-loops are dropped, duplicates kept
-    (deduplication happens in CSR construction).
-    """
-    num_edges = spec.num_vertices * spec.edge_factor
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
-    p_a, p_b, p_c = spec.a, spec.b, spec.c
-    for _ in range(spec.scale):
-        draw = rng.random(num_edges)
-        # Quadrants: a = (0,0), b = (0,1), c = (1,0), d = (1,1); the
-        # first bit belongs to src, the second to dst.
-        src_bit = draw >= p_a + p_b
-        dst_bit = ((draw >= p_a) & (draw < p_a + p_b)) | (
-            draw >= p_a + p_b + p_c
-        )
-        src = (src << 1) | src_bit
-        dst = (dst << 1) | dst_bit
-    keep = src != dst
-    return np.stack([src[keep], dst[keep]], axis=1)
-
-
-def generate_rmat_graph(spec: RMATSpec) -> AttributedGraph:
-    """Build an attributed R-MAT graph (symmetric arcs, random labels)."""
-    rng = np.random.default_rng(spec.seed)
-    edges = rmat_edges(spec, rng)
-    both = np.concatenate([edges, edges[:, ::-1]], axis=0)
-    adjacency = from_edge_list(both, spec.num_vertices, deduplicate=True)
-
-    labels = rng.integers(0, spec.num_classes, spec.num_vertices)
-    labels[:spec.num_classes] = np.arange(spec.num_classes)
-    features = class_features(labels, spec.feature_dim, noise=2.0, rng=rng)
-
-    n = spec.num_vertices
-    train = max(n // 10, spec.num_classes)
-    val = max(n // 20, 1)
-    test = max(n // 5, 1)
-    masks = make_split_masks(n, train, val, test, rng)
-    return AttributedGraph(
-        adjacency=adjacency,
-        features=features,
-        labels=labels,
-        train_mask=masks[0],
-        val_mask=masks[1],
-        test_mask=masks[2],
-        num_classes=spec.num_classes,
-        name=f"rmat-{spec.scale}",
-        meta={
-            "generator": "rmat",
-            "scale": spec.scale,
-            "edge_factor": spec.edge_factor,
-            "quadrants": (spec.a, spec.b, spec.c),
-            "seed": spec.seed,
-        },
-    )

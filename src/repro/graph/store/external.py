@@ -14,8 +14,8 @@ backend, writable npy memmaps for the mmap backend.
 ``from_edge_list(both_arcs, deduplicate=True)`` produces from a
 key-sorted unique undirected edge list: row ``v`` holds the forward
 targets (``hi`` ascending) followed by the reverse sources (``lo``
-ascending). That determinism is what lets the streaming SBM generator
-stay bit-identical to :func:`repro.graph.generators.generate_graph`.
+ascending). That determinism is what keeps the SBM generator's bytes
+independent of its chunking and backend.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ On-disk layout (one directory per graph)::
 Chunk ``c`` always covers vertex rows ``[c*cv, min((c+1)*cv, n))`` —
 edge chunks are aligned to the same vertex boundaries, so a vertex's
 adjacency row never spans two files and row-range reads touch exactly
-the chunks that contain them.
+the chunks that contain them. :func:`open_bundle` checks every file's
+npy header and size against the manifest before it hands out a store.
 
 Residency: each store keeps an :class:`ChunkCache` of open ``np.memmap``
 objects with a block budget. Eviction advises the kernel to drop the
@@ -241,18 +242,12 @@ class MmapGraphStore(GraphStore):
     def __init__(
         self,
         root: str | Path,
-        num_vertices: int,
         chunk_vertices: int,
         weighted: bool,
         max_resident_blocks: int = DEFAULT_RESIDENT_BLOCKS,
     ) -> None:
         self._root = Path(root)
         self._indptr = np.load(self._root / "indptr.npy", mmap_mode="r")
-        if self._indptr.shape[0] != num_vertices + 1:
-            raise ValueError(
-                f"indptr has {self._indptr.shape[0]} entries, manifest "
-                f"says {num_vertices + 1}"
-            )
         self._chunk_vertices = int(chunk_vertices)
         self._weighted = bool(weighted)
         self.cache = ChunkCache(max_resident_blocks)
@@ -545,19 +540,104 @@ class MmapStoreWriter:
 # ----------------------------------------------------------------------
 # Bundle-level open/convert
 # ----------------------------------------------------------------------
+def _check_npy(path: Path, shape: tuple[int, ...], dtype: np.dtype) -> None:
+    """Raise the format error unless ``path`` is an npy file of exactly
+    ``shape`` and ``dtype`` with every data byte present."""
+    if not path.is_file():
+        raise ValueError(f"store file {path} is missing")
+    try:
+        with open(path, "rb") as fh:
+            version = np.lib.format.read_magic(fh)
+            read_header = (
+                np.lib.format.read_array_header_1_0 if version == (1, 0)
+                else np.lib.format.read_array_header_2_0
+            )
+            found_shape, fortran, found_dtype = read_header(fh)
+            data_offset = fh.tell()
+    except ValueError as exc:
+        raise ValueError(f"store file {path} is not an npy file: {exc}") from None
+    if tuple(found_shape) != shape or found_dtype != dtype or fortran:
+        order = " (Fortran order)" if fortran else ""
+        raise ValueError(
+            f"store file {path} holds {found_dtype} {tuple(found_shape)}"
+            f"{order}, the manifest implies {dtype} {shape}"
+        )
+    expected = data_offset + int(np.prod(shape)) * dtype.itemsize
+    size = path.stat().st_size
+    if size != expected:
+        raise ValueError(
+            f"store file {path} is {size} bytes, its header implies {expected}"
+        )
+
+
+def _validate_store(root: Path, manifest: dict) -> None:
+    """Check every file the manifest implies against the manifest.
+
+    Each per-vertex chunk ``c`` must hold ``min(cv, n - c·cv)`` rows of
+    its column's dtype and row shape, ``indptr`` ``n + 1`` int64 entries
+    from 0 to ``num_edges``, and each edge chunk the length ``indptr``
+    implies; headers and file sizes are read, data bytes are not.
+    """
+    n = int(manifest["num_vertices"])
+    cv = int(manifest["chunk_vertices"])
+    if n < 0 or cv < 1:
+        raise ValueError(
+            f"store at {root}: bad num_vertices {n} / chunk_vertices {cv}"
+        )
+    starts = np.arange(0, n, cv, dtype=np.int64)
+    stops = np.minimum(starts + cv, n)
+    for component in _PER_VERTEX:
+        spec = manifest["columns"][component]
+        if int(spec["shape"][0]) != n:
+            raise ValueError(
+                f"store at {root}: column {component} has "
+                f"{spec['shape'][0]} rows, num_vertices is {n}"
+            )
+        row_shape = tuple(int(s) for s in spec["shape"][1:])
+        dtype = np.dtype(spec["dtype"])
+        for chunk, (start, stop) in enumerate(zip(starts, stops)):
+            _check_npy(
+                _chunk_path(root, component, chunk),
+                (int(stop - start),) + row_shape, dtype,
+            )
+    indptr_path = root / "indptr.npy"
+    _check_npy(indptr_path, (n + 1,), np.dtype(np.int64))
+    indptr = np.load(indptr_path, mmap_mode="r")
+    num_edges = int(manifest["num_edges"])
+    if indptr[0] != 0 or indptr[-1] != num_edges:
+        raise ValueError(
+            f"store file {indptr_path} spans edges [{indptr[0]}, "
+            f"{indptr[-1]}), the manifest says [0, {num_edges})"
+        )
+    edge_components = [("indices", np.dtype(np.int64))]
+    if manifest.get("weighted", False):
+        edge_components.append(("weights", np.dtype(np.float32)))
+    lengths = indptr[stops] - indptr[starts]
+    for component, dtype in edge_components:
+        for chunk, length in enumerate(lengths):
+            _check_npy(
+                _chunk_path(root, component, chunk), (int(length),), dtype
+            )
+
+
 def open_bundle(
     root: str | Path,
     max_resident_blocks: int = DEFAULT_RESIDENT_BLOCKS,
 ) -> GraphStoreBundle:
-    """Open an on-disk store directory as a :class:`GraphStoreBundle`."""
+    """Open an on-disk store directory as a :class:`GraphStoreBundle`.
+
+    The directory is validated first: a missing, truncated, resized or
+    retyped file raises a ``ValueError`` naming it, so a damaged store
+    never opens into a run that fails (or reads wrong values) later.
+    """
     root = Path(root)
     manifest = read_manifest(root)
-    n = int(manifest["num_vertices"])
     cv = int(manifest["chunk_vertices"])
     columns = manifest["columns"]
     missing = [c for c in _PER_VERTEX if c not in columns]
     if missing:
         raise ValueError(f"store at {root} lacks columns: {missing}")
+    _validate_store(root, manifest)
 
     def feature_store(component: str) -> MmapFeatureStore:
         spec = columns[component]
@@ -567,7 +647,7 @@ def open_bundle(
         )
 
     topology = MmapGraphStore(
-        root, n, cv, weighted=bool(manifest.get("weighted", False)),
+        root, cv, weighted=bool(manifest.get("weighted", False)),
         max_resident_blocks=max_resident_blocks,
     )
     return GraphStoreBundle(

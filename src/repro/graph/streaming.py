@@ -1,24 +1,20 @@
-"""Streaming graph generation: edge chunks spill to a store.
+"""The graph generators: edge chunks spill to a store.
 
-Two generators that never hold the full edge list in memory:
+Neither generator holds the full edge list in memory, and each builds
+the same bytes on the memory and mmap backends at any ``chunk_vertices``:
 
-* :func:`stream_graph` — the planted-partition (SBM) generator,
-  **bit-identical** to :func:`repro.graph.generators.generate_graph`:
-  the RNG call sequence is replicated exactly (labels, degrees,
-  per-vertex edge stubs, feature chunks, label noise, split masks —
-  numpy ``Generator`` draws are stream-sequential, so chunked draws
-  equal one big draw), and the CSR layout is reconstructed from the
-  deduplicated edge-key set by :func:`fill_csr_symmetric`, which
-  reproduces ``from_edge_list(both_arcs, deduplicate=True)`` exactly.
-* :func:`stream_rmat_graph` — a chunk-seeded R-MAT twin for the large
-  bench tier: each edge chunk draws from ``default_rng([seed, chunk])``
-  so generation is embarrassingly chunkable and O(chunk) in memory.
-  Its rows come out fully sorted (directed-key dedup), which is a
-  *different* canonical layout from the legacy
-  :func:`repro.graph.rmat.generate_rmat_graph` (whose level-major RNG
-  cannot be chunked); the two are distinct named generators, and the
-  memory/mmap backends of *this* generator are bit-identical to each
-  other.
+* :func:`stream_graph` — the planted-partition (SBM) generator behind
+  :func:`repro.graph.datasets.load_dataset`. One RNG stream is drawn in
+  a fixed order (labels, degrees, per-vertex edge stubs, feature rows,
+  label noise, split masks); numpy ``Generator`` draws are
+  stream-sequential, so row-chunked draws equal one big draw. The CSR
+  layout comes from the deduplicated undirected edge keys through
+  :func:`fill_csr_symmetric`: row ``v`` holds its higher neighbours,
+  then its lower ones, each ascending.
+* :func:`stream_rmat_graph` — the chunk-seeded R-MAT generator: each
+  edge chunk draws from ``default_rng([seed, chunk])`` so generation is
+  embarrassingly chunkable and O(chunk) in memory. Its rows come out
+  fully sorted (directed-key dedup).
 
 Per-vertex arrays (labels, degrees, masks) are O(n) and stay resident —
 the things that scale as O(E) and O(n·d) (edge list, feature matrix)
@@ -97,6 +93,11 @@ def _chunk_ranges(n: int, chunk: int) -> Iterator[tuple[int, int]]:
         yield start, min(start + chunk, n)
 
 
+def _check_chunk(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _write_features_chunked(
     builder: StoreBuilder,
     labels: np.ndarray,
@@ -106,15 +107,16 @@ def _write_features_chunked(
     feature_dim: int,
     chunk_rows: int,
 ) -> None:
-    """Chunked twin of :func:`repro.graph.generators.class_features`.
+    """Gaussian class-centroid features, written in row blocks.
 
-    Row-chunked ``standard_normal`` draws consume the identical RNG
-    stream as one ``(n, d)`` draw, and the per-element arithmetic is
-    the same expression, so the emitted float32 rows are bit-identical.
-    Draw blocks are capped below the storage chunk (the writer spans
-    chunk files transparently) so the float64 temporaries stay a few
-    MB even when chunks are large — at the million-vertex tier the
-    feature pass would otherwise dominate the generator's peak RSS.
+    Each vertex gets its class centroid plus ``noise_scale``-scaled
+    standard normal noise. Row-chunked ``standard_normal`` draws consume
+    the identical RNG stream as one ``(n, d)`` draw, so the float32 rows
+    do not depend on the chunking. Draw blocks are capped below the
+    storage chunk (the writer spans chunk files transparently) so the
+    float64 temporaries stay a few MB even when chunks are large — at
+    the million-vertex tier the feature pass would otherwise dominate
+    the generator's peak RSS.
     """
     draw_rows = min(chunk_rows, 16_384)
     column = builder.column_writer("features", (feature_dim,), np.float32)
@@ -133,12 +135,14 @@ def _planted_partition_keys(
     sorter: ExternalSorter,
     chunk_vertices: int,
 ) -> None:
-    """Per-vertex stub sampling, identical to ``planted_partition_edges``.
+    """Sample undirected edges from a degree-corrected planted partition.
 
-    The per-vertex RNG calls (``random``, two ``integers``) are made in
-    the same order with the same sizes; kept edges are encoded as
-    undirected keys ``lo * n + hi`` and appended to the sorter in vertex
-    chunks instead of accumulating python lists.
+    Each vertex v draws ``max(degrees[v] // 2, 1)`` neighbour stubs; each
+    stub picks a same-class partner with probability ``homophily`` and a
+    uniformly random vertex otherwise (``random``, then up to two
+    ``integers`` calls per vertex). Self-loops are dropped; kept edges
+    are encoded as undirected keys ``lo * n + hi`` and appended to the
+    sorter in vertex chunks, which deduplicates them.
     """
     n = labels.shape[0]
     num_classes = int(labels.max()) + 1
@@ -192,13 +196,16 @@ def stream_graph(
     chunk_vertices: int = DEFAULT_CHUNK_VERTICES,
     max_resident_blocks: int = DEFAULT_RESIDENT_BLOCKS,
 ) -> GraphStoreBundle:
-    """Streaming twin of :func:`~repro.graph.generators.generate_graph`.
+    """Generate the planted-partition graph described by ``spec``.
 
-    Returns a :class:`GraphStoreBundle`; with ``backend="memory"`` its
-    ``materialize()`` is bit-identical to ``generate_graph(spec)`` —
-    same CSR, features, labels and masks — and with ``backend="mmap"``
-    the same bytes land in chunk files under ``out_dir``.
+    The adjacency is symmetric (both arcs stored), matching the
+    undirected citation/social graphs of the paper's evaluation. Returns
+    a :class:`GraphStoreBundle`: resident arrays with
+    ``backend="memory"`` (``materialize()`` gives the
+    :class:`~repro.graph.attributed.AttributedGraph`), or the same bytes
+    in an ECGSTORE directory at ``out_dir`` with ``backend="mmap"``.
     """
+    _check_chunk("chunk_vertices", chunk_vertices)
     n = spec.num_vertices
     builder, spill = _make_builder(
         n, backend, out_dir, chunk_vertices, max_resident_blocks
@@ -297,13 +304,20 @@ def stream_graph(
 def _rmat_chunk_edges(
     spec: RMATSpec, chunk_index: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk of R-MAT edges from its own seeded stream."""
+    """One chunk of R-MAT edges from its own seeded stream.
+
+    Each edge picks one quadrant per bit level; accumulating the chosen
+    bits yields the endpoints. Self-loops are dropped, duplicates kept
+    (the external sort deduplicates them).
+    """
     rng = np.random.default_rng([spec.seed, chunk_index])
     src = np.zeros(count, dtype=np.int64)
     dst = np.zeros(count, dtype=np.int64)
     p_a, p_b, p_c = spec.a, spec.b, spec.c
     for _ in range(spec.scale):
         draw = rng.random(count)
+        # Quadrants: a = (0,0), b = (0,1), c = (1,0), d = (1,1); the
+        # first bit belongs to src, the second to dst.
         src_bit = draw >= p_a + p_b
         dst_bit = ((draw >= p_a) & (draw < p_a + p_b)) | (
             draw >= p_a + p_b + p_c
@@ -323,7 +337,7 @@ def stream_rmat_graph(
     max_resident_blocks: int = DEFAULT_RESIDENT_BLOCKS,
     progress: Callable[[str], None] | None = None,
 ) -> GraphStoreBundle:
-    """Chunk-seeded streaming R-MAT generator (the large-tier workload).
+    """Chunk-seeded R-MAT generator (symmetric arcs, random labels).
 
     Each chunk of ``chunk_edges`` samples draws from
     ``default_rng([seed, chunk])``; both arcs are encoded as directed
@@ -332,6 +346,8 @@ def stream_rmat_graph(
     which stream each edge draws from); the memory and mmap backends
     produce bit-identical graphs for equal parameters.
     """
+    _check_chunk("chunk_edges", chunk_edges)
+    _check_chunk("chunk_vertices", chunk_vertices)
     n = spec.num_vertices
     builder, spill = _make_builder(
         n, backend, out_dir, chunk_vertices, max_resident_blocks

@@ -1,14 +1,10 @@
-"""Subgraph extraction utilities.
+"""Subgraph extraction for the graph-centered path.
 
-Two operations back the two system families in the paper:
-
-* :func:`induced_subgraph` — the *graph-centered* path: each worker holds
-  exactly the vertices a partitioner assigned to it, plus the cut edges
-  that point at remote vertices (the remote endpoints stay remote).
-* :func:`khop_neighborhood` — the *ML-centered* path (AliGraph/AGL): a
-  target vertex pulls its entire L-hop neighbourhood so the worker can run
-  the GNN without communicating; this is the memory/computation redundancy
-  the paper's Table II quantifies.
+:func:`induced_subgraph` gives each worker exactly the vertices a
+partitioner assigned to it, plus the cut edges that point at remote
+vertices (the remote endpoints stay remote). The ML-centered path
+(AliGraph/AGL), where a target pulls its whole capped L-hop
+neighbourhood, is :func:`repro.baselines.ml_centered.capped_khop_subgraph`.
 
 :func:`induced_subgraph` accepts either a resident :class:`CSRGraph` or a
 :class:`~repro.graph.store.GraphStore` and streams adjacency blocks, so
@@ -27,7 +23,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.store.base import GraphStore, as_topology
 
 __all__ = ["LocalSubgraph", "induced_subgraph", "induced_subgraphs",
-           "khop_neighborhood", "khop_sampled_neighborhood",
            "ragged_positions"]
 
 
@@ -191,66 +186,3 @@ def induced_subgraphs(
         compact[local_vertices] = -1
         compact[remote_vertices] = -1
     return subgraphs
-
-
-def khop_neighborhood(
-    graph: CSRGraph | GraphStore, targets: np.ndarray, hops: int
-) -> np.ndarray:
-    """Global ids of all vertices within ``hops`` of ``targets``.
-
-    This is the vertex set an ML-centered worker must cache to train a
-    ``hops``-layer GNN on ``targets`` without communication. The result
-    includes the targets themselves and is sorted.
-    """
-    if hops < 0:
-        raise ValueError("hops must be non-negative")
-    frontier = set(int(v) for v in np.asarray(targets).ravel())
-    visited = set(frontier)
-    for _ in range(hops):
-        next_frontier: set[int] = set()
-        for v in frontier:
-            for u in graph.neighbors(v):
-                u = int(u)
-                if u not in visited:
-                    visited.add(u)
-                    next_frontier.add(u)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return np.array(sorted(visited), dtype=np.int64)
-
-
-def khop_sampled_neighborhood(
-    graph: CSRGraph | GraphStore,
-    targets: np.ndarray,
-    fanouts: list[int],
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Layer-wise sampled neighbourhoods (DistDGL/AGL style).
-
-    ``fanouts[i]`` bounds how many neighbours each frontier vertex keeps at
-    hop ``i``. Returns one array of *new* vertex ids per hop, so the union
-    of targets and all returned arrays is the sampled computation graph.
-    """
-    frontier = np.unique(np.asarray(targets, dtype=np.int64).ravel())
-    visited = set(int(v) for v in frontier)
-    layers: list[np.ndarray] = []
-    for fanout in fanouts:
-        if fanout <= 0:
-            raise ValueError("fanouts must be positive")
-        new_ids: set[int] = set()
-        for v in frontier:
-            nbrs = graph.neighbors(int(v))
-            if nbrs.size > fanout:
-                nbrs = rng.choice(nbrs, size=fanout, replace=False)
-            for u in nbrs:
-                u = int(u)
-                if u not in visited:
-                    visited.add(u)
-                    new_ids.add(u)
-        layer = np.array(sorted(new_ids), dtype=np.int64)
-        layers.append(layer)
-        frontier = layer
-        if frontier.size == 0:
-            frontier = np.empty(0, dtype=np.int64)
-    return layers

@@ -1,10 +1,10 @@
 """ECG005 — wire decoders validate before they index.
 
-Decode paths (``decode_*`` / ``unpack_*`` in ``compression/`` and
-``graph/io.py``) are the repo's trust boundary: they consume bytes that
-may be truncated, foreign, or corrupt (a partial NFS copy, a stale
-shared segment, a fuzzed archive). The contract — established by
-``unpack_bits`` and ``load_graph`` — is that malformed input raises a
+Decode paths (``decode_*`` / ``unpack_*`` in ``compression/``) are the
+repo's trust boundary: they consume bytes that may be truncated,
+foreign, or corrupt (a partial copy, a stale shared segment, a fuzzed
+frame). The contract — established by ``unpack_bits`` — is that
+malformed input raises a
 :class:`ValueError` naming the problem, never an ``IndexError`` or
 ``struct.error`` from deep inside numpy.
 
@@ -40,9 +40,7 @@ def _in_scope(module: ModuleInfo) -> bool:
     parts = module.parts
     if not parts:
         return False
-    if parts[0] == "compression":
-        return True
-    return parts == ("graph", "io.py")
+    return parts[0] == "compression"
 
 
 def _raises_value_error(fn: ast.AST) -> bool:
@@ -93,13 +91,13 @@ def _delegates_validation(fn: ast.AST) -> bool:
 
 
 class DecodeDisciplineRule(Rule):
-    """Decoders in compression/ and graph/io.py must fail loudly."""
+    """Decoders in compression/ must fail loudly."""
 
     code = "ECG005"
     name = "decode-discipline"
     summary = (
         "wire decoder without ValueError validation, or a swallowed "
-        "exception, in compression/ or graph/io.py"
+        "exception, in compression/"
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:

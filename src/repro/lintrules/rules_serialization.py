@@ -5,8 +5,9 @@ arbitrary code; even between trusted processes it silently couples the
 wire format to class layouts, so a checkpoint written before a refactor
 deserializes into garbage instead of failing validation. The repo's
 formats are deliberately dumb: npz archives with magic markers
-(``graph/io.py``, ``core/checkpoint.py``), headered shared-memory
-segments (``mp/store.py``), JSON for metadata.
+(``core/checkpoint.py``), npy chunk directories behind a JSON manifest
+(``graph/store/mmapstore.py``), headered shared-memory segments
+(``mp/store.py``), JSON for metadata.
 
 Flagged anywhere under ``src/repro``:
 

@@ -13,13 +13,14 @@ from repro.cluster.topology import ClusterSpec
 from repro.core.worker import WorkerState
 from repro.graph.attributed import AttributedGraph
 from repro.graph.csr import CSRGraph, from_edge_list
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.generators import GraphSpec
 from repro.graph.store.base import (
     GraphStore,
     GraphStoreBundle,
     as_bundle,
     as_topology,
 )
+from repro.graph.streaming import stream_graph
 from repro.graph.subgraph import LocalSubgraph
 from repro.partition.base import Partition
 
@@ -66,7 +67,7 @@ def small_graph() -> AttributedGraph:
         test=32,
         seed=7,
     )
-    return generate_graph(spec)
+    return stream_graph(spec).materialize()
 
 
 @pytest.fixture
@@ -86,7 +87,7 @@ def medium_graph() -> AttributedGraph:
         test=80,
         seed=11,
     )
-    return generate_graph(spec)
+    return stream_graph(spec).materialize()
 
 
 @pytest.fixture

@@ -146,6 +146,14 @@ class TestMLCentered:
                 ClusterSpec(num_workers=2), cache_fanouts=[5],
             )
 
+    @pytest.mark.parametrize("fanouts", [[0, 5], [5, -1]])
+    def test_fanout_below_one_rejected(self, medium_graph, fanouts):
+        with pytest.raises(ValueError, match="fanouts must be >= 1"):
+            MLCenteredTrainer(
+                medium_graph, ModelConfig(num_layers=2),
+                ClusterSpec(num_workers=2), cache_fanouts=fanouts,
+            )
+
     def test_agl_accuracy_below_full_batch(self, medium_graph):
         """Sampled, truncated caches cost accuracy vs exact training."""
         agl = run_system("agl", medium_graph, num_workers=3,

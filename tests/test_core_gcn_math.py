@@ -24,9 +24,10 @@ from repro.nn.losses import softmax_cross_entropy
 def setup():
     rng = np.random.default_rng(0)
     n, d_in, d_hidden, classes = 12, 6, 5, 3
-    from repro.graph.generators import GraphSpec, generate_graph
+    from repro.graph.generators import GraphSpec
+    from repro.graph.streaming import stream_graph
 
-    graph = generate_graph(
+    graph = stream_graph(
         GraphSpec(
             name="grad",
             num_vertices=n,
@@ -38,7 +39,7 @@ def setup():
             test=3,
             seed=1,
         )
-    )
+    ).materialize()
     a = gcn_normalize(graph.adjacency).to_scipy()
     x = graph.features.astype(np.float64)
     w1 = rng.standard_normal((d_in, d_hidden)) * 0.3

@@ -18,7 +18,8 @@ from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
 from repro.engine import GATBackend, SampledGCNBackend
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.generators import GraphSpec
+from repro.graph.streaming import stream_graph
 
 EPOCHS = 6
 
@@ -134,11 +135,11 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def graph():
-    return generate_graph(GraphSpec(
+    return stream_graph(GraphSpec(
         name="golden", num_vertices=96, avg_degree=6.0, feature_dim=12,
         num_classes=3, homophily=0.9, feature_noise=0.8,
         train=40, val=16, test=32, seed=7,
-    ))
+    )).materialize()
 
 
 SPEC = ClusterSpec(num_workers=3, num_servers=1)

@@ -1,15 +1,12 @@
-"""Unit tests for the synthetic graph generators."""
+"""Unit tests for the planted-partition generator: ``GraphSpec``
+validation, the degree law, and the properties of the graphs
+``stream_graph`` builds."""
 
 import numpy as np
 import pytest
 
-from repro.graph.generators import (
-    GraphSpec,
-    class_features,
-    generate_graph,
-    planted_partition_edges,
-    power_law_degrees,
-)
+from repro.graph.generators import GraphSpec, power_law_degrees
+from repro.graph.streaming import stream_graph
 
 
 def _spec(**overrides):
@@ -25,22 +22,42 @@ def _spec(**overrides):
     return GraphSpec(**fields)
 
 
+def _graph(**overrides):
+    return stream_graph(_spec(**overrides)).materialize()
+
+
+def _arcs(graph):
+    indptr = graph.adjacency.indptr
+    src = np.repeat(np.arange(graph.num_vertices), np.diff(indptr))
+    return src, graph.adjacency.indices
+
+
 class TestSpecValidation:
-    def test_bad_homophily(self):
+    @pytest.mark.parametrize("overrides", [
+        {"homophily": 1.5},
+        {"num_classes": 1},
+        {"label_noise": 1.0},
+        {"avg_degree": 0.0},
+        {"num_vertices": 3, "num_classes": 4},
+        {"feature_dim": 0},
+        {"power_law": -1.0},
+        {"feature_noise": -0.5},
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_invalid(self, overrides):
         with pytest.raises(ValueError):
-            _spec(homophily=1.5)
+            _spec(**overrides)
 
-    def test_too_few_classes(self):
-        with pytest.raises(ValueError):
-            _spec(num_classes=1)
-
-    def test_bad_label_noise(self):
-        with pytest.raises(ValueError):
-            _spec(label_noise=1.0)
-
-    def test_nonpositive_degree(self):
-        with pytest.raises(ValueError):
-            _spec(avg_degree=0.0)
+    @pytest.mark.parametrize("overrides", [
+        {"num_vertices": 50, "num_classes": 50},
+        {"feature_dim": 1},
+        {"power_law": 0.0},
+        {"feature_noise": 0.0},
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_boundary_values_build(self, overrides):
+        graph = _graph(**overrides)
+        assert graph.features.shape == (
+            graph.num_vertices, _spec(**overrides).feature_dim
+        )
 
 
 class TestPowerLawDegrees:
@@ -63,99 +80,81 @@ class TestPowerLawDegrees:
 
 class TestPlantedPartition:
     def test_homophily_respected(self):
-        rng = np.random.default_rng(0)
-        labels = rng.integers(0, 3, 600)
-        degrees = np.full(600, 10, dtype=np.int64)
-        edges = planted_partition_edges(labels, degrees, 0.9, rng)
-        same = (labels[edges[:, 0]] == labels[edges[:, 1]]).mean()
-        assert same > 0.75
+        g = _graph(num_vertices=600, avg_degree=20.0, homophily=0.9)
+        src, dst = _arcs(g)
+        assert (g.labels[src] == g.labels[dst]).mean() > 0.75
 
     def test_low_homophily(self):
-        rng = np.random.default_rng(0)
-        labels = rng.integers(0, 3, 600)
-        degrees = np.full(600, 10, dtype=np.int64)
-        edges = planted_partition_edges(labels, degrees, 0.1, rng)
-        same = (labels[edges[:, 0]] == labels[edges[:, 1]]).mean()
-        assert same < 0.6
+        g = _graph(num_vertices=600, avg_degree=20.0, homophily=0.1)
+        src, dst = _arcs(g)
+        assert (g.labels[src] == g.labels[dst]).mean() < 0.6
 
     def test_no_self_loops_or_duplicates(self):
-        rng = np.random.default_rng(1)
-        labels = rng.integers(0, 2, 100)
-        degrees = np.full(100, 6, dtype=np.int64)
-        edges = planted_partition_edges(labels, degrees, 0.8, rng)
-        assert (edges[:, 0] != edges[:, 1]).all()
-        keys = edges[:, 0] * 100 + edges[:, 1]
+        g = _graph(num_vertices=100, avg_degree=12.0, num_classes=2)
+        src, dst = _arcs(g)
+        assert (src != dst).all()
+        keys = src * g.num_vertices + dst
         assert len(np.unique(keys)) == len(keys)
-
-    def test_canonical_orientation(self):
-        rng = np.random.default_rng(1)
-        labels = rng.integers(0, 2, 50)
-        degrees = np.full(50, 4, dtype=np.int64)
-        edges = planted_partition_edges(labels, degrees, 0.8, rng)
-        assert (edges[:, 0] < edges[:, 1]).all()
 
 
 class TestClassFeatures:
     def test_same_class_closer_than_cross_class(self):
-        rng = np.random.default_rng(0)
-        labels = np.array([0] * 50 + [1] * 50)
-        x = class_features(labels, 32, noise=0.5, rng=rng)
-        within = np.linalg.norm(x[:50] - x[:50].mean(0), axis=1).mean()
-        centroid_gap = np.linalg.norm(x[:50].mean(0) - x[50:].mean(0))
+        g = _graph(num_vertices=200, num_classes=2, feature_dim=32,
+                   feature_noise=0.5)
+        a = g.features[g.labels == 0]
+        b = g.features[g.labels == 1]
+        within = np.linalg.norm(a - a.mean(0), axis=1).mean()
+        centroid_gap = np.linalg.norm(a.mean(0) - b.mean(0))
         assert centroid_gap > within * 0.5
 
     def test_dtype(self):
-        rng = np.random.default_rng(0)
-        x = class_features(np.zeros(4, dtype=np.int64) , 8, 1.0, rng)
-        assert x.dtype == np.float32
+        assert _graph().features.dtype == np.float32
 
 
-class TestGenerateGraph:
+class TestStreamGraph:
     def test_symmetric_adjacency(self):
-        g = generate_graph(_spec())
+        g = _graph()
         edges = set(g.adjacency.iter_edges())
         assert all((v, u) in edges for u, v in edges)
 
     def test_degree_near_target(self):
-        g = generate_graph(_spec(num_vertices=2000, avg_degree=12.0))
+        g = _graph(num_vertices=2000, avg_degree=12.0)
         assert abs(g.adjacency.average_degree - 12.0) < 4.0
 
     def test_deterministic(self):
-        a = generate_graph(_spec())
-        b = generate_graph(_spec())
+        a = _graph()
+        b = _graph()
         np.testing.assert_array_equal(a.adjacency.indices, b.adjacency.indices)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_seed_changes_graph(self):
-        a = generate_graph(_spec(seed=1))
-        b = generate_graph(_spec(seed=2))
+        a = _graph(seed=1)
+        b = _graph(seed=2)
         assert not np.array_equal(a.labels, b.labels)
 
     def test_all_classes_inhabited(self):
-        g = generate_graph(_spec(num_classes=5))
+        g = _graph(num_classes=5)
         assert len(np.unique(g.labels)) == 5
 
     def test_masks_disjoint(self):
-        g = generate_graph(_spec())
+        g = _graph()
         assert not (g.train_mask & g.val_mask).any()
         assert not (g.train_mask & g.test_mask).any()
 
     def test_label_noise_flips_some_labels(self):
-        clean = generate_graph(_spec(label_noise=0.0))
-        noisy = generate_graph(_spec(label_noise=0.4))
+        clean = _graph(label_noise=0.0)
+        noisy = _graph(label_noise=0.4)
         differ = (clean.labels != noisy.labels).mean()
         assert 0.2 < differ < 0.5  # ~0.4 * (1 - 1/3)
 
     def test_small_graph_split_shrinks(self):
-        g = generate_graph(
-            _spec(num_vertices=30, train=20, val=20, test=20, num_classes=2)
-        )
+        g = _graph(num_vertices=30, train=20, val=20, test=20, num_classes=2)
         train, val, test = g.split_sizes()
         assert train + val + test <= 30
         assert min(train, val, test) >= 1
 
     def test_meta_records_generator(self):
-        g = generate_graph(_spec(homophily=0.77))
+        g = _graph(homophily=0.77)
         assert g.meta["homophily"] == 0.77
         assert g.meta["generator"] == "planted_partition"

@@ -1,9 +1,14 @@
-"""Unit tests for the R-MAT generator."""
+"""Unit tests for the R-MAT generator (``RMATSpec`` + ``stream_rmat_graph``)."""
 
 import numpy as np
 import pytest
 
-from repro.graph.rmat import RMATSpec, generate_rmat_graph, rmat_edges
+from repro.graph.rmat import RMATSpec
+from repro.graph.streaming import stream_rmat_graph
+
+
+def _graph(spec):
+    return stream_rmat_graph(spec).materialize()
 
 
 class TestSpec:
@@ -12,6 +17,10 @@ class TestSpec:
         {"edge_factor": 0},
         {"a": 0.5, "b": 0.4, "c": 0.2},
         {"a": -0.1},
+        {"feature_dim": 0},
+        {"num_classes": 1},
+        {"scale": 1, "num_classes": 4},
+        {"scale": 3, "num_classes": 9},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -23,41 +32,39 @@ class TestSpec:
 
 class TestEdges:
     def test_endpoints_in_range(self):
-        spec = RMATSpec(scale=8, edge_factor=4, seed=1)
-        edges = rmat_edges(spec, np.random.default_rng(1))
-        assert edges.min() >= 0
-        assert edges.max() < 256
+        graph = _graph(RMATSpec(scale=8, edge_factor=4, seed=1))
+        assert graph.adjacency.indices.min() >= 0
+        assert graph.adjacency.indices.max() < 256
 
     def test_no_self_loops(self):
-        spec = RMATSpec(scale=7, seed=2)
-        edges = rmat_edges(spec, np.random.default_rng(2))
-        assert (edges[:, 0] != edges[:, 1]).all()
+        graph = _graph(RMATSpec(scale=7, seed=2))
+        indptr = graph.adjacency.indptr
+        src = np.repeat(np.arange(graph.num_vertices), np.diff(indptr))
+        assert (src != graph.adjacency.indices).all()
 
     def test_skew_produces_hubs(self):
         """Graph500 quadrants concentrate degree: the max degree should
         dwarf the mean (the hub structure that stresses partitioners)."""
-        spec = RMATSpec(scale=10, edge_factor=8, seed=3)
-        graph = generate_rmat_graph(spec).adjacency
+        graph = _graph(RMATSpec(scale=10, edge_factor=8, seed=3)).adjacency
         degrees = graph.degree()
         assert degrees.max() > 8 * degrees.mean()
 
     def test_uniform_quadrants_not_skewed(self):
         spec = RMATSpec(scale=10, edge_factor=8, a=0.25, b=0.25, c=0.25,
                         seed=3)
-        graph = generate_rmat_graph(spec).adjacency
-        degrees = graph.degree()
+        degrees = _graph(spec).adjacency.degree()
         assert degrees.max() < 6 * degrees.mean()
 
 
 class TestGraph:
     def test_symmetric(self):
-        graph = generate_rmat_graph(RMATSpec(scale=6, seed=4))
+        graph = _graph(RMATSpec(scale=6, seed=4))
         edges = set(graph.adjacency.iter_edges())
         assert all((v, u) in edges for u, v in edges)
 
     def test_deterministic(self):
-        a = generate_rmat_graph(RMATSpec(scale=6, seed=5))
-        b = generate_rmat_graph(RMATSpec(scale=6, seed=5))
+        a = _graph(RMATSpec(scale=6, seed=5))
+        b = _graph(RMATSpec(scale=6, seed=5))
         np.testing.assert_array_equal(a.adjacency.indices,
                                       b.adjacency.indices)
 
@@ -67,7 +74,7 @@ class TestGraph:
         from repro.core.config import ECGraphConfig, ModelConfig
         from repro.core.trainer import ECGraphTrainer
 
-        graph = generate_rmat_graph(RMATSpec(scale=7, seed=6))
+        graph = _graph(RMATSpec(scale=7, seed=6))
         trainer = ECGraphTrainer(
             graph, ModelConfig(num_layers=2, hidden_dim=4),
             ClusterSpec(num_workers=3), ECGraphConfig(),

@@ -12,7 +12,7 @@ import pytest
 
 from repro.graph.attributed import AttributedGraph, make_split_masks
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.generators import GraphSpec
 from repro.graph.normalize import gcn_normalize, row_normalize
 from repro.graph.store import (
     ChunkCache,
@@ -29,6 +29,7 @@ from repro.graph.store import (
     to_mmap_bundle,
 )
 from repro.graph.store.base import DEFAULT_MAX_BLOCK_EDGES
+from repro.graph.streaming import stream_graph
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ def graph():
         name="store-test", num_vertices=300, avg_degree=8,
         feature_dim=12, num_classes=4, seed=11,
     )
-    return generate_graph(spec)
+    return stream_graph(spec).materialize()
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +304,147 @@ class TestManifest:
         manifest_path.write_text(json.dumps(body))
         with pytest.raises(ValueError, match="magic"):
             read_manifest(root)
+
+
+    def test_unsupported_version_rejected(self, graph, tmp_path):
+        root = tmp_path / "g"
+        to_mmap_bundle(graph, root, chunk_vertices=128)
+        manifest_path = root / "manifest.json"
+        body = json.loads(manifest_path.read_text())
+        body["version"] = 99
+        manifest_path.write_text(json.dumps(body))
+        with pytest.raises(ValueError, match="version"):
+            open_bundle(root)
+
+
+def _weighted(graph):
+    """``graph`` as a bundle over its GCN-normalized (weighted) adjacency."""
+    bundle = as_bundle(graph)
+    bundle.adjacency = MemoryGraphStore(gcn_normalize(graph.adjacency))
+    return bundle
+
+
+class TestPersistRoundTrip:
+    """``to_mmap_bundle`` then ``open_bundle`` gives the graph back."""
+
+    def test_reopen_is_bit_identical(self, graph, mmap_root):
+        for _ in range(2):
+            out = open_bundle(mmap_root).materialize()
+            np.testing.assert_array_equal(
+                out.adjacency.indptr, graph.adjacency.indptr
+            )
+            np.testing.assert_array_equal(
+                out.adjacency.indices, graph.adjacency.indices
+            )
+            assert out.adjacency.weights is None
+            for name in ("features", "labels", "train_mask", "val_mask",
+                         "test_mask"):
+                got, want = getattr(out, name), getattr(graph, name)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            assert out.num_classes == graph.num_classes
+            assert out.name == graph.name
+            assert out.meta == graph.meta
+
+    def test_weighted_adjacency_roundtrip(self, graph, tmp_path):
+        weighted = _weighted(graph)
+        out = to_mmap_bundle(weighted, tmp_path / "w", chunk_vertices=97)
+        np.testing.assert_array_equal(
+            out.adjacency.to_csr().weights,
+            weighted.adjacency.to_csr().weights,
+        )
+
+    def test_creates_parent_dirs(self, graph, tmp_path):
+        root = tmp_path / "deep" / "nested" / "g"
+        to_mmap_bundle(graph, root, chunk_vertices=128)
+        assert (root / "manifest.json").exists()
+
+    def test_chunks_are_disk_backed(self, mmap_root):
+        block = open_bundle(mmap_root).feature_store.slice(0, 10)
+        while block.base is not None and not isinstance(block, np.memmap):
+            block = block.base
+        assert isinstance(block, np.memmap)
+
+
+def _drop(root, name):
+    (root / name).unlink()
+
+
+def _truncate(root, name):
+    path = root / name
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _pad(root, name):
+    with open(root / name, "ab") as fh:
+        fh.write(b"\0" * 8)
+
+
+def _resave(transform):
+    def damage(root, name):
+        path = root / name
+        np.save(path, transform(np.load(path)))
+    return damage
+
+
+def _garble(root, name):
+    (root / name).write_bytes(b"not an npy file at all")
+
+
+# (damage, file it hits): every kind must fail at open, naming the file.
+DAMAGE = {
+    "missing-feature-chunk": (_drop, "features-00001.npy"),
+    "missing-mask-chunk": (_drop, "test_mask-00003.npy"),
+    "missing-indices-chunk": (_drop, "indices-00002.npy"),
+    "truncated-feature-chunk": (_truncate, "features-00000.npy"),
+    "truncated-indices-chunk": (_truncate, "indices-00001.npy"),
+    "padded-indices-chunk": (_pad, "indices-00000.npy"),
+    "short-label-chunk": (_resave(lambda a: a[:-1]), "labels-00001.npy"),
+    "short-indices-chunk": (_resave(lambda a: a[:-1]), "indices-00003.npy"),
+    "retyped-label-chunk": (
+        _resave(lambda a: a.astype(np.int32)), "labels-00000.npy"
+    ),
+    "retyped-feature-chunk": (
+        _resave(lambda a: a.astype(np.float64)), "features-00002.npy"
+    ),
+    "not-npy-mask-chunk": (_garble, "val_mask-00000.npy"),
+    "short-indptr": (_resave(lambda a: a[:-1]), "indptr.npy"),
+    "indptr-past-num-edges": (
+        _resave(lambda a: np.append(a[:-1], a[-1] + 1)), "indptr.npy"
+    ),
+    "missing-indptr": (_drop, "indptr.npy"),
+}
+
+
+class TestOpenValidates:
+    """A damaged store directory raises the format error at open."""
+
+    @pytest.mark.parametrize("kind", sorted(DAMAGE))
+    def test_damage_raises_naming_the_file(self, graph, tmp_path, kind):
+        damage, name = DAMAGE[kind]
+        root = tmp_path / "g"
+        to_mmap_bundle(graph, root, chunk_vertices=97)
+        damage(root, name)
+        with pytest.raises(ValueError, match=name.replace(".", r"\.")):
+            open_bundle(root)
+
+    def test_missing_weights_chunk(self, graph, tmp_path):
+        root = tmp_path / "g"
+        to_mmap_bundle(_weighted(graph), root, chunk_vertices=97)
+        (root / "weights-00001.npy").unlink()
+        with pytest.raises(ValueError, match=r"weights-00001\.npy"):
+            open_bundle(root)
+
+    def test_column_row_count_must_match(self, graph, tmp_path):
+        root = tmp_path / "g"
+        to_mmap_bundle(graph, root, chunk_vertices=97)
+        manifest_path = root / "manifest.json"
+        body = json.loads(manifest_path.read_text())
+        body["columns"]["labels"]["shape"] = [299]
+        manifest_path.write_text(json.dumps(body))
+        with pytest.raises(ValueError, match="labels"):
+            open_bundle(root)
 
 
 class TestSharedStoreMapNpy:

@@ -1,13 +1,18 @@
-"""Equivalence tests for the streaming generators: ``stream_graph`` is
-bit-identical to the materialized ``generate_graph``, ``stream_rmat_graph``
-produces the same graph on the memory and mmap backends, and every
-partitioner assigns identically whether the topology lives in RAM or in
-chunk files on disk."""
+"""Tests for the graph generators: ``load_dataset`` builds the same
+bytes it always has (pinned by digest), ``stream_graph`` and
+``stream_rmat_graph`` produce the same graph on the memory and mmap
+backends at any chunking, bad chunk sizes are refused before anything is
+drawn, and every partitioner assigns identically whether the topology
+lives in RAM or in chunk files on disk."""
+
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.datasets import load_dataset
+from repro.graph.generators import GraphSpec
 from repro.graph.rmat import RMATSpec
 from repro.graph.streaming import stream_graph, stream_rmat_graph
 from repro.graph.subgraph import induced_subgraph
@@ -43,18 +48,67 @@ def _assert_graphs_identical(a, b):
     assert a.num_classes == b.num_classes
 
 
-class TestStreamGraphBitIdentity:
-    """stream_graph replays generate_graph's RNG sequence exactly."""
+def _digest(graph) -> str:
+    """sha256 over dtype, shape and bytes of the CSR, features, labels
+    and the three masks."""
+    h = hashlib.sha256()
+    for array in (graph.adjacency.indptr, graph.adjacency.indices,
+                  graph.features, graph.labels, graph.train_mask,
+                  graph.val_mask, graph.test_mask):
+        array = np.ascontiguousarray(array)
+        h.update(f"{array.dtype.str}{array.shape}".encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+# Captured from the generator the goldens were recorded with; a change
+# here means every dataset-trained figure in the repo moved.
+DATASET_DIGESTS = {
+    ("cora", "tiny", 0): "7b5381dccdccb8a2a48e1e7cd0cad7081fecea114dd02062b572ffc54e546a7c",
+    ("cora", "tiny", 1): "93498cd483dd652e83e3c3adbd33668b38a59b371c93878edd6bd2f5888d5538",
+    ("pubmed", "tiny", 0): "1c54e63109ec1424ca545b7daa63c9b4eb02a30a82d8e1c56b3926ef6aaef7a3",
+    ("pubmed", "tiny", 1): "557b5e2bc98f5e82c7fe1f2dad3ecd21d2a485053e84a4c0ea34c1bc3b141d79",
+    ("reddit", "tiny", 0): "ffee814634e962316733cc111d5b79847a7948c1d3bf40056436ae206fdd79c2",
+    ("reddit", "tiny", 1): "6ecd446252f91c94c877d550113f60b84a029f10680be5024bd8afacf346bd04",
+    ("ogbn-products", "tiny", 0): "93d6f9dccf870d2c263f1615e3427e59d5b53ce1bf206681b719f384e7c31351",
+    ("ogbn-products", "tiny", 1): "b7019b0a16c17beb3819262bb7b3cf8b384a62f77dd89d347b7c00c57991e5dc",
+    ("ogbn-papers", "tiny", 0): "c4a0cd64a872400aff71102615566386a373b7bcba0bcf3b2df47197fc956102",
+    ("ogbn-papers", "tiny", 1): "192df817be8ceb72d64d2d61bc7b84f28b83631758d7e3f75b61c5d5f7239c1d",
+    ("cora", "bench", 0): "8b6616aeb2bbddbe7b3d499a01ebce7191b2f8a6f1d4d8a0f0eb978860154583",
+    ("cora", "bench", 1): "3b03e9d00dfb12f8ed7ca511d2eed19d282eee4edad3369c8cd8e653dc45c178",
+    ("pubmed", "bench", 0): "f512062c347316553dd2c73b9dce26105c7da8566d110e9ed88b52ddae4675f2",
+    ("pubmed", "bench", 1): "7393df11524f168e7eaace57edc9f01955d107b88324617953e061d13dd07e45",
+    ("reddit", "bench", 0): "f1f978f48ad78a7000909f6592ba43c52ffc450964189db6bf04fd1634f2d174",
+    ("reddit", "bench", 1): "d084f7335d20d568648d90ffb25a071c92d9f1ca5df54f1dbfc47a081a60ba7f",
+    ("ogbn-products", "bench", 0): "05cc6367bdb79b647757504fa7b04d863e2b8a8264ece9779ca486b1b9d29e60",
+    ("ogbn-products", "bench", 1): "c6dd8fe653a6e3783c40b1be1fb03e32092baee1ee8f6677c6947cdd20d8557b",
+    ("ogbn-papers", "bench", 0): "997c2f390e05b3f2272ad503f4ca4fb5f33653d0874431f9218b06193cc52ec3",
+    ("ogbn-papers", "bench", 1): "58bbc253c5d57d15c4d67adf45d8d8562bddc6e28edbea7b9b198dda41d2c795",
+}
+
+
+class TestDatasetDigests:
+    @pytest.mark.parametrize(
+        "name,profile,seed", sorted(DATASET_DIGESTS),
+        ids=lambda v: str(v),
+    )
+    def test_bytes_unchanged(self, name, profile, seed):
+        graph = load_dataset(name, profile, seed)
+        assert _digest(graph) == DATASET_DIGESTS[name, profile, seed]
+
+    def test_digest_sees_one_flipped_label(self):
+        graph = load_dataset("cora", "tiny", 0)
+        before = _digest(graph)
+        graph.labels[0] = (graph.labels[0] + 1) % graph.num_classes
+        assert _digest(graph) != before
+
+
+class TestStreamGraphBackends:
+    """The SBM generator's bytes depend on neither backend nor chunking."""
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
-    def test_memory_backend_matches_materialized(self, spec):
-        expected = generate_graph(spec)
-        streamed = stream_graph(spec, backend="memory").materialize()
-        _assert_graphs_identical(streamed, expected)
-
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
-    def test_mmap_backend_matches_materialized(self, spec, tmp_path):
-        expected = generate_graph(spec)
+    def test_mmap_backend_matches_memory(self, spec, tmp_path):
+        expected = stream_graph(spec, backend="memory").materialize()
         bundle = stream_graph(
             spec, backend="mmap", out_dir=tmp_path / spec.name,
             chunk_vertices=97,
@@ -63,13 +117,46 @@ class TestStreamGraphBitIdentity:
 
     def test_odd_chunk_sizes_do_not_change_bytes(self, tmp_path):
         spec = SPECS[0]
-        expected = generate_graph(spec)
+        expected = stream_graph(spec).materialize()
         for chunk in (1 << 12, 101, 33):
+            _assert_graphs_identical(
+                stream_graph(spec, chunk_vertices=chunk).materialize(),
+                expected,
+            )
             bundle = stream_graph(
                 spec, backend="mmap", out_dir=tmp_path / f"c{chunk}",
                 chunk_vertices=chunk,
             )
             _assert_graphs_identical(bundle.materialize(), expected)
+
+    def test_deterministic_and_seeded(self):
+        a = stream_graph(SPECS[0]).materialize()
+        _assert_graphs_identical(a, stream_graph(SPECS[0]).materialize())
+        other = dataclasses.replace(SPECS[0], seed=4)
+        assert not np.array_equal(
+            a.labels, stream_graph(other).materialize().labels
+        )
+
+
+class TestChunkValidation:
+    """Chunk sizes below 1 are refused before anything is drawn."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"chunk_vertices": 0},
+        {"chunk_vertices": -3},
+    ])
+    def test_stream_graph(self, kwargs):
+        with pytest.raises(ValueError, match="chunk_vertices"):
+            stream_graph(SPECS[0], **kwargs)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"chunk_vertices": 0}, "chunk_vertices"),
+        ({"chunk_edges": 0}, "chunk_edges"),
+        ({"chunk_edges": -5}, "chunk_edges"),
+    ])
+    def test_stream_rmat_graph(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            stream_rmat_graph(RMATSpec(scale=6), **kwargs)
 
 
 class TestStreamRmatBackends:

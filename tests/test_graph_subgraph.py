@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.baselines.ml_centered import capped_khop_subgraph
 from repro.graph.csr import from_edge_list
-from repro.graph.subgraph import (
-    induced_subgraph,
-    khop_neighborhood,
-    khop_sampled_neighborhood,
-)
+from repro.graph.subgraph import induced_subgraph
 
 
 @pytest.fixture
@@ -77,54 +74,17 @@ class TestInducedSubgraph:
         )
 
 
-class TestKHop:
-    def test_zero_hops_is_targets(self, path_graph):
-        result = khop_neighborhood(path_graph, np.array([2]), 0)
-        np.testing.assert_array_equal(result, [2])
-
-    def test_one_hop(self, path_graph):
-        result = khop_neighborhood(path_graph, np.array([2]), 1)
-        np.testing.assert_array_equal(result, [1, 2, 3])
-
-    def test_covers_whole_path(self, path_graph):
-        result = khop_neighborhood(path_graph, np.array([0]), 4)
-        np.testing.assert_array_equal(result, np.arange(5))
-
-    def test_negative_hops_rejected(self, path_graph):
-        with pytest.raises(ValueError):
-            khop_neighborhood(path_graph, np.array([0]), -1)
-
+class TestKHopGrowth:
     def test_growth_matches_table2_direction(self, medium_graph):
         """More hops -> strictly more cached vertices (the g^L blowup)."""
         adjacency = medium_graph.adjacency
         targets = np.array([0, 1, 2])
+        uncapped = medium_graph.num_vertices
         sizes = [
-            khop_neighborhood(adjacency, targets, hops).size
+            capped_khop_subgraph(
+                adjacency, targets, [uncapped] * hops,
+                np.random.default_rng(0),
+            )[0].size
             for hops in (1, 2, 3)
         ]
         assert sizes[0] < sizes[1] <= sizes[2]
-
-
-class TestSampledKHop:
-    def test_fanout_bounds_layer_growth(self, medium_graph):
-        rng = np.random.default_rng(0)
-        targets = np.arange(10)
-        layers = khop_sampled_neighborhood(
-            medium_graph.adjacency, targets, [3, 3], rng
-        )
-        assert len(layers) == 2
-        assert layers[0].size <= 10 * 3
-        assert layers[1].size <= (10 + layers[0].size) * 3
-
-    def test_layers_disjoint_from_targets(self, medium_graph):
-        rng = np.random.default_rng(0)
-        targets = np.arange(5)
-        layers = khop_sampled_neighborhood(
-            medium_graph.adjacency, targets, [4], rng
-        )
-        assert not set(layers[0].tolist()) & set(targets.tolist())
-
-    def test_bad_fanout_rejected(self, path_graph):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            khop_sampled_neighborhood(path_graph, np.array([0]), [0], rng)

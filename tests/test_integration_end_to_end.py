@@ -120,9 +120,11 @@ class TestDeterminism:
 
 class TestRMATStress:
     def test_hub_heavy_graph_full_pipeline(self):
-        from repro.graph import RMATSpec, generate_rmat_graph
+        from repro.graph import RMATSpec, stream_rmat_graph
 
-        graph = generate_rmat_graph(RMATSpec(scale=8, edge_factor=6, seed=2))
+        graph = stream_rmat_graph(
+            RMATSpec(scale=8, edge_factor=6, seed=2)
+        ).materialize()
         run = train_ecgraph(graph, num_workers=4, num_epochs=5, hidden_dim=4)
         assert np.isfinite(run.epochs[-1].loss)
         assert run.total_bytes() > 0

@@ -60,12 +60,13 @@ def dirty(shape: tuple[int, int]) -> np.ndarray:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def worker_state():
-    from repro.graph.generators import GraphSpec, generate_graph
+    from repro.graph.generators import GraphSpec
+    from repro.graph.streaming import stream_graph
 
-    graph = generate_graph(GraphSpec(
+    graph = stream_graph(GraphSpec(
         name="kernels", num_vertices=180, avg_degree=9.0, feature_dim=12,
         num_classes=4, power_law=2.0, train=60, val=30, test=60, seed=5,
-    ))
+    )).materialize()
     normalized = gcn_normalize(graph.adjacency)
     partition = HashPartitioner().partition(graph.adjacency, 3)
     return build_worker_states(graph, normalized, partition)[0]

@@ -2,7 +2,7 @@
 
 Fixtures are laid out as ``<tmp>/repro/<package>/<file>.py`` so the
 package-scoped rules (ECG001 engine/mp/core, ECG003 engine/mp/
-membership, ECG005 compression + graph/io.py) resolve scope exactly as
+membership, ECG005 compression) resolve scope exactly as
 they do for ``src/repro/...`` — :func:`package_parts` keys on the last
 ``repro`` directory component, not on ``src``.
 """
@@ -223,7 +223,7 @@ class TestECG005Decode:
 
     def test_flags_swallowed_exception(self, tmp_path):
         report = lint_one(
-            tmp_path, "graph/io.py",
+            tmp_path, "compression/io.py",
             "def load(path):\n"
             "    try:\n"
             "        return open(path).read()\n"

@@ -23,18 +23,19 @@ from repro.engine import (
     SampledGCNBackend,
 )
 from repro.faults.config import FaultConfig
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.generators import GraphSpec
+from repro.graph.streaming import stream_graph
 
 SPEC = ClusterSpec(num_workers=3, num_servers=1)
 
 
 @pytest.fixture(scope="module")
 def graph():
-    return generate_graph(GraphSpec(
+    return stream_graph(GraphSpec(
         name="backends", num_vertices=72, avg_degree=5.0, feature_dim=10,
         num_classes=3, homophily=0.85, feature_noise=0.7,
         train=30, val=12, test=24, seed=11,
-    ))
+    )).materialize()
 
 
 def _make_trainer(arch: str, graph, **config_kwargs):

@@ -20,18 +20,19 @@ from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
 from repro.faults.config import FaultConfig
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.generators import GraphSpec
+from repro.graph.streaming import stream_graph
 
 SHM_DIR = "/dev/shm"
 
 
 @pytest.fixture(scope="module")
 def graph():
-    return generate_graph(GraphSpec(
+    return stream_graph(GraphSpec(
         name="mp", num_vertices=72, avg_degree=5.0, feature_dim=8,
         num_classes=3, homophily=0.9, feature_noise=0.8,
         train=30, val=12, test=24, seed=11,
-    ))
+    )).materialize()
 
 
 def _mp_trainer(graph, **overrides):
@@ -185,11 +186,11 @@ class TestBackpressure:
         # drains would block forever. The protocol survives because
         # workers park in recv() between rounds; the alarm turns a
         # regression into a failure instead of a hang.
-        graph = generate_graph(GraphSpec(
+        graph = stream_graph(GraphSpec(
             name="wide", num_vertices=64, avg_degree=4.0, feature_dim=128,
             num_classes=3, homophily=0.9, feature_noise=0.8,
             train=24, val=12, test=16, seed=5,
-        ))
+        )).materialize()
         trainer = ECGraphTrainer(
             graph, ModelConfig(num_layers=2, hidden_dim=128),
             ClusterSpec(num_workers=3, num_servers=1),

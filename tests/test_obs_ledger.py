@@ -19,7 +19,8 @@ from repro.core.messages import ChannelKey
 from repro.core.trainer import ECGraphTrainer
 from repro.engine import GATBackend, SampledGCNBackend
 from repro.faults import FaultConfig
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.generators import GraphSpec
+from repro.graph.streaming import stream_graph
 from repro.obs import (
     NULL_LEDGER,
     ChannelLedger,
@@ -190,11 +191,11 @@ OBS = ObsConfig(enabled=True)
 
 @pytest.fixture(scope="module")
 def golden_graph():
-    return generate_graph(GraphSpec(
+    return stream_graph(GraphSpec(
         name="golden", num_vertices=96, avg_degree=6.0, feature_dim=12,
         num_classes=3, homophily=0.9, feature_noise=0.8,
         train=40, val=16, test=32, seed=7,
-    ))
+    )).materialize()
 
 
 def _build_instrumented(name: str, graph):

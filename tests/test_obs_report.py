@@ -41,12 +41,13 @@ def instrumented(small_graph_module):
 
 @pytest.fixture(scope="module")
 def small_graph_module():
-    from repro.graph.generators import GraphSpec, generate_graph
-    return generate_graph(GraphSpec(
+    from repro.graph.generators import GraphSpec
+    from repro.graph.streaming import stream_graph
+    return stream_graph(GraphSpec(
         name="unit-small", num_vertices=96, avg_degree=6.0, feature_dim=12,
         num_classes=3, homophily=0.9, feature_noise=0.8,
         train=40, val=16, test=32, seed=7,
-    ))
+    )).materialize()
 
 
 class TestResidentBuffers:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import from_edge_list
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.generators import GraphSpec
+from repro.graph.streaming import stream_graph
 from repro.partition import (
     BFSPartitioner,
     HashPartitioner,
@@ -30,7 +31,7 @@ def community_graph():
         homophily=0.97,
         seed=3,
     )
-    return generate_graph(spec).adjacency
+    return stream_graph(spec).materialize().adjacency
 
 
 ALL_PARTITIONERS = [

@@ -22,11 +22,11 @@ import pytest
 from repro.core.worker import build_worker_states
 from repro.graph.attributed import AttributedGraph
 from repro.graph.csr import CSRGraph, from_edge_list
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.generators import GraphSpec
 from repro.graph.normalize import normalized_adjacency
 from repro.graph.rmat import RMATSpec
 from repro.graph.store import MemoryGraphStore, to_mmap_bundle
-from repro.graph.streaming import stream_rmat_graph
+from repro.graph.streaming import stream_graph, stream_rmat_graph
 from repro.graph.subgraph import induced_subgraph
 from repro.partition import (
     BFSPartitioner,
@@ -48,7 +48,7 @@ def _sbm() -> CSRGraph:
         name="exact-sbm", num_vertices=320, avg_degree=9.0, feature_dim=4,
         num_classes=4, homophily=0.85, power_law=2.5, seed=5,
     )
-    return generate_graph(spec).adjacency
+    return stream_graph(spec).materialize().adjacency
 
 
 def _rmat() -> CSRGraph:
@@ -182,7 +182,7 @@ class TestMetisExact:
             name="exact-deep", num_vertices=900, avg_degree=8.0,
             feature_dim=4, num_classes=4, homophily=0.8, seed=12,
         )
-        graph = generate_graph(spec).adjacency
+        graph = stream_graph(spec).materialize().adjacency
         weight = np.ones(graph.num_vertices, dtype=np.int64)
         rng_want, rng_got = np.random.default_rng(1), np.random.default_rng(1)
         depth = 0

@@ -16,8 +16,9 @@ import pytest
 from test_partition_exact import ZOO, _attributed
 
 from repro.graph.csr import CSRGraph, from_edge_list
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.generators import GraphSpec
 from repro.graph.store import MemoryGraphStore, to_mmap_bundle
+from repro.graph.streaming import stream_graph
 from repro.partition import MetisLikePartitioner, Partition, partition_stats
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -26,11 +27,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def _communities(num_vertices: int, seed: int):
     """Eight planted communities behind noisy labels: the bench's
     ``sbm16`` at a size a test can afford."""
-    return generate_graph(GraphSpec(
+    return stream_graph(GraphSpec(
         name="quality-sbm", num_vertices=num_vertices, avg_degree=16,
         feature_dim=4, num_classes=8, power_law=2.5, homophily=0.8,
         label_noise=0.1, seed=seed,
-    ))
+    )).materialize()
 
 
 def _result_cap(num_vertices: int, num_parts: int, imbalance: float) -> int:
@@ -148,11 +149,12 @@ class TestSeededDeterminism:
     def test_blas_thread_count_does_not_matter(self):
         program = (
             "import hashlib\n"
-            "from repro.graph.generators import GraphSpec, generate_graph\n"
+            "from repro.graph.generators import GraphSpec\n"
+            "from repro.graph.streaming import stream_graph\n"
             "from repro.partition import MetisLikePartitioner\n"
-            "graph = generate_graph(GraphSpec(name='t', num_vertices=4096,"
+            "graph = stream_graph(GraphSpec(name='t', num_vertices=4096,"
             " avg_degree=16, feature_dim=4, num_classes=8, power_law=2.5,"
-            " homophily=0.8, seed=3)).adjacency\n"
+            " homophily=0.8, seed=3)).materialize().adjacency\n"
             "a = MetisLikePartitioner(seed=3).partition(graph, 4).assignment\n"
             "print(hashlib.sha256(a.tobytes()).hexdigest())\n"
         )

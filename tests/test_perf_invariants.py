@@ -16,7 +16,8 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.core import ECGraphTrainer, ModelConfig
 from repro.core.config import ECGraphConfig
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.generators import GraphSpec
+from repro.graph.streaming import stream_graph
 
 
 class TestKnobDefaults:
@@ -32,10 +33,10 @@ ROUNDS = ("forward_kernels", "loss_scan", "backward_local", "backward_reduce")
 
 
 def _budget_trainer(**config):
-    graph = generate_graph(GraphSpec(
+    graph = stream_graph(GraphSpec(
         name="budget", num_vertices=1200, avg_degree=10.0, feature_dim=48,
         num_classes=6, power_law=2.2, train=400, val=200, test=400, seed=9,
-    ))
+    )).materialize()
     trainer = ECGraphTrainer(
         graph, ModelConfig(num_layers=3, hidden_dim=48),
         ClusterSpec(num_workers=4), ECGraphConfig(seed=1, **config),
@@ -215,11 +216,11 @@ class TestSetupPathCallCounts:
 
     @pytest.fixture(scope="class")
     def sbm(self):
-        return generate_graph(GraphSpec(
+        return stream_graph(GraphSpec(
             name="setup-counts", num_vertices=self.N, avg_degree=12.0,
             feature_dim=8, num_classes=4, homophily=0.8, power_law=2.5,
             seed=4,
-        ))
+        )).materialize()
 
     @pytest.mark.parametrize("method", ["metis", "bfs"])
     def test_partitioning_makes_fewer_than_n_row_calls(

@@ -75,6 +75,9 @@ RETIRED_NAMES = (
     "codec_seconds", "_charge_compute", "_bp_span_stages",
     "_BackendBase", "backward_param_names", "sage_layer_forward",
     "gat_layer_forward", "_SAGECache",
+    "generate_graph", "planted_partition_edges", "class_features",
+    "generate_rmat_graph", "rmat_edges", "save_graph", "load_graph",
+    "khop_neighborhood", "khop_sampled_neighborhood",
 )
 CHECKPOINT = REPO / "src" / "repro" / "core" / "checkpoint.py"
 
@@ -520,6 +523,70 @@ class TestExamplesCompile:
         py_compile.compile(
             str(path), cfile=str(tmp_path / (path.name + "c")), doraise=True
         )
+
+
+def _repro_imports(source: str) -> list[tuple[str, str | None]]:
+    """``(module, name)`` per ``from repro... import name`` and
+    ``(module, None)`` per ``import repro...`` anywhere in ``source``."""
+    found: list[tuple[str, str | None]] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module == "repro" or module.startswith("repro."):
+                found += [(module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [
+                (alias.name, None) for alias in node.names
+                if alias.name == "repro" or alias.name.startswith("repro.")
+            ]
+    return found
+
+
+def _unresolved_imports(source: str) -> list[str]:
+    """The ``repro`` imports in ``source`` that would fail to resolve."""
+    missing = []
+    for module, name in _repro_imports(source):
+        try:
+            imported = importlib.import_module(module)
+        except ImportError:
+            missing.append(module)
+            continue
+        if name is None or name == "*" or hasattr(imported, name):
+            continue
+        try:
+            importlib.import_module(f"{module}.{name}")
+        except ImportError:
+            missing.append(f"{module}.{name}")
+    return missing
+
+
+def _never_run_files():
+    """Scripts CI only byte-compiles or runs outside the test suite."""
+    for root in ("examples", "benchmarks", "bench"):
+        yield from sorted((REPO / root).rglob("*.py"))
+
+
+class TestReproImportsResolve:
+    @pytest.mark.parametrize(
+        "path", list(_never_run_files()),
+        ids=lambda p: str(p.relative_to(REPO)),
+    )
+    def test_every_repro_import_resolves(self, path):
+        assert _unresolved_imports(path.read_text()) == []
+
+    def test_the_guard_flags_a_missing_name(self):
+        source = (
+            "from repro.graph.generators import GraphSpec, no_such_generator\n"
+            "from repro.graph import store\n"
+            "import repro.no_such_module\n"
+            "def f():\n"
+            "    from repro.graph.streaming import stream_graph, nope\n"
+        )
+        assert _unresolved_imports(source) == [
+            "repro.graph.generators.no_such_generator",
+            "repro.no_such_module",
+            "repro.graph.streaming.nope",
+        ]
 
 
 class TestPublicImports:

@@ -32,7 +32,8 @@ from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
 from repro.faults import FaultConfig
 from repro.faults.injector import FATE_CORRUPT, FATE_DROP, FATE_OK
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.generators import GraphSpec
+from repro.graph.streaming import stream_graph
 
 PERIOD = 3
 EPOCHS = 13  # boundaries at t = 2, 5, 8, 11
@@ -42,11 +43,11 @@ MAX_RETRIES = 2
 
 @pytest.fixture(scope="module")
 def graph():
-    return generate_graph(GraphSpec(
+    return stream_graph(GraphSpec(
         name="boundary-faults", num_vertices=96, avg_degree=6.0,
         feature_dim=12, num_classes=3, homophily=0.9, feature_noise=0.8,
         train=40, val=16, test=32, seed=7,
-    ))
+    )).materialize()
 
 
 class BoundaryAuditor:

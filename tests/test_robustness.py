@@ -19,7 +19,8 @@ from repro.faults import FaultConfig, FaultInjector
 from repro.faults.chaos import run_chaos
 from repro.graph.attributed import AttributedGraph
 from repro.graph.csr import from_edge_list
-from repro.graph.generators import GraphSpec, generate_graph
+from repro.graph.generators import GraphSpec
+from repro.graph.streaming import stream_graph
 from repro.obs import ObsConfig
 
 
@@ -99,7 +100,7 @@ class TestDegenerateGraphs:
         spec = GraphSpec(name="t", num_vertices=10, avg_degree=2.0,
                          feature_dim=64, num_classes=2, train=4, val=2,
                          test=2, seed=0)
-        run = _train(generate_graph(spec), workers=2)
+        run = _train(stream_graph(spec).materialize(), workers=2)
         assert np.isfinite(run.epochs[-1].loss)
 
 
