@@ -12,7 +12,7 @@ from _helpers import bench_graph, dataset_header, fmt_bytes, run_once
 
 from repro.analysis.costs import CostParameters, ecgraph_costs, ml_centered_costs
 from repro.analysis.reporting import format_table
-from repro.baselines.ml_centered import MLCenteredTrainer
+from repro.baselines import CachedKHopBackend
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
@@ -62,12 +62,13 @@ def test_table2_analytic_and_empirical(benchmark):
     # EC-Graph per-epoch bytes shrink with B.
     graph = bench_graph("reddit")
     print(dataset_header("reddit"))
-    ml = MLCenteredTrainer(
+    ml = ECGraphTrainer(
         graph, ModelConfig(num_layers=2, hidden_dim=16),
-        ClusterSpec(num_workers=6), cache_fanouts=[25, 25],
-        config=ECGraphConfig(),
+        ClusterSpec(num_workers=6), ECGraphConfig(),
+        backend=CachedKHopBackend([25, 25]),
     )
-    cached = sum(ml.cached_vertex_counts())
+    ml.setup()
+    cached = sum(state.num_local for state in ml.workers)
     redundancy = cached / graph.num_vertices
     print(f"ML-centered cached vertices: {cached:,} "
           f"({redundancy:.2f}x the graph — Table II's g^L memory blowup)")

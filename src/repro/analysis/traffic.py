@@ -11,15 +11,12 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.analysis.reporting import format_table
-from repro.cluster.network import TrafficMeter, TrafficSnapshot
 from repro.core.results import ConvergenceRun
 
 __all__ = [
     "traffic_by_category",
     "traffic_table",
     "dominant_category",
-    "measure_traffic",
-    "snapshot_table",
 ]
 
 
@@ -71,39 +68,4 @@ def traffic_table(runs: list[ConvergenceRun]) -> str:
     return format_table(
         ["run"] + categories + ["total"], rows,
         title="Traffic by category",
-    )
-
-
-def measure_traffic(meter: TrafficMeter, fn) -> TrafficSnapshot:
-    """Run ``fn()`` and return only the traffic it caused.
-
-    Brackets the call with :meth:`TrafficMeter.snapshot` so a meter that
-    is shared across runs (setup caches, earlier experiments) does not
-    leak lifetime totals into the measurement.
-    """
-    before = meter.snapshot()
-    fn()
-    return meter.snapshot().delta(before)
-
-
-def snapshot_table(snapshots: dict[str, TrafficSnapshot]) -> str:
-    """ASCII table of named traffic snapshots (or deltas), one per row.
-
-    Categories are ordered by their total across snapshots, largest
-    first — the same convention as :func:`traffic_table`.
-    """
-    grand: dict[str, int] = defaultdict(int)
-    for snap in snapshots.values():
-        for category, nbytes in snap.category_bytes.items():
-            grand[category] += nbytes
-    categories = sorted(grand, key=grand.get, reverse=True)
-    rows = [
-        [name]
-        + [snap.category_bytes.get(category, 0) for category in categories]
-        + [snap.total_bytes, snap.total_messages]
-        for name, snap in snapshots.items()
-    ]
-    return format_table(
-        ["phase"] + categories + ["bytes", "messages"], rows,
-        title="Traffic snapshots",
     )

@@ -4,7 +4,7 @@ sampling), AGL and AliGraph-FG (ML-centered), plus EC-Graph's own
 ablation arms.
 """
 
-from repro.baselines.ml_centered import MLCenteredTrainer, capped_khop_subgraph
+from repro.baselines.ml_centered import CachedKHopBackend, capped_khop_subgraph
 from repro.baselines.systems import (
     SYSTEMS,
     default_fanouts,
@@ -13,7 +13,7 @@ from repro.baselines.systems import (
 )
 
 __all__ = [
-    "MLCenteredTrainer",
+    "CachedKHopBackend",
     "capped_khop_subgraph",
     "SYSTEMS",
     "default_fanouts",

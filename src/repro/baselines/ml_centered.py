@@ -1,375 +1,120 @@
-"""ML-centered distributed GNN training (AliGraph / AGL architecture).
-
-In the ML-centered family (paper section II-B and Fig. 2b) the graph and
-features live in a storage layer; each worker pulls the *entire L-hop
-neighbourhood* of its target vertices up front and then trains without
-ever talking to other workers. The price is the paper's Table II: memory
-and computation grow like ``g^L`` because neighbourhoods overlap across
-workers, and practical deployments cap the cached fanout per vertex,
-which truncates aggregation and costs accuracy — the effect behind
-AliGraph-FG's accuracy gap in Table V (largest on high-degree graphs).
-
-This trainer reproduces that architecture honestly on the shared
-substrate:
-
-* preprocessing pulls the capped L-hop neighbourhood of each worker's
-  targets from storage (bytes charged as ``lhop_pull`` traffic and folded
-  into the Fig. 9 preprocessing bar);
-* every epoch runs dense GCN forward/backward over the worker's cached
-  subgraph — the cross-worker redundancy is real, measured compute;
-* the only per-epoch traffic is parameter pull/push.
-"""
+"""ML-centered training (AliGraph / AGL, paper section II-B, Fig. 2b): each
+worker trains on its targets' capped L-hop cache, pulled from storage once,
+so memory and compute grow like ``g^L`` (Table II) and the cap costs accuracy."""
 
 from __future__ import annotations
 
-import time
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro.cluster.engine import ClusterRuntime
-from repro.cluster.param_server import ParameterServerGroup
-from repro.cluster.topology import ClusterSpec
-from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.gcn_math import (
-    bias_gradient,
-    layer_forward,
-    weight_gradient,
-)
-from repro.core.models import bias_name, build_parameters, weight_name
-from repro.core.results import ConvergenceRun, EpochResult
-from repro.graph.attributed import AttributedGraph
+from repro.core.worker import WorkerState
+from repro.engine.backends import GCNBackend
 from repro.graph.csr import CSRGraph
-from repro.nn.losses import softmax_cross_entropy
-from repro.nn.optim import make_optimizer
-from repro.partition.hashing import HashPartitioner
+from repro.graph.subgraph import LocalSubgraph, ragged_positions
 
-__all__ = ["MLCenteredTrainer", "capped_khop_subgraph"]
+__all__ = ["CachedKHopBackend", "capped_khop_subgraph"]
 
 
-def capped_khop_subgraph(
-    adjacency: CSRGraph,
-    targets: np.ndarray,
-    fanouts: list[int],
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand targets hop by hop, keeping at most ``fanouts[h]`` in-edges.
-
-    Returns ``(vertices, edges)`` where ``vertices`` is the sorted cached
-    vertex set and ``edges`` is an ``(m, 2)`` array of kept ``(dst, src)``
-    aggregation edges (``dst`` aggregates ``src``). This is the GraphFlat
-    materialization of AGL / the neighbour cache of AliGraph.
-    """
-    targets = np.unique(np.asarray(targets, dtype=np.int64))
-    visited = set(int(v) for v in targets)
-    frontier = targets
-    dst_list: list[np.ndarray] = []
-    src_list: list[np.ndarray] = []
+def capped_khop_subgraph(adjacency: CSRGraph, targets: np.ndarray, fanouts: list[int],
+                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted cached vertex set and the ``(m, 2)`` kept ``(dst, src)``
+    aggregation edges: hop ``h`` keeps each frontier row's ``fanouts[h]``
+    smallest of one uniform key drawn per candidate edge."""
+    indptr, indices = adjacency.indptr, adjacency.indices
+    visited = np.zeros(adjacency.num_vertices, dtype=bool)
+    frontier = np.unique(np.asarray(targets, dtype=np.int64))
+    visited[frontier] = True
+    edges = [np.empty((0, 2), dtype=np.int64)]
     for fanout in fanouts:
-        next_frontier: list[int] = []
-        for v in frontier:
-            nbrs = adjacency.neighbors(int(v))
-            if nbrs.size > fanout:
-                nbrs = rng.choice(nbrs, size=fanout, replace=False)
-            dst_list.append(np.full(nbrs.size, v, dtype=np.int64))
-            src_list.append(nbrs.astype(np.int64))
-            for u in nbrs:
-                u = int(u)
-                if u not in visited:
-                    visited.add(u)
-                    next_frontier.append(u)
-        frontier = np.array(next_frontier, dtype=np.int64)
-        if frontier.size == 0:
-            break
-    vertices = np.array(sorted(visited), dtype=np.int64)
-    if dst_list:
-        edges = np.stack(
-            [np.concatenate(dst_list), np.concatenate(src_list)], axis=1
-        )
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return vertices, edges
+        lengths = indptr[frontier + 1] - indptr[frontier]
+        positions = ragged_positions(indptr[frontier], lengths)
+        rows = np.repeat(np.arange(frontier.size), lengths)
+        # Keys are < 1, so sorting row + key shuffles within each row.
+        order = np.argsort(rows + rng.random(positions.size))
+        rank = np.arange(positions.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        kept = order[rank < fanout]
+        src = indices[positions[kept]].astype(np.int64)
+        edges.append(np.stack([frontier[rows[kept]], src], axis=1))
+        frontier = np.unique(src[~visited[src]])
+        visited[frontier] = True
+    return np.flatnonzero(visited), np.concatenate(edges)
 
 
-class MLCenteredTrainer:
-    """AliGraph-FG / AGL style training on the simulated cluster."""
+class _WorkerCache(NamedTuple):
+    targets: np.ndarray
+    state: WorkerState
+    a_transposed: csr_matrix  # kept edges are directed: gradients need A^T
+    pull_bytes: int
 
-    def __init__(
-        self,
-        graph: AttributedGraph,
-        model_config: ModelConfig,
-        cluster_spec: ClusterSpec,
-        cache_fanouts: list[int],
-        config: ECGraphConfig | None = None,
-        name: str = "ml-centered",
-    ):
-        """Args:
-        cache_fanouts: Per-hop cap (>= 1) on cached in-neighbours. AliGraph-FG
-            uses a uniform storage cap; AGL uses its sampling ratios.
-        config: Reused for optimizer/learning-rate/seed settings; the
-            exchange-policy fields are ignored (no halo exchange here).
-        """
-        if len(cache_fanouts) != model_config.num_layers:
-            raise ValueError("need one cache fanout per layer")
-        if min(cache_fanouts) < 1:
-            raise ValueError(
-                f"cache fanouts must be >= 1, got {list(cache_fanouts)}"
-            )
-        self.graph = graph
-        self.model_config = model_config
-        self.spec = cluster_spec
-        self.config = config or ECGraphConfig()
-        self.cache_fanouts = list(cache_fanouts)
-        self.name = name
 
-        self.runtime: ClusterRuntime | None = None
-        self.servers: ParameterServerGroup | None = None
-        self.params = None
-        self._workers: list[dict] = []
-        self._preprocessing_seconds = 0.0
-        self._global_train_count = 0
-        self._setup_done = False
+class CachedKHopBackend(GCNBackend):
+    """GCN whose worker graph is the capped L-hop cache of its targets,
+    with an empty halo: the exchanges move no rows. ``fanouts`` (one >= 1
+    per layer) is AliGraph-FG's storage cap or AGL's sampling ratios."""
 
-    # ------------------------------------------------------------------
-    def setup(self) -> None:
-        if self._setup_done:
-            return
-        start = time.perf_counter()
-        rng = np.random.default_rng(self.config.seed)
+    name = "cached-khop"
 
-        self.runtime = ClusterRuntime(self.spec)
-        self.servers = ParameterServerGroup(
-            self.runtime,
-            lambda: make_optimizer(
-                self.config.optimizer,
-                self.config.learning_rate,
-                weight_decay=self.config.weight_decay,
-            ),
-            reduce="sum",
-        )
-        self.params = build_parameters(
-            self.model_config,
-            self.graph.feature_dim,
-            self.graph.num_classes,
-            seed=self.config.seed,
-        )
-        for pname, tensor in self.params.tensors.items():
-            self.servers.register(pname, tensor.copy())
+    def __init__(self, fanouts: list[int]) -> None:
+        if any(f < 1 for f in fanouts):
+            raise ValueError(f"cache fanouts must be >= 1, got {list(fanouts)}")
+        self.fanouts = list(fanouts)
+        self.worker_caches: list[_WorkerCache] = []
+        self._rebuilt: list[int] = []
 
-        partition = HashPartitioner().partition(
-            self.graph.adjacency, self.spec.num_workers
-        )
-        degrees = np.diff(self.graph.adjacency.indptr).astype(np.float64)
-        inv_sqrt = 1.0 / np.sqrt(degrees + 1.0)
+    def build_workers(self, graph, normalized, partition, config):
+        """Caches drawn from one ``default_rng(config.seed)`` in worker
+        order; a rebuild keeps every cache whose targets stayed put."""
+        del normalized  # kept edges carry their own global-degree weights
+        rng = np.random.default_rng(config.seed)
+        inv_sqrt = 1.0 / np.sqrt(np.diff(graph.adjacency.indptr) + 1.0)
+        row_bytes = graph.feature_dim * graph.features.dtype.itemsize
+        compact = np.zeros(graph.num_vertices, dtype=np.int64)  # global -> cache row
+        old, self.worker_caches, self._rebuilt = self.worker_caches, [], []
+        for w in range(partition.num_parts):
+            targets = partition.part_vertices(w)
+            if w < len(old) and np.array_equal(targets, old[w].targets):
+                self.worker_caches.append(old[w])
+                continue
+            vertices, edges = capped_khop_subgraph(graph.adjacency, targets, self.fanouts, rng)
+            # Edges + self-loops, global-degree GCN weights, not rescaled (cap bias).
+            pairs = np.concatenate([edges, np.stack([vertices, vertices], axis=1)])
+            compact[vertices] = np.arange(vertices.size)
+            ids = compact[pairs]
+            a_local = csr_matrix(
+                ((inv_sqrt[pairs[:, 0]] * inv_sqrt[pairs[:, 1]]).astype(np.float32), ids.T),
+                shape=(vertices.size, vertices.size))
+            is_target = np.isin(vertices, targets)
+            sub = LocalSubgraph(vertices, np.empty(0, dtype=np.int64),
+                                a_local.indptr, a_local.indices, a_local.data)
+            state = WorkerState(
+                w, sub, a_local, graph.features[vertices], graph.labels[vertices],
+                *(mask[vertices] & is_target for mask in (
+                    graph.train_mask, graph.val_mask, graph.test_mask)),
+                requests={}, halo_slots={}, serves={})
+            pull = vertices.size * row_bytes + edges.shape[0] * 8
+            self.worker_caches.append(_WorkerCache(targets, state, a_local.T.tocsr(), pull))
+            self._rebuilt.append(w)
+        return [cache.state for cache in self.worker_caches]
 
-        self._global_train_count = int(self.graph.train_mask.sum())
-        machines = self.spec.num_machines
-        for worker in range(self.spec.num_workers):
-            targets = partition.part_vertices(worker)
-            vertices, edges = capped_khop_subgraph(
-                self.graph.adjacency, targets, self.cache_fanouts, rng
-            )
-            index = {int(v): i for i, v in enumerate(vertices)}
-            n_cached = vertices.shape[0]
+    def bind(self, ctx) -> None:
+        if len(self.fanouts) != ctx.params.num_layers:
+            raise ValueError(f"{len(self.fanouts)} fanouts for {ctx.params.num_layers} layers")
+        super().bind(ctx)
+        self._charge_pulls(range(len(self.worker_caches)), "lhop_pull")
 
-            dst = np.fromiter(
-                (index[int(v)] for v in edges[:, 0]), dtype=np.int64,
-                count=edges.shape[0],
-            )
-            src = np.fromiter(
-                (index[int(v)] for v in edges[:, 1]), dtype=np.int64,
-                count=edges.shape[0],
-            )
-            # GCN symmetric normalization with *global* degrees, plus
-            # normalized self-loops; sampled edges are not rescaled, which
-            # is exactly the downward aggregation bias of a capped cache.
-            weights = inv_sqrt[edges[:, 0]] * inv_sqrt[edges[:, 1]]
-            loop_idx = np.arange(n_cached, dtype=np.int64)
-            loop_w = inv_sqrt[vertices] * inv_sqrt[vertices]
-            a_sub = csr_matrix(
-                (
-                    np.concatenate([weights, loop_w]).astype(np.float32),
-                    (
-                        np.concatenate([dst, loop_idx]),
-                        np.concatenate([src, loop_idx]),
-                    ),
-                ),
-                shape=(n_cached, n_cached),
-            )
+    def on_membership_change(self) -> None:
+        self._charge_pulls(self._rebuilt, "recovery")
 
-            target_rows = np.array(
-                [index[int(v)] for v in targets], dtype=np.int64
-            )
-            target_mask = np.zeros(n_cached, dtype=bool)
-            target_mask[target_rows] = True
+    def _charge_pulls(self, workers, category: str) -> None:
+        # Storage spans the machines: (machines - 1) / machines is remote.
+        spec, machines = self.ctx.spec, self.ctx.spec.num_machines
+        for w in workers:
+            home = spec.worker_machine(w)
+            remote = int(self.worker_caches[w].pull_bytes * (machines - 1) / machines)
+            if remote:
+                self.ctx.runtime.meter.charge((home + 1) % machines, home, remote, category)
 
-            self._workers.append(
-                {
-                    "vertices": vertices,
-                    "a": a_sub,
-                    "a_t": a_sub.T.tocsr(),
-                    "features": self.graph.features[vertices],
-                    "labels": self.graph.labels[vertices],
-                    "train": self.graph.train_mask[vertices] & target_mask,
-                    "val": self.graph.val_mask[vertices] & target_mask,
-                    "test": self.graph.test_mask[vertices] & target_mask,
-                }
-            )
-            # Preprocessing pull: features + adjacency of the cached
-            # neighbourhood come from storage spread over all machines, so
-            # (machines - 1) / machines of the bytes cross the network.
-            # Byte count from shape arithmetic — slicing the feature
-            # matrix here would gather the rows a second time just to
-            # read .nbytes off the copy.
-            feature_row_bytes = (
-                self.graph.feature_dim * self.graph.features.dtype.itemsize
-            )
-            pull_bytes = (
-                vertices.shape[0] * feature_row_bytes + edges.shape[0] * 8
-            )
-            remote = int(pull_bytes * (machines - 1) / max(machines, 1))
-            if remote and machines > 1:
-                src_machine = (self.spec.worker_machine(worker) + 1) % machines
-                self.runtime.meter.charge(
-                    src_machine,
-                    self.spec.worker_machine(worker),
-                    remote,
-                    "lhop_pull",
-                )
-
-        self._preprocessing_seconds = time.perf_counter() - start
-        pull_bytes = self.runtime.meter.epoch_bytes()
-        if pull_bytes:
-            self._preprocessing_seconds += self.runtime.meter.epoch_comm_seconds(
-                self.spec.network, machines
-            )
-            self.runtime.meter.reset_epoch()
-        self._setup_done = True
-
-    # ------------------------------------------------------------------
-    def run_epoch(self, t: int) -> EpochResult:
-        self.setup()
-        num_layers = self.params.num_layers
-        counters = {"train": [0, 0], "val": [0, 0], "test": [0, 0]}
-        total_loss = 0.0
-        all_grads: dict[int, dict[str, np.ndarray]] = {}
-
-        for worker, local in enumerate(self._workers):
-            names = self.params.all_param_names()
-            pulled = self.servers.pull(worker, names)
-            caches = []
-            h = local["features"]
-            with self.runtime.worker_compute(worker):
-                for layer in range(1, num_layers + 1):
-                    weight = pulled[weight_name(layer - 1)]
-                    bias = pulled.get(bias_name(layer - 1))
-                    cache = layer_forward(
-                        local["a"],
-                        h,
-                        weight,
-                        bias,
-                        self.params.activation,
-                        is_last=(layer == num_layers),
-                    )
-                    caches.append(cache)
-                    h = cache.output
-
-                result = softmax_cross_entropy(
-                    h, local["labels"], local["train"]
-                )
-                local_count = int(local["train"].sum())
-                scale = (
-                    local_count / self._global_train_count
-                    if self._global_train_count
-                    else 0.0
-                )
-                total_loss += result.loss * scale
-                g = (result.grad * scale).astype(np.float32)
-
-                grads: dict[str, np.ndarray] = {}
-                for layer in range(num_layers, 0, -1):
-                    cache = caches[layer - 1]
-                    grads[weight_name(layer - 1)] = weight_gradient(
-                        cache, local["a"], g
-                    )
-                    if self.params.use_bias:
-                        grads[bias_name(layer - 1)] = bias_gradient(g)
-                    if layer > 1:
-                        weight = pulled[weight_name(layer - 1)]
-                        dh = (local["a_t"] @ g) @ weight.T
-                        g = (
-                            dh
-                            * self.params.activation.derivative(
-                                caches[layer - 2].pre_activation
-                            )
-                        ).astype(np.float32)
-                all_grads[worker] = grads
-
-                predictions = h.argmax(axis=1)
-                counters["train"][0] += result.correct
-                counters["train"][1] += result.count
-                for split in ("val", "test"):
-                    mask = local[split]
-                    counters[split][0] += int(
-                        (predictions[mask] == local["labels"][mask]).sum()
-                    )
-                    counters[split][1] += int(mask.sum())
-
-        for worker, grads in all_grads.items():
-            self.servers.push(worker, grads)
-        self.servers.apply_updates()
-        breakdown = self.runtime.end_epoch()
-
-        def _ratio(split: str) -> float:
-            correct, count = counters[split]
-            return correct / count if count else 0.0
-
-        return EpochResult(
-            epoch=t,
-            loss=total_loss,
-            train_accuracy=_ratio("train"),
-            val_accuracy=_ratio("val"),
-            test_accuracy=_ratio("test"),
-            breakdown=breakdown,
-        )
-
-    # ------------------------------------------------------------------
-    def train(
-        self,
-        num_epochs: int,
-        patience: int | None = None,
-        name: str | None = None,
-    ) -> ConvergenceRun:
-        """Train for up to ``num_epochs`` epochs (see ECGraphTrainer)."""
-        self.setup()
-        run = ConvergenceRun(
-            name=name or self.name,
-            preprocessing_seconds=self._preprocessing_seconds,
-            meta={
-                "architecture": "ml-centered",
-                "cache_fanouts": self.cache_fanouts,
-                "num_workers": self.spec.num_workers,
-                "dataset": self.graph.name,
-                "num_layers": self.model_config.num_layers,
-            },
-        )
-        best_val = -1.0
-        stale = 0
-        for t in range(num_epochs):
-            result = self.run_epoch(t)
-            run.epochs.append(result)
-            if patience is not None:
-                if result.val_accuracy > best_val + 1e-6:
-                    best_val = result.val_accuracy
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= patience:
-                        break
-        run.final_test_accuracy = run.epochs[-1].test_accuracy if run.epochs else None
-        return run
-
-    def cached_vertex_counts(self) -> list[int]:
-        """Cached subgraph sizes per worker (Table II memory evidence)."""
-        self.setup()
-        return [w["vertices"].shape[0] for w in self._workers]
+    def transposed(self, state: WorkerState, layer: int) -> csr_matrix:
+        return self.worker_caches[state.worker_id].a_transposed

@@ -19,7 +19,8 @@ Systems:
 * ``distdgl`` — graph-centered mini-batch with *online* sampling.
 * ``agl`` — ML-centered with offline GraphFlat sampling.
 * ``aligraph`` — ML-centered full-graph mode with a capped neighbour
-  cache.
+  cache. Both run the GCN engine on each worker's capped L-hop cache
+  (:class:`~repro.baselines.ml_centered.CachedKHopBackend`).
 * ``ecgraph_s`` — EC-Graph's sampling mode (offline sampling +
   compressed forward + ResEC-BP backward).
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.baselines.ml_centered import MLCenteredTrainer
+from repro.baselines.ml_centered import CachedKHopBackend
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.results import ConvergenceRun
@@ -108,12 +109,19 @@ def _make_ecgraph_s(graph, model, cluster, config, fanouts):
     return _sampled(graph, model, cluster, config, fanouts, online=False)
 
 
+def _ml_centered(graph, model, cluster, config, cache_fanouts):
+    # No halo exchange: the policies would serve no channel.
+    config = replace(config, fp_mode="raw", bp_mode="raw")
+    return ECGraphTrainer(
+        graph, model, cluster, config,
+        backend=CachedKHopBackend(cache_fanouts),
+    )
+
+
 def _make_agl(graph, model, cluster, config, fanouts):
-    return MLCenteredTrainer(
-        graph, model, cluster,
-        cache_fanouts=fanouts or default_fanouts(model.num_layers),
-        config=config,
-        name="agl",
+    return _ml_centered(
+        graph, model, cluster, config,
+        fanouts or default_fanouts(model.num_layers),
     )
 
 
@@ -121,11 +129,7 @@ def _make_aligraph(graph, model, cluster, config, fanouts):
     del fanouts
     # Full-graph mode: the cache keeps up to this many neighbours per
     # vertex per hop (a storage cap, not a sampling ratio).
-    cap = [25] * model.num_layers
-    return MLCenteredTrainer(
-        graph, model, cluster, cache_fanouts=cap, config=config,
-        name="aligraph-fg",
-    )
+    return _ml_centered(graph, model, cluster, config, [25] * model.num_layers)
 
 
 SYSTEMS = {
@@ -180,11 +184,5 @@ def run_system(
     model = ModelConfig(num_layers=num_layers, hidden_dim=hidden_dim)
     spec = cluster or ClusterSpec(num_workers=num_workers)
     base = config or ECGraphConfig()
-    trainer = factory(graph, model, spec, base, fanouts)
-    try:
+    with factory(graph, model, spec, base, fanouts) as trainer:
         return trainer.train(num_epochs, patience=patience, name=system)
-    finally:
-        # MLCenteredTrainer (agl/aligraph) holds no execution resources.
-        close = getattr(trainer, "close", None)
-        if close is not None:
-            close()

@@ -13,7 +13,7 @@ keep per-channel memories (trend snapshots, error residuals, stale caches).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,12 @@ class ReceiveResult:
     meta: dict = field(default_factory=dict)
 
 
-class ExchangePolicy(Protocol):
-    """What a halo-exchange policy must implement.
+class ExchangePolicy:
+    """Base class of every halo-exchange policy.
+
+    A policy implements ``respond``/``receive``. The engine drives fault
+    tolerance, elastic membership and telemetry through the hooks below
+    on any policy; their defaults are those of a stateless one.
 
     ``rows_idx`` supports the sampling trainers: when only a subset of a
     channel's vertices is requested this iteration, it holds their indices
@@ -73,6 +77,9 @@ class ExchangePolicy(Protocol):
     """
 
     name: str
+    # The trainer attaches its CompressionHealthMonitor when telemetry is
+    # on; the compensating policies sample their outcomes into it.
+    health = None
 
     def respond(
         self,
@@ -80,7 +87,8 @@ class ExchangePolicy(Protocol):
         rows: np.ndarray,
         t: int,
         rows_idx: np.ndarray | None = None,
-    ) -> ChannelMessage: ...
+    ) -> ChannelMessage:
+        raise NotImplementedError
 
     def receive(
         self,
@@ -88,10 +96,49 @@ class ExchangePolicy(Protocol):
         message: ChannelMessage,
         t: int,
         rows_idx: np.ndarray | None = None,
-    ) -> ReceiveResult: ...
+    ) -> ReceiveResult:
+        raise NotImplementedError
+
+    def reset(self) -> None:
+        """Drop all per-channel state (between independent runs)."""
+
+    def invalidate_worker(self, worker: int) -> None:
+        """Reset the channel state touching ``worker`` (crash recovery,
+        partition moves)."""
+
+    def on_delivery_failure(
+        self,
+        key: ChannelKey,
+        message: ChannelMessage,
+        rows_idx: np.ndarray | None = None,
+    ) -> bool:
+        """A message never arrived; True when the policy compensated."""
+        return False
+
+    def fallback_rows(self, key: ChannelKey, t: int) -> np.ndarray | None:
+        """Requester-side stand-in rows for an undelivered forward
+        message (None: no estimate)."""
+        return None
+
+    def export_residuals(
+        self, workers
+    ) -> list[tuple[ChannelKey, np.ndarray]]:
+        """Remove and return the error-feedback residuals on channels
+        touching ``workers`` (a partition move carries them over)."""
+        return []
+
+    def seed_residual(self, key: ChannelKey, residual: np.ndarray) -> None:
+        """Install a carried residual on a (possibly new) channel."""
+
+    def prime_residual(self, key: ChannelKey, num_rows: int, dim: int) -> None:
+        """Allocate full-channel residual state (sampled training)."""
+
+    def has_residual(self, key: ChannelKey) -> bool:
+        """True when the channel holds residual state."""
+        return False
 
 
-class RawPolicy:
+class RawPolicy(ExchangePolicy):
     """Uncompressed float32 rows — the paper's ``Non-cp`` configuration."""
 
     name = "raw"
@@ -116,6 +163,3 @@ class RawPolicy:
         rows_idx: np.ndarray | None = None,
     ) -> ReceiveResult:
         return ReceiveResult(rows=message.payload)
-
-    def reset(self) -> None:
-        """Raw exchange is stateless; nothing to clear."""

@@ -16,7 +16,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.compression.quantization import MATRIX_PREFIX_BYTES, BucketQuantizer
-from repro.core.messages import ChannelKey, ChannelMessage, ReceiveResult
+from repro.core.messages import (
+    ChannelKey,
+    ChannelMessage,
+    ExchangePolicy,
+    ReceiveResult,
+)
 
 if TYPE_CHECKING:
     from repro.core.bit_tuner import BitTuner
@@ -31,7 +36,7 @@ __all__ = [
 
 def make_exchange_policy(
     direction: str, config: "ECGraphConfig", tuner: "BitTuner | None" = None
-) -> object:
+) -> ExchangePolicy:
     """Build the halo-exchange policy one direction of ``config`` asks for.
 
     This is the single mode-to-policy mapping; the trainer's
@@ -71,7 +76,7 @@ def make_exchange_policy(
     raise ValueError(f"unknown exchange direction {direction!r}")
 
 
-class CompressPolicy:
+class CompressPolicy(ExchangePolicy):
     """Bucket-quantize every message; no error compensation."""
 
     def __init__(self, bits: int, table_mode: str = "table"):
@@ -106,11 +111,8 @@ class CompressPolicy:
     ) -> ReceiveResult:
         return ReceiveResult(rows=message.payload.decode())
 
-    def reset(self) -> None:
-        """Plain compression is stateless; nothing to clear."""
 
-
-class CodecPolicy:
+class CodecPolicy(ExchangePolicy):
     """Adapt any :class:`repro.compression.codec.Codec` into an exchange
     policy.
 
@@ -147,11 +149,8 @@ class CodecPolicy:
     ) -> ReceiveResult:
         return ReceiveResult(rows=self._codec.decode(message.payload))
 
-    def reset(self) -> None:
-        """Codec adapters are stateless; nothing to clear."""
 
-
-class DelayedPolicy:
+class DelayedPolicy(ExchangePolicy):
     """DistGNN-style delayed partial refresh of remote rows.
 
     Channel state lives on the requesting end: a cache of the last rows

@@ -28,7 +28,12 @@ import numpy as np
 
 from repro.compression.quantization import MATRIX_PREFIX_BYTES, BucketQuantizer
 from repro.core.bit_tuner import BitTuner
-from repro.core.messages import ChannelKey, ChannelMessage, ReceiveResult
+from repro.core.messages import (
+    ChannelKey,
+    ChannelMessage,
+    ExchangePolicy,
+    ReceiveResult,
+)
 
 __all__ = ["TrendState", "ReqECPolicy", "SELECT_COMPRESSED",
            "SELECT_PREDICTED", "SELECT_AVERAGE"]
@@ -46,7 +51,7 @@ class TrendState:
     boundary_t: int
 
 
-class ReqECPolicy:
+class ReqECPolicy(ExchangePolicy):
     """Forward-pass exchange with requesting-end compensation.
 
     One instance serves all channels of a training run; per-channel trend
@@ -67,9 +72,6 @@ class ReqECPolicy:
         self.trend_period = trend_period
         self.granularity = granularity
         self.table_mode = table_mode
-        # Optional CompressionHealthMonitor; the trainer attaches it when
-        # telemetry is enabled so every selector outcome is sampled.
-        self.health = None
         self._responder_trend: dict[ChannelKey, TrendState] = {}
         self._requester_trend: dict[ChannelKey, TrendState] = {}
         self._quantizers: dict[int, BucketQuantizer] = {}

@@ -20,19 +20,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.quantization import BucketQuantizer, QuantizedMatrix
-from repro.core.messages import ChannelKey, ChannelMessage, ReceiveResult
+from repro.core.messages import (
+    ChannelKey,
+    ChannelMessage,
+    ExchangePolicy,
+    ReceiveResult,
+)
 
 __all__ = ["ResECPolicy"]
 
 
-class ResECPolicy:
+class ResECPolicy(ExchangePolicy):
     """Backward-pass exchange with responding-end error feedback."""
 
     def __init__(self, bits: int, table_mode: str = "table"):
         self._quantizer = BucketQuantizer(bits, table_mode)
-        # Optional CompressionHealthMonitor; the trainer attaches it when
-        # telemetry is enabled so residual norms are checked (Theorem 1).
-        self.health = None
         self._residual: dict[ChannelKey, np.ndarray] = {}
 
     @property

@@ -39,11 +39,7 @@ from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.models import GNNParameters, build_parameters
 from repro.core.policies import make_exchange_policy
 from repro.core.results import ConvergenceRun, EpochResult
-from repro.core.worker import (
-    WorkerState,
-    build_worker_states,
-    fetch_halo_features,
-)
+from repro.core.worker import WorkerState, fetch_halo_features
 from repro.engine import (
     ExchangeContext,
     GCNBackend,
@@ -173,7 +169,9 @@ class ECGraphTrainer:
         scheme = "gcn" if self.model_config.model == "gcn" else "row"
         normalized = normalized_adjacency(self.graph.adjacency, scheme)
         self._normalized = normalized
-        self.workers = build_worker_states(self.graph, normalized, self.partition)
+        self.workers = self._backend.build_workers(
+            self.graph, normalized, self.partition, self.config
+        )
 
         self.runtime = ClusterRuntime(self.spec, telemetry=self.obs)
         self.servers = ParameterServerGroup(
@@ -293,8 +291,7 @@ class ECGraphTrainer:
         self.obs.health.set_model(self.model_config.num_layers)
         self.tuner.observer = self.obs.health.record_bits
         for policy in (self._fp_policy, self._bp_policy):
-            if hasattr(policy, "health"):
-                policy.health = self.obs.health
+            policy.health = self.obs.health
         for state in self.workers:
             for name, value in state.stats().items():
                 self.obs.metrics.set_gauge(
@@ -362,9 +359,9 @@ class ECGraphTrainer:
                 this many epochs (None disables early stopping).
             target_accuracy: Stop as soon as test accuracy reaches this.
             name: Run label for reports.
-            lr_schedule: Optional ``epoch -> learning rate`` callable
-                (see :mod:`repro.nn.lr_schedule`); ``None`` keeps the
-                configured constant rate, the paper's setting.
+            lr_schedule: Optional ``epoch -> learning rate`` callable;
+                ``None`` keeps the configured constant rate, the paper's
+                setting.
         """
         self._lr_schedule = lr_schedule
         self.setup()

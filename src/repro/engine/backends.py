@@ -23,8 +23,10 @@ architecture writes:
 * ``backward_local`` / ``backward_reduce`` — one worker's
   parameter-gradient shares, and the fold of the layer's gradient halo
   into ``grad_rows[layer - 1]``;
-* optionally ``bind`` (register extra parameters, build per-worker
-  structures) and ``on_membership_change`` (rebuild them).
+* optionally ``build_workers`` (what each worker's local graph is: by
+  default its partition plus the 1-hop halo), ``bind`` (register extra
+  parameters, build per-worker structures) and ``on_membership_change``
+  (rebuild them).
 
 GCN keeps its own ``forward_layer``/``eval_layer`` (workspace-backed
 aggregates and DGL's ordering rule); the sampled GCN adds the
@@ -40,6 +42,7 @@ from typing import Any
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from repro.core.config import ECGraphConfig
 from repro.core.gcn_math import (
     LayerForwardCache,
     bias_gradient,
@@ -49,10 +52,14 @@ from repro.core.gcn_math import (
 )
 from repro.core.messages import ChannelKey
 from repro.core.models import bias_name, weight_name
-from repro.core.worker import WorkerState
+from repro.core.worker import WorkerState, build_worker_states
 from repro.engine.context import ExchangeContext
+from repro.graph.attributed import AttributedGraph
+from repro.graph.csr import CSRGraph
+from repro.graph.store.base import GraphStore, GraphStoreBundle
 from repro.nn.init import glorot_uniform
 from repro.obs.tracing import monotonic_now
+from repro.partition.base import Partition
 
 __all__ = [
     "ModelBackend",
@@ -99,6 +106,20 @@ class ModelBackend:
     # spent (offline sampling at ``sampling_speedup``); the trainer takes
     # them out of the ``preprocessing_seconds`` it measured around bind.
     bind_discount_seconds: float = 0.0
+
+    def build_workers(
+        self,
+        graph: AttributedGraph | GraphStoreBundle,
+        normalized: CSRGraph | GraphStore,
+        partition: Partition,
+        config: ECGraphConfig,
+    ) -> list[WorkerState]:
+        """The worker states the engine trains on, from the globally
+        normalized adjacency: each worker's partition plus its 1-hop
+        halo (default). Runs at set-up before :meth:`bind`, and again
+        on every elastic rebuild."""
+        del config
+        return build_worker_states(graph, normalized, partition)
 
     def bind(self, ctx: ExchangeContext) -> None:
         """Attach the context; register extra parameters, build caches."""
@@ -346,11 +367,17 @@ class GCNBackend(ModelBackend):
             shares[bias_name(layer - 1)] = bias_gradient(g_local)
         return shares
 
+    def transposed(self, state: WorkerState, layer: int) -> csr_matrix:
+        """``A^T`` rows for the input-gradient spmm: the adjacency itself,
+        since the normalized graph is symmetric (directed worker graphs
+        override this)."""
+        return self.adjacency(state, layer)
+
     def backward_reduce(
         self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
     ) -> None:
         state.grad_rows[layer - 1] = layer_backward_inputs(
-            self.adjacency(state, layer),
+            self.transposed(state, layer),
             self.ctx.workspaces.g_cat(state, self.ctx.params.dims[layer]),
             weights[weight_name(layer - 1)],
             state.caches[layer - 1].pre_activation,
@@ -461,10 +488,7 @@ class SampledGCNBackend(GCNBackend):
         carry a residual (seeded by elastic adoption) keep it.
         """
         ctx = self.ctx
-        prime = getattr(ctx.bp_policy, "prime_residual", None)
-        has = getattr(ctx.bp_policy, "has_residual", None)
-        if prime is None or has is None:
-            return
+        policy = ctx.bp_policy
         for layer in range(2, ctx.params.num_layers + 1):
             for state in ctx.workers:
                 for owner, wanted in sorted(state.requests.items()):
@@ -473,8 +497,10 @@ class SampledGCNBackend(GCNBackend):
                         responder=owner,
                         requester=state.worker_id,
                     )
-                    if not has(key):
-                        prime(key, wanted.shape[0], ctx.params.dims[layer])
+                    if not policy.has_residual(key):
+                        policy.prime_residual(
+                            key, wanted.shape[0], ctx.params.dims[layer]
+                        )
 
     def on_membership_change(self) -> None:
         # The sampled adjacencies index the old compact halo spaces;

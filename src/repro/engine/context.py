@@ -22,6 +22,7 @@ from repro.cluster.param_server import ParameterServerGroup
 from repro.cluster.topology import ClusterSpec
 from repro.core.bit_tuner import BitTuner
 from repro.core.config import ECGraphConfig, ModelConfig
+from repro.core.messages import ExchangePolicy
 from repro.core.models import GNNParameters
 from repro.core.worker import WorkerState
 from repro.engine.transport import HaloTransport
@@ -63,8 +64,8 @@ class ExchangeContext:
     workers: list[WorkerState]
     params: GNNParameters
     tuner: BitTuner
-    fp_policy: object
-    bp_policy: object
+    fp_policy: ExchangePolicy
+    bp_policy: ExchangePolicy
     transport: HaloTransport
     telemetry: Telemetry
     injector: "FaultInjector | None" = None
@@ -147,7 +148,7 @@ class ExchangeContext:
             ],
         )
 
-    def policy_for(self, direction: str) -> object:
+    def policy_for(self, direction: str) -> ExchangePolicy:
         if direction not in _DIRECTION_CATEGORIES:
             raise ValueError(f"unknown exchange direction {direction!r}")
         return self.fp_policy if direction == "fp" else self.bp_policy

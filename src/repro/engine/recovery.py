@@ -225,10 +225,8 @@ class RecoveryManager:
                     state, ctx.workers, ctx.runtime, "recovery"
                 )
             if faults.reset_residuals:
-                for policy in (ctx.fp_policy, ctx.bp_policy):
-                    invalidate = getattr(policy, "invalidate_worker", None)
-                    if invalidate is not None:
-                        invalidate(worker)
+                ctx.fp_policy.invalidate_worker(worker)
+                ctx.bp_policy.invalidate_worker(worker)
             ctx.transport.invalidate_worker(worker)
             if ctx.executor is not None:
                 # Under multiprocess execution a crash is a real process
@@ -372,9 +370,7 @@ class RecoveryManager:
                     self.membership.record(
                         t, "watchdog_escalation", channels=len(changed)
                     )
-            reset = getattr(ctx.bp_policy, "reset", None)
-            if reset is not None:
-                reset()
+            ctx.bp_policy.reset()
             if self.reassigner is not None:
                 # Sampled-mode backward channels must be primed before
                 # the next respond() call.

@@ -502,8 +502,7 @@ class HaloTransport:
         channel residual so error feedback re-ships it next iteration
         (the handler returns True when it compensated that way).
         """
-        handler = getattr(policy, "on_delivery_failure", None)
-        if handler is not None and handler(key, message, rows_idx=rows_idx):
+        if policy.on_delivery_failure(key, message, rows_idx=rows_idx):
             self.injector.counters.residual_compensations += 1
             if self.telemetry.enabled:
                 self.telemetry.metrics.inc("fault_residual_compensations")
@@ -526,15 +525,13 @@ class HaloTransport:
         """
         counters = self.injector.counters
         obs = self.telemetry
-        fallback = getattr(policy, "fallback_rows", None)
-        if fallback is not None:
-            rows = fallback(key, t)
-            if rows is not None and rows.shape == (num_rows, dim):
-                counters.degraded_predicted += 1
-                obs.ledger.record_degraded(key, category, "predicted")
-                if obs.enabled:
-                    obs.metrics.inc("fault_degraded", kind="predicted")
-                return rows
+        rows = policy.fallback_rows(key, t)
+        if rows is not None and rows.shape == (num_rows, dim):
+            counters.degraded_predicted += 1
+            obs.ledger.record_degraded(key, category, "predicted")
+            if obs.enabled:
+                obs.metrics.inc("fault_degraded", kind="predicted")
+            return rows
         cached = self._halo_cache.get(key)
         if cached is not None and cached.shape == (num_rows, dim):
             counters.degraded_cached += 1

@@ -119,15 +119,10 @@ def run_chaos(
     # through the same registry factory directly.
     model = ModelConfig(num_layers=num_layers, hidden_dim=hidden_dim)
     spec = ClusterSpec(num_workers=num_workers)
-    trainer = SYSTEMS[system](graph, model, spec, faulty, None)
-    try:
+    with SYSTEMS[system](graph, model, spec, faulty, None) as trainer:
         chaos_run = trainer.train(num_epochs, name=f"{system}+{scenario}")
-    finally:
-        close = getattr(trainer, "close", None)
-        if close is not None:
-            close()
     counters = trainer.fault_counters or FaultCounters()
-    events = tuple(getattr(trainer, "membership_events", []))
+    events = tuple(trainer.membership_events)
 
     return ChaosReport(
         scenario=scenario,

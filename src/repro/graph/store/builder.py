@@ -89,7 +89,6 @@ class StoreBuilder:
         self._arrays: dict[str, np.ndarray] = {}
         self._indptr: np.ndarray | None = None
         self._index_sink: ChunkedEdgeArray | None = None
-        self._weight_sink: ChunkedEdgeArray | None = None
         if backend == "mmap":
             self._writer = MmapStoreWriter(
                 out_dir, self.num_vertices, chunk_vertices
@@ -133,20 +132,6 @@ class StoreBuilder:
             )
         return self._index_sink
 
-    def weights_sink(self) -> ChunkedEdgeArray:
-        if self._indptr is None:
-            raise RuntimeError("set_indptr must be called first")
-        if self._writer is not None:
-            self._weight_sink = ChunkedEdgeArray(
-                self._writer.edge_chunk_offsets(),
-                self._writer.edge_buffers("weights", np.float32),
-            )
-        else:
-            self._weight_sink = ChunkedEdgeArray.in_memory(
-                int(self._indptr[-1]), np.float32
-            )
-        return self._weight_sink
-
     # -- assembly ------------------------------------------------------
     def finish(
         self, num_classes: int, name: str, meta: dict[str, object] | None = None
@@ -154,12 +139,9 @@ class StoreBuilder:
         if self._indptr is None or self._index_sink is None:
             raise RuntimeError("topology was never written")
         if self._writer is not None:
-            for sink in (self._index_sink, self._weight_sink):
-                if sink is None:
-                    continue
-                sink.flush()
-                for buf in sink.buffers:
-                    release_pages(buf)
+            self._index_sink.flush()
+            for buf in self._index_sink.buffers:
+                release_pages(buf)
             self._writer.finalize(num_classes, name, meta)
             return open_bundle(
                 self._writer.root, max_resident_blocks=self._max_resident
@@ -167,13 +149,7 @@ class StoreBuilder:
         missing = [c for c in _COLUMNS if c not in self._arrays]
         if missing:
             raise RuntimeError(f"columns never written: {missing}")
-        adjacency = CSRGraph(
-            self._indptr,
-            self._index_sink.buffers[0],
-            None
-            if self._weight_sink is None
-            else self._weight_sink.buffers[0],
-        )
+        adjacency = CSRGraph(self._indptr, self._index_sink.buffers[0], None)
         graph = AttributedGraph(
             adjacency=adjacency,
             features=self._arrays["features"],

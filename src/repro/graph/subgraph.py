@@ -3,8 +3,10 @@
 :func:`induced_subgraph` gives each worker exactly the vertices a
 partitioner assigned to it, plus the cut edges that point at remote
 vertices (the remote endpoints stay remote). The ML-centered path
-(AliGraph/AGL), where a target pulls its whole capped L-hop
-neighbourhood, is :func:`repro.baselines.ml_centered.capped_khop_subgraph`.
+(AliGraph/AGL), where a worker instead caches its targets' capped
+L-hop neighbourhood with no halo at all, is
+:func:`repro.baselines.ml_centered.capped_khop_subgraph` (a frontier
+expansion over :func:`ragged_positions`) and its ``CachedKHopBackend``.
 
 :func:`induced_subgraph` accepts either a resident :class:`CSRGraph` or a
 :class:`~repro.graph.store.GraphStore` and streams adjacency blocks, so

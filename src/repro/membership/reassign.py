@@ -24,11 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.messages import ChannelKey
-from repro.core.worker import (
-    WorkerState,
-    build_worker_states,
-    fetch_halo_features,
-)
+from repro.core.worker import WorkerState, fetch_halo_features
 from repro.engine.backends import ModelBackend
 from repro.engine.context import ExchangeContext
 from repro.graph.csr import CSRGraph
@@ -132,17 +128,21 @@ class PartitionReassigner:
         faults = ctx.config.faults
         old_states = list(ctx.workers)
 
-        exported: list[tuple[ChannelKey, np.ndarray]] = []
-        export = getattr(ctx.bp_policy, "export_residuals", None)
-        if export is not None:
-            exported = export(changed)
+        # Channel state touching a changed worker goes: residuals are
+        # exported first (and carried below), the rest is invalidated.
+        exported = ctx.bp_policy.export_residuals(changed)
+        for worker in sorted(changed):
+            ctx.fp_policy.invalidate_worker(worker)
+            ctx.bp_policy.invalidate_worker(worker)
 
         partition = Partition(
             assignment=self.assignment.copy(),
             num_parts=self.membership.num_workers,
             method="elastic",
         )
-        new_states = build_worker_states(ctx.graph, self.normalized, partition)
+        new_states = self.backend.build_workers(
+            ctx.graph, self.normalized, partition, ctx.config
+        )
         if ctx.config.cache_first_hop:
             for state in new_states:
                 if state.worker_id not in changed:
@@ -179,15 +179,6 @@ class PartitionReassigner:
         carried, dropped = self._carry_residuals(
             exported, old_states, new_states
         )
-        if export is None:
-            invalidate = getattr(ctx.bp_policy, "invalidate_worker", None)
-            if invalidate is not None:
-                for worker in sorted(changed):
-                    invalidate(worker)
-        invalidate_fp = getattr(ctx.fp_policy, "invalidate_worker", None)
-        if invalidate_fp is not None:
-            for worker in sorted(changed):
-                invalidate_fp(worker)
 
         ctx.transport.rebuild(changed)
         # Worker shapes and feature shards changed: every persistent
@@ -221,10 +212,8 @@ class PartitionReassigner:
         part of the gap is genuinely unrecoverable and the watchdog
         covers the fallout. Returns ``(carried_rows, dropped_rows)``.
         """
-        policy = self.ctx.bp_policy
-        seed = getattr(policy, "seed_residual", None)
-        if seed is None or not exported:
-            return 0, sum(r.shape[0] for _, r in exported)
+        if not exported:
+            return 0, 0
         pending: dict[ChannelKey, np.ndarray] = {}
         carried = dropped = 0
         for key, residual in exported:
@@ -268,7 +257,7 @@ class PartitionReassigner:
                 np.add.at(buffer, pos[ok], residual[sel][ok])
                 carried += int(ok.sum())
         for new_key in sorted(pending):
-            seed(new_key, pending[new_key])
+            self.ctx.bp_policy.seed_residual(new_key, pending[new_key])
         return carried, dropped
 
     def _resolve_channel(

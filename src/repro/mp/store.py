@@ -10,8 +10,8 @@ carries a small header:
 
 so an attaching process can validate it is mapping what the supervisor
 described (a stale name from a crashed earlier run fails loudly instead
-of aliasing garbage), and so in-place updates can be versioned via the
-``generation`` counter without reallocating.
+of aliasing garbage). The ``generation`` word is written as 0 and not
+read.
 
 Teardown rules (the part that keeps ``/dev/shm`` clean):
 
@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["SharedStore", "StoreLayout", "disarm_inherited_stores"]
+__all__ = ["SharedStore", "disarm_inherited_stores"]
 
 # Creator-mode stores alive in this process. A forked child inherits the
 # supervisor's creator store (and its atexit close->unlink hook) by
@@ -66,8 +66,7 @@ _HEADER = struct.Struct("<4sH8sH4QQ")
 HEADER_BYTES = _HEADER.size
 
 
-def _encode_header(dtype: np.dtype, shape: tuple[int, ...],
-                   generation: int) -> bytes:
+def _encode_header(dtype: np.dtype, shape: tuple[int, ...]) -> bytes:
     if len(shape) > 4:
         raise ValueError("SharedStore arrays support at most 4 dimensions")
     dts = np.dtype(dtype).str.encode("ascii")
@@ -75,10 +74,10 @@ def _encode_header(dtype: np.dtype, shape: tuple[int, ...],
         raise ValueError(f"dtype string too long: {dts!r}")
     padded = list(shape) + [0] * (4 - len(shape))
     return _HEADER.pack(_MAGIC, _VERSION, dts.ljust(8, b"\0"),
-                        len(shape), *padded, generation)
+                        len(shape), *padded, 0)
 
 
-def _decode_header(buf: memoryview) -> tuple[np.dtype, tuple[int, ...], int]:
+def _decode_header(buf: memoryview) -> tuple[np.dtype, tuple[int, ...]]:
     magic, version, dts, ndim, *rest = _HEADER.unpack(bytes(buf[:HEADER_BYTES]))
     if magic != _MAGIC:
         raise ValueError("shared segment is not a SharedStore array "
@@ -86,27 +85,7 @@ def _decode_header(buf: memoryview) -> tuple[np.dtype, tuple[int, ...], int]:
     if version != _VERSION:
         raise ValueError(f"SharedStore header version {version} != {_VERSION}")
     shape = tuple(int(d) for d in rest[:ndim])
-    generation = int(rest[4])
-    return np.dtype(dts.rstrip(b"\0").decode("ascii")), shape, generation
-
-
-class StoreLayout:
-    """Name -> (shape, dtype) manifest shipped to attaching processes.
-
-    ``files`` lists the mmap-aliased entries (name -> npy path): those
-    are not shared-memory segments at all — every process maps the same
-    on-disk file read-only and the kernel page cache does the sharing.
-    """
-
-    def __init__(
-        self,
-        token: str,
-        arrays: dict[str, tuple[tuple[int, ...], str]],
-        files: dict[str, str] | None = None,
-    ) -> None:
-        self.token = token
-        self.arrays = arrays
-        self.files = dict(files or {})
+    return np.dtype(dts.rstrip(b"\0").decode("ascii")), shape
 
 
 class SharedStore:
@@ -124,7 +103,6 @@ class SharedStore:
         self.create = create
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         self._views: dict[str, np.ndarray] = {}
-        self._files: dict[str, str] = {}
         self._closed = False
         self._atexit_registered = False
         if create:
@@ -154,7 +132,7 @@ class SharedStore:
             name=self._segment_name(name), create=True,
             size=HEADER_BYTES + max(nbytes, 1),
         )
-        shm.buf[:HEADER_BYTES] = _encode_header(dtype, tuple(shape), 0)
+        shm.buf[:HEADER_BYTES] = _encode_header(dtype, tuple(shape))
         self._segments[name] = shm
         # A new segment reads as zeros; not writing them keeps its pages
         # out of this process until something here touches them.
@@ -183,7 +161,6 @@ class SharedStore:
             raise ValueError(f"array {name!r} already allocated")
         view = np.load(str(path), mmap_mode="r")
         self._views[name] = view
-        self._files[name] = str(path)
         return view
 
     def attach(self, name: str) -> np.ndarray:
@@ -196,7 +173,7 @@ class SharedStore:
             shm = shared_memory.SharedMemory(name=self._segment_name(name))
         else:
             shm = self._attach_untracked(self._segment_name(name))
-        dtype, shape, _ = _decode_header(shm.buf)
+        dtype, shape = _decode_header(shm.buf)
         self._segments[name] = shm
         view = np.ndarray(shape, dtype=dtype, buffer=shm.buf,
                           offset=HEADER_BYTES)
@@ -219,34 +196,6 @@ class SharedStore:
         finally:
             resource_tracker.register = original
 
-    def attach_all(self, layout: StoreLayout) -> None:
-        """Attach every array in a :class:`StoreLayout` manifest.
-
-        Shared-memory entries are mapped by segment name; mmap-aliased
-        entries re-map the same on-disk npy file read-only.
-        """
-        for name, (shape, dtype) in layout.arrays.items():
-            if name in layout.files:
-                view = self.map_npy(name, layout.files[name])
-            else:
-                view = self.attach(name)
-            if view.shape != tuple(shape) or view.dtype != np.dtype(dtype):
-                raise ValueError(
-                    f"shared array {name!r} is {view.dtype}{view.shape}, "
-                    f"manifest says {dtype}{tuple(shape)}"
-                )
-
-    def layout(self) -> StoreLayout:
-        """Manifest of every allocated array, for attaching processes."""
-        return StoreLayout(
-            self.token,
-            {
-                name: (tuple(view.shape), view.dtype.str)
-                for name, view in self._views.items()
-            },
-            files=self._files,
-        )
-
     # ------------------------------------------------------------------
     def view(self, name: str) -> np.ndarray:
         """Zero-copy numpy view of a mapped array."""
@@ -259,28 +208,6 @@ class SharedStore:
 
     def names(self) -> list[str]:
         return list(self._views)
-
-    def generation(self, name: str) -> int:
-        """Read an array's generation counter from its header."""
-        if name in self._files:
-            raise ValueError(
-                f"{name!r} is an mmap-aliased file; it has no header"
-            )
-        shm = self._segments[name]
-        _, _, generation = _decode_header(shm.buf)
-        return generation
-
-    def bump_generation(self, name: str) -> int:
-        """Increment an array's generation counter; returns the new value."""
-        if name in self._files:
-            raise ValueError(
-                f"{name!r} is an mmap-aliased file; it has no header"
-            )
-        shm = self._segments[name]
-        dtype, shape, generation = _decode_header(shm.buf)
-        generation += 1
-        shm.buf[:HEADER_BYTES] = _encode_header(dtype, shape, generation)
-        return generation
 
     # ------------------------------------------------------------------
     @property
@@ -297,7 +224,6 @@ class SharedStore:
         # File-backed views simply unmap; the npy files are never
         # unlinked (the graph store on disk owns them).
         self._views.clear()
-        self._files.clear()
         for _, shm in sorted(self._segments.items()):
             try:
                 shm.close()
@@ -330,7 +256,6 @@ class SharedStore:
             return
         self._closed = True
         self._views.clear()
-        self._files.clear()
         for _, shm in sorted(self._segments.items()):
             try:
                 shm.close()

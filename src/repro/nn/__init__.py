@@ -1,5 +1,5 @@
 """Dense neural-network substrate: initializers, activations, losses,
-optimizers, metrics and learning-rate schedules.
+optimizers and metrics.
 
 This package replaces the PyTorch computation backend of the original
 EC-Graph implementation with plain numpy (see DESIGN.md section 2).

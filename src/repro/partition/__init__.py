@@ -8,11 +8,7 @@ from repro.partition.bfs import BFSPartitioner
 from repro.partition.hashing import HashPartitioner
 from repro.partition.metis_like import MetisLikePartitioner
 from repro.partition.spectral import SpectralPartitioner
-from repro.partition.stats import (
-    PartitionStats,
-    partition_stats,
-    remote_neighbor_lists,
-)
+from repro.partition.stats import PartitionStats, partition_stats
 
 __all__ = [
     "Partition",
@@ -23,7 +19,6 @@ __all__ = [
     "SpectralPartitioner",
     "PartitionStats",
     "partition_stats",
-    "remote_neighbor_lists",
     "make_partitioner",
 ]
 

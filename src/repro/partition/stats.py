@@ -24,7 +24,6 @@ __all__ = [
     "PartitionStats",
     "partition_stats",
     "part_loads",
-    "remote_neighbor_lists",
 ]
 
 
@@ -135,46 +134,3 @@ def part_loads(
         assignment, weights=degrees.astype(np.float64), minlength=num_parts
     ).astype(np.int64)
     return vertices + edges
-
-
-def remote_neighbor_lists(
-    graph: CSRGraph | GraphStore, partition: Partition
-) -> list[dict[int, np.ndarray]]:
-    """Per-part map: remote part id -> sorted vertex ids needed from it.
-
-    ``result[i][j]`` lists the global vertex ids owned by part ``j`` whose
-    embeddings part ``i`` needs each layer. This is exactly the request
-    pattern the Neighbor Access Controller issues.
-    """
-    store = as_topology(graph)
-    assignment = partition.assignment
-    n = store.num_vertices
-
-    # Distinct (requesting part, remote vertex) pairs, accumulated as
-    # per-block deduplicated keys and deduplicated once more globally.
-    key_blocks: list[np.ndarray] = []
-    for start, stop, indices, _ in store.iter_adjacency():
-        src = _block_sources(store.indptr, start, stop)
-        cut = assignment[src] != assignment[indices]
-        if cut.any():
-            key_blocks.append(
-                np.unique(assignment[src[cut]] * n + indices[cut])
-            )
-    requests: list[dict[int, np.ndarray]] = [
-        {} for _ in range(partition.num_parts)
-    ]
-    if not key_blocks:
-        return requests
-    keys = np.unique(np.concatenate(key_blocks))
-    req_part = keys // n
-    wanted = keys % n  # ascending within each requesting part
-    owners = assignment[wanted]
-    for part in range(partition.num_parts):
-        in_part = req_part == part
-        part_wanted = wanted[in_part]
-        part_owners = owners[in_part]
-        for owner in np.unique(part_owners):
-            requests[part][int(owner)] = part_wanted[
-                part_owners == owner
-            ].astype(np.int64)
-    return requests

@@ -4,18 +4,14 @@ import pytest
 
 from repro.analysis.traffic import (
     dominant_category,
-    measure_traffic,
-    snapshot_table,
     traffic_by_category,
     traffic_table,
 )
 from repro.cluster.engine import EpochBreakdown
-from repro.cluster.network import TrafficMeter
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.results import ConvergenceRun, EpochResult
 from repro.core.trainer import ECGraphTrainer
-from repro.nn.lr_schedule import StepDecayLR
 
 
 def _run_with_categories(name, per_epoch):
@@ -69,43 +65,6 @@ class TestTrafficBreakdown:
         assert dominant_category(run) in totals
 
 
-class TestSnapshotHelpers:
-    def test_measure_traffic_isolates_the_call(self):
-        meter = TrafficMeter()
-        meter.charge(0, 1, 1000, "earlier")  # pre-existing lifetime bytes
-        delta = measure_traffic(
-            meter, lambda: meter.charge(0, 1, 64, "fp_embeddings")
-        )
-        assert delta.total_bytes == 64
-        assert delta.category_bytes == {"fp_embeddings": 64}
-
-    def test_measure_traffic_on_real_epoch(self, small_graph):
-        trainer = ECGraphTrainer(
-            small_graph, ModelConfig(num_layers=2, hidden_dim=4),
-            ClusterSpec(num_workers=2),
-            ECGraphConfig(fp_mode="raw", bp_mode="raw"),
-        )
-        trainer.setup()
-        delta = measure_traffic(trainer.runtime.meter,
-                                lambda: trainer.run_epoch(0))
-        result = trainer.run_epoch(1)
-        # One epoch's delta equals the per-epoch breakdown the engine
-        # reports (full-batch epochs are byte-deterministic).
-        assert delta.total_bytes == result.breakdown.bytes_sent
-
-    def test_snapshot_table(self):
-        meter = TrafficMeter()
-        meter.charge(0, 1, 100, "fp")
-        first = meter.snapshot()
-        meter.charge(0, 1, 50, "bp")
-        table = snapshot_table({
-            "setup": first,
-            "epoch0": meter.snapshot().delta(first),
-        })
-        assert "setup" in table and "epoch0" in table
-        assert table.index("fp") < table.index("bp")
-
-
 class TestLRScheduleHook:
     def test_schedule_applied_each_epoch(self, small_graph):
         trainer = ECGraphTrainer(
@@ -130,8 +89,7 @@ class TestLRScheduleHook:
             ECGraphConfig(fp_mode="raw", bp_mode="raw", learning_rate=0.05),
         )
         run = trainer.train(
-            30, lr_schedule=StepDecayLR(base_lr=0.05, step_size=10,
-                                        gamma=0.5),
+            30, lr_schedule=lambda t: 0.05 * 0.5 ** (t // 10),
         )
         assert run.best_test_accuracy() > 0.5
 

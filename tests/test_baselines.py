@@ -1,17 +1,8 @@
 """Integration tests for the baseline systems."""
 
-import numpy as np
 import pytest
 
-from repro.baselines import (
-    MLCenteredTrainer,
-    capped_khop_subgraph,
-    default_fanouts,
-    run_system,
-    system_names,
-)
-from repro.cluster.topology import ClusterSpec
-from repro.core.config import ECGraphConfig, ModelConfig
+from repro.baselines import default_fanouts, run_system, system_names
 
 
 class TestRegistry:
@@ -80,87 +71,6 @@ class TestDistGNN:
             return 10_000
 
         assert epochs_to(noncp) <= epochs_to(distgnn)
-
-
-class TestMLCentered:
-    def test_capped_subgraph_respects_fanout(self, medium_graph):
-        rng = np.random.default_rng(0)
-        targets = np.arange(10)
-        vertices, edges = capped_khop_subgraph(
-            medium_graph.adjacency, targets, [3, 3], rng
-        )
-        # Each target keeps at most 3 in-edges at hop 1.
-        for v in targets:
-            assert (edges[:, 0] == v).sum() <= 3
-        assert set(targets.tolist()) <= set(vertices.tolist())
-
-    def test_cached_size_grows_with_hops(self, medium_graph):
-        rng = np.random.default_rng(0)
-        targets = np.arange(10)
-        small, _ = capped_khop_subgraph(
-            medium_graph.adjacency, targets, [5], rng
-        )
-        large, _ = capped_khop_subgraph(
-            medium_graph.adjacency, targets, [5, 5], rng
-        )
-        assert large.size >= small.size
-
-    def test_per_epoch_traffic_is_params_only(self, medium_graph):
-        run = run_system("aligraph", medium_graph, num_workers=3,
-                         num_epochs=5)
-        for epoch in run.epochs:
-            categories = set(epoch.breakdown.category_bytes)
-            assert categories <= {"param_pull", "param_push"}
-
-    def test_preprocessing_charged(self, medium_graph):
-        run = run_system("aligraph", medium_graph, num_workers=3,
-                         num_epochs=3)
-        assert run.preprocessing_seconds > 0
-
-    def test_cached_counts_cover_targets(self, medium_graph):
-        trainer = MLCenteredTrainer(
-            medium_graph, ModelConfig(num_layers=2, hidden_dim=8),
-            ClusterSpec(num_workers=3), cache_fanouts=[5, 5],
-            config=ECGraphConfig(),
-        )
-        counts = trainer.cached_vertex_counts()
-        assert sum(counts) >= medium_graph.num_vertices  # redundancy
-
-    def test_redundancy_grows_with_degree_cap(self, medium_graph):
-        small_cap = MLCenteredTrainer(
-            medium_graph, ModelConfig(num_layers=2, hidden_dim=8),
-            ClusterSpec(num_workers=3), cache_fanouts=[2, 2],
-            config=ECGraphConfig(),
-        ).cached_vertex_counts()
-        big_cap = MLCenteredTrainer(
-            medium_graph, ModelConfig(num_layers=2, hidden_dim=8),
-            ClusterSpec(num_workers=3), cache_fanouts=[20, 20],
-            config=ECGraphConfig(),
-        ).cached_vertex_counts()
-        assert sum(big_cap) > sum(small_cap)
-
-    def test_fanout_length_validated(self, medium_graph):
-        with pytest.raises(ValueError):
-            MLCenteredTrainer(
-                medium_graph, ModelConfig(num_layers=2),
-                ClusterSpec(num_workers=2), cache_fanouts=[5],
-            )
-
-    @pytest.mark.parametrize("fanouts", [[0, 5], [5, -1]])
-    def test_fanout_below_one_rejected(self, medium_graph, fanouts):
-        with pytest.raises(ValueError, match="fanouts must be >= 1"):
-            MLCenteredTrainer(
-                medium_graph, ModelConfig(num_layers=2),
-                ClusterSpec(num_workers=2), cache_fanouts=fanouts,
-            )
-
-    def test_agl_accuracy_below_full_batch(self, medium_graph):
-        """Sampled, truncated caches cost accuracy vs exact training."""
-        agl = run_system("agl", medium_graph, num_workers=3,
-                         num_epochs=50, fanouts=[3, 2])
-        noncp = run_system("noncp", medium_graph, num_workers=3,
-                           num_epochs=50)
-        assert agl.best_test_accuracy() <= noncp.best_test_accuracy() + 0.02
 
 
 class TestECGraphVsBaselines:

@@ -1,11 +1,11 @@
-"""Unit tests for partition quality statistics and request plans."""
+"""Unit tests for partition quality statistics."""
 
 import numpy as np
 import pytest
 
 from repro.graph.csr import from_edge_list
 from repro.partition.base import Partition
-from repro.partition.stats import partition_stats, remote_neighbor_lists
+from repro.partition.stats import partition_stats
 
 
 @pytest.fixture
@@ -53,26 +53,3 @@ class TestStats:
         partition = Partition(np.array([0, 1]), 2)
         stats = partition_stats(g, partition)
         assert stats.avg_remote_neighbors == pytest.approx(0.5)
-
-
-class TestRemoteNeighborLists:
-    def test_request_pattern(self, square_graph):
-        partition = Partition(np.array([0, 0, 1, 1]), 2)
-        requests = remote_neighbor_lists(square_graph, partition)
-        np.testing.assert_array_equal(requests[0][1], [2, 3])
-        np.testing.assert_array_equal(requests[1][0], [0, 1])
-
-    def test_lists_sorted(self, square_graph):
-        partition = Partition(np.array([0, 1, 0, 1]), 2)
-        requests = remote_neighbor_lists(square_graph, partition)
-        for per_part in requests:
-            for ids in per_part.values():
-                assert (np.diff(ids) > 0).all()
-
-    def test_ownership_correct(self, square_graph):
-        partition = Partition(np.array([0, 1, 0, 1]), 2)
-        requests = remote_neighbor_lists(square_graph, partition)
-        for part, per_part in enumerate(requests):
-            for owner, ids in per_part.items():
-                assert owner != part
-                assert (partition.assignment[ids] == owner).all()

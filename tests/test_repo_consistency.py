@@ -78,6 +78,12 @@ RETIRED_NAMES = (
     "generate_graph", "planted_partition_edges", "class_features",
     "generate_rmat_graph", "rmat_edges", "save_graph", "load_graph",
     "khop_neighborhood", "khop_sampled_neighborhood",
+    "MLCenteredTrainer", "cached_vertex_counts",
+    "attach_all", "StoreLayout", "def layout(", "def generation(",
+    "bump_generation", "weights_sink", "_weight_sink",
+    "remote_neighbor_lists", "measure_traffic", "snapshot_table",
+    "lr_schedule import", "nn.lr_schedule", "ConstantLR", "StepDecayLR",
+    "ExponentialDecayLR", "CosineAnnealingLR",
 )
 CHECKPOINT = REPO / "src" / "repro" / "core" / "checkpoint.py"
 
@@ -212,6 +218,7 @@ LOOP_FREE_MODULES = (
     "src/repro/partition/metis_like.py",
     "src/repro/partition/bfs.py",
     "src/repro/graph/csr.py",
+    "src/repro/baselines/ml_centered.py",
 )
 ROW_LOOP_ALLOWED = {"iter_edges", "has_edge"}
 # ``MetisLikePartitioner._refine``: the rounds loop, and what its ``for``
@@ -487,6 +494,62 @@ class TestOneBackendSkeleton:
             "Other.final_logits", "Other.self.caches",
             "Sampled.forward_layer",
         ]
+
+
+# ----------------------------------------------------------------------
+# One ``ExchangePolicy`` base class: every hook the engine calls on a
+# policy has a no-op default there, so nothing under ``engine/``,
+# ``membership/`` or ``core/`` probes a policy with getattr/hasattr.
+# ----------------------------------------------------------------------
+PROBE_FREE_PACKAGES = ("engine", "membership", "core")
+
+
+def _policy_probes(source: str) -> list[str]:
+    """``call:line`` of every getattr/hasattr whose object is a name or
+    attribute ending in ``policy``."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call) and node.args
+            and getattr(node.func, "id", "") in ("getattr", "hasattr")
+        ):
+            continue
+        target = node.args[0]
+        name = target.attr if isinstance(target, ast.Attribute) else (
+            getattr(target, "id", "")
+        )
+        if name.endswith("policy"):
+            offenders.append(f"{node.func.id}:{node.lineno}")
+    return offenders
+
+
+class TestOneExchangePolicyBase:
+    @pytest.mark.parametrize("package", PROBE_FREE_PACKAGES)
+    def test_no_policy_probes(self, package):
+        root = REPO / "src" / "repro" / package
+        assert [
+            f"{path.name}:{probe}"
+            for path in sorted(root.glob("*.py"))
+            for probe in _policy_probes(path.read_text())
+        ] == []
+
+    def test_the_probe_guard_sees_a_probe(self):
+        sample = (
+            "def f(ctx, policy, other):\n"
+            "    getattr(ctx.bp_policy, 'reset', None)\n"
+            "    hasattr(policy, 'health')\n"
+            "    getattr(other, 'policy', None)\n"
+        )
+        assert _policy_probes(sample) == ["getattr:2", "hasattr:3"]
+
+    def test_every_policy_subclasses_the_base(self):
+        from repro.core import policies, reqec_fp, resec_bp
+        from repro.core.messages import ExchangePolicy, RawPolicy
+
+        for cls in (RawPolicy, policies.CompressPolicy, policies.CodecPolicy,
+                    policies.DelayedPolicy, reqec_fp.ReqECPolicy,
+                    resec_bp.ResECPolicy):
+            assert issubclass(cls, ExchangePolicy), cls.__name__
 
 
 def _documented_names():
