@@ -16,8 +16,8 @@ import os
 from functools import lru_cache
 
 from repro.core.results import ConvergenceRun
-from repro.graph.attributed import AttributedGraph
 from repro.graph.datasets import load_dataset, scale_factor
+from repro.graph.store.base import GraphStoreBundle
 
 PROFILE = os.environ.get("REPRO_BENCH_PROFILE", "bench")
 
@@ -42,7 +42,7 @@ LAYERS = {
 
 
 @lru_cache(maxsize=None)
-def bench_graph(name: str, seed: int = 0) -> AttributedGraph:
+def bench_graph(name: str, seed: int = 0) -> GraphStoreBundle:
     """Load (and cache) one bench-profile dataset."""
     return load_dataset(name, profile=PROFILE, seed=seed)
 

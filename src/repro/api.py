@@ -11,13 +11,13 @@ from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.results import ConvergenceRun
 from repro.core.trainer import ECGraphTrainer
-from repro.graph.attributed import AttributedGraph
+from repro.graph.store.base import GraphStoreBundle
 
 __all__ = ["train_ecgraph"]
 
 
 def train_ecgraph(
-    graph: AttributedGraph,
+    graph: GraphStoreBundle,
     num_workers: int = 6,
     num_layers: int = 2,
     hidden_dim: int = 16,

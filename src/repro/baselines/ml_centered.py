@@ -68,8 +68,9 @@ class CachedKHopBackend(GCNBackend):
         order; a rebuild keeps every cache whose targets stayed put."""
         del normalized  # kept edges carry their own global-degree weights
         rng = np.random.default_rng(config.seed)
-        inv_sqrt = 1.0 / np.sqrt(np.diff(graph.adjacency.indptr) + 1.0)
-        row_bytes = graph.feature_dim * graph.features.dtype.itemsize
+        adjacency = graph.adjacency.to_csr()  # the frontier walk is random-access
+        inv_sqrt = 1.0 / np.sqrt(np.diff(adjacency.indptr) + 1.0)
+        row_bytes = graph.feature_dim * graph.feature_store.dtype.itemsize
         compact = np.zeros(graph.num_vertices, dtype=np.int64)  # global -> cache row
         old, self.worker_caches, self._rebuilt = self.worker_caches, [], []
         for w in range(partition.num_parts):
@@ -77,7 +78,7 @@ class CachedKHopBackend(GCNBackend):
             if w < len(old) and np.array_equal(targets, old[w].targets):
                 self.worker_caches.append(old[w])
                 continue
-            vertices, edges = capped_khop_subgraph(graph.adjacency, targets, self.fanouts, rng)
+            vertices, edges = capped_khop_subgraph(adjacency, targets, self.fanouts, rng)
             # Edges + self-loops, global-degree GCN weights, not rescaled (cap bias).
             pairs = np.concatenate([edges, np.stack([vertices, vertices], axis=1)])
             compact[vertices] = np.arange(vertices.size)
@@ -89,7 +90,7 @@ class CachedKHopBackend(GCNBackend):
             sub = LocalSubgraph(vertices, np.empty(0, dtype=np.int64),
                                 a_local.indptr, a_local.indices, a_local.data)
             state = WorkerState(
-                w, sub, a_local, graph.features[vertices], graph.labels[vertices],
+                w, sub, a_local, graph.feature_store.rows(vertices), graph.labels[vertices],
                 *(mask[vertices] & is_target for mask in (
                     graph.train_mask, graph.val_mask, graph.test_mask)),
                 requests={}, halo_slots={}, serves={})

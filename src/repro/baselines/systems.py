@@ -35,7 +35,7 @@ from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.results import ConvergenceRun
 from repro.core.trainer import ECGraphTrainer
 from repro.engine import SampledGCNBackend
-from repro.graph.attributed import AttributedGraph
+from repro.graph.store.base import GraphStoreBundle
 
 __all__ = ["SYSTEMS", "system_names", "run_system", "default_fanouts"]
 
@@ -152,7 +152,7 @@ def system_names() -> list[str]:
 
 def run_system(
     system: str,
-    graph: AttributedGraph,
+    graph: GraphStoreBundle,
     num_layers: int = 2,
     hidden_dim: int = 16,
     num_workers: int = 6,

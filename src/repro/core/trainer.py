@@ -50,7 +50,6 @@ from repro.engine import (
     TrainerCore,
 )
 from repro.faults.injector import FaultCounters, FaultInjector
-from repro.graph.attributed import AttributedGraph
 from repro.graph.normalize import normalized_adjacency
 from repro.graph.store.base import GraphStoreBundle
 from repro.nn.optim import make_optimizer
@@ -67,7 +66,7 @@ class ECGraphTrainer:
 
     def __init__(
         self,
-        graph: AttributedGraph | GraphStoreBundle,
+        graph: GraphStoreBundle,
         model_config: ModelConfig,
         cluster_spec: ClusterSpec,
         config: ECGraphConfig | None = None,
@@ -78,13 +77,10 @@ class ECGraphTrainer:
         backend: ModelBackend | None = None,
     ):
         """Args:
-        graph: Attributed input graph — a resident
-            :class:`AttributedGraph` (the historical path, bit-identical
-            to every pinned golden run) or a
-            :class:`~repro.graph.store.GraphStoreBundle` whose features
-            and adjacency may live out-of-core; worker shards are then
-            gathered through the store row/block APIs and the normalized
-            adjacency stays a lazy view.
+        graph: Attributed input graph, on any store backend; worker
+            shards are gathered through the store row/block APIs and the
+            normalized adjacency is a lazy view, so features and
+            adjacency may live out-of-core.
         model_config: GNN architecture; ``model`` selects
             :class:`~repro.engine.backends.GCNBackend` or
             :class:`~repro.engine.backends.SAGEBackend` unless

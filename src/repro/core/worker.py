@@ -21,9 +21,7 @@ from scipy.sparse import csr_matrix
 
 from repro.cluster.engine import ClusterRuntime
 from repro.core.gcn_math import LayerForwardCache
-from repro.graph.attributed import AttributedGraph
-from repro.graph.csr import CSRGraph
-from repro.graph.store.base import GraphStore, GraphStoreBundle, as_bundle
+from repro.graph.store.base import GraphStore, GraphStoreBundle
 from repro.graph.subgraph import LocalSubgraph, induced_subgraphs
 from repro.partition.base import Partition
 
@@ -129,25 +127,23 @@ def fetch_halo_features(
 
 
 def build_worker_states(
-    graph: AttributedGraph | GraphStoreBundle,
-    normalized: CSRGraph | GraphStore,
+    graph: GraphStoreBundle,
+    normalized: GraphStore,
     partition: Partition,
 ) -> list[WorkerState]:
     """Construct all worker states for a partitioned training run.
 
     Args:
-        graph: The attributed input graph (features/labels/masks), either
-            resident or behind a :class:`GraphStoreBundle` — worker
-            feature/label shards are gathered through the store row API,
-            so an mmap-backed bundle never materializes the full matrix.
+        graph: The attributed input graph; worker feature/label shards
+            are gathered through the store row API, so an mmap-backed
+            bundle never materializes the full matrix.
         normalized: The *globally* normalized adjacency (GCN or row
             normalization must happen before partitioning so degrees are
-            global); a :class:`CSRGraph` or a (possibly lazy)
-            :class:`GraphStore` view.
+            global), usually a lazy
+            :class:`~repro.graph.store.NormalizedGraphStore` view.
         partition: Vertex-to-worker assignment.
     """
-    bundle = as_bundle(graph)
-    if partition.num_vertices != bundle.num_vertices:
+    if partition.num_vertices != graph.num_vertices:
         raise ValueError("partition does not match the graph")
     states: list[WorkerState] = []
     subs = induced_subgraphs(
@@ -188,11 +184,11 @@ def build_worker_states(
                 worker_id=worker,
                 sub=sub,
                 a_local=a_local,
-                features=bundle.feature_store.rows(sub.local_vertices),
-                labels=bundle.labels[sub.local_vertices],
-                train_mask=bundle.train_mask[sub.local_vertices],
-                val_mask=bundle.val_mask[sub.local_vertices],
-                test_mask=bundle.test_mask[sub.local_vertices],
+                features=graph.feature_store.rows(sub.local_vertices),
+                labels=graph.labels[sub.local_vertices],
+                train_mask=graph.train_mask[sub.local_vertices],
+                val_mask=graph.val_mask[sub.local_vertices],
+                test_mask=graph.test_mask[sub.local_vertices],
                 requests=requests,
                 halo_slots=halo_slots,
                 serves={},

@@ -54,8 +54,6 @@ from repro.core.messages import ChannelKey
 from repro.core.models import bias_name, weight_name
 from repro.core.worker import WorkerState, build_worker_states
 from repro.engine.context import ExchangeContext
-from repro.graph.attributed import AttributedGraph
-from repro.graph.csr import CSRGraph
 from repro.graph.store.base import GraphStore, GraphStoreBundle
 from repro.nn.init import glorot_uniform
 from repro.obs.tracing import monotonic_now
@@ -109,8 +107,8 @@ class ModelBackend:
 
     def build_workers(
         self,
-        graph: AttributedGraph | GraphStoreBundle,
-        normalized: CSRGraph | GraphStore,
+        graph: GraphStoreBundle,
+        normalized: GraphStore,
         partition: Partition,
         config: ECGraphConfig,
     ) -> list[WorkerState]:

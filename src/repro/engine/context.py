@@ -27,7 +27,6 @@ from repro.core.models import GNNParameters
 from repro.core.worker import WorkerState
 from repro.engine.transport import HaloTransport
 from repro.engine.workspace import LayerWorkspaces
-from repro.graph.attributed import AttributedGraph
 from repro.graph.store.base import GraphStoreBundle
 from repro.obs.telemetry import Telemetry
 
@@ -54,10 +53,9 @@ class ExchangeContext:
 
     config: ECGraphConfig
     model_config: ModelConfig
-    # Stages touch only the narrow duck-typed surface the two share
-    # (feature_dim, num_classes, masks, adjacency.indptr), so the graph
-    # may live out-of-core behind a bundle.
-    graph: AttributedGraph | GraphStoreBundle
+    # Stages touch only feature_dim, num_classes, masks and
+    # adjacency.indptr, so the graph may live out-of-core.
+    graph: GraphStoreBundle
     spec: ClusterSpec
     runtime: ClusterRuntime
     servers: ParameterServerGroup

@@ -20,7 +20,7 @@ from repro.core.results import ConvergenceRun
 from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultCounters
 from repro.faults.scenarios import build_scenario
-from repro.graph.attributed import AttributedGraph
+from repro.graph.store.base import GraphStoreBundle
 
 __all__ = ["ChaosReport", "run_chaos"]
 
@@ -79,7 +79,7 @@ def _total_seconds(run: ConvergenceRun) -> float:
 
 
 def run_chaos(
-    graph: AttributedGraph,
+    graph: GraphStoreBundle,
     scenario: str,
     system: str = "ecgraph",
     num_layers: int = 2,

@@ -1,10 +1,10 @@
-"""Graph substrate: CSR storage, attributed graphs, normalization,
-the streaming generators behind the paper-matched datasets, subgraph
-extraction and the on-disk ECGSTORE directory (``to_mmap_bundle`` writes
-one, ``open_bundle`` validates and reopens it).
+"""Graph substrate: CSR storage, the one graph type (a store bundle;
+``memory_bundle`` builds a resident one), normalization, the streaming
+generators behind the paper-matched datasets, subgraph extraction and the
+on-disk ECGSTORE directory (``to_mmap_bundle`` writes one,
+``open_bundle`` validates and reopens it).
 """
 
-from repro.graph.attributed import AttributedGraph, make_split_masks
 from repro.graph.csr import CSRGraph, from_edge_list, from_scipy
 from repro.graph.datasets import (
     PAPER_STATS,
@@ -15,9 +15,14 @@ from repro.graph.datasets import (
     scale_factor,
 )
 from repro.graph.generators import GraphSpec
-from repro.graph.normalize import gcn_normalize, normalized_adjacency, row_normalize
+from repro.graph.normalize import normalized_adjacency
 from repro.graph.rmat import RMATSpec
-from repro.graph.store import open_bundle, to_mmap_bundle
+from repro.graph.store import (
+    GraphStoreBundle,
+    memory_bundle,
+    open_bundle,
+    to_mmap_bundle,
+)
 from repro.graph.streaming import stream_graph, stream_rmat_graph
 from repro.graph.subgraph import (
     LocalSubgraph,
@@ -26,8 +31,6 @@ from repro.graph.subgraph import (
 )
 
 __all__ = [
-    "AttributedGraph",
-    "make_split_masks",
     "CSRGraph",
     "from_edge_list",
     "from_scipy",
@@ -41,11 +44,11 @@ __all__ = [
     "RMATSpec",
     "stream_graph",
     "stream_rmat_graph",
+    "GraphStoreBundle",
+    "memory_bundle",
     "open_bundle",
     "to_mmap_bundle",
-    "gcn_normalize",
     "normalized_adjacency",
-    "row_normalize",
     "LocalSubgraph",
     "induced_subgraph",
     "induced_subgraphs",

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.graph.attributed import AttributedGraph
 from repro.graph.generators import GraphSpec
+from repro.graph.store.base import GraphStoreBundle
 from repro.graph.streaming import stream_graph
 
 __all__ = ["PAPER_STATS", "DatasetStats", "dataset_names", "dataset_spec",
@@ -152,14 +152,16 @@ def dataset_spec(name: str, profile: str = "full", seed: int = 0) -> GraphSpec:
     )
 
 
-def load_dataset(name: str, profile: str = "full", seed: int = 0) -> AttributedGraph:
+def load_dataset(
+    name: str, profile: str = "full", seed: int = 0
+) -> GraphStoreBundle:
     """Generate the simulated stand-in for a named paper dataset.
 
     The returned graph's ``meta`` records the paper statistics and the
     scale factor so experiment reports can surface the substitution.
     """
     spec = dataset_spec(name, profile, seed)
-    graph = stream_graph(spec).materialize()
+    graph = stream_graph(spec)
     stats = PAPER_STATS[name]
     graph.meta.update(
         paper_vertices=stats.num_vertices,

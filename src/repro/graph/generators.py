@@ -67,8 +67,8 @@ class GraphSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_vertices <= 1:
-            raise ValueError("need at least two vertices")
+        if self.num_vertices < 3:
+            raise ValueError("need at least three vertices (one per split)")
         if not 0.0 <= self.homophily <= 1.0:
             raise ValueError("homophily must be in [0, 1]")
         if self.num_classes < 2:

@@ -2,84 +2,25 @@
 
 The paper's Eq. 2 uses the symmetric GCN normalization
 ``A_hat = D^{-1/2} (A + I) D^{-1/2}`` where ``D`` is the degree matrix of
-``A + I``. GraphSAGE-mean corresponds to row normalization.
+``A + I``. GraphSAGE-mean corresponds to row normalization
+``D^{-1} (A + I)``.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from repro.graph.store.base import GraphStore
+from repro.graph.store.normalized import NormalizedGraphStore
 
-from repro.graph.csr import CSRGraph
-
-__all__ = ["gcn_normalize", "row_normalize", "normalized_adjacency"]
+__all__ = ["normalized_adjacency"]
 
 
-def gcn_normalize(graph: CSRGraph, add_self_loops: bool = True) -> CSRGraph:
-    """Symmetric GCN normalization ``D^{-1/2} (A + I) D^{-1/2}``.
+def normalized_adjacency(
+    store: GraphStore, scheme: str = "gcn"
+) -> NormalizedGraphStore:
+    """Normalize ``store`` with the named scheme (``gcn`` or ``row``).
 
-    The degree used is the degree of the (self-loop augmented) graph, i.e.
-    row sums of ``A + I``. Isolated vertices receive a normalized self-loop
-    of weight 1 so their embedding is preserved through aggregation.
+    Returns a lazy :class:`NormalizedGraphStore` view that assembles the
+    self-loop augmented, degree-weighted rows block by block, so an
+    out-of-core topology is never materialized.
     """
-    base = graph.with_self_loops() if add_self_loops else graph
-    n = base.num_vertices
-    # Degree of A (+I): in the GCN convention degrees come from row sums.
-    degree = np.diff(base.indptr).astype(np.float64)
-    inv_sqrt = np.zeros(n, dtype=np.float64)
-    nonzero = degree > 0
-    inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(base.indptr))
-    base_weights = (
-        np.ones(base.num_edges, dtype=np.float64)
-        if base.weights is None
-        else base.weights.astype(np.float64)
-    )
-    weights = base_weights * inv_sqrt[src] * inv_sqrt[base.indices]
-    return CSRGraph(base.indptr.copy(), base.indices.copy(),
-                    weights.astype(np.float32))
-
-
-def row_normalize(graph: CSRGraph, add_self_loops: bool = False) -> CSRGraph:
-    """Row normalization ``D^{-1} A`` (GraphSAGE-mean aggregation)."""
-    base = graph.with_self_loops() if add_self_loops else graph
-    n = base.num_vertices
-    degree = np.diff(base.indptr).astype(np.float64)
-    inv = np.zeros(n, dtype=np.float64)
-    nonzero = degree > 0
-    inv[nonzero] = 1.0 / degree[nonzero]
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(base.indptr))
-    base_weights = (
-        np.ones(base.num_edges, dtype=np.float64)
-        if base.weights is None
-        else base.weights.astype(np.float64)
-    )
-    weights = base_weights * inv[src]
-    return CSRGraph(base.indptr.copy(), base.indices.copy(),
-                    weights.astype(np.float32))
-
-
-_NORMALIZATIONS = {"gcn": gcn_normalize, "row": row_normalize}
-
-
-def normalized_adjacency(graph, scheme: str = "gcn"):
-    """Normalize ``graph`` with the named scheme (``gcn`` or ``row``).
-
-    Accepts a resident :class:`CSRGraph` (returns a materialized
-    normalized :class:`CSRGraph`, the historical behaviour) or a
-    :class:`~repro.graph.store.GraphStore` (returns a lazy
-    :class:`~repro.graph.store.normalized.NormalizedGraphStore` view that
-    computes the same weights block by block — bit-identical when
-    materialized).
-    """
-    from repro.graph.store.base import GraphStore
-
-    if isinstance(graph, GraphStore):
-        from repro.graph.store.normalized import NormalizedGraphStore
-
-        return NormalizedGraphStore(graph, scheme)
-    try:
-        normalize = _NORMALIZATIONS[scheme]
-    except KeyError:
-        known = ", ".join(sorted(_NORMALIZATIONS))
-        raise KeyError(f"unknown normalization {scheme!r}; known: {known}") from None
-    return normalize(graph, add_self_loops=True)
+    return NormalizedGraphStore(store, scheme)

@@ -39,8 +39,8 @@ class RMATSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scale < 1 or self.scale > 26:
-            raise ValueError("scale must be in [1, 26]")
+        if self.scale < 2 or self.scale > 26:
+            raise ValueError("scale must be in [2, 26] (one vertex per split)")
         if self.edge_factor < 1:
             raise ValueError("edge_factor must be >= 1")
         total = self.a + self.b + self.c

@@ -1,18 +1,12 @@
 """Graph & feature storage behind one abstraction.
 
 ``GraphStore`` (CSR topology) + ``FeatureStore`` (row-addressable dense
-data) with two backends: ``memory`` (wraps resident arrays;
-bit-identical to the pre-store code paths) and ``mmap`` (npy chunk
+data) with two backends: ``memory`` (wraps resident arrays; ``memory_bundle``
+builds a resident graph) and ``mmap`` (npy chunk
 files + manifest + LRU residency). See ``docs/storage.md``.
 """
 
-from repro.graph.store.base import (
-    FeatureStore,
-    GraphStore,
-    GraphStoreBundle,
-    as_bundle,
-    as_topology,
-)
+from repro.graph.store.base import FeatureStore, GraphStore, GraphStoreBundle
 from repro.graph.store.builder import StoreBuilder
 from repro.graph.store.external import ChunkedEdgeArray, ExternalSorter
 from repro.graph.store.memory import (
@@ -35,8 +29,6 @@ __all__ = [
     "FeatureStore",
     "GraphStore",
     "GraphStoreBundle",
-    "as_bundle",
-    "as_topology",
     "StoreBuilder",
     "ChunkedEdgeArray",
     "ExternalSorter",

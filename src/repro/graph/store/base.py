@@ -12,13 +12,12 @@ Two interfaces cover everything the system reads from a graph:
   path materializes the full matrix.
 
 :class:`GraphStoreBundle` packages one topology store plus the
-per-vertex stores and duck-types the narrow :class:`AttributedGraph`
-surface the trainer consumes (``adjacency``, ``feature_dim``,
-``num_classes``, ``train_mask``, ``name``, ``meta``), so a bundle can be
-handed to :class:`~repro.core.trainer.ECGraphTrainer` directly.
+per-vertex stores; it is the one graph type, which every consumer
+(partitioners, subgraph extraction, the trainer and the baselines)
+takes, whatever backend holds the bytes.
 
-Backends: :mod:`repro.graph.store.memory` wraps today's in-RAM arrays
-(the default — bit-identical to the pre-store code paths) and
+Backends: :mod:`repro.graph.store.memory` wraps resident arrays
+(``memory_bundle`` is the constructor of a resident graph) and
 :mod:`repro.graph.store.mmapstore` maps npy chunk files with an LRU
 residency budget (see ``docs/storage.md``).
 """
@@ -30,7 +29,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.graph.attributed import AttributedGraph
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "FeatureStore",
     "GraphStore",
     "GraphStoreBundle",
-    "as_topology",
-    "as_bundle",
 ]
 
 # Upper bound on the edges one iter_adjacency block carries (~8 MB of
@@ -149,6 +145,11 @@ class GraphStore(abc.ABC):
     def num_edges(self) -> int:
         return int(self.indptr[-1])
 
+    @property
+    def average_degree(self) -> float:
+        n = self.num_vertices
+        return self.num_edges / n if n else 0.0
+
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -208,10 +209,8 @@ class GraphStore(abc.ABC):
 
 
 class GraphStoreBundle:
-    """One attributed graph behind the store seam.
+    """One attributed graph ``G = <V, E, X_V>`` behind the store seam.
 
-    Duck-types the :class:`AttributedGraph` surface the trainer and the
-    engine consume, so ``ECGraphTrainer(bundle, ...)`` works unchanged.
     Labels and split masks are small (``O(n)``) and cached as resident
     arrays on first touch; the feature matrix is only reachable through
     the row API (there is deliberately no ``.features`` attribute).
@@ -241,7 +240,6 @@ class GraphStoreBundle:
         self._labels: np.ndarray | None = None
         self._masks: dict[str, np.ndarray] = {}
 
-    # -- AttributedGraph surface --------------------------------------
     @property
     def num_vertices(self) -> int:
         return self.adjacency.num_vertices
@@ -290,42 +288,11 @@ class GraphStoreBundle:
         )
 
     def summary(self) -> str:
+        """One-line description matching the paper's Table III columns."""
         train, val, test = self.split_sizes()
         return (
             f"{self.name}: |V|={self.num_vertices:,} |E|={self.num_edges:,} "
             f"d0={self.feature_dim} classes={self.num_classes} "
-            f"split={train}/{val}/{test} [store]"
+            f"avg_degree={self.adjacency.average_degree:.2f} "
+            f"split={train}/{val}/{test}"
         )
-
-    # -- Conversion ----------------------------------------------------
-    def materialize(self) -> AttributedGraph:
-        """Full in-RAM :class:`AttributedGraph` (tests / small graphs)."""
-        return AttributedGraph(
-            adjacency=self.adjacency.to_csr(),
-            features=self.feature_store.to_array(),
-            labels=self.labels,
-            train_mask=self.train_mask,
-            val_mask=self.val_mask,
-            test_mask=self.test_mask,
-            num_classes=self.num_classes,
-            name=self.name,
-            meta=dict(self.meta),
-        )
-
-
-def as_topology(graph: CSRGraph | GraphStore) -> GraphStore:
-    """Coerce a :class:`CSRGraph` or :class:`GraphStore` to a store."""
-    if isinstance(graph, GraphStore):
-        return graph
-    from repro.graph.store.memory import MemoryGraphStore
-
-    return MemoryGraphStore(graph)
-
-
-def as_bundle(graph: AttributedGraph | GraphStoreBundle) -> GraphStoreBundle:
-    """Coerce an :class:`AttributedGraph` or bundle to a bundle."""
-    if isinstance(graph, GraphStoreBundle):
-        return graph
-    from repro.graph.store.memory import memory_bundle
-
-    return memory_bundle(graph)

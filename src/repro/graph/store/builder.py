@@ -3,9 +3,8 @@
 The streaming generators produce per-vertex columns (features, labels,
 masks) as sequential row blocks and CSR columns as edge-position
 scatters; the builder routes both either into resident arrays (memory
-backend — the result materializes to a plain
-:class:`~repro.graph.attributed.AttributedGraph`-backed bundle) or into
-an on-disk chunk directory via
+backend — the result is a :func:`~repro.graph.store.memory.memory_bundle`)
+or into an on-disk chunk directory via
 :class:`~repro.graph.store.mmapstore.MmapStoreWriter`.
 """
 
@@ -15,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.graph.attributed import AttributedGraph
 from repro.graph.csr import CSRGraph
 from repro.graph.store.base import GraphStoreBundle
 from repro.graph.store.external import ChunkedEdgeArray
@@ -149,16 +147,10 @@ class StoreBuilder:
         missing = [c for c in _COLUMNS if c not in self._arrays]
         if missing:
             raise RuntimeError(f"columns never written: {missing}")
-        adjacency = CSRGraph(self._indptr, self._index_sink.buffers[0], None)
-        graph = AttributedGraph(
-            adjacency=adjacency,
-            features=self._arrays["features"],
-            labels=self._arrays["labels"],
-            train_mask=self._arrays["train_mask"],
-            val_mask=self._arrays["val_mask"],
-            test_mask=self._arrays["test_mask"],
+        return memory_bundle(
+            CSRGraph(self._indptr, self._index_sink.buffers[0], None),
+            *(self._arrays[c] for c in _COLUMNS),
             num_classes=num_classes,
             name=name,
-            meta=dict(meta or {}),
+            meta=meta,
         )
-        return memory_bundle(graph)

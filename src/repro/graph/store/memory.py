@@ -12,7 +12,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.graph.attributed import AttributedGraph
 from repro.graph.csr import CSRGraph
 from repro.graph.store.base import (
     DEFAULT_MAX_BLOCK_EDGES,
@@ -118,16 +117,52 @@ class MemoryGraphStore(GraphStore):
         return self._graph
 
 
-def memory_bundle(graph: AttributedGraph) -> GraphStoreBundle:
-    """Wrap an :class:`AttributedGraph` as a zero-copy memory bundle."""
+def memory_bundle(
+    adjacency: CSRGraph,
+    features: np.ndarray,
+    labels: np.ndarray,
+    train_mask: np.ndarray,
+    val_mask: np.ndarray,
+    test_mask: np.ndarray,
+    num_classes: int,
+    name: str = "unnamed",
+    meta: dict[str, object] | None = None,
+) -> GraphStoreBundle:
+    """The one constructor of a resident attributed graph.
+
+    Wraps the arrays zero-copy (after coercing features to float32,
+    labels to int64 and masks to bool) and validates them: every
+    per-vertex array has one row per vertex, ``num_classes`` is
+    positive and every labelled vertex has a class id in range.
+    """
+    n = adjacency.num_vertices
+    features = np.ascontiguousarray(features, dtype=np.float32)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    masks: dict[str, np.ndarray] = {}
+    for mask_name, mask in (
+        ("train_mask", train_mask), ("val_mask", val_mask), ("test_mask", test_mask)
+    ):
+        mask = np.ascontiguousarray(mask, dtype=bool)
+        if mask.shape != (n,):
+            raise ValueError(f"{mask_name} shape {mask.shape} != ({n},)")
+        masks[mask_name] = mask
+    if features.shape[0] != n:
+        raise ValueError(f"features rows {features.shape[0]} != vertices {n}")
+    if labels.shape != (n,):
+        raise ValueError(f"labels shape {labels.shape} != ({n},)")
+    if num_classes <= 0:
+        raise ValueError("num_classes must be positive")
+    labelled = labels[masks["train_mask"] | masks["val_mask"] | masks["test_mask"]]
+    if labelled.size and (labelled.min() < 0 or labelled.max() >= num_classes):
+        raise ValueError("labelled vertex has class id out of range")
     return GraphStoreBundle(
-        adjacency=MemoryGraphStore(graph.adjacency),
-        feature_store=MemoryFeatureStore(graph.features),
-        label_store=MemoryFeatureStore(graph.labels),
-        train_mask_store=MemoryFeatureStore(graph.train_mask),
-        val_mask_store=MemoryFeatureStore(graph.val_mask),
-        test_mask_store=MemoryFeatureStore(graph.test_mask),
-        num_classes=graph.num_classes,
-        name=graph.name,
-        meta=dict(graph.meta),
+        adjacency=MemoryGraphStore(adjacency),
+        feature_store=MemoryFeatureStore(features),
+        label_store=MemoryFeatureStore(labels),
+        train_mask_store=MemoryFeatureStore(masks["train_mask"]),
+        val_mask_store=MemoryFeatureStore(masks["val_mask"]),
+        test_mask_store=MemoryFeatureStore(masks["test_mask"]),
+        num_classes=num_classes,
+        name=name,
+        meta=meta,
     )

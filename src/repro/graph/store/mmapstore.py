@@ -28,7 +28,7 @@ import json
 import mmap as _mmap_mod
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from repro.graph.store.base import (
     GraphStore,
     GraphStoreBundle,
 )
-
-if TYPE_CHECKING:
-    from repro.graph.attributed import AttributedGraph
 
 __all__ = [
     "ChunkCache",
@@ -664,19 +661,16 @@ def open_bundle(
 
 
 def to_mmap_bundle(
-    graph: "AttributedGraph | GraphStoreBundle",
+    bundle: GraphStoreBundle,
     root: str | Path,
     chunk_vertices: int = DEFAULT_CHUNK_VERTICES,
     max_resident_blocks: int = DEFAULT_RESIDENT_BLOCKS,
 ) -> GraphStoreBundle:
-    """Spill an :class:`AttributedGraph` (or bundle) to disk and reopen.
+    """Spill a bundle (any backend) to disk and reopen it.
 
     Bytes are copied block by block through the store APIs, so the peak
     extra memory is one chunk, not the full graph.
     """
-    from repro.graph.store.base import as_bundle
-
-    bundle = as_bundle(graph)
     writer = MmapStoreWriter(root, bundle.num_vertices, chunk_vertices)
     for component, store in (
         ("features", bundle.feature_store),

@@ -1,19 +1,17 @@
 """A normalized-adjacency view over a :class:`GraphStore`.
 
-:func:`repro.graph.normalize.gcn_normalize` materializes the self-loop
-augmented, degree-weighted CSR — fine in RAM, impossible out-of-core.
-:class:`NormalizedGraphStore` computes the same thing lazily: the
-``O(n)`` state (row pointers with self-loops, inverse degree factors,
-which rows already had a loop) is resident, and each adjacency block is
-assembled on demand from the base store's block.
+Materializing the self-loop augmented, degree-weighted CSR is fine in
+RAM and impossible out-of-core, so :class:`NormalizedGraphStore`
+computes it lazily: the ``O(n)`` state (row pointers with self-loops,
+inverse degree factors, which rows already had a loop) is resident, and
+each adjacency block is assembled on demand from the base store's block.
 
-The assembly replicates :meth:`CSRGraph.with_self_loops` +
-``gcn_normalize``/``row_normalize`` element for element: missing
-self-loops are appended at the *end* of their row with base weight 1,
-and the edge weights are ``base * d^{-1/2}[src] * d^{-1/2}[dst]`` (gcn)
-or ``base * d^{-1}[src]`` (row), computed in float64 and cast to
-float32 — so ``NormalizedGraphStore(store, scheme).to_csr()`` is
-bit-identical to ``normalized_adjacency(csr, scheme)``.
+The assembly follows :meth:`CSRGraph.with_self_loops` element for
+element: missing self-loops are appended at the *end* of their row with
+base weight 1, and the edge weights are
+``base * d^{-1/2}[src] * d^{-1/2}[dst]`` (gcn) or ``base * d^{-1}[src]``
+(row), with ``d`` the row sums of ``A + I``, computed in float64 and cast
+to float32.
 """
 
 from __future__ import annotations
@@ -60,9 +58,8 @@ class NormalizedGraphStore(GraphStore):
         np.cumsum(new_counts, out=indptr[1:])
         self._indptr = indptr
 
-        # Degrees of A + I (row sums of the augmented graph), exactly as
-        # gcn_normalize/row_normalize derive them from the augmented
-        # indptr.
+        # Degrees of A + I: row sums of the augmented graph, read off
+        # the augmented indptr.
         degree = new_counts.astype(np.float64)
         factor = np.zeros(n, dtype=np.float64)
         nonzero = degree > 0

@@ -1,6 +1,7 @@
 """The graph generators: edge chunks spill to a store.
 
-Neither generator holds the full edge list in memory, and each builds
+Both return a :class:`~repro.graph.store.GraphStoreBundle`, the one
+graph type. Neither holds the full edge list in memory, and each builds
 the same bytes on the memory and mmap backends at any ``chunk_vertices``:
 
 * :func:`stream_graph` — the planted-partition (SBM) generator behind
@@ -30,7 +31,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.graph.attributed import make_split_masks
 from repro.graph.generators import GraphSpec, power_law_degrees
 from repro.graph.rmat import RMATSpec
 from repro.graph.store.base import GraphStoreBundle
@@ -45,7 +45,7 @@ from repro.graph.store.mmapstore import (
     DEFAULT_RESIDENT_BLOCKS,
 )
 
-__all__ = ["stream_graph", "stream_rmat_graph"]
+__all__ = ["make_split_masks", "stream_graph", "stream_rmat_graph"]
 
 DEFAULT_CHUNK_EDGES = 1 << 18
 
@@ -91,6 +91,45 @@ class _KeySpool:
 def _chunk_ranges(n: int, chunk: int) -> Iterator[tuple[int, int]]:
     for start in range(0, n, chunk):
         yield start, min(start + chunk, n)
+
+
+def make_split_masks(
+    num_vertices: int,
+    train: int,
+    val: int,
+    test: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw disjoint train/val/test masks of the requested sizes.
+
+    Raises :class:`ValueError` if the sizes exceed the vertex count, instead
+    of silently truncating a split.
+    """
+    total = train + val + test
+    if total > num_vertices:
+        raise ValueError(
+            f"split sizes {train}+{val}+{test}={total} exceed {num_vertices} vertices"
+        )
+    perm = rng.permutation(num_vertices)
+    train_mask = np.zeros(num_vertices, dtype=bool)
+    val_mask = np.zeros(num_vertices, dtype=bool)
+    test_mask = np.zeros(num_vertices, dtype=bool)
+    train_mask[perm[:train]] = True
+    val_mask[perm[train:train + val]] = True
+    test_mask[perm[train + val:total]] = True
+    return train_mask, val_mask, test_mask
+
+
+def _fit_splits(n: int, train: int, val: int, test: int) -> tuple[int, int, int]:
+    """Shrink train, then test, then val (each kept >= 1) until the
+    three fit in ``n >= 3`` vertices; sizes that fit come back as given."""
+    sizes = [train, val, test]
+    excess = sum(sizes) - n
+    for i in (0, 2, 1):
+        cut = min(max(excess, 0), sizes[i] - 1)
+        sizes[i] -= cut
+        excess -= cut
+    return sizes[0], sizes[1], sizes[2]
 
 
 def _check_chunk(name: str, value: int) -> None:
@@ -201,9 +240,8 @@ def stream_graph(
     The adjacency is symmetric (both arcs stored), matching the
     undirected citation/social graphs of the paper's evaluation. Returns
     a :class:`GraphStoreBundle`: resident arrays with
-    ``backend="memory"`` (``materialize()`` gives the
-    :class:`~repro.graph.attributed.AttributedGraph`), or the same bytes
-    in an ECGSTORE directory at ``out_dir`` with ``backend="mmap"``.
+    ``backend="memory"``, or the same bytes in an ECGSTORE directory at
+    ``out_dir`` with ``backend="mmap"``.
     """
     _check_chunk("chunk_vertices", chunk_vertices)
     n = spec.num_vertices
@@ -256,7 +294,7 @@ def stream_graph(
             train = max(int(train * ratio), 1)
             val = max(int(val * ratio), 1)
             test = max(int(test * ratio), 1)
-        masks = make_split_masks(n, train, val, test, rng)
+        masks = make_split_masks(n, *_fit_splits(n, train, val, test), rng)
 
         builder.set_column("labels", observed.astype(np.int64))
         for component, mask in zip(
@@ -378,7 +416,9 @@ def stream_rmat_graph(
         train = max(n // 10, spec.num_classes)
         val = max(n // 20, 1)
         test = max(n // 5, 1)
-        masks = make_split_masks(n, train, val, test, attr_rng)
+        masks = make_split_masks(
+            n, *_fit_splits(n, train, val, test), attr_rng
+        )
         builder.set_column("labels", labels.astype(np.int64))
         for component, mask in zip(
             ("train_mask", "val_mask", "test_mask"), masks

@@ -8,10 +8,10 @@ L-hop neighbourhood with no halo at all, is
 :func:`repro.baselines.ml_centered.capped_khop_subgraph` (a frontier
 expansion over :func:`ragged_positions`) and its ``CachedKHopBackend``.
 
-:func:`induced_subgraph` accepts either a resident :class:`CSRGraph` or a
-:class:`~repro.graph.store.GraphStore` and streams adjacency blocks, so
-extraction never materializes the global column array — only the chunks
-that actually hold local rows become resident (see ``docs/storage.md``).
+:func:`induced_subgraph` streams the adjacency blocks of a
+:class:`~repro.graph.store.GraphStore`, so extraction never materializes
+the global column array — only the chunks that actually hold local rows
+become resident (see ``docs/storage.md``).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-from repro.graph.store.base import GraphStore, as_topology
+from repro.graph.store.base import GraphStore
 
 __all__ = ["LocalSubgraph", "induced_subgraph", "induced_subgraphs",
            "ragged_positions"]
@@ -98,20 +97,20 @@ def ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def induced_subgraph(
-    graph: CSRGraph | GraphStore, local_vertices: np.ndarray
+    store: GraphStore, local_vertices: np.ndarray
 ) -> LocalSubgraph:
     """Extract the worker-local subgraph for a set of owned vertices.
 
     All edges leaving the owned vertices are kept; edges pointing at
     non-owned vertices make those targets part of the remote halo. The
-    extraction streams adjacency blocks, so handing it an out-of-core
-    :class:`GraphStore` touches only the chunks holding local rows.
+    extraction streams adjacency blocks, so an out-of-core store has
+    only the chunks holding local rows touched.
     """
-    return induced_subgraphs(graph, [local_vertices])[0]
+    return induced_subgraphs(store, [local_vertices])[0]
 
 
 def induced_subgraphs(
-    graph: CSRGraph | GraphStore, vertex_sets: Sequence[np.ndarray]
+    store: GraphStore, vertex_sets: Sequence[np.ndarray]
 ) -> list[LocalSubgraph]:
     """One :func:`induced_subgraph` per vertex set from a single sweep.
 
@@ -119,7 +118,6 @@ def induced_subgraphs(
     assembled) once however many sets there are — the way
     ``build_worker_states`` cuts a partitioned graph into its workers.
     """
-    store = as_topology(graph)
     full_indptr = store.indptr
     n = store.num_vertices
     sets = [np.asarray(s, dtype=np.int64) for s in vertex_sets]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
 from repro.graph.store.base import GraphStore
 
 __all__ = ["Partition", "Partitioner"]
@@ -71,12 +70,11 @@ class Partition:
 class Partitioner:
     """Base class of every partitioning algorithm.
 
-    Partitioners accept either a resident :class:`CSRGraph` or a
-    :class:`~repro.graph.store.GraphStore` (possibly out-of-core).
-    Adjacency-free methods (hash) never touch the columns; bfs reads
-    them once through the store's block API; the quality methods
-    (metis, spectral) materialize the topology and are documented as
-    in-memory algorithms.
+    Partitioners take a :class:`~repro.graph.store.GraphStore` (possibly
+    out-of-core). Adjacency-free methods (hash) never touch the columns;
+    bfs, metis and spectral read the whole topology once with
+    :meth:`~repro.graph.store.GraphStore.to_csr` (zero-copy on a memory
+    store) and are in-memory algorithms.
 
     A subclass writes :meth:`_assign`; :meth:`partition` raises
     ``ValueError("num_parts must be positive")`` for ``num_parts <= 0``
@@ -87,7 +85,7 @@ class Partitioner:
     name: str
 
     def partition(
-        self, graph: CSRGraph | GraphStore, num_parts: int
+        self, graph: GraphStore, num_parts: int
     ) -> Partition:
         """Divide ``graph`` into ``num_parts`` parts."""
         if num_parts <= 0:
@@ -102,7 +100,7 @@ class Partitioner:
         )
 
     def _assign(
-        self, graph: CSRGraph | GraphStore, num_parts: int
+        self, graph: GraphStore, num_parts: int
     ) -> np.ndarray:
         """The owning part of every vertex (``num_parts >= 1``)."""
         raise NotImplementedError

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.store.base import GraphStore, as_topology
+from repro.graph.store.base import GraphStore
 from repro.partition.base import Partitioner
 
 __all__ = ["BFSPartitioner"]
@@ -39,12 +39,12 @@ class BFSPartitioner(Partitioner):
         self.slack = slack
 
     def _assign(
-        self, graph: CSRGraph | GraphStore, num_parts: int
+        self, store: GraphStore, num_parts: int
     ) -> np.ndarray:
         # The traversal is random-access by nature, so the columns are
         # read once, block by block, into a resident array instead of
         # faulting a storage chunk per frontier hop.
-        graph = as_topology(graph).to_csr()
+        graph = store.to_csr()
         n = graph.num_vertices
         capacity = int(np.ceil(self.slack * n / num_parts))
         assignment = np.full(n, -1, dtype=np.int64)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
 from repro.graph.store.base import GraphStore
 from repro.partition.base import Partitioner
 
@@ -37,7 +36,7 @@ class HashPartitioner(Partitioner):
         self.salt = salt
 
     def _assign(
-        self, graph: CSRGraph | GraphStore, num_parts: int
+        self, graph: GraphStore, num_parts: int
     ) -> np.ndarray:
         ids = np.arange(graph.num_vertices, dtype=np.uint64)
         if self.salt:

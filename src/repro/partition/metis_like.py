@@ -111,13 +111,12 @@ class MetisLikePartitioner(Partitioner):
 
     # ------------------------------------------------------------------
     def _assign(
-        self, graph: CSRGraph | GraphStore, num_parts: int
+        self, store: GraphStore, num_parts: int
     ) -> np.ndarray:
-        if isinstance(graph, GraphStore):
-            # Multilevel coarsening is a whole-graph in-memory algorithm;
-            # out-of-core inputs are materialized up front. Scale-bound
-            # deployments should partition with hash or bfs instead.
-            graph = graph.to_csr()
+        # Multilevel coarsening is a whole-graph in-memory algorithm: the
+        # topology is read whole up front (zero-copy on a memory store).
+        # Scale-bound deployments should partition with hash or bfs.
+        graph = store.to_csr()
         rng = np.random.default_rng(self.seed)
         if num_parts == 1:
             return np.zeros(graph.num_vertices, dtype=np.int64)

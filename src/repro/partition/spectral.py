@@ -21,7 +21,6 @@ import numpy as np
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from repro.graph.csr import CSRGraph
 from repro.graph.store.base import GraphStore
 from repro.partition.base import Partitioner
 
@@ -47,12 +46,11 @@ class SpectralPartitioner(Partitioner):
         self.dense_below = max(dense_below, 8)
 
     def _assign(
-        self, graph: CSRGraph | GraphStore, num_parts: int
+        self, store: GraphStore, num_parts: int
     ) -> np.ndarray:
-        if isinstance(graph, GraphStore):
-            # Eigensolves need the whole operator; materialize up front
-            # (spectral cuts are a small-graph quality option anyway).
-            graph = graph.to_csr()
+        # Eigensolves need the whole operator, read whole up front
+        # (spectral cuts are a small-graph quality option anyway).
+        graph = store.to_csr()
         n = graph.num_vertices
         assignment = np.zeros(n, dtype=np.int64)
         if num_parts > 1:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-from repro.graph.store.base import GraphStore, as_topology
+from repro.graph.store.base import GraphStore
 from repro.partition.base import Partition
 
 __all__ = [
@@ -65,10 +64,9 @@ def _block_sources(
 
 
 def partition_stats(
-    graph: CSRGraph | GraphStore, partition: Partition
+    store: GraphStore, partition: Partition
 ) -> PartitionStats:
-    """Compute :class:`PartitionStats` for ``partition`` over ``graph``."""
-    store = as_topology(graph)
+    """Compute :class:`PartitionStats` for ``partition`` over ``store``."""
     if partition.num_vertices != store.num_vertices:
         raise ValueError("partition and graph vertex counts differ")
     assignment = partition.assignment
@@ -113,7 +111,7 @@ def partition_stats(
 
 
 def part_loads(
-    graph: CSRGraph | GraphStore, assignment: np.ndarray, num_parts: int
+    store: GraphStore, assignment: np.ndarray, num_parts: int
 ) -> np.ndarray:
     """Per-part compute-load proxy: owned vertices plus incident edges.
 
@@ -125,7 +123,6 @@ def part_loads(
     Only the row pointers are read, so this is free even for out-of-core
     stores.
     """
-    store = as_topology(graph)
     if assignment.shape[0] != store.num_vertices:
         raise ValueError("assignment does not match the graph")
     degrees = store.degrees().astype(np.int64)

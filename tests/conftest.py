@@ -8,9 +8,9 @@ import pytest
 
 from oracles import codec, csr, kernels, partitioners, reqec, subgraph
 from repro.cluster.topology import ClusterSpec
-from repro.graph.attributed import AttributedGraph
 from repro.graph.csr import CSRGraph, from_edge_list
 from repro.graph.generators import GraphSpec
+from repro.graph.store.base import GraphStoreBundle
 from repro.graph.streaming import stream_graph
 
 
@@ -41,7 +41,7 @@ def ring_graph() -> CSRGraph:
 
 
 @pytest.fixture
-def small_graph() -> AttributedGraph:
+def small_graph() -> GraphStoreBundle:
     """A 96-vertex planted-partition graph that GCN learns quickly."""
     spec = GraphSpec(
         name="unit-small",
@@ -56,11 +56,11 @@ def small_graph() -> AttributedGraph:
         test=32,
         seed=7,
     )
-    return stream_graph(spec).materialize()
+    return stream_graph(spec)
 
 
 @pytest.fixture
-def medium_graph() -> AttributedGraph:
+def medium_graph() -> GraphStoreBundle:
     """A 256-vertex, higher-degree graph for integration tests."""
     spec = GraphSpec(
         name="unit-medium",
@@ -76,7 +76,7 @@ def medium_graph() -> AttributedGraph:
         test=80,
         seed=11,
     )
-    return stream_graph(spec).materialize()
+    return stream_graph(spec)
 
 
 @pytest.fixture

@@ -2,7 +2,8 @@
 
 Each module holds the parent commit's implementation of something a
 rewrite replaced, copied unedited; its docstring names what it pins and
-any edit it needed (``ml_centered`` imports today's cache walk). Tests
+any edit it needed (``ml_centered`` imports today's cache walk, and
+three import the retired resident-graph API from ``_graph``). Tests
 compare the rewrite against it exactly, with
 :func:`assert_same_as_parent`, or within a tolerance they state.
 

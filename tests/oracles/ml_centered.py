@@ -2,9 +2,11 @@
 
 The AGL / AliGraph-FG rows now run on the one engine through
 ``repro.baselines.CachedKHopBackend``; this is the trainer that backend
-replaced. Its one edit: it imports the new vectorised
+replaced. Its two edits: it imports the new vectorised
 ``capped_khop_subgraph`` instead of carrying the per-vertex walk, so
-both sides train on the same cached vertex and edge sets.
+both sides train on the same cached vertex and edge sets, and it imports
+the resident ``AttributedGraph`` record (which it reads ``.features``
+off) from ``oracles._graph`` since ``src/`` retired it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import time
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from oracles._graph import AttributedGraph
 from repro.baselines.ml_centered import capped_khop_subgraph
 from repro.cluster.engine import ClusterRuntime
 from repro.cluster.param_server import ParameterServerGroup
@@ -26,7 +29,6 @@ from repro.core.gcn_math import (
 )
 from repro.core.models import bias_name, build_parameters, weight_name
 from repro.core.results import ConvergenceRun, EpochResult
-from repro.graph.attributed import AttributedGraph
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.optim import make_optimizer
 from repro.partition.hashing import HashPartitioner

@@ -1,14 +1,17 @@
 """The pre-rewrite partitioners: the multilevel coarsening and the
 list-walking BFS/LDG partitioner, with their per-vertex Python loops
-over ``graph.neighbors(v)`` / ``graph.edge_weights(v)``."""
+over ``graph.neighbors(v)`` / ``graph.edge_weights(v)``. Its one edit:
+``as_topology`` is imported from ``oracles._graph`` since ``src/``
+retired it."""
 
 import time
 from collections import deque
 
 import numpy as np
 
+from oracles._graph import as_topology
 from repro.graph.csr import CSRGraph, from_edge_list
-from repro.graph.store.base import GraphStore, as_topology
+from repro.graph.store.base import GraphStore
 from repro.partition.base import Partition
 
 

@@ -1,18 +1,15 @@
 """The pre-rewrite worker set-up: one full adjacency stream per worker
-in ``induced_subgraph`` and the ``build_worker_states`` built on it."""
+in ``induced_subgraph`` and the ``build_worker_states`` built on it.
+Its one edit: ``AttributedGraph``, ``as_bundle`` and ``as_topology``
+are imported from ``oracles._graph`` since ``src/`` retired them."""
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from oracles._graph import AttributedGraph, as_bundle, as_topology
 from repro.core.worker import WorkerState
-from repro.graph.attributed import AttributedGraph
 from repro.graph.csr import CSRGraph
-from repro.graph.store.base import (
-    GraphStore,
-    GraphStoreBundle,
-    as_bundle,
-    as_topology,
-)
+from repro.graph.store.base import GraphStore, GraphStoreBundle
 from repro.graph.subgraph import LocalSubgraph
 from repro.partition.base import Partition
 

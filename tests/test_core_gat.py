@@ -43,7 +43,7 @@ class TestGradientsAgainstFiniteDifferences:
                 for name in trainer.engine.backend.layer_param_names(layer)
             }
             halos = [
-                graph.features[s.sub.remote_vertices]
+                graph.feature_store.rows(s.sub.remote_vertices)
                 if layer == 1
                 else outputs_prev_halo[s.worker_id]
                 for s in trainer.workers

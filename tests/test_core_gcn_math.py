@@ -15,7 +15,7 @@ from repro.core.gcn_math import (
     layer_forward,
     weight_gradient,
 )
-from repro.graph.normalize import gcn_normalize
+from repro.graph.normalize import normalized_adjacency
 from repro.nn.activations import relu, tanh
 from repro.nn.losses import softmax_cross_entropy
 
@@ -39,9 +39,9 @@ def setup():
             test=3,
             seed=1,
         )
-    ).materialize()
-    a = gcn_normalize(graph.adjacency).to_scipy()
-    x = graph.features.astype(np.float64)
+    )
+    a = normalized_adjacency(graph.adjacency).to_csr().to_scipy()
+    x = graph.feature_store.to_array().astype(np.float64)
     w1 = rng.standard_normal((d_in, d_hidden)) * 0.3
     w2 = rng.standard_normal((d_hidden, classes)) * 0.3
     b1 = rng.standard_normal(d_hidden) * 0.1

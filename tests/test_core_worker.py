@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.worker import build_worker_states
-from repro.graph.normalize import gcn_normalize
+from repro.graph.normalize import normalized_adjacency
 from repro.partition.hashing import HashPartitioner
 
 
 @pytest.fixture
 def states(small_graph):
-    normalized = gcn_normalize(small_graph.adjacency)
+    normalized = normalized_adjacency(small_graph.adjacency)
     partition = HashPartitioner().partition(small_graph.adjacency, 3)
     return (
         build_worker_states(small_graph, normalized, partition),
@@ -32,7 +32,7 @@ class TestConstruction:
             expected = partition.part_vertices(state.worker_id)
             np.testing.assert_array_equal(state.sub.local_vertices, expected)
             np.testing.assert_array_equal(
-                state.features, graph.features[expected]
+                state.features, graph.feature_store.rows(expected)
             )
             np.testing.assert_array_equal(
                 state.labels, graph.labels[expected]
@@ -71,7 +71,7 @@ class TestConstruction:
     def test_mismatched_partition_rejected(self, small_graph):
         from repro.partition.base import Partition
 
-        normalized = gcn_normalize(small_graph.adjacency)
+        normalized = normalized_adjacency(small_graph.adjacency)
         bad = Partition(np.zeros(10, dtype=np.int64), 1)
         with pytest.raises(ValueError):
             build_worker_states(small_graph, normalized, bad)
@@ -83,10 +83,11 @@ class TestAdjacencyCorrectness:
         equal the global normalized aggregation restricted to the worker's
         rows — the foundation of distributed == standalone equality."""
         workers, partition, normalized, graph = states
-        dense_global = normalized.to_scipy().toarray()
-        expected_all = dense_global @ graph.features
+        dense_global = normalized.to_csr().to_scipy().toarray()
+        features = graph.feature_store.to_array()
+        expected_all = dense_global @ features
         for state in workers:
-            halo_features = graph.features[state.sub.remote_vertices]
+            halo_features = features[state.sub.remote_vertices]
             h_cat = np.concatenate([state.features, halo_features], axis=0)
             local_result = state.a_local @ h_cat
             np.testing.assert_allclose(

@@ -19,6 +19,7 @@ from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
 from repro.engine import GATBackend, SampledGCNBackend
 from repro.graph.generators import GraphSpec
+from repro.graph.store import to_mmap_bundle
 from repro.graph.streaming import stream_graph
 
 EPOCHS = 6
@@ -133,13 +134,18 @@ GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def graph():
-    return stream_graph(GraphSpec(
+@pytest.fixture(scope="module", params=["memory", "mmap"])
+def graph(request, tmp_path_factory):
+    bundle = stream_graph(GraphSpec(
         name="golden", num_vertices=96, avg_degree=6.0, feature_dim=12,
         num_classes=3, homophily=0.9, feature_noise=0.8,
         train=40, val=16, test=32, seed=7,
-    )).materialize()
+    ))
+    if request.param == "mmap":
+        # Ragged chunks, so worker rows straddle chunk files.
+        root = tmp_path_factory.mktemp("golden") / "g"
+        bundle = to_mmap_bundle(bundle, root, chunk_vertices=29)
+    return bundle
 
 
 SPEC = ClusterSpec(num_workers=3, num_servers=1)

@@ -12,13 +12,13 @@ from repro.core.messages import ChannelMessage, RawPolicy, ReceiveResult
 from repro.core.policies import CompressPolicy
 from repro.core.worker import build_worker_states
 from repro.engine.transport import HaloTransport
-from repro.graph.normalize import gcn_normalize
+from repro.graph.normalize import normalized_adjacency
 from repro.partition.hashing import HashPartitioner
 
 
 @pytest.fixture
 def setup(small_graph):
-    normalized = gcn_normalize(small_graph.adjacency)
+    normalized = normalized_adjacency(small_graph.adjacency)
     partition = HashPartitioner().partition(small_graph.adjacency, 3)
     workers = build_worker_states(small_graph, normalized, partition)
     runtime = ClusterRuntime(ClusterSpec(num_workers=3))

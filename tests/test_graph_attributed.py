@@ -1,10 +1,12 @@
-"""Unit tests for the attributed graph container and split masks."""
+"""Unit tests for ``memory_bundle``, the constructor of a resident
+attributed graph, and for the generators' split masks."""
 
 import numpy as np
 import pytest
 
-from repro.graph.attributed import AttributedGraph, make_split_masks
 from repro.graph.csr import from_edge_list
+from repro.graph.store.memory import memory_bundle
+from repro.graph.streaming import make_split_masks
 
 
 def _graph(n=6, classes=2, **overrides):
@@ -21,7 +23,7 @@ def _graph(n=6, classes=2, **overrides):
         num_classes=classes,
     )
     fields.update(overrides)
-    return AttributedGraph(**fields)
+    return memory_bundle(**fields)
 
 
 class TestValidation:
@@ -63,7 +65,13 @@ class TestValidation:
 
     def test_features_cast_to_float32(self):
         g = _graph(features=np.ones((6, 4), dtype=np.float64))
-        assert g.features.dtype == np.float32
+        assert g.feature_store.dtype == np.float32
+
+    def test_arrays_are_wrapped_zero_copy(self):
+        features = np.ones((6, 4), dtype=np.float32)
+        g = _graph(features=features)
+        assert g.feature_store.to_array() is features
+        assert g.adjacency.to_csr() is g.adjacency.to_csr()
 
 
 class TestAccessors:
@@ -74,6 +82,11 @@ class TestAccessors:
         text = _graph().summary()
         assert "unnamed" in text
         assert "|V|=6" in text
+
+    def test_summary_reports_average_degree(self):
+        g = _graph()
+        assert g.adjacency.average_degree == 1.0
+        assert "avg_degree=1.00" in g.summary()
 
 
 class TestSplitMasks:

@@ -23,13 +23,13 @@ def _spec(**overrides):
 
 
 def _graph(**overrides):
-    return stream_graph(_spec(**overrides)).materialize()
+    return stream_graph(_spec(**overrides))
 
 
 def _arcs(graph):
-    indptr = graph.adjacency.indptr
-    src = np.repeat(np.arange(graph.num_vertices), np.diff(indptr))
-    return src, graph.adjacency.indices
+    csr = graph.adjacency.to_csr()
+    src = np.repeat(np.arange(graph.num_vertices), np.diff(csr.indptr))
+    return src, csr.indices
 
 
 class TestSpecValidation:
@@ -55,7 +55,7 @@ class TestSpecValidation:
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_boundary_values_build(self, overrides):
         graph = _graph(**overrides)
-        assert graph.features.shape == (
+        assert graph.feature_store.shape == (
             graph.num_vertices, _spec(**overrides).feature_dim
         )
 
@@ -101,20 +101,21 @@ class TestClassFeatures:
     def test_same_class_closer_than_cross_class(self):
         g = _graph(num_vertices=200, num_classes=2, feature_dim=32,
                    feature_noise=0.5)
-        a = g.features[g.labels == 0]
-        b = g.features[g.labels == 1]
+        features = g.feature_store.to_array()
+        a = features[g.labels == 0]
+        b = features[g.labels == 1]
         within = np.linalg.norm(a - a.mean(0), axis=1).mean()
         centroid_gap = np.linalg.norm(a.mean(0) - b.mean(0))
         assert centroid_gap > within * 0.5
 
     def test_dtype(self):
-        assert _graph().features.dtype == np.float32
+        assert _graph().feature_store.dtype == np.float32
 
 
 class TestStreamGraph:
     def test_symmetric_adjacency(self):
         g = _graph()
-        edges = set(g.adjacency.iter_edges())
+        edges = set(g.adjacency.to_csr().iter_edges())
         assert all((v, u) in edges for u, v in edges)
 
     def test_degree_near_target(self):
@@ -124,8 +125,12 @@ class TestStreamGraph:
     def test_deterministic(self):
         a = _graph()
         b = _graph()
-        np.testing.assert_array_equal(a.adjacency.indices, b.adjacency.indices)
-        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(
+            a.adjacency.to_csr().indices, b.adjacency.to_csr().indices
+        )
+        np.testing.assert_array_equal(
+            a.feature_store.to_array(), b.feature_store.to_array()
+        )
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_seed_changes_graph(self):

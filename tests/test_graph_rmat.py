@@ -8,7 +8,8 @@ from repro.graph.streaming import stream_rmat_graph
 
 
 def _graph(spec):
-    return stream_rmat_graph(spec).materialize()
+    """The generated graph's topology, resident."""
+    return stream_rmat_graph(spec).adjacency.to_csr()
 
 
 class TestSpec:
@@ -33,40 +34,38 @@ class TestSpec:
 class TestEdges:
     def test_endpoints_in_range(self):
         graph = _graph(RMATSpec(scale=8, edge_factor=4, seed=1))
-        assert graph.adjacency.indices.min() >= 0
-        assert graph.adjacency.indices.max() < 256
+        assert graph.indices.min() >= 0
+        assert graph.indices.max() < 256
 
     def test_no_self_loops(self):
         graph = _graph(RMATSpec(scale=7, seed=2))
-        indptr = graph.adjacency.indptr
-        src = np.repeat(np.arange(graph.num_vertices), np.diff(indptr))
-        assert (src != graph.adjacency.indices).all()
+        src = np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr))
+        assert (src != graph.indices).all()
 
     def test_skew_produces_hubs(self):
         """Graph500 quadrants concentrate degree: the max degree should
         dwarf the mean (the hub structure that stresses partitioners)."""
-        graph = _graph(RMATSpec(scale=10, edge_factor=8, seed=3)).adjacency
+        graph = _graph(RMATSpec(scale=10, edge_factor=8, seed=3))
         degrees = graph.degree()
         assert degrees.max() > 8 * degrees.mean()
 
     def test_uniform_quadrants_not_skewed(self):
         spec = RMATSpec(scale=10, edge_factor=8, a=0.25, b=0.25, c=0.25,
                         seed=3)
-        degrees = _graph(spec).adjacency.degree()
+        degrees = _graph(spec).degree()
         assert degrees.max() < 6 * degrees.mean()
 
 
 class TestGraph:
     def test_symmetric(self):
         graph = _graph(RMATSpec(scale=6, seed=4))
-        edges = set(graph.adjacency.iter_edges())
+        edges = set(graph.iter_edges())
         assert all((v, u) in edges for u, v in edges)
 
     def test_deterministic(self):
         a = _graph(RMATSpec(scale=6, seed=5))
         b = _graph(RMATSpec(scale=6, seed=5))
-        np.testing.assert_array_equal(a.adjacency.indices,
-                                      b.adjacency.indices)
+        np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_trains_end_to_end(self):
         """The adversarial graph must still flow through the trainer."""
@@ -74,7 +73,7 @@ class TestGraph:
         from repro.core.config import ECGraphConfig, ModelConfig
         from repro.core.trainer import ECGraphTrainer
 
-        graph = _graph(RMATSpec(scale=7, seed=6))
+        graph = stream_rmat_graph(RMATSpec(scale=7, seed=6))
         trainer = ECGraphTrainer(
             graph, ModelConfig(num_layers=2, hidden_dim=4),
             ClusterSpec(num_workers=3), ECGraphConfig(),

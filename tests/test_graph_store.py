@@ -10,26 +10,24 @@ import json
 import numpy as np
 import pytest
 
-from repro.graph.attributed import AttributedGraph, make_split_masks
+from oracles import assert_same_as_parent
+from oracles.normalize import gcn_normalize, row_normalize
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import GraphSpec
-from repro.graph.normalize import gcn_normalize, row_normalize
+from repro.graph.normalize import normalized_adjacency
 from repro.graph.store import (
     ChunkCache,
     ExternalSorter,
     GraphStoreBundle,
     MemoryFeatureStore,
-    MemoryGraphStore,
     NormalizedGraphStore,
-    as_bundle,
-    as_topology,
     memory_bundle,
     open_bundle,
     read_manifest,
     to_mmap_bundle,
 )
 from repro.graph.store.base import DEFAULT_MAX_BLOCK_EDGES
-from repro.graph.streaming import stream_graph
+from repro.graph.streaming import make_split_masks, stream_graph
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +36,17 @@ def graph():
         name="store-test", num_vertices=300, avg_degree=8,
         feature_dim=12, num_classes=4, seed=11,
     )
-    return stream_graph(spec).materialize()
+    return stream_graph(spec)
+
+
+@pytest.fixture(scope="module")
+def csr(graph):
+    return graph.adjacency.to_csr()
+
+
+@pytest.fixture(scope="module")
+def features(graph):
+    return graph.feature_store.to_array()
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +61,8 @@ def mmap_root(graph, tmp_path_factory):
 class TestFeatureStoreBackends:
     """Memory and mmap feature stores expose identical bytes."""
 
-    def test_rows_slice_blocks_match(self, graph, mmap_root):
-        mem = MemoryFeatureStore(graph.features)
+    def test_rows_slice_blocks_match(self, graph, features, mmap_root):
+        mem = MemoryFeatureStore(features)
         disk = open_bundle(mmap_root).feature_store
         assert mem.shape == disk.shape
         assert mem.dtype == disk.dtype
@@ -65,7 +73,9 @@ class TestFeatureStoreBackends:
         np.testing.assert_array_equal(mem.slice(90, 110), disk.slice(90, 110))
         np.testing.assert_array_equal(mem.to_array(), disk.to_array())
 
-    def test_iter_blocks_cover_everything_in_order(self, graph, mmap_root):
+    def test_iter_blocks_cover_everything_in_order(
+        self, graph, features, mmap_root
+    ):
         disk = open_bundle(mmap_root).feature_store
         cursor = 0
         parts = []
@@ -75,21 +85,21 @@ class TestFeatureStoreBackends:
             parts.append(np.asarray(block))
             cursor = stop
         assert cursor == graph.num_vertices
-        np.testing.assert_array_equal(np.concatenate(parts), graph.features)
+        np.testing.assert_array_equal(np.concatenate(parts), features)
 
-    def test_rows_unsorted_and_duplicate_ids(self, graph, mmap_root):
+    def test_rows_unsorted_and_duplicate_ids(self, features, mmap_root):
         disk = open_bundle(mmap_root).feature_store
         ids = np.array([299, 0, 97, 97, 5, 200])
-        np.testing.assert_array_equal(disk.rows(ids), graph.features[ids])
+        np.testing.assert_array_equal(disk.rows(ids), features[ids])
 
-    def test_contiguous_ids_are_zero_copy(self, graph):
+    def test_contiguous_ids_are_zero_copy(self, features):
         # The documented fast path: contiguous ascending ids come back
         # as a view of the resident array, not a gather copy.
-        mem = MemoryFeatureStore(graph.features)
+        mem = MemoryFeatureStore(features)
         view = mem.rows(np.array([10, 11, 12]))
-        assert view.base is graph.features
+        assert view.base is features
         gathered = mem.rows(np.array([12, 10]))
-        assert gathered.base is not graph.features
+        assert gathered.base is not features
 
 
 class TestChunkCache:
@@ -179,9 +189,9 @@ class TestExternalSorter:
 
 
 class TestAdjacencyIteration:
-    def test_blocks_reassemble_csr(self, graph, mmap_root):
+    def test_blocks_reassemble_csr(self, graph, csr, mmap_root):
         for store in (
-            MemoryGraphStore(graph.adjacency),
+            graph.adjacency,
             open_bundle(mmap_root).adjacency,
         ):
             cursor = 0
@@ -194,11 +204,11 @@ class TestAdjacencyIteration:
                 cursor = stop
             assert cursor == graph.num_vertices
             np.testing.assert_array_equal(
-                np.concatenate(indices_parts), graph.adjacency.indices
+                np.concatenate(indices_parts), csr.indices
             )
 
     def test_blocks_respect_edge_bound(self, graph):
-        store = MemoryGraphStore(graph.adjacency)
+        store = graph.adjacency
         degrees = store.degrees()
         for start, stop, indices, _ in store.iter_adjacency():
             # A block may exceed the bound only when a single row does.
@@ -208,7 +218,7 @@ class TestAdjacencyIteration:
                 )
 
     def test_edge_bounded_spans_partition_range(self, graph):
-        store = MemoryGraphStore(graph.adjacency)
+        store = graph.adjacency
         spans = list(store._edge_bounded_spans(0, graph.num_vertices, 64))
         assert spans[0][0] == 0
         assert spans[-1][1] == graph.num_vertices
@@ -218,53 +228,38 @@ class TestAdjacencyIteration:
             edges = int(store.indptr[hi] - store.indptr[lo])
             assert edges <= 64 or hi - lo == 1
 
-    def test_neighbors_match_csr(self, graph, mmap_root):
+    def test_neighbors_match_csr(self, graph, csr, mmap_root):
         store = open_bundle(mmap_root).adjacency
         for v in (0, 96, 97, 150, graph.num_vertices - 1):
-            np.testing.assert_array_equal(
-                store.neighbors(v), graph.adjacency.neighbors(v)
-            )
+            np.testing.assert_array_equal(store.neighbors(v), csr.neighbors(v))
 
 
 class TestNormalizedStore:
     @pytest.mark.parametrize("scheme,reference", [
         ("gcn", gcn_normalize), ("row", row_normalize),
     ])
-    def test_matches_eager_normalization(self, graph, scheme, reference):
-        store = NormalizedGraphStore(
-            MemoryGraphStore(graph.adjacency), scheme=scheme
-        )
-        expected = reference(graph.adjacency, add_self_loops=True)
-        got = store.to_csr()
-        np.testing.assert_array_equal(got.indptr, expected.indptr)
-        np.testing.assert_array_equal(got.indices, expected.indices)
-        np.testing.assert_allclose(got.weights, expected.weights, rtol=1e-12)
+    def test_matches_eager_normalization(self, graph, csr, scheme, reference):
+        got = NormalizedGraphStore(graph.adjacency, scheme=scheme).to_csr()
+        assert_same_as_parent(got, reference(csr, add_self_loops=True))
 
     def test_unknown_scheme(self, graph):
         with pytest.raises(KeyError, match="unknown normalization"):
-            NormalizedGraphStore(MemoryGraphStore(graph.adjacency), "bad")
+            NormalizedGraphStore(graph.adjacency, "bad")
 
 
 class TestBundle:
-    def test_materialize_roundtrip(self, graph):
-        out = memory_bundle(graph).materialize()
-        np.testing.assert_array_equal(
-            out.adjacency.indptr, graph.adjacency.indptr
-        )
-        np.testing.assert_array_equal(
-            out.adjacency.indices, graph.adjacency.indices
-        )
-        np.testing.assert_array_equal(out.features, graph.features)
+    def test_memory_bundle_wraps_without_copying(self, graph, csr, features):
+        out = _with_adjacency(graph, csr)
+        assert out.adjacency.to_csr() is csr
+        assert out.feature_store.to_array() is features
         np.testing.assert_array_equal(out.labels, graph.labels)
         np.testing.assert_array_equal(out.train_mask, graph.train_mask)
         assert out.num_classes == graph.num_classes
 
-    def test_mmap_materialize_matches_source(self, graph, mmap_root):
-        out = open_bundle(mmap_root).materialize()
-        np.testing.assert_array_equal(out.features, graph.features)
-        np.testing.assert_array_equal(
-            out.adjacency.indices, graph.adjacency.indices
-        )
+    def test_mmap_bundle_matches_source(self, graph, csr, features, mmap_root):
+        out = open_bundle(mmap_root)
+        np.testing.assert_array_equal(out.feature_store.to_array(), features)
+        np.testing.assert_array_equal(out.adjacency.to_csr().indices, csr.indices)
         np.testing.assert_array_equal(out.val_mask, graph.val_mask)
 
     def test_split_sizes_match_masks(self, graph, mmap_root):
@@ -275,13 +270,9 @@ class TestBundle:
             int(graph.test_mask.sum()),
         )
 
-    def test_as_bundle_and_as_topology_accept_everything(self, graph):
-        bundle = as_bundle(graph)
-        assert isinstance(bundle, GraphStoreBundle)
-        assert as_bundle(bundle) is bundle
-        topo = as_topology(graph.adjacency)
-        assert topo.num_edges == graph.adjacency.num_edges
-        assert as_topology(topo) is topo
+    def test_summary_does_not_depend_on_the_backend(self, graph, mmap_root):
+        assert isinstance(graph, GraphStoreBundle)
+        assert open_bundle(mmap_root).summary() == graph.summary()
 
 
 class TestManifest:
@@ -317,28 +308,34 @@ class TestManifest:
             open_bundle(root)
 
 
+def _with_adjacency(graph, adjacency):
+    """A memory bundle of ``graph``'s arrays over ``adjacency``."""
+    return memory_bundle(
+        adjacency, graph.feature_store.to_array(), graph.labels,
+        graph.train_mask, graph.val_mask, graph.test_mask,
+        graph.num_classes, graph.name, graph.meta,
+    )
+
+
 def _weighted(graph):
     """``graph`` as a bundle over its GCN-normalized (weighted) adjacency."""
-    bundle = as_bundle(graph)
-    bundle.adjacency = MemoryGraphStore(gcn_normalize(graph.adjacency))
-    return bundle
+    return _with_adjacency(graph, normalized_adjacency(graph.adjacency).to_csr())
 
 
 class TestPersistRoundTrip:
     """``to_mmap_bundle`` then ``open_bundle`` gives the graph back."""
 
-    def test_reopen_is_bit_identical(self, graph, mmap_root):
+    def test_reopen_is_bit_identical(self, graph, csr, mmap_root):
         for _ in range(2):
-            out = open_bundle(mmap_root).materialize()
-            np.testing.assert_array_equal(
-                out.adjacency.indptr, graph.adjacency.indptr
+            out = open_bundle(mmap_root)
+            topology = out.adjacency.to_csr()
+            np.testing.assert_array_equal(topology.indptr, csr.indptr)
+            np.testing.assert_array_equal(topology.indices, csr.indices)
+            assert topology.weights is None
+            assert_same_as_parent(
+                out.feature_store.to_array(), graph.feature_store.to_array()
             )
-            np.testing.assert_array_equal(
-                out.adjacency.indices, graph.adjacency.indices
-            )
-            assert out.adjacency.weights is None
-            for name in ("features", "labels", "train_mask", "val_mask",
-                         "test_mask"):
+            for name in ("labels", "train_mask", "val_mask", "test_mask"):
                 got, want = getattr(out, name), getattr(graph, name)
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
@@ -468,7 +465,7 @@ def _tiny_graph():
     features = np.arange(6, dtype=np.float32).reshape(3, 2)
     labels = np.array([0, 1, 0])
     train, val, test = make_split_masks(3, 1, 1, 1, np.random.default_rng(0))
-    return AttributedGraph(
+    return memory_bundle(
         adjacency=adjacency, features=features, labels=labels,
         train_mask=train, val_mask=val, test_mask=test,
         num_classes=2, name="tiny",
@@ -480,19 +477,21 @@ class TestDegenerateShapes:
         graph = _tiny_graph()
         bundle = to_mmap_bundle(graph, tmp_path / "g", chunk_vertices=1024)
         np.testing.assert_array_equal(
-            bundle.feature_store.to_array(), graph.features
+            bundle.feature_store.to_array(), graph.feature_store.to_array()
         )
         np.testing.assert_array_equal(
-            bundle.adjacency.to_csr().indices, graph.adjacency.indices
+            bundle.adjacency.to_csr().indices, graph.adjacency.to_csr().indices
         )
 
     def test_chunk_per_vertex(self, tmp_path):
         graph = _tiny_graph()
         bundle = to_mmap_bundle(graph, tmp_path / "g", chunk_vertices=1)
         np.testing.assert_array_equal(
-            bundle.feature_store.rows(np.array([2, 0])), graph.features[[2, 0]]
+            bundle.feature_store.rows(np.array([2, 0])),
+            graph.feature_store.to_array()[[2, 0]],
         )
         blocks = list(bundle.adjacency.iter_adjacency())
         np.testing.assert_array_equal(
-            np.concatenate([b[2] for b in blocks]), graph.adjacency.indices
+            np.concatenate([b[2] for b in blocks]),
+            graph.adjacency.to_csr().indices,
         )

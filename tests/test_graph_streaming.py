@@ -15,6 +15,7 @@ from repro.graph.datasets import load_dataset
 from repro.graph.generators import GraphSpec
 from repro.graph.rmat import RMATSpec
 from repro.graph.streaming import stream_graph, stream_rmat_graph
+from repro.graph.store import MemoryGraphStore
 from repro.graph.subgraph import induced_subgraph
 from repro.partition import (
     BFSPartitioner,
@@ -39,8 +40,12 @@ SPECS = [
 
 def _assert_graphs_identical(a, b):
     np.testing.assert_array_equal(a.adjacency.indptr, b.adjacency.indptr)
-    np.testing.assert_array_equal(a.adjacency.indices, b.adjacency.indices)
-    np.testing.assert_array_equal(a.features, b.features)
+    np.testing.assert_array_equal(
+        a.adjacency.to_csr().indices, b.adjacency.to_csr().indices
+    )
+    np.testing.assert_array_equal(
+        a.feature_store.to_array(), b.feature_store.to_array()
+    )
     np.testing.assert_array_equal(a.labels, b.labels)
     np.testing.assert_array_equal(a.train_mask, b.train_mask)
     np.testing.assert_array_equal(a.val_mask, b.val_mask)
@@ -52,9 +57,10 @@ def _digest(graph) -> str:
     """sha256 over dtype, shape and bytes of the CSR, features, labels
     and the three masks."""
     h = hashlib.sha256()
-    for array in (graph.adjacency.indptr, graph.adjacency.indices,
-                  graph.features, graph.labels, graph.train_mask,
-                  graph.val_mask, graph.test_mask):
+    csr = graph.adjacency.to_csr()
+    for array in (csr.indptr, csr.indices,
+                  graph.feature_store.to_array(), graph.labels,
+                  graph.train_mask, graph.val_mask, graph.test_mask):
         array = np.ascontiguousarray(array)
         h.update(f"{array.dtype.str}{array.shape}".encode())
         h.update(array.tobytes())
@@ -108,33 +114,33 @@ class TestStreamGraphBackends:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
     def test_mmap_backend_matches_memory(self, spec, tmp_path):
-        expected = stream_graph(spec, backend="memory").materialize()
+        expected = stream_graph(spec, backend="memory")
         bundle = stream_graph(
             spec, backend="mmap", out_dir=tmp_path / spec.name,
             chunk_vertices=97,
         )
-        _assert_graphs_identical(bundle.materialize(), expected)
+        _assert_graphs_identical(bundle, expected)
 
     def test_odd_chunk_sizes_do_not_change_bytes(self, tmp_path):
         spec = SPECS[0]
-        expected = stream_graph(spec).materialize()
+        expected = stream_graph(spec)
         for chunk in (1 << 12, 101, 33):
             _assert_graphs_identical(
-                stream_graph(spec, chunk_vertices=chunk).materialize(),
+                stream_graph(spec, chunk_vertices=chunk),
                 expected,
             )
             bundle = stream_graph(
                 spec, backend="mmap", out_dir=tmp_path / f"c{chunk}",
                 chunk_vertices=chunk,
             )
-            _assert_graphs_identical(bundle.materialize(), expected)
+            _assert_graphs_identical(bundle, expected)
 
     def test_deterministic_and_seeded(self):
-        a = stream_graph(SPECS[0]).materialize()
-        _assert_graphs_identical(a, stream_graph(SPECS[0]).materialize())
+        a = stream_graph(SPECS[0])
+        _assert_graphs_identical(a, stream_graph(SPECS[0]))
         other = dataclasses.replace(SPECS[0], seed=4)
         assert not np.array_equal(
-            a.labels, stream_graph(other).materialize().labels
+            a.labels, stream_graph(other).labels
         )
 
 
@@ -159,22 +165,63 @@ class TestChunkValidation:
             stream_rmat_graph(RMATSpec(scale=6), **kwargs)
 
 
+def _assert_splits_fit(graph):
+    masks = np.stack([graph.train_mask, graph.val_mask, graph.test_mask])
+    assert (masks.sum(axis=1) >= 1).all()
+    assert masks.sum(axis=0).max() == 1  # disjoint
+
+
+class TestTinySpecs:
+    """Every valid spec builds: splits that would overflow a tiny graph
+    shrink (train first, each kept >= 1) instead of raising after the
+    graph was drawn; a graph too small for three splits is refused at
+    spec construction."""
+
+    @pytest.mark.parametrize("n, num_classes", [
+        (n, c) for n in (3, 4, 5, 8, 10) for c in sorted({2, n // 2, n - 1, n})
+        if c >= 2
+    ])
+    def test_stream_graph_builds(self, n, num_classes):
+        graph = stream_graph(GraphSpec(
+            name="tiny", num_vertices=n, avg_degree=2, feature_dim=3,
+            num_classes=num_classes,
+        ))
+        _assert_splits_fit(graph)
+
+    @pytest.mark.parametrize("scale, num_classes", [
+        (2, 3), (2, 4), (3, 7), (3, 8), (4, 13), (4, 16),
+    ])
+    def test_stream_rmat_graph_builds(self, scale, num_classes):
+        graph = stream_rmat_graph(RMATSpec(
+            scale=scale, edge_factor=2, feature_dim=3, num_classes=num_classes,
+        ))
+        _assert_splits_fit(graph)
+
+    def test_too_small_for_three_splits_is_refused(self):
+        with pytest.raises(ValueError, match="three vertices"):
+            GraphSpec(name="t", num_vertices=2, avg_degree=1, feature_dim=1,
+                      num_classes=2)
+        with pytest.raises(ValueError, match="scale"):
+            RMATSpec(scale=1)
+
+
 class TestStreamRmatBackends:
     """The chunk-seeded R-MAT generator is backend-invariant."""
 
     SPEC = RMATSpec(scale=10, edge_factor=6, feature_dim=8, seed=17)
 
     def test_memory_vs_mmap_identical(self, tmp_path):
-        mem = stream_rmat_graph(self.SPEC, backend="memory").materialize()
+        mem = stream_rmat_graph(self.SPEC, backend="memory")
         disk = stream_rmat_graph(
             self.SPEC, backend="mmap", out_dir=tmp_path / "rmat",
             chunk_vertices=97,
-        ).materialize()
+        )
         _assert_graphs_identical(mem, disk)
 
     def test_rows_sorted_and_deduplicated(self):
-        g = stream_rmat_graph(self.SPEC, backend="memory").materialize()
-        indptr, indices = g.adjacency.indptr, g.adjacency.indices
+        g = stream_rmat_graph(self.SPEC, backend="memory")
+        csr = g.adjacency.to_csr()
+        indptr, indices = csr.indptr, csr.indices
         for v in range(0, g.num_vertices, 57):
             row = indices[indptr[v]:indptr[v + 1]]
             assert np.all(np.diff(row) > 0), f"row {v} not strictly sorted"
@@ -182,9 +229,11 @@ class TestStreamRmatBackends:
     def test_chunk_edges_is_part_of_identity(self):
         # Different chunk_edges draw different RNG streams by design —
         # the parameter is documented as part of the graph's identity.
-        a = stream_rmat_graph(self.SPEC, chunk_edges=1 << 12).materialize()
-        b = stream_rmat_graph(self.SPEC, chunk_edges=1 << 10).materialize()
-        assert not np.array_equal(a.adjacency.indices, b.adjacency.indices)
+        a = stream_rmat_graph(self.SPEC, chunk_edges=1 << 12)
+        b = stream_rmat_graph(self.SPEC, chunk_edges=1 << 10)
+        assert not np.array_equal(
+            a.adjacency.to_csr().indices, b.adjacency.to_csr().indices
+        )
 
 
 PARTITIONERS = [
@@ -224,10 +273,10 @@ class TestPartitionersStoreInvariant:
     @pytest.mark.parametrize(
         "partitioner", PARTITIONERS, ids=lambda p: p.name
     )
-    def test_csr_path_matches_store_path(self, partitioner, bundles):
+    def test_block_size_does_not_change_assignment(self, partitioner, bundles):
         mem, _ = bundles
-        csr = mem.adjacency.to_csr()
-        a = partitioner.partition(csr, 3)
+        small = MemoryGraphStore(mem.adjacency.to_csr(), block_vertices=50)
+        a = partitioner.partition(small, 3)
         b = partitioner.partition(mem.adjacency, 3)
         np.testing.assert_array_equal(a.assignment, b.assignment)
 
@@ -238,11 +287,11 @@ class TestPartitionersStoreInvariant:
         b = partition_stats(disk.adjacency, partition)
         assert a == b
 
-    def test_induced_subgraph_identical(self, bundles):
+    def test_induced_subgraph_identical(self, bundles, reference_setup):
         mem, disk = bundles
         partition = HashPartitioner().partition(mem.adjacency, 4)
         owned = np.flatnonzero(partition.assignment == 0)
-        ref = induced_subgraph(mem.materialize().adjacency, owned)
+        ref = reference_setup.induced_subgraph(mem.adjacency.to_csr(), owned)
         for bundle in (mem, disk):
             sub = induced_subgraph(bundle.adjacency, owned)
             np.testing.assert_array_equal(

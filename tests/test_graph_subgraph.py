@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.ml_centered import capped_khop_subgraph
 from repro.graph.csr import from_edge_list
+from repro.graph.store import MemoryGraphStore
 from repro.graph.subgraph import induced_subgraph
 
 
@@ -15,7 +16,7 @@ def path_graph():
     for v in range(4):
         edges.append((v, v + 1))
         edges.append((v + 1, v))
-    return from_edge_list(edges, 5)
+    return MemoryGraphStore(from_edge_list(edges, 5))
 
 
 class TestInducedSubgraph:
@@ -50,14 +51,14 @@ class TestInducedSubgraph:
             induced_subgraph(path_graph, np.array([0, 0]))
 
     def test_weights_follow_edges(self, path_graph):
-        from repro.graph.normalize import gcn_normalize
+        from repro.graph.normalize import normalized_adjacency
 
-        normalized = gcn_normalize(path_graph)
+        normalized = normalized_adjacency(path_graph)
         sub = induced_subgraph(normalized, np.array([1, 2]))
         assert sub.weights is not None
         assert sub.weights.shape == sub.indices.shape
         # Weight of edge 1->2 in the subgraph equals the global weight.
-        dense = normalized.to_scipy().toarray()
+        dense = normalized.to_csr().to_scipy().toarray()
         row1 = slice(sub.indptr[0], sub.indptr[1])
         for col, w in zip(sub.indices[row1], sub.weights[row1]):
             global_col = (
@@ -77,7 +78,7 @@ class TestInducedSubgraph:
 class TestKHopGrowth:
     def test_growth_matches_table2_direction(self, medium_graph):
         """More hops -> strictly more cached vertices (the g^L blowup)."""
-        adjacency = medium_graph.adjacency
+        adjacency = medium_graph.adjacency.to_csr()
         targets = np.array([0, 1, 2])
         uncapped = medium_graph.num_vertices
         sizes = [

@@ -124,7 +124,7 @@ class TestRMATStress:
 
         graph = stream_rmat_graph(
             RMATSpec(scale=8, edge_factor=6, seed=2)
-        ).materialize()
+        )
         run = train_ecgraph(graph, num_workers=4, num_epochs=5, hidden_dim=4)
         assert np.isfinite(run.epochs[-1].loss)
         assert run.total_bytes() > 0

@@ -36,7 +36,7 @@ from repro.engine.backends import (
     self_weight_name,
 )
 from repro.faults.config import FaultConfig
-from repro.graph.normalize import gcn_normalize
+from repro.graph.normalize import normalized_adjacency
 from repro.nn.activations import ACTIVATION_NAMES, get_activation
 from repro.partition.hashing import HashPartitioner
 
@@ -66,8 +66,8 @@ def worker_state():
     graph = stream_graph(GraphSpec(
         name="kernels", num_vertices=180, avg_degree=9.0, feature_dim=12,
         num_classes=4, power_law=2.0, train=60, val=30, test=60, seed=5,
-    )).materialize()
-    normalized = gcn_normalize(graph.adjacency)
+    ))
+    normalized = normalized_adjacency(graph.adjacency)
     partition = HashPartitioner().partition(graph.adjacency, 3)
     return build_worker_states(graph, normalized, partition)[0]
 

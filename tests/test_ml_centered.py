@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import assert_same_as_parent
+from oracles._graph import resident
 from oracles.ml_centered import MLCenteredTrainer
 from repro.__main__ import main
 from repro.baselines import SYSTEMS, CachedKHopBackend, capped_khop_subgraph, run_system
@@ -19,6 +20,7 @@ from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
 from repro.faults.chaos import run_chaos
 from repro.graph.datasets import load_dataset
+from repro.graph.store import to_mmap_bundle
 
 RAW = ECGraphConfig(fp_mode="raw", bp_mode="raw")
 MODEL = ModelConfig(num_layers=2, hidden_dim=8)
@@ -38,7 +40,7 @@ def _cached_counts(trainer):
 
 class TestCappedKHopSubgraph:
     def test_each_expanded_row_keeps_min_of_degree_and_fanout(self, medium_graph):
-        adjacency = medium_graph.adjacency
+        adjacency = medium_graph.adjacency.to_csr()
         targets = np.arange(10)
         vertices, edges = capped_khop_subgraph(
             adjacency, targets, [3, 3], np.random.default_rng(0)
@@ -51,7 +53,7 @@ class TestCappedKHopSubgraph:
         assert set(targets.tolist()) <= set(vertices.tolist())
 
     def test_uncapped_hop_is_the_exact_neighbourhood(self, medium_graph):
-        adjacency = medium_graph.adjacency
+        adjacency = medium_graph.adjacency.to_csr()
         targets = np.array([0, 5])
         vertices, edges = capped_khop_subgraph(
             adjacency, targets, [adjacency.num_vertices],
@@ -109,6 +111,21 @@ class TestCachedKHopBackend:
         trainer.setup()
         assert trainer.runtime.meter.category_totals()["lhop_pull"] > 0
 
+    @pytest.mark.parametrize("system", ["agl", "aligraph"])
+    def test_memory_and_mmap_bundles_train_identically(
+        self, system, small_graph, tmp_path
+    ):
+        """The caches read features and topology through the store API,
+        so an out-of-core bundle trains to the same losses."""
+        disk = to_mmap_bundle(small_graph, tmp_path / "g", chunk_vertices=29)
+        losses = [
+            [repr(e.loss) for e in run_system(
+                system, graph, num_workers=3, num_epochs=4, patience=None
+            ).epochs]
+            for graph in (small_graph, disk)
+        ]
+        assert losses[0] == losses[1]
+
     def test_agl_accuracy_below_full_batch(self, medium_graph):
         """Sampled, truncated caches cost accuracy vs exact training."""
         agl = run_system("agl", medium_graph, num_workers=3,
@@ -133,7 +150,7 @@ class TestMatchesParentTrainer:
     def _pair(self, graph, optimizer):
         config = ECGraphConfig(optimizer=optimizer, fp_mode="raw", bp_mode="raw")
         parent = MLCenteredTrainer(
-            graph, self.MODEL, self.SPEC, [10, 5], config=config
+            resident(graph), self.MODEL, self.SPEC, [10, 5], config=config
         )
         new = _trainer(graph, [10, 5], self.MODEL, 6, config)
         return parent, new

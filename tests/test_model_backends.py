@@ -35,7 +35,7 @@ def graph():
         name="backends", num_vertices=72, avg_degree=5.0, feature_dim=10,
         num_classes=3, homophily=0.85, feature_noise=0.7,
         train=30, val=12, test=24, seed=11,
-    )).materialize()
+    ))
 
 
 def _make_trainer(arch: str, graph, **config_kwargs):

@@ -32,7 +32,7 @@ def graph():
         name="mp", num_vertices=72, avg_degree=5.0, feature_dim=8,
         num_classes=3, homophily=0.9, feature_noise=0.8,
         train=30, val=12, test=24, seed=11,
-    )).materialize()
+    ))
 
 
 def _mp_trainer(graph, **overrides):
@@ -190,7 +190,7 @@ class TestBackpressure:
             name="wide", num_vertices=64, avg_degree=4.0, feature_dim=128,
             num_classes=3, homophily=0.9, feature_noise=0.8,
             train=24, val=12, test=16, seed=5,
-        )).materialize()
+        ))
         trainer = ECGraphTrainer(
             graph, ModelConfig(num_layers=2, hidden_dim=128),
             ClusterSpec(num_workers=3, num_servers=1),

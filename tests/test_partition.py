@@ -5,6 +5,7 @@ import pytest
 
 from repro.graph.csr import from_edge_list
 from repro.graph.generators import GraphSpec
+from repro.graph.store import MemoryGraphStore
 from repro.graph.streaming import stream_graph
 from repro.partition import (
     BFSPartitioner,
@@ -31,7 +32,7 @@ def community_graph():
         homophily=0.97,
         seed=3,
     )
-    return stream_graph(spec).materialize().adjacency
+    return stream_graph(spec).adjacency
 
 
 ALL_PARTITIONERS = [
@@ -88,18 +89,20 @@ class TestDegenerateInputs:
             make_partitioner(name).partition(Untouchable(), num_parts)
 
     def test_empty_graph(self, name):
-        partition = make_partitioner(name).partition(from_edge_list([], 0), 3)
+        empty = MemoryGraphStore(from_edge_list([], 0))
+        partition = make_partitioner(name).partition(empty, 3)
         assert partition.num_vertices == 0
         assert partition.num_parts == 3
         assert partition.part_sizes().tolist() == [0, 0, 0]
 
     def test_all_isolated_vertices(self, name):
-        partition = make_partitioner(name).partition(from_edge_list([], 7), 3)
+        isolated = MemoryGraphStore(from_edge_list([], 7))
+        partition = make_partitioner(name).partition(isolated, 3)
         assert partition.num_vertices == 7
         assert partition.part_sizes().sum() == 7
 
     def test_more_parts_than_vertices(self, name):
-        path = from_edge_list([(0, 1), (1, 0), (1, 2), (2, 1)], 4)
+        path = MemoryGraphStore(from_edge_list([(0, 1), (1, 0), (1, 2), (2, 1)], 4))
         partition = make_partitioner(name).partition(path, 9)
         assert partition.num_parts == 9
         assert partition.part_sizes().sum() == 4
@@ -215,7 +218,9 @@ class TestSpectralSolverFailure:
     @staticmethod
     def _ring(n):
         arcs = [(v, (v + 1) % n) for v in range(n)]
-        return from_edge_list(arcs + [(u, v) for v, u in arcs], n)
+        return MemoryGraphStore(
+            from_edge_list(arcs + [(u, v) for v, u in arcs], n)
+        )
 
     def test_large_region_is_reported_not_densified(
         self, lanczos_gives_up, monkeypatch

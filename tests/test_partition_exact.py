@@ -19,13 +19,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.normalize import gcn_normalize, row_normalize
 from repro.core.worker import build_worker_states
-from repro.graph.attributed import AttributedGraph
 from repro.graph.csr import CSRGraph, from_edge_list
 from repro.graph.generators import GraphSpec
 from repro.graph.normalize import normalized_adjacency
 from repro.graph.rmat import RMATSpec
-from repro.graph.store import MemoryGraphStore, to_mmap_bundle
+from repro.graph.store import (
+    GraphStoreBundle,
+    MemoryGraphStore,
+    memory_bundle,
+    to_mmap_bundle,
+)
 from repro.graph.streaming import stream_graph, stream_rmat_graph
 from repro.graph.subgraph import induced_subgraph
 from repro.partition import (
@@ -48,7 +53,7 @@ def _sbm() -> CSRGraph:
         name="exact-sbm", num_vertices=320, avg_degree=9.0, feature_dim=4,
         num_classes=4, homophily=0.85, power_law=2.5, seed=5,
     )
-    return stream_graph(spec).materialize().adjacency
+    return stream_graph(spec).adjacency.to_csr()
 
 
 def _rmat() -> CSRGraph:
@@ -145,12 +150,12 @@ def zoo_graph(request) -> CSRGraph:
     return ZOO[request.param]()
 
 
-def _attributed(adjacency: CSRGraph, seed: int = 0) -> AttributedGraph:
+def _attributed(adjacency: CSRGraph, seed: int = 0) -> GraphStoreBundle:
     """Wrap a bare topology with random features / labels / masks."""
     rng = np.random.default_rng(seed)
     n = adjacency.num_vertices
     split = rng.integers(0, 3, size=n)
-    return AttributedGraph(
+    return memory_bundle(
         adjacency=adjacency,
         features=rng.standard_normal((n, 5)).astype(np.float32),
         labels=rng.integers(0, 3, size=n),
@@ -182,7 +187,7 @@ class TestMetisExact:
             name="exact-deep", num_vertices=900, avg_degree=8.0,
             feature_dim=4, num_classes=4, homophily=0.8, seed=12,
         )
-        graph = stream_graph(spec).materialize().adjacency
+        graph = stream_graph(spec).adjacency.to_csr()
         weight = np.ones(graph.num_vertices, dtype=np.int64)
         rng_want, rng_got = np.random.default_rng(1), np.random.default_rng(1)
         depth = 0
@@ -223,7 +228,7 @@ class TestBFSExact:
             zoo_graph, num_parts
         )
         got = BFSPartitioner(seed=seed, slack=slack).partition(
-            zoo_graph, num_parts
+            MemoryGraphStore(zoo_graph), num_parts
         )
         assert np.array_equal(got.assignment, want.assignment)
 
@@ -248,14 +253,15 @@ def test_degenerate_graphs_match(reference_setup):
         want = reference_setup.BFSPartitioner(seed=1).partition(
             graph, num_parts
         )
-        got = BFSPartitioner(seed=1).partition(graph, num_parts)
+        got = BFSPartitioner(seed=1).partition(MemoryGraphStore(graph), num_parts)
         assert np.array_equal(got.assignment, want.assignment)
         assert got.assignment.dtype == want.assignment.dtype
 
 
 class TestStoreBackedInputs:
-    """CSR, memory-store and mmap-store inputs all give the reference
-    assignment; the mmap store is read through its block API only."""
+    """Memory stores (default and small blocks) and an mmap store all
+    give the reference assignment; the mmap store is read through its
+    block API only."""
 
     @pytest.fixture(scope="class", params=["sbm", "parallel-arcs", "wide-weights"])
     def inputs(self, request, tmp_path_factory):
@@ -264,7 +270,11 @@ class TestStoreBackedInputs:
             _attributed(csr), tmp_path_factory.mktemp("exact") / "g",
             chunk_vertices=37, max_resident_blocks=2,
         )
-        return csr, MemoryGraphStore(csr, block_vertices=50), disk.adjacency
+        return (
+            MemoryGraphStore(csr),
+            MemoryGraphStore(csr, block_vertices=50),
+            disk.adjacency,
+        )
 
     def test_same_assignment(self, inputs, reference_setup):
         want = reference_setup.BFSPartitioner(seed=2).partition(
@@ -382,7 +392,7 @@ class TestWorkerStatesExact:
         for size in (0, 1, n // 3, n):
             local = rng.permutation(n)[:size]
             _assert_same_subgraph(
-                induced_subgraph(zoo_graph, local),
+                induced_subgraph(MemoryGraphStore(zoo_graph), local),
                 reference_setup.induced_subgraph(zoo_graph, local),
             )
 
@@ -458,6 +468,8 @@ class TestCSRHelpersExact:
 
     @pytest.mark.parametrize("scheme", ["gcn", "row"])
     def test_lazy_normalization_still_bit_identical(self, zoo_graph, scheme):
-        eager = normalized_adjacency(zoo_graph, scheme)
+        eager = {"gcn": gcn_normalize, "row": row_normalize}[scheme](
+            zoo_graph, add_self_loops=True
+        )
         lazy = normalized_adjacency(MemoryGraphStore(zoo_graph), scheme).to_csr()
         _assert_same_csr(lazy, eager)

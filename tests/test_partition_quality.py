@@ -31,7 +31,7 @@ def _communities(num_vertices: int, seed: int):
         name="quality-sbm", num_vertices=num_vertices, avg_degree=16,
         feature_dim=4, num_classes=8, power_law=2.5, homophily=0.8,
         label_noise=0.1, seed=seed,
-    )).materialize()
+    ))
 
 
 def _result_cap(num_vertices: int, num_parts: int, imbalance: float) -> int:
@@ -67,7 +67,7 @@ class TestImbalanceBoundsTheResult:
         graph = ZOO[name]()
         partition = MetisLikePartitioner(
             seed=1, coarsen_until=32, imbalance=imbalance
-        ).partition(graph, num_parts)
+        ).partition(MemoryGraphStore(graph), num_parts)
         assert partition.part_sizes().max() <= _result_cap(
             graph.num_vertices, num_parts, imbalance
         )
@@ -79,7 +79,7 @@ class TestImbalanceBoundsTheResult:
         arcs = [(v, (v + 1) % n) for v in range(n)]
         ring = from_edge_list(arcs + [(u, v) for v, u in arcs], n)
         sizes = MetisLikePartitioner(imbalance=1.0).partition(
-            ring, 7
+            MemoryGraphStore(ring), 7
         ).part_sizes()
         assert sizes.max() == 86 and sizes.sum() == n
 
@@ -123,13 +123,13 @@ class TestImbalanceBoundsTheResult:
 class TestSeededDeterminism:
     @pytest.mark.parametrize("name", sorted(ZOO))
     def test_two_calls_agree(self, name):
-        graph = ZOO[name]()
+        graph = MemoryGraphStore(ZOO[name]())
         first = MetisLikePartitioner(seed=4, coarsen_until=16).partition(graph, 3)
         again = MetisLikePartitioner(seed=4, coarsen_until=16).partition(graph, 3)
         assert np.array_equal(first.assignment, again.assignment)
 
     def test_other_seed_other_assignment(self):
-        graph = ZOO["sbm"]()
+        graph = MemoryGraphStore(ZOO["sbm"]())
         a = MetisLikePartitioner(seed=0).partition(graph, 4).assignment
         b = MetisLikePartitioner(seed=1).partition(graph, 4).assignment
         assert not np.array_equal(a, b)
@@ -141,7 +141,9 @@ class TestSeededDeterminism:
             _attributed(csr), tmp_path / "g", chunk_vertices=37,
             max_resident_blocks=2,
         )
-        want = MetisLikePartitioner(seed=2, coarsen_until=8).partition(csr, 4)
+        want = MetisLikePartitioner(seed=2, coarsen_until=8).partition(
+            MemoryGraphStore(csr), 4
+        )
         for graph in (MemoryGraphStore(csr, block_vertices=50), disk.adjacency):
             got = MetisLikePartitioner(seed=2, coarsen_until=8).partition(graph, 4)
             assert np.array_equal(got.assignment, want.assignment)
@@ -154,7 +156,7 @@ class TestSeededDeterminism:
             "from repro.partition import MetisLikePartitioner\n"
             "graph = stream_graph(GraphSpec(name='t', num_vertices=4096,"
             " avg_degree=16, feature_dim=4, num_classes=8, power_law=2.5,"
-            " homophily=0.8, seed=3)).materialize().adjacency\n"
+            " homophily=0.8, seed=3)).adjacency\n"
             "a = MetisLikePartitioner(seed=3).partition(graph, 4).assignment\n"
             "print(hashlib.sha256(a.tobytes()).hexdigest())\n"
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import from_edge_list
+from repro.graph.store import MemoryGraphStore
 from repro.partition.base import Partition
 from repro.partition.stats import partition_stats
 
@@ -12,7 +13,7 @@ from repro.partition.stats import partition_stats
 def square_graph():
     """4-cycle: 0-1-2-3-0 (symmetric)."""
     edges = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)]
-    return from_edge_list(edges, 4)
+    return MemoryGraphStore(from_edge_list(edges, 4))
 
 
 class TestStats:
@@ -49,7 +50,7 @@ class TestStats:
 
     def test_duplicate_remote_neighbor_counted_once(self):
         # Vertex 0 has two parallel-ish edges to vertex 1 (via dedup off).
-        g = from_edge_list([(0, 1), (0, 1)], 2)
+        g = MemoryGraphStore(from_edge_list([(0, 1), (0, 1)], 2))
         partition = Partition(np.array([0, 1]), 2)
         stats = partition_stats(g, partition)
         assert stats.avg_remote_neighbors == pytest.approx(0.5)

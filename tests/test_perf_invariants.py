@@ -36,7 +36,7 @@ def _budget_trainer(**config):
     graph = stream_graph(GraphSpec(
         name="budget", num_vertices=1200, avg_degree=10.0, feature_dim=48,
         num_classes=6, power_law=2.2, train=400, val=200, test=400, seed=9,
-    )).materialize()
+    ))
     trainer = ECGraphTrainer(
         graph, ModelConfig(num_layers=3, hidden_dim=48),
         ClusterSpec(num_workers=4), ECGraphConfig(seed=1, **config),
@@ -220,7 +220,7 @@ class TestSetupPathCallCounts:
             name="setup-counts", num_vertices=self.N, avg_degree=12.0,
             feature_dim=8, num_classes=4, homophily=0.8, power_law=2.5,
             seed=4,
-        )).materialize()
+        ))
 
     @pytest.mark.parametrize("method", ["metis", "bfs"])
     def test_partitioning_makes_fewer_than_n_row_calls(
@@ -263,7 +263,7 @@ class TestSetupPathCallCounts:
                 pulls[start] = pulls.get(start, 0) + 1
                 return super().adjacency_block(start, stop)
 
-        base = CountingStore(sbm.adjacency, block_vertices=512)
+        base = CountingStore(sbm.adjacency.to_csr(), block_vertices=512)
         partition = HashPartitioner().partition(base, num_workers)
         normalized = normalized_adjacency(base, "gcn")  # self-loop scan: 1
         states = build_worker_states(sbm, normalized, partition)  # sweep: 1

@@ -84,6 +84,8 @@ RETIRED_NAMES = (
     "remote_neighbor_lists", "measure_traffic", "snapshot_table",
     "lr_schedule import", "nn.lr_schedule", "ConstantLR", "StepDecayLR",
     "ExponentialDecayLR", "CosineAnnealingLR",
+    "AttributedGraph", "as_bundle", "as_topology", "gcn_normalize",
+    "row_normalize", ".materialize(",
 )
 CHECKPOINT = REPO / "src" / "repro" / "core" / "checkpoint.py"
 
@@ -550,6 +552,81 @@ class TestOneExchangePolicyBase:
                     policies.DelayedPolicy, reqec_fp.ReqECPolicy,
                     resec_bp.ResECPolicy):
             assert issubclass(cls, ExchangePolicy), cls.__name__
+
+
+# ----------------------------------------------------------------------
+# One graph type: a ``GraphStoreBundle`` is the graph and a ``GraphStore``
+# its topology, so no annotation in ``src/`` unions a resident
+# ``CSRGraph`` with a store and no code branches on which one it got.
+# ----------------------------------------------------------------------
+GRAPH_TYPES = {"CSRGraph", "GraphStore", "GraphStoreBundle"}
+
+
+def _type_names(node: ast.AST) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _graph_type_branches(source: str) -> list[str]:
+    """``union:line`` for an annotation that unions ``CSRGraph`` with a
+    store type, ``isinstance:line`` for a test against a graph type."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            annotations = [a.annotation for a in arguments] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for annotation in filter(None, annotations):
+            line = annotation.lineno
+            if isinstance(annotation, ast.Constant) and isinstance(
+                annotation.value, str
+            ):
+                annotation = ast.parse(annotation.value, mode="eval").body
+            unions = [
+                n for n in ast.walk(annotation)
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.BitOr)
+                or isinstance(n, ast.Subscript) and "Union" in _type_names(n.value)
+            ]
+            names = set().union(*map(_type_names, unions))
+            if "CSRGraph" in names and names & {"GraphStore", "GraphStoreBundle"}:
+                offenders.append((line, "union"))
+        if (
+            isinstance(node, ast.Call) and len(node.args) == 2
+            and getattr(node.func, "id", "") == "isinstance"
+            and _type_names(node.args[1]) & GRAPH_TYPES
+        ):
+            offenders.append((node.lineno, "isinstance"))
+    return [f"{kind}:{line}" for line, kind in sorted(offenders)]
+
+
+class TestOneGraphType:
+    def test_src_has_no_graph_type_unions_or_branches(self):
+        root = REPO / "src" / "repro"
+        assert [
+            f"{path.relative_to(root)}:{offender}"
+            for path in sorted(root.rglob("*.py"))
+            for offender in _graph_type_branches(path.read_text())
+        ] == []
+
+    def test_the_graph_type_guard_sees_a_planted_union(self):
+        sample = (
+            "def f(graph: CSRGraph | GraphStore, n: int) -> int:\n"
+            "    if isinstance(graph, (GraphStore, str)):\n"
+            "        return 1\n"
+            "    return isinstance(n, int)\n"
+            "def g(bundle: 'AttributedGraph | GraphStoreBundle | CSRGraph'):\n"
+            "    store: Union[store.GraphStore, CSRGraph] = bundle\n"
+            "def h(graph: GraphStore, csr: CSRGraph | None) -> GraphStoreBundle:\n"
+            "    return isinstance(csr, repro.graph.csr.CSRGraph)\n"
+        )
+        assert _graph_type_branches(sample) == [
+            "union:1", "isinstance:2", "union:5", "union:6", "isinstance:8",
+        ]
 
 
 def _documented_names():

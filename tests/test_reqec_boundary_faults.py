@@ -47,7 +47,7 @@ def graph():
         name="boundary-faults", num_vertices=96, avg_degree=6.0,
         feature_dim=12, num_classes=3, homophily=0.9, feature_noise=0.8,
         train=40, val=16, test=32, seed=7,
-    )).materialize()
+    ))
 
 
 class BoundaryAuditor:

@@ -17,9 +17,9 @@ from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
 from repro.faults import FaultConfig, FaultInjector
 from repro.faults.chaos import run_chaos
-from repro.graph.attributed import AttributedGraph
 from repro.graph.csr import from_edge_list
 from repro.graph.generators import GraphSpec
+from repro.graph.store.memory import memory_bundle
 from repro.graph.streaming import stream_graph
 from repro.obs import ObsConfig
 
@@ -38,7 +38,7 @@ def _graph_from_edges(edges, n, classes=2, seed=0, train_frac=0.5):
     masks[0, order[:cut1]] = True
     masks[1, order[cut1:cut2]] = True
     masks[2, order[cut2:]] = True
-    return AttributedGraph(
+    return memory_bundle(
         adjacency=adjacency,
         features=features,
         labels=labels,
@@ -100,7 +100,7 @@ class TestDegenerateGraphs:
         spec = GraphSpec(name="t", num_vertices=10, avg_degree=2.0,
                          feature_dim=64, num_classes=2, train=4, val=2,
                          test=2, seed=0)
-        run = _train(stream_graph(spec).materialize(), workers=2)
+        run = _train(stream_graph(spec), workers=2)
         assert np.isfinite(run.epochs[-1].loss)
 
 
