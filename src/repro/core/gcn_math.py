@@ -72,14 +72,15 @@ class LayerForwardCache:
             aggregate-first ordering ran or the caller supplied it;
             otherwise ``None`` under transform-first (the weight
             gradient then recomputes it from ``h_cat``).
-        h_cat: The concatenated input ``H_cat^{l-1}`` (local + halo rows).
+        h_cat: The concatenated input ``H_cat^{l-1}`` (local + halo rows);
+            None when only the supplied aggregate was read.
         pre_activation: ``Z^l`` for the local vertices.
         output: ``H^l`` for the local vertices.
         transform_first: Which ordering produced this cache.
     """
 
     aggregated: np.ndarray | None
-    h_cat: np.ndarray
+    h_cat: np.ndarray | None
     pre_activation: np.ndarray
     output: np.ndarray
     transform_first: bool
@@ -87,7 +88,7 @@ class LayerForwardCache:
 
 def layer_forward(
     a_local: csr_matrix,
-    h_cat: np.ndarray,
+    h_cat: np.ndarray | None,
     weight: np.ndarray,
     bias: np.ndarray | None,
     activation: Activation,
@@ -103,7 +104,8 @@ def layer_forward(
 
     Args:
         a_local: ``(n_local, n_local + n_halo)`` normalized adjacency rows.
-        h_cat: ``(n_local + n_halo, d_in)`` concatenated embeddings.
+        h_cat: ``(n_local + n_halo, d_in)`` concatenated embeddings;
+            may be None under aggregate-first when ``aggregated`` is given.
         weight: ``(d_in, d_out)``.
         bias: ``(d_out,)`` or None.
         activation: Hidden activation; skipped on the last layer, whose
@@ -119,7 +121,7 @@ def layer_forward(
             output *is* ``Z^l``.
     """
     d_in, d_out = weight.shape
-    if h_cat.shape[1] != d_in:
+    if h_cat is not None and h_cat.shape[1] != d_in:
         raise ValueError(
             f"h_cat dim {h_cat.shape[1]} does not match weight in-dim {d_in}"
         )

@@ -23,6 +23,9 @@ architecture writes:
 * ``backward_local`` / ``backward_reduce`` — one worker's
   parameter-gradient shares, and the fold of the layer's gradient halo
   into ``grad_rows[layer - 1]``;
+* ``buffer_lives`` — every workspace buffer its kernels use, with its
+  life on the iteration timeline (the default fits a ``layer_kernel``
+  backend; see :mod:`repro.engine.workspace`);
 * optionally ``build_workers`` (what each worker's local graph is: by
   default its partition plus the 1-hop halo), ``bind`` (register extra
   parameters, build per-worker structures) and ``on_membership_change``
@@ -54,6 +57,7 @@ from repro.core.messages import ChannelKey
 from repro.core.models import bias_name, weight_name
 from repro.core.worker import WorkerState, build_worker_states
 from repro.engine.context import ExchangeContext
+from repro.engine.workspace import BufferLife, Timeline
 from repro.graph.store.base import GraphStore, GraphStoreBundle
 from repro.nn.init import glorot_uniform
 from repro.obs.tracing import monotonic_now
@@ -195,13 +199,18 @@ class ModelBackend:
     def eval_layer(
         self,
         state: WorkerState,
-        h_cat: np.ndarray,
+        h_cat: np.ndarray | None,
         params: dict[str, np.ndarray],
         layer: int,
         is_last: bool,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Exact-inference layer output (full adjacency, no caching)."""
-        return self.layer_kernel(state, h_cat, params, layer, is_last).output
+        """Exact-inference layer output (full adjacency); hidden
+        activations go into ``out`` when given. ``h_cat`` is None on the
+        first layer when the plan holds no ``[X; X_halo]``."""
+        return self.layer_kernel(
+            state, h_cat, params, layer, is_last, out=out
+        ).output
 
     # ------------------------------------------------------------------
     # Kernel-state shipping (multi-process executor)
@@ -232,39 +241,91 @@ class ModelBackend:
         raise NotImplementedError
 
     # -- persistent buffers (repro.engine.workspace) ---------------------
+    def plan_workspaces(self) -> None:
+        """Plan every worker's workspace slots from :meth:`buffer_lives`.
+        Shared slots are made here, so the process executor's blocks
+        exist before its workers attach them. Runs at bind and again
+        after a membership change."""
+        ctx = self.ctx
+        timeline = Timeline(ctx.params.num_layers)
+        for state in ctx.workers:
+            ctx.workspaces.plan(
+                state, self.buffer_lives(state, timeline), timeline
+            )
+
+    def buffer_lives(
+        self, state: WorkerState, tl: Timeline
+    ) -> list[BufferLife]:
+        """Every workspace buffer of ``state``, with its life on the
+        iteration timeline. The default fits a ``layer_kernel`` backend:
+        the weight gradient reads the layer's input (``bpl``), the input
+        gradient reads the fetched ``G`` (``bpr``)."""
+        lives = []
+        for layer in range(1, self.ctx.params.num_layers + 1):
+            lives.append(
+                self._input_life(state, tl, layer, tl.read(f"bpl{layer}"))
+            )
+            lives.append(self._grad_life(
+                state, tl, layer,
+                tl.read(f"bpr{layer}" if layer > 1 else "bpl1"),
+            ))
+        return lives
+
+    def _input_life(
+        self, state: WorkerState, tl: Timeline, layer: int, end: int
+    ) -> BufferLife:
+        """``h{layer-1}``, the layer's input: written by the layer below
+        (``h0``: before the first kernel, or once and for all on the
+        cached first hop) and last read at ``end``."""
+        dim = self.ctx.params.dims[layer - 1]
+        if layer > 1:
+            start = tl.write(f"fwd{layer - 1}")
+        elif self.ctx.config.cache_first_hop:
+            start, end = tl.always
+        else:
+            start = tl.read("fwd1")
+        return BufferLife(
+            f"h{layer - 1}", (state.num_local + state.num_halo, dim), True,
+            start, end,
+        )
+
+    def _grad_life(
+        self, state: WorkerState, tl: Timeline, layer: int, end: int
+    ) -> BufferLife:
+        """The buffer ``G^layer`` lives in: written by the loss (last
+        layer) or the input gradient of the layer above, read until
+        ``end``."""
+        name, shape, shared = self.grad_buffer(state, layer)
+        start = tl.write(
+            "loss" if layer == self.ctx.params.num_layers
+            else f"bpr{layer + 1}"
+        )
+        return BufferLife(name, shape, shared, start, end)
+
+    def grad_buffer(
+        self, state: WorkerState, layer: int
+    ) -> tuple[str, tuple[int, int], bool]:
+        """Name, shape and sharing of ``g{layer}``, the buffer ``G^layer``
+        lives in: local rows plus the halo tail the layer's gradient
+        fetch fills (layer 1 fetches nothing: local rows only)."""
+        rows = state.num_local + (state.num_halo if layer > 1 else 0)
+        return f"g{layer}", (rows, self.ctx.params.dims[layer]), layer > 1
+
+    def grad_cat(self, state: WorkerState, layer: int) -> np.ndarray:
+        """``[G^layer; G^layer_halo]`` once the layer's fetch has run."""
+        name = self.grad_buffer(state, layer)[0]
+        return self.ctx.workspaces.buffer(name, state)
+
     def grad_out(self, state: WorkerState, layer: int) -> np.ndarray:
-        """Where ``G^layer``'s local rows live: the head of the width's
-        ``g_cat`` workspace, whose tail the layer's gradient fetch fills
-        (layer 1 fetches nothing and gets a local buffer)."""
-        ws, dim = self.ctx.workspaces, self.ctx.params.dims[layer]
-        if layer == 1:
-            return ws.local(f"g{dim}l", state, dim)
-        return ws.g_cat(state, dim)[:state.num_local]
+        """Where ``G^layer``'s local rows live: the head of its buffer."""
+        return self.grad_cat(state, layer)[:state.num_local]
 
     def _out_buffer(self, state: WorkerState, layer: int) -> np.ndarray | None:
         """Where ``H^layer`` goes: the head of the next layer's ``h_cat``
         (None on the last layer, whose logits nothing aggregates)."""
-        params = self.ctx.params
-        if layer == params.num_layers:
+        if layer == self.ctx.params.num_layers:
             return None
-        h_next = self.ctx.workspaces.h_cat(state, layer, params.dims[layer])
-        return h_next[:state.num_local]
-
-    def allocate_workspaces(self) -> None:
-        """Touch every workspace an exchange and a kernel share, so the
-        process executor's blocks exist before its workers attach them.
-        (Kernel-private buffers appear where the kernels first run.)"""
-        ctx = self.ctx
-        dims = ctx.params.dims
-        for state in ctx.workers:
-            for layer in range(1, ctx.params.num_layers + 1):
-                ctx.workspaces.h_cat(state, layer - 1, dims[layer - 1])
-                if layer > 1:
-                    self._bp_workspaces(state, layer)
-
-    def _bp_workspaces(self, state: WorkerState, layer: int) -> None:
-        """The shared buffers of ``layer``'s gradient exchange."""
-        self.ctx.workspaces.g_cat(state, self.ctx.params.dims[layer])
+        return self.ctx.workspaces.h_cat(state, layer)[:state.num_local]
 
     def _backward_halos(self, t: int, layer: int) -> None:
         """The layer's gradient halo exchange (forward-style fetch into
@@ -314,10 +375,59 @@ class GCNBackend(ModelBackend):
 
     name = "gcn"
 
+    def _transform_first(self, layer: int) -> bool:
+        dims = self.ctx.params.dims
+        return self.ctx.config.transform_first and dims[layer - 1] > dims[layer]
+
+    def _reads_first_input(self) -> bool:
+        """Whether a kernel reads ``[X; X_halo]`` every iteration. On the
+        cached first hop an aggregate-first layer 1 reads only the
+        constant ``M^1``, so ``h0`` is not planned at all."""
+        return not self.ctx.config.cache_first_hop or self._transform_first(1)
+
+    def buffer_lives(
+        self, state: WorkerState, tl: Timeline
+    ) -> list[BufferLife]:
+        ctx = self.ctx
+        dims, num_layers = ctx.params.dims, ctx.params.num_layers
+        cached = ctx.config.cache_first_hop
+        local = state.num_local
+        lives = []
+        for layer in range(1, num_layers + 1):
+            fwd, bpl = f"fwd{layer}", f"bpl{layer}"
+            transform_first = self._transform_first(layer)
+            constant_m1 = layer == 1 and cached
+            if layer > 1 or self._reads_first_input():
+                # A transform-first weight gradient recomputes A·H_cat,
+                # unless the constant M^1 serves it.
+                recompute = transform_first and not constant_m1
+                lives.append(self._input_life(
+                    state, tl, layer, tl.read(bpl if recompute else fwd)
+                ))
+            if constant_m1:
+                lives.append(BufferLife(
+                    "m1", (local, dims[0]), False, *tl.always
+                ))
+            elif not transform_first:
+                lives.append(BufferLife(
+                    f"m{layer}", (local, dims[layer - 1]), False,
+                    tl.write(fwd), tl.read(bpl),
+                ))
+            # σ'(Z^l) is read after the layer below's G is written; the
+            # logits Z^L again after the loss writes G^L.
+            lives.append(BufferLife(
+                f"z{layer}", (local, dims[layer]), False, tl.write(fwd),
+                tl.write("loss" if layer == num_layers else f"bpr{layer + 1}"),
+            ))
+            lives.append(self._grad_life(
+                state, tl, layer, tl.read(f"bpr{layer}" if layer > 1 else bpl)
+            ))
+        return lives
+
     def forward_layer(
         self,
         state: WorkerState,
-        h_cat: np.ndarray,
+        h_cat: np.ndarray | None,
         pulled: dict[str, np.ndarray],
         layer: int,
         is_last: bool,
@@ -325,17 +435,15 @@ class GCNBackend(ModelBackend):
         ctx = self.ctx
         ws, dims = ctx.workspaces, ctx.params.dims
         adjacency = self.adjacency(state, layer)
-        transform_first = (
-            ctx.config.transform_first and dims[layer - 1] > dims[layer]
-        )
+        transform_first = self._transform_first(layer)
         # Kernel-private Z^l and A·H_cat. A transform-first layer only
         # recomputes the aggregate transiently — except the first, whose
         # constant M^1 then serves the weight gradient.
         aggregated = aggregate_out = None
         if layer == 1 and ctx.config.cache_first_hop:
-            aggregated = ws.first_aggregate(state, adjacency, h_cat)
+            aggregated = ws.first_aggregate(state, adjacency)
         elif not transform_first:
-            aggregate_out = ws.local(f"m{layer}", state, dims[layer - 1])
+            aggregate_out = ws.buffer(f"m{layer}", state)
         state.caches[layer] = layer_forward(
             adjacency,
             h_cat,
@@ -346,7 +454,7 @@ class GCNBackend(ModelBackend):
             transform_first=transform_first,
             aggregated=aggregated,
             aggregate_out=aggregate_out,
-            z_out=ws.local(f"z{layer}", state, dims[layer]),
+            z_out=ws.buffer(f"z{layer}", state),
             out=self._out_buffer(state, layer),
         )
 
@@ -376,7 +484,7 @@ class GCNBackend(ModelBackend):
     ) -> None:
         state.grad_rows[layer - 1] = layer_backward_inputs(
             self.transposed(state, layer),
-            self.ctx.workspaces.g_cat(state, self.ctx.params.dims[layer]),
+            self.grad_cat(state, layer),
             weights[weight_name(layer - 1)],
             state.caches[layer - 1].pre_activation,
             self.ctx.params.activation,
@@ -386,20 +494,34 @@ class GCNBackend(ModelBackend):
     def eval_layer(
         self,
         state: WorkerState,
-        h_cat: np.ndarray,
+        h_cat: np.ndarray | None,
         params: dict[str, np.ndarray],
         layer: int,
         is_last: bool,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         # Exact inference always aggregates over the full local
         # adjacency (not a sampled one) with default kernel ordering.
+        # Without a held [X; X_halo], an aggregate-first layer 1 reads
+        # training's M^1 when this process holds it for that adjacency.
+        weight = params[weight_name(layer - 1)]
+        aggregated = None
+        if h_cat is None:
+            if weight.shape[0] <= weight.shape[1]:
+                aggregated = self.ctx.workspaces.held_aggregate(
+                    state, state.a_local
+                )
+            if aggregated is None:
+                h_cat = np.concatenate([state.features, state.halo_features])
         return layer_forward(
             state.a_local,
             h_cat,
-            params[weight_name(layer - 1)],
+            weight,
             params.get(bias_name(layer - 1)),
             self.ctx.params.activation,
             is_last=is_last,
+            aggregated=aggregated,
+            out=out,
         ).output
 
 
@@ -508,6 +630,10 @@ class SampledGCNBackend(GCNBackend):
         self.subsets = {}
         self.kernel_version += 1
         self.prime_residuals()
+
+    def _reads_first_input(self) -> bool:
+        # Online, M^1 follows a new adjacency every iteration.
+        return self.online or super()._reads_first_input()
 
     def kernel_refresh(self, worker_id: int) -> dict[int, csr_matrix]:
         # Worker replicas only aggregate: they need their own sampled
@@ -741,7 +867,7 @@ class SAGEBackend(ModelBackend):
         self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
     ) -> None:
         g = state.grad_rows[layer]
-        g_cat = self.ctx.workspaces.g_cat(state, self.ctx.params.dims[layer])
+        g_cat = self.grad_cat(state, layer)
         # Self path + transposed mean aggregation path.
         dh = g @ weights[self_weight_name(layer - 1)].T + (
             self.a_transposed[state.worker_id] @ g_cat
@@ -893,31 +1019,44 @@ class GATBackend(ModelBackend):
             params[attn_dst_name(layer - 1, head)],
         )
 
-    def grad_out(self, state: WorkerState, layer: int) -> np.ndarray:
+    def grad_buffer(
+        self, state: WorkerState, layer: int
+    ) -> tuple[str, tuple[int, int], bool]:
         # GAT pushes dH partials instead of fetching gradient halos, so
         # every layer's G rows are purely local.
         dim = self.ctx.params.dims[layer]
-        return self.ctx.workspaces.local(f"g{dim}l", state, dim)
+        return f"g{layer}", (state.num_local, dim), False
+
+    def buffer_lives(
+        self, state: WorkerState, tl: Timeline
+    ) -> list[BufferLife]:
+        lives = []
+        for layer in range(1, self.ctx.params.num_layers + 1):
+            # backward_local reads the input and G^layer after it has
+            # started writing dH.
+            bpl = f"bpl{layer}"
+            lives.append(self._input_life(state, tl, layer, tl.write(bpl)))
+            lives.append(self._grad_life(state, tl, layer, tl.write(bpl)))
+            if layer > 1:
+                dim, bpr = self.ctx.params.dims[layer - 1], f"bpr{layer}"
+                lives.append(BufferLife(
+                    f"dh{layer}", (state.num_local + state.num_halo, dim),
+                    True, tl.write(bpl), tl.read(bpr),
+                ))
+                lives.append(BufferLife(
+                    f"acc{layer}", (state.num_local, dim), True,
+                    tl.write(f"halo{layer}"), tl.read(bpr),
+                ))
+        return lives
 
     def _dh_buffer(self, state: WorkerState, layer: int) -> np.ndarray:
-        """The worker's dH over ``layer``'s cat space; the reverse
-        exchange (layers above the first) serves its halo tail."""
-        dim = self.ctx.params.dims[layer - 1]
-        return self.ctx.workspaces.array(
-            f"dh{dim}", state, state.num_local + state.num_halo, dim,
-            shared=layer > 1,
-        )
+        """The worker's dH over ``layer``'s cat space (layers above the
+        first); the reverse exchange serves its halo tail."""
+        return self.ctx.workspaces.buffer(f"dh{layer}", state)
 
     def _pushed_buffer(self, state: WorkerState, layer: int) -> np.ndarray:
         """Where the reverse exchange sums the partials pushed to us."""
-        dim = self.ctx.params.dims[layer - 1]
-        return self.ctx.workspaces.array(
-            f"acc{dim}", state, state.num_local, dim
-        )
-
-    def _bp_workspaces(self, state: WorkerState, layer: int) -> None:
-        self._dh_buffer(state, layer)
-        self._pushed_buffer(state, layer)
+        return self.ctx.workspaces.buffer(f"acc{layer}", state)
 
     def layer_kernel(
         self,
@@ -973,8 +1112,10 @@ class GATBackend(ModelBackend):
         # Head averaging: each head sees G / num_heads.
         g = state.grad_rows[layer] / self.num_heads
         shares: dict[str, np.ndarray] = {}
-        dh = self._dh_buffer(state, layer)
-        dh.fill(0.0)
+        # Layer 1 has no input gradient: nothing reads its dH.
+        dh = self._dh_buffer(state, layer) if layer > 1 else None
+        if dh is not None:
+            dh.fill(0.0)
         g_src = g[edges.src]
         for head in range(self.num_heads):
             weight = weights[head_weight_name(layer - 1, head)]
@@ -1009,7 +1150,8 @@ class GATBackend(ModelBackend):
             shares[head_weight_name(layer - 1, head)] = (
                 cache.h_cat.T @ du
             ).astype(np.float32)
-            dh += du @ weight.T
+            if dh is not None:
+                dh += du @ weight.T
         if ctx.params.use_bias:
             shares[bias_name(layer - 1)] = (
                 state.grad_rows[layer].sum(axis=0)

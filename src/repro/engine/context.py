@@ -108,7 +108,7 @@ class ExchangeContext:
     ) -> list[np.ndarray]:
         """Forward-style halo fetch for ``direction`` ("fp" or "bp"), into
         (and returning) the halo tails of the workers' workspaces:
-        ``h_cat`` of ``layer`` for embeddings, the width's ``g_cat`` else."""
+        ``h{layer}`` for embeddings, ``g{layer}`` for gradients."""
         ws = self.workspaces
         return self.transport.exchange(
             layer=layer,
@@ -119,8 +119,9 @@ class ExchangeContext:
             dim=dim,
             subset=subset,
             out=[
-                (ws.h_cat(s, layer, dim) if direction == "fp"
-                 else ws.g_cat(s, dim))[s.num_local:]
+                ws.buffer(f"{'h' if direction == 'fp' else 'g'}{layer}", s)[
+                    s.num_local:
+                ]
                 for s in self.workers
             ],
         )
@@ -141,7 +142,7 @@ class ExchangeContext:
             category=_DIRECTION_CATEGORIES["bp"],
             dim=dim,
             out=[
-                self.workspaces.array(f"acc{dim}", s, s.num_local, dim)
+                self.workspaces.buffer(f"acc{layer}", s)
                 for s in self.workers
             ],
         )

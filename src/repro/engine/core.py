@@ -58,7 +58,7 @@ class TrainerCore:
         if ctx.executor is None:
             ctx.executor = SyncExecutor()
         ctx.executor.bind(ctx, backend)
-        backend.allocate_workspaces()
+        backend.plan_workspaces()
         self.halo_plan = HaloPlanStage(ctx, backend)
         self.forward = ForwardStage(ctx, backend)
         self.backward = BackwardStage(ctx, backend)

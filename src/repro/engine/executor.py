@@ -41,6 +41,7 @@ if TYPE_CHECKING:
     from repro.core.worker import WorkerState
     from repro.engine.backends import ModelBackend
     from repro.engine.context import ExchangeContext
+    from repro.engine.workspace import WorkspaceBytes
 
 __all__ = [
     "KernelRounds", "SyncExecutor", "forward_kernel", "loss_kernel",
@@ -49,14 +50,18 @@ __all__ = [
 
 
 def publish_workspace_bytes(
-    ctx: ExchangeContext, worker: int, held: tuple[int, int]
+    ctx: ExchangeContext, worker: int, held: WorkspaceBytes
 ) -> None:
-    """Resident kernel buffers (``LayerWorkspaces.held``) as gauges —
+    """A worker's kernel buffers (``LayerWorkspaces.held``) as gauges —
     ``ecgraph_workspace_bytes{worker=...}`` once exported — rather than
-    something inferred from RSS."""
+    something inferred from RSS: resident, planned, and the first-layer
+    aggregate's share."""
     metrics = ctx.telemetry.metrics
-    metrics.set_gauge("workspace_bytes", held[0], worker=worker)
-    metrics.set_gauge("first_aggregate_bytes", held[1], worker=worker)
+    metrics.set_gauge("workspace_bytes", held.resident, worker=worker)
+    metrics.set_gauge("workspace_planned_bytes", held.planned, worker=worker)
+    metrics.set_gauge(
+        "first_aggregate_bytes", held.first_aggregate, worker=worker
+    )
 
 
 def forward_kernel(
@@ -69,12 +74,13 @@ def forward_kernel(
 ) -> None:
     """One worker's forward round on the layer's input workspace: the
     previous kernel (or the feature shard) already wrote its head, the
-    halo exchange its tail."""
-    ws, dims = ctx.workspaces, ctx.params.dims
+    halo exchange its tail. Layer 1's is None when the plan holds no
+    ``[X; X_halo]`` (the kernel reads the constant ``M^1``)."""
+    ws = ctx.workspaces
     if layer == 1:
-        h_cat = ws.first_input(state, ctx.config.cache_first_hop)
+        h_cat = ws.first_input(state)
     else:
-        h_cat = ws.h_cat(state, layer - 1, dims[layer - 1])
+        h_cat = ws.h_cat(state, layer - 1)
     backend.forward_layer(state, h_cat, pulled, layer, is_last=is_last)
 
 

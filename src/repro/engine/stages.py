@@ -115,15 +115,12 @@ class ForwardStage(Stage):
                     subset=backend.exchange_subset(1, "fp"),
                 )
             return
-        dim = ctx.params.dims[layer - 1]
         ctx.exchange(
             "fp",
             layer - 1,
             t,
-            rows_of=lambda s: ctx.workspaces.h_cat(
-                s, layer - 1, dim
-            )[:s.num_local],
-            dim=dim,
+            rows_of=lambda s: ctx.workspaces.h_cat(s, layer - 1)[:s.num_local],
+            dim=ctx.params.dims[layer - 1],
             subset=backend.exchange_subset(layer, "fp"),
         )
 
@@ -201,6 +198,7 @@ class EvalStage(Stage):
         from repro.core.messages import RawPolicy
 
         ctx, backend = self.ctx, self.backend
+        ws = ctx.workspaces
         scratch_runtime = ClusterRuntime(ctx.spec)
         scratch_transport = HaloTransport(
             scratch_runtime, ctx.workers, ctx.config.codec_speedup
@@ -208,41 +206,42 @@ class EvalStage(Stage):
         raw = RawPolicy()
         num_layers = ctx.params.num_layers
 
-        outputs: list[np.ndarray] = [state.features for state in ctx.workers]
+        # The pass runs in the layers' training slots (an iteration
+        # rewrites them before reading them): each layer writes its
+        # output into the head of the next one's input, the exchange
+        # fills the tail. The cached first hop reads the constant h0 or
+        # M^1 training holds.
+        outputs: list[np.ndarray] = []
         for layer in range(1, num_layers + 1):
             params = {
                 name: ctx.servers.get(name)
                 for name in backend.layer_param_names(layer)
             }
-            h_cats = None
+            if layer == 1:
+                h_cats = [ws.first_input(s) for s in ctx.workers]
+            else:
+                h_cats = [ws.h_cat(s, layer - 1) for s in ctx.workers]
             if layer > 1 or not ctx.config.cache_first_hop:
-                # Borrow the layer's training workspaces (an iteration
-                # rewrites them before reading them): no halo or
-                # concatenated copies of the pass's own.
-                dim = outputs[0].shape[1]
-                h_cats = [
-                    ctx.workspaces.h_cat(s, layer - 1, dim) for s in ctx.workers
-                ]
-                for state, h_cat in zip(ctx.workers, h_cats):
-                    h_cat[:state.num_local] = outputs[state.worker_id]
                 scratch_transport.exchange(
                     layer=layer - 1,
                     t=0,
                     rows_of=lambda s, _h=h_cats: _h[s.worker_id][:s.num_local],
                     policy=raw,
                     category="eval",
-                    dim=dim,
+                    dim=ctx.params.dims[layer - 1],
                     out=[
                         h_cat[state.num_local:]
                         for state, h_cat in zip(ctx.workers, h_cats)
                     ],
                 )
+            is_last = layer == num_layers
             outputs = [
                 backend.eval_layer(
-                    state,
-                    np.concatenate([state.features, state.halo_features])
-                    if h_cats is None else h_cats[state.worker_id],
-                    params, layer, is_last=(layer == num_layers),
+                    state, h_cats[state.worker_id], params, layer,
+                    is_last=is_last,
+                    out=None if is_last else ws.h_cat(state, layer)[
+                        :state.num_local
+                    ],
                 )
                 for state in ctx.workers
             ]

@@ -1,28 +1,39 @@
-"""Persistent layer workspaces: the buffers the kernels actually read.
+"""Persistent layer workspaces, planned by liveness.
 
 Layer ``l`` of every worker reads one ``(n_local + n_halo, d)`` matrix
-``H_cat^{l-1}``. Each worker keeps it as a persistent *workspace*: the
+``H_cat^{l-1}``. Each worker keeps it in a persistent *workspace*: the
 halo exchange scatters decoded rows straight into its tail, the previous
 layer's kernel writes its output into its head, the kernel reads it in
-place. The backward gradient fetch does the same on one ``g_cat`` per
-distinct width (nothing caches gradient halos across layers).
+place. Gradients, aggregates and pre-activations live in workspaces too.
 
-A buffer that an exchange and a kernel both touch comes through
+Most of those buffers are dead for most of an iteration, so they are not
+allocated one per name. At bind each backend declares every buffer's
+*life* on the iteration :class:`Timeline` (:class:`BufferLife`: shape,
+whether an exchange touches it, first write, last read), and
+:func:`plan_slots` gives buffers with the same shape, the same sharing
+and disjoint lives one *slot*, by first fit. A buffer's name is only a
+key into its worker's plan; memory is per slot.
+
+A slot an exchange and a kernel both touch comes through
 :attr:`LayerWorkspaces.buffer_provider`: private arrays under
 ``execution="sync"``, :class:`~repro.mp.store.SharedStore` blocks named
-``<kind>w<worker>`` under ``"multiprocess"`` (allocated by the
-supervisor, attached by the worker process).
+``s<k>w<worker>`` under ``"multiprocess"`` (allocated by the supervisor
+at plan time, attached by the worker process).
 
-The first layer's input ``[X; X_halo]`` and aggregate ``M^1`` are
-constant while the arrays they are built from are, so they are rebuilt
-only when a worker's feature shard, cached halo features or adjacency is
-a *different object* — what elastic reassignment, crash recovery's halo
-refetch and a sampled-kernel refresh produce. See ``docs/engine.md``.
+With the cached first hop, ``M^1 = A·[X; X_halo]`` is constant while the
+arrays it is built from are, so it is rebuilt only when a worker's
+feature shard, cached halo features or adjacency is a *different object*
+— what elastic reassignment, crash recovery's halo refetch and a
+sampled-kernel refresh produce. ``[X; X_halo]`` itself is held (as a
+persistent ``h0``) only by backends whose kernels read it every
+iteration; otherwise ``M^1`` is built from a transient copy. See
+``docs/engine.md``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -32,91 +43,290 @@ from repro.core.gcn_math import spmm
 if TYPE_CHECKING:
     from repro.core.worker import WorkerState
 
-__all__ = ["LayerWorkspaces"]
+__all__ = [
+    "BufferLife", "LayerWorkspaces", "Slot", "Timeline", "WorkerPlan",
+    "WorkspaceBytes", "plan_slots",
+]
 
 
 def _private(_name: str, shape: tuple[int, int]) -> np.ndarray:
     return np.zeros(shape, dtype=np.float32)
 
 
+class Timeline:
+    """One iteration's steps in order: ``fwd1..fwdL``, ``loss``, then
+    ``bpl<l>`` (weight gradients), ``halo<l>`` (the gradient exchange)
+    and ``bpr<l>`` (input gradients) for ``l = L..2``, and ``bpl1``.
+
+    Each step has a read position and, after it, a write position: a
+    kernel reads its inputs before it writes its outputs, so a buffer
+    last read in a step and one first written there may share a slot. A
+    kernel that reads something *after* writing (``σ'(Z)`` once ``out=``
+    is written) declares that read at :meth:`write`.
+    """
+
+    def __init__(self, num_layers: int) -> None:
+        steps = [f"fwd{layer}" for layer in range(1, num_layers + 1)]
+        steps.append("loss")
+        for layer in range(num_layers, 1, -1):
+            steps += [f"bpl{layer}", f"halo{layer}", f"bpr{layer}"]
+        steps.append("bpl1")
+        self.steps = tuple(steps)
+        self._index = {step: i for i, step in enumerate(steps)}
+
+    def read(self, step: str) -> int:
+        return 2 * self._index[step]
+
+    def write(self, step: str) -> int:
+        return 2 * self._index[step] + 1
+
+    @property
+    def always(self) -> tuple[int, int]:
+        """The whole iteration: a persistent buffer's life."""
+        return 0, 2 * len(self.steps) - 1
+
+
+@dataclass(frozen=True)
+class BufferLife:
+    """One buffer of one worker: its shape, whether an exchange touches
+    it (``shared``), and its life ``[start, end]`` in
+    :class:`Timeline` positions."""
+
+    name: str
+    shape: tuple[int, int]
+    shared: bool
+    start: int
+    end: int
+
+    def overlaps(self, other: BufferLife) -> bool:
+        return self.start <= other.end and other.start <= self.end
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One allocation and the buffers that take turns in it."""
+
+    shape: tuple[int, int]
+    shared: bool
+    occupants: tuple[BufferLife, ...]
+
+    @property
+    def nbytes(self) -> int:
+        return self.shape[0] * self.shape[1] * 4
+
+
+def plan_slots(lives: Iterable[BufferLife]) -> tuple[dict[str, int], list[Slot]]:
+    """First-fit slot assignment: ``(slot index per buffer name, slots)``.
+
+    A name declared more than once (a buffer several layers use) lives
+    from its first start to its last end. Buffers are placed in order of
+    first write (declaration order breaks ties), each into the first
+    slot of its shape and sharing whose occupants it overlaps none of.
+    """
+    merged: dict[str, BufferLife] = {}
+    for life in lives:
+        held = merged.get(life.name)
+        if held is not None:
+            if (held.shape, held.shared) != (life.shape, life.shared):
+                raise ValueError(
+                    f"buffer {life.name!r} declared as {life.shape} "
+                    f"shared={life.shared} and {held.shape} "
+                    f"shared={held.shared}"
+                )
+            life = replace(
+                held, start=min(held.start, life.start),
+                end=max(held.end, life.end),
+            )
+        merged[life.name] = life
+    slot_of: dict[str, int] = {}
+    groups: list[list[BufferLife]] = []
+    for life in sorted(merged.values(), key=lambda b: b.start):
+        for k, group in enumerate(groups):
+            if (
+                (group[0].shape, group[0].shared) == (life.shape, life.shared)
+                and not any(life.overlaps(other) for other in group)
+            ):
+                group.append(life)
+                slot_of[life.name] = k
+                break
+        else:
+            slot_of[life.name] = len(groups)
+            groups.append([life])
+    slots = [Slot(g[0].shape, g[0].shared, tuple(g)) for g in groups]
+    return slot_of, slots
+
+
+@dataclass(frozen=True)
+class WorkerPlan:
+    """One worker's slots, which slot each buffer name takes, and the
+    timeline the lives are positions on."""
+
+    slot_of: dict[str, int]
+    slots: list[Slot]
+    timeline: Timeline
+
+    def persistent(self, name: str) -> bool:
+        """Whether ``name`` lives the whole iteration (and so keeps its
+        contents from one iteration to the next)."""
+        slot = self.slots[self.slot_of[name]]
+        life = next(b for b in slot.occupants if b.name == name)
+        return (life.start, life.end) == self.timeline.always
+
+
+class WorkspaceBytes(NamedTuple):
+    """What a worker's plan costs: allocated in this process, planned,
+    and the first-layer aggregate's share of the allocation."""
+
+    resident: int
+    planned: int
+    first_aggregate: int
+
+
 class LayerWorkspaces:
-    """Named persistent float32 buffers, one set per worker."""
+    """Every worker's planned float32 slots, handed out by buffer name."""
 
     def __init__(self) -> None:
         # (block name, shape) -> zeroed float32 array.
         self.buffer_provider: Callable[..., np.ndarray] = _private
-        self._arrays: dict[tuple[str, int], np.ndarray] = {}
-        # worker -> (h_cat, features, halo_features) last copied in, and
-        # worker -> (adjacency, M^1) computed from them.
+        self._plans: dict[int, WorkerPlan] = {}
+        self._arrays: dict[tuple[int, int], np.ndarray] = {}
+        # worker -> (features, halo_features) last copied into a
+        # persistent h0, and worker -> ((adjacency, features,
+        # halo_features), M^1) computed from them.
         self._inputs: dict[int, tuple[np.ndarray, ...]] = {}
-        self._aggregates: dict[int, tuple[csr_matrix, np.ndarray]] = {}
+        self._aggregates: dict[int, tuple[tuple, np.ndarray]] = {}
 
-    def array(
-        self, kind: str, state: WorkerState, rows: int, dim: int,
-        shared: bool = True,
-    ) -> np.ndarray:
-        """The worker's ``kind`` buffer, (re)made when its shape changes.
-        ``shared=False``: only kernels touch it, so it stays a private
-        array under either executor."""
-        key = (kind, state.worker_id)
-        buf = self._arrays.get(key)
-        if buf is None or buf.shape != (rows, dim):
-            provider = self.buffer_provider if shared else _private
-            buf = self._arrays[key] = provider(
-                f"{kind}w{state.worker_id}", (rows, dim)
+    # -- the plan ----------------------------------------------------------
+    def plan(
+        self, state: WorkerState, lives: Iterable[BufferLife],
+        timeline: Timeline,
+    ) -> None:
+        """Plan ``state``'s slots from its buffers' lives and make the
+        shared ones (so a worker process finds them when it attaches).
+        Replaces any earlier plan of the worker, and its arrays."""
+        w = state.worker_id
+        slot_of, slots = plan_slots(lives)
+        self._plans[w] = WorkerPlan(slot_of, slots, timeline)
+        for key in [key for key in self._arrays if key[0] == w]:
+            del self._arrays[key]
+        self._inputs.pop(w, None)
+        self._aggregates.pop(w, None)
+        for k, slot in enumerate(slots):
+            if slot.shared:
+                self._slot_array(w, k)
+
+    def plan_of(self, worker: int) -> WorkerPlan:
+        return self._plans[worker]
+
+    def _slot_array(self, worker: int, k: int) -> np.ndarray:
+        buf = self._arrays.get((worker, k))
+        if buf is None:
+            slot = self._plans[worker].slots[k]
+            provider = self.buffer_provider if slot.shared else _private
+            buf = self._arrays[(worker, k)] = provider(
+                f"s{k}w{worker}", slot.shape
             )
         return buf
 
-    def h_cat(self, state: WorkerState, k: int, dim: int) -> np.ndarray:
+    def buffer(self, name: str, state: WorkerState) -> np.ndarray:
+        """The slot ``state``'s buffer ``name`` lives in."""
+        w = state.worker_id
+        try:
+            k = self._plans[w].slot_of[name]
+        except KeyError:
+            raise KeyError(
+                f"buffer {name!r} is not in worker {w}'s workspace plan"
+            ) from None
+        return self._slot_array(w, k)
+
+    def h_cat(self, state: WorkerState, k: int) -> np.ndarray:
         """``[H^k; H^k_halo]`` — the input of layer ``k + 1``."""
-        return self.array(f"h{k}", state, state.num_local + state.num_halo, dim)
+        return self.buffer(f"h{k}", state)
 
-    def g_cat(self, state: WorkerState, dim: int) -> np.ndarray:
-        """``[G; G_halo]`` of width ``dim``, shared by equal-width layers."""
-        return self.array(f"g{dim}", state, state.num_local + state.num_halo, dim)
+    # -- the first layer ---------------------------------------------------
+    def first_input(self, state: WorkerState) -> np.ndarray | None:
+        """``[X; X_halo]`` when the plan holds it as ``h0`` (None else).
 
-    def local(self, kind: str, state: WorkerState, dim: int) -> np.ndarray:
-        """An ``(n_local, dim)`` kernel-private buffer."""
-        return self.array(kind, state, state.num_local, dim, shared=False)
-
-    def first_input(self, state: WorkerState, halo_cached: bool) -> np.ndarray:
-        """``[X; X_halo]``: features (and the cached first hop) copied in
-        once per set of source arrays; without the cache the exchange
-        fills the tail every iteration."""
-        h_cat = self.h_cat(state, 0, state.features.shape[1])
-        halo = state.halo_features if halo_cached else None
-        inputs = (h_cat, state.features, halo)
-        held = self._inputs.get(state.worker_id)
-        if held is None or any(a is not b for a, b in zip(held, inputs)):
+        A persistent ``h0`` (the cached first hop) is copied in once per
+        set of source arrays. Otherwise the exchange fills its tail and
+        the feature shard is copied into its head on every call, since
+        the slot may be shared."""
+        w = state.worker_id
+        plan = self._plans[w]
+        if "h0" not in plan.slot_of:
+            return None
+        h_cat = self.buffer("h0", state)
+        if not plan.persistent("h0"):
             h_cat[:state.num_local] = state.features
-            if halo is not None:
-                h_cat[state.num_local:] = halo
-            self._inputs[state.worker_id] = inputs
-            self._aggregates.pop(state.worker_id, None)
+            return h_cat
+        sources = (state.features, state.halo_features)
+        held = self._inputs.get(w)
+        if held is None or any(a is not b for a, b in zip(held, sources)):
+            h_cat[:state.num_local] = state.features
+            h_cat[state.num_local:] = state.halo_features
+            self._inputs[w] = sources
         return h_cat
 
     def first_aggregate(
-        self, state: WorkerState, adjacency: csr_matrix, h_cat: np.ndarray
+        self, state: WorkerState, adjacency: csr_matrix
     ) -> np.ndarray:
-        """``M^1 = adjacency @ first_input`` (cached first hop only)."""
+        """``M^1 = adjacency @ [X; X_halo]`` (cached first hop), rebuilt
+        when one of its source arrays is a different object — from the
+        held ``h0``, or from a transient copy when nothing holds it."""
+        aggregate = self.held_aggregate(state, adjacency)
+        if aggregate is None:
+            h_cat = self.first_input(state)
+            if h_cat is None:
+                h_cat = np.concatenate([state.features, state.halo_features])
+            aggregate = spmm(adjacency, h_cat, self.buffer("m1", state))
+            self._aggregates[state.worker_id] = (
+                (adjacency, state.features, state.halo_features), aggregate
+            )
+        return aggregate
+
+    def held_aggregate(
+        self, state: WorkerState, adjacency: csr_matrix
+    ) -> np.ndarray | None:
+        """The current ``M^1`` of ``adjacency``, if this process holds it."""
         held = self._aggregates.get(state.worker_id)
-        if held is None or held[0] is not adjacency:
-            out = self.local("m1", state, h_cat.shape[1])
-            held = (adjacency, spmm(adjacency, h_cat, out))
-            self._aggregates[state.worker_id] = held
+        sources = (adjacency, state.features, state.halo_features)
+        if held is None or any(a is not b for a, b in zip(held[0], sources)):
+            return None
         return held[1]
 
+    # -- lifecycle and accounting -----------------------------------------
     def clear(self) -> None:
-        """Forget every buffer (worker shapes or contents changed)."""
+        """Forget every plan and buffer (worker shapes changed)."""
+        self._plans.clear()
         self._arrays.clear()
         self._inputs.clear()
         self._aggregates.clear()
 
-    def held(self, worker: int) -> tuple[int, int]:
-        """Resident bytes for ``worker`` in this process: everything, and
-        the first-layer aggregate's share of it."""
-        sizes = {
-            kind: buf.nbytes
-            for (kind, owner), buf in self._arrays.items() if owner == worker
-        }
-        return sum(sizes.values()), sizes.get("m1", 0)
+    def detached(
+        self, buffer_provider: Callable[..., np.ndarray] = _private
+    ) -> LayerWorkspaces:
+        """The same plans with no arrays, made through ``buffer_provider``
+        (a forked worker process attaching its blocks; an executor whose
+        shared blocks are gone)."""
+        fresh = LayerWorkspaces()
+        fresh.buffer_provider = buffer_provider
+        fresh._plans = dict(self._plans)
+        return fresh
+
+    def held(self, worker: int) -> WorkspaceBytes:
+        """Bytes of ``worker``'s slots: allocated in this process, in
+        its plan, and held by the first-layer aggregate."""
+        plan = self._plans.get(worker)
+        if plan is None:
+            return WorkspaceBytes(0, 0, 0)
+        resident = sum(
+            buf.nbytes for (owner, _), buf in self._arrays.items()
+            if owner == worker
+        )
+        k = plan.slot_of.get("m1")
+        first = self._arrays.get((worker, k))
+        return WorkspaceBytes(
+            resident,
+            sum(slot.nbytes for slot in plan.slots),
+            0 if first is None else first.nbytes,
+        )

@@ -181,11 +181,11 @@ class PartitionReassigner:
         )
 
         ctx.transport.rebuild(changed)
-        # Worker shapes and feature shards changed: every persistent
-        # kernel buffer (and the first-layer aggregate) is rebuilt.
+        # Worker shapes and feature shards changed: every workspace is
+        # re-planned (and the first-layer aggregate rebuilt).
         ctx.workspaces.clear()
         self.backend.on_membership_change()
-        self.backend.allocate_workspaces()
+        self.backend.plan_workspaces()
         self.membership.record(
             epoch, "exchange_rebuilt",
             changed=sorted(changed),

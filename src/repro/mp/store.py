@@ -103,6 +103,8 @@ class SharedStore:
         self.create = create
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         self._views: dict[str, np.ndarray] = {}
+        # Released (unlinked) segments, unmapped when the store closes.
+        self._retired: list[shared_memory.SharedMemory] = []
         self._closed = False
         self._atexit_registered = False
         if create:
@@ -196,6 +198,19 @@ class SharedStore:
         finally:
             resource_tracker.register = original
 
+    def release(self, name: str) -> None:
+        """Drop one array so its name can be allocated again (a re-plan
+        superseding a block). Creator mode unlinks the segment at once;
+        the mapping is kept until the store closes, because a numpy view
+        does not pin it and one may still be held elsewhere."""
+        self._views.pop(name, None)
+        shm = self._segments.pop(name, None)
+        if shm is None:
+            return
+        if self.create:
+            shm.unlink()
+        self._retired.append(shm)
+
     # ------------------------------------------------------------------
     def view(self, name: str) -> np.ndarray:
         """Zero-copy numpy view of a mapped array."""
@@ -216,33 +231,7 @@ class SharedStore:
 
     def close(self) -> None:
         """Release the mappings; creator mode also unlinks. Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        # Views alias the segment buffers; drop them before closing so
-        # SharedMemory.close() doesn't fail on exported pointers.
-        # File-backed views simply unmap; the npy files are never
-        # unlinked (the graph store on disk owns them).
-        self._views.clear()
-        for _, shm in sorted(self._segments.items()):
-            try:
-                shm.close()
-            except Exception:
-                pass
-            if self.create:
-                try:
-                    shm.unlink()
-                except FileNotFoundError:
-                    pass
-                except Exception:
-                    pass
-        self._segments.clear()
-        if self._atexit_registered:
-            try:
-                atexit.unregister(self.close)
-            except Exception:
-                pass
-            self._atexit_registered = False
+        self._shut(unlink=self.create)
 
     def disarm(self) -> None:
         """Forget the segments without unlinking them.
@@ -252,15 +241,29 @@ class SharedStore:
         segments stay live for the parent. Afterwards the store behaves
         as closed.
         """
+        self._shut(unlink=False)
+
+    def _shut(self, unlink: bool) -> None:
         if self._closed:
             return
         self._closed = True
+        # Views alias the segment buffers; drop them before closing so
+        # SharedMemory.close() doesn't fail on exported pointers.
+        # File-backed views simply unmap; the npy files are never
+        # unlinked (the graph store on disk owns them).
         self._views.clear()
-        for _, shm in sorted(self._segments.items()):
+        retired, self._retired = self._retired, []
+        for shm in retired + [shm for _, shm in sorted(self._segments.items())]:
             try:
                 shm.close()
             except Exception:
                 pass
+        if unlink:
+            for _, shm in sorted(self._segments.items()):
+                try:
+                    shm.unlink()
+                except Exception:
+                    pass
         self._segments.clear()
         if self._atexit_registered:
             try:

@@ -11,11 +11,13 @@ only the kernel math leaves the process.
 
 Bulk tensors never cross the pipe: :meth:`ProcessExecutor.bind` points
 :attr:`~repro.engine.workspace.LayerWorkspaces.buffer_provider` at the
-store, so every layer workspace is a shared block ``<kind>w<worker>``
-(``h1w0``, ``g64w2``, ...). The supervisor's scatter is the last copy
-before the worker's kernel reads the rows, the kernel writes its output
-into the block the next exchange serves from, and a round's message
-carries only the layer number and the pulled parameters.
+store, so every planned slot an exchange touches is a shared block
+``s<k>w<worker>`` (``s0w0``, ``s2w3``, ...). The supervisor's scatter is
+the last copy before the worker's kernel reads the rows, the kernel
+writes its output into the block the next exchange serves from, and a
+round's message carries only the layer number and the pulled
+parameters. A re-plan releases the blocks it supersedes, and a worker
+forked under an older plan is respawned before its next iteration.
 
 Deadlock-freedom of the round protocol: the supervisor sends to every
 worker, then receives in worker order. At a round boundary every worker
@@ -34,16 +36,18 @@ import multiprocessing
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engine.executor import KernelRounds, publish_workspace_bytes
-from repro.engine.workspace import LayerWorkspaces
 from repro.mp.store import SharedStore
 from repro.mp.worker import worker_main
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
+    import numpy as np
+
     from repro.core.worker import WorkerState
     from repro.engine.backends import ModelBackend
     from repro.engine.context import ExchangeContext
+    from repro.engine.workspace import WorkerPlan
 
 __all__ = ["ProcessExecutor"]
 
@@ -60,6 +64,8 @@ class ProcessExecutor(KernelRounds):
         self._procs: dict[int, multiprocessing.Process] = {}
         self._conns: dict[int, Connection] = {}
         self._shipped_version: dict[int, int] = {}
+        # The workspace plan each worker process was forked under.
+        self._forked_plan: dict[int, WorkerPlan] = {}
         self._spawned = False
         self._closed = False
 
@@ -70,7 +76,7 @@ class ProcessExecutor(KernelRounds):
         self.ctx = ctx
         self.backend = backend
         self.store = SharedStore()
-        ctx.workspaces.buffer_provider = self.store.allocate
+        ctx.workspaces.buffer_provider = self._block
         # When the graph's features live in an mmap store, alias the
         # on-disk chunk files into the SharedStore instead of copying
         # them into /dev/shm: forked workers inherit the file-backed
@@ -85,6 +91,12 @@ class ProcessExecutor(KernelRounds):
         if chunk_paths is not None:
             for index, path in enumerate(chunk_paths()):
                 self.store.map_npy(f"graphstore/features-{index:05d}", path)
+
+    def _block(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        """A fresh shared block; a re-plan's supersedes the old one."""
+        if name in self.store:
+            self.store.release(name)
+        return self.store.allocate(name, shape)
 
     def _spawn(self, worker_id: int) -> None:
         # fork: the child inherits the fully-bound context/backend by
@@ -102,6 +114,7 @@ class ProcessExecutor(KernelRounds):
         self._procs[worker_id] = proc
         self._conns[worker_id] = parent
         self._shipped_version[worker_id] = self.backend.kernel_version
+        self._forked_plan[worker_id] = self.ctx.workspaces.plan_of(worker_id)
 
     def _ensure_spawned(self) -> None:
         if self._spawned:
@@ -141,16 +154,18 @@ class ProcessExecutor(KernelRounds):
         self._conns.clear()
         self._procs.clear()
         if self.ctx is not None:
-            # The views die with the store; nothing may scatter into them.
-            self.ctx.workspaces = LayerWorkspaces()
+            # The views die with the store: same plans, private arrays.
+            self.ctx.workspaces = self.ctx.workspaces.detached()
         if self.store is not None:
             self.store.close()
 
     def on_worker_crash(self, worker_id: int) -> None:
         """Crash under multiprocess is a real kill: terminate the OS
         process and respawn it from the recovered supervisor state."""
-        if not self._spawned:
-            return
+        if self._spawned:
+            self._respawn(worker_id)
+
+    def _respawn(self, worker_id: int) -> None:
         proc = self._procs.get(worker_id)
         if proc is not None:
             if proc.is_alive():
@@ -229,6 +244,13 @@ class ProcessExecutor(KernelRounds):
 
     def begin_iteration(self) -> None:
         self._ensure_spawned()
+        ws = self.ctx.workspaces
+        for state in self.ctx.active_workers():
+            # Forked before a re-plan: its blocks are gone.
+            if ws.plan_of(state.worker_id) is not self._forked_plan.get(
+                state.worker_id
+            ):
+                self._respawn(state.worker_id)
         # Supervisor-side copy stays in lockstep for anything read off
         # worker states outside the kernels (e.g. eval, checkpoints).
         self.backend.begin_iteration()

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.engine.executor import run_kernel
-from repro.engine.workspace import LayerWorkspaces
 from repro.mp.store import SharedStore, disarm_inherited_stores
 from repro.obs.tracing import monotonic_now
 
@@ -78,10 +77,7 @@ def worker_main(
     """Serve kernel rounds for one worker until ``stop`` or EOF."""
     # Drop the workspace views the fork copied before their segments are
     # disarmed; this process maps the same blocks itself, by name.
-    ctx.workspaces = LayerWorkspaces()
-    disarm_inherited_stores()
     store = SharedStore(token, create=False)
-    state = ctx.workers[worker_id]
 
     def attach(name: str, shape: tuple[int, int]) -> np.ndarray:
         block = store.attach(name)
@@ -89,7 +85,9 @@ def worker_main(
             raise ValueError(f"shared block {name!r} is not float32{shape}")
         return block
 
-    ctx.workspaces.buffer_provider = attach
+    ctx.workspaces = ctx.workspaces.detached(attach)
+    disarm_inherited_stores()
+    state = ctx.workers[worker_id]
     try:
         while True:
             try:

@@ -68,6 +68,16 @@ _FAULT_COUNTERS = (
 )
 
 
+# Per-worker workspace gauges, in "Resident buffers" column order.
+_RESOURCE_GAUGES = (
+    "workspace_planned_bytes", "workspace_bytes", "first_aggregate_bytes",
+)
+_RESOURCE_COLUMNS = (
+    "worker", "planned workspaces", "resident workspaces",
+    "first-layer aggregate",
+)
+
+
 def build_report(run) -> dict:
     """Distill one run into the JSON-ready dict the renderers consume.
 
@@ -168,7 +178,7 @@ def build_report(run) -> dict:
         }
     data["faults"] = faults
     for (name, labels), value in sorted(metrics.gauges.items()):
-        if name in ("workspace_bytes", "first_aggregate_bytes"):
+        if name in _RESOURCE_GAUGES:
             worker = dict(labels)["worker"]
             data["resources"].setdefault(worker, {})[name] = value
     return data
@@ -205,11 +215,11 @@ def _fmt_bytes(value: float) -> str:
     return f"{value:.2f}GiB"
 
 
-def _resource_rows(data: dict) -> list[tuple[str, str, str]]:
-    """(worker, layer workspaces, of which the first-layer aggregate)."""
+def _resource_rows(data: dict) -> list[tuple[str, ...]]:
+    """(worker, the plan's slot bytes, what the worker holds of them, of
+    which the first-layer aggregate)."""
     return [
-        (worker, _fmt_bytes(held.get("workspace_bytes", 0)),
-         _fmt_bytes(held.get("first_aggregate_bytes", 0)))
+        (worker, *(_fmt_bytes(held.get(name, 0)) for name in _RESOURCE_GAUGES))
         for worker, held in sorted(data.get("resources", {}).items())
     ]
 
@@ -358,8 +368,8 @@ def render_markdown(data: dict) -> str:
 
     if data.get("resources"):
         lines += ["## Resident buffers", "",
-                  "| worker | layer workspaces | first-layer aggregate |",
-                  "|---:|---:|---:|"]
+                  f"| {' | '.join(_RESOURCE_COLUMNS)} |",
+                  "|---:|---:|---:|---:|"]
         lines += [f"| {' | '.join(row)} |" for row in _resource_rows(data)]
         lines.append("")
 
@@ -545,8 +555,9 @@ def render_html(data: dict) -> str:
 
     if data.get("resources"):
         parts.append(
-            "<h2>Resident buffers</h2><table><tr><th>worker</th>"
-            "<th>layer workspaces</th><th>first-layer aggregate</th></tr>"
+            "<h2>Resident buffers</h2><table><tr>"
+            + "".join(f"<th>{name}</th>" for name in _RESOURCE_COLUMNS)
+            + "</tr>"
         )
         parts += [
             "<tr>" + "".join(f"<td>{esc(cell)}</td>" for cell in row) + "</tr>"

@@ -11,8 +11,10 @@ Three contracts of the allocation-free kernel path
   still reads them, and no message aliases a workspace;
 * *invalidation* — a trainer whose workspaces live across epochs (and
   across membership changes, crash recovery, resampling and degraded
-  channels) trains exactly like one whose buffers are thrown away
-  (poisoned with NaN) before every epoch.
+  channels) trains exactly like one whose dead slots are poisoned with
+  NaN before every epoch and at every kernel-round boundary (the
+  liveness plan's contract; the planner itself is tested in
+  ``test_workspace_plan.py``).
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ class TestDifferentialBackendsInSitu:
 
         def backward_reduce(state, layer, weights):
             n = state.num_local
-            g_cat = ctx.workspaces.g_cat(state, ctx.params.dims[layer])
+            g_cat = backend.grad_cat(state, layer)
             want = reference_kernels.sage_backward_reduce(
                 backend.a_transposed[state.worker_id],
                 state.grad_rows[layer].copy(), g_cat[n:].copy(),
@@ -373,29 +375,70 @@ class TestAliasing:
         return engine
 
     @pytest.mark.parametrize("kind", ["gcn", "sage", "gat"])
-    def test_backward_never_overwrites_an_h_cat_it_still_reads(
+    def test_backward_reads_every_buffer_as_its_planned_writer_left_it(
         self, small_graph, kind
     ):
-        """Equal-width hidden layers have distinct ``h_cat`` workspaces,
-        and both (halo tails included) survive the whole backward pass."""
+        """Equal-width layers share slots now, so what a backward kernel
+        reads must be what its planned writer left: each buffer is
+        snapshotted when the round it is born in (or the exchange that
+        fills its tail) has run, and every buffer live when a backward
+        round starts must still hold those bits."""
         trainer = _trainer(kind, small_graph, layers=4, hidden=8,
                            fp_mode="raw", bp_mode="raw")
-        engine = self._run_forward(trainer)
-        ctx = engine.ctx
-        dims = ctx.params.dims
-        h_cats = {
-            (s.worker_id, k): ctx.workspaces.h_cat(s, k, dims[k])
-            for s in ctx.workers for k in range(4)
-        }
-        arrays = list(h_cats.values())
-        for i, first in enumerate(arrays):
-            for second in arrays[i + 1:]:
-                assert not np.shares_memory(first, second)
-        snapshot = {key: buf.copy() for key, buf in h_cats.items()}
-        grads = engine.backward.run(0)
-        engine.optimize.run(grads)
-        for key, buf in h_cats.items():
-            same_bits(buf, snapshot[key])
+        trainer.setup()
+        ctx = trainer.engine.ctx
+        ws = ctx.workspaces
+        plans = {s.worker_id: ws.plan_of(s.worker_id) for s in ctx.workers}
+        tl = plans[0].timeline
+        assert any(len(slot.occupants) > 1 for slot in plans[0].slots)
+        snapshots: dict[tuple[int, str], np.ndarray] = {}
+
+        def lives(state):
+            plan = plans[state.worker_id]
+            return [b for slot in plan.slots for b in slot.occupants]
+
+        def snapshot(state, name):
+            snapshots[(state.worker_id, name)] = ws.buffer(name, state).copy()
+
+        round_ = ctx.executor._round
+        checked = []
+
+        def spy_round(op, args_of):
+            step = op if op == "loss" else f"{op}{args_of(ctx.workers[0])[0]}"
+            read = tl.read(step)
+            for state in ctx.workers:
+                for life in lives(state):
+                    if life.start < read <= life.end and op.startswith("bp"):
+                        got = ws.buffer(life.name, state)
+                        same_bits(got, snapshots[(state.worker_id, life.name)])
+                        checked.append((step, life.name))
+            results = round_(op, args_of)
+            for state in ctx.workers:
+                for life in lives(state):
+                    if read <= life.start <= tl.write(step):
+                        snapshot(state, life.name)
+            return results
+
+        exchange, reverse = ctx.exchange, ctx.reverse_exchange
+
+        def spy_exchange(direction, layer, t, rows_of, dim, subset=None):
+            halos = exchange(direction, layer, t, rows_of, dim, subset)
+            name = f"{'h' if direction == 'fp' else 'g'}{layer}"
+            for state in ctx.workers:
+                snapshot(state, name)
+            return halos
+
+        def spy_reverse(layer, t, halo_rows_of, dim):
+            pushed = reverse(layer, t, halo_rows_of, dim)
+            for state in ctx.workers:
+                snapshot(state, f"acc{layer}")
+            return pushed
+
+        ctx.executor._round = spy_round
+        ctx.exchange, ctx.reverse_exchange = spy_exchange, spy_reverse
+        for t in range(2):
+            trainer.run_epoch(t)
+        assert "h3" in {name for _, name in checked}
 
     def test_exchange_halos_are_the_workspace_tails(self, small_graph):
         trainer = _trainer("gcn", small_graph, fp_mode="raw", bp_mode="raw")
@@ -405,7 +448,7 @@ class TestAliasing:
                 for s in ctx.workers]
         halos = ctx.exchange("fp", 1, 0, lambda s: rows[s.worker_id], dim=8)
         for state, halo in zip(ctx.workers, halos):
-            h_cat = ctx.workspaces.h_cat(state, 1, 8)
+            h_cat = ctx.workspaces.h_cat(state, 1)
             assert np.shares_memory(halo, h_cat)
             assert halo.shape == (state.num_halo, 8)
             np.testing.assert_array_equal(h_cat[state.num_local:], halo)
@@ -457,9 +500,7 @@ class TestAliasing:
         for state in ctx.workers:
             for layer in (1, 2):
                 served = state.caches[layer].output
-                h_next = ctx.workspaces.h_cat(
-                    state, layer, ctx.params.dims[layer]
-                )
+                h_next = ctx.workspaces.h_cat(state, layer)
                 assert np.shares_memory(served, h_next)
                 same_bits(served, h_next[:state.num_local])
 
@@ -467,22 +508,54 @@ class TestAliasing:
 # ----------------------------------------------------------------------
 # (c) invalidation
 # ----------------------------------------------------------------------
-def _poison_every_epoch(trainer) -> None:
-    """Throw the persistent buffers away before each epoch: every array
-    becomes NaN and the first-layer input / aggregate are rebuilt, so a
-    slot read before it is written turns the loss into NaN."""
+def _poison_dead_slots(trainer, persistent_too: bool = True) -> None:
+    """NaN-fill every slot whose planned occupants are all dead: before
+    each epoch (with ``persistent_too`` the persistent slots as well,
+    and the first-layer input / aggregate are rebuilt), and at every
+    kernel-round boundary, where a slot is live if one occupant's life
+    holds the round's read position. A kernel reading a buffer its
+    planned writer has not written, or two overlapping lives sharing a
+    slot, turns the loss into NaN or moves the curve.
+
+    Under multiprocess only the shared slots are this process's to
+    poison, and the worker processes' first-layer memos stay, so pass
+    ``persistent_too=False`` there."""
     trainer.setup()
-    ws = trainer.engine.ctx.workspaces
-    plan = trainer.engine.halo_plan.run
+    ctx = trainer.engine.ctx
+    plan_run, round_ = trainer.engine.halo_plan.run, ctx.executor._round
+
+    def poison(read: int | None) -> None:
+        ws = ctx.workspaces
+        for (worker, k), buf in ws._arrays.items():
+            plan = ws.plan_of(worker)
+            slot = plan.slots[k]
+            if read is not None:
+                dead = not any(
+                    life.start <= read <= life.end for life in slot.occupants
+                )
+            else:
+                dead = persistent_too or not any(
+                    plan.persistent(life.name) for life in slot.occupants
+                )
+            if dead:
+                buf.fill(np.nan)
+        if read is None and persistent_too:
+            ws._inputs.clear()
+            ws._aggregates.clear()
 
     def run(t):
-        for buf in ws._arrays.values():
-            buf.fill(np.nan)
-        ws._inputs.clear()
-        ws._aggregates.clear()
-        plan(t)
+        poison(None)
+        plan_run(t)
+
+    def poisoned_round(op, args_of):
+        step = op
+        if op != "loss":
+            step += str(args_of(ctx.active_workers()[0])[0])
+        poison(ctx.workspaces.plan_of(0).timeline.read(step))
+        return round_(op, args_of)
 
     trainer.engine.halo_plan.run = run
+    ctx.executor._round = poisoned_round
 
 
 def _curve(trainer, epochs: int):
@@ -554,7 +627,7 @@ class TestInvalidation:
         kind = scenario.pop("kind")
         kept = _trainer(kind, medium_graph, **dict(scenario))
         fresh = _trainer(kind, medium_graph, **dict(scenario))
-        _poison_every_epoch(fresh)
+        _poison_dead_slots(fresh)
         assert _curve(kept, 8) == _curve(fresh, 8)
 
     @pytest.mark.parametrize("name", [
@@ -564,15 +637,17 @@ class TestInvalidation:
     def test_worker_processes_train_like_inline_kernels(
         self, medium_graph, name
     ):
-        """The same scenarios with the workspaces in shared memory and
-        the kernels in worker processes (a crash there is a real kill:
-        the respawned process rebuilds its first-layer input itself)."""
+        """The same scenarios with the workspaces in shared memory, the
+        kernels in worker processes and the dead shared slots poisoned
+        (a crash there is a real kill: the respawned process rebuilds
+        its first-layer input itself)."""
         scenario = dict(SCENARIOS[name])
         kind = scenario.pop("kind")
         inline = _trainer(kind, medium_graph, **dict(scenario))
         forked = _trainer(
             kind, medium_graph, execution="multiprocess", **dict(scenario)
         )
+        _poison_dead_slots(forked, persistent_too=False)
         try:
             assert _curve(inline, 6) == _curve(forked, 6)
         finally:
@@ -590,7 +665,7 @@ class TestInvalidation:
         ctx = trainer.engine.ctx
         ctx.injector.start_epoch(0)
         for state in ctx.workers:
-            ctx.workspaces.h_cat(state, 1, 8).fill(7.0)
+            ctx.workspaces.h_cat(state, 1).fill(7.0)
         rows = [np.ones((s.num_local, 8), np.float32) for s in ctx.workers]
         halos = ctx.exchange("fp", 1, 0, lambda s: rows[s.worker_id], dim=8)
         assert ctx.injector.counters.degraded_zero > 0
@@ -605,7 +680,7 @@ class TestInvalidation:
         ctx = trainer.engine.ctx
         rows = [np.ones((s.num_local, 8), np.float32) for s in ctx.workers]
         for state in ctx.workers:
-            ctx.workspaces.h_cat(state, 1, 8).fill(np.nan)
+            ctx.workspaces.h_cat(state, 1).fill(np.nan)
         halos = ctx.exchange("fp", 1, 0, lambda s: rows[s.worker_id], dim=8)
         for halo in halos:
             assert (halo == 1.0).all()
@@ -634,35 +709,55 @@ class TestInvalidation:
             assert buf is not before.get(key)
         dead = trainer.workers[1]
         assert dead.num_local == 0
-        assert ws.held(1) == (0, 0)
+        assert ws.held(1) == (0, 0, 0)
 
-    def test_first_layer_input_follows_its_source_arrays(self, small_graph):
+    def test_first_layer_aggregate_follows_its_source_arrays(
+        self, small_graph
+    ):
         """Crash recovery hands a worker a *new* halo-feature array; the
-        constant ``[X; X_halo]`` and ``M^1`` are rebuilt from it, and only
-        then."""
-        trainer = _trainer("gcn", small_graph, fp_mode="raw", bp_mode="raw")
+        constant ``M^1`` is rebuilt from it, and only then. Nothing holds
+        ``[X; X_halo]``: an aggregate-first GCN plans no ``h0``."""
+        trainer = _trainer("gcn", small_graph, transform_first=False,
+                           fp_mode="raw", bp_mode="raw")
         trainer.setup()
         trainer.run_epoch(0)
         ws, state = trainer.engine.ctx.workspaces, trainer.workers[0]
-        h_cat = ws.first_input(state, True)
-        aggregate = ws.first_aggregate(state, state.a_local, h_cat)
-        assert ws.first_input(state, True) is h_cat
-        kept = aggregate.copy()
-        h_cat[:] = -1.0  # nobody rewrites it while the sources stand
-        assert ws.first_aggregate(state, state.a_local, h_cat) is aggregate
-        same_bits(aggregate, kept)
+        assert "h0" not in ws.plan_of(0).slot_of
+        assert ws.first_input(state) is None
+        aggregate = ws.first_aggregate(state, state.a_local)
+        assert ws.buffer("m1", state) is aggregate
+        same_bits(aggregate, state.a_local @ np.concatenate(
+            [state.features, state.halo_features]
+        ))
+        aggregate[:] = -1.0  # nobody rebuilds it while the sources stand
+        assert ws.first_aggregate(state, state.a_local) is aggregate
+        assert (aggregate == -1.0).all()
 
         state.halo_features = state.halo_features * 2.0
-        refreshed = ws.first_input(state, True)
+        refreshed = ws.first_aggregate(state, state.a_local)
+        assert refreshed is aggregate
+        same_bits(refreshed, state.a_local @ np.concatenate(
+            [state.features, state.halo_features]
+        ))
+
+    def test_held_first_input_follows_its_source_arrays(self, small_graph):
+        """A backend whose kernels read ``[X; X_halo]`` every iteration
+        (SAGE) holds it as a persistent ``h0``, copied in once per set of
+        source arrays."""
+        trainer = _trainer("sage", small_graph, fp_mode="raw", bp_mode="raw")
+        trainer.setup()
+        trainer.run_epoch(0)
+        ws, state = trainer.engine.ctx.workspaces, trainer.workers[0]
+        assert ws.plan_of(0).persistent("h0")
+        h_cat = ws.first_input(state)
+        assert ws.first_input(state) is h_cat
+        h_cat[:] = -1.0
+        assert (ws.first_input(state) == -1.0).all()
+        state.halo_features = state.halo_features * 2.0
+        refreshed = ws.first_input(state)
         n = state.num_local
         same_bits(refreshed[:n], state.features)
         same_bits(refreshed[n:], state.halo_features)
-        same_bits(
-            ws.first_aggregate(state, state.a_local, refreshed),
-            state.a_local @ np.concatenate(
-                [state.features, state.halo_features]
-            ),
-        )
 
 
 class TestExactEvaluationBorrowsWorkspaces:
@@ -694,14 +789,32 @@ class TestExactEvaluationBorrowsWorkspaces:
         assert _curve(plain, 6) == _curve(probed, 6)
         assert scores[-1] == plain.evaluate_exact()["test"]
 
-    def test_constant_first_layer_is_left_alone(self, small_graph):
-        trainer = _trainer("gcn", small_graph)
+    def test_constant_first_layer_is_left_alone(self, small_graph, monkeypatch):
+        """With no ``h0`` planned, exact evaluation's aggregate-first
+        layer 1 reads training's ``M^1`` (no ``[X; X_halo]`` copy) and
+        leaves it as it was."""
+        trainer = _trainer("gcn", small_graph, hidden=16)
         trainer.setup()
         trainer.run_epoch(0)
-        ws, state = trainer.engine.ctx.workspaces, trainer.workers[0]
-        h0 = ws.first_input(state, True)
-        m1 = ws.first_aggregate(state, state.a_local, h0)
-        before = h0.copy(), m1.copy()
+        ws = trainer.engine.ctx.workspaces
+        aggregates = [ws.buffer("m1", s) for s in trainer.workers]
+        before = [m1.copy() for m1 in aggregates]
+        read = []
+        held_aggregate = ws.held_aggregate
+
+        def spy(state, adjacency):
+            got = held_aggregate(state, adjacency)
+            read.append(got)
+            return got
+
+        monkeypatch.setattr(ws, "held_aggregate", spy)
+        monkeypatch.setattr(
+            np, "concatenate",
+            lambda *a, **k: pytest.fail("evaluation copied [X; X_halo]"),
+        )
         trainer.evaluate_exact()
-        same_bits(h0, before[0])
-        same_bits(m1, before[1])
+        monkeypatch.undo()
+        assert all(got is m1 for got, m1 in zip(read, aggregates))
+        assert len(read) == len(aggregates)
+        for m1, kept in zip(aggregates, before):
+            same_bits(m1, kept)

@@ -88,21 +88,26 @@ class TestSharedMemoryHygiene:
 
 
 class TestSharedWorkspaces:
-    def test_blocks_are_the_layer_workspaces(self, graph):
-        """Every buffer an exchange and a kernel share is one block named
-        ``<kind>w<worker>``; kernel-private buffers stay out of /dev/shm."""
+    def test_blocks_are_the_planned_shared_slots(self, graph):
+        """Every slot an exchange and a kernel share is one block named
+        ``s<k>w<worker>``; kernel-private slots stay out of /dev/shm, and
+        the cached first hop holds no ``[X; X_halo]`` at all."""
         trainer = _mp_trainer(graph)
         try:
             trainer.run_epoch(0)
             ctx = trainer.engine.ctx
+            plans = {w: ctx.workspaces.plan_of(w) for w in range(3)}
             names = set(ctx.executor.store.names())
             assert names == {
-                f"{kind}w{w}" for w in range(3)
-                for kind in ("h0", "h1", "g3")
+                f"s{k}w{w}" for w, plan in plans.items()
+                for k, slot in enumerate(plan.slots) if slot.shared
             }
+            assert len(names) == 3 * 2  # h1 and g2
+            assert all("h0" not in plan.slot_of for plan in plans.values())
             state = trainer.workers[1]
-            h1 = ctx.workspaces.h_cat(state, 1, 16)
-            assert h1 is ctx.executor.store.view("h1w1")
+            h1 = ctx.workspaces.h_cat(state, 1)
+            block = f"s{plans[1].slot_of['h1']}w1"
+            assert h1 is ctx.executor.store.view(block)
             # The worker process wrote H^1 straight into the block the
             # supervisor serves from: no export copy, and it is not zero.
             assert h1[:state.num_local].any()
@@ -120,10 +125,14 @@ class TestSharedWorkspaces:
             ctx = trainer.engine.ctx
             for state in trainer.workers:
                 w = state.worker_id
-                shared, _ = ctx.workspaces.held(w)
+                held = ctx.workspaces.held(w)
                 total = snapshot.gauge("workspace_bytes", worker=w)
-                # Shared blocks plus the process-private Z / M / G buffers.
-                assert total > shared > 0
+                # Shared blocks plus the process-private Z / M / G slots:
+                # the worker process holds its whole plan.
+                assert total > held.resident > 0
+                assert total == held.planned == snapshot.gauge(
+                    "workspace_planned_bytes", worker=w
+                )
                 assert snapshot.gauge("first_aggregate_bytes", worker=w) == (
                     state.num_local * 8 * 4
                 )

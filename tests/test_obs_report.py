@@ -17,6 +17,7 @@ from repro.core.trainer import ECGraphTrainer
 from repro.faults import FaultConfig
 from repro.obs import ENGINE_STAGES, ObsConfig
 from repro.obs.report import (
+    _fmt_bytes,
     build_report,
     missing_stages,
     render_html,
@@ -56,14 +57,40 @@ class TestResidentBuffers:
         data = build_report(instrumented)
         assert sorted(data["resources"]) == ["0", "1", "2", "3"]
         for worker, held in data["resources"].items():
+            planned = metrics.gauge("workspace_planned_bytes", worker=worker)
             total = metrics.gauge("workspace_bytes", worker=worker)
             first = metrics.gauge("first_aggregate_bytes", worker=worker)
             assert held == {
+                "workspace_planned_bytes": planned,
                 "workspace_bytes": total, "first_aggregate_bytes": first,
             }
-            assert 0 < first < total
-        assert "## Resident buffers" in render_markdown(data)
-        assert "<h2>Resident buffers</h2>" in render_html(data)
+            # After the first iteration the inline workers hold it all.
+            assert 0 < first < total == planned
+        markdown, html = render_markdown(data), render_html(data)
+        assert "## Resident buffers" in markdown
+        assert ("| worker | planned workspaces | resident workspaces "
+                "| first-layer aggregate |") in markdown
+        assert "<h2>Resident buffers</h2>" in html
+        assert ("<th>planned workspaces</th><th>resident workspaces</th>"
+                in html)
+
+    def test_planned_and_resident_columns_differ_before_kernels_run(
+        self, small_graph_module
+    ):
+        """The gauges are read at the start of an iteration: at the first
+        one only the shared slots exist, the kernel-private ones do not
+        yet, and the table shows both numbers."""
+        data = build_report(
+            _trainer(small_graph_module, ObsConfig(enabled=True)).train(1)
+        )
+        markdown, html = render_markdown(data), render_html(data)
+        for worker, held in data["resources"].items():
+            planned = held["workspace_planned_bytes"]
+            resident = held["workspace_bytes"]
+            assert 0 < resident < planned
+            row = (worker, _fmt_bytes(planned), _fmt_bytes(resident))
+            assert f"| {' | '.join(row)} |" in markdown
+            assert "".join(f"<td>{cell}</td>" for cell in row) in html
 
     def test_gauges_are_what_the_workspaces_hold(self, small_graph_module):
         trainer = _trainer(small_graph_module, ObsConfig(enabled=True))
@@ -72,7 +99,10 @@ class TestResidentBuffers:
         for state in trainer.workers:
             w = state.worker_id
             held = trainer.engine.ctx.workspaces.held(w)
-            assert snapshot.gauge("workspace_bytes", worker=w) == held[0]
+            assert snapshot.gauge("workspace_bytes", worker=w) == held.resident
+            assert snapshot.gauge(
+                "workspace_planned_bytes", worker=w
+            ) == held.planned
             assert snapshot.gauge("first_aggregate_bytes", worker=w) == (
                 state.num_local * 12 * 4
             )

@@ -46,9 +46,10 @@ def _budget_trainer(**config):
 
 
 def _smallest_h_cat_bytes(trainer) -> int:
+    """The smallest ``[H^k; H^k_halo]`` any worker's layer reads."""
     ctx = trainer.engine.ctx
     return min(
-        ctx.workspaces.h_cat(state, k, ctx.params.dims[k]).nbytes
+        (state.num_local + state.num_halo) * ctx.params.dims[k] * 4
         for state in ctx.workers
         for k in range(ctx.params.num_layers)
     )
