@@ -20,7 +20,9 @@ Commands:
   simulated-clock discipline, seeded randomness, deterministic state
   iteration, shared-resource lifecycles, wire-decode validation, no
   pickle/eval, config drift) over source trees; exits non-zero on
-  findings.
+  findings. ``lint --all`` then runs ``ruff`` and ``mypy`` from the
+  repository root, each only if installed (the ``dev`` extra), and
+  exits non-zero if any tool that ran failed.
 
 Operational errors (bad config values, missing dataset paths, corrupt
 checkpoints) exit non-zero with a one-line message instead of a
@@ -30,8 +32,10 @@ traceback; tracebacks are reserved for actual bugs.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import pathlib
+import subprocess
 import sys
 
 from repro.analysis.convergence import convergence_target, summarize
@@ -391,7 +395,44 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         out.write_text(text + "\n")
         print(f"wrote {out}", file=sys.stderr)
     print(text)
-    return report.exit_code
+    if not args.all:
+        return report.exit_code
+    return max(report.exit_code, _run_external_linters())
+
+
+# What ``lint --all`` runs after the ECG rules, with the paths and
+# settings of the CI lint jobs ([tool.ruff] / [tool.mypy]).
+_EXTERNAL_LINTERS = (
+    ("ruff", ("check", "src", "tests", "benchmarks", "examples")),
+    ("mypy", ()),
+)
+
+
+def _linter_command(module: str) -> list[str] | None:
+    """``python -m <module>`` if the module is installed, else None."""
+    if importlib.util.find_spec(module) is None:
+        return None
+    return [sys.executable, "-m", module]
+
+
+def _run_external_linters() -> int:
+    """Run each installed external linter; 1 if any of them failed.
+
+    A missing tool is skipped with a loud line rather than failing, so
+    the command works on a bare install and says what it left out.
+    """
+    status = 0
+    for module, extra in _EXTERNAL_LINTERS:
+        command = _linter_command(module)
+        if command is None:
+            print(f"SKIPPED: {module} not installed "
+                  "(pip install -e .[dev])", flush=True)
+            continue
+        print(f"== {module} {' '.join(extra)}".rstrip(), flush=True)
+        if subprocess.run([*command, *extra], check=False).returncode:
+            print(f"FAILED: {module}", flush=True)
+            status = 1
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,6 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--out", default=None,
                       help="also write the report to this path "
                            "(e.g. a CI artifact)")
+    lint.add_argument("--all", action="store_true",
+                      help="then run ruff and mypy, skipping any that "
+                           "is not installed")
     lint.set_defaults(func=_cmd_lint)
     return parser
 

@@ -93,14 +93,15 @@ class ResECPolicy(ExchangePolicy):
         """Quantize the compensated rows; returns the wire matrix and the
         new residual ``compensated - C_bit[compensated]`` (Eq. 11).
 
-        The residual comes from the bucket ids directly — no
-        pack-then-unpack round trip — and overwrites the dequantized
-        rows it is formed from.
+        The dequantized rows come from :meth:`QuantizedMatrix.decode`,
+        which gathers one packed byte at a time at widths below a byte
+        (bit-equal to gathering the ids, in under half the time); the
+        residual overwrites them.
         """
         quantizer = self._quantizer
         ids, reps, lo, hi = quantizer.encode_ids(compensated)
         quantized = quantizer.from_ids(ids, compensated.shape, reps, lo, hi)
-        residual = np.take(reps, ids).reshape(compensated.shape)
+        residual = quantized.decode()
         np.subtract(compensated, residual, out=residual)
         return quantized, residual
 

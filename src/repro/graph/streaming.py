@@ -8,7 +8,14 @@ the same bytes on the memory and mmap backends at any ``chunk_vertices``:
   :func:`repro.graph.datasets.load_dataset`. One RNG stream is drawn in
   a fixed order (labels, degrees, per-vertex edge stubs, feature rows,
   label noise, split masks); numpy ``Generator`` draws are
-  stream-sequential, so row-chunked draws equal one big draw. The CSR
+  stream-sequential, so row-chunked draws equal one big draw. The edge
+  stubs keep the stream of a per-vertex loop (``random``, then
+  ``integers`` for the same-class and the other stubs) but are drawn a
+  chunk at a time by :func:`_bulk_draws`, which places every value in
+  the raw PCG64 stream by the contract it states: a double is one
+  64-bit output, a bounded integer is Lemire's method on 32-bit halves
+  served low half first with the spare half buffered, and a rejection
+  or a bound of 1 shifts the values after it. The CSR
   layout comes from the deduplicated undirected edge keys through
   :func:`fill_csr_symmetric`: row ``v`` holds its higher neighbours,
   then its lower ones, each ascending.
@@ -24,6 +31,7 @@ are what stream.
 
 from __future__ import annotations
 
+import functools
 import shutil
 import tempfile
 from pathlib import Path
@@ -166,6 +174,163 @@ def _write_features_chunked(
     column.close()
 
 
+# numpy turns one 64-bit output u into the double (u >> 11) * 2**-53.
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0
+_LOW32 = np.uint64(0xFFFFFFFF)
+_TWO32 = np.uint64(1 << 32)
+
+
+def _bulk_draws(
+    bit_generator: np.random.BitGenerator,
+    counts: np.ndarray,
+    bounds_of: Callable[[int, np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replay a run of ``Generator`` calls on a PCG64 stream in bulk.
+
+    The run is, for each group ``g`` in turn, ``random(counts[g])`` and
+    then ``counts[g]`` draws ``integers(0, b)``. ``bounds_of(first,
+    doubles)`` gives the bounds of the groups from ``first`` on, out of
+    those groups' doubles; a group's bounds may depend on its own
+    doubles only. Returns the doubles and the integers (``uint64``),
+    each flat and group-major, and leaves ``bit_generator`` in exactly
+    the state the calls would. The stream contract it reproduces:
+
+    * a double takes one 64-bit output ``u`` as ``(u >> 11) * 2**-53``;
+    * a bounded integer is Lemire's method on a 32-bit value ``x``:
+      ``m = x * b`` is kept unless ``m mod 2**32 < 2**32 mod b`` and
+      gives ``m >> 32``; a rejected ``x`` is dropped and the next value
+      tried. A bound of 1 draws nothing;
+    * PCG64 serves a 32-bit value from its buffered spare half when it
+      has one (``has_uint32`` / ``uinteger``), else from the low half of
+      a fresh 64-bit output, buffering the high half. Doubles leave the
+      buffer alone, so a spare half crosses groups and calls.
+
+    Every group's draw counts are known before any draw, so each value's
+    position in the raw stream follows from cumulative sums, and one
+    ``random_raw`` call supplies the run. Two events move the values
+    after them: a bound of 1, which takes no half, and a rejection,
+    which takes one half more. The solve assumes one half per integer,
+    fixes the earliest event in stream order and re-solves from that
+    event's group; every value before an event is final.
+    """
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise TypeError(
+            "the bulk sampler replays PCG64, got "
+            f"{type(bit_generator).__name__}"
+        )
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    first = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=first[1:])
+    group = np.repeat(np.arange(counts.size), counts)
+    entry = bit_generator.state
+    spare = int(entry["has_uint32"])
+    # The 32-bit values each integer takes, and how many precede it.
+    halves = np.ones(total, dtype=np.int64)
+    ahead = np.zeros(total + 1, dtype=np.int64)
+    raw = bit_generator.random_raw(total + (total - spare + 1) // 2)
+    doubles = np.empty(total)
+    draws = np.zeros(total, dtype=np.uint64)
+    lo = 0
+    while True:
+        r0 = int(first[lo])
+        np.cumsum(halves[r0:], out=ahead[r0 + 1:])
+        ahead[r0 + 1:] += ahead[r0]
+        starts = ahead[first[:-1]]
+        need = total + (int(ahead[-1]) - spare + 1) // 2
+        if need > raw.size:
+            raw = np.concatenate(
+                [raw, bit_generator.random_raw(need - raw.size)]
+            )
+        # A group's doubles follow every earlier double and the fresh
+        # outputs that the earlier groups' integers took.
+        fresh_before = (starts - spare + 1) // 2
+        doubles[r0:] = (
+            raw[np.arange(r0, total) + fresh_before[group[r0:]]]
+            >> np.uint64(11)
+        ) * _DOUBLE_SCALE
+        bounds = np.asarray(bounds_of(lo, doubles[r0:]), dtype=np.uint64)
+        used = bounds != 1
+        moved = np.flatnonzero(used != (halves[r0:] > 0))
+
+        # An integer keeps the last half it takes. ``k`` counts fresh
+        # halves (-1 is the spare); the fresh output holding half ``k``
+        # was drawn by the group whose integers take its low half.
+        take = r0 + np.flatnonzero(halves[r0:])
+        k = ahead[take] + halves[take] - 1 - spare
+        high = k & 1
+        owner = np.searchsorted(starts, k - high + spare, side="right")
+        x = raw[first[owner] + (k >> 1)] >> (high.astype(np.uint64) << 5)
+        x &= _LOW32
+        x[k < 0] = entry["uinteger"]
+        b = bounds[take - r0]
+        m = x * b
+        rejected = np.flatnonzero((m & _LOW32) < (_TWO32 - b) % b)
+        draws[r0:] = 0
+        draws[take] = m >> np.uint64(32)
+
+        # A bound of 1 shows at its group's doubles, so it precedes any
+        # rejection in the same group.
+        bound_at = int(group[r0 + moved[0]]) if moved.size else None
+        if rejected.size and (
+            bound_at is None or group[take[rejected[0]]] < bound_at
+        ):
+            halves[take[rejected[0]]] += 1
+            lo = int(group[take[rejected[0]]])
+        elif bound_at is not None:
+            span = slice(int(first[bound_at]), int(first[bound_at + 1]))
+            halves[span] = used[span.start - r0:span.stop - r0]
+            lo = bound_at
+        else:
+            break
+
+    fresh = (int(ahead[-1]) - spare + 1) // 2
+    if raw.size > total + fresh:
+        bit_generator.state = entry
+        bit_generator.advance(total + fresh)
+    state = bit_generator.state
+    state["has_uint32"] = (int(ahead[-1]) - spare) & 1
+    state["uinteger"] = entry["uinteger"]
+    if fresh:
+        owner = np.searchsorted(starts, 2 * fresh - 2 + spare, side="right")
+        state["uinteger"] = int(raw[first[owner] + fresh - 1] >> np.uint64(32))
+    bit_generator.state = state
+    return doubles, draws
+
+
+def _stub_layout(
+    counts: np.ndarray, same: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per stub of a vertex-major run: its vertex's index in the run,
+    its index among that vertex's stubs, the same-class stubs before it
+    in the vertex, and the vertex's same-class stub count."""
+    vertex = np.repeat(np.arange(counts.size), counts)
+    head = np.cumsum(counts) - counts
+    tally = np.zeros(same.size + 1, dtype=np.int64)
+    np.cumsum(same, out=tally[1:])
+    index = np.arange(same.size) - head[vertex]
+    seen = tally[:-1] - tally[head][vertex]
+    n_same = (tally[head + counts] - tally[head])[vertex]
+    return vertex, index, seen, n_same
+
+
+def _partner_bounds(
+    counts: np.ndarray,
+    pool: np.ndarray,
+    homophily: float,
+    n: int,
+    lo: int,
+    doubles: np.ndarray,
+) -> np.ndarray:
+    """Bounds of the integers that vertices ``lo..`` of a chunk draw: a
+    vertex's first ``n_same`` integers pick from its class pool, the
+    rest from all ``n`` vertices."""
+    vertex, index, _, n_same = _stub_layout(
+        counts[lo:], doubles < homophily
+    )
+    return np.where(index < n_same, pool[lo:][vertex], n)
+
+
 def _planted_partition_keys(
     labels: np.ndarray,
     degrees: np.ndarray,
@@ -176,36 +341,47 @@ def _planted_partition_keys(
 ) -> None:
     """Sample undirected edges from a degree-corrected planted partition.
 
-    Each vertex v draws ``max(degrees[v] // 2, 1)`` neighbour stubs; each
-    stub picks a same-class partner with probability ``homophily`` and a
-    uniformly random vertex otherwise (``random``, then up to two
-    ``integers`` calls per vertex). Self-loops are dropped; kept edges
-    are encoded as undirected keys ``lo * n + hi`` and appended to the
-    sorter in vertex chunks, which deduplicates them.
+    Each vertex v draws ``k = max(degrees[v] // 2, 1)`` neighbour stubs;
+    each stub picks a same-class partner with probability ``homophily``
+    and a uniformly random vertex otherwise. The random stream is, vertex
+    after vertex, ``same = rng.random(k) < homophily``, then
+    ``rng.integers(0, pool_size, n_same)`` for the same-class stubs in
+    order and ``rng.integers(0, n, k - n_same)`` for the rest.
+    :func:`_bulk_draws` replays it a chunk at a time, and same-class
+    draws map through one flat members table (vertices sorted by class).
+    Self-loops are dropped; kept edges are encoded as undirected keys
+    ``lo * n + hi`` in stub order and appended to the sorter in vertex
+    chunks, which deduplicates them.
     """
     n = labels.shape[0]
-    num_classes = int(labels.max()) + 1
-    members = [np.flatnonzero(labels == c) for c in range(num_classes)]
+    sizes = np.bincount(labels)
+    members = np.argsort(labels, kind="stable")
+    offsets = np.cumsum(sizes) - sizes
     stubs = np.maximum(degrees // 2, 1)
     for start, stop in _chunk_ranges(n, chunk_vertices):
-        chunk_keys: list[np.ndarray] = []
-        for v in range(start, stop):
-            k = int(stubs[v])
-            same = rng.random(k) < homophily
-            partners = np.empty(k, dtype=np.int64)
-            n_same = int(same.sum())
-            if n_same:
-                pool = members[labels[v]]
-                partners[same] = pool[rng.integers(0, pool.size, size=n_same)]
-            n_diff = k - n_same
-            if n_diff:
-                partners[~same] = rng.integers(0, n, size=n_diff)
-            kept = partners[partners != v]
-            lo = np.minimum(kept, v)
-            hi = np.maximum(kept, v)
-            chunk_keys.append(lo * n + hi)
-        if chunk_keys:
-            sorter.append(np.concatenate(chunk_keys))
+        counts = stubs[start:stop]
+        chunk_labels = labels[start:stop]
+        doubles, draws = _bulk_draws(
+            rng.bit_generator, counts,
+            functools.partial(
+                _partner_bounds, counts, sizes[chunk_labels], homophily, n
+            ),
+        )
+        # A stub keeps integer ``seen`` of its vertex if it is a
+        # same-class stub, else integer ``n_same + (index - seen)``.
+        same = doubles < homophily
+        vertex, index, seen, n_same = _stub_layout(counts, same)
+        slot = np.arange(same.size) - index + np.where(
+            same, seen, n_same + index - seen
+        )
+        partners = draws[slot].astype(np.int64)
+        partners[same] = members[
+            offsets[chunk_labels[vertex[same]]] + partners[same]
+        ]
+        vertex += start
+        keep = partners != vertex
+        kept, vertex = partners[keep], vertex[keep]
+        sorter.append(np.minimum(kept, vertex) * n + np.maximum(kept, vertex))
 
 
 def _make_builder(

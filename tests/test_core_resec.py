@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.quantization import BucketQuantizer
+from repro.compression.quantization import SUPPORTED_BITS, BucketQuantizer
 from repro.core.messages import ChannelKey
 from repro.core.resec_bp import ResECPolicy
 
@@ -139,8 +139,26 @@ def test_property_telescoping_gap_equals_residual(bits, steps, seed):
     )
 
 
+@pytest.mark.parametrize("bits", SUPPORTED_BITS)
+def test_residual_is_exactly_compensated_minus_delivered(bits):
+    """Eq. 11 to the last bit at every width: the residual equals the
+    compensated rows minus what the requester decodes."""
+    policy = ResECPolicy(bits=bits)
+    rng = np.random.default_rng(bits)
+    rows = rng.standard_normal((37, 5)).astype(np.float32)
+    first = policy.respond(KEY, rows, t=0)
+    np.testing.assert_array_equal(
+        policy._residual[KEY], rows - first.payload.decode()
+    )
+    carried = policy._residual[KEY].copy()
+    second = policy.respond(KEY, rows, t=1)
+    np.testing.assert_array_equal(
+        policy._residual[KEY], (rows + carried) - second.payload.decode()
+    )
+
+
 class TestNoAliasing:
-    """The residual is formed in place from the bucket ids; neither the
+    """The residual is formed in place from the decoded rows; neither the
     caller's gradient rows, nor the message, nor the decoded rows may
     share memory with it."""
 

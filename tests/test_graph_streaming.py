@@ -1,5 +1,7 @@
-"""Tests for the graph generators: ``load_dataset`` builds the same
-bytes it always has (pinned by digest), ``stream_graph`` and
+"""Tests for the graph generators: ``load_dataset`` and the bench's
+sbm16 graph build the same bytes they always have (pinned by digest),
+the bulk planted-partition sampler replays the per-vertex loop's random
+stream draw for draw, ``stream_graph`` and
 ``stream_rmat_graph`` produce the same graph on the memory and mmap
 backends at any chunking, bad chunk sizes are refused before anything is
 drawn, and every partitioner assigns identically whether the topology
@@ -11,10 +13,17 @@ import hashlib
 import numpy as np
 import pytest
 
+from oracles import assert_same_as_parent
+from oracles import planted_partition as parent
 from repro.graph.datasets import load_dataset
-from repro.graph.generators import GraphSpec
+from repro.graph.generators import GraphSpec, power_law_degrees
 from repro.graph.rmat import RMATSpec
-from repro.graph.streaming import stream_graph, stream_rmat_graph
+from repro.graph.streaming import (
+    _bulk_draws,
+    _planted_partition_keys,
+    stream_graph,
+    stream_rmat_graph,
+)
 from repro.graph.store import MemoryGraphStore
 from repro.graph.subgraph import induced_subgraph
 from repro.partition import (
@@ -102,11 +111,191 @@ class TestDatasetDigests:
         graph = load_dataset(name, profile, seed)
         assert _digest(graph) == DATASET_DIGESTS[name, profile, seed]
 
+    def test_bench_sbm16_bytes_unchanged(self):
+        # The graph of the bench's sbm16 workload at seed 1, digested
+        # with the per-vertex sampler before the bulk rewrite.
+        spec = GraphSpec(
+            name="sbm16", num_vertices=65536, avg_degree=16,
+            feature_dim=64, num_classes=8, power_law=2.5, homophily=0.8,
+            label_noise=0.1, seed=1,
+        )
+        graph = stream_graph(spec, chunk_vertices=8192)
+        assert _digest(graph) == (
+            "3ea688fa1b048bf10627f1cdd67be21d04a7c2340d92c661c63dad75bb60a082"
+        )
+
     def test_digest_sees_one_flipped_label(self):
         graph = load_dataset("cora", "tiny", 0)
         before = _digest(graph)
         graph.labels[0] = (graph.labels[0] + 1) % graph.num_classes
         assert _digest(graph) != before
+
+
+class _RecordingSorter:
+    """Stands in for the external sorter: keeps every appended block."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def append(self, keys):
+        self.blocks.append(np.array(keys))
+
+
+def _sampler_inputs(spec):
+    """The labels, degrees and generator ``stream_graph`` hands the
+    edge sampler for ``spec``."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.num_vertices
+    labels = rng.integers(0, spec.num_classes, size=n)
+    labels[:spec.num_classes] = np.arange(spec.num_classes)
+    if spec.power_law > 0:
+        degrees = power_law_degrees(n, spec.avg_degree, spec.power_law, rng)
+    else:
+        jitter = rng.integers(-1, 2, size=n)
+        degrees = np.clip(
+            np.round(spec.avg_degree + jitter), 1, n - 1
+        ).astype(np.int64)
+    return labels, degrees, rng
+
+
+def _run_sampler(sampler, spec, chunk, spare_on_entry):
+    labels, degrees, rng = _sampler_inputs(spec)
+    if spare_on_entry:
+        rng.integers(0, 7)  # leaves the high half of one output buffered
+        assert rng.bit_generator.state["has_uint32"] == 1
+    sorter = _RecordingSorter()
+    sampler(labels, degrees, spec.homophily, rng, sorter, chunk)
+    return sorter.blocks, rng.bit_generator.state
+
+
+# Specs whose classes have a single member: that vertex's same-class
+# draws are ``integers(0, 1)``, which take nothing from the stream.
+SINGLETON_POOLS = [
+    GraphSpec(name="pools-5", num_vertices=5, avg_degree=3, feature_dim=2,
+              num_classes=4, homophily=0.8, seed=1),
+    GraphSpec(name="pools-6", num_vertices=6, avg_degree=4, feature_dim=2,
+              num_classes=6, homophily=1.0, seed=0),
+    GraphSpec(name="pools-12", num_vertices=12, avg_degree=6, feature_dim=2,
+              num_classes=8, homophily=0.5, power_law=2.5, seed=4),
+]
+
+
+class TestBulkSamplerMatchesParent:
+    """The bulk sampler appends the per-vertex loop's key blocks and
+    leaves the generator in its state, spare 32-bit half included."""
+
+    @pytest.mark.parametrize("spare_on_entry", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 33, 97, 8192])
+    @pytest.mark.parametrize("power_law", [0.0, 2.5])
+    @pytest.mark.parametrize("homophily", [0.0, 0.8, 1.0])
+    def test_same_keys_and_state(
+        self, homophily, power_law, chunk, spare_on_entry
+    ):
+        spec = GraphSpec(
+            name="diff", num_vertices=400, avg_degree=10, feature_dim=2,
+            num_classes=5, homophily=homophily, power_law=power_law, seed=3,
+        )
+        assert_same_as_parent(
+            _run_sampler(_planted_partition_keys, spec, chunk, spare_on_entry),
+            _run_sampler(
+                parent._planted_partition_keys, spec, chunk, spare_on_entry
+            ),
+        )
+
+    @pytest.mark.parametrize("spare_on_entry", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 4, 8192])
+    @pytest.mark.parametrize("spec", SINGLETON_POOLS, ids=lambda s: s.name)
+    def test_singleton_class_pools(self, spec, chunk, spare_on_entry):
+        labels, _, _ = _sampler_inputs(spec)
+        assert (np.bincount(labels) == 1).any()
+        assert_same_as_parent(
+            _run_sampler(_planted_partition_keys, spec, chunk, spare_on_entry),
+            _run_sampler(
+                parent._planted_partition_keys, spec, chunk, spare_on_entry
+            ),
+        )
+
+
+def _one_half_later(state):
+    """The generator state after a draw that takes exactly one 32-bit
+    value: the spare half if there is one, else a fresh output."""
+    after = dict(state)
+    if state["has_uint32"]:
+        after["has_uint32"] = 0
+        return after
+    probe = np.random.PCG64()
+    probe.state = state
+    probe.random_raw()
+    after["state"] = probe.state["state"]
+    after["has_uint32"] = 1
+    return after
+
+
+def _reference_draws(rng, counts, bound):
+    """``random`` then one ``integers`` call per bound, group by group;
+    also counts the integers Lemire rejected a value for."""
+    doubles, draws, rejected = [], [], 0
+    for count in counts:
+        group = rng.random(count)
+        doubles.append(group)
+        for b in bound(group):
+            before = rng.bit_generator.state
+            draws.append(rng.integers(0, int(b)))
+            if b > 1 and rng.bit_generator.state != _one_half_later(before):
+                rejected += 1
+    return (
+        np.concatenate(doubles),
+        np.array(draws, dtype=np.uint64),
+        rejected,
+    )
+
+
+REJECTING = 3 * 2**30  # Lemire rejects 2**32 mod 3*2**30 = 2**30: a quarter
+
+
+class TestBulkDraws:
+    """The stream primitive against ``Generator.random`` and
+    ``Generator.integers`` called in the loop's order, with bounds that
+    make Lemire reject often and bounds of 1 that draw nothing."""
+
+    BOUNDS = {
+        "rejecting": lambda d: np.full(d.size, REJECTING),
+        "rejecting-or-one": lambda d: np.where(d < 0.5, REJECTING, 1),
+        "all-one": lambda d: np.ones(d.size, dtype=np.int64),
+        "mixed": lambda d: np.where(
+            d < 0.3, 1, np.where(d < 0.6, REJECTING, 1000)
+        ),
+    }
+
+    @pytest.mark.parametrize("spare_on_entry", [False, True])
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    def test_matches_generator_calls(self, name, spare_on_entry):
+        bound = self.BOUNDS[name]
+        counts = np.random.default_rng(7).integers(0, 6, size=120)
+        ours = np.random.default_rng(11)
+        theirs = np.random.default_rng(11)
+        if spare_on_entry:
+            ours.integers(0, 7)
+            theirs.integers(0, 7)
+        doubles, draws, rejected = _reference_draws(theirs, counts, bound)
+        got = _bulk_draws(
+            ours.bit_generator, counts, lambda lo, d: bound(d)
+        )
+        assert_same_as_parent(got, (doubles, draws))
+        assert_same_as_parent(
+            ours.bit_generator.state, theirs.bit_generator.state
+        )
+        if name.startswith("rejecting") or name == "mixed":
+            assert rejected >= 1
+        # The generator carries on exactly where the calls left it.
+        assert ours.integers(0, REJECTING) == theirs.integers(0, REJECTING)
+
+    def test_refuses_other_bit_generators(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            _bulk_draws(
+                np.random.MT19937(0), np.array([1]),
+                lambda lo, d: np.ones(d.size),
+            )
 
 
 class TestStreamGraphBackends:

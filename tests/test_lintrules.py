@@ -8,10 +8,12 @@ they do for ``src/repro/...`` — :func:`package_parts` keys on the last
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import main
 from repro.lintrules import ALL_RULES, format_json, format_text, run_lint
 from repro.lintrules.base import package_parts, parse_pragmas
@@ -487,6 +489,75 @@ class TestCLI:
         payload = json.loads(artifact.read_text())
         assert payload["exit_code"] == 1
         assert payload["counts"]["active"] == 1
+
+
+def _linters(monkeypatch, **exit_codes):
+    """Point the external-tool lookup at stand-ins: a tool named in
+    ``exit_codes`` is a python that exits with that code, any other
+    tool is not installed."""
+
+    def command(module):
+        if module not in exit_codes:
+            return None
+        return [sys.executable, "-c",
+                f"raise SystemExit({exit_codes[module]})"]
+
+    monkeypatch.setattr(cli, "_linter_command", command)
+
+
+class TestLintAll:
+    """``lint --all``: the ECG rules, then ruff and mypy when installed."""
+
+    def test_missing_tools_are_skipped_loudly(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _linters(monkeypatch)
+        write_module(tmp_path, "engine/clean.py", "X = 1\n")
+        rc = main(["lint", str(tmp_path), "--all"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "0 finding(s)" in out
+        assert "SKIPPED: ruff not installed" in out
+        assert "SKIPPED: mypy not installed" in out
+
+    @pytest.mark.parametrize("failing", ["ruff", "mypy"])
+    def test_a_failing_tool_fails_the_run(
+        self, failing, tmp_path, capsys, monkeypatch
+    ):
+        _linters(monkeypatch, **{"ruff": 0, "mypy": 0, failing: 1})
+        write_module(tmp_path, "engine/clean.py", "X = 1\n")
+        rc = main(["lint", str(tmp_path), "--all"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert f"FAILED: {failing}" in out
+        assert "SKIPPED" not in out
+
+    def test_passing_tools_and_a_skip_keep_exit_zero(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _linters(monkeypatch, ruff=0)
+        write_module(tmp_path, "engine/clean.py", "X = 1\n")
+        assert main(["lint", str(tmp_path), "--all"]) == 0
+        out = capsys.readouterr().out
+        assert "SKIPPED: mypy not installed" in out
+        assert "FAILED" not in out
+
+    def test_ecg_findings_still_fail_with_tools_clean(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _linters(monkeypatch, ruff=0, mypy=0)
+        write_module(
+            tmp_path, "engine/bad.py",
+            "import time\nT = time.time()\n",
+        )
+        assert main(["lint", str(tmp_path), "--all"]) == 1
+
+    def test_without_all_no_tool_runs(self, tmp_path, capsys, monkeypatch):
+        _linters(monkeypatch, ruff=1, mypy=1)
+        write_module(tmp_path, "engine/clean.py", "X = 1\n")
+        assert main(["lint", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "FAILED" not in out and "SKIPPED" not in out
 
 
 class TestRepoInvariantsPinned:
