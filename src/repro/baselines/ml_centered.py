@@ -12,7 +12,7 @@ from scipy.sparse import csr_matrix
 from repro.core.worker import WorkerState
 from repro.engine.backends import GCNBackend
 from repro.graph.csr import CSRGraph
-from repro.graph.subgraph import LocalSubgraph, ragged_positions
+from repro.graph.subgraph import LocalSubgraph, check_fanouts, sample_capped_rows
 
 __all__ = ["CachedKHopBackend", "capped_khop_subgraph"]
 
@@ -21,22 +21,17 @@ def capped_khop_subgraph(adjacency: CSRGraph, targets: np.ndarray, fanouts: list
                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The sorted cached vertex set and the ``(m, 2)`` kept ``(dst, src)``
     aggregation edges: hop ``h`` keeps each frontier row's ``fanouts[h]``
-    smallest of one uniform key drawn per candidate edge."""
+    smallest of one uniform key drawn per candidate edge
+    (:func:`~repro.graph.subgraph.sample_capped_rows`)."""
     indptr, indices = adjacency.indptr, adjacency.indices
     visited = np.zeros(adjacency.num_vertices, dtype=bool)
     frontier = np.unique(np.asarray(targets, dtype=np.int64))
     visited[frontier] = True
     edges = [np.empty((0, 2), dtype=np.int64)]
     for fanout in fanouts:
-        lengths = indptr[frontier + 1] - indptr[frontier]
-        positions = ragged_positions(indptr[frontier], lengths)
-        rows = np.repeat(np.arange(frontier.size), lengths)
-        # Keys are < 1, so sorting row + key shuffles within each row.
-        order = np.argsort(rows + rng.random(positions.size))
-        rank = np.arange(positions.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        kept = order[rank < fanout]
-        src = indices[positions[kept]].astype(np.int64)
-        edges.append(np.stack([frontier[rows[kept]], src], axis=1))
+        positions, rows = sample_capped_rows(indptr, frontier, fanout, rng)
+        src = indices[positions].astype(np.int64)
+        edges.append(np.stack([frontier[rows], src], axis=1))
         frontier = np.unique(src[~visited[src]])
         visited[frontier] = True
     return np.flatnonzero(visited), np.concatenate(edges)
@@ -51,15 +46,13 @@ class _WorkerCache(NamedTuple):
 
 class CachedKHopBackend(GCNBackend):
     """GCN whose worker graph is the capped L-hop cache of its targets,
-    with an empty halo: the exchanges move no rows. ``fanouts`` (one >= 1
-    per layer) is AliGraph-FG's storage cap or AGL's sampling ratios."""
+    with an empty halo: the exchanges move no rows. ``fanouts`` (one
+    integer >= 1 per layer) is AliGraph-FG's storage cap or AGL's sampling ratios."""
 
     name = "cached-khop"
 
     def __init__(self, fanouts: list[int]) -> None:
-        if any(f < 1 for f in fanouts):
-            raise ValueError(f"cache fanouts must be >= 1, got {list(fanouts)}")
-        self.fanouts = list(fanouts)
+        self.fanouts = check_fanouts(fanouts)
         self.worker_caches: list[_WorkerCache] = []
         self._rebuilt: list[int] = []
 

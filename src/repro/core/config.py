@@ -188,11 +188,3 @@ class ECGraphConfig:
         return replace(
             self, fp_mode="compress", bp_mode="compress", adaptive_bits=False
         )
-
-    def as_reqec_only(self) -> "ECGraphConfig":
-        """ReqEC-FP on, backward direction raw."""
-        return replace(self, fp_mode="reqec", bp_mode="raw")
-
-    def as_resec_only(self) -> "ECGraphConfig":
-        """ResEC-BP on, forward direction raw."""
-        return replace(self, fp_mode="raw", bp_mode="resec")

@@ -64,10 +64,6 @@ class GNNParameters:
             names.extend(self.layer_param_names(layer))
         return names
 
-    def num_parameters(self) -> int:
-        """Total learnable scalar count."""
-        return sum(int(np.prod(t.shape)) for t in self.tensors.values())
-
 
 def build_parameters(
     config: ModelConfig,

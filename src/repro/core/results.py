@@ -66,25 +66,12 @@ class ConvergenceRun:
         """Sum of modelled epoch times."""
         return sum(e.breakdown.total_seconds for e in self.epochs)
 
-    def end_to_end_seconds(self) -> float:
-        """Preprocessing plus training (the Fig. 9 quantity)."""
-        return self.preprocessing_seconds + self.training_seconds()
-
     def avg_epoch_seconds(self) -> float:
         """Mean modelled epoch time (the Table IV quantity)."""
         return self.training_seconds() / self.num_epochs if self.epochs else 0.0
 
-    def best_val_accuracy(self) -> float:
-        return max((e.val_accuracy for e in self.epochs), default=0.0)
-
     def best_test_accuracy(self) -> float:
         return max((e.test_accuracy for e in self.epochs), default=0.0)
-
-    def best_epoch(self) -> int:
-        """Epoch index with the highest validation accuracy."""
-        if not self.epochs:
-            return -1
-        return max(self.epochs, key=lambda e: e.val_accuracy).epoch
 
     def time_to_accuracy(self, target: float) -> float | None:
         """Modelled seconds until test accuracy first reaches ``target``.

@@ -95,7 +95,7 @@ class ECGraphTrainer:
             in baseline codecs via :class:`~repro.core.policies.CodecPolicy`).
         backend: Explicit architecture object for the models whose
             constructors carry values — ``GATBackend(num_heads=...)``,
-            ``SampledGCNBackend(fanouts, online, sampling_speedup)``;
+            ``SampledGCNBackend(fanouts, online)``;
             both run on ``model="gcn"``.
         """
         sage = model_config.model == "sage"
@@ -216,10 +216,7 @@ class ECGraphTrainer:
 
         self._build_engine()
 
-        self._preprocessing_seconds = (
-            monotonic_now() - start + partition_seconds
-            - self._backend.bind_discount_seconds
-        )
+        self._preprocessing_seconds = monotonic_now() - start + partition_seconds
         # Feature-cache traffic happens once, in preprocessing: convert
         # the charged bytes into time and fold them in.
         cache_bytes = self.runtime.meter.epoch_bytes()

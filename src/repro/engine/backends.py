@@ -39,8 +39,9 @@ per-iteration hooks ``on_epoch_start`` (resampling), ``adjacency`` and
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Container
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -59,8 +60,8 @@ from repro.core.worker import WorkerState, build_worker_states
 from repro.engine.context import ExchangeContext
 from repro.engine.workspace import BufferLife, Timeline
 from repro.graph.store.base import GraphStore, GraphStoreBundle
+from repro.graph.subgraph import check_fanouts, sample_capped_rows
 from repro.nn.init import glorot_uniform
-from repro.obs.tracing import monotonic_now
 from repro.partition.base import Partition
 
 __all__ = [
@@ -104,10 +105,6 @@ class ModelBackend:
     # (sampled adjacencies); the process executor ships a refresh to
     # worker replicas when the shipped version falls behind.
     kernel_version: int = 0
-    # Wall seconds of bind-time work that native kernels would not have
-    # spent (offline sampling at ``sampling_speedup``); the trainer takes
-    # them out of the ``preprocessing_seconds`` it measured around bind.
-    bind_discount_seconds: float = 0.0
 
     def build_workers(
         self,
@@ -531,37 +528,27 @@ class GCNBackend(ModelBackend):
 class SampledGCNBackend(GCNBackend):
     """GCN over per-layer fanout-sampled adjacencies (EC-Graph-S).
 
-    Kept edges are rescaled by ``degree / fanout`` so the sampled
-    aggregation is an unbiased estimator of the full sum. Offline mode
-    (EC-Graph-S, AGL) samples once at bind time — the cost lands in the
-    Fig. 9 preprocessing bar; online mode (DistDGL) resamples at every
-    ``on_epoch_start``, charging per-worker sampling compute and
-    coordination messages.
+    Each row keeps a uniform ``min(degree, fanout)`` of its edges
+    (:func:`~repro.graph.subgraph.sample_capped_rows`), rescaled by
+    ``degree / fanout`` so the sampled aggregation is an unbiased
+    estimator of the full sum. Offline mode (EC-Graph-S, AGL) samples
+    once at bind time — the cost lands in the Fig. 9 preprocessing bar;
+    online mode (DistDGL) resamples at every ``on_epoch_start``, each
+    worker charged its own sampling wall as compute, plus coordination
+    messages.
 
     Args:
-        fanouts: Per-layer neighbour caps, ``fanouts[l-1]`` for layer
-            ``l``; length must equal the model's layer count.
+        fanouts: Per-layer neighbour caps (integers >= 1),
+            ``fanouts[l-1]`` for layer ``l``; length must equal the
+            model's layer count.
         online: Resample every iteration instead of once.
-        sampling_speedup: Divide measured Python sampling time by this to
-            emulate native sampling kernels (same rationale as the codec
-            speedup, see DESIGN.md).
     """
 
     name = "sampled-gcn"
 
-    def __init__(
-        self,
-        fanouts: list[int],
-        online: bool = False,
-        sampling_speedup: float = 20.0,
-    ) -> None:
-        if any(f < 1 for f in fanouts):
-            raise ValueError("fanouts must be >= 1")
-        if sampling_speedup <= 0:
-            raise ValueError("sampling_speedup must be positive")
-        self.fanouts = list(fanouts)
+    def __init__(self, fanouts: list[int], online: bool = False) -> None:
+        self.fanouts = check_fanouts(fanouts)
         self.online = online
-        self.sampling_speedup = sampling_speedup
         self.sampled_adj: list[dict[int, csr_matrix]] = []
         self.subsets: dict[int, dict[tuple[int, int], np.ndarray]] = {}
         self.sampled_once = False
@@ -589,13 +576,8 @@ class SampledGCNBackend(GCNBackend):
         self.rng = np.random.default_rng(config.seed + 1)
         self.prime_residuals()
         if not self.online:
-            start = monotonic_now()
             with ctx.telemetry.span("sampling", mode="offline"):
                 self.resample()
-            elapsed = monotonic_now() - start
-            self.bind_discount_seconds = (
-                elapsed - elapsed / self.sampling_speedup
-            )
             self.sampled_once = True
 
     def prime_residuals(self) -> None:
@@ -657,25 +639,23 @@ class SampledGCNBackend(GCNBackend):
     def on_epoch_start(self, t: int) -> None:
         ctx = self.ctx
         if self.online or not self.sampled_once:
-            start = monotonic_now()
+            active = ctx.active_workers()
             with ctx.telemetry.span("sampling", mode="online", epoch=t):
-                self.resample()
-            elapsed = (monotonic_now() - start) / self.sampling_speedup
+                self.resample(charged={state.worker_id for state in active})
             self.sampled_once = True
             ctx.telemetry.metrics.inc("resamples")
-            # Online sampling is coordinated by per-worker samplers; the
-            # cost is per-worker compute plus request messages.
-            per_worker = elapsed / max(ctx.spec.num_workers, 1)
-            for state in ctx.active_workers():
-                ctx.runtime.add_compute(state.worker_id, per_worker)
+            # Online sampling is coordinated by per-worker samplers: each
+            # pays its own sampling compute plus request messages.
+            for state in active:
                 for owner in state.requests:
                     ctx.runtime.send_worker_to_worker(
                         state.worker_id, owner, 64, "sampling"
                     )
 
     # ------------------------------------------------------------------
-    def resample(self) -> None:
-        """Draw a fresh per-layer sampled adjacency for every worker."""
+    def resample(self, charged: Container[int] = ()) -> None:
+        """Draw a fresh per-layer sampled adjacency for every worker; each
+        worker in ``charged`` pays its own sampling wall as compute."""
         ctx = self.ctx
         self.kernel_version += 1
         self.sampled_adj = []
@@ -684,12 +664,14 @@ class SampledGCNBackend(GCNBackend):
         }
         for state in ctx.workers:
             per_layer: dict[int, csr_matrix] = {}
-            for layer in range(1, ctx.params.num_layers + 1):
-                sampled, used_halo = self._sample_rows(
-                    state, self.fanouts[layer - 1]
-                )
-                per_layer[layer] = sampled
-                needed_halo[layer].append(used_halo)
+            with (ctx.runtime.worker_compute(state.worker_id)
+                  if state.worker_id in charged else nullcontext()):
+                for layer in range(1, ctx.params.num_layers + 1):
+                    sampled, used_halo = self._sample_rows(
+                        state, self.fanouts[layer - 1]
+                    )
+                    per_layer[layer] = sampled
+                    needed_halo[layer].append(used_halo)
             self.sampled_adj.append(per_layer)
 
         self.subsets = {}
@@ -711,43 +693,22 @@ class SampledGCNBackend(GCNBackend):
         halo (which remote rows the sampled matrix references).
         """
         sub = state.sub
-        indptr = sub.indptr
-        indices = sub.indices
+        degree = np.diff(sub.indptr)
+        positions, rows = sample_capped_rows(
+            sub.indptr, np.arange(sub.num_local), fanout, self.rng
+        )
         weights = (
-            sub.weights
+            sub.weights[positions]
             if sub.weights is not None
-            else np.ones(sub.num_edges, dtype=np.float32)
+            else np.ones(positions.size, dtype=np.float32)
         )
-        out_indices: list[np.ndarray] = []
-        out_weights: list[np.ndarray] = []
-        out_counts = np.zeros(sub.num_local, dtype=np.int64)
-        for row in range(sub.num_local):
-            lo, hi = indptr[row], indptr[row + 1]
-            degree = hi - lo
-            if degree <= fanout:
-                out_indices.append(indices[lo:hi])
-                out_weights.append(weights[lo:hi])
-                out_counts[row] = degree
-            else:
-                pick = self.rng.choice(degree, size=fanout, replace=False)
-                scale = degree / fanout  # unbiased row-sum estimator
-                out_indices.append(indices[lo + pick])
-                out_weights.append(weights[lo + pick] * scale)
-                out_counts[row] = fanout
+        # degree / fanout on capped rows: an unbiased row-sum estimator.
+        scale = np.maximum(degree / fanout, 1.0).astype(np.float32)
         new_indptr = np.zeros(sub.num_local + 1, dtype=np.int64)
-        np.cumsum(out_counts, out=new_indptr[1:])
-        new_indices = (
-            np.concatenate(out_indices)
-            if out_indices
-            else np.empty(0, dtype=np.int64)
-        )
-        new_weights = (
-            np.concatenate(out_weights)
-            if out_weights
-            else np.empty(0, dtype=np.float32)
-        )
+        np.cumsum(np.minimum(degree, fanout), out=new_indptr[1:])
+        new_indices = sub.indices[positions]
         sampled = csr_matrix(
-            (new_weights.astype(np.float32), new_indices, new_indptr),
+            (weights * scale[rows], new_indices, new_indptr),
             shape=(sub.num_local, sub.num_local + sub.num_remote),
         )
         used_halo = np.zeros(sub.num_remote, dtype=bool)

@@ -6,15 +6,14 @@ graph is directed; an undirected graph stores both arcs. ``indptr`` and
 ``indices`` follow the scipy convention: the in/out-neighbours of vertex
 ``v`` are ``indices[indptr[v]:indptr[v + 1]]``.
 
-The GCN aggregation in the paper (Eq. 2) multiplies by the *transpose* of
-the normalized adjacency, so :class:`CSRGraph` keeps optional per-edge
-weights and supports cheap transposition.
+:class:`CSRGraph` keeps optional per-edge weights: the GCN aggregation in
+the paper (Eq. 2) runs over the normalized adjacency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +34,6 @@ class CSRGraph:
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray | None = None
-    _sorted_rows: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
@@ -99,29 +97,9 @@ class CSRGraph:
             np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr)
         )
 
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """Yield ``(src, dst)`` pairs in row order."""
-        for v in range(self.num_vertices):
-            for u in self.neighbors(v):
-                yield v, int(u)
-
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
-    def transpose(self) -> "CSRGraph":
-        """Return the reverse graph (in-neighbour lists), weights carried.
-
-        Row ``v`` of the result lists the sources of the arcs into ``v``
-        in ascending order, once per stored arc (parallel arcs keep their
-        relative order, self-loops stay).
-        """
-        incoming = self.to_scipy().tocsc()  # linear-time, stable per column
-        return CSRGraph(
-            incoming.indptr,
-            incoming.indices,
-            None if self.weights is None else incoming.data,
-        )
-
     def with_self_loops(self) -> "CSRGraph":
         """Return a copy with a self-loop added to every vertex.
 
@@ -155,26 +133,6 @@ class CSRGraph:
         )
         n = self.num_vertices
         return csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
-    def sorted_rows(self) -> "CSRGraph":
-        """Return a copy whose neighbour lists are sorted ascending."""
-        # One stable sort on (row, column): equal columns keep their order.
-        order = np.argsort(
-            self.sources() * self.num_vertices + self.indices, kind="stable"
-        )
-        indices = self.indices[order]
-        weights = None if self.weights is None else self.weights[order]
-        out = CSRGraph(self.indptr.copy(), indices, weights)
-        out._sorted_rows = True
-        return out
-
-    def has_edge(self, src: int, dst: int) -> bool:
-        """Whether the arc ``src -> dst`` exists."""
-        row = self.neighbors(src)
-        if self._sorted_rows:
-            pos = np.searchsorted(row, dst)
-            return bool(pos < row.size and row[pos] == dst)
-        return bool(np.any(row == dst))
 
 
 def from_edge_list(

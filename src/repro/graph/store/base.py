@@ -63,11 +63,6 @@ class FeatureStore(abc.ABC):
         return self.shape[0]
 
     @property
-    def row_dim(self) -> int:
-        """Columns per row (1 for 1-D stores)."""
-        return self.shape[1] if len(self.shape) > 1 else 1
-
-    @property
     def nbytes(self) -> int:
         """Logical payload size in bytes (on disk for mmap stores)."""
         return int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize

@@ -6,7 +6,9 @@ vertices (the remote endpoints stay remote). The ML-centered path
 (AliGraph/AGL), where a worker instead caches its targets' capped
 L-hop neighbourhood with no halo at all, is
 :func:`repro.baselines.ml_centered.capped_khop_subgraph` (a frontier
-expansion over :func:`ragged_positions`) and its ``CachedKHopBackend``.
+expansion) and its ``CachedKHopBackend``. It caps each hop's rows with
+:func:`sample_capped_rows`, the one row sampler, which the sampled
+backend (EC-Graph-S / DistDGL) runs over each worker's rows too.
 
 :func:`induced_subgraph` streams the adjacency blocks of a
 :class:`~repro.graph.store.GraphStore`, so extraction never materializes
@@ -16,15 +18,15 @@ become resident (see ``docs/storage.md``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.graph.store.base import GraphStore
 
-__all__ = ["LocalSubgraph", "induced_subgraph", "induced_subgraphs",
-           "ragged_positions"]
+__all__ = ["LocalSubgraph", "check_fanouts", "induced_subgraph",
+           "induced_subgraphs", "ragged_positions", "sample_capped_rows"]
 
 
 @dataclass
@@ -48,7 +50,6 @@ class LocalSubgraph:
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray | None
-    _mapping: dict[int, int] | None = field(default=None, repr=False)
 
     @property
     def num_local(self) -> int:
@@ -62,29 +63,6 @@ class LocalSubgraph:
     def num_edges(self) -> int:
         return self.indices.shape[0]
 
-    @property
-    def global_to_compact(self) -> dict[int, int]:
-        """Mapping from global vertex id to compact id (built lazily)."""
-        if self._mapping is None:
-            mapping = {
-                int(g): compact
-                for compact, g in enumerate(self.local_vertices)
-            }
-            offset = self.local_vertices.shape[0]
-            for compact, g in enumerate(self.remote_vertices):
-                mapping[int(g)] = offset + compact
-            self._mapping = mapping
-        return self._mapping
-
-    def compact_ids(self, global_ids: np.ndarray) -> np.ndarray:
-        """Translate global vertex ids into this worker's compact space."""
-        mapping = self.global_to_compact
-        return np.fromiter(
-            (mapping[int(g)] for g in global_ids),
-            dtype=np.int64,
-            count=len(global_ids),
-        )
-
 
 def ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Flat positions covering ``[starts[i], starts[i] + lengths[i])``."""
@@ -94,6 +72,36 @@ def ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     flat_starts = np.cumsum(lengths) - lengths
     offsets = np.arange(total, dtype=np.int64) - np.repeat(flat_starts, lengths)
     return np.repeat(starts, lengths) + offsets
+
+
+def check_fanouts(fanouts: Sequence[int]) -> list[int]:
+    """``fanouts`` as a list, or ``ValueError`` unless each is an integer >= 1."""
+    fanouts = list(fanouts)
+    if not all(isinstance(f, (int, np.integer)) and not isinstance(f, bool)
+               and f >= 1 for f in fanouts):
+        raise ValueError(f"fanouts must be >= 1 and integers, got {fanouts}")
+    return fanouts
+
+
+def sample_capped_rows(
+    indptr: np.ndarray, rows: np.ndarray, fanout: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keep a uniform ``min(degree, fanout)`` of each of ``rows``' edges.
+
+    Draws one uniform key per candidate edge and keeps each row's
+    ``fanout`` smallest keys: sampling without replacement. Returns the
+    kept edges' flat CSR positions and, aligned with them, the index into
+    ``rows`` of the row each came from — rows in the given order, each
+    row's kept edges in key order.
+    """
+    lengths = indptr[rows + 1] - indptr[rows]
+    positions = ragged_positions(indptr[rows], lengths)
+    row_index = np.repeat(np.arange(rows.size), lengths)
+    # Keys are < 1, so sorting row + key shuffles within each row.
+    order = np.argsort(row_index + rng.random(positions.size))
+    rank = np.arange(positions.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    kept = order[rank < fanout]
+    return positions[kept], row_index[kept]
 
 
 def induced_subgraph(

@@ -9,7 +9,7 @@ them over any shard without knowing the model structure.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 import numpy as np
 
@@ -34,10 +34,6 @@ class Optimizer:
         server own a superset of what any single round updates.
         """
         raise NotImplementedError
-
-    def state_names(self) -> Iterable[str]:
-        """Names of the parameters with allocated optimizer state."""
-        return ()
 
     def reset(self) -> None:
         """Drop all accumulated state (used between benchmark runs)."""
@@ -84,9 +80,6 @@ class Momentum(Optimizer):
             self._velocity[name] = vel
             params[name] -= (self.lr * vel).astype(params[name].dtype)
 
-    def state_names(self):
-        return self._velocity.keys()
-
     def reset(self) -> None:
         self._velocity.clear()
 
@@ -132,9 +125,6 @@ class Adam(Optimizer):
             update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             params[name] -= update.astype(params[name].dtype)
 
-    def state_names(self):
-        return self._m.keys()
-
     def reset(self) -> None:
         self._m.clear()
         self._v.clear()
@@ -160,9 +150,6 @@ class AdaGrad(Optimizer):
             acc += np.square(grad)
             update = self.lr * grad / (np.sqrt(acc) + self.eps)
             params[name] -= update.astype(params[name].dtype)
-
-    def state_names(self):
-        return self._accum.keys()
 
     def reset(self) -> None:
         self._accum.clear()

@@ -130,14 +130,6 @@ class StageProfile:
 
     epochs: tuple[EpochTimeline, ...] = ()
 
-    def stage_names(self) -> list[str]:
-        """Stages observed, in first-seen (pipeline) order."""
-        seen: list[str] = []
-        for timeline in self.epochs:
-            for sample in timeline.samples:
-                if sample.stage not in seen:
-                    seen.append(sample.stage)
-        return seen
 
     def stage_totals(self, keep=None) -> dict[str, dict]:
         """Per-stage aggregate over all profiled epochs (or only those

@@ -124,9 +124,7 @@ class _ReferenceSetup:
     BFSPartitioner = partitioners._ReferenceBFSPartitioner
     induced_subgraph = staticmethod(subgraph._reference_induced_subgraph)
     build_worker_states = staticmethod(subgraph._reference_build_worker_states)
-    transpose = staticmethod(csr._reference_transpose)
     with_self_loops = staticmethod(csr._reference_with_self_loops)
-    sorted_rows = staticmethod(csr._reference_sorted_rows)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,5 @@
-"""The per-vertex-loop CSR helpers ``with_self_loops``,
-``sorted_rows`` and ``transpose`` before vectorisation."""
+"""The per-vertex-loop CSR helper ``with_self_loops`` before
+vectorisation."""
 
 import numpy as np
 
@@ -47,33 +47,3 @@ def _reference_with_self_loops(self):
                 weights_new[lo_new + span] = 1.0
     return CSRGraph(indptr_new, indices_new, weights_new)
 
-
-def _reference_sorted_rows(self):
-    """Return a copy whose neighbour lists are sorted ascending."""
-    indices = self.indices.copy()
-    weights = None if self.weights is None else self.weights.copy()
-    for v in range(self.num_vertices):
-        lo, hi = self.indptr[v], self.indptr[v + 1]
-        order = np.argsort(indices[lo:hi], kind="stable")
-        indices[lo:hi] = indices[lo:hi][order]
-        if weights is not None:
-            weights[lo:hi] = weights[lo:hi][order]
-    out = CSRGraph(self.indptr.copy(), indices, weights)
-    out._sorted_rows = True
-    return out
-
-
-def _reference_transpose(self):
-    """Return the reverse graph (in-neighbour lists), weights carried."""
-    n, m = self.num_vertices, self.num_edges
-    counts = np.bincount(self.indices, minlength=n)
-    indptr_t = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr_t[1:])
-    indices_t = np.empty(m, dtype=np.int64)
-    weights_t = None if self.weights is None else np.empty(m, dtype=np.float32)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-    order = np.argsort(self.indices, kind="stable")
-    indices_t[:] = src[order]
-    if weights_t is not None:
-        weights_t[:] = self.weights[order]
-    return CSRGraph(indptr_t, indices_t, weights_t)

@@ -54,8 +54,6 @@ class TestECGraphConfig:
         cp = base.as_cp_only()
         assert cp.fp_mode == "compress" and cp.bp_mode == "compress"
         assert not cp.adaptive_bits
-        assert base.as_reqec_only().bp_mode == "raw"
-        assert base.as_resec_only().fp_mode == "raw"
 
     def test_presets_keep_other_fields(self):
         base = ECGraphConfig(fp_bits=8, learning_rate=0.5)

@@ -47,12 +47,6 @@ class TestBuildParameters:
         params = build_parameters(ModelConfig(num_layers=2), 10, 3)
         assert params.all_param_names() == ["W0", "b0", "W1", "b1"]
 
-    def test_num_parameters(self):
-        params = build_parameters(
-            ModelConfig(num_layers=2, hidden_dim=8), 10, 3
-        )
-        assert params.num_parameters() == 10 * 8 + 8 + 8 * 3 + 3
-
     def test_dims_property(self):
         params = build_parameters(
             ModelConfig(num_layers=2, hidden_dim=8), 10, 3

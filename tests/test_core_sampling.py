@@ -1,9 +1,12 @@
 """Integration tests for sampling mode (EC-Graph-S / DistDGL):
 ``backend=SampledGCNBackend(...)``."""
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.baselines import CachedKHopBackend
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
@@ -54,10 +57,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="fanouts"):
             SampledGCNBackend([5, 0])
 
-    @pytest.mark.parametrize("speedup", [0.0, -1.0])
-    def test_non_positive_sampling_speedup_rejected(self, speedup):
-        with pytest.raises(ValueError, match="sampling_speedup"):
-            SampledGCNBackend([5, 5], sampling_speedup=speedup)
+    @pytest.mark.parametrize("backend", [SampledGCNBackend, CachedKHopBackend])
+    @pytest.mark.parametrize("fanouts", [
+        [2.5, 2.5], [2.0, 2], [5, "3"], [True, 2], [None],
+    ])
+    def test_non_integral_fanouts_rejected(self, backend, fanouts):
+        # A float cap would slip through the key sort: ``rank < 2.5``
+        # keeps three edges a row.
+        with pytest.raises(ValueError, match="fanouts must be >= 1 and integers"):
+            backend(fanouts)
+
+    @pytest.mark.parametrize("backend", [SampledGCNBackend, CachedKHopBackend])
+    def test_numpy_integer_fanouts_accepted(self, backend):
+        assert backend(np.array([3, 2])).fanouts == [3, 2]
 
 
 class TestSampling:
@@ -199,3 +211,35 @@ class TestCrashWithResidualReset:
         np.testing.assert_array_equal(
             policy._residual[key], second - fresh
         )
+
+
+class TestSamplingCharge:
+    def test_each_worker_pays_its_own_resampling_wall(self, small_graph,
+                                                      monkeypatch):
+        """Online, a worker's modelled compute includes the wall of its
+        own sampling, not an even share of everybody's."""
+        trainer = ECGraphTrainer(
+            small_graph, ModelConfig(num_layers=2, hidden_dim=8),
+            ClusterSpec(num_workers=3),
+            ECGraphConfig(fp_mode="raw", bp_mode="raw"),
+            backend=SampledGCNBackend([3, 3], online=True),
+        )
+        trainer.setup()
+        backend = trainer.engine.backend
+        delay = {0: 0.0, 1: 0.02, 2: 0.06}  # per layer sampled
+        sample_rows = SampledGCNBackend._sample_rows
+
+        def slow_sample_rows(self, state, fanout):
+            time.sleep(delay[state.worker_id])
+            return sample_rows(self, state, fanout)
+
+        monkeypatch.setattr(SampledGCNBackend, "_sample_rows", slow_sample_rows)
+        before = trainer.runtime.compute_snapshot()
+        backend.on_epoch_start(0)
+        charged = trainer.runtime.compute_snapshot() - before
+        for worker, seconds in delay.items():
+            assert charged[worker] >= 2 * seconds
+        # An even split would charge every worker about 0.053 s.
+        assert charged[0] < 0.02
+        assert charged[2] - charged[1] >= 0.06
+        trainer.close()

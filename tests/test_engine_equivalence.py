@@ -104,29 +104,31 @@ GOLDEN = {
         },
         "final_test": "0.75",
     },
+    # The two sampled goldens follow ``sample_capped_rows``' stream (one
+    # uniform key per candidate edge), not the pre-refactor sampler's.
     "sampled_offline": {
         "losses": [
-            "1.1031481742858886", "1.0230998992919922", "0.9518005311489105",
-            "0.8830403804779053", "0.8251548290252686", "0.7702265083789825",
+            "1.0980702877044677", "1.022210419178009", "0.9510134041309357",
+            "0.8907610297203065", "0.8326326370239258", "0.7797345161437987",
         ],
-        "total_bytes": 48270,
+        "total_bytes": 48660,
         "total_messages": 174,
         "category_totals": {
-            "bp_gradients": 4602, "feature_cache": 7920,
-            "fp_embeddings": 9348, "param_pull": 13200, "param_push": 13200,
+            "bp_gradients": 4656, "feature_cache": 7920,
+            "fp_embeddings": 9684, "param_pull": 13200, "param_push": 13200,
         },
         "final_test": "1.0",
     },
     "sampled_online": {
         "losses": [
-            "1.1031481742858886", "1.0187377870082854", "0.9523339986801147",
-            "0.8907919466495513", "0.8477146863937379", "0.7877366423606873",
+            "1.0980702877044677", "1.014794921875", "0.9596091628074646",
+            "0.8835092425346375", "0.8306011855602264", "0.7923318386077881",
         ],
-        "total_bytes": 50924,
+        "total_bytes": 50958,
         "total_messages": 210,
         "category_totals": {
-            "bp_gradients": 4656, "feature_cache": 7920,
-            "fp_embeddings": 9644, "param_pull": 13200, "param_push": 13200,
+            "bp_gradients": 4658, "feature_cache": 7920,
+            "fp_embeddings": 9676, "param_pull": 13200, "param_push": 13200,
             "sampling": 2304,
         },
         "final_test": "1.0",

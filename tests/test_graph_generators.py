@@ -115,7 +115,8 @@ class TestClassFeatures:
 class TestStreamGraph:
     def test_symmetric_adjacency(self):
         g = _graph()
-        edges = set(g.adjacency.to_csr().iter_edges())
+        csr = g.adjacency.to_csr()
+        edges = set(zip(csr.sources().tolist(), csr.indices.tolist()))
         assert all((v, u) in edges for u, v in edges)
 
     def test_degree_near_target(self):

@@ -59,7 +59,7 @@ class TestEdges:
 class TestGraph:
     def test_symmetric(self):
         graph = _graph(RMATSpec(scale=6, seed=4))
-        edges = set(graph.iter_edges())
+        edges = set(zip(graph.sources().tolist(), graph.indices.tolist()))
         assert all((v, u) in edges for u, v in edges)
 
     def test_deterministic(self):

@@ -76,7 +76,7 @@ def worker_state():
 
 @pytest.fixture(scope="module")
 def adjacencies(worker_state):
-    sampler = SampledGCNBackend([3], sampling_speedup=1.0)
+    sampler = SampledGCNBackend([3])
     sampler.rng = np.random.default_rng(2)
     sampled, _ = sampler._sample_rows(worker_state, 3)
     return {"full": worker_state.a_local, "sampled": sampled}

@@ -70,7 +70,7 @@ class TestModelBackendProtocol:
             GCNBackend(),
             SAGEBackend(),
             GATBackend(num_heads=2),
-            SampledGCNBackend([4, 4], online=False, sampling_speedup=20.0),
+            SampledGCNBackend([4, 4], online=False),
         ):
             assert isinstance(backend, ModelBackend)
 

@@ -188,7 +188,6 @@ class TestProfileAggregation:
         assert profile.coverage() == 0.0
         assert profile.stage_totals() == {}
         assert profile.straggler_counts() == {}
-        assert profile.stage_names() == []
 
 
 class TestOneClock:

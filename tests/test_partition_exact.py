@@ -3,7 +3,7 @@
 ``MetisLikePartitioner._coarsen`` (list-walking matching, one-sort
 contraction), ``BFSPartitioner`` (list-walking BFS, bincount LDG tally),
 ``build_worker_states`` (one adjacency sweep for all workers) and the
-vectorised ``CSRGraph.with_self_loops`` / ``sorted_rows`` are compared
+vectorised ``CSRGraph.with_self_loops`` are compared
 with the verbatim pre-rewrite implementations kept in ``conftest.py``
 (``reference_setup``): ``np.array_equal`` on every array, over a graph
 zoo built to hit the places where a faster formulation could drift —
@@ -408,7 +408,6 @@ def _assert_same_csr(got: CSRGraph, want: CSRGraph) -> None:
     else:
         assert got.weights.dtype == np.float32
         assert np.array_equal(got.weights, want.weights)
-    assert got._sorted_rows == want._sorted_rows
 
 
 class TestCSRHelpersExact:
@@ -427,29 +426,6 @@ class TestCSRHelpersExact:
         _assert_same_csr(again, got)
         assert again.indices is not got.indices
 
-    def test_transpose(self, zoo_graph, reference_setup):
-        # Linear-time counting sort instead of a stable argsort: same
-        # arrays, parallel arcs in the same relative order.
-        _assert_same_csr(
-            zoo_graph.transpose(), reference_setup.transpose(zoo_graph)
-        )
-
-    def test_sorted_rows(self, zoo_graph, reference_setup):
-        want = reference_setup.sorted_rows(zoo_graph)
-        got = zoo_graph.sorted_rows()
-        _assert_same_csr(got, want)
-        assert got._sorted_rows
-
-    def test_sorted_rows_is_stable_on_equal_columns(self, reference_setup):
-        # Parallel arcs 0->2 with distinct weights must keep their order.
-        graph = from_edge_list(
-            [(0, 2), (0, 1), (0, 2), (0, 2), (1, 0)], 3,
-            weights=[5.0, 1.0, 7.0, 6.0, 2.0],
-        )
-        got = graph.sorted_rows()
-        _assert_same_csr(got, reference_setup.sorted_rows(graph))
-        assert got.weights.tolist() == [1.0, 5.0, 7.0, 6.0, 2.0]
-
     def test_empty_rows_and_empty_graph(self, reference_setup):
         for graph in (
             from_edge_list([], 0),
@@ -458,12 +434,6 @@ class TestCSRHelpersExact:
         ):
             _assert_same_csr(
                 graph.with_self_loops(), reference_setup.with_self_loops(graph)
-            )
-            _assert_same_csr(
-                graph.sorted_rows(), reference_setup.sorted_rows(graph)
-            )
-            _assert_same_csr(
-                graph.transpose(), reference_setup.transpose(graph)
             )
 
     @pytest.mark.parametrize("scheme", ["gcn", "row"])

@@ -86,6 +86,12 @@ RETIRED_NAMES = (
     "ExponentialDecayLR", "CosineAnnealingLR",
     "AttributedGraph", "as_bundle", "as_topology", "gcn_normalize",
     "row_normalize", ".materialize(",
+    "sampling_speedup", "bind_discount_seconds",
+    "iter_edges", "has_edge", "sorted_rows", "def transpose(",
+    "as_reqec_only", "as_resec_only", "end_to_end_seconds",
+    "best_val_accuracy", "def best_epoch(", "def stage_names(",
+    "compact_ids", "global_to_compact", "num_parameters", "def row_dim(",
+    "def state_names(",
 )
 CHECKPOINT = REPO / "src" / "repro" / "core" / "checkpoint.py"
 
@@ -138,6 +144,117 @@ class TestRetiredNamesStayGone:
         assert exempt[0].startswith("_RETIRED_CONFIG_FIELDS")
         assert any("health_rho" in line for line in exempt)
         assert not any("def " in line or "return" in line for line in exempt)
+
+
+# ----------------------------------------------------------------------
+# No code that nothing runs. Every public function, class and method in
+# ``src/`` is named somewhere in ``src/``, ``examples/``, ``benchmarks/``
+# or ``bench/`` besides its own ``def`` (a call, an attribute, an import
+# or a string such as a registry key), or is listed below with the
+# reason it stays. Tests do not count: code only a test calls is dead.
+# ----------------------------------------------------------------------
+REFERENCE_ROOTS = ("src", "examples", "benchmarks", "bench")
+UNREFERENCED_ALLOWED = {
+    "TrafficMeter.category_totals":
+        "the goldens pin the meter's per-category byte split through it",
+    "LedgerSnapshot.direction_bytes":
+        "the ledger = TrafficMeter reconciliation tests read it",
+    "ChannelLedger.direction_bytes":
+        "the ledger = TrafficMeter reconciliation tests read it",
+    "NullChannelLedger.direction_bytes":
+        "the disabled twin keeps ChannelLedger's read surface",
+    "GNNParameters.all_param_names":
+        "the frozen parent trainer in tests/oracles/ml_centered.py calls it",
+    "CSRGraph.neighbors":
+        "the frozen loop partitioners in tests/oracles/ walk rows with it",
+    "GraphStore.neighbors":
+        "the frozen loop BFS in tests/oracles/partitioners.py walks a store",
+    "CSRGraph.edge_weights":
+        "the frozen loop partitioners in tests/oracles/ read row weights",
+    "CSRGraph.with_self_loops":
+        "the layout NormalizedGraphStore assembles, and its test reference",
+}
+
+
+def _public_definitions(source: str) -> list[tuple[str, str, int]]:
+    """``(qualified name, name, line)`` of every public function, class
+    and method (nested classes included)."""
+    found = []
+
+    def visit(body, owner):
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                qualified = f"{owner}.{node.name}" if owner else node.name
+                found.append((qualified, node.name, node.lineno))
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+
+    visit(ast.parse(source).body, "")
+    return found
+
+
+def _names_used(source: str) -> set[str]:
+    """Identifiers a module mentions: names, attributes, imports and
+    identifier-shaped strings (``def`` names themselves are not nodes)."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            used.add(node.value)
+    return used
+
+
+def _unreferenced() -> dict[str, str]:
+    used = set().union(*(
+        _names_used(path.read_text())
+        for root in REFERENCE_ROOTS for path in (REPO / root).rglob("*.py")
+    ))
+    return {
+        qualified: f"{path.relative_to(REPO)}:{line}"
+        for path in sorted((REPO / "src").rglob("*.py"))
+        for qualified, name, line in _public_definitions(path.read_text())
+        if name not in used
+    }
+
+
+class TestNoDeadNames:
+    def test_every_public_name_is_referenced_or_allowlisted(self):
+        unreferenced = _unreferenced()
+        assert {
+            name: where for name, where in unreferenced.items()
+            if name not in UNREFERENCED_ALLOWED
+        } == {}
+        # An entry whose name became referenced (or was deleted) goes too.
+        assert sorted(set(UNREFERENCED_ALLOWED) - set(unreferenced)) == []
+
+    def test_the_scan_sees_a_dead_name(self):
+        sample = (
+            "class Graph:\n"
+            "    def used(self):\n"
+            "        return self.helper()\n"
+            "    def helper(self):\n"
+            "        return REGISTRY['listed']\n"
+            "    def unused(self):\n"
+            "        return 0\n"
+            "def listed():\n"
+            "    pass\n"
+            "def _private():\n"
+            "    pass\n"
+        )
+        used = _names_used(sample)
+        assert [
+            qualified for qualified, name, _ in _public_definitions(sample)
+            if name not in used
+        ] == ["Graph", "Graph.used", "Graph.unused"]
 
 
 MULTIPROCESS_STEP = "Multiprocess equivalence + behaviour tests"
@@ -210,7 +327,7 @@ class TestContinuousIntegration:
 # The set-up path stays off the per-vertex row accessors: a ``for`` loop
 # that calls ``.neighbors(`` / ``.edge_weights(`` is one numpy call (and a
 # fresh view, and numpy scalars) per vertex — 88 % of a 22 s partition
-# before the rewrite. Row-at-a-time helpers are the only exceptions. The
+# before the rewrite. There are no exceptions. The
 # multilevel partitioner's refinement goes further: it runs at every
 # level, so it may loop over rounds and over the k parts, never over
 # vertices.
@@ -222,7 +339,6 @@ LOOP_FREE_MODULES = (
     "src/repro/graph/csr.py",
     "src/repro/baselines/ml_centered.py",
 )
-ROW_LOOP_ALLOWED = {"iter_edges", "has_edge"}
 # ``MetisLikePartitioner._refine``: the rounds loop, and what its ``for``
 # loops may iterate over (both have at most ``num_parts`` items).
 REFINE_ROUNDS_LOOP = "while True"
@@ -233,13 +349,11 @@ REFINE_PART_LOOPS = {
 
 def _row_accessor_loops(path: Path) -> list[str]:
     """``function:line`` of every ``for`` loop (or comprehension) whose
-    body calls a row accessor, outside the allow-listed functions."""
+    body calls a row accessor."""
     offenders = []
     tree = ast.parse(path.read_text())
     for function in ast.walk(tree):
         if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if function.name in ROW_LOOP_ALLOWED:
             continue
         for loop in ast.walk(function):
             if not isinstance(loop, (ast.For, ast.While, ast.comprehension,
@@ -312,9 +426,6 @@ class TestSetupPathStaysLoopFree:
             "            pass\n"
             "def also_slow(graph):\n"
             "    return [graph.edge_weights(v).sum() for v in range(3)]\n"
-            "def has_edge(graph, v):\n"
-            "    for u in graph.neighbors(v):\n"
-            "        pass\n"
             "def fine(graph):\n"
             "    return graph.neighbors(0)\n"
         )
@@ -325,7 +436,8 @@ class TestSetupPathStaysLoopFree:
 # One compute-charging seam. Policies do not time themselves — the
 # transport times each ``respond``/``receive`` call and charges it by
 # frame kind — so no module under ``core/`` but the trainer (whose one
-# timer measures set-up) reads a clock. And the kernel op table exists
+# timer measures set-up) reads a clock, and neither do the model
+# backends. And the kernel op table exists
 # once, in ``engine/executor.py``: the multiprocess worker dispatches
 # through it instead of keeping a copy.
 # ----------------------------------------------------------------------
@@ -340,6 +452,7 @@ KERNEL_CALLS = {
 }
 CORE = REPO / "src" / "repro" / "core"
 EXECUTOR = REPO / "src" / "repro" / "engine" / "executor.py"
+BACKENDS = REPO / "src" / "repro" / "engine" / "backends.py"
 
 
 def _clock_reads(source: str) -> list[str]:
@@ -384,6 +497,12 @@ class TestOneComputeChargingSeam:
     def test_core_reads_no_clock(self, module):
         assert _clock_reads((CORE / module).read_text()) == []
 
+    def test_backends_read_no_clock(self):
+        # Sampling is ordinary compute: offline inside the trainer's
+        # set-up timer, online inside ``worker_compute``. No backend
+        # times (or discounts) itself.
+        assert _clock_reads(BACKENDS.read_text()) == []
+
     def test_the_clock_guard_sees_a_clock(self):
         sample = (
             "import time\n"
@@ -412,7 +531,6 @@ class TestOneComputeChargingSeam:
 # in ``engine/backends.py`` writes math only. GCN alone keeps its own
 # forward and eval kernels; nobody resets or reads caches of its own.
 # ----------------------------------------------------------------------
-BACKENDS = REPO / "src" / "repro" / "engine" / "backends.py"
 OWN_KERNELS = {"forward_layer", "eval_layer"}
 BASE_ONLY = {"begin_iteration", "final_logits", "backward_param_names"}
 
