@@ -3,7 +3,7 @@
 The paper positions bucket quantization against the classic ML
 compressors it cites: top-k sparsification [32], 1-bit quantization [31]
 (and float16 as the trivial option). This bench runs each codec as the
-*forward* halo compressor (backward stays raw so codecs are isolated)
+*forward* halo policy (backward stays raw so codecs are isolated)
 and reports accuracy/traffic — evidence for why a value-domain bucket
 scheme suits embeddings, whose information is dense across coordinates,
 better than sparsification.
@@ -15,9 +15,8 @@ from _helpers import HIDDEN, bench_graph, dataset_header, fmt_bytes, run_once
 
 from repro.analysis.reporting import format_table
 from repro.cluster.topology import ClusterSpec
-from repro.compression import Float16Codec, OneBitCodec, TopKCodec
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.policies import CodecPolicy
+from repro.core.policies import Float16Policy, OneBitPolicy, TopKPolicy
 from repro.core.trainer import ECGraphTrainer
 
 DATASET = "reddit"
@@ -47,11 +46,11 @@ def _experiment():
             fp_mode="reqec", bp_mode="raw", fp_bits=2,
             adaptive_bits=False,
         )),
-        _run("float16", fp_policy=CodecPolicy(Float16Codec())),
+        _run("float16", fp_policy=Float16Policy()),
         # k=2 of the 16 hidden dims ~= 1 byte/dim: the same
         # budget class as 8-bit buckets, far above 2-bit buckets.
-        _run("topk-2", fp_policy=CodecPolicy(TopKCodec(k=2))),
-        _run("onebit", fp_policy=CodecPolicy(OneBitCodec())),
+        _run("topk-2", fp_policy=TopKPolicy(k=2)),
+        _run("onebit", fp_policy=OneBitPolicy()),
     ]
 
 

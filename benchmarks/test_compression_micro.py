@@ -2,9 +2,9 @@
 
 Classic pytest-benchmark timing (multiple rounds) for the quantizer
 kernels that sit on EC-Graph's critical path, plus a size table comparing
-every codec at a representative embedding-matrix shape. Not a paper
-table, but the numbers explain the codec_speedup substitution documented
-in DESIGN.md.
+every message policy at a representative embedding-matrix shape. Not a
+paper table, but the numbers explain the ``CODEC_SPEEDUP`` substitution
+documented in DESIGN.md.
 """
 
 from __future__ import annotations
@@ -13,10 +13,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.reporting import format_table
-from repro.compression.codec import Float16Codec, IdentityCodec, QuantizingCodec
-from repro.compression.onebit import OneBitCodec
 from repro.compression.quantization import BucketQuantizer, pack_bits, unpack_bits
-from repro.compression.topk import TopKCodec
+from repro.core.messages import ChannelKey, RawPolicy
+from repro.core.policies import (
+    CompressPolicy,
+    Float16Policy,
+    OneBitPolicy,
+    TopKPolicy,
+)
 
 ROWS, DIM = 2048, 128
 
@@ -54,27 +58,27 @@ def test_pack_unpack_roundtrip_throughput(benchmark, matrix):
 
 
 def test_codec_size_table(benchmark, matrix):
-    codecs = [
-        IdentityCodec(),
-        Float16Codec(),
-        QuantizingCodec(bits=8),
-        QuantizingCodec(bits=2),
-        OneBitCodec(),
-        TopKCodec(k=16),
+    policies = [
+        RawPolicy(),
+        Float16Policy(),
+        CompressPolicy(bits=8),
+        CompressPolicy(bits=2),
+        OneBitPolicy(),
+        TopKPolicy(k=16),
     ]
+    key = ChannelKey(layer=1, responder=0, requester=1)
 
-    def encode_all():
-        return {codec.name: codec.encode(matrix) for codec in codecs}
+    def respond_all():
+        return {p.name: p.respond(key, matrix, 0).nbytes for p in policies}
 
-    encoded = benchmark(encode_all)
+    sizes = benchmark(respond_all)
     rows = []
-    for name, enc in encoded.items():
-        ratio = matrix.nbytes / enc.payload_bytes
-        rows.append([name, enc.payload_bytes, f"{ratio:.1f}x"])
+    for name, nbytes in sizes.items():
+        rows.append([name, nbytes, f"{matrix.nbytes / nbytes:.1f}x"])
     print()
     print(format_table(
-        ["codec", "bytes", "ratio"],
+        ["policy", "bytes", "ratio"],
         rows,
-        title=f"Codec sizes for a {ROWS}x{DIM} float32 embedding matrix",
+        title=f"Message sizes for a {ROWS}x{DIM} float32 embedding matrix",
     ))
-    assert encoded["quant2"].payload_bytes < encoded["quant8"].payload_bytes
+    assert sizes["compress2"] < sizes["compress8"]

@@ -70,9 +70,7 @@ def _make_pyg(graph, model, cluster, config, fanouts):
 
 def _make_distgnn(graph, model, cluster, config, fanouts):
     del fanouts
-    config = replace(
-        config, fp_mode="delayed", bp_mode="delayed", delayed_rounds=5
-    )
+    config = replace(config, fp_mode="delayed", bp_mode="delayed")
     return ECGraphTrainer(graph, model, cluster, config)
 
 

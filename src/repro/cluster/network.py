@@ -239,10 +239,6 @@ class TrafficMeter:
     def total_messages(self) -> int:
         return self._total_messages
 
-    def category_totals(self) -> dict[str, int]:
-        """Cumulative bytes per category since construction."""
-        return dict(self._category_bytes)
-
     def snapshot(self) -> TrafficSnapshot:
         """Freeze the cumulative totals (see :class:`TrafficSnapshot`).
 

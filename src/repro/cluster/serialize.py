@@ -10,7 +10,8 @@ the simulator honest about framing overhead: every frame carries a
 Supported payload kinds:
 
 * ``RAW``      — float32 matrix,
-* ``QUANT``    — bucket-quantized matrix (packed ids + table or bounds),
+* ``QUANT``    — bucket-quantized matrix (bucket table + packed ids; flag
+  bit 0 says the table is present and must be set),
 * ``EXACT``    — ReqEC-FP trend message (exact rows; flag bit 0 says the
   changing rate derives from the previously delivered snapshot),
 * ``SELECTOR`` — ReqEC-FP selector message (2-bit selector + quantized
@@ -113,22 +114,15 @@ def decode_raw(frame: bytes) -> np.ndarray:
 # QUANT
 # ----------------------------------------------------------------------
 def encode_quantized(quantized: QuantizedMatrix) -> bytes:
-    """Frame a bucket-quantized matrix.
-
-    ``table`` mode ships the bucket representatives explicitly (paper
-    Fig. 3); ``bounds`` mode ships only (lo, hi) and flags it so the
-    decoder rebuilds the midpoints.
-    """
+    """Frame a bucket-quantized matrix: the bucket representatives ship
+    explicitly (paper Fig. 3), announced by flag bit 0."""
     parts = [
         _pack_shape(quantized.shape),
         struct.pack("<Bff", quantized.bits, quantized.lo, quantized.hi),
+        quantized.bucket_values.astype(np.float32).tobytes(),
+        np.ascontiguousarray(quantized.packed).tobytes(),
     ]
-    flags = 0
-    if quantized.table_mode == "table":
-        flags = 1
-        parts.append(quantized.bucket_values.astype(np.float32).tobytes())
-    parts.append(np.ascontiguousarray(quantized.packed).tobytes())
-    return _frame(_KIND_QUANT, b"".join(parts), flags=flags)
+    return _frame(_KIND_QUANT, b"".join(parts), flags=1)
 
 
 def decode_quantized(frame: bytes) -> QuantizedMatrix:
@@ -136,11 +130,17 @@ def decode_quantized(frame: bytes) -> QuantizedMatrix:
 
     A corrupted frame (the fault-injection path flips wire bytes) must
     surface as a wire-format ``ValueError``, never as a bare numpy
-    buffer error: the bit width is range-checked, the bucket table must
-    be fully present, and the packed-id buffer must hold *exactly*
+    buffer error: the flags must be exactly bit 0 (bucket table
+    present), the bit width is range-checked, the bucket table must be
+    fully present, and the packed-id buffer must hold *exactly*
     ``ceil(shape_elements * bits / 8)`` bytes.
     """
     payload, flags = _unframe(frame, _KIND_QUANT)
+    if flags != 1:
+        raise ValueError(
+            f"QUANT frame flags 0x{flags:X}: bit 0 (bucket table) must be "
+            "the only one set"
+        )
     shape, offset = _unpack_shape(payload, 0)
     meta = struct.calcsize("<Bff")
     if len(payload) < offset + meta:
@@ -150,25 +150,15 @@ def decode_quantized(frame: bytes) -> QuantizedMatrix:
     if not 1 <= bits <= 16:
         raise ValueError(f"QUANT frame carries invalid bit width {bits}")
     buckets = 1 << bits
-    if flags & 1:
-        if len(payload) - offset < buckets * 4:
-            raise ValueError(
-                f"QUANT frame truncated: bucket table needs {buckets * 4} "
-                f"bytes, {len(payload) - offset} remain"
-            )
-        table = np.frombuffer(
-            payload, dtype=np.float32, count=buckets, offset=offset
-        ).copy()
-        offset += buckets * 4
-        mode = "table"
-    else:
-        # Rebuild midpoints from the bounds.
-        width = (hi - lo) / buckets if hi > lo else 0.0
-        if width > 0:
-            table = (lo + (np.arange(buckets) + 0.5) * width).astype(np.float32)
-        else:
-            table = np.full(buckets, lo, dtype=np.float32)
-        mode = "bounds"
+    if len(payload) - offset < buckets * 4:
+        raise ValueError(
+            f"QUANT frame truncated: bucket table needs {buckets * 4} "
+            f"bytes, {len(payload) - offset} remain"
+        )
+    table = np.frombuffer(
+        payload, dtype=np.float32, count=buckets, offset=offset
+    ).copy()
+    offset += buckets * 4
     expected = (_shape_elements(shape) * bits + 7) // 8
     remaining = len(payload) - offset
     if remaining != expected:
@@ -179,7 +169,7 @@ def decode_quantized(frame: bytes) -> QuantizedMatrix:
     packed = np.frombuffer(payload, dtype=np.uint8, offset=offset).copy()
     return QuantizedMatrix(
         shape=shape, bits=bits, packed=packed, lo=lo, hi=hi,
-        bucket_values=table, table_mode=mode,
+        bucket_values=table,
     )
 
 

@@ -1,15 +1,9 @@
-"""Message compression: the paper's B-bit bucket quantization plus the
-baseline codecs it is compared against (raw, float16, top-k, 1-bit).
+"""Message compression: the paper's B-bit bucket quantization.
+
+The baselines it is compared against (float16, top-k, 1-bit) are
+exchange policies in :mod:`repro.core.policies`.
 """
 
-from repro.compression.codec import (
-    Codec,
-    EncodedMatrix,
-    Float16Codec,
-    IdentityCodec,
-    QuantizingCodec,
-)
-from repro.compression.onebit import OneBitCodec
 from repro.compression.quantization import (
     SUPPORTED_BITS,
     BucketQuantizer,
@@ -18,15 +12,8 @@ from repro.compression.quantization import (
     unpack_bits,
 )
 from repro.compression.stats import CompressionReport, compression_report
-from repro.compression.topk import TopKCodec
 
 __all__ = [
-    "Codec",
-    "EncodedMatrix",
-    "Float16Codec",
-    "IdentityCodec",
-    "QuantizingCodec",
-    "OneBitCodec",
     "SUPPORTED_BITS",
     "BucketQuantizer",
     "QuantizedMatrix",
@@ -34,5 +21,4 @@ __all__ = [
     "unpack_bits",
     "CompressionReport",
     "compression_report",
-    "TopKCodec",
 ]

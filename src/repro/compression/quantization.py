@@ -8,13 +8,9 @@ values so the requesting end can decode. Bucket ids are bit-packed, so a
 ``B d + 2^B * 32`` bits (the table cost amortizes over the vertices in a
 message, as the paper notes).
 
-Two table modes are provided:
-
-* ``"table"`` (paper-faithful): the responder ships the ``2^B``
-  representative values explicitly, exactly as Fig. 3 describes;
-* ``"bounds"``: only ``(lo, hi)`` are shipped and the requester derives
-  the midpoints — an obvious engineering refinement used by the
-  ablation benchmarks.
+The responder ships the ``2^B`` representative values explicitly,
+exactly as Fig. 3 describes; that table is the one wire format (the
+requester never rebuilds midpoints from ``(lo, hi)``).
 
 The codec touches every element the minimum number of times at the
 minimum width. Bucket ids are born narrow (``uint8`` up to 8 bits,
@@ -298,7 +294,6 @@ class QuantizedMatrix:
         packed: Bit-packed bucket ids (uint8 buffer).
         lo / hi: Value-domain bounds used by the quantizer.
         bucket_values: ``(2^B,)`` representative values (bucket midpoints).
-        table_mode: ``"table"`` or ``"bounds"`` — what actually travels.
     """
 
     shape: tuple[int, ...]
@@ -307,7 +302,6 @@ class QuantizedMatrix:
     lo: float
     hi: float
     bucket_values: np.ndarray
-    table_mode: str = "table"
 
     @property
     def num_elements(self) -> int:
@@ -337,13 +331,10 @@ class QuantizedMatrix:
 
         Matches :mod:`repro.cluster.serialize` exactly: a 16-byte frame
         header, an 8-byte shape, 9 bytes of bits/lo/hi metadata, the
-        packed ids, and — in ``table`` mode — the ``2^B`` float32 bucket
-        representatives (``bounds`` mode derives them from lo/hi).
+        ``2^B`` float32 bucket representatives and the packed ids.
         """
         header = MATRIX_PREFIX_BYTES + 9  # frame + shape + (bits, lo, hi)
-        ids = self.packed.size
-        table = self.bucket_values.size * 4 if self.table_mode == "table" else 0
-        return header + ids + table
+        return header + self.bucket_values.size * 4 + self.packed.size
 
 
 class BucketQuantizer:
@@ -356,15 +347,12 @@ class BucketQuantizer:
     given, which covers both uses.
     """
 
-    def __init__(self, bits: int, table_mode: str = "table"):
+    def __init__(self, bits: int):
         if bits not in SUPPORTED_BITS:
             raise ValueError(
                 f"bits must be one of {SUPPORTED_BITS}, got {bits}"
             )
-        if table_mode not in ("table", "bounds"):
-            raise ValueError(f"unknown table_mode {table_mode!r}")
         self.bits = bits
-        self.table_mode = table_mode
 
     @property
     def num_buckets(self) -> int:
@@ -463,7 +451,6 @@ class BucketQuantizer:
             lo=domain_lo,
             hi=domain_hi,
             bucket_values=reps,
-            table_mode=self.table_mode,
         )
 
     def from_ids(
@@ -487,7 +474,6 @@ class BucketQuantizer:
             lo=lo,
             hi=hi,
             bucket_values=reps,
-            table_mode=self.table_mode,
         )
 
     def quantize(self, matrix: np.ndarray, **kwargs) -> np.ndarray:

@@ -16,7 +16,13 @@ from repro.core.checkpoint import (
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.messages import ChannelKey, ChannelMessage, RawPolicy, ReceiveResult
 from repro.core.models import GNNParameters, build_parameters
-from repro.core.policies import CodecPolicy, CompressPolicy, DelayedPolicy
+from repro.core.policies import (
+    CompressPolicy,
+    DelayedPolicy,
+    Float16Policy,
+    OneBitPolicy,
+    TopKPolicy,
+)
 from repro.core.reqec_fp import (
     SELECT_AVERAGE,
     SELECT_COMPRESSED,
@@ -40,9 +46,11 @@ __all__ = [
     "ReceiveResult",
     "GNNParameters",
     "build_parameters",
-    "CodecPolicy",
     "CompressPolicy",
     "DelayedPolicy",
+    "Float16Policy",
+    "OneBitPolicy",
+    "TopKPolicy",
     "SELECT_AVERAGE",
     "SELECT_COMPRESSED",
     "SELECT_PREDICTED",

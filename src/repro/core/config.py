@@ -19,7 +19,6 @@ _FP_MODES = ("raw", "compress", "reqec", "delayed")
 _BP_MODES = ("raw", "compress", "resec", "delayed")
 _GRANULARITIES = ("vertex", "matrix", "element")
 _EXECUTION_MODES = ("sync", "multiprocess")
-_TABLE_MODES = ("table", "bounds")
 
 
 @dataclass(frozen=True)
@@ -85,19 +84,13 @@ class ECGraphConfig:
             ``element``.
         tuner_raise / tuner_lower: Bit-Tuner thresholds on the predicted
             proportion (paper: 0.6 / 0.4).
-        delayed_rounds: ``r`` for the delayed modes (DistGNN uses 5).
         cache_first_hop: Cache remote 1-hop neighbour *features* at setup
             (the paper's first basic optimization).
         transform_first: Compute ``X W`` before aggregating when the input
             dimension exceeds the output (the paper's second basic
             optimization, borrowed from DGL).
-        table_mode: ``table`` ships bucket values explicitly (paper), or
-            ``bounds`` ships only (lo, hi).
         learning_rate / optimizer: Server-side optimizer settings.
         weight_decay: L2 regularization applied by the servers.
-        codec_speedup: Divide the measured wall time of policy calls on
-            ``quant``/``selector`` frames by this factor to emulate the
-            paper's C++ compression kernels (see docs/simulation.md).
         execution: ``"sync"`` runs every worker inline in this process
             (the historical simulation); ``"multiprocess"`` runs worker
             kernels in real OS processes over shared-memory embedding /
@@ -121,14 +114,11 @@ class ECGraphConfig:
     selector_granularity: str = "vertex"
     tuner_raise: float = DEFAULT_RAISE_THRESHOLD
     tuner_lower: float = DEFAULT_LOWER_THRESHOLD
-    delayed_rounds: int = 5
     cache_first_hop: bool = True
     transform_first: bool = True
-    table_mode: str = "table"
     learning_rate: float = 0.01
     optimizer: str = "adam"
     weight_decay: float = 0.0
-    codec_speedup: float = 20.0
     execution: str = "sync"
     seed: int = 0
     obs: ObsConfig = OBS_DISABLED
@@ -149,12 +139,8 @@ class ECGraphConfig:
             )
         if self.trend_period < 2:
             raise ValueError("trend_period must be >= 2")
-        if self.delayed_rounds < 1:
-            raise ValueError("delayed_rounds must be >= 1")
         if not 0.0 <= self.tuner_lower < self.tuner_raise <= 1.0:
             raise ValueError("need 0 <= tuner_lower < tuner_raise <= 1")
-        if self.table_mode not in _TABLE_MODES:
-            raise ValueError(f"table_mode must be one of {_TABLE_MODES}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.optimizer not in OPTIMIZER_NAMES:
@@ -164,8 +150,6 @@ class ECGraphConfig:
             )
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        if self.codec_speedup <= 0:
-            raise ValueError("codec_speedup must be positive")
         if self.execution not in _EXECUTION_MODES:
             raise ValueError(f"execution must be one of {_EXECUTION_MODES}")
         if self.execution == "multiprocess" and self.faults.elastic:

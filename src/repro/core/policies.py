@@ -1,21 +1,31 @@
-"""Baseline halo-exchange policies: plain compression and delayed
-aggregation.
+"""Baseline halo-exchange policies: plain compression, the compression
+baselines the paper cites, and delayed aggregation.
 
 ``CompressPolicy`` is the paper's ``Cp-fp``/``Cp-bp`` configuration —
-bucket quantization with *no* compensation. ``DelayedPolicy`` reproduces
-DistGNN's *delayed remote partial aggregation*: only one of ``r``
-round-robin blocks of each channel is refreshed per iteration; the
-requester aggregates stale rows for the rest, trading staleness for
-traffic.
+bucket quantization with *no* compensation. ``Float16Policy``,
+``TopKPolicy`` [32] and ``OneBitPolicy`` [31] are the classic
+compressors bucket quantization is positioned against; the
+codec-comparison benchmark injects them through the trainer's
+``fp_policy``/``bp_policy``. ``DelayedPolicy`` reproduces DistGNN's
+*delayed remote partial aggregation*: only one of ``r`` round-robin
+blocks of each channel is refreshed per iteration; the requester
+aggregates stale rows for the rest, trading staleness for traffic.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.compression.quantization import MATRIX_PREFIX_BYTES, BucketQuantizer
+from repro.compression.quantization import (
+    MATRIX_PREFIX_BYTES,
+    BucketQuantizer,
+    pack_bits,
+    unpack_bits,
+)
 from repro.core.messages import (
     ChannelKey,
     ChannelMessage,
@@ -30,7 +40,9 @@ if TYPE_CHECKING:
 __all__ = [
     "CompressPolicy",
     "DelayedPolicy",
-    "CodecPolicy",
+    "Float16Policy",
+    "TopKPolicy",
+    "OneBitPolicy",
     "make_exchange_policy",
 ]
 
@@ -53,7 +65,7 @@ def make_exchange_policy(
         if mode == "raw":
             return RawPolicy()
         if mode == "compress":
-            return CompressPolicy(config.fp_bits, config.table_mode)
+            return CompressPolicy(config.fp_bits)
         if mode == "reqec":
             if tuner is None:
                 raise ValueError("reqec forward policy requires a BitTuner")
@@ -61,26 +73,25 @@ def make_exchange_policy(
                 tuner,
                 trend_period=config.trend_period,
                 granularity=config.selector_granularity,
-                table_mode=config.table_mode,
             )
-        return DelayedPolicy(config.delayed_rounds)
+        return DelayedPolicy()
     if direction == "bp":
         mode = config.bp_mode
         if mode == "raw":
             return RawPolicy()
         if mode == "compress":
-            return CompressPolicy(config.bp_bits, config.table_mode)
+            return CompressPolicy(config.bp_bits)
         if mode == "resec":
-            return ResECPolicy(config.bp_bits, config.table_mode)
-        return DelayedPolicy(config.delayed_rounds)
+            return ResECPolicy(config.bp_bits)
+        return DelayedPolicy()
     raise ValueError(f"unknown exchange direction {direction!r}")
 
 
 class CompressPolicy(ExchangePolicy):
     """Bucket-quantize every message; no error compensation."""
 
-    def __init__(self, bits: int, table_mode: str = "table"):
-        self._quantizer = BucketQuantizer(bits, table_mode)
+    def __init__(self, bits: int):
+        self._quantizer = BucketQuantizer(bits)
 
     @property
     def name(self) -> str:
@@ -112,22 +123,18 @@ class CompressPolicy(ExchangePolicy):
         return ReceiveResult(rows=message.payload.decode())
 
 
-class CodecPolicy(ExchangePolicy):
-    """Adapt any :class:`repro.compression.codec.Codec` into an exchange
-    policy.
+@dataclass
+class Float16Payload:
+    """Half-precision rows. Not a bare array, so the transport meters the
+    frame as codec work (``quant``) rather than a raw copy."""
 
-    Lets the baseline compressors the paper cites — top-k sparsification
-    [32], 1-bit quantization [31], float16 — drive the halo exchange so
-    the codec-comparison benchmark can pit them against bucket
-    quantization on equal footing.
-    """
+    rows: np.ndarray
 
-    def __init__(self, codec):
-        self._codec = codec
 
-    @property
-    def name(self) -> str:
-        return f"codec:{self._codec.name}"
+class Float16Policy(ExchangePolicy):
+    """Half-precision truncation — a simple 2x lossy baseline."""
+
+    name = "float16"
 
     def respond(
         self,
@@ -136,9 +143,11 @@ class CodecPolicy(ExchangePolicy):
         t: int,
         rows_idx: np.ndarray | None = None,
     ) -> ChannelMessage:
-        encoded = self._codec.encode(np.ascontiguousarray(rows,
-                                                          dtype=np.float32))
-        return ChannelMessage(payload=encoded, nbytes=encoded.payload_bytes)
+        data = np.ascontiguousarray(rows, dtype=np.float16)
+        return ChannelMessage(
+            payload=Float16Payload(data),
+            nbytes=MATRIX_PREFIX_BYTES + data.nbytes,
+        )
 
     def receive(
         self,
@@ -147,7 +156,123 @@ class CodecPolicy(ExchangePolicy):
         t: int,
         rows_idx: np.ndarray | None = None,
     ) -> ReceiveResult:
-        return ReceiveResult(rows=self._codec.decode(message.payload))
+        return ReceiveResult(rows=message.payload.rows.astype(np.float32))
+
+
+@dataclass
+class TopKPayload:
+    """Sparse rows: per-row column indices and values."""
+
+    shape: tuple[int, int]
+    indices: np.ndarray  # (rows, k) int32
+    values: np.ndarray  # (rows, k) float32
+
+
+class TopKPolicy(ExchangePolicy):
+    """Per-row top-k magnitude sparsification (Stich et al., the paper's
+    reference [32]): ships ``(column index, value)`` pairs of the ``k``
+    largest-magnitude entries of each row."""
+
+    def __init__(self, k: int):
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        self.k = k
+
+    @property
+    def name(self) -> str:
+        return f"topk{self.k}"
+
+    def respond(
+        self,
+        key: ChannelKey,
+        rows: np.ndarray,
+        t: int,
+        rows_idx: np.ndarray | None = None,
+    ) -> ChannelMessage:
+        data = np.ascontiguousarray(rows, dtype=np.float32)
+        if data.ndim != 2:
+            raise ValueError("TopKPolicy expects a 2-D matrix")
+        num_rows, cols = data.shape
+        k = min(self.k, cols)
+        if k == cols:
+            indices = np.tile(np.arange(cols, dtype=np.int32), (num_rows, 1))
+            values = data.copy()
+        else:
+            # argpartition gives the k largest |values| per row in O(cols).
+            part = np.argpartition(-np.abs(data), k - 1, axis=1)[:, :k]
+            indices = np.sort(part, axis=1).astype(np.int32)
+            values = np.take_along_axis(data, indices, axis=1)
+        # Each kept entry travels as (int32 index, float32 value).
+        return ChannelMessage(
+            payload=TopKPayload(data.shape, indices, values),
+            nbytes=MATRIX_PREFIX_BYTES + indices.nbytes + values.nbytes,
+        )
+
+    def receive(
+        self,
+        key: ChannelKey,
+        message: ChannelMessage,
+        t: int,
+        rows_idx: np.ndarray | None = None,
+    ) -> ReceiveResult:
+        payload = message.payload
+        out = np.zeros(payload.shape, dtype=np.float32)
+        row_ids = np.arange(payload.shape[0])[:, None]
+        out[row_ids, payload.indices] = payload.values
+        return ReceiveResult(rows=out)
+
+
+@dataclass
+class OneBitPayload:
+    """Sign bits plus the two reconstruction magnitudes."""
+
+    shape: tuple[int, ...]
+    packed_signs: np.ndarray
+    positive_mean: float
+    negative_mean: float
+
+
+class OneBitPolicy(ExchangePolicy):
+    """1-bit quantization (Seide et al., the paper's reference [31]).
+
+    Each element is reduced to its sign; the requester scales signs by
+    the mean magnitude of the positive and negative halves respectively,
+    the standard reconstruction for 1-bit SGD.
+    """
+
+    name = "onebit"
+
+    def respond(
+        self,
+        key: ChannelKey,
+        rows: np.ndarray,
+        t: int,
+        rows_idx: np.ndarray | None = None,
+    ) -> ChannelMessage:
+        data = np.ascontiguousarray(rows, dtype=np.float32)
+        flat = data.ravel()
+        positive = flat >= 0
+        pos_mean = float(flat[positive].mean()) if positive.any() else 0.0
+        neg_mean = float(flat[~positive].mean()) if (~positive).any() else 0.0
+        packed = pack_bits(positive.astype(np.uint32), 1)
+        # frame + shape + sign bits + two float32 means
+        return ChannelMessage(
+            payload=OneBitPayload(data.shape, packed, pos_mean, neg_mean),
+            nbytes=MATRIX_PREFIX_BYTES + packed.size + 8,
+        )
+
+    def receive(
+        self,
+        key: ChannelKey,
+        message: ChannelMessage,
+        t: int,
+        rows_idx: np.ndarray | None = None,
+    ) -> ReceiveResult:
+        payload = message.payload
+        count = math.prod(payload.shape)
+        signs = unpack_bits(payload.packed_signs, 1, count).astype(bool)
+        out = np.where(signs, payload.positive_mean, payload.negative_mean)
+        return ReceiveResult(rows=out.reshape(payload.shape).astype(np.float32))
 
 
 class DelayedPolicy(ExchangePolicy):
@@ -156,10 +281,10 @@ class DelayedPolicy(ExchangePolicy):
     Channel state lives on the requesting end: a cache of the last rows
     received per channel vertex. Iteration ``t`` refreshes only the block
     of vertices with ``index % r == t % r`` (raw floats); iteration 0
-    ships everything so the cache starts exact.
+    ships everything so the cache starts exact. DistGNN uses ``r = 5``.
     """
 
-    def __init__(self, rounds: int):
+    def __init__(self, rounds: int = 5):
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
         self.rounds = rounds

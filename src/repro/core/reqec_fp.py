@@ -64,14 +64,12 @@ class ReqECPolicy(ExchangePolicy):
         tuner: BitTuner,
         trend_period: int = 10,
         granularity: str = "vertex",
-        table_mode: str = "table",
     ):
         if granularity not in ("vertex", "matrix", "element"):
             raise ValueError(f"unknown granularity {granularity!r}")
         self.tuner = tuner
         self.trend_period = trend_period
         self.granularity = granularity
-        self.table_mode = table_mode
         self._responder_trend: dict[ChannelKey, TrendState] = {}
         self._requester_trend: dict[ChannelKey, TrendState] = {}
         self._quantizers: dict[int, BucketQuantizer] = {}
@@ -82,7 +80,7 @@ class ReqECPolicy(ExchangePolicy):
 
     def _quantizer(self, bits: int) -> BucketQuantizer:
         if bits not in self._quantizers:
-            self._quantizers[bits] = BucketQuantizer(bits, self.table_mode)
+            self._quantizers[bits] = BucketQuantizer(bits)
         return self._quantizers[bits]
 
     def _is_boundary(self, t: int) -> bool:

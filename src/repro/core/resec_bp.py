@@ -33,8 +33,8 @@ __all__ = ["ResECPolicy"]
 class ResECPolicy(ExchangePolicy):
     """Backward-pass exchange with responding-end error feedback."""
 
-    def __init__(self, bits: int, table_mode: str = "table"):
-        self._quantizer = BucketQuantizer(bits, table_mode)
+    def __init__(self, bits: int):
+        self._quantizer = BucketQuantizer(bits)
         self._residual: dict[ChannelKey, np.ndarray] = {}
 
     @property

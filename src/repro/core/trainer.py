@@ -92,7 +92,7 @@ class ECGraphTrainer:
         partition: Pre-computed partition (reused across benchmark runs).
         fp_policy / bp_policy: Explicit exchange-policy objects that
             override the config's ``fp_mode``/``bp_mode`` (used to plug
-            in baseline codecs via :class:`~repro.core.policies.CodecPolicy`).
+            in the baseline compressors of :mod:`repro.core.policies`).
         backend: Explicit architecture object for the models whose
             constructors carry values — ``GATBackend(num_heads=...)``,
             ``SampledGCNBackend(fanouts, online)``;
@@ -198,9 +198,7 @@ class ECGraphTrainer:
             self._fp_policy = make_exchange_policy("fp", self.config, self.tuner)
         if not self._bp_policy_override:
             self._bp_policy = make_exchange_policy("bp", self.config)
-        self.transport = HaloTransport(
-            self.runtime, self.workers, self.config.codec_speedup
-        )
+        self.transport = HaloTransport(self.runtime, self.workers)
         if self.config.faults.enabled:
             self._injector = FaultInjector(self.config.faults)
             self.runtime.fault_injector = self._injector

@@ -200,9 +200,7 @@ class EvalStage(Stage):
         ctx, backend = self.ctx, self.backend
         ws = ctx.workspaces
         scratch_runtime = ClusterRuntime(ctx.spec)
-        scratch_transport = HaloTransport(
-            scratch_runtime, ctx.workers, ctx.config.codec_speedup
-        )
+        scratch_transport = HaloTransport(scratch_runtime, ctx.workers)
         raw = RawPolicy()
         num_layers = ctx.params.num_layers
 

@@ -53,9 +53,12 @@ __all__ = ["ChannelSession", "HaloTransport"]
 
 _TAGGED_KINDS = {"exact": "exact", "cps": "selector", "cps_only": "quant"}
 # Frame kinds whose policy calls are codec work (quantization, selector
-# scoring and reconstruction): charged at 1 / codec_speedup of their wall
-# time. ``exact`` and ``raw`` calls are copies, charged as measured.
+# scoring and reconstruction): charged at 1 / CODEC_SPEEDUP of their wall
+# time, emulating the paper's C++ compression kernels (see
+# docs/simulation.md). ``exact`` and ``raw`` calls are copies, charged
+# as measured.
 _CODEC_KINDS = frozenset({"quant", "selector"})
+CODEC_SPEEDUP = 20.0
 
 
 def _wire_kind(payload: object) -> str:
@@ -124,13 +127,9 @@ class HaloTransport:
         self,
         runtime: ClusterRuntime,
         workers: list[WorkerState],
-        codec_speedup: float = 20.0,
     ) -> None:
-        if codec_speedup <= 0:
-            raise ValueError("codec_speedup must be positive")
         self.runtime = runtime
         self.workers = workers
-        self.codec_speedup = codec_speedup
         self.telemetry = runtime.telemetry
         # FaultInjector, attached by the trainer when faults are
         # enabled; None keeps the exchange loop on the fault-free path.
@@ -570,8 +569,8 @@ class HaloTransport:
     # ------------------------------------------------------------------
     def _charge_call(self, worker: int, wall_seconds: float, kind: str) -> None:
         """Charge one ``respond``/``receive`` call to ``worker``'s compute
-        clock: codec frames (:data:`_CODEC_KINDS`) at ``1 / codec_speedup``
+        clock: codec frames (:data:`_CODEC_KINDS`) at ``1 / CODEC_SPEEDUP``
         of the measured wall time, every other frame at face value."""
         if kind in _CODEC_KINDS:
-            wall_seconds /= self.codec_speedup
+            wall_seconds /= CODEC_SPEEDUP
         self.runtime.add_compute(worker, wall_seconds)

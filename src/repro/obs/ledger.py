@@ -99,15 +99,6 @@ class LedgerSnapshot:
 
     channels: tuple[tuple[LedgerKey, ChannelRecord], ...] = ()
 
-    def direction_bytes(self, direction: str) -> int:
-        """Metered bytes over all of one direction's channels — the
-        quantity that reconciles against the TrafficMeter category."""
-        return sum(
-            record.metered_bytes
-            for (_, _, _, d), record in self.channels
-            if d == direction
-        )
-
     def direction_totals(self) -> dict[str, dict]:
         """``direction -> aggregate record fields`` over its channels."""
         out: dict[str, dict] = {}
@@ -216,13 +207,6 @@ class ChannelLedger:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def direction_bytes(self, direction: str) -> int:
-        return sum(
-            record.metered_bytes
-            for (_, _, _, d), record in self._records.items()
-            if d == direction
-        )
-
     def snapshot(self) -> LedgerSnapshot:
         """Freeze the ledger (records are copied, keys sorted)."""
         return LedgerSnapshot(
@@ -252,9 +236,6 @@ class NullChannelLedger:
 
     def record_degraded(self, key, category, kind):
         pass
-
-    def direction_bytes(self, direction: str) -> int:
-        return 0
 
     def snapshot(self) -> LedgerSnapshot:
         return LedgerSnapshot()

@@ -99,7 +99,7 @@ class TestTrafficMeter:
         meter.reset_epoch()
         assert meter.epoch_bytes() == 0
         assert meter.total_bytes == 77
-        assert meter.category_totals() == {"x": 77}
+        assert meter.snapshot().category_bytes == {"x": 77}
 
     def test_negative_bytes_rejected(self):
         meter = TrafficMeter()
@@ -164,5 +164,5 @@ class TestTrafficSnapshot:
         meter.reset()
         assert meter.total_bytes == 0
         assert meter.total_messages == 0
-        assert meter.category_totals() == {}
+        assert meter.snapshot().category_bytes == {}
         assert meter.epoch_bytes() == 0

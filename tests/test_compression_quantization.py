@@ -115,13 +115,6 @@ class TestBucketQuantizer:
             encoded = BucketQuantizer(bits).encode(x)
             assert encoded.payload_bytes() < x.nbytes
 
-    def test_bounds_mode_smaller_than_table_mode(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((50, 32)).astype(np.float32)
-        table = BucketQuantizer(8, "table").encode(x)
-        bounds = BucketQuantizer(8, "bounds").encode(x)
-        assert bounds.payload_bytes() < table.payload_bytes()
-
     @given(
         x=arrays(
             np.float32,

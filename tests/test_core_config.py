@@ -1,5 +1,7 @@
 """Unit tests for configuration objects."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import ECGraphConfig, ModelConfig
@@ -39,13 +41,21 @@ class TestECGraphConfig:
         {"bp_mode": "zip"},
         {"selector_granularity": "edge"},
         {"trend_period": 1},
-        {"delayed_rounds": 0},
         {"tuner_raise": 0.3, "tuner_lower": 0.4},
-        {"codec_speedup": 0.0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ECGraphConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name", ["table_mode", "codec_speedup", "delayed_rounds"]
+    )
+    def test_retired_knob_is_gone(self, name):
+        with pytest.raises(TypeError):
+            ECGraphConfig(**{name: 1})
+
+    def test_field_count(self):
+        assert len(dataclasses.fields(ECGraphConfig)) == 18
 
     def test_presets(self):
         base = ECGraphConfig()

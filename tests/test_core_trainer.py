@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
+from repro.core.policies import DelayedPolicy
 from repro.core.trainer import ECGraphTrainer
 
 
@@ -105,7 +106,6 @@ class TestTrafficAccounting:
             config = ECGraphConfig(
                 fp_mode="compress", bp_mode="compress",
                 fp_bits=bits, bp_bits=bits, adaptive_bits=False,
-                table_mode="bounds",
             )
             _, runs[bits] = _train(small_graph, 3, config)
         assert runs[1].total_bytes() < runs[8].total_bytes()
@@ -241,17 +241,30 @@ class TestPreprocessingSeconds:
 
 class TestDelayedMode:
     def test_distgnn_mode_trains(self, small_graph):
-        config = ECGraphConfig(
-            fp_mode="delayed", bp_mode="delayed", delayed_rounds=3
-        )
-        _, run = _train(small_graph, 3, config, epochs=40)
+        run = ECGraphTrainer(
+            small_graph, ModelConfig(num_layers=2, hidden_dim=8),
+            ClusterSpec(num_workers=3),
+            ECGraphConfig(fp_mode="delayed", bp_mode="delayed"),
+            fp_policy=DelayedPolicy(3), bp_policy=DelayedPolicy(3),
+        ).train(40)
         assert run.best_test_accuracy() > 0.6
+
+    def test_delayed_mode_refreshes_one_block_in_five(self, small_graph):
+        trainer = ECGraphTrainer(
+            small_graph, ModelConfig(num_layers=2, hidden_dim=8),
+            ClusterSpec(num_workers=3),
+            ECGraphConfig(fp_mode="delayed", bp_mode="delayed"),
+        )
+        trainer.setup()
+        assert trainer._fp_policy.name == trainer._bp_policy.name == "delayed5"
+
+    def test_rounds_must_be_positive(self):
+        with pytest.raises(ValueError):
+            DelayedPolicy(0)
 
     def test_delayed_less_traffic_than_raw(self, small_graph):
         raw = ECGraphConfig(fp_mode="raw", bp_mode="raw")
-        delayed = ECGraphConfig(
-            fp_mode="delayed", bp_mode="delayed", delayed_rounds=5
-        )
+        delayed = ECGraphConfig(fp_mode="delayed", bp_mode="delayed")
         _, raw_run = _train(small_graph, 3, raw, epochs=10)
         _, delayed_run = _train(small_graph, 3, delayed, epochs=10)
         assert delayed_run.total_bytes() < raw_run.total_bytes()

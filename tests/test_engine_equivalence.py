@@ -215,7 +215,7 @@ class TestStagedEngineBitIdentity:
         assert int(meter.total_bytes) == golden["total_bytes"]
         assert int(meter.total_messages) == golden["total_messages"]
         assert {
-            k: int(v) for k, v in sorted(meter.category_totals().items())
+            k: int(v) for k, v in sorted(meter.snapshot().category_bytes.items())
         } == golden["category_totals"]
 
         final = trainer.evaluate_exact()["test"]
@@ -250,7 +250,7 @@ class TestMultiprocessBitIdentity:
             assert int(meter.total_bytes) == golden["total_bytes"]
             assert int(meter.total_messages) == golden["total_messages"]
             assert {
-                k: int(v) for k, v in sorted(meter.category_totals().items())
+                k: int(v) for k, v in sorted(meter.snapshot().category_bytes.items())
             } == golden["category_totals"]
 
             final = trainer.evaluate_exact()["test"]
@@ -310,7 +310,7 @@ def _boundary_run(trainer):
     losses = [trainer.run_epoch(t).loss for t in range(BOUNDARY_EPOCHS)]
     meter = trainer.runtime.meter
     categories = {
-        k: int(v) for k, v in sorted(meter.category_totals().items())
+        k: int(v) for k, v in sorted(meter.snapshot().category_bytes.items())
     }
     return (
         [repr(float(x)) for x in losses],

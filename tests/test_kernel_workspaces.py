@@ -565,7 +565,7 @@ def _curve(trainer, epochs: int):
     return (
         [repr(x) for x in losses],
         int(meter.total_bytes),
-        {k: int(v) for k, v in sorted(meter.category_totals().items())},
+        {k: int(v) for k, v in sorted(meter.snapshot().category_bytes.items())},
     )
 
 

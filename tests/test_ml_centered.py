@@ -109,7 +109,7 @@ class TestCachedKHopBackend:
         assert run.preprocessing_seconds > 0
         trainer = _trainer(medium_graph, [25, 25])
         trainer.setup()
-        assert trainer.runtime.meter.category_totals()["lhop_pull"] > 0
+        assert trainer.runtime.meter.snapshot().category_bytes["lhop_pull"] > 0
 
     @pytest.mark.parametrize("system", ["agl", "aligraph"])
     def test_memory_and_mmap_bundles_train_identically(
@@ -162,8 +162,8 @@ class TestMatchesParentTrainer:
             [s.num_local for s in new.workers], parent.cached_vertex_counts()
         )
         assert_same_as_parent(
-            new.runtime.meter.category_totals()["lhop_pull"],
-            parent.runtime.meter.category_totals()["lhop_pull"],
+            new.runtime.meter.snapshot().category_bytes["lhop_pull"],
+            parent.runtime.meter.snapshot().category_bytes["lhop_pull"],
         )
 
     def test_sgd_losses_track_the_parent(self, bench_graph):
@@ -210,7 +210,7 @@ class TestEngineServices:
             medium_graph, MODEL, ClusterSpec(num_workers=4), config, None
         ) as trainer:
             trainer.train(12)
-        assert trainer.runtime.meter.category_totals()["recovery"] > 0
+        assert trainer.runtime.meter.snapshot().category_bytes["recovery"] > 0
         assert trainer.workers[trainer.membership_events[0]["worker"]].num_local == 0
 
     def test_report_runs_on_aligraph(self, tmp_path, capsys):

@@ -120,7 +120,7 @@ class TestMetricsMatchMeter:
         snap = run.telemetry.metrics
         assert snap.counter_total("comm_bytes") == meter.total_bytes
         assert snap.counter_total("comm_messages") == meter.total_messages
-        for category, nbytes in meter.category_totals().items():
+        for category, nbytes in meter.snapshot().category_bytes.items():
             assert snap.counter("comm_bytes", category=category) == nbytes
 
     def test_epoch_snapshots_sum_to_lifetime(self, instrumented_run):

@@ -105,14 +105,15 @@ class TestLedgerHooks:
         assert direction_of_category("bp_gradients") == "bp"
         assert direction_of_category("eval") == "eval"
 
-    def test_direction_bytes_split_by_direction(self):
+    def test_metered_bytes_split_by_direction(self):
         ledger = ChannelLedger()
         ledger.record_frame(KEY, "fp_embeddings", 100, metered=True)
         ledger.record_frame(KEY, "bp_gradients", 30, metered=True)
         ledger.record_frame(KEY, "fp_embeddings", 7, metered=False)
-        assert ledger.direction_bytes("fp") == 100  # metered only
-        assert ledger.direction_bytes("bp") == 30
-        assert ledger.direction_bytes("eval") == 0
+        totals = ledger.snapshot().direction_totals()
+        assert totals["fp"]["metered_bytes"] == 100  # metered only
+        assert totals["bp"]["metered_bytes"] == 30
+        assert "eval" not in totals
 
 
 class TestSnapshot:
@@ -136,9 +137,9 @@ class TestSnapshot:
     def test_snapshot_is_a_frozen_copy(self):
         ledger = self._populated()
         snap = ledger.snapshot()
-        before = snap.direction_bytes("fp")
+        before = snap.direction_totals()
         ledger.record_frame(KEY, "fp_embeddings", 999, metered=True)
-        assert snap.direction_bytes("fp") == before
+        assert snap.direction_totals() == before
 
     def test_top_channels_ranked_by_wire_bytes(self):
         snap = self._populated().snapshot()
@@ -150,7 +151,10 @@ class TestSnapshot:
         snap = self._populated().snapshot()
         totals = snap.direction_totals()
         assert totals["fp"]["channels"] == 4
-        assert totals["fp"]["metered_bytes"] == snap.direction_bytes("fp")
+        assert totals["fp"]["metered_bytes"] == sum(
+            10 * (layer + responder + 1)
+            for layer in (2, 1) for responder in (1, 0)
+        )
 
     def test_as_dict_keys_and_determinism(self):
         snap = self._populated().snapshot()
@@ -172,7 +176,7 @@ class TestNullLedger:
         ledger.record_rows(KEY, "fp_embeddings", 10, 160)
         ledger.record_degraded(KEY, "fp_embeddings", "zero")
         ledger.reset()
-        assert ledger.direction_bytes("fp") == 0
+        assert ledger.snapshot().direction_totals() == {}
         assert ledger.snapshot().channels == ()
 
     def test_shared_singleton(self):
@@ -272,15 +276,15 @@ class TestMeterReconciliation:
         trainer = _build_instrumented(name, golden_graph)
         for t in range(EPOCHS):
             trainer.run_epoch(t)
-        categories = trainer.runtime.meter.category_totals()
-        ledger = trainer.obs.ledger
-        assert ledger.direction_bytes("fp") == categories["fp_embeddings"]
-        assert ledger.direction_bytes("bp") == categories["bp_gradients"]
-        snap = ledger.snapshot()
+        categories = trainer.runtime.meter.snapshot().category_bytes
+        snap = trainer.obs.ledger.snapshot()
+        totals = snap.direction_totals()
+        assert totals["fp"]["metered_bytes"] == categories["fp_embeddings"]
+        assert totals["bp"]["metered_bytes"] == categories["bp_gradients"]
         for direction in ("fp", "bp"):
             # One machine per worker here, so wire == metered.
             assert sum(_kind_totals(snap, direction).values()) == (
-                ledger.direction_bytes(direction)
+                totals[direction]["metered_bytes"]
             )
         # The kind is the policy's payload tag, not a guess.
         fp, bp = _kind_totals(snap, "fp"), _kind_totals(snap, "bp")
@@ -309,7 +313,7 @@ class TestMeterReconciliation:
         try:
             for t in range(9):
                 trainer.run_epoch(t)
-            categories = trainer.runtime.meter.category_totals()
+            categories = trainer.runtime.meter.snapshot().category_bytes
             snap = trainer.obs.ledger.snapshot()
         finally:
             trainer.close()
@@ -349,12 +353,12 @@ class TestMeterReconciliation:
             ClusterSpec(num_workers=4, workers_per_machine=2), config,
         )
         trainer.train(3)
-        categories = trainer.runtime.meter.category_totals()
-        ledger = trainer.obs.ledger
-        assert ledger.direction_bytes("fp") == categories["fp_embeddings"]
-        assert ledger.direction_bytes("bp") == categories["bp_gradients"]
-        _kind_totals(ledger.snapshot(), "fp")  # retries keep kinds summing
-        totals = ledger.snapshot().direction_totals()
+        categories = trainer.runtime.meter.snapshot().category_bytes
+        snap = trainer.obs.ledger.snapshot()
+        totals = snap.direction_totals()
+        assert totals["fp"]["metered_bytes"] == categories["fp_embeddings"]
+        assert totals["bp"]["metered_bytes"] == categories["bp_gradients"]
+        _kind_totals(snap, "fp")  # retries keep kinds summing
         retries = sum(agg["retries"] for agg in totals.values())
         assert retries == trainer.fault_counters.retries
         assert retries > 0

@@ -92,6 +92,8 @@ RETIRED_NAMES = (
     "best_val_accuracy", "def best_epoch(", "def stage_names(",
     "compact_ids", "global_to_compact", "num_parameters", "def row_dim(",
     "def state_names(",
+    "EncodedMatrix", "IdentityCodec", "QuantizingCodec", "Float16Codec",
+    "OneBitCodec", "TopKCodec", "CodecPolicy", "table_mode",
 )
 CHECKPOINT = REPO / "src" / "repro" / "core" / "checkpoint.py"
 
@@ -155,14 +157,6 @@ class TestRetiredNamesStayGone:
 # ----------------------------------------------------------------------
 REFERENCE_ROOTS = ("src", "examples", "benchmarks", "bench")
 UNREFERENCED_ALLOWED = {
-    "TrafficMeter.category_totals":
-        "the goldens pin the meter's per-category byte split through it",
-    "LedgerSnapshot.direction_bytes":
-        "the ledger = TrafficMeter reconciliation tests read it",
-    "ChannelLedger.direction_bytes":
-        "the ledger = TrafficMeter reconciliation tests read it",
-    "NullChannelLedger.direction_bytes":
-        "the disabled twin keeps ChannelLedger's read surface",
     "GNNParameters.all_param_names":
         "the frozen parent trainer in tests/oracles/ml_centered.py calls it",
     "CSRGraph.neighbors":
@@ -663,13 +657,29 @@ class TestOneExchangePolicyBase:
         assert _policy_probes(sample) == ["getattr:2", "hasattr:3"]
 
     def test_every_policy_subclasses_the_base(self):
-        from repro.core import policies, reqec_fp, resec_bp
-        from repro.core.messages import ExchangePolicy, RawPolicy
+        """Every ``*Policy`` class defined anywhere in ``src/`` (found by
+        AST, so a new one cannot be left off a list) is an
+        ``ExchangePolicy``."""
+        import importlib
 
-        for cls in (RawPolicy, policies.CompressPolicy, policies.CodecPolicy,
-                    policies.DelayedPolicy, reqec_fp.ReqECPolicy,
-                    resec_bp.ResECPolicy):
-            assert issubclass(cls, ExchangePolicy), cls.__name__
+        from repro.core.messages import ExchangePolicy
+
+        found = {}
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            module = ".".join(path.relative_to(REPO / "src").with_suffix("").parts)
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef) and node.name.endswith("Policy"):
+                    found[node.name] = getattr(
+                        importlib.import_module(module), node.name
+                    )
+        assert found.pop("ExchangePolicy") is ExchangePolicy
+        assert {"RawPolicy", "CompressPolicy", "Float16Policy", "TopKPolicy",
+                "OneBitPolicy", "DelayedPolicy", "ReqECPolicy",
+                "ResECPolicy"} <= set(found)
+        assert [
+            name for name, cls in sorted(found.items())
+            if not issubclass(cls, ExchangePolicy)
+        ] == []
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from repro.cluster.engine import ClusterRuntime
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
+from repro.core.policies import DelayedPolicy
 from repro.core.trainer import ECGraphTrainer
 from repro.faults import FaultConfig, FaultInjector
 from repro.faults.chaos import run_chaos
@@ -144,10 +145,12 @@ class TestExtremeSettings:
         assert np.isfinite(run.epochs[-1].loss)
 
     def test_delay_longer_than_training(self, small_graph):
-        run = _train(
-            small_graph, workers=3, epochs=3,
-            fp_mode="delayed", bp_mode="delayed", delayed_rounds=50,
-        )
+        run = ECGraphTrainer(
+            small_graph, ModelConfig(num_layers=2, hidden_dim=4),
+            ClusterSpec(num_workers=3),
+            ECGraphConfig(fp_mode="delayed", bp_mode="delayed"),
+            fp_policy=DelayedPolicy(50), bp_policy=DelayedPolicy(50),
+        ).train(3)
         assert np.isfinite(run.epochs[-1].loss)
 
     def test_more_servers_than_parameters_rows(self, small_graph):
