@@ -6,10 +6,11 @@ Commands:
 * ``train``    — train one system on one dataset and print the run;
 * ``compare``  — train several systems on one dataset side by side;
 * ``partition`` — partition a dataset and print quality statistics;
-* ``report``   — run instrumented and write one self-contained epoch
-  report (stage timeline, bandwidth waterfall, compression frontier,
-  fault counters; HTML or markdown) next to the run's trace and metrics
-  exports (Chrome trace, span/metrics JSONL, Prometheus text);
+* ``report``   — run instrumented, print the epoch report (stage
+  timeline, bandwidth waterfall, compression frontier, fault counters,
+  ...) and write the same sections as one self-contained HTML or
+  markdown file next to the run's trace and metrics exports (Chrome
+  trace, span/metrics JSONL, Prometheus text);
 * ``chaos``    — train under an injected fault scenario and report how
   the tolerance machinery held up against the fault-free twin;
 * ``bench``    — the out-of-core tier: stream a million-vertex graph to
@@ -39,7 +40,7 @@ import subprocess
 import sys
 
 from repro.analysis.convergence import convergence_target, summarize
-from repro.analysis.reporting import format_table, telemetry_table
+from repro.analysis.reporting import format_table
 from repro.baselines import run_system, system_names
 from repro.core.checkpoint import CheckpointError
 from repro.core.config import ECGraphConfig
@@ -152,7 +153,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs.report import build_report, missing_stages, write_report
+    from repro.obs.report import (
+        build_report, missing_stages, render_text, write_report,
+    )
 
     if args.smoke:
         args.profile = "tiny"
@@ -176,53 +179,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     data = build_report(run)
     paths = write_report(run, out, args.format, data=data)
 
-    print(telemetry_table(run.telemetry))
-    health = run.telemetry.health
-    if health is not None:
-        fractions = ", ".join(
-            f"{name}={frac:.2f}"
-            for name, frac in sorted(health.candidate_fractions.items())
-        )
-        print(f"\nCompression health: {'OK' if health.ok else 'VIOLATIONS'}")
-        if fractions:
-            print(f"  candidate wins: {fractions}")
-        if health.bits_events:
-            print(f"  bit-width changes: {len(health.bits_events)}")
-        for violation in health.violations:
-            print(f"  VIOLATION: {violation}")
-    print()
-    stages = data["stages"]
-    rows = [
-        [stage,
-         agg["count"],
-         f"{agg['wall_seconds'] * 1e3:.2f}ms",
-         f"{agg['compute_seconds'] * 1e3:.2f}ms",
-         f"{agg['comm_seconds'] * 1e3:.2f}ms",
-         f"{agg['bytes_sent'] / 1e3:.1f}KB"]
-        for stage, agg in stages.items()
-    ]
-    if rows:
-        print(format_table(
-            ["stage", "runs", "wall", "modelled compute", "modelled comm",
-             "bytes"],
-            rows,
-            title=f"Stage timeline ({run.num_epochs} epochs, coverage "
-                  f"{(data['coverage'] or 0) * 100:.1f}%)",
-        ))
-    kind_rows = [
-        [direction, kind, agg["count"],
-         f"{agg['bytes_sent'] / agg['count'] / 1e3:.1f}KB",
-         f"{agg['comm_seconds'] / agg['count'] * 1e3:.2f}ms"]
-        for direction, stage in (("fp", "forward"), ("bp", "backward"))
-        for kind, totals in data["epoch_kinds"].items()
-        if (agg := totals.get(stage))
-    ]
-    if kind_rows:
-        print(format_table(
-            ["direction", "epoch kind", "epochs", "bytes/epoch", "comm/epoch"],
-            kind_rows, title="Regular vs trend-boundary epochs (modelled)",
-        ))
-    print(f"\nwrote {', '.join(str(path) for path in paths.values())}")
+    print(render_text(data))
+    print(f"wrote {', '.join(str(path) for path in paths.values())}")
     absent = missing_stages(data)
     if absent:
         print("FAIL: engine stages missing from the profile: "

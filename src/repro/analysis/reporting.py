@@ -13,7 +13,6 @@ __all__ = [
     "format_table",
     "format_series",
     "format_speedup",
-    "telemetry_table",
 ]
 
 
@@ -90,52 +89,3 @@ def format_speedup(base_seconds: float, other_seconds: float) -> str:
         return "n/a"
     return f"{other_seconds / base_seconds:.2f}x"
 
-
-def telemetry_table(report) -> str:
-    """Per-phase time/bytes table for an instrumented run.
-
-    ``report`` is a :class:`~repro.obs.TelemetryReport` (duck-typed via
-    ``phase_totals`` / ``metrics`` so this module stays importable
-    without the obs package loaded). Phases are ordered by total time,
-    largest first; a second section breaks inter-machine traffic down
-    per category from the lifetime metrics snapshot.
-    """
-    phase_rows = []
-    for name, (count, seconds) in sorted(
-        report.phase_totals.items(), key=lambda item: item[1][1], reverse=True
-    ):
-        mean_ms = 1e3 * seconds / count if count else 0.0
-        phase_rows.append([name, count, f"{seconds:.4f}", f"{mean_ms:.3f}"])
-    lines = [
-        format_table(
-            ["phase", "count", "seconds", "mean_ms"],
-            phase_rows,
-            title="Telemetry: wall time by phase (nested spans overlap)",
-        )
-    ]
-
-    snap = report.metrics
-    byte_totals = snap.counters_by_label("comm_bytes", "category")
-    if byte_totals:
-        message_totals = snap.counters_by_label("comm_messages", "category")
-        comm_rows = [
-            [category, int(nbytes), int(message_totals.get(category, 0))]
-            for category, nbytes in sorted(
-                byte_totals.items(), key=lambda item: item[1], reverse=True
-            )
-        ]
-        comm_rows.append(
-            [
-                "total",
-                int(sum(byte_totals.values())),
-                int(sum(message_totals.values())),
-            ]
-        )
-        lines.append(
-            format_table(
-                ["category", "bytes", "messages"],
-                comm_rows,
-                title="Telemetry: inter-machine traffic",
-            )
-        )
-    return "\n\n".join(lines)

@@ -35,12 +35,19 @@ from repro.core.messages import (
     ReceiveResult,
 )
 
-__all__ = ["TrendState", "ReqECPolicy", "SELECT_COMPRESSED",
-           "SELECT_PREDICTED", "SELECT_AVERAGE"]
+__all__ = ["TrendState", "ReqECPolicy", "is_trend_boundary",
+           "SELECT_COMPRESSED", "SELECT_PREDICTED", "SELECT_AVERAGE"]
 
 SELECT_COMPRESSED = 0
 SELECT_PREDICTED = 1
 SELECT_AVERAGE = 2
+
+
+def is_trend_boundary(t: int, trend_period: int | None) -> bool:
+    """Whether iteration ``t`` closes a trend group of ``trend_period``
+    iterations, i.e. ships exact rows. ``None`` (no ReqEC-FP) never does."""
+    return bool(trend_period) and (t + 1) % trend_period == 0
+
 
 @dataclass
 class TrendState:
@@ -83,9 +90,6 @@ class ReqECPolicy(ExchangePolicy):
             self._quantizers[bits] = BucketQuantizer(bits)
         return self._quantizers[bits]
 
-    def _is_boundary(self, t: int) -> bool:
-        return (t + 1) % self.trend_period == 0
-
     def _changing_rate(
         self, rows: np.ndarray, base: TrendState | None
     ) -> np.ndarray:
@@ -118,7 +122,7 @@ class ReqECPolicy(ExchangePolicy):
         rows = np.ascontiguousarray(rows, dtype=np.float32)
         state = self._responder_trend.get(key)
 
-        if self._is_boundary(t):
+        if is_trend_boundary(t, self.trend_period):
             # One snapshot serves the trend state of both ends and the
             # payload; read-only, so an in-place write raises instead of
             # corrupting the other end. ``has_base`` (frame flag bit 0):

@@ -38,6 +38,7 @@ from repro.core.bit_tuner import BitTuner
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.models import GNNParameters, build_parameters
 from repro.core.policies import make_exchange_policy
+from repro.core.reqec_fp import ReqECPolicy
 from repro.core.results import ConvergenceRun, EpochResult
 from repro.core.worker import WorkerState, fetch_halo_features
 from repro.engine import (
@@ -364,7 +365,11 @@ class ECGraphTrainer:
                 "bp_mode": self.config.bp_mode,
                 "fp_bits": self.config.fp_bits,
                 "bp_bits": self.config.bp_bits,
-                "trend_period": self.config.trend_period,
+                # The policy, not the config: ``fp_policy=`` may replace it.
+                "trend_period": (
+                    self._fp_policy.trend_period
+                    if isinstance(self._fp_policy, ReqECPolicy) else None
+                ),
                 "num_workers": self.spec.num_workers,
                 "dataset": self.graph.name,
                 "num_layers": self.model_config.num_layers,

@@ -2,31 +2,39 @@
 
 Takes one instrumented :class:`~repro.core.results.ConvergenceRun` and
 renders everything its :class:`~repro.obs.telemetry.TelemetryReport`
-collected into a single self-contained artifact:
+collected:
 
 * the **stage timeline** — per-stage wall/modelled time with critical
-  stage and straggler attribution (:mod:`repro.obs.profiler`);
+  stage and straggler attribution (:mod:`repro.obs.profiler`), and the
+  same stages split into regular and ReqEC-FP trend-boundary epochs;
+* the span **phase totals** and the per-category **traffic** counters;
 * the **bandwidth waterfall** — heaviest channels by wire bytes with
   effective bit-widths (:mod:`repro.obs.ledger`);
 * the **compression frontier** — ReqEC candidate-win fractions and the
   Bit-Tuner width trajectory (:mod:`repro.obs.health`);
-* **fault and recovery counters** and the per-worker **resident
-  buffers** (layer-workspace bytes) mirrored from the metrics registry.
+* **fault and recovery counters**, the per-worker **resident buffers**
+  (layer-workspace bytes) and the **membership timeline**.
 
-Two formats: GitHub-flavoured markdown, and a single HTML file with
-inline CSS (no external assets, so it uploads as one CI artifact and
-opens anywhere). Both render from the same :func:`build_report` dict,
-which is also what the tests assert against. :func:`write_report` is
-the one writer behind ``repro report --out DIR``: the report plus the
-run's trace and metrics exports, side by side.
+:func:`build_report` distills the run into one JSON-ready dict (what
+the tests assert against); :func:`report_sections` turns that dict into
+the ordered list of sections, each written once. Three thin renderers
+format the list: plain text (what ``repro report`` prints),
+GitHub-flavoured markdown, and a single HTML file with inline CSS (no
+external assets, so it uploads as one CI artifact and opens anywhere).
+:func:`write_report` is the one writer behind ``repro report --out
+DIR``: the report plus the run's trace and metrics exports, side by
+side.
 """
 
 from __future__ import annotations
 
 import html as _html
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
+from repro.analysis.reporting import format_table
+from repro.core.reqec_fp import is_trend_boundary
 from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
@@ -36,8 +44,11 @@ from repro.obs.export import (
 from repro.obs.profiler import ENGINE_STAGES
 
 __all__ = [
+    "Section",
     "build_report",
     "missing_stages",
+    "report_sections",
+    "render_text",
     "render_markdown",
     "render_html",
     "write_report",
@@ -105,6 +116,8 @@ def build_report(run) -> dict:
         ],
         "stages": {},
         "epoch_kinds": {},
+        "phases": {},
+        "traffic": {},
         "epoch_timelines": [],
         "straggler_counts": {},
         "coverage": None,
@@ -124,16 +137,16 @@ def build_report(run) -> dict:
     profile = tel.profile
     if profile is not None and profile.epochs:
         data["stages"] = profile.stage_totals()
-        # Split by epoch kind: ReqEC-FP ships exact rows every T_tr epochs.
-        reqec = run.meta.get("fp_mode") == "reqec"
-        period = run.meta.get("trend_period") if reqec else None
-
-        def boundary(t: int) -> bool:
-            return bool(period) and (t + 1) % period == 0
-
+        # Split by epoch kind: ReqEC-FP ships exact rows every T_tr epochs
+        # (the run records T_tr only when its forward policy is ReqEC-FP).
+        period = run.meta.get("trend_period")
         data["epoch_kinds"] = {
-            "regular": profile.stage_totals(lambda t: not boundary(t)),
-            "boundary": profile.stage_totals(boundary),
+            "regular": profile.stage_totals(
+                lambda t: not is_trend_boundary(t, period)
+            ),
+            "boundary": profile.stage_totals(
+                lambda t: is_trend_boundary(t, period)
+            ),
         }
         data["coverage"] = profile.coverage()
         data["straggler_counts"] = {
@@ -149,6 +162,19 @@ def build_report(run) -> dict:
             for t in profile.epochs
         ]
 
+    data["phases"] = {
+        name: {"count": count, "seconds": seconds}
+        for name, (count, seconds) in sorted(tel.phase_totals.items())
+    }
+    metrics = tel.metrics
+    messages = metrics.counters_by_label("comm_messages", "category")
+    data["traffic"] = {
+        category: {"bytes": int(nbytes),
+                   "messages": int(messages.get(category, 0))}
+        for category, nbytes in sorted(
+            metrics.counters_by_label("comm_bytes", "category").items()
+        )
+    }
     data["membership_events"] = [dict(e) for e in tel.membership_events]
     ledger = tel.ledger
     if ledger is not None and ledger.channels:
@@ -165,7 +191,6 @@ def build_report(run) -> dict:
     if tel.health is not None:
         data["health"] = tel.health.as_dict()
 
-    metrics = tel.metrics
     faults = {}
     for name in _FAULT_COUNTERS:
         total = metrics.counter_total(name)
@@ -196,7 +221,7 @@ def missing_stages(data: dict) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Shared formatting helpers
+# Sections: every format renders this one list
 # ----------------------------------------------------------------------
 
 def _fmt_seconds(value: float) -> str:
@@ -215,183 +240,210 @@ def _fmt_bytes(value: float) -> str:
     return f"{value:.2f}GiB"
 
 
-def _resource_rows(data: dict) -> list[tuple[str, ...]]:
-    """(worker, the plan's slot bytes, what the worker holds of them, of
-    which the first-layer aggregate)."""
-    return [
-        (worker, *(_fmt_bytes(held.get(name, 0)) for name in _RESOURCE_GAUGES))
-        for worker, held in sorted(data.get("resources", {}).items())
-    ]
+@dataclass(frozen=True)
+class Section:
+    """One titled block of the report: bullet lines, then an optional
+    table whose cells are already formatted strings."""
+
+    title: str
+    bullets: tuple[str, ...] = ()
+    headers: tuple[str, ...] = ()
+    rows: tuple[tuple[str, ...], ...] = ()
 
 
-def _stage_rows(data: dict) -> list[tuple]:
-    rows = []
-    stages = data.get("stages", {})
-    for stage in list(ENGINE_STAGES) + sorted(set(stages) - set(ENGINE_STAGES)):
-        agg = stages.get(stage)
-        if agg is None:
-            continue
-        rows.append((
-            stage, agg["count"], agg["wall_seconds"], agg["compute_seconds"],
-            agg["comm_seconds"], agg["bytes_sent"], agg["messages"],
+def report_sections(data: dict) -> list[Section]:
+    """The report dict as an ordered list of sections, each written once.
+
+    Sections with nothing to show (an un-instrumented run, a run without
+    faults or membership changes) are left out.
+    """
+    sections: list[Section] = []
+
+    def add(title, bullets=(), headers=(), rows=()):
+        sections.append(Section(
+            title, tuple(bullets), tuple(headers),
+            tuple(tuple(str(cell) for cell in row) for row in rows),
         ))
-    return rows
 
-
-# ----------------------------------------------------------------------
-# Markdown
-# ----------------------------------------------------------------------
-
-def render_markdown(data: dict) -> str:
-    """Render the report dict as GitHub-flavoured markdown."""
-    lines: list[str] = [f"# Epoch report: {data['name']}", ""]
     summary = data["summary"]
-    lines += [
-        "## Run summary",
-        "",
-        f"- epochs: {summary['epochs']}",
-        f"- modelled training time: {_fmt_seconds(summary['training_seconds'])}"
+    bullets = [
+        f"epochs: {summary['epochs']}",
+        f"modelled training time: {_fmt_seconds(summary['training_seconds'])}"
         f" (avg epoch {_fmt_seconds(summary['avg_epoch_seconds'])})",
-        f"- inter-machine traffic: {_fmt_bytes(summary['total_bytes'])}",
-        f"- best test accuracy: {summary['best_test_accuracy']:.4f}",
+        f"inter-machine traffic: {_fmt_bytes(summary['total_bytes'])}",
+        f"best test accuracy: {summary['best_test_accuracy']:.4f}",
     ]
     if summary["final_loss"] is not None:
-        lines.append(f"- final loss: {summary['final_loss']:.6f}")
+        bullets.append(f"final loss: {summary['final_loss']:.6f}")
     if data["dropped_spans"]:
-        lines.append(f"- **dropped spans: {data['dropped_spans']}** "
-                     "(trace truncated; raise ObsConfig.max_spans)")
-    lines.append("")
+        bullets.append(f"dropped spans: {data['dropped_spans']} "
+                       "(trace truncated; raise ObsConfig.max_spans)")
+    add("Run summary", bullets)
 
-    rows = _stage_rows(data)
-    if rows:
-        lines += ["## Stage timeline", ""]
+    stages = data["stages"]
+    if stages:
+        bullets = []
         if data["coverage"] is not None:
-            lines.append(f"Stage coverage of epoch wall time: "
-                         f"{data['coverage'] * 100:.1f}%")
-            lines.append("")
-        lines.append(
-            "| stage | runs | wall | modelled compute | modelled comm |"
-            " bytes | msgs |"
-        )
-        lines.append("|---|---:|---:|---:|---:|---:|---:|")
-        for stage, count, wall, compute, comm, nbytes, msgs in rows:
-            lines.append(
-                f"| {stage} | {count} | {_fmt_seconds(wall)} |"
-                f" {_fmt_seconds(compute)} | {_fmt_seconds(comm)} |"
-                f" {_fmt_bytes(nbytes)} | {msgs} |"
-            )
-        lines.append("")
+            bullets.append(f"Stage coverage of epoch wall time: "
+                           f"{data['coverage'] * 100:.1f}%")
         if data["straggler_counts"]:
-            pairs = ", ".join(
-                f"worker {w}: {c}"
-                for w, c in data["straggler_counts"].items()
-            )
-            lines.append(f"Stage barriers bounded by: {pairs}")
-            lines.append("")
-        if data["epoch_timelines"]:
-            crit: dict[str, int] = {}
-            for t in data["epoch_timelines"]:
-                if t["critical_stage"]:
-                    crit[t["critical_stage"]] = (
-                        crit.get(t["critical_stage"], 0) + 1
-                    )
-            pairs = ", ".join(f"{s} ({c} epochs)" for s, c in crit.items())
-            lines.append(f"Critical stage per epoch: {pairs}")
-            lines.append("")
+            bullets.append("Stage barriers bounded by: " + ", ".join(
+                f"worker {w}: {c}" for w, c in data["straggler_counts"].items()
+            ))
+        critical: dict[str, int] = {}
+        for timeline in data["epoch_timelines"]:
+            if timeline["critical_stage"]:
+                stage = timeline["critical_stage"]
+                critical[stage] = critical.get(stage, 0) + 1
+        if critical:
+            bullets.append("Critical stage per epoch: " + ", ".join(
+                f"{s} ({c} epochs)" for s, c in critical.items()
+            ))
+        order = list(ENGINE_STAGES) + sorted(set(stages) - set(ENGINE_STAGES))
+        add("Stage timeline", bullets,
+            ("stage", "runs", "wall", "modelled compute", "modelled comm",
+             "bytes", "msgs"),
+            [(stage, agg["count"], _fmt_seconds(agg["wall_seconds"]),
+              _fmt_seconds(agg["compute_seconds"]),
+              _fmt_seconds(agg["comm_seconds"]),
+              _fmt_bytes(agg["bytes_sent"]), agg["messages"])
+             for stage in order if (agg := stages.get(stage))])
+
+    if data["epoch_kinds"]:
+        period = data["meta"].get("trend_period")
+        add("Regular vs trend-boundary epochs",
+            [f"ReqEC-FP ships exact rows when (t + 1) % {period} == 0"
+             if period else "no trend boundaries: the forward policy is not "
+             "ReqEC-FP"],
+            ("direction", "epoch kind", "epochs", "bytes/epoch",
+             "comm/epoch"),
+            [(direction, kind, agg["count"],
+              f"{agg['bytes_sent'] / agg['count'] / 1e3:.1f}KB",
+              _fmt_seconds(agg["comm_seconds"] / agg["count"]))
+             for direction, stage in (("fp", "forward"), ("bp", "backward"))
+             for kind, totals in data["epoch_kinds"].items()
+             if (agg := totals.get(stage))])
+
+    if data["phases"]:
+        add("Telemetry: wall time by phase",
+            ["spans nest, so phases overlap (an epoch contains its forward)"],
+            ("phase", "count", "seconds", "mean"),
+            [(name, agg["count"], _fmt_seconds(agg["seconds"]),
+              _fmt_seconds(agg["seconds"] / agg["count"]))
+             for name, agg in sorted(data["phases"].items(),
+                                     key=lambda item: -item[1]["seconds"])])
+
+    traffic = data["traffic"]
+    if traffic:
+        add("Telemetry: inter-machine traffic", (),
+            ("category", "bytes", "messages"),
+            [(category, _fmt_bytes(agg["bytes"]), agg["messages"])
+             for category, agg in sorted(traffic.items(),
+                                         key=lambda item: -item[1]["bytes"])]
+            + [("total",
+                _fmt_bytes(sum(agg["bytes"] for agg in traffic.values())),
+                sum(agg["messages"] for agg in traffic.values()))])
 
     if data["channels"]:
-        lines += ["## Bandwidth waterfall (top channels)", ""]
-        lines.append(
-            "| channel | wire | metered | frames | retries | degraded |"
-            " eff. bits/elem |"
-        )
-        lines.append("|---|---:|---:|---:|---:|---:|---:|")
-        for ch in data["channels"]:
-            degraded = (
-                ch["degraded_predicted"] + ch["degraded_cached"]
-                + ch["degraded_zero"]
-            )
-            lines.append(
-                f"| {ch['channel']} | {_fmt_bytes(ch['wire_bytes'])} |"
-                f" {_fmt_bytes(ch['metered_bytes'])} | {ch['frames']} |"
-                f" {ch['retries']} | {degraded} |"
-                f" {ch['effective_bits']:.2f} |"
-            )
-        lines.append("")
-        if data["directions"]:
-            lines.append("Direction totals:")
-            lines.append("")
-            for direction, agg in sorted(data["directions"].items()):
-                lines.append(
-                    f"- `{direction}`: {_fmt_bytes(agg['metered_bytes'])} "
-                    f"metered over {agg['channels']} channels, "
-                    f"{agg['frames']} frames, {agg['retries']} retries"
-                )
-            lines.append("")
+        add("Bandwidth waterfall (top channels)",
+            [f"{direction}: {_fmt_bytes(agg['metered_bytes'])} metered over "
+             f"{agg['channels']} channels, {agg['frames']} frames, "
+             f"{agg['retries']} retries"
+             for direction, agg in sorted(data["directions"].items())],
+            ("channel", "wire", "metered", "frames", "retries", "degraded",
+             "eff. bits/elem"),
+            [(ch["channel"], _fmt_bytes(ch["wire_bytes"]),
+              _fmt_bytes(ch["metered_bytes"]), ch["frames"], ch["retries"],
+              ch["degraded_predicted"] + ch["degraded_cached"]
+              + ch["degraded_zero"],
+              f"{ch['effective_bits']:.2f}")
+             for ch in data["channels"]])
 
     health = data["health"]
     if health is not None:
-        lines += ["## Compression frontier", ""]
+        violations = health.get("violations", [])
+        bullets = [
+            f"Compression health: {'VIOLATIONS' if violations else 'OK'}"
+        ]
         fractions = health.get("candidate_fractions", {})
         if fractions:
-            parts = ", ".join(
+            bullets.append("ReqEC-FP candidate wins: " + ", ".join(
                 f"{name}: {frac * 100:.1f}%"
                 for name, frac in sorted(fractions.items())
-            )
-            lines.append(f"- ReqEC-FP candidate wins — {parts}")
+            ))
         bits_current = health.get("bits_current", {})
         if bits_current:
-            parts = ", ".join(
-                f"{pair}: {bits}b" for pair, bits in sorted(bits_current.items())
-            )
-            lines.append(f"- Bit-Tuner current widths — {parts}")
-        events = health.get("bits_events", [])
-        lines.append(f"- Bit-Tuner width changes: {len(events)}")
-        violations = health.get("violations", [])
-        if violations:
-            lines.append("- **Theorem-1 violations:**")
-            for violation in violations:
-                lines.append(f"  - {violation}")
-        else:
-            lines.append("- Theorem-1 residual checks: all within bound")
-        lines.append("")
+            bullets.append("Bit-Tuner current widths: " + ", ".join(
+                f"{pair}: {bits}b"
+                for pair, bits in sorted(bits_current.items())
+            ))
+        bullets.append(
+            f"Bit-Tuner width changes: {len(health.get('bits_events', []))}"
+        )
+        bullets += [f"Theorem-1 violation: {v}" for v in violations]
+        if not violations:
+            bullets.append("Theorem-1 residual checks: all within bound")
+        add("Compression frontier", bullets)
 
     if data["faults"]:
-        lines += ["## Faults and recovery", ""]
-        for name, value in sorted(data["faults"].items()):
-            if isinstance(value, dict):
-                inner = ", ".join(f"{k}: {v:.0f}" for k, v in value.items())
-                lines.append(f"- {name}: {inner}")
-            else:
-                lines.append(f"- {name}: {value:.0f}")
-        lines.append("")
+        add("Faults and recovery", [
+            f"{name}: " + (
+                ", ".join(f"{k}: {v:.0f}" for k, v in value.items())
+                if isinstance(value, dict) else f"{value:.0f}"
+            )
+            for name, value in sorted(data["faults"].items())
+        ])
 
-    if data.get("resources"):
-        lines += ["## Resident buffers", "",
-                  f"| {' | '.join(_RESOURCE_COLUMNS)} |",
-                  "|---:|---:|---:|---:|"]
-        lines += [f"| {' | '.join(row)} |" for row in _resource_rows(data)]
-        lines.append("")
+    if data["resources"]:
+        add("Resident buffers", (), _RESOURCE_COLUMNS,
+            [(worker, *(_fmt_bytes(held.get(name, 0))
+                        for name in _RESOURCE_GAUGES))
+             for worker, held in sorted(data["resources"].items())])
 
-    if data.get("membership_events"):
-        lines += ["## Membership timeline", ""]
-        lines.append("| epoch | event | details |")
-        lines.append("|---:|---|---|")
-        for event in data["membership_events"]:
-            details = ", ".join(
+    if data["membership_events"]:
+        add("Membership timeline", (), ("epoch", "event", "details"),
+            [(event["epoch"], event["kind"], ", ".join(
                 f"{k}={v}" for k, v in sorted(event.items())
-                if k not in ("kind", "epoch")
-            )
-            lines.append(
-                f"| {event['epoch']} | {event['kind']} | {details} |"
-            )
-        lines.append("")
+                if k not in ("kind", "epoch")))
+             for event in data["membership_events"]])
+    return sections
+
+
+# ----------------------------------------------------------------------
+# Renderers: titles, bullets and tables, nothing else
+# ----------------------------------------------------------------------
+
+def render_text(data: dict) -> str:
+    """Render the report dict as plain text (what ``repro report``
+    prints)."""
+    blocks = [f"Epoch report: {data['name']}"]
+    for section in report_sections(data):
+        lines = [section.title] + [f"- {b}" for b in section.bullets]
+        if section.headers:
+            lines.append(format_table(section.headers, section.rows))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+def render_markdown(data: dict) -> str:
+    """Render the report dict as GitHub-flavoured markdown."""
+    def row(cells) -> str:
+        return f"| {' | '.join(cells)} |"
+
+    lines = [f"# Epoch report: {data['name']}", ""]
+    for section in report_sections(data):
+        lines += [f"## {section.title}", ""]
+        if section.bullets:
+            lines += [f"- {b}" for b in section.bullets] + [""]
+        if section.headers:
+            lines += [
+                row(section.headers),
+                "|---|" + "---:|" * (len(section.headers) - 1),
+                *(row(cells) for cells in section.rows),
+                "",
+            ]
     return "\n".join(lines).rstrip() + "\n"
 
-
-# ----------------------------------------------------------------------
-# HTML
-# ----------------------------------------------------------------------
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
@@ -403,189 +455,43 @@ th, td { border: 1px solid #d0d7de; padding: .3rem .6rem;
          font-size: .9rem; text-align: right; }
 th:first-child, td:first-child { text-align: left; }
 th { background: #f6f8fa; }
-.bar { display: inline-block; height: .7rem; background: #4c9aff;
-       vertical-align: middle; margin-right: .4rem; }
-.bar.comm { background: #ff8f73; }
-.warn { color: #b42318; font-weight: 600; }
-.ok { color: #1a7f37; }
 ul { line-height: 1.6; }
 """
 
 
-def _bar(value: float, biggest: float, cls: str = "bar") -> str:
-    if biggest <= 0:
-        return ""
-    width = max(1.0, 220.0 * value / biggest)
-    return f'<span class="{cls}" style="width:{width:.0f}px"></span>'
-
-
 def render_html(data: dict) -> str:
-    """Render the report dict as one self-contained HTML document."""
+    """Render the report dict as one self-contained HTML document.
+
+    The dict itself rides along as a JSON payload; ``<`` is escaped in
+    it so no string in the run (a run name, say) can close the script
+    element early.
+    """
     esc = _html.escape
-    parts: list[str] = [
+    parts = [
         "<!DOCTYPE html>",
         "<html><head><meta charset='utf-8'>",
         f"<title>Epoch report: {esc(data['name'])}</title>",
         f"<style>{_CSS}</style></head><body>",
         f"<h1>Epoch report: {esc(data['name'])}</h1>",
     ]
-    summary = data["summary"]
-    parts.append("<h2>Run summary</h2><ul>")
-    parts.append(f"<li>epochs: {summary['epochs']}</li>")
+    for section in report_sections(data):
+        parts.append(f"<h2>{esc(section.title)}</h2>")
+        if section.bullets:
+            parts.append("<ul>" + "".join(
+                f"<li>{esc(b)}</li>" for b in section.bullets
+            ) + "</ul>")
+        if section.headers:
+            parts.append("<table><tr>" + "".join(
+                f"<th>{esc(h)}</th>" for h in section.headers
+            ) + "</tr>")
+            parts += [
+                "<tr>" + "".join(f"<td>{esc(c)}</td>" for c in cells) + "</tr>"
+                for cells in section.rows
+            ]
+            parts.append("</table>")
+    payload = json.dumps(data, sort_keys=True).replace("<", "\\u003c")
     parts.append(
-        "<li>modelled training time: "
-        f"{_fmt_seconds(summary['training_seconds'])} (avg epoch "
-        f"{_fmt_seconds(summary['avg_epoch_seconds'])})</li>"
-    )
-    parts.append(
-        f"<li>inter-machine traffic: "
-        f"{_fmt_bytes(summary['total_bytes'])}</li>"
-    )
-    parts.append(
-        f"<li>best test accuracy: {summary['best_test_accuracy']:.4f}</li>"
-    )
-    if summary["final_loss"] is not None:
-        parts.append(f"<li>final loss: {summary['final_loss']:.6f}</li>")
-    if data["dropped_spans"]:
-        parts.append(
-            f"<li class='warn'>dropped spans: {data['dropped_spans']}"
-            " (trace truncated; raise ObsConfig.max_spans)</li>"
-        )
-    parts.append("</ul>")
-
-    rows = _stage_rows(data)
-    if rows:
-        parts.append("<h2>Stage timeline</h2>")
-        if data["coverage"] is not None:
-            parts.append(
-                f"<p>Stage coverage of epoch wall time: "
-                f"{data['coverage'] * 100:.1f}%</p>"
-            )
-        biggest = max(r[2] for r in rows)
-        parts.append(
-            "<table><tr><th>stage</th><th>wall</th><th>runs</th>"
-            "<th>modelled compute</th><th>modelled comm</th>"
-            "<th>bytes</th><th>msgs</th></tr>"
-        )
-        for stage, count, wall, compute, comm, nbytes, msgs in rows:
-            parts.append(
-                f"<tr><td>{esc(stage)}</td>"
-                f"<td>{_bar(wall, biggest)}{_fmt_seconds(wall)}</td>"
-                f"<td>{count}</td><td>{_fmt_seconds(compute)}</td>"
-                f"<td>{_fmt_seconds(comm)}</td>"
-                f"<td>{_fmt_bytes(nbytes)}</td><td>{msgs}</td></tr>"
-            )
-        parts.append("</table>")
-        if data["straggler_counts"]:
-            pairs = ", ".join(
-                f"worker {esc(w)}: {c}"
-                for w, c in data["straggler_counts"].items()
-            )
-            parts.append(f"<p>Stage barriers bounded by: {pairs}</p>")
-
-    if data["channels"]:
-        parts.append("<h2>Bandwidth waterfall (top channels)</h2>")
-        biggest = max(ch["wire_bytes"] for ch in data["channels"])
-        parts.append(
-            "<table><tr><th>channel</th><th>wire</th><th>metered</th>"
-            "<th>frames</th><th>retries</th><th>degraded</th>"
-            "<th>eff. bits/elem</th></tr>"
-        )
-        for ch in data["channels"]:
-            degraded = (
-                ch["degraded_predicted"] + ch["degraded_cached"]
-                + ch["degraded_zero"]
-            )
-            parts.append(
-                f"<tr><td>{esc(ch['channel'])}</td>"
-                f"<td>{_bar(ch['wire_bytes'], biggest, 'bar comm')}"
-                f"{_fmt_bytes(ch['wire_bytes'])}</td>"
-                f"<td>{_fmt_bytes(ch['metered_bytes'])}</td>"
-                f"<td>{ch['frames']}</td><td>{ch['retries']}</td>"
-                f"<td>{degraded}</td>"
-                f"<td>{ch['effective_bits']:.2f}</td></tr>"
-            )
-        parts.append("</table>")
-
-    health = data["health"]
-    if health is not None:
-        parts.append("<h2>Compression frontier</h2><ul>")
-        fractions = health.get("candidate_fractions", {})
-        if fractions:
-            inner = ", ".join(
-                f"{esc(name)}: {frac * 100:.1f}%"
-                for name, frac in sorted(fractions.items())
-            )
-            parts.append(f"<li>ReqEC-FP candidate wins &mdash; {inner}</li>")
-        bits_current = health.get("bits_current", {})
-        if bits_current:
-            inner = ", ".join(
-                f"{esc(pair)}: {bits}b"
-                for pair, bits in sorted(bits_current.items())
-            )
-            parts.append(f"<li>Bit-Tuner current widths &mdash; {inner}</li>")
-        parts.append(
-            f"<li>Bit-Tuner width changes: "
-            f"{len(health.get('bits_events', []))}</li>"
-        )
-        violations = health.get("violations", [])
-        if violations:
-            parts.append("<li class='warn'>Theorem-1 violations:<ul>")
-            for violation in violations:
-                parts.append(f"<li>{esc(violation)}</li>")
-            parts.append("</ul></li>")
-        else:
-            parts.append(
-                "<li class='ok'>Theorem-1 residual checks: "
-                "all within bound</li>"
-            )
-        parts.append("</ul>")
-
-    if data["faults"]:
-        parts.append("<h2>Faults and recovery</h2><ul>")
-        for name, value in sorted(data["faults"].items()):
-            if isinstance(value, dict):
-                inner = ", ".join(
-                    f"{esc(k)}: {v:.0f}" for k, v in value.items()
-                )
-                parts.append(f"<li>{esc(name)}: {inner}</li>")
-            else:
-                parts.append(f"<li>{esc(name)}: {value:.0f}</li>")
-        parts.append("</ul>")
-
-    if data.get("resources"):
-        parts.append(
-            "<h2>Resident buffers</h2><table><tr>"
-            + "".join(f"<th>{name}</th>" for name in _RESOURCE_COLUMNS)
-            + "</tr>"
-        )
-        parts += [
-            "<tr>" + "".join(f"<td>{esc(cell)}</td>" for cell in row) + "</tr>"
-            for row in _resource_rows(data)
-        ]
-        parts.append("</table>")
-
-    if data.get("membership_events"):
-        parts.append("<h2>Membership timeline</h2>")
-        parts.append(
-            "<table><tr><th>epoch</th><th>event</th><th>details</th></tr>"
-        )
-        for event in data["membership_events"]:
-            details = ", ".join(
-                f"{k}={v}" for k, v in sorted(event.items())
-                if k not in ("kind", "epoch")
-            )
-            parts.append(
-                f"<tr><td>{event['epoch']}</td>"
-                f"<td>{esc(event['kind'])}</td>"
-                f"<td>{esc(details)}</td></tr>"
-            )
-        parts.append("</table>")
-
-    parts.append(
-        "<script type='application/json' id='report-data'>"
-        + json.dumps(data, sort_keys=True)
-        + "</script>"
+        f"<script type='application/json' id='report-data'>{payload}</script>"
     )
     parts.append("</body></html>")
     return "\n".join(parts) + "\n"

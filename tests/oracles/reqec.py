@@ -13,7 +13,11 @@ def _make_reference_reqec_policy():
     from repro.compression.quantization import (
         MATRIX_PREFIX_BYTES as _HEADER_BYTES,
     )
-    from repro.core.reqec_fp import ReqECPolicy, TrendState
+    from repro.core.reqec_fp import (
+        ReqECPolicy,
+        TrendState,
+        is_trend_boundary,
+    )
 
     class _ReferenceReqECPolicy(ReqECPolicy):
         def respond(
@@ -31,7 +35,7 @@ def _make_reference_reqec_policy():
             rows = np.ascontiguousarray(rows, dtype=np.float32)
             state = self._responder_trend.get(key)
 
-            if self._is_boundary(t):
+            if is_trend_boundary(t, self.trend_period):
                 # One snapshot serves the trend state of both ends and the
                 # payload; read-only, so an in-place write raises instead of
                 # corrupting the other end.

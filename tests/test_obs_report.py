@@ -268,3 +268,72 @@ class TestWriteReport:
     def test_rejects_unknown_format(self, instrumented, tmp_path):
         with pytest.raises(ValueError):
             write_report(instrumented, tmp_path, fmt="pdf")
+
+
+class TestSections:
+    """One list of sections, rendered three ways."""
+
+    def test_every_section_reaches_every_format(self, small_graph_module):
+        """A run that crosses a trend boundary: each section's title and
+        each table row's first cell show in the text, the markdown and
+        the HTML rendering alike."""
+        import html
+
+        from repro.obs.report import render_text, report_sections
+
+        data = build_report(_trainer(
+            small_graph_module, ObsConfig(enabled=True), trend_period=2,
+        ).train(3))
+        sections = report_sections(data)
+        text, markdown, page = (
+            render_text(data), render_markdown(data), render_html(data)
+        )
+        titles = [section.title for section in sections]
+        assert "Regular vs trend-boundary epochs" in titles
+        assert "Telemetry: wall time by phase" in titles
+        assert "Telemetry: inter-machine traffic" in titles
+        for section in sections:
+            assert section.title in text
+            assert f"## {section.title}\n" in markdown
+            assert f"<h2>{html.escape(section.title)}</h2>" in page
+            for row in section.rows:
+                assert len(row) == len(section.headers)
+                assert row[0] in text
+                assert f"| {row[0]} |" in markdown
+                assert f"<td>{html.escape(row[0])}</td>" in page
+        kinds = next(s for s in sections if s.headers[:2] == (
+            "direction", "epoch kind"))
+        assert {row[1] for row in kinds.rows} == {"regular", "boundary"}
+
+    def test_payload_survives_a_hostile_run_name(self, small_graph_module):
+        name = "float16 </script><b>x</b>"
+        data = build_report(_trainer(
+            small_graph_module, ObsConfig(enabled=True),
+        ).train(1, name=name))
+        text = render_html(data)
+        assert text.count("<script") == 1
+        marker = "<script type='application/json' id='report-data'>"
+        start = text.index(marker) + len(marker)
+        end = text.index("</script>", start)
+        assert json.loads(text[start:end]) == data
+        assert json.loads(text[start:end])["name"] == name
+
+    def test_epoch_kinds_follow_the_policy_not_the_config(
+        self, small_graph_module
+    ):
+        """``fp_policy=`` replaces the config's ReqEC-FP: the run has no
+        trend boundaries, whatever ``trend_period`` says."""
+        from repro.core.policies import Float16Policy
+
+        trainer = ECGraphTrainer(
+            small_graph_module, ModelConfig(num_layers=2, hidden_dim=8),
+            ClusterSpec(num_workers=4, workers_per_machine=2),
+            ECGraphConfig(seed=1, obs=ObsConfig(enabled=True),
+                          trend_period=2),
+            fp_policy=Float16Policy(),
+        )
+        run = trainer.train(4)
+        assert run.meta["trend_period"] is None
+        kinds = build_report(run)["epoch_kinds"]
+        assert kinds["boundary"] == {}
+        assert kinds["regular"]["forward"]["count"] == 4

@@ -94,6 +94,7 @@ RETIRED_NAMES = (
     "def state_names(",
     "EncodedMatrix", "IdentityCodec", "QuantizingCodec", "Float16Codec",
     "OneBitCodec", "TopKCodec", "CodecPolicy", "table_mode",
+    "telemetry_table",
 )
 CHECKPOINT = REPO / "src" / "repro" / "core" / "checkpoint.py"
 
