@@ -27,6 +27,7 @@ import numpy as np
 from repro.compression.quantization import (
     FRAME_HEADER_BYTES,
     SHAPE_WORD_BYTES,
+    SUPPORTED_BITS,
     QuantizedMatrix,
 )
 
@@ -93,6 +94,20 @@ def _shape_elements(shape: tuple[int, ...]) -> int:
     return count
 
 
+def _float_rows(payload: bytes, kind: str) -> np.ndarray:
+    """The shape word and float32 rows a RAW or EXACT payload holds; a
+    payload that is not exactly that long is a wire-format error."""
+    shape, offset = _unpack_shape(payload, 0)
+    expected = offset + _shape_elements(shape) * 4
+    if len(payload) != expected:
+        raise ValueError(
+            f"{kind} frame payload holds {len(payload)} bytes but shape "
+            f"{shape} needs exactly {expected}"
+        )
+    rows = np.frombuffer(payload, dtype=np.float32, offset=offset)
+    return rows.reshape(shape).copy()
+
+
 # ----------------------------------------------------------------------
 # RAW
 # ----------------------------------------------------------------------
@@ -103,11 +118,13 @@ def encode_raw(matrix: np.ndarray) -> bytes:
 
 
 def decode_raw(frame: bytes) -> np.ndarray:
-    payload, _ = _unframe(frame, _KIND_RAW)
-    shape, offset = _unpack_shape(payload, 0)
-    return np.frombuffer(payload, dtype=np.float32, offset=offset).reshape(
-        shape
-    ).copy()
+    """Decode a RAW frame; any flag bit or a payload that is not exactly
+    shape word + ``rows * cols`` float32 values is a wire-format
+    ``ValueError``."""
+    payload, flags = _unframe(frame, _KIND_RAW)
+    if flags:
+        raise ValueError(f"RAW frame carries unknown flag bits 0x{flags:X}")
+    return _float_rows(payload, "RAW")
 
 
 # ----------------------------------------------------------------------
@@ -131,8 +148,8 @@ def decode_quantized(frame: bytes) -> QuantizedMatrix:
     A corrupted frame (the fault-injection path flips wire bytes) must
     surface as a wire-format ``ValueError``, never as a bare numpy
     buffer error: the flags must be exactly bit 0 (bucket table
-    present), the bit width is range-checked, the bucket table must be
-    fully present, and the packed-id buffer must hold *exactly*
+    present), the bit width must be one of ``SUPPORTED_BITS``, the bucket
+    table must be fully present, and the packed-id buffer must hold *exactly*
     ``ceil(shape_elements * bits / 8)`` bytes.
     """
     payload, flags = _unframe(frame, _KIND_QUANT)
@@ -147,7 +164,7 @@ def decode_quantized(frame: bytes) -> QuantizedMatrix:
         raise ValueError("QUANT frame truncated before bits/lo/hi metadata")
     bits, lo, hi = struct.unpack_from("<Bff", payload, offset)
     offset += meta
-    if not 1 <= bits <= 16:
+    if bits not in SUPPORTED_BITS:
         raise ValueError(f"QUANT frame carries invalid bit width {bits}")
     buckets = 1 << bits
     if len(payload) - offset < buckets * 4:
@@ -194,15 +211,7 @@ def decode_exact(frame: bytes) -> tuple[np.ndarray, bool]:
     payload, flags = _unframe(frame, _KIND_EXACT)
     if flags & ~1:
         raise ValueError(f"EXACT frame carries unknown flag bits 0x{flags:X}")
-    shape, offset = _unpack_shape(payload, 0)
-    expected = offset + _shape_elements(shape) * 4
-    if len(payload) != expected:
-        raise ValueError(
-            f"EXACT frame payload holds {len(payload)} bytes but shape "
-            f"{shape} needs exactly {expected}"
-        )
-    rows = np.frombuffer(payload, dtype=np.float32, offset=offset)
-    return rows.reshape(shape).copy(), bool(flags)
+    return _float_rows(payload, "EXACT"), bool(flags)
 
 
 # ----------------------------------------------------------------------
@@ -230,13 +239,18 @@ def encode_selector(
 def decode_selector(frame: bytes) -> tuple[np.ndarray, QuantizedMatrix, float]:
     """Decode a SELECTOR frame, bounds-checking the embedded lengths.
 
-    The ``sel_bytes`` field is untrusted wire data: it must equal the
-    exact 2-bit-packed size the selection shape implies and fit inside
-    the payload, or the frame is rejected as corrupt.
+    The flags must be clear, and the ``sel_bytes`` field is untrusted
+    wire data: it must equal the exact 2-bit-packed size the selection
+    shape implies and fit inside the payload, or the frame is rejected as
+    corrupt.
     """
     from repro.compression.quantization import unpack_bits
 
-    payload, _ = _unframe(frame, _KIND_SELECTOR)
+    payload, flags = _unframe(frame, _KIND_SELECTOR)
+    if flags:
+        raise ValueError(
+            f"SELECTOR frame carries unknown flag bits 0x{flags:X}"
+        )
     shape, offset = _unpack_shape(payload, 0)
     meta = struct.calcsize("<fI")
     if len(payload) < offset + meta:

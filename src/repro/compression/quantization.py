@@ -18,8 +18,8 @@ minimum width. Bucket ids are born narrow (``uint8`` up to 8 bits,
 is a reinterpretation of the id buffer, 2/4-bit packing is a pairwise
 shift-or over the ids viewed as 16-bit words, and decoding widths that divide
 a byte is a single gather per *byte* of packed ids from a 256-row table
-of pre-gathered representatives. Irregular widths tree-merge adjacent
-fields (b -> 2b -> 4b -> 8b bits) into byte-aligned 8-value blocks. No
+of pre-gathered representatives. ``SUPPORTED_BITS`` is the one width
+set: the packer, the decoder and the wire format accept no other. No
 ``(n, bits)`` bit matrix is ever materialized (that original
 implementation is kept as the ``reference_pack_bits`` /
 ``reference_unpack_bits`` test fixtures in ``tests/conftest.py``, the
@@ -40,6 +40,8 @@ __all__ = [
     "FRAME_HEADER_BYTES", "SHAPE_WORD_BYTES", "MATRIX_PREFIX_BYTES",
 ]
 
+# The widths the Bit-Tuner steps through (paper section IV-B) and the
+# only ones anything here packs, decodes or frames.
 SUPPORTED_BITS = (1, 2, 4, 8, 16)
 
 # The wire framing every computed message size counts
@@ -118,8 +120,8 @@ def pack_bits(values: np.ndarray, bits: int) -> np.ndarray:
     inverts the layout exactly. Values must fit in ``bits`` bits; any
     integer dtype is accepted and narrowed once, after the range check.
     """
-    if not 1 <= bits <= 16:
-        raise ValueError(f"bits must be in [1, 16], got {bits}")
+    if bits not in SUPPORTED_BITS:
+        raise ValueError(f"bits must be in {SUPPORTED_BITS}, got {bits}")
     flat = np.ascontiguousarray(values).ravel()
     if flat.dtype.kind != "u":
         # Signed input goes through uint32 so a negative value wraps
@@ -129,62 +131,15 @@ def pack_bits(values: np.ndarray, bits: int) -> np.ndarray:
         return np.zeros(0, dtype=np.uint8)
     if int(flat.max()) >= (1 << bits):
         raise ValueError(f"value {int(flat.max())} does not fit in {bits} bits")
-    if bits in SUPPORTED_BITS:
-        # astype copies, so the 8/16-bit views never alias the input.
-        return _pack_ids(flat.astype(_ID_DTYPE[bits]), bits)
-    # Irregular widths (3, 5, 6, 7, 9-15): 8 values always span exactly
-    # ``bits`` bytes, so each 8-value block ORs into a 64-bit (or, for
-    # widths above 8, 128-bit) little-endian accumulator whose first
-    # ``bits`` bytes are the block's wire bytes. Pure vectorized shifts;
-    # no per-element scatter.
-    total = packed_size(flat.size, bits)
-    blocks = (flat.size + 7) // 8
-    if bits < 8:
-        # Pairwise tree merge: adjacent fields fuse b -> 2b -> 4b -> 8b
-        # bits, staying in uint32 until a level would overflow 32 bits.
-        # ~n element-ops total and no (blocks, 8) intermediate.
-        padded = np.zeros(blocks * 8, dtype=np.uint32)
-        padded[: flat.size] = flat
-        merged = padded[0::2] | (padded[1::2] << np.uint32(bits))
-        merged = merged[0::2] | (merged[1::2] << np.uint32(2 * bits))
-        if 8 * bits <= 32:
-            merged = merged[0::2] | (merged[1::2] << np.uint32(4 * bits))
-            lanes = 4
-            block_bytes = merged.astype("<u4").view(np.uint8).reshape(
-                blocks, lanes
-            )
-        else:
-            merged = merged[0::2].astype(np.uint64) | (
-                merged[1::2].astype(np.uint64) << np.uint64(4 * bits)
-            )
-            lanes = 8
-            block_bytes = merged.astype("<u8").view(np.uint8).reshape(
-                blocks, lanes
-            )
-    else:
-        # Bits 9-15: a block spans 8*bits <= 120 bits. Tree-merge pairs
-        # (2b <= 30 bits, uint32) and quads (4b <= 60 bits, uint64),
-        # then lay the two quads across a low and a high 64-bit lane —
-        # the quad straddling the seam splits with one shift each way.
-        padded = np.zeros(blocks * 8, dtype=np.uint32)
-        padded[: flat.size] = flat
-        pairs = padded[0::2] | (padded[1::2] << np.uint32(bits))
-        quads = pairs[0::2].astype(np.uint64) | (
-            pairs[1::2].astype(np.uint64) << np.uint64(2 * bits)
-        )
-        lo = quads[0::2] | (quads[1::2] << np.uint64(4 * bits))
-        hi = quads[1::2] >> np.uint64(64 - 4 * bits)
-        block_bytes = np.empty((blocks, 16), dtype=np.uint8)
-        block_bytes[:, :8] = lo.astype("<u8").view(np.uint8).reshape(-1, 8)
-        block_bytes[:, 8:] = hi.astype("<u8").view(np.uint8).reshape(-1, 8)
-    return block_bytes[:, :bits].ravel()[:total]
+    # astype copies, so the 8/16-bit views never alias the input.
+    return _pack_ids(flat.astype(_ID_DTYPE[bits]), bits)
 
 
 def _check_packed(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
     """``buffer`` as flat bytes, refused unless it holds exactly ``count``
     values of ``bits`` bits."""
-    if not 1 <= bits <= 16:
-        raise ValueError(f"bits must be in [1, 16], got {bits}")
+    if bits not in SUPPORTED_BITS:
+        raise ValueError(f"bits must be in {SUPPORTED_BITS}, got {bits}")
     buf = np.ascontiguousarray(buffer, dtype=np.uint8).ravel()
     needed = packed_size(count, bits)
     if buf.size != needed:
@@ -203,9 +158,8 @@ def unpack_bits(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
     the wire payload — both raise ``ValueError`` instead of silently
     reading (or ignoring) stray bytes.
 
-    ``SUPPORTED_BITS`` widths come back at id width (``uint8``, or
-    ``uint16`` for 16 bits) and the 8/16-bit results are views of
-    ``buffer``; irregular widths come back as ``uint32``.
+    Ids come back at id width (``uint8``, or ``uint16`` for 16 bits) and
+    the 8/16-bit results are views of ``buffer``.
     """
     buf = _check_packed(buffer, bits, count)
     if bits == 8:
@@ -214,64 +168,17 @@ def unpack_bits(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
         return buf.view(_ID_DTYPE[16])
     if bits == 1:
         return np.unpackbits(buf, count=count, bitorder="little")
-    if bits in (2, 4):
-        # The inverse tree: each level widens bytes to 16-bit words and
-        # splits every byte into its low and high ``width``-bit halves.
-        fields, width = buf, 4
-        while width >= bits:
-            words = fields.astype("<u2")
-            split = words << (8 - width)
-            split |= words
-            split &= ((1 << width) - 1) * 0x0101
-            fields = split.view(np.uint8)
-            width //= 2
-        return fields[:count]
-    if count == 0:
-        return np.zeros(0, dtype=np.uint32)
-    # Irregular widths: the inverse of the 8-value block packing — load
-    # each block's ``bits`` bytes into integer lanes and tree-split the
-    # eight fields back out, 8b -> 4b -> 2b -> b (see pack_bits).
-    blocks = (count + 7) // 8
-    padded = np.zeros(blocks * bits, dtype=np.uint8)
-    padded[: buf.size] = buf
-    block_bytes = padded.reshape(blocks, bits)
-    if 8 * bits <= 32:
-        # The whole block fits a uint32; one broadcast shift splits all
-        # eight fields without intermediate levels.
-        lo_bytes = np.zeros((blocks, 4), dtype=np.uint8)
-        lo_bytes[:, :bits] = block_bytes
-        word = lo_bytes.view("<u4")  # (blocks, 1), broadcasts over lanes
-        shifts = (np.arange(8, dtype=np.uint32) * bits).astype(np.uint32)
-        fields = (word >> shifts) & np.uint32((1 << bits) - 1)
-        return fields.ravel()[:count]
-    quads = np.empty(
-        blocks * 2, dtype=np.uint32 if 4 * bits <= 32 else np.uint64
-    )
-    if bits < 8:
-        lo_bytes = np.zeros((blocks, 8), dtype=np.uint8)
-        lo_bytes[:, :bits] = block_bytes
-        word = lo_bytes.view("<u8").ravel()
-        quads[0::2] = word & np.uint64((1 << (4 * bits)) - 1)
-        quads[1::2] = word >> np.uint64(4 * bits)
-    else:
-        lo_bytes = np.zeros((blocks, 8), dtype=np.uint8)
-        lo_bytes[:, :8] = block_bytes[:, :8]
-        hi_bytes = np.zeros((blocks, 8), dtype=np.uint8)
-        hi_bytes[:, : bits - 8] = block_bytes[:, 8:]
-        lo = lo_bytes.view("<u8").ravel()
-        hi = hi_bytes.view("<u8").ravel()
-        quads[0::2] = lo & np.uint64((1 << (4 * bits)) - 1)
-        quads[1::2] = (lo >> np.uint64(4 * bits)) | (
-            hi << np.uint64(64 - 4 * bits)
-        )
-    pairs = np.empty(blocks * 4, dtype=np.uint32)
-    pairs[0::2] = quads & quads.dtype.type((1 << (2 * bits)) - 1)
-    pairs[1::2] = quads >> quads.dtype.type(2 * bits)
-    mask = np.uint32((1 << bits) - 1)
-    out = np.empty(blocks * 8, dtype=np.uint32)
-    out[0::2] = pairs & mask
-    out[1::2] = pairs >> np.uint32(bits)
-    return out[:count]
+    # The inverse tree: each level widens bytes to 16-bit words and
+    # splits every byte into its low and high ``width``-bit halves.
+    fields, width = buf, 4
+    while width >= bits:
+        words = fields.astype("<u2")
+        split = words << (8 - width)
+        split |= words
+        split &= ((1 << width) - 1) * 0x0101
+        fields = split.view(np.uint8)
+        width //= 2
+    return fields[:count]
 
 
 @functools.cache
@@ -314,7 +221,7 @@ class QuantizedMatrix:
         """Reconstruct the approximate matrix."""
         count = self.num_elements
         table = np.asarray(self.bucket_values, dtype=np.float32)
-        if 8 % self.bits:
+        if self.bits == 16:
             ids = unpack_bits(self.packed, self.bits, count)
             return np.take(table, ids).reshape(self.shape)
         packed = _check_packed(self.packed, self.bits, count)

@@ -6,7 +6,7 @@ trainer (the NAC is :class:`repro.engine.transport.HaloTransport`; the
 architectures are :mod:`repro.engine.backends` objects).
 """
 
-from repro.core.bit_tuner import BIT_LADDER, BitTuner
+from repro.core.bit_tuner import BitTuner
 from repro.core.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -36,7 +36,6 @@ from repro.core.trainer import ECGraphTrainer
 from repro.core.worker import WorkerState, build_worker_states
 
 __all__ = [
-    "BIT_LADDER",
     "BitTuner",
     "ECGraphConfig",
     "ModelConfig",

@@ -6,7 +6,7 @@ A high proportion means the trend extrapolation is beating the quantizer —
 i.e. the compressed embeddings are too lossy — so the bit width doubles;
 a low proportion means quantization is already accurate enough and the
 width halves to save bandwidth. The ladder is the paper's
-``{1, 2, 4, 8, 16}``.
+``{1, 2, 4, 8, 16}``: the quantizer's ``SUPPORTED_BITS``.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.compression.quantization import SUPPORTED_BITS
+
 __all__ = [
     "BitTuner",
-    "BIT_LADDER",
     "DEFAULT_RAISE_THRESHOLD",
     "DEFAULT_LOWER_THRESHOLD",
 ]
-
-BIT_LADDER = (1, 2, 4, 8, 16)
 
 # The paper's tuning thresholds on the predicted proportion (section
 # IV-B): double the width above 60%, halve it below 40%. These are the
@@ -57,9 +56,9 @@ class BitTuner:
     _history: list[tuple[tuple[int, int], int]] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.initial_bits not in BIT_LADDER:
+        if self.initial_bits not in SUPPORTED_BITS:
             raise ValueError(
-                f"initial_bits must be one of {BIT_LADDER}, got {self.initial_bits}"
+                f"initial_bits must be one of {SUPPORTED_BITS}, got {self.initial_bits}"
             )
         if not 0.0 <= self.lower_threshold < self.raise_threshold <= 1.0:
             raise ValueError("need 0 <= lower < raise <= 1")
@@ -82,9 +81,9 @@ class BitTuner:
         if not self.enabled:
             return current
         new = current
-        if predicted_proportion > self.raise_threshold and current < BIT_LADDER[-1]:
+        if predicted_proportion > self.raise_threshold and current < SUPPORTED_BITS[-1]:
             new = current * 2
-        elif predicted_proportion < self.lower_threshold and current > BIT_LADDER[0]:
+        elif predicted_proportion < self.lower_threshold and current > SUPPORTED_BITS[0]:
             new = current // 2
         if new != current:
             self._bits[pair] = new
@@ -96,7 +95,7 @@ class BitTuner:
     def escalate(
         self,
         pairs,
-        bits: int = BIT_LADDER[-1],
+        bits: int = SUPPORTED_BITS[-1],
     ) -> list[tuple[int, int]]:
         """Force the given pairs to (at least) ``bits`` wide.
 
@@ -107,8 +106,8 @@ class BitTuner:
         apply to fixed-bit configurations too. Returns the pairs whose
         width actually changed.
         """
-        if bits not in BIT_LADDER:
-            raise ValueError(f"bits must be one of {BIT_LADDER}, got {bits}")
+        if bits not in SUPPORTED_BITS:
+            raise ValueError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
         changed = []
         for pair in sorted(pairs):
             if self.bits(pair) >= bits:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.compression.quantization import SUPPORTED_BITS
 from repro.core.bit_tuner import (
     DEFAULT_LOWER_THRESHOLD,
     DEFAULT_RAISE_THRESHOLD,
@@ -75,7 +76,8 @@ class ECGraphConfig:
             partial aggregation).
         bp_mode: Backward halo exchange: ``raw``, ``compress`` (Cp-bp),
             ``resec`` (ResEC-BP) or ``delayed``.
-        fp_bits / bp_bits: Initial quantization widths ``B``.
+        fp_bits / bp_bits: Initial quantization widths ``B``, one of
+            ``SUPPORTED_BITS`` (1, 2, 4, 8, 16).
         adaptive_bits: Enable the Bit-Tuner (only meaningful with
             ``fp_mode == "reqec"``).
         trend_period: ``T_tr`` — exact embeddings + changing rate shipped
@@ -129,10 +131,14 @@ class ECGraphConfig:
             raise ValueError(f"fp_mode must be one of {_FP_MODES}")
         if self.bp_mode not in _BP_MODES:
             raise ValueError(f"bp_mode must be one of {_BP_MODES}")
-        if not 1 <= self.fp_bits <= 16:
-            raise ValueError(f"fp_bits must be in [1, 16], got {self.fp_bits}")
-        if not 1 <= self.bp_bits <= 16:
-            raise ValueError(f"bp_bits must be in [1, 16], got {self.bp_bits}")
+        if self.fp_bits not in SUPPORTED_BITS:
+            raise ValueError(
+                f"fp_bits must be in {SUPPORTED_BITS}, got {self.fp_bits}"
+            )
+        if self.bp_bits not in SUPPORTED_BITS:
+            raise ValueError(
+                f"bp_bits must be in {SUPPORTED_BITS}, got {self.bp_bits}"
+            )
         if self.selector_granularity not in _GRANULARITIES:
             raise ValueError(
                 f"selector_granularity must be one of {_GRANULARITIES}"

@@ -179,18 +179,6 @@ class MmapFeatureStore(FeatureStore):
         path = _chunk_path(self._root, self._component, chunk)
         return self.cache.get(chunk, lambda: np.load(path, mmap_mode="r"))
 
-    def chunk_paths(self) -> list[Path]:
-        """On-disk npy file per chunk, in row order.
-
-        Consumers that want to share the raw blocks across processes
-        (e.g. :meth:`repro.mp.store.SharedStore.map_npy`) alias these
-        files instead of copying rows.
-        """
-        return [
-            _chunk_path(self._root, self._component, chunk)
-            for chunk in range(self.num_chunks)
-        ]
-
     def slice(self, start: int, stop: int) -> np.ndarray:
         if not 0 <= start <= stop <= self._shape[0]:
             raise IndexError(f"rows [{start}, {stop}) out of range")

@@ -31,7 +31,6 @@ import secrets
 import struct
 import weakref
 from multiprocessing import resource_tracker, shared_memory
-from pathlib import Path
 
 import numpy as np
 
@@ -146,25 +145,6 @@ class SharedStore:
             self._atexit_registered = True
         return view
 
-    def map_npy(self, name: str, path: str | Path) -> np.ndarray:
-        """Alias an on-disk npy file as a read-only named array.
-
-        Unlike :meth:`allocate`, nothing is copied into ``/dev/shm``:
-        the file (e.g. one chunk of an mmap
-        :class:`~repro.graph.store.mmapstore.MmapFeatureStore`) is
-        memory-mapped read-only, and attaching processes map the same
-        file, so supervisor and workers share its pages through the
-        kernel page cache. The store never unlinks the file — the graph
-        store on disk owns it.
-        """
-        if self._closed:
-            raise RuntimeError("store is closed")
-        if name in self._views:
-            raise ValueError(f"array {name!r} already allocated")
-        view = np.load(str(path), mmap_mode="r")
-        self._views[name] = view
-        return view
-
     def attach(self, name: str) -> np.ndarray:
         """Map one existing array by name (attach mode); returns its view."""
         if self._closed:
@@ -249,8 +229,6 @@ class SharedStore:
         self._closed = True
         # Views alias the segment buffers; drop them before closing so
         # SharedMemory.close() doesn't fail on exported pointers.
-        # File-backed views simply unmap; the npy files are never
-        # unlinked (the graph store on disk owns them).
         self._views.clear()
         retired, self._retired = self._retired, []
         for shm in retired + [shm for _, shm in sorted(self._segments.items())]:

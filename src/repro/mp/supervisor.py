@@ -77,20 +77,6 @@ class ProcessExecutor(KernelRounds):
         self.backend = backend
         self.store = SharedStore()
         ctx.workspaces.buffer_provider = self._block
-        # When the graph's features live in an mmap store, alias the
-        # on-disk chunk files into the SharedStore instead of copying
-        # them into /dev/shm: forked workers inherit the file-backed
-        # mappings, every process shares the chunk pages through the
-        # kernel page cache, and the layout manifest names the blocks
-        # for attach-mode consumers. This also validates the files at
-        # bind time, before any worker faults on them mid-round.
-        feature_store = getattr(
-            getattr(ctx, "graph", None), "feature_store", None
-        )
-        chunk_paths = getattr(feature_store, "chunk_paths", None)
-        if chunk_paths is not None:
-            for index, path in enumerate(chunk_paths()):
-                self.store.map_npy(f"graphstore/features-{index:05d}", path)
 
     def _block(self, name: str, shape: tuple[int, int]) -> np.ndarray:
         """A fresh shared block; a re-plan's supersedes the old one."""

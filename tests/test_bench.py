@@ -15,11 +15,22 @@ class TestReferenceKernels:
     ):
         import numpy as np
 
-        from repro.compression.quantization import pack_bits, unpack_bits
+        from repro.compression.quantization import (
+            SUPPORTED_BITS,
+            pack_bits,
+            unpack_bits,
+        )
 
         rng = np.random.default_rng(bits)
         ids = rng.integers(0, 1 << bits, size=777, dtype=np.uint32)
         packed = reference_pack_bits(ids, bits)
+        if bits not in SUPPORTED_BITS:
+            # Only the reference packs an off-ladder width.
+            with pytest.raises(ValueError, match="bits must be in"):
+                pack_bits(ids, bits)
+            with pytest.raises(ValueError, match="bits must be in"):
+                unpack_bits(packed, bits, ids.size)
+            return
         np.testing.assert_array_equal(packed, pack_bits(ids, bits))
         np.testing.assert_array_equal(
             reference_unpack_bits(packed, bits, ids.size),

@@ -18,7 +18,7 @@ from repro.cluster.serialize import (
     encode_raw,
     encode_selector,
 )
-from repro.compression.quantization import BucketQuantizer
+from repro.compression.quantization import SUPPORTED_BITS, BucketQuantizer
 
 
 @pytest.fixture
@@ -59,6 +59,19 @@ class TestRawFrames:
         frame = encode_raw(matrix)
         with pytest.raises(ValueError, match="kind"):
             decode_quantized(frame)
+
+    def test_payload_length_must_match_shape(self, matrix):
+        import struct
+
+        frame = encode_raw(matrix)
+        for payload in (
+            frame[16:-4],              # one value short
+            frame[16:] + b"\0" * 4,    # one value long
+            frame[16:20],              # not even a shape word
+        ):
+            header = struct.pack("<HHIQ", 0xEC6A, 1, 0, len(payload))
+            with pytest.raises(ValueError, match="needs exactly|shape word"):
+                decode_raw(header + payload)
 
 
 class TestQuantFrames:
@@ -216,12 +229,23 @@ class TestPropertyRoundTrips:
         )
 
 
+def _encode_rows(kind, data, has_base):
+    return encode_exact(data, has_base) if kind == "exact" else encode_raw(data)
+
+
+def _decode_rows(kind, frame):
+    """``(rows, has_base)``; a RAW frame carries no flag, so ``False``."""
+    return decode_exact(frame) if kind == "exact" else (decode_raw(frame), False)
+
+
+@pytest.mark.parametrize("kind", ["exact", "raw"])
 class TestExactFrameProperties:
-    """EXACT frames round-trip, and any truncation or single bit flip is
-    either rejected as a wire-format ``ValueError`` or decodes to a
-    well-formed ``(rows, flag)`` of the framed size — never a numpy
-    buffer error. Derandomised: CI and the builder host see one case
-    list."""
+    """EXACT and RAW frames (one layout: a shape word, then float32 rows)
+    round-trip, and any truncation or single bit flip is either rejected
+    as a wire-format ``ValueError`` or decodes to a well-formed
+    ``(rows, flag)`` of the framed size — never a numpy buffer error.
+    Only EXACT has a flag (``has_base``); a RAW frame's flags must be
+    clear. Derandomised: CI and the builder host see one case list."""
 
     _matrices = arrays(
         np.float32,
@@ -231,34 +255,36 @@ class TestExactFrameProperties:
 
     @given(data=_matrices, has_base=st.booleans())
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_roundtrip_property(self, data, has_base):
-        frame = encode_exact(data, has_base)
+    def test_roundtrip_property(self, kind, data, has_base):
+        has_base = has_base and kind == "exact"
+        frame = _encode_rows(kind, data, has_base)
         assert len(frame) == HEADER_BYTES + 8 + data.nbytes
-        rows, flag = decode_exact(frame)
+        rows, flag = _decode_rows(kind, frame)
         assert rows.dtype == np.float32 and rows.shape == data.shape
         assert rows.tobytes() == data.tobytes() and flag is has_base
 
     @given(data=_matrices, has_base=st.booleans(), cut=st.integers(1, 64))
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_truncation_is_a_value_error(self, data, has_base, cut):
-        frame = encode_exact(data, has_base)
+    def test_truncation_is_a_value_error(self, kind, data, has_base, cut):
+        frame = _encode_rows(kind, data, has_base)
         with pytest.raises(ValueError):
-            decode_exact(frame[:max(0, len(frame) - cut)])
+            _decode_rows(kind, frame[:max(0, len(frame) - cut)])
 
     @given(data=_matrices, has_base=st.booleans(), where=st.data())
     @settings(max_examples=120, deadline=None, derandomize=True)
     def test_bit_flip_never_escapes_the_wire_format(
-        self, data, has_base, where
+        self, kind, data, has_base, where
     ):
-        frame = bytearray(encode_exact(data, has_base))
+        has_base = has_base and kind == "exact"
+        frame = bytearray(_encode_rows(kind, data, has_base))
         bit = where.draw(st.integers(0, len(frame) * 8 - 1))
         frame[bit // 8] ^= 1 << (bit % 8)
         try:
-            rows, flag = decode_exact(bytes(frame))
+            rows, flag = _decode_rows(kind, bytes(frame))
         except ValueError:
             assert bit < (HEADER_BYTES + 8) * 8  # header or shape word
             return
-        # Accepted: the flip hit the has_base bit, a row value, or the
+        # Accepted: the flip hit EXACT's has_base bit, a row value, or the
         # shape word in a way that keeps the element count (0 rows, or
         # cols 1 -> 0 which reads back as a vector).
         assert rows.dtype == np.float32 and rows.size == data.size
@@ -281,6 +307,33 @@ class TestCorruptFrames:
         frame[24] = 200
         with pytest.raises(ValueError, match="invalid bit width"):
             decode_quantized(bytes(frame))
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_only_ladder_widths_decode(self, bits, reference_pack_bits):
+        """A well-formed frame at any width 1-16 — table and ids sized
+        for it, ids laid out by the reference packer — decodes only if
+        the width is one the quantizer writes."""
+        import struct
+
+        rng = np.random.default_rng(bits)
+        ids = rng.integers(0, 1 << bits, size=12, dtype=np.uint32)
+        table = np.arange(1 << bits, dtype=np.float32)
+        payload = (
+            struct.pack("<II", 3, 4)
+            + struct.pack("<Bff", bits, 0.0, 1.0)
+            + table.tobytes()
+            + reference_pack_bits(ids, bits).tobytes()
+        )
+        frame = struct.pack("<HHIQ", 0xEC6A, 2, 1, len(payload)) + payload
+        if bits not in SUPPORTED_BITS:
+            with pytest.raises(ValueError, match="invalid bit width"):
+                decode_quantized(frame)
+            return
+        decoded = decode_quantized(frame)
+        assert decoded.bits == bits
+        np.testing.assert_array_equal(
+            decoded.decode(), table[ids].reshape(3, 4)
+        )
 
     def test_flipped_bits_byte_wrong_payload_size(self, matrix):
         # 2 is a legal width, but the table and the packed ids were
@@ -324,6 +377,26 @@ class TestCorruptFrames:
         frame[4] = flags
         with pytest.raises(ValueError, match="flags"):
             decode_quantized(bytes(frame))
+
+    @pytest.mark.parametrize("flags", [1, 2, 0xFFFF])
+    def test_raw_flags_rejected(self, matrix, flags):
+        """The RAW encoder sets no flag; a frame carrying one is
+        malformed."""
+        frame = bytearray(encode_raw(matrix))
+        assert frame[4] == 0  # flags word: magic (2) + kind (2)
+        frame[4:6] = flags.to_bytes(2, "little")
+        with pytest.raises(ValueError, match="flag bits"):
+            decode_raw(bytes(frame))
+
+    @pytest.mark.parametrize("flags", [1, 7])
+    def test_selector_flags_rejected(self, matrix, flags):
+        selection = np.zeros(matrix.shape[0], dtype=np.uint8)
+        quantized = BucketQuantizer(4).encode(matrix)
+        frame = bytearray(encode_selector(selection, quantized, 0.5))
+        assert frame[4] == 0
+        frame[4] = flags
+        with pytest.raises(ValueError, match="flag bits"):
+            decode_selector(bytes(frame))
 
     def test_corrupt_selector_sel_bytes(self, matrix):
         rng = np.random.default_rng(2)

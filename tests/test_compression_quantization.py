@@ -14,11 +14,25 @@ from repro.compression.quantization import (
 )
 
 
+def assert_width_refused(values, packed, bits):
+    """A width outside ``SUPPORTED_BITS`` is refused by both kernels, even
+    for in-range values and a buffer sized exactly for that width."""
+    with pytest.raises(ValueError, match="bits must be in"):
+        pack_bits(values, bits)
+    with pytest.raises(ValueError, match="bits must be in"):
+        unpack_bits(packed, bits, values.size)
+
+
 class TestPackBits:
     @pytest.mark.parametrize("bits", [1, 2, 3, 4, 7, 8, 11, 16])
-    def test_roundtrip(self, bits):
+    def test_roundtrip(self, bits, reference_pack_bits):
         rng = np.random.default_rng(bits)
         values = rng.integers(0, 1 << bits, size=100, dtype=np.uint32)
+        if bits not in SUPPORTED_BITS:
+            assert_width_refused(
+                values, reference_pack_bits(values, bits), bits
+            )
+            return
         packed = pack_bits(values, bits)
         recovered = unpack_bits(packed, bits, 100)
         np.testing.assert_array_equal(recovered, values)
@@ -160,13 +174,19 @@ class TestKernelEquivalence:
     """The arithmetic kernels must be byte-identical to the original
     bit-matrix implementation (the ``reference_pack_bits`` fixture in
     conftest.py) — the wire layout is a compatibility contract, not an
-    implementation detail."""
+    implementation detail. Widths outside ``SUPPORTED_BITS`` have no
+    kernel: both refuse them."""
 
     @pytest.mark.parametrize("bits", list(range(1, 17)))
     def test_pack_byte_identical_to_reference(self, bits, reference_pack_bits):
         rng = np.random.default_rng(bits)
         for size in (0, 1, 3, 7, 8, 9, 15, 16, 17, 100, 1001):
             values = rng.integers(0, 1 << bits, size=size, dtype=np.uint32)
+            if bits not in SUPPORTED_BITS:
+                assert_width_refused(
+                    values, reference_pack_bits(values, bits), bits
+                )
+                continue
             assert pack_bits(values, bits).tobytes() == (
                 reference_pack_bits(values, bits).tobytes()
             ), f"bits={bits} size={size}"
@@ -177,23 +197,38 @@ class TestKernelEquivalence:
         for size in (1, 8, 9, 63, 100):
             values = rng.integers(0, 1 << bits, size=size, dtype=np.uint32)
             packed = reference_pack_bits(values, bits)
+            if bits not in SUPPORTED_BITS:
+                assert_width_refused(values, packed, bits)
+                continue
             np.testing.assert_array_equal(
                 unpack_bits(packed, bits, size), values
             )
 
 
 class TestStrictBufferLength:
+    """A buffer must hold exactly ``count`` values; a width outside
+    ``SUPPORTED_BITS`` is refused before any length check."""
+
     @pytest.mark.parametrize("bits", [1, 3, 4, 8, 11, 16])
-    def test_oversized_buffer_rejected(self, bits):
+    def test_oversized_buffer_rejected(self, bits, reference_pack_bits):
         values = np.arange(10, dtype=np.uint32) % (1 << bits)
+        if bits not in SUPPORTED_BITS:
+            packed = reference_pack_bits(values, bits)
+            padded = np.concatenate([packed, np.zeros(3, dtype=np.uint8)])
+            assert_width_refused(values, padded, bits)
+            return
         packed = pack_bits(values, bits)
         padded = np.concatenate([packed, np.zeros(3, dtype=np.uint8)])
         with pytest.raises(ValueError, match="exactly"):
             unpack_bits(padded, bits, 10)
 
     @pytest.mark.parametrize("bits", [1, 3, 4, 8, 11, 16])
-    def test_short_buffer_rejected(self, bits):
+    def test_short_buffer_rejected(self, bits, reference_pack_bits):
         values = np.arange(10, dtype=np.uint32) % (1 << bits)
+        if bits not in SUPPORTED_BITS:
+            packed = reference_pack_bits(values, bits)
+            assert_width_refused(values, packed[:-1], bits)
+            return
         packed = pack_bits(values, bits)
         with pytest.raises(ValueError, match="exactly"):
             unpack_bits(packed[:-1], bits, 10)

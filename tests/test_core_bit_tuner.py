@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.bit_tuner import BIT_LADDER, BitTuner
+from repro.compression.quantization import SUPPORTED_BITS
+from repro.core.bit_tuner import BitTuner
 
 PAIR = (0, 1)
 
@@ -43,7 +44,7 @@ class TestTuning:
         tuner = BitTuner(initial_bits=1)
         widths = [tuner.update(PAIR, 0.9) for _ in range(6)]
         assert widths == [2, 4, 8, 16, 16, 16]
-        assert all(w in BIT_LADDER for w in widths)
+        assert all(w in SUPPORTED_BITS for w in widths)
 
     def test_per_pair_independence(self):
         tuner = BitTuner(initial_bits=4)

@@ -183,6 +183,20 @@ class TestRetiredConfigFields:
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field", ["fp_bits", "bp_bits"])
+    def test_width_off_the_ladder_is_corrupt(
+        self, small_graph, tmp_path, field
+    ):
+        """A width outside ``SUPPORTED_BITS`` fails config validation, so
+        a checkpoint holding one loads like any other invalid config."""
+        trainer = _trainer(small_graph)
+        trainer.run_epoch(0)
+        path = tmp_path / f"old-{field}.npz"
+        save_checkpoint(trainer, path, epoch=1)
+        _rewrite_ec_config(path, **{field: 3})
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(path)
+
     def test_old_checkpoint_is_not_counted_corrupt(
         self, small_graph, tmp_path
     ):

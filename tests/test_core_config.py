@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.compression.quantization import SUPPORTED_BITS
 from repro.core.config import ECGraphConfig, ModelConfig
 
 
@@ -46,6 +47,18 @@ class TestECGraphConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ECGraphConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["fp_bits", "bp_bits"])
+    @pytest.mark.parametrize(
+        "bits", [b for b in range(1, 17) if b not in SUPPORTED_BITS]
+    )
+    def test_width_off_the_ladder_refused_at_construction(self, field, bits):
+        """Only the quantizer's widths construct, whatever the modes: the
+        trainer would refuse the rest in ``setup()`` or carry them unread."""
+        with pytest.raises(ValueError, match=field):
+            ECGraphConfig(**{field: bits})
+        with pytest.raises(ValueError, match=field):
+            ECGraphConfig(fp_mode="raw", bp_mode="raw", **{field: bits})
 
     @pytest.mark.parametrize(
         "name", ["table_mode", "codec_speedup", "delayed_rounds"]

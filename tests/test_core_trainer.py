@@ -131,10 +131,10 @@ class TestECGraphPipeline:
                                trend_period=4)
         trainer, _ = _train(medium_graph, 3, config, epochs=25)
         # The tuner must have been consulted; widths stay on the ladder.
-        from repro.core.bit_tuner import BIT_LADDER
+        from repro.compression.quantization import SUPPORTED_BITS
 
         pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
-        assert all(trainer.tuner.bits(p) in BIT_LADDER for p in pairs)
+        assert all(trainer.tuner.bits(p) in SUPPORTED_BITS for p in pairs)
 
     def test_evaluate_exact_does_not_disturb_state(self, small_graph):
         config = ECGraphConfig(fp_bits=2, bp_bits=2)

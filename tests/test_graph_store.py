@@ -444,20 +444,6 @@ class TestOpenValidates:
             open_bundle(root)
 
 
-class TestSharedStoreMapNpy:
-    def test_workers_see_store_chunk_without_copy(self, graph, mmap_root):
-        from repro.mp.store import SharedStore
-
-        chunk = next(iter((mmap_root).rglob("*.npy")))
-        expected = np.load(chunk)
-        with SharedStore(create=True) as shared:
-            view = shared.map_npy("chunk0", chunk)
-            assert isinstance(view, np.memmap)
-            np.testing.assert_array_equal(view, expected)
-            again = shared.attach("chunk0")
-            np.testing.assert_array_equal(again, expected)
-
-
 def _tiny_graph():
     indptr = np.array([0, 2, 3, 4], dtype=np.int64)
     indices = np.array([1, 2, 0, 0], dtype=np.int64)

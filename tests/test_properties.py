@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bit_tuner import BIT_LADDER, BitTuner
+from repro.compression.quantization import SUPPORTED_BITS
+from repro.core.bit_tuner import BitTuner
 from repro.graph.csr import from_edge_list
 from repro.graph.normalize import normalized_adjacency
 from repro.graph.store.memory import MemoryGraphStore
@@ -159,7 +160,7 @@ class TestSubgraphProperties:
 class TestBitTunerProperties:
     @given(
         proportions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
-        start=st.sampled_from(BIT_LADDER),
+        start=st.sampled_from(SUPPORTED_BITS),
     )
     @settings(max_examples=60, deadline=None)
     def test_widths_stay_on_ladder(self, proportions, start):
@@ -167,7 +168,7 @@ class TestBitTunerProperties:
         pair = (0, 1)
         for p in proportions:
             width = tuner.update(pair, p)
-            assert width in BIT_LADDER
+            assert width in SUPPORTED_BITS
 
     @given(proportions=st.lists(st.floats(0.0, 0.39), min_size=10,
                                 max_size=10))

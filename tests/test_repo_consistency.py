@@ -95,6 +95,7 @@ RETIRED_NAMES = (
     "EncodedMatrix", "IdentityCodec", "QuantizingCodec", "Float16Codec",
     "OneBitCodec", "TopKCodec", "CodecPolicy", "table_mode",
     "telemetry_table",
+    "BIT_LADDER", "map_npy", "chunk_paths",
 )
 CHECKPOINT = REPO / "src" / "repro" / "core" / "checkpoint.py"
 
@@ -756,6 +757,64 @@ class TestOneGraphType:
         assert _graph_type_branches(sample) == [
             "union:1", "isinstance:2", "union:5", "union:6", "isinstance:8",
         ]
+
+
+# ----------------------------------------------------------------------
+# One width set: ``SUPPORTED_BITS`` in ``compression/quantization.py`` is
+# the only place the bucket-id widths are written down. No other module
+# spells out the ladder or range-checks a width as ``1 <= bits <= 16``.
+# ----------------------------------------------------------------------
+WIDTH_OWNER = REPO / "src" / "repro" / "compression" / "quantization.py"
+LADDER = (1, 2, 4, 8, 16)
+
+
+def _is_constant(node: ast.AST, value: int) -> bool:
+    return isinstance(node, ast.Constant) and node.value == value
+
+
+def _width_sets(source: str) -> list[str]:
+    """``ladder:line`` for a literal ``(1, 2, 4, 8, 16)`` (tuple, list or
+    set) and ``range:line`` for a chained ``1 <= x <= 16``."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, (ast.Tuple, ast.List, ast.Set))
+            and len(node.elts) == len(LADDER)
+            and all(map(_is_constant, node.elts, LADDER))
+        ):
+            offenders.append((node.lineno, "ladder"))
+        elif (
+            isinstance(node, ast.Compare)
+            and [type(op) for op in node.ops] == [ast.LtE, ast.LtE]
+            and _is_constant(node.left, 1)
+            and _is_constant(node.comparators[1], 16)
+        ):
+            offenders.append((node.lineno, "range"))
+    return [f"{kind}:{line}" for line, kind in sorted(offenders)]
+
+
+class TestOneWidthSet:
+    def test_only_the_quantizer_writes_the_widths(self):
+        root = REPO / "src" / "repro"
+        assert [
+            f"{path.relative_to(root)}:{offender}"
+            for path in sorted(root.rglob("*.py")) if path != WIDTH_OWNER
+            for offender in _width_sets(path.read_text())
+        ] == []
+
+    def test_the_quantizer_writes_them_once(self):
+        found = _width_sets(WIDTH_OWNER.read_text())
+        assert len(found) == 1 and found[0].startswith("ladder:")
+
+    def test_the_width_guard_sees_a_second_set(self):
+        sample = (
+            "LADDER = (1, 2, 4, 8, 16)\n"
+            "def f(bits):\n"
+            "    if not 1 <= bits <= 16:\n"
+            "        return [1, 2, 4, 8, 16]\n"
+            "    return 1 <= bits <= 32 or bits in (1, 2, 4, 8)\n"
+        )
+        assert _width_sets(sample) == ["ladder:1", "range:3", "ladder:4"]
 
 
 def _documented_names():
