@@ -4,18 +4,17 @@ convergence summaries and ASCII reporting for the benchmarks.
 
 from repro.analysis.convergence import (
     ConvergenceSummary,
-    compare_speedups,
     convergence_target,
     summarize,
 )
-from repro.analysis.export import export_csv, export_json, load_json, run_to_records
+from repro.analysis.export import export_json, run_to_records
 from repro.analysis.costs import (
     CostEstimate,
     CostParameters,
     ecgraph_costs,
     ml_centered_costs,
 )
-from repro.analysis.reporting import format_series, format_speedup, format_table
+from repro.analysis.reporting import format_series, format_table
 from repro.analysis.traffic import dominant_category, traffic_by_category, traffic_table
 from repro.analysis.theory import (
     ErrorFeedbackTrace,
@@ -26,12 +25,9 @@ from repro.analysis.theory import (
 
 __all__ = [
     "ConvergenceSummary",
-    "compare_speedups",
     "convergence_target",
     "summarize",
-    "export_csv",
     "export_json",
-    "load_json",
     "run_to_records",
     "CostEstimate",
     "CostParameters",
@@ -41,7 +37,6 @@ __all__ = [
     "traffic_by_category",
     "traffic_table",
     "format_series",
-    "format_speedup",
     "format_table",
     "ErrorFeedbackTrace",
     "estimate_alpha",

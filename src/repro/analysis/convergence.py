@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from repro.core.results import ConvergenceRun
 
-__all__ = ["ConvergenceSummary", "summarize", "convergence_target",
-           "compare_speedups"]
+__all__ = ["ConvergenceSummary", "summarize", "convergence_target"]
 
 
 @dataclass(frozen=True)
@@ -64,24 +63,3 @@ def summarize(
         total_bytes=run.total_bytes(),
         preprocessing_seconds=run.preprocessing_seconds,
     )
-
-
-def compare_speedups(
-    reference: ConvergenceSummary, others: list[ConvergenceSummary]
-) -> dict[str, float | None]:
-    """Convergence-time speedup of ``reference`` over each other system.
-
-    ``None`` marks systems that never reached the target (the paper
-    reports these as non-converged rather than assigning a number).
-    """
-    speedups: dict[str, float | None] = {}
-    if reference.seconds_to_target is None:
-        return {other.name: None for other in others}
-    for other in others:
-        if other.seconds_to_target is None:
-            speedups[other.name] = None
-        else:
-            speedups[other.name] = (
-                other.seconds_to_target / reference.seconds_to_target
-            )
-    return speedups

@@ -1,4 +1,4 @@
-"""Export convergence runs to CSV / JSON.
+"""Export convergence runs to JSON.
 
 Benchmark and example outputs are printed as ASCII tables; these helpers
 persist the underlying numbers so downstream analysis (plotting,
@@ -7,20 +7,12 @@ regression tracking between library versions) has machine-readable data.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
 from repro.core.results import ConvergenceRun
 
-__all__ = ["run_to_records", "export_csv", "export_json", "load_json"]
-
-_FIELDS = [
-    "run", "epoch", "loss", "train_accuracy", "val_accuracy",
-    "test_accuracy", "compute_seconds", "comm_seconds", "total_seconds",
-    "bytes_sent",
-]
-
+__all__ = ["run_to_records", "export_json"]
 
 def run_to_records(run: ConvergenceRun) -> list[dict]:
     """Flatten one run into per-epoch dict records."""
@@ -41,18 +33,6 @@ def run_to_records(run: ConvergenceRun) -> list[dict]:
     return records
 
 
-def export_csv(runs: list[ConvergenceRun], path: str | Path) -> None:
-    """Write the per-epoch records of several runs into one CSV file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=_FIELDS)
-        writer.writeheader()
-        for run in runs:
-            for record in run_to_records(run):
-                writer.writerow(record)
-
-
 def export_json(runs: list[ConvergenceRun], path: str | Path) -> None:
     """Write runs (records + summary metadata) as a JSON document."""
     path = Path(path)
@@ -70,12 +50,3 @@ def export_json(runs: list[ConvergenceRun], path: str | Path) -> None:
         })
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2, default=str)
-
-
-def load_json(path: str | Path) -> list[dict]:
-    """Read a document written by :func:`export_json`."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"export not found: {path}")
-    with open(path) as handle:
-        return json.load(handle)

@@ -12,7 +12,6 @@ from typing import Sequence
 __all__ = [
     "format_table",
     "format_series",
-    "format_speedup",
 ]
 
 
@@ -77,15 +76,3 @@ def format_series(
         sampled = list(points)
     body = "  ".join(f"{x:g}:{y:.3f}" for x, y in sampled)
     return f"{name} [{x_label}:{y_label}]  {body}"
-
-
-def format_speedup(base_seconds: float, other_seconds: float) -> str:
-    """``"2.31x"``-style speedup of ``base`` over ``other``.
-
-    Reads as "base is N times faster than other"; values below 1 mean
-    base is slower.
-    """
-    if base_seconds <= 0:
-        return "n/a"
-    return f"{other_seconds / base_seconds:.2f}x"
-

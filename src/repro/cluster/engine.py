@@ -128,21 +128,24 @@ class ClusterRuntime:
     def _charge(
         self, src_machine: int, dst_machine: int, num_bytes: int,
         category: str,
-    ) -> None:
-        self.meter.charge(src_machine, dst_machine, num_bytes, category)
-        if self.telemetry.enabled and src_machine != dst_machine:
-            # Mirror exactly what the meter recorded: intra-machine
-            # messages are free there and must stay invisible here too.
+    ) -> bool:
+        metered = self.meter.charge(
+            src_machine, dst_machine, num_bytes, category
+        )
+        if self.telemetry.enabled and metered:
+            # Mirror exactly what the meter recorded.
             self.telemetry.metrics.inc(
                 "comm_bytes", num_bytes, category=category
             )
             self.telemetry.metrics.inc("comm_messages", 1, category=category)
+        return metered
 
     def send_worker_to_worker(
         self, src: int, dst: int, num_bytes: int, category: str
-    ) -> None:
-        """Charge a worker-to-worker message (embeddings / gradients)."""
-        self._charge(
+    ) -> bool:
+        """Charge a worker-to-worker message (embeddings / gradients);
+        returns whether the meter charged its bytes."""
+        return self._charge(
             self.spec.worker_machine(src),
             self.spec.worker_machine(dst),
             num_bytes,

@@ -170,12 +170,16 @@ class TrafficMeter:
         dst_machine: int,
         num_bytes: int,
         category: str = "other",
-    ) -> None:
-        """Record one message. Intra-machine messages are free."""
+    ) -> bool:
+        """Record one message; returns whether its bytes were metered.
+
+        This is the one place that knows intra-machine messages are
+        free: they are not recorded, and the call returns False.
+        """
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
         if src_machine == dst_machine:
-            return
+            return False
         src = self._epoch[src_machine][category]
         dst = self._epoch[dst_machine][category]
         src.bytes_sent += num_bytes
@@ -185,6 +189,7 @@ class TrafficMeter:
         self._total_bytes += num_bytes
         self._total_messages += 1
         self._category_bytes[category] += num_bytes
+        return True
 
     # ------------------------------------------------------------------
     def epoch_machine_bytes(self, machine: int) -> tuple[int, int, int]:

@@ -11,7 +11,6 @@ from repro.compression.quantization import (
     pack_bits,
     unpack_bits,
 )
-from repro.compression.stats import CompressionReport, compression_report
 
 __all__ = [
     "SUPPORTED_BITS",
@@ -19,6 +18,4 @@ __all__ = [
     "QuantizedMatrix",
     "pack_bits",
     "unpack_bits",
-    "CompressionReport",
-    "compression_report",
 ]

@@ -386,10 +386,3 @@ class BucketQuantizer:
     def quantize(self, matrix: np.ndarray, **kwargs) -> np.ndarray:
         """Encode then immediately decode (the error operator ``C_bits``)."""
         return self.encode(matrix, **kwargs).decode()
-
-    def max_error(self, lo: float, hi: float) -> float:
-        """Worst-case absolute error for a value inside ``[lo, hi]``.
-
-        With midpoint representatives this is half the bucket width.
-        """
-        return (hi - lo) / (2 * self.num_buckets)

@@ -14,7 +14,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.messages import ChannelKey, ChannelMessage, RawPolicy, ReceiveResult
+from repro.core.messages import ChannelKey, ChannelMessage, RawPolicy
 from repro.core.models import GNNParameters, build_parameters
 from repro.core.policies import (
     CompressPolicy,
@@ -42,7 +42,6 @@ __all__ = [
     "ChannelKey",
     "ChannelMessage",
     "RawPolicy",
-    "ReceiveResult",
     "GNNParameters",
     "build_parameters",
     "CompressPolicy",

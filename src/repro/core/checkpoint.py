@@ -34,17 +34,18 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 
-# ``ECGraphConfig`` / ``ObsConfig`` fields that no longer exist;
-# checkpoints written while they did still load (any *other* unknown key
-# is corruption). A retired config field maps to the one value it may
-# carry, the behaviour the code now fixes; any other value would resume
-# a different run, so it is corruption too. ``None`` marks a
-# performance-only knob, dropped whatever its value.
+# ``ECGraphConfig`` / ``FaultConfig`` / ``ObsConfig`` fields that no
+# longer exist; checkpoints written while they did still load (any
+# *other* unknown key is corruption). A retired config or fault field
+# maps to the one value it may carry, the behaviour the code now fixes;
+# any other value would resume a different run, so it is corruption too.
+# ``None`` marks a performance-only knob, dropped whatever its value.
 _RETIRED_CONFIG_FIELDS = {
     "halo_buffer_pool": None, "exchange_threads": None,
     "table_mode": "table", "codec_speedup": CODEC_SPEEDUP,
     "delayed_rounds": DelayedPolicy().rounds,
 }
+_RETIRED_FAULT_FIELDS = {"restore_params": True}
 _RETIRED_OBS_FIELDS = (
     "trace", "metrics", "health", "profile", "ledger", "epoch_snapshots",
     "health_rho",
@@ -61,16 +62,23 @@ class CheckpointError(ValueError):
     """
 
 
-def _load_ec_config(fields: dict) -> ECGraphConfig:
-    """Rebuild the config; ``asdict`` flattened the nested sub-configs."""
+def _drop_retired(fields: dict, retired: dict) -> dict:
+    """``fields`` without the ``retired`` ones; a retired field off its
+    fixed value is a ``ValueError``."""
     fields = dict(fields)
-    for name, fixed in _RETIRED_CONFIG_FIELDS.items():
+    for name, fixed in retired.items():
         value = fields.pop(name, fixed)
         if fixed is not None and value != fixed:
             raise ValueError(
                 f"retired config field {name}={value!r}; only {fixed!r} "
                 "is supported"
             )
+    return fields
+
+
+def _load_ec_config(fields: dict) -> ECGraphConfig:
+    """Rebuild the config; ``asdict`` flattened the nested sub-configs."""
+    fields = _drop_retired(fields, _RETIRED_CONFIG_FIELDS)
     obs = fields.get("obs")
     if isinstance(obs, dict):
         fields["obs"] = ObsConfig(**{
@@ -79,7 +87,9 @@ def _load_ec_config(fields: dict) -> ECGraphConfig:
         })
     faults = fields.get("faults")
     if isinstance(faults, dict):
-        fields["faults"] = FaultConfig.from_dict(faults)
+        fields["faults"] = FaultConfig.from_dict(
+            _drop_retired(faults, _RETIRED_FAULT_FIELDS)
+        )
     return ECGraphConfig(**fields)
 
 

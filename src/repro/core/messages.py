@@ -19,8 +19,7 @@ import numpy as np
 
 from repro.compression.quantization import MATRIX_PREFIX_BYTES
 
-__all__ = ["ChannelKey", "ChannelMessage", "ReceiveResult", "ExchangePolicy",
-           "RawPolicy"]
+__all__ = ["ChannelKey", "ChannelMessage", "ExchangePolicy", "RawPolicy"]
 
 
 class ChannelKey(NamedTuple):
@@ -41,26 +40,22 @@ class ChannelMessage:
     """One message as produced by a responding worker.
 
     Attributes:
+        kind: The frame kind, one of the ledger's four: ``raw`` float32
+            rows, ``quant`` compressed rows, ``exact`` ReqEC-FP boundary
+            rows or a ReqEC-FP ``selector`` message. The ledger counts
+            the frame under it and the transport's codec charge reads it.
         payload: Policy-specific content handed to ``receive``.
         nbytes: Exact wire size charged to the traffic meter.
         meta: Free-form extras (e.g. the predicted-selection proportion
             that feeds the Bit-Tuner).
 
     Policies do not time themselves: the transport times each
-    ``respond``/``receive`` call and decides from the payload's frame
-    kind how much of it to charge.
+    ``respond``/``receive`` call.
     """
 
+    kind: str
     payload: object
     nbytes: int
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class ReceiveResult:
-    """Decoded rows plus free-form extras."""
-
-    rows: np.ndarray
     meta: dict = field(default_factory=dict)
 
 
@@ -71,9 +66,10 @@ class ExchangePolicy:
     tolerance, elastic membership and telemetry through the hooks below
     on any policy; their defaults are those of a stateless one.
 
-    ``rows_idx`` supports the sampling trainers: when only a subset of a
-    channel's vertices is requested this iteration, it holds their indices
-    within the channel's full vertex list so per-row state stays aligned.
+    ``rows_mask`` supports sampled training: when only a subset of a
+    channel's vertices is requested this iteration, it is a boolean
+    mask over the channel's full vertex list (``rows`` holds the masked
+    rows in ascending order), so per-row state stays aligned.
     """
 
     name: str
@@ -86,17 +82,14 @@ class ExchangePolicy:
         key: ChannelKey,
         rows: np.ndarray,
         t: int,
-        rows_idx: np.ndarray | None = None,
+        rows_mask: np.ndarray | None = None,
     ) -> ChannelMessage:
         raise NotImplementedError
 
     def receive(
-        self,
-        key: ChannelKey,
-        message: ChannelMessage,
-        t: int,
-        rows_idx: np.ndarray | None = None,
-    ) -> ReceiveResult:
+        self, key: ChannelKey, message: ChannelMessage, t: int
+    ) -> np.ndarray:
+        """The decoded float32 rows of ``message``."""
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -110,7 +103,7 @@ class ExchangePolicy:
         self,
         key: ChannelKey,
         message: ChannelMessage,
-        rows_idx: np.ndarray | None = None,
+        rows_mask: np.ndarray | None = None,
     ) -> bool:
         """A message never arrived; True when the policy compensated."""
         return False
@@ -130,13 +123,6 @@ class ExchangePolicy:
     def seed_residual(self, key: ChannelKey, residual: np.ndarray) -> None:
         """Install a carried residual on a (possibly new) channel."""
 
-    def prime_residual(self, key: ChannelKey, num_rows: int, dim: int) -> None:
-        """Allocate full-channel residual state (sampled training)."""
-
-    def has_residual(self, key: ChannelKey) -> bool:
-        """True when the channel holds residual state."""
-        return False
-
 
 class RawPolicy(ExchangePolicy):
     """Uncompressed float32 rows — the paper's ``Non-cp`` configuration."""
@@ -148,18 +134,15 @@ class RawPolicy(ExchangePolicy):
         key: ChannelKey,
         rows: np.ndarray,
         t: int,
-        rows_idx: np.ndarray | None = None,
+        rows_mask: np.ndarray | None = None,
     ) -> ChannelMessage:
         data = np.ascontiguousarray(rows, dtype=np.float32)
         return ChannelMessage(
-            payload=data, nbytes=MATRIX_PREFIX_BYTES + data.nbytes
+            kind="raw", payload=data,
+            nbytes=MATRIX_PREFIX_BYTES + data.nbytes,
         )
 
     def receive(
-        self,
-        key: ChannelKey,
-        message: ChannelMessage,
-        t: int,
-        rows_idx: np.ndarray | None = None,
-    ) -> ReceiveResult:
-        return ReceiveResult(rows=message.payload)
+        self, key: ChannelKey, message: ChannelMessage, t: int
+    ) -> np.ndarray:
+        return message.payload

@@ -26,12 +26,7 @@ from repro.compression.quantization import (
     pack_bits,
     unpack_bits,
 )
-from repro.core.messages import (
-    ChannelKey,
-    ChannelMessage,
-    ExchangePolicy,
-    ReceiveResult,
-)
+from repro.core.messages import ChannelKey, ChannelMessage, ExchangePolicy
 
 if TYPE_CHECKING:
     from repro.core.bit_tuner import BitTuner
@@ -106,29 +101,17 @@ class CompressPolicy(ExchangePolicy):
         key: ChannelKey,
         rows: np.ndarray,
         t: int,
-        rows_idx: np.ndarray | None = None,
+        rows_mask: np.ndarray | None = None,
     ) -> ChannelMessage:
         quantized = self._quantizer.encode(rows)
         return ChannelMessage(
-            payload=quantized, nbytes=quantized.payload_bytes()
+            kind="quant", payload=quantized, nbytes=quantized.payload_bytes()
         )
 
     def receive(
-        self,
-        key: ChannelKey,
-        message: ChannelMessage,
-        t: int,
-        rows_idx: np.ndarray | None = None,
-    ) -> ReceiveResult:
-        return ReceiveResult(rows=message.payload.decode())
-
-
-@dataclass
-class Float16Payload:
-    """Half-precision rows. Not a bare array, so the transport meters the
-    frame as codec work (``quant``) rather than a raw copy."""
-
-    rows: np.ndarray
+        self, key: ChannelKey, message: ChannelMessage, t: int
+    ) -> np.ndarray:
+        return message.payload.decode()
 
 
 class Float16Policy(ExchangePolicy):
@@ -141,22 +124,18 @@ class Float16Policy(ExchangePolicy):
         key: ChannelKey,
         rows: np.ndarray,
         t: int,
-        rows_idx: np.ndarray | None = None,
+        rows_mask: np.ndarray | None = None,
     ) -> ChannelMessage:
         data = np.ascontiguousarray(rows, dtype=np.float16)
         return ChannelMessage(
-            payload=Float16Payload(data),
+            kind="quant", payload=data,
             nbytes=MATRIX_PREFIX_BYTES + data.nbytes,
         )
 
     def receive(
-        self,
-        key: ChannelKey,
-        message: ChannelMessage,
-        t: int,
-        rows_idx: np.ndarray | None = None,
-    ) -> ReceiveResult:
-        return ReceiveResult(rows=message.payload.rows.astype(np.float32))
+        self, key: ChannelKey, message: ChannelMessage, t: int
+    ) -> np.ndarray:
+        return message.payload.astype(np.float32)
 
 
 @dataclass
@@ -187,7 +166,7 @@ class TopKPolicy(ExchangePolicy):
         key: ChannelKey,
         rows: np.ndarray,
         t: int,
-        rows_idx: np.ndarray | None = None,
+        rows_mask: np.ndarray | None = None,
     ) -> ChannelMessage:
         data = np.ascontiguousarray(rows, dtype=np.float32)
         if data.ndim != 2:
@@ -204,22 +183,19 @@ class TopKPolicy(ExchangePolicy):
             values = np.take_along_axis(data, indices, axis=1)
         # Each kept entry travels as (int32 index, float32 value).
         return ChannelMessage(
+            kind="quant",
             payload=TopKPayload(data.shape, indices, values),
             nbytes=MATRIX_PREFIX_BYTES + indices.nbytes + values.nbytes,
         )
 
     def receive(
-        self,
-        key: ChannelKey,
-        message: ChannelMessage,
-        t: int,
-        rows_idx: np.ndarray | None = None,
-    ) -> ReceiveResult:
+        self, key: ChannelKey, message: ChannelMessage, t: int
+    ) -> np.ndarray:
         payload = message.payload
         out = np.zeros(payload.shape, dtype=np.float32)
         row_ids = np.arange(payload.shape[0])[:, None]
         out[row_ids, payload.indices] = payload.values
-        return ReceiveResult(rows=out)
+        return out
 
 
 @dataclass
@@ -247,7 +223,7 @@ class OneBitPolicy(ExchangePolicy):
         key: ChannelKey,
         rows: np.ndarray,
         t: int,
-        rows_idx: np.ndarray | None = None,
+        rows_mask: np.ndarray | None = None,
     ) -> ChannelMessage:
         data = np.ascontiguousarray(rows, dtype=np.float32)
         flat = data.ravel()
@@ -257,22 +233,19 @@ class OneBitPolicy(ExchangePolicy):
         packed = pack_bits(positive.astype(np.uint32), 1)
         # frame + shape + sign bits + two float32 means
         return ChannelMessage(
+            kind="quant",
             payload=OneBitPayload(data.shape, packed, pos_mean, neg_mean),
             nbytes=MATRIX_PREFIX_BYTES + packed.size + 8,
         )
 
     def receive(
-        self,
-        key: ChannelKey,
-        message: ChannelMessage,
-        t: int,
-        rows_idx: np.ndarray | None = None,
-    ) -> ReceiveResult:
+        self, key: ChannelKey, message: ChannelMessage, t: int
+    ) -> np.ndarray:
         payload = message.payload
         count = math.prod(payload.shape)
         signs = unpack_bits(payload.packed_signs, 1, count).astype(bool)
         out = np.where(signs, payload.positive_mean, payload.negative_mean)
-        return ReceiveResult(rows=out.reshape(payload.shape).astype(np.float32))
+        return out.reshape(payload.shape).astype(np.float32)
 
 
 class DelayedPolicy(ExchangePolicy):
@@ -303,7 +276,7 @@ class DelayedPolicy(ExchangePolicy):
         key: ChannelKey,
         rows: np.ndarray,
         t: int,
-        rows_idx: np.ndarray | None = None,
+        rows_mask: np.ndarray | None = None,
     ) -> ChannelMessage:
         data = np.ascontiguousarray(rows, dtype=np.float32)
         if t == 0 or key not in self._cache:
@@ -313,15 +286,11 @@ class DelayedPolicy(ExchangePolicy):
             block = self._block(data.shape[0], t)
             payload = ("block", block, data[block].copy())
             nbytes = MATRIX_PREFIX_BYTES + data[block].nbytes + block.size * 4
-        return ChannelMessage(payload=payload, nbytes=nbytes)
+        return ChannelMessage(kind="raw", payload=payload, nbytes=nbytes)
 
     def receive(
-        self,
-        key: ChannelKey,
-        message: ChannelMessage,
-        t: int,
-        rows_idx: np.ndarray | None = None,
-    ) -> ReceiveResult:
+        self, key: ChannelKey, message: ChannelMessage, t: int
+    ) -> np.ndarray:
         kind = message.payload[0]
         if kind == "full":
             self._cache[key] = message.payload[1].copy()
@@ -334,7 +303,7 @@ class DelayedPolicy(ExchangePolicy):
                     "full refresh"
                 )
             cache[block] = rows
-        return ReceiveResult(rows=self._cache[key].copy())
+        return self._cache[key].copy()
 
     def reset(self) -> None:
         self._cache.clear()

@@ -28,12 +28,7 @@ import numpy as np
 
 from repro.compression.quantization import MATRIX_PREFIX_BYTES, BucketQuantizer
 from repro.core.bit_tuner import BitTuner
-from repro.core.messages import (
-    ChannelKey,
-    ChannelMessage,
-    ExchangePolicy,
-    ReceiveResult,
-)
+from repro.core.messages import ChannelKey, ChannelMessage, ExchangePolicy
 
 __all__ = ["TrendState", "ReqECPolicy", "is_trend_boundary",
            "SELECT_COMPRESSED", "SELECT_PREDICTED", "SELECT_AVERAGE"]
@@ -112,9 +107,9 @@ class ReqECPolicy(ExchangePolicy):
         key: ChannelKey,
         rows: np.ndarray,
         t: int,
-        rows_idx: np.ndarray | None = None,
+        rows_mask: np.ndarray | None = None,
     ) -> ChannelMessage:
-        if rows_idx is not None:
+        if rows_mask is not None:
             raise NotImplementedError(
                 "ReqEC-FP keeps dense per-channel trend state; sampled "
                 "training uses the compression or ResEC policies instead"
@@ -135,7 +130,7 @@ class ReqECPolicy(ExchangePolicy):
                 h_last=h_last, m_cr=m_cr, boundary_t=t
             )
             return ChannelMessage(
-                payload=("exact", h_last, has_base),
+                kind="exact", payload=(h_last, has_base),
                 nbytes=MATRIX_PREFIX_BYTES + rows.nbytes,
             )
 
@@ -150,9 +145,9 @@ class ReqECPolicy(ExchangePolicy):
                     key.pair, (rows.shape[0], 0, 0), bits, t
                 )
             return ChannelMessage(
-                payload=("cps_only", quantized),
+                kind="quant", payload=quantized,
                 nbytes=quantized.payload_bytes(),
-                meta={"proportion": 0.0, "bits": bits},
+                meta={"proportion": 0.0},
             )
 
         h_pdt = self._predict(state, t % self.trend_period + 1)
@@ -163,16 +158,16 @@ class ReqECPolicy(ExchangePolicy):
         h_cps = np.take(reps, ids).reshape(rows.shape)
 
         selection, proportion = self._select(rows, h_cps, h_pdt)
-        payload, nbytes = self._build_compressed_payload(
+        subset, nbytes = self._build_compressed_payload(
             rows, selection, quantizer, ids, reps, lo, hi
         )
         if self.health is not None:
             counts = np.bincount(selection.ravel(), minlength=3)
             self.health.record_selection(key.pair, counts, bits, t)
         return ChannelMessage(
-            payload=("cps", selection, payload, lo, hi, bits),
+            kind="selector", payload=(selection, subset, proportion),
             nbytes=nbytes,
-            meta={"proportion": proportion, "bits": bits},
+            meta={"proportion": proportion},
         )
 
     @staticmethod
@@ -253,17 +248,12 @@ class ReqECPolicy(ExchangePolicy):
     # Requesting end (Algorithm 3)
     # ------------------------------------------------------------------
     def receive(
-        self,
-        key: ChannelKey,
-        message: ChannelMessage,
-        t: int,
-        rows_idx: np.ndarray | None = None,
-    ) -> ReceiveResult:
-        kind = message.payload[0]
-        if kind == "exact":
+        self, key: ChannelKey, message: ChannelMessage, t: int
+    ) -> np.ndarray:
+        if message.kind == "exact":
             # The responder's read-only snapshot (see respond): shared,
             # not copied — the halo scatter copies out of it.
-            _, rows, has_base = message.payload
+            rows, has_base = message.payload
             base = self._requester_trend.get(key) if has_base else None
             if has_base and (base is None or base.h_last.shape != rows.shape):
                 raise RuntimeError(
@@ -286,14 +276,12 @@ class ReqECPolicy(ExchangePolicy):
             self._requester_trend[key] = TrendState(
                 h_last=rows, m_cr=m_cr, boundary_t=t
             )
-            return ReceiveResult(rows=rows)
+            return rows
 
-        if kind == "cps_only":
-            return ReceiveResult(
-                rows=message.payload[1].decode(), meta=dict(message.meta)
-            )
+        if message.kind == "quant":
+            return message.payload.decode()
 
-        _, selection, quantized, lo, hi, bits = message.payload
+        selection, quantized, _ = message.payload
         state = self._requester_trend.get(key)
         if state is None:
             raise RuntimeError(
@@ -301,8 +289,7 @@ class ReqECPolicy(ExchangePolicy):
                 "exact trend snapshot"
             )
         h_pdt = self._predict(state, t % self.trend_period + 1)
-        rows = self._reconstruct(selection, quantized, h_pdt)
-        return ReceiveResult(rows=rows, meta=dict(message.meta))
+        return self._reconstruct(selection, quantized, h_pdt)
 
     def _reconstruct(
         self, selection: np.ndarray, quantized, h_pdt: np.ndarray
@@ -347,7 +334,7 @@ class ReqECPolicy(ExchangePolicy):
         self,
         key: ChannelKey,
         message: ChannelMessage,
-        rows_idx: np.ndarray | None = None,
+        rows_mask: np.ndarray | None = None,
     ) -> bool:
         """Keep both ends consistent after a lost message.
 
@@ -358,8 +345,8 @@ class ReqECPolicy(ExchangePolicy):
         boundary, whose clear ``has_base`` flag makes the requester start
         from a zero rate too instead of its older, stale snapshot.
         """
-        del rows_idx
-        if message.payload[0] == "exact":
+        del rows_mask
+        if message.kind == "exact":
             self._responder_trend.pop(key, None)
         return False
 

@@ -20,12 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.quantization import BucketQuantizer, QuantizedMatrix
-from repro.core.messages import (
-    ChannelKey,
-    ChannelMessage,
-    ExchangePolicy,
-    ReceiveResult,
-)
+from repro.core.messages import ChannelKey, ChannelMessage, ExchangePolicy
 
 __all__ = ["ResECPolicy"]
 
@@ -55,11 +50,11 @@ class ResECPolicy(ExchangePolicy):
         key: ChannelKey,
         rows: np.ndarray,
         t: int,
-        rows_idx: np.ndarray | None = None,
+        rows_mask: np.ndarray | None = None,
     ) -> ChannelMessage:
         rows = np.ascontiguousarray(rows, dtype=np.float32)
         residual = self._residual.get(key)
-        if rows_idx is None:
+        if rows_mask is None:
             if residual is None or residual.shape != rows.shape:
                 residual = np.zeros_like(rows)
             compensated = rows + residual
@@ -67,14 +62,13 @@ class ResECPolicy(ExchangePolicy):
             self._residual[key] = residual
         else:
             # Sampled training: residual state spans the channel's full
-            # vertex list; only the requested rows participate this round.
+            # vertex list; only the masked rows participate this round.
             if residual is None:
-                raise RuntimeError(
-                    f"channel {key} must be primed with prime_residual() "
-                    "before sampled responds"
+                residual = self._residual[key] = np.zeros(
+                    (rows_mask.size, rows.shape[1]), dtype=np.float32
                 )
-            compensated = rows + residual[rows_idx]
-            quantized, residual[rows_idx] = self._quantize(compensated)
+            compensated = rows + residual[rows_mask]
+            quantized, residual[rows_mask] = self._quantize(compensated)
         if self.health is not None:
             # The full-channel residual is what Theorem 1 bounds.
             self.health.record_residual(
@@ -84,7 +78,7 @@ class ResECPolicy(ExchangePolicy):
                 self._quantizer.bits,
             )
         return ChannelMessage(
-            payload=quantized, nbytes=quantized.payload_bytes()
+            kind="quant", payload=quantized, nbytes=quantized.payload_bytes()
         )
 
     def _quantize(
@@ -105,18 +99,10 @@ class ResECPolicy(ExchangePolicy):
         np.subtract(compensated, residual, out=residual)
         return quantized, residual
 
-    def prime_residual(self, key: ChannelKey, num_rows: int, dim: int) -> None:
-        """Allocate full-channel residual state (sampled training only)."""
-        self._residual[key] = np.zeros((num_rows, dim), dtype=np.float32)
-
     def receive(
-        self,
-        key: ChannelKey,
-        message: ChannelMessage,
-        t: int,
-        rows_idx: np.ndarray | None = None,
-    ) -> ReceiveResult:
-        return ReceiveResult(rows=message.payload.decode())
+        self, key: ChannelKey, message: ChannelMessage, t: int
+    ) -> np.ndarray:
+        return message.payload.decode()
 
     # ------------------------------------------------------------------
     # Fault tolerance (driven by the NAC)
@@ -125,7 +111,7 @@ class ResECPolicy(ExchangePolicy):
         self,
         key: ChannelKey,
         message: ChannelMessage,
-        rows_idx: np.ndarray | None = None,
+        rows_mask: np.ndarray | None = None,
     ) -> bool:
         """Fold an undeliverable gradient into the channel residual.
 
@@ -137,24 +123,19 @@ class ResECPolicy(ExchangePolicy):
         """
         lost = message.payload.decode()
         residual = self._residual.get(key)
-        if rows_idx is None:
+        if rows_mask is None:
             if residual is None or residual.shape != lost.shape:
                 self._residual[key] = lost.astype(np.float32)
             else:
                 residual += lost
         else:
-            if residual is None:
-                return False
-            residual[rows_idx] += lost
+            # respond allocated the full-channel residual.
+            residual[rows_mask] += lost
         return True
 
     # ------------------------------------------------------------------
     # Elastic membership (driven by the PartitionReassigner)
     # ------------------------------------------------------------------
-    def has_residual(self, key: ChannelKey) -> bool:
-        """True when channel state exists (primed or accumulated)."""
-        return key in self._residual
-
     def export_residuals(
         self, workers
     ) -> list[tuple[ChannelKey, np.ndarray]]:
@@ -184,9 +165,9 @@ class ResECPolicy(ExchangePolicy):
         recovery with ``reset_residuals=True``): the rebuilt process
         starts with ``delta = 0``, exactly the Theorem-1 initial state.
 
-        Zeroed in place, not dropped, so a sampled channel stays primed
-        with its full-channel shape; a full-batch respond adds the same
-        zeros a missing residual would have been replaced by.
+        Zeroed in place, not dropped, so a partition move still carries
+        the channel's full-channel rows; a respond adds the same zeros a
+        missing residual would have been allocated as.
         """
         for key, residual in self._residual.items():
             if worker in (key.responder, key.requester):

@@ -54,7 +54,6 @@ from repro.core.gcn_math import (
     layer_forward,
     weight_gradient,
 )
-from repro.core.messages import ChannelKey
 from repro.core.models import bias_name, weight_name
 from repro.core.worker import WorkerState, build_worker_states
 from repro.engine.context import ExchangeContext
@@ -132,10 +131,6 @@ class ModelBackend:
         """Rebuild architecture-specific per-worker structures after the
         reassigner swapped the worker states (default: nothing cached)."""
 
-    def prime_residuals(self) -> None:
-        """Create the backward residuals a sampled exchange needs before
-        its first respond (default: none)."""
-
     def begin_iteration(self) -> None:
         """Reset every worker's layer caches before a forward pass."""
         num_layers = self.ctx.params.num_layers
@@ -150,7 +145,8 @@ class ModelBackend:
     def exchange_subset(
         self, layer: int, direction: str
     ) -> dict[tuple[int, int], np.ndarray] | None:
-        """Per-channel sampled row subsets (None = exchange all rows)."""
+        """Per-channel boolean masks of the sampled rows (None = exchange
+        all rows)."""
         del layer, direction
         return None
 
@@ -574,35 +570,10 @@ class SampledGCNBackend(GCNBackend):
             )
         super().bind(ctx)
         self.rng = np.random.default_rng(config.seed + 1)
-        self.prime_residuals()
         if not self.online:
             with ctx.telemetry.span("sampling", mode="offline"):
                 self.resample()
             self.sampled_once = True
-
-    def prime_residuals(self) -> None:
-        """Create the residual of every backward channel that lacks one.
-
-        Residual state spans each channel's full vertex list so sampled
-        subsets stay aligned across iterations (see
-        :meth:`~repro.core.resec_bp.ResECPolicy.prime_residual`); it must
-        exist before the first subset respond. Channels that already
-        carry a residual (seeded by elastic adoption) keep it.
-        """
-        ctx = self.ctx
-        policy = ctx.bp_policy
-        for layer in range(2, ctx.params.num_layers + 1):
-            for state in ctx.workers:
-                for owner, wanted in sorted(state.requests.items()):
-                    key = ChannelKey(
-                        layer=layer,
-                        responder=owner,
-                        requester=state.worker_id,
-                    )
-                    if not policy.has_residual(key):
-                        policy.prime_residual(
-                            key, wanted.shape[0], ctx.params.dims[layer]
-                        )
 
     def on_membership_change(self) -> None:
         # The sampled adjacencies index the old compact halo spaces;
@@ -611,7 +582,6 @@ class SampledGCNBackend(GCNBackend):
         self.sampled_adj = []
         self.subsets = {}
         self.kernel_version += 1
-        self.prime_residuals()
 
     def _reads_first_input(self) -> bool:
         # Online, M^1 follows a new adjacency every iteration.
@@ -680,8 +650,7 @@ class SampledGCNBackend(GCNBackend):
             for state, used in zip(ctx.workers, per_worker):
                 # ecg: ignore[ECG003] halo_slots insertion order IS the bit-pinned channel plan order; sorting would reorder subset construction
                 for owner, slots in state.halo_slots.items():
-                    rows_idx = np.flatnonzero(used[slots]).astype(np.int64)
-                    layer_subsets[(owner, state.worker_id)] = rows_idx
+                    layer_subsets[(owner, state.worker_id)] = used[slots]
             self.subsets[layer] = layer_subsets
 
     def _sample_rows(

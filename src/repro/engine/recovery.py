@@ -198,10 +198,10 @@ class RecoveryManager:
         request/serve plans) rebuilds from the worker's local storage —
         charged as ``recovery_seconds`` of stall plus the re-fetch of
         the first-hop feature cache — while the server-side parameters
-        roll back to the latest checkpoint (``restore_params``) and the
-        error-compensation channel state touching the dead worker is
-        zeroed (``reset_residuals``), restoring the Theorem-1 initial
-        condition ``delta = 0`` for those channels.
+        roll back to the latest checkpoint and the error-compensation
+        channel state touching the dead worker is zeroed
+        (``reset_residuals``), restoring the Theorem-1 initial condition
+        ``delta = 0`` for those channels.
         """
         ctx = self.ctx
         faults = ctx.config.faults
@@ -233,7 +233,7 @@ class RecoveryManager:
                 # kill: the executor SIGKILLs the worker process and
                 # respawns it from the just-recovered supervisor state.
                 ctx.executor.on_worker_crash(worker)
-        if faults.restore_params and self.restore_latest_checkpoint():
+        if self.restore_latest_checkpoint():
             counters.params_rolled_back += 1
             if obs.enabled:
                 obs.metrics.inc("fault_params_rolled_back")
@@ -283,7 +283,7 @@ class RecoveryManager:
         counters.adoptions += 1
         if obs.enabled:
             obs.metrics.inc("membership_adoptions", adopter=adopter)
-        if ctx.config.faults.restore_params and self.restore_latest_checkpoint():
+        if self.restore_latest_checkpoint():
             counters.params_rolled_back += 1
             if obs.enabled:
                 obs.metrics.inc("fault_params_rolled_back")
@@ -371,10 +371,6 @@ class RecoveryManager:
                         t, "watchdog_escalation", channels=len(changed)
                     )
             ctx.bp_policy.reset()
-            if self.reassigner is not None:
-                # Sampled-mode backward channels must be primed before
-                # the next respond() call.
-                self.reassigner.backend.prime_residuals()
         self.watchdog.arm(t, "watchdog_trip")
         if self.watchdog.exhausted:
             from repro.membership.watchdog import DivergenceError

@@ -36,12 +36,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 import numpy as np
 
 from repro.cluster.engine import ClusterRuntime
-from repro.core.messages import (
-    ChannelKey,
-    ChannelMessage,
-    ExchangePolicy,
-    ReceiveResult,
-)
+from repro.core.messages import ChannelKey, ChannelMessage, ExchangePolicy
 from repro.core.worker import WorkerState
 from repro.faults.injector import FATE_CORRUPT, FATE_DELAY, FATE_DROP
 from repro.obs.tracing import monotonic_now
@@ -51,7 +46,6 @@ if TYPE_CHECKING:
 
 __all__ = ["ChannelSession", "HaloTransport"]
 
-_TAGGED_KINDS = {"exact": "exact", "cps": "selector", "cps_only": "quant"}
 # Frame kinds whose policy calls are codec work (quantization, selector
 # scoring and reconstruction): charged at 1 / CODEC_SPEEDUP of their wall
 # time, emulating the paper's C++ compression kernels (see
@@ -59,13 +53,6 @@ _TAGGED_KINDS = {"exact": "exact", "cps": "selector", "cps_only": "quant"}
 # as measured.
 _CODEC_KINDS = frozenset({"quant", "selector"})
 CODEC_SPEEDUP = 20.0
-
-
-def _wire_kind(payload: object) -> str:
-    """Ledger frame kind, from the payload tag the policy set."""
-    if isinstance(payload, tuple):
-        return _TAGGED_KINDS.get(payload[0], "raw")
-    return "raw" if isinstance(payload, np.ndarray) else "quant"
 
 
 @dataclass
@@ -83,7 +70,7 @@ class ChannelSession:
     key: ChannelKey
     served: np.ndarray
     slots: np.ndarray | None = None
-    rows_idx: np.ndarray | None = None
+    rows_mask: np.ndarray | None = None
     accumulate_rows: np.ndarray | None = None
 
     @property
@@ -102,10 +89,10 @@ class ChannelSession:
         """Place decoded ``rows`` into the consumer's output matrix."""
         if self.accumulate_rows is not None:
             np.add.at(outputs[self.consumer], self.accumulate_rows, rows)
-        elif self.rows_idx is None:
+        elif self.rows_mask is None:
             outputs[self.consumer][self.slots] = rows
         else:
-            outputs[self.consumer][self.slots[self.rows_idx]] = rows
+            outputs[self.consumer][self.slots[self.rows_mask]] = rows
 
 
 class HaloTransport:
@@ -163,9 +150,9 @@ class HaloTransport:
             policy: The exchange policy for this direction.
             category: Traffic category for the meter.
             dim: Row width, used to size the halo buffers.
-            subset: Optional per-(responder, requester) indices into the
-                channel's full vertex list (sampling mode); channels not
-                present exchange all rows.
+            subset: Optional per-(responder, requester) boolean masks
+                over the channel's full vertex list (sampling mode);
+                channels not present exchange all rows.
             out: One persistent ``(num_halo, dim)`` float32 target per
                 worker (workspace halo tails); ``None`` allocates.
 
@@ -264,23 +251,23 @@ class HaloTransport:
             i = requester.worker_id
             # ecg: ignore[ECG003] halo_slots insertion order IS the bit-pinned channel plan; sorting would reorder float scatters and break the goldens
             for owner, slots in requester.halo_slots.items():
-                rows_idx = None
+                rows_mask = None
                 if subset is not None:
-                    rows_idx = subset.get((owner, i))
-                    if rows_idx is not None and rows_idx.size == 0:
+                    rows_mask = subset.get((owner, i))
+                    if rows_mask is not None and not rows_mask.any():
                         continue
                 responder = self.workers[owner]
                 serve_rows = responder.serves[i]
                 source = rows_of(responder)
-                if rows_idx is None:
+                if rows_mask is None:
                     served = source[serve_rows]
                 else:
-                    served = source[serve_rows[rows_idx]]
+                    served = source[serve_rows[rows_mask]]
                 yield ChannelSession(
                     key=ChannelKey(layer=layer, responder=owner, requester=i),
                     served=served,
                     slots=slots,
-                    rows_idx=rows_idx,
+                    rows_mask=rows_mask,
                 )
 
     def _plan_reverse(
@@ -330,14 +317,13 @@ class HaloTransport:
             with obs.span("encode", responder=responder, requester=consumer):
                 start = monotonic_now()
                 message = policy.respond(
-                    ch.key, ch.served, t, rows_idx=ch.rows_idx
+                    ch.key, ch.served, t, rows_mask=ch.rows_mask
                 )
                 respond_wall = monotonic_now() - start
-            kind = _wire_kind(message.payload)
-            self._charge_call(responder, respond_wall, kind)
+            self._charge_call(responder, respond_wall, message.kind)
 
             delivered = self._deliver(
-                ch.key, message, kind, responder, consumer, category
+                ch.key, message, responder, consumer, category
             )
             if obs.enabled:
                 obs.metrics.inc(
@@ -353,33 +339,26 @@ class HaloTransport:
 
             with obs.span("decode", responder=responder, requester=consumer):
                 start = monotonic_now()
-                result = policy.receive(
-                    ch.key, message, t, rows_idx=ch.rows_idx
-                )
+                rows = policy.receive(ch.key, message, t)
                 receive_wall = monotonic_now() - start
-            self._charge_call(consumer, receive_wall, kind)
+            self._charge_call(consumer, receive_wall, message.kind)
 
-            ch.scatter(outputs, result.rows)
+            ch.scatter(outputs, rows)
             obs.ledger.record_rows(
                 ch.key, category, ch.served.shape[0], ch.served.size
             )
             if (
                 not ch.reverse
-                and ch.rows_idx is None
+                and ch.rows_mask is None
                 and self.injector is not None
             ):
-                self._halo_cache[ch.key] = np.array(result.rows, copy=True)
-            self._record_proportion(ch, message, result)
+                self._halo_cache[ch.key] = np.array(rows, copy=True)
+            self._record_proportion(ch, message)
 
     def _record_proportion(
-        self,
-        ch: ChannelSession,
-        message: ChannelMessage,
-        result: ReceiveResult,
+        self, ch: ChannelSession, message: ChannelMessage
     ) -> None:
-        proportion = result.meta.get("proportion")
-        if proportion is None:
-            proportion = message.meta.get("proportion")
+        proportion = message.meta.get("proportion")
         if proportion is not None:
             self._last_proportions[(ch.responder, ch.consumer)] = float(
                 proportion
@@ -392,7 +371,6 @@ class HaloTransport:
         self,
         key: ChannelKey,
         message: ChannelMessage,
-        kind: str,
         src: int,
         dst: int,
         category: str,
@@ -408,16 +386,14 @@ class HaloTransport:
         stall for the configured delay.
         """
         ledger = self.telemetry.ledger
-        metered = False
-        if ledger.enabled:
-            spec = self.runtime.spec
-            # Mirror the TrafficMeter's intra-machine exemption so the
-            # ledger's metered bytes reconcile against it exactly.
-            metered = spec.worker_machine(src) != spec.worker_machine(dst)
-            ledger.record_frame(
-                key, category, message.nbytes, metered, kind=kind
-            )
-        self.runtime.send_worker_to_worker(src, dst, message.nbytes, category)
+        # The meter says whether it charged the bytes (intra-machine
+        # frames are free), so the ledger reconciles against it exactly.
+        metered = self.runtime.send_worker_to_worker(
+            src, dst, message.nbytes, category
+        )
+        ledger.record_frame(
+            key, category, message.nbytes, metered, kind=message.kind
+        )
         injector = self.injector
         if injector is None:
             return True
@@ -439,11 +415,12 @@ class HaloTransport:
             injector.counters.retries += 1
             injector.counters.retry_bytes += message.nbytes
             self.runtime.add_stall(dst, injector.backoff_seconds(attempt))
-            ledger.record_frame(
-                key, category, message.nbytes, metered, retry=True, kind=kind
-            )
             self.runtime.send_worker_to_worker(
                 src, dst, message.nbytes, category
+            )
+            ledger.record_frame(
+                key, category, message.nbytes, metered, retry=True,
+                kind=message.kind,
             )
             if obs.enabled:
                 obs.metrics.inc("fault_retries", category=category)
@@ -471,7 +448,7 @@ class HaloTransport:
         gradients are folded into the channel residual by error-feedback
         policies so they re-ship next iteration.
         """
-        self._notify_failure(policy, ch.key, message, rows_idx=ch.rows_idx)
+        self._notify_failure(policy, ch.key, message, rows_mask=ch.rows_mask)
         if ch.reverse:
             self.injector.counters.degraded_zero += 1
             self.telemetry.ledger.record_degraded(ch.key, category, "zero")
@@ -492,7 +469,7 @@ class HaloTransport:
         policy: ExchangePolicy,
         key: ChannelKey,
         message: ChannelMessage,
-        rows_idx: np.ndarray | None = None,
+        rows_mask: np.ndarray | None = None,
     ) -> None:
         """Tell a stateful policy its message never arrived.
 
@@ -501,7 +478,7 @@ class HaloTransport:
         channel residual so error feedback re-ships it next iteration
         (the handler returns True when it compensated that way).
         """
-        if policy.on_delivery_failure(key, message, rows_idx=rows_idx):
+        if policy.on_delivery_failure(key, message, rows_mask=rows_mask):
             self.injector.counters.residual_compensations += 1
             if self.telemetry.enabled:
                 self.telemetry.metrics.inc("fault_residual_compensations")

@@ -77,9 +77,6 @@ class FaultConfig:
             ``checkpoint_dir`` is set).
         checkpoint_dir: Directory for real ``.npz`` checkpoints; None
             keeps snapshots in memory only.
-        restore_params: On crash recovery, roll parameters back to the
-            latest checkpoint (False keeps the live server copies, which
-            models crash-tolerant servers that survived the worker).
         reset_residuals: Zero the ReqEC/ResEC channel state touching the
             crashed worker (True, the safe default) instead of keeping
             the survivor-side state as-is.
@@ -135,7 +132,6 @@ class FaultConfig:
     recovery_seconds: float = 1.0
     checkpoint_every: int = 1
     checkpoint_dir: str | None = None
-    restore_params: bool = True
     reset_residuals: bool = True
     # Elastic membership: permanent loss, adoption, rejoin, watchdog.
     elastic: bool = False

@@ -5,7 +5,7 @@ on-disk ECGSTORE directory (``to_mmap_bundle`` writes one,
 ``open_bundle`` validates and reopens it).
 """
 
-from repro.graph.csr import CSRGraph, from_edge_list, from_scipy
+from repro.graph.csr import CSRGraph, from_edge_list
 from repro.graph.datasets import (
     PAPER_STATS,
     DatasetStats,
@@ -33,7 +33,6 @@ from repro.graph.subgraph import (
 __all__ = [
     "CSRGraph",
     "from_edge_list",
-    "from_scipy",
     "PAPER_STATS",
     "DatasetStats",
     "dataset_names",

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["CSRGraph", "from_edge_list", "from_scipy"]
+__all__ = ["CSRGraph", "from_edge_list"]
 
 
 @dataclass
@@ -184,18 +184,3 @@ def from_edge_list(
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return CSRGraph(indptr, edge_array[:, 1].astype(np.int64), weight_array)
-
-
-def from_scipy(matrix) -> CSRGraph:
-    """Build a :class:`CSRGraph` from any scipy sparse matrix."""
-    csr = matrix.tocsr()
-    if csr.shape[0] != csr.shape[1]:
-        raise ValueError("adjacency matrix must be square")
-    weights = np.asarray(csr.data, dtype=np.float32)
-    if np.allclose(weights, 1.0):
-        weights = None
-    return CSRGraph(
-        np.asarray(csr.indptr, dtype=np.int64),
-        np.asarray(csr.indices, dtype=np.int64),
-        weights,
-    )

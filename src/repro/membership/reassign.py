@@ -42,9 +42,7 @@ class PartitionReassigner:
         ctx: The shared exchange context (workers list is swapped in
             place so every holder of the reference sees the new states).
         backend: The model backend; its ``on_membership_change`` hook
-            rebuilds architecture-specific derived structures (and, in
-            sampling mode, primes the new channels' residuals — carried
-            residuals keep their seeded values).
+            rebuilds architecture-specific derived structures.
         normalized: The globally normalized adjacency the worker states
             were originally built from.
         partition: The original partition; rejoins reclaim against it.

@@ -6,9 +6,9 @@ EC-Graph implementation with plain numpy (see DESIGN.md section 2).
 """
 
 from repro.nn.activations import ACTIVATION_NAMES, Activation, get_activation
-from repro.nn.init import get_initializer, glorot_uniform
-from repro.nn.losses import LossResult, log_softmax, softmax, softmax_cross_entropy
-from repro.nn.metrics import accuracy, macro_f1, micro_f1
+from repro.nn.init import glorot_uniform
+from repro.nn.losses import LossResult, log_softmax, softmax_cross_entropy
+from repro.nn.metrics import accuracy
 from repro.nn.optim import (
     OPTIMIZER_NAMES,
     SGD,
@@ -24,15 +24,11 @@ __all__ = [
     "OPTIMIZER_NAMES",
     "Activation",
     "get_activation",
-    "get_initializer",
     "glorot_uniform",
     "LossResult",
     "log_softmax",
-    "softmax",
     "softmax_cross_entropy",
     "accuracy",
-    "macro_f1",
-    "micro_f1",
     "SGD",
     "Adam",
     "AdaGrad",

@@ -11,14 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "glorot_uniform",
-    "glorot_normal",
-    "he_uniform",
-    "he_normal",
-    "zeros",
-    "uniform",
-]
+__all__ = ["glorot_uniform", "zeros"]
 
 
 def _fan(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -45,60 +38,7 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
-def glorot_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    fan_in, fan_out = _fan(shape)
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
-def he_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He uniform initialization, suited to ReLU activations."""
-    fan_in, _ = _fan(shape)
-    limit = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
-
-
-def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He normal initialization, suited to ReLU activations."""
-    fan_in, _ = _fan(shape)
-    std = math.sqrt(2.0 / fan_in)
-    return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
 def zeros(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
     """All-zero initialization (used for biases)."""
     del rng
     return np.zeros(shape, dtype=np.float32)
-
-
-def uniform(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    low: float = -0.05,
-    high: float = 0.05,
-) -> np.ndarray:
-    """Plain uniform initialization over ``[low, high)``."""
-    return rng.uniform(low, high, size=shape).astype(np.float32)
-
-
-INITIALIZERS = {
-    "glorot_uniform": glorot_uniform,
-    "glorot_normal": glorot_normal,
-    "he_uniform": he_uniform,
-    "he_normal": he_normal,
-    "zeros": zeros,
-}
-
-
-def get_initializer(name: str):
-    """Look up an initializer by name.
-
-    Raises :class:`KeyError` with the list of known names when the name is
-    unknown, so configuration typos fail loudly.
-    """
-    try:
-        return INITIALIZERS[name]
-    except KeyError:
-        known = ", ".join(sorted(INITIALIZERS))
-        raise KeyError(f"unknown initializer {name!r}; known: {known}") from None

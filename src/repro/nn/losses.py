@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["softmax", "log_softmax", "LossResult", "softmax_cross_entropy"]
-
-
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``."""
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / np.sum(ez, axis=axis, keepdims=True)
+__all__ = ["log_softmax", "LossResult", "softmax_cross_entropy"]
 
 
 def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:

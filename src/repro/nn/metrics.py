@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "confusion_matrix", "f1_scores", "micro_f1", "macro_f1"]
+__all__ = ["accuracy"]
 
 
 def accuracy(
@@ -23,45 +23,3 @@ def accuracy(
     if predictions.size == 0:
         return 0.0
     return float((predictions == labels).mean())
-
-
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """``(num_classes, num_classes)`` matrix; rows are true classes."""
-    if predictions.shape != labels.shape:
-        raise ValueError("predictions and labels must have the same shape")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (labels, predictions), 1)
-    return matrix
-
-
-def f1_scores(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """Per-class F1 scores. Classes absent from both sides score 0."""
-    cm = confusion_matrix(predictions, labels, num_classes)
-    tp = np.diag(cm).astype(np.float64)
-    fp = cm.sum(axis=0) - tp
-    fn = cm.sum(axis=1) - tp
-    denom = 2 * tp + fp + fn
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f1 = np.where(denom > 0, 2 * tp / denom, 0.0)
-    return f1
-
-
-def micro_f1(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> float:
-    """Micro-averaged F1; equals accuracy for single-label classification."""
-    cm = confusion_matrix(predictions, labels, num_classes)
-    tp = np.diag(cm).sum()
-    total = cm.sum()
-    return float(tp / total) if total else 0.0
-
-
-def macro_f1(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> float:
-    """Macro-averaged F1 (unweighted mean of per-class F1)."""
-    return float(f1_scores(predictions, labels, num_classes).mean())

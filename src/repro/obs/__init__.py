@@ -30,7 +30,6 @@ from repro.obs.config import OBS_DISABLED, ObsConfig
 from repro.obs.export import (
     metrics_to_jsonl,
     metrics_to_prometheus,
-    read_jsonl,
     span_to_record,
     spans_to_chrome,
     spans_to_jsonl,
@@ -64,7 +63,6 @@ __all__ = [
     "ObsConfig",
     "metrics_to_jsonl",
     "metrics_to_prometheus",
-    "read_jsonl",
     "span_to_record",
     "spans_to_chrome",
     "spans_to_jsonl",

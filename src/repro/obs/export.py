@@ -33,7 +33,6 @@ __all__ = [
     "spans_to_chrome",
     "write_jsonl",
     "write_chrome_trace",
-    "read_jsonl",
     "metrics_to_prometheus",
     "write_prometheus",
     "metrics_to_jsonl",
@@ -220,15 +219,3 @@ def write_metrics_jsonl(
     text = metrics_to_jsonl(snapshots)
     path.write_text(text + ("\n" if text else ""))
     return path
-
-
-def read_jsonl(path: str | Path) -> list[dict]:
-    """Load a JSONL span file back into records (round-trip testing)."""
-    path = Path(path)
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

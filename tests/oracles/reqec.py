@@ -9,7 +9,7 @@ import numpy as np
 
 
 def _make_reference_reqec_policy():
-    from repro.core.messages import ChannelKey, ChannelMessage, ReceiveResult
+    from repro.core.messages import ChannelKey, ChannelMessage
     from repro.compression.quantization import (
         MATRIX_PREFIX_BYTES as _HEADER_BYTES,
     )
@@ -25,9 +25,9 @@ def _make_reference_reqec_policy():
             key: ChannelKey,
             rows: np.ndarray,
             t: int,
-            rows_idx: np.ndarray | None = None,
+            rows_mask: np.ndarray | None = None,
         ) -> ChannelMessage:
-            if rows_idx is not None:
+            if rows_mask is not None:
                 raise NotImplementedError(
                     "ReqEC-FP keeps dense per-channel trend state; sampled "
                     "training uses the compression or ResEC policies instead"
@@ -51,7 +51,7 @@ def _make_reference_reqec_policy():
                     h_last=h_last, m_cr=m_cr, boundary_t=t
                 )
                 return ChannelMessage(
-                    payload=("exact", h_last, m_cr),
+                    kind="exact", payload=(h_last, m_cr),
                     nbytes=_HEADER_BYTES + 2 * rows.nbytes,
                 )
 
@@ -66,9 +66,9 @@ def _make_reference_reqec_policy():
                         key.pair, (rows.shape[0], 0, 0), bits, t
                     )
                 return ChannelMessage(
-                    payload=("cps_only", quantized),
+                    kind="quant", payload=quantized,
                     nbytes=quantized.payload_bytes(),
-                    meta={"proportion": 0.0, "bits": bits},
+                    meta={"proportion": 0.0},
                 )
 
             h_pdt = self._predict(state, t % self.trend_period + 1)
@@ -79,43 +79,34 @@ def _make_reference_reqec_policy():
             h_cps = np.take(reps, ids).reshape(rows.shape)
 
             selection, proportion = self._select(rows, h_cps, h_pdt)
-            payload, nbytes = self._build_compressed_payload(
+            subset, nbytes = self._build_compressed_payload(
                 rows, selection, quantizer, ids, reps, lo, hi
             )
             if self.health is not None:
                 counts = np.bincount(selection.ravel(), minlength=3)
                 self.health.record_selection(key.pair, counts, bits, t)
             return ChannelMessage(
-                payload=("cps", selection, payload, lo, hi, bits),
+                kind="selector", payload=(selection, subset, proportion),
                 nbytes=nbytes,
-                meta={"proportion": proportion, "bits": bits},
+                meta={"proportion": proportion},
             )
 
         def receive(
-            self,
-            key: ChannelKey,
-            message: ChannelMessage,
-            t: int,
-            rows_idx: np.ndarray | None = None,
-        ) -> ReceiveResult:
-            kind = message.payload[0]
-            if kind == "exact":
+            self, key: ChannelKey, message: ChannelMessage, t: int
+        ) -> np.ndarray:
+            if message.kind == "exact":
                 # The responder's read-only snapshot (see respond): shared,
                 # not copied — the halo scatter copies out of it.
-                _, rows, m_cr = message.payload
+                rows, m_cr = message.payload
                 self._requester_trend[key] = TrendState(
                     h_last=rows, m_cr=m_cr, boundary_t=t
                 )
-                return ReceiveResult(rows=rows)
+                return rows
 
-            if kind == "cps_only":
-                rows = message.payload[1].decode()
-                return ReceiveResult(
-                    rows=rows,
-                    meta=dict(message.meta),
-                )
+            if message.kind == "quant":
+                return message.payload.decode()
 
-            _, selection, quantized, lo, hi, bits = message.payload
+            selection, quantized, _ = message.payload
             state = self._requester_trend.get(key)
             if state is None:
                 raise RuntimeError(
@@ -123,10 +114,6 @@ def _make_reference_reqec_policy():
                     "exact trend snapshot"
                 )
             h_pdt = self._predict(state, t % self.trend_period + 1)
-            rows = self._reconstruct(selection, quantized, h_pdt)
-            return ReceiveResult(
-                rows=rows,
-                meta=dict(message.meta),
-            )
+            return self._reconstruct(selection, quantized, h_pdt)
 
     return _ReferenceReqECPolicy

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.convergence import (
-    compare_speedups,
     convergence_target,
     summarize,
 )
 from repro.analysis.costs import CostParameters, ecgraph_costs, ml_centered_costs
-from repro.analysis.reporting import format_series, format_speedup, format_table
+from repro.analysis.reporting import format_series, format_table
 from repro.analysis.theory import (
     estimate_alpha,
     simulate_error_feedback,
@@ -130,10 +129,6 @@ class TestReporting:
     def test_empty_series(self):
         assert "(empty)" in format_series("x", [])
 
-    def test_speedup(self):
-        assert format_speedup(1.0, 2.5) == "2.50x"
-        assert format_speedup(0.0, 1.0) == "n/a"
-
 
 def _fake_run(name, accuracies, epoch_seconds=1.0, preprocessing=0.5):
     run = ConvergenceRun(name=name, preprocessing_seconds=preprocessing)
@@ -171,14 +166,6 @@ class TestConvergenceSummaries:
         summary = summarize(run, target=0.9)
         assert summary.epochs_to_target is None
         assert summary.seconds_to_target is None
-
-    def test_speedups(self):
-        ref = summarize(_fake_run("ref", [0.9]), 0.8)
-        slow = summarize(_fake_run("slow", [0.1, 0.1, 0.9]), 0.8)
-        never = summarize(_fake_run("never", [0.1]), 0.8)
-        speedups = compare_speedups(ref, [slow, never])
-        assert speedups["slow"] > 1.0
-        assert speedups["never"] is None
 
     def test_run_helpers(self):
         run = _fake_run("a", [0.3, 0.6, 0.5])

@@ -1,10 +1,10 @@
-"""Unit tests for run export (CSV / JSON)."""
+"""Unit tests for run export (JSON)."""
 
-import csv
+import json
 
 import pytest
 
-from repro.analysis.export import export_csv, export_json, load_json, run_to_records
+from repro.analysis.export import export_json, run_to_records
 from repro.cluster.engine import EpochBreakdown
 from repro.core.results import ConvergenceRun, EpochResult
 
@@ -30,35 +30,16 @@ class TestRecords:
         assert records[2]["loss"] == pytest.approx(1 / 3)
 
 
-class TestCSV:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        export_csv([_run("a"), _run("b", epochs=2)], path)
-        with open(path) as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 5
-        assert {row["run"] for row in rows} == {"a", "b"}
-        assert float(rows[0]["total_seconds"]) == pytest.approx(0.03)
-
-    def test_creates_dirs(self, tmp_path):
-        export_csv([_run()], tmp_path / "deep" / "runs.csv")
-        assert (tmp_path / "deep" / "runs.csv").exists()
-
-
 class TestJSON:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "runs.json"
         export_json([_run("a")], path)
-        document = load_json(path)
+        document = json.loads(path.read_text())
         assert document[0]["name"] == "a"
         assert document[0]["meta"] == {"dataset": "unit"}
         assert document[0]["final_test_accuracy"] == 0.7
         assert len(document[0]["epochs"]) == 3
         assert document[0]["total_bytes"] == 300
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_json(tmp_path / "missing.json")
 
 
 class TestRealRunExport:
@@ -68,5 +49,5 @@ class TestRealRunExport:
         run = train_ecgraph(small_graph, num_workers=2, num_epochs=3,
                             hidden_dim=4)
         export_json([run], tmp_path / "real.json")
-        document = load_json(tmp_path / "real.json")
+        document = json.loads((tmp_path / "real.json").read_text())
         assert len(document[0]["epochs"]) == 3

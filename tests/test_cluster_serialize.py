@@ -120,8 +120,7 @@ class TestExactFrames:
                              trend_period=2)
         for t in (1, 3):
             message = policy.respond(ChannelKey(1, 0, 1), matrix, t=t)
-            _, sent, has_base = message.payload
-            frame = encode_exact(sent, has_base)
+            frame = encode_exact(*message.payload)
             assert len(frame) == HEADER_BYTES + 8 + matrix.nbytes
             assert message.nbytes == len(frame)
 
@@ -203,11 +202,8 @@ class TestSelectorFrames:
         key = ChannelKey(1, 0, 1)
         policy.respond(key, matrix, t=3)  # boundary primes the trend
         message = policy.respond(key, matrix + 0.05, t=4)
-        assert message.payload[0] == "cps"
-        _, selection, quantized, lo, hi, bits = message.payload
-        frame = encode_selector(
-            selection, quantized, message.meta["proportion"]
-        )
+        assert message.kind == "selector"
+        frame = encode_selector(*message.payload)
         assert abs(len(frame) - message.nbytes) <= 32
 
 

@@ -10,7 +10,7 @@ from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.messages import ChannelKey
 from repro.core.policies import Float16Policy, OneBitPolicy, TopKPolicy
 from repro.core.trainer import ECGraphTrainer
-from repro.engine.transport import _CODEC_KINDS, _wire_kind
+from repro.engine.transport import _CODEC_KINDS
 
 KEY = ChannelKey(layer=1, responder=0, requester=1)
 
@@ -22,7 +22,7 @@ def rows():
 
 
 def roundtrip(policy, rows):
-    return policy.receive(KEY, policy.respond(KEY, rows, 0), 0).rows
+    return policy.receive(KEY, policy.respond(KEY, rows, 0), 0)
 
 
 class TestFloat16:
@@ -118,7 +118,7 @@ class TestRoundTripContract:
         first = roundtrip(policy, rows)
         other = ChannelKey(layer=2, responder=1, requester=0)
         policy.receive(other, policy.respond(other, -rows, 3), 3)
-        again = policy.receive(KEY, policy.respond(KEY, rows, 7), 7).rows
+        again = policy.receive(KEY, policy.respond(KEY, rows, 7), 7)
         np.testing.assert_array_equal(again, first)
 
 
@@ -146,13 +146,13 @@ class TestWireAccounting:
         assert message.nbytes == (
             MATRIX_PREFIX_BYTES + self._payload_bytes(policy, rows)
         )
-        decoded = policy.receive(KEY, message, 0).rows
+        decoded = policy.receive(KEY, message, 0)
         assert decoded.shape == shape
         assert decoded.dtype == np.float32
 
     @pytest.mark.parametrize("policy", BASELINES, ids=lambda p: p.name)
     def test_frames_are_charged_as_codec_work(self, policy, rows):
-        kind = _wire_kind(policy.respond(KEY, rows, 0).payload)
+        kind = policy.respond(KEY, rows, 0).kind
         assert kind == "quant"
         assert kind in _CODEC_KINDS
 

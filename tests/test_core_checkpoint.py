@@ -183,6 +183,38 @@ class TestRetiredConfigFields:
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
+    def _with_faults(self, graph, tmp_path, **fault_fields):
+        """A saved checkpoint whose ``faults`` sub-config holds
+        ``fault_fields`` on top of what the trainer wrote."""
+        trainer = _trainer(graph)
+        trainer.run_epoch(0)
+        path = tmp_path / "old-faults.npz"
+        save_checkpoint(trainer, path, epoch=1)
+        with np.load(path) as archive:
+            faults = json.loads(str(archive["ec_config_json"]))["faults"]
+        _rewrite_ec_config(path, faults={**faults, **fault_fields})
+        return trainer, path
+
+    def test_retired_fault_field_loads_at_its_fixed_value(
+        self, small_graph, tmp_path
+    ):
+        trainer, path = self._with_faults(
+            small_graph, tmp_path, restore_params=True
+        )
+        assert load_checkpoint(path)["ec_config"] == trainer.config
+
+    def test_retired_fault_field_off_its_fixed_value_is_corrupt(
+        self, small_graph, tmp_path
+    ):
+        """Crash recovery now always rolls the parameters back; a
+        checkpoint of a run that kept live server copies would resume
+        another run."""
+        _, path = self._with_faults(
+            small_graph, tmp_path, restore_params=False
+        )
+        with pytest.raises(CheckpointError, match="restore_params"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("field", ["fp_bits", "bp_bits"])
     def test_width_off_the_ladder_is_corrupt(
         self, small_graph, tmp_path, field

@@ -20,7 +20,7 @@ class TestRawPolicy:
         policy = RawPolicy()
         message = policy.respond(KEY, rows, t=0)
         result = policy.receive(KEY, message, t=0)
-        np.testing.assert_array_equal(result.rows, rows)
+        np.testing.assert_array_equal(result, rows)
 
     def test_size_is_raw(self, rows):
         message = RawPolicy().respond(KEY, rows, t=0)
@@ -33,7 +33,7 @@ class TestCompressPolicy:
         message = policy.respond(KEY, rows, t=0)
         result = policy.receive(KEY, message, t=0)
         span = rows.max() - rows.min()
-        assert np.abs(result.rows - rows).max() <= span / 512 + 1e-5
+        assert np.abs(result - rows).max() <= span / 512 + 1e-5
 
     def test_smaller_than_raw(self, rows):
         policy = CompressPolicy(bits=2)
@@ -48,7 +48,7 @@ class TestDelayedPolicy:
         policy = DelayedPolicy(rounds=4)
         message = policy.respond(KEY, rows, t=0)
         result = policy.receive(KEY, message, t=0)
-        np.testing.assert_array_equal(result.rows, rows)
+        np.testing.assert_array_equal(result, rows)
 
     def test_block_refresh_partial(self, rows):
         policy = DelayedPolicy(rounds=4)
@@ -56,8 +56,8 @@ class TestDelayedPolicy:
         fresh = rows + 100.0
         result = policy.receive(KEY, policy.respond(KEY, fresh, t=1), t=1)
         block = np.arange(20) % 4 == 1
-        np.testing.assert_array_equal(result.rows[block], fresh[block])
-        np.testing.assert_array_equal(result.rows[~block], rows[~block])
+        np.testing.assert_array_equal(result[block], fresh[block])
+        np.testing.assert_array_equal(result[~block], rows[~block])
 
     def test_full_refresh_after_r_rounds(self, rows):
         policy = DelayedPolicy(rounds=3)
@@ -65,7 +65,7 @@ class TestDelayedPolicy:
         fresh = rows * -1.0
         for t in range(1, 4):
             result = policy.receive(KEY, policy.respond(KEY, fresh, t=t), t=t)
-        np.testing.assert_array_equal(result.rows, fresh)
+        np.testing.assert_array_equal(result, fresh)
 
     def test_block_message_smaller(self, rows):
         policy = DelayedPolicy(rounds=4)

@@ -30,14 +30,14 @@ class TestSchedule:
         policy = _policy(period=4)
         rows = np.random.default_rng(0).random((6, 3)).astype(np.float32)
         result, message = _roundtrip(policy, rows, t=3)  # (3+1) % 4 == 0
-        assert message.payload[0] == "exact"
-        np.testing.assert_array_equal(result.rows, rows)
+        assert message.kind == "exact"
+        np.testing.assert_array_equal(result, rows)
 
     def test_pre_boundary_is_compressed_only(self):
         policy = _policy(period=4)
         rows = np.random.default_rng(0).random((6, 3)).astype(np.float32)
         _, message = _roundtrip(policy, rows, t=0)
-        assert message.payload[0] == "cps_only"
+        assert message.kind == "quant"
 
     def test_post_boundary_uses_selector(self):
         policy = _policy(period=4)
@@ -45,7 +45,7 @@ class TestSchedule:
         rows = rng.random((6, 3)).astype(np.float32)
         _roundtrip(policy, rows, t=3)  # boundary primes the trend
         _, message = _roundtrip(policy, rows, t=4)
-        assert message.payload[0] == "cps"
+        assert message.kind == "selector"
 
     def test_requester_derives_changing_rate(self):
         """The boundary message carries the rows and a flag, no matrix;
@@ -54,13 +54,13 @@ class TestSchedule:
         rows0 = np.zeros((4, 2), dtype=np.float32)
         rows1 = np.ones((4, 2), dtype=np.float32) * 2.0
         _, first = _roundtrip(policy, rows0, t=1)  # first boundary
-        assert first.payload[2] is False  # no base: both ends use zeros
+        assert first.payload[1] is False  # no base: both ends use zeros
         np.testing.assert_array_equal(
             policy._requester_trend[KEY].m_cr, np.zeros_like(rows0)
         )
         _, message = _roundtrip(policy, rows1, t=3)  # second boundary
-        tag, sent, has_base = message.payload
-        assert (tag, has_base) == ("exact", True)
+        sent, has_base = message.payload
+        assert (message.kind, has_base) == ("exact", True)
         np.testing.assert_array_equal(sent, rows1)
         np.testing.assert_array_equal(
             policy._requester_trend[KEY].m_cr, (rows1 - rows0) / 2
@@ -94,11 +94,11 @@ class TestSelector:
         _roundtrip(policy, base, t=3)
         _roundtrip(policy, base + 4 * step, t=7)
         result, message = _roundtrip(policy, base + 5 * step, t=8)
-        selection = message.payload[1]
+        selection = message.payload[0]
         assert (selection == SELECT_PREDICTED).mean() > 0.9
         assert message.meta["proportion"] > 0.9
         np.testing.assert_allclose(
-            result.rows, base + 5 * step, atol=1e-3
+            result, base + 5 * step, atol=1e-3
         )
 
     def test_static_then_jump_selects_compressed(self):
@@ -111,7 +111,7 @@ class TestSelector:
         _roundtrip(policy, rows, t=7)  # rate == 0
         jumped = rows + rng.random((8, 4)).astype(np.float32) * 5.0
         _, message = _roundtrip(policy, jumped, t=8)
-        selection = message.payload[1]
+        selection = message.payload[0]
         assert (selection == SELECT_COMPRESSED).mean() > 0.5
 
     def test_reconstruction_matches_selected_candidates(self):
@@ -128,7 +128,7 @@ class TestSelector:
         cps_err = np.abs(
             BucketQuantizer(4).quantize(drifted) - drifted
         ).sum(axis=1)
-        rec_err = np.abs(result.rows - drifted).sum(axis=1)
+        rec_err = np.abs(result - drifted).sum(axis=1)
         assert (rec_err <= cps_err + 1e-4).all()
 
     def test_average_candidate_reconstruction(self):
@@ -138,11 +138,11 @@ class TestSelector:
         _roundtrip(policy, rows, t=3)
         drifted = rows + 0.08
         result, message = _roundtrip(policy, drifted, t=4)
-        selection = message.payload[1]
+        selection = message.payload[0]
         if (selection == SELECT_AVERAGE).any():
             # Averaged rows must equal (predicted + compressed) / 2.
             avg_rows = np.flatnonzero(selection == SELECT_AVERAGE)
-            assert np.abs(result.rows[avg_rows] - drifted[avg_rows]).max() < 0.5
+            assert np.abs(result[avg_rows] - drifted[avg_rows]).max() < 0.5
 
 
 class TestGranularities:
@@ -154,7 +154,7 @@ class TestGranularities:
         _roundtrip(policy, rows, t=2)
         drifted = rows + rng.normal(0, 0.02, rows.shape).astype(np.float32)
         result, _ = _roundtrip(policy, drifted, t=3)
-        assert np.abs(result.rows - drifted).max() < 0.1
+        assert np.abs(result - drifted).max() < 0.1
 
     def test_matrix_granularity_single_choice(self):
         policy = _policy(period=3, granularity="matrix")
@@ -162,7 +162,7 @@ class TestGranularities:
         rows = rng.random((10, 4)).astype(np.float32)
         _roundtrip(policy, rows, t=2)
         _, message = _roundtrip(policy, rows + 0.01, t=3)
-        selection = message.payload[1]
+        selection = message.payload[0]
         assert len(np.unique(selection)) == 1
 
     def test_element_selection_shape(self):
@@ -171,7 +171,7 @@ class TestGranularities:
         rows = rng.random((7, 5)).astype(np.float32)
         _roundtrip(policy, rows, t=2)
         _, message = _roundtrip(policy, rows + 0.01, t=3)
-        assert message.payload[1].shape == (7, 5)
+        assert message.payload[0].shape == (7, 5)
 
     def test_unknown_granularity_rejected(self):
         with pytest.raises(ValueError):
@@ -223,7 +223,7 @@ class TestErrors:
         rows = np.random.default_rng(8).random((4, 2)).astype(np.float32)
         responder.respond(KEY, rows, t=1)
         message = responder.respond(KEY, rows + 1.0, t=3)
-        assert message.payload[2] is True
+        assert message.payload[1] is True
         with pytest.raises(RuntimeError, match="does not hold"):
             _policy(period=2).receive(KEY, message, t=3)
         stale_shape = _policy(period=2)
@@ -251,7 +251,7 @@ class TestErrors:
         policy = _policy()
         rows = np.zeros((4, 2), dtype=np.float32)
         with pytest.raises(NotImplementedError):
-            policy.respond(KEY, rows, t=0, rows_idx=np.array([0, 1]))
+            policy.respond(KEY, rows, t=0, rows_mask=np.array([True, True, False, False]))
 
     def test_reset_clears_trend(self):
         policy = _policy(period=2)
@@ -259,7 +259,7 @@ class TestErrors:
         policy.respond(KEY, rows, t=1)
         policy.reset()
         message = policy.respond(KEY, rows, t=2)
-        assert message.payload[0] == "cps_only"
+        assert message.kind == "quant"
 
 
 def _trend_snapshot(policy):
@@ -308,7 +308,7 @@ class TestNoAliasingBetweenEnds:
         np.testing.assert_array_equal(
             policy._responder_trend[KEY].h_last, original
         )
-        _, sent_rows, has_base = message.payload
+        sent_rows, has_base = message.payload
         assert has_base is True
         responder = policy._responder_trend[KEY]
         requester = policy._requester_trend[KEY]
@@ -316,7 +316,7 @@ class TestNoAliasingBetweenEnds:
         # ``m_cr`` object per channel, shared by both tables.
         assert requester.h_last is responder.h_last is sent_rows
         assert requester.m_cr is responder.m_cr
-        for shared in (sent_rows, responder.m_cr, result.rows):
+        for shared in (sent_rows, responder.m_cr, result):
             assert not shared.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 shared[0, 0] = -1.0
@@ -333,17 +333,17 @@ class TestNoAliasingBetweenEnds:
         _assert_trend_unchanged(policy, before)
 
         # The halo matrix the kernels read is the requester's to keep.
-        expected = result.rows.copy()
-        result.rows[:] = np.nan
+        expected = result.copy()
+        result[:] = np.nan
         drifted[:] = np.nan
         _assert_trend_unchanged(policy, before)
 
         # Decoding the same message again rebuilds the same rows ...
         again = policy.receive(KEY, message, t=4)
-        np.testing.assert_array_equal(again.rows, expected)
+        np.testing.assert_array_equal(again, expected)
 
         # ... and scribbling over the payload cannot reach either end.
-        _, selection, quantized, _, _, _ = message.payload
+        selection, quantized, _ = message.payload
         selection[:] = 0
         quantized.packed[:] = 0
         quantized.bucket_values[:] = 0.0
@@ -355,6 +355,6 @@ class TestNoAliasingBetweenEnds:
         original = rows.copy()
         result, message = _roundtrip(policy, rows, t=0)
         np.testing.assert_array_equal(rows, original)
-        result.rows[:] = 0.0
-        message.payload[1].packed[:] = 0
+        result[:] = 0.0
+        message.payload.packed[:] = 0
         assert not policy._responder_trend and not policy._requester_trend

@@ -203,7 +203,6 @@ class TestCrashWithResidualReset:
         policy = ResECPolicy(bits=2)
         policy.respond(key, first, 0)
         policy.invalidate_worker(1)
-        assert policy.has_residual(key)
         assert not policy._residual[key].any()
         zeroed = policy.respond(key, second, 1).payload.decode()
         fresh = ResECPolicy(bits=2).respond(key, second, 1).payload.decode()

@@ -354,13 +354,13 @@ class TestBoundaryCrossingGolden:
             machine = trainer.runtime.spec.worker_machine
             respond = oracle.respond
 
-            def metering_respond(key, rows, t, rows_idx=None):
+            def metering_respond(key, rows, t, rows_mask=None):
                 nonlocal shipped_rate_bytes
-                message = respond(key, rows, t, rows_idx=rows_idx)
-                if message.payload[0] == "exact" and (
+                message = respond(key, rows, t, rows_mask=rows_mask)
+                if message.kind == "exact" and (
                     machine(key.responder) != machine(key.requester)
                 ):
-                    shipped_rate_bytes += message.payload[2].nbytes
+                    shipped_rate_bytes += message.payload[1].nbytes
                 return message
 
             oracle.respond = metering_respond

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.csr import CSRGraph, from_edge_list, from_scipy
+from repro.graph.csr import CSRGraph, from_edge_list
 
 
 def _edges(graph: CSRGraph) -> set[tuple[int, int]]:
@@ -92,17 +92,10 @@ class TestSelfLoops:
 
 
 class TestScipyInterop:
-    def test_roundtrip(self, tiny_csr):
-        back = from_scipy(tiny_csr.to_scipy())
-        assert _edges(back) == _edges(tiny_csr)
+    def test_same_edges(self, tiny_csr):
+        coo = tiny_csr.to_scipy().tocoo()
+        assert set(zip(coo.row.tolist(), coo.col.tolist())) == _edges(tiny_csr)
 
-    def test_weighted_roundtrip(self):
+    def test_weighted(self):
         g = from_edge_list([(0, 1), (1, 0)], 2, weights=[0.5, 2.0])
-        back = from_scipy(g.to_scipy())
-        assert back.edge_weights(0)[0] == pytest.approx(0.5)
-
-    def test_nonsquare_rejected(self):
-        from scipy.sparse import csr_matrix
-
-        with pytest.raises(ValueError):
-            from_scipy(csr_matrix((2, 3)))
+        assert g.to_scipy()[0, 1] == pytest.approx(0.5)

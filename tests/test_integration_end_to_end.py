@@ -4,10 +4,12 @@ Each test exercises a realistic user journey through the public API —
 the flows the examples demonstrate, asserted.
 """
 
+import json
+
 import numpy as np
 
 from repro import ECGraphConfig, train_ecgraph
-from repro.analysis import convergence_target, export_json, load_json, summarize
+from repro.analysis import convergence_target, export_json, summarize
 from repro.baselines import run_system
 from repro.cluster import ClusterSpec, NetworkModel
 from repro.core import ECGraphTrainer, ModelConfig
@@ -56,7 +58,7 @@ class TestCheckpointJourney:
         assert more[-1].test_accuracy >= first.epochs[0].test_accuracy
 
         export_json([first], tmp_path / "runs.json")
-        assert load_json(tmp_path / "runs.json")[0]["epochs"]
+        assert json.loads((tmp_path / "runs.json").read_text())[0]["epochs"]
 
 
 class TestNetworkSensitivityJourney:

@@ -473,18 +473,18 @@ class TestAliasing:
         for policy in (ctx.fp_policy, ctx.bp_policy):
             respond, receive = policy.respond, policy.receive
 
-            def spy_respond(key, rows, t, rows_idx=None, _call=respond):
+            def spy_respond(key, rows, t, rows_mask=None, _call=respond):
                 for buf in workspace_arrays():
                     assert not np.shares_memory(rows, buf)
                 seen["respond"] += 1
-                return _call(key, rows, t, rows_idx=rows_idx)
+                return _call(key, rows, t, rows_mask=rows_mask)
 
-            def spy_receive(key, message, t, rows_idx=None, _call=receive):
-                result = _call(key, message, t, rows_idx=rows_idx)
+            def spy_receive(key, message, t, _call=receive):
+                decoded = _call(key, message, t)
                 for buf in workspace_arrays():
-                    assert not np.shares_memory(result.rows, buf)
+                    assert not np.shares_memory(decoded, buf)
                 seen["receive"] += 1
-                return result
+                return decoded
 
             policy.respond, policy.receive = spy_respond, spy_receive
         for t in range(4):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.metrics import accuracy, confusion_matrix, f1_scores, macro_f1, micro_f1
+from repro.nn.metrics import accuracy
 
 
 class TestAccuracy:
@@ -26,42 +26,3 @@ class TestAccuracy:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             accuracy(np.zeros(3), np.zeros(4))
-
-
-class TestConfusionMatrix:
-    def test_diagonal_for_perfect(self):
-        y = np.array([0, 1, 2, 1])
-        cm = confusion_matrix(y, y, 3)
-        np.testing.assert_array_equal(np.diag(cm), [1, 2, 1])
-        assert cm.sum() == 4
-
-    def test_off_diagonal_placement(self):
-        # True class 0 predicted as 2 -> row 0, column 2.
-        cm = confusion_matrix(np.array([2]), np.array([0]), 3)
-        assert cm[0, 2] == 1
-
-
-class TestF1:
-    def test_perfect_f1_is_one(self):
-        y = np.array([0, 1, 0, 1])
-        np.testing.assert_allclose(f1_scores(y, y, 2), [1.0, 1.0])
-
-    def test_absent_class_scores_zero(self):
-        pred = np.array([0, 0])
-        true = np.array([0, 0])
-        scores = f1_scores(pred, true, 3)
-        assert scores[0] == 1.0
-        assert scores[1] == 0.0 and scores[2] == 0.0
-
-    def test_micro_equals_accuracy_single_label(self):
-        rng = np.random.default_rng(0)
-        true = rng.integers(0, 4, 100)
-        pred = rng.integers(0, 4, 100)
-        assert micro_f1(pred, true, 4) == pytest.approx(accuracy(pred, true))
-
-    def test_macro_penalizes_minority_errors(self):
-        # 90 of class 0 correct, 10 of class 1 all wrong.
-        true = np.array([0] * 90 + [1] * 10)
-        pred = np.array([0] * 100)
-        assert micro_f1(pred, true, 2) == pytest.approx(0.9)
-        assert macro_f1(pred, true, 2) < 0.6

@@ -6,7 +6,6 @@ import warnings
 import pytest
 
 from repro.obs.export import (
-    read_jsonl,
     spans_to_chrome,
     write_chrome_trace,
     write_jsonl,
@@ -143,7 +142,7 @@ class TestExport:
     def test_jsonl_round_trip(self, tmp_path):
         tracer = _trace_three_nested()
         path = write_jsonl(tracer.spans, tmp_path / "spans.jsonl")
-        records = read_jsonl(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["name"] for r in records] == [
             s.name for s in tracer.spans
         ]
@@ -154,7 +153,7 @@ class TestExport:
 
     def test_empty_jsonl(self, tmp_path):
         path = write_jsonl([], tmp_path / "spans.jsonl")
-        assert read_jsonl(path) == []
+        assert path.read_text() == ""
 
     def test_chrome_document_shape(self):
         tracer = _trace_three_nested()

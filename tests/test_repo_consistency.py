@@ -11,6 +11,7 @@ import py_compile
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
@@ -38,7 +39,63 @@ class TestReadme:
             assert path.name in readme, f"README misses example {path.name}"
 
 
+def _top_level_calls(cell: str) -> list[str]:
+    """The backticked names followed by an opening parenthesis, written
+    outside any parenthesis of a module-map cell."""
+    names, depth = [], 0
+    for token in re.finditer(r"`([^`]*)`( \()?|\(|\)", cell):
+        if token.group(1) is not None:
+            if token.group(2):
+                if depth == 0:
+                    names.append(token.group(1))
+                depth += 1
+        else:
+            depth += 1 if token.group() == "(" else -1
+    return names
+
+
+def _module_map_rows():
+    """``(package, names)`` per DESIGN.md section 3 row whose module cell
+    is one ``repro/<package>/`` directory."""
+    section = (REPO / "DESIGN.md").read_text().split("\n## 3.")[1]
+    section = section.split("\n## ")[0]
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        match = len(cells) == 3 and re.fullmatch(r"`repro/(\w+)/`", cells[1])
+        if match:
+            yield pytest.param(
+                match.group(1), _top_level_calls(cells[2]),
+                id=match.group(1),
+            )
+
+
+def _resolves(package: str, name: str) -> bool:
+    """``name`` is a module of ``repro.<package>`` (``*`` globs module
+    files) or one of its attributes."""
+    name = name.rstrip("/")
+    root = REPO / "src" / "repro" / package
+    if "*" in name:
+        return any(root.glob(f"{name}.py"))
+    try:
+        importlib.import_module(f"repro.{package}.{name}")
+        return True
+    except ModuleNotFoundError:
+        return hasattr(importlib.import_module(f"repro.{package}"), name)
+
+
 class TestDesignDoc:
+    @pytest.mark.parametrize("package, names", _module_map_rows())
+    def test_module_map_names_resolve(self, package, names):
+        assert names
+        assert [name for name in names if not _resolves(package, name)] == []
+
+    def test_the_module_map_scan_reads_top_level_names_only(self):
+        cell = ("`network` (NetworkModel; `inner` (x)), `store/` (a `b` (c)),"
+                " `rules_*` (d), `plain`, `max(a, b)` (e)")
+        assert _top_level_calls(cell) == [
+            "network", "store/", "rules_*", "max(a, b)",
+        ]
+
     def test_design_mentions_every_subpackage(self):
         design = (REPO / "DESIGN.md").read_text()
         packages = sorted(
@@ -96,6 +153,14 @@ RETIRED_NAMES = (
     "OneBitCodec", "TopKCodec", "CodecPolicy", "table_mode",
     "telemetry_table",
     "BIT_LADDER", "map_npy", "chunk_paths",
+    "ReceiveResult", "Float16Payload", "_wire_kind", "_TAGGED_KINDS",
+    "prime_residual", "prime_residuals", "has_residual", "restore_params",
+    "compare_speedups", "export_csv", "load_json", "format_speedup",
+    "compression_report", "CompressionReport", "compression.stats",
+    "from_scipy", "get_initializer", "INITIALIZERS", "glorot_normal",
+    "he_uniform", "he_normal", "def uniform(", "def softmax(",
+    "micro_f1", "macro_f1", "f1_scores", "confusion_matrix", "read_jsonl",
+    "def max_error(",
 )
 CHECKPOINT = REPO / "src" / "repro" / "core" / "checkpoint.py"
 
@@ -169,6 +234,23 @@ UNREFERENCED_ALLOWED = {
         "the frozen loop partitioners in tests/oracles/ read row weights",
     "CSRGraph.with_self_loops":
         "the layout NormalizedGraphStore assembles, and its test reference",
+    "from_edge_list":
+        "test graphs and the frozen loop partitioners in tests/oracles/ "
+        "are built with it",
+    "encode_exact":
+        "the EXACT codec is a reference frame the size tests decode",
+    "decode_exact":
+        "the EXACT codec is a reference frame the size tests decode",
+    "encode_selector":
+        "the SELECTOR codec is a reference frame the size tests decode",
+    "decode_selector":
+        "the SELECTOR codec is a reference frame the size tests decode",
+    "restore_trainer":
+        "the library call that resumes a trainer from a checkpoint file "
+        "(docs/api.md); the resume tests go through it",
+    "to_mmap_bundle":
+        "CI's partition smoke and the memory == mmap goldens spill graphs "
+        "to disk through it",
 }
 
 
@@ -192,11 +274,34 @@ def _public_definitions(source: str) -> list[tuple[str, str, int]]:
     return found
 
 
-def _names_used(source: str) -> set[str]:
+def _export_nodes(tree: ast.Module, package_init: bool) -> set[int]:
+    """``id`` of the nodes that only export a name: the strings of an
+    ``__all__`` and, in a package ``__init__``, its re-export imports."""
+    skipped = set()
+    for node in ast.walk(tree):
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AugAssign)
+            else []
+        )
+        if any(getattr(t, "id", "") == "__all__" for t in targets):
+            skipped.update(id(n) for n in ast.walk(node.value))
+        elif package_init and isinstance(node, ast.ImportFrom):
+            skipped.update(id(alias) for alias in node.names)
+    return skipped
+
+
+def _names_used(source: str, package_init: bool = False) -> set[str]:
     """Identifiers a module mentions: names, attributes, imports and
-    identifier-shaped strings (``def`` names themselves are not nodes)."""
+    identifier-shaped strings (``def`` names themselves are not nodes).
+    Exporting a name is not using it: ``__all__`` entries and a package
+    ``__init__``'s re-exports do not count."""
+    tree = ast.parse(source)
+    skipped = _export_nodes(tree, package_init)
     used = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -211,7 +316,7 @@ def _names_used(source: str) -> set[str]:
 
 def _unreferenced() -> dict[str, str]:
     used = set().union(*(
-        _names_used(path.read_text())
+        _names_used(path.read_text(), package_init=path.name == "__init__.py")
         for root in REFERENCE_ROOTS for path in (REPO / root).rglob("*.py")
     ))
     return {
@@ -234,6 +339,7 @@ class TestNoDeadNames:
 
     def test_the_scan_sees_a_dead_name(self):
         sample = (
+            "__all__ = ['Graph', 'exported']\n"
             "class Graph:\n"
             "    def used(self):\n"
             "        return self.helper()\n"
@@ -245,12 +351,25 @@ class TestNoDeadNames:
             "    pass\n"
             "def _private():\n"
             "    pass\n"
+            "def exported():\n"
+            "    pass\n"
         )
         used = _names_used(sample)
         assert [
             qualified for qualified, name, _ in _public_definitions(sample)
             if name not in used
-        ] == ["Graph", "Graph.used", "Graph.unused"]
+        ] == ["Graph", "Graph.used", "Graph.unused", "exported"]
+
+    def test_a_package_reexport_is_not_a_use(self):
+        init = (
+            "from repro.graph.csr import CSRGraph, from_edge_list\n"
+            "__all__ = ['CSRGraph', 'from_edge_list']\n"
+            "DEFAULT = CSRGraph\n"
+        )
+        assert _names_used(init, package_init=True) == {
+            "__all__", "CSRGraph", "DEFAULT",
+        }
+        assert "from_edge_list" in _names_used(init)
 
 
 MULTIPROCESS_STEP = "Multiprocess equivalence + behaviour tests"
@@ -639,6 +758,19 @@ def _policy_probes(source: str) -> list[str]:
     return offenders
 
 
+def _policy_classes() -> dict[str, type]:
+    """Every ``*Policy`` class defined anywhere in ``src/``, by AST."""
+    found = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(REPO / "src").with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Policy"):
+                found[node.name] = getattr(
+                    importlib.import_module(module), node.name
+                )
+    return found
+
+
 class TestOneExchangePolicyBase:
     @pytest.mark.parametrize("package", PROBE_FREE_PACKAGES)
     def test_no_policy_probes(self, package):
@@ -662,18 +794,9 @@ class TestOneExchangePolicyBase:
         """Every ``*Policy`` class defined anywhere in ``src/`` (found by
         AST, so a new one cannot be left off a list) is an
         ``ExchangePolicy``."""
-        import importlib
-
         from repro.core.messages import ExchangePolicy
 
-        found = {}
-        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
-            module = ".".join(path.relative_to(REPO / "src").with_suffix("").parts)
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.ClassDef) and node.name.endswith("Policy"):
-                    found[node.name] = getattr(
-                        importlib.import_module(module), node.name
-                    )
+        found = _policy_classes()
         assert found.pop("ExchangePolicy") is ExchangePolicy
         assert {"RawPolicy", "CompressPolicy", "Float16Policy", "TopKPolicy",
                 "OneBitPolicy", "DelayedPolicy", "ReqECPolicy",
@@ -682,6 +805,94 @@ class TestOneExchangePolicyBase:
             name for name, cls in sorted(found.items())
             if not issubclass(cls, ExchangePolicy)
         ] == []
+
+
+# One policy contract: what the transport reads of every policy. Each
+# ``respond`` names one of the ledger's frame kinds, ``receive`` returns
+# float32 rows of the served shape, and the paper's codecs size their
+# messages as the ``cluster/serialize.py`` frame of that kind.
+CONTRACT_PERIOD = 3  # ReqEC-FP's T_tr: t = 0..T_tr+1 sends every kind
+
+
+def _contract_policy(name: str):
+    from repro.core.bit_tuner import BitTuner
+    from repro.core.messages import RawPolicy
+    from repro.core.policies import (
+        CompressPolicy,
+        DelayedPolicy,
+        Float16Policy,
+        OneBitPolicy,
+        TopKPolicy,
+    )
+    from repro.core.reqec_fp import ReqECPolicy
+    from repro.core.resec_bp import ResECPolicy
+
+    return {
+        "RawPolicy": lambda: RawPolicy(),
+        "CompressPolicy": lambda: CompressPolicy(4),
+        "Float16Policy": lambda: Float16Policy(),
+        "TopKPolicy": lambda: TopKPolicy(k=2),
+        "OneBitPolicy": lambda: OneBitPolicy(),
+        "DelayedPolicy": lambda: DelayedPolicy(),
+        "ReqECPolicy": lambda: ReqECPolicy(
+            BitTuner(initial_bits=4, enabled=False),
+            trend_period=CONTRACT_PERIOD,
+        ),
+        "ResECPolicy": lambda: ResECPolicy(4),
+    }[name]()
+
+
+def _frame(message) -> bytes:
+    """The ``cluster/serialize.py`` frame of ``message``'s kind, built
+    from its payload alone."""
+    from repro.cluster import serialize
+
+    encode = {
+        "raw": serialize.encode_raw,
+        "quant": serialize.encode_quantized,
+        "exact": serialize.encode_exact,
+        "selector": serialize.encode_selector,
+    }[message.kind]
+    payload = message.payload
+    return encode(*payload) if isinstance(payload, tuple) else encode(payload)
+
+
+class TestOnePolicyContract:
+    KINDS = ("raw", "quant", "exact", "selector")
+    FRAMED = {"RawPolicy", "CompressPolicy", "ReqECPolicy", "ResECPolicy"}
+
+    def test_kinds_are_the_ledger_byte_fields(self):
+        from repro.obs.ledger import ChannelRecord
+
+        fields = set(vars(ChannelRecord()))
+        assert {f"{kind}_bytes" for kind in self.KINDS} <= fields
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(_policy_classes()) - {"ExchangePolicy"})
+    )
+    def test_respond_names_a_kind_and_receive_returns_rows(self, name):
+        from repro.core.messages import ChannelKey
+
+        policy = _contract_policy(name)
+        key = ChannelKey(layer=1, responder=0, requester=1)
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((6, 5)).astype(np.float32)
+        kinds = []
+        for t in range(CONTRACT_PERIOD + 2):
+            rows = rows + np.float32(0.01) * rng.standard_normal(
+                rows.shape
+            ).astype(np.float32)
+            message = policy.respond(key, rows, t)
+            assert message.kind in self.KINDS
+            kinds.append(message.kind)
+            if name in self.FRAMED:
+                assert message.nbytes == len(_frame(message)), (name, t)
+            decoded = policy.receive(key, message, t)
+            assert isinstance(decoded, np.ndarray)
+            assert decoded.dtype == np.float32
+            assert decoded.shape == rows.shape
+        if name == "ReqECPolicy":
+            assert kinds == ["quant", "quant", "exact", "selector", "selector"]
 
 
 # ----------------------------------------------------------------------

@@ -70,29 +70,29 @@ class BoundaryAuditor:
             setattr(self, f"_{name}", getattr(policy, name))
             setattr(policy, name, getattr(self, name))
 
-    def respond(self, key, rows, t, rows_idx=None):
-        message = self._respond(key, rows, t, rows_idx=rows_idx)
-        if message.payload[0] == "exact":
-            _, sent, has_base = message.payload
+    def respond(self, key, rows, t, rows_mask=None):
+        message = self._respond(key, rows, t, rows_mask=rows_mask)
+        if message.kind == "exact":
+            sent, has_base = message.payload
             assert has_base is (key in self.base), (key, t)
             assert message.nbytes == 24 + sent.nbytes
             self._pending[key] = t
         else:
             # In-group traffic follows the responder's state: selector
             # messages only on a channel whose boundary was delivered.
-            assert (message.payload[0] == "cps") is (key in self.base)
+            assert (message.kind == "selector") is (key in self.base)
         return message
 
-    def receive(self, key, message, t, rows_idx=None):
+    def receive(self, key, message, t):
         policy = self.policy
-        if message.payload[0] != "exact":
-            return self._receive(key, message, t, rows_idx=rows_idx)
-        _, sent, has_base = message.payload
+        if message.kind != "exact":
+            return self._receive(key, message, t)
+        sent, has_base = message.payload
         before = policy._requester_trend.get(key)
         if has_base:
             self.flag_set += 1
             assert before is not None and before.h_last is self.base[key]
-        result = self._receive(key, message, t, rows_idx=rows_idx)
+        result = self._receive(key, message, t)
         responder = policy._responder_trend[key]
         requester = policy._requester_trend[key]
         assert requester.h_last is responder.h_last is sent
@@ -111,9 +111,9 @@ class BoundaryAuditor:
         assert self._pending.pop(key) == t
         return result
 
-    def on_delivery_failure(self, key, message, rows_idx=None):
-        handled = self._on_delivery_failure(key, message, rows_idx=rows_idx)
-        if message.payload[0] == "exact":
+    def on_delivery_failure(self, key, message, rows_mask=None):
+        handled = self._on_delivery_failure(key, message, rows_mask=rows_mask)
+        if message.kind == "exact":
             assert key not in self.policy._responder_trend
             assert self._pending.pop(key) is not None
             self.base.pop(key, None)

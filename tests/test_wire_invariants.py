@@ -58,8 +58,8 @@ class TestReqECAccounting:
         policy = _policy(granularity)
         for t, based in ((3, False), (7, True)):
             message = policy.respond(ChannelKey(0, 0, 1), rows, t=t)
-            assert message.payload[0] == "exact"
-            _, sent, has_base = message.payload
+            assert message.kind == "exact"
+            sent, has_base = message.payload
             assert has_base is based
             assert message.nbytes == len(encode_exact(sent, has_base))
 
@@ -70,11 +70,8 @@ class TestReqECAccounting:
         key = ChannelKey(0, 0, 1)
         policy.respond(key, rows, t=3)  # boundary primes the trend
         message = policy.respond(key, rows + 0.05, t=4)
-        assert message.payload[0] == "cps"
-        _, selection, quantized, lo, hi, _ = message.payload
-        frame = encode_selector(
-            selection, quantized, message.meta["proportion"]
-        )
+        assert message.kind == "selector"
+        frame = encode_selector(*message.payload)
         assert message.nbytes == len(frame)
 
     @pytest.mark.parametrize("granularity", ["vertex", "element", "matrix"])
@@ -83,9 +80,8 @@ class TestReqECAccounting:
         # responder has no snapshot and ships plain compressed rows.
         policy = _policy(granularity)
         message = policy.respond(ChannelKey(0, 0, 1), rows, t=1)
-        assert message.payload[0] == "cps_only"
-        quantized = message.payload[1]
-        assert message.nbytes == len(encode_quantized(quantized))
+        assert message.kind == "quant"
+        assert message.nbytes == len(encode_quantized(message.payload))
 
     @pytest.mark.parametrize("granularity", ["vertex", "element"])
     def test_all_predicted_selector_is_empty_but_sized(
@@ -150,7 +146,7 @@ class TestFramesMatchPreRewriteCodec:
         key = ChannelKey(0, 0, 1)
         policy.respond(key, rows, t=3)
         message = policy.respond(key, rows + 0.05, t=4)
-        _, selection, quantized, _, _, _ = message.payload
+        selection, quantized, _ = message.payload
         frame = encode_selector(selection, quantized, 0.25)
         want_selector = reference_pack_bits(
             selection.astype(np.uint32).ravel(), 2
