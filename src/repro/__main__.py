@@ -16,14 +16,7 @@ Commands:
 * ``bench``    — the out-of-core tier: stream a million-vertex graph to
   an mmap store, time partition / stats / subgraph / gather and record
   peak RSS; write ``BENCH_core.json`` (epoch time and wire bytes are
-  measured by ``bench/run.py``);
-* ``lint``     — run the AST-based invariant checker (rules ECG001..007:
-  simulated-clock discipline, seeded randomness, deterministic state
-  iteration, shared-resource lifecycles, wire-decode validation, no
-  pickle/eval, config drift) over source trees; exits non-zero on
-  findings. ``lint --all`` then runs ``ruff`` and ``mypy`` from the
-  repository root, each only if installed (the ``dev`` extra), and
-  exits non-zero if any tool that ran failed.
+  measured by ``bench/run.py``).
 
 Operational errors (bad config values, missing dataset paths, corrupt
 checkpoints) exit non-zero with a one-line message instead of a
@@ -33,10 +26,8 @@ traceback; tracebacks are reserved for actual bugs.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import pathlib
-import subprocess
 import sys
 
 from repro.analysis.convergence import convergence_target, summarize
@@ -333,66 +324,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lintrules import format_json, format_text, run_lint
-
-    def _codes(raw: str | None) -> list[str] | None:
-        if raw is None:
-            return None
-        return [code.strip() for code in raw.split(",") if code.strip()]
-
-    report = run_lint(
-        args.paths, select=_codes(args.select), ignore=_codes(args.ignore)
-    )
-    text = (
-        format_json(report) if args.format == "json" else format_text(report)
-    )
-    if args.out:
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-        print(f"wrote {out}", file=sys.stderr)
-    print(text)
-    if not args.all:
-        return report.exit_code
-    return max(report.exit_code, _run_external_linters())
-
-
-# What ``lint --all`` runs after the ECG rules, with the paths and
-# settings of the CI lint jobs ([tool.ruff] / [tool.mypy]).
-_EXTERNAL_LINTERS = (
-    ("ruff", ("check", "src", "tests", "benchmarks", "examples")),
-    ("mypy", ()),
-)
-
-
-def _linter_command(module: str) -> list[str] | None:
-    """``python -m <module>`` if the module is installed, else None."""
-    if importlib.util.find_spec(module) is None:
-        return None
-    return [sys.executable, "-m", module]
-
-
-def _run_external_linters() -> int:
-    """Run each installed external linter; 1 if any of them failed.
-
-    A missing tool is skipped with a loud line rather than failing, so
-    the command works on a bare install and says what it left out.
-    """
-    status = 0
-    for module, extra in _EXTERNAL_LINTERS:
-        command = _linter_command(module)
-        if command is None:
-            print(f"SKIPPED: {module} not installed "
-                  "(pip install -e .[dev])", flush=True)
-            continue
-        print(f"== {module} {' '.join(extra)}".rstrip(), flush=True)
-        if subprocess.run([*command, *extra], check=False).returncode:
-            print(f"FAILED: {module}", flush=True)
-            status = 1
-    return status
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -504,26 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--smoke", action="store_true",
                        help="scale-14 graph, seconds (CI smoke test)")
     bench.set_defaults(func=_cmd_bench)
-
-    lint = sub.add_parser(
-        "lint", help="AST-based invariant checker (ECG001..ECG007)"
-    )
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories to check (default: src)")
-    lint.add_argument("--select", default=None,
-                      help="comma-separated rule codes to run "
-                           "(default: all)")
-    lint.add_argument("--ignore", default=None,
-                      help="comma-separated rule codes to skip")
-    lint.add_argument("--format", default="text", choices=["text", "json"],
-                      help="output format (default: text)")
-    lint.add_argument("--out", default=None,
-                      help="also write the report to this path "
-                           "(e.g. a CI artifact)")
-    lint.add_argument("--all", action="store_true",
-                      help="then run ruff and mypy, skipping any that "
-                           "is not installed")
-    lint.set_defaults(func=_cmd_lint)
     return parser
 
 

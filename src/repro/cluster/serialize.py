@@ -74,6 +74,9 @@ def _unframe(frame: bytes, expected_kind: int) -> tuple[bytes, int]:
 def _pack_shape(shape: tuple[int, ...]) -> bytes:
     if len(shape) > 2:
         raise ValueError("wire format supports at most 2-D matrices")
+    if len(shape) == 2 and shape[1] == 0:
+        # cols == 0 is how the shape word spells a 1-D shape.
+        raise ValueError(f"wire format cannot carry a zero-column shape {shape}")
     rows = shape[0] if len(shape) >= 1 else 0
     cols = shape[1] if len(shape) == 2 else 0
     return struct.pack("<II", rows, cols)

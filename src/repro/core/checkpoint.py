@@ -19,9 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.policies import DelayedPolicy
 from repro.core.trainer import ECGraphTrainer
-from repro.engine.transport import CODEC_SPEEDUP
 from repro.faults.config import FaultConfig
 from repro.obs.config import ObsConfig
 
@@ -32,24 +30,9 @@ __all__ = [
     "restore_trainer",
 ]
 
-_FORMAT_VERSION = 1
-
-# ``ECGraphConfig`` / ``FaultConfig`` / ``ObsConfig`` fields that no
-# longer exist; checkpoints written while they did still load (any
-# *other* unknown key is corruption). A retired config or fault field
-# maps to the one value it may carry, the behaviour the code now fixes;
-# any other value would resume a different run, so it is corruption too.
-# ``None`` marks a performance-only knob, dropped whatever its value.
-_RETIRED_CONFIG_FIELDS = {
-    "halo_buffer_pool": None, "exchange_threads": None,
-    "table_mode": "table", "codec_speedup": CODEC_SPEEDUP,
-    "delayed_rounds": DelayedPolicy().rounds,
-}
-_RETIRED_FAULT_FIELDS = {"restore_params": True}
-_RETIRED_OBS_FIELDS = (
-    "trace", "metrics", "health", "profile", "ledger", "epoch_snapshots",
-    "health_rho",
-)
+# Bumped whenever a config field goes: an older file is refused by
+# version rather than translated field by field.
+_FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -62,34 +45,14 @@ class CheckpointError(ValueError):
     """
 
 
-def _drop_retired(fields: dict, retired: dict) -> dict:
-    """``fields`` without the ``retired`` ones; a retired field off its
-    fixed value is a ``ValueError``."""
-    fields = dict(fields)
-    for name, fixed in retired.items():
-        value = fields.pop(name, fixed)
-        if fixed is not None and value != fixed:
-            raise ValueError(
-                f"retired config field {name}={value!r}; only {fixed!r} "
-                "is supported"
-            )
-    return fields
-
-
 def _load_ec_config(fields: dict) -> ECGraphConfig:
     """Rebuild the config; ``asdict`` flattened the nested sub-configs."""
-    fields = _drop_retired(fields, _RETIRED_CONFIG_FIELDS)
     obs = fields.get("obs")
     if isinstance(obs, dict):
-        fields["obs"] = ObsConfig(**{
-            name: value for name, value in obs.items()
-            if name not in _RETIRED_OBS_FIELDS
-        })
+        fields["obs"] = ObsConfig(**obs)
     faults = fields.get("faults")
     if isinstance(faults, dict):
-        fields["faults"] = FaultConfig.from_dict(
-            _drop_retired(faults, _RETIRED_FAULT_FIELDS)
-        )
+        fields["faults"] = FaultConfig.from_dict(faults)
     return ECGraphConfig(**fields)
 
 

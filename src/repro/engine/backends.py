@@ -648,7 +648,8 @@ class SampledGCNBackend(GCNBackend):
         for layer, per_worker in needed_halo.items():
             layer_subsets: dict[tuple[int, int], np.ndarray] = {}
             for state, used in zip(ctx.workers, per_worker):
-                # ecg: ignore[ECG003] halo_slots insertion order IS the bit-pinned channel plan order; sorting would reorder subset construction
+                # halo_slots insertion order IS the bit-pinned channel
+                # plan order; sorting would reorder subset construction.
                 for owner, slots in state.halo_slots.items():
                     layer_subsets[(owner, state.worker_id)] = used[slots]
             self.subsets[layer] = layer_subsets

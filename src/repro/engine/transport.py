@@ -249,7 +249,8 @@ class HaloTransport:
         """
         for requester in self.workers:
             i = requester.worker_id
-            # ecg: ignore[ECG003] halo_slots insertion order IS the bit-pinned channel plan; sorting would reorder float scatters and break the goldens
+            # halo_slots insertion order IS the bit-pinned channel plan;
+            # sorting would reorder float scatters and break the goldens.
             for owner, slots in requester.halo_slots.items():
                 rows_mask = None
                 if subset is not None:
@@ -290,7 +291,9 @@ class HaloTransport:
                 # partials for this worker at all.
                 continue
             partials = halo_rows_of(consumer)
-            # ecg: ignore[ECG003] halo_slots insertion order IS the bit-pinned channel plan; sorting would reorder reverse accumulation and break the goldens
+            # halo_slots insertion order IS the bit-pinned channel plan;
+            # sorting would reorder reverse accumulation and break the
+            # goldens.
             for owner, slots in consumer.halo_slots.items():
                 owner_state = self.workers[owner]
                 yield ChannelSession(

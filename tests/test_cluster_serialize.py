@@ -73,6 +73,12 @@ class TestRawFrames:
             with pytest.raises(ValueError, match="needs exactly|shape word"):
                 decode_raw(header + payload)
 
+    def test_zero_column_shape_rejected(self):
+        # The shape word spells a 1-D shape as cols == 0, so a (5, 0)
+        # frame would decode as (5,) and fail its own length check.
+        with pytest.raises(ValueError, match="zero-column"):
+            encode_raw(np.zeros((5, 0), np.float32))
+
 
 class TestQuantFrames:
     @pytest.mark.parametrize("bits", [1, 2, 4, 8])
@@ -158,6 +164,10 @@ class TestExactFrames:
         struct.pack_into("<II", hostile, 16, 2**31, 2**31)
         with pytest.raises(ValueError, match="needs exactly"):
             decode_exact(bytes(hostile))
+
+    def test_zero_column_shape_rejected(self):
+        with pytest.raises(ValueError, match="zero-column"):
+            encode_exact(np.zeros((5, 0), np.float32), False)
 
 
 class TestSelectorFrames:

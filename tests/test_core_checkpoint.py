@@ -14,7 +14,6 @@ from repro.core.checkpoint import (
 )
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
-from repro.obs import ObsConfig
 
 
 def _trainer(graph, layers=2, seed=3):
@@ -89,14 +88,15 @@ class TestErrors:
         with pytest.raises(ValueError, match="model config"):
             restore_trainer(other, path)
 
-    def test_bad_version_rejected(self, small_graph, tmp_path):
+    @pytest.mark.parametrize("version", [1, 42])
+    def test_bad_version_rejected(self, small_graph, tmp_path, version):
         trainer = _trainer(small_graph)
         trainer.run_epoch(0)
         path = tmp_path / "v.npz"
         save_checkpoint(trainer, path, epoch=1)
         with np.load(path) as archive:
             payload = {k: archive[k] for k in archive.files}
-        payload["format_version"] = np.int64(42)
+        payload["format_version"] = np.int64(version)
         np.savez_compressed(path, **payload)
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
@@ -149,71 +149,9 @@ def _rewrite_ec_config(path, **extra_fields):
 
 
 class TestRetiredConfigFields:
-    """Checkpoints outlive config fields: a retired field is dropped on
-    load (one that changed results only at its fixed value), any other
-    unknown field is still corruption."""
-
-    def test_retired_fields_still_load(self, small_graph, tmp_path):
-        trainer = _trainer(small_graph)
-        trainer.run_epoch(0)
-        path = tmp_path / "old.npz"
-        save_checkpoint(trainer, path, epoch=1)
-        _rewrite_ec_config(
-            path, halo_buffer_pool=True, exchange_threads=4,
-            table_mode="table", codec_speedup=20.0, delayed_rounds=5,
-        )
-        state = load_checkpoint(path)
-        assert state["ec_config"] == trainer.config
-        assert state["epoch"] == 1
-
-    @pytest.mark.parametrize("field, value", [
-        ("table_mode", "bounds"), ("codec_speedup", 10.0),
-        ("delayed_rounds", 3),
-    ])
-    def test_retired_field_off_its_fixed_value_is_corrupt(
-        self, small_graph, tmp_path, field, value
-    ):
-        """A retired knob that changed results loads only at the value
-        the code now fixes; any other value would resume another run."""
-        trainer = _trainer(small_graph)
-        trainer.run_epoch(0)
-        path = tmp_path / f"old-{field}.npz"
-        save_checkpoint(trainer, path, epoch=1)
-        _rewrite_ec_config(path, **{field: value})
-        with pytest.raises(CheckpointError, match=field):
-            load_checkpoint(path)
-
-    def _with_faults(self, graph, tmp_path, **fault_fields):
-        """A saved checkpoint whose ``faults`` sub-config holds
-        ``fault_fields`` on top of what the trainer wrote."""
-        trainer = _trainer(graph)
-        trainer.run_epoch(0)
-        path = tmp_path / "old-faults.npz"
-        save_checkpoint(trainer, path, epoch=1)
-        with np.load(path) as archive:
-            faults = json.loads(str(archive["ec_config_json"]))["faults"]
-        _rewrite_ec_config(path, faults={**faults, **fault_fields})
-        return trainer, path
-
-    def test_retired_fault_field_loads_at_its_fixed_value(
-        self, small_graph, tmp_path
-    ):
-        trainer, path = self._with_faults(
-            small_graph, tmp_path, restore_params=True
-        )
-        assert load_checkpoint(path)["ec_config"] == trainer.config
-
-    def test_retired_fault_field_off_its_fixed_value_is_corrupt(
-        self, small_graph, tmp_path
-    ):
-        """Crash recovery now always rolls the parameters back; a
-        checkpoint of a run that kept live server copies would resume
-        another run."""
-        _, path = self._with_faults(
-            small_graph, tmp_path, restore_params=False
-        )
-        with pytest.raises(CheckpointError, match="restore_params"):
-            load_checkpoint(path)
+    """Config fields retire by format version: an older file is refused
+    whole, and in a current-version file an unknown field or an invalid
+    value is corruption."""
 
     @pytest.mark.parametrize("field", ["fp_bits", "bp_bits"])
     def test_width_off_the_ladder_is_corrupt(
@@ -229,28 +167,6 @@ class TestRetiredConfigFields:
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
-    def test_old_checkpoint_is_not_counted_corrupt(
-        self, small_graph, tmp_path
-    ):
-        from repro.faults.config import FaultConfig
-
-        trainer = ECGraphTrainer(
-            small_graph, ModelConfig(num_layers=2, hidden_dim=8),
-            ClusterSpec(num_workers=2),
-            ECGraphConfig(seed=3, faults=FaultConfig(
-                enabled=True, checkpoint_every=1,
-                checkpoint_dir=str(tmp_path),
-            )),
-        )
-        trainer.run_epoch(0)
-        trainer.run_epoch(1)
-        _rewrite_ec_config(tmp_path / "latest.npz", halo_buffer_pool=False)
-        latest = load_checkpoint(tmp_path / "latest.npz")
-        assert trainer.engine.recovery.restore_latest_checkpoint()
-        assert trainer.fault_counters.corrupt_checkpoints == 0
-        for name, value in latest["params"].items():
-            np.testing.assert_array_equal(trainer.servers.get(name), value)
-
     def test_other_unknown_field_is_still_corrupt(
         self, small_graph, tmp_path
     ):
@@ -262,23 +178,6 @@ class TestRetiredConfigFields:
         with pytest.raises(CheckpointError, match="not_a_field"):
             load_checkpoint(path)
 
-    # The nine ObsConfig keys a checkpoint carried before ObsConfig became
-    # ``enabled`` + ``max_spans``.
-    OLD_OBS = {
-        "enabled": True, "trace": False, "metrics": True, "health": False,
-        "profile": True, "ledger": False, "max_spans": 1234,
-        "epoch_snapshots": False, "health_rho": 2.0,
-    }
-
-    def test_retired_obs_fields_still_load(self, small_graph, tmp_path):
-        trainer = _trainer(small_graph)
-        trainer.run_epoch(0)
-        path = tmp_path / "old-obs.npz"
-        save_checkpoint(trainer, path, epoch=1)
-        _rewrite_ec_config(path, obs=self.OLD_OBS)
-        obs = load_checkpoint(path)["ec_config"].obs
-        assert obs == ObsConfig(enabled=True, max_spans=1234)
-
     def test_other_unknown_obs_field_is_still_corrupt(
         self, small_graph, tmp_path
     ):
@@ -286,7 +185,9 @@ class TestRetiredConfigFields:
         trainer.run_epoch(0)
         path = tmp_path / "bad-obs.npz"
         save_checkpoint(trainer, path, epoch=1)
-        _rewrite_ec_config(path, obs={**self.OLD_OBS, "sampling": True})
+        _rewrite_ec_config(
+            path, obs={"enabled": True, "max_spans": 1234, "sampling": True}
+        )
         with pytest.raises(CheckpointError, match="sampling"):
             load_checkpoint(path)
 

@@ -61,7 +61,8 @@ class TestBuildParameters:
         assert params.activation.name == "tanh"
 
     def test_unknown_activation_fails_fast(self):
-        # Typos are rejected at config construction (ECG007: every field
-        # validated), before any model is built.
+        # Typos are rejected at config construction (ECG007 in
+        # tests/test_invariants.py: every config field is validated),
+        # before any model is built.
         with pytest.raises(ValueError, match="swishy"):
             ModelConfig(activation="swishy")

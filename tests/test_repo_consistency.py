@@ -117,9 +117,9 @@ class TestDesignDoc:
             )
 
 
-# Names this repo retired; the only allowed mentions are the
-# ``_RETIRED_*`` tuples in ``core/checkpoint.py`` that let old
-# checkpoints load.
+# Names this repo retired; none may appear in shipped code or docs.
+# (Checkpoints retire fields by format version, so not even the
+# checkpoint loader names them.)
 RETIRED_NAMES = (
     "exchange_threads", "halo_buffer_pool", "NeighborAccessController",
     "SAGETrainer", "GATTrainer", "SampledECGraphTrainer",
@@ -162,19 +162,6 @@ RETIRED_NAMES = (
     "micro_f1", "macro_f1", "f1_scores", "confusion_matrix", "read_jsonl",
     "def max_error(",
 )
-CHECKPOINT = REPO / "src" / "repro" / "core" / "checkpoint.py"
-
-
-def _retired_tuple_lines(path: Path) -> set[int]:
-    """Line numbers of the module-level ``_RETIRED_*`` assignments."""
-    return {
-        line
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, ast.Assign)
-        and any(getattr(t, "id", "").startswith("_RETIRED_")
-                for t in node.targets)
-        for line in range(node.lineno, node.end_lineno + 1)
-    }
 
 
 def _shipped_files():
@@ -188,12 +175,9 @@ def _shipped_files():
 
 class TestRetiredNamesStayGone:
     def test_no_retired_name_in_shipped_code(self):
-        allowed = _retired_tuple_lines(CHECKPOINT)
         offenders = []
         for path in _shipped_files():
-            for number, line in enumerate(path.read_text().splitlines(), 1):
-                if path == CHECKPOINT and number in allowed:
-                    continue
+            for line in path.read_text().splitlines():
                 offenders += [
                     f"{path.relative_to(REPO)}: {name}"
                     for name in RETIRED_NAMES if name in line
@@ -206,13 +190,6 @@ class TestRetiredNamesStayGone:
     ])
     def test_scan_covers_docs_and_ci(self, name):
         assert REPO / name in set(_shipped_files())
-
-    def test_checkpoint_exemption_covers_only_the_retired_tuples(self):
-        lines = CHECKPOINT.read_text().splitlines()
-        exempt = [lines[n - 1] for n in sorted(_retired_tuple_lines(CHECKPOINT))]
-        assert exempt[0].startswith("_RETIRED_CONFIG_FIELDS")
-        assert any("health_rho" in line for line in exempt)
-        assert not any("def " in line or "return" in line for line in exempt)
 
 
 # ----------------------------------------------------------------------
@@ -433,6 +410,15 @@ class TestContinuousIntegration:
         runs = re.findall(r"python -m repro bench[^\n]*", ci)
         assert len(runs) == 1 and "--smoke" in runs[0]
 
+    def test_lint_strict_runs_the_invariant_guards(self):
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        job = ci[ci.index("  lint-strict:"):ci.index("\n  tests:")]
+        runs = re.findall(r"run: (python -m [^\n]*)", job)
+        assert runs == [
+            "python -m pytest -q tests/test_invariants.py", "python -m mypy",
+        ]
+        assert "upload-artifact" not in job
+
     def test_writes_nothing_under_the_benchmark_directory(self):
         ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
         assert re.findall(r"(?:--out|--json-out|path:)\s+\.?/?bench/", ci) == []
@@ -548,45 +534,18 @@ class TestSetupPathStaysLoopFree:
 
 
 # ----------------------------------------------------------------------
-# One compute-charging seam. Policies do not time themselves — the
-# transport times each ``respond``/``receive`` call and charges it by
-# frame kind — so no module under ``core/`` but the trainer (whose one
-# timer measures set-up) reads a clock, and neither do the model
-# backends. And the kernel op table exists
-# once, in ``engine/executor.py``: the multiprocess worker dispatches
-# through it instead of keeping a copy.
+# One kernel op table. It exists once, in ``engine/executor.py``: the
+# multiprocess worker dispatches through it instead of keeping a copy.
+# (That policies and backends read no clock is ECG001 in
+# ``tests/test_invariants.py``.)
 # ----------------------------------------------------------------------
-CLOCK_CALLS = {
-    "monotonic_now", "perf_counter", "perf_counter_ns", "monotonic",
-    "monotonic_ns", "process_time", "process_time_ns", "time", "time_ns",
-}
 KERNEL_OPS = {"fwd", "loss", "bpl", "bpr"}
 KERNEL_CALLS = {
     "forward_kernel", "loss_kernel", "forward_layer", "backward_local",
     "backward_reduce",
 }
-CORE = REPO / "src" / "repro" / "core"
 EXECUTOR = REPO / "src" / "repro" / "engine" / "executor.py"
 BACKENDS = REPO / "src" / "repro" / "engine" / "backends.py"
-
-
-def _clock_reads(source: str) -> list[str]:
-    """``name:line`` of every clock call or clock import."""
-    offenders = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else (
-                getattr(func, "id", "")
-            )
-            if name in CLOCK_CALLS:
-                offenders.append(f"{name}:{node.lineno}")
-        elif isinstance(node, ast.ImportFrom):
-            offenders += [
-                f"import {alias.name}:{node.lineno}"
-                for alias in node.names if alias.name in CLOCK_CALLS
-            ]
-    return offenders
 
 
 def _kernel_op_table(source: str) -> set[str]:
@@ -604,32 +563,7 @@ def _kernel_op_table(source: str) -> set[str]:
     return found
 
 
-class TestOneComputeChargingSeam:
-    @pytest.mark.parametrize(
-        "module",
-        sorted(p.name for p in CORE.glob("*.py") if p.name != "trainer.py"),
-    )
-    def test_core_reads_no_clock(self, module):
-        assert _clock_reads((CORE / module).read_text()) == []
-
-    def test_backends_read_no_clock(self):
-        # Sampling is ordinary compute: offline inside the trainer's
-        # set-up timer, online inside ``worker_compute``. No backend
-        # times (or discounts) itself.
-        assert _clock_reads(BACKENDS.read_text()) == []
-
-    def test_the_clock_guard_sees_a_clock(self):
-        sample = (
-            "import time\n"
-            "from repro.obs.tracing import monotonic_now\n"
-            "def f():\n"
-            "    return time.perf_counter() - monotonic_now()\n"
-        )
-        assert _clock_reads(sample) == [
-            "import monotonic_now:2", "perf_counter:4", "monotonic_now:4",
-        ]
-        assert _clock_reads((CORE / "trainer.py").read_text()) != []
-
+class TestOneKernelOpTable:
     @pytest.mark.parametrize("module", ["worker.py", "supervisor.py"])
     def test_mp_keeps_no_kernel_op_table(self, module):
         source = (REPO / "src" / "repro" / "mp" / module).read_text()
