@@ -28,7 +28,6 @@ from repro.core.reqec_fp import (
     SELECT_COMPRESSED,
     SELECT_PREDICTED,
     ReqECPolicy,
-    TrendState,
 )
 from repro.core.resec_bp import ResECPolicy
 from repro.core.results import ConvergenceRun, EpochResult
@@ -53,7 +52,6 @@ __all__ = [
     "SELECT_COMPRESSED",
     "SELECT_PREDICTED",
     "ReqECPolicy",
-    "TrendState",
     "ResECPolicy",
     "CheckpointError",
     "ConvergenceRun",

@@ -7,7 +7,8 @@ travels (raw floats, quantized buckets, selector-compensated payloads...).
 
 Policies are stateful per :class:`ChannelKey` — one logical channel per
 (layer, responder, requester) triple — because the compensation algorithms
-keep per-channel memories (trend snapshots, error residuals, stale caches).
+keep per-channel memories (trend snapshot bits over per-vertex tables,
+error residuals, stale caches).
 """
 
 from __future__ import annotations

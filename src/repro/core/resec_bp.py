@@ -45,6 +45,13 @@ class ResECPolicy(ExchangePolicy):
         residual = self._residual.get(key)
         return float(np.linalg.norm(residual)) if residual is not None else 0.0
 
+    def residual_bytes(self, worker: int) -> int:
+        """Bytes of the residuals ``worker`` keeps as a responding end."""
+        return sum(
+            residual.nbytes for key, residual in self._residual.items()
+            if key.responder == worker
+        )
+
     def respond(
         self,
         key: ChannelKey,

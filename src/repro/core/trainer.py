@@ -199,6 +199,11 @@ class ECGraphTrainer:
             self._fp_policy = make_exchange_policy("fp", self.config, self.tuner)
         if not self._bp_policy_override:
             self._bp_policy = make_exchange_policy("bp", self.config)
+        if isinstance(self._fp_policy, ReqECPolicy):
+            # One trend table per owner, over its (live) serve plan.
+            self._fp_policy.bind_plan(
+                self.workers, lossy=self.config.faults.enabled
+            )
         self.transport = HaloTransport(self.runtime, self.workers)
         if self.config.faults.enabled:
             self._injector = FaultInjector(self.config.faults)

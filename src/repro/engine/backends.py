@@ -554,7 +554,7 @@ class SampledGCNBackend(GCNBackend):
         if config.fp_mode == "reqec":
             raise ValueError(
                 "ReqEC-FP is a full-batch mechanism (it keeps dense "
-                "per-channel trend state); use fp_mode='compress' or "
+                "per-vertex trend tables); use fp_mode='compress' or "
                 "'raw' in sampling mode"
             )
         if "delayed" in (config.fp_mode, config.bp_mode):

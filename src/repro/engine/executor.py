@@ -35,6 +35,8 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
+from repro.core.reqec_fp import ReqECPolicy
+from repro.core.resec_bp import ResECPolicy
 from repro.nn.losses import softmax_cross_entropy
 
 if TYPE_CHECKING:
@@ -55,13 +57,24 @@ def publish_workspace_bytes(
     """A worker's kernel buffers (``LayerWorkspaces.held``) as gauges —
     ``ecgraph_workspace_bytes{worker=...}`` once exported — rather than
     something inferred from RSS: resident, planned, and the first-layer
-    aggregate's share."""
+    aggregate's share; beside them the exchange-policy state the worker
+    owns: ReqEC-FP trend tables and ResEC-BP residuals (sizes only)."""
     metrics = ctx.telemetry.metrics
     metrics.set_gauge("workspace_bytes", held.resident, worker=worker)
     metrics.set_gauge("workspace_planned_bytes", held.planned, worker=worker)
     metrics.set_gauge(
         "first_aggregate_bytes", held.first_aggregate, worker=worker
     )
+    if isinstance(ctx.fp_policy, ReqECPolicy):
+        metrics.set_gauge(
+            "trend_table_bytes", ctx.fp_policy.trend_table_bytes(worker),
+            worker=worker,
+        )
+    if isinstance(ctx.bp_policy, ResECPolicy):
+        metrics.set_gauge(
+            "residual_bytes", ctx.bp_policy.residual_bytes(worker),
+            worker=worker,
+        )
 
 
 def forward_kernel(

@@ -79,13 +79,14 @@ _FAULT_COUNTERS = (
 )
 
 
-# Per-worker workspace gauges, in "Resident buffers" column order.
+# Per-worker resident-buffer gauges, in "Resident buffers" column order.
 _RESOURCE_GAUGES = (
     "workspace_planned_bytes", "workspace_bytes", "first_aggregate_bytes",
+    "trend_table_bytes", "residual_bytes",
 )
 _RESOURCE_COLUMNS = (
     "worker", "planned workspaces", "resident workspaces",
-    "first-layer aggregate",
+    "first-layer aggregate", "trend tables", "ResEC residuals",
 )
 
 

@@ -135,4 +135,10 @@ def reference_setup():
 @pytest.fixture(scope="session")
 def reference_reqec_policy():
     """The pre-change ReqEC-FP policy class (ships ``M_cr``)."""
-    return reqec._make_reference_reqec_policy()
+    return reqec.ReferenceReqECPolicy
+
+
+@pytest.fixture(scope="session")
+def per_channel_reqec_policy():
+    """The ReqEC-FP policy with per-channel trend state (verbatim parent)."""
+    return reqec.PerChannelReqECPolicy

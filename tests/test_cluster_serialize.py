@@ -122,8 +122,10 @@ class TestExactFrames:
         from repro.core.messages import ChannelKey
         from repro.core.reqec_fp import ReqECPolicy
 
-        policy = ReqECPolicy(BitTuner(initial_bits=2, enabled=False),
-                             trend_period=2)
+        from reqec_owners import bind
+
+        policy = bind(ReqECPolicy(BitTuner(initial_bits=2, enabled=False),
+                                  trend_period=2), {(0, 1): len(matrix)})
         for t in (1, 3):
             message = policy.respond(ChannelKey(1, 0, 1), matrix, t=t)
             frame = encode_exact(*message.payload)
@@ -207,8 +209,10 @@ class TestSelectorFrames:
         from repro.core.messages import ChannelKey
         from repro.core.reqec_fp import ReqECPolicy
 
-        policy = ReqECPolicy(BitTuner(initial_bits=4, enabled=False),
-                             trend_period=4)
+        from reqec_owners import bind
+
+        policy = bind(ReqECPolicy(BitTuner(initial_bits=4, enabled=False),
+                                  trend_period=4), {(0, 1): len(matrix)})
         key = ChannelKey(1, 0, 1)
         policy.respond(key, matrix, t=3)  # boundary primes the trend
         message = policy.respond(key, matrix + 0.05, t=4)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reqec_owners import bind
 from repro.core.bit_tuner import BitTuner
 from repro.core.messages import ChannelKey
 from repro.core.reqec_fp import (
@@ -15,9 +16,23 @@ from repro.core.reqec_fp import (
 KEY = ChannelKey(layer=1, responder=0, requester=1)
 
 
-def _policy(bits=4, period=4, granularity="vertex", adaptive=False):
+def _policy(rows, bits=4, period=4, granularity="vertex", adaptive=False):
+    """A policy whose owner serves ``KEY`` ``rows`` rows."""
     tuner = BitTuner(initial_bits=bits, enabled=adaptive)
-    return ReqECPolicy(tuner, trend_period=period, granularity=granularity)
+    policy = ReqECPolicy(tuner, trend_period=period, granularity=granularity)
+    return bind(policy, {KEY.pair: rows})
+
+
+def _trend(policy, key=KEY):
+    """The channel's ``(H_last, M_cr, boundary_t)`` as its table holds
+    them (copies: the table is updated in place at each boundary)."""
+    channel = policy._channels[key]
+    table_key, idx = policy._locate(key)
+    table = policy._tables[table_key]
+    m_cr = table.m_cr[idx].copy()
+    if channel.zero_rate:
+        m_cr[:] = 0.0
+    return table.h_last[idx].copy(), m_cr, channel.boundary_t
 
 
 def _roundtrip(policy, rows, t):
@@ -27,20 +42,20 @@ def _roundtrip(policy, rows, t):
 
 class TestSchedule:
     def test_boundary_iteration_exact(self):
-        policy = _policy(period=4)
+        policy = _policy(6, period=4)
         rows = np.random.default_rng(0).random((6, 3)).astype(np.float32)
         result, message = _roundtrip(policy, rows, t=3)  # (3+1) % 4 == 0
         assert message.kind == "exact"
         np.testing.assert_array_equal(result, rows)
 
     def test_pre_boundary_is_compressed_only(self):
-        policy = _policy(period=4)
+        policy = _policy(6, period=4)
         rows = np.random.default_rng(0).random((6, 3)).astype(np.float32)
         _, message = _roundtrip(policy, rows, t=0)
         assert message.kind == "quant"
 
     def test_post_boundary_uses_selector(self):
-        policy = _policy(period=4)
+        policy = _policy(6, period=4)
         rng = np.random.default_rng(0)
         rows = rng.random((6, 3)).astype(np.float32)
         _roundtrip(policy, rows, t=3)  # boundary primes the trend
@@ -50,44 +65,45 @@ class TestSchedule:
     def test_requester_derives_changing_rate(self):
         """The boundary message carries the rows and a flag, no matrix;
         the *requester's* state ends up ``(rows1 - rows0) / T_tr``."""
-        policy = _policy(period=2)
+        policy = _policy(4, period=2)
         rows0 = np.zeros((4, 2), dtype=np.float32)
         rows1 = np.ones((4, 2), dtype=np.float32) * 2.0
         _, first = _roundtrip(policy, rows0, t=1)  # first boundary
         assert first.payload[1] is False  # no base: both ends use zeros
         np.testing.assert_array_equal(
-            policy._requester_trend[KEY].m_cr, np.zeros_like(rows0)
+            _trend(policy)[1], np.zeros_like(rows0)
         )
         _, message = _roundtrip(policy, rows1, t=3)  # second boundary
         sent, has_base = message.payload
         assert (message.kind, has_base) == ("exact", True)
         np.testing.assert_array_equal(sent, rows1)
         np.testing.assert_array_equal(
-            policy._requester_trend[KEY].m_cr, (rows1 - rows0) / 2
+            _trend(policy)[1], (rows1 - rows0) / 2
         )
 
     def test_separate_processes_derive_the_same_rate(self):
         """With one policy object per end (the real system's layout) the
-        requester keeps its own derived array, bit-equal to the
-        responder's."""
-        responder, requester = _policy(period=2), _policy(period=2)
+        requester keeps its own table, derived from the rows it received
+        and bit-equal to the responder's."""
+        responder, requester = _policy(6, period=2), _policy(6, period=2)
         rng = np.random.default_rng(9)
         for t in (1, 3, 5):
             rows = rng.standard_normal((6, 3)).astype(np.float32)
             requester.receive(KEY, responder.respond(KEY, rows, t), t)
-            mine = requester._requester_trend[KEY]
-            theirs = responder._responder_trend[KEY]
-            assert mine.m_cr is not theirs.m_cr
-            assert not mine.m_cr.flags.writeable
-            np.testing.assert_array_equal(mine.m_cr, theirs.m_cr)
-            assert mine.boundary_t == theirs.boundary_t == t
+            (table_key,) = requester._tables
+            assert (requester._tables[table_key]
+                    is not responder._tables[table_key])
+            mine, theirs = _trend(requester), _trend(responder)
+            np.testing.assert_array_equal(mine[0], theirs[0])
+            np.testing.assert_array_equal(mine[1], theirs[1])
+            assert mine[2] == theirs[2] == t
 
 
 class TestSelector:
     def test_linear_trend_selects_predicted(self):
         """Embeddings moving at a constant rate are perfectly predicted,
         so the Selector should pick `predicted` and send no payload."""
-        policy = _policy(period=4, bits=1)
+        policy = _policy(8, period=4, bits=1)
         base = np.random.default_rng(0).random((8, 4)).astype(np.float32)
         step = np.full_like(base, 0.01)
         # Two boundaries establish the rate.
@@ -104,7 +120,7 @@ class TestSelector:
     def test_static_then_jump_selects_compressed(self):
         """After an abrupt change the prediction is stale; the quantized
         rows win."""
-        policy = _policy(period=4, bits=8)
+        policy = _policy(8, period=4, bits=8)
         rng = np.random.default_rng(1)
         rows = rng.random((8, 4)).astype(np.float32)
         _roundtrip(policy, rows, t=3)
@@ -115,7 +131,7 @@ class TestSelector:
         assert (selection == SELECT_COMPRESSED).mean() > 0.5
 
     def test_reconstruction_matches_selected_candidates(self):
-        policy = _policy(period=4, bits=4)
+        policy = _policy(10, period=4, bits=4)
         rng = np.random.default_rng(2)
         rows = rng.random((10, 3)).astype(np.float32)
         _roundtrip(policy, rows, t=3)
@@ -132,7 +148,7 @@ class TestSelector:
         assert (rec_err <= cps_err + 1e-4).all()
 
     def test_average_candidate_reconstruction(self):
-        policy = _policy(period=4, bits=2)
+        policy = _policy(30, period=4, bits=2)
         rng = np.random.default_rng(3)
         rows = rng.random((30, 4)).astype(np.float32)
         _roundtrip(policy, rows, t=3)
@@ -148,7 +164,7 @@ class TestSelector:
 class TestGranularities:
     @pytest.mark.parametrize("granularity", ["vertex", "matrix", "element"])
     def test_all_granularities_reconstruct(self, granularity):
-        policy = _policy(period=3, granularity=granularity, bits=8)
+        policy = _policy(12, period=3, granularity=granularity, bits=8)
         rng = np.random.default_rng(4)
         rows = rng.random((12, 5)).astype(np.float32)
         _roundtrip(policy, rows, t=2)
@@ -157,7 +173,7 @@ class TestGranularities:
         assert np.abs(result - drifted).max() < 0.1
 
     def test_matrix_granularity_single_choice(self):
-        policy = _policy(period=3, granularity="matrix")
+        policy = _policy(10, period=3, granularity="matrix")
         rng = np.random.default_rng(5)
         rows = rng.random((10, 4)).astype(np.float32)
         _roundtrip(policy, rows, t=2)
@@ -166,7 +182,7 @@ class TestGranularities:
         assert len(np.unique(selection)) == 1
 
     def test_element_selection_shape(self):
-        policy = _policy(period=3, granularity="element")
+        policy = _policy(7, period=3, granularity="element")
         rng = np.random.default_rng(6)
         rows = rng.random((7, 5)).astype(np.float32)
         _roundtrip(policy, rows, t=2)
@@ -175,7 +191,7 @@ class TestGranularities:
 
     def test_unknown_granularity_rejected(self):
         with pytest.raises(ValueError):
-            _policy(granularity="row")
+            _policy(6, granularity="row")
 
 
 class TestCosts:
@@ -186,12 +202,12 @@ class TestCosts:
         base = rng.random((64, 16)).astype(np.float32)
         step = np.full_like(base, 0.01)
 
-        predictable = _policy(period=4, bits=8)
+        predictable = _policy(64, period=4, bits=8)
         for t, rows in [(3, base), (7, base + 4 * step)]:
             predictable.respond(KEY, rows, t)
         good = predictable.respond(KEY, base + 5 * step, 8)
 
-        noisy = _policy(period=4, bits=8)
+        noisy = _policy(64, period=4, bits=8)
         for t, rows in [(3, base), (7, base + 4 * step)]:
             noisy.respond(KEY, rows, t)
         random_rows = rng.random((64, 16)).astype(np.float32) * 3.0
@@ -199,7 +215,7 @@ class TestCosts:
         assert good.nbytes < bad.nbytes
 
     def test_exact_message_is_header_plus_raw_size(self):
-        policy = _policy(period=2)
+        policy = _policy(10, period=2)
         rows = np.zeros((10, 8), dtype=np.float32)
         for t in (1, 3):  # without and with a base: the same size
             message = policy.respond(KEY, rows, t=t)
@@ -208,53 +224,82 @@ class TestCosts:
 
 class TestErrors:
     def test_selector_before_boundary_on_requester_raises(self):
-        responder = _policy(period=4)
+        responder = _policy(4, period=4)
         rows = np.random.default_rng(8).random((4, 2)).astype(np.float32)
         responder.respond(KEY, rows, t=3)  # prime responder only
         message = responder.respond(KEY, rows, t=4)
-        fresh_requester = _policy(period=4)
+        fresh_requester = _policy(4, period=4)
         with pytest.raises(RuntimeError, match="exact trend snapshot"):
             fresh_requester.receive(KEY, message, t=4)
 
     def test_flagged_boundary_without_requester_snapshot_raises(self):
         """A set ``has_base`` flag the requester cannot honour is a
         protocol error, never a silent zeros fallback."""
-        responder = _policy(period=2)
+        responder = _policy(4, period=2)
         rows = np.random.default_rng(8).random((4, 2)).astype(np.float32)
         responder.respond(KEY, rows, t=1)
         message = responder.respond(KEY, rows + 1.0, t=3)
         assert message.payload[1] is True
         with pytest.raises(RuntimeError, match="does not hold"):
-            _policy(period=2).receive(KEY, message, t=3)
-        stale_shape = _policy(period=2)
+            _policy(4, period=2).receive(KEY, message, t=3)
+        # A snapshot of another shape: the requester's owner served two
+        # rows at t=1, then a re-plan (a new serve plan object) serves
+        # four — the old snapshot is no base for them.
+        stale_shape = _policy(2, period=2)
         stale_shape.receive(
-            KEY, _policy(period=2).respond(KEY, rows[:2], t=1), t=1
+            KEY, _policy(2, period=2).respond(KEY, rows[:2], t=1), t=1
         )
+        owner = stale_shape._workers[KEY.responder]
+        owner.serves = {KEY.requester: np.arange(4)}
+        owner.sub.local_vertices = np.arange(4)
         with pytest.raises(RuntimeError, match="does not hold"):
             stale_shape.receive(KEY, message, t=3)
 
     def test_disagreeing_ends_raise(self):
-        """Both ends in one process: a requester base that differs from
-        the responder's is caught at the boundary, not trained on."""
-        policy = _policy(period=2)
+        """Both ends in one process: table rows that differ from the
+        rows the requester received are caught at the boundary, not
+        trained on."""
+        policy = _policy(4, period=2)
         rows = np.random.default_rng(8).random((4, 2)).astype(np.float32)
         _roundtrip(policy, rows, t=1)
-        stale = policy._requester_trend[KEY]
-        policy._requester_trend[KEY] = type(stale)(
-            h_last=stale.h_last + 1.0, m_cr=stale.m_cr, boundary_t=-1
-        )
         message = policy.respond(KEY, rows * 2.0, t=3)
-        with pytest.raises(RuntimeError, match="different changing rates"):
+        (table,) = policy._tables.values()
+        table.h_last[0, 0] += 1.0
+        with pytest.raises(RuntimeError, match="different trend snapshots"):
             policy.receive(KEY, message, t=3)
 
+    def test_shared_rows_that_differ_raise(self):
+        """Two channels of one owner share a row: the second channel to
+        reach it at a boundary must bring the same bits."""
+        from types import SimpleNamespace
+
+        owner = SimpleNamespace(
+            serves={1: np.array([0, 1]), 2: np.array([1, 2])},
+            sub=SimpleNamespace(local_vertices=np.array([10, 11, 12])),
+        )
+        policy = ReqECPolicy(BitTuner(initial_bits=4, enabled=False), 2)
+        policy.bind_plan([owner], lossy=False)
+        rows = np.ones((2, 3), dtype=np.float32)
+        policy.respond(ChannelKey(1, 0, 1), rows, t=1)
+        with pytest.raises(RuntimeError, match="differ at boundary"):
+            policy.respond(ChannelKey(1, 0, 2), rows * 2.0, t=1)
+
+    def test_unbound_policy_raises(self):
+        """Trend tables are keyed by owner: a policy never bound to a
+        worker list refuses its first boundary instead of guessing."""
+        policy = ReqECPolicy(BitTuner(initial_bits=4, enabled=False), 2)
+        rows = np.zeros((4, 2), dtype=np.float32)
+        with pytest.raises(RuntimeError, match="bind_plan"):
+            policy.respond(KEY, rows, t=1)
+
     def test_sampled_subset_unsupported(self):
-        policy = _policy()
+        policy = _policy(4)
         rows = np.zeros((4, 2), dtype=np.float32)
         with pytest.raises(NotImplementedError):
             policy.respond(KEY, rows, t=0, rows_mask=np.array([True, True, False, False]))
 
     def test_reset_clears_trend(self):
-        policy = _policy(period=2)
+        policy = _policy(4, period=2)
         rows = np.zeros((4, 2), dtype=np.float32)
         policy.respond(KEY, rows, t=1)
         policy.reset()
@@ -262,34 +307,22 @@ class TestErrors:
         assert message.kind == "quant"
 
 
-def _trend_snapshot(policy):
-    """Deep copy of both ends' trend state, for before/after equality."""
-    return {
-        end: (state.h_last.copy(), state.m_cr.copy(), state.boundary_t)
-        for end, state in (
-            ("responder", policy._responder_trend[KEY]),
-            ("requester", policy._requester_trend[KEY]),
-        )
-    }
-
-
 def _assert_trend_unchanged(policy, before):
-    after = _trend_snapshot(policy)
-    for end in before:
-        np.testing.assert_array_equal(after[end][0], before[end][0])
-        np.testing.assert_array_equal(after[end][1], before[end][1])
-        assert after[end][2] == before[end][2]
+    after = _trend(policy)
+    np.testing.assert_array_equal(after[0], before[0])
+    np.testing.assert_array_equal(after[1], before[1])
+    assert after[2] == before[2]
 
 
 @pytest.mark.parametrize("granularity", ["vertex", "matrix", "element"])
 class TestNoAliasingBetweenEnds:
-    """In-place candidate math and the shared boundary snapshot must not
-    couple the caller, the message on the wire and the two trend states:
-    whatever either side does to an array it was handed, the other
-    side's state stays what the protocol put there."""
+    """In-place candidate math and the boundary snapshot must not couple
+    the caller, the message on the wire and the trend table both ends
+    share: whatever either side does to an array it was handed, the
+    table stays what the protocol put there."""
 
     def _primed(self, granularity):
-        policy = _policy(period=4, granularity=granularity, bits=4)
+        policy = _policy(12, period=4, granularity=granularity, bits=4)
         rng = np.random.default_rng(11)
         rows = rng.random((12, 5)).astype(np.float32)
         _roundtrip(policy, rows, t=3)
@@ -301,22 +334,19 @@ class TestNoAliasingBetweenEnds:
         original = drifted.copy()
         message = policy.respond(KEY, drifted, t=7)
         result = policy.receive(KEY, message, t=7)
-        before = _trend_snapshot(policy)
+        before = _trend(policy)
 
         drifted += 100.0  # the caller reuses its buffer
         _assert_trend_unchanged(policy, before)
-        np.testing.assert_array_equal(
-            policy._responder_trend[KEY].h_last, original
-        )
+        np.testing.assert_array_equal(before[0], original)
         sent_rows, has_base = message.payload
         assert has_base is True
-        responder = policy._responder_trend[KEY]
-        requester = policy._requester_trend[KEY]
-        # The RSS invariant: one read-only ``h_last`` and one read-only
-        # ``m_cr`` object per channel, shared by both tables.
-        assert requester.h_last is responder.h_last is sent_rows
-        assert requester.m_cr is responder.m_cr
-        for shared in (sent_rows, responder.m_cr, result):
+        # The RSS invariant: both ends read the one table; what they
+        # hand out is the read-only payload, never the table itself.
+        (table,) = policy._tables.values()
+        assert result is sent_rows
+        assert not np.shares_memory(sent_rows, table.h_last)
+        for shared in (sent_rows, result):
             assert not shared.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 shared[0, 0] = -1.0
@@ -324,7 +354,7 @@ class TestNoAliasingBetweenEnds:
 
     def test_in_group_roundtrip_leaves_trend_alone(self, granularity):
         policy, _, drifted = self._primed(granularity)
-        before = _trend_snapshot(policy)
+        before = _trend(policy)
         original = drifted.copy()
 
         message = policy.respond(KEY, drifted, t=4)
@@ -350,11 +380,11 @@ class TestNoAliasingBetweenEnds:
         _assert_trend_unchanged(policy, before)
 
     def test_compressed_only_roundtrip_holds_no_state(self, granularity):
-        policy = _policy(period=4, granularity=granularity, bits=8)
+        policy = _policy(6, period=4, granularity=granularity, bits=8)
         rows = np.random.default_rng(12).random((6, 3)).astype(np.float32)
         original = rows.copy()
         result, message = _roundtrip(policy, rows, t=0)
         np.testing.assert_array_equal(rows, original)
         result[:] = 0.0
         message.payload.packed[:] = 0
-        assert not policy._responder_trend and not policy._requester_trend
+        assert not policy._channels and not policy._tables

@@ -63,13 +63,18 @@ class TestResidentBuffers:
             assert held == {
                 "workspace_planned_bytes": planned,
                 "workspace_bytes": total, "first_aggregate_bytes": first,
+                "trend_table_bytes": metrics.gauge(
+                    "trend_table_bytes", worker=worker),
+                "residual_bytes": metrics.gauge(
+                    "residual_bytes", worker=worker),
             }
             # After the first iteration the inline workers hold it all.
             assert 0 < first < total == planned
         markdown, html = render_markdown(data), render_html(data)
         assert "## Resident buffers" in markdown
         assert ("| worker | planned workspaces | resident workspaces "
-                "| first-layer aggregate |") in markdown
+                "| first-layer aggregate | trend tables | ResEC residuals |"
+                ) in markdown
         assert "<h2>Resident buffers</h2>" in html
         assert ("<th>planned workspaces</th><th>resident workspaces</th>"
                 in html)

@@ -161,22 +161,26 @@ class TestSteadyStateAllocationBudget:
 
 
 # ----------------------------------------------------------------------
-# Trend state: one snapshot and one changing rate per channel
+# Trend state: one snapshot and one changing rate per exported row
 # ----------------------------------------------------------------------
 class TestBoundaryRetention:
     """The requesting end derives ``M_cr`` itself, but both ends of the
-    one-process simulator keep a single read-only array: a boundary
-    exchange retains ``h_last`` + one ``M_cr`` per channel — a private
+    one-process simulator read a single table: a boundary exchange
+    retains ``h_last`` + one ``M_cr`` per exported row — a private
     requester copy would show here as a third matrix (and as +7..11 %
     ``peak_rss_mb`` on the EC benchmark rows)."""
 
     def test_boundary_exchange_retains_one_rate_per_channel(self):
+        from reqec_owners import bind
         from repro.core.bit_tuner import BitTuner
         from repro.core.messages import ChannelKey
         from repro.core.reqec_fp import ReqECPolicy
 
-        policy = ReqECPolicy(BitTuner(initial_bits=4, enabled=False),
-                             trend_period=2)
+        # Fault-free, as in training without fault injection: no prior
+        # snapshot is kept for lost boundaries.
+        policy = bind(ReqECPolicy(BitTuner(initial_bits=4, enabled=False),
+                                  trend_period=2), {(0, 1): 4096},
+                      lossy=False)
         key = ChannelKey(layer=1, responder=0, requester=1)
         rng = np.random.default_rng(0)
         snapshots = [
@@ -193,16 +197,15 @@ class TestBoundaryRetention:
                 result = policy.receive(key, message, t)
                 del message, result
                 held, peak = tracemalloc.get_traced_memory()
-                # h_last + M_cr, shared by both tables; the previous
-                # pair is released, the requester's derived array too.
+                # h_last + M_cr, read by both ends, updated in place;
+                # the payload copy is released with the message.
                 assert 2 * matrix <= held - start < 2.1 * matrix
-                # Transient: old pair + new pair + the derived array
-                # + the one-byte-per-element agreement mask.
+                # Transient: the table + the payload + the rate being
+                # formed + the gathered old rows.
                 assert peak - start < 5.5 * matrix
         finally:
             tracemalloc.stop()
-        assert (policy._requester_trend[key].m_cr
-                is policy._responder_trend[key].m_cr)
+        assert list(policy._tables) == [(key.responder, key.layer)]
 
 
 # ----------------------------------------------------------------------

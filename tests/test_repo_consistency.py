@@ -758,6 +758,7 @@ def _contract_policy(name: str):
         OneBitPolicy,
         TopKPolicy,
     )
+    from reqec_owners import bind
     from repro.core.reqec_fp import ReqECPolicy
     from repro.core.resec_bp import ResECPolicy
 
@@ -768,10 +769,10 @@ def _contract_policy(name: str):
         "TopKPolicy": lambda: TopKPolicy(k=2),
         "OneBitPolicy": lambda: OneBitPolicy(),
         "DelayedPolicy": lambda: DelayedPolicy(),
-        "ReqECPolicy": lambda: ReqECPolicy(
+        "ReqECPolicy": lambda: bind(ReqECPolicy(
             BitTuner(initial_bits=4, enabled=False),
             trend_period=CONTRACT_PERIOD,
-        ),
+        ), {(0, 1): 6}),
         "ResECPolicy": lambda: ResECPolicy(4),
     }[name]()
 

@@ -10,16 +10,19 @@ delivered one, two consecutive lost boundaries, retry exhaustion then
 repairs), crash recovery with ``reset_residuals`` on and off, and an
 elastic membership change — and audits every boundary message:
 
-* after every *delivered* boundary ``_responder_trend[key]`` and
-  ``_requester_trend[key]`` hold the same ``(h_last, m_cr, boundary_t)``
-  (the same read-only objects, in fact — the RSS invariant);
-* the flag is clear exactly when the responder had no state: before the
-  first boundary, or after ``on_delivery_failure`` / ``invalidate_worker``
-  rolled it back;
-* when the flag is set, the requester's base is the snapshot of the last
+* after every *delivered* boundary both ends read one state: the
+  channel's entry in ``_channels`` (``boundary_t`` = this boundary) and
+  its rows of the owner's trend table, bit-equal to the rows sent; the
+  requester hands on the read-only payload itself (the RSS invariant:
+  no end keeps a copy of its own);
+* the flag is clear exactly when the channel held no snapshot: before
+  the first boundary, or after ``on_delivery_failure`` /
+  ``invalidate_worker`` cleared its bit;
+* when the flag is set, the channel's base is the snapshot of its last
   delivered boundary; when it is clear, an older requester snapshot may
-  still exist (it feeds ``fallback_rows``) but the derived rate is zero —
-  a stale snapshot is never used as a base.
+  still exist (a channel that lost its boundary keeps a private copy of
+  the last one it received; it feeds ``fallback_rows``) but the derived
+  rate is zero — a stale snapshot is never used as a base.
 """
 
 from __future__ import annotations
@@ -50,15 +53,30 @@ def graph():
     ))
 
 
+def _trend(policy, key):
+    """The channel's ``(H_last, M_cr, boundary_t)`` as its table holds
+    them (copies: the table is updated in place at each boundary)."""
+    channel = policy._channels[key]
+    table_key, idx = policy._locate(key)
+    table = policy._tables[table_key]
+    m_cr = table.m_cr[idx].copy()
+    if channel.zero_rate:
+        m_cr[:] = 0.0
+    return table.h_last[idx].copy(), m_cr, channel.boundary_t
+
+
 class BoundaryAuditor:
     """Wraps one live ``ReqECPolicy`` and checks every boundary message
     against a shadow model of what each end should believe."""
 
     def __init__(self, policy):
         self.policy = policy
-        # key -> h_last object of the last delivered boundary the
-        # responder has not been rolled back from (absent: no base).
+        # key -> (rows, t) sent at the last delivered boundary the
+        # channel has not been rolled back from (absent: no base).
         self.base: dict = {}
+        # key -> (rows, M_cr, t) of the last boundary the requester
+        # received and was not crashed out of: what it still holds.
+        self.received: dict = {}
         self.delivered = 0
         self.lost = 0
         self.flag_set = 0
@@ -71,12 +89,18 @@ class BoundaryAuditor:
             setattr(policy, name, getattr(self, name))
 
     def respond(self, key, rows, t, rows_mask=None):
+        # The boundary the channel held a snapshot of before this one.
+        held = self.policy._channels.get(key)
+        before = None if held is None else held.boundary_t
         message = self._respond(key, rows, t, rows_mask=rows_mask)
         if message.kind == "exact":
             sent, has_base = message.payload
             assert has_base is (key in self.base), (key, t)
+            if has_base:
+                # The base is the last delivered boundary's snapshot.
+                assert before == self.base[key][1]
             assert message.nbytes == 24 + sent.nbytes
-            self._pending[key] = t
+            self._pending[key] = (t, before)
         else:
             # In-group traffic follows the responder's state: selector
             # messages only on a channel whose boundary was delivered.
@@ -88,33 +112,48 @@ class BoundaryAuditor:
         if message.kind != "exact":
             return self._receive(key, message, t)
         sent, has_base = message.payload
-        before = policy._requester_trend.get(key)
+        pending_t, before = self._pending.pop(key)
+        assert pending_t == t
         if has_base:
             self.flag_set += 1
-            assert before is not None and before.h_last is self.base[key]
+            assert before == self.base[key][1]
+        # An older snapshot the requester still holds privately.
+        stale = key in policy._private
+        assert stale is (key in self.received and key not in self.base)
         result = self._receive(key, message, t)
-        responder = policy._responder_trend[key]
-        requester = policy._requester_trend[key]
-        assert requester.h_last is responder.h_last is sent
-        assert requester.m_cr is responder.m_cr
-        assert requester.boundary_t == responder.boundary_t == t
-        assert not requester.m_cr.flags.writeable
+        assert result is sent and not sent.flags.writeable
+        h_last, m_cr, boundary_t = _trend(policy, key)
+        assert boundary_t == t
+        assert np.array_equal(h_last.view(np.uint32), sent.view(np.uint32))
+        assert policy._channels[key].zero_rate is not has_base
         if has_base:
-            expected = (sent - before.h_last) / np.float32(PERIOD)
-            np.testing.assert_array_equal(requester.m_cr, expected)
+            expected = (sent - self.base[key][0]) / np.float32(PERIOD)
+            np.testing.assert_array_equal(m_cr, expected)
         else:
-            assert not requester.m_cr.any()
-            if before is not None:
+            assert not m_cr.any()
+            if stale:
                 self.stale_snapshots_ignored += 1
-        self.base[key] = sent
+        assert key not in policy._private
+        self.base[key] = (sent, t)
+        self.received[key] = (sent, m_cr, t)
         self.delivered += 1
-        assert self._pending.pop(key) == t
         return result
 
     def on_delivery_failure(self, key, message, rows_mask=None):
         handled = self._on_delivery_failure(key, message, rows_mask=rows_mask)
         if message.kind == "exact":
-            assert key not in self.policy._responder_trend
+            assert key not in self.policy._channels
+            # The requester keeps the last snapshot it received, bit
+            # for bit, as its private copy.
+            private = self.policy._private.get(key)
+            if key in self.received:
+                rows, m_cr, t = self.received[key]
+                assert private[2] == t
+                for got, want in zip(private[:2], (rows, m_cr)):
+                    assert np.array_equal(got.view(np.uint32),
+                                          want.view(np.uint32))
+            else:
+                assert private is None
             assert self._pending.pop(key) is not None
             self.base.pop(key, None)
             self.lost += 1
@@ -127,17 +166,24 @@ class BoundaryAuditor:
                     if worker in (k.responder, k.requester)]:
             del self.base[key]
             self.rollbacks += 1
-        for table in (self.policy._responder_trend,
-                      self.policy._requester_trend):
+        for key in [k for k in self.received
+                    if worker in (k.responder, k.requester)]:
+            del self.received[key]
+        for state in (self.policy._channels, self.policy._private):
             assert not any(
-                worker in (k.responder, k.requester) for k in table
+                worker in (k.responder, k.requester) for k in state
             )
 
     def finish(self):
         assert not self._pending  # every boundary delivered or failed
-        for key, sent in self.base.items():
-            assert self.policy._responder_trend[key].h_last is sent
-            assert self.policy._requester_trend[key].h_last is sent
+        assert sorted(self.policy._channels) == sorted(self.base)
+        assert sorted(self.policy._private) == sorted(
+            set(self.received) - set(self.base)
+        )
+        for key, (sent, _) in self.base.items():
+            h_last = _trend(self.policy, key)[0]
+            assert np.array_equal(h_last.view(np.uint32),
+                                  sent.view(np.uint32))
 
 
 def _script_fates(injector, script):

@@ -20,6 +20,7 @@ from repro.compression.quantization import SUPPORTED_BITS, BucketQuantizer
 from repro.core.bit_tuner import BitTuner
 from repro.core.messages import ChannelKey
 from repro.core.reqec_fp import SELECT_PREDICTED, ReqECPolicy
+from reqec_owners import bind
 
 
 @pytest.fixture
@@ -29,11 +30,11 @@ def rows():
 
 
 def _policy(granularity, bits=4):
-    return ReqECPolicy(
+    return bind(ReqECPolicy(
         BitTuner(initial_bits=bits, enabled=False),
         trend_period=4,
         granularity=granularity,
-    )
+    ), {(0, 1): 19})
 
 
 class TestQuantizedPayloadBytes:
