@@ -86,7 +86,8 @@ class CachedKHopBackend(GCNBackend):
                 w, sub, a_local, graph.feature_store.rows(vertices), graph.labels[vertices],
                 *(mask[vertices] & is_target for mask in (
                     graph.train_mask, graph.val_mask, graph.test_mask)),
-                requests={}, halo_slots={}, serves={})
+                requests={}, halo_slots={}, serves={},
+                feature_store=graph.feature_store)
             pull = vertices.size * row_bytes + edges.shape[0] * 8
             self.worker_caches.append(_WorkerCache(targets, state, a_local.T.tocsr(), pull))
             self._rebuilt.append(w)

@@ -299,7 +299,7 @@ class ECGraphTrainer:
         """The paper's first basic optimization: cache remote 1-hop
         neighbour features on each worker once, before training."""
         for state in self.workers:
-            state.halo_features = fetch_halo_features(
+            fetch_halo_features(
                 state, self.workers, self.runtime, "feature_cache"
             )
 

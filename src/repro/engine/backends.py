@@ -505,7 +505,7 @@ class GCNBackend(ModelBackend):
                     state, state.a_local
                 )
             if aggregated is None:
-                h_cat = np.concatenate([state.features, state.halo_features])
+                h_cat = state.first_layer_cat()
         return layer_forward(
             state.a_local,
             h_cat,

@@ -57,13 +57,17 @@ def publish_workspace_bytes(
     """A worker's kernel buffers (``LayerWorkspaces.held``) as gauges —
     ``ecgraph_workspace_bytes{worker=...}`` once exported — rather than
     something inferred from RSS: resident, planned, and the first-layer
-    aggregate's share; beside them the exchange-policy state the worker
-    owns: ReqEC-FP trend tables and ResEC-BP residuals (sizes only)."""
+    aggregate's share; beside them the feature rows its state holds
+    (this process's copy) and the exchange-policy state the worker owns:
+    ReqEC-FP trend tables and ResEC-BP residuals (sizes only)."""
     metrics = ctx.telemetry.metrics
     metrics.set_gauge("workspace_bytes", held.resident, worker=worker)
     metrics.set_gauge("workspace_planned_bytes", held.planned, worker=worker)
     metrics.set_gauge(
         "first_aggregate_bytes", held.first_aggregate, worker=worker
+    )
+    metrics.set_gauge(
+        "feature_bytes", ctx.workers[worker].feature_bytes(), worker=worker
     )
     if isinstance(ctx.fp_policy, ReqECPolicy):
         metrics.set_gauge(
@@ -88,13 +92,17 @@ def forward_kernel(
     """One worker's forward round on the layer's input workspace: the
     previous kernel (or the feature shard) already wrote its head, the
     halo exchange its tail. Layer 1's is None when the plan holds no
-    ``[X; X_halo]`` (the kernel reads the constant ``M^1``)."""
+    ``[X; X_halo]`` (the kernel reads the constant ``M^1``). Once layer
+    1 has run, this process holds what it reads, and the worker's input
+    arrays can go (``LayerWorkspaces.release_first_inputs``)."""
     ws = ctx.workspaces
     if layer == 1:
         h_cat = ws.first_input(state)
     else:
         h_cat = ws.h_cat(state, layer - 1)
     backend.forward_layer(state, h_cat, pulled, layer, is_last=is_last)
+    if layer == 1:
+        ws.release_first_inputs(state)
 
 
 def loss_kernel(

@@ -213,15 +213,13 @@ class RecoveryManager:
                 obs.metrics.inc("fault_crashes", worker=worker)
             ctx.runtime.add_stall(worker, faults.recovery_seconds)
             state = ctx.workers[worker]
-            rebuild_halo = (
-                ctx.config.cache_first_hop
-                and state.halo_features is not None
-            )
             state.crash_reset(ctx.params.num_layers)
-            if rebuild_halo:
-                # A new array: the first-layer workspace and its constant
-                # aggregate are rebuilt from it on the next forward.
-                state.halo_features = fetch_halo_features(
+            if ctx.config.cache_first_hop and state.halo_lost:
+                # A new cache, so a new inputs_version: the first-layer
+                # workspace and its constant aggregate are rebuilt from
+                # it on the next forward. Owners that released their
+                # shards serve the same rows from the store.
+                fetch_halo_features(
                     state, ctx.workers, ctx.runtime, "recovery"
                 )
             if faults.reset_residuals:

@@ -110,7 +110,7 @@ class ForwardStage(Stage):
                     "fp",
                     0,
                     t,
-                    rows_of=lambda s: s.features,
+                    rows_of=lambda s: s.local_rows(),
                     dim=ctx.graph.feature_dim,
                     subset=backend.exchange_subset(1, "fp"),
                 )

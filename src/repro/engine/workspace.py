@@ -20,13 +20,15 @@ A slot an exchange and a kernel both touch comes through
 ``s<k>w<worker>`` under ``"multiprocess"`` (allocated by the supervisor
 at plan time, attached by the worker process).
 
-With the cached first hop, ``M^1 = A·[X; X_halo]`` is constant while the
-arrays it is built from are, so it is rebuilt only when a worker's
-feature shard, cached halo features or adjacency is a *different object*
-— what elastic reassignment, crash recovery's halo refetch and a
-sampled-kernel refresh produce. ``[X; X_halo]`` itself is held (as a
-persistent ``h0``) only by backends whose kernels read it every
-iteration; otherwise ``M^1`` is built from a transient copy. See
+With the cached first hop, ``M^1 = A·[X; X_halo]`` is constant while its
+inputs are, so it is rebuilt only when the adjacency is a *different
+object* or the worker's ``inputs_version`` moved (a new feature shard or
+halo cache) — what elastic reassignment, crash recovery's halo refetch
+and a sampled-kernel refresh produce. ``[X; X_halo]`` itself is held (as
+a persistent ``h0``) only by backends whose kernels read it every
+iteration; otherwise ``M^1`` is built from a transient copy. Once this
+process holds either, :meth:`LayerWorkspaces.release_first_inputs` drops
+the worker's input arrays: the graph store holds the rows. See
 ``docs/engine.md``.
 """
 
@@ -190,11 +192,10 @@ class LayerWorkspaces:
         self.buffer_provider: Callable[..., np.ndarray] = _private
         self._plans: dict[int, WorkerPlan] = {}
         self._arrays: dict[tuple[int, int], np.ndarray] = {}
-        # worker -> (features, halo_features) last copied into a
-        # persistent h0, and worker -> ((adjacency, features,
-        # halo_features), M^1) computed from them.
-        self._inputs: dict[int, tuple[np.ndarray, ...]] = {}
-        self._aggregates: dict[int, tuple[tuple, np.ndarray]] = {}
+        # worker -> the inputs_version last copied into a persistent h0,
+        # and worker -> (adjacency, inputs_version, M^1 built from them).
+        self._inputs: dict[int, int] = {}
+        self._aggregates: dict[int, tuple[csr_matrix, int, np.ndarray]] = {}
 
     # -- the plan ----------------------------------------------------------
     def plan(
@@ -248,39 +249,38 @@ class LayerWorkspaces:
         """``[X; X_halo]`` when the plan holds it as ``h0`` (None else).
 
         A persistent ``h0`` (the cached first hop) is copied in once per
-        set of source arrays. Otherwise the exchange fills its tail and
-        the feature shard is copied into its head on every call, since
-        the slot may be shared."""
+        ``inputs_version``. Otherwise the exchange fills its tail and the
+        feature shard is copied into its head on every call, since the
+        slot may be shared."""
         w = state.worker_id
         plan = self._plans[w]
         if "h0" not in plan.slot_of:
             return None
         h_cat = self.buffer("h0", state)
         if not plan.persistent("h0"):
-            h_cat[:state.num_local] = state.features
+            h_cat[:state.num_local] = state.local_rows()
             return h_cat
-        sources = (state.features, state.halo_features)
-        held = self._inputs.get(w)
-        if held is None or any(a is not b for a, b in zip(held, sources)):
-            h_cat[:state.num_local] = state.features
-            h_cat[state.num_local:] = state.halo_features
-            self._inputs[w] = sources
+        if self._inputs.get(w) != state.inputs_version:
+            h_cat[:state.num_local] = state.local_rows()
+            h_cat[state.num_local:] = state.halo_rows()
+            self._inputs[w] = state.inputs_version
         return h_cat
 
     def first_aggregate(
         self, state: WorkerState, adjacency: csr_matrix
     ) -> np.ndarray:
         """``M^1 = adjacency @ [X; X_halo]`` (cached first hop), rebuilt
-        when one of its source arrays is a different object — from the
-        held ``h0``, or from a transient copy when nothing holds it."""
+        when ``adjacency`` is a different object or the inputs' version
+        moved — from the held ``h0``, or from a transient copy when
+        nothing holds it."""
         aggregate = self.held_aggregate(state, adjacency)
         if aggregate is None:
             h_cat = self.first_input(state)
             if h_cat is None:
-                h_cat = np.concatenate([state.features, state.halo_features])
+                h_cat = state.first_layer_cat()
             aggregate = spmm(adjacency, h_cat, self.buffer("m1", state))
             self._aggregates[state.worker_id] = (
-                (adjacency, state.features, state.halo_features), aggregate
+                adjacency, state.inputs_version, aggregate
             )
         return aggregate
 
@@ -289,10 +289,27 @@ class LayerWorkspaces:
     ) -> np.ndarray | None:
         """The current ``M^1`` of ``adjacency``, if this process holds it."""
         held = self._aggregates.get(state.worker_id)
-        sources = (adjacency, state.features, state.halo_features)
-        if held is None or any(a is not b for a, b in zip(held[0], sources)):
+        if (
+            held is None or held[0] is not adjacency
+            or held[1] != state.inputs_version
+        ):
             return None
-        return held[1]
+        return held[2]
+
+    def release_first_inputs(self, state: WorkerState) -> None:
+        """Drop ``state``'s feature shard and halo cache once this
+        process holds what the first-layer kernel reads from them: a
+        persistent ``h0`` or the constant ``M^1`` of the current inputs.
+        Only rows the store holds go (:meth:`WorkerState.release_inputs`);
+        a later reader re-reads them by global id. Without the cached
+        first hop neither is held, and the shard stays: it is the
+        exchange's source every iteration."""
+        w, version = state.worker_id, state.inputs_version
+        aggregate = self._aggregates.get(w)
+        if self._inputs.get(w) == version or (
+            aggregate is not None and aggregate[1] == version
+        ):
+            state.release_inputs()
 
     # -- lifecycle and accounting -----------------------------------------
     def clear(self) -> None:

@@ -144,9 +144,9 @@ class PartitionReassigner:
         if ctx.config.cache_first_hop:
             for state in new_states:
                 if state.worker_id not in changed:
-                    state.halo_features = (
-                        old_states[state.worker_id].halo_features
-                    )
+                    # Resident, or released and re-read from the store
+                    # when the first layer is rebuilt.
+                    state.carry_halo(old_states[state.worker_id])
         ctx.workers[:] = new_states
 
         # Changed survivors refetch their halo feature cache from the
@@ -157,7 +157,7 @@ class PartitionReassigner:
             for worker in sorted(changed):
                 state = ctx.workers[worker]
                 if self.membership.is_alive(worker):
-                    state.halo_features = fetch_halo_features(
+                    fetch_halo_features(
                         state, ctx.workers, ctx.runtime, "recovery"
                     )
                 else:

@@ -82,11 +82,12 @@ _FAULT_COUNTERS = (
 # Per-worker resident-buffer gauges, in "Resident buffers" column order.
 _RESOURCE_GAUGES = (
     "workspace_planned_bytes", "workspace_bytes", "first_aggregate_bytes",
-    "trend_table_bytes", "residual_bytes",
+    "feature_bytes", "trend_table_bytes", "residual_bytes",
 )
 _RESOURCE_COLUMNS = (
     "worker", "planned workspaces", "resident workspaces",
-    "first-layer aggregate", "trend tables", "ResEC residuals",
+    "first-layer aggregate", "feature rows", "trend tables",
+    "ResEC residuals",
 )
 
 

@@ -36,7 +36,10 @@ class TestGradientsAgainstFiniteDifferences:
         from repro.nn.losses import softmax_cross_entropy
 
         num_layers = trainer.params.num_layers
-        outputs = [s.features for s in trainer.workers]
+        outputs = [
+            graph.feature_store.rows(s.sub.local_vertices)
+            for s in trainer.workers
+        ]
         for layer in range(1, num_layers + 1):
             params = {
                 name: trainer.servers.get(name)

@@ -350,8 +350,11 @@ class TestDifferentialBackendsInSitu:
             forward(state, h_cat, pulled, layer, is_last=is_last)
             if layer == 1:
                 cache = state.caches[1]
-                want = backend.adjacency(state, 1) @ np.concatenate(
-                    [state.features, state.halo_features]
+                sub = state.sub
+                want = backend.adjacency(state, 1) @ (
+                    small_graph.feature_store.rows(np.concatenate(
+                        [sub.local_vertices, sub.remote_vertices]
+                    ))
                 )
                 same_bits(cache.aggregated, want)
                 seen.append(cache.aggregated)
@@ -714,31 +717,43 @@ class TestInvalidation:
     def test_first_layer_aggregate_follows_its_source_arrays(
         self, small_graph
     ):
-        """Crash recovery hands a worker a *new* halo-feature array; the
-        constant ``M^1`` is rebuilt from it, and only then. Nothing holds
-        ``[X; X_halo]``: an aggregate-first GCN plans no ``h0``."""
+        """Crash recovery hands a worker a *new* halo-feature array (a
+        new ``inputs_version``); the constant ``M^1`` is rebuilt from it,
+        and only then. Nothing holds ``[X; X_halo]``: an aggregate-first
+        GCN plans no ``h0``, and after the first epoch the worker holds
+        no input arrays either, so the rebuild re-reads the store."""
         trainer = _trainer("gcn", small_graph, transform_first=False,
                            fp_mode="raw", bp_mode="raw")
         trainer.setup()
         trainer.run_epoch(0)
         ws, state = trainer.engine.ctx.workspaces, trainer.workers[0]
+        store = small_graph.feature_store
+        local = store.rows(state.sub.local_vertices)
+        halo = store.rows(state.sub.remote_vertices)
         assert "h0" not in ws.plan_of(0).slot_of
         assert ws.first_input(state) is None
+        assert state.features is None and state.halo_features is None
         aggregate = ws.first_aggregate(state, state.a_local)
         assert ws.buffer("m1", state) is aggregate
-        same_bits(aggregate, state.a_local @ np.concatenate(
-            [state.features, state.halo_features]
-        ))
+        same_bits(aggregate, state.a_local @ np.concatenate([local, halo]))
         aggregate[:] = -1.0  # nobody rebuilds it while the sources stand
         assert ws.first_aggregate(state, state.a_local) is aggregate
         assert (aggregate == -1.0).all()
 
-        state.halo_features = state.halo_features * 2.0
+        version = state.inputs_version
+        state.halo_features = halo * 2.0
+        assert state.inputs_version != version
         refreshed = ws.first_aggregate(state, state.a_local)
         assert refreshed is aggregate
         same_bits(refreshed, state.a_local @ np.concatenate(
-            [state.features, state.halo_features]
+            [local, halo * 2.0]
         ))
+        refreshed[:] = -1.0  # rebuilt once, and only once
+        assert (ws.first_aggregate(state, state.a_local) == -1.0).all()
+        # No store holds the doubled rows: they stay resident.
+        handed_in = state.halo_features
+        ws.release_first_inputs(state)
+        assert state.halo_features is handed_in
 
     def test_held_first_input_follows_its_source_arrays(self, small_graph):
         """A backend whose kernels read ``[X; X_halo]`` every iteration
@@ -748,16 +763,19 @@ class TestInvalidation:
         trainer.setup()
         trainer.run_epoch(0)
         ws, state = trainer.engine.ctx.workspaces, trainer.workers[0]
+        store = small_graph.feature_store
         assert ws.plan_of(0).persistent("h0")
         h_cat = ws.first_input(state)
         assert ws.first_input(state) is h_cat
         h_cat[:] = -1.0
         assert (ws.first_input(state) == -1.0).all()
-        state.halo_features = state.halo_features * 2.0
+        state.halo_features = store.rows(state.sub.remote_vertices) * 2.0
         refreshed = ws.first_input(state)
         n = state.num_local
-        same_bits(refreshed[:n], state.features)
+        same_bits(refreshed[:n], store.rows(state.sub.local_vertices))
         same_bits(refreshed[n:], state.halo_features)
+        refreshed[:] = -1.0  # refilled once, and only once
+        assert (ws.first_input(state) == -1.0).all()
 
 
 class TestExactEvaluationBorrowsWorkspaces:

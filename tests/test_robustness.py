@@ -407,19 +407,23 @@ class TestChaosCrashRecovery:
         assert injector.take_crashes(4) == []
 
     def test_crash_rebuilds_halo_feature_cache(self, small_graph):
-        """A crash wipes the first-hop cache; recovery refetches it."""
+        """A crash wipes the first-hop cache; recovery refetches it. The
+        trained worker had released its cache (the store holds the
+        rows), so the refetch is the only resident copy."""
         trainer, _ = _fault_train(
             small_graph,
             FaultConfig(enabled=True, crash_schedule=((4, 1),)),
             epochs=6,
         )
         state = trainer.workers[1]
-        before = np.array(state.halo_features, copy=True)
+        assert state.halo_features is None
+        before = state.halo_rows()
         bytes_before = trainer.runtime.meter.total_bytes
         trainer.engine.recovery.recover_workers([1])
         # The cache was wiped and refetched: same values, new traffic.
         np.testing.assert_array_equal(state.halo_features, before)
         assert state.halo_features is not before
+        assert not state.halo_lost
         assert trainer.runtime.meter.total_bytes > bytes_before
 
 
