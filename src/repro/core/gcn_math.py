@@ -21,6 +21,11 @@ Backward (Eq. 4-6), using that the graphs here are symmetric so
     Y^{l-1} = (M^l)^T G^l   where  M^l = A H^{l-1}    (weight gradient)
     grad_b  = sum_rows(G^l)
 
+A hidden layer keeps what ``sigma'(Z^l)`` reads: ``Z^l`` itself, or,
+when the activation's derivative depends only on the sign of ``Z``
+(ReLU, leaky ReLU), the one-byte mask ``Z^l > 0``; ``Z^l`` is then
+activated in place (:func:`apply_activation`).
+
 Kernels take optional destination buffers (the engine's persistent
 layer workspaces); without them results are allocated. Either way the
 arithmetic is the same IEEE operations in the same order.
@@ -37,8 +42,9 @@ from scipy.sparse._sparsetools import csr_matvecs
 
 from repro.nn.activations import Activation
 
-__all__ = ["LayerForwardCache", "layer_forward", "layer_backward_inputs",
-           "weight_gradient", "bias_gradient", "spmm"]
+__all__ = ["LayerForwardCache", "apply_activation", "keeps_sign_mask",
+           "layer_forward", "layer_backward_inputs", "weight_gradient",
+           "bias_gradient", "spmm"]
 
 
 def spmm(
@@ -74,16 +80,67 @@ class LayerForwardCache:
             gradient then recomputes it from ``h_cat``).
         h_cat: The concatenated input ``H_cat^{l-1}`` (local + halo rows);
             None when only the supplied aggregate was read.
-        pre_activation: ``Z^l`` for the local vertices.
+        pre_activation: ``Z^l`` for the local vertices (on the last
+            layer, the logits: the output itself); None on a hidden
+            layer that kept ``positive`` instead.
         output: ``H^l`` for the local vertices.
         transform_first: Which ordering produced this cache.
+        positive: The bool mask ``Z^l > 0``, kept by a hidden layer
+            whose activation's derivative reads only the sign of ``Z``
+            (``Activation.reads_sign``); None otherwise.
+
+    What ``sigma'(Z^l)`` reads is :attr:`derivative_input`: one of the
+    two, never both.
     """
 
     aggregated: np.ndarray | None
     h_cat: np.ndarray | None
-    pre_activation: np.ndarray
+    pre_activation: np.ndarray | None
     output: np.ndarray
     transform_first: bool
+    positive: np.ndarray | None
+
+    @property
+    def derivative_input(self) -> np.ndarray:
+        """What ``sigma'(Z^l)`` reads (``Activation.scale_by_derivative``):
+        the mask ``positive`` when the layer kept one, else ``Z^l``."""
+        if self.positive is not None:
+            return self.positive
+        assert self.pre_activation is not None
+        return self.pre_activation
+
+
+def keeps_sign_mask(activation: Activation, is_last: bool) -> bool:
+    """Whether a layer keeps the bool mask ``Z > 0`` for ``sigma'``
+    rather than ``Z``: a hidden layer under an activation that
+    :attr:`~repro.nn.activations.Activation.reads_sign`."""
+    return not is_last and activation.reads_sign
+
+
+def apply_activation(
+    z: np.ndarray,
+    activation: Activation,
+    is_last: bool,
+    out: np.ndarray | None = None,
+    positive_out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """``H = sigma(Z)`` and what ``sigma'`` will read, as
+    ``(output, pre_activation, positive)`` for a
+    :class:`LayerForwardCache`.
+
+    The last layer's logits are ``Z`` itself. A layer that
+    :func:`keeps_sign_mask` records the mask ``Z > 0`` (into
+    ``positive_out`` when given) and activates into ``out`` — which may
+    be ``Z`` itself — or over ``Z`` when ``out`` is None: ``Z`` is not
+    kept. Any other hidden layer writes into ``out`` and keeps ``Z``.
+    """
+    if is_last:
+        return z, z, None
+    if not keeps_sign_mask(activation, is_last):
+        return activation(z, out=out).astype(np.float32, copy=False), z, None
+    positive = np.greater(z, 0.0, out=positive_out)
+    h = activation(z, out=z if out is None else out)
+    return h.astype(np.float32, copy=False), None, positive
 
 
 def layer_forward(
@@ -99,6 +156,7 @@ def layer_forward(
     aggregate_out: np.ndarray | None = None,
     z_out: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    positive_out: np.ndarray | None = None,
 ) -> LayerForwardCache:
     """Run one GCN layer on a worker's local vertices.
 
@@ -118,7 +176,10 @@ def layer_forward(
         aggregate_out / z_out / out: Correctly shaped float32
             destinations for ``M^l``, ``Z^l`` and ``H^l`` (float32
             operands only); ``out`` is ignored on the last layer, whose
-            output *is* ``Z^l``.
+            output *is* ``Z^l``. A hidden layer under an activation that
+            reads only the sign of ``Z`` writes ``Z^l`` straight into
+            ``out`` and activates it there: ``z_out`` is not used.
+        positive_out: Bool destination for that layer's mask ``Z^l > 0``.
     """
     d_in, d_out = weight.shape
     if h_cat is not None and h_cat.shape[1] != d_in:
@@ -127,6 +188,10 @@ def layer_forward(
         )
     if transform_first is None:
         transform_first = d_in > d_out
+    if out is not None and keeps_sign_mask(activation, is_last):
+        # The input is consumed before Z is written: Z^l goes into the
+        # output head and is activated there.
+        z_out = out
 
     if transform_first:
         z = spmm(a_local, h_cat @ weight, z_out)
@@ -137,13 +202,16 @@ def layer_forward(
     if bias is not None:
         z += bias
     z = z.astype(np.float32, copy=False)
-    h = z if is_last else activation(z, out=out).astype(np.float32, copy=False)
+    h, kept_z, positive = apply_activation(
+        z, activation, is_last, out, positive_out
+    )
     return LayerForwardCache(
         aggregated=aggregated,
         h_cat=h_cat,
-        pre_activation=z,
+        pre_activation=kept_z,
         output=h,
         transform_first=transform_first,
+        positive=positive,
     )
 
 
@@ -151,7 +219,7 @@ def layer_backward_inputs(
     a_local: csr_matrix,
     g_cat: np.ndarray,
     weight: np.ndarray,
-    pre_activation_prev: np.ndarray,
+    derivative_input: np.ndarray,
     activation: Activation,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -163,7 +231,9 @@ def layer_backward_inputs(
         g_cat: ``(n_local + n_halo, d_out)`` concatenated ``G^l`` rows —
             local rows first, then halo rows fetched from the owners.
         weight: ``W^{l-1}`` mapping ``d_in -> d_out``.
-        pre_activation_prev: ``Z^{l-1}`` for the local vertices.
+        derivative_input: What layer ``l - 1`` kept for ``sigma'``
+            (``LayerForwardCache.derivative_input``): ``Z^{l-1}`` for
+            the local vertices, or its mask ``Z^{l-1} > 0``.
         activation: The activation whose derivative gates the gradient.
         out: Float32 destination for ``G^{l-1}``. It may be the local
             rows of ``g_cat`` itself: ``g_cat`` is fully consumed by the
@@ -174,7 +244,7 @@ def layer_backward_inputs(
     """
     aggregated = a_local @ g_cat
     dh = np.matmul(aggregated, weight.T, out=out)
-    dh *= activation.derivative(pre_activation_prev)
+    activation.scale_by_derivative(dh, derivative_input)
     return dh.astype(np.float32, copy=False)
 
 

@@ -12,7 +12,8 @@ Each worker owns a partition of the vertices and keeps:
 * the request plan: which vertex rows it needs from each remote owner and
   where they scatter into its halo buffer, plus the serve plan for the
   symmetric direction,
-* the forward caches (``H``, ``Z``, ``A H``) needed by the backward pass.
+* the forward caches (``H``, ``Z`` or its sign mask, ``A H``) needed by
+  the backward pass.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ class WorkerState:
         worker_id: This worker's index.
         sub: The worker's :class:`LocalSubgraph` over the normalized
             adjacency.
-        a_local: ``(n_local, n_local + n_halo)`` sparse adjacency rows.
+        a_local: ``(n_local, n_local + n_halo)`` sparse adjacency rows,
+            built over ``sub``'s index (and weight) arrays: the worker's
+            CSR exists once, in the dtype the kernels read.
         features / labels / masks: Local slices, in local-vertex order.
         requests: owner -> global ids this worker fetches each layer.
         halo_slots: owner -> positions of those ids in the halo buffer.
@@ -62,11 +65,13 @@ class WorkerState:
 
     ``features`` and ``halo_features`` are the first-layer inputs. Either
     is ``None`` once released (:meth:`release_inputs`): the process holds
-    what its kernels read from them, and the store holds the rows, which
-    :meth:`local_rows` / :meth:`halo_rows` re-read by global id. Any
-    other assignment of either is a new input: it takes a fresh
-    ``inputs_version`` (what caches keyed on it rebuild from) and is not
-    taken to be the store's rows, so it is never released.
+    what its kernels read from them — or, on the multiprocess
+    supervisor, its forked worker process does — and the store holds the
+    rows, which :meth:`local_rows` / :meth:`halo_rows` re-read by global
+    id (:meth:`reload_inputs` makes them resident again before a
+    respawn). Any other assignment of either is a new input: it takes a
+    fresh ``inputs_version`` (what caches keyed on it rebuild from) and
+    is not taken to be the store's rows, so it is never released.
     """
 
     worker_id: int
@@ -160,6 +165,20 @@ class WorkerState:
         for name in self._in_store:
             object.__setattr__(self, name, None)
 
+    def reload_inputs(self) -> None:
+        """Make released input arrays resident again, re-read from the
+        store by global id and still taken to be its rows: they are the
+        same rows, so ``inputs_version`` stays, and a later
+        :meth:`release_inputs` drops them again. What a process about to
+        fork does, so the child never reads the store."""
+        for name in _FIRST_INPUTS:
+            if name in self._in_store and getattr(self, name) is None:
+                rows = (
+                    self.local_rows() if name == "features"
+                    else self.halo_rows()
+                )
+                object.__setattr__(self, name, rows)
+
     def carry_halo(self, old: WorkerState) -> None:
         """Take over ``old``'s first-hop cache (same halo, same order):
         its array, or, if ``old`` released it, the store re-read. ``old``
@@ -178,6 +197,12 @@ class WorkerState:
                 key = id(rows if rows.base is None else rows.base)
                 held[key] = max(held.get(key, 0), rows.nbytes)
         return sum(held.values())
+
+    def csr_bytes(self) -> int:
+        """Bytes of the worker's sparse adjacency rows: ``a_local``'s
+        data, indices and indptr (sizes only)."""
+        a = self.a_local
+        return a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
 
     def local_output(self, layer: int) -> np.ndarray:
         """``H^layer`` rows for the local vertices (layer >= 1)."""
@@ -269,6 +294,8 @@ def build_worker_states(
     for worker in range(partition.num_parts):
         sub = subs[worker]
         n_cols = sub.num_local + sub.num_remote
+        # Over the subgraph's own arrays, already in scipy's index dtype:
+        # the matrix views them rather than copying.
         a_local = csr_matrix(
             (
                 sub.weights

@@ -49,7 +49,9 @@ from scipy.sparse import csr_matrix
 from repro.core.config import ECGraphConfig
 from repro.core.gcn_math import (
     LayerForwardCache,
+    apply_activation,
     bias_gradient,
+    keeps_sign_mask,
     layer_backward_inputs,
     layer_forward,
     weight_gradient,
@@ -407,10 +409,15 @@ class GCNBackend(ModelBackend):
                     tl.write(fwd), tl.read(bpl),
                 ))
             # σ'(Z^l) is read after the layer below's G is written; the
-            # logits Z^L again after the loss writes G^L.
+            # logits Z^L again after the loss writes G^L. Under a
+            # sign-only activation a hidden layer's Z^l is written into
+            # h{layer}'s head and only its mask Z^l > 0 is kept.
+            mask = keeps_sign_mask(ctx.params.activation, layer == num_layers)
             lives.append(BufferLife(
-                f"z{layer}", (local, dims[layer]), False, tl.write(fwd),
+                f"mask{layer}" if mask else f"z{layer}", (local, dims[layer]),
+                False, tl.write(fwd),
                 tl.write("loss" if layer == num_layers else f"bpr{layer + 1}"),
+                np.dtype(np.bool_ if mask else np.float32),
             ))
             lives.append(self._grad_life(
                 state, tl, layer, tl.read(f"bpr{layer}" if layer > 1 else bpl)
@@ -429,14 +436,17 @@ class GCNBackend(ModelBackend):
         ws, dims = ctx.workspaces, ctx.params.dims
         adjacency = self.adjacency(state, layer)
         transform_first = self._transform_first(layer)
-        # Kernel-private Z^l and A·H_cat. A transform-first layer only
-        # recomputes the aggregate transiently — except the first, whose
-        # constant M^1 then serves the weight gradient.
+        # Kernel-private Z^l (or its mask) and A·H_cat. A
+        # transform-first layer only recomputes the aggregate
+        # transiently — except the first, whose constant M^1 then
+        # serves the weight gradient.
         aggregated = aggregate_out = None
         if layer == 1 and ctx.config.cache_first_hop:
             aggregated = ws.first_aggregate(state, adjacency)
         elif not transform_first:
             aggregate_out = ws.buffer(f"m{layer}", state)
+        mask = keeps_sign_mask(ctx.params.activation, is_last)
+        sigma = ws.buffer(f"mask{layer}" if mask else f"z{layer}", state)
         state.caches[layer] = layer_forward(
             adjacency,
             h_cat,
@@ -447,8 +457,9 @@ class GCNBackend(ModelBackend):
             transform_first=transform_first,
             aggregated=aggregated,
             aggregate_out=aggregate_out,
-            z_out=ws.buffer(f"z{layer}", state),
+            z_out=None if mask else sigma,
             out=self._out_buffer(state, layer),
+            positive_out=sigma if mask else None,
         )
 
     def backward_local(
@@ -479,7 +490,7 @@ class GCNBackend(ModelBackend):
             self.transposed(state, layer),
             self.grad_cat(state, layer),
             weights[weight_name(layer - 1)],
-            state.caches[layer - 1].pre_activation,
+            state.caches[layer - 1].derivative_input,
             self.ctx.params.activation,
             out=self.grad_out(state, layer - 1),
         )
@@ -662,6 +673,7 @@ class SampledGCNBackend(GCNBackend):
         Returns the sampled matrix and a boolean mask over the worker's
         halo (which remote rows the sampled matrix references).
         """
+        # The subgraph's index arrays are the ones a_local is built over.
         sub = state.sub
         degree = np.diff(sub.indptr)
         positions, rows = sample_capped_rows(
@@ -737,6 +749,7 @@ class SAGEBackend(ModelBackend):
             )
             col_global = compact_to_global[sub.indices]
             weights = (1.0 / (degrees[col_global] + 1.0)).astype(np.float32)
+            # Over the index arrays a_local views: only the weights differ.
             self.a_transposed.append(
                 csr_matrix(
                     (weights, sub.indices, sub.indptr),
@@ -767,13 +780,16 @@ class SAGEBackend(ModelBackend):
         bias = params.get(bias_name(layer - 1))
         if bias is not None:
             z += bias
-        output = z if is_last else self.ctx.params.activation(z, out=out)
+        output, kept_z, positive = apply_activation(
+            z, self.ctx.params.activation, is_last, out
+        )
         return LayerForwardCache(
             aggregated=aggregated,
             h_cat=h_cat,
-            pre_activation=z,
-            output=output.astype(np.float32, copy=False),
+            pre_activation=kept_z,
+            output=output,
             transform_first=False,
+            positive=positive,
         )
 
     def backward_local(
@@ -804,12 +820,11 @@ class SAGEBackend(ModelBackend):
             self.a_transposed[state.worker_id] @ g_cat
         ) @ weights[weight_name(layer - 1)].T
         # ``g`` (which the destination may alias) is consumed by now.
-        state.grad_rows[layer - 1] = np.multiply(
-            dh,
-            self.ctx.params.activation.derivative(
-                state.caches[layer - 1].pre_activation
-            ),
-            out=self.grad_out(state, layer - 1),
+        state.grad_rows[layer - 1] = (
+            self.ctx.params.activation.scale_by_derivative(
+                dh, state.caches[layer - 1].derivative_input,
+                out=self.grad_out(state, layer - 1),
+            )
         )
 
 
@@ -1020,13 +1035,16 @@ class GATBackend(ModelBackend):
         bias = params.get(bias_name(layer - 1))
         if bias is not None:
             z += bias
-        output = z if is_last else self.ctx.params.activation(z, out=out)
+        output, kept_z, positive = apply_activation(
+            z, self.ctx.params.activation, is_last, out
+        )
         return _GATCache(
             aggregated=None,
             h_cat=h_cat,
-            pre_activation=z,
-            output=output.astype(np.float32, copy=False),
+            pre_activation=kept_z,
+            output=output,
             transform_first=False,
+            positive=positive,
             u_cat=u_heads,
             logits=logit_heads,
             alpha=alpha_heads,
@@ -1108,10 +1126,9 @@ class GATBackend(ModelBackend):
             self._dh_buffer(state, layer)[:state.num_local]
             + self._pushed_buffer(state, layer)
         )
-        state.grad_rows[layer - 1] = np.multiply(
-            dh_total,
-            self.ctx.params.activation.derivative(
-                state.caches[layer - 1].pre_activation
-            ),
-            out=self.grad_out(state, layer - 1),
+        state.grad_rows[layer - 1] = (
+            self.ctx.params.activation.scale_by_derivative(
+                dh_total, state.caches[layer - 1].derivative_input,
+                out=self.grad_out(state, layer - 1),
+            )
         )

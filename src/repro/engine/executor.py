@@ -57,18 +57,19 @@ def publish_workspace_bytes(
     """A worker's kernel buffers (``LayerWorkspaces.held``) as gauges —
     ``ecgraph_workspace_bytes{worker=...}`` once exported — rather than
     something inferred from RSS: resident, planned, and the first-layer
-    aggregate's share; beside them the feature rows its state holds
-    (this process's copy) and the exchange-policy state the worker owns:
-    ReqEC-FP trend tables and ResEC-BP residuals (sizes only)."""
+    aggregate's share; beside them the feature rows and the sparse
+    adjacency rows (``a_local``) its state holds (this process's copy)
+    and the exchange-policy state the worker owns: ReqEC-FP trend tables
+    and ResEC-BP residuals (sizes only)."""
     metrics = ctx.telemetry.metrics
     metrics.set_gauge("workspace_bytes", held.resident, worker=worker)
     metrics.set_gauge("workspace_planned_bytes", held.planned, worker=worker)
     metrics.set_gauge(
         "first_aggregate_bytes", held.first_aggregate, worker=worker
     )
-    metrics.set_gauge(
-        "feature_bytes", ctx.workers[worker].feature_bytes(), worker=worker
-    )
+    state = ctx.workers[worker]
+    metrics.set_gauge("feature_bytes", state.feature_bytes(), worker=worker)
+    metrics.set_gauge("csr_bytes", state.csr_bytes(), worker=worker)
     if isinstance(ctx.fp_policy, ReqECPolicy):
         metrics.set_gauge(
             "trend_table_bytes", ctx.fp_policy.trend_table_bytes(worker),

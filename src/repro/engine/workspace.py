@@ -4,13 +4,16 @@ Layer ``l`` of every worker reads one ``(n_local + n_halo, d)`` matrix
 ``H_cat^{l-1}``. Each worker keeps it in a persistent *workspace*: the
 halo exchange scatters decoded rows straight into its tail, the previous
 layer's kernel writes its output into its head, the kernel reads it in
-place. Gradients, aggregates and pre-activations live in workspaces too.
+place. Gradients, aggregates and pre-activations live in workspaces too,
+and so does a hidden layer's bool mask ``Z > 0`` when its activation's
+derivative reads only the sign of ``Z`` (ReLU: ``Z`` itself is then
+written into the next layer's head and activated there).
 
 Most of those buffers are dead for most of an iteration, so they are not
 allocated one per name. At bind each backend declares every buffer's
 *life* on the iteration :class:`Timeline` (:class:`BufferLife`: shape,
-whether an exchange touches it, first write, last read), and
-:func:`plan_slots` gives buffers with the same shape, the same sharing
+dtype, whether an exchange touches it, first write, last read), and
+:func:`plan_slots` gives buffers with the same shape, dtype and sharing
 and disjoint lives one *slot*, by first fit. A buffer's name is only a
 key into its worker's plan; memory is per slot.
 
@@ -18,7 +21,8 @@ A slot an exchange and a kernel both touch comes through
 :attr:`LayerWorkspaces.buffer_provider`: private arrays under
 ``execution="sync"``, :class:`~repro.mp.store.SharedStore` blocks named
 ``s<k>w<worker>`` under ``"multiprocess"`` (allocated by the supervisor
-at plan time, attached by the worker process).
+at plan time, attached by the worker process). Those are float32 rows;
+a bool mask is always kernel-private.
 
 With the cached first hop, ``M^1 = A·[X; X_halo]`` is constant while its
 inputs are, so it is rebuilt only when the adjacency is a *different
@@ -51,8 +55,13 @@ __all__ = [
 ]
 
 
-def _private(_name: str, shape: tuple[int, int]) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float32)
+_FLOAT32 = np.dtype(np.float32)
+
+
+def _private(
+    _name: str, shape: tuple[int, int], dtype: np.dtype = _FLOAT32
+) -> np.ndarray:
+    return np.zeros(shape, dtype=dtype)
 
 
 class Timeline:
@@ -91,14 +100,16 @@ class Timeline:
 @dataclass(frozen=True)
 class BufferLife:
     """One buffer of one worker: its shape, whether an exchange touches
-    it (``shared``), and its life ``[start, end]`` in
-    :class:`Timeline` positions."""
+    it (``shared``), its life ``[start, end]`` in :class:`Timeline`
+    positions, and its dtype (float32 unless it is a kernel-private bool
+    mask: an exchange moves float32 rows only)."""
 
     name: str
     shape: tuple[int, int]
     shared: bool
     start: int
     end: int
+    dtype: np.dtype = _FLOAT32
 
     def overlaps(self, other: BufferLife) -> bool:
         return self.start <= other.end and other.start <= self.end
@@ -110,11 +121,12 @@ class Slot:
 
     shape: tuple[int, int]
     shared: bool
+    dtype: np.dtype
     occupants: tuple[BufferLife, ...]
 
     @property
     def nbytes(self) -> int:
-        return self.shape[0] * self.shape[1] * 4
+        return self.shape[0] * self.shape[1] * self.dtype.itemsize
 
 
 def plan_slots(lives: Iterable[BufferLife]) -> tuple[dict[str, int], list[Slot]]:
@@ -123,17 +135,22 @@ def plan_slots(lives: Iterable[BufferLife]) -> tuple[dict[str, int], list[Slot]]
     A name declared more than once (a buffer several layers use) lives
     from its first start to its last end. Buffers are placed in order of
     first write (declaration order breaks ties), each into the first
-    slot of its shape and sharing whose occupants it overlaps none of.
+    slot of its shape, dtype and sharing whose occupants it overlaps
+    none of.
     """
+
+    def kind(life: BufferLife) -> tuple[tuple[int, int], bool, np.dtype]:
+        return life.shape, life.shared, life.dtype
+
     merged: dict[str, BufferLife] = {}
     for life in lives:
         held = merged.get(life.name)
         if held is not None:
-            if (held.shape, held.shared) != (life.shape, life.shared):
+            if kind(held) != kind(life):
                 raise ValueError(
                     f"buffer {life.name!r} declared as {life.shape} "
-                    f"shared={life.shared} and {held.shape} "
-                    f"shared={held.shared}"
+                    f"{life.dtype} shared={life.shared} and {held.shape} "
+                    f"{held.dtype} shared={held.shared}"
                 )
             life = replace(
                 held, start=min(held.start, life.start),
@@ -144,9 +161,8 @@ def plan_slots(lives: Iterable[BufferLife]) -> tuple[dict[str, int], list[Slot]]
     groups: list[list[BufferLife]] = []
     for life in sorted(merged.values(), key=lambda b: b.start):
         for k, group in enumerate(groups):
-            if (
-                (group[0].shape, group[0].shared) == (life.shape, life.shared)
-                and not any(life.overlaps(other) for other in group)
+            if kind(group[0]) == kind(life) and not any(
+                life.overlaps(other) for other in group
             ):
                 group.append(life)
                 slot_of[life.name] = k
@@ -154,7 +170,9 @@ def plan_slots(lives: Iterable[BufferLife]) -> tuple[dict[str, int], list[Slot]]
         else:
             slot_of[life.name] = len(groups)
             groups.append([life])
-    slots = [Slot(g[0].shape, g[0].shared, tuple(g)) for g in groups]
+    slots = [
+        Slot(g[0].shape, g[0].shared, g[0].dtype, tuple(g)) for g in groups
+    ]
     return slot_of, slots
 
 
@@ -185,10 +203,10 @@ class WorkspaceBytes(NamedTuple):
 
 
 class LayerWorkspaces:
-    """Every worker's planned float32 slots, handed out by buffer name."""
+    """Every worker's planned slots, handed out by buffer name."""
 
     def __init__(self) -> None:
-        # (block name, shape) -> zeroed float32 array.
+        # (block name, shape) -> zeroed float32 array (shared slots).
         self.buffer_provider: Callable[..., np.ndarray] = _private
         self._plans: dict[int, WorkerPlan] = {}
         self._arrays: dict[tuple[int, int], np.ndarray] = {}
@@ -223,9 +241,10 @@ class LayerWorkspaces:
         buf = self._arrays.get((worker, k))
         if buf is None:
             slot = self._plans[worker].slots[k]
-            provider = self.buffer_provider if slot.shared else _private
-            buf = self._arrays[(worker, k)] = provider(
-                f"s{k}w{worker}", slot.shape
+            name = f"s{k}w{worker}"
+            buf = self._arrays[(worker, k)] = (
+                self.buffer_provider(name, slot.shape) if slot.shared
+                else _private(name, slot.shape, slot.dtype)
             )
         return buf
 

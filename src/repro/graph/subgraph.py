@@ -29,6 +29,15 @@ __all__ = ["LocalSubgraph", "check_fanouts", "induced_subgraph",
            "induced_subgraphs", "ragged_positions", "sample_capped_rows"]
 
 
+def _csr_index_dtype(largest: int) -> np.dtype:
+    """The index dtype scipy's CSR keeps for a matrix whose largest
+    dimension or edge count is ``largest``: int32 unless that overflows
+    it. A ``csr_matrix`` over arrays in it views them instead of
+    copying."""
+    fits = largest <= np.iinfo(np.int32).max
+    return np.dtype(np.int32 if fits else np.int64)
+
+
 @dataclass
 class LocalSubgraph:
     """A worker-local view of a partitioned graph.
@@ -42,7 +51,9 @@ class LocalSubgraph:
         local_vertices: Global ids of the vertices owned by this worker.
         remote_vertices: Global ids of remote 1-hop neighbours (the halo).
         indptr / indices / weights: CSR rows for the local vertices, with
-            column ids in the compact space.
+            column ids in the compact space; the index arrays are in
+            the dtype scipy's CSR keeps, so the worker's sparse adjacency
+            (``WorkerState.a_local``) is built over these very arrays.
     """
 
     local_vertices: np.ndarray
@@ -173,7 +184,7 @@ def induced_subgraphs(
     # Compact relabel through one n-sized lookup, reset after each set:
     # local columns map to their position in the given ordering, remote
     # columns to num_local + rank in sorted halo order.
-    compact = np.full(n, -1, dtype=np.int64)
+    compact = np.full(n, -1, dtype=_csr_index_dtype(n))
     subgraphs = []
     for local_vertices, indptr, global_cols, w in zip(
         sets, indptrs, columns, weights
@@ -184,11 +195,14 @@ def induced_subgraphs(
         compact[remote_vertices] = local_vertices.size + np.arange(
             remote_vertices.size, dtype=np.int64
         )
+        index_dtype = _csr_index_dtype(max(
+            local_vertices.size + remote_vertices.size, global_cols.size
+        ))
         subgraphs.append(LocalSubgraph(
             local_vertices=local_vertices,
             remote_vertices=remote_vertices,
-            indptr=indptr,
-            indices=compact[global_cols],
+            indptr=indptr.astype(index_dtype, copy=False),
+            indices=compact[global_cols].astype(index_dtype, copy=False),
             weights=w,
         ))
         compact[local_vertices] = -1

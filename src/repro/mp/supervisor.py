@@ -19,6 +19,12 @@ round's message carries only the layer number and the pulled
 parameters. A re-plan releases the blocks it supersedes, and a worker
 forked under an older plan is respawned before its next iteration.
 
+A worker process reads no graph store: each fork snapshots its worker's
+first-layer rows resident (:meth:`~repro.core.worker.WorkerState.reload_inputs`
+first, after a release). On the cached first hop the supervisor then
+releases its own arrays — the child keeps its copy-on-write pages, and
+exact evaluation and the next respawn re-read the rows by global id.
+
 Deadlock-freedom of the round protocol: the supervisor sends to every
 worker, then receives in worker order. At a round boundary every worker
 is parked in ``recv`` (so dispatches drain immediately), and replies
@@ -85,6 +91,9 @@ class ProcessExecutor(KernelRounds):
         return self.store.allocate(name, shape)
 
     def _spawn(self, worker_id: int) -> None:
+        # The child builds its first layer from resident rows.
+        state = self.ctx.workers[worker_id]
+        state.reload_inputs()
         # fork: the child inherits the fully-bound context/backend by
         # copy-on-write, so no state needs to be pickled at spawn.
         mp_ctx = multiprocessing.get_context("fork")
@@ -101,6 +110,11 @@ class ProcessExecutor(KernelRounds):
         self._conns[worker_id] = parent
         self._shipped_version[worker_id] = self.backend.kernel_version
         self._forked_plan[worker_id] = self.ctx.workspaces.plan_of(worker_id)
+        if self.ctx.config.cache_first_hop:
+            # The child holds what its first layer reads from them; the
+            # supervisor's exchanges never do (uncached, the shard stays:
+            # it is the layer-1 exchange's source here).
+            state.release_inputs()
 
     def _ensure_spawned(self) -> None:
         if self._spawned:

@@ -242,11 +242,10 @@ class MLCenteredTrainer:
                     if layer > 1:
                         weight = pulled[weight_name(layer - 1)]
                         dh = (local["a_t"] @ g) @ weight.T
-                        g = (
-                            dh
-                            * self.params.activation.derivative(
-                                caches[layer - 2].pre_activation
-                            )
+                        # What layer_forward keeps for sigma' (Z, or
+                        # under ReLU its mask Z > 0), through its one rule.
+                        g = self.params.activation.scale_by_derivative(
+                            dh, caches[layer - 2].derivative_input
                         ).astype(np.float32)
                 all_grads[worker] = grads
 

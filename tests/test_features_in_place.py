@@ -11,13 +11,18 @@ re-reads them by global id. Pinned here:
   resident copy; without the cached first hop the shard stays, since it
   is the exchange's source every iteration;
 * steady state reads the store zero times, exact evaluation included;
-* the multiprocess supervisor never builds ``M^1``, so it keeps its
-  arrays for respawn and evaluation;
+* the multiprocess supervisor releases its arrays once it has forked the
+  workers (the children build ``M^1`` from their copy-on-write rows) and
+  evaluates bit-equal to sync from the store;
 * the crash signal: a crash right after the release still refetches the
   halo, rebuilds ``M^1`` bit-equal and charges the ``recovery`` bytes a
   fetch costs; a crash, and an adoption + rejoin, train to the loss
   curves and meter totals pinned before the release existed, under each
   executor that runs them;
+* a respawn after the supervisor's release, on a memory and an mmap
+  store: the supervisor re-reads the crashed worker's rows before the
+  fork and releases them again after it, and the child rebuilds ``M^1``
+  bit-equal from them without one store read;
 * the ``feature_bytes{worker}`` gauge is what ``tracemalloc`` sees before
   and after the release and reads 0 on the cached path after epoch 0
   (that publishing it changes no number is
@@ -26,6 +31,8 @@ re-reads them by global id. Pinned here:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -35,9 +42,11 @@ from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
 from repro.core.worker import build_worker_states
+from repro.engine.workspace import LayerWorkspaces
 from repro.faults.config import FaultConfig
 from repro.graph.generators import GraphSpec
 from repro.graph.normalize import normalized_adjacency
+from repro.graph.store import to_mmap_bundle
 from repro.graph.streaming import stream_graph
 from repro.obs import ObsConfig
 from repro.partition.hashing import HashPartitioner
@@ -195,22 +204,30 @@ class TestRelease:
         trainer.engine.evaluate_exact()
         assert reads == [0]
 
-    def test_multiprocess_supervisor_keeps_its_arrays(self, medium_graph):
-        """Kernels run in the worker processes; the supervisor never
-        builds ``M^1``, so it keeps the rows a respawn forks from and
-        evaluation reads — and trains like sync, which released them."""
+    def test_multiprocess_supervisor_releases_after_the_fork(
+        self, medium_graph
+    ):
+        """Kernels run in the worker processes, which fork with the rows
+        and build ``M^1`` from them; the supervisor then holds no rows
+        after the first iteration, trains like sync and evaluates
+        bit-equal to it from the store."""
         inline = _trainer(medium_graph)
         forked = _trainer(medium_graph, execution="multiprocess")
         try:
+            forked.setup()
+            for state in forked.workers:
+                assert state.features is not None
+                assert state.halo_features is not None
             curves = [
                 [repr(trainer.run_epoch(t).loss) for t in range(3)]
                 for trainer in (inline, forked)
             ]
             assert curves[0] == curves[1]
-            for state in forked.workers:
-                assert state.features is not None
-                assert state.halo_features is not None
-            assert all(s.features is None for s in inline.workers)
+            for trainer in (inline, forked):
+                for state in trainer.workers:
+                    assert state.features is None
+                    assert state.halo_features is None
+                    assert state.feature_bytes() == 0
             assert (forked.engine.evaluate_exact()
                     == inline.engine.evaluate_exact())
         finally:
@@ -298,6 +315,74 @@ class TestCrashSignal:
             "test": test,
         }
         assert got == PINNED[(model, scenario, execution)]
+
+
+class TestRespawnAfterTheSupervisorsRelease:
+    @pytest.fixture(params=["memory", "mmap"])
+    def graph(self, request, medium_graph, tmp_path):
+        if request.param == "memory":
+            return medium_graph
+        return to_mmap_bundle(medium_graph, tmp_path / "g", chunk_vertices=64)
+
+    def test_child_rebuilds_m1_without_a_store_read(
+        self, graph, medium_graph, monkeypatch, tmp_path
+    ):
+        parent = os.getpid()
+        child_reads = multiprocessing.get_context("fork").Value("i", 0)
+        store = graph.feature_store
+        rows = store.rows
+
+        def counting(ids):
+            if os.getpid() != parent:
+                with child_reads.get_lock():
+                    child_reads.value += 1
+            return rows(ids)
+
+        first_aggregate = LayerWorkspaces.first_aggregate
+
+        def recorded(self, state, adjacency):
+            aggregate = first_aggregate(self, state, adjacency)
+            if os.getpid() != parent:
+                name = f"m1-w{state.worker_id}-{os.getpid()}.npy"
+                np.save(tmp_path / name, aggregate)
+            return aggregate
+
+        monkeypatch.setattr(store, "rows", counting)
+        monkeypatch.setattr(LayerWorkspaces, "first_aggregate", recorded)
+        trainer = _trainer(graph, faults=CRASH, execution="multiprocess")
+        try:
+            losses, pids = [], []
+            for t in range(6):
+                losses.append(repr(trainer.run_epoch(t).loss))
+                pids.append(trainer.engine.ctx.executor.worker_pids)
+                for state in trainer.workers:
+                    assert state.features is None
+                    assert state.halo_features is None
+            test = repr(trainer.engine.evaluate_exact()["test"])
+        finally:
+            trainer.close()
+
+        # Worker 1 crashed at epoch 1: a new process served epochs 1..5.
+        first, respawned = pids[0][1], pids[-1][1]
+        assert first != respawned and pids[1][1] == respawned
+        assert child_reads.value == 0
+        state = trainer.workers[1]
+        want = state.a_local @ _store_cat(graph, state)
+        for pid in (first, respawned):
+            same_bits(np.load(tmp_path / f"m1-w1-{pid}.npy"), want)
+
+        # The pinned run: same losses, bytes (recovery included), test.
+        meter = trainer.runtime.meter
+        got = {
+            "losses": losses,
+            "total_bytes": int(meter.total_bytes),
+            "categories": {
+                k: int(v)
+                for k, v in sorted(meter.snapshot().category_bytes.items())
+            },
+            "test": test,
+        }
+        assert got == PINNED[("gcn", "crash", "multiprocess")]
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,18 @@ def dirty(shape: tuple[int, int]) -> np.ndarray:
     return np.full(shape, np.nan, dtype=np.float32)
 
 
+def same_sigma_input(cache, z_ref: np.ndarray, act, is_last: bool) -> None:
+    """What the cache keeps for σ' against the parent's ``Z``: ``Z``
+    itself, or, on a hidden layer under an activation whose derivative
+    reads only the sign, just the mask ``Z > 0``."""
+    if act.reads_sign and not is_last:
+        assert cache.pre_activation is None
+        same_bits(cache.positive, z_ref > 0)
+    else:
+        assert cache.positive is None
+        same_bits(cache.pre_activation, z_ref)
+
+
 # ----------------------------------------------------------------------
 # (a) differential: gcn_math against the verbatim parent kernels
 # ----------------------------------------------------------------------
@@ -121,9 +133,9 @@ class TestDifferentialGCNKernels:
                 cache = layer_forward(
                     a, h_cat, weight, bias, act, is_last, transform_first,
                     aggregate_out=dirty((n, d_in)), z_out=dirty((n, d_out)),
-                    out=out,
+                    out=out, positive_out=np.ones((n, d_out), dtype=bool),
                 )
-                same_bits(cache.pre_activation, z_ref)
+                same_sigma_input(cache, z_ref, act, is_last)
                 same_bits(cache.output, h_ref)
                 if not is_last:
                     assert cache.output is out
@@ -153,6 +165,15 @@ class TestDifferentialGCNKernels:
             )
             assert got is destination
             same_bits(got, want)
+            if act.reads_sign:
+                # The mask a hidden layer keeps instead of Z: same bits.
+                buffer = g_cat.copy()
+                destination = (
+                    buffer[:n] if d_in == d_out else dirty((n, d_in))
+                )
+                same_bits(layer_backward_inputs(
+                    a, buffer, weight_t, z_prev > 0, act, out=destination
+                ), want)
 
     @pytest.mark.parametrize("transform_first", [True, False])
     def test_supplied_aggregate_is_used_and_kept(
@@ -170,7 +191,7 @@ class TestDifferentialGCNKernels:
             aggregated=static,
         )
         assert cache.aggregated is static
-        same_bits(cache.pre_activation, z_ref)
+        same_sigma_input(cache, z_ref, act, False)
         same_bits(cache.output, h_ref)
         n = state.num_local
         same_bits(
@@ -256,11 +277,14 @@ class TestDifferentialBackendsInSitu:
         backend, ctx = trainer.engine.backend, trainer.engine.ctx
         act = ctx.params.activation
         checked = {"fwd": 0, "bwd": 0}
+        # The parent's Z per (worker, layer): the backward reference
+        # reads it where the cache may keep only the mask Z > 0.
+        z_refs = {}
 
         forward, reduce_ = backend.forward_layer, backend.backward_reduce
 
         def forward_layer(state, h_cat, pulled, layer, is_last):
-            want = reference_kernels.sage_layer_forward(
+            agg_ref, z_ref, h_ref = reference_kernels.sage_layer_forward(
                 state.a_local, state.num_local, h_cat.copy(),
                 pulled[self_weight_name(layer - 1)],
                 pulled[weight_name(layer - 1)],
@@ -268,10 +292,10 @@ class TestDifferentialBackendsInSitu:
             )
             forward(state, h_cat, pulled, layer, is_last=is_last)
             cache = state.caches[layer]
-            for got, ref in zip(
-                (cache.aggregated, cache.pre_activation, cache.output), want
-            ):
-                same_bits(got, ref)
+            same_bits(cache.aggregated, agg_ref)
+            same_sigma_input(cache, z_ref, act, is_last)
+            same_bits(cache.output, h_ref)
+            z_refs[state.worker_id, layer] = z_ref
             checked["fwd"] += 1
 
         def backward_reduce(state, layer, weights):
@@ -282,7 +306,7 @@ class TestDifferentialBackendsInSitu:
                 state.grad_rows[layer].copy(), g_cat[n:].copy(),
                 weights[self_weight_name(layer - 1)],
                 weights[weight_name(layer - 1)],
-                state.caches[layer - 1].pre_activation, act,
+                z_refs[state.worker_id, layer - 1], act,
             )
             reduce_(state, layer, weights)
             same_bits(state.grad_rows[layer - 1], want)
@@ -303,6 +327,7 @@ class TestDifferentialBackendsInSitu:
         backend, ctx = trainer.engine.backend, trainer.engine.ctx
         act = ctx.params.activation
         checked = {"fwd": 0, "bwd": 0}
+        z_refs = {}  # the parent's Z per (worker, layer), as for SAGE
         forward, reduce_ = backend.forward_layer, backend.backward_reduce
 
         def forward_layer(state, h_cat, pulled, layer, is_last):
@@ -311,8 +336,9 @@ class TestDifferentialBackendsInSitu:
             )
             forward(state, h_cat, pulled, layer, is_last=is_last)
             cache = state.caches[layer]
-            same_bits(cache.pre_activation, z_ref)
+            same_sigma_input(cache, z_ref, act, is_last)
             same_bits(cache.output, h_ref)
+            z_refs[state.worker_id, layer] = z_ref
             checked["fwd"] += 1
 
         def backward_reduce(state, layer, weights):
@@ -320,7 +346,7 @@ class TestDifferentialBackendsInSitu:
             want = reference_kernels.gat_backward_reduce(
                 backend._dh_buffer(state, layer)[:n].copy(),
                 backend._pushed_buffer(state, layer).copy(),
-                state.caches[layer - 1].pre_activation, act,
+                z_refs[state.worker_id, layer - 1], act,
             )
             reduce_(state, layer, weights)
             same_bits(state.grad_rows[layer - 1], want)

@@ -64,6 +64,7 @@ class TestResidentBuffers:
                 "workspace_planned_bytes": planned,
                 "workspace_bytes": total, "first_aggregate_bytes": first,
                 "feature_bytes": metrics.gauge("feature_bytes", worker=worker),
+                "csr_bytes": metrics.gauge("csr_bytes", worker=worker),
                 "trend_table_bytes": metrics.gauge(
                     "trend_table_bytes", worker=worker),
                 "residual_bytes": metrics.gauge(
@@ -73,11 +74,12 @@ class TestResidentBuffers:
             # and the cached GCN path no feature rows.
             assert 0 < first < total == planned
             assert held["feature_bytes"] == 0
+            assert held["csr_bytes"] > 0
         markdown, html = render_markdown(data), render_html(data)
         assert "## Resident buffers" in markdown
         assert ("| worker | planned workspaces | resident workspaces "
-                "| first-layer aggregate | feature rows | trend tables "
-                "| ResEC residuals |") in markdown
+                "| first-layer aggregate | feature rows | adjacency rows "
+                "| trend tables | ResEC residuals |") in markdown
         assert "<h2>Resident buffers</h2>" in html
         assert ("<th>planned workspaces</th><th>resident workspaces</th>"
                 in html)

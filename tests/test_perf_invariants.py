@@ -145,6 +145,39 @@ class TestSteadyStateAllocationBudget:
             tracemalloc.stop()
         assert 0 < rounds.peaks["_dispatch"] < budget
 
+    def test_no_input_gradient_round_allocates_a_float_sigma(self):
+        """Under ReLU σ' is the one-byte mask the forward kept: beyond
+        the ``A·G`` its spmm allocates, an input-gradient kernel
+        allocates less than one float32 ``(local, d)`` factor array
+        (the float ``(Z > 0)`` it multiplied by before)."""
+        trainer = _budget_trainer(fp_mode="raw", bp_mode="raw")
+        for t in range(2):
+            trainer.run_epoch(t)
+        ctx, backend = trainer.engine.ctx, trainer.engine.backend
+        assert ctx.params.activation.name == "relu"
+        dims, reduce_, over = ctx.params.dims, backend.backward_reduce, []
+
+        def measured(state, layer, weights):
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            reduce_(state, layer, weights)
+            _, peak = tracemalloc.get_traced_memory()
+            spmm = state.num_local * dims[layer] * 4
+            sigma = state.num_local * dims[layer - 1] * 4
+            over.append((peak - before - spmm, sigma))
+
+        backend.backward_reduce = measured
+        tracemalloc.start()
+        try:
+            trainer.run_epoch(2)
+        finally:
+            tracemalloc.stop()
+        assert len(over) == 4 * 2  # workers x layers 3..2
+        for extra, sigma in over:
+            assert extra < sigma, (
+                f"{extra} B beyond the spmm; a float σ' is {sigma} B"
+            )
+
     def test_workspaces_are_the_same_arrays_every_epoch(self):
         trainer = _budget_trainer()
         trainer.run_epoch(0)

@@ -29,8 +29,8 @@ from repro.mp.store import SharedStore
 TL = Timeline(3)
 
 
-def life(name, start, end, shape=(10, 4), shared=False):
-    return BufferLife(name, shape, shared, start, end)
+def life(name, start, end, shape=(10, 4), shared=False, dtype=np.float32):
+    return BufferLife(name, shape, shared, start, end, np.dtype(dtype))
 
 
 class TestTimeline:
@@ -74,7 +74,8 @@ class TestPlanner:
 
     @pytest.mark.parametrize("other", [
         dict(shape=(11, 4)), dict(shape=(10, 5)), dict(shared=True),
-    ], ids=["rows", "width", "shared-vs-private"])
+        dict(dtype=np.bool_),
+    ], ids=["rows", "width", "shared-vs-private", "mask-vs-float"])
     def test_different_shapes_or_sharing_never_share(self, other):
         slot_of, slots = plan_slots([
             life("a", TL.write("fwd1"), TL.read("fwd2")),
@@ -137,7 +138,8 @@ class TestBackendPlans:
             assert "h0" not in slot
             assert slot["h1"] == slot["h2"] == slot["g2"]
             assert slot["m2"] == slot["g1"]
-            assert len({slot[n] for n in ("m1", "z1", "m2", "z2")}) == 4
+            # ReLU: the hidden layers keep their one-byte masks Z > 0.
+            assert len({slot[n] for n in ("m1", "mask1", "m2", "mask2")}) == 4
             assert plan.persistent("m1") and not plan.persistent("h1")
             # One slot per name would hold every buffer apart.
             slots = plan.slots
@@ -182,6 +184,40 @@ class TestBackendPlans:
         else:
             assert plan.persistent("h0") == (h0 == "persistent")
         trainer.run_epoch(0)
+
+    def test_planned_bytes_are_the_bytes_allocated(self, small_graph):
+        """With one-byte mask slots beside the float32 ones, the
+        ``workspace_planned_bytes`` gauge is what the slots' arrays
+        hold once every kernel has run."""
+        from repro.obs import ObsConfig
+
+        trainer = ECGraphTrainer(
+            small_graph, ModelConfig(num_layers=3, hidden_dim=16),
+            ClusterSpec(num_workers=3),
+            ECGraphConfig(seed=0, obs=ObsConfig(enabled=True)),
+        )
+        for t in range(2):  # the gauges are read as an iteration starts
+            trainer.run_epoch(t)
+        ws = trainer.engine.ctx.workspaces
+        snapshot = trainer.obs.metrics.snapshot()
+        for state in trainer.workers:
+            w = state.worker_id
+            arrays = [buf for (owner, _), buf in ws._arrays.items()
+                      if owner == w]
+            assert {buf.dtype for buf in arrays} == {
+                np.dtype(np.float32), np.dtype(np.bool_)
+            }
+            allocated = sum(buf.nbytes for buf in arrays)
+            assert snapshot.gauge("workspace_planned_bytes", worker=w) == (
+                allocated
+            )
+            assert ws.held(w).planned == ws.held(w).resident == allocated
+
+    def test_a_bool_slot_costs_one_byte_per_element(self):
+        _, (slot,) = plan_slots([
+            BufferLife("mask1", (10, 4), False, 0, 1, np.dtype(np.bool_)),
+        ])
+        assert slot.nbytes == 10 * 4
 
     def test_every_buffer_a_run_touches_is_planned(self, small_graph):
         trainer = _trainer(small_graph)
