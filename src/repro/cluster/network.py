@@ -3,7 +3,7 @@
 The paper's clusters connect machines with Gigabit Ethernet; communication
 time there is (message bytes / bandwidth) plus per-message latency. The
 simulator charges every inter-machine message to a :class:`TrafficMeter`
-with its *actual serialized size* (codecs report exact wire bytes), and a
+with its *actual serialized size* (the length of its wire frame), and a
 :class:`NetworkModel` converts the per-epoch byte totals into seconds.
 
 Intra-machine traffic (workers sharing a machine, or a worker talking to a

@@ -23,7 +23,7 @@ set: the packer, the decoder and the wire format accept no other. No
 ``(n, bits)`` bit matrix is ever materialized (that original
 implementation is kept as the ``reference_pack_bits`` /
 ``reference_unpack_bits`` test fixtures in ``tests/conftest.py``, the
-byte-identity oracle). The wire layout is little-endian-bit-first,
+byte-identity oracle). The packed layout is little-endian-bit-first,
 byte-identical to ``np.packbits(..., bitorder="little")`` on the
 expanded bits.
 """
@@ -35,22 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "pack_bits", "unpack_bits", "QuantizedMatrix", "BucketQuantizer",
-    "FRAME_HEADER_BYTES", "SHAPE_WORD_BYTES", "MATRIX_PREFIX_BYTES",
-]
+__all__ = ["pack_bits", "unpack_bits", "QuantizedMatrix", "BucketQuantizer"]
 
 # The widths the Bit-Tuner steps through (paper section IV-B) and the
 # only ones anything here packs, decodes or frames.
 SUPPORTED_BITS = (1, 2, 4, 8, 16)
-
-# The wire framing every computed message size counts
-# (:mod:`repro.cluster.serialize` writes it): a 16-byte frame header
-# (magic, kind, flags, payload length), then for a matrix payload an
-# 8-byte shape word (rows, cols).
-FRAME_HEADER_BYTES = 16
-SHAPE_WORD_BYTES = 8
-MATRIX_PREFIX_BYTES = FRAME_HEADER_BYTES + SHAPE_WORD_BYTES
 
 # Cached float64 midpoint offsets ``arange(2^B) + 0.5`` per bucket count;
 # representative tables are ``lo + offsets * width``, so the arange is the
@@ -81,12 +70,13 @@ _ID_DTYPE = {
 
 
 def _pack_ids(ids: np.ndarray, bits: int) -> np.ndarray:
-    """Pack bucket ids the quantizer produced itself.
+    """Pack ids the program produced itself: the quantizer's bucket ids,
+    a ReqEC-FP selector, 1-bit signs.
 
     ``bits`` is a ``SUPPORTED_BITS`` width and ``ids`` are in range by
-    construction (they come out of a clip), so this skips the ``max()``
-    scan :func:`pack_bits` owes to outside input. 8/16-bit results are
-    views of ``ids``.
+    construction (a clip, or the choices made), so this skips the
+    ``max()`` scan :func:`pack_bits` owes to outside input. 8/16-bit
+    results are views of ``ids``.
     """
     ids = np.ascontiguousarray(ids, dtype=_ID_DTYPE[bits]).ravel()
     if bits == 8:
@@ -98,7 +88,8 @@ def _pack_ids(ids: np.ndarray, bits: int) -> np.ndarray:
         return np.packbits(ids, bitorder="little")
     per_byte = 8 // bits
     if ids.size % per_byte:
-        ids = np.pad(ids, (0, -ids.size % per_byte))  # zero-fill the last byte
+        # Zero-fill the last byte.
+        ids = np.concatenate((ids, np.zeros(-ids.size % per_byte, ids.dtype)))
     # Pairwise tree merge on the ids viewed as 16-bit words: each level
     # fuses the two ``width``-bit fields of adjacent bytes (the high
     # byte's field shifted down next to the low byte's) and narrows back
@@ -232,16 +223,6 @@ class QuantizedMatrix:
         by_byte = table[_byte_ids(self.bits)]
         flat = np.take(by_byte, packed, axis=0).ravel()
         return flat[:count].reshape(self.shape)
-
-    def payload_bytes(self) -> int:
-        """Bytes this message occupies on the wire.
-
-        Matches :mod:`repro.cluster.serialize` exactly: a 16-byte frame
-        header, an 8-byte shape, 9 bytes of bits/lo/hi metadata, the
-        ``2^B`` float32 bucket representatives and the packed ids.
-        """
-        header = MATRIX_PREFIX_BYTES + 9  # frame + shape + (bits, lo, hi)
-        return header + self.bucket_values.size * 4 + self.packed.size
 
 
 class BucketQuantizer:

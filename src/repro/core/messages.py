@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.compression.quantization import MATRIX_PREFIX_BYTES
+from repro.cluster.serialize import Frame, decode_raw, encode_raw
 
 __all__ = ["ChannelKey", "ChannelMessage", "ExchangePolicy", "RawPolicy"]
 
@@ -45,8 +45,8 @@ class ChannelMessage:
             rows, ``quant`` compressed rows, ``exact`` ReqEC-FP boundary
             rows or a ReqEC-FP ``selector`` message. The ledger counts
             the frame under it and the transport's codec charge reads it.
-        payload: Policy-specific content handed to ``receive``.
-        nbytes: Exact wire size charged to the traffic meter.
+        frame: The wire frame a ``cluster/serialize.py`` encoder built;
+            ``receive`` parses it with the matching decoder.
         meta: Free-form extras (e.g. the predicted-selection proportion
             that feeds the Bit-Tuner).
 
@@ -55,9 +55,13 @@ class ChannelMessage:
     """
 
     kind: str
-    payload: object
-    nbytes: int
+    frame: Frame
     meta: dict = field(default_factory=dict)
+
+    @property
+    def nbytes(self) -> int:
+        """Wire size charged to the traffic meter: the frame's length."""
+        return len(self.frame)
 
 
 class ExchangePolicy:
@@ -137,13 +141,9 @@ class RawPolicy(ExchangePolicy):
         t: int,
         rows_mask: np.ndarray | None = None,
     ) -> ChannelMessage:
-        data = np.ascontiguousarray(rows, dtype=np.float32)
-        return ChannelMessage(
-            kind="raw", payload=data,
-            nbytes=MATRIX_PREFIX_BYTES + data.nbytes,
-        )
+        return ChannelMessage(kind="raw", frame=encode_raw(rows))
 
     def receive(
         self, key: ChannelKey, message: ChannelMessage, t: int
     ) -> np.ndarray:
-        return message.payload
+        return decode_raw(message.frame)

@@ -14,18 +14,12 @@ aggregates stale rows for the rest, trading staleness for traffic.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.compression.quantization import (
-    MATRIX_PREFIX_BYTES,
-    BucketQuantizer,
-    pack_bits,
-    unpack_bits,
-)
+from repro.cluster import serialize
+from repro.compression.quantization import BucketQuantizer
 from repro.core.messages import ChannelKey, ChannelMessage, ExchangePolicy
 
 if TYPE_CHECKING:
@@ -105,13 +99,13 @@ class CompressPolicy(ExchangePolicy):
     ) -> ChannelMessage:
         quantized = self._quantizer.encode(rows)
         return ChannelMessage(
-            kind="quant", payload=quantized, nbytes=quantized.payload_bytes()
+            kind="quant", frame=serialize.encode_quantized(quantized)
         )
 
     def receive(
         self, key: ChannelKey, message: ChannelMessage, t: int
     ) -> np.ndarray:
-        return message.payload.decode()
+        return serialize.decode_quantized(message.frame).decode()
 
 
 class Float16Policy(ExchangePolicy):
@@ -126,25 +120,14 @@ class Float16Policy(ExchangePolicy):
         t: int,
         rows_mask: np.ndarray | None = None,
     ) -> ChannelMessage:
-        data = np.ascontiguousarray(rows, dtype=np.float16)
-        return ChannelMessage(
-            kind="quant", payload=data,
-            nbytes=MATRIX_PREFIX_BYTES + data.nbytes,
-        )
+        half = np.ascontiguousarray(rows, dtype=np.float16)
+        return ChannelMessage(kind="quant", frame=serialize.encode_raw(half))
 
     def receive(
         self, key: ChannelKey, message: ChannelMessage, t: int
     ) -> np.ndarray:
-        return message.payload.astype(np.float32)
-
-
-@dataclass
-class TopKPayload:
-    """Sparse rows: per-row column indices and values."""
-
-    shape: tuple[int, int]
-    indices: np.ndarray  # (rows, k) int32
-    values: np.ndarray  # (rows, k) float32
+        rows = serialize.decode_rows(message.frame, half=True)[1]
+        return rows.astype(np.float32)
 
 
 class TopKPolicy(ExchangePolicy):
@@ -175,37 +158,23 @@ class TopKPolicy(ExchangePolicy):
         k = min(self.k, cols)
         if k == cols:
             indices = np.tile(np.arange(cols, dtype=np.int32), (num_rows, 1))
-            values = data.copy()
+            values = data
         else:
             # argpartition gives the k largest |values| per row in O(cols).
             part = np.argpartition(-np.abs(data), k - 1, axis=1)[:, :k]
             indices = np.sort(part, axis=1).astype(np.int32)
             values = np.take_along_axis(data, indices, axis=1)
-        # Each kept entry travels as (int32 index, float32 value).
         return ChannelMessage(
-            kind="quant",
-            payload=TopKPayload(data.shape, indices, values),
-            nbytes=MATRIX_PREFIX_BYTES + indices.nbytes + values.nbytes,
+            kind="quant", frame=serialize.encode_topk(cols, indices, values)
         )
 
     def receive(
         self, key: ChannelKey, message: ChannelMessage, t: int
     ) -> np.ndarray:
-        payload = message.payload
-        out = np.zeros(payload.shape, dtype=np.float32)
-        row_ids = np.arange(payload.shape[0])[:, None]
-        out[row_ids, payload.indices] = payload.values
+        shape, indices, values = serialize.decode_topk(message.frame)
+        out = np.zeros(shape, dtype=np.float32)
+        out[np.arange(shape[0])[:, None], indices] = values
         return out
-
-
-@dataclass
-class OneBitPayload:
-    """Sign bits plus the two reconstruction magnitudes."""
-
-    shape: tuple[int, ...]
-    packed_signs: np.ndarray
-    positive_mean: float
-    negative_mean: float
 
 
 class OneBitPolicy(ExchangePolicy):
@@ -226,26 +195,19 @@ class OneBitPolicy(ExchangePolicy):
         rows_mask: np.ndarray | None = None,
     ) -> ChannelMessage:
         data = np.ascontiguousarray(rows, dtype=np.float32)
-        flat = data.ravel()
-        positive = flat >= 0
-        pos_mean = float(flat[positive].mean()) if positive.any() else 0.0
-        neg_mean = float(flat[~positive].mean()) if (~positive).any() else 0.0
-        packed = pack_bits(positive.astype(np.uint32), 1)
-        # frame + shape + sign bits + two float32 means
-        return ChannelMessage(
-            kind="quant",
-            payload=OneBitPayload(data.shape, packed, pos_mean, neg_mean),
-            nbytes=MATRIX_PREFIX_BYTES + packed.size + 8,
-        )
+        positive = data >= 0
+        pos_mean = float(data[positive].mean()) if positive.any() else 0.0
+        neg_mean = float(data[~positive].mean()) if (~positive).any() else 0.0
+        frame = serialize.encode_onebit(positive, pos_mean, neg_mean)
+        return ChannelMessage(kind="quant", frame=frame)
 
     def receive(
         self, key: ChannelKey, message: ChannelMessage, t: int
     ) -> np.ndarray:
-        payload = message.payload
-        count = math.prod(payload.shape)
-        signs = unpack_bits(payload.packed_signs, 1, count).astype(bool)
-        out = np.where(signs, payload.positive_mean, payload.negative_mean)
-        return out.reshape(payload.shape).astype(np.float32)
+        signs, pos_mean, neg_mean = serialize.decode_onebit(message.frame)
+        return np.where(signs.astype(bool), pos_mean, neg_mean).astype(
+            np.float32
+        )
 
 
 class DelayedPolicy(ExchangePolicy):
@@ -280,28 +242,27 @@ class DelayedPolicy(ExchangePolicy):
     ) -> ChannelMessage:
         data = np.ascontiguousarray(rows, dtype=np.float32)
         if t == 0 or key not in self._cache:
-            payload = ("full", data.copy())
-            nbytes = MATRIX_PREFIX_BYTES + data.nbytes
-        else:
-            block = self._block(data.shape[0], t)
-            payload = ("block", block, data[block].copy())
-            nbytes = MATRIX_PREFIX_BYTES + data[block].nbytes + block.size * 4
-        return ChannelMessage(kind="raw", payload=payload, nbytes=nbytes)
+            # A full refresh is a plain RAW frame, a block an indexed one.
+            return ChannelMessage(kind="raw", frame=serialize.encode_raw(data))
+        block = self._block(data.shape[0], t)
+        frame = serialize.encode_raw(data[block], index=block)
+        return ChannelMessage(kind="raw", frame=frame)
 
     def receive(
         self, key: ChannelKey, message: ChannelMessage, t: int
     ) -> np.ndarray:
-        kind = message.payload[0]
-        if kind == "full":
-            self._cache[key] = message.payload[1].copy()
+        block, rows = serialize.decode_rows(message.frame, indexed=True)
+        if block is None:
+            self._cache[key] = rows.copy()
         else:
-            _, block, rows = message.payload
             cache = self._cache.get(key)
             if cache is None:
                 raise RuntimeError(
                     f"delayed channel {key} received a block before any "
                     "full refresh"
                 )
+            if block.size and not 0 <= block.min() <= block.max() < len(cache):
+                raise ValueError(f"delayed channel {key}: block rows outside it")
             cache[block] = rows
         return self._cache[key].copy()
 

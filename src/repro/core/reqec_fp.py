@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.quantization import MATRIX_PREFIX_BYTES, BucketQuantizer
+from repro.cluster import serialize
+from repro.compression.quantization import BucketQuantizer
 from repro.core.bit_tuner import BitTuner
 from repro.core.messages import ChannelKey, ChannelMessage, ExchangePolicy
 
@@ -409,8 +410,7 @@ class ReqECPolicy(ExchangePolicy):
             sent = rows.copy()
             sent.setflags(write=False)
             return ChannelMessage(
-                kind="exact", payload=(sent, has_base),
-                nbytes=MATRIX_PREFIX_BYTES + rows.nbytes,
+                kind="exact", frame=serialize.encode_exact(sent, has_base)
             )
 
         bits = self.tuner.bits(key.pair)
@@ -425,8 +425,7 @@ class ReqECPolicy(ExchangePolicy):
                     key.pair, (rows.shape[0], 0, 0), bits, t
                 )
             return ChannelMessage(
-                kind="quant", payload=quantized,
-                nbytes=quantized.payload_bytes(),
+                kind="quant", frame=serialize.encode_quantized(quantized),
                 meta={"proportion": 0.0},
             )
 
@@ -438,15 +437,18 @@ class ReqECPolicy(ExchangePolicy):
         h_cps = np.take(reps, ids).reshape(rows.shape)
 
         selection, proportion = self._select(rows, h_cps, h_pdt)
-        subset, nbytes = self._build_compressed_payload(
-            rows, selection, quantizer, ids, reps, lo, hi
-        )
+        # Ship only what the requester cannot predict: the rows (or
+        # elements, at element granularity) not predicted, their bucket
+        # ids sliced from the ones already computed — quantizing that
+        # subset with the full-matrix (lo, hi) yields exactly these ids.
+        sub_ids = ids.reshape(rows.shape)[selection != SELECT_PREDICTED]
+        subset = quantizer.from_ids(sub_ids, sub_ids.shape, reps, lo, hi)
         if self.health is not None:
             counts = np.bincount(selection.ravel(), minlength=3)
             self.health.record_selection(key.pair, counts, bits, t)
         return ChannelMessage(
-            kind="selector", payload=(selection, subset, proportion),
-            nbytes=nbytes,
+            kind="selector",
+            frame=serialize.encode_selector(selection, subset, proportion),
             meta={"proportion": proportion},
         )
 
@@ -487,35 +489,6 @@ class ReqECPolicy(ExchangePolicy):
         proportion = float((selection == SELECT_PREDICTED).mean())
         return selection, proportion
 
-    def _build_compressed_payload(
-        self,
-        rows: np.ndarray,
-        selection: np.ndarray,
-        quantizer: BucketQuantizer,
-        ids: np.ndarray,
-        reps: np.ndarray,
-        lo: float,
-        hi: float,
-    ):
-        """Ship only what the requester cannot predict; size the wire.
-
-        Vertex/matrix granularity ships whole rows for non-predicted
-        vertices; element granularity ships individual elements. The
-        already-computed bucket ids are sliced and re-packed — quantizing
-        a value subset with the full-matrix (lo, hi) yields exactly these
-        ids, so no second quantization pass is needed.
-        """
-        sub_ids = ids.reshape(rows.shape)[selection != SELECT_PREDICTED]
-        quantized = quantizer.from_ids(sub_ids, sub_ids.shape, reps, lo, hi)
-        selector_bytes = -(-2 * selection.size // 8)
-        # Frame + shape + (proportion, selector length) + selector bits
-        # + the nested quantized frame — see cluster.serialize.
-        nbytes = (
-            MATRIX_PREFIX_BYTES + 8 + selector_bytes
-            + quantized.payload_bytes()
-        )
-        return quantized, nbytes
-
     # ------------------------------------------------------------------
     # Requesting end (Algorithm 3)
     # ------------------------------------------------------------------
@@ -523,9 +496,9 @@ class ReqECPolicy(ExchangePolicy):
         self, key: ChannelKey, message: ChannelMessage, t: int
     ) -> np.ndarray:
         if message.kind == "exact":
-            # The responder's read-only copy (see respond): the halo
-            # scatter copies out of it.
-            rows, has_base = message.payload
+            # A view of the responder's read-only copy (see respond):
+            # the halo scatter copies out of it.
+            rows, has_base = serialize.decode_exact(message.frame)
             table_key, idx = self._locate(key, rows.shape[0])
             table = self._table(table_key, rows.shape[1])
             self._unacked.pop(key, None)
@@ -555,9 +528,9 @@ class ReqECPolicy(ExchangePolicy):
             return rows
 
         if message.kind == "quant":
-            return message.payload.decode()
+            return serialize.decode_quantized(message.frame).decode()
 
-        selection, quantized, _ = message.payload
+        selection, quantized, _ = serialize.decode_selector(message.frame)
         held = self._held(key, selection.shape[0])
         if held is None:
             raise RuntimeError(

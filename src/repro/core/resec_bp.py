@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.serialize import decode_quantized, encode_quantized
 from repro.compression.quantization import BucketQuantizer, QuantizedMatrix
 from repro.core.messages import ChannelKey, ChannelMessage, ExchangePolicy
 
@@ -84,9 +85,7 @@ class ResECPolicy(ExchangePolicy):
                 float(np.linalg.norm(rows)),
                 self._quantizer.bits,
             )
-        return ChannelMessage(
-            kind="quant", payload=quantized, nbytes=quantized.payload_bytes()
-        )
+        return ChannelMessage(kind="quant", frame=encode_quantized(quantized))
 
     def _quantize(
         self, compensated: np.ndarray
@@ -109,7 +108,7 @@ class ResECPolicy(ExchangePolicy):
     def receive(
         self, key: ChannelKey, message: ChannelMessage, t: int
     ) -> np.ndarray:
-        return message.payload.decode()
+        return decode_quantized(message.frame).decode()
 
     # ------------------------------------------------------------------
     # Fault tolerance (driven by the NAC)
@@ -128,7 +127,7 @@ class ResECPolicy(ExchangePolicy):
         information instead of silently discarding it (the same
         telescoping argument as Eq. 11).
         """
-        lost = message.payload.decode()
+        lost = decode_quantized(message.frame).decode()
         residual = self._residual.get(key)
         if rows_mask is None:
             if residual is None or residual.shape != lost.shape:

@@ -867,10 +867,10 @@ class _EdgeSpace:
     """
 
     def __init__(self, state: WorkerState) -> None:
-        indptr = state.a_local.indptr
-        self.col = state.a_local.indices.astype(np.int64)
+        self.col = state.a_local.indices  # a view: no int64 twin per edge
         self.src = np.repeat(
-            np.arange(state.num_local, dtype=np.int64), np.diff(indptr)
+            np.arange(state.num_local, dtype=self.col.dtype),
+            np.diff(state.a_local.indptr),
         )
         self.num_local = state.num_local
         self.num_cat = state.num_local + state.num_halo

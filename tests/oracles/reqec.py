@@ -15,19 +15,52 @@ Two references are built on it:
   twice) and the requester stores what it is handed. Everything else is
   the per-channel parent's, so a run through this class is that parent
   run (``TestBoundaryCrossingGolden``).
+
+Edits: the parent's messages carried a policy-specific payload and a
+hand-computed size, which live messages no longer do; the oracle keeps
+both in its own :class:`ParentMessage`, with the parent's size
+arithmetic (``MATRIX_PREFIX_BYTES`` and ``QuantizedMatrix.payload_bytes``
+as they stood) as module-level copies. The transport reads only
+``kind``, ``nbytes`` and ``meta`` of either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compression.quantization import MATRIX_PREFIX_BYTES, BucketQuantizer
+from repro.compression.quantization import BucketQuantizer
 from repro.core.bit_tuner import BitTuner
-from repro.core.messages import ChannelKey, ChannelMessage, ExchangePolicy
+from repro.core.messages import ChannelKey, ExchangePolicy
 
-__all__ = ["PerChannelReqECPolicy", "ReferenceReqECPolicy", "TrendState"]
+__all__ = [
+    "ParentMessage", "PerChannelReqECPolicy", "ReferenceReqECPolicy",
+    "TrendState",
+]
+
+# Frame header (16) + shape word (8), as the parent sized messages.
+MATRIX_PREFIX_BYTES = 24
+
+
+@dataclass
+class ParentMessage:
+    """The parent's ``ChannelMessage``: a payload and its computed size."""
+
+    kind: str
+    payload: object
+    nbytes: int
+    meta: dict = field(default_factory=dict)
+
+
+ChannelMessage = ParentMessage
+
+
+def _payload_bytes(quantized) -> int:
+    """The parent's ``QuantizedMatrix.payload_bytes()``: frame + shape +
+    (bits, lo, hi), the bucket table and the packed ids."""
+    header = MATRIX_PREFIX_BYTES + 9
+    return header + quantized.bucket_values.size * 4 + quantized.packed.size
 
 SELECT_COMPRESSED = 0
 SELECT_PREDICTED = 1
@@ -142,7 +175,7 @@ class PerChannelReqECPolicy(ExchangePolicy):
                 )
             return ChannelMessage(
                 kind="quant", payload=quantized,
-                nbytes=quantized.payload_bytes(),
+                nbytes=_payload_bytes(quantized),
                 meta={"proportion": 0.0},
             )
 
@@ -236,7 +269,7 @@ class PerChannelReqECPolicy(ExchangePolicy):
         # + the nested quantized frame — see cluster.serialize.
         nbytes = (
             MATRIX_PREFIX_BYTES + 8 + selector_bytes
-            + quantized.payload_bytes()
+            + _payload_bytes(quantized)
         )
         return quantized, nbytes
 
@@ -417,7 +450,7 @@ class ReferenceReqECPolicy(PerChannelReqECPolicy):
                 )
             return ChannelMessage(
                 kind="quant", payload=quantized,
-                nbytes=quantized.payload_bytes(),
+                nbytes=_payload_bytes(quantized),
                 meta={"proportion": 0.0},
             )
 

@@ -1,5 +1,7 @@
-"""Unit tests for the binary wire format — and validation that the
-policies' *computed* message sizes agree with real encoded bytes."""
+"""Unit tests for the binary wire format, which is also what every
+policy ships: a message's size is its frame's length, and its
+``receive`` decodes the frame. Frames are scatter-gather; the tests
+that damage one edit its joined bytes, ``bytes(frame)``."""
 
 import numpy as np
 import pytest
@@ -8,17 +10,25 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.cluster.serialize import (
-    HEADER_BYTES,
+    FRAME_HEADER_BYTES,
+    MATRIX_PREFIX_BYTES,
     decode_exact,
     decode_quantized,
     decode_raw,
+    decode_rows,
     decode_selector,
     encode_exact,
     encode_quantized,
     encode_raw,
     encode_selector,
 )
-from repro.compression.quantization import SUPPORTED_BITS, BucketQuantizer
+from repro.compression.quantization import (
+    SUPPORTED_BITS,
+    BucketQuantizer,
+    packed_size,
+)
+from repro.core.messages import ChannelKey, ChannelMessage
+from repro.core.policies import Float16Policy, OneBitPolicy, TopKPolicy
 
 
 @pytest.fixture
@@ -44,14 +54,46 @@ class TestRawFrames:
         )
         assert len(frame) == message.nbytes
 
+    def test_decoders_read_views_of_the_frame(self, matrix):
+        """Encoding shares the payload array and decoding reads it in
+        place: neither copies the rows. The joined bytes decode alike."""
+        frame = encode_raw(matrix)
+        rows = decode_raw(frame)
+        assert np.shares_memory(rows, matrix)
+        np.testing.assert_array_equal(decode_raw(bytes(frame)), rows)
+        index = np.array([1, 4], dtype=np.int64)
+        frame = encode_raw(matrix[index], index=index)
+        ids, block = decode_rows(frame, indexed=True)
+        assert ids.dtype == np.int32
+        np.testing.assert_array_equal(ids, index)
+        np.testing.assert_array_equal(block, matrix[index])
+
+    def test_half_width_and_indexed_frames(self, matrix):
+        """float16 rows are the RAW layout at half width (flag bit 0);
+        an indexed block puts int32 row ids first (flag bit 1)."""
+        half = matrix.astype(np.float16)
+        frame = encode_raw(half)
+        assert len(frame) == MATRIX_PREFIX_BYTES + half.nbytes
+        ids, rows = decode_rows(frame, half=True)
+        assert ids is None and rows.dtype == np.float16
+        np.testing.assert_array_equal(rows, half)
+        block = encode_raw(matrix[:3], index=np.arange(3))
+        assert len(block) == MATRIX_PREFIX_BYTES + 3 * 4 + matrix[:3].nbytes
+        # A decoder takes only the flag bits its caller names.
+        for flagged, other in ((frame, {"indexed": True}),
+                               (block, {"half": True})):
+            for decode in (decode_raw, lambda f: decode_rows(f, **other)):
+                with pytest.raises(ValueError, match="flag bits"):
+                    decode(flagged)
+
     def test_bad_magic_rejected(self, matrix):
-        frame = bytearray(encode_raw(matrix))
+        frame = bytearray(bytes(encode_raw(matrix)))
         frame[0] ^= 0xFF
         with pytest.raises(ValueError, match="magic"):
             decode_raw(bytes(frame))
 
     def test_truncated_frame_rejected(self, matrix):
-        frame = encode_raw(matrix)
+        frame = bytes(encode_raw(matrix))
         with pytest.raises(ValueError, match="truncated"):
             decode_raw(frame[:-4])
 
@@ -63,7 +105,7 @@ class TestRawFrames:
     def test_payload_length_must_match_shape(self, matrix):
         import struct
 
-        frame = encode_raw(matrix)
+        frame = bytes(encode_raw(matrix))
         for payload in (
             frame[16:-4],              # one value short
             frame[16:] + b"\0" * 4,    # one value long
@@ -100,12 +142,20 @@ class TestQuantFrames:
         )
 
     @pytest.mark.parametrize("bits", [1, 2, 4, 8])
-    def test_computed_size_equals_real(self, matrix, bits):
-        """payload_bytes() is what the traffic meter charges; it must be
-        the real wire size."""
-        quantized = BucketQuantizer(bits).encode(matrix)
-        real = len(encode_quantized(quantized))
-        assert real == quantized.payload_bytes()
+    def test_policy_charge_is_the_quant_layout(self, matrix, bits):
+        """What the traffic meter charges a compressed message is its
+        frame: header + shape word, (bits, lo, hi), the bucket table and
+        the packed ids."""
+        from repro.core.policies import CompressPolicy
+
+        frame = encode_quantized(BucketQuantizer(bits).encode(matrix))
+        message = CompressPolicy(bits).respond(
+            ChannelKey(1, 0, 1), matrix, t=0
+        )
+        assert message.nbytes == len(frame) == (
+            MATRIX_PREFIX_BYTES + 9 + 4 * (1 << bits)
+            + packed_size(matrix.size, bits)
+        )
 
 
 class TestExactFrames:
@@ -128,23 +178,25 @@ class TestExactFrames:
                                   trend_period=2), {(0, 1): len(matrix)})
         for t in (1, 3):
             message = policy.respond(ChannelKey(1, 0, 1), matrix, t=t)
-            frame = encode_exact(*message.payload)
-            assert len(frame) == HEADER_BYTES + 8 + matrix.nbytes
+            frame = encode_exact(*decode_exact(message.frame))
+            assert len(frame) == FRAME_HEADER_BYTES + 8 + matrix.nbytes
             assert message.nbytes == len(frame)
 
     def test_flag_is_header_bit_zero(self, matrix):
         import struct
 
-        plain, flagged = (encode_exact(matrix, b) for b in (False, True))
+        plain, flagged = (
+            bytes(encode_exact(matrix, b)) for b in (False, True)
+        )
         assert len(plain) == len(flagged)
         assert struct.unpack_from("<HHIQ", plain)[2] == 0
         assert struct.unpack_from("<HHIQ", flagged)[2] == 1
-        assert plain[HEADER_BYTES:] == flagged[HEADER_BYTES:]
+        assert plain[FRAME_HEADER_BYTES:] == flagged[FRAME_HEADER_BYTES:]
 
     def test_unknown_flag_bits_rejected(self, matrix):
         import struct
 
-        frame = bytearray(encode_exact(matrix, True))
+        frame = bytearray(bytes(encode_exact(matrix, True)))
         for flags in (2, 3, 1 << 31):
             struct.pack_into("<I", frame, 4, flags)
             with pytest.raises(ValueError, match="unknown flag bits"):
@@ -153,7 +205,7 @@ class TestExactFrames:
     def test_payload_length_must_match_shape(self, matrix):
         import struct
 
-        frame = encode_exact(matrix, False)
+        frame = bytes(encode_exact(matrix, False))
         for payload in (
             frame[16:-4],              # one value short
             frame[16:] + b"\0" * 4,    # one value long
@@ -192,9 +244,11 @@ class TestSelectorFrames:
         counts that do and do not fill the last byte."""
         rng = np.random.default_rng(5)
         selection = rng.integers(0, 3, size=shape)
-        quantized = BucketQuantizer(4).encode(np.zeros(3, dtype=np.float32))
+        # The subset ships one value per id that is not 1 (predicted).
+        shipped = np.zeros(np.count_nonzero(selection != 1), np.float32)
+        quantized = BucketQuantizer(4).encode(shipped)
         frames = {
-            encode_selector(selection.astype(dtype), quantized, 0.5)
+            bytes(encode_selector(selection.astype(dtype), quantized, 0.5))
             for dtype in (np.uint8, np.uint32, np.int64)
         }
         assert len(frames) == 1
@@ -203,8 +257,8 @@ class TestSelectorFrames:
         np.testing.assert_array_equal(sel_out, selection)
 
     def test_size_matches_reqec_accounting(self, matrix):
-        """The selector-message size charged by ReqEC-FP tracks the real
-        frame length."""
+        """The selector-message size charged by ReqEC-FP is the frame
+        length of what it ships."""
         from repro.core.bit_tuner import BitTuner
         from repro.core.messages import ChannelKey
         from repro.core.reqec_fp import ReqECPolicy
@@ -217,8 +271,8 @@ class TestSelectorFrames:
         policy.respond(key, matrix, t=3)  # boundary primes the trend
         message = policy.respond(key, matrix + 0.05, t=4)
         assert message.kind == "selector"
-        frame = encode_selector(*message.payload)
-        assert abs(len(frame) - message.nbytes) <= 32
+        frame = encode_selector(*decode_selector(message.frame))
+        assert len(frame) == message.nbytes
 
 
 class TestPropertyRoundTrips:
@@ -239,23 +293,80 @@ class TestPropertyRoundTrips:
         )
 
 
-def _encode_rows(kind, data, has_base):
-    return encode_exact(data, has_base) if kind == "exact" else encode_raw(data)
+KEY = ChannelKey(layer=1, responder=0, requester=1)
 
 
-def _decode_rows(kind, frame):
-    """``(rows, has_base)``; a RAW frame carries no flag, so ``False``."""
-    return decode_exact(frame) if kind == "exact" else (decode_raw(frame), False)
+def _through(policy):
+    """A baseline's encoder and decoder as training runs them: its
+    ``respond`` builds the frame and its ``receive`` decodes it."""
+    def encode(data, has_base):
+        return policy.respond(KEY, data, 0).frame
+
+    def decode(frame):
+        message = ChannelMessage(kind="quant", frame=frame)
+        return policy.receive(KEY, message, 0), False
+
+    return encode, decode
 
 
-@pytest.mark.parametrize("kind", ["exact", "raw"])
+def _encode_selector(data, has_base):
+    selection = (np.arange(len(data)) % 3).astype(np.uint8)  # 1: predicted
+    subset = BucketQuantizer(4).encode(data[selection != 1])
+    return encode_selector(selection, subset, 0.5)
+
+
+def _decode_selector(frame):
+    selection, subset, _ = decode_selector(frame)
+    return np.concatenate(
+        [selection.ravel().astype(np.float32), subset.decode().ravel()]
+    ), False
+
+
+# kind -> (encode(data, has_base) -> frame, decode(frame) -> (rows, flag))
+FRAMES = {
+    "exact": (encode_exact, decode_exact),
+    "raw": (lambda data, _: encode_raw(data),
+            lambda frame: (decode_raw(frame), False)),
+    "block": (lambda data, _: encode_raw(data, index=np.arange(len(data))),
+              lambda frame: (decode_rows(frame, indexed=True)[1], False)),
+    "quant": (lambda data, _: encode_quantized(BucketQuantizer(4).encode(data)),
+              lambda frame: (decode_quantized(frame).decode(), False)),
+    "selector": (_encode_selector, _decode_selector),
+    "float16": _through(Float16Policy()),
+    "topk": _through(TopKPolicy(k=2)),
+    "onebit": _through(OneBitPolicy()),
+}
+LOSSLESS = ("exact", "raw", "block")
+
+
+def _framed_count(kind, frame: bytes) -> int:
+    """The element count a well-formed ``frame`` states in its shape
+    word(s): a selector's ids plus its nested subset's elements."""
+    import struct
+
+    def count(at):
+        rows, cols = struct.unpack_from("<II", frame, at)
+        return rows * (cols or 1)
+
+    if kind != "selector":
+        return count(FRAME_HEADER_BYTES)
+    sel_bytes = struct.unpack_from("<I", frame, MATRIX_PREFIX_BYTES + 4)[0]
+    nested = MATRIX_PREFIX_BYTES + 8 + sel_bytes + FRAME_HEADER_BYTES
+    return count(FRAME_HEADER_BYTES) + count(nested)
+
+
+@pytest.mark.parametrize("kind", sorted(FRAMES))
 class TestExactFrameProperties:
-    """EXACT and RAW frames (one layout: a shape word, then float32 rows)
-    round-trip, and any truncation or single bit flip is either rejected
-    as a wire-format ``ValueError`` or decodes to a well-formed
-    ``(rows, flag)`` of the framed size — never a numpy buffer error.
-    Only EXACT has a flag (``has_base``); a RAW frame's flags must be
-    clear. Derandomised: CI and the builder host see one case list."""
+    """Every frame kind training ships round-trips, and any truncation or
+    single bit flip is either rejected as a wire-format ``ValueError`` or
+    decodes to the framed element count — never a numpy or struct
+    error. The baselines decode through their policy's ``receive``.
+
+    EXACT and RAW (one layout: a shape word, then float32 rows) are
+    pinned closer: only EXACT has a flag (``has_base``), a RAW frame's
+    flags must be clear, and a rejected flip lies in the header or the
+    shape word. Derandomised: CI and every other host see one case
+    list."""
 
     _matrices = arrays(
         np.float32,
@@ -266,48 +377,61 @@ class TestExactFrameProperties:
     @given(data=_matrices, has_base=st.booleans())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_roundtrip_property(self, kind, data, has_base):
+        encode, decode = FRAMES[kind]
         has_base = has_base and kind == "exact"
-        frame = _encode_rows(kind, data, has_base)
-        assert len(frame) == HEADER_BYTES + 8 + data.nbytes
-        rows, flag = _decode_rows(kind, frame)
-        assert rows.dtype == np.float32 and rows.shape == data.shape
-        assert rows.tobytes() == data.tobytes() and flag is has_base
+        frame = encode(data, has_base)
+        rows, flag = decode(frame)
+        again, _ = decode(bytes(frame))
+        assert again.tobytes() == rows.tobytes() and flag is has_base
+        if kind in LOSSLESS:
+            assert rows.dtype == np.float32 and rows.shape == data.shape
+            assert rows.tobytes() == data.tobytes()
+        if kind in ("exact", "raw"):
+            assert len(frame) == FRAME_HEADER_BYTES + 8 + data.nbytes
 
     @given(data=_matrices, has_base=st.booleans(), cut=st.integers(1, 64))
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_truncation_is_a_value_error(self, kind, data, has_base, cut):
-        frame = _encode_rows(kind, data, has_base)
+        encode, decode = FRAMES[kind]
+        frame = bytes(encode(data, has_base))
         with pytest.raises(ValueError):
-            _decode_rows(kind, frame[:max(0, len(frame) - cut)])
+            decode(frame[:max(0, len(frame) - cut)])
 
     @given(data=_matrices, has_base=st.booleans(), where=st.data())
     @settings(max_examples=120, deadline=None, derandomize=True)
     def test_bit_flip_never_escapes_the_wire_format(
         self, kind, data, has_base, where
     ):
+        encode, decode = FRAMES[kind]
         has_base = has_base and kind == "exact"
-        frame = bytearray(_encode_rows(kind, data, has_base))
+        frame = bytearray(bytes(encode(data, has_base)))
+        assert decode(bytes(frame))[0].size == _framed_count(kind, frame)
         bit = where.draw(st.integers(0, len(frame) * 8 - 1))
         frame[bit // 8] ^= 1 << (bit % 8)
         try:
-            rows, flag = _decode_rows(kind, bytes(frame))
+            rows, flag = decode(bytes(frame))
         except ValueError:
-            assert bit < (HEADER_BYTES + 8) * 8  # header or shape word
+            if kind in ("exact", "raw"):
+                assert bit < (FRAME_HEADER_BYTES + 8) * 8  # header, shape
+            return
+        assert rows.size == _framed_count(kind, bytes(frame))
+        if kind not in ("exact", "raw"):
             return
         # Accepted: the flip hit EXACT's has_base bit, a row value, or the
         # shape word in a way that keeps the element count (0 rows, or
         # cols 1 -> 0 which reads back as a vector).
         assert rows.dtype == np.float32 and rows.size == data.size
-        assert bit == 32 or bit >= HEADER_BYTES * 8
+        assert bit == 32 or bit >= FRAME_HEADER_BYTES * 8
         assert (flag is not has_base) == (bit == 32)
 
 
 class TestCorruptFrames:
-    """Corrupted frames (the fault injector flips wire bytes) must fail
-    as wire-format ValueErrors, never as raw numpy buffer errors."""
+    """Damaged frames (hostile input: the fault injector's corruption is
+    a modelled, detected loss that flips no byte) must fail as
+    wire-format ValueErrors, never as raw numpy buffer errors."""
 
     def _quant_frame(self, matrix, bits=4):
-        return encode_quantized(BucketQuantizer(bits).encode(matrix))
+        return bytes(encode_quantized(BucketQuantizer(bits).encode(matrix)))
 
     def test_flipped_bits_byte_invalid_width(self, matrix):
         frame = bytearray(self._quant_frame(matrix))
@@ -392,7 +516,7 @@ class TestCorruptFrames:
     def test_raw_flags_rejected(self, matrix, flags):
         """The RAW encoder sets no flag; a frame carrying one is
         malformed."""
-        frame = bytearray(encode_raw(matrix))
+        frame = bytearray(bytes(encode_raw(matrix)))
         assert frame[4] == 0  # flags word: magic (2) + kind (2)
         frame[4:6] = flags.to_bytes(2, "little")
         with pytest.raises(ValueError, match="flag bits"):
@@ -402,7 +526,7 @@ class TestCorruptFrames:
     def test_selector_flags_rejected(self, matrix, flags):
         selection = np.zeros(matrix.shape[0], dtype=np.uint8)
         quantized = BucketQuantizer(4).encode(matrix)
-        frame = bytearray(encode_selector(selection, quantized, 0.5))
+        frame = bytearray(bytes(encode_selector(selection, quantized, 0.5)))
         assert frame[4] == 0
         frame[4] = flags
         with pytest.raises(ValueError, match="flag bits"):
@@ -412,7 +536,7 @@ class TestCorruptFrames:
         rng = np.random.default_rng(2)
         selection = rng.integers(0, 3, size=matrix.shape[0]).astype(np.uint8)
         quantized = BucketQuantizer(4).encode(matrix[selection != 1])
-        frame = bytearray(encode_selector(selection, quantized, 0.5))
+        frame = bytearray(bytes(encode_selector(selection, quantized, 0.5)))
         # sel_bytes field: header (16) + shape (8) + proportion (4).
         frame[28] = frame[28] + 1 & 0xFF
         with pytest.raises(ValueError, match="selector bytes"):
@@ -426,7 +550,7 @@ class TestCorruptFrames:
 
         selection = np.zeros(matrix.shape[0], dtype=np.uint8)
         quantized = BucketQuantizer(4).encode(matrix)
-        frame = bytearray(encode_selector(selection, quantized, 0.5))
+        frame = bytearray(bytes(encode_selector(selection, quantized, 0.5)))
         for rows in (matrix.shape[0] + 4, 2**31):
             struct.pack_into("<II", frame, 16, rows, 0)
             with pytest.raises(ValueError, match="selector bytes"):
@@ -444,11 +568,22 @@ class TestCorruptFrames:
             with pytest.raises(ValueError, match="need exactly"):
                 unpack_bits(np.zeros(nbytes, dtype=np.uint8), bits, count)
 
+    def test_selector_and_subset_must_agree(self, matrix):
+        """The nested QUANT frame ships exactly the rows the selector
+        does not predict (id 1); a selector that names more or fewer is
+        refused before the requester could scatter them."""
+        selection = np.zeros(matrix.shape[0], dtype=np.uint8)
+        quantized = BucketQuantizer(4).encode(matrix)
+        decode_selector(encode_selector(selection, quantized, 0.0))
+        selection[0] = 1  # one row predicted, yet every row ships
+        with pytest.raises(ValueError, match="selector names"):
+            decode_selector(encode_selector(selection, quantized, 0.0))
+
     def test_corrupt_nested_quant_in_selector(self, matrix):
         rng = np.random.default_rng(3)
         selection = rng.integers(0, 3, size=matrix.shape[0]).astype(np.uint8)
         quantized = BucketQuantizer(4).encode(matrix[selection != 1])
-        frame = bytearray(encode_selector(selection, quantized, 0.5))
+        frame = bytearray(bytes(encode_selector(selection, quantized, 0.5)))
         sel_bytes = (2 * selection.size + 7) // 8
         nested = 16 + 8 + 8 + sel_bytes  # nested QUANT frame's magic
         frame[nested] ^= 0xFF

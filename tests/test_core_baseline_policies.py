@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterSpec
-from repro.compression.quantization import MATRIX_PREFIX_BYTES
+from repro.cluster.serialize import MATRIX_PREFIX_BYTES, encode_raw
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.messages import ChannelKey
 from repro.core.policies import Float16Policy, OneBitPolicy, TopKPolicy
@@ -38,6 +38,14 @@ class TestFloat16:
     def test_half_representable_values_are_exact(self):
         x = np.array([[0.5, -1.25, 3.0, 0.0]], dtype=np.float32)
         np.testing.assert_array_equal(roundtrip(Float16Policy(), x), x)
+
+    def test_refuses_an_indexed_block(self, rows):
+        """A Delayed block frame is not a Float16 message: its row ids
+        must not be dropped in silence."""
+        message = Float16Policy().respond(KEY, rows, 0)
+        message.frame = encode_raw(rows[:3], index=np.arange(3))
+        with pytest.raises(ValueError, match="flag bits"):
+            Float16Policy().receive(KEY, message, 0)
 
 
 class TestTopK:

@@ -199,6 +199,17 @@ class TestGATTraining:
         metrics = trainer.evaluate_exact()
         assert set(metrics) == {"train", "val", "test"}
 
+    def test_edge_arrays_are_the_csr_not_int64_twins(self, small_graph):
+        """Each edge is spelled once, by the worker's CSR: ``col`` is a
+        view of its indices and ``src`` is built at their width."""
+        trainer = _trainer(small_graph, 2)
+        trainer.train(1)
+        for state, edges in zip(trainer.workers, trainer.engine.backend.edges):
+            indices = state.a_local.indices
+            assert np.shares_memory(edges.col, indices)
+            assert edges.src.dtype == indices.dtype
+            assert edges.src.size == indices.size
+
 
 class TestMultiHead:
     def _mh_trainer(self, graph, workers, heads, config=None):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster.serialize import decode_rows, encode_raw
 from repro.core.messages import ChannelKey, RawPolicy
 from repro.core.policies import CompressPolicy, DelayedPolicy
 
@@ -82,9 +83,28 @@ class TestDelayedPolicy:
         # a block payload against an empty cache directly.
         policy.respond(KEY, rows, t=1)
         policy._cache.clear()
-        block_payload = ("block", np.array([0]), rows[:1])
-        message.payload = block_payload
+        message.frame = encode_raw(rows[:1], index=np.array([0]))
         with pytest.raises(RuntimeError):
+            policy.receive(KEY, message, t=1)
+
+    def test_refuses_half_width_rows(self, rows):
+        """A Float16 frame is not a Delayed refresh: the cache holds
+        float32 rows and ``receive`` returns float32."""
+        policy = DelayedPolicy(rounds=2)
+        message = policy.respond(KEY, rows, t=0)
+        message.frame = encode_raw(rows.astype(np.float16))
+        with pytest.raises(ValueError, match="flag bits"):
+            policy.receive(KEY, message, t=0)
+
+    @pytest.mark.parametrize("row", [-1, 10**6])
+    def test_block_rows_outside_the_channel_raise(self, rows, row):
+        """A block's row ids are wire data: one outside the channel is a
+        ValueError, never an IndexError or a negative index that wraps."""
+        policy = DelayedPolicy(rounds=2)
+        policy.receive(KEY, policy.respond(KEY, rows, t=0), t=0)
+        message = policy.respond(KEY, rows, t=1)
+        message.frame = encode_raw(rows[:1], index=np.array([row]))
+        with pytest.raises(ValueError, match="outside"):
             policy.receive(KEY, message, t=1)
 
     def test_reset_clears_cache(self, rows):
@@ -93,7 +113,7 @@ class TestDelayedPolicy:
         policy.reset()
         # After reset, the responder sends full again.
         message = policy.respond(KEY, rows, t=5)
-        assert message.payload[0] == "full"
+        assert decode_rows(message.frame)[0] is None  # full: no row ids
 
     def test_invalid_rounds(self):
         with pytest.raises(ValueError):
@@ -104,4 +124,5 @@ class TestDelayedPolicy:
         other = ChannelKey(layer=2, responder=0, requester=1)
         policy.receive(KEY, policy.respond(KEY, rows, t=0), t=0)
         message = policy.respond(other, rows, t=3)
-        assert message.payload[0] == "full"  # other channel still cold
+        # Other channel still cold: a full refresh carries no row ids.
+        assert decode_rows(message.frame)[0] is None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reqec_owners import bind
+from frames import payload
 from repro.core.bit_tuner import BitTuner
 from repro.core.messages import ChannelKey
 from repro.core.reqec_fp import (
@@ -69,12 +70,12 @@ class TestSchedule:
         rows0 = np.zeros((4, 2), dtype=np.float32)
         rows1 = np.ones((4, 2), dtype=np.float32) * 2.0
         _, first = _roundtrip(policy, rows0, t=1)  # first boundary
-        assert first.payload[1] is False  # no base: both ends use zeros
+        assert payload(first)[1] is False  # no base: both ends use zeros
         np.testing.assert_array_equal(
             _trend(policy)[1], np.zeros_like(rows0)
         )
         _, message = _roundtrip(policy, rows1, t=3)  # second boundary
-        sent, has_base = message.payload
+        sent, has_base = payload(message)
         assert (message.kind, has_base) == ("exact", True)
         np.testing.assert_array_equal(sent, rows1)
         np.testing.assert_array_equal(
@@ -110,7 +111,7 @@ class TestSelector:
         _roundtrip(policy, base, t=3)
         _roundtrip(policy, base + 4 * step, t=7)
         result, message = _roundtrip(policy, base + 5 * step, t=8)
-        selection = message.payload[0]
+        selection = payload(message)[0]
         assert (selection == SELECT_PREDICTED).mean() > 0.9
         assert message.meta["proportion"] > 0.9
         np.testing.assert_allclose(
@@ -127,7 +128,7 @@ class TestSelector:
         _roundtrip(policy, rows, t=7)  # rate == 0
         jumped = rows + rng.random((8, 4)).astype(np.float32) * 5.0
         _, message = _roundtrip(policy, jumped, t=8)
-        selection = message.payload[0]
+        selection = payload(message)[0]
         assert (selection == SELECT_COMPRESSED).mean() > 0.5
 
     def test_reconstruction_matches_selected_candidates(self):
@@ -154,7 +155,7 @@ class TestSelector:
         _roundtrip(policy, rows, t=3)
         drifted = rows + 0.08
         result, message = _roundtrip(policy, drifted, t=4)
-        selection = message.payload[0]
+        selection = payload(message)[0]
         if (selection == SELECT_AVERAGE).any():
             # Averaged rows must equal (predicted + compressed) / 2.
             avg_rows = np.flatnonzero(selection == SELECT_AVERAGE)
@@ -178,7 +179,7 @@ class TestGranularities:
         rows = rng.random((10, 4)).astype(np.float32)
         _roundtrip(policy, rows, t=2)
         _, message = _roundtrip(policy, rows + 0.01, t=3)
-        selection = message.payload[0]
+        selection = payload(message)[0]
         assert len(np.unique(selection)) == 1
 
     def test_element_selection_shape(self):
@@ -187,7 +188,7 @@ class TestGranularities:
         rows = rng.random((7, 5)).astype(np.float32)
         _roundtrip(policy, rows, t=2)
         _, message = _roundtrip(policy, rows + 0.01, t=3)
-        assert message.payload[0].shape == (7, 5)
+        assert payload(message)[0].shape == (7, 5)
 
     def test_unknown_granularity_rejected(self):
         with pytest.raises(ValueError):
@@ -239,7 +240,7 @@ class TestErrors:
         rows = np.random.default_rng(8).random((4, 2)).astype(np.float32)
         responder.respond(KEY, rows, t=1)
         message = responder.respond(KEY, rows + 1.0, t=3)
-        assert message.payload[1] is True
+        assert payload(message)[1] is True
         with pytest.raises(RuntimeError, match="does not hold"):
             _policy(4, period=2).receive(KEY, message, t=3)
         # A snapshot of another shape: the requester's owner served two
@@ -339,12 +340,13 @@ class TestNoAliasingBetweenEnds:
         drifted += 100.0  # the caller reuses its buffer
         _assert_trend_unchanged(policy, before)
         np.testing.assert_array_equal(before[0], original)
-        sent_rows, has_base = message.payload
+        sent_rows, has_base = payload(message)
         assert has_base is True
         # The RSS invariant: both ends read the one table; what they
-        # hand out is the read-only payload, never the table itself.
+        # hand out is the read-only frame payload, never the table
+        # itself, and no copy of it.
         (table,) = policy._tables.values()
-        assert result is sent_rows
+        assert np.shares_memory(result, sent_rows)
         assert not np.shares_memory(sent_rows, table.h_last)
         for shared in (sent_rows, result):
             assert not shared.flags.writeable
@@ -373,7 +375,7 @@ class TestNoAliasingBetweenEnds:
         np.testing.assert_array_equal(again, expected)
 
         # ... and scribbling over the payload cannot reach either end.
-        selection, quantized, _ = message.payload
+        selection, quantized, _ = payload(message)
         selection[:] = 0
         quantized.packed[:] = 0
         quantized.bucket_values[:] = 0.0
@@ -386,5 +388,5 @@ class TestNoAliasingBetweenEnds:
         result, message = _roundtrip(policy, rows, t=0)
         np.testing.assert_array_equal(rows, original)
         result[:] = 0.0
-        message.payload.packed[:] = 0
+        payload(message).packed[:] = 0
         assert not policy._channels and not policy._tables

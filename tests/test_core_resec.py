@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frames import payload
 from repro.compression.quantization import SUPPORTED_BITS, BucketQuantizer
 from repro.core.messages import ChannelKey
 from repro.core.resec_bp import ResECPolicy
@@ -149,12 +150,12 @@ def test_residual_is_exactly_compensated_minus_delivered(bits):
     rows = rng.standard_normal((37, 5)).astype(np.float32)
     first = policy.respond(KEY, rows, t=0)
     np.testing.assert_array_equal(
-        policy._residual[KEY], rows - first.payload.decode()
+        policy._residual[KEY], rows - payload(first).decode()
     )
     carried = policy._residual[KEY].copy()
     second = policy.respond(KEY, rows, t=1)
     np.testing.assert_array_equal(
-        policy._residual[KEY], (rows + carried) - second.payload.decode()
+        policy._residual[KEY], (rows + carried) - payload(second).decode()
     )
 
 
@@ -183,8 +184,8 @@ class TestNoAliasing:
             policy.receive(KEY, message, t=1), expected
         )
 
-        message.payload.packed[:] = 0
-        message.payload.bucket_values[:] = 0.0
+        payload(message).packed[:] = 0
+        payload(message).bucket_values[:] = 0.0
         np.testing.assert_array_equal(policy._residual[KEY], residual)
         # Eq. 11 on the untouched inputs: residual + delivered == truth.
         np.testing.assert_allclose(
@@ -203,13 +204,13 @@ class TestNoAliasing:
         untouched = np.setdiff1d(np.arange(10), idx)
         assert not residual[untouched].any()
         np.testing.assert_allclose(
-            residual[idx] + message.payload.decode(), original, atol=1e-6
+            residual[idx] + payload(message).decode(), original, atol=1e-6
         )
 
         result = policy.receive(KEY, message, t=0)
         rows[:] = np.nan
         result[:] = np.nan
-        message.payload.packed[:] = 0
-        message.payload.bucket_values[:] = 0.0
+        payload(message).packed[:] = 0
+        payload(message).bucket_values[:] = 0.0
         np.testing.assert_array_equal(policy._residual[KEY], residual)
 

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from frames import payload
 from repro.baselines import CachedKHopBackend
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
@@ -204,8 +205,8 @@ class TestCrashWithResidualReset:
         policy.respond(key, first, 0)
         policy.invalidate_worker(1)
         assert not policy._residual[key].any()
-        zeroed = policy.respond(key, second, 1).payload.decode()
-        fresh = ResECPolicy(bits=2).respond(key, second, 1).payload.decode()
+        zeroed = payload(policy.respond(key, second, 1)).decode()
+        fresh = payload(ResECPolicy(bits=2).respond(key, second, 1)).decode()
         assert zeroed.tobytes() == fresh.tobytes()
         np.testing.assert_array_equal(
             policy._residual[key], second - fresh

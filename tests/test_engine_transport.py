@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.engine import ClusterRuntime
+from repro.cluster.serialize import decode_raw, encode_raw
 from repro.cluster.topology import ClusterSpec
 from repro.core.messages import ChannelKey, ChannelMessage, RawPolicy
 from repro.core.policies import (
@@ -102,7 +103,8 @@ _CHARGE = {"raw": 20.0, "exact": 20.0, "selector": 1.0, "quant": 1.0,
 
 
 class _FramePolicy:
-    """Ships the served rows as a fixed frame kind and does no work."""
+    """Ships the served rows in a RAW frame under a fixed ledger kind
+    and does no work."""
 
     name = "frame"
 
@@ -110,11 +112,10 @@ class _FramePolicy:
         self.kind = kind
 
     def respond(self, key, rows, t, rows_mask=None):
-        return ChannelMessage(kind=self.kind, payload=rows,
-                              nbytes=rows.nbytes)
+        return ChannelMessage(kind=self.kind, frame=encode_raw(rows))
 
     def receive(self, key, message, t):
-        return message.payload
+        return decode_raw(message.frame)
 
 
 def _charged_policy(case):

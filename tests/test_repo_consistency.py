@@ -9,10 +9,13 @@ import ast
 import importlib
 import py_compile
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from repro.cluster.serialize import FRAME_HEADER_BYTES, Frame
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -161,6 +164,8 @@ RETIRED_NAMES = (
     "he_uniform", "he_normal", "def uniform(", "def softmax(",
     "micro_f1", "macro_f1", "f1_scores", "confusion_matrix", "read_jsonl",
     "def max_error(",
+    "payload_bytes", "TopKPayload", "OneBitPayload",
+    "_build_compressed_payload", "message.payload",
 )
 
 
@@ -214,14 +219,6 @@ UNREFERENCED_ALLOWED = {
     "from_edge_list":
         "test graphs and the frozen loop partitioners in tests/oracles/ "
         "are built with it",
-    "encode_exact":
-        "the EXACT codec is a reference frame the size tests decode",
-    "decode_exact":
-        "the EXACT codec is a reference frame the size tests decode",
-    "encode_selector":
-        "the SELECTOR codec is a reference frame the size tests decode",
-    "decode_selector":
-        "the SELECTOR codec is a reference frame the size tests decode",
     "restore_trainer":
         "the library call that resumes a trainer from a checkpoint file "
         "(docs/api.md); the resume tests go through it",
@@ -742,9 +739,9 @@ class TestOneExchangePolicyBase:
 
 
 # One policy contract: what the transport reads of every policy. Each
-# ``respond`` names one of the ledger's frame kinds, ``receive`` returns
-# float32 rows of the served shape, and the paper's codecs size their
-# messages as the ``cluster/serialize.py`` frame of that kind.
+# ``respond`` names one of the ledger's frame kinds and ships a
+# ``cluster/serialize.py`` frame, whose length is the size it is
+# charged, and ``receive`` returns float32 rows of the served shape.
 CONTRACT_PERIOD = 3  # ReqEC-FP's T_tr: t = 0..T_tr+1 sends every kind
 
 
@@ -777,24 +774,8 @@ def _contract_policy(name: str):
     }[name]()
 
 
-def _frame(message) -> bytes:
-    """The ``cluster/serialize.py`` frame of ``message``'s kind, built
-    from its payload alone."""
-    from repro.cluster import serialize
-
-    encode = {
-        "raw": serialize.encode_raw,
-        "quant": serialize.encode_quantized,
-        "exact": serialize.encode_exact,
-        "selector": serialize.encode_selector,
-    }[message.kind]
-    payload = message.payload
-    return encode(*payload) if isinstance(payload, tuple) else encode(payload)
-
-
 class TestOnePolicyContract:
     KINDS = ("raw", "quant", "exact", "selector")
-    FRAMED = {"RawPolicy", "CompressPolicy", "ReqECPolicy", "ResECPolicy"}
 
     def test_kinds_are_the_ledger_byte_fields(self):
         from repro.obs.ledger import ChannelRecord
@@ -820,8 +801,12 @@ class TestOnePolicyContract:
             message = policy.respond(key, rows, t)
             assert message.kind in self.KINDS
             kinds.append(message.kind)
-            if name in self.FRAMED:
-                assert message.nbytes == len(_frame(message)), (name, t)
+            # The charged size is the frame's, header included.
+            assert isinstance(message.frame, Frame), (name, t)
+            wire = bytes(message.frame)
+            assert message.nbytes == len(wire), (name, t)
+            length = struct.unpack_from("<HHIQ", wire)[3]
+            assert length == len(wire) - FRAME_HEADER_BYTES, (name, t)
             decoded = policy.receive(key, message, t)
             assert isinstance(decoded, np.ndarray)
             assert decoded.dtype == np.float32

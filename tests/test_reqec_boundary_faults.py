@@ -13,8 +13,8 @@ elastic membership change — and audits every boundary message:
 * after every *delivered* boundary both ends read one state: the
   channel's entry in ``_channels`` (``boundary_t`` = this boundary) and
   its rows of the owner's trend table, bit-equal to the rows sent; the
-  requester hands on the read-only payload itself (the RSS invariant:
-  no end keeps a copy of its own);
+  requester hands on a view of the frame's read-only rows (the RSS
+  invariant: no end keeps a copy of its own);
 * the flag is clear exactly when the channel held no snapshot: before
   the first boundary, or after ``on_delivery_failure`` /
   ``invalidate_worker`` cleared its bit;
@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from frames import payload
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
@@ -94,7 +95,7 @@ class BoundaryAuditor:
         before = None if held is None else held.boundary_t
         message = self._respond(key, rows, t, rows_mask=rows_mask)
         if message.kind == "exact":
-            sent, has_base = message.payload
+            sent, has_base = payload(message)
             assert has_base is (key in self.base), (key, t)
             if has_base:
                 # The base is the last delivered boundary's snapshot.
@@ -111,7 +112,7 @@ class BoundaryAuditor:
         policy = self.policy
         if message.kind != "exact":
             return self._receive(key, message, t)
-        sent, has_base = message.payload
+        sent, has_base = payload(message)
         pending_t, before = self._pending.pop(key)
         assert pending_t == t
         if has_base:
@@ -121,7 +122,9 @@ class BoundaryAuditor:
         stale = key in policy._private
         assert stale is (key in self.received and key not in self.base)
         result = self._receive(key, message, t)
-        assert result is sent and not sent.flags.writeable
+        # No copy of its own: the rows handed on are the frame's.
+        assert np.shares_memory(result, sent)
+        assert not sent.flags.writeable and not result.flags.writeable
         h_last, m_cr, boundary_t = _trend(policy, key)
         assert boundary_t == t
         assert np.array_equal(h_last.view(np.uint32), sent.view(np.uint32))

@@ -37,6 +37,7 @@ import pytest
 from oracles import assert_same_as_parent
 from oracles.reqec import PerChannelReqECPolicy
 from reqec_owners import bind
+from frames import payload
 from repro.cluster.topology import ClusterSpec
 from repro.compression.quantization import SUPPORTED_BITS
 from repro.core.bit_tuner import BitTuner
@@ -64,6 +65,20 @@ def _bits(rows: np.ndarray) -> np.ndarray:
 def _assert_same_bits(got, want, where):
     assert got.shape == want.shape, where
     assert np.array_equal(_bits(got), _bits(want)), where
+
+
+def _assert_same_frame(message, expected, where):
+    """The live message against the parent's: kind, charged bytes, meta
+    and what its frame carries, decoded, against the parent's payload
+    (the selector's proportion travels as float32)."""
+    assert_same_as_parent(
+        (message.kind, message.nbytes, message.meta),
+        (expected.kind, expected.nbytes, expected.meta), where,
+    )
+    want = expected.payload
+    if expected.kind == "selector":
+        want = (*want[:2], float(np.float32(want[2])))
+    assert_same_as_parent(payload(message), want, f"{where} payload")
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +112,9 @@ class Lockstep:
     def respond(self, key, rows, t, rows_mask=None):
         message = self._respond(key, rows, t, rows_mask=rows_mask)
         expected = self.oracle.respond(key, rows, t, rows_mask=rows_mask)
-        assert_same_as_parent(message, expected, f"frame {key} t={t}")
+        _assert_same_frame(message, expected, f"frame {key} t={t}")
         if message.kind == "exact":
-            _assert_same_bits(message.payload[0], expected.payload[0],
+            _assert_same_bits(payload(message)[0], expected.payload[0],
                               f"exact rows {key} t={t}")
         if message.kind == "selector":
             self.selector_epochs.add((t, key))
@@ -289,9 +304,9 @@ def test_reconstruct_matches_the_parent(granularity, bits):
             rows = _rows_at(rng, base, t, 6)
             message = live.respond(key, rows, t)
             expected = parent.respond(key, rows, t)
-            assert_same_as_parent(message, expected, f"frame t={t}")
+            _assert_same_frame(message, expected, f"frame t={t}")
             kinds.append((message.kind, message.kind == "exact"
-                          and message.payload[1]))
+                          and payload(message)[1]))
             if t == 5:
                 live.on_delivery_failure(key, message)
                 parent.on_delivery_failure(key, expected)
@@ -337,7 +352,7 @@ def test_shared_rows_match_per_channel_state():
             key = ChannelKey(1, 0, requester)
             message = live.respond(key, h[rows], t)
             expected = parent.respond(key, h[rows], t)
-            assert_same_as_parent(message, expected, f"{key} t={t}")
+            _assert_same_frame(message, expected, f"{key} t={t}")
             _assert_same_bits(live.receive(key, message, t),
                               parent.receive(key, expected, t),
                               f"{key} t={t}")

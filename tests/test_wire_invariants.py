@@ -1,22 +1,36 @@
-"""Wire-size invariants: every byte count a policy *charges* must equal
-the length of the bytes the serializer actually *produces*.
+"""Wire-size invariants: every byte count a policy *charges* is the
+length of the frame it ships, and that frame is the layout
+``cluster/serialize.py`` documents.
 
-The traffic meter bills the computed ``nbytes`` of each message, so any
-drift between the accounting arithmetic and the real frames would skew
-every traffic figure the reproduction reports. These tests pin exact
-equality — no tolerances — across granularities, bit widths, matrix
-shapes, and the all-predicted (empty subset) selector edge case.
+The traffic meter bills ``ChannelMessage.nbytes``, the length of the
+message's frame, so these tests pin the frames themselves: their
+lengths against the documented layout, and the decoded content
+re-encoded to the same length — no tolerances — across granularities,
+bit widths, matrix shapes, and the all-predicted (empty subset)
+selector edge case. The layout's sizes have one owner.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster.serialize import (
+    MATRIX_PREFIX_BYTES,
+    decode_exact,
+    decode_quantized,
+    decode_selector,
     encode_exact,
     encode_quantized,
     encode_selector,
 )
-from repro.compression.quantization import SUPPORTED_BITS, BucketQuantizer
+from repro.compression.quantization import (
+    SUPPORTED_BITS,
+    BucketQuantizer,
+    packed_size,
+)
 from repro.core.bit_tuner import BitTuner
 from repro.core.messages import ChannelKey
 from repro.core.reqec_fp import SELECT_PREDICTED, ReqECPolicy
@@ -37,20 +51,27 @@ def _policy(granularity, bits=4):
     ), {(0, 1): 19})
 
 
-class TestQuantizedPayloadBytes:
+def _quant_frame_bytes(bits: int, count: int) -> int:
+    """The QUANT layout: frame header + shape word, (bits, lo, hi), the
+    ``2^B`` float32 bucket table and the packed ids."""
+    return MATRIX_PREFIX_BYTES + 9 + 4 * (1 << bits) + packed_size(count, bits)
+
+
+class TestQuantFrameLength:
     @pytest.mark.parametrize("bits", SUPPORTED_BITS)
     @pytest.mark.parametrize("shape", [None, (1, 1), (13,)])
-    def test_payload_bytes_equals_frame_length(self, rows, bits, shape):
+    def test_frame_length_is_the_quant_layout(self, rows, bits, shape):
         if shape is not None:
             rows = rows.reshape(-1)[: int(np.prod(shape))].reshape(shape)
-        quantized = BucketQuantizer(bits).encode(rows)
-        assert quantized.payload_bytes() == len(encode_quantized(quantized))
+        frame = encode_quantized(BucketQuantizer(bits).encode(rows))
+        assert len(frame) == _quant_frame_bytes(bits, rows.size)
+        assert len(frame) == len(bytes(frame))
 
-    def test_empty_matrix_payload_bytes(self):
+    def test_empty_matrix_frame_length(self):
         quantized = BucketQuantizer(4).encode(
             np.zeros((0, 7), dtype=np.float32), lo=-1.0, hi=2.0
         )
-        assert quantized.payload_bytes() == len(encode_quantized(quantized))
+        assert len(encode_quantized(quantized)) == _quant_frame_bytes(4, 0)
 
 
 class TestReqECAccounting:
@@ -60,9 +81,10 @@ class TestReqECAccounting:
         for t, based in ((3, False), (7, True)):
             message = policy.respond(ChannelKey(0, 0, 1), rows, t=t)
             assert message.kind == "exact"
-            sent, has_base = message.payload
+            sent, has_base = decode_exact(message.frame)
             assert has_base is based
             assert message.nbytes == len(encode_exact(sent, has_base))
+            assert message.nbytes == MATRIX_PREFIX_BYTES + rows.nbytes
 
     @pytest.mark.parametrize("granularity", ["vertex", "element", "matrix"])
     @pytest.mark.parametrize("bits", [2, 4, 8])
@@ -72,7 +94,7 @@ class TestReqECAccounting:
         policy.respond(key, rows, t=3)  # boundary primes the trend
         message = policy.respond(key, rows + 0.05, t=4)
         assert message.kind == "selector"
-        frame = encode_selector(*message.payload)
+        frame = encode_selector(*decode_selector(message.frame))
         assert message.nbytes == len(frame)
 
     @pytest.mark.parametrize("granularity", ["vertex", "element", "matrix"])
@@ -82,7 +104,9 @@ class TestReqECAccounting:
         policy = _policy(granularity)
         message = policy.respond(ChannelKey(0, 0, 1), rows, t=1)
         assert message.kind == "quant"
-        assert message.nbytes == len(encode_quantized(message.payload))
+        quantized = decode_quantized(message.frame)
+        assert message.nbytes == len(encode_quantized(quantized))
+        assert message.nbytes == _quant_frame_bytes(4, rows.size)
 
     @pytest.mark.parametrize("granularity", ["vertex", "element"])
     def test_all_predicted_selector_is_empty_but_sized(
@@ -90,19 +114,34 @@ class TestReqECAccounting:
     ):
         """The empty-mask edge: every vertex predicted, the quantized
         subset ships zero ids — the frame still carries the selector,
-        the true (lo, hi) domain, and the accounting still matches."""
+        the true (lo, hi) domain, and the accounting still matches.
+
+        Rows that follow the trend exactly (``H_last + M_cr`` in the
+        policy's own float32 ops) are predicted with zero error, so the
+        live policy selects the prediction everywhere."""
         policy = _policy(granularity)
-        quantizer = BucketQuantizer(4)
-        ids, reps, lo, hi = quantizer.encode_ids(rows)
+        key = ChannelKey(0, 0, 1)
+        drift = np.float32(0.25) * np.cos(rows)
+        policy.respond(key, rows, t=3)
+        later = rows + drift
+        policy.respond(key, later, t=7)  # M_cr = (later - rows) / 4
+        rate = later - rows
+        rate /= 4
+        message = policy.respond(key, rate + later, t=8)
+        assert message.kind == "selector"
+        selection, quantized, proportion = decode_selector(message.frame)
+        assert (selection == SELECT_PREDICTED).all() and proportion == 1.0
         shape = rows.shape if granularity == "element" else rows.shape[:1]
-        selection = np.full(shape, SELECT_PREDICTED, dtype=np.uint8)
-        quantized, nbytes = policy._build_compressed_payload(
-            rows, selection, quantizer, ids, reps, lo, hi
-        )
+        assert selection.shape == shape
         assert quantized.num_elements == 0
+        _, _, lo, hi = BucketQuantizer(4).encode_ids(rate + later)
         assert quantized.lo == lo and quantized.hi == hi
-        frame = encode_selector(selection, quantized, 1.0)
-        assert nbytes == len(frame)
+        assert message.nbytes == len(
+            encode_selector(selection, quantized, 1.0)
+        ) == (
+            MATRIX_PREFIX_BYTES + 8 + packed_size(selection.size, 2)
+            + _quant_frame_bytes(4, 0)
+        )
 
 
 class TestFramesMatchPreRewriteCodec:
@@ -134,7 +173,7 @@ class TestFramesMatchPreRewriteCodec:
                 hi=got.hi,
                 bucket_values=quantizer.representatives(got.lo, got.hi),
             )
-            assert encode_quantized(got) == encode_quantized(want)
+            assert bytes(encode_quantized(got)) == bytes(encode_quantized(want))
 
     @pytest.mark.parametrize("granularity", ["vertex", "element", "matrix"])
     def test_selector_frame_bytes(self, rows, granularity,
@@ -147,8 +186,8 @@ class TestFramesMatchPreRewriteCodec:
         key = ChannelKey(0, 0, 1)
         policy.respond(key, rows, t=3)
         message = policy.respond(key, rows + 0.05, t=4)
-        selection, quantized, _ = message.payload
-        frame = encode_selector(selection, quantized, 0.25)
+        selection, quantized, _ = decode_selector(message.frame)
+        frame = bytes(encode_selector(selection, quantized, 0.25))
         want_selector = reference_pack_bits(
             selection.astype(np.uint32).ravel(), 2
         ).tobytes()
@@ -157,54 +196,106 @@ class TestFramesMatchPreRewriteCodec:
             0.25, len(want_selector)
         )
         assert frame[at + 8:at + 8 + len(want_selector)] == want_selector
-        assert frame[at + 8 + len(want_selector):] == (
+        assert frame[at + 8 + len(want_selector):] == bytes(
             encode_quantized(quantized)
         )
 
 
+SIZE_NAMES = {"FRAME_HEADER_BYTES", "SHAPE_WORD_BYTES", "MATRIX_PREFIX_BYTES"}
+SIZE_SUFFIXES = ("HEADER_BYTES", "SHAPE_WORD_BYTES", "PREFIX_BYTES")
+WIRE_OWNER = Path(repro.__file__).parent / "cluster" / "serialize.py"
+
+
+def _size_offenders(source: str) -> list[str]:
+    """``kind:line`` for each place a module sizes a message itself:
+    ``name`` — a reference to one of the layout's size constants,
+    ``redefined`` — a layout size bound to a constant under a name of
+    its own (``HEADER_BYTES = 16``),
+    ``literal`` — the ``16 + 8`` prefix spelled in literals,
+    ``message`` — a ``ChannelMessage(...)`` handed anything but its
+    ``kind``, ``frame`` and ``meta``."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AnnAssign)
+            else []
+        )
+        redefined = isinstance(
+            getattr(node, "value", None), ast.Constant
+        ) and any(
+            getattr(t, "id", getattr(t, "attr", "")).endswith(SIZE_SUFFIXES)
+            for t in targets
+        )
+        named = (
+            isinstance(node, ast.Name) and node.id in SIZE_NAMES
+            or isinstance(node, ast.Attribute) and node.attr in SIZE_NAMES
+            or isinstance(node, ast.alias) and node.name in SIZE_NAMES
+        )
+        literal = (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Add)
+            and isinstance(node.right, ast.Constant)
+            and node.right.value == 8
+            and isinstance(node.left, ast.Constant)
+            and node.left.value == 16
+        )
+        message = (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", ""))
+            == "ChannelMessage"
+            and (len(node.args) > 3 or any(
+                k.arg not in ("kind", "frame", "meta") for k in node.keywords
+            ))
+        )
+        for kind, hit in (("name", named), ("redefined", redefined),
+                          ("literal", literal), ("message", message)):
+            if hit:
+                offenders.append(f"{kind}:{getattr(node, 'lineno', '?')}")
+    return offenders
+
+
 class TestFrameSizesHaveOneOwner:
-    """The frame-header and shape-word sizes are defined once, in
-    ``compression/quantization.py``; everything else imports them."""
+    """The frame layout's sizes are defined once, in
+    ``cluster/serialize.py``; no other ``src/`` module names them,
+    spells them as literals, or hands a message a size — a message's
+    size is its frame's length."""
 
     def test_sizes_are_what_the_serializer_writes(self):
-        from repro.cluster.serialize import HEADER_BYTES, encode_raw
-        from repro.compression.quantization import (
+        from repro.cluster.serialize import (
             FRAME_HEADER_BYTES,
-            MATRIX_PREFIX_BYTES,
             SHAPE_WORD_BYTES,
+            encode_raw,
         )
 
         empty = np.zeros((0, 3), dtype=np.float32)
-        assert HEADER_BYTES == FRAME_HEADER_BYTES == 16
+        assert (FRAME_HEADER_BYTES, SHAPE_WORD_BYTES) == (16, 8)
         assert len(encode_raw(empty)) == MATRIX_PREFIX_BYTES == (
             FRAME_HEADER_BYTES + SHAPE_WORD_BYTES
         )
 
-    def test_no_module_spells_them_again(self):
-        import ast
-        from pathlib import Path
-
-        import repro
-
-        owner = Path(repro.__file__).parent / "compression" / "quantization.py"
-        offenders = []
-        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                redefined = (
-                    isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Constant)
-                    and any(getattr(t, "id", "").endswith("HEADER_BYTES")
-                            for t in node.targets)
-                )
-                # ``16 + 8 [+ ...]``: the prefix as literals.
-                literal_prefix = (
-                    isinstance(node, ast.BinOp)
-                    and isinstance(node.op, ast.Add)
-                    and isinstance(node.right, ast.Constant)
-                    and node.right.value == 8
-                    and isinstance(node.left, ast.Constant)
-                    and node.left.value == 16
-                )
-                if (redefined and path != owner) or literal_prefix:
-                    offenders.append(f"{path.name}:{node.lineno}")
+    def test_no_other_module_sizes_a_message(self):
+        offenders = [
+            f"{path.name}:{offender}"
+            for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+            if path != WIRE_OWNER
+            for offender in _size_offenders(path.read_text())
+        ]
         assert offenders == []
+
+    def test_the_guard_sees_planted_sizes(self):
+        sample = (
+            "from repro.cluster.serialize import MATRIX_PREFIX_BYTES\n"
+            "n = 16 + 8 + serialize.SHAPE_WORD_BYTES\n"
+            "m = ChannelMessage(kind='raw', frame=f, nbytes=n)\n"
+            "ok = ChannelMessage(kind='raw', frame=f, meta={})\n"
+            "bad = ChannelMessage('raw', f, {}, n)\n"
+            "HEADER_BYTES = 16\n"
+            "WIRE_HEADER_BYTES: int = 16\n"
+            "self.MATRIX_PREFIX_BYTES = 24\n"
+            "HEADER_BYTES = _HEADER.size\n"
+        )
+        assert sorted(_size_offenders(sample)) == [
+            "literal:2", "message:3", "message:5", "name:1", "name:2",
+            "name:8", "redefined:6", "redefined:7", "redefined:8",
+        ]
