@@ -3,8 +3,7 @@
 Partitioning controls ``g_rmt`` — the average number of remote 1-hop
 neighbours per vertex — which multiplies directly into EC-Graph's
 communication bill (Table II). This example partitions one graph with
-Hash, streaming BFS/LDG and the METIS-like multilevel partitioner,
-prints their edge-cut/balance/halo statistics (halo rows — the distinct
+Hash and the METIS-like multilevel partitioner, prints their edge-cut/balance/halo statistics (halo rows — the distinct
 remote vertices a part fetches each layer — are what the wire carries),
 and trains EC-Graph under each to show the traffic difference end to end
 (the paper's Fig. 11 axis).
@@ -19,7 +18,7 @@ from repro.analysis.reporting import format_table
 from repro.cluster import ClusterSpec
 from repro.core import ECGraphTrainer, ModelConfig
 from repro.graph import load_dataset
-from repro.partition import make_partitioner, partition_stats
+from repro.partition import make_partitioner, partition_stats, partitioner_names
 
 WORKERS = 6
 EPOCHS = 20
@@ -31,7 +30,7 @@ def main() -> None:
     print()
 
     rows = []
-    for method in ("hash", "bfs", "metis", "spectral"):
+    for method in partitioner_names():
         partitioner = make_partitioner(method, seed=0)
         partition = partitioner.partition(graph.adjacency, WORKERS)
         stats = partition_stats(graph.adjacency, partition)
@@ -64,8 +63,8 @@ def main() -> None:
     ))
     print(
         "\ng_rmt (avg remote 1-hop neighbours) is the multiplier in"
-        "\nTable II's communication cost — locality-aware partitioners"
-        "\nbuy lower traffic at higher partitioning cost."
+        "\nTable II's communication cost — the locality-aware partitioner"
+        "\nbuys lower traffic at a higher partitioning cost."
     )
 
 

@@ -38,7 +38,7 @@ from repro.core.config import ECGraphConfig
 from repro.faults.scenarios import scenario_names
 from repro.graph.datasets import PAPER_STATS, dataset_names, load_dataset
 from repro.obs import ObsConfig
-from repro.partition import make_partitioner, partition_stats
+from repro.partition import make_partitioner, partition_stats, partitioner_names
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -366,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     part.add_argument("--dataset", default="reddit", choices=dataset_names())
     part.add_argument("--workers", type=int, default=6)
     part.add_argument("--methods", nargs="+",
-                      default=["hash", "bfs", "metis"],
-                      choices=["hash", "bfs", "metis", "spectral"])
+                      default=partitioner_names(),
+                      choices=partitioner_names())
     part.set_defaults(func=_cmd_partition)
 
     rep = sub.add_parser(

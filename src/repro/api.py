@@ -40,7 +40,7 @@ def train_ecgraph(
             backward, ``T_tr = 10``).
         cluster: Explicit cluster topology; defaults to one worker per
             machine over Gigabit Ethernet.
-        partitioner: ``hash`` (paper default), ``bfs`` or ``metis``.
+        partitioner: ``hash`` (paper default) or ``metis``.
         patience: Early-stopping patience on validation accuracy.
         name: Label attached to the returned run.
 

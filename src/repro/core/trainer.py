@@ -113,8 +113,12 @@ class ECGraphTrainer:
         self.spec = cluster_spec
         self.config = config or ECGraphConfig()
         self.obs = Telemetry(self.config.obs)
-        self._partitioner_name = partitioner
         self._given_partition = partition
+        # Built here so an unknown name fails at construction.
+        self._partitioner = (
+            make_partitioner(partitioner, seed=self.config.seed)
+            if partition is None else None
+        )
 
         self.runtime: ClusterRuntime | None = None
         self.servers: ParameterServerGroup | None = None
@@ -151,10 +155,7 @@ class ECGraphTrainer:
             self.partition = self._given_partition
             partition_seconds = self.partition.seconds
         else:
-            partitioner = make_partitioner(
-                self._partitioner_name, seed=self.config.seed
-            )
-            self.partition = partitioner.partition(
+            self.partition = self._partitioner.partition(
                 self.graph.adjacency, self.spec.num_workers
             )
         if self.partition.num_parts != self.spec.num_workers:

@@ -122,18 +122,6 @@ class CSRGraph:
             None if self.weights is None else np.insert(self.weights, at, 1.0),
         )
 
-    def to_scipy(self):
-        """Export as a :class:`scipy.sparse.csr_matrix`."""
-        from scipy.sparse import csr_matrix
-
-        data = (
-            np.ones(self.num_edges, dtype=np.float32)
-            if self.weights is None
-            else self.weights
-        )
-        n = self.num_vertices
-        return csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
 
 def from_edge_list(
     edges: Iterable[tuple[int, int]] | np.ndarray,

@@ -185,10 +185,6 @@ class GraphStore(abc.ABC):
             yield lo, hi
             lo = hi
 
-    def neighbors(self, vertex: int) -> np.ndarray:
-        indices, _ = self.adjacency_block(vertex, vertex + 1)
-        return indices
-
     def to_csr(self) -> CSRGraph:
         """Materialize the full CSR (tests / small graphs only)."""
         chunks = list(self.iter_adjacency())

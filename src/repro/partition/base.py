@@ -71,10 +71,9 @@ class Partitioner:
     """Base class of every partitioning algorithm.
 
     Partitioners take a :class:`~repro.graph.store.GraphStore` (possibly
-    out-of-core). Adjacency-free methods (hash) never touch the columns;
-    bfs, metis and spectral read the whole topology once with
-    :meth:`~repro.graph.store.GraphStore.to_csr` (zero-copy on a memory
-    store) and are in-memory algorithms.
+    out-of-core). Hash never touches the columns; metis reads the whole
+    topology once with :meth:`~repro.graph.store.GraphStore.to_csr`
+    (zero-copy on a memory store) and is an in-memory algorithm.
 
     A subclass writes :meth:`_assign`; :meth:`partition` raises
     ``ValueError("num_parts must be positive")`` for ``num_parts <= 0``

@@ -115,7 +115,7 @@ class MetisLikePartitioner(Partitioner):
     ) -> np.ndarray:
         # Multilevel coarsening is a whole-graph in-memory algorithm: the
         # topology is read whole up front (zero-copy on a memory store).
-        # Scale-bound deployments should partition with hash or bfs.
+        # Scale-bound deployments should partition with hash.
         graph = store.to_csr()
         rng = np.random.default_rng(self.seed)
         if num_parts == 1:

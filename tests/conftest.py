@@ -121,7 +121,6 @@ class _ReferenceSetup:
     """The parent commit's set-up path."""
 
     MetisLikePartitioner = partitioners._ReferenceMetisLikePartitioner
-    BFSPartitioner = partitioners._ReferenceBFSPartitioner
     induced_subgraph = staticmethod(subgraph._reference_induced_subgraph)
     build_worker_states = staticmethod(subgraph._reference_build_worker_states)
     with_self_loops = staticmethod(csr._reference_with_self_loops)

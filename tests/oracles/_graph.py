@@ -4,8 +4,9 @@
 The parent-commit oracles predate that and read a resident record with a
 ``.features`` matrix and a :class:`CSRGraph` adjacency, or coerce their
 inputs with ``as_topology`` / ``as_bundle``. This module keeps those
-three names for them (their one edit is to import from here) and
-:func:`resident`, which turns a bundle into the record.
+three names for them (their one edit is to import from here),
+:func:`resident`, which turns a bundle into the record, and
+:func:`to_scipy`, the scipy view the dense reference checks build.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.graph.csr import CSRGraph
 from repro.graph.store.base import GraphStore, GraphStoreBundle
 from repro.graph.store.memory import MemoryGraphStore, memory_bundle
 
-__all__ = ["AttributedGraph", "as_bundle", "as_topology", "resident"]
+__all__ = ["AttributedGraph", "as_bundle", "as_topology", "resident", "to_scipy"]
 
 
 @dataclass
@@ -71,3 +73,15 @@ def as_bundle(graph: AttributedGraph | GraphStoreBundle) -> GraphStoreBundle:
         graph.val_mask, graph.test_mask, graph.num_classes, graph.name,
         graph.meta,
     )
+
+
+def to_scipy(graph: CSRGraph) -> csr_matrix:
+    """``graph`` as a :class:`scipy.sparse.csr_matrix` (unit weights when
+    it has none)."""
+    data = (
+        np.ones(graph.num_edges, dtype=np.float32)
+        if graph.weights is None
+        else graph.weights
+    )
+    n = graph.num_vertices
+    return csr_matrix((data, graph.indices, graph.indptr), shape=(n, n))

@@ -1,18 +1,9 @@
-"""The pre-rewrite partitioners: the multilevel coarsening and the
-list-walking BFS/LDG partitioner, with their per-vertex Python loops
-over ``graph.neighbors(v)`` / ``graph.edge_weights(v)``. Its one edit:
-``as_topology`` is imported from ``oracles._graph`` since ``src/``
-retired it."""
-
-import time
-from collections import deque
+"""The pre-rewrite multilevel coarsening, with its per-vertex Python
+loops over ``graph.neighbors(v)`` / ``graph.edge_weights(v)``."""
 
 import numpy as np
 
-from oracles._graph import as_topology
 from repro.graph.csr import CSRGraph, from_edge_list
-from repro.graph.store.base import GraphStore
-from repro.partition.base import Partition
 
 
 class _ReferenceMetisLikePartitioner:
@@ -87,81 +78,3 @@ class _ReferenceMetisLikePartitioner:
         edges = np.stack([merged_src, merged_dst], axis=1)
         coarse = from_edge_list(edges, next_id, weights=merged_w)
         return coarse, mapping, coarse_weight
-
-
-class _ReferenceBFSPartitioner:
-    """Linear Deterministic Greedy placement over a BFS vertex stream."""
-
-    name = "bfs"
-
-    def __init__(self, seed: int = 0, slack: float = 1.05):
-        """Args:
-        seed: Seed for BFS root selection.
-        slack: Maximum allowed part size as a multiple of the ideal
-            ``n / num_parts``; parts at capacity are skipped.
-        """
-        if slack < 1.0:
-            raise ValueError("slack must be >= 1")
-        self.seed = seed
-        self.slack = slack
-
-    def partition(
-        self, graph: CSRGraph | GraphStore, num_parts: int
-    ) -> Partition:
-        start = time.perf_counter()
-        # The traversal is random-access by nature; going through the
-        # store keeps out-of-core inputs workable (the LRU residency
-        # bounds memory), at the cost of chunk faults when the BFS
-        # frontier hops across chunk boundaries.
-        graph = as_topology(graph)
-        n = graph.num_vertices
-        capacity = int(np.ceil(self.slack * n / num_parts))
-        assignment = np.full(n, -1, dtype=np.int64)
-        sizes = np.zeros(num_parts, dtype=np.int64)
-        rng = np.random.default_rng(self.seed)
-
-        order = self._bfs_order(graph, rng)
-        for v in order:
-            neighbour_counts = np.zeros(num_parts, dtype=np.float64)
-            for u in graph.neighbors(int(v)):
-                part = assignment[u]
-                if part >= 0:
-                    neighbour_counts[part] += 1.0
-            # LDG score: neighbours already in the part, scaled by the
-            # remaining capacity fraction, so full parts become unattractive.
-            score = neighbour_counts * (1.0 - sizes / capacity)
-            score[sizes >= capacity] = -np.inf
-            best = int(np.argmax(score))
-            if score[best] == -np.inf:
-                best = int(np.argmin(sizes))
-            assignment[v] = best
-            sizes[best] += 1
-
-        return Partition(
-            assignment=assignment,
-            num_parts=num_parts,
-            method=self.name,
-            seconds=time.perf_counter() - start,
-        )
-
-    @staticmethod
-    def _bfs_order(graph: GraphStore, rng: np.random.Generator) -> np.ndarray:
-        """Full BFS traversal order, restarting at random unvisited roots."""
-        n = graph.num_vertices
-        visited = np.zeros(n, dtype=bool)
-        order = np.empty(n, dtype=np.int64)
-        cursor = 0
-        for root in rng.permutation(n):
-            if visited[root]:
-                continue
-            queue = deque([int(root)])
-            visited[root] = True
-            while queue:
-                v = queue.popleft()
-                order[cursor] = v
-                cursor += 1
-                for u in graph.neighbors(v):
-                    if not visited[u]:
-                        visited[u] = True
-                        queue.append(int(u))
-        return order

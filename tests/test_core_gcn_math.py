@@ -7,6 +7,7 @@ so these are the most load-bearing tests in the suite.
 
 import numpy as np
 import pytest
+from oracles._graph import to_scipy
 from scipy.sparse import csr_matrix
 
 from repro.core.gcn_math import (
@@ -40,7 +41,7 @@ def setup():
             seed=1,
         )
     )
-    a = normalized_adjacency(graph.adjacency).to_csr().to_scipy()
+    a = to_scipy(normalized_adjacency(graph.adjacency).to_csr())
     x = graph.feature_store.to_array().astype(np.float64)
     w1 = rng.standard_normal((d_in, d_hidden)) * 0.3
     w2 = rng.standard_normal((d_hidden, classes)) * 0.3

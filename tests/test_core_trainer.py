@@ -176,6 +176,18 @@ class TestECGraphPipeline:
         with pytest.raises(ValueError, match="parts"):
             trainer.setup()
 
+    @pytest.mark.parametrize("name", ["bfs", "spectral"])
+    def test_unknown_partitioner_rejected_at_construction(self, name):
+        class Untouchable:
+            def __getattr__(self, attribute):
+                raise AssertionError(f"graph.{attribute} read before the check")
+
+        with pytest.raises(KeyError, match="known: hash, metis"):
+            ECGraphTrainer(
+                Untouchable(), ModelConfig(), ClusterSpec(num_workers=2),
+                ECGraphConfig(), partitioner=name,
+            )
+
     def test_run_metadata(self, small_graph):
         config = ECGraphConfig()
         _, run = _train(small_graph, 3, config, epochs=2)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles._graph import to_scipy
 
 from repro.core.worker import build_worker_states
 from repro.graph.normalize import normalized_adjacency
@@ -83,7 +84,7 @@ class TestAdjacencyCorrectness:
         equal the global normalized aggregation restricted to the worker's
         rows — the foundation of distributed == standalone equality."""
         workers, partition, normalized, graph = states
-        dense_global = normalized.to_csr().to_scipy().toarray()
+        dense_global = to_scipy(normalized.to_csr()).toarray()
         features = graph.feature_store.to_array()
         expected_all = dense_global @ features
         for state in workers:

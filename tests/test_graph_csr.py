@@ -89,13 +89,3 @@ class TestSelfLoops:
         row0 = dict(zip(looped.neighbors(0), looped.edge_weights(0)))
         assert row0[0] == pytest.approx(1.0)
         assert row0[1] == pytest.approx(0.25)
-
-
-class TestScipyInterop:
-    def test_same_edges(self, tiny_csr):
-        coo = tiny_csr.to_scipy().tocoo()
-        assert set(zip(coo.row.tolist(), coo.col.tolist())) == _edges(tiny_csr)
-
-    def test_weighted(self):
-        g = from_edge_list([(0, 1), (1, 0)], 2, weights=[0.5, 2.0])
-        assert g.to_scipy()[0, 1] == pytest.approx(0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import assert_same_as_parent
+from oracles._graph import to_scipy
 from oracles.normalize import gcn_normalize, row_normalize
 from repro.graph.csr import from_edge_list
 from repro.graph.normalize import normalized_adjacency
@@ -16,7 +17,7 @@ def _normalized(graph, scheme="gcn"):
 
 
 def _dense(graph):
-    return graph.to_scipy().toarray()
+    return to_scipy(graph).toarray()
 
 
 class TestGCNNormalize:

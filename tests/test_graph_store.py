@@ -228,11 +228,6 @@ class TestAdjacencyIteration:
             edges = int(store.indptr[hi] - store.indptr[lo])
             assert edges <= 64 or hi - lo == 1
 
-    def test_neighbors_match_csr(self, graph, csr, mmap_root):
-        store = open_bundle(mmap_root).adjacency
-        for v in (0, 96, 97, 150, graph.num_vertices - 1):
-            np.testing.assert_array_equal(store.neighbors(v), csr.neighbors(v))
-
 
 class TestNormalizedStore:
     @pytest.mark.parametrize("scheme,reference", [

@@ -27,10 +27,8 @@ from repro.graph.streaming import (
 from repro.graph.store import MemoryGraphStore
 from repro.graph.subgraph import induced_subgraph
 from repro.partition import (
-    BFSPartitioner,
     HashPartitioner,
     MetisLikePartitioner,
-    SpectralPartitioner,
 )
 from repro.partition.stats import partition_stats
 
@@ -427,9 +425,7 @@ class TestStreamRmatBackends:
 
 PARTITIONERS = [
     HashPartitioner(),
-    BFSPartitioner(seed=0),
     MetisLikePartitioner(seed=0),
-    SpectralPartitioner(seed=0),
 ]
 
 

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles._graph import to_scipy
 from scipy.stats import chi2
 
 from repro.baselines.ml_centered import capped_khop_subgraph
@@ -69,7 +70,7 @@ class TestInducedSubgraph:
         assert sub.weights is not None
         assert sub.weights.shape == sub.indices.shape
         # Weight of edge 1->2 in the subgraph equals the global weight.
-        dense = normalized.to_csr().to_scipy().toarray()
+        dense = to_scipy(normalized.to_csr()).toarray()
         row1 = slice(sub.indptr[0], sub.indptr[1])
         for col, w in zip(sub.indices[row1], sub.weights[row1]):
             global_col = (

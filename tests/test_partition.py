@@ -1,4 +1,4 @@
-"""Unit tests for the three partitioners."""
+"""Unit tests for the two partitioners."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,13 @@ from repro.graph.generators import GraphSpec
 from repro.graph.store import MemoryGraphStore
 from repro.graph.streaming import stream_graph
 from repro.partition import (
-    BFSPartitioner,
     HashPartitioner,
     MetisLikePartitioner,
-    SpectralPartitioner,
     Partition,
     Partitioner,
     make_partitioner,
     partition_stats,
+    partitioner_names,
 )
 
 
@@ -37,9 +36,7 @@ def community_graph():
 
 ALL_PARTITIONERS = [
     HashPartitioner(),
-    BFSPartitioner(seed=0),
     MetisLikePartitioner(seed=0),
-    SpectralPartitioner(seed=0),
 ]
 
 
@@ -74,7 +71,7 @@ class TestInvariants:
         assert partition.seconds >= 0.0
 
 
-@pytest.mark.parametrize("name", ["hash", "bfs", "metis", "spectral"])
+@pytest.mark.parametrize("name", ["hash", "metis"])
 class TestDegenerateInputs:
     """Every partitioner rejects a non-positive part count the same way,
     before touching the graph, and accepts the degenerate graphs."""
@@ -175,69 +172,6 @@ class TestQuality:
         )
         assert metis_stats.edge_cut < hash_stats.edge_cut
 
-    def test_bfs_beats_hash_on_communities(self, community_graph):
-        hash_stats = partition_stats(
-            community_graph, HashPartitioner().partition(community_graph, 2)
-        )
-        bfs_stats = partition_stats(
-            community_graph, BFSPartitioner(seed=0).partition(community_graph, 2)
-        )
-        assert bfs_stats.edge_cut < hash_stats.edge_cut
-
-    def test_spectral_beats_hash_on_communities(self, community_graph):
-        hash_stats = partition_stats(
-            community_graph, HashPartitioner().partition(community_graph, 2)
-        )
-        spectral_stats = partition_stats(
-            community_graph,
-            SpectralPartitioner(seed=0).partition(community_graph, 2),
-        )
-        assert spectral_stats.edge_cut < hash_stats.edge_cut
-
-    def test_spectral_odd_part_count(self, community_graph):
-        partition = SpectralPartitioner(seed=0).partition(community_graph, 3)
-        sizes = partition.part_sizes()
-        assert sizes.min() > 0
-        assert sizes.max() / sizes.min() < 3.0
-
-
-class TestSpectralSolverFailure:
-    """When Lanczos gives up, a small region is solved densely and a
-    large one is an error — never an ``n x n`` array."""
-
-    @pytest.fixture
-    def lanczos_gives_up(self, monkeypatch):
-        import repro.partition.spectral as spectral
-        from scipy.sparse.linalg import ArpackNoConvergence
-
-        def give_up(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", None, None)
-
-        monkeypatch.setattr(spectral, "eigsh", give_up)
-
-    @staticmethod
-    def _ring(n):
-        arcs = [(v, (v + 1) % n) for v in range(n)]
-        return MemoryGraphStore(
-            from_edge_list(arcs + [(u, v) for v, u in arcs], n)
-        )
-
-    def test_large_region_is_reported_not_densified(
-        self, lanczos_gives_up, monkeypatch
-    ):
-        def no_dense_solve(*args, **kwargs):
-            raise AssertionError("dense eigensolve on a large region")
-
-        monkeypatch.setattr(np.linalg, "eigh", no_dense_solve)
-        with pytest.raises(ValueError, match="10000-vertex region"):
-            SpectralPartitioner(seed=0).partition(self._ring(10_000), 2)
-
-    def test_small_region_falls_back_to_the_dense_solve(self, lanczos_gives_up):
-        partition = SpectralPartitioner(seed=0).partition(self._ring(300), 2)
-        assert partition.part_sizes().tolist() == [150, 150]
-        cut = partition_stats(self._ring(300), partition).edge_cut
-        assert cut == 4  # two arcs each way: the ring is cut in two places
-
 
 class TestPartitionObject:
     def test_out_of_range_part_id_rejected(self):
@@ -255,10 +189,13 @@ class TestPartitionObject:
 
 
 class TestFactory:
-    @pytest.mark.parametrize("name", ["hash", "bfs", "metis", "spectral"])
+    @pytest.mark.parametrize("name", ["hash", "metis"])
     def test_make(self, name):
         assert make_partitioner(name).name == name
 
     def test_unknown(self):
         with pytest.raises(KeyError, match="metis"):
             make_partitioner("random")
+
+    def test_names_list_the_registry(self):
+        assert partitioner_names() == ["hash", "metis"]

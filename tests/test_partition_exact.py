@@ -1,14 +1,15 @@
 """The set-up path rewrite is *exact*: same answer, bit for bit.
 
 ``MetisLikePartitioner._coarsen`` (list-walking matching, one-sort
-contraction), ``BFSPartitioner`` (list-walking BFS, bincount LDG tally),
-``build_worker_states`` (one adjacency sweep for all workers) and the
-vectorised ``CSRGraph.with_self_loops`` are compared
+contraction), ``build_worker_states`` (one adjacency sweep for all
+workers) and the vectorised ``CSRGraph.with_self_loops`` are compared
 with the verbatim pre-rewrite implementations kept in ``conftest.py``
 (``reference_setup``): ``np.array_equal`` on every array, over a graph
 zoo built to hit the places where a faster formulation could drift —
 parallel arcs, self-loops, directed inputs, isolated vertices and
 float32 weights wide enough that summation order shows.
+``HashPartitioner`` is compared with its closed form in Python
+integers, which wrap at 2**64 only where the rule says they do.
 
 What the multilevel partitioner does *below* the coarsening is no longer
 pinned to a loop oracle — its objective changed — and is held to the
@@ -34,7 +35,6 @@ from repro.graph.store import (
 from repro.graph.streaming import stream_graph, stream_rmat_graph
 from repro.graph.subgraph import induced_subgraph
 from repro.partition import (
-    BFSPartitioner,
     HashPartitioner,
     MetisLikePartitioner,
     Partition,
@@ -216,32 +216,73 @@ class TestMetisExact:
         )
         _assert_same_level(got, want)
 
-
-class TestBFSExact:
-    @pytest.mark.parametrize("slack", [1.0, 1.05, 1.5])
-    @pytest.mark.parametrize("num_parts", [2, 3, 8])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_same_assignment(
-        self, zoo_graph, reference_setup, seed, num_parts, slack
+    @pytest.mark.parametrize("weights", ["unit", "random"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_every_matching_order_matches(
+        self, zoo_graph, reference_setup, seed, weights
     ):
-        want = reference_setup.BFSPartitioner(seed=seed, slack=slack).partition(
-            zoo_graph, num_parts
+        """Each seed visits the vertices in another order, so another
+        matching is contracted; unit vertex weights are what the finest
+        level carries, random ones what every coarser level does."""
+        n = zoo_graph.num_vertices
+        weight = (
+            np.ones(n, dtype=np.int64) if weights == "unit"
+            else np.random.default_rng(seed + 20).integers(1, 9, size=n)
         )
-        got = BFSPartitioner(seed=seed, slack=slack).partition(
-            MemoryGraphStore(zoo_graph), num_parts
+        rng_want, rng_got = (np.random.default_rng(seed) for _ in range(2))
+        want = reference_setup.MetisLikePartitioner()._coarsen(
+            zoo_graph, weight, rng_want
         )
-        assert np.array_equal(got.assignment, want.assignment)
+        got = MetisLikePartitioner()._coarsen(zoo_graph, weight, rng_got)
+        _assert_same_level(got, want)
+        assert rng_got.integers(1 << 62) == rng_want.integers(1 << 62)
 
-    def test_same_traversal_order(self, zoo_graph, reference_setup):
-        want = reference_setup.BFSPartitioner._bfs_order(
-            MemoryGraphStore(zoo_graph), np.random.default_rng(4)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_whole_hierarchy_matches(self, zoo_graph, reference_setup, seed):
+        """The levels ``partition`` builds with ``coarsen_until=8``, each
+        fed the one before, stopping where matching stops shrinking."""
+        partitioner = MetisLikePartitioner(seed=seed, coarsen_until=8)
+        reference = reference_setup.MetisLikePartitioner()
+        graph = zoo_graph
+        weight = np.ones(graph.num_vertices, dtype=np.int64)
+        rng_want, rng_got = (np.random.default_rng(seed) for _ in range(2))
+        while graph.num_vertices > partitioner.coarsen_until:
+            want = reference._coarsen(graph, weight, rng_want)
+            got = partitioner._coarsen(graph, weight, rng_got)
+            _assert_same_level(got, want)
+            if got[0].num_vertices >= graph.num_vertices:
+                break
+            graph, _, weight = got
+        assert weight.sum() == zoo_graph.num_vertices
+        assert rng_got.integers(1 << 62) == rng_want.integers(1 << 62)
+
+
+def _reference_hash(num_vertices: int, num_parts: int, salt: int) -> list[int]:
+    """``HashPartitioner``'s rule, vertex by vertex, in Python integers."""
+    parts = []
+    for v in range(num_vertices):
+        key = v if not salt else ((v + salt) * 0x9E3779B97F4A7C15) % (1 << 64)
+        parts.append(key % num_parts)
+    return parts
+
+
+class TestHashExact:
+    @pytest.mark.parametrize("salt", [0, 1, 7, (1 << 40) + 3])
+    @pytest.mark.parametrize("num_parts", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("num_vertices", [0, 5, 150, 4097])
+    def test_same_assignment(self, num_vertices, num_parts, salt):
+        graph = MemoryGraphStore(from_edge_list([], num_vertices))
+        got = HashPartitioner(salt=salt).partition(graph, num_parts)
+        assert got.assignment.dtype == np.int64
+        assert got.assignment.tolist() == _reference_hash(
+            num_vertices, num_parts, salt
         )
-        got = BFSPartitioner._bfs_order(zoo_graph, np.random.default_rng(4))
-        assert np.array_equal(got, want)
 
 
-def test_degenerate_graphs_match(reference_setup):
-    """Empty, all-isolated and more-parts-than-vertices inputs."""
+def test_degenerate_graphs_match():
+    """Empty, all-isolated and more-parts-than-vertices inputs: a CSR
+    and a one-vertex-block store give the same assignment, and hash
+    gives its closed form."""
     path = from_edge_list([(0, 1), (1, 0), (1, 2), (2, 1)], 4)
     for graph, num_parts in (
         (from_edge_list([], 0), 3),
@@ -250,48 +291,66 @@ def test_degenerate_graphs_match(reference_setup):
         (path, 9),
         (path, 1),
     ):
-        want = reference_setup.BFSPartitioner(seed=1).partition(
-            graph, num_parts
+        for partitioner in (HashPartitioner(), MetisLikePartitioner(seed=1)):
+            want = partitioner.partition(MemoryGraphStore(graph), num_parts)
+            got = partitioner.partition(
+                MemoryGraphStore(graph, block_vertices=1), num_parts
+            )
+            assert np.array_equal(got.assignment, want.assignment)
+            assert got.assignment.dtype == want.assignment.dtype == np.int64
+        assert want.part_sizes().sum() == graph.num_vertices
+        hashed = HashPartitioner().partition(graph, num_parts).assignment
+        assert hashed.tolist() == _reference_hash(
+            graph.num_vertices, num_parts, 0
         )
-        got = BFSPartitioner(seed=1).partition(MemoryGraphStore(graph), num_parts)
-        assert np.array_equal(got.assignment, want.assignment)
-        assert got.assignment.dtype == want.assignment.dtype
 
 
 class TestStoreBackedInputs:
     """Memory stores (default and small blocks) and an mmap store all
-    give the reference assignment; the mmap store is read through its
-    block API only."""
+    give the same assignment, for both partitioners."""
 
     @pytest.fixture(scope="class", params=["sbm", "parallel-arcs", "wide-weights"])
     def inputs(self, request, tmp_path_factory):
-        csr = ZOO[request.param]()
-        disk = to_mmap_bundle(
-            _attributed(csr), tmp_path_factory.mktemp("exact") / "g",
-            chunk_vertices=37, max_resident_blocks=2,
-        )
-        return (
-            MemoryGraphStore(csr),
-            MemoryGraphStore(csr, block_vertices=50),
-            disk.adjacency,
-        )
+        return _store_inputs(ZOO[request.param](), tmp_path_factory)
 
-    def test_same_assignment(self, inputs, reference_setup):
-        want = reference_setup.BFSPartitioner(seed=2).partition(
-            inputs[0], 4
-        ).assignment
-        for graph in inputs:
-            got = BFSPartitioner(seed=2).partition(graph, 4)
+    def test_same_assignment(self, inputs):
+        for partitioner in (
+            HashPartitioner(salt=5), MetisLikePartitioner(seed=2),
+        ):
+            want = partitioner.partition(inputs[0], 4).assignment
+            for graph in inputs[1:]:
+                got = partitioner.partition(graph, 4)
+                assert np.array_equal(got.assignment, want)
+
+
+def _store_inputs(csr: CSRGraph, tmp_path_factory) -> tuple:
+    disk = to_mmap_bundle(
+        _attributed(csr), tmp_path_factory.mktemp("exact") / "g",
+        chunk_vertices=37, max_resident_blocks=2,
+    )
+    return (
+        MemoryGraphStore(csr),
+        MemoryGraphStore(csr, block_vertices=50),
+        disk.adjacency,
+    )
+
+
+class TestMetisOverStores:
+    """Every zoo graph, at several part counts: how the topology is
+    held does not change the multilevel assignment."""
+
+    @pytest.fixture(scope="class")
+    def zoo_inputs(self, zoo_graph, tmp_path_factory):
+        return _store_inputs(zoo_graph, tmp_path_factory)
+
+    @pytest.mark.parametrize("num_parts", [2, 3, 5, 8])
+    def test_same_assignment(self, zoo_inputs, num_parts):
+        partitioner = MetisLikePartitioner(seed=3, coarsen_until=16)
+        want = partitioner.partition(zoo_inputs[0], num_parts).assignment
+        assert want.min() >= 0 and want.max() < num_parts
+        for graph in zoo_inputs[1:]:
+            got = partitioner.partition(graph, num_parts)
             assert np.array_equal(got.assignment, want)
-
-    def test_bfs_reads_blocks_not_rows(self, inputs, monkeypatch):
-        _, _, disk = inputs
-
-        def no_row_reads(self, vertex):
-            raise AssertionError("per-vertex read on the store path")
-
-        monkeypatch.setattr(type(disk), "neighbors", no_row_reads)
-        BFSPartitioner(seed=0).partition(disk, 3)
 
 
 # ----------------------------------------------------------------------

@@ -259,20 +259,17 @@ class TestSetupPathCallCounts:
             seed=4,
         ))
 
-    @pytest.mark.parametrize("method", ["metis", "bfs"])
+    @pytest.mark.parametrize("method", ["metis"])
     def test_partitioning_makes_fewer_than_n_row_calls(
         self, sbm, method, monkeypatch
     ):
         from repro.graph.csr import CSRGraph
         from repro.partition import make_partitioner
 
-        from repro.graph.store import GraphStore
-
         calls = 0
         for owner, name in (
             (CSRGraph, "neighbors"),
             (CSRGraph, "edge_weights"),
-            (GraphStore, "neighbors"),
         ):
             def counted(self, vertex, _original=getattr(owner, name)):
                 nonlocal calls
@@ -307,3 +304,28 @@ class TestSetupPathCallCounts:
         assert len(states) == num_workers
         assert len(pulls) == self.N // 512
         assert max(pulls.values()) <= 2
+
+
+# ----------------------------------------------------------------------
+# Import footprint
+# ----------------------------------------------------------------------
+def test_import_does_not_load_arpack():
+    """``scipy.sparse.linalg`` (ARPACK and SuperLU, ~10 MiB resident) has
+    no user in the package; importing it back must be a decision."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    program = (
+        "import sys\n"
+        "import repro, repro.core, repro.partition, repro.graph, repro.mp\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=env, timeout=120,
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"

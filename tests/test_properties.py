@@ -7,6 +7,7 @@ randomly generated graphs and matrices rather than hand-picked cases.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles._graph import to_scipy
 
 from repro.compression.quantization import SUPPORTED_BITS
 from repro.core.bit_tuner import BitTuner
@@ -14,7 +15,6 @@ from repro.graph.csr import from_edge_list
 from repro.graph.normalize import normalized_adjacency
 from repro.graph.store.memory import MemoryGraphStore
 from repro.graph.subgraph import induced_subgraph
-from repro.partition.bfs import BFSPartitioner
 from repro.partition.hashing import HashPartitioner
 from repro.partition.metis_like import MetisLikePartitioner
 from repro.partition.stats import partition_stats
@@ -65,7 +65,7 @@ class TestCSRProperties:
 
 def _dense_normalized(graph, scheme="gcn"):
     store = normalized_adjacency(MemoryGraphStore(graph), scheme)
-    return store.to_csr().to_scipy().toarray()
+    return to_scipy(store.to_csr()).toarray()
 
 
 class TestNormalizationProperties:
@@ -103,7 +103,7 @@ class TestPartitionProperties:
     @given(
         data=symmetric_graph(),
         parts=st.integers(1, 5),
-        method=st.sampled_from(["hash", "bfs", "metis"]),
+        method=st.sampled_from(["hash", "metis"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_partition_is_total_function(self, data, parts, method):
@@ -111,7 +111,6 @@ class TestPartitionProperties:
         graph = from_edge_list(edges, n, deduplicate=True)
         partitioner = {
             "hash": HashPartitioner(),
-            "bfs": BFSPartitioner(seed=0),
             "metis": MetisLikePartitioner(seed=0, coarsen_until=8),
         }[method]
         partition = partitioner.partition(MemoryGraphStore(graph), parts)

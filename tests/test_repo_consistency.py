@@ -166,6 +166,7 @@ RETIRED_NAMES = (
     "def max_error(",
     "payload_bytes", "TopKPayload", "OneBitPayload",
     "_build_compressed_payload", "message.payload",
+    "to_scipy",
 )
 
 
@@ -210,8 +211,6 @@ UNREFERENCED_ALLOWED = {
         "the frozen parent trainer in tests/oracles/ml_centered.py calls it",
     "CSRGraph.neighbors":
         "the frozen loop partitioners in tests/oracles/ walk rows with it",
-    "GraphStore.neighbors":
-        "the frozen loop BFS in tests/oracles/partitioners.py walks a store",
     "CSRGraph.edge_weights":
         "the frozen loop partitioners in tests/oracles/ read row weights",
     "CSRGraph.with_self_loops":
@@ -433,7 +432,6 @@ class TestContinuousIntegration:
 ROW_ACCESSORS = {"neighbors", "edge_weights"}
 LOOP_FREE_MODULES = (
     "src/repro/partition/metis_like.py",
-    "src/repro/partition/bfs.py",
     "src/repro/graph/csr.py",
     "src/repro/baselines/ml_centered.py",
 )
