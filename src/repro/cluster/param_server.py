@@ -19,6 +19,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from repro.cluster.engine import ClusterRuntime
+from repro.cluster.serialize import decode_raw, encode_raw
 from repro.nn.optim import Optimizer
 
 __all__ = ["Shard", "ParameterServerGroup", "range_shards"]
@@ -113,7 +114,8 @@ class ParameterServerGroup:
 
     # ------------------------------------------------------------------
     def pull(self, worker: int, names: list[str]) -> Dict[str, np.ndarray]:
-        """Worker pulls full tensors; traffic is charged shard-by-shard."""
+        """Worker pulls full tensors: each shard travels as a RAW frame,
+        charged at its length, and the worker gets the decoded rows."""
         with self.runtime.telemetry.span("param_pull", worker=worker):
             return self._pull(worker, names)
 
@@ -161,21 +163,22 @@ class ParameterServerGroup:
             if name not in self._params:
                 raise KeyError(f"unknown parameter {name!r}")
             array = self._params[name]
+            pulled = []
             for shard in self._shards[name]:
-                rows = shard.stop - shard.start
-                per_row = array[0:1].nbytes if array.ndim else array.nbytes
-                nbytes = rows * per_row + 16
+                frame = encode_raw(np.atleast_1d(array)[shard.start:shard.stop])
                 self.runtime.send_server_to_worker(
-                    shard.server, worker, nbytes, "param_pull"
+                    shard.server, worker, len(frame), "param_pull"
                 )
                 self._outage_retries(
-                    worker, shard.server, nbytes, "param_pull", True
+                    worker, shard.server, len(frame), "param_pull", True
                 )
-            out[name] = array.copy()
+                pulled.append(decode_raw(frame))
+            out[name] = np.concatenate(pulled).reshape(array.shape)
         return out
 
     def push(self, worker: int, grads: Dict[str, np.ndarray]) -> None:
-        """Worker pushes gradients; servers accumulate until all arrive."""
+        """Worker pushes gradients, a RAW frame per shard; servers
+        accumulate until all arrive."""
         with self.runtime.telemetry.span("param_push", worker=worker):
             self._push(worker, grads)
 
@@ -189,14 +192,12 @@ class ParameterServerGroup:
                     f"{self._params[name].shape} for {name!r}"
                 )
             for shard in self._shards[name]:
-                rows = shard.stop - shard.start
-                per_row = grad[0:1].nbytes if grad.ndim else grad.nbytes
-                nbytes = rows * per_row + 16
+                frame = encode_raw(np.atleast_1d(grad)[shard.start:shard.stop])
                 self.runtime.send_worker_to_server(
-                    worker, shard.server, nbytes, "param_push"
+                    worker, shard.server, len(frame), "param_push"
                 )
                 self._outage_retries(
-                    worker, shard.server, nbytes, "param_push", False
+                    worker, shard.server, len(frame), "param_push", False
                 )
             pending = self._pending.get(name)
             if pending is None:

@@ -1,10 +1,11 @@
 """The wire format: every message the cluster exchanges is a frame here.
 
 A policy's ``respond`` builds its message with an encoder below and its
-``receive`` parses it with the matching decoder, so the size the traffic
-meter charges is the length of a real frame; nothing else in ``src/``
-sizes a message. (It stands in for the original system's protobuf
-layer.) A :class:`Frame` is scatter-gather, as an RPC layer sends it:
+``receive`` parses it with the matching decoder; the parameter servers
+ship each shard as a RAW frame. So the size the traffic meter charges
+is the length of a real frame; nothing else in ``src/`` sizes a
+message. (It stands in for the original system's protobuf layer.) A
+:class:`Frame` is scatter-gather, as an RPC layer sends it:
 the header bytes, then byte views of the payload arrays, never a copy;
 the decoders read the same buffers back as array views. Every frame
 opens with a 16-byte header (magic, kind, flags, payload length), and a
@@ -17,8 +18,9 @@ vector). The kinds, and what their flag bits say:
   and the packed ids; bit 0 (the table is present) must be set;
 * ``EXACT``    — ReqEC-FP trend boundary rows; bit 0: ``M_cr`` derives
   from the previously delivered snapshot;
-* ``SELECTOR`` — ReqEC-FP in-group message: proportion, 2-bit selector,
-  then a nested QUANT frame of the rows not predicted;
+* ``SELECTOR`` — ReqEC-FP in-group message: the count of predicted
+  entries (the Bit-Tuner's input), the 2-bit selector, then a nested
+  QUANT frame of the entries not predicted;
 * ``TOPK``     — int32 column ids, then float32 values, of each row's k
   kept entries; the flags word is k;
 * ``ONEBIT``   — the positive and negative means, then a sign bit per
@@ -49,7 +51,7 @@ __all__ = [
     "encode_raw", "decode_raw", "decode_rows",
     "encode_quantized", "decode_quantized",
     "encode_exact", "decode_exact",
-    "encode_selector", "decode_selector",
+    "encode_selector", "decode_selector", "selector_share",
     "encode_topk", "decode_topk",
     "encode_onebit", "decode_onebit",
 ]
@@ -67,7 +69,7 @@ _INDEXED = 2  # RAW: int32 row ids before the rows
 _HEADER = struct.Struct("<HHIQ")  # magic, kind, flags, payload length
 _SHAPE = struct.Struct("<II")  # rows, cols
 _QUANT_META = struct.Struct("<Bff")  # bits, lo, hi
-_SELECTOR_META = struct.Struct("<fI")  # proportion, selector bytes
+_SELECTOR_META = struct.Struct("<II")  # predicted entries, selector bytes
 _MEANS = struct.Struct("<ff")  # ONEBIT: positive, negative mean
 
 FRAME_HEADER_BYTES = _HEADER.size
@@ -285,27 +287,40 @@ def decode_exact(frame) -> tuple[np.ndarray, bool]:
 # SELECTOR (ReqEC-FP in-group message)
 # ----------------------------------------------------------------------
 def encode_selector(
-    selection: np.ndarray,
-    quantized: QuantizedMatrix,
-    proportion: float,
+    selection: np.ndarray, quantized: QuantizedMatrix
 ) -> Frame:
-    """Frame a Selector message: 2-bit ids + quantized subset + stats."""
+    """Frame a Selector message: the count of predicted entries (id 1),
+    the 2-bit ids, then the quantized entries not predicted."""
     packed = _pack_ids(selection, 2)
     head = _shape(selection.shape) + _SELECTOR_META.pack(
-        proportion, packed.size
+        int(np.count_nonzero(selection == 1)), packed.size
     )
     return _frame(
         _KIND_SELECTOR, 0, head, packed, encode_quantized(quantized)
     )
 
 
-def decode_selector(frame) -> tuple[np.ndarray, QuantizedMatrix, float]:
-    """Decode a SELECTOR frame. Its selector length field is untrusted:
-    it must equal the 2-bit-packed size the selection shape implies, and
-    the nested subset must ship one row per id that is not 1."""
+def selector_share(frame) -> float:
+    """The share of a SELECTOR frame's entries that are predicted, read
+    from its fixed fields alone: what the Bit-Tuner is fed."""
+    reader, _ = _check_frame(frame, _KIND_SELECTOR)
+    entries = math.prod(reader.shape())
+    predicted, _ = reader.fields(_SELECTOR_META, "metadata")
+    if not predicted <= entries > 0:
+        raise ValueError(f"SELECTOR frame counts {predicted} predicted "
+                         f"entries of {entries}")
+    return predicted / entries
+
+
+def decode_selector(frame) -> tuple[np.ndarray, QuantizedMatrix, int]:
+    """Decode a SELECTOR frame into ``(selection, subset, predicted
+    count)``. Its length and count fields are untrusted: the selector
+    must be the 2-bit-packed size the selection shape implies, the count
+    its number of 1s (predicted), and the nested subset must ship one
+    row per id that is not 1."""
     reader, _ = _check_frame(frame, _KIND_SELECTOR)
     shape = reader.shape()
-    proportion, sel_bytes = reader.fields(_SELECTOR_META, "metadata")
+    predicted, sel_bytes = reader.fields(_SELECTOR_META, "metadata")
     count = math.prod(shape)
     if sel_bytes != packed_size(count, 2):
         raise ValueError(
@@ -314,12 +329,15 @@ def decode_selector(frame) -> tuple[np.ndarray, QuantizedMatrix, float]:
         )
     packed = reader.array(np.uint8, sel_bytes, "selector")
     selection = unpack_bits(packed, 2, count).reshape(shape)
+    named = int(np.count_nonzero(selection == 1))
+    if named != predicted:
+        raise ValueError(f"SELECTOR frame counts {predicted} predicted "
+                         f"entries but its selector names {named}")
     subset = decode_quantized(reader)
-    shipped = count - np.count_nonzero(selection == 1)  # 1: predicted
-    if subset.shape[0] != shipped:
+    if subset.shape[0] != count - named:
         raise ValueError(f"SELECTOR frame ships {subset.shape[0]} rows "
-                         f"but its selector names {shipped}")
-    return selection, subset, float(proportion)
+                         f"but its selector names {count - named}")
+    return selection, subset, predicted
 
 
 # ----------------------------------------------------------------------

@@ -47,8 +47,10 @@ class ChannelMessage:
             the frame under it and the transport's codec charge reads it.
         frame: The wire frame a ``cluster/serialize.py`` encoder built;
             ``receive`` parses it with the matching decoder.
-        meta: Free-form extras (e.g. the predicted-selection proportion
-            that feeds the Bit-Tuner).
+        meta: Free-form extras for instrumentation, never sent or read
+            by the program (ReqEC-FP's predicted-selection proportion,
+            which ``bench/tracer.py`` tallies). The Bit-Tuner's input
+            comes from the frame: :meth:`ExchangePolicy.predicted_share`.
 
     Policies do not time themselves: the transport times each
     ``respond``/``receive`` call.
@@ -96,6 +98,12 @@ class ExchangePolicy:
     ) -> np.ndarray:
         """The decoded float32 rows of ``message``."""
         raise NotImplementedError
+
+    def predicted_share(self, message: ChannelMessage) -> float | None:
+        """The share of ``message``'s entries the requester predicts —
+        the Bit-Tuner's input for its worker pair — read from its frame;
+        None: the message feeds no tuner."""
+        return None
 
     def reset(self) -> None:
         """Drop all per-channel state (between independent runs)."""

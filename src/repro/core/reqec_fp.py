@@ -16,8 +16,9 @@ can form three approximations of the current rows:
 The responder evaluates the L1 error of each candidate against the truth
 it holds, selects per vertex (or per element / per matrix) the best one,
 and ships only the 2-bit selector plus the quantized rows the requester
-cannot predict. The proportion of predicted selections drives the
-adaptive :class:`~repro.core.bit_tuner.BitTuner`.
+cannot predict. The proportion of predicted selections — the count the
+SELECTOR frame carries, over its entries — drives the adaptive
+:class:`~repro.core.bit_tuner.BitTuner`.
 
 Like Algorithms 3 and 4, the trend state is kept per vertex and layer:
 one :class:`_TrendTable` per (owner, layer) with a row per exported
@@ -448,7 +449,7 @@ class ReqECPolicy(ExchangePolicy):
             self.health.record_selection(key.pair, counts, bits, t)
         return ChannelMessage(
             kind="selector",
-            frame=serialize.encode_selector(selection, subset, proportion),
+            frame=serialize.encode_selector(selection, subset),
             meta={"proportion": proportion},
         )
 
@@ -488,6 +489,14 @@ class ReqECPolicy(ExchangePolicy):
             selection = scores.argmin(axis=-1).astype(np.uint8)
         proportion = float((selection == SELECT_PREDICTED).mean())
         return selection, proportion
+
+    def predicted_share(self, message: ChannelMessage) -> float | None:
+        """A SELECTOR frame's predicted count over its entries; 0.0 for a
+        first-group QUANT frame (nothing is predicted yet); None for a
+        boundary."""
+        if message.kind == "selector":
+            return serialize.selector_share(message.frame)
+        return 0.0 if message.kind == "quant" else None
 
     # ------------------------------------------------------------------
     # Requesting end (Algorithm 3)

@@ -356,16 +356,9 @@ class HaloTransport:
                 and self.injector is not None
             ):
                 self._halo_cache[ch.key] = np.array(rows, copy=True)
-            self._record_proportion(ch, message)
-
-    def _record_proportion(
-        self, ch: ChannelSession, message: ChannelMessage
-    ) -> None:
-        proportion = message.meta.get("proportion")
-        if proportion is not None:
-            self._last_proportions[(ch.responder, ch.consumer)] = float(
-                proportion
-            )
+            share = policy.predicted_share(message)
+            if share is not None:
+                self._last_proportions[(ch.responder, ch.consumer)] = share
 
     # ------------------------------------------------------------------
     # Fault tolerance

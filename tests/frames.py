@@ -28,5 +28,5 @@ _DECODERS = {
 def payload(message):
     """``message``'s frame decoded: raw rows, a ``QuantizedMatrix``,
     exact ``(rows, has_base)`` or selector ``(selection, subset,
-    proportion)``."""
+    predicted count)``."""
     return _DECODERS[message.kind](message.frame)

@@ -21,6 +21,7 @@ from repro.cluster.serialize import (
     encode_quantized,
     encode_raw,
     encode_selector,
+    selector_share,
 )
 from repro.compression.quantization import (
     SUPPORTED_BITS,
@@ -85,6 +86,15 @@ class TestRawFrames:
             for decode in (decode_raw, lambda f: decode_rows(f, **other)):
                 with pytest.raises(ValueError, match="flag bits"):
                     decode(flagged)
+
+    def test_empty_indexed_block_keeps_its_index(self, matrix):
+        """A block of no rows is still a block: the flag, not the row
+        count, says whether the frame carries row ids."""
+        frame = encode_raw(matrix[:0], index=np.arange(0))
+        for framed in (frame, bytes(frame)):
+            ids, rows = decode_rows(framed, indexed=True)
+            assert ids is not None and ids.dtype == np.int32
+            assert ids.shape == (0,) and rows.shape == (0, matrix.shape[1])
 
     def test_bad_magic_rejected(self, matrix):
         frame = bytearray(bytes(encode_raw(matrix)))
@@ -229,13 +239,14 @@ class TestSelectorFrames:
         rng = np.random.default_rng(1)
         selection = rng.integers(0, 3, size=matrix.shape[0]).astype(np.uint8)
         quantized = BucketQuantizer(4).encode(matrix[selection != 1])
-        frame = encode_selector(selection, quantized, proportion=0.42)
-        sel_out, quant_out, proportion = decode_selector(frame)
+        frame = encode_selector(selection, quantized)
+        sel_out, quant_out, predicted = decode_selector(frame)
         np.testing.assert_array_equal(sel_out, selection)
         np.testing.assert_allclose(
             quant_out.decode(), quantized.decode(), atol=1e-6
         )
-        assert proportion == pytest.approx(0.42)
+        # The count of predicted entries is derived from the selection.
+        assert predicted == np.count_nonzero(selection == 1)
 
     @pytest.mark.parametrize("shape", [(0,), (1,), (5,), (17,), (6, 7)])
     def test_selector_lanes_roundtrip_as_uint8(self, shape):
@@ -248,7 +259,7 @@ class TestSelectorFrames:
         shipped = np.zeros(np.count_nonzero(selection != 1), np.float32)
         quantized = BucketQuantizer(4).encode(shipped)
         frames = {
-            bytes(encode_selector(selection.astype(dtype), quantized, 0.5))
+            bytes(encode_selector(selection.astype(dtype), quantized))
             for dtype in (np.uint8, np.uint32, np.int64)
         }
         assert len(frames) == 1
@@ -271,8 +282,40 @@ class TestSelectorFrames:
         policy.respond(key, matrix, t=3)  # boundary primes the trend
         message = policy.respond(key, matrix + 0.05, t=4)
         assert message.kind == "selector"
-        frame = encode_selector(*decode_selector(message.frame))
+        frame = encode_selector(*decode_selector(message.frame)[:2])
         assert len(frame) == message.nbytes
+
+
+    def test_share_is_read_from_the_fixed_fields(self, matrix):
+        """The Bit-Tuner's input is the count over the entries, equal to
+        the float64 mean of the selection to the bit, and it is read
+        without unpacking the payload: a frame whose nested subset is
+        damaged still answers it."""
+        rng = np.random.default_rng(4)
+        selection = rng.integers(0, 3, size=matrix.shape).astype(np.uint8)
+        quantized = BucketQuantizer(4).encode(matrix[selection != 1])
+        frame = encode_selector(selection, quantized)
+        share = float((selection == 1).mean())
+        assert repr(selector_share(frame)) == repr(share)
+        damaged = bytearray(bytes(frame))
+        nested = len(frame.parts[0]) + len(frame.parts[1])  # QUANT magic
+        damaged[nested] ^= 0xFF
+        with pytest.raises(ValueError, match="bad magic"):
+            decode_selector(bytes(damaged))
+        assert repr(selector_share(bytes(damaged))) == repr(share)
+
+    def test_share_of_a_damaged_count_is_a_value_error(self):
+        """The share reads untrusted fields: a count above the entries,
+        or a frame with no entries, is refused, not divided."""
+        import struct
+
+        for selection, count in ((np.ones(4, np.uint8), 5),
+                                 (np.zeros(0, np.uint8), 0)):
+            nothing = BucketQuantizer(4).encode(np.zeros((0, 3), np.float32))
+            frame = bytearray(bytes(encode_selector(selection, nothing)))
+            struct.pack_into("<I", frame, MATRIX_PREFIX_BYTES, count)
+            with pytest.raises(ValueError, match="predicted entries"):
+                selector_share(bytes(frame))
 
 
 class TestPropertyRoundTrips:
@@ -312,7 +355,7 @@ def _through(policy):
 def _encode_selector(data, has_base):
     selection = (np.arange(len(data)) % 3).astype(np.uint8)  # 1: predicted
     subset = BucketQuantizer(4).encode(data[selection != 1])
-    return encode_selector(selection, subset, 0.5)
+    return encode_selector(selection, subset)
 
 
 def _decode_selector(frame):
@@ -526,7 +569,7 @@ class TestCorruptFrames:
     def test_selector_flags_rejected(self, matrix, flags):
         selection = np.zeros(matrix.shape[0], dtype=np.uint8)
         quantized = BucketQuantizer(4).encode(matrix)
-        frame = bytearray(bytes(encode_selector(selection, quantized, 0.5)))
+        frame = bytearray(bytes(encode_selector(selection, quantized)))
         assert frame[4] == 0
         frame[4] = flags
         with pytest.raises(ValueError, match="flag bits"):
@@ -536,8 +579,8 @@ class TestCorruptFrames:
         rng = np.random.default_rng(2)
         selection = rng.integers(0, 3, size=matrix.shape[0]).astype(np.uint8)
         quantized = BucketQuantizer(4).encode(matrix[selection != 1])
-        frame = bytearray(bytes(encode_selector(selection, quantized, 0.5)))
-        # sel_bytes field: header (16) + shape (8) + proportion (4).
+        frame = bytearray(bytes(encode_selector(selection, quantized)))
+        # sel_bytes field: header (16) + shape (8) + predicted count (4).
         frame[28] = frame[28] + 1 & 0xFF
         with pytest.raises(ValueError, match="selector bytes"):
             decode_selector(bytes(frame))
@@ -550,7 +593,7 @@ class TestCorruptFrames:
 
         selection = np.zeros(matrix.shape[0], dtype=np.uint8)
         quantized = BucketQuantizer(4).encode(matrix)
-        frame = bytearray(bytes(encode_selector(selection, quantized, 0.5)))
+        frame = bytearray(bytes(encode_selector(selection, quantized)))
         for rows in (matrix.shape[0] + 4, 2**31):
             struct.pack_into("<II", frame, 16, rows, 0)
             with pytest.raises(ValueError, match="selector bytes"):
@@ -574,16 +617,41 @@ class TestCorruptFrames:
         refused before the requester could scatter them."""
         selection = np.zeros(matrix.shape[0], dtype=np.uint8)
         quantized = BucketQuantizer(4).encode(matrix)
-        decode_selector(encode_selector(selection, quantized, 0.0))
+        decode_selector(encode_selector(selection, quantized))
         selection[0] = 1  # one row predicted, yet every row ships
         with pytest.raises(ValueError, match="selector names"):
-            decode_selector(encode_selector(selection, quantized, 0.0))
+            decode_selector(encode_selector(selection, quantized))
+
+    @given(
+        selection=arrays(
+            np.uint8, st.integers(0, 40), elements=st.integers(0, 2)
+        ),
+        delta=st.integers(1, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_selector_count_must_match_the_selection(self, selection, delta):
+        """The predicted count feeds the Bit-Tuner, so it is untrusted
+        like every other field: a frame whose count is not its
+        selector's number of 1s is refused."""
+        import struct
+
+        shipped = np.zeros(np.count_nonzero(selection != 1), np.float32)
+        frame = bytearray(bytes(
+            encode_selector(selection, BucketQuantizer(4).encode(shipped))
+        ))
+        # The count is the first field after the shape word.
+        (count,) = struct.unpack_from("<I", frame, MATRIX_PREFIX_BYTES)
+        struct.pack_into(
+            "<I", frame, MATRIX_PREFIX_BYTES, (count + delta) % 2**32
+        )
+        with pytest.raises(ValueError, match="predicted entries"):
+            decode_selector(bytes(frame))
 
     def test_corrupt_nested_quant_in_selector(self, matrix):
         rng = np.random.default_rng(3)
         selection = rng.integers(0, 3, size=matrix.shape[0]).astype(np.uint8)
         quantized = BucketQuantizer(4).encode(matrix[selection != 1])
-        frame = bytearray(bytes(encode_selector(selection, quantized, 0.5)))
+        frame = bytearray(bytes(encode_selector(selection, quantized)))
         sel_bytes = (2 * selection.size + 7) // 8
         nested = 16 + 8 + 8 + sel_bytes  # nested QUANT frame's magic
         frame[nested] ^= 0xFF

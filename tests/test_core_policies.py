@@ -107,6 +107,21 @@ class TestDelayedPolicy:
         with pytest.raises(ValueError, match="outside"):
             policy.receive(KEY, message, t=1)
 
+    def test_channel_with_fewer_rows_than_rounds(self, rows):
+        """3 rows at r = 5: some iterations refresh no row at all, and
+        their empty block must leave the cache whole (a 0-row block is
+        still a block, not a full refresh)."""
+        policy = DelayedPolicy(rounds=5)
+        few = rows[:3]
+        want = few.copy()
+        for t in range(2 * policy.rounds):
+            fresh = few + t
+            want[np.arange(3) % 5 == t % 5] = fresh[np.arange(3) % 5 == t % 5]
+            if t == 0:
+                want = fresh.copy()
+            result = policy.receive(KEY, policy.respond(KEY, fresh, t=t), t=t)
+            np.testing.assert_array_equal(result, want)
+
     def test_reset_clears_cache(self, rows):
         policy = DelayedPolicy(rounds=2)
         policy.receive(KEY, policy.respond(KEY, rows, t=0), t=0)

@@ -113,7 +113,7 @@ class TestSelector:
         result, message = _roundtrip(policy, base + 5 * step, t=8)
         selection = payload(message)[0]
         assert (selection == SELECT_PREDICTED).mean() > 0.9
-        assert message.meta["proportion"] > 0.9
+        assert policy.predicted_share(message) > 0.9
         np.testing.assert_allclose(
             result, base + 5 * step, atol=1e-3
         )

@@ -25,17 +25,21 @@ from repro.graph.streaming import stream_graph
 EPOCHS = 6
 
 # Captured pre-refactor (commit 885d59a) with the graph/cluster below.
+# ``param_pull``/``param_push`` (and so ``total_bytes``) were re-pinned
+# when each parameter shard became a RAW frame: +8 bytes (the shape
+# word) per metered parameter message, 48 + 48 of them here (sage
+# 72 + 72, gat 168 + 168); nothing else moved.
 GOLDEN = {
     "ecgraph_default": {
         "losses": [
             "1.0977857947349547", "1.036339682340622", "1.0336278736591338",
             "0.971476310491562", "0.9145746827125549", "0.8591823935508729",
         ],
-        "total_bytes": 44408,
+        "total_bytes": 45176,
         "total_messages": 174,
         "category_totals": {
             "bp_gradients": 4968, "feature_cache": 7920,
-            "fp_embeddings": 5120, "param_pull": 13200, "param_push": 13200,
+            "fp_embeddings": 5120, "param_pull": 13584, "param_push": 13584,
         },
         "final_test": "1.0",
     },
@@ -44,11 +48,11 @@ GOLDEN = {
             "1.0938398241996765", "1.014786207675934", "0.943224734067917",
             "0.8782640933990479", "0.8198732972145081", "0.7669233202934265",
         ],
-        "total_bytes": 110376,
+        "total_bytes": 111144,
         "total_messages": 174,
         "category_totals": {
             "bp_gradients": 12600, "feature_cache": 7920,
-            "fp_embeddings": 63456, "param_pull": 13200, "param_push": 13200,
+            "fp_embeddings": 63456, "param_pull": 13584, "param_push": 13584,
         },
         "final_test": "1.0",
     },
@@ -57,11 +61,11 @@ GOLDEN = {
             "1.0977857947349547", "1.0177841365337372", "0.9481551349163055",
             "0.8842178225517274", "0.8286498486995697", "0.7764853537082672",
         ],
-        "total_bytes": 50604,
+        "total_bytes": 51372,
         "total_messages": 174,
         "category_totals": {
             "bp_gradients": 4968, "feature_cache": 7920,
-            "fp_embeddings": 11316, "param_pull": 13200, "param_push": 13200,
+            "fp_embeddings": 11316, "param_pull": 13584, "param_push": 13584,
         },
         "final_test": "1.0",
     },
@@ -70,11 +74,11 @@ GOLDEN = {
             "1.0938398241996765", "1.0387981832027435", "0.9831118583679199",
             "0.9293251395225526", "0.8711061000823974", "0.8117950022220611",
         ],
-        "total_bytes": 62128,
+        "total_bytes": 62896,
         "total_messages": 174,
         "category_totals": {
             "bp_gradients": 5428, "feature_cache": 7920,
-            "fp_embeddings": 22380, "param_pull": 13200, "param_push": 13200,
+            "fp_embeddings": 22380, "param_pull": 13584, "param_push": 13584,
         },
         "final_test": "1.0",
     },
@@ -83,11 +87,11 @@ GOLDEN = {
             "1.5707411527633668", "1.3959121108055115", "1.2655068993568421",
             "1.1362760841846464", "1.019603967666626", "0.90932776927948",
         ],
-        "total_bytes": 68216,
+        "total_bytes": 69368,
         "total_messages": 222,
         "category_totals": {
             "bp_gradients": 4968, "feature_cache": 7920,
-            "fp_embeddings": 5120, "param_pull": 25104, "param_push": 25104,
+            "fp_embeddings": 5120, "param_pull": 25680, "param_push": 25680,
         },
         "final_test": "0.875",
     },
@@ -96,11 +100,11 @@ GOLDEN = {
             "1.0902566194534302", "1.0467941761016846", "1.0080687701702118",
             "0.9718242883682251", "0.9375437498092651", "0.9025300323963166",
         ],
-        "total_bytes": 91128,
+        "total_bytes": 93816,
         "total_messages": 414,
         "category_totals": {
             "bp_gradients": 11316, "feature_cache": 7920,
-            "fp_embeddings": 11316, "param_pull": 30288, "param_push": 30288,
+            "fp_embeddings": 11316, "param_pull": 31632, "param_push": 31632,
         },
         "final_test": "0.75",
     },
@@ -111,11 +115,11 @@ GOLDEN = {
             "1.0980702877044677", "1.022210419178009", "0.9510134041309357",
             "0.8907610297203065", "0.8326326370239258", "0.7797345161437987",
         ],
-        "total_bytes": 48660,
+        "total_bytes": 49428,
         "total_messages": 174,
         "category_totals": {
             "bp_gradients": 4656, "feature_cache": 7920,
-            "fp_embeddings": 9684, "param_pull": 13200, "param_push": 13200,
+            "fp_embeddings": 9684, "param_pull": 13584, "param_push": 13584,
         },
         "final_test": "1.0",
     },
@@ -124,11 +128,11 @@ GOLDEN = {
             "1.0980702877044677", "1.014794921875", "0.9596091628074646",
             "0.8835092425346375", "0.8306011855602264", "0.7923318386077881",
         ],
-        "total_bytes": 50958,
+        "total_bytes": 51726,
         "total_messages": 210,
         "category_totals": {
             "bp_gradients": 4658, "feature_cache": 7920,
-            "fp_embeddings": 9676, "param_pull": 13200, "param_push": 13200,
+            "fp_embeddings": 9676, "param_pull": 13584, "param_push": 13584,
             "sampling": 2304,
         },
         "final_test": "1.0",
@@ -272,7 +276,9 @@ class TestMultiprocessBitIdentity:
 # this one runs ``ecgraph_default`` at T_tr = 3 for 9 epochs: boundaries
 # at t = 2 (no base), 5 and 8 (derived rate), selector messages between.
 # Everything except ``fp_embeddings`` was captured at the parent of the
-# change that stopped shipping M_cr (commit 78d39f6) and must not move;
+# change that stopped shipping M_cr (commit 78d39f6) and must not move
+# (``param_pull``/``param_push`` carry +8 bytes per metered message,
+# 72 + 72, since parameter shards travel as RAW frames);
 # ``fp_embeddings`` is pinned after it and must equal the parent value
 # minus the rows.nbytes of every metered boundary message — the half of
 # the frame the requesting end now derives.
@@ -288,7 +294,7 @@ BOUNDARY_GOLDEN = {
     "total_messages": 258,
     "category_totals": {
         "bp_gradients": 7452, "feature_cache": 7920,
-        "param_pull": 19800, "param_push": 19800,
+        "param_pull": 20376, "param_push": 20376,
     },
     "final_test": "1.0",
     "fp_embeddings_parent": 76872,
@@ -364,6 +370,11 @@ class TestBoundaryCrossingGolden:
                 return message
 
             oracle.respond = metering_respond
+            # The parent's messages carried the tuner's input in ``meta``;
+            # the live transport asks the policy for it.
+            oracle.predicted_share = lambda message: message.meta.get(
+                "proportion"
+            )
             trainer._fp_policy = trainer.engine.ctx.fp_policy = oracle
             losses, messages, categories, final = _boundary_run(trainer)
         finally:

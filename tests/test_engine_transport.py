@@ -9,7 +9,12 @@ import pytest
 from repro.cluster.engine import ClusterRuntime
 from repro.cluster.serialize import decode_raw, encode_raw
 from repro.cluster.topology import ClusterSpec
-from repro.core.messages import ChannelKey, ChannelMessage, RawPolicy
+from repro.core.messages import (
+    ChannelKey,
+    ChannelMessage,
+    ExchangePolicy,
+    RawPolicy,
+)
 from repro.core.policies import (
     CompressPolicy,
     DelayedPolicy,
@@ -102,7 +107,7 @@ _CHARGE = {"raw": 20.0, "exact": 20.0, "selector": 1.0, "quant": 1.0,
            "codec": 1.0, "delayed": 20.0}
 
 
-class _FramePolicy:
+class _FramePolicy(ExchangePolicy):
     """Ships the served rows in a RAW frame under a fixed ledger kind
     and does no work."""
 

@@ -64,15 +64,18 @@ ADOPT_AND_REJOIN = FaultConfig(
 # Six epochs on ``medium_graph`` (2 layers, hidden 16), captured before
 # any worker released its inputs. The crash at epoch 1 and worker 1's
 # loss at epoch 2 now both come after the release in epoch 0.
+# ``param_pull``/``param_push`` (and ``total_bytes``) carry +8 bytes per
+# metered parameter message (gcn crash 48 + 48, sage crash 72 + 72, gcn
+# adopt-and-rejoin 40 + 40) since each shard travels as a RAW frame.
 _CRASH_GCN = {
     "losses": [
         "1.458814288377762", "1.4071209359169008", "1.371265174150467",
         "1.3407979440689088", "1.3100845992565155", "1.280996378660202",
     ],
-    "total_bytes": 98664,
+    "total_bytes": 99432,
     "categories": {
         "bp_gradients": 9516, "feature_cache": 32224,
-        "fp_embeddings": 11900, "param_pull": 17088, "param_push": 17088,
+        "fp_embeddings": 11900, "param_pull": 17472, "param_push": 17472,
         "recovery": 10848,
     },
     "test": "0.7875",
@@ -82,10 +85,10 @@ _CRASH_SAGE = {
         "1.7036130344867706", "1.5628072524070742", "1.4679538786411286",
         "1.383440613746643", "1.3083582746982576", "1.2420446169376373",
     ],
-    "total_bytes": 130152,
+    "total_bytes": 131304,
     "categories": {
         "bp_gradients": 9516, "feature_cache": 32224,
-        "fp_embeddings": 11900, "param_pull": 32832, "param_push": 32832,
+        "fp_embeddings": 11900, "param_pull": 33408, "param_push": 33408,
         "recovery": 10848,
     },
     "test": "0.6875",
@@ -95,10 +98,10 @@ _ADOPT_AND_REJOIN_GCN = {
         "1.458814288377762", "1.4071209359169008", "1.3751962780952454",
         "1.3407605016231536", "1.310012813806534", "1.2807809901237488",
     ],
-    "total_bytes": 111264,
+    "total_bytes": 111904,
     "categories": {
         "bp_gradients": 7752, "feature_cache": 32224,
-        "fp_embeddings": 10584, "param_pull": 14240, "param_push": 14240,
+        "fp_embeddings": 10584, "param_pull": 14560, "param_push": 14560,
         "recovery": 32224,
     },
     "test": "0.7875",

@@ -198,6 +198,27 @@ class TestRetiredNamesStayGone:
         assert REPO / name in set(_shipped_files())
 
 
+class TestNoTrackedIgnoredFiles:
+    def test_git_tracks_nothing_gitignore_excludes(self):
+        """Generated files (packaging metadata, caches, build output) are
+        ignored, never tracked: a tracked copy goes stale as modules come
+        and go."""
+        import shutil
+        import subprocess
+
+        git = shutil.which("git")
+        if git is None or subprocess.run(
+            [git, "-C", str(REPO), "rev-parse", "--is-inside-work-tree"],
+            capture_output=True,
+        ).returncode:
+            pytest.skip("not a git work tree")
+        tracked = subprocess.run(
+            [git, "-C", str(REPO), "ls-files", "-ci", "--exclude-standard"],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert tracked == ""
+
+
 # ----------------------------------------------------------------------
 # No code that nothing runs. Every public function, class and method in
 # ``src/`` is named somewhere in ``src/``, ``examples/``, ``benchmarks/``

@@ -9,9 +9,9 @@ per channel end. Three contracts:
   live policy, call for call on the same rows, through whole training
   runs — fault-free, a lost boundary, a crash with ``reset_residuals``
   on and off, and an elastic adoption followed by a rejoin — and
-  requires every channel's frame (kind, bytes, ``has_base``, selection,
-  payload), every reconstructed row and every ``fallback_rows``
-  estimate to match bit for bit — a channel whose boundary was lost
+  requires every channel's frame (kind, bytes, the tuner's input,
+  ``has_base``, selection, payload), every reconstructed row and every
+  ``fallback_rows`` estimate to match bit for bit — a channel whose boundary was lost
   included: it extrapolates from its private copy of the snapshot its
   requester received, as the parent's requester end did.
 * **Reconstruction.** ``_reconstruct`` merges the shipped rows into the
@@ -67,17 +67,24 @@ def _assert_same_bits(got, want, where):
     assert np.array_equal(_bits(got), _bits(want)), where
 
 
-def _assert_same_frame(message, expected, where):
-    """The live message against the parent's: kind, charged bytes, meta
-    and what its frame carries, decoded, against the parent's payload
-    (the selector's proportion travels as float32)."""
+def _assert_same_frame(policy, message, expected, where):
+    """The live message against the parent's: kind, charged bytes,
+    ``meta``, the Bit-Tuner's input — the live ``policy`` reads it from
+    the frame, the parent carried it as the float64
+    ``meta["proportion"]``, and the two must agree to the bit — and what
+    the frame carries, decoded, against the parent's payload (a selector
+    frame carries the count of predicted entries where the parent's
+    payload had the proportion)."""
     assert_same_as_parent(
-        (message.kind, message.nbytes, message.meta),
-        (expected.kind, expected.nbytes, expected.meta), where,
+        (message.kind, message.nbytes, message.meta,
+         policy.predicted_share(message)),
+        (expected.kind, expected.nbytes, expected.meta,
+         expected.meta.get("proportion")),
+        where,
     )
     want = expected.payload
     if expected.kind == "selector":
-        want = (*want[:2], float(np.float32(want[2])))
+        want = (*want[:2], int(np.count_nonzero(want[0] == 1)))
     assert_same_as_parent(payload(message), want, f"{where} payload")
 
 
@@ -95,6 +102,7 @@ class Lockstep:
     fed the same rows, and compares the two ends' outputs."""
 
     def __init__(self, policy: ReqECPolicy):
+        self.policy = policy
         self.oracle = PerChannelReqECPolicy(
             policy.tuner, trend_period=policy.trend_period,
             granularity=policy.granularity,
@@ -112,7 +120,9 @@ class Lockstep:
     def respond(self, key, rows, t, rows_mask=None):
         message = self._respond(key, rows, t, rows_mask=rows_mask)
         expected = self.oracle.respond(key, rows, t, rows_mask=rows_mask)
-        _assert_same_frame(message, expected, f"frame {key} t={t}")
+        _assert_same_frame(
+            self.policy, message, expected, f"frame {key} t={t}"
+        )
         if message.kind == "exact":
             _assert_same_bits(payload(message)[0], expected.payload[0],
                               f"exact rows {key} t={t}")
@@ -304,7 +314,7 @@ def test_reconstruct_matches_the_parent(granularity, bits):
             rows = _rows_at(rng, base, t, 6)
             message = live.respond(key, rows, t)
             expected = parent.respond(key, rows, t)
-            _assert_same_frame(message, expected, f"frame t={t}")
+            _assert_same_frame(live, message, expected, f"frame t={t}")
             kinds.append((message.kind, message.kind == "exact"
                           and payload(message)[1]))
             if t == 5:
@@ -352,7 +362,7 @@ def test_shared_rows_match_per_channel_state():
             key = ChannelKey(1, 0, requester)
             message = live.respond(key, h[rows], t)
             expected = parent.respond(key, h[rows], t)
-            _assert_same_frame(message, expected, f"{key} t={t}")
+            _assert_same_frame(live, message, expected, f"{key} t={t}")
             _assert_same_bits(live.receive(key, message, t),
                               parent.receive(key, expected, t),
                               f"{key} t={t}")

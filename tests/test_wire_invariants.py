@@ -94,7 +94,7 @@ class TestReqECAccounting:
         policy.respond(key, rows, t=3)  # boundary primes the trend
         message = policy.respond(key, rows + 0.05, t=4)
         assert message.kind == "selector"
-        frame = encode_selector(*decode_selector(message.frame))
+        frame = encode_selector(*decode_selector(message.frame)[:2])
         assert message.nbytes == len(frame)
 
     @pytest.mark.parametrize("granularity", ["vertex", "element", "matrix"])
@@ -129,15 +129,16 @@ class TestReqECAccounting:
         rate /= 4
         message = policy.respond(key, rate + later, t=8)
         assert message.kind == "selector"
-        selection, quantized, proportion = decode_selector(message.frame)
-        assert (selection == SELECT_PREDICTED).all() and proportion == 1.0
+        selection, quantized, predicted = decode_selector(message.frame)
+        assert (selection == SELECT_PREDICTED).all()
+        assert predicted == selection.size
         shape = rows.shape if granularity == "element" else rows.shape[:1]
         assert selection.shape == shape
         assert quantized.num_elements == 0
         _, _, lo, hi = BucketQuantizer(4).encode_ids(rate + later)
         assert quantized.lo == lo and quantized.hi == hi
         assert message.nbytes == len(
-            encode_selector(selection, quantized, 1.0)
+            encode_selector(selection, quantized)
         ) == (
             MATRIX_PREFIX_BYTES + 8 + packed_size(selection.size, 2)
             + _quant_frame_bytes(4, 0)
@@ -186,14 +187,14 @@ class TestFramesMatchPreRewriteCodec:
         key = ChannelKey(0, 0, 1)
         policy.respond(key, rows, t=3)
         message = policy.respond(key, rows + 0.05, t=4)
-        selection, quantized, _ = decode_selector(message.frame)
-        frame = bytes(encode_selector(selection, quantized, 0.25))
+        selection, quantized, predicted = decode_selector(message.frame)
+        frame = bytes(encode_selector(selection, quantized))
         want_selector = reference_pack_bits(
             selection.astype(np.uint32).ravel(), 2
         ).tobytes()
         at = 16 + 8  # frame header + shape word
-        assert struct.unpack_from("<fI", frame, at) == (
-            0.25, len(want_selector)
+        assert struct.unpack_from("<II", frame, at) == (
+            predicted, len(want_selector)
         )
         assert frame[at + 8:at + 8 + len(want_selector)] == want_selector
         assert frame[at + 8 + len(want_selector):] == bytes(
@@ -253,6 +254,141 @@ def _size_offenders(source: str) -> list[str]:
             if hit:
                 offenders.append(f"{kind}:{getattr(node, 'lineno', '?')}")
     return offenders
+
+
+# Where a byte count reaches the traffic meter: ``ClusterRuntime``'s
+# three ``send_*`` calls and the parameter servers' outage retries, each
+# taking the count as its third argument.
+SINKS = {"send_worker_to_worker", "send_worker_to_server",
+         "send_server_to_worker", "_outage_retries"}
+# The metered charges that are not frames, each with the reason. A new
+# one fails the guard; framing one of these fails it too, until it
+# leaves this table.
+NOT_FRAMED = {
+    ("core/worker.py", "rows.nbytes + 16"):
+        "the first-hop feature cache, set-up traffic sized as the rows "
+        "plus a 16-byte header; pinned as ``feature_cache`` by every "
+        "golden",
+    ("engine/backends.py", "64"):
+        "an online-sampling request, a modelled 64-byte message with no "
+        "payload the program builds; pinned as ``sampling``",
+}
+
+
+def _computed_counts(source: str) -> list[tuple[int, str]]:
+    """``(line, expression)`` of each byte count a module computes and
+    hands a sink (:data:`SINKS`). A frame's length is not computed: a
+    ``len(...)``, a ``ChannelMessage``-annotated parameter's ``.nbytes``
+    (the length of its frame), a name every assignment of which binds
+    one of those, or — inside a sink, whose own callers are checked — a
+    parameter passed on."""
+    tree = ast.parse(source)
+    owner = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            owner[child] = node if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ) else owner.get(node)
+    hits = []
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and getattr(
+            call.func, "attr", getattr(call.func, "id", "")
+        ) in SINKS):
+            continue
+        count = call.args[2] if len(call.args) > 2 else next(
+            k.value for k in call.keywords if k.arg in ("num_bytes", "nbytes")
+        )
+        func = owner.get(call)
+        args = [] if func is None else [
+            *func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs
+        ]
+        messages = {
+            a.arg for a in args
+            if getattr(a.annotation, "id", None) == "ChannelMessage"
+        }
+        # What each name is assigned (an augmented assignment is
+        # arithmetic); a name bound any other way is not a frame length.
+        bound: dict[str, list] = {}
+        for node in ast.walk(func) if func is not None else ():
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                value = node if isinstance(node, ast.AugAssign) else node.value
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        bound.setdefault(target.id, []).append(value)
+
+        def framed(expr) -> bool:
+            if isinstance(expr, ast.Call):
+                return getattr(expr.func, "id", None) == "len"
+            if isinstance(expr, ast.Attribute):
+                return expr.attr == "nbytes" and getattr(
+                    expr.value, "id", None
+                ) in messages
+            if isinstance(expr, ast.Name) and expr.id in bound:
+                return all(framed(value) for value in bound[expr.id])
+            return (
+                isinstance(expr, ast.Name) and func is not None
+                and func.name in SINKS and expr.id in {a.arg for a in args}
+            )
+
+        if not framed(count):
+            hits.append((call.lineno, ast.unparse(count)))
+    return sorted(hits)
+
+
+class TestMeteredCountsAreFrameLengths:
+    """Every byte count handed the traffic meter outside
+    ``cluster/serialize.py`` is the length of a frame, not arithmetic:
+    ``rows * per_row + 16`` (the parameter servers' shard size before
+    each shard became a RAW frame) is what this catches."""
+
+    def test_no_module_computes_a_metered_count(self):
+        root = Path(repro.__file__).parent
+        found = {
+            (path.relative_to(root).as_posix(), expression)
+            for path in sorted(root.rglob("*.py"))
+            if path != WIRE_OWNER
+            for _, expression in _computed_counts(path.read_text())
+        }
+        assert found == set(NOT_FRAMED)
+
+    def test_the_guard_sees_planted_counts(self):
+        sample = (
+            "def _pull(self, worker, shard):\n"
+            "    nbytes = rows * per_row + 16\n"
+            "    self.runtime.send_server_to_worker(shard.server, worker, "
+            "nbytes, 'param_pull')\n"
+            "    self._outage_retries(worker, shard.server, nbytes, "
+            "'param_pull', True)\n"
+            "def ok(self, message: ChannelMessage, frame):\n"
+            "    n = len(frame)\n"
+            "    runtime.send_worker_to_worker(0, 1, n, 'x')\n"
+            "    runtime.send_worker_to_worker(0, 1, message.nbytes, 'x')\n"
+            "    runtime.send_worker_to_server(0, 1, num_bytes=len(frame), "
+            "category='x')\n"
+            "def bad(self, rows, n, message):\n"
+            "    runtime.send_worker_to_worker(0, 1, rows.nbytes + 16, 'x')\n"
+            "    runtime.send_worker_to_worker(0, 1, 64, 'x')\n"
+            "    runtime.send_worker_to_worker(0, 1, rows.nbytes, 'x')\n"
+            "    runtime.send_worker_to_worker(0, 1, n, 'x')\n"
+            "    runtime.send_worker_to_worker(0, 1, message.nbytes, 'x')\n"
+            "    for k in sizes:\n"
+            "        runtime.send_worker_to_worker(0, 1, k, 'x')\n"
+            "    m = len(frame)\n"
+            "    m += 8\n"
+            "    runtime.send_worker_to_worker(0, 1, m, 'x')\n"
+            "def _outage_retries(self, worker, server, nbytes, category):\n"
+            "    self.runtime.send_server_to_worker(server, worker, nbytes, "
+            "category)\n"
+        )
+        assert _computed_counts(sample) == [
+            (3, "nbytes"), (4, "nbytes"), (11, "rows.nbytes + 16"),
+            (12, "64"), (13, "rows.nbytes"), (14, "n"),
+            (15, "message.nbytes"), (17, "k"), (20, "m"),
+        ]
 
 
 class TestFrameSizesHaveOneOwner:
