@@ -109,7 +109,7 @@ class CachedKHopBackend(GCNBackend):
             home = spec.worker_machine(w)
             remote = int(self.worker_caches[w].pull_bytes * (machines - 1) / machines)
             if remote:
-                self.ctx.runtime.meter.charge((home + 1) % machines, home, remote, category)
+                self.ctx.runtime.charge((home + 1) % machines, home, remote, category)
 
     def transposed(self, state: WorkerState, layer: int) -> csr_matrix:
         return self.worker_caches[state.worker_id].a_transposed

@@ -125,10 +125,12 @@ class ClusterRuntime:
     # ------------------------------------------------------------------
     # Communication accounting
     # ------------------------------------------------------------------
-    def _charge(
+    def charge(
         self, src_machine: int, dst_machine: int, num_bytes: int,
         category: str,
     ) -> bool:
+        """Charge one message between two machines to the meter and its
+        telemetry mirror; returns whether the meter charged its bytes."""
         metered = self.meter.charge(
             src_machine, dst_machine, num_bytes, category
         )
@@ -145,7 +147,7 @@ class ClusterRuntime:
     ) -> bool:
         """Charge a worker-to-worker message (embeddings / gradients);
         returns whether the meter charged its bytes."""
-        return self._charge(
+        return self.charge(
             self.spec.worker_machine(src),
             self.spec.worker_machine(dst),
             num_bytes,
@@ -160,7 +162,7 @@ class ClusterRuntime:
         Elastic recovery uses this when an adopter (or rejoiner) loads
         the feature shard of a partition it did not previously own.
         """
-        self._charge(
+        self.charge(
             self.spec.storage_machine,
             self.spec.worker_machine(worker),
             num_bytes,
@@ -171,7 +173,7 @@ class ClusterRuntime:
         self, worker: int, server: int, num_bytes: int, category: str
     ) -> None:
         """Charge a worker-to-server message (gradient push)."""
-        self._charge(
+        self.charge(
             self.spec.worker_machine(worker),
             self.spec.server_machine(server),
             num_bytes,
@@ -182,7 +184,7 @@ class ClusterRuntime:
         self, server: int, worker: int, num_bytes: int, category: str
     ) -> None:
         """Charge a server-to-worker message (parameter pull)."""
-        self._charge(
+        self.charge(
             self.spec.server_machine(server),
             self.spec.worker_machine(worker),
             num_bytes,

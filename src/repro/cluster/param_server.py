@@ -66,26 +66,18 @@ class ParameterServerGroup:
         self,
         runtime: ClusterRuntime,
         optimizer_factory: Callable[[], Optimizer],
-        reduce: str = "mean",
     ):
         """Args:
         runtime: Cluster runtime used for traffic accounting.
         optimizer_factory: Builds one optimizer per server (the paper
             uses Adam everywhere).
-        reduce: ``"mean"`` averages pushed gradients over workers;
-            ``"sum"`` adds them (use sum when workers already scale
-            their gradients by the global sample count).
         """
-        if reduce not in ("mean", "sum"):
-            raise ValueError(f"reduce must be 'mean' or 'sum', got {reduce!r}")
         self.runtime = runtime
-        self.reduce = reduce
         self.num_servers = runtime.spec.num_servers
         self._params: Dict[str, np.ndarray] = {}
         self._shards: Dict[str, list[Shard]] = {}
         self._optimizers = [optimizer_factory() for _ in range(self.num_servers)]
         self._pending: Dict[str, np.ndarray] = {}
-        self._pushes_received = 0
 
     # ------------------------------------------------------------------
     def register(self, name: str, value: np.ndarray) -> None:
@@ -204,14 +196,14 @@ class ParameterServerGroup:
                 self._pending[name] = grad.astype(np.float64)
             else:
                 pending += grad
-        self._pushes_received += 1
 
     def apply_updates(self) -> None:
         """Sum the buffered gradients and run the per-server optimizers.
 
-        Called once per iteration after every worker has pushed. Gradients
-        are averaged over workers — combined with per-worker mean losses
-        this matches a global full-batch mean loss up to worker weighting.
+        Called once per iteration after every worker has pushed. The
+        pushed gradients are summed, not averaged: each worker already
+        scales its share by the global training-vertex count, so the sum
+        is the gradient of the full-batch mean loss.
         """
         if not self._pending:
             return
@@ -220,41 +212,24 @@ class ParameterServerGroup:
         self.runtime.telemetry.metrics.inc("optimizer_steps")
 
     def _apply_updates(self) -> None:
-        num_pushes = max(self._pushes_received, 1) if self.reduce == "mean" else 1
         for server, optimizer in enumerate(self._optimizers):
+            # Views into the parameters: the optimizer updates them in
+            # place.
             shard_params: Dict[str, np.ndarray] = {}
             shard_grads: Dict[str, np.ndarray] = {}
             for name, grad_sum in self._pending.items():
                 for shard in self._shards[name]:
                     if shard.server != server:
                         continue
-                    view = self._params[name][shard.start:shard.stop]
-                    shard_params[shard.key] = view
+                    shard_params[shard.key] = (
+                        self._params[name][shard.start:shard.stop]
+                    )
                     shard_grads[shard.key] = (
-                        grad_sum[shard.start:shard.stop] / num_pushes
-                    ).astype(np.float32)
+                        grad_sum[shard.start:shard.stop].astype(np.float32)
+                    )
             if shard_grads:
                 optimizer.step(shard_params, shard_grads)
-                # Optimizer mutated the views in place; write them back to
-                # be robust to optimizers that rebind instead of mutate.
-                for key, updated in shard_params.items():
-                    name, span = key.split("[")
-                    start, stop = span.rstrip("]").split(":")
-                    self._params[name][int(start):int(stop)] = updated
         self._pending.clear()
-        self._pushes_received = 0
-
-    def set_learning_rate(self, lr: float) -> None:
-        """Update every server optimizer's learning rate.
-
-        Learning-rate schedules are driven by the trainer once per
-        iteration; broadcasting a scalar to the servers is free compared
-        to parameter traffic, so no bytes are charged.
-        """
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        for optimizer in self._optimizers:
-            optimizer.lr = lr
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:

@@ -36,8 +36,9 @@ class ClusterSpec:
             ``None`` means a homogeneous cluster.
         overlap_comm: Model perfect communication/computation overlap
             (epoch = max(compute, comm)) instead of the synchronous
-            default (epoch = compute + comm). AGL's pipelining claim is
-            modelled this way.
+            default (epoch = compute + comm). No system sets it yet
+            (the ``agl`` row does not model AGL's pipelining); ROADMAP
+            item 3(b) reworks it into a per-stage overlap.
     """
 
     num_workers: int

@@ -11,7 +11,6 @@ from repro.core.bit_tuner import (
 )
 from repro.faults.config import FAULTS_DISABLED, FaultConfig
 from repro.nn.activations import ACTIVATION_NAMES
-from repro.nn.optim import OPTIMIZER_NAMES
 from repro.obs.config import OBS_DISABLED, ObsConfig
 
 __all__ = ["ModelConfig", "ECGraphConfig"]
@@ -91,8 +90,8 @@ class ECGraphConfig:
         transform_first: Compute ``X W`` before aggregating when the input
             dimension exceeds the output (the paper's second basic
             optimization, borrowed from DGL).
-        learning_rate / optimizer: Server-side optimizer settings.
-        weight_decay: L2 regularization applied by the servers.
+        learning_rate: The servers' Adam step size (the one training
+            hyperparameter; Adam's betas and epsilon are constants).
         execution: ``"sync"`` runs every worker inline in this process
             (the historical simulation); ``"multiprocess"`` runs worker
             kernels in real OS processes over shared-memory embedding /
@@ -119,8 +118,6 @@ class ECGraphConfig:
     cache_first_hop: bool = True
     transform_first: bool = True
     learning_rate: float = 0.01
-    optimizer: str = "adam"
-    weight_decay: float = 0.0
     execution: str = "sync"
     seed: int = 0
     obs: ObsConfig = OBS_DISABLED
@@ -149,13 +146,6 @@ class ECGraphConfig:
             raise ValueError("need 0 <= tuner_lower < tuner_raise <= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.optimizer not in OPTIMIZER_NAMES:
-            raise ValueError(
-                f"unknown optimizer {self.optimizer!r}; "
-                f"known: {', '.join(OPTIMIZER_NAMES)}"
-            )
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
         if self.execution not in _EXECUTION_MODES:
             raise ValueError(f"execution must be one of {_EXECUTION_MODES}")
         if self.execution == "multiprocess" and self.faults.elastic:

@@ -168,7 +168,7 @@ class ResECPolicy(ExchangePolicy):
 
     def invalidate_worker(self, worker: int) -> None:
         """Zero the residuals on channels touching ``worker`` (crash
-        recovery with ``reset_residuals=True``): the rebuilt process
+        recovery): the rebuilt process
         starts with ``delta = 0``, exactly the Theorem-1 initial state.
 
         Zeroed in place, not dropped, so a partition move still carries

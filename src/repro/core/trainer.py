@@ -53,7 +53,7 @@ from repro.engine import (
 from repro.faults.injector import FaultCounters, FaultInjector
 from repro.graph.normalize import normalized_adjacency
 from repro.graph.store.base import GraphStoreBundle
-from repro.nn.optim import make_optimizer
+from repro.nn.optim import Adam
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracing import monotonic_now
 from repro.partition import make_partitioner
@@ -130,12 +130,9 @@ class ECGraphTrainer:
         self.engine: TrainerCore | None = None
         self._fp_policy = fp_policy
         self._bp_policy = bp_policy
-        self._fp_policy_override = fp_policy is not None
-        self._bp_policy_override = bp_policy is not None
         self._preprocessing_seconds = 0.0
         self._global_train_count = 0
         self._setup_done = False
-        self._lr_schedule = None
         self._injector: FaultInjector | None = None
         self._normalized = None
         self._backend = backend
@@ -173,13 +170,7 @@ class ECGraphTrainer:
 
         self.runtime = ClusterRuntime(self.spec, telemetry=self.obs)
         self.servers = ParameterServerGroup(
-            self.runtime,
-            lambda: make_optimizer(
-                self.config.optimizer,
-                self.config.learning_rate,
-                weight_decay=self.config.weight_decay,
-            ),
-            reduce="sum",
+            self.runtime, lambda: Adam(self.config.learning_rate)
         )
         self.params = build_parameters(
             self.model_config,
@@ -190,15 +181,20 @@ class ECGraphTrainer:
         for name, tensor in self.params.tensors.items():
             self.servers.register(name, tensor.copy())
 
-        self.tuner = BitTuner(
-            initial_bits=self.config.fp_bits,
-            raise_threshold=self.config.tuner_raise,
-            lower_threshold=self.config.tuner_lower,
-            enabled=self.config.adaptive_bits,
-        )
-        if not self._fp_policy_override:
+        if isinstance(self._fp_policy, ReqECPolicy):
+            # An injected ReqEC policy brings its tuner: the run feeds,
+            # escalates and audits the tuner the policy reads.
+            self.tuner = self._fp_policy.tuner
+        else:
+            self.tuner = BitTuner(
+                initial_bits=self.config.fp_bits,
+                raise_threshold=self.config.tuner_raise,
+                lower_threshold=self.config.tuner_lower,
+                enabled=self.config.adaptive_bits,
+            )
+        if self._fp_policy is None:
             self._fp_policy = make_exchange_policy("fp", self.config, self.tuner)
-        if not self._bp_policy_override:
+        if self._bp_policy is None:
             self._bp_policy = make_exchange_policy("bp", self.config)
         if isinstance(self._fp_policy, ReqECPolicy):
             # One trend table per owner, over its (live) serve plan.
@@ -277,7 +273,7 @@ class ECGraphTrainer:
             reassigner = PartitionReassigner(
                 ctx, backend, self._normalized, self.partition, membership,
             )
-            watchdog = ConvergenceWatchdog(self.config.faults)
+            watchdog = ConvergenceWatchdog()
             recovery.attach_elasticity(membership, reassigner, watchdog)
             ctx.membership = membership
         self.engine = TrainerCore(ctx, backend, recovery=recovery)
@@ -310,7 +306,7 @@ class ECGraphTrainer:
     def run_epoch(self, t: int) -> EpochResult:
         """One synchronous training iteration (forward + backward)."""
         self.setup()
-        return self.engine.run_epoch(t, lr_schedule=self._lr_schedule)
+        return self.engine.run_epoch(t)
 
     def close(self) -> None:
         """Release execution resources (worker processes and shared
@@ -347,7 +343,6 @@ class ECGraphTrainer:
         patience: int | None = None,
         target_accuracy: float | None = None,
         name: str | None = None,
-        lr_schedule=None,
     ) -> ConvergenceRun:
         """Train for up to ``num_epochs`` iterations.
 
@@ -357,11 +352,7 @@ class ECGraphTrainer:
                 this many epochs (None disables early stopping).
             target_accuracy: Stop as soon as test accuracy reaches this.
             name: Run label for reports.
-            lr_schedule: Optional ``epoch -> learning rate`` callable;
-                ``None`` keeps the configured constant rate, the paper's
-                setting.
         """
-        self._lr_schedule = lr_schedule
         self.setup()
         run = ConvergenceRun(
             name=name or f"ecgraph[{self.config.fp_mode}/{self.config.bp_mode}]",

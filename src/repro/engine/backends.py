@@ -57,6 +57,8 @@ from repro.core.gcn_math import (
     weight_gradient,
 )
 from repro.core.models import bias_name, weight_name
+from repro.core.policies import DelayedPolicy
+from repro.core.reqec_fp import ReqECPolicy
 from repro.core.worker import WorkerState, build_worker_states
 from repro.engine.context import ExchangeContext
 from repro.engine.workspace import BufferLife, Timeline
@@ -561,14 +563,14 @@ class SampledGCNBackend(GCNBackend):
         self.sampled_once = False
 
     def bind(self, ctx: ExchangeContext) -> None:
-        config = ctx.config
-        if config.fp_mode == "reqec":
+        if isinstance(ctx.fp_policy, ReqECPolicy):
             raise ValueError(
                 "ReqEC-FP is a full-batch mechanism (it keeps dense "
                 "per-vertex trend tables); use fp_mode='compress' or "
                 "'raw' in sampling mode"
             )
-        if "delayed" in (config.fp_mode, config.bp_mode):
+        if any(isinstance(p, DelayedPolicy)
+               for p in (ctx.fp_policy, ctx.bp_policy)):
             raise ValueError(
                 "delayed aggregation keeps dense per-channel caches and "
                 "cannot track per-iteration sampled subsets; use raw or "
@@ -580,7 +582,7 @@ class SampledGCNBackend(GCNBackend):
                 f"{ctx.params.num_layers} layers"
             )
         super().bind(ctx)
-        self.rng = np.random.default_rng(config.seed + 1)
+        self.rng = np.random.default_rng(ctx.config.seed + 1)
         if not self.online:
             with ctx.telemetry.span("sampling", mode="offline"):
                 self.resample()

@@ -154,8 +154,7 @@ class ExchangeContext:
 
     def update_tuner(self) -> None:
         """Feed the last exchange's predicted-win proportions to the
-        Bit-Tuner (Algorithm 3; ReqEC-FP mode only)."""
-        if self.config.fp_mode != "reqec":
-            return
+        Bit-Tuner (Algorithm 3). Only a policy that reports a
+        ``predicted_share`` (ReqEC-FP) leaves any to feed."""
         for pair, proportion in self.transport.last_proportions().items():
             self.tuner.update(pair, proportion)

@@ -21,7 +21,6 @@ sample.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -70,9 +69,7 @@ class TrainerCore:
         )
 
     # ------------------------------------------------------------------
-    def run_epoch(
-        self, t: int, lr_schedule: Callable[[int], float] | None = None
-    ) -> EpochResult:
+    def run_epoch(self, t: int) -> EpochResult:
         """One synchronous training iteration (forward + backward).
 
         Any exception — a fault-tolerance abort, a diverged watchdog, a
@@ -81,21 +78,17 @@ class TrainerCore:
         strands worker processes or shared memory.
         """
         try:
-            return self._run_epoch(t, lr_schedule)
+            return self._run_epoch(t)
         except BaseException:
             self.shutdown()
             raise
 
-    def _run_epoch(
-        self, t: int, lr_schedule: Callable[[int], float] | None = None
-    ) -> EpochResult:
+    def _run_epoch(self, t: int) -> EpochResult:
         ctx = self.ctx
         obs = ctx.telemetry
         with obs.epoch(t, ctx.runtime):
             if self.recovery is not None:
                 self.recovery.begin_epoch(t)
-            if lr_schedule is not None:
-                ctx.servers.set_learning_rate(lr_schedule(t))
             with obs.stage("halo_plan", t):
                 self.halo_plan.run(t)
             with obs.stage("forward", t):

@@ -36,6 +36,11 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.worker import fetch_halo_features
 from repro.engine.context import ExchangeContext
+from repro.faults.config import (
+    MAX_CONSECUTIVE_ROLLBACKS,
+    RECOVERY_SECONDS,
+    WATCHDOG_BURST,
+)
 
 if TYPE_CHECKING:
     from repro.membership.reassign import PartitionReassigner
@@ -196,22 +201,21 @@ class RecoveryManager:
 
         The static partition state (adjacency rows, feature shards,
         request/serve plans) rebuilds from the worker's local storage —
-        charged as ``recovery_seconds`` of stall plus the re-fetch of
+        charged as ``RECOVERY_SECONDS`` of stall plus the re-fetch of
         the first-hop feature cache — while the server-side parameters
         roll back to the latest checkpoint and the error-compensation
-        channel state touching the dead worker is zeroed
-        (``reset_residuals``), restoring the Theorem-1 initial condition
+        channel state touching the dead worker is always zeroed,
+        restoring the Theorem-1 initial condition
         ``delta = 0`` for those channels.
         """
         ctx = self.ctx
-        faults = ctx.config.faults
         counters = ctx.injector.counters
         obs = ctx.telemetry
         for worker in crashed:
             counters.crashes += 1
             if obs.enabled:
                 obs.metrics.inc("fault_crashes", worker=worker)
-            ctx.runtime.add_stall(worker, faults.recovery_seconds)
+            ctx.runtime.add_stall(worker, RECOVERY_SECONDS)
             state = ctx.workers[worker]
             state.crash_reset(ctx.params.num_layers)
             if ctx.config.cache_first_hop and state.halo_lost:
@@ -222,9 +226,8 @@ class RecoveryManager:
                 fetch_halo_features(
                     state, ctx.workers, ctx.runtime, "recovery"
                 )
-            if faults.reset_residuals:
-                ctx.fp_policy.invalidate_worker(worker)
-                ctx.bp_policy.invalidate_worker(worker)
+            ctx.fp_policy.invalidate_worker(worker)
+            ctx.bp_policy.invalidate_worker(worker)
             ctx.transport.invalidate_worker(worker)
             if ctx.executor is not None:
                 # Under multiprocess execution a crash is a real process
@@ -257,7 +260,7 @@ class RecoveryManager:
     def _lose_worker(self, t: int, worker: int) -> None:
         """Permanent loss: detect, check quorum, adopt, roll back, arm.
 
-        The lease expires after ``lease_grace_s`` (quantized to whole
+        The lease expires after ``LEASE_GRACE_S`` (quantized to whole
         heartbeats); every survivor stalls for that detection window.
         The orphaned partition then moves to the least-loaded survivor
         and the server parameters roll back to the latest checkpoint so
@@ -310,20 +313,19 @@ class RecoveryManager:
         checkpoint, so a rollback is never overwritten by a diverged
         save). A trip rolls the servers back, escalates every halo
         channel pair to the widest bit width, and resets the backward
-        residual state; ``max_consecutive_rollbacks`` trips in a row
+        residual state; ``MAX_CONSECUTIVE_ROLLBACKS`` trips in a row
         without a healthy epoch raise
         :class:`~repro.membership.watchdog.DivergenceError`.
         """
         if self.watchdog is None:
             return
         ctx = self.ctx
-        faults = ctx.config.faults
         injector = ctx.injector
         if injector is not None:
             corruptions = injector.counters.corruptions
             burst = corruptions - self._corruption_mark
             self._corruption_mark = corruptions
-            if burst >= faults.watchdog_burst:
+            if burst >= WATCHDOG_BURST:
                 self.watchdog.arm(t, "corruption_burst")
                 if self.membership is not None:
                     self.membership.record(
@@ -376,6 +378,6 @@ class RecoveryManager:
             raise DivergenceError(
                 f"convergence watchdog exhausted at epoch {t}: "
                 f"{self.watchdog.consecutive} consecutive rollbacks "
-                f"(limit {faults.max_consecutive_rollbacks}, "
+                f"(limit {MAX_CONSECUTIVE_ROLLBACKS}, "
                 f"last trigger {reason!r})"
             )

@@ -38,6 +38,7 @@ import numpy as np
 from repro.cluster.engine import ClusterRuntime
 from repro.core.messages import ChannelKey, ChannelMessage, ExchangePolicy
 from repro.core.worker import WorkerState
+from repro.faults.config import MAX_RETRIES
 from repro.faults.injector import FATE_CORRUPT, FATE_DELAY, FATE_DROP
 from repro.obs.tracing import monotonic_now
 
@@ -137,8 +138,8 @@ class HaloTransport:
         policy: ExchangePolicy,
         category: str,
         dim: int,
+        out: list[np.ndarray],
         subset: dict[tuple[int, int], np.ndarray] | None = None,
-        out: list[np.ndarray] | None = None,
     ) -> list[np.ndarray]:
         """Fetch remote rows for every worker; returns halo matrices.
 
@@ -149,35 +150,26 @@ class HaloTransport:
                 matrix whose rows are being served (e.g. its ``H^{l-1}``).
             policy: The exchange policy for this direction.
             category: Traffic category for the meter.
-            dim: Row width, used to size the halo buffers.
+            dim: Row width of the exchanged rows.
+            out: One persistent ``(num_halo, dim)`` float32 target per
+                worker (workspace halo tails).
             subset: Optional per-(responder, requester) boolean masks
                 over the channel's full vertex list (sampling mode);
                 channels not present exchange all rows.
-            out: One persistent ``(num_halo, dim)`` float32 target per
-                worker (workspace halo tails); ``None`` allocates.
 
         Returns:
-            One ``(num_halo, dim)`` array per worker, rows scattered into
-            the worker's halo ordering. Vertices outside a subset keep 0.
-            Arrays passed as ``out`` are valid until the next exchange
-            into them.
+            ``out``, rows scattered into each worker's halo ordering.
+            Vertices outside a subset keep 0.
         """
-        if out is None:
-            halos = [
-                np.zeros((state.num_halo, dim), dtype=np.float32)
-                for state in self.workers
-            ]
-        else:
-            halos = out
-            if subset is not None or self.injector is not None:
-                for halo in halos:
-                    halo.fill(0.0)
+        if subset is not None or self.injector is not None:
+            for halo in out:
+                halo.fill(0.0)
         self._last_proportions.clear()
         obs = self.telemetry
         with obs.span("halo_exchange", layer=layer, category=category):
             sessions = self._plan_forward(layer, rows_of, subset)
-            self._run(sessions, halos, t, policy, category, dim)
-        return halos
+            self._run(sessions, out, t, policy, category, dim)
+        return out
 
     def reverse_exchange(
         self,
@@ -187,7 +179,7 @@ class HaloTransport:
         policy: ExchangePolicy,
         category: str,
         dim: int,
-        out: list[np.ndarray] | None = None,
+        out: list[np.ndarray],
     ) -> list[np.ndarray]:
         """Push halo-partial gradients back to their owners and sum them.
 
@@ -201,27 +193,20 @@ class HaloTransport:
             halo_rows_of: Maps a worker's state to its ``(num_halo, dim)``
                 partial-gradient matrix (halo ordering).
             out: One persistent ``(num_local, dim)`` float32 accumulator
-                per worker (always zero-filled); ``None`` allocates.
+                per worker (always zero-filled).
 
         Returns:
-            One ``(num_local, dim)`` array per worker: the sum of the
-            partials every consumer computed for that worker's vertices.
+            ``out``: per worker, the sum of the partials every consumer
+            computed for that worker's vertices.
         """
-        if out is None:
-            accumulated = [
-                np.zeros((state.num_local, dim), dtype=np.float32)
-                for state in self.workers
-            ]
-        else:
-            accumulated = out
-            for rows in accumulated:
-                rows.fill(0.0)
+        for rows in out:
+            rows.fill(0.0)
         obs = self.telemetry
         with obs.span("halo_exchange", layer=layer, category=category,
                       direction="reverse"):
             sessions = self._plan_reverse(layer, halo_rows_of)
-            self._run(sessions, accumulated, t, policy, category, dim)
-        return accumulated
+            self._run(sessions, out, t, policy, category, dim)
+        return out
 
     def last_proportions(self) -> dict[tuple[int, int], float]:
         """Predicted-selection proportions observed in the last exchange.
@@ -406,7 +391,7 @@ class HaloTransport:
                 )
             self.runtime.add_stall(dst, timeout)
             attempt += 1
-            if attempt > injector.config.max_retries:
+            if attempt > MAX_RETRIES:
                 return False
             injector.counters.retries += 1
             injector.counters.retry_bytes += message.nbytes

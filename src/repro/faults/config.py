@@ -1,7 +1,8 @@
 """Fault-injection configuration.
 
 A :class:`FaultConfig` describes every fault the simulator can inject
-into a training run and the tolerance policy used to survive it. It
+into a training run; the tolerance policy used to survive it is the
+block of constants below (``MAX_RETRIES`` ... ``WATCHDOG_BURST``). It
 hangs off :class:`~repro.core.config.ECGraphConfig` the same way the
 telemetry :class:`~repro.obs.config.ObsConfig` does: disabled by
 default, and with ``enabled=False`` the whole fault stack is inert —
@@ -16,7 +17,7 @@ Fault classes:
 * **stragglers** — chosen workers run slower by a constant factor over
   an epoch range, stretching the BSP epoch;
 * **parameter-server outages** — during chosen epochs a server is
-  unreachable for a fixed number of attempts per shard message, so every
+  unreachable for ``OUTAGE_ATTEMPTS`` attempts per shard message, so every
   pull/push pays retry bytes and backoff before succeeding (parameters
   cannot be degraded away, only delayed);
 * **worker crashes** — at chosen epochs a worker dies and is rebuilt
@@ -40,12 +41,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FaultConfig", "FAULTS_DISABLED"]
+__all__ = [
+    "FaultConfig", "FAULTS_DISABLED", "MAX_RETRIES", "BACKOFF_BASE_S",
+    "BACKOFF_FACTOR", "OUTAGE_ATTEMPTS", "RECOVERY_SECONDS",
+    "HEARTBEAT_INTERVAL_S", "LEASE_GRACE_S", "MAX_CONSECUTIVE_ROLLBACKS",
+    "WATCHDOG_LOSS_FACTOR", "WATCHDOG_WINDOW", "WATCHDOG_BURST",
+]
+
+# The tolerance policy: one value each, the same for every run.
+# Retransmissions after the first failed attempt before an exchange
+# degrades; retry ``k`` first waits BACKOFF_BASE_S * BACKOFF_FACTOR**(k-1)
+# (charged as requester stall time).
+MAX_RETRIES = 3
+BACKOFF_BASE_S = 0.01
+BACKOFF_FACTOR = 2.0
+# Failed attempts per shard message while its server is in an outage.
+OUTAGE_ATTEMPTS = 2
+# Stall charged to a recovering or adopting worker (process
+# restart + partition state rebuild).
+RECOVERY_SECONDS = 1.0
+# Membership heartbeat period, and the lease survivors wait without a
+# heartbeat before declaring a worker dead (quantized to whole beats).
+HEARTBEAT_INTERVAL_S = 0.25
+LEASE_GRACE_S = 1.0
+# Convergence watchdog: abort with ``DivergenceError`` after this many
+# consecutive trips; while armed, trip when the loss exceeds
+# WATCHDOG_LOSS_FACTOR x the median of the last WATCHDOG_WINDOW healthy
+# epochs; stay armed WATCHDOG_WINDOW epochs after an event; arm on
+# WATCHDOG_BURST checksum failures within one epoch.
+MAX_CONSECUTIVE_ROLLBACKS = 3
+WATCHDOG_LOSS_FACTOR = 4.0
+WATCHDOG_WINDOW = 5
+WATCHDOG_BURST = 16
 
 
 @dataclass(frozen=True)
 class FaultConfig:
-    """Fault schedule plus tolerance policy for one training run.
+    """Fault schedule for one training run (the tolerance policy is the
+    module's constants).
 
     Attributes:
         enabled: Master switch; False keeps every hot path untouched.
@@ -56,30 +89,19 @@ class FaultConfig:
             checksum (counted separately; handled like a drop).
         delay_prob: Probability the message is delivered late.
         delay_seconds: Stall charged to the requester for a late message.
-        max_retries: Retransmissions after the first failed attempt
-            before the exchange gives up and degrades.
-        backoff_base_s: First retry backoff; doubles per attempt via
-            ``backoff_factor`` (charged as requester stall time).
-        backoff_factor: Exponential backoff multiplier.
         straggler_workers: Workers slowed by ``straggler_factor``.
         straggler_factor: Compute-time multiplier for stragglers (>= 1).
         straggler_epochs: ``(start, stop)`` epoch half-open range the
             slowdown applies to; None means every epoch.
         server_outages: ``(epoch, server)`` pairs; during that epoch the
-            server fails ``outage_attempts`` times per shard message.
-        outage_attempts: Failed attempts per shard message in an outage.
+            server fails ``OUTAGE_ATTEMPTS`` times per shard message.
         crash_schedule: ``(epoch, worker)`` pairs; the worker dies just
             before that epoch runs and is recovered from checkpoint.
-        recovery_seconds: Compute time charged to a recovering worker
-            (process restart + partition state rebuild).
         checkpoint_every: Auto-checkpoint the server parameters every
             this many completed epochs (in memory, or on disk when
             ``checkpoint_dir`` is set).
         checkpoint_dir: Directory for real ``.npz`` checkpoints; None
             keeps snapshots in memory only.
-        reset_residuals: Zero the ReqEC/ResEC channel state touching the
-            crashed worker (True, the safe default) instead of keeping
-            the survivor-side state as-is.
         elastic: Enable elastic membership: a lease/heartbeat-based
             :class:`~repro.membership.MembershipView`, partition
             adoption on permanent loss, and the convergence watchdog.
@@ -91,22 +113,8 @@ class FaultConfig:
         rejoin_schedule: ``(epoch, worker)`` pairs; a permanently lost
             worker rejoins just before that epoch, reclaiming the
             vertices it originally owned.
-        heartbeat_interval_s: Membership heartbeat period; failure
-            detection is quantized to whole heartbeats.
-        lease_grace_s: Lease length: how long survivors wait without a
-            heartbeat before declaring a worker dead (the BSP epoch
-            stalls for the whole detection window).
         quorum_fraction: Fail fast (``QuorumLostError``) when the alive
             fraction of the original membership drops below this.
-        max_consecutive_rollbacks: The watchdog aborts with
-            ``DivergenceError`` after this many consecutive
-            rollback-triggering epochs.
-        watchdog_loss_factor: While armed, the watchdog trips when the
-            loss exceeds this multiple of the recent-window median.
-        watchdog_window: Epochs of loss history the watchdog compares
-            against, and how long it stays armed after an event.
-        watchdog_burst: Corruptions within one epoch that count as a
-            "corruption burst" and arm the watchdog.
     """
 
     enabled: bool = False
@@ -116,34 +124,21 @@ class FaultConfig:
     corrupt_prob: float = 0.0
     delay_prob: float = 0.0
     delay_seconds: float = 0.05
-    # Retry policy.
-    max_retries: int = 3
-    backoff_base_s: float = 0.01
-    backoff_factor: float = 2.0
     # Stragglers.
     straggler_workers: tuple[int, ...] = ()
     straggler_factor: float = 1.0
     straggler_epochs: tuple[int, int] | None = None
     # Parameter-server outages.
     server_outages: tuple[tuple[int, int], ...] = ()
-    outage_attempts: int = 2
     # Worker crashes + checkpointed recovery.
     crash_schedule: tuple[tuple[int, int], ...] = ()
-    recovery_seconds: float = 1.0
     checkpoint_every: int = 1
     checkpoint_dir: str | None = None
-    reset_residuals: bool = True
     # Elastic membership: permanent loss, adoption, rejoin, watchdog.
     elastic: bool = False
     permanent_failures: tuple[tuple[int, int], ...] = ()
     rejoin_schedule: tuple[tuple[int, int], ...] = ()
-    heartbeat_interval_s: float = 0.25
-    lease_grace_s: float = 1.0
     quorum_fraction: float = 0.5
-    max_consecutive_rollbacks: int = 3
-    watchdog_loss_factor: float = 4.0
-    watchdog_window: int = 5
-    watchdog_burst: int = 16
 
     def __post_init__(self):
         if self.seed < 0:
@@ -158,12 +153,6 @@ class FaultConfig:
             )
         if self.delay_seconds < 0:
             raise ValueError("delay_seconds must be non-negative")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
         if self.straggler_factor < 1.0:
             raise ValueError("straggler_factor must be >= 1")
         if any(w < 0 for w in self.straggler_workers):
@@ -175,16 +164,12 @@ class FaultConfig:
                     "straggler_epochs must be a (start, stop) range with "
                     "0 <= start <= stop"
                 )
-        if self.outage_attempts < 1:
-            raise ValueError("outage_attempts must be >= 1")
         for epoch, server in self.server_outages:
             if epoch < 0 or server < 0:
                 raise ValueError("server_outages entries must be non-negative")
         for epoch, worker in self.crash_schedule:
             if epoch < 0 or worker < 0:
                 raise ValueError("crash_schedule entries must be non-negative")
-        if self.recovery_seconds < 0:
-            raise ValueError("recovery_seconds must be non-negative")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.checkpoint_dir is not None and not str(self.checkpoint_dir):
@@ -206,20 +191,8 @@ class FaultConfig:
                 "elastic=True requires enabled=True: membership runs on "
                 "the fault injector, which enabled=False leaves out"
             )
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be positive")
-        if self.lease_grace_s < 0:
-            raise ValueError("lease_grace_s must be non-negative")
         if not 0.0 < self.quorum_fraction <= 1.0:
             raise ValueError("quorum_fraction must be in (0, 1]")
-        if self.max_consecutive_rollbacks < 1:
-            raise ValueError("max_consecutive_rollbacks must be >= 1")
-        if self.watchdog_loss_factor <= 1.0:
-            raise ValueError("watchdog_loss_factor must exceed 1")
-        if self.watchdog_window < 1:
-            raise ValueError("watchdog_window must be >= 1")
-        if self.watchdog_burst < 1:
-            raise ValueError("watchdog_burst must be >= 1")
 
     @property
     def any_message_faults(self) -> bool:

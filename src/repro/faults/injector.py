@@ -19,7 +19,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.faults.config import FaultConfig
+from repro.faults.config import (
+    BACKOFF_BASE_S,
+    BACKOFF_FACTOR,
+    OUTAGE_ATTEMPTS,
+    FaultConfig,
+)
 
 __all__ = ["FaultCounters", "FaultInjector", "FATE_OK", "FATE_DROP",
            "FATE_CORRUPT", "FATE_DELAY"]
@@ -146,8 +151,7 @@ class FaultInjector:
 
     def backoff_seconds(self, attempt: int) -> float:
         """Stall before retransmission ``attempt`` (1-based)."""
-        cfg = self.config
-        return cfg.backoff_base_s * cfg.backoff_factor ** max(attempt - 1, 0)
+        return BACKOFF_BASE_S * BACKOFF_FACTOR ** max(attempt - 1, 0)
 
     # ------------------------------------------------------------------
     # Stragglers
@@ -169,7 +173,7 @@ class FaultInjector:
     def server_outage_attempts(self, server: int) -> int:
         """Failed attempts each shard message to ``server`` pays now."""
         if (self._epoch, server) in self.config.server_outages:
-            return self.config.outage_attempts
+            return OUTAGE_ATTEMPTS
         return 0
 
     # ------------------------------------------------------------------

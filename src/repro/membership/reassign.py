@@ -27,6 +27,7 @@ from repro.core.messages import ChannelKey
 from repro.core.worker import WorkerState, fetch_halo_features
 from repro.engine.backends import ModelBackend
 from repro.engine.context import ExchangeContext
+from repro.faults.config import RECOVERY_SECONDS
 from repro.graph.csr import CSRGraph
 from repro.membership.view import MembershipView
 from repro.partition.base import Partition
@@ -123,7 +124,6 @@ class PartitionReassigner:
         features they must refetch from the shared graph store.
         """
         ctx = self.ctx
-        faults = ctx.config.faults
         old_states = list(ctx.workers)
 
         # Channel state touching a changed worker goes: residuals are
@@ -169,7 +169,7 @@ class PartitionReassigner:
                     )
         for worker in sorted(reloaded):
             count = reloaded[worker]
-            ctx.runtime.add_stall(worker, faults.recovery_seconds)
+            ctx.runtime.add_stall(worker, RECOVERY_SECONDS)
             if count:
                 num_bytes = count * ctx.graph.feature_dim * 4 + 16
                 ctx.runtime.fetch_from_store(worker, num_bytes, "recovery")

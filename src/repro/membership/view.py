@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.faults.config import FaultConfig
+from repro.faults.config import HEARTBEAT_INTERVAL_S, LEASE_GRACE_S, FaultConfig
 
 __all__ = ["MembershipEvent", "MembershipView", "QuorumLostError"]
 
@@ -57,9 +57,8 @@ class MembershipView:
             dense ``0..num_workers-1`` and never renumbered — a dead
             worker keeps its slot so partition/worker indexing stays
             stable).
-        faults: The fault config supplying the lease parameters
-            (``heartbeat_interval_s``, ``lease_grace_s``,
-            ``quorum_fraction``).
+        faults: The fault config supplying ``quorum_fraction`` (the
+            lease is ``HEARTBEAT_INTERVAL_S`` / ``LEASE_GRACE_S``).
     """
 
     def __init__(self, num_workers: int, faults: FaultConfig):
@@ -90,14 +89,13 @@ class MembershipView:
     def detection_seconds(self) -> float:
         """Wall time from silent death to declared-dead.
 
-        A real lease expires after ``lease_grace_s`` without a
+        A real lease expires after ``LEASE_GRACE_S`` without a
         heartbeat, but survivors only *notice* on heartbeat boundaries,
         so detection rounds up to a whole number of heartbeat intervals
         (at least one).
         """
-        hb = self.faults.heartbeat_interval_s
-        beats = max(1, math.ceil(self.faults.lease_grace_s / hb))
-        return beats * hb
+        beats = max(1, math.ceil(LEASE_GRACE_S / HEARTBEAT_INTERVAL_S))
+        return beats * HEARTBEAT_INTERVAL_S
 
     # ------------------------------------------------------------------
     # Transitions

@@ -5,13 +5,14 @@ optimization trajectory can silently diverge — stale adopted state or a
 large folded gradient gap pushes the loss off a cliff a few epochs
 later. The :class:`ConvergenceWatchdog` watches the per-epoch loss and
 gradient norm and *trips* when either goes non-finite (always) or when,
-while armed, the loss exceeds ``watchdog_loss_factor`` times the median
+while armed, the loss exceeds ``WATCHDOG_LOSS_FACTOR`` times the median
 of the recent healthy window.
 
 The watchdog only decides; the :class:`~repro.engine.recovery
 .RecoveryManager` performs the response (checkpoint rollback, bit-width
 escalation, residual reset) and consults :attr:`consecutive` to enforce
-the ``max_consecutive_rollbacks`` fail-fast policy.
+the ``MAX_CONSECUTIVE_ROLLBACKS`` fail-fast policy (the constants live
+in :mod:`repro.faults.config`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ import math
 
 import numpy as np
 
-from repro.faults.config import FaultConfig
+from repro.faults.config import (
+    MAX_CONSECUTIVE_ROLLBACKS,
+    WATCHDOG_LOSS_FACTOR,
+    WATCHDOG_WINDOW,
+)
 
 __all__ = ["ConvergenceWatchdog", "DivergenceError"]
 
@@ -37,13 +42,12 @@ class ConvergenceWatchdog:
 
     The NaN/Inf check runs every epoch — a non-finite loss is never
     acceptable. The divergence check (loss vs. recent-window median)
-    only runs while *armed*, i.e. within ``watchdog_window`` epochs of a
+    only runs while *armed*, i.e. within ``WATCHDOG_WINDOW`` epochs of a
     membership change or corruption burst; steady-state loss wobble on a
     healthy fleet never trips it.
     """
 
-    def __init__(self, faults: FaultConfig):
-        self.faults = faults
+    def __init__(self) -> None:
         self._history: list[float] = []
         self._armed_until = -1
         self.consecutive = 0
@@ -53,10 +57,8 @@ class ConvergenceWatchdog:
     # Arming
     # ------------------------------------------------------------------
     def arm(self, epoch: int, reason: str) -> None:
-        """Stay armed for ``watchdog_window`` epochs starting at ``epoch``."""
-        self._armed_until = max(
-            self._armed_until, epoch + self.faults.watchdog_window
-        )
+        """Stay armed for ``WATCHDOG_WINDOW`` epochs starting at ``epoch``."""
+        self._armed_until = max(self._armed_until, epoch + WATCHDOG_WINDOW)
         self.last_arm_reason = reason
 
     def is_armed(self, epoch: int) -> bool:
@@ -71,14 +73,14 @@ class ConvergenceWatchdog:
         """Check epoch ``epoch``; return a trip reason or None.
 
         A healthy epoch extends the loss history (bounded to
-        ``watchdog_window``) and resets the consecutive-trip counter. A
+        ``WATCHDOG_WINDOW``) and resets the consecutive-trip counter. A
         tripped epoch clears the history — post-rollback losses should
         be compared against a fresh window, not the diverged one.
         """
         reason = self._verdict(epoch, loss, grad_norm)
         if reason is None:
             self._history.append(float(loss))
-            if len(self._history) > self.faults.watchdog_window:
+            if len(self._history) > WATCHDOG_WINDOW:
                 del self._history[0]
             self.consecutive = 0
             return None
@@ -97,11 +99,11 @@ class ConvergenceWatchdog:
         if not self.is_armed(epoch) or not self._history:
             return None
         baseline = float(np.median(self._history))
-        if baseline > 0 and loss > self.faults.watchdog_loss_factor * baseline:
+        if baseline > 0 and loss > WATCHDOG_LOSS_FACTOR * baseline:
             return "divergence"
         return None
 
     @property
     def exhausted(self) -> bool:
         """True once the consecutive-rollback budget is spent."""
-        return self.consecutive >= self.faults.max_consecutive_rollbacks
+        return self.consecutive >= MAX_CONSECUTIVE_ROLLBACKS

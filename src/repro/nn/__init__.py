@@ -1,5 +1,5 @@
 """Dense neural-network substrate: initializers, activations, losses,
-optimizers and metrics.
+the optimizer and metrics.
 
 This package replaces the PyTorch computation backend of the original
 EC-Graph implementation with plain numpy (see DESIGN.md section 2).
@@ -9,19 +9,10 @@ from repro.nn.activations import ACTIVATION_NAMES, Activation, get_activation
 from repro.nn.init import glorot_uniform
 from repro.nn.losses import LossResult, log_softmax, softmax_cross_entropy
 from repro.nn.metrics import accuracy
-from repro.nn.optim import (
-    OPTIMIZER_NAMES,
-    SGD,
-    Adam,
-    AdaGrad,
-    Momentum,
-    Optimizer,
-    make_optimizer,
-)
+from repro.nn.optim import Adam, Optimizer
 
 __all__ = [
     "ACTIVATION_NAMES",
-    "OPTIMIZER_NAMES",
     "Activation",
     "get_activation",
     "glorot_uniform",
@@ -29,10 +20,6 @@ __all__ = [
     "log_softmax",
     "softmax_cross_entropy",
     "accuracy",
-    "SGD",
     "Adam",
-    "AdaGrad",
-    "Momentum",
     "Optimizer",
-    "make_optimizer",
 ]

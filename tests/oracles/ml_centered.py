@@ -30,7 +30,7 @@ from repro.core.gcn_math import (
 from repro.core.models import bias_name, build_parameters, weight_name
 from repro.core.results import ConvergenceRun, EpochResult
 from repro.nn.losses import softmax_cross_entropy
-from repro.nn.optim import make_optimizer
+from repro.nn.optim import Adam
 from repro.partition.hashing import HashPartitioner
 
 __all__ = ["MLCenteredTrainer"]
@@ -84,13 +84,7 @@ class MLCenteredTrainer:
 
         self.runtime = ClusterRuntime(self.spec)
         self.servers = ParameterServerGroup(
-            self.runtime,
-            lambda: make_optimizer(
-                self.config.optimizer,
-                self.config.learning_rate,
-                weight_decay=self.config.weight_decay,
-            ),
-            reduce="sum",
+            self.runtime, lambda: Adam(self.config.learning_rate)
         )
         self.params = build_parameters(
             self.model_config,

@@ -1,6 +1,4 @@
-"""Tests for traffic breakdowns and the trainer's LR-schedule hook."""
-
-import pytest
+"""Tests for traffic breakdowns."""
 
 from repro.analysis.traffic import (
     dominant_category,
@@ -63,41 +61,3 @@ class TestTrafficBreakdown:
         assert set(totals) >= {"fp_embeddings", "bp_gradients",
                                "param_pull", "param_push"}
         assert dominant_category(run) in totals
-
-
-class TestLRScheduleHook:
-    def test_schedule_applied_each_epoch(self, small_graph):
-        trainer = ECGraphTrainer(
-            small_graph, ModelConfig(num_layers=2, hidden_dim=4),
-            ClusterSpec(num_workers=2),
-            ECGraphConfig(fp_mode="raw", bp_mode="raw",
-                          learning_rate=1.0, optimizer="sgd"),
-        )
-        seen = []
-        trainer.train(
-            6, lr_schedule=lambda t: seen.append(t) or 0.1 * (t + 1)
-        )
-        assert seen == list(range(6))
-        # Last applied rate is visible on the server optimizers.
-        assert trainer.servers._optimizers[0].lr == pytest.approx(0.6)
-
-    def test_step_decay_improves_stability(self, medium_graph):
-        """A decaying schedule must at least train successfully."""
-        trainer = ECGraphTrainer(
-            medium_graph, ModelConfig(num_layers=2, hidden_dim=8),
-            ClusterSpec(num_workers=2),
-            ECGraphConfig(fp_mode="raw", bp_mode="raw", learning_rate=0.05),
-        )
-        run = trainer.train(
-            30, lr_schedule=lambda t: 0.05 * 0.5 ** (t // 10),
-        )
-        assert run.best_test_accuracy() > 0.5
-
-    def test_invalid_rate_rejected(self, small_graph):
-        trainer = ECGraphTrainer(
-            small_graph, ModelConfig(num_layers=2, hidden_dim=4),
-            ClusterSpec(num_workers=2),
-            ECGraphConfig(fp_mode="raw", bp_mode="raw"),
-        )
-        with pytest.raises(ValueError):
-            trainer.train(2, lr_schedule=lambda t: 0.0)

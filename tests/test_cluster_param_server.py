@@ -6,13 +6,21 @@ import pytest
 from repro.cluster.engine import ClusterRuntime
 from repro.cluster.param_server import ParameterServerGroup, range_shards
 from repro.cluster.topology import ClusterSpec
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam, Optimizer
 
 
-def _group(num_workers=2, num_servers=2, reduce="mean", lr=1.0):
+class SGD(Optimizer):
+    """Plain gradient descent: makes each server update readable."""
+
+    def step(self, params, grads):
+        for name, grad in grads.items():
+            params[name] -= (self.lr * grad).astype(params[name].dtype)
+
+
+def _group(num_workers=2, num_servers=2, lr=1.0):
     runtime = ClusterRuntime(ClusterSpec(num_workers=num_workers,
                                          num_servers=num_servers))
-    return ParameterServerGroup(runtime, lambda: SGD(lr=lr), reduce=reduce), runtime
+    return ParameterServerGroup(runtime, lambda: SGD(lr=lr)), runtime
 
 
 class TestRangeShards:
@@ -45,17 +53,8 @@ class TestPushPullUpdate:
         pulled[:] = 0.0
         assert group.get("w").sum() == 8.0
 
-    def test_mean_reduce(self):
-        group, _ = _group(reduce="mean", lr=1.0)
-        group.register("w", np.zeros(4, dtype=np.float32))
-        group.push(0, {"w": np.full(4, 2.0, dtype=np.float32)})
-        group.push(1, {"w": np.full(4, 4.0, dtype=np.float32)})
-        group.apply_updates()
-        # SGD with lr=1 on the mean gradient 3.0.
-        np.testing.assert_allclose(group.get("w"), -3.0)
-
     def test_sum_reduce(self):
-        group, _ = _group(reduce="sum", lr=1.0)
+        group, _ = _group(lr=1.0)
         group.register("w", np.zeros(4, dtype=np.float32))
         group.push(0, {"w": np.full(4, 2.0, dtype=np.float32)})
         group.push(1, {"w": np.full(4, 4.0, dtype=np.float32)})
@@ -70,8 +69,7 @@ class TestPushPullUpdate:
                  for _ in range(5)]
 
         runtime = ClusterRuntime(ClusterSpec(num_workers=1, num_servers=3))
-        group = ParameterServerGroup(runtime, lambda: Adam(lr=0.05),
-                                     reduce="sum")
+        group = ParameterServerGroup(runtime, lambda: Adam(lr=0.05))
         group.register("w", w0.copy())
         for g in grads:
             group.push(0, {"w": g})
@@ -83,6 +81,25 @@ class TestPushPullUpdate:
             reference.step(w_ref, {"w": g})
 
         np.testing.assert_allclose(group.get("w"), w_ref["w"], atol=1e-5)
+
+    def test_optimizer_updates_the_parameters_in_place(self):
+        """Each server's optimizer gets views of the parameter rows it
+        owns, so its in-place step is the update."""
+        seen = []
+
+        class Recording(SGD):
+            def step(self, params, grads):
+                seen.extend(params.values())
+                super().step(params, grads)
+
+        runtime = ClusterRuntime(ClusterSpec(num_workers=1, num_servers=2))
+        group = ParameterServerGroup(runtime, lambda: Recording(lr=1.0))
+        group.register("w", np.zeros((4, 2), dtype=np.float32))
+        group.push(0, {"w": np.ones((4, 2), dtype=np.float32)})
+        group.apply_updates()
+        assert len(seen) == 2
+        assert all(np.shares_memory(view, group.get("w")) for view in seen)
+        np.testing.assert_array_equal(group.get("w"), -1.0)
 
     def test_pending_cleared_after_update(self):
         group, _ = _group(lr=1.0)
@@ -100,7 +117,7 @@ class TestPushPullUpdate:
         assert runtime.meter.total_bytes > 0
 
     def test_bias_vector_sharding(self):
-        group, _ = _group(num_servers=3, lr=1.0, reduce="sum")
+        group, _ = _group(num_servers=3, lr=1.0)
         group.register("b", np.zeros(5, dtype=np.float32))
         group.push(0, {"b": np.arange(5, dtype=np.float32)})
         group.apply_updates()
@@ -124,10 +141,6 @@ class TestValidation:
         group.register("w", np.zeros(2, dtype=np.float32))
         with pytest.raises(ValueError):
             group.push(0, {"w": np.zeros(3)})
-
-    def test_invalid_reduce_rejected(self):
-        with pytest.raises(ValueError):
-            _group(reduce="max")
 
     def test_state_dict_is_copy(self):
         group, _ = _group()

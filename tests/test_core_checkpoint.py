@@ -101,6 +101,27 @@ class TestErrors:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    def test_version_2_refused_by_version(self, small_graph, tmp_path):
+        """A version-2 file still names the retired options (optimizer,
+        weight_decay, the fault-tolerance fields): its version refuses
+        it before any field is read."""
+        trainer = _trainer(small_graph)
+        trainer.run_epoch(0)
+        path = tmp_path / "v2.npz"
+        save_checkpoint(trainer, path, epoch=1)
+        with np.load(path) as archive:
+            payload = {k: archive[k] for k in archive.files}
+        fields = json.loads(str(payload["ec_config_json"]))
+        fields.update(optimizer="adam", weight_decay=0.0)
+        fields["faults"].update(max_retries=3, reset_residuals=True)
+        payload["ec_config_json"] = np.str_(json.dumps(fields))
+        payload["format_version"] = np.int64(2)
+        np.savez_compressed(path, **payload)
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint version 2"
+        ):
+            load_checkpoint(path)
+
     def test_truncated_file_raises_checkpoint_error(
         self, small_graph, tmp_path
     ):

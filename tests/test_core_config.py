@@ -61,14 +61,17 @@ class TestECGraphConfig:
             ECGraphConfig(fp_mode="raw", bp_mode="raw", **{field: bits})
 
     @pytest.mark.parametrize(
-        "name", ["table_mode", "codec_speedup", "delayed_rounds"]
+        "name", [
+            "table_mode", "codec_speedup", "delayed_rounds", "optimizer",
+            "weight_decay",
+        ]
     )
     def test_retired_knob_is_gone(self, name):
         with pytest.raises(TypeError):
             ECGraphConfig(**{name: 1})
 
     def test_field_count(self):
-        assert len(dataclasses.fields(ECGraphConfig)) == 18
+        assert len(dataclasses.fields(ECGraphConfig)) == 16
 
     def test_presets(self):
         base = ECGraphConfig()

@@ -9,18 +9,22 @@ import pytest
 from frames import payload
 from repro.baselines import CachedKHopBackend
 from repro.cluster.topology import ClusterSpec
+from repro.core.bit_tuner import BitTuner
 from repro.core.config import ECGraphConfig, ModelConfig
+from repro.core.policies import CompressPolicy, DelayedPolicy
+from repro.core.reqec_fp import ReqECPolicy
 from repro.core.trainer import ECGraphTrainer
 from repro.engine import SampledGCNBackend
 
 
 def _sampled(graph, fanouts, workers=3, online=False, config=None,
-             epochs=10, layers=2):
+             epochs=10, layers=2, fp_policy=None):
     trainer = ECGraphTrainer(
         graph,
         ModelConfig(num_layers=layers, hidden_dim=8),
         ClusterSpec(num_workers=workers),
         config or ECGraphConfig(fp_mode="compress", bp_mode="resec"),
+        fp_policy=fp_policy,
         backend=SampledGCNBackend(fanouts, online=online),
     )
     return trainer, trainer.train(epochs)
@@ -41,6 +45,35 @@ class TestValidation:
         with pytest.raises(ValueError, match="delayed"):
             _sampled(small_graph, [5, 5],
                      config=ECGraphConfig(fp_mode="raw", bp_mode="delayed"))
+
+    @pytest.mark.parametrize("fp_policy, match", [
+        (ReqECPolicy(BitTuner()), "full-batch"),
+        (DelayedPolicy(3), "delayed aggregation"),
+    ], ids=["reqec", "delayed"])
+    def test_injected_policy_rejected_at_bind(
+        self, small_graph, fp_policy, match
+    ):
+        """The backend reads the policies the run uses, not the mode
+        strings: an injected one is refused at set-up, before any
+        exchange."""
+        trainer = ECGraphTrainer(
+            small_graph, ModelConfig(num_layers=2),
+            ClusterSpec(num_workers=2),
+            ECGraphConfig(fp_mode="compress", bp_mode="resec"),
+            fp_policy=fp_policy, backend=SampledGCNBackend([5, 5]),
+        )
+        with pytest.raises(ValueError, match=match):
+            trainer.setup()
+        assert trainer.engine is None
+
+    def test_injected_policy_overrides_a_rejected_mode(self, small_graph):
+        """``fp_mode="reqec"`` names a policy the run does not use."""
+        _, run = _sampled(
+            small_graph, [5, 5], epochs=3,
+            config=ECGraphConfig(fp_mode="reqec", bp_mode="resec"),
+            fp_policy=CompressPolicy(4),
+        )
+        assert all(np.isfinite(epoch.loss) for epoch in run.epochs)
 
     def test_rejections_leave_no_engine_behind(self, small_graph):
         trainer = ECGraphTrainer(
@@ -163,7 +196,7 @@ class TestSampling:
 
 
 class TestCrashWithResidualReset:
-    """A crash with ``reset_residuals=True`` zeroes the ResEC residuals
+    """A crash zeroes the ResEC residuals
     touching the crashed worker in place: sampled channels stay primed
     with their full-channel shape, so the next subset respond works."""
 
@@ -173,8 +206,7 @@ class TestCrashWithResidualReset:
 
         config = ECGraphConfig(
             fp_mode="compress", bp_mode="resec", seed=0, execution=execution,
-            faults=FaultConfig(enabled=True, crash_schedule=((2, 1),),
-                               reset_residuals=True),
+            faults=FaultConfig(enabled=True, crash_schedule=((2, 1),)),
         )
         with ECGraphTrainer(
             medium_graph, ModelConfig(num_layers=2, hidden_dim=8),

@@ -11,9 +11,13 @@ import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterSpec
+from repro.core.bit_tuner import BitTuner
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.policies import DelayedPolicy
+from repro.core.reqec_fp import ReqECPolicy
 from repro.core.trainer import ECGraphTrainer
+from repro.graph.datasets import load_dataset
+from repro.obs import ObsConfig
 
 
 def _train(graph, workers, config, epochs=5, model=None):
@@ -205,6 +209,29 @@ class TestECGraphPipeline:
                 epoch.breakdown.compute_seconds
                 + epoch.breakdown.comm_seconds
             )
+
+
+class TestInjectedReqECPolicy:
+    """An injected ReqEC-FP policy brings its tuner, and that tuner is
+    the run's: fed every iteration, whatever ``fp_mode`` says, and
+    audited by the health monitor."""
+
+    @pytest.mark.parametrize("fp_mode", ["reqec", "compress"])
+    def test_injected_tuner_adapts(self, fp_mode):
+        tuner = BitTuner(initial_bits=4)
+        trainer = ECGraphTrainer(
+            load_dataset("cora", profile="tiny"),
+            ModelConfig(num_layers=2, hidden_dim=16),
+            ClusterSpec(num_workers=3),
+            ECGraphConfig(fp_mode=fp_mode, obs=ObsConfig(enabled=True)),
+            fp_policy=ReqECPolicy(tuner),
+        )
+        trainer.train(25)
+        assert trainer.tuner is tuner
+        assert trainer.engine.ctx.tuner is tuner
+        assert tuner.observer == trainer.obs.health.record_bits
+        assert tuner.history()
+        assert trainer.obs.health._bits_events == tuner.history()
 
 
 class TestPreprocessingSeconds:

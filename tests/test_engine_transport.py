@@ -28,6 +28,16 @@ from repro.graph.normalize import normalized_adjacency
 from repro.partition.hashing import HashPartitioner
 
 
+def _halos(workers, dim):
+    """Zeroed halo buffers, one per worker."""
+    return [np.zeros((s.num_halo, dim), dtype=np.float32) for s in workers]
+
+
+def _owned(workers, dim):
+    """Accumulators over each worker's own rows."""
+    return [np.zeros((s.num_local, dim), dtype=np.float32) for s in workers]
+
+
 @pytest.fixture
 def setup(small_graph):
     normalized = normalized_adjacency(small_graph.adjacency)
@@ -48,6 +58,7 @@ class TestForwardExchange:
             layer=1, t=0,
             rows_of=lambda s: values[s.worker_id],
             policy=RawPolicy(), category="fp_embeddings", dim=5,
+            out=_halos(workers, 5),
         )
         for state in workers:
             for owner, slots in state.halo_slots.items():
@@ -64,6 +75,7 @@ class TestForwardExchange:
         transport.exchange(
             layer=1, t=0, rows_of=lambda s: values[s.worker_id],
             policy=RawPolicy(), category="fp_embeddings", dim=4,
+            out=_halos(workers, 4),
         )
         assert runtime.meter.epoch_bytes() > 0
         assert "fp_embeddings" in runtime.meter.epoch_category_bytes()
@@ -76,6 +88,7 @@ class TestForwardExchange:
         halos = transport.exchange(
             layer=1, t=0, rows_of=lambda s: values[s.worker_id],
             policy=CompressPolicy(bits=8), category="fp_embeddings", dim=6,
+            out=_halos(workers, 6),
         )
         for state in workers:
             for owner, slots in state.halo_slots.items():
@@ -93,6 +106,7 @@ class TestForwardExchange:
         transport.exchange(
             layer=1, t=0, rows_of=lambda s: values[s.worker_id],
             policy=CompressPolicy(bits=8), category="x", dim=64,
+            out=_halos(workers, 64),
         )
         # Compute was charged, but far less than a full undiscounted
         # Python quantization pass would cost.
@@ -152,6 +166,7 @@ class TestPolicyCallCharge:
         transport.exchange(
             layer=1, t=0, rows_of=lambda s: values[s.worker_id],
             policy=_charged_policy(kind), category="x", dim=4,
+            out=_halos(workers, 4),
         )
         # One respond per channel a worker serves, one receive per
         # channel it requests.
@@ -184,6 +199,7 @@ class TestBaselinePoliciesOverTransport:
         halos = transport.exchange(
             layer=1, t=0, rows_of=lambda s: values[s.worker_id],
             policy=policy, category="fp_embeddings", dim=6,
+            out=_halos(workers, 6),
         )
         for state in workers:
             for owner, slots in state.halo_slots.items():
@@ -205,6 +221,7 @@ class TestBaselinePoliciesOverTransport:
         transport.exchange(
             layer=1, t=0, rows_of=lambda s: values[s.worker_id],
             policy=policy, category="fp_embeddings", dim=6,
+            out=_halos(workers, 6),
         )
         expected = sum(
             policy.respond(
@@ -226,11 +243,50 @@ class TestBaselinePoliciesOverTransport:
         transport.exchange(
             layer=1, t=0, rows_of=lambda s: values[s.worker_id],
             policy=policy, category="x", dim=6,
+            out=_halos(workers, 6),
         )
         calls = [len(s.serves) + len(s.halo_slots) for s in workers]
         assert runtime.compute_snapshot().tolist() == [
             n * _CHARGE["quant"] for n in calls
         ]
+
+
+class TestOutBuffers:
+    """The caller owns every target buffer: an exchange fills and
+    returns the arrays it was given."""
+
+    def test_exchange_fills_and_returns_out(self, setup):
+        graph, workers, runtime, transport = setup
+        values = [np.ones((s.num_local, 4), dtype=np.float32)
+                  for s in workers]
+        out = _halos(workers, 4)
+        halos = transport.exchange(
+            layer=1, t=0, rows_of=lambda s: values[s.worker_id],
+            policy=RawPolicy(), category="x", dim=4, out=out,
+        )
+        assert halos is out
+        assert all((halo == 1.0).all() for halo in out)
+
+    def test_reverse_exchange_zeroes_and_returns_out(self, setup):
+        graph, workers, runtime, transport = setup
+        partials = [np.zeros((s.num_halo, 4), dtype=np.float32)
+                    for s in workers]
+        out = [np.full((s.num_local, 4), 7.0, dtype=np.float32)
+               for s in workers]
+        sums = transport.reverse_exchange(
+            layer=2, t=0, halo_rows_of=lambda s: partials[s.worker_id],
+            policy=RawPolicy(), category="x", dim=4, out=out,
+        )
+        assert sums is out
+        assert not any(rows.any() for rows in out)
+
+    def test_out_is_required(self, setup):
+        graph, workers, runtime, transport = setup
+        with pytest.raises(TypeError, match="out"):
+            transport.exchange(
+                layer=1, t=0, rows_of=lambda s: None, policy=RawPolicy(),
+                category="x", dim=4,
+            )
 
 
 class TestReverseExchange:
@@ -244,6 +300,7 @@ class TestReverseExchange:
             layer=2, t=0,
             halo_rows_of=lambda s: partials[s.worker_id],
             policy=RawPolicy(), category="bp_gradients", dim=4,
+            out=_owned(workers, 4),
         )
         # Reference: accumulate manually.
         expected = [np.zeros((s.num_local, 4), dtype=np.float32)
@@ -264,6 +321,7 @@ class TestReverseExchange:
         transport.reverse_exchange(
             layer=2, t=0, halo_rows_of=lambda s: partials[s.worker_id],
             policy=RawPolicy(), category="bp_gradients", dim=4,
+            out=_owned(workers, 4),
         )
         assert runtime.meter.epoch_category_bytes().get("bp_gradients", 0) > 0
 
@@ -273,13 +331,15 @@ class TestReverseExchange:
         values = [np.zeros((s.num_local, 4), dtype=np.float32)
                   for s in workers]
         transport.exchange(layer=1, t=0, rows_of=lambda s: values[s.worker_id],
-                     policy=RawPolicy(), category="fwd", dim=4)
+                     policy=RawPolicy(), category="fwd", dim=4,
+                     out=_halos(workers, 4))
         fwd = runtime.meter.epoch_category_bytes()["fwd"]
         partials = [np.zeros((s.num_halo, 4), dtype=np.float32)
                     for s in workers]
         transport.reverse_exchange(layer=1, t=0,
                              halo_rows_of=lambda s: partials[s.worker_id],
-                             policy=RawPolicy(), category="rev", dim=4)
+                             policy=RawPolicy(), category="rev", dim=4,
+                             out=_owned(workers, 4))
         rev = runtime.meter.epoch_category_bytes()["rev"]
         assert fwd == rev
 

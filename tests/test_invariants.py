@@ -894,12 +894,6 @@ class TestRepoInvariantsPinned:
         with pytest.raises(ValueError, match="bp_bits"):
             ECGraphConfig(bp_bits=17)
 
-    def test_ecgraph_config_rejects_unknown_optimizer(self):
-        from repro.core.config import ECGraphConfig
-
-        with pytest.raises(ValueError, match="optimizer"):
-            ECGraphConfig(optimizer="adamw2")
-
     def test_fault_config_rejects_negative_seed(self):
         from repro.faults.config import FaultConfig
 

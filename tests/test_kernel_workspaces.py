@@ -37,7 +37,7 @@ from repro.engine.backends import (
     SampledGCNBackend,
     self_weight_name,
 )
-from repro.faults.config import FaultConfig
+from repro.faults.config import MAX_RETRIES, FaultConfig
 from repro.graph.normalize import normalized_adjacency
 from repro.nn.activations import ACTIVATION_NAMES, get_activation
 from repro.partition.hashing import HashPartitioner
@@ -598,6 +598,10 @@ def _curve(trainer, epochs: int):
     )
 
 
+# Per-attempt drop probability at which a message exhausts the retry
+# budget (MAX_RETRIES + 1 attempts) with probability 0.45.
+DEGRADE_DROP = 0.45 ** (1 / (MAX_RETRIES + 1))
+
 SCENARIOS = {
     "steady": dict(kind="gcn"),
     "equal_width_4_layers": dict(kind="gcn", layers=4),
@@ -619,13 +623,11 @@ SCENARIOS = {
     ),
     "degraded_channels": dict(
         kind="gcn",
-        faults=FaultConfig(enabled=True, seed=4, drop_prob=0.45,
-                           max_retries=0),
+        faults=FaultConfig(enabled=True, seed=4, drop_prob=DEGRADE_DROP),
     ),
     "degraded_channels_raw": dict(
         kind="gcn", fp_mode="raw", bp_mode="raw",
-        faults=FaultConfig(enabled=True, seed=4, drop_prob=0.45,
-                           max_retries=0),
+        faults=FaultConfig(enabled=True, seed=4, drop_prob=DEGRADE_DROP),
     ),
     "elastic_adopt_and_rejoin": dict(
         kind="gcn",
@@ -687,8 +689,7 @@ class TestInvalidation:
         leaves zeros in its halo slots, whatever they held before."""
         trainer = _trainer(
             "gcn", small_graph, fp_mode="raw", bp_mode="raw",
-            faults=FaultConfig(enabled=True, seed=0, drop_prob=1.0,
-                               max_retries=0),
+            faults=FaultConfig(enabled=True, seed=0, drop_prob=1.0),
         )
         trainer.setup()
         ctx = trainer.engine.ctx

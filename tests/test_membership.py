@@ -19,6 +19,13 @@ from repro.core.checkpoint import CheckpointError, save_checkpoint
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
 from repro.faults import FaultConfig
+from repro.faults.config import (
+    HEARTBEAT_INTERVAL_S,
+    LEASE_GRACE_S,
+    MAX_CONSECUTIVE_ROLLBACKS,
+    WATCHDOG_BURST,
+    WATCHDOG_WINDOW,
+)
 from repro.faults.chaos import run_chaos
 from repro.membership import (
     ConvergenceWatchdog,
@@ -57,16 +64,23 @@ class TestMembershipView:
         assert view.alive_count == 4
         assert all(view.is_alive(w) for w in range(4))
 
-    def test_mark_dead_and_detection_stall(self):
-        faults = FaultConfig(enabled=True, elastic=True,
-                             heartbeat_interval_s=0.3, lease_grace_s=1.0)
-        view = MembershipView(3, faults)
+    def test_mark_dead_and_detection_stall(self, monkeypatch):
+        view = MembershipView(3, self.FAULTS)
         stall = view.mark_dead(2, 1)
-        # Detection quantizes the grace window up to whole heartbeats:
-        # ceil(1.0 / 0.3) = 4 beats of 0.3 s.
-        assert stall == pytest.approx(4 * 0.3)
+        # The lease is a whole number of heartbeats.
+        assert stall == pytest.approx(LEASE_GRACE_S)
+        assert stall == pytest.approx(
+            math.ceil(LEASE_GRACE_S / HEARTBEAT_INTERVAL_S)
+            * HEARTBEAT_INTERVAL_S
+        )
         assert not view.is_alive(1)
         assert view.alive_workers() == [0, 2]
+        # The constants divide evenly, so rounding up shows only under a
+        # heartbeat that does not: ceil(1.0 / 0.3) = 4 beats of 0.3 s.
+        monkeypatch.setattr("repro.membership.view.HEARTBEAT_INTERVAL_S", 0.3)
+        assert MembershipView(3, self.FAULTS).mark_dead(2, 1) == (
+            pytest.approx(4 * 0.3)
+        )
 
     def test_double_death_rejected(self):
         view = MembershipView(2, self.FAULTS)
@@ -111,18 +125,15 @@ class TestMembershipView:
 # ConvergenceWatchdog unit behaviour
 # ----------------------------------------------------------------------
 class TestConvergenceWatchdog:
-    FAULTS = FaultConfig(enabled=True, elastic=True,
-                         watchdog_loss_factor=4.0, watchdog_window=3,
-                         max_consecutive_rollbacks=2)
 
     def test_nan_trips_even_unarmed(self):
-        dog = ConvergenceWatchdog(self.FAULTS)
+        dog = ConvergenceWatchdog()
         assert dog.observe(0, 1.0) is None
         assert dog.observe(1, float("nan")) == "nan_loss"
         assert dog.observe(2, 1.0, grad_norm=float("inf")) == "nan_grad"
 
     def test_divergence_only_while_armed(self):
-        dog = ConvergenceWatchdog(self.FAULTS)
+        dog = ConvergenceWatchdog()
         for t in range(3):
             assert dog.observe(t, 1.0) is None
         # 100x the median, but unarmed: steady-state wobble never trips.
@@ -132,13 +143,13 @@ class TestConvergenceWatchdog:
         assert dog.observe(5, 100.0) == "divergence"
 
     def test_armed_window_expires(self):
-        dog = ConvergenceWatchdog(self.FAULTS)
+        dog = ConvergenceWatchdog()
         dog.arm(0, "membership_change")
-        assert dog.is_armed(self.FAULTS.watchdog_window)
-        assert not dog.is_armed(self.FAULTS.watchdog_window + 1)
+        assert dog.is_armed(WATCHDOG_WINDOW)
+        assert not dog.is_armed(WATCHDOG_WINDOW + 1)
 
     def test_healthy_epoch_resets_consecutive(self):
-        dog = ConvergenceWatchdog(self.FAULTS)
+        dog = ConvergenceWatchdog()
         dog.observe(0, float("nan"))
         assert dog.consecutive == 1
         dog.observe(1, 1.0)
@@ -146,10 +157,11 @@ class TestConvergenceWatchdog:
         assert not dog.exhausted
 
     def test_exhaustion_after_consecutive_trips(self):
-        dog = ConvergenceWatchdog(self.FAULTS)
-        dog.observe(0, float("nan"))
-        assert not dog.exhausted
-        dog.observe(1, float("nan"))
+        dog = ConvergenceWatchdog()
+        for t in range(MAX_CONSECUTIVE_ROLLBACKS - 1):
+            dog.observe(t, float("nan"))
+            assert not dog.exhausted
+        dog.observe(MAX_CONSECUTIVE_ROLLBACKS, float("nan"))
         assert dog.exhausted
 
 
@@ -160,8 +172,7 @@ class TestElasticInertBitIdentity:
     @pytest.mark.parametrize("inert", [
         FaultConfig(enabled=True, elastic=True),
         FaultConfig(enabled=True, elastic=True, checkpoint_every=1),
-        FaultConfig(enabled=True, elastic=True, quorum_fraction=0.9,
-                    watchdog_window=2, lease_grace_s=5.0),
+        FaultConfig(enabled=True, elastic=True, quorum_fraction=0.9),
     ], ids=["bare", "checkpointed", "tuned"])
     def test_inert_elastic_run_bit_identical(self, small_graph, inert):
         """Elasticity with no scheduled fault must be invisible: the
@@ -224,11 +235,10 @@ class TestPermanentLossAdoption:
         assert trainer.workers[1].num_local == 0
 
     def test_detection_stall_charged_to_survivors(self, small_graph):
-        trainer, _ = self._lose(small_graph, lease_grace_s=2.0,
-                                heartbeat_interval_s=0.5)
+        trainer, _ = self._lose(small_graph)
         membership = trainer.engine.recovery.membership
         stall = membership.detection_seconds()
-        assert stall == pytest.approx(2.0)
+        assert stall == pytest.approx(LEASE_GRACE_S)
         extra = trainer.fault_counters.extra_seconds
         # Each of the 2 survivors waited out the lease, plus the
         # adopter's recovery stall.
@@ -408,13 +418,14 @@ class TestWatchdogResponse:
         assert "watchdog_escalation" in kinds
 
     def test_consecutive_trips_raise_divergence_error(self, small_graph):
-        trainer, _ = self._elastic_trainer(
-            small_graph, max_consecutive_rollbacks=2,
-        )
+        trainer, _ = self._elastic_trainer(small_graph)
         recovery = trainer.engine.recovery
-        recovery.observe_convergence(4, float("nan"))
+        for t in range(4, 4 + MAX_CONSECUTIVE_ROLLBACKS - 1):
+            recovery.observe_convergence(t, float("nan"))
         with pytest.raises(DivergenceError, match="watchdog exhausted"):
-            recovery.observe_convergence(5, float("nan"))
+            recovery.observe_convergence(
+                4 + MAX_CONSECUTIVE_ROLLBACKS - 1, float("nan")
+            )
 
     def test_healthy_loss_never_trips(self, small_graph):
         trainer, run = self._elastic_trainer(small_graph, epochs=10)
@@ -423,12 +434,13 @@ class TestWatchdogResponse:
 
     def test_corruption_burst_arms_the_watchdog(self, small_graph):
         trainer, _ = self._elastic_trainer(
-            small_graph, epochs=10, corrupt_prob=0.3, watchdog_burst=1,
+            small_graph, epochs=10, corrupt_prob=0.6,
         )
         assert trainer.fault_counters.corruptions > 0
         armed = [e for e in trainer.membership_events
                  if e["kind"] == "watchdog_armed"]
         assert armed and armed[0]["reason"] == "corruption_burst"
+        assert armed[0]["corruptions"] >= WATCHDOG_BURST
 
     def test_metrics_mirror_watchdog_counters(self, small_graph):
         trainer, _ = self._elastic_trainer(small_graph)

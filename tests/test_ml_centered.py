@@ -21,6 +21,7 @@ from repro.core.trainer import ECGraphTrainer
 from repro.faults.chaos import run_chaos
 from repro.graph.datasets import load_dataset
 from repro.graph.store import to_mmap_bundle
+from repro.obs import ObsConfig
 
 RAW = ECGraphConfig(fp_mode="raw", bp_mode="raw")
 MODEL = ModelConfig(num_layers=2, hidden_dim=8)
@@ -147,8 +148,8 @@ class TestMatchesParentTrainer:
     SPEC = ClusterSpec(num_workers=6)
     MODEL = ModelConfig(num_layers=2, hidden_dim=16)
 
-    def _pair(self, graph, optimizer):
-        config = ECGraphConfig(optimizer=optimizer, fp_mode="raw", bp_mode="raw")
+    def _pair(self, graph):
+        config = ECGraphConfig(fp_mode="raw", bp_mode="raw")
         parent = MLCenteredTrainer(
             resident(graph), self.MODEL, self.SPEC, [10, 5], config=config
         )
@@ -156,7 +157,7 @@ class TestMatchesParentTrainer:
         return parent, new
 
     def test_same_caches_and_storage_pull(self, bench_graph):
-        parent, new = self._pair(bench_graph, "adam")
+        parent, new = self._pair(bench_graph)
         new.setup()
         assert_same_as_parent(
             [s.num_local for s in new.workers], parent.cached_vertex_counts()
@@ -166,8 +167,8 @@ class TestMatchesParentTrainer:
             parent.runtime.meter.snapshot().category_bytes["lhop_pull"],
         )
 
-    def test_sgd_losses_track_the_parent(self, bench_graph):
-        parent, new = self._pair(bench_graph, "sgd")
+    def test_losses_track_the_parent(self, bench_graph):
+        parent, new = self._pair(bench_graph)
         for t in range(self.EPOCHS):
             want, got = parent.run_epoch(t), new.run_epoch(t)
             if t == 0:
@@ -180,7 +181,7 @@ class TestMatchesParentTrainer:
             assert got.loss == pytest.approx(want.loss, rel=1e-4), t
 
     def test_adam_best_accuracy_matches(self, bench_graph):
-        parent, new = self._pair(bench_graph, "adam")
+        parent, new = self._pair(bench_graph)
         want = max(parent.run_epoch(t).test_accuracy for t in range(self.EPOCHS))
         got = max(new.run_epoch(t).test_accuracy for t in range(self.EPOCHS))
         assert abs(got - want) <= 0.02
@@ -188,6 +189,24 @@ class TestMatchesParentTrainer:
 
 class TestEngineServices:
     """What the rows gain from running on the engine."""
+
+    @pytest.mark.parametrize("system", ["agl", "aligraph"])
+    def test_telemetry_reconciles_with_the_meter(self, system):
+        """The storage pull is charged through the runtime, so the
+        telemetry mirror holds every metered category to the byte."""
+        config = ECGraphConfig(obs=ObsConfig(enabled=True))
+        with SYSTEMS[system](
+            load_dataset("cora", profile="tiny"), MODEL,
+            ClusterSpec(num_workers=3), config, None,
+        ) as trainer:
+            trainer.train(2)
+        meter = trainer.runtime.meter.snapshot()
+        snap = trainer.obs.metrics.snapshot()
+        assert meter.category_bytes["lhop_pull"] > 0
+        for category, nbytes in meter.category_bytes.items():
+            assert snap.counter("comm_bytes", category=category) == nbytes
+        assert snap.counter_total("comm_bytes") == meter.total_bytes
+        assert snap.counter_total("comm_messages") == meter.total_messages
 
     def test_agl_survives_crashes(self, medium_graph):
         report = run_chaos(medium_graph, "crash", system="agl", num_epochs=12)

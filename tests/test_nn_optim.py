@@ -1,9 +1,9 @@
-"""Unit tests for optimizers (the server-side update rules)."""
+"""Unit tests for Adam, the server-side update rule."""
 
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, Adam, AdaGrad, Momentum, make_optimizer
+from repro.nn.optim import Adam
 
 
 def _quadratic_descent(optimizer, steps=200, dim=4):
@@ -15,70 +15,6 @@ def _quadratic_descent(optimizer, steps=200, dim=4):
         grads = {"x": 2.0 * (params["x"] - target)}
         optimizer.step(params, grads)
     return float(np.linalg.norm(params["x"] - target))
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        assert _quadratic_descent(SGD(lr=0.1)) < 1e-4
-
-    def test_single_step_formula(self):
-        opt = SGD(lr=0.5)
-        params = {"w": np.array([1.0, 2.0], dtype=np.float32)}
-        opt.step(params, {"w": np.array([0.2, -0.2])})
-        np.testing.assert_allclose(params["w"], [0.9, 2.1], atol=1e-6)
-
-    def test_weight_decay_pulls_toward_zero(self):
-        opt = SGD(lr=0.1, weight_decay=1.0)
-        params = {"w": np.array([1.0], dtype=np.float32)}
-        opt.step(params, {"w": np.array([0.0])})
-        assert params["w"][0] < 1.0
-
-    def test_unknown_parameter_raises(self):
-        opt = SGD(lr=0.1)
-        with pytest.raises(KeyError):
-            opt.step({"a": np.zeros(1)}, {"b": np.zeros(1)})
-
-    def test_nonpositive_lr_rejected(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0.0)
-
-    def test_missing_gradient_leaves_param_untouched(self):
-        opt = SGD(lr=0.1)
-        params = {
-            "a": np.ones(2, dtype=np.float32),
-            "b": np.ones(2, dtype=np.float32),
-        }
-        opt.step(params, {"a": np.ones(2)})
-        np.testing.assert_array_equal(params["b"], [1.0, 1.0])
-
-
-class TestMomentum:
-    def test_converges(self):
-        assert _quadratic_descent(Momentum(lr=0.05, momentum=0.9)) < 1e-4
-
-    def test_velocity_accumulates(self):
-        opt = Momentum(lr=1.0, momentum=0.5)
-        params = {"w": np.zeros(1, dtype=np.float32)}
-        opt.step(params, {"w": np.array([1.0])})
-        first = params["w"].copy()
-        opt.step(params, {"w": np.array([1.0])})
-        # Second step moves further: grad + 0.5 * previous velocity.
-        assert abs(params["w"][0] - first[0]) > abs(first[0])
-
-    def test_invalid_momentum_rejected(self):
-        with pytest.raises(ValueError):
-            Momentum(lr=0.1, momentum=1.0)
-
-    def test_reset_clears_velocity(self):
-        opt = Momentum(lr=0.1)
-        opt.step({"w": np.zeros(1, dtype=np.float32)}, {"w": np.ones(1)})
-        opt.reset()
-        # With the velocity dropped, the next step is a first step.
-        after_reset = {"w": np.zeros(1, dtype=np.float32)}
-        opt.step(after_reset, {"w": np.ones(1)})
-        fresh = {"w": np.zeros(1, dtype=np.float32)}
-        Momentum(lr=0.1).step(fresh, {"w": np.ones(1)})
-        np.testing.assert_array_equal(after_reset["w"], fresh["w"])
 
 
 class TestAdam:
@@ -104,9 +40,47 @@ class TestAdam:
         # b's first step should also be ~lr despite a being at t=2.
         assert abs(params["b"][0]) == pytest.approx(0.01, rel=1e-3)
 
-    def test_invalid_betas_rejected(self):
+    def test_hyperparameters_are_the_published_constants(self):
+        assert (Adam.BETA1, Adam.BETA2, Adam.EPS) == (0.9, 0.999, 1e-8)
+        with pytest.raises(TypeError):
+            Adam(lr=0.1, beta1=0.5)
+        with pytest.raises(TypeError):
+            Adam(lr=0.1, weight_decay=0.1)
+
+    def test_two_step_formula(self):
+        """Two steps against the textbook recurrences, in float64."""
+        opt = Adam(lr=0.1)
+        params = {"w": np.array([1.0, -2.0], dtype=np.float64)}
+        g1, g2 = np.array([0.5, -3.0]), np.array([1.5, 2.0])
+        opt.step(params, {"w": g1})
+        opt.step(params, {"w": g2})
+        expected = np.array([1.0, -2.0])
+        m = np.zeros(2)
+        v = np.zeros(2)
+        for t, g in enumerate((g1, g2), start=1):
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            m_hat, v_hat = m / (1 - 0.9 ** t), v / (1 - 0.999 ** t)
+            expected -= 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        np.testing.assert_allclose(params["w"], expected, rtol=1e-12)
+
+    def test_unknown_parameter_raises(self):
+        opt = Adam(lr=0.1)
+        with pytest.raises(KeyError):
+            opt.step({"a": np.zeros(1)}, {"b": np.zeros(1)})
+
+    def test_nonpositive_lr_rejected(self):
         with pytest.raises(ValueError):
-            Adam(lr=0.1, beta1=1.0)
+            Adam(lr=0.0)
+
+    def test_missing_gradient_leaves_param_untouched(self):
+        opt = Adam(lr=0.1)
+        params = {
+            "a": np.ones(2, dtype=np.float32),
+            "b": np.ones(2, dtype=np.float32),
+        }
+        opt.step(params, {"a": np.ones(2)})
+        np.testing.assert_array_equal(params["b"], [1.0, 1.0])
 
     def test_deterministic(self):
         results = []
@@ -117,31 +91,3 @@ class TestAdam:
                 opt.step(params, {"w": np.full(3, 0.5 + step)})
             results.append(params["w"].copy())
         np.testing.assert_array_equal(results[0], results[1])
-
-
-class TestAdaGrad:
-    def test_converges(self):
-        assert _quadratic_descent(AdaGrad(lr=1.0), steps=500) < 1e-2
-
-    def test_step_size_shrinks(self):
-        opt = AdaGrad(lr=1.0)
-        params = {"w": np.zeros(1, dtype=np.float32)}
-        opt.step(params, {"w": np.ones(1)})
-        first = abs(params["w"][0])
-        before = params["w"][0]
-        opt.step(params, {"w": np.ones(1)})
-        second = abs(params["w"][0] - before)
-        assert second < first
-
-
-class TestFactory:
-    @pytest.mark.parametrize("name,cls", [
-        ("sgd", SGD), ("momentum", Momentum), ("adam", Adam),
-        ("adagrad", AdaGrad), ("ADAM", Adam),
-    ])
-    def test_make(self, name, cls):
-        assert isinstance(make_optimizer(name, lr=0.1), cls)
-
-    def test_unknown_raises(self):
-        with pytest.raises(KeyError, match="adam"):
-            make_optimizer("lamb", lr=0.1)

@@ -19,6 +19,7 @@ from repro.core.messages import ChannelKey
 from repro.core.trainer import ECGraphTrainer
 from repro.engine import GATBackend, SampledGCNBackend
 from repro.faults import FaultConfig
+from repro.faults.config import MAX_RETRIES
 from repro.graph.generators import GraphSpec
 from repro.graph.streaming import stream_graph
 from repro.obs import (
@@ -345,8 +346,7 @@ class TestMeterReconciliation:
         # charge every attempt, so the books must still balance.
         config = ECGraphConfig(
             seed=1, obs=OBS,
-            faults=FaultConfig(enabled=True, seed=5, drop_prob=0.2,
-                               max_retries=2),
+            faults=FaultConfig(enabled=True, seed=5, drop_prob=0.2),
         )
         trainer = ECGraphTrainer(
             small_graph, ModelConfig(num_layers=2, hidden_dim=8),
@@ -366,8 +366,9 @@ class TestMeterReconciliation:
     def test_degradations_match_fault_counters(self, small_graph):
         config = ECGraphConfig(
             seed=1, obs=OBS,
-            faults=FaultConfig(enabled=True, seed=9, drop_prob=0.35,
-                               max_retries=0),
+            # A message spends every attempt with probability 0.35.
+            faults=FaultConfig(enabled=True, seed=9,
+                               drop_prob=0.35 ** (1 / (MAX_RETRIES + 1))),
         )
         trainer = ECGraphTrainer(
             small_graph, ModelConfig(num_layers=2, hidden_dim=8),

@@ -15,6 +15,7 @@ from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
 from repro.faults import FaultConfig
+from repro.faults.config import MAX_RETRIES
 from repro.obs import ENGINE_STAGES, ObsConfig
 from repro.obs.report import (
     _fmt_bytes,
@@ -194,8 +195,10 @@ class TestBuildReport:
     def test_fault_counters_surface(self, small_graph_module):
         trainer = _trainer(
             small_graph_module, ObsConfig(enabled=True),
-            faults=FaultConfig(enabled=True, seed=5, drop_prob=0.3,
-                               max_retries=1),
+            # Degrades a message as often as drop_prob=0.3 with a
+            # single retry would: 0.3 ** 2.
+            faults=FaultConfig(enabled=True, seed=5,
+                               drop_prob=0.3 ** (2 / (MAX_RETRIES + 1))),
         )
         data = build_report(trainer.train(3))
         assert data["faults"].get("fault_retries", 0) > 0

@@ -7,8 +7,7 @@ snapshot exists, so this suite drives whole training runs through
 scripted fault schedules that hit boundary frames (a lost boundary then a
 delivered one, two consecutive lost boundaries, retry exhaustion then
 ``fallback_rows`` degradation, a corrupt first attempt that a retry
-repairs), crash recovery with ``reset_residuals`` on and off, and an
-elastic membership change — and audits every boundary message:
+repairs), crash recovery, and an elastic membership change — and audits every boundary message:
 
 * after every *delivered* boundary both ends read one state: the
   channel's entry in ``_channels`` (``boundary_t`` = this boundary) and
@@ -35,6 +34,7 @@ from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.trainer import ECGraphTrainer
 from repro.faults import FaultConfig
+from repro.faults.config import MAX_RETRIES
 from repro.faults.injector import FATE_CORRUPT, FATE_DROP, FATE_OK
 from repro.graph.generators import GraphSpec
 from repro.graph.streaming import stream_graph
@@ -42,7 +42,6 @@ from repro.graph.streaming import stream_graph
 PERIOD = 3
 EPOCHS = 13  # boundaries at t = 2, 5, 8, 11
 WORKERS = 3
-MAX_RETRIES = 2
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +260,7 @@ class TestBothEndsAgreeUnderFaults:
     ])
     def test_lost_boundaries(self, graph, execution, name, seed):
         script = _schedule(name, seed)
-        faults = FaultConfig(enabled=True, seed=seed, max_retries=MAX_RETRIES)
+        faults = FaultConfig(enabled=True, seed=seed)
         auditor, losses, counters = _run(graph, execution, faults, script)
         assert np.isfinite(losses).all()
         # 4 boundaries x 6 channels of the one exchanged layer (the
@@ -286,7 +285,7 @@ class TestBothEndsAgreeUnderFaults:
 
     def test_retry_repairs_a_corrupt_boundary(self, graph, execution):
         script = _schedule("corrupt_then_retry_delivers", 0)
-        faults = FaultConfig(enabled=True, max_retries=MAX_RETRIES)
+        faults = FaultConfig(enabled=True)
         auditor, losses, counters = _run(graph, execution, faults, script)
         assert np.isfinite(losses).all()
         # Delivered on the third attempt: no rollback, the flag stays
@@ -302,7 +301,7 @@ class TestBothEndsAgreeUnderFaults:
         """Retries cost bytes and stall time, not numerics: a schedule
         whose every boundary is eventually delivered trains to the same
         losses as an empty schedule."""
-        faults = FaultConfig(enabled=True, max_retries=MAX_RETRIES)
+        faults = FaultConfig(enabled=True)
         _, clean, _ = _run(graph, execution, faults, {})
         _, retried, _ = _run(
             graph, execution, faults,
@@ -310,37 +309,32 @@ class TestBothEndsAgreeUnderFaults:
         )
         assert [repr(x) for x in retried] == [repr(x) for x in clean]
 
-    @pytest.mark.parametrize("reset_residuals", [True, False])
-    def test_crash_recovery(self, graph, execution, reset_residuals):
+    def test_crash_recovery(self, graph, execution):
         # Worker 1 crashes before epoch 6 (mid trend group) and again
         # right before the boundary epoch 11; a boundary towards it was
         # lost at t=5 as well.
-        faults = FaultConfig(
-            enabled=True, max_retries=MAX_RETRIES,
-            crash_schedule=((6, 1), (11, 1)),
-            reset_residuals=reset_residuals,
-        )
+        faults = FaultConfig(enabled=True, crash_schedule=((6, 1), (11, 1)))
         script = {(5, 0, 1): LOST, (5, 1, 2): LOST}
         auditor, losses, counters = _run(graph, execution, faults, script)
         assert np.isfinite(losses).all()
         assert counters.crashes == 2
         assert auditor.lost == 2
-        if reset_residuals:
-            # Every channel touching worker 1 restarts from a clear flag
-            # after each crash: 4 channels x 2 crashes, minus the two
-            # already rolled back by the lost boundary at the first.
-            assert auditor.rollbacks == 2 + (4 - 2) + 4
-        else:
-            assert auditor.rollbacks == 2  # the lost boundaries only
+        # Every channel touching worker 1 restarts from a clear flag
+        # after each crash: 4 channels x 2 crashes, minus the two
+        # already rolled back by the lost boundary at the first.
+        assert auditor.rollbacks == 2 + (4 - 2) + 4
         assert auditor.delivered == 4 * 6 - auditor.lost
 
-    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("seed", [4, 5])
     def test_random_drop_and_corrupt_schedule(self, graph, execution, seed):
         """The injector's own seeded fates, heavy enough that boundary
         frames are retried, lost and degraded."""
+        # An attempt fails (drop : corrupt = 3 : 2) with the probability
+        # at which a message spends every attempt one time in four.
+        fail = 0.25 ** (1 / (MAX_RETRIES + 1))
         faults = FaultConfig(
-            enabled=True, seed=seed, drop_prob=0.3, corrupt_prob=0.2,
-            max_retries=1,
+            enabled=True, seed=seed, drop_prob=0.6 * fail,
+            corrupt_prob=0.4 * fail,
         )
         auditor, losses, counters = _run(graph, execution, faults)
         assert np.isfinite(losses).all()
@@ -355,7 +349,7 @@ class TestMembershipChange:
 
     def test_both_ends_restart_after_adoption_and_rejoin(self, graph):
         faults = FaultConfig(
-            enabled=True, elastic=True, max_retries=MAX_RETRIES,
+            enabled=True, elastic=True,
             permanent_failures=((4, 2),), rejoin_schedule=((9, 2),),
         )
         script = {(5, 0, 1): LOST}

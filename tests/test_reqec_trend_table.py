@@ -7,8 +7,8 @@ per channel end. Three contracts:
 
 * **Lockstep in training.** :class:`Lockstep` runs the oracle beside the
   live policy, call for call on the same rows, through whole training
-  runs — fault-free, a lost boundary, a crash with ``reset_residuals``
-  on and off, and an elastic adoption followed by a rejoin — and
+  runs — fault-free, a lost boundary, a crash, and an elastic
+  adoption followed by a rejoin — and
   requires every channel's frame (kind, bytes, the tuner's input,
   ``has_base``, selection, payload), every reconstructed row and every
   ``fallback_rows`` estimate to match bit for bit — a channel whose boundary was lost
@@ -46,6 +46,7 @@ from repro.core.messages import ChannelKey
 from repro.core.reqec_fp import ReqECPolicy
 from repro.core.trainer import ECGraphTrainer
 from repro.faults import FaultConfig
+from repro.faults.config import MAX_RETRIES
 from repro.faults.injector import FATE_DROP, FATE_OK
 from repro.graph.generators import GraphSpec
 from repro.graph.streaming import stream_graph
@@ -54,7 +55,6 @@ from repro.obs import ObsConfig
 PERIOD = 3
 EPOCHS = 13  # boundaries at t = 2, 5, 8, 11
 WORKERS = 4
-MAX_RETRIES = 2
 LOST = (FATE_DROP,) * (MAX_RETRIES + 1)  # retries exhausted -> degrade
 
 
@@ -227,7 +227,7 @@ class TestLockstepWithPerChannelParent:
         assert exported < served
 
     def test_lost_boundary(self, graph, execution):
-        faults = FaultConfig(enabled=True, max_retries=MAX_RETRIES)
+        faults = FaultConfig(enabled=True)
         script = {(5, 0): LOST, (5, 3): LOST, (8, 3): LOST}
         lockstep, losses, counters, _ = _lockstep_run(
             graph, execution, faults, script
@@ -238,13 +238,8 @@ class TestLockstepWithPerChannelParent:
         assert counters.degraded == 3 * 2
         assert lockstep.fallbacks == counters.degraded_predicted == 3 * 2
 
-    @pytest.mark.parametrize("reset_residuals", [True, False])
-    def test_crash(self, graph, execution, reset_residuals):
-        faults = FaultConfig(
-            enabled=True, max_retries=MAX_RETRIES,
-            crash_schedule=((4, 1), (8, 2)),
-            reset_residuals=reset_residuals,
-        )
+    def test_crash(self, graph, execution):
+        faults = FaultConfig(enabled=True, crash_schedule=((4, 1), (8, 2)))
         script = {(7, 1): LOST}
         lockstep, losses, counters, _ = _lockstep_run(
             graph, execution, faults, script
@@ -262,7 +257,7 @@ def test_lockstep_through_adoption_and_rejoin(graph):
     re-plans: their owners' tables are carried by global vertex id, and
     the very next frames match the parent's."""
     faults = FaultConfig(
-        enabled=True, elastic=True, max_retries=MAX_RETRIES,
+        enabled=True, elastic=True,
         permanent_failures=((4, 3),), rejoin_schedule=((9, 3),),
     )
     lockstep, losses, counters, _ = _lockstep_run(graph, "sync", faults)
@@ -428,7 +423,10 @@ def test_gauges_count_the_fault_state(gauge_graph):
     """Under fault injection the tables also keep every row's prior
     values, and channels that lost a boundary a private snapshot: the
     gauge counts both."""
-    faults = FaultConfig(enabled=True, seed=1, drop_prob=0.5, max_retries=0)
+    # Each message spends every attempt, so degrades, with probability 0.5.
+    faults = FaultConfig(
+        enabled=True, seed=1, drop_prob=0.5 ** (1 / (MAX_RETRIES + 1))
+    )
     tracemalloc.start()
     try:
         trainer = _gauge_trainer(gauge_graph, ObsConfig(enabled=True), faults)

@@ -18,6 +18,7 @@ from repro.core.policies import DelayedPolicy
 from repro.core.trainer import ECGraphTrainer
 from repro.faults import FaultConfig, FaultInjector
 from repro.faults.chaos import run_chaos
+from repro.faults.config import MAX_RETRIES, RECOVERY_SECONDS
 from repro.graph.csr import from_edge_list
 from repro.graph.generators import GraphSpec
 from repro.graph.store.memory import memory_bundle
@@ -180,6 +181,11 @@ class TestExtremeSettings:
         assert np.isfinite(run.epochs[-1].loss)
 
 
+# Per-attempt drop probability at which a message spends all
+# MAX_RETRIES + 1 attempts, so degrades, with probability 0.25.
+EXHAUST_QUARTER = 0.25 ** (1 / (MAX_RETRIES + 1))
+
+
 def _fault_train(graph, faults, epochs=12, workers=3, **config_overrides):
     """Train with a FaultConfig; returns (trainer, run)."""
     config = ECGraphConfig(faults=faults, **config_overrides)
@@ -196,8 +202,6 @@ class TestFaultConfig:
             FaultConfig(enabled=True, drop_prob=1.5)
         with pytest.raises(ValueError):
             FaultConfig(enabled=True, drop_prob=0.6, corrupt_prob=0.6)
-        with pytest.raises(ValueError):
-            FaultConfig(enabled=True, max_retries=-1)
 
     def test_injector_requires_enabled_config(self):
         with pytest.raises(ValueError, match="enabled"):
@@ -273,15 +277,17 @@ class TestChaosMessageFaults:
         assert np.isfinite(run.epochs[-1].loss)
 
     def test_exhausted_retries_degrade_not_crash(self, small_graph):
-        """With retries off, every drop must degrade gracefully."""
+        """A message whose every attempt drops degrades gracefully."""
         trainer, run = _fault_train(
             small_graph,
-            FaultConfig(enabled=True, drop_prob=0.25, max_retries=0),
+            FaultConfig(enabled=True, drop_prob=EXHAUST_QUARTER),
             epochs=15,
         )
         counters = trainer.fault_counters
-        assert counters.retries == 0
-        assert counters.degraded == counters.drops > 0
+        # Each drop is followed by a retry, or, once the retries are
+        # spent, by a degradation.
+        assert counters.drops == counters.retries + counters.degraded
+        assert counters.degraded > 0
         # All three degradation tiers and the ResEC-BP residual fold
         # should fire at this drop rate.
         assert counters.degraded_predicted > 0  # ReqEC trend fallback
@@ -335,8 +341,7 @@ class TestChaosStragglersAndOutages:
     def test_parameter_server_outage_retries(self, small_graph):
         trainer, run = _fault_train(
             small_graph,
-            FaultConfig(enabled=True, server_outages=((2, 0), (3, 0)),
-                        outage_attempts=2),
+            FaultConfig(enabled=True, server_outages=((2, 0), (3, 0))),
             epochs=6,
         )
         counters = trainer.fault_counters
@@ -390,11 +395,10 @@ class TestChaosCrashRecovery:
         _, clean = _fault_train(small_graph, FaultConfig(), epochs=8)
         trainer, faulty = _fault_train(
             small_graph,
-            FaultConfig(enabled=True, crash_schedule=((4, 1),),
-                        recovery_seconds=2.0),
+            FaultConfig(enabled=True, crash_schedule=((4, 1),)),
             epochs=8,
         )
-        assert trainer.fault_counters.extra_seconds >= 2.0
+        assert trainer.fault_counters.extra_seconds >= RECOVERY_SECONDS
         # The rebuilt worker refetches its halo features.
         assert faulty.total_bytes() > clean.total_bytes()
 
@@ -460,7 +464,7 @@ class TestFaultMetricsMirror:
             small_graph,
             FaultConfig(enabled=True, seed=3, drop_prob=0.2,
                         corrupt_prob=0.1, delay_prob=0.15,
-                        delay_seconds=0.01, max_retries=1),
+                        delay_seconds=0.01),
         )
         counters = trainer.fault_counters
         snap = run.telemetry.metrics
@@ -474,8 +478,7 @@ class TestFaultMetricsMirror:
     def test_degradation_mirror_by_kind(self, small_graph):
         trainer, run = self._run(
             small_graph,
-            FaultConfig(enabled=True, seed=7, drop_prob=0.25,
-                        max_retries=0),
+            FaultConfig(enabled=True, seed=7, drop_prob=EXHAUST_QUARTER),
             epochs=15,
         )
         counters = trainer.fault_counters
