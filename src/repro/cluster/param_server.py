@@ -19,7 +19,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from repro.cluster.engine import ClusterRuntime
-from repro.cluster.serialize import decode_raw, encode_raw
+from repro.cluster.serialize import Frame, decode_raw, encode_raw
 from repro.nn.optim import Optimizer
 
 __all__ = ["Shard", "ParameterServerGroup", "range_shards"]
@@ -78,13 +78,20 @@ class ParameterServerGroup:
         self._shards: Dict[str, list[Shard]] = {}
         self._optimizers = [optimizer_factory() for _ in range(self.num_servers)]
         self._pending: Dict[str, np.ndarray] = {}
+        # What every pull of a parameter version ships: each shard's RAW
+        # frame and one read-only copy of the decoded rows, built by the
+        # version's first pull. The parameters change only through
+        # ``set`` and ``_apply_updates`` (``register`` and ``set`` copy,
+        # ``get`` hands out a read-only view), and each drops what it
+        # changed.
+        self._pulled: Dict[str, tuple[list[Frame], np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     def register(self, name: str, value: np.ndarray) -> None:
         """Register a parameter tensor and shard it across the servers."""
         if name in self._params:
             raise ValueError(f"parameter {name!r} already registered")
-        array = np.ascontiguousarray(value, dtype=np.float32)
+        array = np.array(value, dtype=np.float32, order="C")
         self._params[name] = array
         first_axis = array.shape[0] if array.ndim else 1
         self._shards[name] = range_shards(name, first_axis, self.num_servers)
@@ -93,21 +100,28 @@ class ParameterServerGroup:
         return list(self._params)
 
     def get(self, name: str) -> np.ndarray:
-        """Server-side direct read (used by tests and checkpointing)."""
-        return self._params[name]
+        """Server-side direct read of the live parameter (backward
+        kernels, exact evaluation, checkpointing), as a read-only view:
+        a write goes through :meth:`set`."""
+        view = self._params[name].view()
+        view.flags.writeable = False
+        return view
 
     def set(self, name: str, value: np.ndarray) -> None:
-        """Server-side direct write (checkpoint restore)."""
+        """Server-side direct write of a copy of ``value`` (checkpoint
+        restore)."""
         if name not in self._params:
             raise KeyError(f"unknown parameter {name!r}")
         if value.shape != self._params[name].shape:
             raise ValueError("shape mismatch on parameter restore")
-        self._params[name] = np.ascontiguousarray(value, dtype=np.float32)
+        self._params[name] = np.array(value, dtype=np.float32, order="C")
+        self._pulled.pop(name, None)
 
     # ------------------------------------------------------------------
     def pull(self, worker: int, names: list[str]) -> Dict[str, np.ndarray]:
         """Worker pulls full tensors: each shard travels as a RAW frame,
-        charged at its length, and the worker gets the decoded rows."""
+        charged at its length, and the worker gets the decoded rows (a
+        read-only copy every pull of this parameter version shares)."""
         with self.runtime.telemetry.span("param_pull", worker=worker):
             return self._pull(worker, names)
 
@@ -154,19 +168,32 @@ class ParameterServerGroup:
         for name in names:
             if name not in self._params:
                 raise KeyError(f"unknown parameter {name!r}")
-            array = self._params[name]
-            pulled = []
-            for shard in self._shards[name]:
-                frame = encode_raw(np.atleast_1d(array)[shard.start:shard.stop])
+            frames, rows = self._pulled.get(name) or self._frame(name)
+            for shard, frame in zip(self._shards[name], frames):
                 self.runtime.send_server_to_worker(
                     shard.server, worker, len(frame), "param_pull"
                 )
                 self._outage_retries(
                     worker, shard.server, len(frame), "param_pull", True
                 )
-                pulled.append(decode_raw(frame))
-            out[name] = np.concatenate(pulled).reshape(array.shape)
+            out[name] = rows
         return out
+
+    def _frame(self, name: str) -> tuple[list[Frame], np.ndarray]:
+        """Frame every shard of ``name``'s current version once: the
+        frames and a read-only copy of the decoded rows. A copy, since
+        the frames view the live parameter ``_apply_updates`` steps in
+        place."""
+        array = self._params[name]
+        frames = [
+            encode_raw(np.atleast_1d(array)[shard.start:shard.stop])
+            for shard in self._shards[name]
+        ]
+        rows = np.concatenate([decode_raw(f) for f in frames])
+        rows = rows.reshape(array.shape)
+        rows.flags.writeable = False
+        self._pulled[name] = frames, rows
+        return self._pulled[name]
 
     def push(self, worker: int, grads: Dict[str, np.ndarray]) -> None:
         """Worker pushes gradients, a RAW frame per shard; servers
@@ -230,6 +257,7 @@ class ParameterServerGroup:
             if shard_grads:
                 optimizer.step(shard_params, shard_grads)
         self._pending.clear()
+        self._pulled.clear()
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:

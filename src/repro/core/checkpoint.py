@@ -32,7 +32,7 @@ __all__ = [
 
 # Bumped whenever a config field goes: an older file is refused by
 # version rather than translated field by field.
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 
 class CheckpointError(ValueError):

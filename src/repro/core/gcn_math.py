@@ -21,10 +21,10 @@ Backward (Eq. 4-6), using that the graphs here are symmetric so
     Y^{l-1} = (M^l)^T G^l   where  M^l = A H^{l-1}    (weight gradient)
     grad_b  = sum_rows(G^l)
 
-A hidden layer keeps what ``sigma'(Z^l)`` reads: ``Z^l`` itself, or,
-when the activation's derivative depends only on the sign of ``Z``
-(ReLU, leaky ReLU), the one-byte mask ``Z^l > 0``; ``Z^l`` is then
-activated in place (:func:`apply_activation`).
+Every hidden layer is ReLU (the paper's ``sigma``) after a learned bias.
+It keeps what ``sigma'(Z^l)`` reads, the one-byte mask ``Z^l > 0``, and
+activates ``Z^l`` in place (:func:`apply_relu`); the last layer's output
+is its logits ``Z^L``.
 
 Kernels take optional destination buffers (the engine's persistent
 layer workspaces); without them results are allocated. Either way the
@@ -40,9 +40,7 @@ from scipy.sparse import csr_matrix
 # scipy's spmm kernel: ``a @ x`` is this call on a fresh np.zeros result.
 from scipy.sparse._sparsetools import csr_matvecs
 
-from repro.nn.activations import Activation
-
-__all__ = ["LayerForwardCache", "apply_activation", "keeps_sign_mask",
+__all__ = ["LayerForwardCache", "apply_relu", "relu_backward",
            "layer_forward", "layer_backward_inputs", "weight_gradient",
            "bias_gradient", "spmm"]
 
@@ -80,75 +78,53 @@ class LayerForwardCache:
             gradient then recomputes it from ``h_cat``).
         h_cat: The concatenated input ``H_cat^{l-1}`` (local + halo rows);
             None when only the supplied aggregate was read.
-        pre_activation: ``Z^l`` for the local vertices (on the last
-            layer, the logits: the output itself); None on a hidden
-            layer that kept ``positive`` instead.
-        output: ``H^l`` for the local vertices.
+        output: ``H^l`` for the local vertices (on the last layer, the
+            logits ``Z^L``).
         transform_first: Which ordering produced this cache.
-        positive: The bool mask ``Z^l > 0``, kept by a hidden layer
-            whose activation's derivative reads only the sign of ``Z``
-            (``Activation.reads_sign``); None otherwise.
-
-    What ``sigma'(Z^l)`` reads is :attr:`derivative_input`: one of the
-    two, never both.
+        positive: The bool mask ``Z^l > 0`` a hidden layer keeps for
+            ``sigma'`` (:func:`relu_backward`); None on the last layer.
     """
 
     aggregated: np.ndarray | None
     h_cat: np.ndarray | None
-    pre_activation: np.ndarray | None
     output: np.ndarray
     transform_first: bool
     positive: np.ndarray | None
 
-    @property
-    def derivative_input(self) -> np.ndarray:
-        """What ``sigma'(Z^l)`` reads (``Activation.scale_by_derivative``):
-        the mask ``positive`` when the layer kept one, else ``Z^l``."""
-        if self.positive is not None:
-            return self.positive
-        assert self.pre_activation is not None
-        return self.pre_activation
 
-
-def keeps_sign_mask(activation: Activation, is_last: bool) -> bool:
-    """Whether a layer keeps the bool mask ``Z > 0`` for ``sigma'``
-    rather than ``Z``: a hidden layer under an activation that
-    :attr:`~repro.nn.activations.Activation.reads_sign`."""
-    return not is_last and activation.reads_sign
-
-
-def apply_activation(
+def apply_relu(
     z: np.ndarray,
-    activation: Activation,
     is_last: bool,
     out: np.ndarray | None = None,
     positive_out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """``H = sigma(Z)`` and what ``sigma'`` will read, as
-    ``(output, pre_activation, positive)`` for a
-    :class:`LayerForwardCache`.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``H = relu(Z)`` and the mask ``sigma'`` will read, as
+    ``(output, positive)`` for a :class:`LayerForwardCache`.
 
-    The last layer's logits are ``Z`` itself. A layer that
-    :func:`keeps_sign_mask` records the mask ``Z > 0`` (into
-    ``positive_out`` when given) and activates into ``out`` — which may
-    be ``Z`` itself — or over ``Z`` when ``out`` is None: ``Z`` is not
-    kept. Any other hidden layer writes into ``out`` and keeps ``Z``.
+    The last layer's logits are ``Z`` itself. A hidden layer records the
+    mask ``Z > 0`` (into ``positive_out`` when given) and activates into
+    ``out`` — which may be ``Z`` itself — or over ``Z`` when ``out`` is
+    None: ``Z`` is not kept.
     """
     if is_last:
-        return z, z, None
-    if not keeps_sign_mask(activation, is_last):
-        return activation(z, out=out).astype(np.float32, copy=False), z, None
+        return z, None
     positive = np.greater(z, 0.0, out=positive_out)
-    h = activation(z, out=z if out is None else out)
-    return h.astype(np.float32, copy=False), None, positive
+    return np.maximum(z, 0.0, out=z if out is None else out), positive
+
+
+def relu_backward(
+    dh: np.ndarray, positive: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``dh * relu'(Z)`` into ``out`` (``dh`` itself when None), read off
+    the mask ``positive = Z > 0`` the forward kept."""
+    return np.multiply(dh, positive, out=dh if out is None else out)
 
 
 def layer_forward(
     a_local: csr_matrix,
     h_cat: np.ndarray | None,
     weight: np.ndarray,
-    bias: np.ndarray | None,
-    activation: Activation,
+    bias: np.ndarray,
     is_last: bool,
     transform_first: bool | None = None,
     *,
@@ -165,9 +141,9 @@ def layer_forward(
         h_cat: ``(n_local + n_halo, d_in)`` concatenated embeddings;
             may be None under aggregate-first when ``aggregated`` is given.
         weight: ``(d_in, d_out)``.
-        bias: ``(d_out,)`` or None.
-        activation: Hidden activation; skipped on the last layer, whose
-            logits go straight into softmax cross-entropy.
+        bias: ``(d_out,)``.
+        is_last: The last layer skips the ReLU: its logits go straight
+            into softmax cross-entropy.
         transform_first: Force an ordering; ``None`` picks the cheaper one
             (``d_in > d_out`` => transform first), mirroring DGL.
         aggregated: A precomputed ``A_local @ h_cat`` (the first layer's
@@ -176,9 +152,9 @@ def layer_forward(
         aggregate_out / z_out / out: Correctly shaped float32
             destinations for ``M^l``, ``Z^l`` and ``H^l`` (float32
             operands only); ``out`` is ignored on the last layer, whose
-            output *is* ``Z^l``. A hidden layer under an activation that
-            reads only the sign of ``Z`` writes ``Z^l`` straight into
-            ``out`` and activates it there: ``z_out`` is not used.
+            output *is* ``Z^l``. A hidden layer given ``out`` writes
+            ``Z^l`` straight into it and activates it there: ``z_out``
+            is not used.
         positive_out: Bool destination for that layer's mask ``Z^l > 0``.
     """
     d_in, d_out = weight.shape
@@ -188,7 +164,7 @@ def layer_forward(
         )
     if transform_first is None:
         transform_first = d_in > d_out
-    if out is not None and keeps_sign_mask(activation, is_last):
+    if out is not None and not is_last:
         # The input is consumed before Z is written: Z^l goes into the
         # output head and is activated there.
         z_out = out
@@ -199,16 +175,12 @@ def layer_forward(
         if aggregated is None:
             aggregated = spmm(a_local, h_cat, aggregate_out)
         z = np.matmul(aggregated, weight, out=z_out)
-    if bias is not None:
-        z += bias
+    z += bias
     z = z.astype(np.float32, copy=False)
-    h, kept_z, positive = apply_activation(
-        z, activation, is_last, out, positive_out
-    )
+    h, positive = apply_relu(z, is_last, out, positive_out)
     return LayerForwardCache(
         aggregated=aggregated,
         h_cat=h_cat,
-        pre_activation=kept_z,
         output=h,
         transform_first=transform_first,
         positive=positive,
@@ -219,8 +191,7 @@ def layer_backward_inputs(
     a_local: csr_matrix,
     g_cat: np.ndarray,
     weight: np.ndarray,
-    derivative_input: np.ndarray,
-    activation: Activation,
+    positive: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Propagate ``G^l`` one layer down: Eq. 5 for the local vertices.
@@ -231,10 +202,8 @@ def layer_backward_inputs(
         g_cat: ``(n_local + n_halo, d_out)`` concatenated ``G^l`` rows —
             local rows first, then halo rows fetched from the owners.
         weight: ``W^{l-1}`` mapping ``d_in -> d_out``.
-        derivative_input: What layer ``l - 1`` kept for ``sigma'``
-            (``LayerForwardCache.derivative_input``): ``Z^{l-1}`` for
-            the local vertices, or its mask ``Z^{l-1} > 0``.
-        activation: The activation whose derivative gates the gradient.
+        positive: The mask ``Z^{l-1} > 0`` layer ``l - 1`` kept for
+            the local vertices (``LayerForwardCache.positive``).
         out: Float32 destination for ``G^{l-1}``. It may be the local
             rows of ``g_cat`` itself: ``g_cat`` is fully consumed by the
             spmm before anything is written.
@@ -244,7 +213,7 @@ def layer_backward_inputs(
     """
     aggregated = a_local @ g_cat
     dh = np.matmul(aggregated, weight.T, out=out)
-    activation.scale_by_derivative(dh, derivative_input)
+    relu_backward(dh, positive)
     return dh.astype(np.float32, copy=False)
 
 

@@ -1,6 +1,7 @@
 """GNN model parameterization.
 
-A model here is just the layer dimension ladder plus activation — the
+A model here is just the layer dimension ladder: every layer adds a
+learned bias and every hidden layer is ReLU, as in the paper. The
 distributed forward/backward math lives in :mod:`repro.core.gcn_math` and
 is shared by GCN and GraphSAGE-mean (they differ only in the adjacency
 normalization, chosen when the trainer normalizes the graph). Parameters
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import ModelConfig
-from repro.nn.activations import Activation, get_activation
 from repro.nn.init import glorot_uniform, zeros
 
 __all__ = ["GNNParameters", "build_parameters", "weight_name", "bias_name"]
@@ -38,14 +38,10 @@ class GNNParameters:
     Attributes:
         dims: ``[d0, d1, ..., dL]`` layer dimension ladder.
         tensors: Name -> initial value for every learnable tensor.
-        activation: Hidden-layer activation.
-        use_bias: Whether bias tensors exist.
     """
 
     dims: list[int]
     tensors: dict[str, np.ndarray]
-    activation: Activation
-    use_bias: bool
 
     @property
     def num_layers(self) -> int:
@@ -53,10 +49,7 @@ class GNNParameters:
 
     def layer_param_names(self, layer: int) -> list[str]:
         """Names of the tensors used by layer ``layer`` (0-based)."""
-        names = [weight_name(layer)]
-        if self.use_bias:
-            names.append(bias_name(layer))
-        return names
+        return [weight_name(layer), bias_name(layer)]
 
     def all_param_names(self) -> list[str]:
         names: list[str] = []
@@ -79,11 +72,5 @@ def build_parameters(
         tensors[weight_name(layer)] = glorot_uniform(
             (dims[layer], dims[layer + 1]), rng
         )
-        if config.use_bias:
-            tensors[bias_name(layer)] = zeros((dims[layer + 1],))
-    return GNNParameters(
-        dims=dims,
-        tensors=tensors,
-        activation=get_activation(config.activation),
-        use_bias=config.use_bias,
-    )
+        tensors[bias_name(layer)] = zeros((dims[layer + 1],))
+    return GNNParameters(dims=dims, tensors=tensors)

@@ -179,7 +179,7 @@ class ECGraphTrainer:
             seed=self.config.seed,
         )
         for name, tensor in self.params.tensors.items():
-            self.servers.register(name, tensor.copy())
+            self.servers.register(name, tensor)
 
         if isinstance(self._fp_policy, ReqECPolicy):
             # An injected ReqEC policy brings its tuner: the run feeds,

@@ -49,11 +49,11 @@ from scipy.sparse import csr_matrix
 from repro.core.config import ECGraphConfig
 from repro.core.gcn_math import (
     LayerForwardCache,
-    apply_activation,
+    apply_relu,
     bias_gradient,
-    keeps_sign_mask,
     layer_backward_inputs,
     layer_forward,
+    relu_backward,
     weight_gradient,
 )
 from repro.core.models import bias_name, weight_name
@@ -156,7 +156,7 @@ class ModelBackend:
 
     def layer_param_names(self, layer: int) -> list[str]:
         """Server parameter names ``layer`` (1-based) pulls and its
-        backward kernels read (default: ``W``, plus ``b`` with bias)."""
+        backward kernels read (default: ``W`` and ``b``)."""
         return self.ctx.params.layer_param_names(layer - 1)
 
     # ------------------------------------------------------------------
@@ -411,15 +411,15 @@ class GCNBackend(ModelBackend):
                     tl.write(fwd), tl.read(bpl),
                 ))
             # σ'(Z^l) is read after the layer below's G is written; the
-            # logits Z^L again after the loss writes G^L. Under a
-            # sign-only activation a hidden layer's Z^l is written into
-            # h{layer}'s head and only its mask Z^l > 0 is kept.
-            mask = keeps_sign_mask(ctx.params.activation, layer == num_layers)
+            # logits Z^L again after the loss writes G^L. A hidden
+            # layer's Z^l is written into h{layer}'s head and only its
+            # mask Z^l > 0 is kept.
+            last = layer == num_layers
             lives.append(BufferLife(
-                f"mask{layer}" if mask else f"z{layer}", (local, dims[layer]),
+                f"z{layer}" if last else f"mask{layer}", (local, dims[layer]),
                 False, tl.write(fwd),
-                tl.write("loss" if layer == num_layers else f"bpr{layer + 1}"),
-                np.dtype(np.bool_ if mask else np.float32),
+                tl.write("loss" if last else f"bpr{layer + 1}"),
+                np.dtype(np.float32 if last else np.bool_),
             ))
             lives.append(self._grad_life(
                 state, tl, layer, tl.read(f"bpr{layer}" if layer > 1 else bpl)
@@ -438,7 +438,7 @@ class GCNBackend(ModelBackend):
         ws, dims = ctx.workspaces, ctx.params.dims
         adjacency = self.adjacency(state, layer)
         transform_first = self._transform_first(layer)
-        # Kernel-private Z^l (or its mask) and A·H_cat. A
+        # Kernel-private logits Z^L (or a hidden mask) and A·H_cat. A
         # transform-first layer only recomputes the aggregate
         # transiently — except the first, whose constant M^1 then
         # serves the weight gradient.
@@ -447,21 +447,19 @@ class GCNBackend(ModelBackend):
             aggregated = ws.first_aggregate(state, adjacency)
         elif not transform_first:
             aggregate_out = ws.buffer(f"m{layer}", state)
-        mask = keeps_sign_mask(ctx.params.activation, is_last)
-        sigma = ws.buffer(f"mask{layer}" if mask else f"z{layer}", state)
+        sigma = ws.buffer(f"z{layer}" if is_last else f"mask{layer}", state)
         state.caches[layer] = layer_forward(
             adjacency,
             h_cat,
             pulled[weight_name(layer - 1)],
-            pulled.get(bias_name(layer - 1)),
-            ctx.params.activation,
+            pulled[bias_name(layer - 1)],
             is_last=is_last,
             transform_first=transform_first,
             aggregated=aggregated,
             aggregate_out=aggregate_out,
-            z_out=None if mask else sigma,
+            z_out=sigma if is_last else None,
             out=self._out_buffer(state, layer),
-            positive_out=sigma if mask else None,
+            positive_out=None if is_last else sigma,
         )
 
     def backward_local(
@@ -470,14 +468,12 @@ class GCNBackend(ModelBackend):
         del weights
         g_local = state.grad_rows[layer]
         cache = state.caches[layer]
-        shares = {
+        return {
             weight_name(layer - 1): weight_gradient(
                 cache, self.adjacency(state, layer), g_local
-            )
+            ),
+            bias_name(layer - 1): bias_gradient(g_local),
         }
-        if self.ctx.params.use_bias:
-            shares[bias_name(layer - 1)] = bias_gradient(g_local)
-        return shares
 
     def transposed(self, state: WorkerState, layer: int) -> csr_matrix:
         """``A^T`` rows for the input-gradient spmm: the adjacency itself,
@@ -492,8 +488,7 @@ class GCNBackend(ModelBackend):
             self.transposed(state, layer),
             self.grad_cat(state, layer),
             weights[weight_name(layer - 1)],
-            state.caches[layer - 1].derivative_input,
-            self.ctx.params.activation,
+            state.caches[layer - 1].positive,
             out=self.grad_out(state, layer - 1),
         )
 
@@ -523,8 +518,7 @@ class GCNBackend(ModelBackend):
             state.a_local,
             h_cat,
             weight,
-            params.get(bias_name(layer - 1)),
-            self.ctx.params.activation,
+            params[bias_name(layer - 1)],
             is_last=is_last,
             aggregated=aggregated,
             out=out,
@@ -760,10 +754,10 @@ class SAGEBackend(ModelBackend):
             )
 
     def layer_param_names(self, layer: int) -> list[str]:
-        names = [weight_name(layer - 1), self_weight_name(layer - 1)]
-        if self.ctx.params.use_bias:
-            names.append(bias_name(layer - 1))
-        return names
+        return [
+            weight_name(layer - 1), self_weight_name(layer - 1),
+            bias_name(layer - 1),
+        ]
 
     def layer_kernel(
         self,
@@ -779,16 +773,11 @@ class SAGEBackend(ModelBackend):
             h_cat[:state.num_local] @ params[self_weight_name(layer - 1)]
             + aggregated @ params[weight_name(layer - 1)]
         ).astype(np.float32, copy=False)
-        bias = params.get(bias_name(layer - 1))
-        if bias is not None:
-            z += bias
-        output, kept_z, positive = apply_activation(
-            z, self.ctx.params.activation, is_last, out
-        )
+        z += params[bias_name(layer - 1)]
+        output, positive = apply_relu(z, is_last, out)
         return LayerForwardCache(
             aggregated=aggregated,
             h_cat=h_cat,
-            pre_activation=kept_z,
             output=output,
             transform_first=False,
             positive=positive,
@@ -800,17 +789,15 @@ class SAGEBackend(ModelBackend):
         del weights
         cache = state.caches[layer]
         g = state.grad_rows[layer]
-        shares = {
+        return {
             self_weight_name(layer - 1): (
                 cache.h_cat[:state.num_local].T @ g
             ).astype(np.float32),
             weight_name(layer - 1): (
                 cache.aggregated.T @ g
             ).astype(np.float32),
+            bias_name(layer - 1): g.sum(axis=0).astype(np.float32),
         }
-        if self.ctx.params.use_bias:
-            shares[bias_name(layer - 1)] = g.sum(axis=0).astype(np.float32)
-        return shares
 
     def backward_reduce(
         self, state: WorkerState, layer: int, weights: dict[str, np.ndarray]
@@ -822,11 +809,9 @@ class SAGEBackend(ModelBackend):
             self.a_transposed[state.worker_id] @ g_cat
         ) @ weights[weight_name(layer - 1)].T
         # ``g`` (which the destination may alias) is consumed by now.
-        state.grad_rows[layer - 1] = (
-            self.ctx.params.activation.scale_by_derivative(
-                dh, state.caches[layer - 1].derivative_input,
-                out=self.grad_out(state, layer - 1),
-            )
+        state.grad_rows[layer - 1] = relu_backward(
+            dh, state.caches[layer - 1].positive,
+            out=self.grad_out(state, layer - 1),
         )
 
 
@@ -954,8 +939,7 @@ class GATBackend(ModelBackend):
                 attn_src_name(layer - 1, head),
                 attn_dst_name(layer - 1, head),
             ])
-        if self.ctx.params.use_bias:
-            names.append(bias_name(layer - 1))
+        names.append(bias_name(layer - 1))
         return names
 
     def _head_params(
@@ -1034,16 +1018,11 @@ class GATBackend(ModelBackend):
             logit_heads.append(logits)
             alpha_heads.append(alpha)
         z = (z / self.num_heads).astype(np.float32, copy=False)
-        bias = params.get(bias_name(layer - 1))
-        if bias is not None:
-            z += bias
-        output, kept_z, positive = apply_activation(
-            z, self.ctx.params.activation, is_last, out
-        )
+        z += params[bias_name(layer - 1)]
+        output, positive = apply_relu(z, is_last, out)
         return _GATCache(
             aggregated=None,
             h_cat=h_cat,
-            pre_activation=kept_z,
             output=output,
             transform_first=False,
             positive=positive,
@@ -1057,7 +1036,6 @@ class GATBackend(ModelBackend):
     ) -> dict[str, np.ndarray]:
         # One worker's partial dH over the cat space (summed over
         # heads) plus its parameter-gradient shares.
-        ctx = self.ctx
         edges = self.edges[state.worker_id]
         cache = state.caches[layer]
         # Head averaging: each head sees G / num_heads.
@@ -1103,10 +1081,9 @@ class GATBackend(ModelBackend):
             ).astype(np.float32)
             if dh is not None:
                 dh += du @ weight.T
-        if ctx.params.use_bias:
-            shares[bias_name(layer - 1)] = (
-                state.grad_rows[layer].sum(axis=0)
-            ).astype(np.float32)
+        shares[bias_name(layer - 1)] = (
+            state.grad_rows[layer].sum(axis=0)
+        ).astype(np.float32)
         return shares
 
     def _backward_halos(self, t: int, layer: int) -> None:
@@ -1128,9 +1105,7 @@ class GATBackend(ModelBackend):
             self._dh_buffer(state, layer)[:state.num_local]
             + self._pushed_buffer(state, layer)
         )
-        state.grad_rows[layer - 1] = (
-            self.ctx.params.activation.scale_by_derivative(
-                dh_total, state.caches[layer - 1].derivative_input,
-                out=self.grad_out(state, layer - 1),
-            )
+        state.grad_rows[layer - 1] = relu_backward(
+            dh_total, state.caches[layer - 1].positive,
+            out=self.grad_out(state, layer - 1),
         )

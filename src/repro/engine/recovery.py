@@ -181,7 +181,7 @@ class RecoveryManager:
         if self.param_snapshot is not None:
             _, params = self.param_snapshot
             for name, value in params.items():
-                ctx.servers.set(name, value.copy())
+                ctx.servers.set(name, value)
             return True
         if corrupt:
             from repro.core.checkpoint import CheckpointError

@@ -4,10 +4,10 @@ Layer ``l`` of every worker reads one ``(n_local + n_halo, d)`` matrix
 ``H_cat^{l-1}``. Each worker keeps it in a persistent *workspace*: the
 halo exchange scatters decoded rows straight into its tail, the previous
 layer's kernel writes its output into its head, the kernel reads it in
-place. Gradients, aggregates and pre-activations live in workspaces too,
-and so does a hidden layer's bool mask ``Z > 0`` when its activation's
-derivative reads only the sign of ``Z`` (ReLU: ``Z`` itself is then
-written into the next layer's head and activated there).
+place. Gradients, aggregates and the logits live in workspaces too, and
+so does a hidden layer's bool mask ``Z > 0``, all ReLU's derivative
+reads (``Z`` itself is written into the next layer's head and activated
+there).
 
 Most of those buffers are dead for most of an iteration, so they are not
 allocated one per name. At bind each backend declares every buffer's

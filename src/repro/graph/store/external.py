@@ -100,7 +100,7 @@ class ExternalSorter:
     def _spill(self) -> None:
         if not self._pending:
             return
-        run = np.sort(np.concatenate(self._pending), kind="stable")
+        run = np.sort(np.concatenate(self._pending))
         self._pending = []
         self._pending_size = 0
         if self._workdir is None:
@@ -151,6 +151,8 @@ class ExternalSorter:
             ia = int(np.searchsorted(buf_a, bound, side="right"))
             ib = int(np.searchsorted(buf_b, bound, side="right"))
             merged = np.concatenate([buf_a[:ia], buf_b[:ib]])
+            # Two ascending runs: timsort (``stable``) merges them in one
+            # linear pass, where the default kind sorts from scratch.
             merged.sort(kind="stable")
             if merged.size:
                 emit(merged)

@@ -2,11 +2,14 @@
 
 The AGL / AliGraph-FG rows now run on the one engine through
 ``repro.baselines.CachedKHopBackend``; this is the trainer that backend
-replaced. Its two edits: it imports the new vectorised
+replaced. Its edits: it imports the new vectorised
 ``capped_khop_subgraph`` instead of carrying the per-vertex walk, so
-both sides train on the same cached vertex and edge sets, and it imports
+both sides train on the same cached vertex and edge sets; it imports
 the resident ``AttributedGraph`` record (which it reads ``.features``
-off) from ``oracles._graph`` since ``src/`` retired it.
+off) from ``oracles._graph`` since ``src/`` retired it; and, ReLU with
+bias being the one layer, it reads ``_USE_BIAS`` where it read
+``params.use_bias`` and gates the gradient by ``relu_backward`` where
+it called ``params.activation.scale_by_derivative`` (the same product).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.core.config import ECGraphConfig, ModelConfig
 from repro.core.gcn_math import (
     bias_gradient,
     layer_forward,
+    relu_backward,
     weight_gradient,
 )
 from repro.core.models import bias_name, build_parameters, weight_name
@@ -34,6 +38,8 @@ from repro.nn.optim import Adam
 from repro.partition.hashing import HashPartitioner
 
 __all__ = ["MLCenteredTrainer"]
+
+_USE_BIAS = True
 
 
 class MLCenteredTrainer:
@@ -207,7 +213,6 @@ class MLCenteredTrainer:
                         h,
                         weight,
                         bias,
-                        self.params.activation,
                         is_last=(layer == num_layers),
                     )
                     caches.append(cache)
@@ -231,15 +236,15 @@ class MLCenteredTrainer:
                     grads[weight_name(layer - 1)] = weight_gradient(
                         cache, local["a"], g
                     )
-                    if self.params.use_bias:
+                    if _USE_BIAS:
                         grads[bias_name(layer - 1)] = bias_gradient(g)
                     if layer > 1:
                         weight = pulled[weight_name(layer - 1)]
                         dh = (local["a_t"] @ g) @ weight.T
                         # What layer_forward keeps for sigma' (Z, or
                         # under ReLU its mask Z > 0), through its one rule.
-                        g = self.params.activation.scale_by_derivative(
-                            dh, caches[layer - 2].derivative_input
+                        g = relu_backward(
+                            dh, caches[layer - 2].positive
                         ).astype(np.float32)
                 all_grads[worker] = grads
 

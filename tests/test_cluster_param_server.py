@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster import serialize
 from repro.cluster.engine import ClusterRuntime
 from repro.cluster.param_server import ParameterServerGroup, range_shards
 from repro.cluster.topology import ClusterSpec
@@ -47,10 +48,15 @@ class TestRangeShards:
 
 class TestPushPullUpdate:
     def test_pull_returns_copy(self):
+        # A read-only copy: every pull of this version shares it, so a
+        # worker cannot write through it, into the parameters or into
+        # another worker's pull.
         group, _ = _group()
         group.register("w", np.ones((4, 2), dtype=np.float32))
         pulled = group.pull(0, ["w"])["w"]
-        pulled[:] = 0.0
+        assert not np.shares_memory(pulled, group.get("w"))
+        with pytest.raises(ValueError, match="read-only"):
+            pulled[:] = 0.0
         assert group.get("w").sum() == 8.0
 
     def test_sum_reduce(self):
@@ -123,6 +129,85 @@ class TestPushPullUpdate:
         group.apply_updates()
         np.testing.assert_allclose(group.get("b"), -np.arange(5))
 
+
+class TestOneFramePerVersion:
+    """Each shard is framed once per parameter version; every pull of
+    that version is charged the frames' lengths and shares one copy."""
+
+    def _counting(self, monkeypatch):
+        import repro.cluster.param_server as ps
+
+        calls = []
+
+        def encode_raw(rows):
+            calls.append(rows.shape)
+            return serialize.encode_raw(rows)
+
+        monkeypatch.setattr(ps, "encode_raw", encode_raw)
+        return calls
+
+    def test_pulls_of_one_version_share_the_frames(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        w = np.arange(12, dtype=np.float32).reshape(6, 2)
+        group, runtime = _group(num_workers=3, num_servers=2)
+        group.register("w", w)
+        pulls = [group.pull(worker, ["w"])["w"] for worker in range(3)]
+        assert calls == [(3, 2), (3, 2)]  # one frame per shard, once
+        assert all(p is pulls[0] for p in pulls)
+        np.testing.assert_array_equal(pulls[0], w)
+        # Charged as if each pull sent its own frame of every shard.
+        _, reference = _group(num_workers=3, num_servers=2)
+        for worker in range(3):
+            for shard in range_shards("w", 6, 2):
+                frame = serialize.encode_raw(w[shard.start:shard.stop])
+                reference.send_server_to_worker(
+                    shard.server, worker, len(frame), "param_pull"
+                )
+        assert runtime.meter.epoch_category_bytes() == (
+            reference.meter.epoch_category_bytes()
+        )
+        assert runtime.meter.total_messages == reference.meter.total_messages
+        assert runtime.meter.total_bytes > 0
+
+    @pytest.mark.parametrize("write", ["apply_updates", "set"])
+    def test_a_write_makes_a_new_version(self, monkeypatch, write):
+        calls = self._counting(monkeypatch)
+        group, _ = _group(num_servers=2, lr=1.0)
+        group.register("w", np.zeros((4, 2), dtype=np.float32))
+        old = group.pull(0, ["w"])["w"]
+        if write == "apply_updates":
+            group.push(0, {"w": np.ones((4, 2), dtype=np.float32)})
+            group.apply_updates()
+        else:
+            group.set("w", np.full((4, 2), -1.0, dtype=np.float32))
+        framed = len(calls)
+        new = group.pull(1, ["w"])["w"]
+        assert len(calls) == framed + 2  # both shards framed again
+        np.testing.assert_array_equal(new, -1.0)
+        # The earlier pull was a copy: the in-place step left it alone.
+        np.testing.assert_array_equal(old, 0.0)
+
+    def test_no_write_bypasses_the_versions(self):
+        """``set`` and ``_apply_updates`` are the only writes: ``get``
+        hands out a read-only view of the live rows, and ``register`` /
+        ``set`` keep a copy, so no array a caller holds is live."""
+        group, _ = _group(num_servers=2, lr=1.0)
+        given = np.zeros((4, 2), dtype=np.float32)
+        group.register("w", given)
+        live = group.get("w")
+        with pytest.raises(ValueError, match="read-only"):
+            live[0, 0] = 1.0
+        group.pull(0, ["w"])
+        given[:] = 5.0
+        restored = np.full((4, 2), -1.0, dtype=np.float32)
+        group.set("w", restored)
+        restored[:] = 7.0
+        np.testing.assert_array_equal(group.pull(1, ["w"])["w"], -1.0)
+        # The view stays the live parameter until ``set`` replaces it.
+        group.push(0, {"w": np.ones((4, 2), dtype=np.float32)})
+        group.apply_updates()
+        np.testing.assert_array_equal(group.get("w"), -2.0)
+        np.testing.assert_array_equal(live, 0.0)
 
 class TestValidation:
     def test_duplicate_register_rejected(self):

@@ -46,15 +46,6 @@ KEPT = {
         "no system uses it yet; ROADMAP item 3(b) reworks it into a "
         "per-stage overlap"
     ),
-    "ModelConfig.activation": (
-        "the model's architecture, a library caller's choice; each "
-        "activation's backward rule (ReLU's one-byte mask, the float "
-        "derivative of tanh/sigmoid) is its own kernel path"
-    ),
-    "ModelConfig.use_bias": (
-        "the model's architecture: without it a layer is the paper's "
-        "Eq. (2) as written"
-    ),
 }
 
 def _callee(call: ast.Call) -> str | None:

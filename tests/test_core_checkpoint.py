@@ -122,6 +122,26 @@ class TestErrors:
         ):
             load_checkpoint(path)
 
+    def test_version_3_refused_by_version(self, small_graph, tmp_path):
+        """A version-3 file still records the retired ``ModelConfig``
+        fields ``activation`` and ``use_bias``: its version refuses it
+        before any field is read."""
+        trainer = _trainer(small_graph)
+        trainer.run_epoch(0)
+        path = tmp_path / "v3.npz"
+        save_checkpoint(trainer, path, epoch=1)
+        with np.load(path) as archive:
+            payload = {k: archive[k] for k in archive.files}
+        fields = json.loads(str(payload["model_config_json"]))
+        fields.update(activation="relu", use_bias=True)
+        payload["model_config_json"] = np.str_(json.dumps(fields))
+        payload["format_version"] = np.int64(3)
+        np.savez_compressed(path, **payload)
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint version 3"
+        ):
+            load_checkpoint(path)
+
     def test_truncated_file_raises_checkpoint_error(
         self, small_graph, tmp_path
     ):

@@ -112,7 +112,7 @@ class TestGradientsAgainstFiniteDifferences:
 
         name = param_kind
         grad = captured[name]
-        theta = trainer.servers.get(name)
+        theta = trainer.servers.get(name).copy()
         rng = np.random.default_rng(0)
         eps = 1e-3
         flat_indices = rng.choice(theta.size, size=min(8, theta.size),
@@ -121,10 +121,13 @@ class TestGradientsAgainstFiniteDifferences:
             idx = np.unravel_index(flat, theta.shape)
             original = theta[idx]
             theta[idx] = original + eps
+            trainer.servers.set(name, theta)
             up = self._loss_for(trainer, small_graph)
             theta[idx] = original - eps
+            trainer.servers.set(name, theta)
             down = self._loss_for(trainer, small_graph)
             theta[idx] = original
+            trainer.servers.set(name, theta)
             numeric = (up - down) / (2 * eps)
             # float32 forward passes put ~1e-5 noise on each probed loss,
             # i.e. ~5e-3 absolute on the difference quotient.
@@ -266,17 +269,20 @@ class TestMultiHead:
         eps = 1e-3
         for name in (head_weight_name(0, 1), attn_src_name(1, 1),
                      attn_dst_name(0, 1)):
-            theta = trainer.servers.get(name)
+            theta = trainer.servers.get(name).copy()
             grad = captured[name]
             for flat in rng.choice(theta.size, size=min(5, theta.size),
                                    replace=False):
                 idx = np.unravel_index(flat, theta.shape)
                 original = theta[idx]
                 theta[idx] = original + eps
+                trainer.servers.set(name, theta)
                 up = fd._loss_for(trainer, small_graph)
                 theta[idx] = original - eps
+                trainer.servers.set(name, theta)
                 down = fd._loss_for(trainer, small_graph)
                 theta[idx] = original
+                trainer.servers.set(name, theta)
                 numeric = (up - down) / (2 * eps)
                 tolerance = 5e-3 + 0.05 * abs(numeric)
                 assert grad[idx] == pytest.approx(numeric, abs=tolerance), (

@@ -1,7 +1,8 @@
 """Unit tests for parameter construction."""
 
+import dataclasses
+
 import numpy as np
-import pytest
 
 from repro.core.config import ModelConfig
 from repro.core.models import bias_name, build_parameters, weight_name
@@ -21,13 +22,6 @@ class TestBuildParameters:
         assert params.tensors["W1"].shape == (8, 8)
         assert params.tensors["W2"].shape == (8, 4)
         assert params.tensors["b2"].shape == (4,)
-
-    def test_no_bias_option(self):
-        params = build_parameters(
-            ModelConfig(num_layers=2, use_bias=False), 10, 3
-        )
-        assert "b0" not in params.tensors
-        assert params.layer_param_names(0) == ["W0"]
 
     def test_same_seed_same_weights(self):
         a = build_parameters(ModelConfig(), 10, 3, seed=5)
@@ -54,15 +48,16 @@ class TestBuildParameters:
         assert params.dims == [10, 8, 3]
         assert params.num_layers == 2
 
-    def test_activation_resolved(self):
-        params = build_parameters(
-            ModelConfig(activation="tanh"), 10, 3
-        )
-        assert params.activation.name == "tanh"
 
-    def test_unknown_activation_fails_fast(self):
-        # Typos are rejected at config construction (ECG007 in
-        # tests/test_invariants.py: every config field is validated),
-        # before any model is built.
-        with pytest.raises(ValueError, match="swishy"):
-            ModelConfig(activation="swishy")
+class TestModelConfig:
+    def test_three_fields_relu_with_bias_is_not_a_choice(self):
+        # Every hidden layer is ReLU after a learned bias: neither is a
+        # field, and every layer pulls its bias.
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "num_layers", "hidden_dim", "model",
+        ]
+        params = build_parameters(ModelConfig(num_layers=3), 10, 3)
+        for layer in range(3):
+            assert params.layer_param_names(layer) == [
+                weight_name(layer), bias_name(layer),
+            ]

@@ -75,7 +75,7 @@ class TestGradients:
         eps = 1e-3
         for name in (weight_name(0), self_weight_name(0),
                      weight_name(1), self_weight_name(1), bias_name(0)):
-            theta = trainer.servers.get(name)
+            theta = trainer.servers.get(name).copy()
             grad = captured[name]
             flat_indices = rng.choice(theta.size,
                                       size=min(6, theta.size), replace=False)
@@ -83,10 +83,13 @@ class TestGradients:
                 idx = np.unravel_index(flat, theta.shape)
                 original = theta[idx]
                 theta[idx] = original + eps
+                trainer.servers.set(name, theta)
                 up = trainer.engine.forward.run(0)[0]
                 theta[idx] = original - eps
+                trainer.servers.set(name, theta)
                 down = trainer.engine.forward.run(0)[0]
                 theta[idx] = original
+                trainer.servers.set(name, theta)
                 numeric = (up - down) / (2 * eps)
                 tolerance = 5e-3 + 0.05 * abs(numeric)
                 assert grad[idx] == pytest.approx(numeric, abs=tolerance), (

@@ -880,12 +880,6 @@ class TestRepoInvariantsPinned:
         source = inspect.getsource(ProcessExecutor.on_epoch_start)
         assert "sorted(self._shipped_version.items())" in source
 
-    def test_model_config_rejects_unknown_activation(self):
-        from repro.core.config import ModelConfig
-
-        with pytest.raises(ValueError, match="swishy"):
-            ModelConfig(activation="swishy")
-
     def test_ecgraph_config_rejects_out_of_range_bits(self):
         from repro.core.config import ECGraphConfig
 

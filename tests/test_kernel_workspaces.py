@@ -5,8 +5,7 @@ Three contracts of the allocation-free kernel path
 
 * *differential* — the ``out=`` / in-place kernels produce the very
   bytes the pre-workspace kernels (verbatim in ``conftest.py``) did,
-  sign of zeros included, over every backend, ordering, bias setting
-  and activation;
+  sign of zeros included, over every backend and ordering;
 * *aliasing* — persistent buffers are never overwritten while something
   still reads them, and no message aliases a workspace;
 * *invalidation* — a trainer whose workspaces live across epochs (and
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.relu import relu
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
@@ -39,7 +39,6 @@ from repro.engine.backends import (
 )
 from repro.faults.config import MAX_RETRIES, FaultConfig
 from repro.graph.normalize import normalized_adjacency
-from repro.nn.activations import ACTIVATION_NAMES, get_activation
 from repro.partition.hashing import HashPartitioner
 
 SPEC = ClusterSpec(num_workers=3, num_servers=1)
@@ -57,16 +56,14 @@ def dirty(shape: tuple[int, int]) -> np.ndarray:
     return np.full(shape, np.nan, dtype=np.float32)
 
 
-def same_sigma_input(cache, z_ref: np.ndarray, act, is_last: bool) -> None:
-    """What the cache keeps for σ' against the parent's ``Z``: ``Z``
-    itself, or, on a hidden layer under an activation whose derivative
-    reads only the sign, just the mask ``Z > 0``."""
-    if act.reads_sign and not is_last:
-        assert cache.pre_activation is None
-        same_bits(cache.positive, z_ref > 0)
-    else:
+def same_sigma_input(cache, z_ref: np.ndarray, is_last: bool) -> None:
+    """What the cache keeps against the parent's ``Z``: on a hidden layer
+    just the mask ``Z > 0`` σ' reads, on the last the logits ``Z``."""
+    if is_last:
         assert cache.positive is None
-        same_bits(cache.pre_activation, z_ref)
+        same_bits(cache.output, z_ref)
+    else:
+        same_bits(cache.positive, z_ref > 0)
 
 
 # ----------------------------------------------------------------------
@@ -94,104 +91,118 @@ def adjacencies(worker_state):
     return {"full": worker_state.a_local, "sampled": sampled}
 
 
-def _inputs(state, d_in: int, d_out: int, seed: int):
+# Where ``Z`` falls against ReLU's kink: ``shift`` moves the bias (and
+# the ``Z`` a backward reads its mask off) so units are mostly off or on,
+# ``bias=0.0`` leaves ``Z``'s zeros as the product made them, ``zeros``
+# is the share of exact zeros in ``H`` and ``scale`` shrinks ``H`` to
+# float32 subnormals.
+REGIMES = {
+    "mixed": {},
+    "dead": {"shift": -4.0},
+    "alive": {"shift": 4.0},
+    "zero_bias": {"bias": 0.0},
+    "on_the_kink": {"bias": 0.0, "zeros": 0.8},
+    "subnormal": {"bias": 0.0, "scale": 1e-39},
+}
+
+
+def _inputs(state, d_in: int, d_out: int, seed: int, regime: str = "mixed"):
     """Float32 operands with exact and negative zeros sprinkled in."""
+    knobs = REGIMES[regime]
+    shift = knobs.get("shift", 0.0)
     rng = np.random.default_rng(seed)
     n_cat = state.num_local + state.num_halo
-    h_cat = rng.standard_normal((n_cat, d_in)).astype(np.float32)
-    h_cat[rng.random(h_cat.shape) < 0.2] = 0.0
+    h_cat = (
+        rng.standard_normal((n_cat, d_in)) * knobs.get("scale", 1.0)
+    ).astype(np.float32)
+    h_cat[rng.random(h_cat.shape) < knobs.get("zeros", 0.2)] = 0.0
     h_cat[rng.random(h_cat.shape) < 0.1] = -0.0
     weight = (rng.standard_normal((d_in, d_out)) * 0.4).astype(np.float32)
     weight[rng.random(weight.shape) < 0.2] = 0.0
-    bias = (rng.standard_normal(d_out) * 0.1).astype(np.float32)
-    g_cat = rng.standard_normal((n_cat, d_out)).astype(np.float32)
+    bias = (rng.standard_normal(d_out) * 0.1 + shift).astype(np.float32)
+    if "bias" in knobs:
+        bias[:] = knobs["bias"]
+    g_cat = (rng.standard_normal((n_cat, d_out)) + shift).astype(np.float32)
     g_cat[rng.random(g_cat.shape) < 0.3] = 0.0
     return h_cat, weight, bias, g_cat
 
 
 class TestDifferentialGCNKernels:
-    @pytest.mark.parametrize("activation", ACTIVATION_NAMES)
-    @pytest.mark.parametrize("use_bias", [True, False])
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    # Equal widths make the backward destination alias g_cat's head.
+    @pytest.mark.parametrize(
+        "widths", [(8, 8), (12, 5)], ids=["aliased", "distinct"]
+    )
     @pytest.mark.parametrize("transform_first", [True, False])
     @pytest.mark.parametrize("adjacency", ["full", "sampled"])
     def test_forward_and_backward_bit_equal(
         self, worker_state, adjacencies, reference_kernels,
-        adjacency, transform_first, use_bias, activation,
+        adjacency, transform_first, widths, regime,
     ):
         state, a = worker_state, adjacencies[adjacency]
-        act = get_activation(activation)
         n = state.num_local
-        # Equal widths make the backward destination alias g_cat's head.
-        for d_in, d_out in ((8, 8), (12, 5)):
-            h_cat, weight, bias, g_cat = _inputs(state, d_in, d_out, seed=d_in)
-            bias = bias if use_bias else None
-            for is_last in (False, True):
-                agg_ref, z_ref, h_ref = reference_kernels.layer_forward(
-                    a, h_cat, weight, bias, act, is_last, transform_first
-                )
-                out = dirty((n, d_out))
-                cache = layer_forward(
-                    a, h_cat, weight, bias, act, is_last, transform_first,
-                    aggregate_out=dirty((n, d_in)), z_out=dirty((n, d_out)),
-                    out=out, positive_out=np.ones((n, d_out), dtype=bool),
-                )
-                same_sigma_input(cache, z_ref, act, is_last)
-                same_bits(cache.output, h_ref)
-                if not is_last:
-                    assert cache.output is out
-                if transform_first:
-                    assert cache.aggregated is None
-                else:
-                    same_bits(cache.aggregated, agg_ref)
-                same_bits(
-                    weight_gradient(cache, a, g_cat[:n]),
-                    reference_kernels.weight_gradient(
-                        agg_ref, h_cat, a, g_cat[:n]
-                    ),
-                )
+        d_in, d_out = widths
+        h_cat, weight, bias, g_cat = _inputs(
+            state, d_in, d_out, seed=d_in, regime=regime
+        )
+        for is_last in (False, True):
+            agg_ref, z_ref, h_ref = reference_kernels.layer_forward(
+                a, h_cat, weight, bias, relu, is_last, transform_first
+            )
+            out = dirty((n, d_out))
+            cache = layer_forward(
+                a, h_cat, weight, bias, is_last, transform_first,
+                aggregate_out=dirty((n, d_in)), z_out=dirty((n, d_out)),
+                out=out, positive_out=np.ones((n, d_out), dtype=bool),
+            )
+            same_sigma_input(cache, z_ref, is_last)
+            same_bits(cache.output, h_ref)
+            if not is_last:
+                assert cache.output is out
+            if transform_first:
+                assert cache.aggregated is None
+            else:
+                same_bits(cache.aggregated, agg_ref)
+            same_bits(
+                weight_gradient(cache, a, g_cat[:n]),
+                reference_kernels.weight_gradient(
+                    agg_ref, h_cat, a, g_cat[:n]
+                ),
+            )
 
-            # Backward through a layer of width d_out -> d_in.
-            z_prev = _inputs(state, d_out, d_in, seed=99)[3][:n]
-            weight_t = weight  # W maps d_in -> d_out; dh = (A g) W^T
-            want = reference_kernels.layer_backward_inputs(
-                a, g_cat, weight_t, z_prev, act
-            )
-            buffer = g_cat.copy()
-            destination = (
-                buffer[:n] if d_in == d_out else dirty((n, d_in))
-            )
-            got = layer_backward_inputs(
-                a, buffer, weight_t, z_prev, act, out=destination
-            )
-            assert got is destination
-            same_bits(got, want)
-            if act.reads_sign:
-                # The mask a hidden layer keeps instead of Z: same bits.
-                buffer = g_cat.copy()
-                destination = (
-                    buffer[:n] if d_in == d_out else dirty((n, d_in))
-                )
-                same_bits(layer_backward_inputs(
-                    a, buffer, weight_t, z_prev > 0, act, out=destination
-                ), want)
+        # Backward through a layer of width d_out -> d_in.
+        z_prev = _inputs(state, d_out, d_in, seed=99, regime=regime)[3][:n]
+        weight_t = weight  # W maps d_in -> d_out; dh = (A g) W^T
+        want = reference_kernels.layer_backward_inputs(
+            a, g_cat, weight_t, z_prev, relu
+        )
+        # The mask a hidden layer keeps instead of Z: same bits.
+        buffer = g_cat.copy()
+        destination = (
+            buffer[:n] if d_in == d_out else dirty((n, d_in))
+        )
+        got = layer_backward_inputs(
+            a, buffer, weight_t, z_prev > 0, out=destination
+        )
+        assert got is destination
+        same_bits(got, want)
 
     @pytest.mark.parametrize("transform_first", [True, False])
     def test_supplied_aggregate_is_used_and_kept(
         self, worker_state, adjacencies, reference_kernels, transform_first
     ):
         state, a = worker_state, adjacencies["full"]
-        act = get_activation("relu")
         h_cat, weight, bias, g_cat = _inputs(state, 12, 5, seed=3)
         static = a @ h_cat
         _, z_ref, h_ref = reference_kernels.layer_forward(
-            a, h_cat, weight, bias, act, False, transform_first
+            a, h_cat, weight, bias, relu, False, transform_first
         )
         cache = layer_forward(
-            a, h_cat, weight, bias, act, False, transform_first,
+            a, h_cat, weight, bias, False, transform_first,
             aggregated=static,
         )
         assert cache.aggregated is static
-        same_sigma_input(cache, z_ref, act, False)
+        same_sigma_input(cache, z_ref, False)
         same_bits(cache.output, h_ref)
         n = state.num_local
         same_bits(
@@ -205,10 +216,8 @@ class TestDifferentialGCNKernels:
         a = adjacencies["full"]
         h_cat, weight, bias, _ = _inputs(worker_state, 8, 8, seed=1)
         before = h_cat.copy()
-        first = layer_forward(a, h_cat, weight, bias, get_activation("tanh"),
-                              is_last=False)
-        second = layer_forward(a, h_cat, weight, bias, get_activation("tanh"),
-                               is_last=False)
+        first = layer_forward(a, h_cat, weight, bias, is_last=False)
+        second = layer_forward(a, h_cat, weight, bias, is_last=False)
         assert not np.shares_memory(first.output, second.output)
         same_bits(h_cat, before)
 
@@ -241,12 +250,10 @@ class TestDifferentialGCNKernels:
 # ----------------------------------------------------------------------
 # (a) differential, in situ: SAGE and GAT backends inside a real run
 # ----------------------------------------------------------------------
-def _trainer(kind: str, graph, activation="relu", use_bias=True,
-             transform_first=True, layers=3, hidden=8, online=False,
-             **config):
+def _trainer(kind: str, graph, transform_first=True, layers=3, hidden=8,
+             online=False, **config):
     cfg = ECGraphConfig(seed=3, transform_first=transform_first, **config)
-    model = dict(num_layers=layers, hidden_dim=hidden,
-                 activation=activation, use_bias=use_bias)
+    model = dict(num_layers=layers, hidden_dim=hidden)
     if kind == "sage":
         return ECGraphTrainer(
             graph, ModelConfig(model="sage", **model), SPEC, cfg
@@ -264,18 +271,27 @@ def _trainer(kind: str, graph, activation="relu", use_bias=True,
     return ECGraphTrainer(graph, ModelConfig(**model), SPEC, cfg)
 
 
+# (fp_mode, bp_mode): each forward and each backward halo exchange.
+WIRES = [
+    ("raw", "raw"), ("compress", "compress"), ("reqec", "resec"),
+    ("delayed", "delayed"), ("reqec", "raw"), ("raw", "resec"),
+]
+
+
 class TestDifferentialBackendsInSitu:
     """Every forward / backward-reduce kernel call of a real run is
-    recomputed from copies of its inputs by the parent formula."""
+    recomputed from copies of its inputs by the parent formula, over
+    every halo exchange (what reaches a kernel is what the wire left) and
+    with one or two hidden layers."""
 
-    @pytest.mark.parametrize("activation", ACTIVATION_NAMES)
-    @pytest.mark.parametrize("use_bias", [True, False])
-    def test_sage(self, small_graph, reference_kernels, activation, use_bias):
-        trainer = _trainer("sage", small_graph, activation, use_bias,
-                           fp_mode="raw", bp_mode="raw")
+    @pytest.mark.parametrize("layers", [2, 3])
+    @pytest.mark.parametrize("wire", WIRES, ids="-".join)
+    def test_sage(self, small_graph, reference_kernels, wire, layers):
+        fp_mode, bp_mode = wire
+        trainer = _trainer("sage", small_graph, layers=layers,
+                           fp_mode=fp_mode, bp_mode=bp_mode)
         trainer.setup()
-        backend, ctx = trainer.engine.backend, trainer.engine.ctx
-        act = ctx.params.activation
+        backend = trainer.engine.backend
         checked = {"fwd": 0, "bwd": 0}
         # The parent's Z per (worker, layer): the backward reference
         # reads it where the cache may keep only the mask Z > 0.
@@ -288,12 +304,12 @@ class TestDifferentialBackendsInSitu:
                 state.a_local, state.num_local, h_cat.copy(),
                 pulled[self_weight_name(layer - 1)],
                 pulled[weight_name(layer - 1)],
-                pulled.get(bias_name(layer - 1)), act, is_last,
+                pulled[bias_name(layer - 1)], relu, is_last,
             )
             forward(state, h_cat, pulled, layer, is_last=is_last)
             cache = state.caches[layer]
             same_bits(cache.aggregated, agg_ref)
-            same_sigma_input(cache, z_ref, act, is_last)
+            same_sigma_input(cache, z_ref, is_last)
             same_bits(cache.output, h_ref)
             z_refs[state.worker_id, layer] = z_ref
             checked["fwd"] += 1
@@ -306,7 +322,7 @@ class TestDifferentialBackendsInSitu:
                 state.grad_rows[layer].copy(), g_cat[n:].copy(),
                 weights[self_weight_name(layer - 1)],
                 weights[weight_name(layer - 1)],
-                z_refs[state.worker_id, layer - 1], act,
+                z_refs[state.worker_id, layer - 1], relu,
             )
             reduce_(state, layer, weights)
             same_bits(state.grad_rows[layer - 1], want)
@@ -316,16 +332,19 @@ class TestDifferentialBackendsInSitu:
         backend.backward_reduce = backward_reduce
         for t in range(2):
             trainer.run_epoch(t)
-        assert checked == {"fwd": 2 * 3 * 3, "bwd": 2 * 3 * 2}
+        assert checked == {"fwd": 2 * 3 * layers, "bwd": 2 * 3 * (layers - 1)}
 
-    @pytest.mark.parametrize("activation", ACTIVATION_NAMES)
-    @pytest.mark.parametrize("use_bias", [True, False])
-    def test_gat(self, small_graph, reference_kernels, activation, use_bias):
-        trainer = _trainer("gat", small_graph, activation, use_bias,
-                           fp_mode="raw", bp_mode="raw")
+    @pytest.mark.parametrize("layers", [2, 3])
+    @pytest.mark.parametrize("wire", WIRES, ids="-".join)
+    def test_gat(self, small_graph, reference_kernels, wire, layers):
+        fp_mode, bp_mode = wire
+        trainer = _trainer("gat", small_graph, layers=layers,
+                           fp_mode=fp_mode, bp_mode=bp_mode)
         trainer.setup()
-        backend, ctx = trainer.engine.backend, trainer.engine.ctx
-        act = ctx.params.activation
+        backend = trainer.engine.backend
+        # The verbatim GAT forward reads its activation off the run's
+        # parameters, which no longer carry one: feed it ReLU.
+        backend.ctx.params.activation = relu
         checked = {"fwd": 0, "bwd": 0}
         z_refs = {}  # the parent's Z per (worker, layer), as for SAGE
         forward, reduce_ = backend.forward_layer, backend.backward_reduce
@@ -336,7 +355,7 @@ class TestDifferentialBackendsInSitu:
             )
             forward(state, h_cat, pulled, layer, is_last=is_last)
             cache = state.caches[layer]
-            same_sigma_input(cache, z_ref, act, is_last)
+            same_sigma_input(cache, z_ref, is_last)
             same_bits(cache.output, h_ref)
             z_refs[state.worker_id, layer] = z_ref
             checked["fwd"] += 1
@@ -346,7 +365,7 @@ class TestDifferentialBackendsInSitu:
             want = reference_kernels.gat_backward_reduce(
                 backend._dh_buffer(state, layer)[:n].copy(),
                 backend._pushed_buffer(state, layer).copy(),
-                z_refs[state.worker_id, layer - 1], act,
+                z_refs[state.worker_id, layer - 1], relu,
             )
             reduce_(state, layer, weights)
             same_bits(state.grad_rows[layer - 1], want)
@@ -356,7 +375,7 @@ class TestDifferentialBackendsInSitu:
         backend.backward_reduce = backward_reduce
         for t in range(2):
             trainer.run_epoch(t)
-        assert checked == {"fwd": 2 * 3 * 3, "bwd": 2 * 3 * 2}
+        assert checked == {"fwd": 2 * 3 * layers, "bwd": 2 * 3 * (layers - 1)}
 
     @pytest.mark.parametrize("kind", ["gcn", "sampled"])
     @pytest.mark.parametrize("transform_first", [True, False])

@@ -132,11 +132,32 @@ class TestBuildReport:
         assert data["summary"]["total_bytes"] > 0
         assert len(data["loss_curve"]) == 3
         assert set(data["stages"]) == set(ENGINE_STAGES)
-        assert data["coverage"] > 0.5
         assert data["channels"]
         assert set(data["directions"]) >= {"fp", "bp"}
         assert data["health"] is not None
         assert data["dropped_spans"] == 0
+
+    def test_each_epoch_is_its_five_stages(self, instrumented):
+        """What the coverage ratio reports on: every epoch span holds the
+        five engine stages, once each, in pipeline order, as its direct
+        children and tagged with its epoch. A structural fact of the
+        recorded spans, so host load cannot move it (a wall-time ratio
+        threshold can)."""
+        spans = instrumented.telemetry.spans
+        epochs = [s for s in spans if s.name == "epoch"]
+        assert [s.attrs["epoch"] for s in epochs] == [0, 1, 2]
+        for epoch in epochs:
+            stages = sorted(
+                (s for s in spans if s.parent == epoch.index),
+                key=lambda s: s.index,
+            )
+            assert tuple(s.name for s in stages) == ENGINE_STAGES
+            assert all(s.depth == epoch.depth + 1 for s in stages)
+            assert all(s.attrs["epoch"] == epoch.attrs["epoch"]
+                       for s in stages)
+            starts = [s.start_s for s in stages]
+            assert starts == sorted(starts)
+            assert epoch.start_s <= starts[0]
 
     def test_epoch_kinds_partition_the_stage_totals(
         self, small_graph_module

@@ -167,6 +167,9 @@ RETIRED_NAMES = (
     "payload_bytes", "TopKPayload", "OneBitPayload",
     "_build_compressed_payload", "message.payload",
     "to_scipy",
+    "nn.activations", "get_activation", "ACTIVATION_NAMES",
+    "keeps_sign_mask", "apply_activation", "scale_by_derivative",
+    "derivative_input", "reads_sign", "negative_slope", "use_bias",
 )
 
 

@@ -1,21 +1,20 @@
 """σ' as a one-byte mask: what a hidden layer keeps for its derivative.
 
-Under an activation whose derivative reads only the sign of ``Z`` (ReLU,
-leaky ReLU), a hidden layer keeps the bool mask ``Z > 0``; the GCN
-kernel writes ``Z`` straight into the next layer's input head and
-activates it there. Every other activation keeps the float ``Z``.
+Every hidden layer is ReLU, whose derivative reads only the sign of
+``Z``: it keeps the bool mask ``Z > 0``, and the GCN kernel writes ``Z``
+straight into the next layer's input head and activates it there.
 Pinned here:
 
-* the forward records the mask exactly where ``derivative(Z)`` is 1
-  (``apply_activation``), and the one backward rule
-  (``Activation.scale_by_derivative``) gives from it the bits
-  ``dh * derivative(Z)`` gives — signed zeros, NaN and infinities
-  included, in place or into another destination;
-* for every activation and each of GCN, SAGE and GAT, three iterations
-  train to the losses and parameters of the float-``Z`` kernels (kept
-  verbatim in ``tests/oracles/float_sigma.py``), bit for bit;
-* the ReLU plan holds a bool ``mask{l}`` and no float ``z{l}`` for its
-  hidden layers, while tanh keeps a float ``z{l}``.
+* the forward records the mask exactly where ``relu'(Z)`` is 1
+  (``apply_relu``), and the backward rule (``relu_backward``) gives
+  from it the bits ``dh * relu'(Z)`` gives — signed zeros, NaN and
+  infinities included, in place or into another destination;
+* for each of GCN, SAGE and GAT, under every halo exchange, three
+  iterations train to the losses and parameters of the float-``Z``
+  kernels (kept verbatim in ``tests/oracles/float_sigma.py``), bit for
+  bit;
+* the plan holds a bool ``mask{l}`` and no float ``z{l}`` for the
+  hidden layers.
 """
 
 from __future__ import annotations
@@ -25,16 +24,15 @@ import types
 import numpy as np
 import pytest
 from oracles import float_sigma
+from oracles.relu import relu
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.gcn_math import apply_activation
+from repro.core.gcn_math import apply_relu, relu_backward
 from repro.core.trainer import ECGraphTrainer
 from repro.engine.backends import GATBackend
-from repro.nn.activations import ACTIVATION_NAMES, get_activation
 
 SPEC = ClusterSpec(num_workers=3, num_servers=1)
-SIGN_ONLY = ("leaky_relu", "relu")
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -56,71 +54,86 @@ def _awkward(shape, seed):
     return x
 
 
+# Memory layouts the kernels meet: rows, columns, a column-strided view
+# and a row-reversed one (negative strides).
+LAYOUTS = ["c", "f", "strided", "reversed"]
+
+
+def _laid_out(x: np.ndarray, layout: str) -> np.ndarray:
+    """A fresh array with ``x``'s values in ``layout``."""
+    if layout == "c":
+        return np.ascontiguousarray(x)
+    if layout == "f":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        wide = np.empty((x.shape[0], 2 * x.shape[1]), dtype=x.dtype)
+        wide[:, ::2] = x
+        return wide[:, ::2]
+    return np.ascontiguousarray(x[::-1])[::-1]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestMaskRule:
-    def test_sign_only_activations_are_relu_and_leaky_relu(self):
-        assert tuple(
-            name for name in ACTIVATION_NAMES
-            if get_activation(name).reads_sign
-        ) == SIGN_ONLY
-
-    @pytest.mark.parametrize("name", SIGN_ONLY)
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("into", ["in_place", "other"])
-    def test_mask_gives_the_bits_of_the_float_factors(self, name, into):
-        act = get_activation(name)
+    def test_mask_gives_the_bits_of_the_float_factors(self, into, layout):
         z, dh = _awkward((40, 7), 1), _awkward((40, 7), 2)
-        want = dh * act.derivative(z)
-        mask = z > 0
+        want = dh * relu.derivative(z)
+        mask = _laid_out(z, layout) > 0
         if into == "in_place":
-            got = dh.copy()
-            assert act.scale_by_derivative(got, mask) is got
+            got = _laid_out(dh, layout)
+            assert relu_backward(got, mask) is got
         else:
             out = np.full_like(dh, 7.0)
-            got = act.scale_by_derivative(dh.copy(), mask, out=out)
+            got = relu_backward(_laid_out(dh, layout), mask, out=out)
             assert got is out
         same_bits(got, want)
 
-    @pytest.mark.parametrize("name", SIGN_ONLY)
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("into", ["in_place", "other"])
     def test_the_forward_records_the_mask_the_derivative_reads(
-        self, name, into
+        self, into, layout
     ):
-        """At ±0, NaN and ±inf too: the mask is where ``derivative(Z)``
-        is 1, and the output is ``forward(Z)``."""
-        act = get_activation(name)
+        """At ±0, NaN and ±inf too: the mask is where ``relu'(Z)`` is 1,
+        and the output is ``relu(Z)``."""
         z = _awkward((40, 7), 5)
-        want_h, want_mask = act.forward(z), act.derivative(z) == 1.0
+        want_h, want_mask = relu(z), relu.derivative(z) == 1.0
         out = np.full_like(z, 7.0) if into == "other" else None
-        h, kept_z, positive = apply_activation(z.copy(), act, False, out)
-        assert kept_z is None and positive.dtype == np.bool_
+        h, positive = apply_relu(_laid_out(z, layout), False, out)
+        assert positive.dtype == np.bool_
         same_bits(positive, want_mask)
         same_bits(h, want_h)
+        if out is not None:
+            assert h is out
 
-    @pytest.mark.parametrize("name", ACTIVATION_NAMES)
-    def test_float_z_is_read_through_the_derivative(self, name):
-        act = get_activation(name)
-        z, dh = _awkward((30, 5), 3), _awkward((30, 5), 4)
-        same_bits(act.scale_by_derivative(dh.copy(), z), dh * act.derivative(z))
+    def test_the_last_layer_keeps_its_logits(self):
+        z = _awkward((40, 7), 6)
+        h, positive = apply_relu(z, True, np.full_like(z, 7.0))
+        assert h is z and positive is None
 
 
 # ----------------------------------------------------------------------
 # Three iterations against the float-Z kernels
 # ----------------------------------------------------------------------
-def _trainer(graph, model, activation):
-    cfg = ECGraphConfig(seed=3)
+def _trainer(graph, model, wire=("reqec", "resec"), num_layers=3):
+    fp_mode, bp_mode = wire
+    cfg = ECGraphConfig(seed=3, fp_mode=fp_mode, bp_mode=bp_mode)
     layers = ModelConfig(
-        model="sage" if model == "sage" else "gcn", num_layers=3,
-        hidden_dim=8, activation=activation,
+        model="sage" if model == "sage" else "gcn", num_layers=num_layers,
+        hidden_dim=8,
     )
     backend = GATBackend(num_heads=2) if model == "gat" else None
     return ECGraphTrainer(graph, layers, SPEC, cfg, backend=backend)
 
 
-def _run(graph, model, activation, float_z):
-    trainer = _trainer(graph, model, activation)
+def _run(graph, model, wire, float_z):
+    trainer = _trainer(graph, model, wire)
     trainer.setup()
     backend = trainer.engine.backend
     if float_z:
+        # The verbatim kernels read their activation off the run's
+        # parameters, which no longer carry one: feed them ReLU.
+        backend.ctx.params.activation = relu
         for name, method in float_sigma.METHODS[model].items():
             setattr(backend, name, types.MethodType(method, backend))
     losses = [repr(trainer.run_epoch(t).loss) for t in range(3)]
@@ -132,26 +145,25 @@ def _run(graph, model, activation, float_z):
     return trainer, losses, params
 
 
+# (fp_mode, bp_mode): each forward and each backward halo exchange.
+WIRES = [
+    ("raw", "raw"), ("compress", "compress"), ("reqec", "resec"),
+    ("delayed", "delayed"), ("reqec", "raw"), ("raw", "resec"),
+]
+
+
 class TestMatchesFloatSigma:
-    @pytest.mark.parametrize("activation", ACTIVATION_NAMES)
+    @pytest.mark.parametrize("wire", WIRES, ids="-".join)
     @pytest.mark.parametrize("model", ["gcn", "sage", "gat"])
-    def test_three_iterations_bit_equal(self, small_graph, model, activation):
-        trainer, losses, params = _run(small_graph, model, activation, False)
-        _, want_losses, want_params = _run(
-            small_graph, model, activation, True
-        )
+    def test_three_iterations_bit_equal(self, small_graph, model, wire):
+        trainer, losses, params = _run(small_graph, model, wire, False)
+        _, want_losses, want_params = _run(small_graph, model, wire, True)
         assert losses == want_losses
         assert params == want_params
-        # The run kept what σ' reads as the activation says it should.
-        sign_only = get_activation(activation).reads_sign
+        # The run kept the mask σ' reads on every hidden layer.
         for state in trainer.workers:
             for layer in (1, 2):
-                cache = state.caches[layer]
-                assert (cache.positive is not None) == sign_only
-                assert (cache.pre_activation is None) == sign_only
-                assert cache.derivative_input.dtype == (
-                    np.bool_ if sign_only else np.float32
-                )
+                assert state.caches[layer].positive.dtype == np.bool_
             assert state.caches[3].positive is None
 
 
@@ -159,9 +171,9 @@ class TestMatchesFloatSigma:
 # What the GCN plan holds
 # ----------------------------------------------------------------------
 class TestGCNPlan:
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_hidden_layers_keep_a_mask_or_z(self, small_graph, activation):
-        trainer = _trainer(small_graph, "gcn", activation)
+    @pytest.mark.parametrize("num_layers", [2, 3, 4])
+    def test_hidden_layers_keep_a_mask(self, small_graph, num_layers):
+        trainer = _trainer(small_graph, "gcn", num_layers=num_layers)
         trainer.setup()
         ws = trainer.engine.ctx.workspaces
         for state in trainer.workers:
@@ -170,18 +182,14 @@ class TestGCNPlan:
                 life.name: slot.dtype
                 for slot in plan.slots for life in slot.occupants
             }
-            for layer in (1, 2):
-                if activation == "relu":
-                    assert f"z{layer}" not in dtype_of
-                    assert dtype_of[f"mask{layer}"] == np.bool_
-                else:
-                    assert f"mask{layer}" not in dtype_of
-                    assert dtype_of[f"z{layer}"] == np.float32
-            # The logits stay float32 under either.
-            assert dtype_of["z3"] == np.float32
+            for layer in range(1, num_layers):
+                assert f"z{layer}" not in dtype_of
+                assert dtype_of[f"mask{layer}"] == np.bool_
+            # The logits stay float32.
+            assert dtype_of[f"z{num_layers}"] == np.float32
 
     def test_relu_writes_z_into_the_next_input_head(self, small_graph):
-        trainer = _trainer(small_graph, "gcn", "relu")
+        trainer = _trainer(small_graph, "gcn")
         trainer.setup()
         backend = trainer.engine.backend
         ws = trainer.engine.ctx.workspaces

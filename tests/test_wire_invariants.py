@@ -256,11 +256,14 @@ def _size_offenders(source: str) -> list[str]:
     return offenders
 
 
-# Where a byte count reaches the traffic meter: ``ClusterRuntime``'s
-# three ``send_*`` calls and the parameter servers' outage retries, each
-# taking the count as its third argument.
-SINKS = {"send_worker_to_worker", "send_worker_to_server",
-         "send_server_to_worker", "_outage_retries"}
+# Where a byte count reaches the traffic meter, with the position of
+# the count among the call's arguments: ``ClusterRuntime``'s three
+# ``send_*`` calls and its graph-store ``fetch_from_store``, the
+# ``charge`` they all call (``TrafficMeter.charge`` has the same name
+# and position), and the parameter servers' outage retries.
+SINKS = {"send_worker_to_worker": 2, "send_worker_to_server": 2,
+         "send_server_to_worker": 2, "_outage_retries": 2, "charge": 2,
+         "fetch_from_store": 1}
 # The metered charges that are not frames, each with the reason. A new
 # one fails the guard; framing one of these fails it too, until it
 # leaves this table.
@@ -272,6 +275,16 @@ NOT_FRAMED = {
     ("engine/backends.py", "64"):
         "an online-sampling request, a modelled 64-byte message with no "
         "payload the program builds; pinned as ``sampling``",
+    ("baselines/ml_centered.py", "remote"):
+        "the AGL / AliGraph-FG storage pull, the remote share "
+        "``(machines - 1) / machines`` of a worker's L-hop cache bytes; "
+        "a modelled read of the distributed store, not a message the "
+        "program builds (ROADMAP 24(b) frames it); pinned as "
+        "``lhop_pull`` / ``recovery``",
+    ("membership/reassign.py", "num_bytes"):
+        "an adopter's feature-shard reload from the graph store, sized "
+        "as the rows plus a 16-byte header (ROADMAP 24(b) frames it); "
+        "pinned as ``recovery`` by the elastic runs",
 }
 
 
@@ -295,7 +308,8 @@ def _computed_counts(source: str) -> list[tuple[int, str]]:
             call.func, "attr", getattr(call.func, "id", "")
         ) in SINKS):
             continue
-        count = call.args[2] if len(call.args) > 2 else next(
+        at = SINKS[getattr(call.func, "attr", getattr(call.func, "id", ""))]
+        count = call.args[at] if len(call.args) > at else next(
             k.value for k in call.keywords if k.arg in ("num_bytes", "nbytes")
         )
         func = owner.get(call)
@@ -383,11 +397,19 @@ class TestMeteredCountsAreFrameLengths:
             "def _outage_retries(self, worker, server, nbytes, category):\n"
             "    self.runtime.send_server_to_worker(server, worker, nbytes, "
             "category)\n"
+            "def fetch_from_store(self, worker, num_bytes, category):\n"
+            "    self.charge(0, worker, num_bytes, category)\n"
+            "def storage(self, rows, count, frame):\n"
+            "    runtime.charge(1, 0, int(rows.nbytes * 3 / 4), 'lhop_pull')\n"
+            "    runtime.fetch_from_store(0, count * 4 + 16, 'recovery')\n"
+            "    runtime.fetch_from_store(0, len(frame), 'recovery')\n"
+            "    runtime.meter.charge(0, 1, len(frame), 'x')\n"
         )
         assert _computed_counts(sample) == [
             (3, "nbytes"), (4, "nbytes"), (11, "rows.nbytes + 16"),
             (12, "64"), (13, "rows.nbytes"), (14, "n"),
             (15, "message.nbytes"), (17, "k"), (20, "m"),
+            (26, "int(rows.nbytes * 3 / 4)"), (27, "count * 4 + 16"),
         ]
 
 
